@@ -1,10 +1,12 @@
 //! Kernel hot-path micro-benchmarks: the four operations every simulated
 //! event decomposes into — event enqueue/dequeue through the heap,
 //! timer set/cancel/fire through the timer lane, and message transmit
-//! through the network model. Complements `kernel_baseline` (whole-run
-//! events/sec) with per-path costs.
+//! through the network model — plus `deep_queue`, the same paths taken
+//! together over a 100k-entry backlog. Complements `kernel_baseline`
+//! (whole-run events/sec) with per-path costs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use dvp_bench::deep_queue::deep_queue;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::node::{Context, Node, TimerId};
 use dvp_simnet::sim::Simulation;
@@ -163,6 +165,18 @@ fn bench_kernel(c: &mut Criterion) {
             },
             |mut sim| sim.run_to_quiescence(),
             BatchSize::SmallInput,
+        )
+    });
+
+    // 100k arrivals plus the ping-pong beneath them; building the backlog
+    // is set-up, draining it is what is timed.
+    let backlog = || deep_queue(100_000, SimDuration::micros(100));
+    g.throughput(Throughput::Elements(backlog().run_to_quiescence()));
+    g.bench_function("deep_queue_100k", |b| {
+        b.iter_batched(
+            backlog,
+            |mut sim| sim.run_to_quiescence(),
+            BatchSize::LargeInput,
         )
     });
 

@@ -225,6 +225,7 @@ fn run_matrix() -> bool {
             "salvages",
             "media failures",
             "dropped@crashed",
+            "externals@crashed",
             "lost",
             "dup",
         ],
@@ -264,6 +265,7 @@ fn run_matrix() -> bool {
             sum(|r| r.salvages).to_string(),
             sum(|r| r.media_failures).to_string(),
             sum(|r| r.dropped_crashed).to_string(),
+            sum(|r| r.externals_dropped).to_string(),
             sum(|r| r.lost).to_string(),
             sum(|r| r.duplicated).to_string(),
         ]);

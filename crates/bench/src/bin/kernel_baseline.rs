@@ -1,18 +1,23 @@
-//! Kernel throughput baseline: wall-clock events/sec for three scenario
+//! Kernel throughput baseline: wall-clock events/sec for four scenario
 //! shapes, written to `BENCH_kernel.json` (path overridable as argv[1]).
 //!
-//! The three shapes stress different kernel paths:
+//! The four shapes stress different kernel paths:
 //! * `reliable_ping_pong` — pure message hot path: enqueue, dequeue,
 //!   dispatch, transmit. No loss, no timers.
 //! * `lossy_dup_retx` — the full mix: random loss and duplication plus a
 //!   per-message retransmit timer protocol (set, cancel, fire all hot).
 //! * `airline_t1_partitioned` — the real transaction engine under the T1
-//!   split-4/4 partition: deep event queues, partition oracle checks,
-//!   protocol-level timers and Vm retransmission.
+//!   split-4/4 partition: partition oracle checks, protocol-level timers
+//!   and Vm retransmission over a scripted-arrival backlog.
+//! * `deep_queue` — the backlog itself: 100k pre-scheduled externals
+//!   under a window-32 ping-pong with a timer set + cancel per event
+//!   (`dvp_bench::deep_queue`). The first two shapes never hold more than
+//!   a few dozen pending entries, so they cannot see what depth costs.
 //!
 //! Each scenario reports simulated events processed, wall seconds, and
 //! events/sec; compare across kernel changes with identical scales.
 
+use dvp_bench::deep_queue::deep_queue;
 use dvp_bench::Scale;
 use dvp_core::{Cluster, ClusterConfig, FaultPlan};
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
@@ -190,6 +195,15 @@ fn airline_partitioned(txns: u32) -> (u64, f64) {
     (events, t.elapsed().as_secs_f64())
 }
 
+// ---- scenario 4: deep backlog -------------------------------------------
+
+fn deep_backlog(gap: SimDuration) -> (u64, f64) {
+    let mut sim = deep_queue(100_000, gap);
+    let t = Instant::now();
+    let events = sim.run_to_quiescence();
+    (events, t.elapsed().as_secs_f64())
+}
+
 // ---- harness ------------------------------------------------------------
 
 fn main() {
@@ -198,9 +212,9 @@ fn main() {
         .unwrap_or_else(|| "BENCH_kernel.json".to_string());
     let scale = Scale::from_env();
     // Quick keeps CI fast; Full is for real measurement sessions.
-    let (rounds, msgs, txns) = match scale {
-        Scale::Quick => (400_000u64, 60_000u64, 2_000u32),
-        Scale::Full => (4_000_000, 600_000, 20_000),
+    let (rounds, msgs, txns, gap_us) = match scale {
+        Scale::Quick => (400_000u64, 60_000u64, 2_000u32, 100u64),
+        Scale::Full => (4_000_000, 600_000, 20_000, 1_000),
     };
 
     let mut results: Vec<(&str, u64, f64)> = Vec::new();
@@ -210,6 +224,8 @@ fn main() {
     results.push(("lossy_dup_retx", e, s));
     let (e, s) = airline_partitioned(txns);
     results.push(("airline_t1_partitioned", e, s));
+    let (e, s) = deep_backlog(SimDuration::micros(gap_us));
+    results.push(("deep_queue", e, s));
 
     let mut json = String::from("{\n  \"scenarios\": [\n");
     for (i, (name, events, secs)) in results.iter().enumerate() {

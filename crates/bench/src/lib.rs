@@ -17,6 +17,7 @@
 
 #[cfg(feature = "alloc-audit")]
 pub mod alloc_audit;
+pub mod deep_queue;
 pub mod exp_f1_quota;
 pub mod exp_f2_readcost;
 pub mod exp_f3_vm;

@@ -241,6 +241,7 @@ impl Scenario {
             still_blocked: 0,
             recovery_remote_msgs: m.sites.iter().map(|s| s.recovery_remote_messages).sum(),
             dropped_crashed: cl.sim.stats().dropped_crashed,
+            externals_dropped: cl.sim.stats().externals_dropped,
             crashpoint_trips: m.crashpoint_trips(),
             torn_crashes: m.torn_crashes(),
             phases: m.phases(),
@@ -291,6 +292,7 @@ impl Scenario {
             still_blocked: m.still_blocked() as u64,
             recovery_remote_msgs: m.recovery_remote_messages(),
             dropped_crashed: cl.sim.stats().dropped_crashed,
+            externals_dropped: cl.sim.stats().externals_dropped,
             crashpoint_trips: 0,
             torn_crashes: 0,
             phases: m.phases(),
@@ -373,6 +375,8 @@ pub struct RunReport {
     pub recovery_remote_msgs: u64,
     /// Deliveries suppressed because the recipient site was crashed.
     pub dropped_crashed: u64,
+    /// Client arrivals suppressed because their site was crashed.
+    pub externals_dropped: u64,
     /// Nemesis crashpoint triggers fired during the run.
     pub crashpoint_trips: u64,
     /// Crashes whose in-flight log write tore (and recovery repaired).

@@ -62,6 +62,8 @@ pub struct CampaignResult {
     pub media_failures: u64,
     /// Deliveries suppressed because the recipient was down.
     pub dropped_crashed: u64,
+    /// Client arrivals suppressed because their site was down.
+    pub externals_dropped: u64,
     /// Messages dropped by loss (link + chaos).
     pub lost: u64,
     /// Extra copies from duplication (link + chaos).
@@ -136,6 +138,7 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         salvages: m.salvages(),
         media_failures: m.media_failures(),
         dropped_crashed: s.dropped_crashed,
+        externals_dropped: s.externals_dropped,
         lost: s.lost,
         duplicated: s.duplicated,
         phases: m.phases(),

@@ -1,91 +1,280 @@
-//! Event-queue plumbing.
+//! Pending-work lanes for everything that is not a timer.
 //!
-//! Events are totally ordered by `(time, seq)` where `seq` is a global
-//! monotone counter assigned at scheduling time. The tiebreaker makes the
-//! run deterministic *and* gives the synchronous-ordered network mode its
+//! All pending work is totally ordered by `(time, seq)` where `seq` is a
+//! global monotone counter assigned at scheduling time. The tiebreaker makes
+//! the run deterministic *and* gives the synchronous-ordered network mode its
 //! "every site sees broadcasts in the same order" property: equal-delay
 //! deliveries inherit the ordering of their sends.
+//!
+//! Two of the kernel's three lanes live here (the third is
+//! `crate::timers`); the run loop merges all three by that key:
+//!
+//! * [`ScheduledLane`] — externals, crashes and recoveries, which enter
+//!   through `Simulation::schedule_*`. Drivers pre-schedule whole scripts
+//!   (100k+ arrivals), so these sit in a sorted `Vec` that is popped from
+//!   the end instead of being sifted through a heap on every delivery.
+//! * [`MessageHeap`] — in-flight deliveries only, so it stays as shallow as
+//!   the protocol's window. The heap orders small `Copy` keys; the message
+//!   itself waits in a slab slot and never moves during a sift.
 
 use crate::time::SimTime;
 use crate::NodeId;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// What an event does when it fires.
-///
-/// Timers are *not* events: they live in their own indexed lane (see
-/// `crate::timers`) so cancellation can remove them in place instead of
-/// leaving tombstones in this queue.
-#[derive(Debug)]
-pub(crate) enum EventKind<M> {
-    /// Deliver `msg` from `from` to `to`.
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    /// Externally injected event for `node` (workload arrivals etc.).
-    External { node: NodeId, tag: u64 },
-    /// Crash `node`.
-    Crash { node: NodeId },
-    /// Recover `node`.
-    Recover { node: NodeId },
+/// The total-order key every lane is merged on.
+pub(crate) type Key = (SimTime, u64);
+
+/// What a scheduled entry does when its instant arrives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ScheduledKind {
+    /// Externally injected event (workload arrivals etc.) carrying `tag`.
+    External,
+    /// Crash the node.
+    Crash,
+    /// Recover the node.
+    Recover,
 }
 
-/// A scheduled event.
-#[derive(Debug)]
-pub(crate) struct Event<M> {
+/// One entry of the scheduled lane. Kept at 32 bytes: the lane holds a
+/// whole workload script at once, so its entry size is the kernel's
+/// largest contribution to peak memory.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Scheduled {
     pub at: SimTime,
     pub seq: u64,
-    pub kind: EventKind<M>,
+    /// Opaque tag handed to `on_external`; unused by crash/recover.
+    pub tag: u64,
+    pub node: u32,
+    pub kind: ScheduledKind,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Scheduled {
+    #[inline]
+    fn key(&self) -> Key {
+        (self.at, self.seq)
     }
 }
 
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest event.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+/// Externals and faults, sorted lazily.
+///
+/// `push` appends in O(1); the first `peek_key` after an out-of-order push
+/// sorts the whole lane in place (keys are unique, so an unstable sort is
+/// deterministic). Entries are held in *descending* key order so the next
+/// one due is popped from the end. Scheduling while `n` entries are
+/// pending therefore costs one `O(n log n)` sort at the next peek, not a
+/// sift per entry — cheap for the build-then-run shape every driver has.
+#[derive(Debug, Default)]
+pub(crate) struct ScheduledLane {
+    entries: Vec<Scheduled>,
+    /// Whether a push since the last sort broke the descending order.
+    unsorted: bool,
+}
+
+impl ScheduledLane {
+    /// Number of pending entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Add an entry; any `at`, in any order.
+    pub fn push(&mut self, e: Scheduled) {
+        if self.entries.last().is_some_and(|due| e.key() > due.key()) {
+            self.unsorted = true;
+        }
+        self.entries.push(e);
+    }
+
+    /// Key of the next entry due, if any.
+    #[inline]
+    pub fn peek_key(&mut self) -> Option<Key> {
+        if self.unsorted {
+            self.sort();
+        }
+        self.entries.last().map(Scheduled::key)
+    }
+
+    /// Out of line: `peek_key` runs once per event, this once per batch of
+    /// `schedule_*` calls.
+    #[cold]
+    fn sort(&mut self) {
+        self.entries.sort_unstable_by_key(|e| Reverse(e.key()));
+        self.unsorted = false;
+    }
+
+    /// Remove and return the entry [`peek_key`](Self::peek_key) reported.
+    #[inline]
+    pub fn pop(&mut self) -> Option<Scheduled> {
+        debug_assert!(!self.unsorted, "pop without a preceding peek_key");
+        self.entries.pop()
+    }
+}
+
+/// A message on the wire.
+#[derive(Debug)]
+pub(crate) struct InFlight<M> {
+    pub from: NodeId,
+    pub to: NodeId,
+    pub msg: M,
+}
+
+/// What the message heap actually sifts: `(at, seq, slot)`, 24 bytes,
+/// `Copy`. `Reverse` because `BinaryHeap` is a max-heap and the earliest
+/// key is wanted; `seq` is unique, so `slot` never decides an ordering.
+type MsgKey = Reverse<(SimTime, u64, u32)>;
+
+/// One slab slot: a parked message, or a link in the free list.
+#[derive(Debug)]
+enum Slot<M> {
+    Full(InFlight<M>),
+    Vacant { next_free: u32 },
+}
+
+/// End of the free list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// In-flight deliveries: a min-heap of [`MsgKey`]s over a free-list slab
+/// of parked messages.
+#[derive(Debug)]
+pub(crate) struct MessageHeap<M> {
+    heap: BinaryHeap<MsgKey>,
+    slots: Vec<Slot<M>>,
+    /// First vacant slot (they chain through `next_free`), reused before
+    /// the slab grows.
+    free: u32,
+}
+
+impl<M> Default for MessageHeap<M> {
+    fn default() -> Self {
+        MessageHeap {
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: NO_SLOT,
+        }
+    }
+}
+
+impl<M> MessageHeap<M> {
+    /// Number of messages in flight.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Park `m` until `(at, seq)` comes due.
+    pub fn push(&mut self, at: SimTime, seq: u64, m: InFlight<M>) {
+        let slot = match self.slots.get_mut(self.free as usize) {
+            Some(vacant) => {
+                let Slot::Vacant { next_free } = *vacant else {
+                    unreachable!("free list points at a parked message");
+                };
+                *vacant = Slot::Full(m);
+                std::mem::replace(&mut self.free, next_free)
+            }
+            None => {
+                let slot = self.slots.len();
+                assert!(slot < NO_SLOT as usize, "too many messages in flight");
+                self.slots.push(Slot::Full(m));
+                slot as u32
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+    }
+
+    /// Key of the earliest delivery, if any.
+    #[inline]
+    pub fn peek_key(&self) -> Option<Key> {
+        self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq))
+    }
+
+    /// Remove and return the earliest delivery.
+    pub fn pop(&mut self) -> Option<InFlight<M>> {
+        let Reverse((_, _, slot)) = self.heap.pop()?;
+        let vacant = Slot::Vacant {
+            next_free: self.free,
+        };
+        self.free = slot;
+        match std::mem::replace(&mut self.slots[slot as usize], vacant) {
+            Slot::Full(m) => Some(m),
+            Slot::Vacant { .. } => unreachable!("heap key points at a vacant slot"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
 
-    fn ev(at: u64, seq: u64) -> Event<()> {
-        Event {
+    fn sched(at: u64, seq: u64) -> Scheduled {
+        Scheduled {
             at: SimTime(at),
             seq,
-            kind: EventKind::External { node: 0, tag: 0 },
+            tag: seq,
+            node: 0,
+            kind: ScheduledKind::External,
         }
     }
 
-    #[test]
-    fn heap_pops_earliest_first() {
-        let mut h = BinaryHeap::new();
-        h.push(ev(30, 0));
-        h.push(ev(10, 1));
-        h.push(ev(20, 2));
-        assert_eq!(h.pop().unwrap().at, SimTime(10));
-        assert_eq!(h.pop().unwrap().at, SimTime(20));
-        assert_eq!(h.pop().unwrap().at, SimTime(30));
+    fn drain(l: &mut ScheduledLane) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| {
+            l.peek_key()?;
+            l.pop().map(|e| (e.at.0, e.seq))
+        })
+        .collect()
     }
 
     #[test]
-    fn ties_break_by_sequence_number() {
-        let mut h = BinaryHeap::new();
-        h.push(ev(10, 5));
-        h.push(ev(10, 2));
-        h.push(ev(10, 9));
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|e| e.seq)).collect();
-        assert_eq!(order, vec![2, 5, 9]);
+    fn entries_stay_slim() {
+        assert_eq!(std::mem::size_of::<Scheduled>(), 32);
+        assert_eq!(std::mem::size_of::<MsgKey>(), 24);
+    }
+
+    #[test]
+    fn scheduled_lane_pops_earliest_first_ties_by_seq() {
+        let mut l = ScheduledLane::default();
+        for (at, seq) in [(30, 0), (10, 1), (20, 2), (10, 3), (10, 4)] {
+            l.push(sched(at, seq));
+        }
+        assert_eq!(l.len(), 5);
+        assert_eq!(
+            drain(&mut l),
+            vec![(10, 1), (10, 3), (10, 4), (20, 2), (30, 0)]
+        );
+    }
+
+    #[test]
+    fn scheduled_lane_accepts_pushes_between_pops() {
+        let mut l = ScheduledLane::default();
+        l.push(sched(10, 0));
+        l.push(sched(50, 1));
+        assert_eq!(l.peek_key(), Some((SimTime(10), 0)));
+        l.pop();
+        // Later than, equal to, and earlier than what is still pending.
+        l.push(sched(70, 2));
+        l.push(sched(50, 3));
+        l.push(sched(20, 4));
+        assert_eq!(drain(&mut l), vec![(20, 4), (50, 1), (50, 3), (70, 2)]);
+    }
+
+    #[test]
+    fn message_heap_orders_by_key_and_reuses_slots() {
+        let mut h: MessageHeap<u64> = MessageHeap::default();
+        let m = |msg| InFlight {
+            from: 0,
+            to: 1,
+            msg,
+        };
+        h.push(SimTime(30), 0, m(30));
+        h.push(SimTime(10), 5, m(15));
+        h.push(SimTime(10), 2, m(12));
+        assert_eq!(h.peek_key(), Some((SimTime(10), 2)));
+        assert_eq!(h.pop().unwrap().msg, 12);
+        h.push(SimTime(20), 6, m(26));
+        assert_eq!(h.slots.len(), 3, "the popped slot is reused");
+        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|f| f.msg)).collect();
+        assert_eq!(order, vec![15, 26, 30]);
+        assert_eq!(h.len(), 0);
+        assert_eq!(h.peek_key(), None);
     }
 }

@@ -1,9 +1,9 @@
 //! The simulation kernel.
 //!
-//! [`Simulation`] owns the nodes, the event queue, the network model, and
-//! the clock. It is generic over one [`Node`] implementation; heterogeneous
-//! systems are modelled with an enum-of-roles node (see the transaction
-//! engine in `dvp-core`).
+//! [`Simulation`] owns the nodes, the pending-work lanes, the network
+//! model, and the clock. It is generic over one [`Node`] implementation;
+//! heterogeneous systems are modelled with an enum-of-roles node (see the
+//! transaction engine in `dvp-core`).
 //!
 //! ## Failure semantics
 //!
@@ -17,7 +17,7 @@
 //!   checked both at send and at delivery time, so a partition also cuts
 //!   messages already in flight across the new boundary.
 
-use crate::event::{Event, EventKind};
+use crate::event::{InFlight, Key, MessageHeap, Scheduled, ScheduledKind, ScheduledLane};
 use crate::network::{Fate, NetworkConfig, NetworkModel};
 use crate::node::{Action, Context, Node, TimerId};
 use crate::rng::SimRng;
@@ -27,7 +27,6 @@ use crate::timers::{TimerEntry, TimerLane};
 use crate::trace::{Trace, TraceEvent};
 use crate::NodeId;
 use dvp_obs::{EventKind as ObsEvent, Obs};
-use std::collections::BinaryHeap;
 
 /// Default cap on processed events per `run_*` call; a protocol that
 /// exceeds it almost certainly livelocked, and determinism means the
@@ -42,11 +41,14 @@ pub struct Simulation<N: Node> {
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     net: NetworkModel,
-    queue: BinaryHeap<Event<N::Msg>>,
-    /// Armed timers, separate from the event queue so cancellation is an
-    /// in-place removal instead of a tombstone. Both lanes draw `seq` from
-    /// the same counter, and the run loop merges them by `(at, seq)`, so
-    /// the total order is identical to the single-queue kernel's.
+    /// Pending work, in three lanes by how it enters and leaves: scripted
+    /// externals and faults (bulk-scheduled up front, never cancelled),
+    /// in-flight messages (few at a time, never cancelled), and armed
+    /// timers (cancelled in place). All three draw `seq` from the same
+    /// counter and the run loop merges them by `(at, seq)`, so the total
+    /// order is identical to a single queue's.
+    scheduled: ScheduledLane,
+    messages: MessageHeap<N::Msg>,
     timers: TimerLane,
     now: SimTime,
     seq: u64,
@@ -80,7 +82,8 @@ impl<N: Node> Simulation<N> {
             node_rngs,
             net_rng,
             net: NetworkModel::new(net),
-            queue: BinaryHeap::new(),
+            scheduled: ScheduledLane::default(),
+            messages: MessageHeap::default(),
             timers: TimerLane::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -158,10 +161,10 @@ impl<N: Node> Simulation<N> {
         self.net.connected(a, b, self.now)
     }
 
-    /// Number of pending events (message/external/fault events plus armed
-    /// timers).
+    /// Number of pending events (scheduled externals and faults, in-flight
+    /// messages, and armed timers).
     pub fn pending_events(&self) -> usize {
-        self.queue.len() + self.timers.len()
+        self.scheduled.len() + self.messages.len() + self.timers.len()
     }
 
     /// Number of armed (not yet fired, not cancelled) timers.
@@ -171,36 +174,61 @@ impl<N: Node> Simulation<N> {
 
     // ---- scheduling -----------------------------------------------------
 
-    /// Schedule a crash of `node` at absolute time `at`.
+    /// Schedule a crash of `node` at absolute time `at`; ordering and
+    /// clamping as for [`schedule_external`](Self::schedule_external).
     pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        self.push(at, EventKind::Crash { node });
+        self.schedule(at, node, ScheduledKind::Crash, 0);
     }
 
-    /// Schedule a recovery of `node` at absolute time `at`.
+    /// Schedule a recovery of `node` at absolute time `at`; ordering and
+    /// clamping as for [`schedule_external`](Self::schedule_external).
     pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        self.push(at, EventKind::Recover { node });
+        self.schedule(at, node, ScheduledKind::Recover, 0);
     }
 
-    /// Schedule an external event (e.g. a client arrival) for `node`.
+    /// Schedule an external event (e.g. a client arrival) for `node` at
+    /// absolute time `at`.
+    ///
+    /// The `schedule_*` calls may come in any order, before the first run
+    /// or between `run_*` calls. An `at` already in the past is clamped to
+    /// `now`; entries at equal instants fire in the order they were
+    /// scheduled. Panics if there is no such `node`.
     pub fn schedule_external(&mut self, at: SimTime, node: NodeId, tag: u64) {
-        self.push(at, EventKind::External { node, tag });
+        self.schedule(at, node, ScheduledKind::External, tag);
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<N::Msg>) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
-        let ev = Event {
+    fn schedule(&mut self, at: SimTime, node: NodeId, kind: ScheduledKind, tag: u64) {
+        assert!(node < self.nodes.len(), "no node {node}");
+        let seq = self.next_seq();
+        self.scheduled.push(Scheduled {
             at: at.max(self.now),
-            seq: self.seq,
+            seq,
+            tag,
+            node: u32::try_from(node).expect("node ids fit in 32 bits"),
             kind,
-        };
-        self.seq += 1;
-        self.queue.push(ev);
+        });
+        self.note_depth();
+    }
+
+    /// Put a message on the wire, to arrive at `at`.
+    fn post(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Msg) {
+        debug_assert!(at >= self.now, "cannot schedule into the past");
+        let seq = self.next_seq();
+        self.messages
+            .push(at.max(self.now), seq, InFlight { from, to, msg });
         self.note_depth();
     }
 
     #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    #[inline]
     fn note_depth(&mut self) {
-        let depth = (self.queue.len() + self.timers.len()) as u64;
+        let depth = self.pending_events() as u64;
         if depth > self.stats.peak_queue_depth {
             self.stats.peak_queue_depth = depth;
         }
@@ -240,21 +268,15 @@ impl<N: Node> Simulation<N> {
         self.ensure_started();
         let mut processed = 0u64;
         while !self.halted {
-            // Merge the event and timer lanes by `(at, seq)`. Both draw
-            // `seq` from the same counter, so this replays exactly the
-            // total order of the old single-queue kernel.
-            let ev_key = self.queue.peek().map(|e| (e.at, e.seq));
-            let (key, from_timers) = match (ev_key, self.timers.peek_key()) {
-                (None, None) => break,
-                (Some(e), None) => (e, false),
-                (None, Some(t)) => (t, true),
-                (Some(e), Some(t)) => {
-                    if t < e {
-                        (t, true)
-                    } else {
-                        (e, false)
-                    }
-                }
+            // Merge the three lanes by `(at, seq)`. All draw `seq` from
+            // the same counter, so keys never tie and this replays exactly
+            // the total order of a single queue.
+            let Some((key, lane)) = earliest([
+                (self.scheduled.peek_key(), Lane::Scheduled),
+                (self.messages.peek_key(), Lane::Messages),
+                (self.timers.peek_key(), Lane::Timers),
+            ]) else {
+                break;
             };
             if key.0 > deadline {
                 break;
@@ -262,12 +284,19 @@ impl<N: Node> Simulation<N> {
             debug_assert!(key.0 >= self.now, "time went backwards");
             self.now = key.0;
             self.obs.set_now_us(self.now.0);
-            if from_timers {
-                let t = self.timers.pop().expect("peeked");
-                self.fire_timer(t);
-            } else {
-                let ev = self.queue.pop().expect("peeked");
-                self.handle(ev.kind);
+            match lane {
+                Lane::Scheduled => {
+                    let e = self.scheduled.pop().expect("peeked");
+                    self.handle_scheduled(e);
+                }
+                Lane::Messages => {
+                    let m = self.messages.pop().expect("peeked");
+                    self.deliver(m);
+                }
+                Lane::Timers => {
+                    let t = self.timers.pop().expect("peeked");
+                    self.fire_timer(t);
+                }
             }
             processed += 1;
             self.stats.events_processed += 1;
@@ -284,44 +313,50 @@ impl<N: Node> Simulation<N> {
         processed
     }
 
-    fn handle(&mut self, kind: EventKind<N::Msg>) {
-        match kind {
-            EventKind::Deliver { from, to, msg } => {
-                if self.crashed[to] {
-                    self.stats.dropped_crashed += 1;
-                    self.trace.record(TraceEvent::DeadRecipient {
-                        at: self.now,
-                        from,
-                        to,
-                    });
-                    return;
-                }
-                // A partition that arose while the message was in flight
-                // also cuts it.
-                if !self.net.connected(from, to, self.now) {
-                    self.stats.partitioned += 1;
-                    self.trace.record(TraceEvent::Partitioned {
-                        at: self.now,
-                        from,
-                        to,
-                    });
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.trace.record(TraceEvent::Delivered {
-                    at: self.now,
-                    from,
-                    to,
-                });
-                self.dispatch(to, |node, ctx| node.on_message(from, msg, ctx));
-            }
-            EventKind::External { node, tag } => {
+    /// A message popped from the wire at its arrival instant.
+    fn deliver(&mut self, InFlight { from, to, msg }: InFlight<N::Msg>) {
+        if self.crashed[to] {
+            self.stats.dropped_crashed += 1;
+            self.trace.record(TraceEvent::DeadRecipient {
+                at: self.now,
+                from,
+                to,
+            });
+            return;
+        }
+        // A partition that arose while the message was in flight also
+        // cuts it.
+        if !self.net.connected(from, to, self.now) {
+            self.stats.partitioned += 1;
+            self.trace.record(TraceEvent::Partitioned {
+                at: self.now,
+                from,
+                to,
+            });
+            return;
+        }
+        self.stats.delivered += 1;
+        self.trace.record(TraceEvent::Delivered {
+            at: self.now,
+            from,
+            to,
+        });
+        self.dispatch(to, |node, ctx| node.on_message(from, msg, ctx));
+    }
+
+    /// An external or fault popped from the scheduled lane at its instant.
+    fn handle_scheduled(&mut self, e: Scheduled) {
+        let node = e.node as NodeId;
+        match e.kind {
+            ScheduledKind::External => {
                 if self.crashed[node] {
-                    return; // a client arriving at a dead site gets nothing
+                    // A client arriving at a dead site gets nothing.
+                    self.stats.externals_dropped += 1;
+                    return;
                 }
-                self.dispatch(node, |n, ctx| n.on_external(tag, ctx));
+                self.dispatch(node, |n, ctx| n.on_external(e.tag, ctx));
             }
-            EventKind::Crash { node } => {
+            ScheduledKind::Crash => {
                 if self.crashed[node] {
                     return;
                 }
@@ -329,10 +364,10 @@ impl<N: Node> Simulation<N> {
                 self.epoch[node] += 1; // invalidates all outstanding timers
                 self.trace
                     .record(TraceEvent::Crashed { at: self.now, node });
-                self.obs.emit(node as u32, ObsEvent::Crash);
+                self.obs.emit(e.node, ObsEvent::Crash);
                 self.nodes[node].on_crash();
             }
-            EventKind::Recover { node } => {
+            ScheduledKind::Recover => {
                 if !self.crashed[node] {
                     return;
                 }
@@ -383,15 +418,15 @@ impl<N: Node> Simulation<N> {
                 } => self.transmit(id, to, msg, frames, bytes),
                 Action::SetTimer { id: tid, at, tag } => {
                     debug_assert!(at >= self.now, "cannot schedule into the past");
+                    let seq = self.next_seq();
                     self.timers.schedule(TimerEntry {
                         at: at.max(self.now),
-                        seq: self.seq,
+                        seq,
                         node: id,
                         id: tid.0,
                         tag,
                         epoch: self.epoch[id],
                     });
-                    self.seq += 1;
                     self.note_depth();
                 }
                 Action::CancelTimer { id: tid } => {
@@ -455,19 +490,12 @@ impl<N: Node> Simulation<N> {
             Fate::Deliver(arrivals) => match arrivals.dup {
                 // Single arrival (the overwhelmingly common case): the
                 // message moves into the queue — no clone.
-                None => self.push(arrivals.first, EventKind::Deliver { from, to, msg }),
+                None => self.post(arrivals.first, from, to, msg),
                 Some(dup_at) => {
                     self.stats.duplicated += 1;
-                    // Push order (first, then dup) fixes seq assignment.
-                    self.push(
-                        arrivals.first,
-                        EventKind::Deliver {
-                            from,
-                            to,
-                            msg: msg.clone(),
-                        },
-                    );
-                    self.push(dup_at, EventKind::Deliver { from, to, msg });
+                    // Post order (first, then dup) fixes seq assignment.
+                    self.post(arrivals.first, from, to, msg.clone());
+                    self.post(dup_at, from, to, msg);
                 }
             },
         }
@@ -482,6 +510,27 @@ impl<N: Node> Simulation<N> {
     pub fn into_nodes(self) -> Vec<N> {
         self.nodes
     }
+}
+
+#[derive(Clone, Copy)]
+enum Lane {
+    Scheduled,
+    Messages,
+    Timers,
+}
+
+/// The lane whose head has the smallest key, with that key.
+#[inline]
+fn earliest(heads: [(Option<Key>, Lane); 3]) -> Option<(Key, Lane)> {
+    let mut best: Option<(Key, Lane)> = None;
+    for (head, lane) in heads {
+        if let Some(key) = head {
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, lane));
+            }
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -593,6 +642,35 @@ mod tests {
         assert_eq!(sim.node(1).pings_seen, 0);
         assert_eq!(sim.node(1).crashes, 1);
         assert_eq!(sim.stats().dropped_crashed, 5);
+    }
+
+    #[test]
+    fn externals_at_a_crashed_node_are_counted_not_delivered() {
+        #[derive(Default)]
+        struct E {
+            seen: Vec<u64>,
+        }
+        impl Node for E {
+            type Msg = ();
+            fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<'_, ()>) {}
+            fn on_external(&mut self, tag: u64, _ctx: &mut Context<'_, ()>) {
+                self.seen.push(tag);
+            }
+        }
+        let mut sim = Simulation::new(vec![E::default()], NetworkConfig::reliable(), 4);
+        // Scheduled out of order on purpose: the lane sorts, `seq` breaks
+        // the tie at t=100 (crash first, so tag 2 is dropped).
+        sim.schedule_external(SimTime(300), 0, 4);
+        sim.schedule_crash(SimTime(100), 0);
+        sim.schedule_external(SimTime(100), 0, 2);
+        sim.schedule_external(SimTime(50), 0, 1);
+        sim.schedule_external(SimTime(150), 0, 3);
+        sim.schedule_recover(SimTime(200), 0);
+        assert_eq!(sim.pending_events(), 6);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(0).seen, vec![1, 4]);
+        assert_eq!(sim.stats().externals_dropped, 2);
+        assert_eq!(sim.stats().peak_queue_depth, 6);
     }
 
     #[test]

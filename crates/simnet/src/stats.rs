@@ -30,6 +30,10 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Deliveries suppressed because the recipient was crashed.
     pub dropped_crashed: u64,
+    /// Externals (client arrivals) suppressed because their node was
+    /// crashed. Not a network loss, so not part of
+    /// [`total_undelivered`](Self::total_undelivered).
+    pub externals_dropped: u64,
     /// Timer events fired.
     pub timers_fired: u64,
     /// Timer events suppressed by cancellation or crash.
@@ -37,7 +41,8 @@ pub struct NetStats {
     /// Events processed by the kernel (deliveries, externals, timer fires,
     /// crashes, recoveries — everything the main loop pops).
     pub events_processed: u64,
-    /// High-water mark of pending work (event queue + armed timers).
+    /// High-water mark of pending work, all three lanes summed: scheduled
+    /// externals and faults + in-flight messages + armed timers.
     pub peak_queue_depth: u64,
 }
 

@@ -4,44 +4,32 @@
 //! a side `HashSet` of tombstones that every pop had to consult — cancelled
 //! timers stayed in the queue until their instant came around, inflating
 //! queue depth and wasting pops. Here they live in their own lane: a
-//! binary min-heap ordered by `(at, seq)` plus a position map by timer id,
-//! so `cancel` removes the entry immediately in `O(log n)` and the fire
+//! binary min-heap ordered by `(at, seq)` plus a position table by timer
+//! id, so `cancel` removes the entry immediately in `O(log n)` and the fire
 //! path never sees dead timers.
 //!
+//! The position table is dense, not hashed: the kernel hands out timer ids
+//! sequentially, so `id - base` indexes a sliding window (`VecDeque<u32>`)
+//! whose dead front is trimmed as timers fire or are cancelled. Every heap
+//! swap writes two table entries, so this is the lane's hottest store.
+//!
 //! Determinism: `seq` comes from the kernel's one global counter (shared
-//! with the event heap), so merging the two lanes by `(at, seq)` replays
-//! the exact total order the single-queue kernel produced.
+//! with the other lanes), so merging the lanes by `(at, seq)` replays the
+//! exact total order the single-queue kernel produced.
 
+use crate::event::Key;
 use crate::time::SimTime;
 use crate::NodeId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
-/// Multiply-shift hasher for timer ids. Ids are sequential `u64`s from the
-/// kernel's counter, so a Fibonacci multiply scrambles them perfectly well;
-/// SipHash here would dominate the cost of every sift (each heap swap
-/// updates two `pos` entries).
-#[derive(Default)]
-pub(crate) struct IdHasher(u64);
+/// Table value for an id with no armed timer.
+const DEAD: u32 = u32::MAX;
 
-impl Hasher for IdHasher {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("IdHasher is only for u64 keys");
-    }
+/// The window is never cut below this many ids.
+const MIN_WINDOW: usize = 1024;
 
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+/// The window may span this many ids per armed timer before it is cut.
+const WINDOW_PER_TIMER: usize = 8;
 
 /// One armed timer.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +44,7 @@ pub(crate) struct TimerEntry {
 
 impl TimerEntry {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
+    fn key(&self) -> Key {
         (self.at, self.seq)
     }
 }
@@ -65,8 +53,17 @@ impl TimerEntry {
 #[derive(Debug, Default)]
 pub(crate) struct TimerLane {
     heap: Vec<TimerEntry>,
-    /// timer id → current index in `heap`.
-    pos: IdMap<usize>,
+    /// `pos[id - base]` is the index in `heap` of armed timer `id`, or
+    /// [`DEAD`]. The front entry is always live (or the window is empty).
+    pos: VecDeque<u32>,
+    /// Timer id of `pos[0]`.
+    base: u64,
+    /// Armed timers with `id < base`. One long-lived timer would otherwise
+    /// pin the window's front while every later id extends its back, so
+    /// when the window outgrows the armed count it is cut and the timers
+    /// left behind are found by scanning `heap` instead. Zero in steady
+    /// state, which keeps late cancels of old ids free.
+    stragglers: usize,
 }
 
 impl TimerLane {
@@ -82,43 +79,103 @@ impl TimerLane {
 
     /// Key of the earliest timer, if any.
     #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+    pub fn peek_key(&self) -> Option<Key> {
         self.heap.first().map(TimerEntry::key)
     }
 
-    /// Arm a timer.
+    /// Arm a timer. Ids must be handed in increasing order (the kernel's
+    /// counter guarantees it; gaps are fine).
     pub fn schedule(&mut self, e: TimerEntry) {
-        debug_assert!(!self.pos.contains_key(&e.id), "timer id reused");
+        if self.pos.is_empty() {
+            self.base = e.id;
+        }
+        assert!(
+            e.id >= self.base + self.pos.len() as u64,
+            "timer id reused or out of order"
+        );
+        let off = (e.id - self.base) as usize;
         let i = self.heap.len();
+        assert!(i < DEAD as usize, "too many armed timers");
+        self.pos.resize(off, DEAD);
+        self.pos.push_back(i as u32);
         self.heap.push(e);
-        self.pos.insert(e.id, i);
         self.sift_up(i);
+        if self.pos.len() > MIN_WINDOW.max(WINDOW_PER_TIMER * self.heap.len()) {
+            self.cut_window();
+        }
     }
 
     /// Disarm timer `id` in place. Returns whether it was pending.
     pub fn cancel(&mut self, id: u64) -> bool {
-        match self.pos.remove(&id) {
-            None => false,
-            Some(i) => {
-                self.remove_at(i);
-                true
-            }
-        }
+        let i = match id.checked_sub(self.base) {
+            Some(off) => match self.pos.get(off as usize) {
+                Some(&i) if i != DEAD => i as usize,
+                _ => return false,
+            },
+            None if self.stragglers == 0 => return false,
+            None => match self.heap.iter().position(|e| e.id == id) {
+                Some(i) => i,
+                None => return false,
+            },
+        };
+        self.forget(id);
+        self.remove_at(i);
+        true
     }
 
     /// Remove and return the earliest timer.
     pub fn pop(&mut self) -> Option<TimerEntry> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let e = self.heap[0];
-        self.pos.remove(&e.id);
+        let e = *self.heap.first()?;
+        self.forget(e.id);
         self.remove_at(0);
         Some(e)
     }
 
-    /// Remove the entry at heap index `i` (its `pos` entry must already be
-    /// gone) and restore the heap invariant.
+    /// Number of ids the position table currently spans.
+    #[cfg(test)]
+    pub fn window_len(&self) -> usize {
+        self.pos.len()
+    }
+
+    /// Record that armed timer `id` now sits at heap index `i`.
+    #[inline]
+    fn set_pos(&mut self, id: u64, i: usize) {
+        if let Some(off) = id.checked_sub(self.base) {
+            self.pos[off as usize] = i as u32;
+        }
+    }
+
+    /// Drop armed timer `id` from the table and trim the dead front.
+    fn forget(&mut self, id: u64) {
+        if id < self.base {
+            self.stragglers -= 1;
+            return;
+        }
+        self.pos[(id - self.base) as usize] = DEAD;
+        self.trim_front();
+    }
+
+    /// Slide the window past ids that are no longer armed.
+    fn trim_front(&mut self) {
+        while self.pos.front() == Some(&DEAD) {
+            self.pos.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Drop the older half of the window, leaving its armed timers as
+    /// stragglers. Every id in the window was issued by one `set_timer`
+    /// and is dropped once, so the amortised cost per timer is constant.
+    #[cold]
+    fn cut_window(&mut self) {
+        let cut = self.pos.len() / 2;
+        self.stragglers += self.pos.drain(..cut).filter(|&i| i != DEAD).count();
+        self.base += cut as u64;
+        self.trim_front();
+    }
+
+    /// Remove the entry at heap index `i` (already forgotten by the table)
+    /// and restore the heap invariant.
     fn remove_at(&mut self, i: usize) {
         let last = self.heap.len() - 1;
         if i == last {
@@ -127,7 +184,7 @@ impl TimerLane {
         }
         self.heap.swap(i, last);
         self.heap.pop();
-        self.pos.insert(self.heap[i].id, i);
+        self.set_pos(self.heap[i].id, i);
         // The moved element may violate the invariant in either direction.
         self.sift_down(i);
         self.sift_up(i);
@@ -166,8 +223,8 @@ impl TimerLane {
 
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.pos.insert(self.heap[a].id, a);
-        self.pos.insert(self.heap[b].id, b);
+        self.set_pos(self.heap[a].id, a);
+        self.set_pos(self.heap[b].id, b);
     }
 }
 
@@ -221,6 +278,54 @@ mod tests {
         assert_eq!(p.id, 7);
         assert!(!l.cancel(7), "already fired: no tombstone, no effect");
         assert_eq!(l.len(), 0);
+    }
+
+    #[test]
+    fn long_timer_does_not_pin_the_position_table() {
+        // One timer stays armed while 100k short ones come and go. A pure
+        // sliding window would span every id issued since the long timer;
+        // the cut keeps it bounded and the long timer stays reachable.
+        let mut l = TimerLane::new();
+        l.schedule(e(u64::MAX, 0, 0));
+        let mut widest = 0;
+        for id in 1..=100_000u64 {
+            l.schedule(e(id, id, id));
+            // Alternate the two ways a short timer dies.
+            if id % 2 == 0 {
+                assert!(l.cancel(id));
+            } else {
+                assert_eq!(l.pop().unwrap().id, id);
+            }
+            widest = widest.max(l.window_len());
+        }
+        assert!(widest <= MIN_WINDOW + 1, "window reached {widest}");
+        assert_eq!(l.len(), 1);
+        assert!(!l.cancel(1), "long-dead id behind the window");
+        assert!(l.cancel(0), "the straggler is still cancellable");
+        assert!(!l.cancel(0));
+        assert_eq!((l.len(), l.stragglers), (0, 0));
+    }
+
+    #[test]
+    fn stragglers_fire_in_order_and_leave_late_cancels_free() {
+        let mut l = TimerLane::new();
+        // Ten old timers due last, then enough dead ids to cut them loose.
+        for id in 0..10u64 {
+            l.schedule(e(1_000_000 + id, id, id));
+        }
+        for id in 10..3_000u64 {
+            l.schedule(e(id, id, id));
+            assert!(l.cancel(id));
+        }
+        assert_eq!(l.stragglers, 10);
+        assert!(l.window_len() <= MIN_WINDOW);
+        // Tracked and untracked timers share one heap.
+        l.schedule(e(5, 3_000, 3_000));
+        assert!(l.cancel(4), "cancel a straggler");
+        let ids: Vec<u64> = std::iter::from_fn(|| l.pop().map(|t| t.id)).collect();
+        assert_eq!(ids, vec![3_000, 0, 1, 2, 3, 5, 6, 7, 8, 9]);
+        assert_eq!(l.stragglers, 0);
+        assert!(!l.cancel(2), "already fired");
     }
 
     #[test]

@@ -199,31 +199,60 @@ pub fn decode_frame<R: Record>(buf: &mut Bytes) -> Result<R, DecodeError> {
     Ok(rec)
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    const fn make_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
+/// Lookup tables for [`crc32`]: `CRC_TABLES[0]` is the classic one-byte
+/// table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, which is what lets eight input bytes be folded per step.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
+        t += 1;
     }
-    const TABLE: [u32; 256] = make_table();
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight bytes
+/// per step through eight tables, then a bytewise tail. Every log force
+/// and recovery read checksums its payload here.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -271,6 +300,39 @@ mod tests {
         // "123456789" -> 0xCBF43926 is the canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition() {
+        // The one-table, byte-at-a-time CRC the sliced version replaced;
+        // every stored checksum was written by it.
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in data {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut data = Vec::new();
+        for len in 0..=257usize {
+            data.clear();
+            for _ in 0..len {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                data.push((x >> 56) as u8);
+            }
+            assert_eq!(crc32(&data), bytewise(&data), "length {len}");
+            // Unaligned starts take the same path through `chunks_exact`.
+            if len > 3 {
+                assert_eq!(
+                    crc32(&data[3..]),
+                    bytewise(&data[3..]),
+                    "length {len} offset 3"
+                );
+            }
+        }
     }
 
     #[test]
