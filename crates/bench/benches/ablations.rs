@@ -1,7 +1,6 @@
 //! Ablation benchmarks for the design choices DESIGN.md §5 calls out:
-//! refill policy, fan-out, ack eagerness, Vm window, wire coalescing,
-//! and timeout. Each
-//! benchmark times the same workload under one knob's settings; the
+//! refill policy, fan-out, ack eagerness, Vm window, timeout, and
+//! placement. Each benchmark times the same workload under one knob's settings; the
 //! *metric* deltas (requests, frames, aborts) are printed once per
 //! setting via `eprintln!` so `cargo bench` output doubles as the
 //! ablation table.
@@ -133,32 +132,14 @@ fn ablate_acks_and_window(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablate_coalesce(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_coalesce");
-    let w = hub_workload();
-    for (coalesce, name) in [(true, "coalesced"), (false, "per_frame")] {
-        let site = SiteConfig {
-            coalesce,
-            ..Default::default()
-        };
-        let r = dvp(&w, site, NetworkConfig::reliable());
-        eprintln!(
-            "[ablation coalesce={name}] commits={} messages={} frames={} datagrams={} wire_bytes={}",
-            r.committed, r.messages, r.frames, r.datagrams, r.wire_bytes
-        );
-        g.bench_function(name, |b| {
-            b.iter(|| dvp(&w, site, NetworkConfig::reliable()))
-        });
-    }
-    g.finish();
-}
-
 fn ablate_timeout(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_timeout");
     let w = hub_workload();
     let lossy = NetworkConfig::lossy(0.3);
     for ms in [10u64, 50, 200] {
-        let site = SiteConfig::default().with_timeout(SimDuration::millis(ms));
+        let site = SiteConfig::builder()
+            .timeout(SimDuration::millis(ms))
+            .build();
         let r = dvp(&w, site, lossy.clone());
         eprintln!(
             "[ablation timeout={ms}ms] commits={} aborts={} p95={}us max={}us",
@@ -200,45 +181,9 @@ fn ablate_placement(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablate_hint_dedupe(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_hint_dedupe");
-    // Same drifting hotspot as the placement ablation: adaptive placement
-    // gossips availability hints on every datagram, so the dedupe window
-    // (resend an unchanged hint only after `hint_ttl / 2`) is what keeps
-    // the hint section from being pure overhead.
-    let w = HotspotDriftWorkload {
-        txns: 300,
-        ..Default::default()
-    }
-    .generate(2);
-    for (dedupe, name) in [(true, "deduped"), (false, "resend_always")] {
-        // `resend_always` sets a 1µs window — an unchanged hint is only
-        // suppressed within the same instant, i.e. the pre-dedupe wire
-        // behavior. Both arms share the derived per-datagram byte budget,
-        // so the delta isolates the dedupe window itself.
-        let vm = VmConfig {
-            hint_resend_after_us: if dedupe { 0 } else { 1 },
-            ..VmConfig::default()
-        };
-        let site = SiteConfig::builder()
-            .placement(Placement::adaptive())
-            .vm(vm)
-            .build();
-        let r = dvp(&w, site, NetworkConfig::reliable());
-        eprintln!(
-            "[ablation hint_dedupe={name}] commits={} wire_bytes={} hints_sent={} hint_hits={}/{}",
-            r.committed, r.wire_bytes, r.hints_sent, r.hint_hits, r.hinted_solicits
-        );
-        g.bench_function(name, |b| {
-            b.iter(|| dvp(&w, site, NetworkConfig::reliable()))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = ablate_refill, ablate_fanout, ablate_acks_and_window, ablate_coalesce, ablate_timeout, ablate_placement, ablate_hint_dedupe
+    targets = ablate_refill, ablate_fanout, ablate_acks_and_window, ablate_timeout, ablate_placement
 );
 criterion_main!(benches);

@@ -1,11 +1,10 @@
 //! Engine hot-path benchmarks: closed-loop DvP and 2PC transaction
-//! processing over the banking workload, plus a group-commit on/off
-//! ablation. Complements `engine_baseline` (whole-run txns/sec, JSON
-//! artifact) with criterion's statistical machinery.
+//! processing over the banking workload. Complements `engine_baseline`
+//! (whole-run txns/sec, JSON artifact) with criterion's statistical
+//! machinery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dvp_bench::Scenario;
-use dvp_core::SiteConfig;
 use dvp_workloads::{BankingWorkload, Workload};
 
 const TXNS: usize = 500;
@@ -20,7 +19,7 @@ fn banking() -> Workload {
     .generate(42)
 }
 
-/// Full DvP engine run to quiescence (group commit on — the default).
+/// Full DvP engine run to quiescence.
 fn bench_dvp(c: &mut Criterion) {
     let w = banking();
     let mut g = c.benchmark_group("engine");
@@ -38,30 +37,7 @@ fn bench_dvp(c: &mut Criterion) {
     g.finish();
 }
 
-/// The same run under per-record forcing: the delta against the batched
-/// run above is the group-commit win in wall-clock terms.
-fn bench_dvp_per_record(c: &mut Criterion) {
-    let w = banking();
-    let site = SiteConfig {
-        group_commit: false,
-        ..SiteConfig::default()
-    };
-    let mut g = c.benchmark_group("engine");
-    g.throughput(Throughput::Elements(TXNS as u64));
-    g.bench_function("dvp_banking_per_record_force", |b| {
-        b.iter_batched(
-            || Scenario::dvp(&w).site(site).build_dvp(),
-            |mut cl| {
-                cl.run_to_quiescence();
-                cl
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-/// The 2PC baseline on the same workload (group commit on, for fairness).
+/// The 2PC baseline on the same workload.
 fn bench_trad(c: &mut Criterion) {
     let w = banking();
     let mut g = c.benchmark_group("engine");
@@ -79,5 +55,5 @@ fn bench_trad(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dvp, bench_dvp_per_record, bench_trad);
+criterion_group!(benches, bench_dvp, bench_trad);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Engine throughput baseline: closed-loop DvP and 2PC runs over the
 //! banking, airline, and hotspot-drift workloads, written to
-//! `BENCH_engine.json` (path overridable as argv[1]).
+//! `BENCH_engine.json` (path overridable as `argv[1]`).
 //!
 //! Where `kernel_baseline` measures the simulation kernel, this measures
 //! the *transaction engines* end to end: every scripted transaction is
@@ -17,7 +17,7 @@
 //! * `forces_per_txn` — stable-log force operations per decided
 //!   transaction. Group commit (the default) coalesces every force a
 //!   dispatch owes into one, so this is the headline number the
-//!   optimisation moves; `forces_elided` and `max_force_batch` show how.
+//!   optimisation moves; `max_force_batch` shows how far it went.
 //! * `frames_per_txn` — logical protocol frames per decided transaction
 //!   (the paper's message-traffic metric, §9). Under link-level
 //!   coalescing many frames share one wire transmission, so
@@ -66,7 +66,6 @@ struct Row {
     committed: u64,
     wall_secs: f64,
     forces: u64,
-    forces_elided: u64,
     max_force_batch: u64,
     /// Logical protocol frames (a coalesced datagram counts each frame).
     frames: u64,
@@ -236,7 +235,6 @@ fn run_dvp(name: &'static str, w: &Workload, site: SiteConfig) -> Row {
     let m = &stats.txn;
     let LogStats {
         forces,
-        forces_elided,
         max_force_batch,
         ..
     } = stats.log;
@@ -246,7 +244,6 @@ fn run_dvp(name: &'static str, w: &Workload, site: SiteConfig) -> Row {
         committed: m.committed(),
         wall_secs,
         forces,
-        forces_elided,
         max_force_batch,
         frames: cl.sim.stats().frames_sent,
         messages: cl.sim.stats().sent,
@@ -279,7 +276,6 @@ fn run_trad(name: &'static str, w: &Workload) -> Row {
     let m = cl.metrics();
     let LogStats {
         forces,
-        forces_elided,
         max_force_batch,
         ..
     } = cl.log_stats();
@@ -289,7 +285,6 @@ fn run_trad(name: &'static str, w: &Workload) -> Row {
         committed: m.committed(),
         wall_secs,
         forces,
-        forces_elided,
         max_force_batch,
         frames: cl.sim.stats().frames_sent,
         messages: cl.sim.stats().sent,
@@ -419,7 +414,7 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"decided\": {}, \"committed\": {}, \"wall_secs\": {:.6}, \
              \"txns_per_sec\": {:.0}, \"forces\": {}, \"forces_per_txn\": {:.4}, \
-             \"forces_elided\": {}, \"max_force_batch\": {}, \"frames\": {}, \
+             \"max_force_batch\": {}, \"frames\": {}, \
              \"frames_per_txn\": {:.4}, \"messages\": {}, \"datagrams\": {}, \
              \"datagrams_per_txn\": {:.4}, \"wire_bytes\": {}, \
              \"wire_bytes_per_txn\": {:.4}, \"bytes_acked_piggyback\": {}, \
@@ -435,7 +430,6 @@ fn main() {
             r.txns_per_sec(),
             r.forces,
             r.forces_per_txn(),
-            r.forces_elided,
             r.max_force_batch,
             r.frames,
             r.frames_per_txn(),

@@ -1,5 +1,5 @@
 //! Kernel throughput baseline: wall-clock events/sec for four scenario
-//! shapes, written to `BENCH_kernel.json` (path overridable as argv[1]).
+//! shapes, written to `BENCH_kernel.json` (path overridable as `argv[1]`).
 //!
 //! The four shapes stress different kernel paths:
 //! * `reliable_ping_pong` — pure message hot path: enqueue, dequeue,

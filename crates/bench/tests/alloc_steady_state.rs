@@ -2,8 +2,10 @@
 //! allocates nothing.
 //!
 //! Run with `cargo test -p dvp-bench --features alloc-audit --test
-//! alloc_steady_state` — the feature installs the counting global
-//! allocator.
+//! alloc_steady_state -- --test-threads=1` — the feature installs the
+//! counting global allocator, whose counter is process-wide: on more
+//! than one test thread the two gates (and the harness reporting the
+//! first result) allocate into each other's measurement.
 //!
 //! Methodology (two-run delta): drive two identical single-site clusters
 //! in the same process, one with `W` scripted fast-path transactions and

@@ -17,7 +17,25 @@
 use crate::Qty;
 use dvp_simnet::time::SimDuration;
 use dvp_storage::TornWrite;
-use dvp_vmsg::VmConfig;
+use dvp_vmsg::{VmConfig, HINT_RESEND_AFTER_US};
+
+/// How often the demand-driven rebalancer wakes. Each tick costs an
+/// O(items · peers) demand scan plus a Vm flush on every site, so the
+/// cadence is sized for drift detection (hotspot epochs are seconds),
+/// not per-transaction reaction — solicitation handles that.
+pub(crate) const ADAPTIVE_REBALANCE_EVERY: SimDuration = SimDuration::millis(100);
+/// EWMA gain of the demand and hint-trust estimators (higher tracks
+/// shifts faster but is noisier).
+pub(crate) const DEMAND_GAIN: f64 = 0.25;
+/// Advertised-surplus hints older than this are ignored by
+/// [`Fanout::Hinted`] targeting (volatile gossip must expire). Twice the
+/// endpoint's resend window, so every advertised (item, peer) pair is
+/// re-gossiped at least twice inside it.
+pub(crate) const HINT_TTL: SimDuration = SimDuration::micros(2 * HINT_RESEND_AFTER_US);
+/// A donor keeps `HEADROOM ×` its own predicted demand before counting
+/// value as spareable surplus (for advertisement, predictive refill and
+/// the rebalancer alike).
+pub(crate) const HEADROOM: f64 = 1.5;
 
 /// How much value a donor ships when honouring a refill request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -159,28 +177,14 @@ pub enum HintChaos {
 /// pure gossip riding existing Vm datagrams; a site that believes a
 /// wrong, stale, or missing hint only pays extra messages or a timeout,
 /// never a safety violation.
-#[derive(Clone, Copy, Debug, PartialEq)]
+///
+/// Donors grant the demand-exact base refill plus a predictive top-up
+/// toward the requester's advertised demand estimate, capped by what
+/// they can spare beyond their own predicted demand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptivePlacement {
     /// Solicitation fan-out (default [`Fanout::Hinted`]).
     pub fanout: Fanout,
-    /// Base refill amount; the predictive top-up (toward the requester's
-    /// advertised demand estimate) is added on top, capped by what the
-    /// donor can spare beyond its own predicted demand.
-    pub refill: RefillPolicy,
-    /// How often the demand-driven rebalancer wakes.
-    pub every: SimDuration,
-    /// EWMA gain for the demand estimators (0 < gain ≤ 1; higher tracks
-    /// shifts faster but is noisier).
-    pub gain: f64,
-    /// Advertised-surplus hints older than this are ignored by
-    /// [`Fanout::Hinted`] targeting (volatile gossip must expire).
-    pub hint_ttl: SimDuration,
-    /// At most this many per-item hints ride each outgoing datagram.
-    pub max_hints: u32,
-    /// A donor keeps `headroom ×` its own predicted demand before
-    /// counting value as spareable surplus (for both predictive refill
-    /// and the rebalancer).
-    pub headroom: f64,
     /// Adversarial hint handling (test-only; see [`HintChaos`]).
     pub chaos: HintChaos,
 }
@@ -189,23 +193,6 @@ impl Default for AdaptivePlacement {
     fn default() -> Self {
         AdaptivePlacement {
             fanout: Fanout::Hinted,
-            refill: RefillPolicy::DemandExact,
-            // Rebalance cadence. Each tick costs an O(items · peers)
-            // demand scan plus a Vm flush on every site, so the cadence
-            // is sized for drift detection (hotspot epochs are seconds),
-            // not per-transaction reaction — solicitation handles that.
-            every: SimDuration::millis(100),
-            gain: 0.25,
-            // Sized against the scope-matched gossip rate: every
-            // advertised (item, peer) pair is re-gossiped well inside
-            // this window, so a longer TTL widens the usable-hint window
-            // (more hinted solicitations per gossiped entry) while the
-            // resend dedupe — half the TTL — cuts the steady resend rate
-            // in step. Confidence scaling shrinks it again wherever the
-            // longer horizon starts admitting stale figures.
-            hint_ttl: SimDuration::millis(250),
-            max_hints: 16,
-            headroom: 1.5,
             chaos: HintChaos::None,
         }
     }
@@ -267,7 +254,7 @@ impl Placement {
         match self {
             Placement::Static => 0,
             Placement::Reactive(r) => r.refill.amount(need, have),
-            Placement::Adaptive(a) => a.refill.amount(need, have),
+            Placement::Adaptive(_) => RefillPolicy::DemandExact.amount(need, have),
         }
     }
 
@@ -276,7 +263,7 @@ impl Placement {
         match self {
             Placement::Static => None,
             Placement::Reactive(r) => r.rebalance.map(|rb| rb.every),
-            Placement::Adaptive(a) => Some(a.every),
+            Placement::Adaptive(_) => Some(ADAPTIVE_REBALANCE_EVERY),
         }
     }
 
@@ -386,10 +373,6 @@ pub struct SiteConfig {
     pub placement: Placement,
     /// Concurrency-control scheme.
     pub conc: ConcMode,
-    /// How long a donor's read lease pins the drained item. Must exceed
-    /// the requester's `txn_timeout` (plus delays) for committed reads to
-    /// be exact; the constructor enforces 2×.
-    pub read_lease: SimDuration,
     /// Vm-layer knobs (window, eager acks).
     pub vm: VmConfig,
     /// Extra solicitation rounds before the timeout aborts (the paper's
@@ -415,38 +398,6 @@ pub struct SiteConfig {
     /// shrinker demo uses this to show a fault campaign minimizing to a
     /// single crash event.
     pub unsafe_skip_recovery_redo: bool,
-    /// Group commit: defer log forces to the per-dispatch flush boundary
-    /// so every record appended while handling one event is hardened by a
-    /// single `force` — still *before* any outbound frame leaves the site,
-    /// preserving the paper's force-before-send discipline (§3–4). Off
-    /// reproduces the original per-record forcing (and its per-record
-    /// `LogForce` obs stream, which the golden-trace tests pin).
-    pub group_commit: bool,
-    /// Link-level coalescing: at each flush boundary every Vm frame bound
-    /// for one peer leaves as a single wire datagram (length-prefixed
-    /// frame sequence, payloads shared not copied), and standalone acks
-    /// become *delayed* acks that piggyback on the next data datagram or
-    /// flush after [`ack_delay`](Self::ack_delay). The force-before-send
-    /// discipline holds per datagram: the flush forces the log once, then
-    /// drains. Off reproduces the original one-transmission-per-frame
-    /// wire behaviour byte-for-byte (golden-trace pinned, like
-    /// [`group_commit`](Self::group_commit)). Availability hints ride
-    /// only on coalesced datagrams, so adaptive placement wants this on
-    /// (the default).
-    pub coalesce: bool,
-    /// How long an owed standalone ack may wait for reverse data traffic
-    /// to piggyback on before the delayed-ack timer flushes it as an
-    /// ack-only datagram. Zero (the default) flushes owed acks in the
-    /// *same dispatch* that produced them — the exact instant the
-    /// per-frame wire sends its acks, so coalescing cannot shift window
-    /// advance or flip borderline transaction timeouts (acks from one
-    /// dispatch still dedup into one cumulative frame per peer, and acks
-    /// with same-dispatch reverse data still piggyback for free). A
-    /// positive delay trades that timing neutrality for more piggyback
-    /// opportunities on chatty bidirectional channels; it must stay well
-    /// below `retransmit_every` or senders retransmit already-accepted
-    /// Vms while the ack dawdles.
-    pub ack_delay: SimDuration,
     /// Nemesis fault injection (crashpoints, torn log writes). Defaults to
     /// fully disabled.
     pub inject: InjectConfig,
@@ -454,21 +405,16 @@ pub struct SiteConfig {
 
 impl Default for SiteConfig {
     fn default() -> Self {
-        let txn_timeout = SimDuration::millis(50);
         SiteConfig {
-            txn_timeout,
+            txn_timeout: SimDuration::millis(50),
             retransmit_every: SimDuration::millis(10),
             placement: Placement::default(),
             conc: ConcMode::Conc1,
-            read_lease: txn_timeout.saturating_mul(2),
             vm: VmConfig::default(),
             solicit_retries: 0,
             checkpoint_every: None,
             unsafe_skip_read_drain_gate: false,
             unsafe_skip_recovery_redo: false,
-            group_commit: true,
-            coalesce: true,
-            ack_delay: SimDuration::ZERO,
             inject: InjectConfig::default(),
         }
     }
@@ -482,11 +428,13 @@ impl SiteConfig {
         }
     }
 
-    /// Set the transaction timeout, keeping the read lease at 2× it.
-    pub fn with_timeout(mut self, t: SimDuration) -> Self {
-        self.txn_timeout = t;
-        self.read_lease = t.saturating_mul(2);
-        self
+    /// How long a donor's read lease pins the drained item: twice the
+    /// transaction timeout, so the lease outlives the requester's
+    /// decision bound (plus delays) and committed reads stay exact.
+    /// Derived, not configured — a lease shorter than the timeout would
+    /// silently break read exactness.
+    pub fn read_lease(&self) -> SimDuration {
+        self.txn_timeout.saturating_mul(2)
     }
 }
 
@@ -507,10 +455,10 @@ pub struct SiteConfigBuilder {
 }
 
 impl SiteConfigBuilder {
-    /// Transaction timeout; the read lease follows at 2× (override it
-    /// afterwards with [`read_lease`](Self::read_lease) if needed).
+    /// Transaction timeout (the read lease follows at 2×, see
+    /// [`SiteConfig::read_lease`]).
     pub fn timeout(mut self, t: SimDuration) -> Self {
-        self.cfg = self.cfg.with_timeout(t);
+        self.cfg.txn_timeout = t;
         self
     }
 
@@ -532,13 +480,6 @@ impl SiteConfigBuilder {
         self
     }
 
-    /// Read-lease duration (defaults to 2× the timeout; must exceed the
-    /// requester's decision bound for reads to stay exact).
-    pub fn read_lease(mut self, t: SimDuration) -> Self {
-        self.cfg.read_lease = t;
-        self
-    }
-
     /// Vm-layer knobs (window, eager acks).
     pub fn vm(mut self, vm: VmConfig) -> Self {
         self.cfg.vm = vm;
@@ -555,24 +496,6 @@ impl SiteConfigBuilder {
     /// records.
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.cfg.checkpoint_every = Some(n);
-        self
-    }
-
-    /// Group commit on/off (off = per-record forcing, golden-pinned).
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.cfg.group_commit = on;
-        self
-    }
-
-    /// Link-level coalescing on/off (off = per-frame wire, golden-pinned).
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.cfg.coalesce = on;
-        self
-    }
-
-    /// Delayed-ack window for coalesced owed acks.
-    pub fn ack_delay(mut self, t: SimDuration) -> Self {
-        self.cfg.ack_delay = t;
         self
     }
 
@@ -629,19 +552,16 @@ mod tests {
     #[test]
     fn default_config_is_consistent() {
         let c = SiteConfig::default();
-        assert!(c.read_lease >= c.txn_timeout.saturating_mul(2));
         assert!(c.retransmit_every < c.txn_timeout);
-        assert!(
-            c.ack_delay < c.retransmit_every,
-            "delayed acks must beat the retransmit timer"
-        );
     }
 
     #[test]
-    fn with_timeout_scales_lease() {
-        let c = SiteConfig::default().with_timeout(SimDuration::millis(20));
-        assert_eq!(c.txn_timeout, SimDuration::millis(20));
-        assert_eq!(c.read_lease, SimDuration::millis(40));
+    fn read_lease_follows_a_struct_literal_timeout() {
+        let c = SiteConfig {
+            txn_timeout: SimDuration::millis(150),
+            ..SiteConfig::default()
+        };
+        assert_eq!(c.read_lease(), SimDuration::millis(300));
     }
 
     #[test]
@@ -666,13 +586,10 @@ mod tests {
         let p = Placement::adaptive();
         assert!(p.is_adaptive());
         assert_eq!(p.fanout(), Fanout::Hinted);
-        let a = p.adaptive_params().unwrap();
-        assert!(a.gain > 0.0 && a.gain <= 1.0);
-        assert!(a.headroom >= 1.0);
-        assert_eq!(a.chaos, HintChaos::None);
+        assert_eq!(p.adaptive_params().unwrap().chaos, HintChaos::None);
         assert_eq!(
             p.rebalance_every(),
-            Some(a.every),
+            Some(ADAPTIVE_REBALANCE_EVERY),
             "adaptive always rebalances"
         );
     }
@@ -682,20 +599,18 @@ mod tests {
         let cfg = SiteConfig::builder()
             .timeout(SimDuration::millis(20))
             .placement(Placement::Adaptive(AdaptivePlacement {
-                max_hints: 4,
+                fanout: Fanout::All,
                 ..Default::default()
             }))
             .conc(ConcMode::Conc2)
             .solicit_retries(2)
             .checkpoint_every(24)
-            .coalesce(false)
             .build();
         assert_eq!(cfg.txn_timeout, SimDuration::millis(20));
-        assert_eq!(cfg.read_lease, SimDuration::millis(40));
+        assert_eq!(cfg.read_lease(), SimDuration::millis(40));
         assert_eq!(cfg.conc, ConcMode::Conc2);
         assert_eq!(cfg.solicit_retries, 2);
         assert_eq!(cfg.checkpoint_every, Some(24));
-        assert!(!cfg.coalesce);
-        assert_eq!(cfg.placement.adaptive_params().unwrap().max_hints, 4);
+        assert_eq!(cfg.placement.fanout(), Fanout::All);
     }
 }

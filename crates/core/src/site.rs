@@ -34,7 +34,7 @@ use crate::item::ItemId;
 use crate::locks::{Holder, LockTable};
 use crate::metrics::{AbortReason, CommitEntry, SiteMetrics};
 use crate::policy::{
-    AdaptivePlacement, ConcMode, Crashpoint, Fanout, HintChaos, Placement, SiteConfig,
+    ConcMode, Crashpoint, Fanout, HintChaos, Placement, SiteConfig, DEMAND_GAIN, HEADROOM, HINT_TTL,
 };
 use crate::record::{DbActions, SiteRecord};
 use crate::transfer::{Transfer, TransferKind};
@@ -49,9 +49,10 @@ use dvp_storage::{
     CheckpointSlot, DecodeError, Lsn, Record, RecordReader, RecordWriter, SalvageOutcome,
     StableLog, TornWrite,
 };
-use dvp_vmsg::codec::frame_wire_len;
-use dvp_vmsg::codec::HINT_ENTRY_LEN;
-use dvp_vmsg::{ChannelSnapshot, Frame, Receipt, Seq, VmConfig, VmEndpoint, VmLogOp, WireDatagram};
+use dvp_vmsg::{
+    ChannelSnapshot, Frame, Receipt, Seq, VmConfig, VmEndpoint, VmLogOp, WireDatagram,
+    HINT_WINDOW_BUDGET,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 // Timer-tag kinds (top byte).
@@ -61,8 +62,6 @@ const TAG_RETRANSMIT: u64 = 2 << TAG_KIND_SHIFT;
 const TAG_LEASE: u64 = 3 << TAG_KIND_SHIFT;
 const TAG_SOLICIT_RETRY: u64 = 4 << TAG_KIND_SHIFT;
 const TAG_REBALANCE: u64 = 5 << TAG_KIND_SHIFT;
-
-const TAG_DELAYED_ACK: u64 = 6 << TAG_KIND_SHIFT;
 const TAG_PAYLOAD_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
 
 /// Demand floor for targeted hints: one recent solicitation (EWMA
@@ -79,11 +78,9 @@ const HINT_FANOUT: usize = 2;
 /// Body of a protocol message.
 #[derive(Clone, Debug)]
 pub enum Body {
-    /// A Vm-layer frame (value transfer or ack).
-    Vm(Frame),
-    /// A coalesced wire datagram: every Vm frame bound for the receiver
-    /// at one flush boundary, encoded as a single length-prefixed frame
-    /// sequence ([`SiteConfig::coalesce`]). Loss, duplication, and
+    /// A wire datagram: every Vm frame (value transfer or ack) bound for
+    /// the receiver at one flush boundary, encoded as a single
+    /// length-prefixed frame sequence. Loss, duplication, and
     /// reordering apply to the whole datagram — per-frame Vm semantics
     /// are unaffected because every frame is individually retransmitted
     /// until cumulatively acked.
@@ -131,8 +128,8 @@ pub struct ProtoMsg {
 
 impl ProtoMsg {
     /// Deterministic wire-size estimate: 8-byte lamport + 1-byte body tag
-    /// header plus the body payload. Vm frames and datagrams use their
-    /// actual codec lengths; plain protocol bodies use fixed-width field
+    /// header plus the body payload. Vm datagrams use their actual codec
+    /// length; plain protocol bodies use fixed-width field
     /// sums. Declared on every send so kernel [`NetStats::wire_bytes`]
     /// compares engines at the same layer as the 2PC baseline.
     ///
@@ -145,7 +142,6 @@ impl ProtoMsg {
 impl Body {
     fn wire_len(&self) -> u64 {
         match self {
-            Body::Vm(frame) => frame_wire_len(frame) as u64,
             Body::VmDatagram(wire) => wire.wire_len() as u64,
             // txn:8 item:4 need:8 demand:8 read:1
             Body::Request { .. } => 8 + 4 + 8 + 8 + 1,
@@ -412,7 +408,6 @@ pub struct SiteNode {
     last_replayed: u64,
     /// Reusable flush buffers: the endpoint's queues are drained into
     /// these (append + drain) so the steady state allocates nothing.
-    outbox_scratch: Vec<(NodeId, Frame)>,
     completed_scratch: Vec<(NodeId, Seq)>,
     datagram_scratch: Vec<(NodeId, WireDatagram)>,
     freed_scratch: Vec<ItemId>,
@@ -427,7 +422,7 @@ pub struct SiteNode {
     demands_scratch: Vec<(ItemId, Qty)>,
     deficits_scratch: Vec<(ItemId, Qty)>,
     released_scratch: Vec<ItemId>,
-    /// Adaptive-path scratch: hint recompute buffer, owed-ack peer list,
+    /// Flush-path scratch: hint recompute buffers, owed-ack peer list,
     /// and the solicitation planner's deficit/read work lists — all
     /// retained so the hinted fast path allocates nothing per dispatch.
     hint_refresh_scratch: Vec<(u32, u64)>,
@@ -436,14 +431,10 @@ pub struct SiteNode {
     owed_scratch: Vec<NodeId>,
     solicit_deficits_scratch: Vec<(ItemId, Qty)>,
     solicit_reads_scratch: Vec<ItemId>,
-    /// Peers with an armed delayed-ack timer (`true` slots). A firing for
-    /// a peer not in this set is stale (crash cleared it), ignored.
-    ack_timers: Vec<bool>,
-    /// Group commit: a record that per-record forcing would have forced
-    /// inline was appended during this dispatch, so the flush boundary
-    /// owes one coalesced force. Stays `false` across ack-only dispatches
-    /// — lazy `AckObserved` notes ride along with the next real force,
-    /// exactly as they did under per-record forcing.
+    /// Group commit: a record that must be durable before this dispatch's
+    /// frames leave was appended, so the flush boundary owes one force.
+    /// Stays `false` across ack-only dispatches — lazy `AckObserved`
+    /// notes ride along with the next real force.
     needs_flush: bool,
 }
 
@@ -519,7 +510,6 @@ impl SiteNode {
             metrics: SiteMetrics::default(),
             obs: Obs::disabled(),
             last_replayed: 0,
-            outbox_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             datagram_scratch: Vec::new(),
             freed_scratch: Vec::new(),
@@ -534,7 +524,6 @@ impl SiteNode {
             owed_scratch: Vec::new(),
             solicit_deficits_scratch: Vec::new(),
             solicit_reads_scratch: Vec::new(),
-            ack_timers: vec![false; n],
             needs_flush: false,
         }
     }
@@ -580,50 +569,15 @@ impl SiteNode {
         }
     }
 
-    /// The endpoint-level Vm config: the site's `vm` knobs with the
-    /// link-level coalescing flag merged in (`SiteConfig::coalesce` is
-    /// the host-facing switch; the endpoint default keeps the layer
-    /// standalone).
-    ///
-    /// Under adaptive placement the hint-gossip knobs are derived from
-    /// the placement parameters unless the host set them explicitly: a
-    /// hint stays useful for `hint_ttl`, so re-sending an unchanged hint
-    /// more often than every `hint_ttl / 2` wastes wire bytes, and a
-    /// datagram never needs to carry more than `max_hints` entries.
+    /// The endpoint-level Vm config: the site's `vm` knobs with
+    /// datagram coalescing forced on — a site only ever speaks
+    /// [`Body::VmDatagram`] (the endpoint's own default keeps that layer
+    /// usable standalone with bare frames).
     fn vm_config(cfg: &SiteConfig) -> VmConfig {
-        let mut vm = VmConfig {
-            coalesce: cfg.coalesce,
+        VmConfig {
+            coalesce: true,
             ..cfg.vm
-        };
-        if let Some(a) = cfg.placement.adaptive_params() {
-            if vm.hint_resend_after_us == 0 {
-                vm.hint_resend_after_us = a.hint_ttl.as_micros() / 2;
-            }
-            if vm.hint_budget_bytes == usize::MAX {
-                vm.hint_budget_bytes = 4 + a.max_hints as usize * HINT_ENTRY_LEN;
-            }
-            // Demand-delta gate: under a churning workload the surplus
-            // moves by a token or two on every commit, so the
-            // exact-equality dedupe above suppresses almost nothing — a
-            // hint is only news when the figure moved materially.
-            if vm.hint_min_delta_pct == 0 {
-                vm.hint_min_delta_pct = 25;
-            }
-            // Global flow-control budget: at most half a hint section
-            // per dedupe window across all peers. Steady gossip is
-            // bounded per unit time however many datagrams the workload
-            // emits; a genuinely new surplus still goes out promptly
-            // (the window is half the hint TTL, so even a budget-capped
-            // item gets two chances per TTL).
-            if vm.hint_window_budget == u32::MAX {
-                // Sized so a site's whole gossip run-rate stays a small
-                // fraction of its data traffic even when every surplus
-                // churns (measured: under uniform access the budget, not
-                // demand, is the binding constraint).
-                vm.hint_window_budget = (a.max_hints / 4).max(2);
-            }
         }
-        vm
     }
 
     /// Attach a trace handle, shared down into the Vm endpoint and the
@@ -691,10 +645,7 @@ impl SiteNode {
     /// the crash when the current callback finishes; `crash_pending` guards
     /// the durable operations that could otherwise run in between.
     fn crashpoint(&mut self, ctx: &mut Context<'_, ProtoMsg>, point: Crashpoint) -> bool {
-        if self.cfg.inject.crashpoint != Some(point)
-            || self.id != self.cfg.inject.victim
-            || self.crashpoint_tripped
-        {
+        if !self.crashpoint_armed(point) {
             return false;
         }
         self.crashpoint_hits += 1;
@@ -706,6 +657,15 @@ impl SiteNode {
         self.metrics.crashpoint_trips += 1;
         ctx.crash_self();
         true
+    }
+
+    /// Whether `point` is armed at this site and has not fired yet — the
+    /// paths that must force eagerly to honour a crashpoint's contract
+    /// ask this before reaching it.
+    fn crashpoint_armed(&self, point: Crashpoint) -> bool {
+        self.cfg.inject.crashpoint == Some(point)
+            && self.id == self.cfg.inject.victim
+            && !self.crashpoint_tripped
     }
 
     fn others(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -723,31 +683,29 @@ impl SiteNode {
 
     /// Feed the own-demand estimator with one observed local need.
     fn note_own_demand(&mut self, item: ItemId, qty: Qty) {
-        let gain = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.gain,
-            None => return,
-        };
+        if !self.cfg.placement.is_adaptive() {
+            return;
+        }
         let e = &mut self.own_demand[Self::di(item)];
-        *e += gain * (qty as f64 - *e);
+        *e += DEMAND_GAIN * (qty as f64 - *e);
     }
 
     /// Feed the per-peer solicited-demand estimator (incoming requests).
     fn note_peer_demand(&mut self, item: ItemId, from: NodeId, qty: Qty) {
-        let gain = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.gain,
-            None => return,
-        };
+        if !self.cfg.placement.is_adaptive() {
+            return;
+        }
         let e = &mut self.peer_demand[Self::di(item) * self.n + from];
-        *e += gain * (qty as f64 - *e);
+        *e += DEMAND_GAIN * (qty as f64 - *e);
     }
 
     /// Fragment value beyond the headroom this site keeps for its own
     /// predicted demand — what it can advertise, predictively donate, or
     /// proactively rebalance away.
-    fn spare(&self, item: ItemId, a: &AdaptivePlacement) -> Qty {
+    fn spare(&self, item: ItemId) -> Qty {
         let have = self.frags.get(item);
         let own = self.own_demand[Self::di(item)];
-        have.saturating_sub((a.headroom * own).ceil() as Qty)
+        have.saturating_sub((HEADROOM * own).ceil() as Qty)
     }
 
     /// The demand figure a solicitation advertises: the requester's own
@@ -761,37 +719,33 @@ impl SiteNode {
         need.max(e.ceil() as Qty)
     }
 
-    /// Recompute the availability hints riding every outgoing datagram:
-    /// the top `max_hints` items by spareable surplus, then targeted per
+    /// Recompute the availability hints offered to outgoing datagrams:
+    /// the top few items by spareable surplus, then targeted per
     /// peer by observed demand — a peer only receives the hints for
     /// items it has recently solicited (its `peer_demand` estimate is
     /// above the noise floor), because a surplus figure for an item a
     /// peer never asks about is gossip it can never act on. Advisory —
     /// a peer believing a stale figure only wastes a solicitation.
     fn refresh_hints(&mut self) {
-        let a = match self.cfg.placement.adaptive_params() {
-            Some(a) => *a,
-            None => return,
-        };
         let mut hints = std::mem::take(&mut self.hint_refresh_scratch);
         hints.clear();
         for idx in 0..self.initial_quotas.len() {
             let item = ItemId(idx as u32);
-            let s = self.spare(item, &a);
+            let s = self.spare(item);
             if s > 0 {
                 hints.push((item.0, s));
             }
         }
         hints.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        // Scope-to-budget matching: the flow-control budget admits only
-        // ~`max_hints / 4` entries per dedupe window, so gossiping the
-        // full `max_hints` list spreads that budget across far more
-        // (item, peer) pairs than it can keep fresh — every table entry
-        // ends up older than the TTL and the hinted path starves.
-        // Advertise only the few best surpluses (and, below, only to the
-        // couple of peers most likely to act) so each advertised pair is
-        // re-gossiped well inside the TTL.
-        hints.truncate((a.max_hints as usize / 4).max(2));
+        // Scope-to-budget matching: the endpoint's gate admits only
+        // `HINT_WINDOW_BUDGET` entries per resend window, so gossiping a
+        // longer list spreads that budget across more (item, peer) pairs
+        // than it can keep fresh — every table entry ends up older than
+        // the TTL and the hinted path starves. Advertise only the few
+        // best surpluses (and, below, only to the couple of peers most
+        // likely to act) so each advertised pair is re-gossiped well
+        // inside the TTL.
+        hints.truncate(HINT_WINDOW_BUDGET as usize);
         // Second half of scope-to-budget: each advertised item goes only
         // to its `HINT_FANOUT` hardest-soliciting peers above the demand
         // floor. Rank once per item — one O(peers) pass filling a top-k
@@ -871,20 +825,16 @@ impl SiteNode {
     /// outcome: the hinted donor either delivered (`true`) or let the
     /// transaction time out (`false`).
     fn note_hint_outcome(&mut self, hit: bool) {
-        let gain = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.gain,
-            None => return,
-        };
         let target = if hit { 1.0 } else { 0.0 };
-        self.hint_confidence += gain * (target - self.hint_confidence);
+        self.hint_confidence += DEMAND_GAIN * (target - self.hint_confidence);
     }
 
-    /// The hint TTL scaled by observed hint trust: full `hint_ttl` while
+    /// The hint TTL scaled by observed hint trust: full `HINT_TTL` while
     /// hints keep paying off, down to a quarter of it when they keep
     /// lying (fast drift makes old gossip worthless sooner).
-    fn effective_hint_ttl_us(&self, a: &AdaptivePlacement) -> u64 {
+    fn effective_hint_ttl_us(&self) -> u64 {
         let scale = self.hint_confidence.clamp(0.25, 1.0);
-        (a.hint_ttl.as_micros() as f64 * scale) as u64
+        (HINT_TTL.as_micros() as f64 * scale) as u64
     }
 
     /// The peer with the highest fresh advertised surplus for `item`
@@ -895,7 +845,7 @@ impl SiteNode {
         if a.chaos == HintChaos::Stale {
             return None; // chaos: every hint is treated as expired
         }
-        let ttl_us = self.effective_hint_ttl_us(a);
+        let ttl_us = self.effective_hint_ttl_us();
         let mut best: Option<(NodeId, Qty)> = None;
         let base = Self::di(item) * self.n;
         for peer in 0..self.n {
@@ -924,19 +874,14 @@ impl SiteNode {
         self.suspect_until[peer].is_some_and(|until| now < until)
     }
 
-    /// A record that per-record forcing hardened inline was just appended:
-    /// force now, or (group commit) note that this dispatch's flush
-    /// boundary owes a single coalesced force.
+    /// A record that must be durable before any frame of this dispatch
+    /// leaves was just appended: the flush boundary owes one force.
     fn force_record(&mut self) {
-        if self.cfg.group_commit {
-            self.needs_flush = true;
-        } else {
-            self.log.force();
-        }
+        self.needs_flush = true;
     }
 
     /// Drain every queued Vm frame into per-peer wire datagrams and put
-    /// them on the wire (coalescing mode only).
+    /// them on the wire.
     fn send_vm_datagrams(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         let mut dgrams = std::mem::take(&mut self.datagram_scratch);
         self.vm
@@ -962,74 +907,49 @@ impl SiteNode {
         }
         // Group commit: a single force here hardens every record appended
         // while handling the current event — *before* any frame leaves the
-        // site, so the paper's force-before-send discipline is intact. The
-        // force runs only when the dispatch appended a record per-record
-        // forcing would have forced (`needs_flush`); ack-only dispatches
-        // stay lazy, and a clean tail elides the force entirely.
-        if self.cfg.group_commit && self.needs_flush {
+        // site, so the paper's force-before-send discipline holds per
+        // datagram. The force runs only when the dispatch appended a
+        // record that needs it (`needs_flush`); ack-only dispatches stay
+        // lazy.
+        if self.needs_flush {
             self.log.force_if_dirty();
             self.needs_flush = false;
         }
-        if let (Some(a), true) = (self.cfg.placement.adaptive_params(), self.cfg.coalesce) {
+        if self.cfg.placement.is_adaptive() {
             // Refresh the availability gossip riding whatever leaves now
             // (free: hints piggyback on datagrams that exist anyway) —
-            // but at most once per hint TTL: the endpoint's dedupe window
-            // and demand-delta gate decide what actually goes on the wire,
-            // so recomputing the per-peer lists any faster changes no
-            // bytes (verified identical wire/hint counts at quarter-TTL
-            // cadence) and only costs O(items · peers) sweeps per event.
+            // but at most once per hint TTL: the endpoint's gate decides
+            // what actually goes on the wire, so recomputing the per-peer
+            // lists any faster changes no bytes (verified identical
+            // wire/hint counts at quarter-TTL cadence) and only costs
+            // O(items · peers) sweeps per event.
             let now_us = ctx.now().micros();
-            let period = a.hint_ttl.as_micros().max(1);
             if self
                 .last_hint_refresh
-                .is_none_or(|t| now_us.saturating_sub(t) >= period)
+                .is_none_or(|t| now_us.saturating_sub(t) >= HINT_TTL.as_micros())
             {
                 self.refresh_hints();
                 self.last_hint_refresh = Some(now_us);
             }
         }
-        if self.cfg.coalesce {
-            // One wire datagram per peer per flush: every queued frame
-            // toward a peer rides a single transmission, with owed acks
-            // folded in. The force above already hardened everything the
-            // datagram carries — force-before-send at datagram granularity.
+        // One wire datagram per peer per flush: every queued frame toward
+        // a peer rides a single transmission, with owed acks folded in.
+        self.send_vm_datagrams(ctx);
+        // Acks still owed found no data to piggyback on: they leave right
+        // now, in this same dispatch, as ack-only datagrams — acks from
+        // one dispatch dedup into one cumulative frame per peer, and ack
+        // timing (and with it window advance and borderline txn timeouts)
+        // never depends on how much reverse traffic there is.
+        let mut owed = std::mem::take(&mut self.owed_scratch);
+        owed.clear();
+        owed.extend(self.vm.owed_ack_peers());
+        if !owed.is_empty() {
+            for &peer in &owed {
+                self.vm.flush_owed_ack(peer);
+            }
             self.send_vm_datagrams(ctx);
-            // Acks still owed found no data to piggyback on. With a zero
-            // ack delay they leave right now, in this same dispatch, as
-            // ack-only datagrams — the exact instant the per-frame wire
-            // would have sent them, so ack timing (and with it window
-            // advance and borderline txn timeouts) cannot shift. A
-            // positive delay instead opens a window in which reverse
-            // data traffic may still piggyback the ack for free.
-            if self.cfg.ack_delay == SimDuration::ZERO {
-                let mut owed = std::mem::take(&mut self.owed_scratch);
-                owed.clear();
-                owed.extend(self.vm.owed_ack_peers());
-                if !owed.is_empty() {
-                    for &peer in &owed {
-                        self.vm.flush_owed_ack(peer);
-                    }
-                    self.send_vm_datagrams(ctx);
-                }
-                self.owed_scratch = owed;
-            } else {
-                let mut armed = std::mem::take(&mut self.ack_timers);
-                for peer in self.vm.owed_ack_peers() {
-                    if !armed[peer] {
-                        armed[peer] = true;
-                        ctx.set_timer(self.cfg.ack_delay, TAG_DELAYED_ACK | peer as u64);
-                    }
-                }
-                self.ack_timers = armed;
-            }
-        } else {
-            let mut outbox = std::mem::take(&mut self.outbox_scratch);
-            self.vm.drain_outbox_into(&mut outbox);
-            for (to, frame) in outbox.drain(..) {
-                self.send(ctx, to, Body::Vm(frame));
-            }
-            self.outbox_scratch = outbox;
         }
+        self.owed_scratch = owed;
         let mut completed = std::mem::take(&mut self.completed_scratch);
         self.vm.drain_completed_into(&mut completed);
         let mut freed_items = std::mem::take(&mut self.freed_scratch);
@@ -1545,20 +1465,15 @@ impl SiteNode {
             .map(|item| (item, self.frags.get(item)))
             .collect();
 
-        // Step 5: the forced commit record IS the commit point. Under
-        // group commit the force is deferred to this dispatch's flush
-        // boundary — still before any frame leaves the site, and crashes
-        // only arrive between dispatches, so the commit point moves within
-        // the same indivisible instant of simulated time.
-        if self.cfg.group_commit
-            && self.cfg.inject.crashpoint == Some(Crashpoint::AfterAppendBeforeForce)
-            && self.id == self.cfg.inject.victim
-            && !self.crashpoint_tripped
-        {
-            // Pin the crashpoint's contract under group commit: records
-            // appended earlier in this dispatch harden now, so the trip
-            // below kills exactly the Commit record it names — as the
-            // per-record forcing it was specified against would have.
+        // Step 5: the forced commit record IS the commit point. The
+        // force is deferred to this dispatch's flush boundary — still
+        // before any frame leaves the site, and crashes only arrive
+        // between dispatches, so the commit point stays within the same
+        // indivisible instant of simulated time.
+        if self.crashpoint_armed(Crashpoint::AfterAppendBeforeForce) {
+            // Pin the crashpoint's contract: records appended earlier in
+            // this dispatch harden now, so the trip below kills exactly
+            // the Commit record it names.
             self.log.force_if_dirty();
         }
         self.log.append(SiteRecord::Commit {
@@ -1568,9 +1483,8 @@ impl SiteNode {
         if self.crashpoint(ctx, Crashpoint::AfterAppendBeforeForce) {
             // Crash with the Commit record appended but unforced: the
             // record dies with the tail, so the transaction must *not*
-            // survive recovery (it never reached its commit point). Under
-            // group commit `crash_pending` makes the flush skip its force,
-            // preserving exactly this outcome.
+            // survive recovery (it never reached its commit point):
+            // `crash_pending` makes the flush skip its force.
             self.deltas_scratch = deltas;
             return;
         }
@@ -1826,18 +1740,17 @@ impl SiteNode {
             (have, TransferKind::ReadGrant)
         } else {
             let base = self.cfg.placement.base_refill(need, have);
-            let amount = match self.cfg.placement.adaptive_params() {
+            let amount = if self.cfg.placement.is_adaptive() {
                 // Predictive refill: top up toward the requester's
                 // estimated ongoing demand, capped by what we can spare
                 // beyond our own predicted needs — one Vm now instead
                 // of another solicitation round-trip soon.
-                Some(a) => {
-                    let extra = demand
-                        .saturating_sub(need)
-                        .min(self.spare(item, a).saturating_sub(base));
-                    (base + extra).min(have)
-                }
-                None => base,
+                let extra = demand
+                    .saturating_sub(need)
+                    .min(self.spare(item).saturating_sub(base));
+                (base + extra).min(have)
+            } else {
+                base
             };
             if amount == 0 {
                 self.metrics.requests_ignored += 1;
@@ -1865,22 +1778,17 @@ impl SiteNode {
             _ => unreachable!("create returns Created"),
         };
         // The [database-actions, message-sequence] record, forced — the Vm
-        // exists from this instant (under group commit: from this
-        // dispatch's flush boundary, still ahead of the frame).
+        // exists from this dispatch's flush boundary, ahead of the frame.
         self.log.append(SiteRecord::Rds {
             txn,
             actions: DbActions::one((item, -(amount as i64))),
             vm_ops: vec![op],
         });
-        if self.cfg.group_commit
-            && self.cfg.inject.crashpoint == Some(Crashpoint::AfterForceBeforeSend)
-            && self.id == self.cfg.inject.victim
-            && !self.crashpoint_tripped
-        {
+        if self.crashpoint_armed(Crashpoint::AfterForceBeforeSend) {
             // The crashpoint names the instant *after* the force: honour
-            // its contract under group commit by forcing eagerly on the
-            // armed path. Forcing the whole tail early is always safe —
-            // only *missing* forces endanger durability.
+            // its contract by forcing eagerly on the armed path. Forcing
+            // the whole tail early is always safe — only *missing* forces
+            // endanger durability.
             self.log.force();
         } else {
             self.force_record();
@@ -1908,7 +1816,7 @@ impl SiteNode {
             self.locks
                 .try_lock(item, Holder::Lease(txn))
                 .expect("item was free");
-            let timer = ctx.set_timer(self.cfg.read_lease, TAG_LEASE | item.0 as u64);
+            let timer = ctx.set_timer(self.cfg.read_lease(), TAG_LEASE | item.0 as u64);
             self.lease_timers[Self::di(item)] = Some(timer);
         }
         self.flush_vm(ctx);
@@ -1972,12 +1880,12 @@ impl SiteNode {
                     self.ship_rebalance(item, to, have - threshold);
                 }
             }
-            Placement::Adaptive(a) => {
+            Placement::Adaptive(_) => {
                 // An idle tick (nothing shipped) appended no records and
                 // queued no frames — the trailing flush would be a pure
                 // no-op, and at the rebalance cadence those no-ops add up.
                 // The hint-refresh check rides the next real dispatch.
-                if !self.run_adaptive_rebalance(&a, ctx.now()) {
+                if !self.run_adaptive_rebalance(ctx.now()) {
                     return;
                 }
             }
@@ -1991,7 +1899,7 @@ impl SiteNode {
     /// actually is instead of draining to whoever asked last. Returns
     /// whether anything actually shipped (the caller skips the trailing
     /// flush otherwise).
-    fn run_adaptive_rebalance(&mut self, a: &AdaptivePlacement, now: SimTime) -> bool {
+    fn run_adaptive_rebalance(&mut self, now: SimTime) -> bool {
         // One ship per tick, for the (item, peer) pair with the strongest
         // demand signal. Rebalance Rds transfers are not free — each one
         // costs a force and a Vm round trip — so the rebalancer moves the
@@ -2009,7 +1917,7 @@ impl SiteNode {
         let n = self.n;
         for item_idx in 0..self.initial_quotas.len() {
             let base = item_idx * n;
-            let own = a.headroom * self.own_demand[item_idx];
+            let own = HEADROOM * self.own_demand[item_idx];
             for peer in 0..n {
                 let e = self.peer_demand[base + peer];
                 // Noise floor 1.0: a peer must have asked recently and
@@ -2035,7 +1943,7 @@ impl SiteNode {
                         .map(|q| self.peer_demand[base + q])
                         .sum();
                     let avg_other = others / (n.saturating_sub(2).max(1)) as f64;
-                    if e > a.headroom * avg_other {
+                    if e > HEADROOM * avg_other {
                         best = Some((ItemId(item_idx as u32), peer, e));
                     }
                 }
@@ -2059,7 +1967,7 @@ impl SiteNode {
         if let Some((item, to, est)) = best.filter(|_| streak >= SHIP_PERSISTENCE) {
             // Ship toward the peer's estimated demand (with the same
             // headroom a donor keeps for itself), never more than spare.
-            let amount = self.spare(item, a).min((a.headroom * est).ceil() as Qty);
+            let amount = self.spare(item).min((HEADROOM * est).ceil() as Qty);
             if amount > 0 {
                 self.ship_rebalance(item, to, amount);
                 shipped = true;
@@ -2080,10 +1988,10 @@ impl SiteNode {
         // hotspot drifts elsewhere. (Decaying a zero slot keeps it zero,
         // so sweeping the dense tables matches decaying map entries.)
         for e in self.own_demand.iter_mut() {
-            *e *= 1.0 - a.gain;
+            *e *= 1.0 - DEMAND_GAIN;
         }
         for e in self.peer_demand.iter_mut() {
-            *e *= 1.0 - a.gain;
+            *e *= 1.0 - DEMAND_GAIN;
         }
         shipped
     }
@@ -2117,11 +2025,6 @@ impl SiteNode {
     }
 
     // ---- Vm arrivals (receiver side) ---------------------------------------
-
-    fn handle_vm(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_, ProtoMsg>) {
-        self.process_vm_frame(from, frame, ctx);
-        self.flush_vm(ctx);
-    }
 
     /// Process one arriving datagram: every coalesced frame in order,
     /// then a single flush — so all acceptances the datagram causes are
@@ -2192,9 +2095,8 @@ impl SiteNode {
             actions: DbActions::one((transfer.item, transfer.amount as i64)),
             vm_ops: vec![op],
         });
-        // The acceptance must be durable before our ack frame leaves —
-        // under group commit the flush forces ahead of the outbox drain,
-        // so the (durable-accept → ack) order still holds.
+        // The acceptance must be durable before our ack frame leaves:
+        // the flush forces ahead of the datagram drain.
         self.force_record();
         self.frags.credit(transfer.item, transfer.amount);
         self.frags.bump_ts(transfer.item, transfer.for_txn);
@@ -2494,7 +2396,6 @@ impl Node for SiteNode {
         // Traffic can change what the next rebalance tick would ship.
         self.arm_rebalance(ctx);
         match msg.body {
-            Body::Vm(frame) => self.handle_vm(from, frame, ctx),
             Body::VmDatagram(wire) => self.handle_vm_datagram(from, wire, ctx),
             Body::Request {
                 txn,
@@ -2555,17 +2456,6 @@ impl Node for SiteNode {
                     self.vm.tick();
                 }
                 self.flush_vm(ctx);
-            }
-            TAG_DELAYED_ACK => {
-                let peer = payload as NodeId;
-                if !std::mem::replace(&mut self.ack_timers[peer], false) {
-                    return; // stale timer from before a crash
-                }
-                // The ack-delay window closed without reverse data traffic
-                // to piggyback on: ship the owed ack standalone.
-                if self.vm.flush_owed_ack(peer) {
-                    self.flush_vm(ctx);
-                }
             }
             TAG_TIMEOUT => {
                 let ts = Ts(payload);
@@ -2697,9 +2587,6 @@ impl Node for SiteNode {
         // A pre-crash rebalance timer may still fire after recovery; the
         // handler treats it as a fresh tick and re-arms as needed.
         self.rebalance_armed = false;
-        // Owed acks died with the endpoint's volatile state; pre-crash
-        // delayed-ack timers become stale (the firing checks this set).
-        self.ack_timers.fill(false);
         // What remains of the site *is* its durable log; materialize that
         // view immediately so the site's observable state (fragments, Vm
         // cursors) equals stable storage for the whole downtime. This is

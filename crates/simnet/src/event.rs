@@ -9,11 +9,11 @@
 //! Two of the kernel's three lanes live here (the third is
 //! `crate::timers`); the run loop merges all three by that key:
 //!
-//! * [`ScheduledLane`] — externals, crashes and recoveries, which enter
+//! * `ScheduledLane` — externals, crashes and recoveries, which enter
 //!   through `Simulation::schedule_*`. Drivers pre-schedule whole scripts
 //!   (100k+ arrivals), so these sit in a sorted `Vec` that is popped from
 //!   the end instead of being sifted through a heap on every delivery.
-//! * [`MessageHeap`] — in-flight deliveries only, so it stays as shallow as
+//! * `MessageHeap` — in-flight deliveries only, so it stays as shallow as
 //!   the protocol's window. The heap orders small `Copy` keys; the message
 //!   itself waits in a slab slot and never moves during a sift.
 

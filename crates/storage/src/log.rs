@@ -42,9 +42,6 @@ pub struct LogStats {
     pub lost_in_crash: u64,
     /// Torn writes injected by [`StableLog::crash_torn`].
     pub torn_writes: u64,
-    /// Forces skipped by [`StableLog::force_if_dirty`] because the tail
-    /// was already empty (group commit found nothing new to harden).
-    pub forces_elided: u64,
     /// Largest number of records hardened by a single force — the
     /// group-commit batch high-water mark.
     pub max_force_batch: u64,
@@ -68,7 +65,6 @@ impl LogStats {
         self.stable_bytes += o.stable_bytes;
         self.lost_in_crash += o.lost_in_crash;
         self.torn_writes += o.torn_writes;
-        self.forces_elided += o.forces_elided;
         self.max_force_batch = self.max_force_batch.max(o.max_force_batch);
         self.media_salvages += o.media_salvages;
         self.salvaged_records += o.salvaged_records;
@@ -316,12 +312,10 @@ impl<R: Record> StableLog<R> {
 
     /// Force only if the tail holds unforced records — the group-commit
     /// flush primitive. A clean tail means every record is already
-    /// durable, so the force (and its obs event) is elided entirely;
-    /// the elision is counted in [`LogStats::forces_elided`]. Returns
-    /// whether a force actually happened.
+    /// durable, so the force (and its obs event) is elided entirely.
+    /// Returns whether a force actually happened.
     pub fn force_if_dirty(&mut self) -> bool {
         if self.tail.is_empty() {
-            self.stats.forces_elided += 1;
             return false;
         }
         self.force();
@@ -661,7 +655,6 @@ mod tests {
         // Nothing buffered: the force is elided, not performed.
         assert!(!log.force_if_dirty());
         assert_eq!(log.stats().forces, 0);
-        assert_eq!(log.stats().forces_elided, 1);
         // Three appends coalesce into one force of batch size 3.
         log.append(R(1));
         log.append(R(2));
@@ -673,7 +666,7 @@ mod tests {
         assert_eq!(log.stats().max_force_batch, 3);
         // Immediately after, the tail is clean again.
         assert!(!log.force_if_dirty());
-        assert_eq!(log.stats().forces_elided, 2);
+        assert_eq!(log.stats().forces, 1);
     }
 
     #[test]

@@ -34,9 +34,9 @@ pub struct Channel {
     /// Retransmit-eligibility watermark under coalescing: at a tick,
     /// only already-sent frames with `seq <= retx_before` are
     /// retransmitted — frames first sent *since the previous tick* get
-    /// one tick of grace, so an ack in flight (data delay + delayed-ack
-    /// window + ack delay can exceed one retransmit period) isn't raced
-    /// by a pointless retransmission. Volatile; `0` after recovery means
+    /// one tick of grace, so an ack in flight (data delay + ack delay
+    /// can exceed one retransmit period) isn't raced by a pointless
+    /// retransmission. Volatile; `0` after recovery means
     /// everything outstanding retransmits promptly.
     pub(crate) retx_before: Seq,
     /// Highest cumulative ack toward the peer ever put on the wire (by a

@@ -11,6 +11,24 @@ use crate::SiteId;
 use bytes::Bytes;
 use dvp_obs::{EventKind, Obs};
 
+/// Hint-gossip resend window in microseconds: a hint whose surplus has
+/// not moved materially (see [`HINT_MIN_DELTA_PCT`]) since it was last
+/// sent to a peer is suppressed for this long, per peer and per item.
+/// Also the length of the [`HINT_WINDOW_BUDGET`] accounting window.
+pub const HINT_RESEND_AFTER_US: u64 = 125_000;
+/// Demand-delta gate: inside the resend window a hint is news only when
+/// its surplus moved by at least this percentage of the value last sent
+/// to that peer. Under a churning workload the surplus moves by a token
+/// or two on every commit, so without the gate nearly every datagram
+/// would carry a "changed" hint. A surplus last sent as `0` always
+/// passes (any recovery from empty is news).
+pub const HINT_MIN_DELTA_PCT: u64 = 25;
+/// Hint entries an endpoint may send per resend window, across all peers
+/// and datagrams. Bounds gossip volume per unit time however many
+/// datagrams the workload emits; hosts should advertise no more items
+/// than this, or no entry stays fresh.
+pub const HINT_WINDOW_BUDGET: u32 = 4;
+
 /// Tuning knobs for the Vm protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
@@ -27,37 +45,10 @@ pub struct VmConfig {
     /// host drains [`drain_datagrams_into`](VmEndpoint::drain_datagrams_into)
     /// — one [`WireDatagram`] per peer per flush boundary — and eager
     /// acks become *owed* acks that fold into the next outgoing datagram
-    /// (or are flushed standalone by the host's delayed-ack timer via
+    /// (or are flushed standalone by the host via
     /// [`flush_owed_ack`](VmEndpoint::flush_owed_ack)). Off by default at
     /// this layer so the endpoint stands alone; hosts that batch opt in.
     pub coalesce: bool,
-    /// Hint-gossip dedupe window in microseconds: an availability hint
-    /// whose advertised surplus is *unchanged* since it was last sent to
-    /// a peer is suppressed for this long (per peer, per item). `0`
-    /// (the default) resends every hint on every datagram — the
-    /// pre-dedupe behaviour.
-    pub hint_resend_after_us: u64,
-    /// Per-datagram budget for the encoded hint section (section header
-    /// plus entries), in bytes. Hints beyond the budget are dropped for
-    /// that datagram (they are advisory gossip; the next refresh
-    /// re-offers them). `usize::MAX` (the default) means no cap.
-    pub hint_budget_bytes: usize,
-    /// Demand-delta gate: within the dedupe window, a *changed* surplus
-    /// is still suppressed unless it moved by at least this percentage
-    /// of the value last sent to that peer. This is what actually
-    /// contains a hint storm — under a churning workload the surplus
-    /// changes by a token or two on every commit, so exact-equality
-    /// dedupe alone suppresses almost nothing. `0` (the default) keeps
-    /// the pre-gate behaviour: any change is material. A surplus last
-    /// sent as `0` always passes (any recovery from empty is news).
-    pub hint_min_delta_pct: u32,
-    /// Global budget on hint entries sent per dedupe window, across all
-    /// peers and datagrams. Once spent, further hints are suppressed
-    /// until the window rolls (length `hint_resend_after_us`, or per
-    /// flush instant when that is 0). Bounds worst-case gossip volume
-    /// per unit time no matter how many datagrams the workload emits.
-    /// `u32::MAX` (the default) means no cap.
-    pub hint_window_budget: u32,
 }
 
 impl Default for VmConfig {
@@ -66,10 +57,6 @@ impl Default for VmConfig {
             window: 16,
             eager_acks: true,
             coalesce: false,
-            hint_resend_after_us: 0,
-            hint_budget_bytes: usize::MAX,
-            hint_min_delta_pct: 0,
-            hint_window_budget: u32::MAX,
         }
     }
 }
@@ -151,7 +138,7 @@ pub struct VmEndpoint {
     /// Vms whose lifecycle completed since the last drain (peer, seq).
     completed: Vec<(SiteId, Seq)>,
     /// Peers owed a standalone ack (coalesce mode only): the ack rides
-    /// the next data datagram that way, or a delayed-ack flush.
+    /// the next data datagram that way, or a `flush_owed_ack`.
     ack_owed: Vec<bool>,
     /// Next outgoing datagram id per peer (coalesce mode only; ids are
     /// 1-based and per-(site, peer)). Survives `crash_reset`.
@@ -163,26 +150,19 @@ pub struct VmEndpoint {
     /// Id of the incoming datagram currently being processed (set by
     /// [`begin_datagram`](Self::begin_datagram); 0 = non-coalesced frame).
     in_datagram: u64,
-    /// Availability hints `(item, surplus)` to piggyback on every outgoing
-    /// datagram (adaptive placement gossip). Volatile and advisory: set by
-    /// the host via [`set_hints`](Self::set_hints), wiped on crash, and
-    /// never consulted by the Vm protocol itself.
-    hints: Vec<(u32, u64)>,
+    /// Per-peer availability hints `(item, surplus)` offered to every
+    /// outgoing datagram toward that peer (adaptive placement gossip; see
+    /// [`set_peer_hints`](Self::set_peer_hints)). Volatile and advisory:
+    /// wiped on crash, never consulted by the Vm protocol itself.
+    peer_hints: Vec<Vec<(u32, u64)>>,
     /// Per-peer dedupe memory: `(item, surplus, sent_at)` for each hint
     /// last sent to that peer. Volatile (advisory gossip dies with a
     /// crash). Small linear lists — a site gossips at most a handful of
     /// hints at a time.
     hint_sent: Vec<Vec<(u32, u64, u64)>>,
-    /// Per-peer targeted hint lists (see
-    /// [`set_peer_hints`](Self::set_peer_hints)); the parallel flag says
-    /// whether the slot overrides the global `hints` list. Volatile.
-    peer_hints: Vec<Vec<(u32, u64)>>,
-    peer_hints_set: Vec<bool>,
-    /// Reused per-datagram buffer for the hints that survive dedupe and
-    /// the byte budget.
+    /// Reused per-datagram buffer for the hints that pass the gate.
     hint_scratch: Vec<(u32, u64)>,
-    /// Start of the current global hint-budget window (µs; see
-    /// [`VmConfig::hint_window_budget`]). Volatile.
+    /// Start of the current [`HINT_WINDOW_BUDGET`] window (µs). Volatile.
     hint_window_start: u64,
     /// Hint entries already sent in the current window, across all peers.
     hint_window_used: u32,
@@ -208,10 +188,8 @@ impl VmEndpoint {
             next_datagram: Vec::new(),
             groups: Vec::new(),
             in_datagram: 0,
-            hints: Vec::new(),
-            hint_sent: Vec::new(),
             peer_hints: Vec::new(),
-            peer_hints_set: Vec::new(),
+            hint_sent: Vec::new(),
             hint_scratch: Vec::new(),
             hint_window_start: 0,
             hint_window_used: 0,
@@ -236,45 +214,19 @@ impl VmEndpoint {
         &self.stats
     }
 
-    /// Replace the availability hints piggybacked on outgoing datagrams.
-    /// The host refreshes these from its placement layer; an empty slice
-    /// (the default) keeps the wire encoding byte-identical to a build
-    /// without hints. Requires [`coalesce`](VmConfig::coalesce) — bare
-    /// frames have nowhere to carry a hint section.
-    pub fn set_hints(&mut self, hints: Vec<(u32, u64)>) {
-        self.hints = hints;
-    }
-
-    /// Allocation-free variant of [`set_hints`](Self::set_hints): copy
-    /// the slice into the endpoint's retained hint buffer. Hot-path
-    /// hosts that refresh hints on every flush boundary use this so the
-    /// steady state allocates nothing.
-    pub fn set_hints_from_slice(&mut self, hints: &[(u32, u64)]) {
-        self.hints.clear();
-        self.hints.extend_from_slice(hints);
-    }
-
-    /// Replace the availability hints for one specific peer. A peer with
-    /// a targeted list gets it *instead of* the global list — the host's
-    /// placement layer uses this to gossip an item's surplus only to the
-    /// peers whose observed demand makes the hint actionable, instead of
-    /// broadcasting every surplus to everyone. Pass an empty slice to
-    /// send that peer nothing. Targeted lists are volatile and cleared
-    /// by [`clear_peer_hints`](Self::clear_peer_hints) or a crash.
+    /// Replace the availability hints offered to `peer`: the host's
+    /// placement layer gossips an item's surplus only to the peers whose
+    /// observed demand makes the hint actionable. What actually rides a
+    /// datagram is decided by the gate in
+    /// [`drain_datagrams_into`](Self::drain_datagrams_into); a peer with
+    /// no hints (the default, or an empty slice) gets datagrams
+    /// byte-identical to a build without hints. Requires
+    /// [`coalesce`](VmConfig::coalesce) — bare frames have nowhere to
+    /// carry a hint section. Cleared by a crash.
     pub fn set_peer_hints(&mut self, peer: SiteId, hints: &[(u32, u64)]) {
         self.ensure_peer(peer);
         self.peer_hints[peer].clear();
         self.peer_hints[peer].extend_from_slice(hints);
-        self.peer_hints_set[peer] = true;
-    }
-
-    /// Drop `peer`'s targeted hint list: it falls back to the global
-    /// [`set_hints`](Self::set_hints) list.
-    pub fn clear_peer_hints(&mut self, peer: SiteId) {
-        if peer < self.peer_hints.len() {
-            self.peer_hints[peer].clear();
-            self.peer_hints_set[peer] = false;
-        }
     }
 
     /// Grow every peer-indexed table to cover `peer`. `next_datagram` is
@@ -290,7 +242,6 @@ impl VmEndpoint {
         self.groups.resize_with(n, Vec::new);
         self.hint_sent.resize_with(n, Vec::new);
         self.peer_hints.resize_with(n, Vec::new);
-        self.peer_hints_set.resize(n, false);
         if n > self.next_datagram.len() {
             self.next_datagram.resize(n, 0);
         }
@@ -450,10 +401,10 @@ impl VmEndpoint {
 
     fn queue_ack(&mut self, peer: SiteId) {
         if self.cfg.coalesce {
-            // Delayed-ack policy: mark the ack *owed*. It folds into the
-            // next outgoing datagram toward `peer` (data frames always
-            // carry the current cumulative ack), or the host's delayed-
-            // ack timer flushes it standalone via `flush_owed_ack`.
+            // Mark the ack *owed*. It folds into the next outgoing
+            // datagram toward `peer` (data frames always carry the
+            // current cumulative ack), or the host flushes it standalone
+            // via `flush_owed_ack`.
             self.ensure_peer(peer);
             if self.ack_owed[peer] {
                 // Already owed: the cumulative cursor covers both
@@ -526,9 +477,9 @@ impl VmEndpoint {
             {
                 max_in_window = max_in_window.max(seq);
                 // Coalescing pacing: a frame first sent since the previous
-                // tick gets one tick of grace — its ack may still be
-                // sitting in the receiver's delayed-ack window, and
-                // retransmitting into that race only burns datagrams.
+                // tick gets one tick of grace — its ack may still be in
+                // flight, and retransmitting into that race only burns
+                // datagrams.
                 // First transmissions (frames the window just admitted)
                 // always go out.
                 if cfg.coalesce && seq <= highest_sent && seq > retx_before {
@@ -592,12 +543,12 @@ impl VmEndpoint {
     /// folded away. A data-bearing datagram that services an owed ack or
     /// advances the on-wire ack cursor counts one avoided standalone
     /// frame in [`VmStats::bytes_acked_piggyback`]. Owed acks toward
-    /// peers with no outgoing data stay owed — the host's delayed-ack
-    /// timer flushes them via [`flush_owed_ack`](Self::flush_owed_ack).
+    /// peers with no outgoing data stay owed — the host flushes them via
+    /// [`flush_owed_ack`](Self::flush_owed_ack).
     ///
     /// `now` (microseconds, the host's clock) drives the hint-gossip
-    /// dedupe window ([`VmConfig::hint_resend_after_us`]); pass `0` when
-    /// no hints are in play.
+    /// resend window ([`HINT_RESEND_AFTER_US`]); pass `0` when no hints
+    /// are in play.
     pub fn drain_datagrams_into(&mut self, now: u64, out: &mut Vec<(SiteId, WireDatagram)>) {
         if self.outbox.is_empty() {
             return;
@@ -662,77 +613,49 @@ impl VmEndpoint {
         }
     }
 
-    /// Fill `hint_scratch` with the hints worth sending to `to` now:
-    /// drop entries whose surplus is unchanged — or changed by less than
-    /// the demand-delta gate — since the last send to this peer within
-    /// the dedupe window, charge survivors against the global per-window
-    /// budget, then cap the section at the per-datagram byte budget.
+    /// Fill `hint_scratch` with the hints worth sending to `to` now —
+    /// the one hint gate. An entry is suppressed while its surplus has
+    /// moved less than [`HINT_MIN_DELTA_PCT`] since it was last sent to
+    /// this peer within [`HINT_RESEND_AFTER_US`]; survivors are charged
+    /// against [`HINT_WINDOW_BUDGET`], which cuts the rest off until the
+    /// window rolls.
     fn select_hints(&mut self, to: SiteId, now: u64) {
         self.hint_scratch.clear();
-        let targeted = self.peer_hints_set.get(to).copied().unwrap_or(false);
-        let hint_count = if targeted {
-            self.peer_hints[to].len()
-        } else {
-            self.hints.len()
-        };
+        let hint_count = self.peer_hints[to].len();
         if hint_count == 0 {
             return;
         }
-        let budget = self.cfg.hint_budget_bytes;
-        let max_entries = if budget == usize::MAX {
-            usize::MAX
-        } else if budget < 4 + HINT_ENTRY_LEN {
-            0
-        } else {
-            (budget - 4) / HINT_ENTRY_LEN
-        };
-        let ttl = self.cfg.hint_resend_after_us;
-        let min_delta_pct = self.cfg.hint_min_delta_pct as u64;
-        let window_budget = self.cfg.hint_window_budget;
-        if window_budget != u32::MAX && now.saturating_sub(self.hint_window_start) >= ttl.max(1) {
+        if now.saturating_sub(self.hint_window_start) >= HINT_RESEND_AFTER_US {
             self.hint_window_start = now;
             self.hint_window_used = 0;
         }
         let mut sent = std::mem::take(&mut self.hint_sent[to]);
         for i in 0..hint_count {
-            let (item, surplus) = if targeted {
-                self.peer_hints[to][i]
-            } else {
-                self.hints[i]
-            };
-            if self.hint_scratch.len() >= max_entries || self.hint_window_used >= window_budget {
+            let (item, surplus) = self.peer_hints[to][i];
+            if self.hint_window_used >= HINT_WINDOW_BUDGET {
                 self.stats.hints_suppressed += (hint_count - i) as u64;
                 break;
             }
             match sent.iter_mut().find(|e| e.0 == item) {
-                Some(e) if ttl > 0 && e.1 == surplus && now.saturating_sub(e.2) < ttl => {
-                    self.stats.hints_suppressed += 1;
-                }
-                // Demand-delta gate: a changed surplus within the window
-                // is still noise unless it moved materially. The dedupe
-                // memory is deliberately NOT updated — the delta keeps
-                // accumulating against the value the peer actually saw,
-                // so a slow drift eventually crosses the gate.
+                // The dedupe memory is deliberately NOT updated on a
+                // suppressed entry — the delta keeps accumulating against
+                // the value the peer actually saw, so a slow drift
+                // eventually crosses the gate.
                 Some(e)
-                    if ttl > 0
-                        && min_delta_pct > 0
-                        && now.saturating_sub(e.2) < ttl
-                        && surplus.abs_diff(e.1) * 100 < e.1 * min_delta_pct =>
+                    if now.saturating_sub(e.2) < HINT_RESEND_AFTER_US
+                        && surplus.abs_diff(e.1) * 100 < e.1 * HINT_MIN_DELTA_PCT =>
                 {
                     self.stats.hints_suppressed += 1;
+                    continue;
                 }
                 Some(e) => {
                     e.1 = surplus;
                     e.2 = now;
-                    self.hint_window_used = self.hint_window_used.saturating_add(1);
-                    self.hint_scratch.push((item, surplus));
                 }
-                None => {
-                    sent.push((item, surplus, now));
-                    self.hint_window_used = self.hint_window_used.saturating_add(1);
-                    self.hint_scratch.push((item, surplus));
-                }
+                None => sent.push((item, surplus, now)),
             }
+            self.hint_window_used += 1;
+            self.hint_scratch.push((item, surplus));
         }
         self.hint_sent[to] = sent;
     }
@@ -740,8 +663,8 @@ impl VmEndpoint {
     /// Flush an owed ack toward `peer` as a standalone `Ack` frame
     /// (queued; the next [`drain_datagrams_into`](Self::drain_datagrams_into)
     /// ships it as an ack-only datagram). Returns whether an ack was
-    /// actually owed. The host calls this when its delayed-ack window
-    /// expires without reverse data traffic having piggybacked the ack.
+    /// actually owed. The host calls this once a flush has left the ack
+    /// without reverse data traffic to piggyback on.
     pub fn flush_owed_ack(&mut self, peer: SiteId) -> bool {
         if peer >= self.ack_owed.len() || !self.ack_owed[peer] {
             return false;
@@ -764,8 +687,7 @@ impl VmEndpoint {
         true
     }
 
-    /// Peers currently owed a standalone ack, in ascending order (the
-    /// host arms one delayed-ack timer per owed peer after each flush).
+    /// Peers currently owed a standalone ack, in ascending order.
     pub fn owed_ack_peers(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.ack_owed
             .iter()
@@ -848,14 +770,12 @@ impl VmEndpoint {
         // Hints are advisory gossip about pre-crash surplus: stale by
         // definition now, so they die with the rest of volatile state —
         // the per-peer dedupe memory included.
-        self.hints.clear();
         for h in &mut self.hint_sent {
             h.clear();
         }
         for p in &mut self.peer_hints {
             p.clear();
         }
-        self.peer_hints_set.fill(false);
         self.hint_window_start = 0;
         self.hint_window_used = 0;
         // `next_datagram` survives: it is pure wire-level numbering, and
@@ -1479,7 +1399,7 @@ mod tests {
     }
 
     #[test]
-    fn owed_ack_flushes_standalone_on_delayed_ack_timer() {
+    fn owed_ack_flushes_standalone_without_reverse_traffic() {
         let mut s = VmEndpoint::new(0, coalescing_cfg());
         let mut r = VmEndpoint::new(1, coalescing_cfg());
         let _ = s.create(1, b("x"));
@@ -1489,7 +1409,7 @@ mod tests {
             }
         }
         assert_eq!(r.owed_ack_peers().collect::<Vec<_>>(), vec![0]);
-        // No reverse traffic: the host's delayed-ack timer fires.
+        // No reverse traffic: the host flushes the ack standalone.
         assert!(r.flush_owed_ack(0));
         assert!(!r.flush_owed_ack(0), "second flush finds nothing owed");
         let mut dgrams = Vec::new();
@@ -1508,112 +1428,117 @@ mod tests {
         assert!(!s.has_outstanding());
     }
 
-    #[test]
-    fn hints_ride_every_datagram_and_die_on_crash() {
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
-        s.set_hints(vec![(7, 40), (9, 3)]);
-        let _ = s.create(1, b("a"));
-        let _ = s.create(2, b("b"));
+    /// Send one data frame toward `to`, drain at `now`, and return the
+    /// hints that rode the resulting datagram.
+    fn hints_on_next_datagram(s: &mut VmEndpoint, to: SiteId, now: u64) -> Vec<(u32, u64)> {
+        let _ = s.create(to, b("x"));
         let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert_eq!(dgrams.len(), 2);
-        for (_, wire) in &dgrams {
-            assert_eq!(wire.decode().hints, vec![(7, 40), (9, 3)]);
-        }
-        let per_dgram = (4 + 2 * HINT_ENTRY_LEN) as u64;
-        assert_eq!(
-            s.stats().hints_sent,
-            4,
-            "two hints on each of two datagrams"
-        );
-        assert_eq!(s.stats().hint_bytes_sent, 2 * per_dgram);
-        // Crash wipes the gossip along with the rest of volatile state.
-        s.crash_reset();
-        s.tick();
-        dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert!(dgrams.is_empty(), "crash_reset also dropped the outbox");
-        let op = s.create(1, b("again"));
-        let _ = op;
-        dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, Vec::<(u32, u64)>::new());
-        assert_eq!(s.stats().hints_sent, 4, "no hints sent after the crash");
+        s.drain_datagrams_into(now, &mut dgrams);
+        assert_eq!(dgrams.len(), 1);
+        dgrams[0].1.decode().hints
     }
 
     #[test]
-    fn unchanged_hints_are_deduped_within_the_resend_window() {
-        let cfg = VmConfig {
-            hint_resend_after_us: 1_000,
-            ..coalescing_cfg()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        s.set_hints(vec![(7, 40), (9, 3)]);
-
-        // First datagram carries both hints.
-        let _ = s.create(1, b("a"));
-        let mut dgrams = Vec::new();
-        s.drain_datagrams_into(100, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(7, 40), (9, 3)]);
+    fn unmoved_hints_are_suppressed_within_the_resend_window() {
+        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        s.set_peer_hints(1, &[(7, 40), (9, 8)]);
+        s.set_peer_hints(2, &[(7, 40)]);
+        assert_eq!(
+            hints_on_next_datagram(&mut s, 1, 100),
+            vec![(7, 40), (9, 8)]
+        );
         assert_eq!(s.stats().hints_sent, 2);
+        assert_eq!(
+            s.stats().hint_bytes_sent,
+            (4 + 2 * HINT_ENTRY_LEN) as u64,
+            "section header plus two entries"
+        );
 
-        // Same hints, still inside the window: the section is elided
+        // Unmoved and still inside the window: the section is elided
         // entirely (byte-identical to a hintless datagram).
-        let _ = s.create(1, b("b"));
-        dgrams.clear();
-        s.drain_datagrams_into(200, &mut dgrams);
-        assert!(dgrams[0].1.decode().hints.is_empty());
+        assert!(hints_on_next_datagram(&mut s, 1, 200).is_empty());
         assert_eq!(s.stats().hints_sent, 2, "nothing new sent");
         assert_eq!(s.stats().hints_suppressed, 2);
 
-        // One surplus changes: only the changed entry goes out.
-        s.set_hints(vec![(7, 40), (9, 5)]);
-        let _ = s.create(1, b("c"));
-        dgrams.clear();
-        s.drain_datagrams_into(300, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(9, 5)]);
-        assert_eq!(s.stats().hints_sent, 3);
+        // Dedupe memory is per peer: what peer 1 saw does not gate peer 2.
+        assert_eq!(hints_on_next_datagram(&mut s, 2, 300), vec![(7, 40)]);
 
-        // The window expires: unchanged hints are refreshed again.
-        let _ = s.create(1, b("d"));
-        dgrams.clear();
-        s.drain_datagrams_into(2_000, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(7, 40), (9, 5)]);
-
-        // Dedupe memory is per peer: a first datagram toward a new peer
-        // carries everything regardless of what peer 1 already saw.
-        let _ = s.create(2, b("e"));
-        dgrams.clear();
-        s.drain_datagrams_into(2_100, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(7, 40), (9, 5)]);
+        // The window expires: unmoved hints are refreshed.
+        assert_eq!(
+            hints_on_next_datagram(&mut s, 1, 100 + HINT_RESEND_AFTER_US),
+            vec![(7, 40), (9, 8)]
+        );
     }
 
     #[test]
-    fn hint_byte_budget_caps_the_section() {
-        // Budget for exactly two entries: 4 + 2 * HINT_ENTRY_LEN.
-        let cfg = VmConfig {
-            hint_budget_bytes: 4 + 2 * HINT_ENTRY_LEN,
-            ..coalescing_cfg()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        s.set_hints(vec![(1, 10), (2, 20), (3, 30), (4, 40)]);
-        let _ = s.create(1, b("a"));
-        let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(1, 10), (2, 20)]);
-        assert_eq!(s.stats().hints_sent, 2);
-        assert_eq!(s.stats().hints_suppressed, 2, "two dropped to the budget");
-        // A budget too small for even one entry elides the section.
-        let cfg = VmConfig {
-            hint_budget_bytes: HINT_ENTRY_LEN, // < 4 + HINT_ENTRY_LEN
-            ..coalescing_cfg()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        s.set_hints(vec![(1, 10)]);
-        let _ = s.create(1, b("a"));
-        dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert!(dgrams[0].1.decode().hints.is_empty());
+    fn delta_gate_passes_material_moves_and_accumulates_slow_drift() {
+        assert_eq!(HINT_MIN_DELTA_PCT, 25, "the figures below assume 25 %");
+        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        s.set_peer_hints(1, &[(7, 100)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, 0), vec![(7, 100)]);
+
+        // +24 % of what the peer saw: noise.
+        s.set_peer_hints(1, &[(7, 124)]);
+        assert!(hints_on_next_datagram(&mut s, 1, 10).is_empty());
+        // A further 2-token step is small against 124 but 26 % against
+        // the 100 the peer actually saw — the drift accumulated.
+        s.set_peer_hints(1, &[(7, 126)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, 20), vec![(7, 126)]);
+
+        // Downward moves are gated the same way, against the new 126.
+        s.set_peer_hints(1, &[(7, 95)]);
+        assert!(hints_on_next_datagram(&mut s, 1, 30).is_empty());
+        s.set_peer_hints(1, &[(7, 94)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, 40), vec![(7, 94)]);
+        assert_eq!(s.stats().hints_suppressed, 2);
+
+        // Next window: a drop to empty is material, and any recovery from
+        // a surplus last sent as 0 is news.
+        let t = HINT_RESEND_AFTER_US;
+        s.set_peer_hints(1, &[(7, 0)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, t), vec![(7, 0)]);
+        s.set_peer_hints(1, &[(7, 1)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, t + 10), vec![(7, 1)]);
+    }
+
+    #[test]
+    fn window_budget_caps_entries_across_peers_until_the_window_rolls() {
+        let budget = HINT_WINDOW_BUDGET as usize;
+        let offered: Vec<(u32, u64)> = (0..budget as u32 + 2).map(|i| (i, 10 + i as u64)).collect();
+        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        s.set_peer_hints(1, &offered);
+        s.set_peer_hints(2, &offered);
+
+        // The first datagram spends the whole budget; the tail is cut.
+        assert_eq!(hints_on_next_datagram(&mut s, 1, 0), offered[..budget]);
+        assert_eq!(s.stats().hints_suppressed, 2);
+        // The budget is global: peer 2 has seen nothing yet gets nothing.
+        assert!(hints_on_next_datagram(&mut s, 2, 10).is_empty());
+        assert_eq!(s.stats().hints_suppressed, 2 + offered.len() as u64);
+
+        // The window rolls and the budget is whole again.
+        assert_eq!(
+            hints_on_next_datagram(&mut s, 2, HINT_RESEND_AFTER_US),
+            offered[..budget]
+        );
+        assert_eq!(s.stats().hints_sent, 2 * budget as u64);
+    }
+
+    #[test]
+    fn crash_wipes_offered_hints_and_dedupe_memory() {
+        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        s.set_peer_hints(1, &[(7, 40)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, 100), vec![(7, 40)]);
+
+        // The offered lists are gossip about pre-crash surplus: gone.
+        s.crash_reset();
+        assert!(hints_on_next_datagram(&mut s, 1, 200).is_empty());
+        assert_eq!(s.stats().hints_sent, 1, "no hints sent after the crash");
+
+        // So is the dedupe memory: the same figure, re-offered inside the
+        // old resend window, goes out again.
+        s.set_peer_hints(1, &[(7, 40)]);
+        assert_eq!(hints_on_next_datagram(&mut s, 1, 300), vec![(7, 40)]);
     }
 
     #[test]

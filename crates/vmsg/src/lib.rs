@@ -53,7 +53,9 @@ pub mod stats;
 
 pub use channel::Seq;
 pub use codec::{Datagram, WireDatagram};
-pub use endpoint::{ChannelSnapshot, Receipt, VmConfig, VmEndpoint};
+pub use endpoint::{
+    ChannelSnapshot, Receipt, VmConfig, VmEndpoint, HINT_RESEND_AFTER_US, HINT_WINDOW_BUDGET,
+};
 pub use frame::Frame;
 pub use logop::VmLogOp;
 pub use stats::VmStats;

@@ -1,70 +1,46 @@
-//! Group-commit regression tests: the flush-boundary force coalescing
-//! must (a) measurably cut forces per transaction on the standard
-//! banking workload, (b) change *nothing* about the protocol — commits,
-//! aborts, and message traffic stay identical to per-record forcing —
-//! and (c) stay deterministic: the same scenario and seed reproduce the
-//! same counters run over run, for every seed tried.
+//! Group-commit regression tests: every record a dispatch appends is
+//! hardened by one force at the flush boundary. The counters below were
+//! captured on the tree that still carried per-record forcing beside
+//! this path (where the two were asserted to agree on every protocol
+//! counter), so they pin both the force count and the protocol outcome
+//! of the one surviving path — and that the same scenario and seed
+//! reproduce them run over run.
 
 use dvp::prelude::*;
 use dvp::workloads::BankingWorkload;
 
-/// The standard banking workload at its default shape.
-fn banking(seed: u64) -> dvp::workloads::Workload {
-    BankingWorkload::default().generate(seed)
-}
-
-fn run(w: &dvp::workloads::Workload, group_commit: bool, seed: u64) -> RunReport {
-    Scenario::dvp(w)
-        .name(if group_commit {
-            "gc/banking-batched"
-        } else {
-            "gc/banking-per-record"
-        })
-        .site(SiteConfig {
-            group_commit,
-            ..SiteConfig::default()
-        })
+/// The standard banking workload at its default shape (200 txns).
+fn run(seed: u64) -> RunReport {
+    Scenario::dvp(&BankingWorkload::default().generate(seed))
+        .name("gc/banking")
         .seed(seed)
         .run()
 }
 
 #[test]
-fn group_commit_cuts_forces_per_txn_on_standard_banking() {
-    for seed in [1u64, 7, 42] {
-        let w = banking(seed);
-        let batched = run(&w, true, seed);
-        let classic = run(&w, false, seed);
-
-        // The protocol is untouched: same decisions, same traffic.
-        assert_eq!(batched.committed, classic.committed, "seed {seed}");
-        assert_eq!(batched.aborted, classic.aborted, "seed {seed}");
-        assert_eq!(batched.messages, classic.messages, "seed {seed}");
-        assert_eq!(batched.donations, classic.donations, "seed {seed}");
-
-        // The forces are coalesced: measurably fewer per transaction.
-        let decided = (batched.committed + batched.aborted).max(1);
-        let fpt_batched = batched.forces as f64 / decided as f64;
-        let fpt_classic = classic.forces as f64 / decided as f64;
-        assert!(
-            batched.forces < classic.forces,
-            "seed {seed}: {} batched forces not below {} per-record forces",
-            batched.forces,
-            classic.forces
-        );
-        println!(
-            "seed {seed}: forces/txn {fpt_classic:.3} -> {fpt_batched:.3} \
-             ({} -> {} forces over {decided} decided)",
-            classic.forces, batched.forces
-        );
+fn forces_per_txn_on_standard_banking_are_pinned() {
+    // (seed, forces, committed, aborted, messages, donations). Seed 1:
+    // 384 forces over 200 decided = 1.920 forces/txn — under two per
+    // transaction although a solicited commit appends four records.
+    for (seed, forces, committed, aborted, messages, donations) in [
+        (1u64, 384, 178, 22, 519, 130),
+        (7, 369, 180, 20, 497, 122),
+        (42, 290, 171, 29, 310, 74),
+    ] {
+        let r = run(seed);
+        assert_eq!(r.forces, forces, "seed {seed}: forces");
+        assert_eq!(r.committed, committed, "seed {seed}: committed");
+        assert_eq!(r.aborted, aborted, "seed {seed}: aborted");
+        assert_eq!(r.messages, messages, "seed {seed}: messages");
+        assert_eq!(r.donations, donations, "seed {seed}: donations");
     }
 }
 
 #[test]
 fn group_commit_counters_are_stable_across_reruns() {
     for seed in [1u64, 7, 42] {
-        let w = banking(seed);
-        let a = run(&w, true, seed);
-        let b = run(&w, true, seed);
+        let a = run(seed);
+        let b = run(seed);
         assert_eq!(a.forces, b.forces, "seed {seed}: forces drifted");
         assert_eq!(a.committed, b.committed, "seed {seed}");
         assert_eq!(a.aborted, b.aborted, "seed {seed}");

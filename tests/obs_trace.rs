@@ -33,61 +33,15 @@ fn golden_trace_is_byte_identical_across_runs() {
     assert_eq!(a, b, "same scenario + seed must export identical bytes");
 }
 
-/// `group_commit: false` + `coalesce: false` reproduces the original
-/// per-record forcing and one-transmission-per-frame wire behaviour
-/// byte-for-byte: the trace must match the golden file captured before
-/// either optimisation existed. If this fails, the legacy path changed
-/// observable behaviour — which it must never do.
+/// The default-config trace of the soliciting scenario, byte for byte.
+/// The golden was captured on the tree that still carried the per-record
+/// and per-frame forks, so it pins that removing them did not move the
+/// batched path: any diff here is a behaviour change, not a refactor.
 #[test]
-fn non_batched_trace_matches_pre_group_commit_golden() {
-    let got = soliciting_scenario()
-        .site(SiteConfig {
-            group_commit: false,
-            coalesce: false,
-            ..SiteConfig::default()
-        })
-        .run()
-        .trace_jsonl();
-    let golden = include_str!("golden/obs_solicit_nobatch.jsonl");
-    assert_eq!(got, golden, "non-batched trace diverged from the golden");
-}
-
-/// Group commit coalesces forces: the same scenario must emit strictly
-/// fewer `log_force` events than per-record forcing, while every
-/// protocol-level event (commits, solicits, donations, Vm traffic)
-/// stays identical. Wire coalescing is pinned off on both sides so the
-/// comparison isolates group commit (coalescing changes the Vm event
-/// stream by design — delayed acks merge, retransmit pacing differs).
-#[test]
-fn group_commit_reduces_forces_without_touching_protocol_events() {
-    let batched = soliciting_scenario()
-        .site(SiteConfig {
-            coalesce: false,
-            ..SiteConfig::default()
-        })
-        .run()
-        .trace_jsonl();
-    let golden = include_str!("golden/obs_solicit_nobatch.jsonl");
-    let count = |s: &str, ev: &str| s.matches(ev).count();
-    assert!(
-        count(&batched, "\"ev\":\"log_force\"") < count(golden, "\"ev\":\"log_force\""),
-        "group commit must coalesce at least one force in this scenario"
-    );
-    for ev in [
-        "\"ev\":\"txn_commit\"",
-        "\"ev\":\"txn_solicit\"",
-        "\"ev\":\"txn_donate\"",
-        "\"ev\":\"txn_absorb\"",
-        "\"ev\":\"vm_send\"",
-        "\"ev\":\"vm_accept\"",
-        "\"ev\":\"vm_ack\"",
-    ] {
-        assert_eq!(
-            count(&batched, ev),
-            count(golden, ev),
-            "group commit changed the {ev} stream"
-        );
-    }
+fn default_trace_matches_golden() {
+    let got = soliciting_scenario().run().trace_jsonl();
+    let golden = include_str!("golden/obs_solicit.jsonl");
+    assert_eq!(got, golden, "default trace diverged from the golden");
 }
 
 #[test]

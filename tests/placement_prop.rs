@@ -46,11 +46,7 @@ fn run(
     let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
     cfg.scripts = w.scripts.clone();
     cfg.seed = seed;
-    cfg.site.placement = Placement::Adaptive(AdaptivePlacement {
-        fanout,
-        chaos,
-        ..Default::default()
-    });
+    cfg.site.placement = Placement::Adaptive(AdaptivePlacement { fanout, chaos });
     cfg.net = if loss > 0.0 {
         NetworkConfig::lossy(loss)
     } else {

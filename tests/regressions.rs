@@ -175,3 +175,60 @@ fn fanout_one_skips_a_suspect_donor_while_the_suspicion_is_fresh() {
         "the crashed site never donates anything"
     );
 }
+
+/// **The read lease must follow the timeout, however the config is built.**
+///
+/// `read_lease` used to be a stored field defaulting to 100 ms, kept at
+/// 2× the timeout only by the builder. A struct-literal config with
+/// `txn_timeout: 150 ms` therefore kept the 100 ms lease: a donor's
+/// lease lapsed while the reader was still inside its decision window,
+/// a local update slipped in behind it, and the read committed a stale
+/// total. The lease is now derived from the timeout.
+///
+/// Scenario (3 sites, item split 34/33/33, link 2→0 delayed 120 ms):
+///  t=1ms    site 0 starts a full-value read; site 1 donates at once and
+///           leases the item, site 2's grant crawls over the slow link;
+///  t=110ms  site 1 runs a local +10 — past a 100 ms lease, inside a
+///           300 ms one;
+///  t≈123ms  the last grant lands and the read commits 100.
+/// With the short lease the +10 committed first and the truth was 110.
+#[test]
+fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::millis(n)
+    }
+    let mut catalog = Catalog::new();
+    let item = catalog.add("pool", 100, Split::Even); // 34/33/33
+    let mut cfg = ClusterConfig::new(3, catalog);
+    cfg.site = SiteConfig {
+        txn_timeout: SimDuration::millis(150),
+        ..SiteConfig::default()
+    };
+    assert_eq!(cfg.site.read_lease(), SimDuration::millis(300));
+    cfg.net = NetworkConfig::reliable().with_link(
+        2,
+        0,
+        LinkConfig {
+            delay_min: SimDuration::millis(120),
+            delay_max: SimDuration::millis(120),
+            loss: 0.0,
+            duplicate: 0.0,
+        },
+    );
+    let cfg = cfg
+        .at(0, ms(1), TxnSpec::read(item))
+        .at(1, ms(110), TxnSpec::release(item, 10));
+    let mut cl = Cluster::build(cfg);
+    cl.run_until(ms(5_000));
+    cl.auditor().check_conservation().unwrap();
+    let m = cl.stats().txn;
+    let reads: Vec<u64> = m
+        .global_commit_order()
+        .iter()
+        .flat_map(|e| e.reads.iter().map(|&(_, v)| v))
+        .collect();
+    assert_eq!(reads, vec![100], "the read commits the full value");
+    cl.auditor()
+        .check_reads(&m)
+        .expect("the lease outlives the reader, so the read is exact");
+}

@@ -219,7 +219,7 @@ proptest! {
         steps in proptest::collection::vec(dgram_step_strategy(), 1..100),
         coalesce in any::<bool>(),
     ) {
-        let cfg = VmConfig { window: 4, eager_acks: true, coalesce, ..VmConfig::default() };
+        let cfg = VmConfig { window: 4, eager_acks: true, coalesce };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         // The wire: each element is one transmission unit.
