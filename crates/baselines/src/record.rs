@@ -95,10 +95,7 @@ impl Record for TradRecord {
             1 => {
                 let txn = Ts(r.u64()?);
                 let coordinator = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > 1 << 20 {
-                    return Err(DecodeError::Invalid("write count implausibly large"));
-                }
+                let n = r.count(4 + 8 + 8)?; // item, value, version
                 let mut writes = Vec::with_capacity(n);
                 for _ in 0..n {
                     writes.push((ItemId(r.u32()?), r.u64()?, r.u64()?));

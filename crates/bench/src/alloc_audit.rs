@@ -2,21 +2,49 @@
 //!
 //! Compiled only under the `alloc-audit` feature: enabling it installs a
 //! [`GlobalAlloc`] wrapper around the system allocator that counts every
-//! allocation event (alloc + realloc) and the bytes requested. The
+//! allocation event (alloc + realloc) and the bytes requested, process-
+//! wide, and per thread the events and the net live bytes. The per-thread
 //! counters let tests pin "zero allocations per committed fast-path
-//! transaction" as a regression gate and let `engine_baseline` report an
+//! transaction" and "the heap holds the log once"
+//! ([`thread_live_bytes`]) as regression gates whatever the test harness's
+//! other threads do; the process-wide ones give `engine_baseline` its
 //! `allocs_per_txn` column.
 //!
-//! The wrapper costs two relaxed atomic increments per allocation, so it
+//! The wrapper costs a few relaxed atomic increments per allocation, so it
 //! stays out of default builds; run audits with
 //! `cargo test -p dvp-bench --features alloc-audit`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The calling thread's own allocation events and net live bytes
+    /// (wrapping: a buffer may be freed by a thread that did not allocate
+    /// it). Const-initialised and without destructors, so touching them
+    /// from inside the allocator neither allocates nor outlives the thread.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LIVE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation event of `size` bytes that gives `freed` bytes
+/// back, process-wide and for this thread.
+fn count_event(size: usize, freed: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    count_freed(freed);
+    let _ = THREAD_LIVE.try_with(|c| c.set(c.get().wrapping_add(size as u64)));
+}
+
+/// Count `freed` bytes given back by this thread.
+fn count_freed(freed: usize) {
+    let _ = THREAD_LIVE.try_with(|c| c.set(c.get().wrapping_sub(freed as u64)));
+}
 
 /// System allocator wrapped with relaxed event counters.
 pub struct CountingAlloc;
@@ -26,21 +54,20 @@ pub struct CountingAlloc;
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_event(layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_freed(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place still moves the high-water mark: count it as an
         // allocation event so Vec doublings are visible to audits.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_event(new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,6 +78,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocation events so far (allocs + reallocs, process-wide).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocation events made by the calling thread so far. A simulation
+/// runs on one thread, so a difference of two readings is exactly what
+/// the run between them allocated — the process-wide counter also sees
+/// whatever the test harness's own threads do meanwhile, which made the
+/// zero gates flake (the harness's bookkeeping for a just-started test
+/// lands inside or outside the measured window depending on scheduling).
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Bytes the calling thread allocated minus bytes it freed — requested
+/// sizes, so capacity, not use: a `Vec` that doubled holds its whole new
+/// buffer. Wrapping, and meaningful only as the (wrapping) difference of
+/// two readings around single-threaded work: the live-heap growth of
+/// that work, whatever other threads did meanwhile.
+pub fn thread_live_bytes() -> u64 {
+    THREAD_LIVE.with(Cell::get)
 }
 
 /// Deallocation events so far.
@@ -75,5 +121,28 @@ mod tests {
         drop(v);
         assert!(dealloc_count() > 0);
         assert!(bytes_allocated() >= 32 * 8);
+    }
+
+    #[test]
+    fn thread_counters_follow_this_thread_alone() {
+        const BIG: u64 = 1 << 20;
+        let grown = |since: u64| thread_live_bytes().wrapping_sub(since);
+        let (events, live) = (thread_alloc_count(), thread_live_bytes());
+        // Another thread's allocations are not this thread's.
+        std::thread::spawn(|| drop(Vec::<u8>::with_capacity(BIG as usize)))
+            .join()
+            .unwrap();
+        // (Spawning allocates a little here; nothing like BIG.)
+        assert!(grown(live) < BIG / 2);
+        let mid = thread_alloc_count();
+        let mut v: Vec<u8> = Vec::with_capacity(BIG as usize);
+        assert_eq!(thread_alloc_count(), mid + 1);
+        assert!(grown(live) >= BIG);
+        v.reserve_exact(2 * BIG as usize); // realloc: the old buffer is given back
+        assert_eq!(thread_alloc_count(), mid + 2);
+        assert!(grown(live) < 3 * BIG, "realloc must free what it replaced");
+        drop(v);
+        assert!(grown(live) < BIG / 2);
+        assert!(thread_alloc_count() > events);
     }
 }

@@ -73,10 +73,7 @@ fn encode_actions(w: &mut RecordWriter<'_>, actions: &[DbAction]) {
 }
 
 fn decode_actions(r: &mut RecordReader<'_>) -> Result<DbActions, DecodeError> {
-    let n = r.u32()? as usize;
-    if n > 1 << 20 {
-        return Err(DecodeError::Invalid("action count implausibly large"));
-    }
+    let n = r.count(4 + 8)?; // item, delta
     let mut out = DbActions::new();
     for _ in 0..n {
         out.push((ItemId(r.u32()?), r.i64()?));
@@ -126,10 +123,7 @@ impl Record for SiteRecord {
             1 => {
                 let txn = Ts(r.u64()?);
                 let actions = decode_actions(r)?;
-                let n = r.u32()? as usize;
-                if n > 1 << 20 {
-                    return Err(DecodeError::Invalid("vm op count implausibly large"));
-                }
+                let n = r.count(1 + 8 + 8)?; // tag, site, seq
                 let mut vm_ops = Vec::with_capacity(n);
                 for _ in 0..n {
                     vm_ops.push(VmLogOp::decode(r)?);

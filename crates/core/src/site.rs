@@ -50,7 +50,7 @@ use dvp_storage::{
     StableLog, TornWrite,
 };
 use dvp_vmsg::{
-    ChannelSnapshot, Frame, Receipt, Seq, VmConfig, VmEndpoint, VmLogOp, WireDatagram,
+    ChannelSnapshot, Frame, Hints, Receipt, Seq, VmConfig, VmEndpoint, VmLogOp, WireDatagram,
     HINT_WINDOW_BUDGET,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -74,6 +74,16 @@ const HINT_DEMAND_FLOOR: f64 = 0.1;
 /// id). Under uniform access every peer clears the bare demand floor,
 /// which would re-spread the per-window hint budget (n-1) ways.
 const HINT_FANOUT: usize = 2;
+
+/// `x.ceil() as Qty`, for every `x`, without the libm call `f64::ceil`
+/// lowers to on baseline x86-64 (no `roundsd`): truncate, then add one
+/// if that dropped a fraction. The adaptive arm rounds a demand figure
+/// per donation and per advertised item, so the call showed up in its
+/// profile.
+fn ceil_qty(x: f64) -> Qty {
+    let t = x as Qty;
+    t.saturating_add(Qty::from((t as f64) < x))
+}
 
 /// Body of a protocol message.
 #[derive(Clone, Debug)]
@@ -257,7 +267,9 @@ impl Record for SiteSnapshot {
     }
 
     fn decode(r: &mut RecordReader<'_>) -> Result<Self, DecodeError> {
-        let items = r.u32()? as usize;
+        // Counts come off the disk: each is bounded by the bytes left
+        // before it sizes an allocation.
+        let items = r.count(8 + 8)?; // value, timestamp
         let mut frag_vals = Vec::with_capacity(items);
         for _ in 0..items {
             frag_vals.push(r.u64()?);
@@ -266,14 +278,14 @@ impl Record for SiteSnapshot {
         for _ in 0..items {
             frag_ts.push(Ts(r.u64()?));
         }
-        let channels = r.u32()? as usize;
+        let channels = r.count(4 * 8 + 4)?; // four cursors, outgoing count
         let mut vm = Vec::with_capacity(channels);
         for _ in 0..channels {
             let peer = r.u64()? as NodeId;
             let last_created = r.u64()?;
             let acked_out = r.u64()?;
             let accepted_in = r.u64()?;
-            let n_out = r.u32()? as usize;
+            let n_out = r.count(8 + 4)?; // seq, payload length
             let mut outgoing = Vec::with_capacity(n_out);
             for _ in 0..n_out {
                 let seq = r.u64()?;
@@ -406,6 +418,12 @@ pub struct SiteNode {
     obs: Obs,
     /// Records redone by the last recovery scan (trace reporting).
     last_replayed: u64,
+    /// Durable records the log still retains *below* the checkpoint's
+    /// redo point (two-generation retention keeps the previous window).
+    /// `stable_len() - redo_covered` is the un-checkpointed suffix the
+    /// checkpoint trigger reads on every flush; set when a checkpoint
+    /// truncates and recounted by every recovery scan.
+    redo_covered: usize,
     /// Reusable flush buffers: the endpoint's queues are drained into
     /// these (append + drain) so the steady state allocates nothing.
     completed_scratch: Vec<(NodeId, Seq)>,
@@ -431,6 +449,8 @@ pub struct SiteNode {
     owed_scratch: Vec<NodeId>,
     solicit_deficits_scratch: Vec<(ItemId, Qty)>,
     solicit_reads_scratch: Vec<ItemId>,
+    /// Op list lent to each `Rds` record while it is appended.
+    vm_ops_scratch: Vec<VmLogOp>,
     /// Group commit: a record that must be durable before this dispatch's
     /// frames leave was appended, so the flush boundary owes one force.
     /// Stays `false` across ack-only dispatches — lazy `AckObserved`
@@ -510,6 +530,7 @@ impl SiteNode {
             metrics: SiteMetrics::default(),
             obs: Obs::disabled(),
             last_replayed: 0,
+            redo_covered: 0,
             completed_scratch: Vec::new(),
             datagram_scratch: Vec::new(),
             freed_scratch: Vec::new(),
@@ -524,6 +545,7 @@ impl SiteNode {
             owed_scratch: Vec::new(),
             solicit_deficits_scratch: Vec::new(),
             solicit_reads_scratch: Vec::new(),
+            vm_ops_scratch: Vec::new(),
             needs_flush: false,
         }
     }
@@ -705,7 +727,7 @@ impl SiteNode {
     fn spare(&self, item: ItemId) -> Qty {
         let have = self.frags.get(item);
         let own = self.own_demand[Self::di(item)];
-        have.saturating_sub((HEADROOM * own).ceil() as Qty)
+        have.saturating_sub(ceil_qty(HEADROOM * own))
     }
 
     /// The demand figure a solicitation advertises: the requester's own
@@ -716,7 +738,7 @@ impl SiteNode {
             return 0;
         }
         let e = self.own_demand[Self::di(item)];
-        need.max(e.ceil() as Qty)
+        need.max(ceil_qty(e))
     }
 
     /// Recompute the availability hints offered to outgoing datagrams:
@@ -800,7 +822,7 @@ impl SiteNode {
 
     /// Record arriving availability hints (through the chaos knob, for
     /// the safety-inertness proptests).
-    fn ingest_hints(&mut self, from: NodeId, hints: &[(u32, u64)], now: SimTime) {
+    fn ingest_hints(&mut self, from: NodeId, hints: &Hints, now: SimTime) {
         let chaos = match self.cfg.placement.adaptive_params() {
             Some(a) => a.chaos,
             None => return, // subsystem off: arriving hints are ignored
@@ -810,7 +832,7 @@ impl SiteNode {
         }
         let reps = if chaos == HintChaos::Duplicate { 2 } else { 1 };
         for _ in 0..reps {
-            for &(item, surplus) in hints {
+            for (item, surplus) in hints.iter() {
                 // Hints arrive off the wire: an id outside the catalog
                 // has no table slot (and could never match a
                 // solicitation), so it is dropped rather than trusted.
@@ -965,11 +987,8 @@ impl SiteNode {
                     }
                 }
                 // Lazy durable note so recovery forgets completed Vms too.
-                self.log.append(SiteRecord::Rds {
-                    txn: Ts::ZERO,
-                    actions: DbActions::new(),
-                    vm_ops: vec![VmLogOp::AckObserved { to: peer, seq }],
-                });
+                let op = VmLogOp::AckObserved { to: peer, seq };
+                self.append_rds(Ts::ZERO, DbActions::new(), op);
             }
         }
         self.completed_scratch = completed;
@@ -982,6 +1001,25 @@ impl SiteNode {
             self.retransmit_armed = true;
         }
         self.maybe_checkpoint(ctx);
+    }
+
+    /// Append the `[database-actions, message-sequence]` record of a
+    /// one-op redistribution step. The log encodes at append and keeps no
+    /// record, so the op list is a retained scratch lent to the record
+    /// for the duration of the call: the step allocates nothing.
+    fn append_rds(&mut self, txn: Ts, actions: DbActions, op: VmLogOp) {
+        let mut vm_ops = std::mem::take(&mut self.vm_ops_scratch);
+        vm_ops.push(op);
+        let rec = SiteRecord::Rds {
+            txn,
+            actions,
+            vm_ops,
+        };
+        self.log.append(&rec);
+        if let SiteRecord::Rds { mut vm_ops, .. } = rec {
+            vm_ops.clear();
+            self.vm_ops_scratch = vm_ops;
+        }
     }
 
     /// Take a checkpoint when the stable log has grown past the
@@ -999,11 +1037,7 @@ impl SiteNode {
         // two-generation retention keeps the whole previous window in the
         // log (see the `redo_floor` truncation below), so a total-length
         // trigger would fire on every flush once the first window filled.
-        let suffix = self
-            .log
-            .stable_records_from(self.checkpoint.redo_from())
-            .count();
-        if suffix < limit {
+        if self.log.stable_len() - self.redo_covered < limit {
             return;
         }
         // Only *forced* state may enter the snapshot; force first so the
@@ -1029,6 +1063,7 @@ impl SiteNode {
         // generation and must still find that generation's redo suffix in
         // the log.
         self.log.truncate_before(self.checkpoint.redo_floor());
+        self.redo_covered = self.log.stable_len();
         self.metrics.checkpoints += 1;
         self.obs
             .emit_with(self.id as u32, || EventKind::Checkpoint {
@@ -1779,11 +1814,7 @@ impl SiteNode {
         };
         // The [database-actions, message-sequence] record, forced — the Vm
         // exists from this dispatch's flush boundary, ahead of the frame.
-        self.log.append(SiteRecord::Rds {
-            txn,
-            actions: DbActions::one((item, -(amount as i64))),
-            vm_ops: vec![op],
-        });
+        self.append_rds(txn, DbActions::one((item, -(amount as i64))), op);
         if self.crashpoint_armed(Crashpoint::AfterForceBeforeSend) {
             // The crashpoint names the instant *after* the force: honour
             // its contract by forcing eagerly on the armed path. Forcing
@@ -1868,7 +1899,7 @@ impl SiteNode {
                         continue;
                     }
                     let have = self.frags.get(item);
-                    let threshold = (rb.surplus_factor * quota as f64).ceil() as Qty;
+                    let threshold = ceil_qty(rb.surplus_factor * quota as f64);
                     if have <= threshold {
                         continue;
                     }
@@ -1909,17 +1940,27 @@ impl SiteNode {
         let mut best: Option<(ItemId, NodeId, f64)> = None;
         // Item-major nested scan: visits (item, peer) pairs in the
         // lexicographic order the old `BTreeMap` iterated, so ties break
-        // identically. The estimate load leads the filter chain because
-        // after decay almost every slot sits below the noise floor — the
-        // common case must be one load and one compare, with the indices
-        // maintained incrementally (a div/mod per slot dominated this
-        // loop's profile at the rebalance cadence).
+        // identically (the winner is the first pair holding the largest
+        // qualifying estimate). A slot can only win by clearing the noise
+        // floor, this site's own headroom and the best estimate so far,
+        // so each row is first screened whole by one branch-free pass
+        // (`&` and `|`, not `&&` and `||`): under symmetric load the
+        // estimates hover around the noise floor, and a per-slot filter
+        // chain then mispredicts on nearly every slot of every tick
+        // (measured: 7 ms of an 85 ms full-scale banking run).
         let n = self.n;
         for item_idx in 0..self.initial_quotas.len() {
             let base = item_idx * n;
             let own = HEADROOM * self.own_demand[item_idx];
-            for peer in 0..n {
-                let e = self.peer_demand[base + peer];
+            let row = &self.peer_demand[base..base + n];
+            let bar = best.map_or(own, |(_, _, b)| if b > own { b } else { own });
+            if !row
+                .iter()
+                .fold(false, |live, &e| live | ((e >= 1.0) & (e > bar)))
+            {
+                continue;
+            }
+            for (peer, &e) in row.iter().enumerate() {
                 // Noise floor 1.0: a peer must have asked recently and
                 // repeatedly before unsolicited value flows its way. And
                 // demand *contrast*: the peer must want the item materially
@@ -1967,7 +2008,7 @@ impl SiteNode {
         if let Some((item, to, est)) = best.filter(|_| streak >= SHIP_PERSISTENCE) {
             // Ship toward the peer's estimated demand (with the same
             // headroom a donor keeps for itself), never more than spare.
-            let amount = self.spare(item).min((HEADROOM * est).ceil() as Qty);
+            let amount = self.spare(item).min(ceil_qty(HEADROOM * est));
             if amount > 0 {
                 self.ship_rebalance(item, to, amount);
                 shipped = true;
@@ -2012,11 +2053,7 @@ impl SiteNode {
             VmLogOp::Created { seq, .. } => *seq,
             _ => unreachable!("create returns Created"),
         };
-        self.log.append(SiteRecord::Rds {
-            txn: Ts::ZERO,
-            actions: DbActions::one((item, -(amount as i64))),
-            vm_ops: vec![op],
-        });
+        self.append_rds(Ts::ZERO, DbActions::one((item, -(amount as i64))), op);
         self.force_record();
         self.frags.debit(item, amount);
         self.bump_outstanding(item);
@@ -2090,11 +2127,8 @@ impl SiteNode {
             return;
         }
         let op = self.vm.commit_accept(from, seq);
-        self.log.append(SiteRecord::Rds {
-            txn: transfer.for_txn,
-            actions: DbActions::one((transfer.item, transfer.amount as i64)),
-            vm_ops: vec![op],
-        });
+        let credit = DbActions::one((transfer.item, transfer.amount as i64));
+        self.append_rds(transfer.for_txn, credit, op);
         // The acceptance must be durable before our ack frame leaves:
         // the flush forces ahead of the datagram drain.
         self.force_record();
@@ -2248,8 +2282,9 @@ impl SiteNode {
                 }
             }
         }
+        self.redo_covered = entries.partition_point(|(lsn, _)| *lsn < redo_from);
         if !self.cfg.unsafe_skip_recovery_redo {
-            self.last_replayed = entries.iter().filter(|(lsn, _)| *lsn >= redo_from).count() as u64;
+            self.last_replayed = (entries.len() - self.redo_covered) as u64;
             redo_entries(&mut self.frags, &mut self.vm, &entries, redo_from);
         }
         // Rebuild the per-item outstanding index from the endpoint.
@@ -2619,5 +2654,40 @@ impl Node for SiteNode {
         }
         self.arm_rebalance(ctx);
         self.flush_vm(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ceil_qty_is_ceil_then_cast_for_every_kind_of_input() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            -3.5,
+            0.25,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            1e15 + 0.5,
+            9_007_199_254_740_992.0, // 2^53: every f64 from here up is whole
+            1.8446744073709552e19,   // 2^64
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // The shapes the call sites produce: HEADROOM x a decaying EWMA.
+        let mut e = 97.0f64;
+        for _ in 0..200 {
+            cases.push(HEADROOM * e);
+            e *= 1.0 - DEMAND_GAIN;
+        }
+        for x in cases {
+            assert_eq!(ceil_qty(x), x.ceil() as Qty, "x = {x:e}");
+        }
     }
 }

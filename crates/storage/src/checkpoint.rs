@@ -22,9 +22,9 @@
 //! [`load`]: CheckpointSlot::load
 //! [`redo_floor`]: CheckpointSlot::redo_floor
 
-use crate::codec::{crc32, DecodeError, Record, RecordReader, RecordWriter};
+use crate::codec::{crc32, frame_in_place, DecodeError, Record, RecordReader};
 use crate::lsn::Lsn;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 /// A durable checkpoint: a snapshot `S` plus the LSN from which redo must
 /// resume, stamped with its generation number.
@@ -92,19 +92,13 @@ impl<S: Record> Default for CheckpointSlot<S> {
 }
 
 fn encode_slot<S: Record>(meta: &CheckpointMeta<S>) -> BytesMut {
-    crate::codec::with_payload_buf(|payload| {
-        {
-            let mut w = RecordWriter::wrap(payload);
-            w.u64(meta.generation);
-            w.u64(meta.redo_from.0);
-            meta.snapshot.encode(&mut w);
-        }
-        let mut image = BytesMut::with_capacity(payload.len() + 8);
-        image.put_u32(payload.len() as u32);
-        image.put_u32(crc32(payload));
-        image.put_slice(payload);
-        image
-    })
+    let mut image = BytesMut::new();
+    frame_in_place(&mut image, |w| {
+        w.u64(meta.generation);
+        w.u64(meta.redo_from.0);
+        meta.snapshot.encode(w);
+    });
+    image
 }
 
 fn decode_slot<S: Record>(image: &[u8]) -> Result<CheckpointMeta<S>, DecodeError> {
@@ -257,6 +251,7 @@ impl<S: Record> CheckpointSlot<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::RecordWriter;
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct Snap(u64);

@@ -13,29 +13,10 @@
 //! [`DecodeError`] instead of silently wrong state.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::cell::RefCell;
 use std::fmt;
 
-thread_local! {
-    /// Reusable payload scratch shared by every frame encoder on the
-    /// thread — log appends, checkpoint installs, and Vm payload builds
-    /// all stage their payload here before the framed copy, so the
-    /// steady-state encode path performs no per-record allocation.
-    static ENCODE_POOL: RefCell<BytesMut> = RefCell::new(BytesMut::new());
-}
-
-/// Run `f` with a cleared, reusable payload buffer from the thread-local
-/// encode pool. Reentrant calls (an encoder that encodes) fall back to a
-/// fresh buffer instead of aliasing the outer borrow.
-pub fn with_payload_buf<T>(f: impl FnOnce(&mut BytesMut) -> T) -> T {
-    ENCODE_POOL.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => {
-            buf.clear();
-            f(&mut buf)
-        }
-        Err(_) => f(&mut BytesMut::new()),
-    })
-}
+/// Bytes of frame header: `len: u32 | crc: u32`.
+pub(crate) const FRAME_HEADER: usize = 8;
 
 /// Failure while decoding a frame or a record payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,25 +139,50 @@ impl<'a> RecordReader<'a> {
         }
         Ok(self.buf.split_to(n))
     }
+    /// Read a `u32` element count, bounded by what the unread bytes can
+    /// hold: every element encodes to at least `min_len` (≥ 1) bytes, so
+    /// a larger count is corrupt or hostile input and is refused *before*
+    /// the caller sizes an allocation from it.
+    pub fn count(&mut self, min_len: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_len {
+            return Err(DecodeError::Invalid("element count exceeds the bytes left"));
+        }
+        Ok(n)
+    }
     /// Bytes left unread (a well-formed decode should leave zero).
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
     }
 }
 
-/// Encode one record into a framed byte string.
-pub fn encode_frame<R: Record>(record: &R, out: &mut BytesMut) {
-    with_payload_buf(|payload| {
-        record.encode(&mut RecordWriter { buf: payload });
-        out.put_u32(payload.len() as u32);
-        out.put_u32(crc32(payload));
-        out.put_slice(payload);
-    })
+/// Append one frame to `out`, its payload written in place by `fill`: the
+/// header is back-patched once the payload's length and checksum are
+/// known, so nothing is staged or copied. Log appends, checkpoint
+/// installs and [`encode_frame`] all frame through here.
+pub fn frame_in_place(out: &mut BytesMut, fill: impl FnOnce(&mut RecordWriter<'_>)) {
+    let at = out.len();
+    out.put_u64(0);
+    fill(&mut RecordWriter { buf: out });
+    let (header, payload) = out[at..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
 }
 
-/// Decode one frame from the front of `buf`, verifying length and CRC.
-pub fn decode_frame<R: Record>(buf: &mut Bytes) -> Result<R, DecodeError> {
-    if buf.remaining() < 8 {
+/// Whole length of the frame whose header starts `buf`.
+pub(crate) fn frame_len(buf: &[u8]) -> usize {
+    FRAME_HEADER + u32::from_be_bytes(buf[..4].try_into().expect("four bytes")) as usize
+}
+
+/// Encode one record into a framed byte string.
+pub fn encode_frame<R: Record>(record: &R, out: &mut BytesMut) {
+    frame_in_place(out, |w| record.encode(w));
+}
+
+/// Split one frame off the front of `buf`, verifying length and CRC, and
+/// return its payload (a zero-copy slice of `buf`).
+pub fn take_frame(buf: &mut Bytes) -> Result<Bytes, DecodeError> {
+    if buf.remaining() < FRAME_HEADER {
         return Err(DecodeError::Truncated);
     }
     let len = buf.get_u32() as usize;
@@ -184,7 +190,7 @@ pub fn decode_frame<R: Record>(buf: &mut Bytes) -> Result<R, DecodeError> {
     if buf.remaining() < len {
         return Err(DecodeError::Truncated);
     }
-    let mut payload = buf.split_to(len);
+    let payload = buf.split_to(len);
     let actual = crc32(&payload);
     if actual != crc {
         return Err(DecodeError::Corrupt {
@@ -192,6 +198,12 @@ pub fn decode_frame<R: Record>(buf: &mut Bytes) -> Result<R, DecodeError> {
             actual,
         });
     }
+    Ok(payload)
+}
+
+/// Decode one frame from the front of `buf`, verifying length and CRC.
+pub fn decode_frame<R: Record>(buf: &mut Bytes) -> Result<R, DecodeError> {
+    let mut payload = take_frame(buf)?;
     let rec = R::decode(&mut RecordReader { buf: &mut payload })?;
     if payload.remaining() != 0 {
         return Err(DecodeError::Invalid("trailing bytes in payload"));
@@ -407,6 +419,26 @@ mod tests {
         assert_eq!(r.u64().unwrap_err(), DecodeError::Truncated);
         assert_eq!(r.i64().unwrap_err(), DecodeError::Truncated);
         assert_eq!(r.bytes().unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_left() {
+        // Claims 3 twelve-byte elements with exactly 36 bytes behind it.
+        let mut raw = 3u32.to_be_bytes().to_vec();
+        raw.extend_from_slice(&[0; 36]);
+        let mut ok = Bytes::from(raw.clone());
+        assert_eq!(RecordReader::wrap(&mut ok).count(12), Ok(3));
+        // One byte short, and the absurd claim: both refused.
+        let mut short = Bytes::from(raw[..raw.len() - 1].to_vec());
+        assert!(matches!(
+            RecordReader::wrap(&mut short).count(12),
+            Err(DecodeError::Invalid(_))
+        ));
+        let mut absurd = Bytes::from(u32::MAX.to_be_bytes().to_vec());
+        assert!(matches!(
+            RecordReader::wrap(&mut absurd).count(1),
+            Err(DecodeError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! This crate models that primitive honestly rather than assuming it:
 //!
 //! * Records are *encoded* into a length-prefixed, CRC-checked frame format
-//!   ([`codec`]) and the recovery scan re-decodes the byte image — the same
-//!   code path a disk-backed implementation would take, so codec bugs are
-//!   caught by the recovery tests, not hidden behind a `Vec<R>` clone.
-//! * [`log::StableLog`] distinguishes *appended* from *forced*: a crash
-//!   ([`log::StableLog::crash`]) discards the unforced tail, which is
-//!   exactly the window the paper's protocols must tolerate.
+//!   ([`codec`]) at append, and that byte image is all the log keeps: the
+//!   recovery scan decodes it — the same code path a disk-backed
+//!   implementation would take, so codec bugs are caught by the recovery
+//!   tests, not hidden behind a `Vec<R>` clone.
+//! * [`log::StableLog`] distinguishes *appended* from *forced* by a
+//!   durable-length watermark: a crash ([`log::StableLog::crash`]) discards
+//!   the bytes past it, which is exactly the window the paper's protocols
+//!   must tolerate.
 //! * [`checkpoint`] bounds the redo scan the usual way (paper Section 7:
 //!   "by using checkpointing mechanisms, the number of redo actions
 //!   required can be reduced in the usual manner").

@@ -1,30 +1,33 @@
 //! The stable log.
 //!
 //! [`StableLog`] is the crash-surviving append-only log every DvP site
-//! owns. The contract:
+//! owns: one byte buffer of frames and a **durable-length watermark**.
+//! The image is the log — no decoded copy of a record is kept.
 //!
-//! * [`append`](StableLog::append) buffers a record in the volatile tail;
-//! * [`force`](StableLog::force) makes the tail durable (encoding it into
-//!   the stable byte image) — the paper's "written into the log" /
-//!   "recorded on stable storage" steps are `append` + `force`;
-//! * [`crash`](StableLog::crash) discards the unforced tail, modelling a
-//!   site failure; [`crash_torn`](StableLog::crash_torn) additionally
-//!   leaves a *torn write* in the image — the partially-completed frame a
-//!   power failure mid-`force` would leave behind;
-//! * [`recover`](StableLog::recover) re-decodes the stable byte image,
-//!   verifying every frame, and returns the durable records for redo;
-//!   [`recover_lenient`](StableLog::recover_lenient) is the WAL-style
-//!   variant that truncates at the first bad tail frame and reports it.
+//! * [`append`](StableLog::append) encodes a frame onto the end of the
+//!   buffer, past the watermark: written, not yet durable;
+//! * [`force`](StableLog::force) advances the watermark over it — the
+//!   paper's "recorded on stable storage" is `append` + `force`;
+//! * [`crash`](StableLog::crash) truncates back to the watermark;
+//!   [`crash_torn`](StableLog::crash_torn) also leaves the *torn write*
+//!   a power failure mid-`force` would;
+//! * [`recover`](StableLog::recover) decodes the durable bytes, verifying
+//!   every frame; [`recover_lenient`](StableLog::recover_lenient) is the
+//!   WAL-style variant that stops at the first bad frame and reports it.
 //!
 //! Each frame's payload carries the record's LSN ahead of the record
 //! bytes, so a recovery scan can position every record against a
 //! checkpoint's `redo_from` without trusting volatile state.
 
-use crate::codec::{crc32, with_payload_buf, DecodeError, Record, RecordReader, RecordWriter};
+use crate::codec::{
+    frame_in_place, frame_len, take_frame, DecodeError, Record, RecordReader, FRAME_HEADER,
+};
 use crate::lsn::Lsn;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use dvp_obs::{EventKind, Obs};
+use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Counters describing log activity (used by the mechanism benchmarks and
 /// by experiments that report "log forces per transaction").
@@ -45,9 +48,8 @@ pub struct LogStats {
     /// Largest number of records hardened by a single force — the
     /// group-commit batch high-water mark.
     pub max_force_batch: u64,
-    /// Stable-region salvages performed by
-    /// [`StableLog::recover_salvage`] (mid-log corruption, not a benign
-    /// tail tear).
+    /// Stable-region salvages by [`StableLog::recover_salvage`] (mid-log
+    /// corruption, not a benign tail tear).
     pub media_salvages: u64,
     /// Durable records dropped by salvage truncation.
     pub salvaged_records: u64,
@@ -96,7 +98,7 @@ pub struct TornTail {
 }
 
 /// Result of a lenient recovery scan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecoveredLog<R> {
     /// Well-formed entries, oldest first.
     pub entries: Vec<(Lsn, R)>,
@@ -126,7 +128,7 @@ pub struct SalvageReport {
 
 /// Outcome of [`StableLog::recover_salvage`] — a recovery scan that
 /// classifies image damage and repairs the image in place.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SalvageOutcome<R> {
     /// Every frame verified; nothing was dropped.
     Clean {
@@ -158,38 +160,17 @@ pub enum SalvageOutcome<R> {
     },
 }
 
-/// Encode `(lsn, rec)` as one frame: `len | crc | lsn ++ record payload`.
-fn encode_entry<R: Record>(lsn: Lsn, rec: &R, out: &mut BytesMut) {
-    with_payload_buf(|payload| {
-        {
-            let mut w = RecordWriter::wrap(payload);
-            w.u64(lsn.0);
-            rec.encode(&mut w);
-        }
-        out.put_u32(payload.len() as u32);
-        out.put_u32(crc32(payload));
-        out.put_slice(payload);
-    })
+/// The bit-rot model: XOR with `0xA5`. An involution, so whoever knows
+/// which bytes were flipped can restore them by flipping again.
+fn flip(bytes: &mut [u8]) {
+    for b in bytes {
+        *b ^= 0xA5;
+    }
 }
 
 /// Decode one `(lsn, rec)` frame from the front of `buf`.
 fn decode_entry<R: Record>(buf: &mut Bytes) -> Result<(Lsn, R), DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
-    let crc = buf.get_u32();
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let mut payload = buf.split_to(len);
-    let actual = crc32(&payload);
-    if actual != crc {
-        return Err(DecodeError::Corrupt {
-            expected: crc,
-            actual,
-        });
-    }
+    let mut payload = take_frame(buf)?;
     let mut r = RecordReader::wrap(&mut payload);
     let lsn = Lsn(r.u64()?);
     let rec = R::decode(&mut r)?;
@@ -221,23 +202,30 @@ fn decode_entry<R: Record>(buf: &mut Bytes) -> Result<(Lsn, R), DecodeError> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct StableLog<R> {
-    /// Authoritative durable image (what "the disk" holds).
-    stable_image: BytesMut,
-    /// Lazily frozen copy of `stable_image`, shared by recovery scans:
-    /// `Bytes::split_to` on an `Arc`-backed image is zero-copy, so a scan
-    /// decodes frames as slicing views instead of materializing the whole
-    /// image per call. Invalidated whenever `stable_image` changes.
+    /// Every retained frame (`len | crc | lsn ++ payload`), oldest first.
+    /// `buf[..durable]` is what "the disk" holds; frames past the
+    /// watermark are appended but unforced and die in a crash.
+    buf: BytesMut,
+    durable: usize,
+    /// Frames below / past the watermark (torn remnants are not frames).
+    stable_records: usize,
+    tail_records: usize,
+    /// The copy of the durable bytes a recovery scan decodes zero-copy
+    /// slices of; dropped by the next append or change to those bytes,
+    /// so outside recovery the image is held once.
     frozen: RefCell<Option<Bytes>>,
-    /// Decoded cache of the durable records, kept in sync with the image.
-    stable: Vec<(Lsn, R)>,
-    /// Appended but not yet forced.
-    tail: Vec<(Lsn, R)>,
+    /// The fault injectors' memory — ranges `corrupt_stable` flipped,
+    /// remnants `crash_torn` left — from which salvage names the records
+    /// it condemns. Empty in fault-free runs.
+    flipped: Vec<Range<usize>>,
+    torn: Vec<Range<usize>>,
     next: Lsn,
     stats: LogStats,
     /// Structured-observability handle plus the owning site's id
     /// (disabled/0 by default; see [`StableLog::set_obs`]).
     obs: Obs,
     obs_site: u32,
+    _records: std::marker::PhantomData<fn() -> R>,
 }
 
 impl<R: Record> Default for StableLog<R> {
@@ -250,14 +238,18 @@ impl<R: Record> StableLog<R> {
     /// An empty log.
     pub fn new() -> Self {
         StableLog {
-            stable_image: BytesMut::new(),
+            buf: BytesMut::new(),
+            durable: 0,
+            stable_records: 0,
+            tail_records: 0,
             frozen: RefCell::new(None),
-            stable: Vec::new(),
-            tail: Vec::new(),
+            flipped: Vec::new(),
+            torn: Vec::new(),
             next: Lsn::FIRST,
             stats: LogStats::default(),
             obs: Obs::disabled(),
             obs_site: 0,
+            _records: std::marker::PhantomData,
         }
     }
 
@@ -268,29 +260,32 @@ impl<R: Record> StableLog<R> {
         self.obs_site = site;
     }
 
-    /// The durable image as zero-copy [`Bytes`], frozen lazily and cached
-    /// until the next image mutation. Recovery scans `split_to` slicing
-    /// views of the shared buffer instead of copying the image per scan.
+    /// The durable bytes as zero-copy [`Bytes`] for a recovery scan.
     fn frozen_image(&self) -> Bytes {
         self.frozen
             .borrow_mut()
-            .get_or_insert_with(|| Bytes::copy_from_slice(&self.stable_image))
+            .get_or_insert_with(|| Bytes::copy_from_slice(&self.buf[..self.durable]))
             .clone()
     }
 
-    /// Drop the frozen cache after an image mutation.
+    /// Drop the scan snapshot: the durable bytes are about to change.
     fn invalidate_frozen(&mut self) {
         *self.frozen.get_mut() = None;
     }
 
-    /// Append `record` to the volatile tail; returns its LSN.
-    ///
-    /// The record is **not durable** until [`force`](Self::force).
-    pub fn append(&mut self, record: R) -> Lsn {
+    /// Append `record` (owned or borrowed: it is encoded here, once, and
+    /// not kept) past the watermark; returns its LSN. It is **not
+    /// durable** until [`force`](Self::force).
+    pub fn append(&mut self, record: impl Borrow<R>) -> Lsn {
+        self.invalidate_frozen();
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
-        self.tail.push((lsn, record));
+        self.tail_records += 1;
+        frame_in_place(&mut self.buf, |w| {
+            w.u64(lsn.0);
+            record.borrow().encode(w);
+        });
         lsn
     }
 
@@ -298,180 +293,193 @@ impl<R: Record> StableLog<R> {
     pub fn force(&mut self) {
         self.invalidate_frozen();
         self.stats.forces += 1;
-        self.stats.max_force_batch = self.stats.max_force_batch.max(self.tail.len() as u64);
-        for (lsn, rec) in self.tail.drain(..) {
-            encode_entry(lsn, &rec, &mut self.stable_image);
-            self.stable.push((lsn, rec));
-            self.stats.records_forced += 1;
-        }
-        self.stats.stable_bytes = self.stable_image.len() as u64;
+        self.stats.max_force_batch = self.stats.max_force_batch.max(self.tail_records as u64);
+        self.stats.records_forced += self.tail_records as u64;
+        self.stable_records += self.tail_records;
+        self.tail_records = 0;
+        self.durable = self.buf.len();
         self.obs.emit_with(self.obs_site, || EventKind::LogForce {
-            stable_len: self.stable.len() as u64,
+            stable_len: self.stable_records as u64,
         });
     }
 
-    /// Force only if the tail holds unforced records — the group-commit
-    /// flush primitive. A clean tail means every record is already
-    /// durable, so the force (and its obs event) is elided entirely.
+    /// Force only if unforced records exist — the group-commit flush
+    /// primitive; otherwise the force (and its obs event) is elided.
     /// Returns whether a force actually happened.
     pub fn force_if_dirty(&mut self) -> bool {
-        if self.tail.is_empty() {
-            return false;
+        let dirty = self.tail_records > 0;
+        if dirty {
+            self.force();
         }
-        self.force();
-        true
+        dirty
     }
 
     /// `append` + `force` in one call — the common "write one record and
     /// force it" pattern of the Vm protocol.
-    pub fn append_force(&mut self, record: R) -> Lsn {
+    pub fn append_force(&mut self, record: impl Borrow<R>) -> Lsn {
         let lsn = self.append(record);
         self.force();
         lsn
     }
 
-    /// Simulate a site crash: the unforced tail is lost. The stable prefix
-    /// is untouched. LSNs of lost records are *not* reused.
+    /// Simulate a site crash: everything past the watermark is lost, the
+    /// durable bytes are untouched. LSNs of lost records are *not* reused.
     pub fn crash(&mut self) {
-        self.stats.lost_in_crash += self.tail.len() as u64;
-        self.tail.clear();
+        self.stats.lost_in_crash += self.tail_records as u64;
+        self.tail_records = 0;
+        self.buf.truncate(self.durable);
     }
 
-    /// Crash while a `force` was in flight: the first unforced record's
-    /// frame is partially written into the image per `mode` before the
-    /// tail is dropped. Returns whether a tear was actually injected (a
-    /// clean mode or an empty tail tears nothing).
+    /// Crash while a `force` was in flight: the first unforced frame
+    /// lands in the image partially, per `mode`, before the rest is
+    /// dropped. Returns whether a tear was actually injected (a clean
+    /// mode or nothing unforced tears nothing).
     ///
     /// Only the *unforced* write can tear — completed forces are durable
     /// by definition — so recovery state after repair always equals a
     /// clean crash's.
     pub fn crash_torn(&mut self, mode: TornWrite) -> bool {
-        self.invalidate_frozen();
-        let torn = match (mode, self.tail.first()) {
-            (TornWrite::None, _) | (_, None) => false,
-            (mode, Some((lsn, rec))) => {
-                let mut frame = BytesMut::new();
-                encode_entry(*lsn, rec, &mut frame);
-                match mode {
-                    TornWrite::Truncated => {
-                        // The write stopped mid-frame: keep only a prefix
-                        // (always ≥ the 8-byte header's worth, < full).
-                        let cut = (frame.len() / 2).max(4);
-                        self.stable_image.extend_from_slice(&frame[..cut]);
-                    }
-                    TornWrite::Garbage => {
-                        // The full frame landed but a payload byte is wrong.
-                        let mut raw = frame.to_vec();
-                        let last = raw.len() - 1;
-                        raw[last] ^= 0xA5;
-                        self.stable_image.extend_from_slice(&raw);
-                    }
-                    TornWrite::None => unreachable!(),
+        let torn = mode != TornWrite::None && self.tail_records > 0;
+        if torn {
+            self.invalidate_frozen();
+            let frame = frame_len(&self.buf[self.durable..]);
+            let landed = match mode {
+                // The write stopped mid-frame: only a prefix landed.
+                TornWrite::Truncated => (frame / 2).max(4),
+                // The full frame landed but its last byte is wrong.
+                _ => {
+                    flip(&mut self.buf[self.durable + frame - 1..][..1]);
+                    frame
                 }
-                self.stats.torn_writes += 1;
-                true
-            }
-        };
-        self.stats.stable_bytes = self.stable_image.len() as u64;
+            };
+            self.torn.push(self.durable..self.durable + landed);
+            self.durable += landed;
+            self.stats.torn_writes += 1;
+        }
         self.crash();
         torn
     }
 
-    /// Recovery scan: decode the durable byte image from the start,
-    /// verifying every frame, and return the records in append order.
-    ///
-    /// This deliberately re-decodes rather than cloning the cache so the
-    /// recovery path exercises the codec (a torn/corrupt image surfaces
-    /// here).
+    /// Recovery scan: decode the durable bytes from the start, verifying
+    /// every frame, and return the records in append order.
     pub fn recover(&self) -> Result<Vec<R>, DecodeError> {
-        Ok(self
-            .recover_entries()?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect())
+        self.recover_entries()
+            .map(|es| es.into_iter().map(|(_, r)| r).collect())
     }
 
     /// Strict recovery scan that also yields each record's LSN (needed to
     /// position records against a checkpoint's `redo_from`).
     pub fn recover_entries(&self) -> Result<Vec<(Lsn, R)>, DecodeError> {
-        let mut bytes = self.frozen_image();
-        let mut out = Vec::with_capacity(self.stable.len());
-        while !bytes.is_empty() {
-            out.push(decode_entry::<R>(&mut bytes)?);
-        }
-        Ok(out)
+        let scan = self.recover_lenient();
+        scan.torn.map_or(Ok(scan.entries), |torn| Err(torn.error))
     }
 
     /// WAL-style recovery scan: decode frames until the first bad one,
     /// treat everything from there to the end of the image as a torn tail,
     /// and report what was dropped instead of failing.
-    ///
-    /// In this simulation torn bytes only ever come from
-    /// [`crash_torn`](Self::crash_torn) tearing the unforced write, so the
-    /// dropped suffix is exactly what a clean crash would have lost anyway.
     pub fn recover_lenient(&self) -> RecoveredLog<R> {
         let mut bytes = self.frozen_image();
         let total = bytes.remaining();
-        let mut entries = Vec::with_capacity(self.stable.len());
-        let mut clean_bytes = 0usize;
+        let mut scan = RecoveredLog {
+            entries: Vec::with_capacity(self.stable_records),
+            clean_bytes: 0,
+            torn: None,
+        };
         while bytes.remaining() > 0 {
             match decode_entry::<R>(&mut bytes) {
                 Ok(e) => {
-                    clean_bytes = total - bytes.remaining();
-                    entries.push(e);
+                    scan.clean_bytes = total - bytes.remaining();
+                    scan.entries.push(e);
                 }
                 Err(error) => {
-                    return RecoveredLog {
-                        entries,
-                        clean_bytes,
-                        torn: Some(TornTail {
-                            bytes_dropped: (total - clean_bytes) as u64,
-                            error,
-                        }),
-                    };
+                    let bytes_dropped = (total - scan.clean_bytes) as u64;
+                    scan.torn = Some(TornTail {
+                        bytes_dropped,
+                        error,
+                    });
+                    break;
                 }
             }
         }
-        RecoveredLog {
-            entries,
-            clean_bytes,
-            torn: None,
+        scan
+    }
+
+    /// Remove `cut` from the durable bytes (unforced frames slide down
+    /// with the rest); the injectors' memory follows the bytes.
+    fn excise(&mut self, cut: Range<usize>) {
+        if cut.is_empty() {
+            return;
+        }
+        self.invalidate_frozen();
+        self.buf.copy_within(cut.end.., cut.start);
+        self.buf.truncate(self.buf.len() - cut.len());
+        self.durable -= cut.len();
+        let moved = |p: usize| p.min(cut.start) + p.saturating_sub(cut.end);
+        for ranges in [&mut self.flipped, &mut self.torn] {
+            ranges.retain_mut(|r| {
+                *r = moved(r.start)..moved(r.end);
+                r.start < r.end
+            });
         }
     }
 
     /// Discard a torn tail from the image (recovery's repair step, so the
     /// next scan starts clean). Returns the bytes dropped.
     pub fn repair_torn_tail(&mut self) -> u64 {
-        let clean = self.recover_lenient().clean_bytes;
-        let dropped = (self.stable_image.len() - clean) as u64;
-        self.stable_image.truncate(clean);
-        self.invalidate_frozen();
-        self.stats.stable_bytes = self.stable_image.len() as u64;
+        let scan = self.recover_lenient();
+        let dropped = (self.durable - scan.clean_bytes) as u64;
+        self.excise(scan.clean_bytes..self.durable);
+        self.stable_records = self.stable_records.min(scan.entries.len());
         dropped
     }
 
-    /// Fault injection: flip the image bytes in `region` (clamped to the
+    /// Fault injection: flip the durable bytes in `region` (clamped to the
     /// image), modelling bit rot on the stable medium. Returns the number
     /// of bytes flipped.
     ///
-    /// The decoded cache is deliberately left alone — it mirrors what the
-    /// disk *should* hold, which is exactly what lets
-    /// [`recover_salvage`](Self::recover_salvage) name the first corrupt
-    /// record's LSN instead of guessing from damaged bytes.
-    pub fn corrupt_stable(&mut self, region: std::ops::Range<usize>) -> u64 {
+    /// The log keeps no decoded copy of what the disk *should* hold; the
+    /// injector remembers the range instead, so that
+    /// [`recover_salvage`](Self::recover_salvage) can undo the flips on a
+    /// scratch copy and name exactly the records the damage destroyed.
+    pub fn corrupt_stable(&mut self, region: Range<usize>) -> u64 {
         self.invalidate_frozen();
-        let end = region.end.min(self.stable_image.len());
+        let end = region.end.min(self.durable);
         let start = region.start.min(end);
-        for b in &mut self.stable_image[start..end] {
-            *b ^= 0xA5;
+        flip(&mut self.buf[start..end]);
+        if start < end {
+            self.flipped.push(start..end);
         }
         (end - start) as u64
     }
 
-    /// Length of the durable byte image (for choosing
+    /// Length of the durable byte image: the bytes below the watermark,
+    /// unforced frames excluded (for choosing
     /// [`corrupt_stable`](Self::corrupt_stable) offsets).
     pub fn stable_image_len(&self) -> usize {
-        self.stable_image.len()
+        self.durable
+    }
+
+    /// Decode up to `want` records from the condemned `buf[from..durable]`
+    /// as it was before the injectors touched it: a scratch copy with the
+    /// remembered flips undone, torn remnants (never records) skipped.
+    fn decode_condemned(&self, from: usize, want: usize) -> Vec<(Lsn, R)> {
+        let mut scratch = self.buf[from..self.durable].to_vec();
+        for r in &self.flipped {
+            flip(&mut scratch[r.start.max(from) - from..r.end.max(from) - from]);
+        }
+        let mut bytes = Bytes::from(scratch);
+        let mut out = Vec::with_capacity(want);
+        while out.len() < want {
+            let at = self.durable - bytes.remaining();
+            if let Some(remnant) = self.torn.iter().find(|t| t.start == at) {
+                bytes.advance(remnant.len());
+            } else if let Ok(entry) = decode_entry::<R>(&mut bytes) {
+                out.push(entry);
+            } else {
+                break;
+            }
+        }
+        out
     }
 
     /// Recovery scan that classifies image damage and repairs in place.
@@ -483,8 +491,7 @@ impl<R: Record> StableLog<R> {
     /// * the scan fails *at* a durable record → stable-region corruption:
     ///   the image is truncated at the first bad record and
     ///   [`SalvageOutcome::MediaDamage`] reports exactly which records
-    ///   were lost. Valid frames after the bad one are dropped too — a
-    ///   frame boundary past a corrupt region cannot be trusted.
+    ///   were lost (see [`SalvageReport`]).
     pub fn recover_salvage(&mut self) -> SalvageOutcome<R> {
         let scan = self.recover_lenient();
         let Some(torn) = scan.torn else {
@@ -492,29 +499,28 @@ impl<R: Record> StableLog<R> {
                 entries: scan.entries,
             };
         };
-        let kept = scan.entries.len();
-        if kept >= self.stable.len() {
-            // All durable records verified: the bad bytes are the torn
-            // remnant of an unforced write, beyond everything durable.
-            self.stable_image.truncate(scan.clean_bytes);
-            self.invalidate_frozen();
-            self.stats.stable_bytes = self.stable_image.len() as u64;
+        let lost = self.stable_records.saturating_sub(scan.entries.len());
+        // Media damage alone consults the injectors' memory (pre-excise).
+        let dropped = match lost {
+            0 => Vec::new(),
+            _ => self.decode_condemned(scan.clean_bytes, lost),
+        };
+        debug_assert_eq!(dropped.len(), lost, "unrecorded image damage");
+        self.excise(scan.clean_bytes..self.durable);
+        self.stable_records -= lost;
+        if lost == 0 {
             return SalvageOutcome::TailTear {
                 entries: scan.entries,
                 bytes_dropped: torn.bytes_dropped,
                 error: torn.error,
             };
         }
-        let dropped: Vec<(Lsn, R)> = self.stable.split_off(kept);
         let report = SalvageReport {
-            first_bad_lsn: dropped[0].0,
-            records_lost: dropped.len() as u64,
+            first_bad_lsn: dropped.first().map_or(self.next, |(lsn, _)| *lsn),
+            records_lost: lost as u64,
             bytes_lost: torn.bytes_dropped,
             error: torn.error,
         };
-        self.stable_image.truncate(scan.clean_bytes);
-        self.invalidate_frozen();
-        self.stats.stable_bytes = self.stable_image.len() as u64;
         self.stats.media_salvages += 1;
         self.stats.salvaged_records += report.records_lost;
         self.stats.salvaged_bytes += report.bytes_lost;
@@ -525,27 +531,14 @@ impl<R: Record> StableLog<R> {
         }
     }
 
-    /// Durable records with their LSNs, oldest first (no decode; the cache).
-    pub fn stable_records(&self) -> impl Iterator<Item = (Lsn, &R)> {
-        self.stable.iter().map(|(l, r)| (*l, r))
-    }
-
-    /// Durable records at or after `from`, oldest first.
-    pub fn stable_records_from(&self, from: Lsn) -> impl Iterator<Item = (Lsn, &R)> {
-        self.stable
-            .iter()
-            .skip_while(move |(l, _)| *l < from)
-            .map(|(l, r)| (*l, r))
-    }
-
     /// Number of durable records.
     pub fn stable_len(&self) -> usize {
-        self.stable.len()
+        self.stable_records
     }
 
     /// Number of appended-but-unforced records.
     pub fn tail_len(&self) -> usize {
-        self.tail.len()
+        self.tail_records
     }
 
     /// The LSN the next append will receive.
@@ -555,24 +548,31 @@ impl<R: Record> StableLog<R> {
 
     /// Activity counters.
     pub fn stats(&self) -> LogStats {
-        let mut s = self.stats;
-        s.stable_bytes = self.stable_image.len() as u64;
-        s
+        LogStats {
+            stable_bytes: self.durable as u64,
+            ..self.stats
+        }
     }
 
     /// Truncate the durable prefix strictly before `upto` (checkpointing).
     ///
-    /// Records at LSN >= `upto` are kept. The byte image is rebuilt from
-    /// the kept records.
+    /// Frames are self-delimiting, so this walks headers to the first
+    /// frame at LSN >= `upto` and drops the byte prefix; nothing is decoded
+    /// or re-checksummed. The walk trusts the headers: a site verifies the
+    /// image (recovery salvages) before it ever checkpoints, and on a
+    /// damaged one the walk stops at the first frame that does not fit.
     pub fn truncate_before(&mut self, upto: Lsn) {
-        self.stable.retain(|(l, _)| *l >= upto);
-        let mut img = BytesMut::new();
-        for (l, r) in &self.stable {
-            encode_entry(*l, r, &mut img);
+        let (mut cut, mut dropped) = (0, 0);
+        while let Some(head) = self.buf[..self.durable].get(cut..cut + FRAME_HEADER + 8) {
+            let lsn = u64::from_be_bytes(head[FRAME_HEADER..].try_into().expect("eight bytes"));
+            if lsn >= upto.0 || cut + frame_len(head) > self.durable {
+                break;
+            }
+            cut += frame_len(head);
+            dropped += 1;
         }
-        self.stable_image = img;
-        self.invalidate_frozen();
-        self.stats.stable_bytes = self.stable_image.len() as u64;
+        self.excise(0..cut);
+        self.stable_records = self.stable_records.saturating_sub(dropped);
     }
 }
 
@@ -667,16 +667,6 @@ mod tests {
         // Immediately after, the tail is clean again.
         assert!(!log.force_if_dirty());
         assert_eq!(log.stats().forces, 1);
-    }
-
-    #[test]
-    fn stable_records_from_skips_prefix() {
-        let mut log = StableLog::<R>::new();
-        for i in 0..5 {
-            log.append_force(R(i));
-        }
-        let got: Vec<u64> = log.stable_records_from(Lsn(3)).map(|(_, r)| r.0).collect();
-        assert_eq!(got, vec![3, 4]);
     }
 
     #[test]
@@ -888,6 +878,61 @@ mod tests {
             other => panic!("expected MediaDamage, got {other:?}"),
         }
         assert_eq!(log.recover().unwrap(), vec![R(0), R(1)]);
+    }
+
+    #[test]
+    fn salvage_names_lost_records_after_a_checkpoint_shifted_the_damage() {
+        let mut log = StableLog::<R>::new();
+        for i in 0..6 {
+            log.append_force(R(i));
+        }
+        // Rot frame 4 (24-byte frames), then drop the first two frames:
+        // the injector's memory of the flip must move with the bytes.
+        assert_eq!(log.corrupt_stable(4 * 24 + 20..4 * 24 + 21), 1);
+        log.truncate_before(Lsn(2));
+        assert_eq!(log.stable_len(), 4);
+        match log.recover_salvage() {
+            SalvageOutcome::MediaDamage {
+                entries, dropped, ..
+            } => {
+                assert_eq!(entries, vec![(Lsn(2), R(2)), (Lsn(3), R(3))]);
+                assert_eq!(dropped, vec![(Lsn(4), R(4)), (Lsn(5), R(5))]);
+            }
+            other => panic!("expected MediaDamage, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncate_before_on_a_damaged_image_stops_instead_of_panicking() {
+        let mut log = StableLog::<R>::new();
+        for i in 0..4 {
+            log.append_force(R(i));
+        }
+        // Rot frame 1's length field: the header walk cannot pass it.
+        assert_eq!(log.corrupt_stable(24..28), 4);
+        log.truncate_before(Lsn(3));
+        assert_eq!(
+            log.stable_len(),
+            3,
+            "only frame 0 was provably below the cut"
+        );
+        assert!(log.recover().is_err());
+    }
+
+    #[test]
+    fn salvage_keeps_unforced_frames_past_the_watermark() {
+        let mut log = StableLog::<R>::new();
+        log.append_force(R(1));
+        log.append_force(R(2));
+        log.append(R(3)); // unforced
+        assert_eq!(log.corrupt_stable(30..31), 1);
+        assert!(matches!(
+            log.recover_salvage(),
+            SalvageOutcome::MediaDamage { .. }
+        ));
+        assert_eq!((log.stable_len(), log.tail_len()), (1, 1));
+        log.force();
+        assert_eq!(log.recover().unwrap(), vec![R(1), R(3)]);
     }
 
     #[test]

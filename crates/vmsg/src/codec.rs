@@ -3,11 +3,14 @@
 //! A [`WireDatagram`] is the unit the host puts on the network when
 //! [`coalesce`](crate::endpoint::VmConfig::coalesce) is on: every frame
 //! bound for one peer at one flush boundary, encoded as a length-prefixed
-//! frame sequence. Encoding is **scatter-gather**: header and per-frame
-//! metadata go into small owned segments, while each `Data` payload is
-//! appended as its own refcounted [`Bytes`] segment — a payload is never
-//! copied on the way out. Decoding slices payloads back out of the
-//! segments, so the receive path is copy-free as well.
+//! frame sequence. Encoding is **scatter-gather**: header, per-frame
+//! metadata and hint section are written into one buffer and cut into
+//! segments around the payloads, while each `Data` payload is appended
+//! as its own refcounted [`Bytes`] segment — a payload is never copied
+//! on the way out, and a datagram costs the same metadata allocations
+//! however many frames and hints it carries. Decoding slices payloads
+//! and the hint section back out of the segments, so the receive path is
+//! copy-free as well.
 //!
 //! Wire layout (big-endian):
 //!
@@ -64,7 +67,31 @@ pub struct Datagram {
     pub frames: Vec<Frame>,
     /// Piggybacked availability hints `(item, advertised surplus)` —
     /// empty unless the sender's adaptive placement attached gossip.
-    pub hints: Vec<(u32, u64)>,
+    pub hints: Hints,
+}
+
+/// The availability-hint section of a decoded datagram: a zero-copy view
+/// of its wire bytes, decoded entry by entry on iteration — receiving
+/// gossip allocates nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Hints(Bytes);
+
+impl Hints {
+    /// Whether the datagram carried no hints.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The `(item, advertised surplus)` entries, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.0.chunks_exact(HINT_ENTRY_LEN).map(|e| {
+            let (item, surplus) = e.split_at(4);
+            (
+                u32::from_be_bytes(item.try_into().expect("4-byte item")),
+                u64::from_be_bytes(surplus.try_into().expect("8-byte surplus")),
+            )
+        })
+    }
 }
 
 /// The encoded form of one datagram: an ordered list of byte segments
@@ -72,8 +99,8 @@ pub struct Datagram {
 /// — the simulated network clones datagrams for duplication faults.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireDatagram {
-    /// Wire segments, in order. Metadata segments are owned; payload
-    /// segments alias the sender's `Bytes` buffers.
+    /// Wire segments, in order. Metadata segments are views of one
+    /// buffer; payload segments alias the sender's `Bytes` buffers.
     segs: Vec<Bytes>,
     /// Number of frames encoded (cached from the header).
     frames: u32,
@@ -94,18 +121,34 @@ impl WireDatagram {
     /// something to carry.
     pub fn encode_with_hints(id: u64, frames: &[Frame], hints: &[(u32, u64)]) -> WireDatagram {
         debug_assert!(frames.len() < HINT_FLAG as usize, "frame count overflow");
-        let mut segs = Vec::with_capacity(1 + frames.len());
-        let mut meta =
-            BytesMut::with_capacity(DATAGRAM_HEADER_LEN + frames.len() * DATA_FRAME_META_LEN);
+        // Pass 1: every metadata byte — header, per-frame fields, hint
+        // section — goes into one exactly-sized buffer, frozen once.
+        let hint_len = if hints.is_empty() {
+            0
+        } else {
+            4 + hints.len() * HINT_ENTRY_LEN
+        };
+        let mut meta_len = DATAGRAM_HEADER_LEN + hint_len;
+        let mut payload_len = 0usize;
+        let mut data_frames = 0usize;
+        for f in frames {
+            match f {
+                Frame::Ack { .. } => meta_len += ACK_FRAME_LEN,
+                Frame::Data { payload, .. } => {
+                    meta_len += DATA_FRAME_META_LEN;
+                    payload_len += payload.len();
+                    data_frames += 1;
+                }
+            }
+        }
+        let mut meta = BytesMut::with_capacity(meta_len);
         meta.put_u64(id);
         let mut count = frames.len() as u32;
         if !hints.is_empty() {
             count |= HINT_FLAG;
         }
         meta.put_u32(count);
-        let mut wire_len = 0usize;
         for f in frames {
-            wire_len += frame_wire_len(f);
             match f {
                 Frame::Ack { ack } => {
                     meta.put_u8(TAG_ACK);
@@ -116,10 +159,6 @@ impl WireDatagram {
                     meta.put_u64(*seq);
                     meta.put_u64(*ack);
                     meta.put_u32(payload.len() as u32);
-                    // Flush the metadata run so the payload lands as its
-                    // own segment (shared, never copied).
-                    segs.push(std::mem::take(&mut meta).freeze());
-                    segs.push(payload.clone());
                 }
             }
         }
@@ -129,15 +168,37 @@ impl WireDatagram {
                 meta.put_u32(item);
                 meta.put_u64(surplus);
             }
-            wire_len += 4 + hints.len() * HINT_ENTRY_LEN;
         }
-        if !meta.is_empty() {
-            segs.push(meta.freeze());
+        debug_assert_eq!(meta.len(), meta_len);
+        let meta = meta.freeze();
+        // Pass 2: cut the metadata run after each data frame's fields, so
+        // the payload lands between the cuts as its own segment (shared,
+        // never copied). The cuts are views of the one buffer — a
+        // datagram costs the same two metadata allocations however many
+        // frames and hints it carries.
+        let mut segs = Vec::with_capacity(1 + 2 * data_frames);
+        let mut start = 0usize;
+        let mut end = DATAGRAM_HEADER_LEN;
+        for f in frames {
+            match f {
+                Frame::Ack { .. } => end += ACK_FRAME_LEN,
+                Frame::Data { payload, .. } => {
+                    end += DATA_FRAME_META_LEN;
+                    segs.push(meta.slice(start..end));
+                    segs.push(payload.clone());
+                    start = end;
+                }
+            }
+        }
+        if start == 0 {
+            segs.push(meta);
+        } else if start < meta_len {
+            segs.push(meta.slice(start..meta_len));
         }
         WireDatagram {
             segs,
             frames: frames.len() as u32,
-            wire_len: wire_len + DATAGRAM_HEADER_LEN,
+            wire_len: meta_len + payload_len,
         }
     }
 
@@ -179,16 +240,12 @@ impl WireDatagram {
                 tag => panic!("malformed datagram: unknown frame tag {tag:#x}"),
             }
         }
-        let mut hints = Vec::new();
-        if raw_count & HINT_FLAG != 0 {
+        let hints = if raw_count & HINT_FLAG != 0 {
             let n = r.u32() as usize;
-            hints.reserve(n);
-            for _ in 0..n {
-                let item = r.u32();
-                let surplus = r.u64();
-                hints.push((item, surplus));
-            }
-        }
+            Hints(r.bytes(n * HINT_ENTRY_LEN))
+        } else {
+            Hints::default()
+        };
         assert_eq!(r.remaining(), 0, "malformed datagram: trailing bytes");
         Datagram { id, frames, hints }
     }
@@ -401,7 +458,7 @@ mod tests {
         let d = wire.decode();
         assert_eq!(d.id, 5);
         assert_eq!(d.frames, frames);
-        assert_eq!(d.hints, hints);
+        assert_eq!(d.hints.iter().collect::<Vec<_>>(), hints);
     }
 
     #[test]
@@ -419,6 +476,6 @@ mod tests {
         assert_eq!(wire.frame_count(), 0);
         let d = wire.decode();
         assert!(d.frames.is_empty());
-        assert_eq!(d.hints, vec![(1, 99)]);
+        assert_eq!(d.hints.iter().collect::<Vec<_>>(), vec![(1, 99)]);
     }
 }

@@ -1435,7 +1435,7 @@ mod tests {
         let mut dgrams = Vec::new();
         s.drain_datagrams_into(now, &mut dgrams);
         assert_eq!(dgrams.len(), 1);
-        dgrams[0].1.decode().hints
+        dgrams[0].1.decode().hints.iter().collect()
     }
 
     #[test]

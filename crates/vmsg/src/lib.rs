@@ -52,7 +52,7 @@ pub mod logop;
 pub mod stats;
 
 pub use channel::Seq;
-pub use codec::{Datagram, WireDatagram};
+pub use codec::{Datagram, Hints, WireDatagram};
 pub use endpoint::{
     ChannelSnapshot, Receipt, VmConfig, VmEndpoint, HINT_RESEND_AFTER_US, HINT_WINDOW_BUDGET,
 };

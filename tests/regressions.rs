@@ -232,3 +232,76 @@ fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
         .check_reads(&m)
         .expect("the lease outlives the reader, so the read is exact");
 }
+
+/// **Decoders sized allocations from untrusted counts.**
+///
+/// Every count below sits in a frame whose CRC *verifies* — the checksum
+/// guards against rot, not against a writer that lies. `SiteSnapshot`
+/// fed its `u32` item / channel / outgoing counts straight into
+/// `Vec::with_capacity` (2³² items asks for 32 GB from a 12-byte frame
+/// and aborts the process); `SiteRecord::Rds` and `TradRecord::Prepared`
+/// capped theirs at 2²⁰, which still reserved tens of MB from a 25-byte
+/// frame before the first element failed to read.
+///
+/// The fix bounds each count by the bytes left to decode it from
+/// (`RecordReader::count`), so the refusal is `Invalid` — on the old
+/// tree these read `Truncated`, after the allocation.
+#[test]
+fn crc_valid_frames_with_absurd_counts_are_refused_before_allocating() {
+    use bytes::Bytes;
+    use dvp::baselines::record::TradRecord;
+    use dvp::core::record::SiteRecord;
+    use dvp::core::site::SiteSnapshot;
+    use dvp::storage::codec::{crc32, decode_frame};
+    use dvp::storage::{DecodeError, Record};
+
+    /// `len | crc | payload`, checksum correct.
+    fn framed(payload: &[u8]) -> Bytes {
+        let mut raw = (payload.len() as u32).to_be_bytes().to_vec();
+        raw.extend_from_slice(&crc32(payload).to_be_bytes());
+        raw.extend_from_slice(payload);
+        Bytes::from(raw)
+    }
+    fn refused<R: Record>(what: &str, payload: &[u8]) {
+        match decode_frame::<R>(&mut framed(payload)) {
+            Err(DecodeError::Invalid(_)) => {}
+            other => panic!("{what}: expected Invalid before any allocation, got {other:?}"),
+        }
+    }
+    let be32 = |n: u32| n.to_be_bytes();
+    let be64 = |n: u64| n.to_be_bytes();
+
+    // Checkpoint snapshots: items, then channels, then a channel's outgoing.
+    refused::<SiteSnapshot>("snapshot items", &be32(u32::MAX));
+    refused::<SiteSnapshot>("snapshot channels", &[be32(0), be32(u32::MAX)].concat());
+    let one_channel = [
+        &be32(0)[..],
+        &be32(1)[..],
+        &[0u8; 32][..], // peer + three cursors
+        &be32(u32::MAX)[..],
+    ]
+    .concat();
+    refused::<SiteSnapshot>("snapshot outgoing", &one_channel);
+
+    // Log records: tag, txn, then the counted lists. 2²⁰ passed the old cap.
+    let rds_ops = [&[1u8][..], &be64(7)[..], &be32(0)[..], &be32(1 << 20)[..]].concat();
+    assert_eq!(rds_ops.len() + 8, 25, "the 25-byte frame of the report");
+    refused::<SiteRecord>("Rds vm ops", &rds_ops);
+    let rds_actions = [&[1u8][..], &be64(7)[..], &be32(1 << 20)[..]].concat();
+    refused::<SiteRecord>("Rds actions", &rds_actions);
+    let commit_actions = [&[2u8][..], &be64(7)[..], &be32(u32::MAX)[..]].concat();
+    refused::<SiteRecord>("Commit actions", &commit_actions);
+    let prepared = [&[1u8][..], &be64(7)[..], &be64(0)[..], &be32(1 << 20)[..]].concat();
+    refused::<TradRecord>("Prepared writes", &prepared);
+
+    // An honest count still decodes.
+    let honest = [
+        &[2u8][..],
+        &be64(7)[..],
+        &be32(1)[..],
+        &be32(3)[..],
+        &be64(5)[..],
+    ]
+    .concat();
+    assert!(decode_frame::<SiteRecord>(&mut framed(&honest)).is_ok());
+}
