@@ -201,6 +201,14 @@ pub enum CommitProtocol {
     ThreePhase,
 }
 
+/// Coordinator timeout for assembling locks/votes.
+const TXN_TIMEOUT: SimDuration = SimDuration::millis(50);
+/// Participant gives up on an *unprepared* transaction after this span
+/// (safe: it has not voted).
+const UNPREPARED_TIMEOUT: SimDuration = SimDuration::millis(150);
+/// Interval for decision retries and in-doubt decision queries.
+const RETRY_EVERY: SimDuration = SimDuration::millis(20);
+
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TradConfig {
@@ -208,13 +216,6 @@ pub struct TradConfig {
     pub protocol: CommitProtocol,
     /// Replica control strategy.
     pub placement: Placement,
-    /// Coordinator timeout for assembling locks/votes.
-    pub txn_timeout: SimDuration,
-    /// Participant gives up on an *unprepared* transaction after this
-    /// span (safe: it has not voted).
-    pub unprepared_timeout: SimDuration,
-    /// Interval for decision retries and in-doubt decision queries.
-    pub retry_every: SimDuration,
 }
 
 impl Default for TradConfig {
@@ -222,9 +223,6 @@ impl Default for TradConfig {
         TradConfig {
             protocol: CommitProtocol::TwoPhase,
             placement: Placement::ReplicatedQuorum,
-            txn_timeout: SimDuration::millis(50),
-            unprepared_timeout: SimDuration::millis(150),
-            retry_every: SimDuration::millis(20),
         }
     }
 }
@@ -433,7 +431,7 @@ impl TradNode {
 
     fn begin_txn(&mut self, spec: TxnSpec, ctx: &mut Context<'_, TradMsg>) {
         let ts = self.clock.tick_at(ctx.now().micros());
-        let timer = ctx.set_timer(self.cfg.txn_timeout, TAG_COORD_TIMEOUT | ts.0);
+        let timer = ctx.set_timer(TXN_TIMEOUT, TAG_COORD_TIMEOUT | ts.0);
         let items = spec.access_set();
         self.obs.emit_with(self.id as u32, || EventKind::TxnStart {
             txn: ts.0,
@@ -617,7 +615,7 @@ impl TradNode {
                     for site in writers {
                         self.send(site, TradBody::PreCommit { txn: ts });
                     }
-                    ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
+                    ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
                 }
             }
         }
@@ -646,7 +644,7 @@ impl TradNode {
                 },
             );
         }
-        ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
+        ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
         // Commit is decided now; report it now.
         let latency = ctx.now().since(started).as_micros();
         self.metrics.record_commit(latency);
@@ -826,7 +824,7 @@ impl TradNode {
         });
         p.items.insert(item);
         if newly {
-            ctx.set_timer(self.cfg.unprepared_timeout, TAG_PART_UNPREPARED | ts.0);
+            ctx.set_timer(UNPREPARED_TIMEOUT, TAG_PART_UNPREPARED | ts.0);
         }
     }
 
@@ -886,10 +884,7 @@ impl TradNode {
         self.metrics.in_doubt_entered += 1;
         self.send(from, TradBody::Vote { txn: ts, yes: true });
         // Start querying if the decision does not arrive.
-        ctx.set_timer(
-            self.cfg.retry_every.saturating_mul(2),
-            TAG_QUERY_RETRY | ts.0,
-        );
+        ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
     }
 
     fn on_decision(&mut self, from: NodeId, ts: Ts, commit: bool, ctx: &mut Context<'_, TradMsg>) {
@@ -1075,13 +1070,13 @@ impl Node for TradNode {
                         for site in pending {
                             self.send(site, TradBody::Decision { txn: ts, commit });
                         }
-                        ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
+                        ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
                     }
                     Some((CoordPhase::PreCommitting, pending)) => {
                         for site in pending {
                             self.send(site, TradBody::PreCommit { txn: ts });
                         }
-                        ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
+                        ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
                     }
                     _ => {}
                 }
@@ -1106,10 +1101,7 @@ impl Node for TradNode {
                         CommitProtocol::TwoPhase => {
                             // 2PC: nothing else is safe — keep asking
                             // (this is the blocking).
-                            ctx.set_timer(
-                                self.cfg.retry_every.saturating_mul(2),
-                                TAG_QUERY_RETRY | ts.0,
-                            );
+                            ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
                         }
                         CommitProtocol::ThreePhase => {
                             if attempts >= 4 {
@@ -1123,7 +1115,7 @@ impl Node for TradNode {
                                     self.send(peer, TradBody::StateQuery { txn: ts });
                                 }
                                 ctx.set_timer(
-                                    self.cfg.retry_every.saturating_mul(2),
+                                    RETRY_EVERY.saturating_mul(2),
                                     TAG_QUERY_RETRY | ts.0,
                                 );
                             }
@@ -1220,10 +1212,7 @@ impl Node for TradNode {
             );
             self.metrics.recovery_remote_messages += 1;
             self.send(coordinator as usize, TradBody::DecisionQuery { txn });
-            ctx.set_timer(
-                self.cfg.retry_every.saturating_mul(2),
-                TAG_QUERY_RETRY | txn.0,
-            );
+            ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | txn.0);
         }
         if blocked {
             self.metrics.recoveries_blocked += 1;

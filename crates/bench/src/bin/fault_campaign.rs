@@ -49,7 +49,7 @@ fn configs() -> Vec<ProtoConfig> {
     let retry_rebalance = SiteConfig::builder()
         .solicit_retries(2)
         .placement(Placement::Reactive(ReactivePlacement {
-            rebalance: Some(Default::default()),
+            rebalance: true,
             ..Default::default()
         }))
         .build();

@@ -500,25 +500,26 @@ mod tests {
 
     #[test]
     fn rebalancer_ships_surplus_toward_demand() {
-        // Site 0 is the hub: all customers buy there, draining its quota.
-        // After its first solicitation, donors know where demand lives;
-        // with the rebalancer on they ship surplus proactively, so later
-        // hub sales hit the fast path instead of soliciting.
+        // Site 0 is the hub: all customers buy there. Its first sale
+        // overdraws its quota, so every donor learns where demand lives.
+        // Returned seats then inflate each donor past twice its quota —
+        // the rebalancer's fixed threshold — and with it on they ship the
+        // excess to the hub proactively, so later hub sales hit the fast
+        // path instead of soliciting.
         let run = |rebalance: bool| {
             let mut catalog = Catalog::new();
             let flight = catalog.add("flight", 4_000, Split::Even); // 1000/site
             let mut cfg = ClusterConfig::new(4, catalog);
-            if rebalance {
-                cfg.site.placement = crate::policy::Placement::Reactive(ReactivePlacement {
-                    rebalance: Some(crate::policy::RebalanceConfig {
-                        every: SimDuration::millis(20),
-                        surplus_factor: 0.5, // ship aggressively once demand is known
-                    }),
-                    ..Default::default()
-                });
+            cfg.site.placement = crate::policy::Placement::Reactive(ReactivePlacement {
+                rebalance,
+                ..Default::default()
+            });
+            cfg = cfg.at(0, ms(1), TxnSpec::reserve(flight, 1_100));
+            for donor in 1..4 {
+                cfg = cfg.at(donor, ms(100), TxnSpec::release(flight, 1_500));
             }
-            for k in 0..30u64 {
-                cfg = cfg.at(0, ms(1 + k * 30), TxnSpec::reserve(flight, 100));
+            for k in 0..9u64 {
+                cfg = cfg.at(0, ms(200 + k * 30), TxnSpec::reserve(flight, 100));
             }
             let mut cl = Cluster::build(cfg);
             cl.run_until(ms(5_000));
@@ -628,7 +629,7 @@ mod tests {
         cfg.site.placement = crate::policy::Placement::Reactive(ReactivePlacement {
             fanout: Fanout::One,
             refill: RefillPolicy::All,
-            rebalance: None,
+            rebalance: false,
         });
         let mut cl = Cluster::build(cfg);
         cl.run_to_quiescence();

@@ -1,138 +1,10 @@
-//! Interned dense indices and small-vector storage for hot-path tables.
+//! Small-vector storage for hot-path payloads.
 //!
-//! The steady-state dispatch path used to thread every per-item and
-//! per-peer lookup through a `BTreeMap`. Those maps are replaced by
-//! `Vec`-backed tables addressed with the dense indices defined here:
-//!
-//! * [`ItemIdx`] / [`PeerIdx`] — `u32` newtypes naming a slot in a
-//!   per-site table. They are *internal*: public APIs and observability
-//!   payloads keep `ItemId` / site numbers.
-//! * [`Interner`] — maps a key universe (the item catalog, the cluster
-//!   topology) to dense indices by **sorted rank**. Because the rank of a
-//!   key depends only on the key *set*, the assignment is independent of
-//!   insertion order, and iterating a dense table `0..len` visits keys in
-//!   exactly the order the replaced `BTreeMap` iterated them. That is the
-//!   property that keeps golden obs traces byte-identical.
-//! * [`SVec`] — an inline small vector for record payloads that are
-//!   almost always tiny (a transaction touches 1–2 items), so committing
-//!   a transaction does not allocate a fresh `Vec` per log record.
+//! [`SVec`] is an inline small vector for record payloads that are
+//! almost always tiny (a transaction touches 1–2 items), so committing
+//! a transaction does not allocate a fresh `Vec` per log record.
 
 use std::fmt;
-
-/// Dense index of an item in a site's tables (interned from the catalog).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ItemIdx(pub u32);
-
-/// Dense index of a peer site in a site's tables (interned from the
-/// cluster topology).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PeerIdx(pub u32);
-
-/// A type usable as a dense table index.
-pub trait DenseIdx: Copy {
-    /// Wrap a raw slot number.
-    fn from_raw(raw: u32) -> Self;
-    /// The raw slot number.
-    fn raw(self) -> u32;
-    /// The slot number as a `usize` (for indexing).
-    fn as_usize(self) -> usize {
-        self.raw() as usize
-    }
-}
-
-impl DenseIdx for ItemIdx {
-    fn from_raw(raw: u32) -> Self {
-        ItemIdx(raw)
-    }
-    fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-impl DenseIdx for PeerIdx {
-    fn from_raw(raw: u32) -> Self {
-        PeerIdx(raw)
-    }
-    fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-// The default index type (for callers that don't need a newtype).
-impl DenseIdx for u32 {
-    fn from_raw(raw: u32) -> Self {
-        raw
-    }
-    fn raw(self) -> u32 {
-        self
-    }
-}
-
-/// Sorted-rank interner: assigns each key of a fixed universe the dense
-/// index equal to its rank in the sorted key set.
-///
-/// The contract replacing a `BTreeMap<K, V>` with `Vec<V>` relies on:
-///
-/// 1. **Order-independence** — the assignment depends only on the key
-///    *set*, never on insertion order, so an interner rebuilt after a
-///    crash (from the catalog and topology, which are stable) assigns
-///    identical indices.
-/// 2. **Sorted iteration** — `iter()` (and any dense table walked
-///    `0..len()`) visits keys in ascending key order, exactly the
-///    iteration order of the `BTreeMap` it replaced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Interner<K, I = u32> {
-    keys: Vec<K>,
-    _marker: std::marker::PhantomData<I>,
-}
-
-/// Interner over the item universe.
-pub type ItemInterner = Interner<crate::item::ItemId, ItemIdx>;
-
-impl<K: Ord + Copy, I: DenseIdx> Interner<K, I> {
-    /// Build from the key universe in any order; duplicates collapse.
-    pub fn from_universe(keys: impl IntoIterator<Item = K>) -> Self {
-        let mut keys: Vec<K> = keys.into_iter().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        Interner {
-            keys,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of interned keys (the dense table length).
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The dense index of `key`, or `None` for a key outside the universe.
-    pub fn idx(&self, key: K) -> Option<I> {
-        self.keys
-            .binary_search(&key)
-            .ok()
-            .map(|i| I::from_raw(i as u32))
-    }
-
-    /// The key at dense index `idx` (panics when out of range).
-    pub fn key(&self, idx: I) -> K {
-        self.keys[idx.as_usize()]
-    }
-
-    /// `(index, key)` pairs in index order — which is ascending key
-    /// order, matching `BTreeMap` iteration.
-    pub fn iter(&self) -> impl Iterator<Item = (I, K)> + '_ {
-        self.keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (I::from_raw(i as u32), k))
-    }
-}
 
 /// A small vector that stores up to `N` elements inline and spills to a
 /// heap `Vec` beyond that. Used for log-record and commit-journal
@@ -291,25 +163,6 @@ impl<T: Copy + Default + fmt::Display, const N: usize> fmt::Display for SVec<T, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::item::ItemId;
-
-    #[test]
-    fn interner_assignment_is_sorted_rank() {
-        let i: ItemInterner = Interner::from_universe([ItemId(5), ItemId(1), ItemId(3)]);
-        assert_eq!(i.len(), 3);
-        assert_eq!(i.idx(ItemId(1)), Some(ItemIdx(0)));
-        assert_eq!(i.idx(ItemId(3)), Some(ItemIdx(1)));
-        assert_eq!(i.idx(ItemId(5)), Some(ItemIdx(2)));
-        assert_eq!(i.idx(ItemId(2)), None);
-        assert_eq!(i.key(ItemIdx(1)), ItemId(3));
-    }
-
-    #[test]
-    fn interner_iterates_in_key_order() {
-        let i: Interner<u64, u32> = Interner::from_universe([9u64, 2, 7, 2]);
-        let keys: Vec<u64> = i.iter().map(|(_, k)| k).collect();
-        assert_eq!(keys, vec![2, 7, 9]);
-    }
 
     #[test]
     fn svec_stays_inline_then_spills() {

@@ -19,7 +19,9 @@
 //! | §6 concurrency control (Conc1 timestamps, Conc2 2PL)          | [`locks`], [`clock`], [`site`] |
 //! | §7 recovery (redo, lock amnesia, timestamp bump-up)           | [`record`], [`site`] |
 //! | §3 invariant N = ΣNᵢ + N_M                                    | [`audit`] |
-//! | orchestration & measurement                                   | [`cluster`], [`metrics`], [`policy`] |
+//! | §9 "best distribution of data values" (a policy, safety-inert) | [`placement`] |
+//! | orchestration & measurement                                   | [`cluster`], [`metrics`] |
+//! | configuration only (knobs; nothing that acts on them)         | [`policy`] |
 //!
 //! The transaction engine is concrete over the paper's canonical domain —
 //! non-negative integer *quantities* under summation (seats, stock units,
@@ -39,6 +41,7 @@ pub mod item;
 pub mod locks;
 pub mod metrics;
 pub mod ops;
+pub mod placement;
 pub mod policy;
 pub mod record;
 pub mod site;
@@ -47,13 +50,13 @@ pub mod txn;
 
 pub use clock::{LamportClock, Ts, TxnId};
 pub use cluster::{Cluster, ClusterConfig, FaultPlan, PlacementStats, StatsView};
-pub use dense::{Interner, ItemIdx, PeerIdx, SVec};
+pub use dense::SVec;
 pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};
 pub use ops::Op;
 pub use policy::{
     AdaptivePlacement, ConcMode, Crashpoint, Fanout, HintChaos, InjectConfig, Placement,
-    ReactivePlacement, RebalanceConfig, RefillPolicy, SiteConfig, SiteConfigBuilder,
+    ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
 };
 pub use site::SiteNode;
 pub use txn::{TxnOutcome, TxnSpec};

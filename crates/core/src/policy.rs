@@ -1,4 +1,4 @@
-//! Site configuration and tunable policies.
+//! Site configuration: the knobs, and nothing that acts on them.
 //!
 //! These knobs are the paper's acknowledged open space ("performance
 //! studies to find the best ways to distribute the data, to design the
@@ -11,31 +11,14 @@
 //! fixed-threshold rebalancer), and [`Placement::Adaptive`] layers the
 //! demand-adaptive subsystem on top (per-item demand EWMAs, availability
 //! hints piggybacked on Vm datagrams, hint-directed solicitation,
-//! predictive refill, and a demand-driven rebalancer). Configurations are
+//! predictive refill, and a demand-driven rebalancer). The mechanism and
+//! its constants live in [`crate::placement`]. Configurations are
 //! assembled with [`SiteConfig::builder`].
 
 use crate::Qty;
 use dvp_simnet::time::SimDuration;
 use dvp_storage::TornWrite;
-use dvp_vmsg::{VmConfig, HINT_RESEND_AFTER_US};
-
-/// How often the demand-driven rebalancer wakes. Each tick costs an
-/// O(items · peers) demand scan plus a Vm flush on every site, so the
-/// cadence is sized for drift detection (hotspot epochs are seconds),
-/// not per-transaction reaction — solicitation handles that.
-pub(crate) const ADAPTIVE_REBALANCE_EVERY: SimDuration = SimDuration::millis(100);
-/// EWMA gain of the demand and hint-trust estimators (higher tracks
-/// shifts faster but is noisier).
-pub(crate) const DEMAND_GAIN: f64 = 0.25;
-/// Advertised-surplus hints older than this are ignored by
-/// [`Fanout::Hinted`] targeting (volatile gossip must expire). Twice the
-/// endpoint's resend window, so every advertised (item, peer) pair is
-/// re-gossiped at least twice inside it.
-pub(crate) const HINT_TTL: SimDuration = SimDuration::micros(2 * HINT_RESEND_AFTER_US);
-/// A donor keeps `HEADROOM ×` its own predicted demand before counting
-/// value as spareable surplus (for advertisement, predictive refill and
-/// the rebalancer alike).
-pub(crate) const HEADROOM: f64 = 1.5;
+use dvp_vmsg::VmConfig;
 
 /// How much value a donor ships when honouring a refill request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,32 +84,6 @@ pub enum ConcMode {
     Conc2,
 }
 
-/// Fixed-threshold rebalancing, the reactive placement's optional
-/// proactive arm.
-///
-/// The paper treats Rds transactions as free-standing ("Rds transactions
-/// may actually not redistribute any data item at all... may simply be
-/// used to send requests", §5) and asks for traffic-reducing
-/// distribution policies (§9). This policy ships a site's *surplus* —
-/// fragment value beyond a multiple of its initial quota — toward the
-/// site that most recently solicited the item, on a periodic timer.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RebalanceConfig {
-    /// How often the rebalancer wakes.
-    pub every: SimDuration,
-    /// Keep `factor ×` the initial quota; ship any excess beyond it.
-    pub surplus_factor: f64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            every: SimDuration::millis(25),
-            surplus_factor: 2.0,
-        }
-    }
-}
-
 /// The paper-baseline placement policy: value moves only when demanded
 /// (refill solicitations), optionally plus a fixed-threshold rebalancer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -135,8 +92,13 @@ pub struct ReactivePlacement {
     pub refill: RefillPolicy,
     /// Solicitation fan-out.
     pub fanout: Fanout,
-    /// Proactive surplus shipping (`None` = off, the paper's baseline).
-    pub rebalance: Option<RebalanceConfig>,
+    /// Proactive surplus shipping, off in the paper's baseline: on a
+    /// periodic timer, ship fragment value beyond a fixed multiple of the
+    /// site's initial quota toward the site that most recently solicited
+    /// the item. (The paper treats Rds transactions as free-standing —
+    /// "may simply be used to send requests", §5 — and asks for
+    /// traffic-reducing distribution policies, §9.)
+    pub rebalance: bool,
 }
 
 impl Default for ReactivePlacement {
@@ -144,7 +106,7 @@ impl Default for ReactivePlacement {
         ReactivePlacement {
             refill: RefillPolicy::DemandExact,
             fanout: Fanout::All,
-            rebalance: None,
+            rebalance: false,
         }
     }
 }
@@ -169,18 +131,9 @@ pub enum HintChaos {
     Stale,
 }
 
-/// Parameters of the demand-adaptive placement subsystem.
-///
-/// All state the subsystem accumulates — demand EWMAs, the advertised-
-/// surplus hint table, peer suspicion — is **volatile**: wiped on crash,
-/// never logged, never consulted by recovery. Hints in particular are
-/// pure gossip riding existing Vm datagrams; a site that believes a
-/// wrong, stale, or missing hint only pays extra messages or a timeout,
-/// never a safety violation.
-///
-/// Donors grant the demand-exact base refill plus a predictive top-up
-/// toward the requester's advertised demand estimate, capped by what
-/// they can spare beyond their own predicted demand.
+/// Parameters of the demand-adaptive placement subsystem (mechanism,
+/// constants and the volatility / safety-inertness argument:
+/// [`crate::placement`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptivePlacement {
     /// Solicitation fan-out (default [`Fanout::Hinted`]).
@@ -199,9 +152,6 @@ impl Default for AdaptivePlacement {
 }
 
 /// Where value sits and how it moves: the unified placement policy.
-///
-/// Replaces the former loose trio of `refill` + `fanout` + `rebalance`
-/// knobs on `SiteConfig`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Placement {
     /// Value never moves: every refill solicitation is declined, so a
@@ -255,15 +205,6 @@ impl Placement {
             Placement::Static => 0,
             Placement::Reactive(r) => r.refill.amount(need, have),
             Placement::Adaptive(_) => RefillPolicy::DemandExact.amount(need, have),
-        }
-    }
-
-    /// The rebalance wake interval, if any arm of this policy rebalances.
-    pub fn rebalance_every(&self) -> Option<SimDuration> {
-        match self {
-            Placement::Static => None,
-            Placement::Reactive(r) => r.rebalance.map(|rb| rb.every),
-            Placement::Adaptive(_) => Some(ADAPTIVE_REBALANCE_EVERY),
         }
     }
 
@@ -341,24 +282,6 @@ impl InjectConfig {
             ..Default::default()
         }
     }
-
-    /// Rot one stable-log byte at `victim` on its next crash.
-    pub fn bit_rot_at(victim: usize) -> Self {
-        InjectConfig {
-            victim,
-            bit_rot: true,
-            ..Default::default()
-        }
-    }
-
-    /// Corrupt checkpoint slot `slot` at `victim` on its next crash.
-    pub fn corrupt_ckpt_at(victim: usize, slot: u8) -> Self {
-        InjectConfig {
-            victim,
-            corrupt_ckpt: Some(slot),
-            ..Default::default()
-        }
-    }
 }
 
 /// Per-site protocol configuration. Assemble with [`SiteConfig::builder`].
@@ -367,8 +290,6 @@ pub struct SiteConfig {
     /// Transaction timeout: solicited value must arrive within this span
     /// or the transaction aborts (the paper's pessimistic Step 3).
     pub txn_timeout: SimDuration,
-    /// Retransmission interval for outstanding Vms.
-    pub retransmit_every: SimDuration,
     /// Value-placement policy (refill, fan-out, rebalancing, adaptivity).
     pub placement: Placement,
     /// Concurrency-control scheme.
@@ -407,7 +328,6 @@ impl Default for SiteConfig {
     fn default() -> Self {
         SiteConfig {
             txn_timeout: SimDuration::millis(50),
-            retransmit_every: SimDuration::millis(10),
             placement: Placement::default(),
             conc: ConcMode::Conc1,
             vm: VmConfig::default(),
@@ -459,12 +379,6 @@ impl SiteConfigBuilder {
     /// [`SiteConfig::read_lease`]).
     pub fn timeout(mut self, t: SimDuration) -> Self {
         self.cfg.txn_timeout = t;
-        self
-    }
-
-    /// Retransmission interval for outstanding Vms.
-    pub fn retransmit_every(mut self, t: SimDuration) -> Self {
-        self.cfg.retransmit_every = t;
         self
     }
 
@@ -550,12 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_consistent() {
-        let c = SiteConfig::default();
-        assert!(c.retransmit_every < c.txn_timeout);
-    }
-
-    #[test]
     fn read_lease_follows_a_struct_literal_timeout() {
         let c = SiteConfig {
             txn_timeout: SimDuration::millis(150),
@@ -570,7 +478,6 @@ mod tests {
         assert_eq!(p, Placement::reactive());
         assert_eq!(p.fanout(), Fanout::All);
         assert_eq!(p.base_refill(5, 10), 5, "demand-exact");
-        assert_eq!(p.rebalance_every(), None);
         assert!(!p.is_adaptive());
     }
 
@@ -578,7 +485,6 @@ mod tests {
     fn static_placement_never_grants() {
         let p = Placement::Static;
         assert_eq!(p.base_refill(5, 100), 0);
-        assert_eq!(p.rebalance_every(), None);
     }
 
     #[test]
@@ -587,11 +493,6 @@ mod tests {
         assert!(p.is_adaptive());
         assert_eq!(p.fanout(), Fanout::Hinted);
         assert_eq!(p.adaptive_params().unwrap().chaos, HintChaos::None);
-        assert_eq!(
-            p.rebalance_every(),
-            Some(ADAPTIVE_REBALANCE_EVERY),
-            "adaptive always rebalances"
-        );
     }
 
     #[test]

@@ -1,0 +1,466 @@
+//! What survives a crash: the stable log, the checkpoint slot, and the
+//! bookkeeping that ties them together — append, the one force a flush
+//! boundary owes, checkpoint install and truncation, the Section 7
+//! recovery scan, and the media-failure quarantine.
+
+use crate::clock::Ts;
+use crate::fragment::FragmentStore;
+use crate::item::ItemId;
+use crate::metrics::SiteMetrics;
+use crate::record::{DbActions, SiteRecord};
+use crate::transfer::Transfer;
+use crate::Qty;
+use dvp_obs::{EventKind, Obs};
+use dvp_simnet::NodeId;
+use dvp_storage::{
+    CheckpointSlot, DecodeError, Lsn, Record, RecordReader, RecordWriter, SalvageOutcome,
+    StableLog, TornWrite,
+};
+use dvp_vmsg::{ChannelSnapshot, VmConfig, VmEndpoint, VmLogOp};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+
+/// A checkpoint image of a site's durable state: fragment values and
+/// timestamps plus the Vm channel state. Together with the log suffix
+/// after `redo_from`, it reconstructs the site exactly.
+#[derive(Clone, Debug)]
+pub struct SiteSnapshot {
+    frag_vals: Vec<Qty>,
+    frag_ts: Vec<Ts>,
+    vm: Vec<ChannelSnapshot>,
+}
+
+// The checkpoint store keeps slots as checksummed byte images, so the
+// snapshot must round-trip through bytes like any log record.
+impl Record for SiteSnapshot {
+    fn encode(&self, w: &mut RecordWriter<'_>) {
+        w.u32(self.frag_vals.len() as u32);
+        for &v in &self.frag_vals {
+            w.u64(v);
+        }
+        for &t in &self.frag_ts {
+            w.u64(t.0);
+        }
+        w.u32(self.vm.len() as u32);
+        for ch in &self.vm {
+            w.u64(ch.peer as u64);
+            w.u64(ch.last_created);
+            w.u64(ch.acked_out);
+            w.u64(ch.accepted_in);
+            w.u32(ch.outgoing.len() as u32);
+            for (seq, payload) in &ch.outgoing {
+                w.u64(*seq);
+                w.bytes(payload);
+            }
+        }
+    }
+
+    fn decode(r: &mut RecordReader<'_>) -> Result<Self, DecodeError> {
+        // Counts come off the disk: each is bounded by the bytes left
+        // before it sizes an allocation.
+        let items = r.count(8 + 8)?; // value, timestamp
+        let mut frag_vals = Vec::with_capacity(items);
+        for _ in 0..items {
+            frag_vals.push(r.u64()?);
+        }
+        let mut frag_ts = Vec::with_capacity(items);
+        for _ in 0..items {
+            frag_ts.push(Ts(r.u64()?));
+        }
+        let channels = r.count(4 * 8 + 4)?; // four cursors, outgoing count
+        let mut vm = Vec::with_capacity(channels);
+        for _ in 0..channels {
+            let peer = r.u64()? as NodeId;
+            let last_created = r.u64()?;
+            let acked_out = r.u64()?;
+            let accepted_in = r.u64()?;
+            let n_out = r.count(8 + 4)?; // seq, payload length
+            let mut outgoing = Vec::with_capacity(n_out);
+            for _ in 0..n_out {
+                let seq = r.u64()?;
+                outgoing.push((seq, r.bytes()?));
+            }
+            vm.push(ChannelSnapshot {
+                peer,
+                last_created,
+                acked_out,
+                accepted_in,
+                outgoing,
+            });
+        }
+        Ok(SiteSnapshot {
+            frag_vals,
+            frag_ts,
+            vm,
+        })
+    }
+}
+
+pub(super) type SiteLog = StableLog<SiteRecord>;
+
+/// The durable component of a site.
+pub(super) struct Durable {
+    site: NodeId,
+    log: SiteLog,
+    /// Crash-surviving checkpoint slot (stable storage, like the log).
+    checkpoint: CheckpointSlot<SiteSnapshot>,
+    /// Durable records the log still retains *below* the checkpoint's
+    /// redo point (two-generation retention keeps the previous window).
+    /// `stable_len() - redo_covered` is the un-checkpointed suffix the
+    /// checkpoint trigger reads on every flush; set when a checkpoint
+    /// truncates and recounted by every recovery scan.
+    redo_covered: usize,
+    /// Group commit: a record that must be durable before this dispatch's
+    /// frames leave was appended, so the flush boundary owes one force.
+    /// Stays `false` across ack-only dispatches — lazy `AckObserved`
+    /// notes ride along with the next real force.
+    needs_flush: bool,
+    /// Op list lent to each `Rds` record while it is appended.
+    vm_ops_scratch: Vec<VmLogOp>,
+    /// Records redone by the last recovery scan (trace reporting).
+    last_replayed: u64,
+    /// Sticky media-failure quarantine: salvage dropped committed effects
+    /// that no checkpoint generation covers, so this site's durable state
+    /// is wrong by an unknown-but-declared amount. It stays inert forever
+    /// — rejoining would reuse Vm sequence numbers and resurrect value
+    /// its peers already absorbed.
+    media_failed: bool,
+    obs: Obs,
+}
+
+impl Durable {
+    /// A fresh site's stable storage: the genesis records of its quota
+    /// split (`quotas[i]` of item `i`), forced.
+    pub(super) fn genesis(site: NodeId, quotas: &[Qty]) -> Self {
+        let mut log = StableLog::new();
+        for (i, &qty) in quotas.iter().enumerate() {
+            let item = ItemId(i as u32);
+            log.append(SiteRecord::Init { item, qty });
+        }
+        log.force();
+        Durable {
+            site,
+            log,
+            checkpoint: CheckpointSlot::new(),
+            redo_covered: 0,
+            needs_flush: false,
+            vm_ops_scratch: Vec::new(),
+            last_replayed: 0,
+            media_failed: false,
+            obs: Obs::disabled(),
+        }
+    }
+
+    pub(super) fn set_obs(&mut self, obs: Obs) {
+        self.log.set_obs(obs.clone(), self.site as u32);
+        self.obs = obs;
+    }
+
+    pub(super) fn log(&self) -> &SiteLog {
+        &self.log
+    }
+
+    pub(super) fn media_failed(&self) -> bool {
+        self.media_failed
+    }
+
+    pub(super) fn last_replayed(&self) -> u64 {
+        self.last_replayed
+    }
+
+    pub(super) fn append(&mut self, rec: impl Borrow<SiteRecord>) {
+        self.log.append(rec);
+    }
+
+    /// Append the `[database-actions, message-sequence]` record of a
+    /// one-op redistribution step. The log encodes at append and keeps no
+    /// record, so the op list is a retained scratch lent to the record
+    /// for the duration of the call: the step allocates nothing.
+    pub(super) fn append_rds(&mut self, txn: Ts, actions: DbActions, op: VmLogOp) {
+        let mut vm_ops = std::mem::take(&mut self.vm_ops_scratch);
+        vm_ops.push(op);
+        let rec = SiteRecord::Rds {
+            txn,
+            actions,
+            vm_ops,
+        };
+        self.log.append(&rec);
+        if let SiteRecord::Rds { mut vm_ops, .. } = rec {
+            vm_ops.clear();
+            self.vm_ops_scratch = vm_ops;
+        }
+    }
+
+    /// A record that must be durable before any frame of this dispatch
+    /// leaves was just appended: the flush boundary owes one force.
+    pub(super) fn owe_force(&mut self) {
+        self.needs_flush = true;
+    }
+
+    /// Force the unforced tail now, ahead of the flush boundary (the
+    /// armed-crashpoint paths). Forcing early is always safe — only
+    /// *missing* forces endanger durability.
+    pub(super) fn force_now(&mut self) {
+        self.log.force_if_dirty();
+    }
+
+    /// Group commit: a single force at the flush boundary hardens every
+    /// record appended while handling the current event — *before* any
+    /// frame leaves the site, so the paper's force-before-send
+    /// discipline holds per datagram. It runs only when the dispatch
+    /// appended a record that needs it; ack-only dispatches stay lazy.
+    pub(super) fn force_at_flush(&mut self) {
+        if self.needs_flush {
+            self.log.force_if_dirty();
+            self.needs_flush = false;
+        }
+    }
+
+    /// The crash: the flush debt dies with the unforced tail it tracked.
+    /// Hands back the raw stable media, for the fault injector to decay.
+    pub(super) fn crash(
+        &mut self,
+        torn: TornWrite,
+    ) -> (&mut SiteLog, &mut CheckpointSlot<SiteSnapshot>) {
+        self.needs_flush = false;
+        self.log.crash_torn(torn);
+        (&mut self.log, &mut self.checkpoint)
+    }
+
+    /// Once the *un-checkpointed* stable suffix has reached `limit`
+    /// records, install a checkpoint of `frags` and `vm` and return its
+    /// redo point. (Not total log length: two-generation retention keeps
+    /// the whole previous window in the log — see
+    /// [`truncate_checkpointed`](Self::truncate_checkpointed) — so a
+    /// total-length trigger would fire on every flush once the first
+    /// window filled.) Only *forced* state may enter the snapshot; force
+    /// first so the snapshot and the redo point agree.
+    pub(super) fn checkpoint_if_due(
+        &mut self,
+        limit: usize,
+        frags: &FragmentStore,
+        vm: &VmEndpoint,
+    ) -> Option<Lsn> {
+        if self.log.stable_len() - self.redo_covered < limit {
+            return None;
+        }
+        self.log.force();
+        let redo_from = self.log.next_lsn();
+        self.checkpoint.install(
+            redo_from,
+            SiteSnapshot {
+                frag_vals: frags.snapshot(),
+                frag_ts: frags.ts_snapshot(),
+                vm: vm.snapshot(),
+            },
+        );
+        Some(redo_from)
+    }
+
+    /// Drop the log prefix the installed checkpoints cover. Retain back
+    /// to the *older* generation's redo point, not the new one's: if the
+    /// slot just written rots, recovery falls back a generation and must
+    /// still find that generation's redo suffix in the log.
+    pub(super) fn truncate_checkpointed(&mut self) {
+        self.log.truncate_before(self.checkpoint.redo_floor());
+        self.redo_covered = self.log.stable_len();
+    }
+
+    /// The Section 7 recovery scan: reconstruct fragments, timestamps,
+    /// and Vm state purely from the local stable log.
+    pub(super) fn rebuild(
+        &mut self,
+        skip_redo: bool,
+        frags: &mut FragmentStore,
+        vm: &mut VmEndpoint,
+        metrics: &mut SiteMetrics,
+    ) {
+        let site = self.site as u32;
+        // Re-verify the checkpoint slots from their durable bytes first: a
+        // rotten newest slot must surface *now*, as a generation fallback,
+        // not be masked by a stale decoded cache.
+        let mut lost_snapshot = false;
+        if let Some(fb) = self.checkpoint.refresh() {
+            metrics.checkpoint_fallbacks += 1;
+            lost_snapshot = fb.used_generation.is_none();
+            self.obs.emit_with(site, || EventKind::CheckpointFallback {
+                bad_generation: fb.bad_generation,
+                used_generation: fb.used_generation.unwrap_or(0),
+            });
+        }
+        // Start from the newest *verifying* checkpoint image (if any),
+        // then redo the log suffix. Records before the checkpoint were
+        // truncated away — unless the crash landed between checkpoint
+        // installation and log truncation, in which case the LSN skip
+        // in `redo_entries` keeps the redo from double-applying the
+        // snapshotted prefix. A generation fallback lengthens the redo:
+        // the log retains back to the older generation's redo point
+        // exactly for this.
+        match self.checkpoint.load() {
+            Some(cp) => {
+                frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
+                vm.restore(&cp.snapshot.vm);
+            }
+            None => frags.reset(),
+        }
+        let redo_from = self.checkpoint.redo_from();
+        let entries = match self.log.recover_salvage() {
+            SalvageOutcome::Clean { entries } => entries,
+            SalvageOutcome::TailTear {
+                entries,
+                bytes_dropped,
+                ..
+            } => {
+                // WAL-style: the torn tail frame never committed; the
+                // salvage scan dropped it and repaired the image so later
+                // scans see a clean log.
+                metrics.torn_crashes += 1;
+                metrics.torn_bytes_dropped += bytes_dropped;
+                entries
+            }
+            SalvageOutcome::MediaDamage {
+                entries,
+                dropped,
+                report,
+            } => {
+                // A *durable* record rotted: the log was truncated at the
+                // first bad record. Declare an upper bound on the value
+                // each dropped record could have displaced, then decide
+                // whether the surviving checkpoint covers the loss.
+                metrics.salvages += 1;
+                metrics.salvaged_records_lost += report.records_lost;
+                metrics.salvaged_bytes_lost += report.bytes_lost;
+                self.obs.emit_with(site, || EventKind::Salvage {
+                    first_bad_lsn: report.first_bad_lsn.0,
+                    records_lost: report.records_lost,
+                    bytes_lost: report.bytes_lost,
+                });
+                let mut uncovered = 0u64;
+                for (lsn, rec) in &dropped {
+                    if *lsn < redo_from {
+                        // The snapshot already reflects this record; its
+                        // loss from the log costs nothing.
+                        continue;
+                    }
+                    uncovered += 1;
+                    declare_damage(&mut metrics.salvage_damage, rec);
+                }
+                if uncovered > 0 {
+                    self.quarantine(uncovered, metrics);
+                }
+                entries
+            }
+        };
+        if lost_snapshot {
+            // Every checkpoint generation failed verification; only the
+            // log remains. If its genesis prefix survives, a full replay
+            // reconstructs everything and nothing was lost. If it was
+            // already truncated by a checkpoint, the snapshot's effects
+            // are unreconstructible — and unboundable.
+            let genesis_intact = entries.first().map(|(l, _)| *l) == Some(Lsn::FIRST);
+            if !genesis_intact {
+                metrics.salvage_unbounded = true;
+                self.quarantine(0, metrics);
+            }
+        }
+        self.redo_covered = entries.partition_point(|(lsn, _)| *lsn < redo_from);
+        if !skip_redo {
+            self.last_replayed = (entries.len() - self.redo_covered) as u64;
+            redo_entries(frags, vm, &entries, redo_from);
+        }
+    }
+
+    /// Enter media-failure quarantine (once): committed effects were
+    /// destroyed beyond what any checkpoint generation covers. The site
+    /// stays up in the simulator but refuses every event from now on
+    /// (see the guards in the `Node` impl) — serving its salvaged state
+    /// could double-pay or lose value, and its peers' timeouts already
+    /// handle an unresponsive site safely.
+    fn quarantine(&mut self, records_lost: u64, metrics: &mut SiteMetrics) {
+        if self.media_failed {
+            return;
+        }
+        self.media_failed = true;
+        metrics.media_failures += 1;
+        self.obs
+            .emit_with(self.site as u32, || EventKind::MediaFailure {
+                records_lost,
+            });
+    }
+
+    /// Reconstruct the site's durable state — fragments over `items`
+    /// items and Vm channels — from the checkpoint slot and stable log
+    /// alone, touching nothing live.
+    pub(super) fn rebuilt_state(&self, items: usize, vm: VmConfig) -> (FragmentStore, VmEndpoint) {
+        let mut frags = FragmentStore::new(items);
+        let mut vm = VmEndpoint::new(self.site, vm);
+        if let Some(cp) = self.checkpoint.load() {
+            frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
+            vm.restore(&cp.snapshot.vm);
+        }
+        let recovered = self.log.recover_lenient();
+        redo_entries(
+            &mut frags,
+            &mut vm,
+            &recovered.entries,
+            self.checkpoint.redo_from(),
+        );
+        (frags, vm)
+    }
+}
+
+/// Accumulate the per-item damage *upper bound* a salvage-dropped record
+/// represents: the magnitude of every fragment delta it applied plus the
+/// amount of every Vm payload it created. This is deliberately a bound,
+/// not an exact loss — a dropped `Created` whose frame is still sitting
+/// in a live sender's retransmit queue costs nothing, and a dropped
+/// `Commit` *resurrects* value (negative discrepancy). The media-aware
+/// conservation oracle checks |discrepancy| against the declared total.
+fn declare_damage(damage: &mut BTreeMap<ItemId, u64>, rec: &SiteRecord) {
+    match rec {
+        SiteRecord::Init { item, qty } => *damage.entry(*item).or_insert(0) += qty,
+        SiteRecord::Rds { actions, .. } | SiteRecord::Commit { actions, .. } => {
+            for &(item, delta) in actions {
+                *damage.entry(item).or_insert(0) += delta.unsigned_abs();
+            }
+        }
+        SiteRecord::Applied { .. } => {}
+    }
+    if let SiteRecord::Rds { vm_ops, .. } = rec {
+        for op in vm_ops {
+            if let VmLogOp::Created { payload, .. } = op {
+                if let Ok(t) = Transfer::from_bytes(payload) {
+                    *damage.entry(t.item).or_insert(0) += t.amount;
+                }
+            }
+        }
+    }
+}
+
+/// Redo the log suffix at or past `redo_from` onto `frags`/`vm` (the
+/// shared core of live recovery and the pure rebuild oracle). Entries
+/// below `redo_from` are already reflected in the checkpoint snapshot.
+fn redo_entries(
+    frags: &mut FragmentStore,
+    vm: &mut VmEndpoint,
+    entries: &[(Lsn, SiteRecord)],
+    redo_from: Lsn,
+) {
+    for (_, rec) in entries.iter().filter(|(lsn, _)| *lsn >= redo_from) {
+        match rec {
+            SiteRecord::Init { item, qty } => frags.credit(*item, *qty),
+            SiteRecord::Rds { txn, actions, .. } | SiteRecord::Commit { txn, actions } => {
+                for &(item, delta) in actions {
+                    frags.apply_delta(item, delta);
+                    frags.bump_ts(item, *txn);
+                }
+            }
+            SiteRecord::Applied { .. } => {}
+        }
+        if let SiteRecord::Rds { vm_ops, .. } = rec {
+            for op in vm_ops {
+                vm.replay(op);
+            }
+        }
+    }
+}
