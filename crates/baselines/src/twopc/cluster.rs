@@ -1,0 +1,175 @@
+//! Cluster builder and cluster-wide checks (mirrors `dvp_core::Cluster`).
+
+use super::{TradConfig, TradNode};
+use crate::metrics::TradClusterMetrics;
+use dvp_core::clock::Ts;
+use dvp_core::item::Catalog;
+use dvp_core::txn::TxnSpec;
+use dvp_obs::Obs;
+use dvp_simnet::network::NetworkConfig;
+use dvp_simnet::sim::Simulation;
+use dvp_simnet::time::SimTime;
+use dvp_simnet::NodeId;
+use std::collections::BTreeMap;
+
+/// Configuration of a traditional cluster (mirrors `dvp_core::ClusterConfig`).
+#[derive(Clone, Debug)]
+pub struct TradClusterConfig {
+    /// Number of sites.
+    pub n_sites: usize,
+    /// Items (initial totals; every site replicates every item).
+    pub catalog: Catalog,
+    /// Engine configuration.
+    pub trad: TradConfig,
+    /// Network model.
+    pub net: NetworkConfig,
+    /// Crash/recovery schedule (pairs of `(when, site)`).
+    pub crashes: Vec<(SimTime, NodeId)>,
+    /// Recovery schedule.
+    pub recoveries: Vec<(SimTime, NodeId)>,
+    /// Per-site workload scripts.
+    pub scripts: Vec<Vec<(SimTime, TxnSpec)>>,
+    /// RNG seed.
+    pub seed: u64,
+    /// Structured trace handle shared by the kernel and every site.
+    pub obs: Obs,
+}
+
+impl TradClusterConfig {
+    /// A minimal config.
+    pub fn new(n: usize, catalog: Catalog) -> Self {
+        TradClusterConfig {
+            n_sites: n,
+            catalog,
+            trad: TradConfig::default(),
+            net: NetworkConfig::reliable(),
+            crashes: Vec::new(),
+            recoveries: Vec::new(),
+            scripts: vec![Vec::new(); n],
+            seed: 0,
+            obs: Obs::disabled(),
+        }
+    }
+
+    /// Append a transaction arrival.
+    pub fn at(mut self, site: NodeId, when: SimTime, spec: TxnSpec) -> Self {
+        self.scripts[site].push((when, spec));
+        self
+    }
+}
+
+/// A built traditional cluster.
+pub struct TradCluster {
+    /// The simulation.
+    pub sim: Simulation<TradNode>,
+    /// The catalog.
+    pub catalog: Catalog,
+}
+
+impl TradCluster {
+    /// Instantiate the simulation.
+    pub fn build(cfg: TradClusterConfig) -> TradCluster {
+        let n = cfg.n_sites;
+        assert!(n > 0);
+        assert_eq!(cfg.scripts.len(), n);
+        let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
+        let nodes: Vec<TradNode> = (0..n)
+            .map(|s| {
+                let script: Vec<TxnSpec> = cfg.scripts[s]
+                    .iter()
+                    .map(|(_, spec)| spec.clone())
+                    .collect();
+                let mut node = TradNode::new(s, n, cfg.trad, totals.clone(), script);
+                node.set_obs(cfg.obs.clone());
+                node
+            })
+            .collect();
+        let mut sim = Simulation::new(nodes, cfg.net, cfg.seed);
+        sim.set_obs(cfg.obs);
+        for (s, script) in cfg.scripts.iter().enumerate() {
+            for (idx, (when, _)) in script.iter().enumerate() {
+                sim.schedule_external(*when, s, idx as u64);
+            }
+        }
+        for (when, site) in cfg.crashes {
+            sim.schedule_crash(when, site);
+        }
+        for (when, site) in cfg.recoveries {
+            sim.schedule_recover(when, site);
+        }
+        TradCluster {
+            sim,
+            catalog: cfg.catalog,
+        }
+    }
+
+    /// Run until `deadline`.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.sim.run_until(deadline);
+    }
+
+    /// Collect metrics.
+    pub fn metrics(&self) -> TradClusterMetrics {
+        TradClusterMetrics {
+            sites: self.sim.nodes().iter().map(|s| s.metrics()).collect(),
+        }
+    }
+
+    /// Cluster-wide stable-log counters (forces, appends, batch sizes) —
+    /// the engine benchmarks report `forces / committed` from these.
+    pub fn log_stats(&self) -> dvp_storage::LogStats {
+        let mut total = dvp_storage::LogStats::default();
+        for site in self.sim.nodes() {
+            total.merge(&site.log().stats());
+        }
+        total
+    }
+
+    /// Did every site that acted on a transaction act on the **same**
+    /// decision? Always true for 2PC (it blocks instead of guessing);
+    /// 3PC's termination rule can diverge under partitions.
+    pub fn check_decision_consistency(&self) -> Result<(), String> {
+        let mut seen: BTreeMap<Ts, (bool, usize)> = BTreeMap::new();
+        for (site, node) in self.sim.nodes().iter().enumerate() {
+            for (&txn, &commit) in node.resolutions() {
+                match seen.get(&txn) {
+                    None => {
+                        seen.insert(txn, (commit, site));
+                    }
+                    Some(&(prev, prev_site)) if prev != commit => {
+                        return Err(format!(
+                            "txn {txn:?} diverged: site {prev_site} resolved {prev},                              site {site} resolved {commit}"
+                        ));
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// At healthy quiescence: the max-version replica value of each item
+    /// must equal the initial total adjusted by all committed deltas.
+    pub fn check_replica_convergence(&self) -> Result<(), String> {
+        for def in self.catalog.items() {
+            let best = (0..self.sim.nodes().len())
+                .map(|s| self.sim.node(s).replica(def.id))
+                .max_by_key(|&(_, version)| version)
+                .unwrap();
+            // Expected: initial + committed deltas. Committed deltas are not
+            // journaled per item in the baseline; instead verify majority
+            // agreement on the max version.
+            let n = self.sim.nodes().len();
+            let agree = (0..n)
+                .filter(|&s| self.sim.node(s).replica(def.id) == best)
+                .count();
+            if agree < n / 2 + 1 && best.1 > 0 {
+                return Err(format!(
+                    "item {:?}: only {agree}/{n} replicas hold the latest version {}",
+                    def.id, best.1
+                ));
+            }
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,246 @@
+//! The participant role: grant locks, force `Prepared` and vote, then
+//! sit in doubt until an outcome arrives — from the coordinator, from a
+//! query, or (3PC) from the termination protocol.
+
+use super::locks::Request;
+use super::msg::{TradBody, TradMsg};
+use super::{TradNode, RETRY_EVERY, TAG_PART_UNPREPARED, TAG_QUERY_RETRY, UNPREPARED_TIMEOUT};
+use crate::record::{TradRecord, VersionedWrite};
+use dvp_core::clock::Ts;
+use dvp_core::ItemId;
+use dvp_simnet::node::Context;
+use dvp_simnet::time::SimTime;
+use dvp_simnet::NodeId;
+use std::collections::BTreeSet;
+
+/// One transaction this site holds locks for. Volatile; a prepared one
+/// is rebuilt from its `Prepared` record at recovery.
+#[derive(Clone, Debug, Default)]
+pub(super) struct PartTxn {
+    pub(super) coordinator: NodeId,
+    items: BTreeSet<ItemId>,
+    /// `Some` from the YES vote on: the transaction is in doubt.
+    pub(super) prepared_writes: Option<Vec<VersionedWrite>>,
+    pub(super) in_doubt_since: Option<SimTime>,
+    /// 3PC: pre-commit received (commit is inevitable barring total loss).
+    pub(super) precommitted: bool,
+    /// Fellow writers (for cooperative termination).
+    pub(super) peers: Vec<NodeId>,
+    /// Termination-protocol rounds attempted while in doubt.
+    pub(super) term_attempts: u32,
+}
+
+impl TradNode {
+    pub(super) fn on_lock_req(
+        &mut self,
+        from: NodeId,
+        ts: Ts,
+        item: ItemId,
+        ctx: &mut Context<'_, TradMsg>,
+    ) {
+        match self.locks.request(item, ts, from) {
+            Request::Queued => {}
+            // A duplicate request is re-granted idempotently.
+            Request::Held => self.grant(from, ts, item),
+            Request::Granted => {
+                self.track_part(ts, from, item, ctx);
+                self.grant(from, ts, item);
+            }
+        }
+    }
+
+    fn track_part(
+        &mut self,
+        ts: Ts,
+        coordinator: NodeId,
+        item: ItemId,
+        ctx: &mut Context<'_, TradMsg>,
+    ) {
+        let newly = !self.part.contains_key(&ts);
+        let p = self.part.entry(ts).or_insert_with(|| PartTxn {
+            coordinator,
+            ..Default::default()
+        });
+        p.items.insert(item);
+        if newly {
+            ctx.set_timer(UNPREPARED_TIMEOUT, TAG_PART_UNPREPARED | ts.0);
+        }
+    }
+
+    fn grant(&mut self, to: NodeId, ts: Ts, item: ItemId) {
+        let (value, version) = self.replica.get(item);
+        self.send(
+            to,
+            TradBody::LockGrant {
+                txn: ts,
+                item,
+                value,
+                version,
+            },
+        );
+    }
+
+    pub(super) fn on_prepare(
+        &mut self,
+        from: NodeId,
+        ts: Ts,
+        writes: Vec<VersionedWrite>,
+        peers: Vec<u64>,
+        ctx: &mut Context<'_, TradMsg>,
+    ) {
+        let holds_all = self
+            .part
+            .get(&ts)
+            .map(|p| writes.iter().all(|(i, _, _)| p.items.contains(i)))
+            .unwrap_or(false);
+        if !holds_all {
+            // We released (unprepared timeout) or never knew it: vote NO.
+            self.send(
+                from,
+                TradBody::Vote {
+                    txn: ts,
+                    yes: false,
+                },
+            );
+            return;
+        }
+        self.log.append(TradRecord::Prepared {
+            txn: ts,
+            coordinator: from as u64,
+            writes: writes.clone(),
+        });
+        {
+            let p = self.part.get_mut(&ts).expect("checked above");
+            p.prepared_writes = Some(writes);
+            p.in_doubt_since = Some(ctx.now());
+            p.peers = peers
+                .into_iter()
+                .map(|x| x as NodeId)
+                .filter(|&s| s != self.id)
+                .collect();
+        }
+        self.metrics.in_doubt_entered += 1;
+        self.send(from, TradBody::Vote { txn: ts, yes: true });
+        // Start querying if the decision does not arrive.
+        ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
+    }
+
+    /// 3PC: the pre-commit round.
+    pub(super) fn on_precommit(&mut self, from: NodeId, ts: Ts) {
+        if let Some(p) = self.part.get_mut(&ts) {
+            if p.prepared_writes.is_some() {
+                p.precommitted = true;
+            }
+        }
+        // Ack regardless: if we already resolved, the coordinator should
+        // stop waiting on us.
+        self.send(from, TradBody::PreAck { txn: ts });
+    }
+
+    pub(super) fn on_decision(
+        &mut self,
+        from: NodeId,
+        ts: Ts,
+        commit: bool,
+        ctx: &mut Context<'_, TradMsg>,
+    ) {
+        let Some(p) = self.part.remove(&ts) else {
+            // Already resolved: just (re-)ack so the coordinator stops.
+            self.send(from, TradBody::DecisionAck { txn: ts });
+            return;
+        };
+        let coordinator = p.coordinator;
+        self.resolve(ts, p, commit, ctx);
+        self.send(coordinator, TradBody::DecisionAck { txn: ts });
+    }
+
+    /// The one way a participant transaction ends once its outcome is
+    /// known: install on commit, log `Resolved`, close the in-doubt
+    /// window, hand the locks on.
+    pub(super) fn resolve(
+        &mut self,
+        ts: Ts,
+        p: PartTxn,
+        commit: bool,
+        ctx: &mut Context<'_, TradMsg>,
+    ) {
+        if let (true, Some(writes)) = (commit, &p.prepared_writes) {
+            self.replica.install(writes);
+        }
+        self.log.append(TradRecord::Resolved { txn: ts, commit });
+        if p.prepared_writes.is_some() {
+            self.resolutions.insert(ts, commit);
+        }
+        if let Some(since) = p.in_doubt_since {
+            self.metrics
+                .record_in_doubt(ctx.now().since(since).as_micros());
+        }
+        for item in p.items {
+            self.release_lock(ts, item, ctx);
+        }
+    }
+
+    /// Give up an *unprepared* transaction's locks (the coordinator said
+    /// so, or the unprepared timeout fired). A prepared one stays put.
+    pub(super) fn on_release(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
+        if self
+            .part
+            .get(&ts)
+            .is_some_and(|p| p.prepared_writes.is_some())
+        {
+            return;
+        }
+        if let Some(p) = self.part.remove(&ts) {
+            for item in p.items {
+                self.release_lock(ts, item, ctx);
+            }
+        }
+        self.locks.forget_waiter(ts);
+    }
+
+    /// The unprepared timeout fired: safe to walk away, it has not voted.
+    pub(super) fn on_unprepared_timeout(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
+        let unprepared = |p: &PartTxn| p.prepared_writes.is_none();
+        if self.part.get(&ts).is_some_and(unprepared) {
+            self.on_release(ts, ctx);
+        }
+    }
+
+    fn release_lock(&mut self, ts: Ts, item: ItemId, ctx: &mut Context<'_, TradMsg>) {
+        // FIFO handoff.
+        if let Some((next_ts, next_from)) = self.locks.release(item, ts) {
+            self.track_part(next_ts, next_from, item, ctx);
+            self.grant(next_from, next_ts, item);
+        }
+    }
+
+    /// Recovery found `txn` prepared and unresolved: take its locks back,
+    /// sit in doubt again, and ask the coordinator — the dependent part
+    /// of traditional recovery.
+    pub(super) fn reenter_in_doubt(
+        &mut self,
+        txn: Ts,
+        coordinator: NodeId,
+        writes: Vec<VersionedWrite>,
+        ctx: &mut Context<'_, TradMsg>,
+    ) {
+        let items: BTreeSet<ItemId> = writes.iter().map(|(i, _, _)| *i).collect();
+        for &item in &items {
+            self.locks.retake(item, txn);
+        }
+        self.part.insert(
+            txn,
+            PartTxn {
+                coordinator,
+                items,
+                prepared_writes: Some(writes),
+                in_doubt_since: Some(ctx.now()),
+                // A pre-commit is not logged: it recovers as uncertain.
+                ..Default::default()
+            },
+        );
+        self.metrics.recovery_remote_messages += 1;
+        self.send(coordinator, TradBody::DecisionQuery { txn });
+        ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | txn.0);
+    }
+}

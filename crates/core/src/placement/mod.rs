@@ -7,11 +7,20 @@
 //! the code: the [`Planner`] owns everything a site remembers about
 //! placement and every placement constant, and sees the site only
 //! through the two per-item facts of a caller-supplied [`View`]. It
-//! holds no fragment, no log, no lock table and no kernel handle, so
-//! "hints are safety-inert" holds by construction (a guard test below
-//! keeps those names out of this file). All of its state is volatile:
-//! [`Planner::reset`] is what a crash does to it. DESIGN.md §4h has the
-//! API table.
+//! holds no fragment, no log, no lock table, no kernel handle and no
+//! transport, so "hints are safety-inert" holds by construction (a guard
+//! test keeps those names out of this directory). All of its state is
+//! volatile: [`Planner::reset`] is what a crash does to it. DESIGN.md
+//! §4h has the API table.
+//!
+//! Inbound hints, demand estimation and solicitation targeting live
+//! here, with the periodic rebalance tick; `gossip` owns everything
+//! outbound (the per-peer offers and the gate on what rides each
+//! datagram).
+
+mod gossip;
+
+pub use gossip::Section;
 
 use crate::dense::SVec;
 use crate::item::ItemId;
@@ -19,7 +28,7 @@ use crate::policy::{Fanout, HintChaos, Placement};
 use crate::Qty;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_simnet::NodeId;
-use dvp_vmsg::{HINT_RESEND_AFTER_US, HINT_WINDOW_BUDGET};
+use gossip::Gossip;
 
 /// How often the demand-driven rebalancer wakes. Each tick costs an
 /// O(items · peers) demand scan plus a Vm flush on every site, so the
@@ -36,23 +45,13 @@ const REACTIVE_SURPLUS_FACTOR: f64 = 2.0;
 const DEMAND_GAIN: f64 = 0.25;
 /// Advertised-surplus hints older than this are ignored by
 /// [`Fanout::Hinted`] targeting (volatile gossip must expire). Twice the
-/// endpoint's resend window, so every advertised (item, peer) pair is
+/// senders' resend window, so every advertised (item, peer) pair is
 /// re-gossiped at least twice inside it.
-const HINT_TTL: SimDuration = SimDuration::micros(2 * HINT_RESEND_AFTER_US);
+const HINT_TTL: SimDuration = SimDuration::micros(2 * gossip::HINT_RESEND_AFTER_US);
 /// A donor keeps `HEADROOM ×` its own predicted demand before counting
 /// value as spareable surplus (for advertisement, predictive refill and
 /// the rebalancer alike).
 const HEADROOM: f64 = 1.5;
-/// Demand floor for targeted hints: one recent solicitation (EWMA
-/// contribution `gain * qty`) stays above it for roughly the hint TTL
-/// under the per-tick decay, so exactly the peers that asked lately
-/// keep receiving updates.
-const HINT_DEMAND_FLOOR: f64 = 0.1;
-/// Scope-to-budget fanout: each advertised item goes to at most this
-/// many peers — the ones soliciting it hardest (ties to the lower peer
-/// id). Under uniform access every peer clears the bare demand floor,
-/// which would re-spread the per-window hint budget (n-1) ways.
-const HINT_FANOUT: usize = 2;
 /// Persistence gate of the adaptive rebalancer: a genuine demand
 /// gradient keeps the same (item, peer) pair on top across ticks,
 /// because the hot peer keeps soliciting faster than the EWMA decays.
@@ -143,13 +142,6 @@ pub struct Planner {
     /// expire sooner and solicitation falls back to broadcast instead of
     /// burning timeouts on dead ends.
     hint_confidence: f64,
-    /// Sim-instant (µs) of the last gossip recompute, `None` before the
-    /// first. Recomputing the per-peer lists costs an O(items · peers)
-    /// sweep, so it runs at most once per `HINT_TTL` instead of on every
-    /// flush — the endpoint's gate decides what actually goes on the
-    /// wire, so recomputing any faster changes no bytes (verified
-    /// identical wire/hint counts at quarter-TTL cadence).
-    last_hint_refresh: Option<u64>,
     /// The rebalancer's current top (item, peer) candidate and how many
     /// consecutive ticks it has stayed on top (the persistence gate).
     rebalance_candidate: Option<(ItemId, NodeId, u32)>,
@@ -158,11 +150,8 @@ pub struct Planner {
     suspect_until: Vec<Option<SimTime>>,
     /// Round-robin pointer for [`Fanout::One`].
     rr: usize,
-    /// Gossip recompute buffers, retained so the hinted fast path
-    /// allocates nothing per dispatch.
-    hint_refresh_scratch: Vec<(u32, Qty)>,
-    peer_hint_scratch: Vec<(u32, Qty)>,
-    hint_fanout_scratch: Vec<[NodeId; HINT_FANOUT]>,
+    /// What is on offer to each peer and what each was last told.
+    gossip: Gossip,
 }
 
 impl Planner {
@@ -180,13 +169,10 @@ impl Planner {
             peer_demand: vec![0.0; k * n],
             hint_table: vec![None; k * n],
             hint_confidence: 1.0,
-            last_hint_refresh: None,
             rebalance_candidate: None,
             suspect_until: vec![None; n],
             rr: (id + 1) % n.max(1),
-            hint_refresh_scratch: Vec::new(),
-            peer_hint_scratch: Vec::new(),
-            hint_fanout_scratch: Vec::new(),
+            gossip: Gossip::new(n),
         }
     }
 
@@ -326,95 +312,6 @@ impl Planner {
         }
         let spare = spare(have, self.own_demand[item.0 as usize]);
         demand.saturating_sub(need).min(spare.saturating_sub(base))
-    }
-
-    /// Recompute the availability hints offered to outgoing datagrams —
-    /// at most once per `HINT_TTL`, and only under the adaptive policy —
-    /// handing `offer` one list per peer: the top few items by spareable
-    /// surplus, targeted per peer by observed demand. A peer only
-    /// receives the hints for items it has recently solicited, because a
-    /// surplus figure for an item a peer never asks about is gossip it
-    /// can never act on. Advisory — a peer believing a stale figure only
-    /// wastes a solicitation.
-    pub fn gossip(
-        &mut self,
-        now: SimTime,
-        view: &impl View,
-        mut offer: impl FnMut(NodeId, &[(u32, Qty)]),
-    ) {
-        if !self.policy.is_adaptive() {
-            return;
-        }
-        let now_us = now.micros();
-        if self
-            .last_hint_refresh
-            .is_some_and(|t| now_us.saturating_sub(t) < HINT_TTL.as_micros())
-        {
-            return;
-        }
-        self.last_hint_refresh = Some(now_us);
-        let hints = &mut self.hint_refresh_scratch;
-        hints.clear();
-        for (idx, &own) in self.own_demand.iter().enumerate() {
-            let s = spare(view.have(ItemId(idx as u32)), own);
-            if s > 0 {
-                hints.push((idx as u32, s));
-            }
-        }
-        hints.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        // Scope-to-budget matching: the endpoint's gate admits only
-        // `HINT_WINDOW_BUDGET` entries per resend window, so gossiping a
-        // longer list spreads that budget across more (item, peer) pairs
-        // than it can keep fresh — every table entry ends up older than
-        // the TTL and the hinted path starves. Advertise only the few
-        // best surpluses (and, below, only to the couple of peers most
-        // likely to act) so each advertised pair is re-gossiped well
-        // inside the TTL.
-        hints.truncate(HINT_WINDOW_BUDGET as usize);
-        // Second half of scope-to-budget: each advertised item goes only
-        // to its `HINT_FANOUT` hardest-soliciting peers above the demand
-        // floor. Rank once per item — one O(peers) pass filling a top-k
-        // insertion array (ascending peer order, strictly-greater
-        // replacement, so ties keep the lower id) — instead of re-ranking
-        // the whole peer set for every (peer, item) pair.
-        let fanout = &mut self.hint_fanout_scratch;
-        fanout.clear();
-        for &(item, _) in hints.iter() {
-            let base = item as usize * self.n;
-            let mut top = [usize::MAX; HINT_FANOUT];
-            let mut top_d = [0.0f64; HINT_FANOUT];
-            for q in 0..self.n {
-                if q == self.id {
-                    continue;
-                }
-                let mut cand = (self.peer_demand[base + q], q);
-                if cand.0 < HINT_DEMAND_FLOOR {
-                    continue;
-                }
-                for k in 0..HINT_FANOUT {
-                    if top[k] == usize::MAX || cand.0 > top_d[k] {
-                        std::mem::swap(&mut cand.0, &mut top_d[k]);
-                        std::mem::swap(&mut cand.1, &mut top[k]);
-                        if cand.1 == usize::MAX {
-                            break;
-                        }
-                    }
-                }
-            }
-            fanout.push(top);
-        }
-        let filtered = &mut self.peer_hint_scratch;
-        for peer in (0..self.n).filter(|&p| p != self.id) {
-            filtered.clear();
-            filtered.extend(
-                hints
-                    .iter()
-                    .zip(fanout.iter())
-                    .filter(|(_, top)| top.contains(&peer))
-                    .map(|(&h, _)| h),
-            );
-            offer(peer, filtered);
-        }
     }
 
     /// One rebalance tick: the spontaneous Rds transfers to make now,
@@ -617,274 +514,4 @@ impl Planner {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::policy::{AdaptivePlacement, ReactivePlacement};
-
-    /// A site as the planner sees it: `have[i]` / `locked[i]` of item `i`.
-    struct Site(Vec<Qty>, Vec<bool>);
-
-    impl View for Site {
-        fn have(&self, item: ItemId) -> Qty {
-            self.0[item.0 as usize]
-        }
-        fn locked(&self, item: ItemId) -> bool {
-            self.1[item.0 as usize]
-        }
-    }
-
-    const A: ItemId = ItemId(0);
-    const B: ItemId = ItemId(1);
-
-    fn at(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::millis(ms)
-    }
-
-    /// Site 0 of 4 with 100 of each of two items, under `policy`.
-    fn planner(policy: Placement) -> (Planner, Site) {
-        let site = Site(vec![100, 100], vec![false, false]);
-        (Planner::new(0, 4, policy, site.0.clone()), site)
-    }
-
-    fn adaptive(fanout: Fanout, chaos: HintChaos) -> Placement {
-        Placement::Adaptive(AdaptivePlacement { fanout, chaos })
-    }
-
-    fn rebalancing() -> Placement {
-        Placement::Reactive(ReactivePlacement {
-            rebalance: true,
-            ..Default::default()
-        })
-    }
-
-    fn round_robin() -> Placement {
-        Placement::Reactive(ReactivePlacement {
-            fanout: Fanout::One,
-            ..Default::default()
-        })
-    }
-
-    fn one(peer: NodeId, hinted: Option<Qty>) -> Target {
-        Target::One { peer, hinted }
-    }
-
-    #[test]
-    fn ceil_qty_is_ceil_then_cast_for_every_kind_of_input() {
-        // 2^53 (every f64 from there up is whole) and 2^64 included.
-        let mut cases = vec![
-            0.0,
-            -0.0,
-            -3.5,
-            0.25,
-            1.0,
-            1.0 + f64::EPSILON,
-            2.5,
-            1e15 + 0.5,
-            9_007_199_254_740_992.0,
-            1.8446744073709552e19,
-            1e300,
-            f64::MIN_POSITIVE,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        // The shapes the call sites produce: HEADROOM x a decaying EWMA.
-        let mut e = 97.0f64;
-        for _ in 0..200 {
-            cases.push(HEADROOM * e);
-            e *= 1.0 - DEMAND_GAIN;
-        }
-        for x in cases {
-            assert_eq!(ceil_qty(x), x.ceil() as Qty, "x = {x:e}");
-        }
-    }
-
-    #[test]
-    fn rebalance_cadence_follows_the_policy() {
-        let every = |p| planner(p).0.rebalance_every();
-        assert_eq!(every(Placement::Static), None);
-        assert_eq!(every(Placement::reactive()), None);
-        assert_eq!(every(rebalancing()), Some(REACTIVE_REBALANCE_EVERY));
-        assert_eq!(every(Placement::adaptive()), Some(ADAPTIVE_REBALANCE_EVERY));
-    }
-
-    #[test]
-    fn reactive_arm_ships_every_excess_over_twice_quota_to_the_last_solicitor() {
-        let (mut p, mut site) = planner(rebalancing());
-        site.0 = vec![250, 230];
-        assert!(p.plan_rebalance(at(0), &site).is_empty(), "no signal");
-        p.peer_request(A, 2, 10, 0, false);
-        p.peer_request(B, 3, 0, 0, true);
-        let plan = p.plan_rebalance(at(25), &site);
-        assert_eq!(plan.as_slice(), &[(A, 2, 50), (B, 3, 30)]);
-        site.1[0] = true; // a locked item stays put
-        assert_eq!(p.plan_rebalance(at(50), &site).as_slice(), &[(B, 3, 30)]);
-    }
-
-    #[test]
-    fn adaptive_arm_ships_on_the_third_tick_the_same_pair_stays_on_top() {
-        let (mut p, site) = planner(Placement::adaptive());
-        let tick = |p: &mut Planner, hot: NodeId, k: u64| {
-            p.peer_request(B, hot, 40, 40, false);
-            p.plan_rebalance(at(100 * k), &site)
-        };
-        assert!(tick(&mut p, 2, 1).is_empty());
-        assert!(tick(&mut p, 2, 2).is_empty());
-        let third = tick(&mut p, 2, 3);
-        let &[(item, to, amount)] = third.as_slice() else {
-            panic!("third tick must ship once: {third:?}");
-        };
-        assert_eq!((item, to), (B, 2));
-        assert!((1..=100).contains(&amount));
-
-        // A different peer taking over the top restarts the streak.
-        let (mut p, _) = planner(Placement::adaptive());
-        assert!(tick(&mut p, 2, 1).is_empty());
-        assert!(tick(&mut p, 2, 2).is_empty());
-        p.peer_request(B, 3, 400, 400, false);
-        assert!(tick(&mut p, 3, 3).is_empty());
-    }
-
-    #[test]
-    fn adaptive_arm_never_ships_under_symmetric_demand() {
-        let (mut p, site) = planner(Placement::adaptive());
-        for k in 0..20 {
-            for peer in 1..4 {
-                p.peer_request(A, peer, 30, 30, false);
-            }
-            assert!(
-                p.plan_rebalance(at(100 * k), &site).is_empty(),
-                "no peer stands out: the contrast gate must hold at tick {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn target_skips_unusable_hints_and_debits_the_one_it_uses() {
-        let (mut p, _) = planner(Placement::adaptive());
-        p.hints_from(1, [(0, 5)], at(0)); // below the need
-        p.hints_from(2, [(0, 50)], at(0));
-        p.hints_from(3, [(0, 80), (7, 9)], at(0)); // item 7: not in the catalog
-        assert_eq!(p.target(B, 40, at(1)), Target::All, "no hint for B");
-        assert_eq!(p.target(A, 40, at(1)), one(3, Some(80)));
-        assert_eq!(p.target(A, 40, at(1)), one(2, Some(50)), "3 is down to 40");
-        assert_eq!(p.target(A, 40, at(1)), one(3, Some(40)));
-        assert_eq!(p.target(A, 40, at(1)), Target::All, "every hint is spent");
-
-        // A suspect's hint is skipped until the peer is heard from again.
-        let (mut p, _) = planner(Placement::adaptive());
-        p.hints_from(2, [(0, 50)], at(0));
-        p.hints_from(3, [(0, 80)], at(0));
-        p.solicit_timed_out(B, 3, false, at(100));
-        assert_eq!(p.target(A, 1, at(1)), one(2, Some(50)));
-        p.peer_alive(3);
-        assert_eq!(p.target(A, 1, at(1)), one(3, Some(80)));
-
-        // Hints expire at the TTL, and sooner once a hinted target timed out.
-        let ttl = HINT_TTL.as_micros() / 1_000;
-        let (mut p, _) = planner(Placement::adaptive());
-        p.hints_from(2, [(0, 50)], at(0));
-        let mut wary = p.clone();
-        wary.solicit_timed_out(B, 3, true, at(0));
-        assert_eq!(p.clone().target(A, 1, at(ttl)), one(2, Some(50)));
-        assert_eq!(p.target(A, 1, at(ttl + 1)), Target::All);
-        assert_eq!(wary.target(A, 1, at(ttl * 4 / 5)), Target::All);
-    }
-
-    #[test]
-    fn round_robin_skips_suspects_and_falls_back_when_all_are_suspect() {
-        let (mut p, _) = planner(round_robin());
-        let next = |p: &mut Planner, ms| match p.target(A, 1, at(ms)) {
-            Target::One { peer, hinted: None } => peer,
-            other => panic!("round-robin must pick one peer: {other:?}"),
-        };
-        let first: Vec<_> = (0..3).map(|_| next(&mut p, 0)).collect();
-        assert_eq!(first, [1, 2, 3]);
-        assert_eq!(next(&mut p, 0), 1, "wraps past itself");
-        p.solicit_timed_out(A, 2, false, at(100));
-        assert_eq!(next(&mut p, 1), 3, "2 is suspect");
-        assert_eq!(next(&mut p, 100), 1);
-        assert_eq!(next(&mut p, 100), 2, "suspicion lapsed at its deadline");
-        for peer in 1..4 {
-            p.solicit_timed_out(A, peer, false, at(500));
-        }
-        assert_eq!(next(&mut p, 200), 3, "all suspect: keep the rotation");
-        assert_eq!(next(&mut p, 200), 1);
-    }
-
-    #[test]
-    fn hint_chaos_at_the_ingest_and_target_boundary() {
-        let run = |chaos| {
-            let (mut p, _) = planner(adaptive(Fanout::Hinted, chaos));
-            p.hints_from(2, [(0, 50), (1, 20)], at(0));
-            p.hints_from(3, [(0, 80)], at(0));
-            let picks = [
-                p.target(A, 40, at(1)),
-                p.target(A, 40, at(1)),
-                p.target(B, 5, at(1)),
-            ];
-            (p, picks)
-        };
-        let (_, plain) = run(HintChaos::None);
-        assert_eq!(
-            plain,
-            [one(3, Some(80)), one(2, Some(50)), one(2, Some(20))]
-        );
-        assert_eq!(run(HintChaos::Duplicate).1, plain, "twice is idempotent");
-        let (stale, picks) = run(HintChaos::Stale);
-        assert_eq!(picks, [Target::All; 3], "recorded, but treated as expired");
-        assert!(stale.hint_table.iter().any(Option::is_some));
-        let (dropped, picks) = run(HintChaos::Drop);
-        assert_eq!(picks, [Target::All; 3]);
-        let untouched = planner(adaptive(Fanout::Hinted, HintChaos::Drop)).0;
-        assert_eq!(dropped, untouched);
-        // With the subsystem off, arriving hints are ignored outright.
-        let (mut off, _) = planner(Placement::reactive());
-        off.hints_from(2, [(0, 50)], at(0));
-        assert_eq!(off, planner(Placement::reactive()).0);
-    }
-
-    #[test]
-    fn reset_leaves_a_freshly_built_planner_after_any_observation_sequence() {
-        for policy in [Placement::adaptive(), round_robin(), Placement::Static] {
-            let (mut p, site) = planner(policy);
-            let fresh = p.clone();
-            let mut x = 0x9E37_79B9_7F4A_7C15u64; // xorshift: any sequence will do
-            for step in 0..400 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let (item, peer) = (ItemId((x >> 8) as u32 % 2), 1 + (x >> 16) as usize % 3);
-                let (qty, now) = ((x >> 24) % 90, at(step * 20));
-                match x % 10 {
-                    0 => p.local_demand(item, qty),
-                    1 => p.peer_request(item, peer, qty, qty + 5, x & 256 != 0),
-                    2 => p.hints_from(peer, [(item.0, qty)], now),
-                    3 => p.peer_alive(peer),
-                    4 => p.solicit_timed_out(item, peer, x & 256 != 0, at(step * 20 + 100)),
-                    5 => p.hint_paid_off(),
-                    6 => drop(p.target(item, qty, now)),
-                    7 => drop(p.refill_extra(item, qty, qty + 9, qty.min(50), 50)),
-                    8 => p.gossip(now, &site, |_, _| {}),
-                    _ => drop(p.plan_rebalance(now, &site)),
-                }
-            }
-            assert_ne!(p, fresh, "the sequence must have left a mark");
-            p.reset();
-            assert_eq!(p, fresh);
-        }
-    }
-
-    /// The module is pure by construction only while it cannot *name*
-    /// anything safety-bearing.
-    #[test]
-    fn placement_names_nothing_safety_bearing() {
-        let source = include_str!("placement.rs");
-        let code = source.split("#[cfg(test)]").next().unwrap();
-        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
-            for banned in "FragmentStore StableLog SiteRecord VmEndpoint Context".split(' ') {
-                assert!(!line.contains(banned), "`{banned}` named in: {line}");
-            }
-        }
-    }
-}
+mod tests;

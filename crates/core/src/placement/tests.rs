@@ -1,0 +1,315 @@
+//! Planner unit tests: no cluster, no kernel — a hand-rolled [`View`].
+
+use super::*;
+use crate::policy::{AdaptivePlacement, ReactivePlacement};
+
+/// A site as the planner sees it: `have[i]` / `locked[i]` of item `i`.
+struct Site(Vec<Qty>, Vec<bool>);
+
+impl View for Site {
+    fn have(&self, item: ItemId) -> Qty {
+        self.0[item.0 as usize]
+    }
+    fn locked(&self, item: ItemId) -> bool {
+        self.1[item.0 as usize]
+    }
+}
+
+const A: ItemId = ItemId(0);
+const B: ItemId = ItemId(1);
+
+fn at(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::millis(ms)
+}
+
+/// Site 0 of 4 with 100 of each of two items, under `policy`.
+fn planner(policy: Placement) -> (Planner, Site) {
+    let site = Site(vec![100, 100], vec![false, false]);
+    (Planner::new(0, 4, policy, site.0.clone()), site)
+}
+
+fn adaptive(fanout: Fanout, chaos: HintChaos) -> Placement {
+    Placement::Adaptive(AdaptivePlacement { fanout, chaos })
+}
+
+fn rebalancing() -> Placement {
+    Placement::Reactive(ReactivePlacement {
+        rebalance: true,
+        ..Default::default()
+    })
+}
+
+fn round_robin() -> Placement {
+    Placement::Reactive(ReactivePlacement {
+        fanout: Fanout::One,
+        ..Default::default()
+    })
+}
+
+fn one(peer: NodeId, hinted: Option<Qty>) -> Target {
+    Target::One { peer, hinted }
+}
+
+#[test]
+fn ceil_qty_is_ceil_then_cast_for_every_kind_of_input() {
+    // 2^53 (every f64 from there up is whole) and 2^64 included.
+    let mut cases = vec![
+        0.0,
+        -0.0,
+        -3.5,
+        0.25,
+        1.0,
+        1.0 + f64::EPSILON,
+        2.5,
+        1e15 + 0.5,
+        9_007_199_254_740_992.0,
+        1.8446744073709552e19,
+        1e300,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    // The shapes the call sites produce: HEADROOM x a decaying EWMA.
+    let mut e = 97.0f64;
+    for _ in 0..200 {
+        cases.push(HEADROOM * e);
+        e *= 1.0 - DEMAND_GAIN;
+    }
+    for x in cases {
+        assert_eq!(ceil_qty(x), x.ceil() as Qty, "x = {x:e}");
+    }
+}
+
+#[test]
+fn rebalance_cadence_follows_the_policy() {
+    let every = |p| planner(p).0.rebalance_every();
+    assert_eq!(every(Placement::Static), None);
+    assert_eq!(every(Placement::reactive()), None);
+    assert_eq!(every(rebalancing()), Some(REACTIVE_REBALANCE_EVERY));
+    assert_eq!(every(Placement::adaptive()), Some(ADAPTIVE_REBALANCE_EVERY));
+}
+
+#[test]
+fn reactive_arm_ships_every_excess_over_twice_quota_to_the_last_solicitor() {
+    let (mut p, mut site) = planner(rebalancing());
+    site.0 = vec![250, 230];
+    assert!(p.plan_rebalance(at(0), &site).is_empty(), "no signal");
+    p.peer_request(A, 2, 10, 0, false);
+    p.peer_request(B, 3, 0, 0, true);
+    let plan = p.plan_rebalance(at(25), &site);
+    assert_eq!(plan.as_slice(), &[(A, 2, 50), (B, 3, 30)]);
+    site.1[0] = true; // a locked item stays put
+    assert_eq!(p.plan_rebalance(at(50), &site).as_slice(), &[(B, 3, 30)]);
+}
+
+#[test]
+fn adaptive_arm_ships_on_the_third_tick_the_same_pair_stays_on_top() {
+    let (mut p, site) = planner(Placement::adaptive());
+    let tick = |p: &mut Planner, hot: NodeId, k: u64| {
+        p.peer_request(B, hot, 40, 40, false);
+        p.plan_rebalance(at(100 * k), &site)
+    };
+    assert!(tick(&mut p, 2, 1).is_empty());
+    assert!(tick(&mut p, 2, 2).is_empty());
+    let third = tick(&mut p, 2, 3);
+    let &[(item, to, amount)] = third.as_slice() else {
+        panic!("third tick must ship once: {third:?}");
+    };
+    assert_eq!((item, to), (B, 2));
+    assert!((1..=100).contains(&amount));
+
+    // A different peer taking over the top restarts the streak.
+    let (mut p, _) = planner(Placement::adaptive());
+    assert!(tick(&mut p, 2, 1).is_empty());
+    assert!(tick(&mut p, 2, 2).is_empty());
+    p.peer_request(B, 3, 400, 400, false);
+    assert!(tick(&mut p, 3, 3).is_empty());
+}
+
+#[test]
+fn adaptive_arm_never_ships_under_symmetric_demand() {
+    let (mut p, site) = planner(Placement::adaptive());
+    for k in 0..20 {
+        for peer in 1..4 {
+            p.peer_request(A, peer, 30, 30, false);
+        }
+        assert!(
+            p.plan_rebalance(at(100 * k), &site).is_empty(),
+            "no peer stands out: the contrast gate must hold at tick {k}"
+        );
+    }
+}
+
+#[test]
+fn target_skips_unusable_hints_and_debits_the_one_it_uses() {
+    let (mut p, _) = planner(Placement::adaptive());
+    p.hints_from(1, [(0, 5)], at(0)); // below the need
+    p.hints_from(2, [(0, 50)], at(0));
+    p.hints_from(3, [(0, 80), (7, 9)], at(0)); // item 7: not in the catalog
+    assert_eq!(p.target(B, 40, at(1)), Target::All, "no hint for B");
+    assert_eq!(p.target(A, 40, at(1)), one(3, Some(80)));
+    assert_eq!(p.target(A, 40, at(1)), one(2, Some(50)), "3 is down to 40");
+    assert_eq!(p.target(A, 40, at(1)), one(3, Some(40)));
+    assert_eq!(p.target(A, 40, at(1)), Target::All, "every hint is spent");
+
+    // A suspect's hint is skipped until the peer is heard from again.
+    let (mut p, _) = planner(Placement::adaptive());
+    p.hints_from(2, [(0, 50)], at(0));
+    p.hints_from(3, [(0, 80)], at(0));
+    p.solicit_timed_out(B, 3, false, at(100));
+    assert_eq!(p.target(A, 1, at(1)), one(2, Some(50)));
+    p.peer_alive(3);
+    assert_eq!(p.target(A, 1, at(1)), one(3, Some(80)));
+
+    // Hints expire at the TTL, and sooner once a hinted target timed out.
+    let ttl = HINT_TTL.as_micros() / 1_000;
+    let (mut p, _) = planner(Placement::adaptive());
+    p.hints_from(2, [(0, 50)], at(0));
+    let mut wary = p.clone();
+    wary.solicit_timed_out(B, 3, true, at(0));
+    assert_eq!(p.clone().target(A, 1, at(ttl)), one(2, Some(50)));
+    assert_eq!(p.target(A, 1, at(ttl + 1)), Target::All);
+    assert_eq!(wary.target(A, 1, at(ttl * 4 / 5)), Target::All);
+}
+
+#[test]
+fn round_robin_skips_suspects_and_falls_back_when_all_are_suspect() {
+    let (mut p, _) = planner(round_robin());
+    let next = |p: &mut Planner, ms| match p.target(A, 1, at(ms)) {
+        Target::One { peer, hinted: None } => peer,
+        other => panic!("round-robin must pick one peer: {other:?}"),
+    };
+    let first: Vec<_> = (0..3).map(|_| next(&mut p, 0)).collect();
+    assert_eq!(first, [1, 2, 3]);
+    assert_eq!(next(&mut p, 0), 1, "wraps past itself");
+    p.solicit_timed_out(A, 2, false, at(100));
+    assert_eq!(next(&mut p, 1), 3, "2 is suspect");
+    assert_eq!(next(&mut p, 100), 1);
+    assert_eq!(next(&mut p, 100), 2, "suspicion lapsed at its deadline");
+    for peer in 1..4 {
+        p.solicit_timed_out(A, peer, false, at(500));
+    }
+    assert_eq!(next(&mut p, 200), 3, "all suspect: keep the rotation");
+    assert_eq!(next(&mut p, 200), 1);
+}
+
+#[test]
+fn hint_chaos_at_the_ingest_and_target_boundary() {
+    let run = |chaos| {
+        let (mut p, _) = planner(adaptive(Fanout::Hinted, chaos));
+        p.hints_from(2, [(0, 50), (1, 20)], at(0));
+        p.hints_from(3, [(0, 80)], at(0));
+        let picks = [
+            p.target(A, 40, at(1)),
+            p.target(A, 40, at(1)),
+            p.target(B, 5, at(1)),
+        ];
+        (p, picks)
+    };
+    let (_, plain) = run(HintChaos::None);
+    assert_eq!(
+        plain,
+        [one(3, Some(80)), one(2, Some(50)), one(2, Some(20))]
+    );
+    assert_eq!(run(HintChaos::Duplicate).1, plain, "twice is idempotent");
+    let (stale, picks) = run(HintChaos::Stale);
+    assert_eq!(picks, [Target::All; 3], "recorded, but treated as expired");
+    assert!(stale.hint_table.iter().any(Option::is_some));
+    let (dropped, picks) = run(HintChaos::Drop);
+    assert_eq!(picks, [Target::All; 3]);
+    let untouched = planner(adaptive(Fanout::Hinted, HintChaos::Drop)).0;
+    assert_eq!(dropped, untouched);
+    // With the subsystem off, arriving hints are ignored outright.
+    let (mut off, _) = planner(Placement::reactive());
+    off.hints_from(2, [(0, 50)], at(0));
+    assert_eq!(off, planner(Placement::reactive()).0);
+}
+
+#[test]
+fn reset_leaves_a_freshly_built_planner_after_any_observation_sequence() {
+    for policy in [Placement::adaptive(), round_robin(), Placement::Static] {
+        let (mut p, site) = planner(policy);
+        let fresh = p.clone();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64; // xorshift: any sequence will do
+        for step in 0..400 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (item, peer) = (ItemId((x >> 8) as u32 % 2), 1 + (x >> 16) as usize % 3);
+            let (qty, now) = ((x >> 24) % 90, at(step * 20));
+            match x % 11 {
+                0 => p.local_demand(item, qty),
+                1 => p.peer_request(item, peer, qty, qty + 5, x & 256 != 0),
+                2 => p.hints_from(peer, [(item.0, qty)], now),
+                3 => p.peer_alive(peer),
+                4 => p.solicit_timed_out(item, peer, x & 256 != 0, at(step * 20 + 100)),
+                5 => p.hint_paid_off(),
+                6 => drop(p.target(item, qty, now)),
+                7 => drop(p.refill_extra(item, qty, qty + 9, qty.min(50), 50)),
+                8 => p.gossip(now, &site),
+                9 => drop(p.piggyback(peer, now)),
+                _ => drop(p.plan_rebalance(now, &site)),
+            }
+        }
+        assert_ne!(p, fresh, "the sequence must have left a mark");
+        p.reset();
+        assert_eq!(p, fresh);
+    }
+}
+
+/// `gossip` puts an item on offer exactly to the peers that solicited
+/// it, and `piggyback` hands each of them the entry once per window.
+#[test]
+fn gossip_offers_surplus_to_the_peers_that_asked_and_piggyback_sends_it_once() {
+    let (mut p, site) = planner(Placement::adaptive());
+    p.peer_request(A, 2, 10, 10, false);
+    p.peer_request(B, 3, 10, 10, false);
+    assert!(p.piggyback(2, at(0)).is_empty(), "nothing on offer yet");
+    p.gossip(at(1), &site);
+    assert!(p.piggyback(1, at(1)).is_empty(), "1 never asked");
+    assert_eq!(p.piggyback(2, at(1)).as_slice(), &[(A.0, 100)]);
+    assert_eq!(p.piggyback(3, at(1)).as_slice(), &[(B.0, 100)]);
+    assert!(p.piggyback(2, at(2)).is_empty(), "unmoved: already told");
+    // The offers are recomputed at most once per TTL.
+    let poorer = Site(vec![40, 100], vec![false, false]);
+    p.gossip(at(2), &poorer);
+    assert!(p.piggyback(2, at(3)).is_empty());
+    p.gossip(at(1) + HINT_TTL, &poorer);
+    assert_eq!(p.piggyback(2, at(1) + HINT_TTL).as_slice(), &[(A.0, 40)]);
+    // Under any other policy nothing is ever on offer.
+    let (mut off, site) = planner(rebalancing());
+    off.peer_request(A, 2, 10, 10, false);
+    off.gossip(at(1), &site);
+    assert!(off.piggyback(2, at(1)).is_empty());
+}
+
+/// The module is pure by construction only while it cannot *name*
+/// anything safety-bearing — the transport included. Every non-test
+/// file of this directory is read, so a new one is covered unasked.
+#[test]
+fn placement_names_nothing_safety_bearing() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/placement");
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).expect("placement sources") {
+        let path = entry.expect("directory entry").path();
+        if path.file_name().is_some_and(|f| f == "tests.rs") {
+            continue;
+        }
+        files += 1;
+        let source = std::fs::read_to_string(&path).expect("source file");
+        let code = source.split("#[cfg(test)]").next().unwrap();
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for banned in
+                "FragmentStore StableLog SiteRecord VmEndpoint Context dvp_vmsg".split(' ')
+            {
+                assert!(
+                    !line.contains(banned),
+                    "`{banned}` named in {}: {line}",
+                    path.display()
+                );
+            }
+        }
+    }
+    assert!(files >= 2, "mod and gossip must both be scanned");
+}

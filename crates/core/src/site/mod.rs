@@ -291,8 +291,10 @@ impl SiteNode {
     /// Drain every queued Vm frame into per-peer wire datagrams and put
     /// them on the wire.
     fn send_vm_datagrams(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
+        // The planner alone decides what gossip rides toward each peer.
+        let (now, planner) = (ctx.now(), &mut self.planner);
         self.vm
-            .drain_datagrams_into(ctx.now().micros(), &mut self.datagram_scratch);
+            .drain_datagrams_with(&mut self.datagram_scratch, |to| planner.piggyback(to, now));
         for (to, wire) in self.datagram_scratch.drain(..) {
             let frames = u64::from(wire.frame_count());
             let msg = ProtoMsg {
@@ -312,12 +314,9 @@ impl SiteNode {
             return;
         }
         self.durable.force_at_flush();
-        // Refresh the availability gossip riding whatever leaves now
-        // (free: hints piggyback on datagrams that exist anyway).
-        let (vm, holdings) = (&mut self.vm, (&self.frags, &self.locks));
-        self.planner.gossip(ctx.now(), &holdings, |peer, hints| {
-            vm.set_peer_hints(peer, hints)
-        });
+        // Refresh the availability gossip on offer to whatever leaves
+        // now (free: hints piggyback on datagrams that exist anyway).
+        self.planner.gossip(ctx.now(), &(&self.frags, &self.locks));
         // One wire datagram per peer per flush: every queued frame toward
         // a peer rides a single transmission, with owed acks folded in.
         self.send_vm_datagrams(ctx);
@@ -507,9 +506,8 @@ impl Node for SiteNode {
             q.clear();
         }
         self.lease_timers.fill(None);
-        // Placement memory describes a pre-crash world (the endpoint's
-        // outgoing hints died in `crash_reset` above); recovery never
-        // consults any of it.
+        // Placement memory — outgoing gossip included — describes a
+        // pre-crash world; recovery never consults any of it.
         self.planner.reset();
         self.clock.crash_reset();
         self.retransmit_armed = false;
@@ -586,7 +584,8 @@ mod tests {
             .solicit_timed_out(ItemId(0), 2, true, SimTime(90_000));
         let _ = site.planner.target(ItemId(0), 20, now);
         let view = (&site.frags, &site.locks);
-        site.planner.gossip(now, &view, |_, _| {});
+        site.planner.gossip(now, &view);
+        let _ = site.planner.piggyback(2, now);
         let _ = site.planner.plan_rebalance(now, &view);
         assert_ne!(site.planner, fresh);
         site.on_crash();

@@ -49,6 +49,16 @@ pub const ACK_FRAME_LEN: usize = 1 + 8;
 /// Encoded size of a data frame's metadata (tag + seq + ack + len).
 pub const DATA_FRAME_META_LEN: usize = 1 + 8 + 8 + 4;
 
+/// Encoded size of a hint section of `entries` entries (count + entries;
+/// an empty section is not encoded at all).
+pub fn hint_section_len(entries: usize) -> usize {
+    if entries == 0 {
+        0
+    } else {
+        4 + entries * HINT_ENTRY_LEN
+    }
+}
+
 /// Encoded size of one frame on the wire.
 pub fn frame_wire_len(frame: &Frame) -> usize {
     match frame {
@@ -123,11 +133,7 @@ impl WireDatagram {
         debug_assert!(frames.len() < HINT_FLAG as usize, "frame count overflow");
         // Pass 1: every metadata byte — header, per-frame fields, hint
         // section — goes into one exactly-sized buffer, frozen once.
-        let hint_len = if hints.is_empty() {
-            0
-        } else {
-            4 + hints.len() * HINT_ENTRY_LEN
-        };
+        let hint_len = hint_section_len(hints.len());
         let mut meta_len = DATAGRAM_HEADER_LEN + hint_len;
         let mut payload_len = 0usize;
         let mut data_frames = 0usize;

@@ -1,0 +1,112 @@
+//! Crash, replay and checkpoint images: volatile state dies, durable
+//! channel state comes back from the host's log.
+
+use super::VmEndpoint;
+use crate::channel::Seq;
+use crate::logop::VmLogOp;
+use crate::SiteId;
+use bytes::Bytes;
+
+impl VmEndpoint {
+    /// Reset volatile state after a crash. Channel state is rebuilt by
+    /// [`replay`](Self::replay); queued frames are simply lost (they were
+    /// only real messages).
+    pub fn crash_reset(&mut self) {
+        for c in &mut self.chans {
+            *c = None;
+        }
+        self.chan_count = 0;
+        for d in &mut self.dirty {
+            *d = false;
+        }
+        self.dirty_count = 0;
+        self.outbox.clear();
+        self.completed.clear();
+        for a in &mut self.ack_owed {
+            *a = false;
+        }
+        self.in_datagram = 0;
+        // `next_datagram` survives: it is pure wire-level numbering, and
+        // keeping it monotone means datagram ids in a trace never repeat
+        // for a (site, peer) pair across crashes.
+        self.stats.crash_resets += 1;
+    }
+
+    /// Rebuild state from one durable log op (called in log order during
+    /// the host's recovery scan).
+    pub fn replay(&mut self, op: &VmLogOp) {
+        match op {
+            VmLogOp::Created { to, seq, payload } => {
+                let c = self.chan(*to);
+                c.last_created = (*seq).max(c.last_created);
+                c.outgoing.insert(*seq, payload.clone());
+                self.mark_dirty(*to);
+            }
+            VmLogOp::Accepted { from, seq } => {
+                let c = self.chan(*from);
+                debug_assert_eq!(*seq, c.accepted_in + 1, "log replays accepts in order");
+                c.accepted_in = *seq;
+            }
+            VmLogOp::AckObserved { to, seq } => {
+                let c = self.chan(*to);
+                c.on_ack(*seq);
+                if c.in_flight() == 0 {
+                    self.clear_dirty(*to);
+                }
+            }
+        }
+    }
+
+    /// Snapshot all durable channel state (for host checkpoints). The
+    /// snapshot plus replay of later `VmLogOp`s reconstructs the
+    /// endpoint exactly.
+    ///
+    /// This returns owned state by design — a checkpoint must not alias
+    /// the live endpoint — but the payload "copies" are `Bytes` refcount
+    /// bumps, so the cost is per-entry bookkeeping, not payload bytes.
+    pub fn snapshot(&self) -> Vec<ChannelSnapshot> {
+        self.chans
+            .iter()
+            .enumerate()
+            .filter_map(|(peer, c)| c.as_ref().map(|c| (peer, c)))
+            .map(|(peer, c)| ChannelSnapshot {
+                peer,
+                last_created: c.last_created,
+                acked_out: c.acked_out,
+                accepted_in: c.accepted_in,
+                outgoing: c.outgoing.iter().map(|(&s, p)| (s, p.clone())).collect(),
+            })
+            .collect()
+    }
+
+    /// Restore channel state from a snapshot (after `crash_reset`).
+    pub fn restore(&mut self, snaps: &[ChannelSnapshot]) {
+        for s in snaps {
+            let c = self.chan(s.peer);
+            c.last_created = s.last_created;
+            c.acked_out = s.acked_out;
+            c.accepted_in = s.accepted_in;
+            c.outgoing = s.outgoing.iter().cloned().collect();
+            if c.in_flight() > 0 {
+                self.mark_dirty(s.peer);
+            } else {
+                self.clear_dirty(s.peer);
+            }
+        }
+    }
+}
+
+/// Durable image of one channel, produced by [`VmEndpoint::snapshot`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChannelSnapshot {
+    /// Peer site.
+    pub peer: SiteId,
+    /// Last sequence number created toward the peer.
+    pub last_created: Seq,
+    /// Highest cumulative ack received from the peer.
+    pub acked_out: Seq,
+    /// Highest in-order sequence accepted from the peer.
+    pub accepted_in: Seq,
+    /// Unacked outgoing Vms.
+    pub outgoing: Vec<(Seq, Bytes)>,
+}

@@ -53,9 +53,7 @@ pub mod stats;
 
 pub use channel::Seq;
 pub use codec::{Datagram, Hints, WireDatagram};
-pub use endpoint::{
-    ChannelSnapshot, Receipt, VmConfig, VmEndpoint, HINT_RESEND_AFTER_US, HINT_WINDOW_BUDGET,
-};
+pub use endpoint::{ChannelSnapshot, Receipt, VmConfig, VmEndpoint};
 pub use frame::Frame;
 pub use logop::VmLogOp;
 pub use stats::VmStats;

@@ -42,16 +42,12 @@ pub struct VmStats {
     /// second ack obligation merged into one already owed (the
     /// cumulative cursor covers both).
     pub bytes_acked_piggyback: u64,
-    /// Availability-hint entries piggybacked on outgoing datagrams
-    /// (adaptive placement gossip; 0 otherwise).
+    /// Entries the host piggybacked on outgoing datagrams (placement
+    /// gossip; 0 when the host piggybacks nothing).
     pub hints_sent: u64,
-    /// Extra wire bytes the piggybacked hint sections cost (already
-    /// included in `bytes_sent`).
+    /// Extra wire bytes the piggybacked sections cost (already included
+    /// in `bytes_sent`).
     pub hint_bytes_sent: u64,
-    /// Hint entries *not* sent: either unchanged since the last send to
-    /// that peer within the dedupe window, or dropped to the
-    /// per-datagram hint-byte budget.
-    pub hints_suppressed: u64,
 }
 
 impl VmStats {
@@ -74,7 +70,6 @@ impl VmStats {
         self.bytes_acked_piggyback += o.bytes_acked_piggyback;
         self.hints_sent += o.hints_sent;
         self.hint_bytes_sent += o.hint_bytes_sent;
-        self.hints_suppressed += o.hints_suppressed;
     }
 
     /// Real messages per completed Vm — the paper's "message traffic"

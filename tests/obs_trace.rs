@@ -150,3 +150,77 @@ fn trad_engine_traces_too() {
         .run();
     assert_eq!(r.trace_jsonl(), again.trace_jsonl());
 }
+
+/// A scripted baseline run that walks every 2PC/3PC recovery path on a
+/// fixed 2 ms link, so each step lands on a known instant:
+///
+/// * txn A (site 0, quorum {0,1,2}) has its prepares forced and voted
+///   at 7 ms; the coordinator crashes at 8 ms with the votes in flight
+///   and recovers at 300 ms, re-entering in-doubt for its own `Prepared`
+///   record. 2PC participants query until presumed abort answers; 3PC
+///   participants hit the termination rule first.
+/// * txn B (site 3, quorum {3,0,1}) decides at 408 ms; a partition at
+///   409 ms cuts the decision (2PC: retried until the heal at 700 ms) or
+///   the pre-commit (3PC: coordinator commits on timeout, the cut-off
+///   writers terminate with abort).
+fn trad_recovery_scenario(protocol: dvp::baselines::CommitProtocol, name: &str) -> Scenario {
+    use dvp::baselines::TradConfig;
+    use dvp::simnet::network::{LinkConfig, NetworkConfig};
+    use dvp::simnet::partition::PartitionSchedule;
+
+    let mut catalog = Catalog::new();
+    let flight = catalog.add("flight", 100, Split::Even);
+    let partitions = PartitionSchedule::fully_connected(4)
+        .split_at(ms(409), &[&[3], &[0, 1, 2]])
+        .heal_at(ms(700));
+    let net = NetworkConfig {
+        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
+        ..Default::default()
+    }
+    .with_partitions(partitions);
+    Scenario::trad_sites(4, catalog)
+        .name(name)
+        .trad_config(TradConfig {
+            protocol,
+            ..Default::default()
+        })
+        .net(net)
+        .faults(FaultPlan::none().crash(ms(8), 0).recover(ms(300), 0))
+        .at(0, ms(1), TxnSpec::reserve(flight, 10))
+        .at(3, ms(400), TxnSpec::reserve(flight, 5))
+        .until(ms(2_000))
+        .seed(5)
+        .trace(true)
+}
+
+/// The 2PC engine's trace of the recovery scenario, byte for byte, under
+/// both commit protocols. The goldens were captured on the one-file,
+/// one-`impl` engine that `twopc/` was split from: any diff here is a
+/// behaviour change.
+#[test]
+fn trad_traces_match_goldens() {
+    use dvp::baselines::CommitProtocol;
+
+    let two = trad_recovery_scenario(CommitProtocol::TwoPhase, "obs/trad-2pc").run();
+    assert_eq!((two.committed, two.aborted, two.still_blocked), (1, 1, 0));
+    assert_eq!(two.recovery_remote_msgs, 1, "in-doubt re-entry queried");
+    assert_eq!((two.messages, two.forces), (97, 17), "retries and queries");
+    assert_eq!(
+        two.trace_jsonl(),
+        include_str!("golden/obs_trad_2pc.jsonl"),
+        "2PC trace diverged from the golden"
+    );
+
+    let three = trad_recovery_scenario(CommitProtocol::ThreePhase, "obs/trad-3pc").run();
+    assert_eq!(
+        (three.committed, three.aborted, three.still_blocked),
+        (1, 1, 0),
+        "3PC terminates on its own"
+    );
+    assert_eq!((three.messages, three.forces), (138, 17));
+    assert_eq!(
+        three.trace_jsonl(),
+        include_str!("golden/obs_trad_3pc.jsonl"),
+        "3PC trace diverged from the golden"
+    );
+}
