@@ -4,7 +4,7 @@ use super::{TradConfig, TradNode};
 use crate::metrics::TradClusterMetrics;
 use dvp_core::clock::Ts;
 use dvp_core::item::Catalog;
-use dvp_core::txn::TxnSpec;
+use dvp_core::txn::{Script, TxnSpec};
 use dvp_obs::Obs;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::sim::Simulation;
@@ -27,8 +27,8 @@ pub struct TradClusterConfig {
     pub crashes: Vec<(SimTime, NodeId)>,
     /// Recovery schedule.
     pub recoveries: Vec<(SimTime, NodeId)>,
-    /// Per-site workload scripts.
-    pub scripts: Vec<Vec<(SimTime, TxnSpec)>>,
+    /// Per-site workload scripts (shared handles).
+    pub scripts: Vec<Script>,
     /// RNG seed.
     pub seed: u64,
     /// Structured trace handle shared by the kernel and every site.
@@ -45,7 +45,7 @@ impl TradClusterConfig {
             net: NetworkConfig::reliable(),
             crashes: Vec::new(),
             recoveries: Vec::new(),
-            scripts: vec![Vec::new(); n],
+            scripts: vec![Script::new(); n],
             seed: 0,
             obs: Obs::disabled(),
         }
@@ -75,10 +75,7 @@ impl TradCluster {
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
         let nodes: Vec<TradNode> = (0..n)
             .map(|s| {
-                let script: Vec<TxnSpec> = cfg.scripts[s]
-                    .iter()
-                    .map(|(_, spec)| spec.clone())
-                    .collect();
+                let script = cfg.scripts[s].clone();
                 let mut node = TradNode::new(s, n, cfg.trad, totals.clone(), script);
                 node.set_obs(cfg.obs.clone());
                 node

@@ -36,7 +36,7 @@ use crate::placement::Placement;
 use crate::record::{TradRecord, VersionedWrite};
 use coordinator::CoordTxn;
 use dvp_core::clock::{LamportClock, Ts};
-use dvp_core::txn::TxnSpec;
+use dvp_core::txn::Script;
 use dvp_core::ItemId;
 use dvp_obs::{EventKind, Obs};
 use dvp_simnet::node::{Context, Node, TimerId};
@@ -108,7 +108,8 @@ pub struct TradNode {
     clock: LamportClock,
     replica: Replica,
     log: StableLog<TradRecord>,
-    script: Vec<TxnSpec>,
+    /// This site's arrivals, shared with the cluster config.
+    script: Script,
     coord: BTreeMap<Ts, CoordTxn>,
     part: BTreeMap<Ts, PartTxn>,
     /// Durable + volatile decisions this site (as coordinator) knows.
@@ -127,13 +128,7 @@ pub struct TradNode {
 
 impl TradNode {
     /// Build a site holding full replicas of every item.
-    pub fn new(
-        id: NodeId,
-        n: usize,
-        cfg: TradConfig,
-        totals: Vec<u64>,
-        script: Vec<TxnSpec>,
-    ) -> Self {
+    pub fn new(id: NodeId, n: usize, cfg: TradConfig, totals: Vec<u64>, script: Script) -> Self {
         let mut log = StableLog::new();
         for (i, &v) in totals.iter().enumerate() {
             log.append(TradRecord::Init {
@@ -165,6 +160,11 @@ impl TradNode {
     pub fn set_obs(&mut self, obs: Obs) {
         self.log.set_obs(obs.clone(), self.id as u32);
         self.obs = obs;
+    }
+
+    /// The arrival script this site runs (a shared handle).
+    pub fn script(&self) -> &Script {
+        &self.script
     }
 
     /// Outcomes this site acted on: `(txn, committed)` (divergence audit).
@@ -288,9 +288,14 @@ impl Node for TradNode {
     }
 
     fn on_external(&mut self, tag: u64, ctx: &mut Context<'_, TradMsg>) {
-        if let Some(spec) = self.script.get(tag as usize).cloned() {
-            self.begin_txn(spec, ctx);
-        }
+        // As in `SiteNode::on_external`: the script is shared and
+        // immutable, so a replayed tag is structurally harmless, and the
+        // clone is an inline copy.
+        let Some((_, spec)) = self.script.get(tag as usize).cloned() else {
+            debug_assert!(false, "external tag {tag} has no scripted transaction");
+            return;
+        };
+        self.begin_txn(spec, ctx);
         self.flush(ctx);
     }
 

@@ -3,6 +3,7 @@
 use super::*;
 use dvp_core::item::Catalog;
 use dvp_core::item::Split;
+use dvp_core::txn::TxnSpec;
 use dvp_simnet::network::LinkConfig;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::partition::PartitionSchedule;

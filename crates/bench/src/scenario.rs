@@ -37,8 +37,8 @@ pub struct Scenario {
     pub name: String,
     /// Item catalog (from the workload).
     pub catalog: dvp_core::item::Catalog,
-    /// Per-site arrival scripts (from the workload).
-    pub scripts: Vec<Vec<(SimTime, dvp_core::TxnSpec)>>,
+    /// Per-site arrival scripts (the workload's own, shared).
+    pub scripts: Vec<dvp_core::Script>,
     /// Which engine to run.
     pub engine: EngineKind,
     /// DvP per-site protocol configuration (ignored by the baseline).
@@ -90,7 +90,7 @@ impl Scenario {
     pub fn dvp_sites(n: usize, catalog: dvp_core::item::Catalog) -> Scenario {
         Scenario::dvp(&Workload {
             catalog,
-            scripts: vec![Vec::new(); n],
+            scripts: vec![dvp_core::Script::new(); n],
         })
     }
 
@@ -98,7 +98,7 @@ impl Scenario {
     pub fn trad_sites(n: usize, catalog: dvp_core::item::Catalog) -> Scenario {
         Scenario::trad(&Workload {
             catalog,
-            scripts: vec![Vec::new(); n],
+            scripts: vec![dvp_core::Script::new(); n],
         })
     }
 

@@ -1,6 +1,7 @@
 //! Steady-state allocation audit: the committed fast-path transaction
-//! allocates nothing, the slow path stays under a pinned bound, and the
-//! heap holds the stable log once.
+//! allocates nothing, the slow path stays under a pinned bound, the heap
+//! holds the stable log once and the arrival script once, and generating
+//! a workload allocates per site, not per transaction.
 //!
 //! Run with `cargo test -p dvp-bench --features alloc-audit --test
 //! alloc_steady_state` — the feature installs the counting global
@@ -26,7 +27,7 @@ use dvp_bench::{alloc_audit, Scenario};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, Placement, TxnSpec};
 use dvp_simnet::time::{SimDuration, SimTime};
-use dvp_workloads::BankingWorkload;
+use dvp_workloads::{BankingWorkload, Workload};
 
 /// Warmup+measure sizes: capacities after W pushes and after W+M pushes
 /// fall inside the same power-of-two growth window for every per-txn
@@ -104,18 +105,31 @@ fn adaptive_fast_path_commit_allocates_zero() {
     );
 }
 
-/// One quick-scale banking run (the `engine_baseline --quick` row: 8
-/// sites, 16 accounts, 2,000 transfers, about half of which must solicit
-/// remote value). Returns the drained cluster with the allocation events
-/// and the net live-heap growth of the run phase alone.
-fn banking_run() -> (Cluster, u64, u64) {
-    let w = BankingWorkload {
+/// The `engine_baseline` banking script at `txns` transfers: 8 sites, 16
+/// accounts, about half of the transfers must solicit remote value.
+fn banking(txns: usize) -> Workload {
+    BankingWorkload {
         n_sites: 8,
         accounts: 16,
-        txns: 2_000,
+        txns,
         ..Default::default()
     }
-    .generate(42);
+    .generate(42)
+}
+
+/// Net growth of this thread's live heap since the `thread_live_bytes`
+/// reading `since`. Wrapping: the per-thread figure goes "negative" when
+/// this thread frees what another allocated (the harness hands it its
+/// closure).
+fn live_growth(since: u64) -> u64 {
+    (alloc_audit::thread_live_bytes().wrapping_sub(since) as i64).max(0) as u64
+}
+
+/// One quick-scale banking run (the `engine_baseline --quick` row: 2,000
+/// transfers). Returns the drained cluster with the allocation events
+/// and the net live-heap growth of the run phase alone.
+fn banking_run() -> (Cluster, u64, u64) {
+    let w = banking(2_000);
     let mut cl = Scenario::dvp(&w).build_dvp();
     let (allocs, live) = (
         alloc_audit::thread_alloc_count(),
@@ -123,10 +137,7 @@ fn banking_run() -> (Cluster, u64, u64) {
     );
     cl.run_to_quiescence();
     let allocs = alloc_audit::thread_alloc_count() - allocs;
-    // Wrapping: the per-thread figure goes "negative" when this thread
-    // frees what another allocated (the harness hands it its closure).
-    let grown = (alloc_audit::thread_live_bytes().wrapping_sub(live) as i64).max(0) as u64;
-    (cl, allocs, grown)
+    (cl, allocs, live_growth(live))
 }
 
 /// The slow path's allocation bound. Banking is the solicit → donate →
@@ -189,5 +200,62 @@ fn log_memory_is_single_copy() {
         grown <= allowed,
         "live heap grew {grown} B over the run, more than 1.5 x the {image} B of \
          log images + {SLACK} B: something holds the log twice"
+    );
+}
+
+/// The script gate: the arrival script is resident **once**. With the
+/// workload held, describing a run of it (`Scenario::dvp`) and building
+/// the cluster may grow the live heap by 40 B per scripted transaction —
+/// the kernel's pre-scheduled arrival lane is 32 B each, plus its
+/// buffer's spare capacity — and a fixed allowance for the sites
+/// themselves. Every layer boundary used to deep-copy the script (the
+/// scenario, the cluster config, then a per-node spec list with a heap op
+/// list per spec): ~150 B per transaction, which fails this.
+#[test]
+fn script_memory_is_single_copy() {
+    const SLACK: u64 = 1 << 20;
+    const PER_TXN: u64 = 40;
+    let start = alloc_audit::thread_live_bytes();
+    let w = banking(100_000);
+    let generated = live_growth(start);
+    let held = alloc_audit::thread_live_bytes();
+    let sc = Scenario::dvp(&w);
+    let described = live_growth(held);
+    let cl = sc.build_dvp();
+    let built = live_growth(held);
+    let txns = w.txn_count() as u64;
+    println!(
+        "banking, {txns} txns: workload {generated} B ({} B/txn), + scenario {described} B, \
+         + built cluster {built} B ({} B/txn)",
+        generated / txns,
+        built / txns
+    );
+    assert!(
+        built <= PER_TXN * txns + SLACK,
+        "describing and building a run of a held workload grew the heap by {built} B, more \
+         than {PER_TXN} B x {txns} txns + {SLACK} B: something copies the script"
+    );
+    drop(cl);
+}
+
+/// Generating a workload allocates for its per-site scripts (amortized
+/// doublings), never per transaction: specs keep their ops inline.
+/// Doubling the transaction count adds one doubling per site.
+#[test]
+fn workload_generation_allocates_per_site_not_per_txn() {
+    let allocs_for = |txns: usize| {
+        let before = alloc_audit::thread_alloc_count();
+        let w = banking(txns);
+        let allocs = alloc_audit::thread_alloc_count() - before;
+        assert_eq!(w.txn_count(), txns);
+        allocs
+    };
+    allocs_for(64);
+    let (small, large) = (allocs_for(2_000), allocs_for(4_000));
+    println!("banking generate: {small} allocation events for 2000 txns, {large} for 4000");
+    assert!(
+        large.abs_diff(small) < 64,
+        "2,000 more transactions cost {} more allocation events",
+        large.abs_diff(small)
     );
 }

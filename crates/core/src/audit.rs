@@ -116,14 +116,13 @@ impl<'a> Auditor<'a> {
         totals
     }
 
-    /// Net committed delta per item across all sites.
+    /// Net committed delta per item across all sites, from each site's
+    /// running totals — O(sites × items), however long the run.
     pub fn committed_deltas(&self) -> BTreeMap<ItemId, i64> {
         let mut deltas: BTreeMap<ItemId, i64> = BTreeMap::new();
         for site in self.sites {
-            for entry in &site.metrics().commits {
-                for &(item, d) in &entry.deltas {
-                    *deltas.entry(item).or_insert(0) += d;
-                }
+            for (item, d) in site.metrics().net_deltas() {
+                *deltas.entry(item).or_insert(0) += d;
             }
         }
         deltas

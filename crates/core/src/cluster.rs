@@ -11,7 +11,7 @@ use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
 use crate::policy::SiteConfig;
 use crate::site::SiteNode;
-use crate::txn::TxnSpec;
+use crate::txn::{Script, TxnSpec};
 use dvp_obs::Obs;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::sim::Simulation;
@@ -60,8 +60,9 @@ pub struct ClusterConfig {
     /// Site crash/recovery schedule.
     pub faults: FaultPlan,
     /// Per-site workload scripts: `scripts[s]` is the list of
-    /// `(arrival time, transaction)` pairs initiated at site `s`.
-    pub scripts: Vec<Vec<(SimTime, TxnSpec)>>,
+    /// `(arrival time, transaction)` pairs initiated at site `s`, shared
+    /// with whoever generated it and with the built site.
+    pub scripts: Vec<Script>,
     /// RNG seed (drives network delays/loss and nothing else — the
     /// workload is part of the config, pre-generated).
     pub seed: u64,
@@ -80,7 +81,7 @@ impl ClusterConfig {
             site: SiteConfig::default(),
             net: NetworkConfig::reliable(),
             faults: FaultPlan::none(),
-            scripts: vec![Vec::new(); n],
+            scripts: vec![Script::new(); n],
             seed: 0,
             obs: Obs::disabled(),
         }
@@ -135,10 +136,7 @@ impl Cluster {
 
         let nodes: Vec<SiteNode> = (0..n)
             .map(|s| {
-                let script: Vec<TxnSpec> = cfg.scripts[s]
-                    .iter()
-                    .map(|(_, spec)| spec.clone())
-                    .collect();
+                let script = cfg.scripts[s].clone();
                 let mut node = SiteNode::new(s, n, cfg.site, site_quotas[s].clone(), script);
                 node.set_obs(cfg.obs.clone());
                 node

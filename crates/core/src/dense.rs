@@ -7,26 +7,36 @@
 use std::fmt;
 
 /// A small vector that stores up to `N` elements inline and spills to a
-/// heap `Vec` beyond that. Used for log-record and commit-journal
-/// payloads, where the common case (1–2 entries) must not allocate.
+/// heap `Vec` beyond that. Used for transaction specs, log-record and
+/// commit-journal payloads, where the common case (1–2 entries) must not
+/// allocate.
 ///
-/// When spilled, `spill` holds *all* elements (the inline array is dead);
-/// `T: Copy + Default` keeps the implementation free of `unsafe`.
-#[derive(Clone, Debug)]
-pub struct SVec<T: Copy + Default, const N: usize> {
-    inline: [T; N],
-    len: usize,
-    spill: Vec<T>,
+/// The two states are the two variants of one enum, so the inline case
+/// pays for no dormant `Vec` header: `SVec<(ItemId, i64), 2>` is 40
+/// bytes. `T: Copy + Default` keeps the implementation free of `unsafe`
+/// (unused inline slots hold `T::default()`).
+#[derive(Clone)]
+pub struct SVec<T: Copy + Default, const N: usize>(Repr<T, N>);
+
+#[derive(Clone)]
+enum Repr<T: Copy + Default, const N: usize> {
+    /// `items[..len]` are the elements; `len <= N`.
+    Inline { len: u8, items: [T; N] },
+    /// More than `N` elements were pushed; holds *all* of them.
+    Spill(Vec<T>),
 }
 
 impl<T: Copy + Default, const N: usize> SVec<T, N> {
+    /// The inline length is a `u8`.
+    const FITS: () = assert!(N <= u8::MAX as usize, "SVec inline capacity exceeds u8");
+
     /// An empty vector (no allocation).
     pub fn new() -> Self {
-        SVec {
-            inline: [T::default(); N],
+        let () = Self::FITS;
+        SVec(Repr::Inline {
             len: 0,
-            spill: Vec::new(),
-        }
+            items: [T::default(); N],
+        })
     }
 
     /// A one-element vector (no allocation while `N >= 1`).
@@ -38,43 +48,52 @@ impl<T: Copy + Default, const N: usize> SVec<T, N> {
 
     /// Copy a slice in (allocates only when `s.len() > N`).
     pub fn from_slice(s: &[T]) -> Self {
-        let mut out = Self::new();
-        for &v in s {
-            out.push(v);
+        if s.len() > N {
+            return SVec(Repr::Spill(s.to_vec()));
         }
-        out
+        let () = Self::FITS;
+        let mut items = [T::default(); N];
+        items[..s.len()].copy_from_slice(s);
+        SVec(Repr::Inline {
+            len: s.len() as u8,
+            items,
+        })
     }
 
     /// Append an element, spilling to the heap past `N`.
     pub fn push(&mut self, v: T) {
-        if self.len < N {
-            self.inline[self.len] = v;
-        } else {
-            if self.len == N {
-                self.spill.reserve(N + 1);
-                self.spill.extend_from_slice(&self.inline[..N]);
+        match &mut self.0 {
+            Repr::Inline { len, items } => {
+                let n = *len as usize;
+                if n < N {
+                    items[n] = v;
+                    *len += 1;
+                } else {
+                    let mut spill = Vec::with_capacity(N + 1);
+                    spill.extend_from_slice(&items[..]);
+                    spill.push(v);
+                    self.0 = Repr::Spill(spill);
+                }
             }
-            self.spill.push(v);
+            Repr::Spill(spill) => spill.push(v),
         }
-        self.len += 1;
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.as_slice().len()
     }
 
     /// Whether the vector is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.as_slice().is_empty()
     }
 
     /// The elements as a slice.
     pub fn as_slice(&self) -> &[T] {
-        if self.len <= N {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
+        match &self.0 {
+            Repr::Inline { len, items } => &items[..*len as usize],
+            Repr::Spill(spill) => spill,
         }
     }
 
@@ -86,6 +105,12 @@ impl<T: Copy + Default, const N: usize> SVec<T, N> {
     /// Copy the elements into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<T> {
         self.as_slice().to_vec()
+    }
+}
+
+impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for SVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -122,7 +147,11 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for SVec<T, N> {
 
 impl<T: Copy + Default, const N: usize> From<Vec<T>> for SVec<T, N> {
     fn from(v: Vec<T>) -> Self {
-        Self::from_slice(&v)
+        if v.len() > N {
+            SVec(Repr::Spill(v))
+        } else {
+            Self::from_slice(&v)
+        }
     }
 }
 
@@ -134,16 +163,32 @@ impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a SVec<T, N> {
     }
 }
 
+/// By-value iterator over an [`SVec`] (copies elements out; never
+/// allocates).
+pub struct IntoIter<T: Copy + Default, const N: usize> {
+    vec: SVec<T, N>,
+    next: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        let v = self.vec.as_slice().get(self.next).copied();
+        self.next += v.is_some() as usize;
+        v
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.vec.len() - self.next;
+        (left, Some(left))
+    }
+}
+
 impl<T: Copy + Default, const N: usize> IntoIterator for SVec<T, N> {
     type Item = T;
-    type IntoIter = std::vec::IntoIter<T>;
-    fn into_iter(mut self) -> Self::IntoIter {
-        if self.len <= N {
-            // Inline case: `spill` is empty, so this is the one
-            // unavoidable allocation of a consuming iteration.
-            self.spill.extend_from_slice(&self.inline[..self.len]);
-        }
-        self.spill.into_iter()
+    type IntoIter = IntoIter<T, N>;
+    fn into_iter(self) -> Self::IntoIter {
+        IntoIter { vec: self, next: 0 }
     }
 }
 
@@ -163,6 +208,8 @@ impl<T: Copy + Default + fmt::Display, const N: usize> fmt::Display for SVec<T, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::ItemId;
+    use proptest::prelude::*;
 
     #[test]
     fn svec_stays_inline_then_spills() {
@@ -171,8 +218,10 @@ mod tests {
         s.push(10);
         s.push(20);
         assert_eq!(s.as_slice(), &[10, 20]);
+        assert!(matches!(s.0, Repr::Inline { .. }));
         s.push(30);
         s.push(40);
+        assert!(matches!(s.0, Repr::Spill(_)));
         assert_eq!(s.as_slice(), &[10, 20, 30, 40]);
         assert_eq!(s.len(), 4);
         assert_eq!(s.to_vec(), vec![10, 20, 30, 40]);
@@ -188,5 +237,55 @@ mod tests {
         assert_eq!(b, c);
         assert_eq!(SVec::<u8, 2>::one(9).as_slice(), &[9]);
         assert_eq!(&a[..2], &[1, 2], "deref to slice");
+        assert_eq!(format!("{a:?}"), "[1, 2, 3]", "debugs as its elements");
+    }
+
+    /// The layout this module exists for: the inline case carries no
+    /// dormant `Vec` header, so the per-commit and per-arrival records
+    /// built from it stay within these sizes.
+    #[test]
+    fn sizes_are_pinned() {
+        use crate::metrics::CommitEntry;
+        use crate::txn::TxnSpec;
+        use dvp_simnet::time::SimTime;
+        use std::mem::size_of;
+        assert!(size_of::<SVec<(ItemId, i64), 2>>() <= 40);
+        assert!(size_of::<CommitEntry>() <= 96);
+        assert!(size_of::<(SimTime, TxnSpec)>() <= 64);
+    }
+
+    proptest! {
+        /// Model test against `Vec`: every way of building an `SVec`, on
+        /// both sides of the spill boundary, reads back as the same
+        /// elements through every accessor.
+        #[test]
+        fn svec_behaves_like_vec(
+            model in proptest::collection::vec(any::<u16>(), 0..9),
+            other in proptest::collection::vec(any::<u16>(), 0..9),
+        ) {
+            let mut pushed: SVec<u16, 3> = SVec::new();
+            for (i, &v) in model.iter().enumerate() {
+                prop_assert_eq!(pushed.len(), i);
+                pushed.push(v);
+            }
+            let sliced: SVec<u16, 3> = SVec::from_slice(&model);
+            let collected: SVec<u16, 3> = model.iter().copied().collect();
+            let converted: SVec<u16, 3> = model.clone().into();
+            for built in [&pushed, &sliced, &collected, &converted, &pushed.clone()] {
+                prop_assert_eq!(built.as_slice(), model.as_slice());
+                prop_assert_eq!(&built[..], model.as_slice());
+                prop_assert_eq!(built.len(), model.len());
+                prop_assert_eq!(built.is_empty(), model.is_empty());
+                prop_assert_eq!(built.to_vec(), model.clone());
+                prop_assert_eq!(built.iter().copied().collect::<Vec<_>>(), model.clone());
+                prop_assert_eq!(built.into_iter().copied().collect::<Vec<_>>(), model.clone());
+                prop_assert_eq!(built, &pushed);
+                let by_value = built.clone().into_iter();
+                prop_assert_eq!(by_value.size_hint(), (model.len(), Some(model.len())));
+                prop_assert_eq!(by_value.collect::<Vec<_>>(), model.clone());
+            }
+            let other_s: SVec<u16, 3> = SVec::from_slice(&other);
+            prop_assert_eq!(pushed == other_s, model == other);
+        }
     }
 }

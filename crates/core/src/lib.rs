@@ -59,7 +59,7 @@ pub use policy::{
     ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
 };
 pub use site::SiteNode;
-pub use txn::{TxnOutcome, TxnSpec};
+pub use txn::{Script, TxnOutcome, TxnSpec};
 
 /// Quantity type for the canonical sum domain (seats, units, cents).
 pub type Qty = u64;

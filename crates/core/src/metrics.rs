@@ -101,6 +101,11 @@ pub struct SiteMetrics {
     pub fast_path_commits: u64,
     /// Journal of committed transactions (audit input).
     pub commits: Vec<CommitEntry>,
+    /// Running net committed delta per item, indexed by `item.0`: the
+    /// fold of `commits`, kept in step by
+    /// [`record_commit`](Self::record_commit) so a conservation check
+    /// costs one entry per item instead of a walk of the whole journal.
+    net_deltas: Vec<i64>,
     /// Number of recoveries this site performed.
     pub recoveries: u64,
     /// Remote messages this site had to wait for before finishing
@@ -154,7 +159,20 @@ impl SiteMetrics {
             self.fast_path_commits += 1;
             self.phases.record("fast_path", latency_us);
         }
+        for &(item, d) in &entry.deltas {
+            let i = item.0 as usize;
+            if i >= self.net_deltas.len() {
+                self.net_deltas.resize(i + 1, 0);
+            }
+            self.net_deltas[i] += d;
+        }
         self.commits.push(entry);
+    }
+
+    /// Net committed delta per item so far (items never committed at
+    /// this site may be absent).
+    pub fn net_deltas(&self) -> impl Iterator<Item = (ItemId, i64)> + '_ {
+        (0u32..).map(ItemId).zip(self.net_deltas.iter().copied())
     }
 
     /// Total aborts.

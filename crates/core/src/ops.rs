@@ -31,7 +31,7 @@ impl PartitionableOp<SumQty> for Decr {
 }
 
 /// One operation a transaction performs on one item.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Op {
     /// Add `m` to the item (deposit, cancellation, restock). Executes at
     /// the home site alone — the write-only fast path of Section 5.
@@ -42,6 +42,10 @@ pub enum Op {
     Decr(Qty),
     /// Read the item's full value `d = Π(Π⁻¹(d))` — requires gathering
     /// every fragment and in-flight Vm (Section 5's read protocol).
+    /// The `Default`, as the only payload-free variant: it fills unused
+    /// inline slots of a [`TxnSpec`](crate::txn::TxnSpec)'s op list and
+    /// is never observed there.
+    #[default]
     Read,
 }
 

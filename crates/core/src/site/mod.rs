@@ -51,7 +51,7 @@ use crate::placement::{Planner, View};
 use crate::policy::{Crashpoint, SiteConfig};
 use crate::record::{DbActions, SiteRecord};
 use crate::transfer::Transfer;
-use crate::txn::TxnSpec;
+use crate::txn::Script;
 use crate::Qty;
 use durable::Durable;
 use dvp_obs::{EventKind, Obs};
@@ -112,7 +112,9 @@ pub struct SiteNode {
     inject: FaultInjector,
     /// Everything this site remembers about value placement. Volatile.
     planner: Planner,
-    script: Vec<TxnSpec>,
+    /// This site's arrivals, shared with the cluster config that
+    /// scheduled them (never written here).
+    script: Script,
     /// In-flight local transactions.
     active: ActiveTable,
     /// Conc2 FIFO lock queues, per item.
@@ -152,13 +154,7 @@ impl SiteNode {
     ///   value partitioning). Logged as genesis records.
     /// * `script`: transactions this site will run, indexed by the
     ///   external-event tag the cluster scheduler uses.
-    pub fn new(
-        id: NodeId,
-        n: usize,
-        cfg: SiteConfig,
-        quotas: Vec<Qty>,
-        script: Vec<TxnSpec>,
-    ) -> Self {
+    pub fn new(id: NodeId, n: usize, cfg: SiteConfig, quotas: Vec<Qty>, script: Script) -> Self {
         let k = quotas.len();
         let mut frags = FragmentStore::new(k);
         for (i, &q) in quotas.iter().enumerate() {
@@ -233,6 +229,11 @@ impl SiteNode {
     /// The stable log.
     pub fn log(&self) -> &StableLog<SiteRecord> {
         self.durable.log()
+    }
+
+    /// The arrival script this site runs (a shared handle).
+    pub fn script(&self) -> &Script {
+        &self.script
     }
 
     /// Instrumentation counters.
@@ -420,22 +421,17 @@ impl Node for SiteNode {
         if self.durable.media_failed() {
             return; // quarantined: no new transactions ever start here
         }
-        let idx = tag as usize;
-        if idx < self.script.len() {
-            // Each external tag arrives exactly once, so the scripted
-            // spec is *taken* (not cloned): starting a transaction on the
-            // steady-state path allocates nothing.
-            let spec = std::mem::replace(&mut self.script[idx], TxnSpec { ops: Vec::new() });
-            if spec.ops.is_empty() {
-                debug_assert!(false, "external tag {tag} replayed or scripted empty");
-                return;
-            }
-            self.arm_rebalance(ctx);
-            self.begin_txn(spec, ctx);
-            self.flush_vm(ctx);
-        } else {
+        // The script is shared and immutable, so a replayed tag is
+        // structurally harmless: it starts the same transaction again
+        // under a fresh timestamp. Specs keep their ops inline, so the
+        // clone is a copy and the steady-state path allocates nothing.
+        let Some((_, spec)) = self.script.get(tag as usize).cloned() else {
             debug_assert!(false, "external tag {tag} has no scripted transaction");
-        }
+            return;
+        };
+        self.arm_rebalance(ctx);
+        self.begin_txn(spec, ctx);
+        self.flush_vm(ctx);
     }
 
     fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Context<'_, ProtoMsg>) {
@@ -574,7 +570,7 @@ mod tests {
         let cfg = SiteConfig::builder()
             .placement(Placement::adaptive())
             .build();
-        let mut site = SiteNode::new(1, 4, cfg, vec![100, 50], Vec::new());
+        let mut site = SiteNode::new(1, 4, cfg, vec![100, 50], Script::new());
         let fresh = site.planner.clone();
         let now = SimTime(1_000);
         site.planner.local_demand(ItemId(0), 30);

@@ -11,38 +11,43 @@
 //!   other site.
 
 use crate::clock::Ts;
+use crate::dense::SVec;
 use crate::item::ItemId;
 use crate::metrics::AbortReason;
 use crate::ops::Op;
 use crate::Qty;
+use dvp_simnet::time::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A transaction as submitted by a client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TxnSpec {
-    /// Operations, in program order.
-    pub ops: Vec<(ItemId, Op)>,
+    /// Operations, in program order. Inline up to two — every generated
+    /// workload but multi-product inventory orders — so building a spec
+    /// and cloning one out of a shared [`Script`] allocate nothing.
+    pub ops: SVec<(ItemId, Op), 2>,
 }
 
 impl TxnSpec {
     /// Reserve `k` units of `item` (airline: book seats; inventory: ship).
     pub fn reserve(item: ItemId, k: Qty) -> Self {
         TxnSpec {
-            ops: vec![(item, Op::Decr(k))],
+            ops: SVec::one((item, Op::Decr(k))),
         }
     }
 
     /// Release `k` units of `item` (cancellation, restock, deposit).
     pub fn release(item: ItemId, k: Qty) -> Self {
         TxnSpec {
-            ops: vec![(item, Op::Incr(k))],
+            ops: SVec::one((item, Op::Incr(k))),
         }
     }
 
     /// Read the full value of `item`.
     pub fn read(item: ItemId) -> Self {
         TxnSpec {
-            ops: vec![(item, Op::Read)],
+            ops: SVec::one((item, Op::Read)),
         }
     }
 
@@ -50,7 +55,7 @@ impl TxnSpec {
     /// flights; transfer between accounts).
     pub fn transfer(from: ItemId, to: ItemId, k: Qty) -> Self {
         TxnSpec {
-            ops: vec![(from, Op::Decr(k)), (to, Op::Incr(k))],
+            ops: SVec::from_slice(&[(from, Op::Decr(k)), (to, Op::Incr(k))]),
         }
     }
 
@@ -141,6 +146,49 @@ impl TxnSpec {
     }
 }
 
+/// One site's arrival script: `(arrival time, transaction)` pairs in
+/// the order the cluster schedules them, so entry `i` is the transaction
+/// external tag `i` starts.
+///
+/// The list is `Arc`-shared and copy-on-write: the workload, the
+/// scenario, the cluster config and the built node all hold the same
+/// allocation (`clone` is a refcount bump), and [`push`](Self::push) on a
+/// shared handle copies first, leaving the other holders untouched.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Script(Arc<Vec<(SimTime, TxnSpec)>>);
+
+impl Script {
+    /// An empty script.
+    pub fn new() -> Self {
+        Script::default()
+    }
+
+    /// Append an arrival (copies the list first if it is shared).
+    pub fn push(&mut self, arrival: (SimTime, TxnSpec)) {
+        Arc::make_mut(&mut self.0).push(arrival);
+    }
+
+    /// Whether two handles point at the same allocation.
+    pub fn ptr_eq(a: &Script, b: &Script) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl std::ops::Deref for Script {
+    type Target = [(SimTime, TxnSpec)];
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Script {
+    type Item = &'a (SimTime, TxnSpec);
+    type IntoIter = std::slice::Iter<'a, (SimTime, TxnSpec)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// How a transaction ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TxnOutcome {
@@ -181,7 +229,7 @@ mod tests {
     #[test]
     fn reserve_is_a_single_decr() {
         let t = TxnSpec::reserve(A, 3);
-        assert_eq!(t.ops, vec![(A, Op::Decr(3))]);
+        assert_eq!(t.ops.as_slice(), [(A, Op::Decr(3))]);
         assert_eq!(t.demands().get(&A), Some(&3));
         assert_eq!(t.deltas().get(&A), Some(&-3));
         assert!(t.is_write_only());
@@ -208,7 +256,7 @@ mod tests {
     #[test]
     fn repeated_items_merge() {
         let t = TxnSpec {
-            ops: vec![(A, Op::Decr(2)), (A, Op::Decr(3)), (A, Op::Incr(1))],
+            ops: vec![(A, Op::Decr(2)), (A, Op::Decr(3)), (A, Op::Incr(1))].into(),
         };
         assert_eq!(t.access_set(), vec![A]);
         assert_eq!(t.demands().get(&A), Some(&5));
@@ -223,7 +271,8 @@ mod tests {
                 (A, Op::Read),
                 (B, Op::Decr(3)),
                 (A, Op::Incr(1)),
-            ],
+            ]
+            .into(),
         };
         let mut items = vec![ItemId(99)];
         t.access_set_into(&mut items);
@@ -235,6 +284,20 @@ mod tests {
         t.demands_into(&mut demands);
         assert_eq!(demands, t.demands().into_iter().collect::<Vec<_>>());
         assert_eq!(demands, vec![(B, 5)]);
+    }
+
+    #[test]
+    fn script_clone_shares_and_push_copies_on_write() {
+        let mut a = Script::new();
+        a.push((SimTime(1), TxnSpec::reserve(A, 1)));
+        let b = a.clone();
+        assert!(Script::ptr_eq(&a, &b));
+        a.push((SimTime(2), TxnSpec::read(B)));
+        assert!(!Script::ptr_eq(&a, &b));
+        assert_eq!((a.len(), b.len()), (2, 1));
+        assert_eq!(a[1].1, TxnSpec::read(B));
+        assert_eq!((&a).into_iter().count(), 2);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::oracle;
 use crate::schedule::FaultSchedule;
 use dvp_core::item::Catalog;
-use dvp_core::txn::TxnSpec;
+use dvp_core::txn::Script;
 use dvp_core::{Cluster, ClusterConfig, SiteConfig};
 use dvp_obs::{Event, Obs, PhaseHists};
 use dvp_simnet::network::NetworkConfig;
@@ -32,7 +32,7 @@ pub struct CampaignConfig {
     /// The data items.
     pub catalog: Catalog,
     /// Workload scripts, one per site.
-    pub scripts: Vec<Vec<(SimTime, TxnSpec)>>,
+    pub scripts: Vec<Script>,
     /// Capture the structured `dvp-obs` event stream into the result.
     pub trace: bool,
 }
@@ -151,12 +151,13 @@ mod tests {
     use super::*;
     use crate::generate::{generate, legacy_environment, Intensity};
     use dvp_core::item::Split;
+    use dvp_core::txn::TxnSpec;
 
     fn small_config(seed: u64) -> CampaignConfig {
         let mut catalog = Catalog::new();
         let flight = catalog.add("flight", 600, Split::Even);
         let n = 4;
-        let mut scripts: Vec<Vec<(SimTime, TxnSpec)>> = vec![Vec::new(); n];
+        let mut scripts = vec![Script::new(); n];
         for k in 0..24u64 {
             let site = (k % n as u64) as usize;
             scripts[site].push((msec(1 + k * 25), TxnSpec::reserve(flight, 7)));

@@ -10,7 +10,7 @@ use crate::arrivals::Arrivals;
 use crate::zipf::Zipf;
 use crate::Workload;
 use dvp_core::item::{Catalog, Split};
-use dvp_core::txn::TxnSpec;
+use dvp_core::txn::{Script, TxnSpec};
 use dvp_core::Qty;
 use dvp_simnet::rng::SimRng;
 use dvp_simnet::time::{SimDuration, SimTime};
@@ -88,7 +88,7 @@ impl AirlineWorkload {
         let times =
             self.arrivals
                 .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
-        let mut scripts: Vec<Vec<(SimTime, TxnSpec)>> = vec![Vec::new(); self.n_sites];
+        let mut scripts = vec![Script::new(); self.n_sites];
 
         let (p_res, p_can, p_chg, p_read) = self.mix;
         for t in times {

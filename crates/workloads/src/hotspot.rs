@@ -14,7 +14,7 @@ use crate::arrivals::Arrivals;
 use crate::zipf::Zipf;
 use crate::Workload;
 use dvp_core::item::{Catalog, Split};
-use dvp_core::txn::TxnSpec;
+use dvp_core::txn::{Script, TxnSpec};
 use dvp_core::Qty;
 use dvp_simnet::rng::SimRng;
 use dvp_simnet::time::{SimDuration, SimTime};
@@ -96,7 +96,7 @@ impl HotspotDriftWorkload {
             self.arrivals
                 .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
         let per_epoch = self.txns.div_ceil(self.epochs).max(1);
-        let mut scripts: Vec<Vec<(SimTime, TxnSpec)>> = vec![Vec::new(); self.n_sites];
+        let mut scripts = vec![Script::new(); self.n_sites];
         for (k, t) in times.into_iter().enumerate() {
             let (hot_site, hot_item) = self.hot_pair(k / per_epoch);
             let amount = rng.uniform(1, self.max_amount.max(1));

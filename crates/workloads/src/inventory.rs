@@ -13,7 +13,7 @@ use crate::zipf::Zipf;
 use crate::Workload;
 use dvp_core::item::{Catalog, Split};
 use dvp_core::ops::Op;
-use dvp_core::txn::TxnSpec;
+use dvp_core::txn::{Script, TxnSpec};
 use dvp_core::Qty;
 use dvp_simnet::rng::SimRng;
 use dvp_simnet::time::{SimDuration, SimTime};
@@ -74,7 +74,7 @@ impl InventoryWorkload {
         let times =
             self.arrivals
                 .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
-        let mut scripts: Vec<Vec<(SimTime, TxnSpec)>> = vec![Vec::new(); self.n_sites];
+        let mut scripts = vec![Script::new(); self.n_sites];
         let (p_ship, p_restock, p_take) = self.mix;
         for t in times {
             let site = rng.index(self.n_sites);

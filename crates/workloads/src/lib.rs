@@ -27,8 +27,7 @@ pub use inventory::InventoryWorkload;
 pub use zipf::Zipf;
 
 use dvp_core::item::Catalog;
-use dvp_core::txn::TxnSpec;
-use dvp_simnet::time::SimTime;
+use dvp_core::txn::Script;
 
 /// A generated workload: catalog + per-site transaction scripts.
 #[derive(Clone, Debug)]
@@ -36,7 +35,7 @@ pub struct Workload {
     /// The data items.
     pub catalog: Catalog,
     /// `scripts[s]` = arrivals at site `s`.
-    pub scripts: Vec<Vec<(SimTime, TxnSpec)>>,
+    pub scripts: Vec<Script>,
 }
 
 impl Workload {

@@ -1,0 +1,89 @@
+//! The arrival script exists once: the workload, the scenario, the
+//! cluster config and every built node hold one allocation per site, a
+//! write through any shared handle copies first, and sharing changes
+//! nothing about what a run computes.
+
+use dvp::baselines::TradClusterConfig;
+use dvp::prelude::*;
+use dvp::workloads::BankingWorkload;
+
+fn ms(n: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::millis(n)
+}
+
+fn banking(txns: usize) -> dvp::workloads::Workload {
+    BankingWorkload {
+        n_sites: 4,
+        accounts: 8,
+        txns,
+        ..Default::default()
+    }
+    .generate(7)
+}
+
+#[test]
+fn scenario_and_built_nodes_point_at_the_workloads_scripts() {
+    let w = banking(200);
+    let sc = Scenario::dvp(&w);
+    let cl = sc.build_dvp();
+    let trad = Scenario::trad(&w).build_trad();
+    for (s, script) in w.scripts.iter().enumerate() {
+        assert!(!script.is_empty(), "site {s} must have arrivals to share");
+        assert!(Script::ptr_eq(script, &sc.scripts[s]), "scenario, site {s}");
+        assert!(
+            Script::ptr_eq(script, cl.sim.node(s).script()),
+            "dvp node {s}"
+        );
+        assert!(
+            Script::ptr_eq(script, trad.sim.node(s).script()),
+            "trad node {s}"
+        );
+    }
+}
+
+#[test]
+fn appending_to_a_shared_script_copies_and_leaves_the_other_holder_alone() {
+    let w = banking(40);
+    let before = w.scripts.clone();
+    let extra = TxnSpec::release(ItemId(0), 1);
+
+    let sc = Scenario::dvp(&w).at(1, ms(9_000), extra.clone());
+    assert_eq!(sc.scripts[1].len(), w.scripts[1].len() + 1);
+    assert_eq!(sc.scripts[1].last(), Some(&(ms(9_000), extra.clone())));
+    assert!(!Script::ptr_eq(&sc.scripts[1], &w.scripts[1]));
+    assert!(Script::ptr_eq(&sc.scripts[0], &w.scripts[0]), "untouched");
+
+    let mut cfg = ClusterConfig::new(4, w.catalog.clone());
+    cfg.scripts = w.scripts.clone();
+    let cfg = cfg.at(2, ms(9_000), extra.clone());
+    assert_eq!(cfg.scripts[2].len(), w.scripts[2].len() + 1);
+    assert!(!Script::ptr_eq(&cfg.scripts[2], &w.scripts[2]));
+
+    let mut trad = TradClusterConfig::new(4, w.catalog.clone());
+    trad.scripts = w.scripts.clone();
+    let trad = trad.at(3, ms(9_000), extra);
+    assert_eq!(trad.scripts[3].len(), w.scripts[3].len() + 1);
+
+    assert_eq!(w.scripts, before, "the workload saw none of it");
+}
+
+#[test]
+fn two_clusters_from_one_scenario_run_identically() {
+    let w = banking(400);
+    let sc = Scenario::dvp(&w).seed(3);
+    let run = || {
+        let mut cl = sc.build_dvp();
+        let events = cl.sim.run_to_quiescence();
+        let stats = cl.stats();
+        (
+            stats.txn.committed(),
+            stats.txn.aborted(),
+            stats.log.forces,
+            cl.sim.stats().wire_bytes,
+            events,
+        )
+    };
+    let first = run();
+    assert_eq!(first.0 + first.1, 400, "every scripted txn decided");
+    assert_eq!(run(), first, "a script is not used up by running it");
+}
