@@ -21,7 +21,7 @@
 //!   (possibly shrunk) campaign and print its verdict.
 
 use dvp_bench::table::phase_table;
-use dvp_bench::{sweep, BenchEnv, Table};
+use dvp_bench::{BenchEnv, Table};
 use dvp_core::{ConcMode, Placement, ReactivePlacement, SiteConfig};
 use dvp_nemesis::{
     ddmin, generate, legacy_environment, run_campaign, CampaignConfig, CampaignResult,
@@ -235,13 +235,14 @@ fn run_matrix() -> bool {
     let mut breakdowns: Vec<Table> = Vec::new();
     for pc in &all {
         let intensity = intensity(&env, pc);
-        let results: Vec<(u64, FaultSchedule, CampaignResult)> =
-            sweep((0..seeds).collect(), |&seed| {
+        let results: Vec<(u64, FaultSchedule, CampaignResult)> = (0..seeds)
+            .map(|seed| {
                 let schedule = generate(seed, N_SITES, HORIZON_MS, &intensity);
                 let cfg = campaign_config(pc, seed, N_SITES, HORIZON_MS, false);
                 let r = run_campaign(&cfg, &schedule);
                 (seed, schedule, r)
-            });
+            })
+            .collect();
         let mut phases = dvp_obs::PhaseHists::new();
         for (_, _, r) in &results {
             phases.merge(&r.phases);

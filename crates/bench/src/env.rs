@@ -1,11 +1,8 @@
 //! `DVP_*` environment knobs, parsed in one place.
 //!
-//! Every harness binary used to read its own env vars ad hoc; [`BenchEnv`]
-//! centralises the parsing rules (and their precedence: an explicit,
+//! [`BenchEnv`] holds the parsing rules and their precedence: an explicit,
 //! well-formed variable always wins; a malformed or absent one falls back
-//! to the documented default). Values are re-read on every
-//! [`BenchEnv::from_env`] call — deliberately uncached, because the
-//! determinism tests flip `DVP_SWEEP_THREADS` mid-process.
+//! to the documented default.
 
 use crate::Scale;
 
@@ -15,9 +12,6 @@ pub struct BenchEnv {
     /// `DVP_SCALE`: experiment scale (`full`/`FULL` ⇒ [`Scale::Full`],
     /// anything else ⇒ [`Scale::Quick`]).
     pub scale: Scale,
-    /// `DVP_SWEEP_THREADS`: sweep worker threads. Set but malformed ⇒ 1
-    /// (serial); unset ⇒ available parallelism; clamped to ≥ 1.
-    pub sweep_threads: usize,
     /// `DVP_NEMESIS_SEEDS` override, if set and well-formed. Resolve with
     /// [`BenchEnv::nemesis_seeds`].
     pub nemesis_seeds_override: Option<u64>,
@@ -29,7 +23,7 @@ pub struct BenchEnv {
 /// `DVP_TRACE`: where trace-emitting binaries write their JSONL event
 /// stream (unset ⇒ no trace, except `fault_campaign --replay`, which
 /// defaults to a path under `target/`). Kept out of [`BenchEnv`] because
-/// it is a `String`, and `BenchEnv` stays `Copy` for the sweep closures.
+/// it is a `String`, and `BenchEnv` stays `Copy`.
 pub fn trace_path() -> Option<String> {
     std::env::var("DVP_TRACE").ok().filter(|s| !s.is_empty())
 }
@@ -47,19 +41,12 @@ impl BenchEnv {
             Some("full") | Some("FULL") => Scale::Full,
             _ => Scale::Quick,
         };
-        let sweep_threads = match get("DVP_SWEEP_THREADS") {
-            Some(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        };
         let nemesis_seeds_override = get("DVP_NEMESIS_SEEDS").and_then(|s| s.parse().ok());
         let nemesis_intensity = get("DVP_NEMESIS_INTENSITY")
             .and_then(|s| s.parse().ok())
             .unwrap_or(1.0);
         BenchEnv {
             scale,
-            sweep_threads,
             nemesis_seeds_override,
             nemesis_intensity,
         }
@@ -90,7 +77,6 @@ mod tests {
     fn defaults_when_unset() {
         let e = env_of(&[]);
         assert_eq!(e.scale, Scale::Quick);
-        assert!(e.sweep_threads >= 1);
         assert_eq!(e.nemesis_seeds_override, None);
         assert_eq!(e.nemesis_seeds(), 50);
         assert_eq!(e.nemesis_intensity, 1.0);
@@ -100,12 +86,10 @@ mod tests {
     fn explicit_values_take_precedence() {
         let e = env_of(&[
             ("DVP_SCALE", "full"),
-            ("DVP_SWEEP_THREADS", "3"),
             ("DVP_NEMESIS_SEEDS", "7"),
             ("DVP_NEMESIS_INTENSITY", "2.5"),
         ]);
         assert_eq!(e.scale, Scale::Full);
-        assert_eq!(e.sweep_threads, 3);
         assert_eq!(e.nemesis_seeds(), 7, "override beats the scale default");
         assert_eq!(e.nemesis_intensity, 2.5);
     }
@@ -121,20 +105,11 @@ mod tests {
     fn malformed_values_fall_back() {
         let e = env_of(&[
             ("DVP_SCALE", "medium"),
-            ("DVP_SWEEP_THREADS", "lots"),
             ("DVP_NEMESIS_SEEDS", "-4"),
             ("DVP_NEMESIS_INTENSITY", "hot"),
         ]);
         assert_eq!(e.scale, Scale::Quick);
-        // Set-but-malformed thread count means "serial", not "all cores":
-        // a typo must not silently fan out.
-        assert_eq!(e.sweep_threads, 1);
         assert_eq!(e.nemesis_seeds(), 50);
         assert_eq!(e.nemesis_intensity, 1.0);
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        assert_eq!(env_of(&[("DVP_SWEEP_THREADS", "0")]).sweep_threads, 1);
     }
 }

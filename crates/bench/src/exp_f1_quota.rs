@@ -11,7 +11,6 @@
 //! remote requests per commit.
 
 use crate::scenario::Scenario;
-use crate::sweep::sweep;
 use crate::table::{f2, pct, Table};
 use crate::Scale;
 use dvp_core::{Placement, ReactivePlacement, RefillPolicy, SiteConfig};
@@ -32,56 +31,50 @@ pub fn run(scale: Scale) -> Table {
             "donations/commit",
         ],
     );
-    let mut grid: Vec<(f64, RefillPolicy, &str)> = Vec::new();
     for theta in [0.0, 1.0, 2.0, 3.0] {
         for (policy, name) in [
             (RefillPolicy::DemandExact, "exact"),
             (RefillPolicy::DemandHalf, "half"),
             (RefillPolicy::All, "all"),
         ] {
-            grid.push((theta, policy, name));
-        }
-    }
-    for row in sweep(grid, |&(theta, policy, name)| {
-        // Supply = 1.5 × estimated net demand: never a global
-        // sell-out, but a per-site quota (supply/4 ≈ 0.37 × demand)
-        // that a skewed hub (receiving ~0.9 × demand) must exceed —
-        // so requests measure *skew*, not scarcity.
-        let est_demand = (txns as u64) * 3 * 3 / 4; // avg party 3, ~75% net decr
-        let total_supply = est_demand * 2;
-        let w = AirlineWorkload {
-            n_sites: 4,
-            flights: 2,
-            seats_per_flight: total_supply / 2,
-            txns,
-            site_skew: theta,
-            mix: (0.85, 0.15, 0.0, 0.0),
-            ..Default::default()
-        }
-        .generate(17);
-        let site = SiteConfig::builder()
-            .placement(Placement::Reactive(ReactivePlacement {
-                refill: policy,
+            // Supply = 1.5 × estimated net demand: never a global
+            // sell-out, but a per-site quota (supply/4 ≈ 0.37 × demand)
+            // that a skewed hub (receiving ~0.9 × demand) must exceed —
+            // so requests measure *skew*, not scarcity.
+            let est_demand = (txns as u64) * 3 * 3 / 4; // avg party 3, ~75% net decr
+            let total_supply = est_demand * 2;
+            let w = AirlineWorkload {
+                n_sites: 4,
+                flights: 2,
+                seats_per_flight: total_supply / 2,
+                txns,
+                site_skew: theta,
+                mix: (0.85, 0.15, 0.0, 0.0),
                 ..Default::default()
-            }))
-            .build();
-        let r = Scenario::dvp(&w).site(site).until(until).seed(3).run();
-        let per_commit = |x: u64| {
-            if r.committed == 0 {
-                0.0
-            } else {
-                x as f64 / r.committed as f64
             }
-        };
-        vec![
-            format!("{theta:.1}"),
-            name.into(),
-            pct(1.0 - r.commit_ratio),
-            f2(per_commit(r.requests)),
-            f2(per_commit(r.donations)),
-        ]
-    }) {
-        t.row(row);
+            .generate(17);
+            let site = SiteConfig::builder()
+                .placement(Placement::Reactive(ReactivePlacement {
+                    refill: policy,
+                    ..Default::default()
+                }))
+                .build();
+            let r = Scenario::dvp(&w).site(site).until(until).seed(3).run();
+            let per_commit = |x: u64| {
+                if r.committed == 0 {
+                    0.0
+                } else {
+                    x as f64 / r.committed as f64
+                }
+            };
+            t.row(vec![
+                format!("{theta:.1}"),
+                name.into(),
+                pct(1.0 - r.commit_ratio),
+                f2(per_commit(r.requests)),
+                f2(per_commit(r.donations)),
+            ]);
+        }
     }
     t
 }

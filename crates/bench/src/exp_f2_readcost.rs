@@ -7,7 +7,6 @@
 //!
 //! Sweep: cluster size n. Metrics: messages per read, read latency.
 
-use crate::sweep::sweep;
 use crate::table::{ms, Table};
 use crate::Scale;
 use dvp_baselines::{Placement, TradCluster, TradClusterConfig, TradConfig};
@@ -87,11 +86,11 @@ pub fn run(scale: Scale) -> Table {
             "primary latency",
         ],
     );
-    for row in sweep(sizes.to_vec(), |&n| {
+    for &n in sizes {
         let (dm, dl) = dvp_read(n);
         let (qm, ql) = trad_read(n, Placement::ReplicatedQuorum);
         let (pm, pl) = trad_read(n, Placement::PrimaryCopy);
-        vec![
+        t.row(vec![
             n.to_string(),
             dm.to_string(),
             ms(dl),
@@ -99,9 +98,7 @@ pub fn run(scale: Scale) -> Table {
             ms(ql),
             pm.to_string(),
             ms(pl),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }

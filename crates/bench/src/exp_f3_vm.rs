@@ -12,7 +12,6 @@
 //! which is why the *commit* ratio sags with loss even though no *value*
 //! is ever lost.
 
-use crate::sweep::sweep;
 use crate::table::{f2, pct, Table};
 use crate::Scale;
 use dvp_core::item::{Catalog, Split};
@@ -37,8 +36,7 @@ pub fn run(scale: Scale) -> Table {
             "frames/Vm",
         ],
     );
-    let losses = vec![0.0, 0.1, 0.3, 0.5, 0.7, 0.9];
-    for row in sweep(losses, |&loss| {
+    for loss in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9] {
         let mut catalog = Catalog::new();
         let item = catalog.add("pool", 1_000_000, Split::AllAt(0));
         let mut cfg = ClusterConfig::new(2, catalog);
@@ -70,15 +68,13 @@ pub fn run(scale: Scale) -> Table {
         } else {
             frames as f64 / completed as f64
         };
-        vec![
+        t.row(vec![
             format!("{loss:.1}"),
             pct(m.commit_ratio()),
             created.to_string(),
             completed.to_string(),
             f2(fpv),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }

@@ -12,7 +12,6 @@
 //! them; shipping `All` on first contact amortises later requests.
 
 use crate::scenario::Scenario;
-use crate::sweep::sweep;
 use crate::table::{f2, pct, Table};
 use crate::Scale;
 use dvp_core::item::Split;
@@ -47,50 +46,44 @@ pub fn run(scale: Scale) -> Table {
             "abort rate",
         ],
     );
-    let mut grid: Vec<(&str, Split, RefillPolicy, &str)> = Vec::new();
     for (split_name, split) in &splits {
         for (policy, pname) in [
             (RefillPolicy::DemandExact, "exact"),
             (RefillPolicy::DemandHalf, "half"),
         ] {
-            grid.push((*split_name, split.clone(), policy, pname));
-        }
-    }
-    for row in sweep(grid, |(split_name, split, policy, pname)| {
-        let w = AirlineWorkload {
-            n_sites: n,
-            flights: 2,
-            seats_per_flight: (txns as u64) * 3,
-            txns,
-            site_skew: theta,
-            mix: (0.9, 0.1, 0.0, 0.0),
-            split: split.clone(),
-            ..Default::default()
-        }
-        .generate(23);
-        let site = SiteConfig::builder()
-            .placement(Placement::Reactive(ReactivePlacement {
-                refill: *policy,
+            let w = AirlineWorkload {
+                n_sites: n,
+                flights: 2,
+                seats_per_flight: (txns as u64) * 3,
+                txns,
+                site_skew: theta,
+                mix: (0.9, 0.1, 0.0, 0.0),
+                split: split.clone(),
                 ..Default::default()
-            }))
-            .build();
-        let r = Scenario::dvp(&w).site(site).until(until).seed(4).run();
-        let per_commit = |x: u64| {
-            if r.committed == 0 {
-                0.0
-            } else {
-                x as f64 / r.committed as f64
             }
-        };
-        vec![
-            split_name.to_string(),
-            (*pname).into(),
-            f2(per_commit(r.requests)),
-            f2(per_commit(r.donations)),
-            pct(1.0 - r.commit_ratio),
-        ]
-    }) {
-        t.row(row);
+            .generate(23);
+            let site = SiteConfig::builder()
+                .placement(Placement::Reactive(ReactivePlacement {
+                    refill: policy,
+                    ..Default::default()
+                }))
+                .build();
+            let r = Scenario::dvp(&w).site(site).until(until).seed(4).run();
+            let per_commit = |x: u64| {
+                if r.committed == 0 {
+                    0.0
+                } else {
+                    x as f64 / r.committed as f64
+                }
+            };
+            t.row(vec![
+                split_name.to_string(),
+                pname.into(),
+                f2(per_commit(r.requests)),
+                f2(per_commit(r.donations)),
+                pct(1.0 - r.commit_ratio),
+            ]);
+        }
     }
     t
 }

@@ -10,8 +10,7 @@
 //! systems. Metric: commit ratio.
 
 use crate::scenario::Scenario;
-use crate::sweep::sweep;
-use crate::table::{pct, Table};
+use crate::table::{pct, phase_table, Table};
 use crate::Scale;
 use dvp_baselines::{Placement, TradConfig};
 use dvp_simnet::network::NetworkConfig;
@@ -65,7 +64,7 @@ pub fn run(scale: Scale) -> Table {
         "T1: commit ratio under partition (8 sites, airline)",
         &["severity", "DvP", "2PC+quorum", "primary-copy"],
     );
-    for row in sweep(SEVERITIES.to_vec(), |&severity| {
+    for severity in SEVERITIES {
         let w = workload.generate(11);
         let net = || NetworkConfig::reliable().with_partitions(schedule(severity, n));
         let dvp = Scenario::dvp(&w).net(net()).until(until).seed(1).run();
@@ -87,19 +86,18 @@ pub fn run(scale: Scale) -> Table {
             .until(until)
             .seed(1)
             .run();
-        vec![
+        t.row(vec![
             severity.to_string(),
             pct(dvp.commit_ratio),
             pct(quorum.commit_ratio),
             pct(primary.commit_ratio),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }
 
-/// The representative traced run the T1 binary exports: the DvP engine on
+/// The representative traced run `exp t1` breaks down by phase and, under
+/// `DVP_TRACE`, exports: the DvP engine on
 /// the quick-scale airline workload under the 6/2 split, with the event
 /// stream captured. Deterministic: same build ⇒ byte-identical trace.
 pub fn traced_representative() -> crate::RunReport {
@@ -120,6 +118,18 @@ pub fn traced_representative() -> crate::RunReport {
         .seed(11)
         .trace(true)
         .run()
+}
+
+/// Per-phase latency breakdown of [`traced_representative`].
+pub fn phase_breakdown() -> Table {
+    let report = traced_representative();
+    phase_table(
+        format!(
+            "{} per-phase latency (seed {})",
+            report.scenario, report.seed
+        ),
+        &report.phases,
+    )
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 //! the worst-case decision/blocking window and how many transactions were
 //! still undecided mid-fault.
 
-use crate::sweep::sweep;
 use crate::table::{ms, Table};
 use crate::Scale;
 use dvp_baselines::{CommitProtocol, TradCluster, TradClusterConfig};
@@ -122,15 +121,14 @@ pub fn run(scale: Scale) -> Table {
     // later — at 10ms — so its pre-commit round has begun; that is the
     // window in which its termination rule diverges.)
     // Scenario (b): coordinator crash mid-commit.
-    let cells: Vec<(&str, &str)> = vec![
+    for (scenario, system) in [
         ("partition mid-commit", "DvP"),
         ("partition mid-commit", "2PC"),
         ("partition mid-commit", "3PC"),
         ("coordinator crash", "DvP"),
         ("coordinator crash", "2PC"),
         ("coordinator crash", "3PC"),
-    ];
-    for row in sweep(cells, |&(scenario, system)| {
+    ] {
         let o = match (scenario, system) {
             ("partition mid-commit", "DvP") => observe_dvp(
                 fixed_net().with_partitions(mid_commit_partition(heal)),
@@ -183,15 +181,13 @@ pub fn run(scale: Scale) -> Table {
             ),
             _ => unreachable!("unknown cell"),
         };
-        vec![
+        t.row(vec![
             scenario.into(),
             system.into(),
             ms(o.max_window_us),
             o.undecided_mid_fault.to_string(),
             yn(o.consistent),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }

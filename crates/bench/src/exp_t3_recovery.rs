@@ -10,7 +10,6 @@
 //! new transactions. Metrics: remote messages consumed by recovery, time
 //! from recovery to the recovered site's first commit.
 
-use crate::sweep::sweep;
 use crate::table::{ms, Table};
 use crate::Scale;
 use dvp_baselines::{TradCluster, TradClusterConfig};
@@ -76,14 +75,9 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
 
-    let mut cells: Vec<(usize, &str)> = Vec::new();
     for k in [1usize, 3, 7] {
-        cells.push((k, "DvP"));
-        cells.push((k, "2PC"));
-    }
-    for row in sweep(cells, |&(k, system)| {
         let w = workload(scale, recover_at);
-        if system == "DvP" {
+        t.row({
             let mut cfg = ClusterConfig::new(8, w.catalog.clone());
             cfg.net = fixed_net();
             cfg.scripts = w.scripts.clone();
@@ -106,7 +100,8 @@ pub fn run(scale: Scale) -> Table {
                 "0".into(),
                 cl.sim.stats().dropped_crashed.to_string(),
             ]
-        } else {
+        });
+        t.row({
             let mut cfg = TradClusterConfig::new(8, w.catalog.clone());
             cfg.net = fixed_net();
             cfg.scripts = w.scripts.clone();
@@ -134,9 +129,7 @@ pub fn run(scale: Scale) -> Table {
                 m.still_blocked().to_string(),
                 cl.sim.stats().dropped_crashed.to_string(),
             ]
-        }
-    }) {
-        t.row(row);
+        });
     }
     t
 }

@@ -11,7 +11,6 @@
 //! on the identical synchronous-ordered network.
 
 use crate::scenario::Scenario;
-use crate::sweep::sweep;
 use crate::table::{pct, Table};
 use crate::Scale;
 use dvp_core::{ConcMode, SiteConfig};
@@ -33,7 +32,7 @@ pub fn run(scale: Scale) -> Table {
             "Conc2 aborts",
         ],
     );
-    for row in sweep(vec![0.0, 0.8, 1.6, 2.4], |&theta| {
+    for theta in [0.0, 0.8, 1.6, 2.4] {
         let w = InventoryWorkload {
             txns,
             products: 4,
@@ -67,15 +66,13 @@ pub fn run(scale: Scale) -> Table {
             .until(until)
             .seed(2)
             .run();
-        vec![
+        t.row(vec![
             format!("{theta:.1}"),
             pct(r1.commit_ratio),
             pct(r2.commit_ratio),
             r1.aborted.to_string(),
             r2.aborted.to_string(),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }

@@ -10,7 +10,6 @@
 //! The table is a per-seed verdict; any violation panics the harness
 //! (and the matching proptest in `tests/` shrinks it).
 
-use crate::sweep::sweep;
 use crate::table::Table;
 use crate::Scale;
 use dvp_core::{Cluster, ClusterConfig, FaultPlan};
@@ -46,7 +45,7 @@ pub fn run(scale: Scale) -> Table {
         "T5: conservation N = ΣNᵢ + N_M under random faults (6 sites)",
         &["seed", "txns decided", "audits", "verdict"],
     );
-    for row in sweep((0..seeds).collect(), |&seed| {
+    for seed in 0..seeds {
         let w = AirlineWorkload {
             n_sites: n,
             flights: 3,
@@ -74,14 +73,12 @@ pub fn run(scale: Scale) -> Table {
             audits += 1;
         }
         let m = cl.stats().txn;
-        vec![
+        t.row(vec![
             seed.to_string(),
             (m.committed() + m.aborted()).to_string(),
             audits.to_string(),
             "OK".into(),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }

@@ -1,13 +1,16 @@
 //! # dvp-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the constructed evaluation (see
-//! `DESIGN.md` §3 and `EXPERIMENTS.md`). One module per experiment; one
-//! binary per experiment (`src/bin/exp_*.rs`); Criterion micro-benchmarks
-//! under `benches/`.
+//! Regenerates every table of the constructed evaluation (see `DESIGN.md`
+//! §3 and `EXPERIMENTS.md`). One module per experiment, listed in
+//! [`EXPERIMENTS`]; one binary, `exp [id…]`, prints them ([`output`]).
+//! `EXPERIMENTS.md` quotes the full-scale tables and
+//! `tests/experiments_md.rs` holds it to them by equality. Wall-clock
+//! figures are not produced here: they come from `benchmark/` (and, for
+//! the adaptive-vs-reactive floor, the `engine_baseline` bin).
 //!
-//! All experiments run at two scales: `quick` (seconds, used in CI and by
-//! default) and `full` (the numbers recorded in `EXPERIMENTS.md`).
-//! Select with the `DVP_SCALE` environment variable (`quick`/`full`).
+//! All experiments run at two scales: `quick` (used in CI and by default)
+//! and `full` (the numbers recorded in `EXPERIMENTS.md`). Select with the
+//! `DVP_SCALE` environment variable (`quick`/`full`).
 
 // The alloc-audit feature needs one `unsafe impl GlobalAlloc`; every
 // other configuration keeps the hard forbid.
@@ -17,7 +20,7 @@
 
 #[cfg(feature = "alloc-audit")]
 pub mod alloc_audit;
-pub mod deep_queue;
+pub mod exp_a1_ablations;
 pub mod exp_f1_quota;
 pub mod exp_f2_readcost;
 pub mod exp_f3_vm;
@@ -29,14 +32,12 @@ pub mod exp_t3_recovery;
 pub mod exp_t4_conc;
 pub mod exp_t5_conservation;
 pub mod scenario;
-pub mod sweep;
 pub mod table;
 
 mod env;
 
 pub use env::{trace_path, BenchEnv};
 pub use scenario::{EngineKind, RunReport, Scenario};
-pub use sweep::{sweep, sweep_serial};
 pub use table::Table;
 
 /// Experiment scale.
@@ -60,5 +61,90 @@ impl Scale {
             Scale::Quick => q,
             Scale::Full => f,
         }
+    }
+}
+
+/// One experiment: the id `exp` takes on its command line, and the
+/// tables it prints at a scale.
+pub type Experiment = (&'static str, fn(Scale) -> Vec<Table>);
+
+/// Every experiment, in `EXPERIMENTS.md` order. All but `f4` (real
+/// threads, wall clock) are pure functions of their seeds.
+pub const EXPERIMENTS: [Experiment; 11] = [
+    ("t1", |s| {
+        vec![
+            exp_t1_availability::run(s),
+            exp_t1_availability::phase_breakdown(),
+        ]
+    }),
+    ("t2", |s| vec![exp_t2_blocking::run(s)]),
+    ("t3", |s| vec![exp_t3_recovery::run(s)]),
+    ("t4", |s| vec![exp_t4_conc::run(s)]),
+    ("t5", |s| vec![exp_t5_conservation::run(s)]),
+    ("f1", |s| vec![exp_f1_quota::run(s)]),
+    ("f2", |s| vec![exp_f2_readcost::run(s)]),
+    ("f3", |s| vec![exp_f3_vm::run(s)]),
+    ("f4", |s| vec![exp_f4_hotspot::run(s)]),
+    ("f5", |s| vec![exp_f5_traffic::run(s)]),
+    ("a1", |s| vec![exp_a1_ablations::run(s)]),
+];
+
+/// Resolve `exp`'s arguments to experiments: none means all of them, in
+/// order; an unknown id is an error naming the known ones.
+pub fn select(ids: &[String]) -> Result<Vec<Experiment>, String> {
+    if ids.is_empty() {
+        return Ok(EXPERIMENTS.to_vec());
+    }
+    ids.iter()
+        .map(|id| {
+            EXPERIMENTS
+                .iter()
+                .find(|(known, _)| known == id)
+                .copied()
+                .ok_or_else(|| {
+                    let known: Vec<&str> = EXPERIMENTS.iter().map(|(k, _)| *k).collect();
+                    format!("unknown experiment {id:?}; known: {}", known.join(" "))
+                })
+        })
+        .collect()
+}
+
+/// What `exp` prints for `experiments`: each table rendered, each
+/// followed by a blank line — so the output for a list is the
+/// concatenation of the outputs for its members.
+pub fn output(experiments: &[Experiment], scale: Scale) -> String {
+    experiments
+        .iter()
+        .flat_map(|(_, tables)| tables(scale))
+        .map(|t| t.render() + "\n")
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_ids_means_every_experiment_and_output_concatenates() {
+        let all = select(&[]).unwrap();
+        let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
+        assert_eq!(
+            ids,
+            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1"]
+        );
+        // F4 times real threads, so two renderings of it differ; the
+        // other ten must concatenate exactly.
+        let exact: Vec<Experiment> = all.into_iter().filter(|(id, _)| *id != "f4").collect();
+        let one_by_one: String = exact.iter().map(|e| output(&[*e], Scale::Quick)).collect();
+        assert_eq!(output(&exact, Scale::Quick), one_by_one);
+    }
+
+    #[test]
+    fn ids_select_in_the_order_given_and_unknown_ids_are_refused() {
+        let picked = select(&["f5".into(), "t2".into()]).unwrap();
+        let ids: Vec<&str> = picked.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, ["f5", "t2"]);
+        let err = select(&["t9".into()]).unwrap_err();
+        assert!(err.contains("\"t9\"") && err.contains("t1 t2"), "{err}");
     }
 }

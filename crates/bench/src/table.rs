@@ -1,4 +1,4 @@
-//! Plain-text table rendering (markdown-compatible) and CSV output.
+//! Plain-text table rendering (markdown-compatible).
 
 use std::fmt::Write as _;
 
@@ -69,35 +69,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// Format a ratio as a percentage with one decimal.
@@ -148,13 +119,6 @@ mod tests {
         assert!(r.contains("## Demo"));
         assert!(r.contains("| name   | value |"));
         assert!(r.contains("| alpha  | 1     |"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let c = sample().to_csv();
-        assert!(c.contains("\"beta,2\",2"));
-        assert!(c.starts_with("name,value\n"));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! | [`baselines`] | strict-2PL + 2PC engine (quorum / primary copy), Escrow method |
 //! | [`workloads`] | airline / banking / inventory generators |
 //! | [`obs`] | structured observability: typed events, histograms, JSONL traces |
-//! | [`bench`](mod@bench) | the experiment harness: [`Scenario`](bench::Scenario) runs, tables, sweeps |
+//! | [`bench`](mod@bench) | the experiment harness: [`Scenario`](bench::Scenario) runs, experiment tables |
 //!
 //! ## Quickstart
 //!

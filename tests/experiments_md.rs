@@ -1,0 +1,59 @@
+//! EXPERIMENTS.md is the golden for every deterministic experiment table:
+//! each table `exp` prints at full scale must appear in the document line
+//! for line. F4 runs real threads against a wall clock, so its block in
+//! the document is a labelled sample and is not checked.
+//!
+//! When this fails after an intended change, paste the printed block over
+//! the stale one (or regenerate them all: `DVP_SCALE=full cargo run
+//! --release -p dvp-bench --bin exp`), then re-read the verdict under it.
+
+use dvp::bench::{Scale, EXPERIMENTS};
+
+/// Does `doc` carry `block` verbatim — the same lines, contiguous, as
+/// whole lines, with no further table row directly after them?
+fn quotes(doc: &str, block: &str) -> bool {
+    let doc: Vec<&str> = doc.lines().collect();
+    let block: Vec<&str> = block.lines().collect();
+    doc.windows(block.len()).enumerate().any(|(at, w)| {
+        w == block
+            && !doc
+                .get(at + block.len())
+                .is_some_and(|next| next.starts_with('|'))
+    })
+}
+
+#[test]
+fn every_deterministic_table_is_quoted_verbatim() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let mut stale = Vec::new();
+    for (id, tables) in EXPERIMENTS {
+        if id == "f4" {
+            continue;
+        }
+        for block in tables(Scale::Full).iter().map(|t| t.render()) {
+            if !quotes(doc, &block) {
+                eprintln!("EXPERIMENTS.md does not quote this `exp {id}` block:\n{block}");
+                stale.push(id);
+            }
+        }
+    }
+    assert!(stale.is_empty(), "stale in EXPERIMENTS.md: {stale:?}");
+}
+
+#[test]
+fn the_matcher_is_exact() {
+    let block = "## T: demo\n| n  | msgs |\n|----|------|\n| 2  | 4    |\n| 16 | 60   |\n";
+    let doc = format!("# Doc\n\n```\n{block}```\n\nprose\n");
+    assert!(quotes(&doc, block));
+    // One digit off.
+    assert!(!quotes(&doc.replace("| 60 ", "| 61 "), block));
+    // Same cells, different column padding.
+    assert!(!quotes(&doc.replace("| 2  | 4    |", "| 2 | 4 |"), block));
+    // A row the code no longer prints, left behind under the block.
+    assert!(!quotes(
+        &doc.replace("```\n\nprose", "| 32 | 124  |\n```\n\nprose"),
+        block
+    ));
+    // A heading that merely ends with the title is not the title line.
+    assert!(!quotes(&doc.replace("## T: demo", "### T: demo"), block));
+}

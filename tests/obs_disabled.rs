@@ -1,0 +1,75 @@
+//! What makes a disabled observability handle free, checked exactly
+//! rather than timed: it never evaluates an event payload, it buffers
+//! nothing over a whole engine run, and attaching it changes no counter.
+//! (The timed comparison is the repo benchmark's
+//! `obs.trace_overhead_share`.)
+
+use dvp::bench::Scenario;
+use dvp::obs::{EventKind, Obs};
+use dvp::workloads::{BankingWorkload, Workload};
+use dvp_core::{Cluster, ClusterConfig};
+
+#[test]
+fn a_disabled_handle_never_builds_the_payload() {
+    for obs in [Obs::disabled(), Obs::new(false)] {
+        assert!(!obs.is_enabled());
+        obs.emit_with(0, || -> EventKind {
+            panic!("payload closure evaluated on a disabled handle")
+        });
+        assert!(obs.is_empty());
+    }
+}
+
+/// One closed-loop banking run with `obs` attached: the counters a
+/// `RunReport` carries, and how many events the handle buffered.
+fn banking(w: &Workload, obs: Obs) -> ([u64; 6], usize) {
+    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
+    cfg.scripts = w.scripts.clone();
+    cfg.obs = obs;
+    let mut cl = Cluster::build(cfg);
+    let events = cl.sim.run_to_quiescence();
+    let stats = cl.stats();
+    let net = cl.sim.stats();
+    let counters = [
+        stats.txn.committed(),
+        stats.txn.aborted(),
+        stats.log.forces,
+        net.sent,
+        net.wire_bytes,
+        events,
+    ];
+    (counters, cl.obs().len())
+}
+
+#[test]
+fn a_traced_off_run_buffers_nothing_and_moves_no_counter() {
+    let w = BankingWorkload {
+        n_sites: 8,
+        accounts: 16,
+        txns: 1_500,
+        ..Default::default()
+    }
+    .generate(42);
+    let (absent, absent_events) = banking(&w, Obs::disabled());
+    let (off, off_events) = banking(&w, Obs::new(false));
+    assert_eq!((absent_events, off_events), (0, 0));
+    assert_eq!(absent, off);
+    // The zeroes above are not vacuous: the same run traced buffers
+    // events, and still moves no counter.
+    let (on, on_events) = banking(&w, Obs::enabled());
+    assert!(on_events > 0);
+    assert_eq!(on, absent);
+    // And `Scenario` reports the same run the same way.
+    let report = Scenario::dvp(&w).run();
+    assert!(report.events.is_empty());
+    assert_eq!(
+        [
+            report.committed,
+            report.aborted,
+            report.forces,
+            report.messages,
+            report.wire_bytes
+        ],
+        absent[..5]
+    );
+}
