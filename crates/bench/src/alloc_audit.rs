@@ -1,26 +1,20 @@
 //! Counting global allocator for steady-state allocation audits.
 //!
 //! Compiled only under the `alloc-audit` feature: enabling it installs a
-//! [`GlobalAlloc`] wrapper around the system allocator that counts every
-//! allocation event (alloc + realloc) and the bytes requested, process-
-//! wide, and per thread the events and the net live bytes. The per-thread
-//! counters let tests pin "zero allocations per committed fast-path
-//! transaction" and "the heap holds the log once"
+//! [`GlobalAlloc`] wrapper around the system allocator that counts, per
+//! thread, every allocation event (alloc + realloc) and the net live
+//! bytes. A simulation runs on the one thread that drives it, so tests
+//! can pin "zero allocations per committed fast-path transaction"
+//! ([`thread_alloc_count`]) and "the heap holds the log once"
 //! ([`thread_live_bytes`]) as regression gates whatever the test harness's
-//! other threads do; the process-wide ones give `engine_baseline` its
-//! `allocs_per_txn` column.
+//! other threads do.
 //!
-//! The wrapper costs a few relaxed atomic increments per allocation, so it
-//! stays out of default builds; run audits with
+//! The wrapper costs two thread-local updates per allocation, so it stays
+//! out of default builds; run audits with
 //! `cargo test -p dvp-bench --features alloc-audit`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// The calling thread's own allocation events and net live bytes
@@ -32,10 +26,8 @@ thread_local! {
 }
 
 /// Count one allocation event of `size` bytes that gives `freed` bytes
-/// back, process-wide and for this thread.
+/// back, for this thread.
 fn count_event(size: usize, freed: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(size as u64, Ordering::Relaxed);
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
     count_freed(freed);
     let _ = THREAD_LIVE.try_with(|c| c.set(c.get().wrapping_add(size as u64)));
@@ -46,7 +38,7 @@ fn count_freed(freed: usize) {
     let _ = THREAD_LIVE.try_with(|c| c.set(c.get().wrapping_sub(freed as u64)));
 }
 
-/// System allocator wrapped with relaxed event counters.
+/// System allocator wrapped with per-thread event counters.
 pub struct CountingAlloc;
 
 // SAFETY: pure pass-through to `System`; the counters are side effects
@@ -59,7 +51,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         count_freed(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -75,17 +66,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation events so far (allocs + reallocs, process-wide).
-pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Allocation events made by the calling thread so far. A simulation
-/// runs on one thread, so a difference of two readings is exactly what
-/// the run between them allocated — the process-wide counter also sees
-/// whatever the test harness's own threads do meanwhile, which made the
-/// zero gates flake (the harness's bookkeeping for a just-started test
-/// lands inside or outside the measured window depending on scheduling).
+/// Allocation events (allocs + reallocs) made by the calling thread so
+/// far. A simulation runs on one thread, so a difference of two readings
+/// is exactly what the run between them allocated — a process-wide
+/// counter would also see whatever the test harness's own threads do
+/// meanwhile (its bookkeeping for a just-started test lands inside or
+/// outside the measured window depending on scheduling).
 pub fn thread_alloc_count() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
@@ -99,29 +85,9 @@ pub fn thread_live_bytes() -> u64 {
     THREAD_LIVE.with(Cell::get)
 }
 
-/// Deallocation events so far.
-pub fn dealloc_count() -> u64 {
-    DEALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested so far.
-pub fn bytes_allocated() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_observe_an_allocation() {
-        let before = alloc_count();
-        let v: Vec<u64> = Vec::with_capacity(32);
-        assert!(alloc_count() > before, "Vec::with_capacity must be counted");
-        drop(v);
-        assert!(dealloc_count() > 0);
-        assert!(bytes_allocated() >= 32 * 8);
-    }
 
     #[test]
     fn thread_counters_follow_this_thread_alone() {

@@ -6,7 +6,8 @@
 //! `EXPERIMENTS.md` quotes the full-scale tables and
 //! `tests/experiments_md.rs` holds it to them by equality. Wall-clock
 //! figures are not produced here: they come from `benchmark/` (and, for
-//! the adaptive-vs-reactive floor, the `engine_baseline` bin).
+//! the adaptive-vs-reactive floor, the `engine_baseline` bin, which times
+//! four of [`exp_e1_engine`]'s scenarios).
 //!
 //! All experiments run at two scales: `quick` (used in CI and by default)
 //! and `full` (the numbers recorded in `EXPERIMENTS.md`). Select with the
@@ -21,6 +22,7 @@
 #[cfg(feature = "alloc-audit")]
 pub mod alloc_audit;
 pub mod exp_a1_ablations;
+pub mod exp_e1_engine;
 pub mod exp_f1_quota;
 pub mod exp_f2_readcost;
 pub mod exp_f3_vm;
@@ -70,7 +72,7 @@ pub type Experiment = (&'static str, fn(Scale) -> Vec<Table>);
 
 /// Every experiment, in `EXPERIMENTS.md` order. All but `f4` (real
 /// threads, wall clock) are pure functions of their seeds.
-pub const EXPERIMENTS: [Experiment; 11] = [
+pub const EXPERIMENTS: [Experiment; 12] = [
     ("t1", |s| {
         vec![
             exp_t1_availability::run(s),
@@ -87,6 +89,7 @@ pub const EXPERIMENTS: [Experiment; 11] = [
     ("f4", |s| vec![exp_f4_hotspot::run(s)]),
     ("f5", |s| vec![exp_f5_traffic::run(s)]),
     ("a1", |s| vec![exp_a1_ablations::run(s)]),
+    ("e1", exp_e1_engine::run),
 ];
 
 /// Resolve `exp`'s arguments to experiments: none means all of them, in
@@ -130,10 +133,10 @@ mod tests {
         let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
         assert_eq!(
             ids,
-            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1"]
+            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1", "e1"]
         );
         // F4 times real threads, so two renderings of it differ; the
-        // other ten must concatenate exactly.
+        // other eleven must concatenate exactly.
         let exact: Vec<Experiment> = all.into_iter().filter(|(id, _)| *id != "f4").collect();
         let one_by_one: String = exact.iter().map(|e| output(&[*e], Scale::Quick)).collect();
         assert_eq!(output(&exact, Scale::Quick), one_by_one);

@@ -231,13 +231,14 @@ impl Scenario {
             wire_bytes: cl.sim.stats().wire_bytes,
             bytes_acked_piggyback: vm.bytes_acked_piggyback,
             forces: stats.log.forces,
-            requests: stats.placement.requests_sent,
+            max_force_batch: stats.log.max_force_batch,
+            requests: m.requests_sent(),
             donations: m.donations(),
             fast_path: m.fast_path_commits(),
-            hinted_solicits: stats.placement.hinted_solicits,
-            hint_hits: stats.placement.hint_hits,
-            rebalances: stats.placement.rebalances,
-            hints_sent: stats.placement.hints_sent,
+            hinted_solicits: m.hinted_solicits(),
+            hint_hits: m.hint_hits(),
+            rebalances: m.rebalances(),
+            hints_sent: vm.hints_sent,
             still_blocked: 0,
             recovery_remote_msgs: m.sites.iter().map(|s| s.recovery_remote_messages).sum(),
             dropped_crashed: cl.sim.stats().dropped_crashed,
@@ -259,6 +260,7 @@ impl Scenario {
             }
         }
         let m = cl.metrics();
+        let log = cl.log_stats();
         let decisions = m.decision_latency();
         RunReport {
             scenario: self.name,
@@ -281,7 +283,8 @@ impl Scenario {
             datagrams: cl.sim.stats().sent,
             wire_bytes: cl.sim.stats().wire_bytes,
             bytes_acked_piggyback: 0,
-            forces: cl.log_stats().forces,
+            forces: log.forces,
+            max_force_batch: log.max_force_batch,
             requests: 0,
             donations: 0,
             fast_path: 0,
@@ -349,6 +352,8 @@ pub struct RunReport {
     /// Cluster-wide stable-log force operations (both engines report
     /// them; `forces / committed` is the group-commit headline metric).
     pub forces: u64,
+    /// Most records one force made durable at once, over all sites.
+    pub max_force_batch: u64,
     /// Engine-level solicitations (DvP requests; baseline lock requests
     /// are folded into `messages`).
     pub requests: u64,

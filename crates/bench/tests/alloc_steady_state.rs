@@ -5,10 +5,9 @@
 //!
 //! Run with `cargo test -p dvp-bench --features alloc-audit --test
 //! alloc_steady_state` — the feature installs the counting global
-//! allocator. The gates read its *per-thread* counters: a simulation
-//! runs on the one thread that drives it, so neither sibling tests nor
-//! the harness's own bookkeeping (which made the process-wide counter
-//! flake, even on one test thread) leak into a measurement.
+//! allocator. Its counters are *per thread*: a simulation runs on the one
+//! thread that drives it, so neither sibling tests nor the harness's own
+//! bookkeeping leak into a measurement.
 //!
 //! Methodology (two-run delta): drive two identical single-site clusters
 //! in the same process, one with `W` scripted fast-path transactions and
@@ -23,11 +22,11 @@
 
 #![cfg(feature = "alloc-audit")]
 
+use dvp_bench::exp_e1_engine::banking;
 use dvp_bench::{alloc_audit, Scenario};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, Placement, TxnSpec};
 use dvp_simnet::time::{SimDuration, SimTime};
-use dvp_workloads::{BankingWorkload, Workload};
 
 /// Warmup+measure sizes: capacities after W pushes and after W+M pushes
 /// fall inside the same power-of-two growth window for every per-txn
@@ -105,18 +104,6 @@ fn adaptive_fast_path_commit_allocates_zero() {
     );
 }
 
-/// The `engine_baseline` banking script at `txns` transfers: 8 sites, 16
-/// accounts, about half of the transfers must solicit remote value.
-fn banking(txns: usize) -> Workload {
-    BankingWorkload {
-        n_sites: 8,
-        accounts: 16,
-        txns,
-        ..Default::default()
-    }
-    .generate(42)
-}
-
 /// Net growth of this thread's live heap since the `thread_live_bytes`
 /// reading `since`. Wrapping: the per-thread figure goes "negative" when
 /// this thread frees what another allocated (the harness hands it its
@@ -125,7 +112,7 @@ fn live_growth(since: u64) -> u64 {
     (alloc_audit::thread_live_bytes().wrapping_sub(since) as i64).max(0) as u64
 }
 
-/// One quick-scale banking run (the `engine_baseline --quick` row: 2,000
+/// One quick-scale banking run (`E1`'s `dvp_banking` row: 2,000
 /// transfers). Returns the drained cluster with the allocation events
 /// and the net live-heap growth of the run phase alone.
 fn banking_run() -> (Cluster, u64, u64) {

@@ -173,7 +173,7 @@ impl Cluster {
     }
 
     /// One coherent snapshot of every counter layer: transaction engine,
-    /// Vm channel, stable log, and placement. This is the single stats
+    /// Vm channel and stable log. This is the single stats
     /// surface — reports and benchmarks pull everything from here rather
     /// than stitching together per-layer accessors.
     pub fn stats(&self) -> StatsView {
@@ -191,19 +191,7 @@ impl Cluster {
             vm.absorb(site.vm_endpoint().stats());
             log.merge(&site.log().stats());
         }
-        let placement = PlacementStats {
-            requests_sent: txn.requests_sent(),
-            hinted_solicits: txn.hinted_solicits(),
-            hint_hits: txn.hint_hits(),
-            rebalances: txn.rebalances(),
-            hints_sent: vm.hints_sent,
-        };
-        StatsView {
-            txn,
-            vm,
-            log,
-            placement,
-        }
+        StatsView { txn, vm, log }
     }
 
     /// An auditor over the current state.
@@ -222,34 +210,14 @@ impl Cluster {
 /// from this view instead of poking at per-layer accessors.
 #[derive(Clone, Debug)]
 pub struct StatsView {
-    /// Per-site transaction-engine counters (commits, aborts, fast path).
+    /// Per-site transaction-engine counters (commits, aborts, fast path,
+    /// solicitations, hint use, rebalance ships).
     pub txn: ClusterMetrics,
     /// Cluster-wide Vm-layer counters (frames, datagrams, wire bytes,
     /// piggybacked acks and hints).
     pub vm: dvp_vmsg::VmStats,
     /// Cluster-wide stable-log counters (forces, appends, batch sizes).
     pub log: dvp_storage::LogStats,
-    /// Value-placement counters distilled from the layers above.
-    pub placement: PlacementStats,
-}
-
-/// How value moved around the cluster: solicitation traffic, hint
-/// effectiveness, and rebalancer activity. All advisory-layer counters —
-/// none of these affect commit/abort decisions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlacementStats {
-    /// Solicitation requests put on the wire (all fanouts).
-    pub requests_sent: u64,
-    /// Solicitations aimed at a single peer because a fresh availability
-    /// hint advertised surplus there.
-    pub hinted_solicits: u64,
-    /// Hinted solicitations whose hinted donor actually delivered value
-    /// that the soliciting transaction consumed.
-    pub hint_hits: u64,
-    /// Rds rebalance transfers shipped (reactive or adaptive).
-    pub rebalances: u64,
-    /// Availability-hint entries piggybacked on outgoing Vm datagrams.
-    pub hints_sent: u64,
 }
 
 #[cfg(test)]

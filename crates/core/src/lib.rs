@@ -49,7 +49,7 @@ pub mod transfer;
 pub mod txn;
 
 pub use clock::{LamportClock, Ts, TxnId};
-pub use cluster::{Cluster, ClusterConfig, FaultPlan, PlacementStats, StatsView};
+pub use cluster::{Cluster, ClusterConfig, FaultPlan, StatsView};
 pub use dense::SVec;
 pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};

@@ -380,8 +380,7 @@ impl SiteNode {
                 Err(i) => t.read_pending.insert(i, (item, donors)),
             }
             for to in peers_of(self.id, self.n) {
-                self.send(ctx, to, Body::Request(Solicit::read(ts, item)));
-                self.metrics.requests_sent += 1;
+                self.solicit_peer(to, Solicit::read(ts, item), ctx);
             }
         }
     }

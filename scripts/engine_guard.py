@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
 """Engine-baseline regression guard over a BENCH_engine.json.
 
-Fails (exit 1) when the adaptive placement subsystem regresses against
-its reactive sibling, or when the 2PC baseline rows stop reporting
-kernel-accounted wire bytes:
+Fails (exit 1) when the adaptive placement subsystem's throughput
+regresses against its reactive sibling: ``<name>_adaptive`` must reach
+at least 0.95x the reactive ``txns_per_sec`` — throughput is wall
+clock, so the check carries the acceptance threshold rather than strict
+ordering to absorb runner noise (the bench already reports the fastest
+of its rep-major timing passes). Applied only to files whose top-level
+``scale`` is ``full``: quick-scale runs finish in ~15 ms, where the
+adaptive subsystem's fixed per-tick overhead is not yet amortized and
+the ratio is dominated by noise, so the floor is meaningless there.
 
-* ``<name>_adaptive`` must not send more wire bytes per transaction
-  than ``<name>`` — wire volume is deterministic, so the check is
-  strict; the adaptive rows exist to *save* traffic (DESIGN.md §4h).
-* ``<name>_adaptive`` must reach at least 0.95x the reactive
-  ``txns_per_sec`` — throughput is wall clock, so the check carries the
-  acceptance threshold rather than strict ordering to absorb runner
-  noise (the bench already reports the fastest of its rep-major timing
-  passes). Applied only to files whose top-level ``scale`` is
-  ``full``: quick-scale runs finish in ~15 ms, where the adaptive
-  subsystem's fixed per-tick overhead is not yet amortized and the
-  ratio is dominated by noise, so the floor is meaningless there.
-* ``trad2pc_*`` must report nonzero ``wire_bytes`` — a zero means the
-  baseline engine lost its kernel wire accounting and every
-  cross-engine byte comparison in the file is fiction.
+The deterministic side — adaptive wire bytes per transaction no higher
+than reactive, nonzero 2PC wire bytes — is asserted where those numbers
+are produced, in ``dvp_bench::exp_e1_engine::run`` (table E1).
 
 Usage: engine_guard.py BENCH_engine.json [more.json ...]
 """
@@ -43,25 +38,12 @@ def check(path: str) -> bool:
                 print(f"{path}: {name} has no reactive sibling row {base!r}")
                 ok = False
                 continue
-            if row["wire_bytes_per_txn"] > sib["wire_bytes_per_txn"]:
-                print(
-                    f"{path}: {name} wire_bytes_per_txn "
-                    f"{row['wire_bytes_per_txn']:.2f} exceeds reactive "
-                    f"{sib['wire_bytes_per_txn']:.2f}"
-                )
-                ok = False
             if check_tps and row["txns_per_sec"] < TPS_FLOOR * sib["txns_per_sec"]:
                 print(
                     f"{path}: {name} txns_per_sec {row['txns_per_sec']:.0f} "
                     f"below {TPS_FLOOR}x reactive {sib['txns_per_sec']:.0f}"
                 )
                 ok = False
-        if name.startswith("trad2pc_") and row["wire_bytes"] == 0:
-            print(
-                f"{path}: {name} reports wire_bytes: 0 — the 2PC baseline "
-                f"lost its kernel wire accounting"
-            )
-            ok = False
     if ok:
         note = "" if check_tps else ", tps floor skipped at non-full scale"
         print(f"{path}: engine guard ok ({len(rows)} rows{note})")

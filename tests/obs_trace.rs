@@ -124,6 +124,28 @@ fn trace_reconstructs_cross_site_solicit_donate_commit_timeline() {
         .all(|e| !matches!(e.kind, EventKind::TxnSolicit { .. })));
 }
 
+/// Every solicitation the counters report is in the trace — including the
+/// ones a read re-issues once the site's own outstanding Vms clear, which
+/// used to be counted and sent without an event.
+#[test]
+fn every_counted_solicitation_is_traced() {
+    let w = dvp::workloads::AirlineWorkload {
+        n_sites: 6,
+        txns: 400,
+        mix: (0.5, 0.2, 0.1, 0.2),
+        ..Default::default()
+    }
+    .generate(0);
+    let r = Scenario::dvp(&w).trace(true).run();
+    let traced = r
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TxnSolicit { .. }))
+        .count() as u64;
+    assert!(r.requests > 0);
+    assert_eq!(traced, r.requests);
+}
+
 #[test]
 fn trad_engine_traces_too() {
     let w = dvp::workloads::AirlineWorkload {

@@ -132,10 +132,10 @@ fn reactive_path_carries_no_hints() {
     let mut cl = Cluster::build(cfg);
     cl.run_to_quiescence();
     let stats = cl.stats();
-    assert_eq!(stats.placement.hints_sent, 0, "no hints on the wire");
-    assert_eq!(stats.placement.hinted_solicits, 0);
-    assert_eq!(stats.placement.hint_hits, 0);
-    assert_eq!(stats.placement.rebalances, 0, "no rebalancer by default");
+    assert_eq!(stats.vm.hints_sent, 0, "no hints on the wire");
+    assert_eq!(stats.txn.hinted_solicits(), 0);
+    assert_eq!(stats.txn.hint_hits(), 0);
+    assert_eq!(stats.txn.rebalances(), 0, "no rebalancer by default");
     assert!(stats.txn.committed() > 0, "the workload actually ran");
 }
 
@@ -162,13 +162,13 @@ fn adaptive_path_hints_flow_and_hit() {
     cl.run_to_quiescence();
     cl.auditor().check_conservation().unwrap();
     let stats = cl.stats();
-    assert!(stats.placement.hints_sent > 0, "hints piggyback on Vms");
+    assert!(stats.vm.hints_sent > 0, "hints piggyback on Vms");
     assert!(
-        stats.placement.hinted_solicits > 0,
+        stats.txn.hinted_solicits() > 0,
         "some solicitations are hint-directed"
     );
     assert!(
-        stats.placement.hint_hits > 0,
+        stats.txn.hint_hits() > 0,
         "hint-directed solicitations pay off"
     );
 }
