@@ -1,169 +1,270 @@
-//! **T5 — Conservation under random fault schedules.**
+//! **T5 — The nemesis matrix: every oracle under random fault campaigns.**
 //!
-//! Claim (Section 3): `N = ΣNᵢ + N_M` **at all times**, whatever fails.
-//! This is the safety experiment: for a batch of seeds we generate a
-//! random fault schedule (partitions opening and healing, site crashes
-//! and recoveries, message loss and duplication) over a live airline
-//! workload, and audit the invariant at many instants during the run —
-//! not just at quiescence.
+//! Claims: `N = ΣNᵢ + N_M` **at all times**, whatever fails (§3); Vm
+//! value is never lost or duplicated on a channel (§4.2); full-value
+//! reads equal the serial running total (§5/§6); a recovered site is a
+//! pure function of its own checkpoint slots and stable log (§7); and
+//! once faults heal, no transaction stays undecided (§6, non-blocking).
 //!
-//! The table is a per-seed verdict; any violation panics the harness
-//! (and the matching proptest in `tests/` shrinks it).
+//! For each protocol configuration below and each seed, `dvp_nemesis`
+//! generates a fault schedule (partitions, crash/recover pairs, chaos
+//! bursts, crashpoints, torn writes and, in the `media-*` rows, bit rot
+//! and checkpoint-slot corruption), runs it over a live airline workload
+//! and checks all five oracles at 10 pause points and once more after a
+//! settle window. The table sums each configuration's campaigns. A
+//! failing campaign is `ddmin`-shrunk and the harness panics with the
+//! violation, the minimal events and a `fault_campaign --replay` line.
 
 use crate::table::Table;
 use crate::Scale;
-use dvp_core::{Cluster, ClusterConfig, FaultPlan};
-use dvp_nemesis::{generate, legacy_environment, Intensity};
+use dvp_core::{ConcMode, Placement, ReactivePlacement, SiteConfig};
+use dvp_nemesis::{
+    ddmin, generate, lossy_environment, run_campaign, CampaignConfig, CampaignResult,
+    FaultSchedule, Intensity, Replay,
+};
 use dvp_simnet::network::NetworkConfig;
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimDuration;
 use dvp_workloads::AirlineWorkload;
+use std::fmt::Write as _;
 
-fn msec(n: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::millis(n)
+/// Sites per campaign.
+pub const N_SITES: usize = 6;
+/// Campaign horizon (ms): audits are spread across it, then the cluster
+/// settles.
+pub const HORIZON_MS: u64 = 1_200;
+
+/// One protocol configuration under test.
+pub struct ProtoConfig {
+    /// Row label, and the `config=` of a replay line.
+    pub name: &'static str,
+    /// Per-site protocol configuration.
+    site: SiteConfig,
+    /// Base network; the schedule layers partitions and chaos onto it.
+    net: NetworkConfig,
+    /// Fault mix.
+    intensity: Intensity,
 }
 
-/// Build a random fault environment from a seed.
-///
-/// Since the nemesis subsystem landed, this is a thin wrapper over its
-/// generator at [`Intensity::legacy`] — the single source of truth for
-/// fault schedules. The output (and therefore every T5 table cell) is
-/// byte-identical to the original inline generator at every seed; the
-/// `legacy_generator_is_byte_identical` test pins that equivalence
-/// against a verbatim copy of the old algorithm.
-pub fn random_faults(seed: u64, n: usize, horizon_ms: u64) -> (NetworkConfig, FaultPlan) {
-    let schedule = generate(seed, n, horizon_ms, &Intensity::legacy());
-    let applied = schedule.apply(n, legacy_environment());
-    (applied.net, applied.faults)
-}
+impl ProtoConfig {
+    /// The fault schedule campaign `seed` runs.
+    pub fn schedule(&self, seed: u64) -> FaultSchedule {
+        generate(seed, N_SITES, HORIZON_MS, &self.intensity)
+    }
 
-/// Run T5 and return the table.
-pub fn run(scale: Scale) -> Table {
-    let seeds = scale.pick(6, 30);
-    let horizon_ms = scale.pick(1_500u64, 6_000);
-    let n = 6;
-    let mut t = Table::new(
-        "T5: conservation N = ΣNᵢ + N_M under random faults (6 sites)",
-        &["seed", "txns decided", "audits", "verdict"],
-    );
-    for seed in 0..seeds {
+    /// Everything campaign `seed` needs besides its schedule.
+    pub fn campaign_config(&self, seed: u64, trace: bool) -> CampaignConfig {
         let w = AirlineWorkload {
-            n_sites: n,
+            n_sites: N_SITES,
             flights: 3,
             seats_per_flight: 500,
-            txns: scale.pick(60, 400),
+            txns: 60,
             mix: (0.6, 0.2, 0.15, 0.05),
             ..Default::default()
         }
         .generate(seed);
-        let (net, faults) = random_faults(seed, n, horizon_ms);
-        let mut cfg = ClusterConfig::new(n, w.catalog.clone());
-        cfg.net = net;
-        cfg.faults = faults;
-        cfg.scripts = w.scripts.clone();
-        cfg.seed = seed;
-        let mut cl = Cluster::build(cfg);
-        // Audit at many pause points during the run.
-        let mut audits = 0u32;
-        let step = horizon_ms / 20;
-        for k in 1..=20u64 {
-            cl.run_until(msec(k * step));
-            cl.auditor()
-                .check_conservation()
-                .unwrap_or_else(|e| panic!("seed {seed}, t={}ms: {e}", k * step));
-            audits += 1;
+        CampaignConfig {
+            seed,
+            n_sites: N_SITES,
+            horizon_ms: HORIZON_MS,
+            audit_points: 10,
+            site: self.site,
+            base_net: self.net.clone(),
+            catalog: w.catalog,
+            scripts: w.scripts,
+            trace,
         }
-        let m = cl.stats().txn;
+    }
+}
+
+/// The eight protocol configurations of the matrix, in table order.
+pub fn configs() -> Vec<ProtoConfig> {
+    let base = SiteConfig::default();
+    let ckpt = SiteConfig {
+        checkpoint_every: Some(24),
+        ..base
+    };
+    let retry_rebalance = SiteConfig::builder()
+        .solicit_retries(2)
+        .placement(Placement::Reactive(ReactivePlacement {
+            rebalance: true,
+            ..Default::default()
+        }))
+        .build();
+    // Adaptive placement under the full fault mix: hints, demand
+    // estimators, and suspicion are all volatile, so every oracle must
+    // still pass with them churning through crashes and partitions.
+    let adaptive = SiteConfig::builder()
+        .placement(Placement::adaptive())
+        .build();
+    let lazy_acks_ckpt = {
+        let mut c = ckpt;
+        c.vm.eager_acks = false;
+        c
+    };
+    let conc2 = SiteConfig {
+        conc: ConcMode::Conc2,
+        ..base
+    };
+    // Media campaigns need checkpoints to give slot corruption teeth; the
+    // tight variant checkpoints often enough that bit rot usually lands
+    // *behind* the redo floor (transparent salvage), the loose one leaves
+    // a long redo window so salvage loss and quarantine get exercised.
+    let media_tight_ckpt = SiteConfig {
+        checkpoint_every: Some(8),
+        ..base
+    };
+    let standard = |name, site| ProtoConfig {
+        name,
+        site,
+        net: lossy_environment(),
+        intensity: Intensity::standard(),
+    };
+    let media = |name, site| ProtoConfig {
+        intensity: Intensity::media(),
+        ..standard(name, site)
+    };
+    vec![
+        standard("conc1-baseline", base),
+        standard("conc1-ckpt", ckpt),
+        standard("conc1-retry-rebalance", retry_rebalance),
+        standard("conc1-adaptive", adaptive),
+        standard("conc1-lazyacks-ckpt", lazy_acks_ckpt),
+        // Conc2 assumes a synchronous-ordered network (paper §6.2), so
+        // its campaigns keep that transport guarantee; crashes,
+        // crashpoints, and torn writes still apply.
+        ProtoConfig {
+            net: NetworkConfig::synchronous_ordered(SimDuration::millis(2)),
+            ..standard("conc2-sync", conc2)
+        },
+        media("media-ckpt", ckpt),
+        media("media-tight-ckpt", media_tight_ckpt),
+    ]
+}
+
+/// Run `seeds` campaigns of each configuration and sum them into one
+/// row per configuration. The first failing campaign stops the matrix:
+/// its schedule is shrunk to a 1-minimal one, and the error carries the
+/// violation, the minimal events and the replay line.
+pub fn matrix(configs: &[ProtoConfig], seeds: u64) -> Result<Table, String> {
+    let mut t = Table::new(
+        format!(
+            "T5: five oracles under random fault campaigns ({} configs x {seeds} seeds, {N_SITES} sites, horizon {HORIZON_MS}ms)",
+            configs.len()
+        ),
+        &[
+            "config",
+            "campaigns",
+            "violations",
+            "commits",
+            "aborts",
+            "recoveries",
+            "crashpoint trips",
+            "torn crashes",
+            "ckpt fallbacks",
+            "salvages",
+            "media failures",
+            "dropped@crashed",
+            "externals@crashed",
+            "lost",
+            "dup",
+        ],
+    );
+    for pc in configs {
+        let mut results = Vec::new();
+        for seed in 0..seeds {
+            let schedule = pc.schedule(seed);
+            let r = run_campaign(&pc.campaign_config(seed, false), &schedule);
+            if let Some(v) = &r.violation {
+                return Err(shrink(pc, seed, &schedule, v));
+            }
+            results.push(r);
+        }
+        let sum = |f: fn(&CampaignResult) -> u64| results.iter().map(f).sum::<u64>().to_string();
         t.row(vec![
-            seed.to_string(),
-            (m.committed() + m.aborted()).to_string(),
-            audits.to_string(),
-            "OK".into(),
+            pc.name.to_string(),
+            seeds.to_string(),
+            "0".to_string(),
+            sum(|r| r.committed),
+            sum(|r| r.aborted),
+            sum(|r| r.recoveries),
+            sum(|r| r.crashpoint_trips),
+            sum(|r| r.torn_crashes),
+            sum(|r| r.checkpoint_fallbacks),
+            sum(|r| r.salvages),
+            sum(|r| r.media_failures),
+            sum(|r| r.dropped_crashed),
+            sum(|r| r.externals_dropped),
+            sum(|r| r.lost),
+            sum(|r| r.duplicated),
         ]);
     }
-    t
+    Ok(t)
+}
+
+/// Shrink a failing campaign to a 1-minimal schedule and describe it.
+fn shrink(pc: &ProtoConfig, seed: u64, schedule: &FaultSchedule, violation: &str) -> String {
+    let cfg = pc.campaign_config(seed, false);
+    let kept = ddmin(schedule.events.len(), |indices| {
+        !run_campaign(&cfg, &schedule.subset(indices)).passed()
+    });
+    let minimal = schedule.subset(&kept);
+    let verdict = run_campaign(&cfg, &minimal);
+    let mut out = format!(
+        "VIOLATION config={} seed={seed}: {violation}\nminimal repro ({} of {} events): {}\n",
+        pc.name,
+        minimal.events.len(),
+        schedule.events.len(),
+        verdict.violation.as_deref().unwrap_or("?")
+    );
+    for (i, ev) in kept.iter().zip(&minimal.events) {
+        let _ = writeln!(out, "  [{i}] {ev:?}");
+    }
+    let _ = write!(
+        out,
+        "replay: {}",
+        Replay::new(seed, pc.name, schedule, kept)
+    );
+    out
+}
+
+/// Run T5 and return the table; panics on the first violation.
+pub fn run(scale: Scale) -> Table {
+    matrix(&configs(), scale.pick(40, 100)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A planted bug (recovery restores the checkpoint but skips log
+    /// redo) must stop the matrix with a shrunk, replayable repro.
     #[test]
-    fn every_seed_passes_every_audit() {
-        let t = run(Scale::Quick);
-        assert_eq!(t.len(), 6);
-        for r in 0..t.len() {
-            assert_eq!(t.cell(r, 3), "OK");
-            assert_eq!(t.cell(r, 2), "20");
-        }
-    }
-
-    #[test]
-    fn fault_generator_is_deterministic() {
-        let (_, f1) = random_faults(3, 6, 1000);
-        let (_, f2) = random_faults(3, 6, 1000);
-        assert_eq!(format!("{f1:?}"), format!("{f2:?}"));
-    }
-
-    /// Verbatim copy of the pre-nemesis inline generator, kept only to
-    /// pin that the nemesis legacy profile reproduces it byte-for-byte
-    /// (same RNG stream, same push order ⇒ same trajectories).
-    fn old_random_faults(seed: u64, n: usize, horizon_ms: u64) -> (NetworkConfig, FaultPlan) {
-        use dvp_simnet::network::LinkConfig;
-        use dvp_simnet::partition::PartitionSchedule;
-        use dvp_simnet::rng::SimRng;
-        let mut rng = SimRng::new(seed ^ 0xFA17);
-        let mut net = NetworkConfig {
-            default_link: LinkConfig {
-                delay_min: SimDuration::millis(1),
-                delay_max: SimDuration::millis(8),
-                loss: 0.15,
-                duplicate: 0.10,
+    fn a_violation_names_its_campaign_and_replays() {
+        let broken = ProtoConfig {
+            name: "broken-redo",
+            site: SiteConfig {
+                unsafe_skip_recovery_redo: true,
+                ..Default::default()
             },
-            ..Default::default()
+            net: lossy_environment(),
+            intensity: Intensity::standard(),
         };
-        let mut sched = PartitionSchedule::fully_connected(n);
-        let episodes = rng.uniform(1, 3);
-        let mut tcur = rng.uniform(10, horizon_ms / 4);
-        for _ in 0..episodes {
-            let cut: Vec<usize> = (0..n).filter(|_| rng.chance(0.4)).collect();
-            if !cut.is_empty() && cut.len() < n {
-                sched = sched.isolate_at(msec(tcur), &cut);
-                let heal = tcur + rng.uniform(50, horizon_ms / 3);
-                sched = sched.heal_at(msec(heal));
-                tcur = heal + rng.uniform(10, horizon_ms / 4);
-            } else {
-                tcur += rng.uniform(10, horizon_ms / 4);
-            }
-        }
-        net = net.with_partitions(sched);
-        let mut faults = FaultPlan::none();
-        for site in 0..n {
-            if rng.chance(0.3) {
-                let c = rng.uniform(10, horizon_ms / 2);
-                let r = c + rng.uniform(20, horizon_ms / 2);
-                faults = faults.crash(msec(c), site).recover(msec(r), site);
-            }
-        }
-        (net, faults)
-    }
-
-    #[test]
-    fn legacy_generator_is_byte_identical() {
-        for seed in 0..40u64 {
-            for horizon in [1000u64, 1500, 6000] {
-                let (net_old, faults_old) = old_random_faults(seed, 6, horizon);
-                let (net_new, faults_new) = random_faults(seed, 6, horizon);
-                assert_eq!(
-                    format!("{net_old:?}"),
-                    format!("{net_new:?}"),
-                    "net mismatch at seed {seed}, horizon {horizon}"
-                );
-                assert_eq!(
-                    format!("{faults_old:?}"),
-                    format!("{faults_new:?}"),
-                    "fault plan mismatch at seed {seed}, horizon {horizon}"
-                );
-            }
-        }
+        let err = matrix(std::slice::from_ref(&broken), 10).unwrap_err();
+        assert!(
+            err.starts_with("VIOLATION config=broken-redo seed="),
+            "{err}"
+        );
+        let line = err
+            .lines()
+            .find_map(|l| l.strip_prefix("replay: "))
+            .expect("the error carries a replay line");
+        let replay = Replay::parse(line).expect("the replay line parses");
+        assert_eq!(replay.config, "broken-redo");
+        assert!(err.contains(&format!("seed={}:", replay.seed)), "{err}");
+        let kept = replay
+            .schedule(&broken.schedule(replay.seed))
+            .expect("keep and digest match the generated schedule");
+        let verdict = run_campaign(&broken.campaign_config(replay.seed, false), &kept);
+        assert!(!verdict.passed(), "the kept subset must still fail");
     }
 }

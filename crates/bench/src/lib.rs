@@ -36,9 +36,6 @@ pub mod exp_t5_conservation;
 pub mod scenario;
 pub mod table;
 
-mod env;
-
-pub use env::{trace_path, BenchEnv};
 pub use scenario::{EngineKind, RunReport, Scenario};
 pub use table::Table;
 
@@ -52,9 +49,17 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from `DVP_SCALE` (default quick) via [`BenchEnv`].
+    /// Read `DVP_SCALE`: `full` or `FULL` selects [`Scale::Full`];
+    /// anything else, or nothing, [`Scale::Quick`].
     pub fn from_env() -> Scale {
-        BenchEnv::from_env().scale
+        Scale::named(std::env::var("DVP_SCALE").ok().as_deref())
+    }
+
+    fn named(name: Option<&str>) -> Scale {
+        match name {
+            Some("full" | "FULL") => Scale::Full,
+            _ => Scale::Quick,
+        }
     }
 
     /// Pick `q` under quick, `f` under full.
@@ -64,6 +69,13 @@ impl Scale {
             Scale::Full => f,
         }
     }
+}
+
+/// `DVP_TRACE`: where trace-emitting binaries write their JSONL event
+/// stream (unset ⇒ no trace, except `fault_campaign --replay`, which
+/// defaults to a path under `target/`).
+pub fn trace_path() -> Option<String> {
+    std::env::var("DVP_TRACE").ok().filter(|s| !s.is_empty())
 }
 
 /// One experiment: the id `exp` takes on its command line, and the
@@ -140,6 +152,15 @@ mod tests {
         let exact: Vec<Experiment> = all.into_iter().filter(|(id, _)| *id != "f4").collect();
         let one_by_one: String = exact.iter().map(|e| output(&[*e], Scale::Quick)).collect();
         assert_eq!(output(&exact, Scale::Quick), one_by_one);
+    }
+
+    #[test]
+    fn only_full_or_full_in_capitals_selects_full_scale() {
+        assert_eq!(Scale::named(Some("full")), Scale::Full);
+        assert_eq!(Scale::named(Some("FULL")), Scale::Full);
+        for other in [Some("Full"), Some("quick"), Some("medium"), Some(""), None] {
+            assert_eq!(Scale::named(other), Scale::Quick, "{other:?}");
+        }
     }
 
     #[test]

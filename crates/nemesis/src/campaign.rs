@@ -149,7 +149,7 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{generate, legacy_environment, Intensity};
+    use crate::generate::{generate, lossy_environment, Intensity};
     use dvp_core::item::Split;
     use dvp_core::txn::TxnSpec;
 
@@ -168,7 +168,7 @@ mod tests {
             horizon_ms: 800,
             audit_points: 8,
             site: SiteConfig::default(),
-            base_net: legacy_environment(),
+            base_net: lossy_environment(),
             catalog,
             scripts,
             trace: false,

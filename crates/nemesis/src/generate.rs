@@ -2,14 +2,12 @@
 //!
 //! One generator, two RNG streams:
 //!
-//! * the **legacy stream** (`seed ^ 0xFA17`) drives partition episodes and
-//!   crash/recover pairs with *exactly* the draw sequence of the original
-//!   T5 `random_faults` — `chance(p)` consumes one draw whatever `p` is,
-//!   so the probabilities are tunable without perturbing the stream. With
-//!   [`Intensity::legacy`] the output is byte-identical to the old code;
-//! * the **extension stream** (`seed ^ 0xC4A05`) drives everything the
-//!   nemesis adds (chaos bursts, crashpoints, torn writes), so turning
-//!   those on never disturbs a legacy trajectory.
+//! * the **base stream** (`seed ^ 0xFA17`) draws partition episodes, then
+//!   crash/recover pairs;
+//! * the **extension stream** (`seed ^ 0xC4A05`) draws chaos bursts, a
+//!   crashpoint, torn writes and — in the media mix only — bit rot and
+//!   checkpoint-slot corruption, so the media mix only *appends* to the
+//!   standard schedule of the same seed.
 
 use crate::schedule::{FaultEvent, FaultSchedule};
 use dvp_core::policy::Crashpoint;
@@ -18,103 +16,32 @@ use dvp_simnet::rng::SimRng;
 use dvp_simnet::time::SimDuration;
 use dvp_storage::TornWrite;
 
-/// How hard the nemesis pushes. All probabilities are per-campaign.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Which fault mix a campaign draws from. Every campaign gets partitions,
+/// crash/recover pairs, chaos bursts, an occasional crashpoint and
+/// occasional torn writes; the media mix adds stable-log bit rot and
+/// checkpoint-slot corruption.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Intensity {
-    /// Per-site probability of joining a partition episode's cut.
-    pub partition_p: f64,
-    /// Per-site probability of a crash/recover pair.
-    pub crash_p: f64,
-    /// Number of chaos bursts (loss/dup/jitter windows).
-    pub chaos_windows: u32,
-    /// Extra loss inside a chaos window.
-    pub chaos_loss: f64,
-    /// Extra duplication inside a chaos window.
-    pub chaos_dup: f64,
-    /// Max extra delivery jitter inside a chaos window (ms).
-    pub chaos_jitter_ms: u64,
-    /// Probability of arming one protocol crashpoint.
-    pub crashpoint_p: f64,
-    /// Probability of making one site's crashes tear the log write.
-    pub torn_p: f64,
-    /// Probability of rotting one stable-log byte at one site (applies
-    /// on that site's next crash; the generator pairs it with one).
-    pub bit_rot_p: f64,
-    /// Probability of corrupting one checkpoint slot at one site
-    /// (applies on that site's next crash; the generator pairs it with
-    /// one).
-    pub corrupt_ckpt_p: f64,
+    media: bool,
 }
 
 impl Intensity {
-    /// The original T5 fault environment, nothing more: partitions at
-    /// 0.4, crashes at 0.3, none of the nemesis extensions.
-    pub fn legacy() -> Self {
-        Intensity {
-            partition_p: 0.4,
-            crash_p: 0.3,
-            chaos_windows: 0,
-            chaos_loss: 0.0,
-            chaos_dup: 0.0,
-            chaos_jitter_ms: 0,
-            crashpoint_p: 0.0,
-            torn_p: 0.0,
-            bit_rot_p: 0.0,
-            corrupt_ckpt_p: 0.0,
-        }
-    }
-
-    /// The default campaign mix: legacy partitions/crashes plus chaos
-    /// bursts, an occasional crashpoint, and occasional torn writes.
-    /// Media faults stay off so every pre-media pinned stream, digest,
-    /// and golden trace is untouched.
+    /// The default campaign mix. Media faults stay off, so every pinned
+    /// stream, digest and golden trace that predates them is untouched.
     pub fn standard() -> Self {
-        Intensity {
-            chaos_windows: 2,
-            chaos_loss: 0.2,
-            chaos_dup: 0.1,
-            chaos_jitter_ms: 6,
-            crashpoint_p: 0.5,
-            torn_p: 0.5,
-            ..Intensity::legacy()
-        }
+        Intensity { media: false }
     }
 
-    /// The media-failure mix: everything in [`Intensity::standard`] plus
-    /// stable-log bit rot and checkpoint-slot corruption.
+    /// Everything in [`Intensity::standard`] plus stable-log bit rot and
+    /// checkpoint-slot corruption.
     pub fn media() -> Self {
-        Intensity {
-            bit_rot_p: 0.6,
-            corrupt_ckpt_p: 0.6,
-            ..Intensity::standard()
-        }
-    }
-
-    /// Scale every probability/count by `f` (clamped to sane ranges).
-    pub fn scaled(self, f: f64) -> Self {
-        Intensity {
-            partition_p: (self.partition_p * f).clamp(0.0, 0.9),
-            crash_p: (self.crash_p * f).clamp(0.0, 0.9),
-            chaos_windows: ((self.chaos_windows as f64 * f).round()) as u32,
-            chaos_loss: (self.chaos_loss * f).clamp(0.0, 0.8),
-            chaos_dup: (self.chaos_dup * f).clamp(0.0, 0.8),
-            chaos_jitter_ms: self.chaos_jitter_ms,
-            crashpoint_p: (self.crashpoint_p * f).clamp(0.0, 1.0),
-            torn_p: (self.torn_p * f).clamp(0.0, 1.0),
-            bit_rot_p: (self.bit_rot_p * f).clamp(0.0, 1.0),
-            corrupt_ckpt_p: (self.corrupt_ckpt_p * f).clamp(0.0, 1.0),
-        }
+        Intensity { media: true }
     }
 }
 
-impl Default for Intensity {
-    fn default() -> Self {
-        Intensity::standard()
-    }
-}
-
-/// The lossy, duplicating base network of the T5 experiment.
-pub fn legacy_environment() -> NetworkConfig {
+/// The lossy (15%), duplicating (10%) base network of every T5 config
+/// but `conc2-sync`.
+pub fn lossy_environment() -> NetworkConfig {
     NetworkConfig {
         default_link: LinkConfig {
             delay_min: SimDuration::millis(1),
@@ -126,19 +53,31 @@ pub fn legacy_environment() -> NetworkConfig {
     }
 }
 
+// Per-campaign probabilities and counts, shared by both mixes except
+// the last two (media only). Each media fault ships with a crash of its
+// victim, because decay applies to the durable image as the site goes down.
+const PARTITION_P: f64 = 0.4; // per site, joins a partition episode's cut
+const CRASH_P: f64 = 0.3; // per site, one crash/recover pair
+const CHAOS_WINDOWS: u32 = 2; // loss/dup/jitter bursts
+const CHAOS_LOSS: f64 = 0.2; // extra loss inside a burst
+const CHAOS_DUP: f64 = 0.1; // extra duplication inside a burst
+const CHAOS_JITTER_MS: u64 = 6; // max extra delivery delay inside a burst
+const CRASHPOINT_P: f64 = 0.5; // arm one protocol crashpoint
+const TORN_P: f64 = 0.5; // one site's crashes tear the log write
+const BIT_ROT_P: f64 = 0.6; // rot one stable-log byte at one site
+const CORRUPT_CKPT_P: f64 = 0.6; // corrupt one checkpoint slot at one site
+
 /// Generate the fault schedule for `(seed, n, horizon_ms)` at the given
 /// intensity.
 pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> FaultSchedule {
     let mut events = Vec::new();
 
-    // --- legacy stream: partitions then crash/recover pairs -------------
+    // --- base stream: partitions then crash/recover pairs ---------------
     let mut rng = SimRng::new(seed ^ 0xFA17);
     let episodes = rng.uniform(1, 3);
     let mut tcur = rng.uniform(10, horizon_ms / 4);
     for _ in 0..episodes {
-        let cut: Vec<usize> = (0..n)
-            .filter(|_| rng.chance(intensity.partition_p))
-            .collect();
+        let cut: Vec<usize> = (0..n).filter(|_| rng.chance(PARTITION_P)).collect();
         if !cut.is_empty() && cut.len() < n {
             let heal = tcur + rng.uniform(50, horizon_ms / 3);
             events.push(FaultEvent::Isolate {
@@ -152,7 +91,7 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
         }
     }
     for site in 0..n {
-        if rng.chance(intensity.crash_p) {
+        if rng.chance(CRASH_P) {
             let c = rng.uniform(10, horizon_ms / 2);
             let r = c + rng.uniform(20, horizon_ms / 2);
             events.push(FaultEvent::Crash { at_ms: c, site });
@@ -160,20 +99,20 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
         }
     }
 
-    // --- extension stream: chaos, crashpoints, torn writes ---------------
+    // --- extension stream: chaos, crashpoints, torn writes, media -------
     let mut xrng = SimRng::new(seed ^ 0xC4A05);
-    for _ in 0..intensity.chaos_windows {
+    for _ in 0..CHAOS_WINDOWS {
         let from = xrng.uniform(10, horizon_ms.saturating_sub(100).max(11));
         let until = from + xrng.uniform(30, (horizon_ms / 4).max(31));
         events.push(FaultEvent::Chaos {
             from_ms: from,
             until_ms: until,
-            loss: intensity.chaos_loss,
-            dup: intensity.chaos_dup,
-            jitter_ms: intensity.chaos_jitter_ms,
+            loss: CHAOS_LOSS,
+            dup: CHAOS_DUP,
+            jitter_ms: CHAOS_JITTER_MS,
         });
     }
-    if intensity.crashpoint_p > 0.0 && xrng.chance(intensity.crashpoint_p) {
+    if xrng.chance(CRASHPOINT_P) {
         let site = xrng.index(n);
         let point = match xrng.index(3) {
             0 => Crashpoint::AfterAppendBeforeForce,
@@ -193,7 +132,7 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
         );
         events.push(FaultEvent::Recover { at_ms: r, site });
     }
-    if intensity.torn_p > 0.0 && xrng.chance(intensity.torn_p) {
+    if xrng.chance(TORN_P) {
         let site = xrng.index(n);
         let mode = if xrng.chance(0.5) {
             TornWrite::Truncated
@@ -202,10 +141,7 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
         };
         events.push(FaultEvent::TornWrites { site, mode });
     }
-    // Media decay only manifests at a crash (the rot is applied to the
-    // durable image as the site goes down), so each media fault ships
-    // with its own crash/recover pair from the extension stream.
-    if intensity.bit_rot_p > 0.0 && xrng.chance(intensity.bit_rot_p) {
+    if intensity.media && xrng.chance(BIT_ROT_P) {
         let site = xrng.index(n);
         events.push(FaultEvent::BitRot { site });
         let c = xrng.uniform(10, horizon_ms / 2);
@@ -213,7 +149,7 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
         events.push(FaultEvent::Crash { at_ms: c, site });
         events.push(FaultEvent::Recover { at_ms: r, site });
     }
-    if intensity.corrupt_ckpt_p > 0.0 && xrng.chance(intensity.corrupt_ckpt_p) {
+    if intensity.media && xrng.chance(CORRUPT_CKPT_P) {
         let site = xrng.index(n);
         let slot = xrng.index(2) as u8;
         events.push(FaultEvent::CorruptCheckpoint { site, slot });
@@ -236,32 +172,6 @@ mod tests {
         let b = generate(42, 6, 1500, &Intensity::standard());
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn legacy_profile_emits_no_extensions() {
-        for seed in 0..20u64 {
-            let s = generate(seed, 6, 1500, &Intensity::legacy());
-            assert!(s.events.iter().all(|e| matches!(
-                e,
-                FaultEvent::Crash { .. }
-                    | FaultEvent::Recover { .. }
-                    | FaultEvent::Isolate { .. }
-                    | FaultEvent::Heal { .. }
-            )));
-        }
-    }
-
-    #[test]
-    fn extensions_do_not_perturb_the_legacy_stream() {
-        // The legacy-profile prefix of a standard-intensity schedule must
-        // equal the pure legacy schedule: extensions draw from their own
-        // RNG stream.
-        for seed in 0..20u64 {
-            let pure = generate(seed, 6, 1500, &Intensity::legacy());
-            let full = generate(seed, 6, 1500, &Intensity::standard());
-            assert_eq!(pure.events, full.events[..pure.events.len()], "seed {seed}");
-        }
     }
 
     #[test]
@@ -290,8 +200,7 @@ mod tests {
     #[test]
     fn media_extension_does_not_perturb_the_standard_stream() {
         // Turning media faults on only *appends*: the standard-profile
-        // prefix (and, transitively, the legacy prefix inside it) is
-        // byte-identical.
+        // prefix is byte-identical.
         for seed in 0..20u64 {
             let std_s = generate(seed, 6, 1500, &Intensity::standard());
             let media = generate(seed, 6, 1500, &Intensity::media());

@@ -15,13 +15,17 @@
 //!
 //! * [`schedule`] — the typed [`FaultSchedule`] (a list of
 //!   [`FaultEvent`]s), its translation onto cluster knobs, and its digest;
-//! * [`generate()`] — the seeded generator with tunable [`Intensity`]
-//!   (whose legacy profile reproduces the T5 experiment's fault
-//!   environment byte-for-byte);
-//! * [`oracle`] — conservation, Vm channel sanity, read exactness, and
-//!   recovered-site ≡ rebuilt-from-log equivalence;
+//! * [`generate()`] — the seeded generator, at the standard or the media
+//!   [`Intensity`];
+//! * [`oracle`] — conservation, Vm channel sanity, read exactness,
+//!   recovered-site ≡ rebuilt-from-log equivalence, and post-settle
+//!   liveness;
 //! * [`campaign`] — one seeded campaign end-to-end (build, run, audit);
-//! * [`shrink`] — `ddmin` minimization plus the one-line replay format.
+//! * [`shrink`] — `ddmin` minimization plus the one-line replay format
+//!   and its parser.
+//!
+//! The campaign matrix over the protocol configurations is experiment T5
+//! (`dvp_bench::exp_t5_conservation`), so every `cargo test` runs it.
 //!
 //! Everything is deterministic: same seed ⇒ same schedule ⇒ same campaign
 //! outcome ⇒ same shrunk schedule.
@@ -36,7 +40,7 @@ pub mod schedule;
 pub mod shrink;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult};
-pub use generate::{generate, legacy_environment, Intensity};
+pub use generate::{generate, lossy_environment, Intensity};
 pub use oracle::{check_all, check_liveness, check_rebuild, check_vm_channels, Violation};
 pub use schedule::{AppliedFaults, FaultEvent, FaultSchedule};
 pub use shrink::{ddmin, Replay};

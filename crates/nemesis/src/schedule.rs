@@ -3,10 +3,9 @@
 //! A [`FaultSchedule`] is a flat list of [`FaultEvent`]s kept in
 //! **generation order**, not time order. Two properties follow:
 //!
-//! * Applying the list reproduces the exact push order of the legacy T5
-//!   generator (crash/recover pairs interleaved per site), so event
-//!   sequence numbers — and therefore whole trajectories — are
-//!   byte-identical with the pre-nemesis code.
+//! * Applying the list pushes faults in the order the generator drew them
+//!   (crash/recover pairs interleaved per site), so a schedule fixes the
+//!   kernel's event sequence numbers — and therefore the whole trajectory.
 //! * The list is **removal-closed**: any subsequence is itself a valid
 //!   schedule (a `Recover` without its `Crash` is a no-op, a `Heal`
 //!   without its `Isolate` adds a fully-connected window, and partition
@@ -196,8 +195,7 @@ impl FaultSchedule {
             }
         }
         // The schedule owns the partition dimension: installed even when
-        // empty, so the translated config matches the legacy generator's
-        // output field-for-field.
+        // empty, so every campaign's network carries one.
         net = net.with_partitions(sched);
         AppliedFaults {
             net,

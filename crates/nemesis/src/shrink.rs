@@ -85,16 +85,18 @@ pub struct Replay {
     pub seed: u64,
     /// Protocol configuration name (as the campaign binary labels them).
     pub config: String,
-    /// Kept event indices into the *generated* schedule.
+    /// Kept event indices into the *generated* schedule, strictly
+    /// ascending.
     pub keep: Vec<usize>,
-    /// Digest of the kept (shrunk) schedule.
-    pub digest: u32,
+    /// Digest of the kept (shrunk) schedule; a hand-written line may omit
+    /// it.
+    pub digest: Option<u32>,
 }
 
 impl Replay {
     /// Build a replay handle for `schedule.subset(&keep)`.
     pub fn new(seed: u64, config: &str, schedule: &FaultSchedule, keep: Vec<usize>) -> Self {
-        let digest = schedule.subset(&keep).digest();
+        let digest = Some(schedule.subset(&keep).digest());
         Replay {
             seed,
             config: config.to_string(),
@@ -103,12 +105,65 @@ impl Replay {
         }
     }
 
-    /// Parse the `keep=...` payload of a replay line.
-    pub fn parse_keep(s: &str) -> Option<Vec<usize>> {
-        if s.is_empty() {
-            return Some(Vec::new());
+    /// Parse a replay line as [`Display`](fmt::Display) prints it; the
+    /// leading `fault_campaign --replay` is optional. `seed`, `config` and
+    /// `keep` are required, `digest` is not; an unknown or malformed
+    /// field, or a `keep` list that is not strictly ascending, is an
+    /// error.
+    pub fn parse(line: &str) -> Result<Replay, String> {
+        let line = line.trim_start();
+        let line = line.strip_prefix("fault_campaign").unwrap_or(line);
+        let line = line.trim_start();
+        let fields = line.strip_prefix("--replay").unwrap_or(line);
+        let (mut seed, mut config, mut keep, mut digest) = (None, None, None, None);
+        for field in fields.split_whitespace() {
+            let bad = || format!("malformed replay field {field:?}");
+            match field.split_once('=').ok_or_else(bad)? {
+                ("seed", v) => seed = Some(v.parse().map_err(|_| bad())?),
+                ("config", v) if !v.is_empty() => config = Some(v.to_string()),
+                ("keep", "") => keep = Some(Vec::new()),
+                ("keep", v) => {
+                    let k: Vec<usize> = v
+                        .split(',')
+                        .map(str::parse)
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| bad())?;
+                    if k.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(format!("keep is not strictly ascending: {v}"));
+                    }
+                    keep = Some(k);
+                }
+                ("digest", v) => digest = Some(u32::from_str_radix(v, 16).map_err(|_| bad())?),
+                _ => return Err(bad()),
+            }
         }
-        s.split(',').map(|t| t.trim().parse().ok()).collect()
+        let missing = |name: &str| format!("replay line has no {name}=");
+        Ok(Replay {
+            seed: seed.ok_or_else(|| missing("seed"))?,
+            config: config.ok_or_else(|| missing("config"))?,
+            keep: keep.ok_or_else(|| missing("keep"))?,
+            digest,
+        })
+    }
+
+    /// The kept events of `generated`, the schedule [`Replay::seed`]
+    /// generates. A `keep` index past its end, or a digest that does not
+    /// match the kept events, is an error.
+    pub fn schedule(&self, generated: &FaultSchedule) -> Result<FaultSchedule, String> {
+        let len = generated.events.len();
+        if let Some(i) = self.keep.iter().find(|&&i| i >= len) {
+            return Err(format!(
+                "keep index {i} is past the generated schedule ({len} events)"
+            ));
+        }
+        let kept = generated.subset(&self.keep);
+        match self.digest {
+            Some(d) if d != kept.digest() => Err(format!(
+                "digest mismatch: expected {d:08x}, kept events digest to {:08x}",
+                kept.digest()
+            )),
+            _ => Ok(kept),
+        }
     }
 }
 
@@ -117,12 +172,15 @@ impl fmt::Display for Replay {
         let keep: Vec<String> = self.keep.iter().map(|i| i.to_string()).collect();
         write!(
             f,
-            "fault_campaign --replay seed={} config={} keep={} digest={:08x}",
+            "fault_campaign --replay seed={} config={} keep={}",
             self.seed,
             self.config,
-            keep.join(","),
-            self.digest
-        )
+            keep.join(",")
+        )?;
+        match self.digest {
+            Some(d) => write!(f, " digest={d:08x}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -164,19 +222,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_roundtrips_keep_list() {
-        let sched = FaultSchedule::new(vec![
+    fn three_events() -> FaultSchedule {
+        FaultSchedule::new(vec![
             FaultEvent::Crash { at_ms: 5, site: 0 },
             FaultEvent::Heal { at_ms: 9 },
             FaultEvent::Recover { at_ms: 20, site: 0 },
-        ]);
-        let r = Replay::new(3, "conc1-baseline", &sched, vec![0, 2]);
+        ])
+    }
+
+    #[test]
+    fn replay_line_roundtrips() {
+        let r = Replay::new(3, "conc1-baseline", &three_events(), vec![0, 2]);
         let line = r.to_string();
-        assert!(line.contains("seed=3"));
-        assert!(line.contains("keep=0,2"));
-        assert_eq!(Replay::parse_keep("0,2"), Some(vec![0, 2]));
-        assert_eq!(Replay::parse_keep(""), Some(vec![]));
-        assert_eq!(Replay::parse_keep("x"), None);
+        assert!(line.contains("seed=3 config=conc1-baseline keep=0,2 digest="));
+        assert_eq!(Replay::parse(&line), Ok(r.clone()));
+        // The bin hands over only the fields after `--replay`.
+        let fields = line.split_once("--replay").unwrap().1;
+        assert_eq!(Replay::parse(fields), Ok(r.clone()));
+        let bare = Replay { digest: None, ..r };
+        assert_eq!(Replay::parse(&bare.to_string()), Ok(bare));
+    }
+
+    #[test]
+    fn malformed_replay_lines_are_refused() {
+        for line in [
+            "seed=3 config=c keep=0,1 digest=zz",
+            "seed=3 config=c keep=2,1",
+            "seed=3 config=c keep=1,1",
+            "seed=3 config=c keep=x",
+            "seed=-3 config=c keep=0",
+            "seed=3 config= keep=0",
+            "seed=3 config=c keep=0 speed=9",
+            "seed=3 config=c keep=0 stray",
+            "seed=3 config=c",
+        ] {
+            assert!(Replay::parse(line).is_err(), "accepted: {line}");
+        }
+    }
+
+    #[test]
+    fn replay_schedule_checks_bounds_and_digest() {
+        let sched = three_events();
+        let r = Replay::new(3, "c", &sched, vec![0, 2]);
+        assert_eq!(r.schedule(&sched), Ok(sched.subset(&[0, 2])));
+        let past = Replay::parse("seed=3 config=c keep=0,99").unwrap();
+        assert!(past.schedule(&sched).unwrap_err().contains("99"));
+        let drifted = Replay {
+            keep: vec![0, 1],
+            ..r
+        };
+        assert!(drifted.schedule(&sched).unwrap_err().contains("digest"));
     }
 }

@@ -38,7 +38,6 @@ pub(crate) enum Action<M> {
         id: TimerId,
     },
     CrashSelf,
-    Halt,
 }
 
 /// Per-callback environment handed to every [`Node`] method.
@@ -155,12 +154,6 @@ impl<'a, M> Context<'a, M> {
     /// is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.actions.push(Action::CancelTimer { id });
-    }
-
-    /// Ask the kernel to stop the run after this callback (used by
-    /// experiment drivers that detect their stop condition inside a node).
-    pub fn halt_simulation(&mut self) {
-        self.actions.push(Action::Halt);
     }
 
     /// Crash this node at the current instant (fault injection /

@@ -45,11 +45,6 @@ impl PartitionSchedule {
         }
     }
 
-    /// Number of sites the schedule covers.
-    pub fn site_count(&self) -> usize {
-        self.n
-    }
-
     /// At time `at`, split the sites into the given groups.
     ///
     /// Sites not mentioned in any group are isolated (each becomes a

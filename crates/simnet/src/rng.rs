@@ -70,12 +70,6 @@ impl SimRng {
         out
     }
 
-    /// Next raw 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fill `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

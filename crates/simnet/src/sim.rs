@@ -22,13 +22,13 @@ use crate::network::{Fate, NetworkConfig, NetworkModel};
 use crate::node::{Action, Context, Node, TimerId};
 use crate::rng::SimRng;
 use crate::stats::NetStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::timers::{TimerEntry, TimerLane};
 use crate::trace::{Trace, TraceEvent};
 use crate::NodeId;
 use dvp_obs::{EventKind as ObsEvent, Obs};
 
-/// Default cap on processed events per `run_*` call; a protocol that
+/// Cap on processed events per `run_*` call; a protocol that
 /// exceeds it almost certainly livelocked, and determinism means the
 /// condition is reproducible.
 pub const DEFAULT_EVENT_LIMIT: u64 = 200_000_000;
@@ -57,7 +57,6 @@ pub struct Simulation<N: Node> {
     /// nest, so one buffer suffices) — no per-event allocation.
     scratch: Vec<Action<N::Msg>>,
     started: bool,
-    halted: bool,
     stats: NetStats,
     trace: Trace,
     /// Structured-observability handle: the kernel stamps it with `now`
@@ -65,7 +64,6 @@ pub struct Simulation<N: Node> {
     /// their own (vmsg, storage) record correct times. Disabled by
     /// default — one branch per event.
     obs: Obs,
-    event_limit: u64,
 }
 
 impl<N: Node> Simulation<N> {
@@ -90,11 +88,9 @@ impl<N: Node> Simulation<N> {
             next_timer: 0,
             scratch: Vec::new(),
             started: false,
-            halted: false,
             stats: NetStats::default(),
             trace: Trace::disabled(),
             obs: Obs::disabled(),
-            event_limit: DEFAULT_EVENT_LIMIT,
         }
     }
 
@@ -113,11 +109,6 @@ impl<N: Node> Simulation<N> {
     /// [`set_obs`](Self::set_obs) was called).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Override the livelock guard (events per `run_*` call).
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Current simulated time.
@@ -145,20 +136,9 @@ impl<N: Node> Simulation<N> {
         &self.nodes[id]
     }
 
-    /// Mutable access to one node (test setup / external prodding between
-    /// run calls; never during a run).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id]
-    }
-
     /// Whether `id` is currently crashed.
     pub fn is_crashed(&self, id: NodeId) -> bool {
         self.crashed[id]
-    }
-
-    /// Whether `a` and `b` can currently communicate.
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        self.net.connected(a, b, self.now)
     }
 
     /// Number of pending events (scheduled externals and faults, in-flight
@@ -236,8 +216,8 @@ impl<N: Node> Simulation<N> {
 
     // ---- running --------------------------------------------------------
 
-    /// Run until the queue is empty, the halt flag is raised, or the event
-    /// limit trips. Returns the number of events processed.
+    /// Run until the queue is empty or the event limit trips. Returns the
+    /// number of events processed.
     pub fn run_to_quiescence(&mut self) -> u64 {
         self.run_internal(SimTime::MAX)
     }
@@ -245,12 +225,6 @@ impl<N: Node> Simulation<N> {
     /// Run until simulated time reaches `deadline` (events at exactly
     /// `deadline` are processed). Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.run_internal(deadline)
-    }
-
-    /// Run for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) -> u64 {
-        let deadline = self.now + d;
         self.run_internal(deadline)
     }
 
@@ -267,17 +241,14 @@ impl<N: Node> Simulation<N> {
     fn run_internal(&mut self, deadline: SimTime) -> u64 {
         self.ensure_started();
         let mut processed = 0u64;
-        while !self.halted {
-            // Merge the three lanes by `(at, seq)`. All draw `seq` from
-            // the same counter, so keys never tie and this replays exactly
-            // the total order of a single queue.
-            let Some((key, lane)) = earliest([
-                (self.scheduled.peek_key(), Lane::Scheduled),
-                (self.messages.peek_key(), Lane::Messages),
-                (self.timers.peek_key(), Lane::Timers),
-            ]) else {
-                break;
-            };
+        // Merge the three lanes by `(at, seq)`. All draw `seq` from the
+        // same counter, so keys never tie and this replays exactly the
+        // total order of a single queue.
+        while let Some((key, lane)) = earliest([
+            (self.scheduled.peek_key(), Lane::Scheduled),
+            (self.messages.peek_key(), Lane::Messages),
+            (self.timers.peek_key(), Lane::Timers),
+        ]) {
             if key.0 > deadline {
                 break;
             }
@@ -300,14 +271,14 @@ impl<N: Node> Simulation<N> {
             }
             processed += 1;
             self.stats.events_processed += 1;
-            if processed >= self.event_limit {
+            if processed >= DEFAULT_EVENT_LIMIT {
                 panic!(
-                    "event limit {} exceeded at {} — livelock? raise with set_event_limit()",
-                    self.event_limit, self.now
+                    "event limit {DEFAULT_EVENT_LIMIT} exceeded at {} — livelock?",
+                    self.now
                 );
             }
         }
-        if deadline != SimTime::MAX && self.now < deadline && !self.halted {
+        if deadline != SimTime::MAX && self.now < deadline {
             self.now = deadline;
         }
         processed
@@ -436,9 +407,6 @@ impl<N: Node> Simulation<N> {
                         self.stats.timers_suppressed += 1;
                     }
                 }
-                Action::Halt => {
-                    self.halted = true;
-                }
                 Action::CrashSelf => {
                     // A crashpoint inside the callback: everything buffered
                     // before this action already took effect (work completed
@@ -500,16 +468,6 @@ impl<N: Node> Simulation<N> {
             },
         }
     }
-
-    /// Whether a node raised the halt flag.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Consume the simulation, returning the nodes for final inspection.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -539,6 +497,7 @@ mod tests {
     use crate::network::LinkConfig;
     use crate::node::TimerId;
     use crate::partition::PartitionSchedule;
+    use crate::time::SimDuration;
 
     /// Ping-pong node: site 0 sends `k` pings to site 1, which echoes.
     #[derive(Debug, Default)]
@@ -843,29 +802,6 @@ mod tests {
             assert_eq!(sim.node(2).seen, sim.node(3).seen, "seed {seed}");
             assert_eq!(sim.node(2).seen.len(), 2);
         }
-    }
-
-    #[test]
-    fn halt_stops_the_run() {
-        struct H;
-        impl Node for H {
-            type Msg = ();
-            fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<'_, ()>) {}
-            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                ctx.set_timer(SimDuration::millis(1), 0);
-                ctx.set_timer(SimDuration::millis(2), 1);
-            }
-            fn on_timer(&mut self, _id: TimerId, tag: u64, ctx: &mut Context<'_, ()>) {
-                if tag == 0 {
-                    ctx.halt_simulation();
-                } else {
-                    panic!("second timer must not run after halt");
-                }
-            }
-        }
-        let mut sim = Simulation::new(vec![H], NetworkConfig::reliable(), 10);
-        sim.run_to_quiescence();
-        assert!(sim.halted());
     }
 
     #[test]

@@ -1,22 +1,18 @@
-//! Liveness regression across the nemesis matrix, on both engines.
+//! Liveness of the 2PC baseline under the nemesis's fault schedules.
 //!
 //! The claim under test (paper §6, and the whole point of non-blocking
-//! commitment): once the last fault has healed and a bounded settle
-//! window has drained, **every transaction ever started on a live site
-//! has been decided** — committed or aborted, but never stuck.
-//!
-//! * DvP engine: `run_campaign` runs the post-settle liveness oracle
-//!   (`check_liveness`) alongside the safety suite; a stuck transaction
-//!   is a campaign violation like any other.
-//! * Traditional 2PC baseline: the same generated schedules (crashes,
-//!   recoveries, partitions, chaos) are applied to the baseline cluster,
-//!   and `still_blocked()` must be zero after the same settle window —
-//!   in-doubt participants resolve by querying recovered coordinators.
+//! commitment) is that once the last fault has healed and a bounded
+//! settle window has drained, every transaction started on a live site
+//! has been decided. The DvP side runs as experiment T5: `run_campaign`
+//! checks `check_liveness` after the settle window of every campaign of
+//! the matrix. Here schedules from the same generator (crashes,
+//! recoveries, partitions, chaos) are applied to the 2PC cluster, and
+//! `still_blocked()` must be zero after the same settle window —
+//! in-doubt participants resolve by querying recovered coordinators.
 
 use dvp::prelude::*;
 use dvp::workloads::AirlineWorkload;
-use dvp_core::SiteConfig;
-use dvp_nemesis::{generate, legacy_environment, run_campaign, CampaignConfig, Intensity};
+use dvp_nemesis::{generate, lossy_environment, Intensity};
 
 const N_SITES: usize = 4;
 const HORIZON_MS: u64 = 800;
@@ -37,45 +33,7 @@ fn workload(seed: u64) -> dvp::workloads::Workload {
     .generate(seed)
 }
 
-fn campaign(seed: u64, site: SiteConfig) -> CampaignConfig {
-    let w = workload(seed);
-    CampaignConfig {
-        seed,
-        n_sites: N_SITES,
-        horizon_ms: HORIZON_MS,
-        audit_points: 6,
-        site,
-        base_net: legacy_environment(),
-        catalog: w.catalog,
-        scripts: w.scripts,
-        trace: false,
-    }
-}
-
-/// DvP: the full matrix (plain, checkpointing, and media-fault mixes)
-/// settles with every transaction decided, across ≥25 seeds each.
-#[test]
-fn dvp_settles_every_transaction_across_the_nemesis_matrix() {
-    let plain = SiteConfig::default();
-    let ckpt = SiteConfig {
-        checkpoint_every: Some(8),
-        ..plain
-    };
-    let matrix: [(&str, SiteConfig, Intensity); 3] = [
-        ("standard", plain, Intensity::standard()),
-        ("standard-ckpt", ckpt, Intensity::standard()),
-        ("media-ckpt", ckpt, Intensity::media()),
-    ];
-    for (name, site, intensity) in matrix {
-        for seed in 0..SEEDS {
-            let sched = generate(seed, N_SITES, HORIZON_MS, &intensity);
-            let r = run_campaign(&campaign(seed, site), &sched);
-            assert!(r.passed(), "{name} seed {seed}: {:?}", r.violation);
-        }
-    }
-}
-
-/// The 2PC baseline under the same fault schedules: after settle, no
+/// The 2PC baseline under standard fault schedules: after settle, no
 /// participant is still blocked in-doubt. (Media faults are DvP-storage
 /// specific, so the baseline runs the standard mix.)
 #[test]
@@ -83,7 +41,7 @@ fn trad_baseline_unblocks_after_every_standard_campaign() {
     let mut total_committed = 0u64;
     for seed in 0..SEEDS {
         let sched = generate(seed, N_SITES, HORIZON_MS, &Intensity::standard());
-        let applied = sched.apply(N_SITES, legacy_environment());
+        let applied = sched.apply(N_SITES, lossy_environment());
         let w = workload(seed);
         let mut trad = Scenario::trad(&w)
             .seed(seed)

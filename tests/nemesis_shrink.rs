@@ -130,13 +130,8 @@ fn shrinker_reduces_a_failing_campaign_to_a_minimal_replayable_schedule() {
     let replay = Replay::new(seed, "broken-redo", &schedule, kept.clone());
     let line = replay.to_string();
     assert!(line.contains(&format!("seed={seed}")), "line: {line}");
-    let keep_str = line
-        .split("keep=")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .expect("replay line carries keep=");
-    assert_eq!(Replay::parse_keep(keep_str), Some(kept.clone()));
-    assert!(line.contains(&format!("digest={:08x}", minimal.digest())));
+    assert_eq!(Replay::parse(&line), Ok(replay.clone()));
+    assert_eq!(replay.schedule(&schedule), Ok(minimal));
 }
 
 /// `ddmin` also minimizes *media-fault* reproductions. The healthy
@@ -207,15 +202,9 @@ fn bitrot_repro_shrinks_to_the_arming_and_one_crash() {
     }
 
     // The replay line round-trips the minimal schedule and its digest.
-    let replay = Replay::new(seed, "media-bitrot", &schedule, kept.clone());
-    let line = replay.to_string();
-    let keep_str = line
-        .split("keep=")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .expect("replay line carries keep=");
-    assert_eq!(Replay::parse_keep(keep_str), Some(kept));
-    assert!(line.contains(&format!("digest={:08x}", minimal.digest())));
+    let replay = Replay::new(seed, "media-bitrot", &schedule, kept);
+    assert_eq!(Replay::parse(&replay.to_string()), Ok(replay.clone()));
+    assert_eq!(replay.schedule(&schedule), Ok(minimal));
 }
 
 /// The healthy protocol survives the exact same campaigns — the failure
