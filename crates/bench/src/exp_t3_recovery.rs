@@ -8,12 +8,14 @@
 //!
 //! Sweep: crash k of 8 sites mid-workload, recover site 1, then offer it
 //! new transactions. Metrics: remote messages consumed by recovery, time
-//! from recovery to the recovered site's first commit.
+//! from recovery to the recovered site's first commit — read for both
+//! engines from the event stream, which stamps every `TxnCommit`.
 
 use crate::table::{ms, Table};
 use crate::Scale;
 use dvp_baselines::{TradCluster, TradClusterConfig};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, TxnSpec};
+use dvp_obs::{EventKind, Obs};
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::{AirlineWorkload, Workload};
@@ -48,13 +50,15 @@ fn workload(scale: Scale, recover_at: u64) -> Workload {
     w
 }
 
-/// Time from `after` to site 1's first commit at-or-after `after` (µs).
-fn first_commit_after(commits: &[dvp_core::metrics::CommitEntry], after: SimTime) -> Option<u64> {
-    commits
+/// Time from `after` to site 1's first commit at or after it (µs). For
+/// 2PC that is the first commit site 1 coordinates.
+fn time_to_first_commit(obs: &Obs, after: SimTime) -> Option<u64> {
+    obs.take()
         .iter()
-        .filter(|e| e.at >= after)
-        .map(|e| e.at.since(after).as_micros())
-        .min()
+        .find(|e| {
+            e.site == 1 && e.at_us >= after.0 && matches!(e.kind, EventKind::TxnCommit { .. })
+        })
+        .map(|e| e.at_us - after.0)
 }
 
 /// Run T3 and return the table.
@@ -87,11 +91,12 @@ pub fn run(scale: Scale) -> Table {
             }
             faults = faults.recover(msec(recover_at), 1);
             cfg.faults = faults;
+            cfg.obs = Obs::enabled();
             let mut cl = Cluster::build(cfg);
             cl.run_until(until);
             cl.auditor().check_conservation().unwrap();
             let m = cl.stats().txn;
-            let ttfc = first_commit_after(&m.sites[1].commits, msec(recover_at));
+            let ttfc = time_to_first_commit(cl.obs(), msec(recover_at));
             vec![
                 k.to_string(),
                 "DvP".into(),
@@ -109,23 +114,17 @@ pub fn run(scale: Scale) -> Table {
                 cfg.crashes.push((msec(crash_at), site));
             }
             cfg.recoveries.push((msec(recover_at), 1));
+            let obs = Obs::enabled();
+            cfg.obs = obs.clone();
             let mut cl = TradCluster::build(cfg);
             cl.run_until(until);
             let m = cl.metrics();
-            // Time to first commit coordinated by site 1 after recovery:
-            // the baseline journal has no per-commit times, so report
-            // blocked + messages, with "n/a" when the site never committed
-            // after recovery.
-            let recovered_committed = m.sites[1].committed > 0;
+            let ttfc = time_to_first_commit(&obs, msec(recover_at));
             vec![
                 k.to_string(),
                 "2PC".into(),
                 m.sites[1].recovery_remote_messages.to_string(),
-                if recovered_committed {
-                    "committed".into()
-                } else {
-                    "n/a".into()
-                },
+                ttfc.map(ms).unwrap_or_else(|| "n/a".into()),
                 m.still_blocked().to_string(),
                 cl.sim.stats().dropped_crashed.to_string(),
             ]

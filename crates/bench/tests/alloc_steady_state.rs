@@ -1,7 +1,8 @@
 //! Steady-state allocation audit: the committed fast-path transaction
 //! allocates nothing, the slow path stays under a pinned bound, the heap
-//! holds the stable log once and the arrival script once, and generating
-//! a workload allocates per site, not per transaction.
+//! holds the stable log once and the arrival script once, nothing else
+//! resident grows per commit, and generating a workload allocates per
+//! site, not per transaction.
 //!
 //! Run with `cargo test -p dvp-bench --features alloc-audit --test
 //! alloc_steady_state` — the feature installs the counting global
@@ -14,11 +15,11 @@
 //! one with `W + M`, and compare the allocation events counted during
 //! each *run* phase (setup is excluded by snapshotting the counter after
 //! `Cluster::build`). The extra `M` transactions go through the full
-//! engine — begin, lock, log append + force, apply, journal, unlock —
+//! engine — begin, lock, log append + force, apply, read check, unlock —
 //! so if the run-phase deltas are equal, those `M` commits allocated
 //! exactly zero times. `W` and `M` are chosen so no amortized container
-//! doubling (commit journal, the log's byte image) lands between the
-//! two workload sizes; growth that both runs share cancels out.
+//! doubling (the log's byte image) lands between the two workload sizes;
+//! growth that both runs share cancels out.
 
 #![cfg(feature = "alloc-audit")]
 
@@ -29,9 +30,9 @@ use dvp_core::{Cluster, ClusterConfig, Placement, TxnSpec};
 use dvp_simnet::time::{SimDuration, SimTime};
 
 /// Warmup+measure sizes: capacities after W pushes and after W+M pushes
-/// fall inside the same power-of-two growth window for every per-txn
-/// container (commit journal ~1/txn, log image ~66 bytes/txn), so the
-/// extra M transactions trigger no doubling.
+/// fall inside the same power-of-two growth window for the one per-txn
+/// container (log image ~66 bytes/txn), so the extra M transactions
+/// trigger no doubling.
 const W: u64 = 3_000;
 const M: u64 = 500;
 
@@ -112,11 +113,11 @@ fn live_growth(since: u64) -> u64 {
     (alloc_audit::thread_live_bytes().wrapping_sub(since) as i64).max(0) as u64
 }
 
-/// One quick-scale banking run (`E1`'s `dvp_banking` row: 2,000
-/// transfers). Returns the drained cluster with the allocation events
-/// and the net live-heap growth of the run phase alone.
-fn banking_run() -> (Cluster, u64, u64) {
-    let w = banking(2_000);
+/// One banking run (at 2,000 transfers, `E1`'s quick-scale
+/// `dvp_banking` row). Returns the drained cluster with the allocation
+/// events and the net live-heap growth of the run phase alone.
+fn banking_run(txns: usize) -> (Cluster, u64, u64) {
+    let w = banking(txns);
     let mut cl = Scenario::dvp(&w).build_dvp();
     let (allocs, live) = (
         alloc_audit::thread_alloc_count(),
@@ -140,7 +141,7 @@ fn banking_run() -> (Cluster, u64, u64) {
 #[test]
 fn slow_path_allocations_per_commit_stay_under_the_pinned_bound() {
     const BOUND: f64 = 25.4;
-    let (cl, allocs, _) = banking_run();
+    let (cl, allocs, _) = banking_run(2_000);
     let m = cl.stats().txn;
     assert!(
         m.fast_path_commits() * 10 < m.committed() * 7,
@@ -163,20 +164,18 @@ fn slow_path_allocations_per_commit_stay_under_the_pinned_bound() {
 
 /// The memory gate: the stable log is resident **once**. Over a banking
 /// run the live heap may grow by 1.5 × the logs' byte images plus a
-/// fixed allowance for what else the run accretes (commit journal,
-/// latency histograms, Vm channel state: ~0.4 MB here) and for buffer
-/// capacity — a byte buffer that just doubled holds twice its length.
-/// Measured when written: 1.41 MB grown against 0.85 MB of images. A
+/// fixed allowance for what else the run accretes (latency histograms,
+/// Vm channel state) and for buffer capacity — a byte buffer that just
+/// doubled holds twice its length. Measured: 1.14 MB grown against
+/// 0.85 MB of images. A
 /// decoded mirror of the log beside the image (what `StableLog` kept
 /// before it became bytes plus a watermark) costs 2–3 × the image on
 /// its own: that tree grew 3.75 MB and fails this.
 #[test]
 fn log_memory_is_single_copy() {
     const SLACK: u64 = 1 << 20;
-    let (cl, _, grown) = banking_run();
-    let image: u64 = (0..8)
-        .map(|site| cl.sim.node(site).log().stable_image_len() as u64)
-        .sum();
+    let (cl, _, grown) = banking_run(2_000);
+    let image = log_images(&cl);
     assert!(
         image > 256 * 1024,
         "the run must write a log worth measuring ({image} B)"
@@ -187,6 +186,58 @@ fn log_memory_is_single_copy() {
         grown <= allowed,
         "live heap grew {grown} B over the run, more than 1.5 x the {image} B of \
          log images + {SLACK} B: something holds the log twice"
+    );
+}
+
+/// Bytes in the stable logs' images, summed over the sites.
+fn log_images(cl: &Cluster) -> u64 {
+    cl.sim
+        .nodes()
+        .iter()
+        .map(|site| site.log().stable_image_len() as u64)
+        .sum()
+}
+
+/// Bytes the stable logs' buffers hold reserved, summed over the sites.
+fn log_capacity(cl: &Cluster) -> u64 {
+    cl.sim
+        .nodes()
+        .iter()
+        .map(|site| site.log().image_capacity() as u64)
+        .sum()
+}
+
+/// The per-commit gate: apart from the log, nothing resident grows with
+/// the number of commits. Banking runs at 2,000 and at 4,000 transactions;
+/// for each, the run phase's live-heap growth less the logs' buffers is
+/// what the run accretes besides the log. The extra commits of the longer
+/// run may add at most 16 B each to it. A per-commit journal — the 96-byte
+/// entry the read check used to sort and replay — fails this.
+///
+/// The logs' *capacity* is subtracted, not their image length: a buffer
+/// that doubles holds up to twice its length, and between these two runs
+/// that spare room alone is ~120 B per extra commit.
+#[test]
+fn run_memory_does_not_grow_per_commit() {
+    const PER_COMMIT: i64 = 16;
+    let besides_log = |txns| {
+        let (cl, _, grown) = banking_run(txns);
+        let rest = grown as i64 - log_capacity(&cl) as i64;
+        (cl.stats().txn.committed() as i64, rest)
+    };
+    let (short_commits, short) = besides_log(2_000);
+    let (long_commits, long) = besides_log(4_000);
+    let extra = long_commits - short_commits;
+    println!(
+        "banking: besides the log, {short_commits} commits leave {short} B and \
+         {long_commits} leave {long} B: {:.1} B per extra commit",
+        (long - short) as f64 / extra as f64
+    );
+    assert!(
+        long - short <= PER_COMMIT * extra,
+        "{extra} extra commits grew the heap by {} B besides the log, more than \
+         {PER_COMMIT} B each: something keeps a record per commit",
+        long - short
     );
 }
 

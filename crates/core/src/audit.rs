@@ -11,15 +11,22 @@
 //! * **Read exactness** (Sections 5/6): every committed full-value read
 //!   observed precisely the item's true total at its commit instant, i.e.
 //!   the value a serial execution (subject to redistribution) would have
-//!   shown.
+//!   shown. This one is checked *as reads commit*: every site feeds the
+//!   cluster's [`HistorySink`], which keeps O(items) state, never the
+//!   history itself.
 
+use crate::clock::Ts;
+use crate::dense::SVec;
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
 use crate::site::SiteNode;
 use crate::transfer::Transfer;
-use crate::ItemId;
+use crate::{ItemId, Qty};
+use dvp_simnet::time::SimTime;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// An invariant violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,6 +48,10 @@ pub enum AuditError {
         expected: i64,
         /// Value the read returned.
         got: u64,
+        /// The reading transaction.
+        txn: Ts,
+        /// Its commit instant.
+        at: SimTime,
     },
 }
 
@@ -59,9 +70,12 @@ impl fmt::Display for AuditError {
                 item,
                 expected,
                 got,
+                txn,
+                at,
             } => write!(
                 f,
-                "read of {item:?} returned {got}, true total was {expected}"
+                "read of {item:?} by {txn:?} committed at {at} returned {got}, \
+                 true total was {expected}"
             ),
         }
     }
@@ -162,34 +176,178 @@ impl<'a> Auditor<'a> {
         Ok(())
     }
 
-    /// Check every committed read against the serial history: replaying
-    /// commits in global commit order, a read must report the item's
-    /// running total at its commit instant.
+    /// Every committed read against the serial history: in global commit
+    /// order, a read must report the item's running total at its commit
+    /// instant. The cluster's [`HistorySink`] reached this verdict as the
+    /// reads committed; `metrics` carries its [`History`].
     pub fn check_reads(&self, metrics: &ClusterMetrics) -> Result<(), AuditError> {
-        let mut running: BTreeMap<ItemId, i64> = self
-            .catalog
-            .items()
-            .iter()
-            .map(|d| (d.id, d.total as i64))
-            .collect();
-        for entry in metrics.global_commit_order() {
-            // The read observes the state including every *earlier* commit
-            // but not its own deltas (reads carry zero deltas anyway).
-            for &(item, got) in &entry.reads {
-                let expected = running.get(&item).copied().unwrap_or(0);
-                if expected != got as i64 {
-                    return Err(AuditError::WrongRead {
-                        item,
-                        expected,
-                        got,
-                    });
-                }
-            }
-            for &(item, d) in &entry.deltas {
-                *running.entry(item).or_insert(0) += d;
+        metrics.history.verdict()
+    }
+}
+
+/// The committed history folded to O(items): a running total and a
+/// low-water mark per item, the reads checked, and the first wrong one.
+/// [`HistorySink::history`] hands out a copy; [`Cluster::stats`] puts it
+/// in [`ClusterMetrics::history`].
+///
+/// [`Cluster::stats`]: crate::Cluster::stats
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct History {
+    /// Running total per item, indexed by `item.0`.
+    totals: Vec<i64>,
+    /// Smallest running total each item has had.
+    low_water: Vec<i64>,
+    reads_checked: u64,
+    last_read: Option<(ItemId, Qty)>,
+    wrong_read: Option<AuditError>,
+}
+
+impl History {
+    fn new(catalog: &Catalog) -> Self {
+        let totals: Vec<i64> = catalog.items().iter().map(|d| d.total as i64).collect();
+        History {
+            low_water: totals.clone(),
+            totals,
+            ..History::default()
+        }
+    }
+
+    /// The item's total after every commit so far (0 for an item outside
+    /// the catalog nobody committed to).
+    pub fn total(&self, item: ItemId) -> i64 {
+        self.totals.get(item.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// The smallest total the item has had in commit order: negative iff
+    /// some committed decrement overdrew it.
+    pub fn low_water(&self, item: ItemId) -> i64 {
+        self.low_water.get(item.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Committed full-value reads checked so far.
+    pub fn reads_checked(&self) -> u64 {
+        self.reads_checked
+    }
+
+    /// The last read checked, in commit order: `(item, value returned)`.
+    pub fn last_read(&self) -> Option<(ItemId, Qty)> {
+        self.last_read
+    }
+
+    /// The first committed read, in commit order, that did not return the
+    /// item's running total — the read-exactness verdict.
+    pub fn verdict(&self) -> Result<(), AuditError> {
+        self.wrong_read.clone().map_or(Ok(()), Err)
+    }
+
+    /// Fold one commit in: its reads see every earlier commit but not its
+    /// own deltas (reads carry none anyway).
+    fn apply(&mut self, at: SimTime, c: &Pending) {
+        for &(item, got) in &c.reads {
+            self.reads_checked += 1;
+            self.last_read = Some((item, got));
+            let expected = self.total(item);
+            if expected != got as i64 && self.wrong_read.is_none() {
+                self.wrong_read = Some(AuditError::WrongRead {
+                    item,
+                    expected,
+                    got,
+                    txn: c.txn,
+                    at,
+                });
             }
         }
-        Ok(())
+        for &(item, d) in &c.deltas {
+            let i = item.0 as usize;
+            if i >= self.totals.len() {
+                self.totals.resize(i + 1, 0);
+                self.low_water.resize(i + 1, 0);
+            }
+            self.totals[i] += d;
+            self.low_water[i] = self.low_water[i].min(self.totals[i]);
+        }
+    }
+}
+
+/// A commit of the instant the sink has not yet closed.
+#[derive(Debug)]
+struct Pending {
+    txn: Ts,
+    deltas: SVec<(ItemId, i64), 2>,
+    reads: SVec<(ItemId, Qty), 2>,
+}
+
+#[derive(Debug, Default)]
+struct SinkState {
+    /// Every commit before `instant`, folded.
+    settled: History,
+    instant: SimTime,
+    /// The commits at `instant`, in dispatch order (capacity retained).
+    pending: Vec<Pending>,
+}
+
+impl SinkState {
+    /// Global commit order is `(instant, txn)`: the kernel dispatches
+    /// instants in order, but not the commits inside one by txn id, so an
+    /// instant is folded only once it is over. Txn ids are unique, so an
+    /// unstable sort is exact (and never allocates).
+    fn sort_pending(&mut self) {
+        self.pending.sort_unstable_by_key(|c| c.txn);
+    }
+
+    fn settle(&mut self) {
+        self.sort_pending();
+        for c in self.pending.drain(..) {
+            self.settled.apply(self.instant, &c);
+        }
+    }
+}
+
+/// The read-exactness check, run as transactions commit. One handle is
+/// shared by a cluster and all its sites, the way [`dvp_obs::Obs`] is;
+/// each commit hands it `(instant, txn, deltas, reads)`, and it holds a
+/// [`History`] plus the commits of the current instant — nothing that
+/// grows with the run.
+#[derive(Clone, Debug, Default)]
+pub struct HistorySink(Rc<RefCell<SinkState>>);
+
+impl HistorySink {
+    /// A sink starting from the catalog's initial totals.
+    pub fn new(catalog: &Catalog) -> Self {
+        HistorySink(Rc::new(RefCell::new(SinkState {
+            settled: History::new(catalog),
+            ..SinkState::default()
+        })))
+    }
+
+    /// Record one committed transaction. Instants must not decrease.
+    pub fn commit(
+        &self,
+        at: SimTime,
+        txn: Ts,
+        deltas: SVec<(ItemId, i64), 2>,
+        reads: SVec<(ItemId, Qty), 2>,
+    ) {
+        let mut s = self.0.borrow_mut();
+        debug_assert!(at >= s.instant, "commits arrive in time order");
+        if at > s.instant {
+            s.settle();
+            s.instant = at;
+        }
+        s.pending.push(Pending { txn, deltas, reads });
+    }
+
+    /// The history so far, the current instant's commits included. The
+    /// instant stays open: a commit still to come at it is folded in its
+    /// txn order later, so querying never changes a later verdict.
+    pub fn history(&self) -> History {
+        let mut s = self.0.borrow_mut();
+        s.sort_pending();
+        let mut h = s.settled.clone();
+        for c in &s.pending {
+            h.apply(s.instant, c);
+        }
+        h
     }
 }
 
@@ -199,7 +357,7 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::item::Split;
     use crate::txn::TxnSpec;
-    use dvp_simnet::time::{SimDuration, SimTime};
+    use dvp_simnet::time::SimDuration;
 
     fn ms(n: u64) -> SimTime {
         SimTime::ZERO + SimDuration::millis(n)
@@ -236,8 +394,13 @@ mod tests {
             item: ItemId(1),
             expected: 10,
             got: 9,
+            txn: Ts((7 << 10) | 2),
+            at: ms(3),
         };
-        assert!(e.to_string().contains("read"));
+        assert_eq!(
+            e.to_string(),
+            "read of item:1 by ts:7@s2 committed at 3.000ms returned 9, true total was 10"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! running [`Simulation`] plus harvesting helpers. All experiment harness
 //! binaries and most integration tests go through this type.
 
-use crate::audit::Auditor;
+use crate::audit::{Auditor, HistorySink};
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
 use crate::policy::SiteConfig;
@@ -94,7 +94,8 @@ impl ClusterConfig {
     }
 }
 
-/// A built cluster: the simulation plus the catalog for auditing.
+/// A built cluster: the simulation plus the catalog and the history sink
+/// for auditing.
 ///
 /// ```
 /// use dvp_core::item::{Catalog, Split};
@@ -115,6 +116,8 @@ pub struct Cluster {
     pub sim: Simulation<SiteNode>,
     /// The catalog the cluster was built from.
     pub catalog: Catalog,
+    /// The read check every site feeds as it commits.
+    history: HistorySink,
 }
 
 impl Cluster {
@@ -134,11 +137,13 @@ impl Cluster {
             }
         }
 
+        let history = HistorySink::new(&cfg.catalog);
         let nodes: Vec<SiteNode> = (0..n)
             .map(|s| {
                 let script = cfg.scripts[s].clone();
                 let mut node = SiteNode::new(s, n, cfg.site, site_quotas[s].clone(), script);
                 node.set_obs(cfg.obs.clone());
+                node.set_history(history.clone());
                 node
             })
             .collect();
@@ -159,6 +164,7 @@ impl Cluster {
         Cluster {
             sim,
             catalog: cfg.catalog,
+            history,
         }
     }
 
@@ -175,7 +181,8 @@ impl Cluster {
     /// One coherent snapshot of every counter layer: transaction engine,
     /// Vm channel and stable log. This is the single stats
     /// surface — reports and benchmarks pull everything from here rather
-    /// than stitching together per-layer accessors.
+    /// than stitching together per-layer accessors. Its size is
+    /// O(sites × items), however many transactions committed.
     pub fn stats(&self) -> StatsView {
         let txn = ClusterMetrics {
             sites: self
@@ -184,6 +191,7 @@ impl Cluster {
                 .iter()
                 .map(|s| s.metrics().clone())
                 .collect(),
+            history: self.history.history(),
         };
         let mut vm = dvp_vmsg::VmStats::default();
         let mut log = dvp_storage::LogStats::default();
@@ -333,12 +341,8 @@ mod tests {
         cl.run_to_quiescence();
         let m = cl.stats().txn;
         assert_eq!(m.committed(), 2);
-        let reads: Vec<_> = m
-            .global_commit_order()
-            .iter()
-            .flat_map(|e| e.reads.clone())
-            .collect();
-        assert_eq!(reads, vec![(flight, 93)]);
+        assert_eq!(m.history.reads_checked(), 1);
+        assert_eq!(m.history.last_read(), Some((flight, 93)));
         cl.auditor().check_conservation().unwrap();
         cl.auditor().check_reads(&m).unwrap();
     }

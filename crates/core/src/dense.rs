@@ -245,12 +245,10 @@ mod tests {
     /// built from it stay within these sizes.
     #[test]
     fn sizes_are_pinned() {
-        use crate::metrics::CommitEntry;
         use crate::txn::TxnSpec;
         use dvp_simnet::time::SimTime;
         use std::mem::size_of;
         assert!(size_of::<SVec<(ItemId, i64), 2>>() <= 40);
-        assert!(size_of::<CommitEntry>() <= 96);
         assert!(size_of::<(SimTime, TxnSpec)>() <= 64);
     }
 

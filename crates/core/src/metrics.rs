@@ -3,14 +3,12 @@
 //! Every experiment in `EXPERIMENTS.md` reduces to these counters and
 //! distributions: commit/abort counts (by reason), decision latencies
 //! (bounded for DvP — the non-blocking claim), message/donation counts,
-//! and the committed-operation journal the auditors replay.
+//! and the read check's O(items) [`History`]. Nothing here grows with the
+//! number of commits.
 
-use crate::clock::Ts;
-use crate::dense::SVec;
+use crate::audit::History;
 use crate::item::ItemId;
-use crate::Qty;
 use dvp_obs::{Hist, PhaseHists};
-use dvp_simnet::time::SimTime;
 use std::collections::BTreeMap;
 
 /// Why a transaction aborted.
@@ -47,21 +45,7 @@ impl AbortReason {
     }
 }
 
-/// One committed transaction, journaled for the auditors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitEntry {
-    /// Transaction id (timestamp).
-    pub txn: Ts,
-    /// Commit instant.
-    pub at: SimTime,
-    /// Net delta per item (inline — journaling a commit is on the
-    /// steady-state path and must not allocate).
-    pub deltas: SVec<(ItemId, i64), 2>,
-    /// Full-value read results, if any.
-    pub reads: SVec<(ItemId, Qty), 2>,
-}
-
-/// Counters and journals for one site.
+/// Counters for one site.
 #[derive(Clone, Debug, Default)]
 pub struct SiteMetrics {
     /// Transactions committed at this site.
@@ -99,12 +83,10 @@ pub struct SiteMetrics {
     /// Transactions that committed on the write-only fast path (no
     /// solicitation round).
     pub fast_path_commits: u64,
-    /// Journal of committed transactions (audit input).
-    pub commits: Vec<CommitEntry>,
     /// Running net committed delta per item, indexed by `item.0`: the
-    /// fold of `commits`, kept in step by
-    /// [`record_commit`](Self::record_commit) so a conservation check
-    /// costs one entry per item instead of a walk of the whole journal.
+    /// fold of every commit's deltas, kept in step by
+    /// [`record_commit`](Self::record_commit), so a conservation check
+    /// costs one entry per item.
     net_deltas: Vec<i64>,
     /// Number of recoveries this site performed.
     pub recoveries: u64,
@@ -152,21 +134,20 @@ impl SiteMetrics {
     }
 
     /// Record a commit.
-    pub fn record_commit(&mut self, entry: CommitEntry, latency_us: u64, fast_path: bool) {
+    pub fn record_commit(&mut self, deltas: &[(ItemId, i64)], latency_us: u64, fast_path: bool) {
         self.committed += 1;
         self.commit_latency.record(latency_us);
         if fast_path {
             self.fast_path_commits += 1;
             self.phases.record("fast_path", latency_us);
         }
-        for &(item, d) in &entry.deltas {
+        for &(item, d) in deltas {
             let i = item.0 as usize;
             if i >= self.net_deltas.len() {
                 self.net_deltas.resize(i + 1, 0);
             }
             self.net_deltas[i] += d;
         }
-        self.commits.push(entry);
     }
 
     /// Net committed delta per item so far (items never committed at
@@ -186,6 +167,8 @@ impl SiteMetrics {
 pub struct ClusterMetrics {
     /// Per-site metrics, indexed by site id.
     pub sites: Vec<SiteMetrics>,
+    /// The committed history as the cluster's read check folded it.
+    pub history: History,
 }
 
 impl ClusterMetrics {
@@ -216,14 +199,6 @@ impl ClusterMetrics {
         } else {
             c as f64 / total as f64
         }
-    }
-
-    /// All commit entries across sites, ordered by commit time (ties by
-    /// txn id) — the global committed history the auditors replay.
-    pub fn global_commit_order(&self) -> Vec<&CommitEntry> {
-        let mut all: Vec<&CommitEntry> = self.sites.iter().flat_map(|s| s.commits.iter()).collect();
-        all.sort_by_key(|e| (e.at, e.txn));
-        all
     }
 
     /// Merged commit-latency histogram across sites.
@@ -374,16 +349,7 @@ mod tests {
         m.record_abort(AbortReason::Timeout, 100);
         m.record_abort(AbortReason::Timeout, 120);
         m.record_abort(AbortReason::LockConflict, 5);
-        m.record_commit(
-            CommitEntry {
-                txn: Ts(1),
-                at: SimTime(99),
-                deltas: SVec::one((ItemId(0), -2)),
-                reads: SVec::new(),
-            },
-            77,
-            true,
-        );
+        m.record_commit(&[(ItemId(0), -2)], 77, true);
         assert_eq!(m.total_aborted(), 3);
         assert_eq!(m.committed, 1);
         assert_eq!(m.fast_path_commits, 1);
@@ -393,53 +359,18 @@ mod tests {
     #[test]
     fn cluster_aggregation_and_ratio() {
         let mut a = SiteMetrics::default();
-        a.record_commit(
-            CommitEntry {
-                txn: Ts(2),
-                at: SimTime(5),
-                deltas: SVec::new(),
-                reads: SVec::new(),
-            },
-            10,
-            false,
-        );
+        a.record_commit(&[], 10, false);
         let mut b = SiteMetrics::default();
         b.record_abort(AbortReason::Timeout, 500);
-        let c = ClusterMetrics { sites: vec![a, b] };
+        let c = ClusterMetrics {
+            sites: vec![a, b],
+            ..Default::default()
+        };
         assert_eq!(c.committed(), 1);
         assert_eq!(c.aborted(), 1);
         assert_eq!(c.aborted_for(AbortReason::Timeout), 1);
         assert!((c.commit_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(c.decision_latency_percentile(100.0), 500);
-    }
-
-    #[test]
-    fn global_commit_order_sorts_by_time() {
-        let mut a = SiteMetrics::default();
-        a.record_commit(
-            CommitEntry {
-                txn: Ts(9),
-                at: SimTime(20),
-                deltas: SVec::new(),
-                reads: SVec::new(),
-            },
-            1,
-            false,
-        );
-        let mut b = SiteMetrics::default();
-        b.record_commit(
-            CommitEntry {
-                txn: Ts(3),
-                at: SimTime(10),
-                deltas: SVec::new(),
-                reads: SVec::new(),
-            },
-            1,
-            false,
-        );
-        let c = ClusterMetrics { sites: vec![a, b] };
-        let order: Vec<Ts> = c.global_commit_order().iter().map(|e| e.txn).collect();
-        assert_eq!(order, vec![Ts(3), Ts(9)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::clock::Ts;
 use crate::dense::SVec;
 use crate::item::ItemId;
 use crate::locks::Holder;
-use crate::metrics::{AbortReason, CommitEntry};
+use crate::metrics::AbortReason;
 use crate::placement::Target;
 use crate::policy::{ConcMode, Crashpoint};
 use crate::record::{DbActions, SiteRecord};
@@ -406,7 +406,8 @@ impl SiteNode {
 
         t.spec.deltas_into(&mut self.deltas_scratch);
         // `reads()` is empty (and allocation-free) for write-only
-        // transactions; 1–2 entries stay inline in the journal `SVec`s.
+        // transactions; 1–2 entries stay inline in the `SVec`s the
+        // history sink keeps until the instant closes.
         let reads: SVec<(ItemId, Qty), 2> = t
             .spec
             .reads()
@@ -444,22 +445,16 @@ impl SiteNode {
             self.frags.bump_ts(item, ts);
         }
         self.durable.append(SiteRecord::Applied { txn: ts });
-        let journal = SVec::from_slice(&self.deltas_scratch);
+        // Copied out before waking waiters: a woken one may commit
+        // re-entrantly and reuse the scratch.
+        let deltas = SVec::from_slice(&self.deltas_scratch);
 
         // Step 7: release locks (and wake Conc2 waiters).
         self.release_locks_and_wake(ts, ctx);
 
         let latency = ctx.now().since(t.started).as_micros();
-        self.metrics.record_commit(
-            CommitEntry {
-                txn: ts,
-                at: ctx.now(),
-                deltas: journal,
-                reads,
-            },
-            latency,
-            !t.solicited,
-        );
+        self.metrics.record_commit(&deltas, latency, !t.solicited);
+        self.history.commit(ctx.now(), ts, deltas, reads);
         if t.solicited {
             // Phase split: solicit = start → first credit arriving,
             // gather = first credit → commit (zero when a single credit

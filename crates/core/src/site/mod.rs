@@ -42,6 +42,7 @@ mod redistribute;
 pub use durable::SiteSnapshot;
 pub use msg::{Body, ProtoMsg, Solicit};
 
+use crate::audit::HistorySink;
 use crate::clock::{LamportClock, Ts};
 use crate::fragment::FragmentStore;
 use crate::item::ItemId;
@@ -132,6 +133,8 @@ pub struct SiteNode {
     rebalance_armed: bool,
     /// Experiment instrumentation (omniscient: survives crashes).
     metrics: SiteMetrics,
+    /// The cluster's read check, fed at every commit (omniscient).
+    history: HistorySink,
     /// Structured trace handle (disabled by default; survives crashes).
     obs: Obs,
     /// Reusable buffers, retained so the steady-state dispatch path
@@ -179,6 +182,7 @@ impl SiteNode {
             retransmit_armed: false,
             rebalance_armed: false,
             metrics: SiteMetrics::default(),
+            history: HistorySink::default(),
             obs: Obs::disabled(),
             completed_scratch: Vec::new(),
             datagram_scratch: Vec::new(),
@@ -207,6 +211,11 @@ impl SiteNode {
         self.vm.set_obs(obs.clone());
         self.durable.set_obs(obs.clone());
         self.obs = obs;
+    }
+
+    /// Attach the cluster's history sink; every commit here feeds it.
+    pub fn set_history(&mut self, history: HistorySink) {
+        self.history = history;
     }
 
     // ---- public inspection (harness / audit) ----------------------------

@@ -11,7 +11,8 @@
 //!   exactly `(acked, created]`.
 //! * **Read exactness / serializability subject to redistribution**
 //!   (§5/§6): every committed full-value read equals the serial running
-//!   total — delegated to `Auditor::check_reads`.
+//!   total — delegated to `Auditor::check_reads`, which reports the
+//!   verdict the cluster reached as each read committed.
 //! * **Rebuild equivalence** (§7): a site reconstructed *purely* from its
 //!   checkpoint slots and stable log matches the live site — recovery is a
 //!   pure function of stable storage. Volatile lag is tolerated only in
@@ -207,8 +208,9 @@ pub fn check_liveness(cl: &Cluster) -> Result<(), Violation> {
 }
 
 /// Run the full oracle suite. `metrics` should be freshly harvested from
-/// `cl` (it carries the committed-read journal the exactness check
-/// replays, and the declared salvage damage that bounds conservation).
+/// `cl` (it carries the read-exactness verdict the cluster's history sink
+/// reached as reads committed, and the declared salvage damage that bounds
+/// conservation).
 pub fn check_all(cl: &Cluster, metrics: &ClusterMetrics) -> Result<(), Violation> {
     if metrics.salvage_unbounded() {
         // Some site lost every checkpoint generation *and* its genesis

@@ -20,7 +20,8 @@
 //! it is `None`: every `emit` is one inlined branch on a register —
 //! no allocation, no formatting, no clock reads. Event payloads are
 //! built inside closures ([`Obs::emit_with`]) so argument construction
-//! is skipped too. The `kernel_baseline` A/B check pins this.
+//! is skipped too. `tests/obs_disabled.rs` pins this: a disabled handle
+//! never builds a payload, and a traced-off run buffers nothing.
 //!
 //! ## Time
 //!

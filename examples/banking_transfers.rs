@@ -73,12 +73,7 @@ fn main() {
     println!("\nAlice: {alice_total}   (10000 +700 deposit −100 −2000 transfer)");
     println!("Bob:   {bob_total}   (5000 −1200 +2000 transfer)");
 
-    let read = m
-        .global_commit_order()
-        .iter()
-        .flat_map(|e| e.reads.clone())
-        .next()
-        .expect("the balance read committed");
+    let read = m.history.last_read().expect("the balance read committed");
     println!("exact balance read of Alice observed: {}", read.1);
 
     cluster.auditor().check_reads(&m).expect("read exactness");
@@ -94,6 +89,6 @@ fn main() {
 
     assert_eq!(alice_total, 8_600);
     assert_eq!(bob_total, 5_800);
-    assert_eq!(read.1, 8_600);
+    assert_eq!(read, (alice, 8_600));
     assert_eq!(m.sites[3].recovery_remote_messages, 0);
 }

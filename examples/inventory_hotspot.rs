@@ -46,12 +46,11 @@ fn part1_distributed() {
         .map(|s| cluster.sim.node(s).fragments().get(sku0))
         .sum();
     println!("sku-0 stock across warehouses: {stock}");
-    let stocktakes = m
-        .global_commit_order()
-        .iter()
-        .flat_map(|e| e.reads.clone())
-        .count();
-    println!("exact stocktakes completed: {stocktakes}\n");
+    cluster.auditor().check_reads(&m).expect("read exactness");
+    println!(
+        "exact stocktakes completed: {}\n",
+        m.history.reads_checked()
+    );
 }
 
 fn bench_counter(name: &str, counter: Arc<dyn Counter>, threads: usize) -> f64 {

@@ -62,12 +62,8 @@ fn main() {
     println!("  ───────────");
     println!("  N   = {total}   (100 initial − 42 sold)\n");
 
-    let reads: Vec<_> = metrics
-        .global_commit_order()
-        .iter()
-        .flat_map(|e| e.reads.clone())
-        .collect();
-    println!("W's full-value read observed N = {}", reads[0].1);
+    let (_, observed) = metrics.history.last_read().expect("W's read committed");
+    println!("W's full-value read observed N = {observed}");
 
     cluster
         .auditor()
@@ -81,4 +77,5 @@ fn main() {
 
     assert_eq!(metrics.committed(), 6);
     assert_eq!(total, 58);
+    assert_eq!(observed, 58);
 }

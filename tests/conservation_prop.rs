@@ -150,12 +150,12 @@ fn pinned_dense_fault_scenario() {
     run_scenario(&sc).unwrap();
 }
 
-/// The conservation check reads each site's running net deltas instead of
-/// re-walking its commit journal: the two must be the same fold, at every
-/// pause point of a run that commits at every site.
+/// Two independent folds of the same commits: the cluster's history sink
+/// (one running total per item, in global commit order) and the sites'
+/// running net deltas the conservation check reads. They must agree at
+/// every pause point of a run that commits at every site.
 #[test]
-fn running_net_deltas_equal_the_journal_fold() {
-    use std::collections::BTreeMap;
+fn sink_totals_equal_the_site_folds() {
     let w = dvp::workloads::BankingWorkload {
         n_sites: 4,
         accounts: 8,
@@ -164,24 +164,23 @@ fn running_net_deltas_equal_the_journal_fold() {
     }
     .generate(5);
     let mut cl = dvp::bench::Scenario::dvp(&w).build_dvp();
-    let mut probes = 0;
+    let mut moved = 0;
     for k in 1..=6u64 {
         cl.run_until(ms(k * 400));
-        let mut fold: BTreeMap<ItemId, i64> = BTreeMap::new();
-        for site in &cl.stats().txn.sites {
-            for entry in &site.commits {
-                for &(item, d) in &entry.deltas {
-                    *fold.entry(item).or_insert(0) += d;
-                }
-            }
-        }
-        let running = cl.auditor().committed_deltas();
+        let history = cl.stats().txn.history;
+        let deltas = cl.auditor().committed_deltas();
         for def in w.catalog.items() {
-            let net = |m: &BTreeMap<ItemId, i64>| m.get(&def.id).copied().unwrap_or(0);
-            assert_eq!(net(&running), net(&fold), "{:?} at {}ms", def.id, k * 400);
+            let net = deltas.get(&def.id).copied().unwrap_or(0);
+            assert_eq!(
+                history.total(def.id),
+                def.total as i64 + net,
+                "{:?} at {}ms",
+                def.id,
+                k * 400
+            );
         }
-        probes += usize::from(fold.values().any(|&d| d != 0));
+        moved += usize::from(deltas.values().any(|&d| d != 0));
         cl.auditor().check_conservation().unwrap();
     }
-    assert!(probes >= 3, "the run must commit across several probes");
+    assert!(moved >= 3, "the run must commit across several probes");
 }

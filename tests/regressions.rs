@@ -1,6 +1,7 @@
 //! Pinned regression scenarios: bugs the property tests once caught, kept
 //! as deterministic tests so they can never come back.
 
+use dvp::core::audit::AuditError;
 use dvp::prelude::*;
 use dvp::workloads::InventoryWorkload;
 
@@ -96,31 +97,23 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
     // quiescence and aborts; whatever committed is exact.
     let (m_safe, reads_ok) = run(false);
     assert!(reads_ok, "with the gate every committed read is exact");
-    let read_committed = m_safe
-        .global_commit_order()
-        .iter()
-        .any(|e| !e.reads.is_empty());
-    assert!(
-        !read_committed,
+    assert_eq!(
+        m_safe.history.reads_checked(),
+        0,
         "the read must abort while value is in flight"
     );
 
     // Without the gate: the read commits a wrong total.
-    let (m_unsafe, reads_ok) = run(true);
-    let read_vals: Vec<u64> = m_unsafe
-        .global_commit_order()
-        .iter()
-        .flat_map(|e| e.reads.iter().map(|&(_, v)| v))
-        .collect();
-    assert_eq!(
-        read_vals,
-        vec![83],
-        "the gateless read misses in-flight value"
-    );
-    assert!(
-        !reads_ok,
-        "check_reads must flag the miss — the §5 rule is load-bearing"
-    );
+    let (m_unsafe, _) = run(true);
+    assert_eq!(m_unsafe.history.reads_checked(), 1);
+    match m_unsafe.history.verdict() {
+        Err(AuditError::WrongRead { got, expected, .. }) => assert_eq!(
+            (got, expected),
+            (83, 100),
+            "the gateless read misses in-flight value"
+        ),
+        other => panic!("check_reads must flag the miss — the §5 rule is load-bearing: {other:?}"),
+    }
 }
 
 /// **`Fanout::One` must not round-robin into a known-dead donor.**
@@ -222,12 +215,12 @@ fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
     cl.run_until(ms(5_000));
     cl.auditor().check_conservation().unwrap();
     let m = cl.stats().txn;
-    let reads: Vec<u64> = m
-        .global_commit_order()
-        .iter()
-        .flat_map(|e| e.reads.iter().map(|&(_, v)| v))
-        .collect();
-    assert_eq!(reads, vec![100], "the read commits the full value");
+    assert_eq!(m.history.reads_checked(), 1);
+    assert_eq!(
+        m.history.last_read(),
+        Some((item, 100)),
+        "the read commits the full value"
+    );
     cl.auditor()
         .check_reads(&m)
         .expect("the lease outlives the reader, so the read is exact");

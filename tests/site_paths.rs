@@ -106,12 +106,8 @@ fn lease_timer_fallback_frees_item_when_release_is_lost() {
     cl.auditor().check_conservation().unwrap();
     cl.auditor().check_reads(&m).unwrap();
     // The read committed (grant arrived before the partition).
-    let reads: Vec<u64> = m
-        .global_commit_order()
-        .iter()
-        .flat_map(|e| e.reads.iter().map(|&(_, v)| v))
-        .collect();
-    assert_eq!(reads, vec![100]);
+    assert_eq!(m.history.reads_checked(), 1);
+    assert_eq!(m.history.last_read(), Some((item, 100)));
     // The 50ms reservation hit the lease (lock conflict); the 150ms one
     // committed because the timer fallback freed the item.
     assert_eq!(m.aborted_for(AbortReason::LockConflict), 1);
