@@ -1,4 +1,4 @@
-//! `exp [id…]` — print experiment tables (`t1`…`t5`, `f1`…`f5`, `a1`, `e1`;
+//! `exp [id…]` — print experiment tables (`t1`…`t5`, `f1`…`f5`, `a1`, `e1`, `e2`;
 //! no ids = all of them, which is the `EXPERIMENTS.md` refresh command).
 //!
 //! `DVP_SCALE=full cargo run --release -p dvp-bench --bin exp`

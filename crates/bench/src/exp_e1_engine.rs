@@ -23,7 +23,8 @@
 //! for conservation.
 //!
 //! This module owns the engine rows' workloads; `engine_baseline` times
-//! four of these scenarios and `alloc_steady_state` audits [`banking`].
+//! four of these scenarios, `alloc_steady_state` audits [`banking`] and
+//! E2 crashes a site in it.
 
 use crate::scenario::{RunReport, Scenario};
 use crate::table::{f2, pct, Table};

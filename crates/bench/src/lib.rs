@@ -23,6 +23,7 @@
 pub mod alloc_audit;
 pub mod exp_a1_ablations;
 pub mod exp_e1_engine;
+pub mod exp_e2_recovery_cost;
 pub mod exp_f1_quota;
 pub mod exp_f2_readcost;
 pub mod exp_f3_vm;
@@ -84,7 +85,7 @@ pub type Experiment = (&'static str, fn(Scale) -> Vec<Table>);
 
 /// Every experiment, in `EXPERIMENTS.md` order. All but `f4` (real
 /// threads, wall clock) are pure functions of their seeds.
-pub const EXPERIMENTS: [Experiment; 12] = [
+pub const EXPERIMENTS: [Experiment; 13] = [
     ("t1", |s| {
         vec![
             exp_t1_availability::run(s),
@@ -102,6 +103,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     ("f5", |s| vec![exp_f5_traffic::run(s)]),
     ("a1", |s| vec![exp_a1_ablations::run(s)]),
     ("e1", exp_e1_engine::run),
+    ("e2", |s| vec![exp_e2_recovery_cost::run(s)]),
 ];
 
 /// Resolve `exp`'s arguments to experiments: none means all of them, in
@@ -145,10 +147,10 @@ mod tests {
         let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
         assert_eq!(
             ids,
-            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1", "e1"]
+            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1", "e1", "e2"]
         );
         // F4 times real threads, so two renderings of it differ; the
-        // other eleven must concatenate exactly.
+        // other twelve must concatenate exactly.
         let exact: Vec<Experiment> = all.into_iter().filter(|(id, _)| *id != "f4").collect();
         let one_by_one: String = exact.iter().map(|e| output(&[*e], Scale::Quick)).collect();
         assert_eq!(output(&exact, Scale::Quick), one_by_one);

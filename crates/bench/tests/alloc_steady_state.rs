@@ -1,8 +1,9 @@
 //! Steady-state allocation audit: the committed fast-path transaction
-//! allocates nothing, the slow path stays under a pinned bound, the heap
-//! holds the stable log once and the arrival script once, nothing else
-//! resident grows per commit, and generating a workload allocates per
-//! site, not per transaction.
+//! allocates nothing — checkpoints included — the slow path stays under a
+//! pinned bound, the heap holds the stable log once and the arrival script
+//! once, nothing resident (the checkpoint-bounded log included) grows per
+//! commit, and generating a workload allocates per site, not per
+//! transaction.
 //!
 //! Run with `cargo test -p dvp-bench --features alloc-audit --test
 //! alloc_steady_state` — the feature installs the counting global
@@ -15,32 +16,32 @@
 //! one with `W + M`, and compare the allocation events counted during
 //! each *run* phase (setup is excluded by snapshotting the counter after
 //! `Cluster::build`). The extra `M` transactions go through the full
-//! engine — begin, lock, log append + force, apply, read check, unlock —
-//! so if the run-phase deltas are equal, those `M` commits allocated
-//! exactly zero times. `W` and `M` are chosen so no amortized container
-//! doubling (the log's byte image) lands between the two workload sizes;
-//! growth that both runs share cancels out.
+//! engine — begin, lock, log append + force, apply, read check, unlock,
+//! and the default checkpoint (snapshot, slot install, log truncation)
+//! every 256 records — so if the run-phase deltas are equal, those `M`
+//! commits and the checkpoints among them allocated exactly zero times.
+//! Growth that both runs share cancels out.
 
 #![cfg(feature = "alloc-audit")]
 
 use dvp_bench::exp_e1_engine::banking;
 use dvp_bench::{alloc_audit, Scenario};
 use dvp_core::item::{Catalog, Split};
-use dvp_core::{Cluster, ClusterConfig, Placement, TxnSpec};
+use dvp_core::{Cluster, ClusterConfig, Placement, SiteConfig, TxnSpec};
 use dvp_simnet::time::{SimDuration, SimTime};
 
-/// Warmup+measure sizes: capacities after W pushes and after W+M pushes
-/// fall inside the same power-of-two growth window for the one per-txn
-/// container (log image ~66 bytes/txn), so the extra M transactions
-/// trigger no doubling.
+/// Warmup+measure sizes. By the end of `W` the checkpoint-bounded log,
+/// the snapshot scratch and both slot buffers have reached their steady
+/// size; the `M` extra commits cross four checkpoints (the gate needs
+/// three).
 const W: u64 = 3_000;
 const M: u64 = 500;
 
-fn run_phase_allocs_with(txns: u64, placement: Placement) -> u64 {
+/// Run-phase allocation events and checkpoints taken.
+fn run_phase_allocs_with(txns: u64, placement: Placement) -> (u64, u64) {
     let mut catalog = Catalog::new();
     let acct = catalog.add("acct", 1_000_000, Split::Even);
     let mut cfg = ClusterConfig::new(1, catalog);
-    cfg.site.checkpoint_every = None;
     cfg.site.placement = placement;
     for k in 0..txns {
         let when = SimTime::ZERO + SimDuration::micros(1 + k * 10);
@@ -63,20 +64,28 @@ fn run_phase_allocs_with(txns: u64, placement: Placement) -> u64 {
         m.sites[0].fast_path_commits, txns,
         "every commit must take the fast path"
     );
-    during
+    (during, m.sites[0].checkpoints)
 }
 
-fn run_phase_allocs(txns: u64) -> u64 {
-    run_phase_allocs_with(txns, Placement::Static)
-}
-
-#[test]
-fn fast_path_commit_allocates_zero() {
+/// The gate: `M` extra commits, at least three checkpoints among them,
+/// and not one more allocation event than the shorter run.
+fn extra_commits_allocate_zero(placement: Placement) {
     // Prime process-wide state the measured runs would otherwise pay for
     // unevenly.
-    run_phase_allocs(64);
-    let base = run_phase_allocs(W);
-    let extended = run_phase_allocs(W + M);
+    run_phase_allocs_with(64, placement);
+    let (base, base_cps) = run_phase_allocs_with(W, placement);
+    let (extended, extended_cps) = run_phase_allocs_with(W + M, placement);
+    println!(
+        "fast path: run-phase allocs {base} for {W} txns, {extended} for {} txns; \
+         {} checkpoints inside the extra {M}",
+        W + M,
+        extended_cps - base_cps
+    );
+    assert!(
+        extended_cps >= base_cps + 3,
+        "the extra {M} commits must cross at least three checkpoints \
+         ({base_cps} vs {extended_cps})"
+    );
     assert_eq!(
         extended,
         base,
@@ -86,6 +95,11 @@ fn fast_path_commit_allocates_zero() {
     );
 }
 
+#[test]
+fn fast_path_commit_allocates_zero() {
+    extra_commits_allocate_zero(Placement::Static);
+}
+
 /// The same gate with the adaptive placement subsystem switched on: the
 /// demand estimators, hint bookkeeping, and rebalancer state ride every
 /// commit, so a committed adaptive fast-path transaction must also
@@ -93,16 +107,7 @@ fn fast_path_commit_allocates_zero() {
 /// gossip and solicitation planners run on retained scratch buffers).
 #[test]
 fn adaptive_fast_path_commit_allocates_zero() {
-    run_phase_allocs_with(64, Placement::adaptive());
-    let base = run_phase_allocs_with(W, Placement::adaptive());
-    let extended = run_phase_allocs_with(W + M, Placement::adaptive());
-    assert_eq!(
-        extended,
-        base,
-        "{M} extra adaptive fast-path commits must allocate zero times \
-         (run-phase allocs: {base} for {W} txns, {extended} for {} txns)",
-        W + M
-    );
+    extra_commits_allocate_zero(Placement::adaptive());
 }
 
 /// Net growth of this thread's live heap since the `thread_live_bytes`
@@ -114,11 +119,11 @@ fn live_growth(since: u64) -> u64 {
 }
 
 /// One banking run (at 2,000 transfers, `E1`'s quick-scale
-/// `dvp_banking` row). Returns the drained cluster with the allocation
-/// events and the net live-heap growth of the run phase alone.
-fn banking_run(txns: usize) -> (Cluster, u64, u64) {
+/// `dvp_banking` row) under `site`. Returns the drained cluster with the
+/// allocation events and the net live-heap growth of the run phase alone.
+fn banking_run(txns: usize, site: SiteConfig) -> (Cluster, u64, u64) {
     let w = banking(txns);
-    let mut cl = Scenario::dvp(&w).build_dvp();
+    let mut cl = Scenario::dvp(&w).site(site).build_dvp();
     let (allocs, live) = (
         alloc_audit::thread_alloc_count(),
         alloc_audit::thread_live_bytes(),
@@ -136,12 +141,14 @@ fn banking_run(txns: usize) -> (Cluster, u64, u64) {
 /// what is pinned here is how much, so it can only go down: 25.32 per
 /// committed transaction when this gate was written (30.86 before the
 /// log stopped keeping decoded records: each `Rds` record then cost a
-/// heap op list, and the mirror its doublings). The count is
-/// deterministic, so the bound is the measured figure, rounded up.
+/// heap op list, and the mirror its doublings), 25.35 with the default
+/// checkpoint, whose buffers grow once per site and are then reused. The
+/// count is deterministic, so the bound is the measured figure, rounded
+/// up.
 #[test]
 fn slow_path_allocations_per_commit_stay_under_the_pinned_bound() {
     const BOUND: f64 = 25.4;
-    let (cl, allocs, _) = banking_run(2_000);
+    let (cl, allocs, _) = banking_run(2_000, SiteConfig::default());
     let m = cl.stats().txn;
     assert!(
         m.fast_path_commits() * 10 < m.committed() * 7,
@@ -170,11 +177,17 @@ fn slow_path_allocations_per_commit_stay_under_the_pinned_bound() {
 /// 0.85 MB of images. A
 /// decoded mirror of the log beside the image (what `StableLog` kept
 /// before it became bytes plus a watermark) costs 2–3 × the image on
-/// its own: that tree grew 3.75 MB and fails this.
+/// its own: that tree grew 3.75 MB and fails this. The log must grow
+/// with the run for the ratio to mean anything, so this run never
+/// checkpoints.
 #[test]
 fn log_memory_is_single_copy() {
     const SLACK: u64 = 1 << 20;
-    let (cl, _, grown) = banking_run(2_000);
+    let unbounded = SiteConfig {
+        checkpoint_every: None,
+        ..SiteConfig::default()
+    };
+    let (cl, _, grown) = banking_run(2_000, unbounded);
     let image = log_images(&cl);
     assert!(
         image > 256 * 1024,
@@ -198,45 +211,32 @@ fn log_images(cl: &Cluster) -> u64 {
         .sum()
 }
 
-/// Bytes the stable logs' buffers hold reserved, summed over the sites.
-fn log_capacity(cl: &Cluster) -> u64 {
-    cl.sim
-        .nodes()
-        .iter()
-        .map(|site| site.log().image_capacity() as u64)
-        .sum()
-}
-
-/// The per-commit gate: apart from the log, nothing resident grows with
-/// the number of commits. Banking runs at 2,000 and at 4,000 transactions;
-/// for each, the run phase's live-heap growth less the logs' buffers is
-/// what the run accretes besides the log. The extra commits of the longer
-/// run may add at most 16 B each to it. A per-commit journal — the 96-byte
-/// entry the read check used to sort and replay — fails this.
-///
-/// The logs' *capacity* is subtracted, not their image length: a buffer
-/// that doubles holds up to twice its length, and between these two runs
-/// that spare room alone is ~120 B per extra commit.
+/// The per-commit gate: with the default checkpointing, nothing resident
+/// grows with the number of commits — the log included. Banking runs at
+/// 2,000 and at 4,000 transactions; the extra commits of the longer run
+/// may add at most 16 B each to the run phase's live-heap growth. It
+/// reads 1.0 B. An unbounded log fails this (551 B per extra commit,
+/// image and doubling spare), and so does a per-commit journal — the
+/// 96-byte entry the read check used to sort and replay.
 #[test]
 fn run_memory_does_not_grow_per_commit() {
     const PER_COMMIT: i64 = 16;
-    let besides_log = |txns| {
-        let (cl, _, grown) = banking_run(txns);
-        let rest = grown as i64 - log_capacity(&cl) as i64;
-        (cl.stats().txn.committed() as i64, rest)
+    let run = |txns| {
+        let (cl, _, grown) = banking_run(txns, SiteConfig::default());
+        (cl.stats().txn.committed() as i64, grown as i64)
     };
-    let (short_commits, short) = besides_log(2_000);
-    let (long_commits, long) = besides_log(4_000);
+    let (short_commits, short) = run(2_000);
+    let (long_commits, long) = run(4_000);
     let extra = long_commits - short_commits;
     println!(
-        "banking: besides the log, {short_commits} commits leave {short} B and \
-         {long_commits} leave {long} B: {:.1} B per extra commit",
+        "banking: {short_commits} commits leave {short} B and {long_commits} leave \
+         {long} B: {:.1} B per extra commit",
         (long - short) as f64 / extra as f64
     );
     assert!(
         long - short <= PER_COMMIT * extra,
-        "{extra} extra commits grew the heap by {} B besides the log, more than \
-         {PER_COMMIT} B each: something keeps a record per commit",
+        "{extra} extra commits grew the heap by {} B, more than {PER_COMMIT} B each: \
+         something keeps a record per commit",
         long - short
     );
 }

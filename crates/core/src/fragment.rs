@@ -87,9 +87,11 @@ impl FragmentStore {
         self.vals.clone()
     }
 
-    /// Snapshot of all data-value timestamps (for checkpoints).
-    pub fn ts_snapshot(&self) -> Vec<Ts> {
-        self.ts.clone()
+    /// Copy all fragment values and timestamps into retained buffers
+    /// (for checkpoints: no allocation once they have the store's size).
+    pub fn snapshot_into(&self, vals: &mut Vec<Qty>, ts: &mut Vec<Ts>) {
+        vals.clone_from(&self.vals);
+        ts.clone_from(&self.ts);
     }
 
     /// Restore values and timestamps from a checkpoint image.

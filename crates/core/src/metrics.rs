@@ -90,6 +90,9 @@ pub struct SiteMetrics {
     net_deltas: Vec<i64>,
     /// Number of recoveries this site performed.
     pub recoveries: u64,
+    /// Log records redone by this site's recovery scans: the redo work a
+    /// checkpoint bounds.
+    pub records_replayed: u64,
     /// Remote messages this site had to wait for before finishing
     /// recovery (always 0 for DvP — the independence claim; the 2PC
     /// baseline reports nonzero).

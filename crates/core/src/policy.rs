@@ -301,9 +301,11 @@ pub struct SiteConfig {
     /// `0` = the paper's baseline pessimism. Retries are spaced evenly
     /// inside the timeout window, so the decision bound is unchanged.
     pub solicit_retries: u32,
-    /// Take a checkpoint (snapshot + log truncation) whenever the stable
-    /// log exceeds this many records (`None` = never; §7's "the number of
-    /// redo actions required can be reduced in the usual manner").
+    /// Take a checkpoint (snapshot + log truncation) once the stable log's
+    /// un-checkpointed suffix reaches this many records — §7's "the number
+    /// of redo actions required can be reduced in the usual manner".
+    /// Default `Some(256)`, which bounds the log and the redo a crash
+    /// costs; `None` = never, for runs that need the whole history.
     pub checkpoint_every: Option<usize>,
     /// **Ablation-only.** Disable the donor-side rule that a site with
     /// outstanding Vms for an item must refuse read solicitations
@@ -332,7 +334,7 @@ impl Default for SiteConfig {
             conc: ConcMode::Conc1,
             vm: VmConfig::default(),
             solicit_retries: 0,
-            checkpoint_every: None,
+            checkpoint_every: Some(256),
             unsafe_skip_read_drain_gate: false,
             unsafe_skip_recovery_redo: false,
             inject: InjectConfig::default(),
@@ -406,8 +408,8 @@ impl SiteConfigBuilder {
         self
     }
 
-    /// Checkpoint once the un-checkpointed stable suffix exceeds `n`
-    /// records.
+    /// Checkpoint once the un-checkpointed stable suffix reaches `n`
+    /// records (default 256).
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.cfg.checkpoint_every = Some(n);
         self

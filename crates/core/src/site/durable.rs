@@ -23,11 +23,20 @@ use std::collections::BTreeMap;
 /// A checkpoint image of a site's durable state: fragment values and
 /// timestamps plus the Vm channel state. Together with the log suffix
 /// after `redo_from`, it reconstructs the site exactly.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteSnapshot {
     frag_vals: Vec<Qty>,
     frag_ts: Vec<Ts>,
     vm: Vec<ChannelSnapshot>,
+}
+
+impl SiteSnapshot {
+    /// Overwrite with the live state of `frags` and `vm`, reusing every
+    /// buffer this snapshot already holds.
+    fn refill(&mut self, frags: &FragmentStore, vm: &VmEndpoint) {
+        frags.snapshot_into(&mut self.frag_vals, &mut self.frag_ts);
+        vm.snapshot_into(&mut self.vm);
+    }
 }
 
 // The checkpoint store keeps slots as checksummed byte images, so the
@@ -117,6 +126,8 @@ pub(super) struct Durable {
     needs_flush: bool,
     /// Op list lent to each `Rds` record while it is appended.
     vm_ops_scratch: Vec<VmLogOp>,
+    /// Snapshot refilled in place and lent to each checkpoint install.
+    snapshot_scratch: SiteSnapshot,
     /// Records redone by the last recovery scan (trace reporting).
     last_replayed: u64,
     /// Sticky media-failure quarantine: salvage dropped committed effects
@@ -145,6 +156,7 @@ impl Durable {
             redo_covered: 0,
             needs_flush: false,
             vm_ops_scratch: Vec::new(),
+            snapshot_scratch: SiteSnapshot::default(),
             last_replayed: 0,
             media_failed: false,
             obs: Obs::disabled(),
@@ -233,8 +245,10 @@ impl Durable {
     /// the whole previous window in the log — see
     /// [`truncate_checkpointed`](Self::truncate_checkpointed) — so a
     /// total-length trigger would fire on every flush once the first
-    /// window filled.) Only *forced* state may enter the snapshot; force
-    /// first so the snapshot and the redo point agree.
+    /// window filled.) Only *forced* state may enter the snapshot, so an
+    /// unforced tail is forced first and the snapshot and the redo point
+    /// agree; a clean log costs no force. The snapshot is a retained
+    /// scratch refilled in place, so a checkpoint allocates nothing.
     pub(super) fn checkpoint_if_due(
         &mut self,
         limit: usize,
@@ -244,16 +258,15 @@ impl Durable {
         if self.log.stable_len() - self.redo_covered < limit {
             return None;
         }
-        self.log.force();
+        self.log.force_if_dirty();
         let redo_from = self.log.next_lsn();
-        self.checkpoint.install(
-            redo_from,
-            SiteSnapshot {
-                frag_vals: frags.snapshot(),
-                frag_ts: frags.ts_snapshot(),
-                vm: vm.snapshot(),
-            },
-        );
+        let snap = &mut self.snapshot_scratch;
+        snap.refill(frags, vm);
+        self.checkpoint.install(redo_from, &*snap);
+        // Keep the lists' capacity, not the payload handles.
+        for ch in &mut snap.vm {
+            ch.outgoing.clear();
+        }
         Some(redo_from)
     }
 
@@ -366,6 +379,7 @@ impl Durable {
         self.redo_covered = entries.partition_point(|(lsn, _)| *lsn < redo_from);
         if !skip_redo {
             self.last_replayed = (entries.len() - self.redo_covered) as u64;
+            metrics.records_replayed += self.last_replayed;
             redo_entries(frags, vm, &entries, redo_from);
         }
     }
@@ -460,6 +474,62 @@ fn redo_entries(
         if let SiteRecord::Rds { vm_ops, .. } = rec {
             for op in vm_ops {
                 vm.replay(op);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+
+    /// A snapshot built the way checkpoints built one before the scratch:
+    /// every buffer new.
+    fn fresh(frags: &FragmentStore, vm: &VmEndpoint) -> SiteSnapshot {
+        let mut channels = Vec::new();
+        vm.snapshot_into(&mut channels);
+        SiteSnapshot {
+            frag_vals: frags.snapshot(),
+            frag_ts: (0..frags.len() as u32)
+                .map(|i| frags.ts(ItemId(i)))
+                .collect(),
+            vm: channels,
+        }
+    }
+
+    /// The scratch outlives channels: a crash drops them all, and later
+    /// rounds open fewer, none, then more than before. Each refill must
+    /// equal a fresh snapshot, whether or not the checkpoint's
+    /// post-install clear of the payload handles ran in between.
+    #[test]
+    fn a_refilled_snapshot_equals_a_fresh_one_as_channels_come_and_go() {
+        let rounds: [&[(NodeId, u64)]; 5] = [
+            &[(1, 2), (2, 1), (3, 3)],
+            &[(2, 4)],
+            &[],
+            &[(0, 1), (1, 5), (2, 1), (3, 2)],
+            &[(3, 1)],
+        ];
+        let mut frags = FragmentStore::new(3);
+        let mut vm = VmEndpoint::new(4, VmConfig::default());
+        let mut scratch = SiteSnapshot::default();
+        for (round, peers) in rounds.iter().enumerate() {
+            vm.crash_reset();
+            let item = ItemId(round as u32 % 3);
+            frags.credit(item, 10 + round as u64);
+            frags.bump_ts(item, Ts(100 + round as u64));
+            for &(peer, vms) in peers.iter() {
+                for k in 0..vms {
+                    let _ = vm.create(peer, Bytes::from(vec![round as u8; k as usize + 1]));
+                }
+            }
+            scratch.refill(&frags, &vm);
+            assert_eq!(scratch, fresh(&frags, &vm), "round {round}");
+            if round % 2 == 1 {
+                for ch in &mut scratch.vm {
+                    ch.outgoing.clear();
+                }
             }
         }
     }

@@ -100,7 +100,7 @@ impl FaultInjector {
         if let Some(slot) = self.cfg.corrupt_ckpt {
             if !self.ckpt_rot_done {
                 let slot = slot as usize % 2;
-                let len = checkpoint.slot_image_len(slot);
+                let len = checkpoint.slot_image(slot).len();
                 if len > 0 && checkpoint.corrupt_slot(slot, len / 2) {
                     self.ckpt_rot_done = true;
                 }

@@ -16,7 +16,9 @@
 //!
 //! The *database image* is whatever the site wants to snapshot (`S`, any
 //! [`Record`]), stored as a framed byte image next to the log. `dvp-core`
-//! snapshots its fragment store plus Vm channel state.
+//! snapshots its fragment store plus Vm channel state. As with the log,
+//! the image is the only copy: a slot keeps no decoded snapshot beside its
+//! bytes, and [`load`] decodes one when recovery asks.
 //!
 //! [`install`]: CheckpointSlot::install
 //! [`load`]: CheckpointSlot::load
@@ -25,6 +27,8 @@
 use crate::codec::{crc32, frame_in_place, DecodeError, Record, RecordReader};
 use crate::lsn::Lsn;
 use bytes::{Buf, Bytes, BytesMut};
+use std::borrow::Borrow;
+use std::marker::PhantomData;
 
 /// A durable checkpoint: a snapshot `S` plus the LSN from which redo must
 /// resume, stamped with its generation number.
@@ -50,21 +54,39 @@ pub struct SlotFallback {
     pub used_generation: Option<u64>,
 }
 
-/// One physical slot: a framed byte image (`len | crc | payload`, payload
-/// = `generation ++ redo_from ++ snapshot`) plus a decoded cache kept in
-/// sync with it (`None` = empty or failed verification).
-#[derive(Clone, Debug)]
-struct SlotState<S> {
-    image: BytesMut,
-    cached: Option<CheckpointMeta<S>>,
+/// The two fields of a verified slot the store reads outside recovery.
+#[derive(Clone, Copy, Debug)]
+struct SlotHeader {
+    generation: u64,
+    redo_from: Lsn,
 }
 
-impl<S> SlotState<S> {
-    fn empty() -> Self {
-        SlotState {
-            image: BytesMut::new(),
-            cached: None,
-        }
+/// One physical slot: a framed byte image (`len | crc | payload`, payload
+/// = `generation ++ redo_from ++ snapshot`) and the header of that image
+/// (`None` = empty or failed verification). The snapshot itself lives
+/// only in the bytes: it is decoded when recovery asks for it.
+#[derive(Clone, Debug, Default)]
+struct SlotState {
+    image: BytesMut,
+    header: Option<SlotHeader>,
+}
+
+impl SlotState {
+    /// Re-derive the header from the bytes alone: a slot counts only if
+    /// its whole image decodes.
+    fn verify<S: Record>(&mut self) {
+        self.header = if self.image.is_empty() {
+            None
+        } else {
+            decode_slot::<S>(&self.image).ok().map(|m| SlotHeader {
+                generation: m.generation,
+                redo_from: m.redo_from,
+            })
+        };
+    }
+
+    fn generation(&self) -> u64 {
+        self.header.map_or(0, |h| h.generation)
     }
 }
 
@@ -77,28 +99,19 @@ impl<S> SlotState<S> {
 /// nothing — when it doesn't.
 #[derive(Clone, Debug)]
 pub struct CheckpointSlot<S> {
-    slots: [SlotState<S>; 2],
+    slots: [SlotState; 2],
     /// Generation of the most recent install (0 = none yet) — the
     /// reference point for detecting that recovery had to fall back.
     last_installed: u64,
     /// Checkpoints taken (for tests/benchmarks).
     pub taken: u64,
+    _snapshot: PhantomData<fn() -> S>,
 }
 
 impl<S: Record> Default for CheckpointSlot<S> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn encode_slot<S: Record>(meta: &CheckpointMeta<S>) -> BytesMut {
-    let mut image = BytesMut::new();
-    frame_in_place(&mut image, |w| {
-        w.u64(meta.generation);
-        w.u64(meta.redo_from.0);
-        meta.snapshot.encode(w);
-    });
-    image
 }
 
 fn decode_slot<S: Record>(image: &[u8]) -> Result<CheckpointMeta<S>, DecodeError> {
@@ -136,20 +149,16 @@ impl<S: Record> CheckpointSlot<S> {
     /// An empty store.
     pub fn new() -> Self {
         CheckpointSlot {
-            slots: [SlotState::empty(), SlotState::empty()],
+            slots: Default::default(),
             last_installed: 0,
             taken: 0,
+            _snapshot: PhantomData,
         }
-    }
-
-    /// Generation of the slot, 0 when empty or unverifiable.
-    fn slot_generation(&self, i: usize) -> u64 {
-        self.slots[i].cached.as_ref().map_or(0, |m| m.generation)
     }
 
     /// Index of the slot holding the newest verified generation, if any.
     fn newest_valid(&self) -> Option<usize> {
-        let (g0, g1) = (self.slot_generation(0), self.slot_generation(1));
+        let (g0, g1) = (self.slots[0].generation(), self.slots[1].generation());
         if g0 == 0 && g1 == 0 {
             None
         } else if g0 >= g1 {
@@ -160,34 +169,41 @@ impl<S: Record> CheckpointSlot<S> {
     }
 
     /// Install a new checkpoint into the *older* slot, leaving the
-    /// previous generation untouched.
-    pub fn install(&mut self, redo_from: Lsn, snapshot: S) {
-        let target = if self.slot_generation(0) <= self.slot_generation(1) {
-            0
-        } else {
-            1
-        };
+    /// previous generation untouched. The snapshot (owned or borrowed) is
+    /// encoded straight into that slot's retained buffer, so once the
+    /// buffer has grown to a snapshot's size an install allocates nothing.
+    pub fn install(&mut self, redo_from: Lsn, snapshot: impl Borrow<S>) {
+        let target = usize::from(self.slots[0].generation() > self.slots[1].generation());
         self.last_installed += 1;
-        let meta = CheckpointMeta {
-            generation: self.last_installed,
+        let generation = self.last_installed;
+        let slot = &mut self.slots[target];
+        slot.image.clear();
+        frame_in_place(&mut slot.image, |w| {
+            w.u64(generation);
+            w.u64(redo_from.0);
+            snapshot.borrow().encode(w);
+        });
+        slot.header = Some(SlotHeader {
+            generation,
             redo_from,
-            snapshot,
-        };
-        self.slots[target].image = encode_slot(&meta);
-        self.slots[target].cached = Some(meta);
+        });
         self.taken += 1;
     }
 
-    /// The newest checkpoint whose checksum verifies, if any.
-    pub fn load(&self) -> Option<&CheckpointMeta<S>> {
+    /// The newest checkpoint whose checksum verifies, if any, decoded
+    /// from its slot's bytes (the recovery path; nothing else reads a
+    /// snapshot back).
+    pub fn load(&self) -> Option<CheckpointMeta<S>> {
         self.newest_valid()
-            .and_then(|i| self.slots[i].cached.as_ref())
+            .map(|i| decode_slot(&self.slots[i].image).expect("a verified slot image decodes"))
     }
 
     /// The LSN redo should start from: the chosen checkpoint's
     /// `redo_from`, or [`Lsn::FIRST`] when no slot verifies.
     pub fn redo_from(&self) -> Lsn {
-        self.load().map(|c| c.redo_from).unwrap_or(Lsn::FIRST)
+        self.newest_valid()
+            .and_then(|i| self.slots[i].header)
+            .map_or(Lsn::FIRST, |h| h.redo_from)
     }
 
     /// The oldest LSN the log must retain so that recovery can fall back
@@ -195,31 +211,26 @@ impl<S: Record> CheckpointSlot<S> {
     /// [`Lsn::FIRST`] while fewer than two generations exist (falling back
     /// from a lone checkpoint means replaying the whole log).
     pub fn redo_floor(&self) -> Lsn {
-        match (&self.slots[0].cached, &self.slots[1].cached) {
+        match (self.slots[0].header, self.slots[1].header) {
             (Some(a), Some(b)) => a.redo_from.min(b.redo_from),
             _ => Lsn::FIRST,
         }
     }
 
     /// Re-verify both slot images against their checksums (the recovery
-    /// entry point — the decoded cache is rebuilt from durable bytes, so a
-    /// corrupted slot surfaces here instead of being masked by the cache).
-    /// Returns the fallback report if the most recently installed
-    /// generation no longer verifies.
+    /// entry point — each header is re-derived from durable bytes, so a
+    /// corrupted slot surfaces here instead of being masked by what the
+    /// last install wrote). Returns the fallback report if the most
+    /// recently installed generation no longer verifies.
     pub fn refresh(&mut self) -> Option<SlotFallback> {
         for slot in &mut self.slots {
-            slot.cached = if slot.image.is_empty() {
-                None
-            } else {
-                decode_slot::<S>(&slot.image).ok()
-            };
+            slot.verify::<S>();
         }
-        if self.last_installed > 0
-            && self.slot_generation(0).max(self.slot_generation(1)) < self.last_installed
-        {
+        let newest = self.slots[0].generation().max(self.slots[1].generation());
+        if self.last_installed > 0 && newest < self.last_installed {
             Some(SlotFallback {
                 bad_generation: self.last_installed,
-                used_generation: self.load().map(|m| m.generation),
+                used_generation: (newest > 0).then_some(newest),
             })
         } else {
             None
@@ -228,7 +239,7 @@ impl<S: Record> CheckpointSlot<S> {
 
     /// Fault injection: flip one byte of slot `slot`'s image at `offset`.
     /// Returns whether a byte was actually flipped (`false` for an empty
-    /// slot or out-of-range offset). The slot's cache is re-derived from
+    /// slot or out-of-range offset). The slot's header is re-derived from
     /// the damaged bytes, so [`load`](Self::load) immediately reflects the
     /// corruption.
     pub fn corrupt_slot(&mut self, slot: usize, offset: usize) -> bool {
@@ -237,14 +248,14 @@ impl<S: Record> CheckpointSlot<S> {
             return false;
         }
         s.image[offset] ^= 0xA5;
-        s.cached = decode_slot::<S>(&s.image).ok();
+        s.verify::<S>();
         true
     }
 
-    /// Byte length of slot `slot`'s image (0 = empty). For tests that
-    /// sweep corruption offsets.
-    pub fn slot_image_len(&self, slot: usize) -> usize {
-        self.slots[slot % 2].image.len()
+    /// Slot `slot`'s durable bytes (empty = never written). For fault
+    /// injectors choosing an offset and tests pinning the format.
+    pub fn slot_image(&self, slot: usize) -> &[u8] {
+        &self.slots[slot % 2].image
     }
 }
 
@@ -312,7 +323,7 @@ mod tests {
         slot.install(Lsn(20), Snap(2));
         // Find which physical slot holds generation 2 and damage it.
         let newest = slot.newest_valid().unwrap();
-        assert!(slot.corrupt_slot(newest, slot.slot_image_len(newest) / 2));
+        assert!(slot.corrupt_slot(newest, slot.slot_image(newest).len() / 2));
         let cp = slot.load().expect("older generation must survive");
         assert_eq!(cp.generation, 1);
         assert_eq!(cp.redo_from, Lsn(10));
@@ -344,7 +355,7 @@ mod tests {
         reference.install(Lsn(5), Snap(0xDEAD_BEEF));
         reference.install(Lsn(9), Snap(0xFEED_FACE));
         let newest = reference.newest_valid().unwrap();
-        for offset in 0..reference.slot_image_len(newest) {
+        for offset in 0..reference.slot_image(newest).len() {
             let mut slot = reference.clone();
             assert!(slot.corrupt_slot(newest, offset));
             if let Some(cp) = slot.load() {
@@ -354,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rebuilds_cache_from_durable_bytes() {
+    fn refresh_reverifies_the_durable_bytes() {
         let mut slot = CheckpointSlot::new();
         slot.install(Lsn(4), Snap(44));
         assert!(slot.refresh().is_none(), "clean slots report no fallback");
@@ -368,7 +379,7 @@ mod tests {
         let mut slot: CheckpointSlot<Snap> = CheckpointSlot::new();
         assert!(!slot.corrupt_slot(0, 0), "empty slot has no bytes");
         slot.install(Lsn(1), Snap(1));
-        let len = slot.slot_image_len(0).max(slot.slot_image_len(1));
+        let len = slot.slot_image(0).len().max(slot.slot_image(1).len());
         assert!(!slot.corrupt_slot(0, len + 100) || !slot.corrupt_slot(1, len + 100));
     }
 }

@@ -459,12 +459,6 @@ impl<R: Record> StableLog<R> {
         self.durable
     }
 
-    /// Bytes the image's buffer holds reserved — its length plus the
-    /// spare capacity its last doubling left: what the log keeps resident.
-    pub fn image_capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
     /// Decode up to `want` records from the condemned `buf[from..durable]`
     /// as it was before the injectors touched it: a scratch copy with the
     /// remembered flips undone, torn remnants (never records) skipped.

@@ -57,26 +57,34 @@ impl VmEndpoint {
         }
     }
 
-    /// Snapshot all durable channel state (for host checkpoints). The
-    /// snapshot plus replay of later `VmLogOp`s reconstructs the
-    /// endpoint exactly.
+    /// Snapshot all durable channel state into `snaps` (for host
+    /// checkpoints). The snapshot plus replay of later `VmLogOp`s
+    /// reconstructs the endpoint exactly.
     ///
-    /// This returns owned state by design — a checkpoint must not alias
+    /// The snapshot is owned state by design — a checkpoint must not alias
     /// the live endpoint — but the payload "copies" are `Bytes` refcount
-    /// bumps, so the cost is per-entry bookkeeping, not payload bytes.
-    pub fn snapshot(&self) -> Vec<ChannelSnapshot> {
-        self.chans
-            .iter()
-            .enumerate()
-            .filter_map(|(peer, c)| c.as_ref().map(|c| (peer, c)))
-            .map(|(peer, c)| ChannelSnapshot {
-                peer,
-                last_created: c.last_created,
-                acked_out: c.acked_out,
-                accepted_in: c.accepted_in,
-                outgoing: c.outgoing.iter().map(|(&s, p)| (s, p.clone())).collect(),
-            })
-            .collect()
+    /// bumps, and the entries already in `snaps`, with their `outgoing`
+    /// lists, are overwritten in place: a host that checkpoints into a
+    /// retained buffer allocates only when a channel or an outgoing list
+    /// outgrows every earlier snapshot.
+    pub fn snapshot_into(&self, snaps: &mut Vec<ChannelSnapshot>) {
+        let mut n = 0;
+        for (peer, c) in self.chans.iter().enumerate() {
+            let Some(c) = c else { continue };
+            if n == snaps.len() {
+                snaps.push(ChannelSnapshot::default());
+            }
+            let s = &mut snaps[n];
+            s.peer = peer;
+            s.last_created = c.last_created;
+            s.acked_out = c.acked_out;
+            s.accepted_in = c.accepted_in;
+            s.outgoing.clear();
+            s.outgoing
+                .extend(c.outgoing.iter().map(|(&seq, p)| (seq, p.clone())));
+            n += 1;
+        }
+        snaps.truncate(n);
     }
 
     /// Restore channel state from a snapshot (after `crash_reset`).
@@ -96,8 +104,8 @@ impl VmEndpoint {
     }
 }
 
-/// Durable image of one channel, produced by [`VmEndpoint::snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Durable image of one channel, produced by [`VmEndpoint::snapshot_into`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChannelSnapshot {
     /// Peer site.
     pub peer: SiteId,

@@ -328,10 +328,12 @@ fn snapshot_restore_roundtrips_exactly() {
         }
     }
     flush(&mut r, &mut s); // acks release seq 1 (seq 2 was batched out of order)
-    let snap = s.snapshot();
+    let (mut snap, mut again) = (Vec::new(), Vec::new());
+    s.snapshot_into(&mut snap);
     let mut s2 = VmEndpoint::new(0, VmConfig::default());
     s2.restore(&snap);
-    assert_eq!(s2.snapshot(), snap);
+    s2.snapshot_into(&mut again);
+    assert_eq!(again, snap);
     assert_eq!(s2.in_flight_to(1), s.in_flight_to(1));
     assert_eq!(s2.ack_for(1), s.ack_for(1));
     // The restored endpoint continues the sequence space correctly.
