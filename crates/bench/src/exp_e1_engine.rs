@@ -14,7 +14,11 @@
 //! accounted at the simulation kernel on *both* engines — every send
 //! declares its encoded length — so the DvP and `trad2pc_*` figures
 //! compare directly. The second holds what only DvP has: solicitations,
-//! the fast-path share, hint use and value movement.
+//! the fast-path share, hint use and value movement, then the placement
+//! planner's own work — rebalance ticks fired, demand rows the tick read
+//! slot by slot, gossip recomputes and hint-gate calls — counted rather
+//! than timed, so what the adaptive bookkeeping costs is held by
+//! equality like every other cell.
 //!
 //! [`run`] refuses to print an unsound table: an `*_adaptive` row that
 //! sends more wire bytes per decided transaction than its reactive
@@ -22,9 +26,8 @@
 //! its kernel accounting), panics — as [`Scenario::run`] already does
 //! for conservation.
 //!
-//! This module owns the engine rows' workloads; `engine_baseline` times
-//! four of these scenarios, `alloc_steady_state` audits [`banking`] and
-//! E2 crashes a site in it.
+//! This module owns the engine rows' workloads; `alloc_steady_state`
+//! audits [`banking`] and E2 crashes a site in it.
 
 use crate::scenario::{RunReport, Scenario};
 use crate::table::{f2, pct, Table};
@@ -155,7 +158,7 @@ const ENGINE: [Col; 13] = [
     ("ack B saved", |r| r.bytes_acked_piggyback.to_string()),
 ];
 
-const PLACEMENT: [Col; 10] = [
+const PLACEMENT: [Col; 14] = [
     ("solicits", |r| r.requests.to_string()),
     ("solicits/txn", |r| f2(per_txn(r, r.requests))),
     ("fast path", |r| r.fast_path.to_string()),
@@ -166,6 +169,10 @@ const PLACEMENT: [Col; 10] = [
     ("hints sent", |r| r.hints_sent.to_string()),
     ("donations", |r| r.donations.to_string()),
     ("rebalances", |r| r.rebalances.to_string()),
+    ("rebalance ticks", |r| r.rebalance_ticks.to_string()),
+    ("rows scanned", |r| r.rows_scanned.to_string()),
+    ("gossip refreshes", |r| r.gossip_refreshes.to_string()),
+    ("gate calls", |r| r.gate_calls.to_string()),
 ];
 
 /// One row per report: its name, then a cell per column.
@@ -207,8 +214,10 @@ mod tests {
     use super::*;
 
     /// `(committed, aborted, forces, wire_bytes, hints_sent,
-    /// hinted_solicits, hint_hits, rebalances)` of the row named `name`.
-    fn fingerprint(tables: &[Table], name: &str) -> [u64; 8] {
+    /// hinted_solicits, hint_hits, rebalances, rebalance_ticks,
+    /// rows_scanned, gossip_refreshes, gate_calls)` of the row named
+    /// `name`.
+    fn fingerprint(tables: &[Table], name: &str) -> Vec<u64> {
         let (engine, placement) = (&tables[0], &tables[1]);
         let row = |t: &Table| {
             (0..t.len())
@@ -217,26 +226,36 @@ mod tests {
         };
         let e = |c: usize| -> u64 { engine.cell(row(engine), c).parse().unwrap() };
         let p = |c: usize| -> u64 { placement.cell(row(placement), c).parse().unwrap() };
-        [e(2), e(1) - e(2), e(3), e(11), p(8), p(5), p(6), p(10)]
+        let mut f = vec![e(2), e(1) - e(2), e(3), e(11)];
+        f.extend([8, 5, 6, 10, 11, 12, 13, 14].map(p));
+        f
     }
 
-    /// The adaptive rows are pure functions of the seed. These figures
-    /// were captured on the tree whose hint gate still lived in the Vm
-    /// endpoint: a diff is a changed placement decision, not noise.
+    /// The adaptive rows are pure functions of the seed. The first eight
+    /// figures were captured on the tree whose hint gate still lived in
+    /// the Vm endpoint: a diff is a changed placement decision, not
+    /// noise. The last four are the planner's work; the reactive default
+    /// runs no rebalance timer and no gossip, so it does none.
     #[test]
     fn quick_scale_adaptive_rows_are_pinned() {
         let tables = run(Scale::Quick);
         assert_eq!(tables[0].len(), 7);
         assert_eq!(tables[1].len(), 5);
         let banking = fingerprint(&tables, "dvp_banking_adaptive");
-        assert_eq!(banking, [1_845, 155, 7_433, 603_859, 1_871, 126, 92, 12]);
+        assert_eq!(
+            banking,
+            [1_845, 155, 7_433, 603_859, 1_871, 126, 92, 12, 786, 1_626, 328, 4_033]
+        );
         // Hint flow control bounds gossip volume: the storm it replaced
         // was two orders of magnitude above this.
         assert!(banking[4] < 4_000);
         assert_eq!(
             fingerprint(&tables, "dvp_hotspot_adaptive"),
-            [1_858, 142, 2_985, 84_330, 18, 112, 112, 147]
+            [1_858, 142, 2_985, 84_330, 18, 112, 112, 147, 539, 324, 253, 77]
         );
+        for reactive in ["dvp_banking", "dvp_airline", "dvp_hotspot"] {
+            assert_eq!(fingerprint(&tables, reactive)[8..], [0; 4], "{reactive}");
+        }
     }
 
     fn report(name: &str, wire_bytes: u64) -> RunReport {

@@ -5,9 +5,9 @@
 //! [`EXPERIMENTS`]; one binary, `exp [id…]`, prints them ([`output`]).
 //! `EXPERIMENTS.md` quotes the full-scale tables and
 //! `tests/experiments_md.rs` holds it to them by equality. Wall-clock
-//! figures are not produced here: they come from `benchmark/` (and, for
-//! the adaptive-vs-reactive floor, the `engine_baseline` bin, which times
-//! four of [`exp_e1_engine`]'s scenarios).
+//! figures are not produced here (F4's labelled sample aside): they come
+//! from `benchmark/`. What the adaptive planner costs is counted instead,
+//! in [`exp_e1_engine`]'s planner-work columns.
 //!
 //! All experiments run at two scales: `quick` (used in CI and by default)
 //! and `full` (the numbers recorded in `EXPERIMENTS.md`). Select with the

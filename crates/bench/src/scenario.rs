@@ -239,6 +239,10 @@ impl Scenario {
             hint_hits: m.hint_hits(),
             rebalances: m.rebalances(),
             hints_sent: vm.hints_sent,
+            rebalance_ticks: m.sites.iter().map(|s| s.rebalance_ticks).sum(),
+            rows_scanned: m.sites.iter().map(|s| s.rows_scanned).sum(),
+            gossip_refreshes: m.sites.iter().map(|s| s.gossip_refreshes).sum(),
+            gate_calls: m.sites.iter().map(|s| s.gate_calls).sum(),
             still_blocked: 0,
             recovery_remote_msgs: m.sites.iter().map(|s| s.recovery_remote_messages).sum(),
             dropped_crashed: cl.sim.stats().dropped_crashed,
@@ -292,6 +296,10 @@ impl Scenario {
             hint_hits: 0,
             rebalances: 0,
             hints_sent: 0,
+            rebalance_ticks: 0,
+            rows_scanned: 0,
+            gossip_refreshes: 0,
+            gate_calls: 0,
             still_blocked: m.still_blocked() as u64,
             recovery_remote_msgs: m.recovery_remote_messages(),
             dropped_crashed: cl.sim.stats().dropped_crashed,
@@ -373,6 +381,16 @@ pub struct RunReport {
     pub rebalances: u64,
     /// Availability-hint entries piggybacked on Vm datagrams.
     pub hints_sent: u64,
+    /// Rebalance timer firings. This and the next three are the
+    /// placement planner's work, the same-named `SiteMetrics` counters
+    /// summed over sites.
+    pub rebalance_ticks: u64,
+    /// Demand rows the adaptive rebalance tick read slot by slot.
+    pub rows_scanned: u64,
+    /// Gossip offer recomputes.
+    pub gossip_refreshes: u64,
+    /// Outgoing datagrams that asked the hint gate.
+    pub gate_calls: u64,
     /// Transactions still blocked (in doubt) at harvest — always 0 for
     /// DvP, possibly nonzero for 2PC under partition.
     pub still_blocked: u64,

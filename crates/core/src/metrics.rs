@@ -72,6 +72,19 @@ pub struct SiteMetrics {
     pub absorbed: u64,
     /// Spontaneous rebalance shipments performed.
     pub rebalances: u64,
+    /// Rebalance timer firings this site handled. This and the next three
+    /// count the placement planner's work; they live here, not in the
+    /// planner, so a crash's `Planner::reset` leaves them standing.
+    pub rebalance_ticks: u64,
+    /// Demand rows the adaptive rebalance tick read slot by slot (the
+    /// rows its branch-free screen let through).
+    pub rows_scanned: u64,
+    /// Gossip offer recomputes (calls inside `HINT_TTL` return early and
+    /// are not counted).
+    pub gossip_refreshes: u64,
+    /// Outgoing datagrams that asked the hint gate: something was on
+    /// offer toward their peer.
+    pub gate_calls: u64,
     /// Solicitations directed at one hint-advertised peer instead of
     /// broadcast (`Fanout::Hinted` with a fresh usable hint).
     pub hinted_solicits: u64,

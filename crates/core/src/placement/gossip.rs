@@ -92,17 +92,17 @@ impl Planner {
     /// is only offered the items it has recently solicited, because a
     /// surplus figure for an item a peer never asks about is gossip it
     /// can never act on. Advisory — a peer believing a stale figure only
-    /// wastes a solicitation.
-    pub fn gossip(&mut self, now: SimTime, view: &impl View) {
+    /// wastes a solicitation. Returns whether the offers were recomputed.
+    pub fn gossip(&mut self, now: SimTime, view: &impl View) -> bool {
         if !self.policy.is_adaptive() {
-            return;
+            return false;
         }
         let now_us = now.micros();
         let g = &mut self.gossip;
         if g.last_refresh
             .is_some_and(|t| now_us.saturating_sub(t) < HINT_TTL.as_micros())
         {
-            return;
+            return false;
         }
         g.last_refresh = Some(now_us);
         let hints = &mut g.surplus_scratch;
@@ -165,6 +165,7 @@ impl Planner {
                     .map(|(&h, _)| h),
             );
         }
+        true
     }
 
     /// What rides the datagram leaving toward `to` at `now` — the one
@@ -172,8 +173,9 @@ impl Planner {
     /// moved less than `HINT_MIN_DELTA_PCT` since it was last sent to
     /// this peer within `HINT_RESEND_AFTER_US`; survivors are charged
     /// against `HINT_WINDOW_BUDGET`, which cuts the rest off until the
-    /// window rolls. An empty answer costs the datagram no bytes.
-    pub fn piggyback(&mut self, to: NodeId, now: SimTime) -> Section {
+    /// window rolls. An empty answer costs the datagram no bytes; `None`
+    /// means nothing is on offer toward `to`, so the gate was not asked.
+    pub fn piggyback(&mut self, to: NodeId, now: SimTime) -> Option<Section> {
         let mut section = Section::new();
         let Gossip {
             offers,
@@ -183,7 +185,7 @@ impl Planner {
             ..
         } = &mut self.gossip;
         if offers[to].is_empty() {
-            return section;
+            return None;
         }
         let now = now.micros();
         if now.saturating_sub(*window_start) >= HINT_RESEND_AFTER_US {
@@ -216,7 +218,7 @@ impl Planner {
             *window_used += 1;
             section.push((item, surplus));
         }
-        section
+        Some(section)
     }
 }
 
@@ -243,6 +245,7 @@ mod tests {
     /// The hints riding a datagram toward `to` at `now_us`.
     fn riding(p: &mut Planner, to: NodeId, now_us: u64) -> Vec<(u32, Qty)> {
         p.piggyback(to, SimTime::ZERO + SimDuration::micros(now_us))
+            .unwrap_or_default()
             .to_vec()
     }
 
@@ -331,7 +334,7 @@ mod tests {
 
         // The offers are gossip about pre-crash surplus: gone.
         p.reset();
-        assert!(riding(&mut p, 1, 200).is_empty());
+        assert!(p.piggyback(1, SimTime(200)).is_none());
         // So is the memory: the same figure, re-offered inside the old
         // resend window, goes out again.
         offer(&mut p, 1, &[(7, 40)]);

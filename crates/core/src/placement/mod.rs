@@ -319,8 +319,9 @@ impl Planner {
     /// ships every unlocked item's excess over the fixed
     /// `REACTIVE_SURPLUS_FACTOR ×` quota threshold to the item's *last*
     /// solicitor; the adaptive arm sizes and targets by the demand EWMAs,
-    /// at most one ship a tick, and decays the estimates.
-    pub fn plan_rebalance(&mut self, now: SimTime, view: &impl View) -> SVec<Ship, 1> {
+    /// at most one ship a tick, and decays the estimates. Beside the
+    /// ships: how many demand rows the adaptive scan read slot by slot.
+    pub fn plan_rebalance(&mut self, now: SimTime, view: &impl View) -> (SVec<Ship, 1>, u64) {
         let mut ships = SVec::new();
         match self.policy {
             Placement::Reactive(r) if r.rebalance => {
@@ -342,13 +343,12 @@ impl Planner {
                 }
             }
             Placement::Adaptive(_) => {
-                if let Some(ship) = self.plan_adaptive(now, view) {
-                    ships.push(ship);
-                }
+                let (ship, rows_scanned) = self.plan_adaptive(now, view);
+                return (ship.into_iter().collect(), rows_scanned);
             }
             Placement::Static | Placement::Reactive(_) => {}
         }
-        ships
+        (ships, 0)
     }
 
     // ---- internals ---------------------------------------------------------
@@ -356,8 +356,8 @@ impl Planner {
     /// The demand-driven tick: ship toward the peer whose
     /// solicited-demand estimate is highest, sized by that estimate —
     /// value migrates to where demand actually is instead of draining to
-    /// whoever asked last.
-    fn plan_adaptive(&mut self, now: SimTime, view: &impl View) -> Option<Ship> {
+    /// whoever asked last. Also returns the rows read slot by slot.
+    fn plan_adaptive(&mut self, now: SimTime, view: &impl View) -> (Option<Ship>, u64) {
         // One ship per tick, for the (item, peer) pair with the strongest
         // demand signal. Rebalance Rds transfers are not free — each one
         // costs a force and a Vm round trip — so the rebalancer moves the
@@ -375,6 +375,7 @@ impl Planner {
         // mispredicts on nearly every slot of every tick (measured: 7 ms
         // of an 85 ms full-scale banking run).
         let n = self.n;
+        let mut rows_scanned = 0;
         for item_idx in 0..self.quotas.len() {
             let base = item_idx * n;
             let own = HEADROOM * self.own_demand[item_idx];
@@ -386,6 +387,7 @@ impl Planner {
             {
                 continue;
             }
+            rows_scanned += 1;
             for (peer, &e) in row.iter().enumerate() {
                 // Noise floor 1.0: a peer must have asked recently and
                 // repeatedly before unsolicited value flows its way. And
@@ -445,7 +447,7 @@ impl Planner {
         for e in self.peer_demand.iter_mut() {
             *e *= 1.0 - DEMAND_GAIN;
         }
-        ship
+        (ship, rows_scanned)
     }
 
     /// The hint TTL scaled by observed hint trust: full `HINT_TTL` while

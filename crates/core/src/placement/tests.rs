@@ -94,21 +94,25 @@ fn rebalance_cadence_follows_the_policy() {
 fn reactive_arm_ships_every_excess_over_twice_quota_to_the_last_solicitor() {
     let (mut p, mut site) = planner(rebalancing());
     site.0 = vec![250, 230];
-    assert!(p.plan_rebalance(at(0), &site).is_empty(), "no signal");
+    assert!(p.plan_rebalance(at(0), &site).0.is_empty(), "no signal");
     p.peer_request(A, 2, 10, 0, false);
     p.peer_request(B, 3, 0, 0, true);
-    let plan = p.plan_rebalance(at(25), &site);
+    let (plan, rows_scanned) = p.plan_rebalance(at(25), &site);
     assert_eq!(plan.as_slice(), &[(A, 2, 50), (B, 3, 30)]);
+    assert_eq!(rows_scanned, 0, "only the adaptive scan counts rows");
     site.1[0] = true; // a locked item stays put
-    assert_eq!(p.plan_rebalance(at(50), &site).as_slice(), &[(B, 3, 30)]);
+    assert_eq!(p.plan_rebalance(at(50), &site).0.as_slice(), &[(B, 3, 30)]);
 }
 
 #[test]
 fn adaptive_arm_ships_on_the_third_tick_the_same_pair_stays_on_top() {
     let (mut p, site) = planner(Placement::adaptive());
+    assert_eq!(p.plan_rebalance(at(0), &site).1, 0, "no demand, no row");
     let tick = |p: &mut Planner, hot: NodeId, k: u64| {
         p.peer_request(B, hot, 40, 40, false);
-        p.plan_rebalance(at(100 * k), &site)
+        let (ships, rows_scanned) = p.plan_rebalance(at(100 * k), &site);
+        assert_eq!(rows_scanned, 1, "only B's row clears the screen");
+        ships
     };
     assert!(tick(&mut p, 2, 1).is_empty());
     assert!(tick(&mut p, 2, 2).is_empty());
@@ -135,7 +139,7 @@ fn adaptive_arm_never_ships_under_symmetric_demand() {
             p.peer_request(A, peer, 30, 30, false);
         }
         assert!(
-            p.plan_rebalance(at(100 * k), &site).is_empty(),
+            p.plan_rebalance(at(100 * k), &site).0.is_empty(),
             "no peer stands out: the contrast gate must hold at tick {k}"
         );
     }
@@ -247,7 +251,7 @@ fn reset_leaves_a_freshly_built_planner_after_any_observation_sequence() {
                 5 => p.hint_paid_off(),
                 6 => drop(p.target(item, qty, now)),
                 7 => drop(p.refill_extra(item, qty, qty + 9, qty.min(50), 50)),
-                8 => p.gossip(now, &site),
+                8 => drop(p.gossip(now, &site)),
                 9 => drop(p.piggyback(peer, now)),
                 _ => drop(p.plan_rebalance(now, &site)),
             }
@@ -265,23 +269,30 @@ fn gossip_offers_surplus_to_the_peers_that_asked_and_piggyback_sends_it_once() {
     let (mut p, site) = planner(Placement::adaptive());
     p.peer_request(A, 2, 10, 10, false);
     p.peer_request(B, 3, 10, 10, false);
-    assert!(p.piggyback(2, at(0)).is_empty(), "nothing on offer yet");
-    p.gossip(at(1), &site);
-    assert!(p.piggyback(1, at(1)).is_empty(), "1 never asked");
-    assert_eq!(p.piggyback(2, at(1)).as_slice(), &[(A.0, 100)]);
-    assert_eq!(p.piggyback(3, at(1)).as_slice(), &[(B.0, 100)]);
-    assert!(p.piggyback(2, at(2)).is_empty(), "unmoved: already told");
+    // `None`: nothing on offer, so the gate is not even asked.
+    assert_eq!(p.piggyback(2, at(0)), None, "nothing on offer yet");
+    assert!(p.gossip(at(1), &site));
+    assert_eq!(p.piggyback(1, at(1)), None, "1 never asked");
+    assert_eq!(p.piggyback(2, at(1)).unwrap().as_slice(), &[(A.0, 100)]);
+    assert_eq!(p.piggyback(3, at(1)).unwrap().as_slice(), &[(B.0, 100)]);
+    assert!(
+        p.piggyback(2, at(2)).unwrap().is_empty(),
+        "unmoved: already told"
+    );
     // The offers are recomputed at most once per TTL.
     let poorer = Site(vec![40, 100], vec![false, false]);
-    p.gossip(at(2), &poorer);
-    assert!(p.piggyback(2, at(3)).is_empty());
-    p.gossip(at(1) + HINT_TTL, &poorer);
-    assert_eq!(p.piggyback(2, at(1) + HINT_TTL).as_slice(), &[(A.0, 40)]);
+    assert!(!p.gossip(at(2), &poorer));
+    assert!(p.piggyback(2, at(3)).unwrap().is_empty());
+    assert!(p.gossip(at(1) + HINT_TTL, &poorer));
+    assert_eq!(
+        p.piggyback(2, at(1) + HINT_TTL).unwrap().as_slice(),
+        &[(A.0, 40)]
+    );
     // Under any other policy nothing is ever on offer.
     let (mut off, site) = planner(rebalancing());
     off.peer_request(A, 2, 10, 10, false);
-    off.gossip(at(1), &site);
-    assert!(off.piggyback(2, at(1)).is_empty());
+    assert!(!off.gossip(at(1), &site));
+    assert_eq!(off.piggyback(2, at(1)), None);
 }
 
 /// The module is pure by construction only while it cannot *name*

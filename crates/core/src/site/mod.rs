@@ -302,9 +302,14 @@ impl SiteNode {
     /// them on the wire.
     fn send_vm_datagrams(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         // The planner alone decides what gossip rides toward each peer.
-        let (now, planner) = (ctx.now(), &mut self.planner);
+        let (now, planner, gate_calls) =
+            (ctx.now(), &mut self.planner, &mut self.metrics.gate_calls);
         self.vm
-            .drain_datagrams_with(&mut self.datagram_scratch, |to| planner.piggyback(to, now));
+            .drain_datagrams_with(&mut self.datagram_scratch, |to| {
+                let section = planner.piggyback(to, now);
+                *gate_calls += u64::from(section.is_some());
+                section.unwrap_or_default()
+            });
         for (to, wire) in self.datagram_scratch.drain(..) {
             let frames = u64::from(wire.frame_count());
             let msg = ProtoMsg {
@@ -326,7 +331,8 @@ impl SiteNode {
         self.durable.force_at_flush();
         // Refresh the availability gossip on offer to whatever leaves
         // now (free: hints piggyback on datagrams that exist anyway).
-        self.planner.gossip(ctx.now(), &(&self.frags, &self.locks));
+        let refreshed = self.planner.gossip(ctx.now(), &(&self.frags, &self.locks));
+        self.metrics.gossip_refreshes += u64::from(refreshed);
         // One wire datagram per peer per flush: every queued frame toward
         // a peer rides a single transmission, with owed acks folded in.
         self.send_vm_datagrams(ctx);
@@ -466,6 +472,7 @@ impl Node for SiteNode {
             TAG_SOLICIT_RETRY => self.retry_solicitations(Ts(payload), ctx),
             TAG_REBALANCE => {
                 self.rebalance_armed = false;
+                self.metrics.rebalance_ticks += 1;
                 self.run_rebalance(ctx);
                 // Keep the cadence while this site still has local work;
                 // an idle site's next arrival or message re-arms it.
@@ -492,9 +499,9 @@ impl Node for SiteNode {
     fn on_crash(&mut self) {
         // The unforced log tail and every piece of volatile state die
         // here; each owner of volatile state is cleared or replaced
-        // whole. (A pre-crash rebalance timer may still fire after
-        // recovery; the handler treats it as a fresh tick and re-arms as
-        // needed.)
+        // whole. (No pre-crash timer fires after recovery: the kernel
+        // bumps the node's epoch on crash and drops every timer armed
+        // before it, so recovery re-arms the rebalance cadence.)
         self.inject.on_crash(&mut self.durable);
         self.vm.crash_reset();
         self.locks.clear();

@@ -220,9 +220,10 @@ impl SiteNode {
         if self.inject.crash_pending() {
             return;
         }
-        let plan = self
+        let (plan, rows_scanned) = self
             .planner
             .plan_rebalance(ctx.now(), &(&self.frags, &self.locks));
+        self.metrics.rows_scanned += rows_scanned;
         let adaptive = self.cfg.placement.is_adaptive();
         for &(item, to, amount) in plan.iter() {
             let transfer = Transfer {

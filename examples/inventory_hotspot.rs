@@ -13,10 +13,10 @@
 
 use dvp::baselines::escrow::Counter;
 use dvp::baselines::{EscrowCounter, ExclusiveCounter, ShardedCounter};
+use dvp::bench::exp_f4_hotspot::throughput;
 use dvp::prelude::*;
 use dvp::workloads::InventoryWorkload;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn part1_distributed() {
     println!("=== part 1: distributed warehouse (4 sites, 6 SKUs) ===\n");
@@ -53,29 +53,9 @@ fn part1_distributed() {
     );
 }
 
+/// F4's reserve-work-commit loop (`exp f4`), 30 000 transactions a thread.
 fn bench_counter(name: &str, counter: Arc<dyn Counter>, threads: usize) -> f64 {
-    let per_thread = 30_000usize;
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let c = Arc::clone(&counter);
-            std::thread::spawn(move || {
-                for _ in 0..per_thread {
-                    if let Some(t) = c.try_reserve(1) {
-                        // stand-in for the rest of the transaction
-                        std::hint::black_box((0..150).fold(0u64, |a, b| a.wrapping_add(b)));
-                        c.commit_decr(t);
-                    } else {
-                        c.incr(1);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let ops = (threads * per_thread) as f64 / start.elapsed().as_secs_f64();
+    let ops = throughput(counter, threads, 30_000);
     println!("  {name:<22} {ops:>12.0} ops/s");
     ops
 }
