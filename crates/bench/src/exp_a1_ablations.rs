@@ -91,14 +91,14 @@ pub fn run(_scale: Scale) -> Table {
             setting,
             r.committed.to_string(),
             r.aborted.to_string(),
-            r.requests.to_string(),
-            r.donations.to_string(),
-            r.messages.to_string(),
-            r.frames.to_string(),
-            r.fast_path.to_string(),
-            format!("{}/{}", r.hint_hits, r.hinted_solicits),
-            r.p95_us.to_string(),
-            r.max_us.to_string(),
+            r.txn.requests_sent().to_string(),
+            r.txn.donations().to_string(),
+            r.net.sent.to_string(),
+            r.net.frames_sent.to_string(),
+            r.txn.fast_path_commits().to_string(),
+            format!("{}/{}", r.txn.hint_hits(), r.txn.hinted_solicits()),
+            r.decisions.percentile(95.0).to_string(),
+            r.decisions.max().to_string(),
         ])
     };
     for (refill, name) in [

@@ -112,19 +112,19 @@ fn check(reports: &[RunReport]) {
                 .unwrap_or_else(|| panic!("{} has no reactive sibling row {base}", r.scenario));
             // Cross-multiplied, so the per-transaction comparison is exact.
             assert!(
-                r.wire_bytes as u128 * decided(sib) as u128
-                    <= sib.wire_bytes as u128 * decided(r) as u128,
+                r.net.wire_bytes as u128 * decided(sib) as u128
+                    <= sib.net.wire_bytes as u128 * decided(r) as u128,
                 "{} sends more wire bytes per transaction than {}: {} B / {} txns vs {} B / {} txns",
                 r.scenario,
                 sib.scenario,
-                r.wire_bytes,
+                r.net.wire_bytes,
                 decided(r),
-                sib.wire_bytes,
+                sib.net.wire_bytes,
                 decided(sib),
             );
         }
         assert!(
-            !r.scenario.starts_with("trad2pc_") || r.wire_bytes > 0,
+            !r.scenario.starts_with("trad2pc_") || r.net.wire_bytes > 0,
             "{} reports no wire bytes: the 2PC baseline lost its kernel wire accounting",
             r.scenario
         );
@@ -145,34 +145,46 @@ type Col = (&'static str, fn(&RunReport) -> String);
 const ENGINE: [Col; 13] = [
     ("decided", |r| decided(r).to_string()),
     ("committed", |r| r.committed.to_string()),
-    ("forces", |r| r.forces.to_string()),
-    ("forces/txn", |r| f2(per_txn(r, r.forces))),
-    ("max batch", |r| r.max_force_batch.to_string()),
-    ("frames", |r| r.frames.to_string()),
-    ("frames/txn", |r| f2(per_txn(r, r.frames))),
-    ("messages", |r| r.messages.to_string()),
+    ("forces", |r| r.log.forces.to_string()),
+    ("forces/txn", |r| f2(per_txn(r, r.log.forces))),
+    ("max batch", |r| r.log.max_force_batch.to_string()),
+    ("frames", |r| r.net.frames_sent.to_string()),
+    ("frames/txn", |r| f2(per_txn(r, r.net.frames_sent))),
+    ("messages", |r| r.net.sent.to_string()),
     ("datagrams", |r| r.datagrams.to_string()),
     ("dgrams/txn", |r| f2(per_txn(r, r.datagrams))),
-    ("wire bytes", |r| r.wire_bytes.to_string()),
-    ("wire B/txn", |r| format!("{:.1}", per_txn(r, r.wire_bytes))),
-    ("ack B saved", |r| r.bytes_acked_piggyback.to_string()),
+    ("wire bytes", |r| r.net.wire_bytes.to_string()),
+    ("wire B/txn", |r| {
+        format!("{:.1}", per_txn(r, r.net.wire_bytes))
+    }),
+    ("ack B saved", |r| r.vm.bytes_acked_piggyback.to_string()),
 ];
 
 const PLACEMENT: [Col; 14] = [
-    ("solicits", |r| r.requests.to_string()),
-    ("solicits/txn", |r| f2(per_txn(r, r.requests))),
-    ("fast path", |r| r.fast_path.to_string()),
-    ("fast-path rate", |r| share(r.fast_path, r.committed)),
-    ("hinted", |r| r.hinted_solicits.to_string()),
-    ("hint hits", |r| r.hint_hits.to_string()),
-    ("hit rate", |r| share(r.hint_hits, r.hinted_solicits)),
-    ("hints sent", |r| r.hints_sent.to_string()),
-    ("donations", |r| r.donations.to_string()),
-    ("rebalances", |r| r.rebalances.to_string()),
-    ("rebalance ticks", |r| r.rebalance_ticks.to_string()),
-    ("rows scanned", |r| r.rows_scanned.to_string()),
-    ("gossip refreshes", |r| r.gossip_refreshes.to_string()),
-    ("gate calls", |r| r.gate_calls.to_string()),
+    ("solicits", |r| r.txn.requests_sent().to_string()),
+    ("solicits/txn", |r| f2(per_txn(r, r.txn.requests_sent()))),
+    ("fast path", |r| r.txn.fast_path_commits().to_string()),
+    ("fast-path rate", |r| {
+        share(r.txn.fast_path_commits(), r.committed)
+    }),
+    ("hinted", |r| r.txn.hinted_solicits().to_string()),
+    ("hint hits", |r| r.txn.hint_hits().to_string()),
+    ("hit rate", |r| {
+        share(r.txn.hint_hits(), r.txn.hinted_solicits())
+    }),
+    ("hints sent", |r| r.vm.hints_sent.to_string()),
+    ("donations", |r| r.txn.donations().to_string()),
+    ("rebalances", |r| r.txn.rebalances().to_string()),
+    ("rebalance ticks", |r| {
+        r.txn.sum(|s| s.rebalance_ticks).to_string()
+    }),
+    ("rows scanned", |r| {
+        r.txn.sum(|s| s.rows_scanned).to_string()
+    }),
+    ("gossip refreshes", |r| {
+        r.txn.sum(|s| s.gossip_refreshes).to_string()
+    }),
+    ("gate calls", |r| r.txn.sum(|s| s.gate_calls).to_string()),
 ];
 
 /// One row per report: its name, then a cell per column.
@@ -188,11 +200,16 @@ fn table<'a>(title: String, cols: &[Col], rows: impl Iterator<Item = &'a RunRepo
     t
 }
 
-/// Run E1 and return the engine/wire table (all rows) and the placement
-/// table (DvP rows). Panics on a row the module doc calls unsound.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// The seven rows' reports. Panics on a row the module doc calls
+/// unsound.
+fn reports(scale: Scale) -> Vec<RunReport> {
     let reports: Vec<RunReport> = scenarios(scale).into_iter().map(Scenario::run).collect();
     check(&reports);
+    reports
+}
+
+/// The engine/wire table (all rows) and the placement table (DvP rows).
+fn tables(scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let dvp = reports
         .iter()
         .filter(|r| !r.scenario.starts_with("trad2pc_"));
@@ -209,26 +226,40 @@ pub fn run(scale: Scale) -> Vec<Table> {
     ]
 }
 
+/// Run E1 and return its two tables. Panics on a row the module doc
+/// calls unsound.
+pub fn run(scale: Scale) -> Vec<Table> {
+    tables(scale, &reports(scale))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvp_simnet::stats::NetStats;
 
-    /// `(committed, aborted, forces, wire_bytes, hints_sent,
-    /// hinted_solicits, hint_hits, rebalances, rebalance_ticks,
-    /// rows_scanned, gossip_refreshes, gate_calls)` of the row named
-    /// `name`.
-    fn fingerprint(tables: &[Table], name: &str) -> Vec<u64> {
-        let (engine, placement) = (&tables[0], &tables[1]);
-        let row = |t: &Table| {
-            (0..t.len())
-                .find(|&r| t.cell(r, 0) == name)
-                .unwrap_or_else(|| panic!("no row {name}"))
-        };
-        let e = |c: usize| -> u64 { engine.cell(row(engine), c).parse().unwrap() };
-        let p = |c: usize| -> u64 { placement.cell(row(placement), c).parse().unwrap() };
-        let mut f = vec![e(2), e(1) - e(2), e(3), e(11)];
-        f.extend([8, 5, 6, 10, 11, 12, 13, 14].map(p));
-        f
+    /// `(committed, aborted, forces, wire bytes, hints sent, hinted
+    /// solicits, hint hits, rebalances, rebalance ticks, rows scanned,
+    /// gossip refreshes, gate calls)` of the row named `name`.
+    fn fingerprint(reports: &[RunReport], name: &str) -> [u64; 12] {
+        let r = reports
+            .iter()
+            .find(|r| r.scenario == name)
+            .unwrap_or_else(|| panic!("no row {name}"));
+        let t = &r.txn;
+        [
+            r.committed,
+            r.aborted,
+            r.log.forces,
+            r.net.wire_bytes,
+            r.vm.hints_sent,
+            t.hinted_solicits(),
+            t.hint_hits(),
+            t.rebalances(),
+            t.sum(|s| s.rebalance_ticks),
+            t.sum(|s| s.rows_scanned),
+            t.sum(|s| s.gossip_refreshes),
+            t.sum(|s| s.gate_calls),
+        ]
     }
 
     /// The adaptive rows are pure functions of the seed. The first eight
@@ -238,10 +269,11 @@ mod tests {
     /// runs no rebalance timer and no gossip, so it does none.
     #[test]
     fn quick_scale_adaptive_rows_are_pinned() {
-        let tables = run(Scale::Quick);
+        let reports = reports(Scale::Quick);
+        let tables = tables(Scale::Quick, &reports);
         assert_eq!(tables[0].len(), 7);
         assert_eq!(tables[1].len(), 5);
-        let banking = fingerprint(&tables, "dvp_banking_adaptive");
+        let banking = fingerprint(&reports, "dvp_banking_adaptive");
         assert_eq!(
             banking,
             [1_845, 155, 7_433, 603_859, 1_871, 126, 92, 12, 786, 1_626, 328, 4_033]
@@ -250,11 +282,11 @@ mod tests {
         // was two orders of magnitude above this.
         assert!(banking[4] < 4_000);
         assert_eq!(
-            fingerprint(&tables, "dvp_hotspot_adaptive"),
+            fingerprint(&reports, "dvp_hotspot_adaptive"),
             [1_858, 142, 2_985, 84_330, 18, 112, 112, 147, 539, 324, 253, 77]
         );
         for reactive in ["dvp_banking", "dvp_airline", "dvp_hotspot"] {
-            assert_eq!(fingerprint(&tables, reactive)[8..], [0; 4], "{reactive}");
+            assert_eq!(fingerprint(&reports, reactive)[8..], [0; 4], "{reactive}");
         }
     }
 
@@ -262,7 +294,10 @@ mod tests {
         RunReport {
             scenario: name.into(),
             committed: 100,
-            wire_bytes,
+            net: NetStats {
+                wire_bytes,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }

@@ -78,7 +78,7 @@ pub fn run(scale: Scale) -> Table {
         let stats = cl.stats();
         let m = &stats.txn;
         let decided = m.committed() + m.aborted();
-        let checkpoints: u64 = m.sites.iter().map(|s| s.checkpoints).sum();
+        let checkpoints = m.sum(|s| s.checkpoints);
         let retained: usize = cl
             .sim
             .nodes()

@@ -79,9 +79,9 @@ pub fn run(scale: Scale) -> Table {
             t.row(vec![
                 split_name.to_string(),
                 pname.into(),
-                f2(per_commit(r.requests)),
-                f2(per_commit(r.donations)),
-                pct(1.0 - r.commit_ratio),
+                f2(per_commit(r.txn.requests_sent())),
+                f2(per_commit(r.txn.donations())),
+                pct(1.0 - r.commit_ratio()),
             ]);
         }
     }

@@ -88,9 +88,9 @@ pub fn run(scale: Scale) -> Table {
             .run();
         t.row(vec![
             severity.to_string(),
-            pct(dvp.commit_ratio),
-            pct(quorum.commit_ratio),
-            pct(primary.commit_ratio),
+            pct(dvp.commit_ratio()),
+            pct(quorum.commit_ratio()),
+            pct(primary.commit_ratio()),
         ]);
     }
     t

@@ -68,8 +68,8 @@ pub fn run(scale: Scale) -> Table {
             .run();
         t.row(vec![
             format!("{theta:.1}"),
-            pct(r1.commit_ratio),
-            pct(r2.commit_ratio),
+            pct(r1.commit_ratio()),
+            pct(r2.commit_ratio()),
             r1.aborted.to_string(),
             r2.aborted.to_string(),
         ]);

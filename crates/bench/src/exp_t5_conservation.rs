@@ -192,10 +192,10 @@ pub fn matrix(configs: &[ProtoConfig], seeds: u64) -> Result<Table, String> {
             sum(|r| r.checkpoint_fallbacks),
             sum(|r| r.salvages),
             sum(|r| r.media_failures),
-            sum(|r| r.dropped_crashed),
-            sum(|r| r.externals_dropped),
-            sum(|r| r.lost),
-            sum(|r| r.duplicated),
+            sum(|r| r.net.dropped_crashed),
+            sum(|r| r.net.externals_dropped),
+            sum(|r| r.net.lost),
+            sum(|r| r.net.duplicated),
         ]);
     }
     Ok(t)

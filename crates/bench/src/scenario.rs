@@ -9,10 +9,13 @@
 //! for deterministic JSONL export.
 
 use dvp_baselines::{TradCluster, TradClusterConfig, TradConfig};
-use dvp_core::{Cluster, ClusterConfig, FaultPlan, SiteConfig};
+use dvp_core::{Cluster, ClusterConfig, ClusterMetrics, FaultPlan, SiteConfig, StatsView};
 use dvp_obs::{to_jsonl, Event, Hist, Obs, PhaseHists};
 use dvp_simnet::network::NetworkConfig;
+use dvp_simnet::stats::NetStats;
 use dvp_simnet::time::SimTime;
+use dvp_storage::LogStats;
+use dvp_vmsg::VmStats;
 use dvp_workloads::Workload;
 
 /// Which engine a [`Scenario`] drives.
@@ -207,51 +210,23 @@ impl Scenario {
         cl.auditor()
             .check_conservation()
             .expect("conservation must hold in every experiment");
-        let stats = cl.stats();
-        let m = stats.txn;
-        let vm = stats.vm;
-        let decisions = m.decision_latency();
+        let StatsView { txn, vm, log } = cl.stats();
         RunReport {
             scenario: self.name,
             seed: self.seed,
-            committed: m.committed(),
-            aborted: m.aborted(),
-            commit_ratio: m.commit_ratio(),
-            p50_us: decisions.percentile(50.0),
-            p95_us: decisions.percentile(95.0),
-            max_us: decisions.max(),
-            max_blocked_us: 0,
-            messages: cl.sim.stats().sent,
-            frames: cl.sim.stats().frames_sent,
+            committed: txn.committed(),
+            aborted: txn.aborted(),
             datagrams: vm.datagrams_sent,
-            // Kernel-level wire accounting: every DvP send (Vm frames,
-            // coalesced datagrams, solicitation requests, lease releases)
-            // declares its encoded length, so this is directly comparable
-            // with the 2PC rows rather than counting only the Vm layer.
-            wire_bytes: cl.sim.stats().wire_bytes,
-            bytes_acked_piggyback: vm.bytes_acked_piggyback,
-            forces: stats.log.forces,
-            max_force_batch: stats.log.max_force_batch,
-            requests: m.requests_sent(),
-            donations: m.donations(),
-            fast_path: m.fast_path_commits(),
-            hinted_solicits: m.hinted_solicits(),
-            hint_hits: m.hint_hits(),
-            rebalances: m.rebalances(),
-            hints_sent: vm.hints_sent,
-            rebalance_ticks: m.sites.iter().map(|s| s.rebalance_ticks).sum(),
-            rows_scanned: m.sites.iter().map(|s| s.rows_scanned).sum(),
-            gossip_refreshes: m.sites.iter().map(|s| s.gossip_refreshes).sum(),
-            gate_calls: m.sites.iter().map(|s| s.gate_calls).sum(),
+            max_blocked_us: 0,
             still_blocked: 0,
-            recovery_remote_msgs: m.sites.iter().map(|s| s.recovery_remote_messages).sum(),
-            dropped_crashed: cl.sim.stats().dropped_crashed,
-            externals_dropped: cl.sim.stats().externals_dropped,
-            crashpoint_trips: m.crashpoint_trips(),
-            torn_crashes: m.torn_crashes(),
-            phases: m.phases(),
-            decisions,
+            recovery_remote_msgs: txn.sum(|s| s.recovery_remote_messages),
+            decisions: txn.decision_latency(),
+            phases: txn.phases(),
             events: cl.obs().take(),
+            net: *cl.sim.stats(),
+            log,
+            vm,
+            txn,
         }
     }
 
@@ -264,57 +239,32 @@ impl Scenario {
             }
         }
         let m = cl.metrics();
-        let log = cl.log_stats();
-        let decisions = m.decision_latency();
+        let net = *cl.sim.stats();
         RunReport {
             scenario: self.name,
             seed: self.seed,
             committed: m.committed(),
             aborted: m.aborted(),
-            commit_ratio: m.commit_ratio(),
-            p50_us: decisions.percentile(50.0),
-            p95_us: decisions.percentile(95.0),
-            // Decided transactions only — open blocking windows are
-            // reported via `still_blocked` / `max_blocked_us`, so p100
-            // means p100 for both engines.
-            max_us: decisions.max(),
+            datagrams: net.sent,
             max_blocked_us: m.max_blocking_us(cl.sim.now()),
-            messages: cl.sim.stats().sent,
-            frames: cl.sim.stats().frames_sent,
-            // Every baseline send declares its encoded-length estimate
-            // (`TradMsg::wire_len`), so the kernel's counters are the
-            // engine's wire volume: one datagram per transmission.
-            datagrams: cl.sim.stats().sent,
-            wire_bytes: cl.sim.stats().wire_bytes,
-            bytes_acked_piggyback: 0,
-            forces: log.forces,
-            max_force_batch: log.max_force_batch,
-            requests: 0,
-            donations: 0,
-            fast_path: 0,
-            hinted_solicits: 0,
-            hint_hits: 0,
-            rebalances: 0,
-            hints_sent: 0,
-            rebalance_ticks: 0,
-            rows_scanned: 0,
-            gossip_refreshes: 0,
-            gate_calls: 0,
             still_blocked: m.still_blocked() as u64,
             recovery_remote_msgs: m.recovery_remote_messages(),
-            dropped_crashed: cl.sim.stats().dropped_crashed,
-            externals_dropped: cl.sim.stats().externals_dropped,
-            crashpoint_trips: 0,
-            torn_crashes: 0,
+            decisions: m.decision_latency(),
             phases: m.phases(),
-            decisions,
             events: cl.sim.obs().take(),
+            net,
+            log: cl.log_stats(),
+            // No Vm layer and no DvP transaction engine: every DvP-only
+            // column reads 0.
+            ..Default::default()
         }
     }
 }
 
-/// One engine run, reduced to the metrics every experiment reports, plus
-/// the structured distributions and (when tracing) the event stream.
+/// One engine run: the few figures whose source differs by engine, each
+/// layer's own counters whole, the latency distributions and (when
+/// tracing) the event stream. A layer the engine does not have stays at
+/// its default.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Scenario label.
@@ -325,86 +275,22 @@ pub struct RunReport {
     pub committed: u64,
     /// Aborted transactions.
     pub aborted: u64,
-    /// Commit ratio over decided transactions.
-    pub commit_ratio: f64,
-    /// Median decision latency (µs).
-    pub p50_us: u64,
-    /// 95th-percentile decision latency (µs).
-    pub p95_us: u64,
-    /// Maximum *decided* latency (µs) — exact, commits and aborts only,
-    /// for both engines. Open-ended blocking is in `max_blocked_us`.
-    pub max_us: u64,
-    /// Longest blocking window (µs) including still-open in-doubt
-    /// windows measured to harvest time. Always 0 for DvP — the
-    /// non-blocking claim.
-    pub max_blocked_us: u64,
-    /// Total network messages sent (wire transmissions — a coalesced
-    /// datagram counts once).
-    pub messages: u64,
-    /// Logical protocol frames handed to the network (a coalesced
-    /// datagram counts its frame total; equals `messages` when nothing
-    /// batches).
-    pub frames: u64,
     /// Wire datagrams transmitted: Vm-layer datagram count for DvP (0
     /// when coalescing is off), kernel transmissions for the baseline.
     /// `datagrams / committed` is the coalescing headline metric.
     pub datagrams: u64,
-    /// Bytes handed to the wire: actual codec output (frame encodings
-    /// plus datagram headers) for DvP; the deterministic fixed-width
-    /// encoded-length estimate (`TradMsg::wire_len`) for the baseline,
-    /// tallied through the kernel's `NetStats::wire_bytes`.
-    pub wire_bytes: u64,
-    /// Bytes of standalone ack traffic avoided by piggybacking
-    /// cumulative acks on data datagrams.
-    pub bytes_acked_piggyback: u64,
-    /// Cluster-wide stable-log force operations (both engines report
-    /// them; `forces / committed` is the group-commit headline metric).
-    pub forces: u64,
-    /// Most records one force made durable at once, over all sites.
-    pub max_force_batch: u64,
-    /// Engine-level solicitations (DvP requests; baseline lock requests
-    /// are folded into `messages`).
-    pub requests: u64,
-    /// DvP donations performed.
-    pub donations: u64,
-    /// Commits that never left their initiating site (local value was
-    /// adequate). `fast_path / committed` is the placement headline
-    /// metric: good placement pushes it toward 1.
-    pub fast_path: u64,
-    /// Solicitations aimed at one peer because of a fresh availability
-    /// hint (adaptive placement only).
-    pub hinted_solicits: u64,
-    /// Hinted solicitations whose hinted donor delivered value the
-    /// transaction consumed.
-    pub hint_hits: u64,
-    /// Rds rebalance transfers shipped.
-    pub rebalances: u64,
-    /// Availability-hint entries piggybacked on Vm datagrams.
-    pub hints_sent: u64,
-    /// Rebalance timer firings. This and the next three are the
-    /// placement planner's work, the same-named `SiteMetrics` counters
-    /// summed over sites.
-    pub rebalance_ticks: u64,
-    /// Demand rows the adaptive rebalance tick read slot by slot.
-    pub rows_scanned: u64,
-    /// Gossip offer recomputes.
-    pub gossip_refreshes: u64,
-    /// Outgoing datagrams that asked the hint gate.
-    pub gate_calls: u64,
+    /// Longest blocking window (µs) including still-open in-doubt
+    /// windows measured to harvest time. Always 0 for DvP — the
+    /// non-blocking claim.
+    pub max_blocked_us: u64,
     /// Transactions still blocked (in doubt) at harvest — always 0 for
     /// DvP, possibly nonzero for 2PC under partition.
     pub still_blocked: u64,
     /// Remote messages consumed by recovery.
     pub recovery_remote_msgs: u64,
-    /// Deliveries suppressed because the recipient site was crashed.
-    pub dropped_crashed: u64,
-    /// Client arrivals suppressed because their site was crashed.
-    pub externals_dropped: u64,
-    /// Nemesis crashpoint triggers fired during the run.
-    pub crashpoint_trips: u64,
-    /// Crashes whose in-flight log write tore (and recovery repaired).
-    pub torn_crashes: u64,
-    /// Decision-latency histogram (commits + aborts).
+    /// Decision-latency histogram over *decided* transactions (commits +
+    /// aborts) for both engines, so `decisions.max()` means p100 for
+    /// both; open-ended blocking is in `max_blocked_us`.
     pub decisions: Hist,
     /// Per-phase latency breakdown (`fast_path`/`solicit`/`gather`/
     /// `abort` for DvP; `decide`/`abort`/`in_doubt` for the baseline).
@@ -412,9 +298,31 @@ pub struct RunReport {
     /// Structured event stream; empty unless the scenario enabled
     /// tracing.
     pub events: Vec<Event>,
+    /// The simulation kernel's network counters. Every send of either
+    /// engine declares its encoded length (DvP's codec output, the
+    /// baseline's `TradMsg::wire_len`), so `net.wire_bytes` compares the
+    /// engines directly.
+    pub net: NetStats,
+    /// Cluster-wide stable-log counters (both engines force a log).
+    pub log: LogStats,
+    /// Cluster-wide Vm-layer counters; default for the baseline.
+    pub vm: VmStats,
+    /// Per-site DvP transaction-engine counters; no sites for the
+    /// baseline.
+    pub txn: ClusterMetrics,
 }
 
 impl RunReport {
+    /// Commit ratio over decided transactions (0 when none decided).
+    pub fn commit_ratio(&self) -> f64 {
+        let decided = self.committed + self.aborted;
+        if decided == 0 {
+            0.0
+        } else {
+            self.committed as f64 / decided as f64
+        }
+    }
+
     /// Render the captured event stream as deterministic JSONL (one
     /// header line, then one line per event). Empty-bodied when the run
     /// was not traced.
@@ -442,13 +350,16 @@ mod tests {
         assert!(d.committed + d.aborted == 40, "dvp decided everything");
         assert!(t.committed + t.aborted <= 40);
         assert!(t.committed > 0);
-        assert!(d.commit_ratio > 0.5);
+        assert!(d.commit_ratio() > 0.5);
         assert_eq!(d.still_blocked, 0);
         assert_eq!(d.max_blocked_us, 0, "DvP never blocks");
+        // A baseline row can never show a DvP counter.
+        assert_eq!(t.vm, VmStats::default());
+        assert!(t.txn.sites.is_empty());
     }
 
     #[test]
-    fn max_us_is_decided_only_for_both_engines() {
+    fn decided_latency_excludes_open_blocking_windows() {
         let w = AirlineWorkload {
             txns: 30,
             ..Default::default()
@@ -457,22 +368,23 @@ mod tests {
         // Crash a site mid-run and never recover it: the baseline strands
         // in-doubt participants whose open windows must NOT inflate the
         // decided p100.
-        let crash_at = SimTime::ZERO + SimDuration::millis(40);
+        let crash_at = SimTime::ZERO + SimDuration::millis(25);
         let until = SimTime::ZERO + SimDuration::secs(5);
         let t = Scenario::trad(&w)
             .faults(FaultPlan::none().crash(crash_at, 0))
             .until(until)
             .seed(7)
             .run();
-        assert_eq!(t.max_us, t.decisions.max(), "p100 over decided only");
-        if t.still_blocked > 0 {
-            assert!(
-                t.max_blocked_us > t.max_us,
-                "open windows ({}) should dwarf decided latencies ({})",
-                t.max_blocked_us,
-                t.max_us
-            );
-        }
+        assert!(
+            t.still_blocked > 0,
+            "the crash strands in-doubt participants"
+        );
+        assert!(
+            t.max_blocked_us > t.decisions.max(),
+            "open windows ({}) should dwarf decided latencies ({})",
+            t.max_blocked_us,
+            t.decisions.max()
+        );
     }
 
     #[test]

@@ -495,11 +495,7 @@ mod tests {
             cl.run_until(ms(5_000));
             cl.auditor().check_conservation().unwrap();
             let m = cl.stats().txn;
-            (
-                m.committed(),
-                m.requests_sent(),
-                m.sites.iter().map(|s| s.rebalances).sum::<u64>(),
-            )
+            (m.committed(), m.requests_sent(), m.rebalances())
         };
         let (c0, req0, rb0) = run(false);
         let (c1, req1, rb1) = run(true);

@@ -75,19 +75,12 @@ impl LockTable {
         }
     }
 
-    /// Release everything held on behalf of `txn`; returns the items in
-    /// item order. Sorted because callers wake Conc2 waiters item by item
-    /// in the returned order, and `HashMap` iteration order is randomised
-    /// per instance — unsorted, identical runs could grant locks in
-    /// different interleavings.
-    pub fn release_all(&mut self, txn: Ts) -> Vec<ItemId> {
-        let mut items = Vec::new();
-        self.release_all_into(txn, &mut items);
-        items
-    }
-
-    /// [`release_all`](Self::release_all) into a caller-owned scratch
-    /// buffer, so the commit path can release without allocating.
+    /// Release everything held on behalf of `txn`, writing the items to
+    /// `out` (cleared first) in item order. Sorted because callers wake
+    /// Conc2 waiters item by item in that order, and `HashMap` iteration
+    /// order is randomised per instance — unsorted, identical runs could
+    /// grant locks in different interleavings. `out` is a caller-owned
+    /// scratch buffer, so the commit path releases without allocating.
     pub fn release_all_into(&mut self, txn: Ts, out: &mut Vec<ItemId>) {
         out.clear();
         out.extend(
@@ -153,8 +146,8 @@ mod tests {
         lt.try_lock(A, Holder::Txn(Ts(1))).unwrap();
         lt.try_lock(B, Holder::Lease(Ts(1))).unwrap();
         lt.try_lock(ItemId(2), Holder::Txn(Ts(2))).unwrap();
-        let mut freed = lt.release_all(Ts(1));
-        freed.sort();
+        let mut freed = vec![ItemId(9)];
+        lt.release_all_into(Ts(1), &mut freed);
         assert_eq!(freed, vec![A, B]);
         assert!(lt.is_locked(ItemId(2)));
     }

@@ -188,22 +188,25 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
+    /// One per-site counter summed over every site, e.g.
+    /// `m.sum(|s| s.rebalance_ticks)`.
+    pub fn sum(&self, field: impl Fn(&SiteMetrics) -> u64) -> u64 {
+        self.sites.iter().map(field).sum()
+    }
+
     /// Sum of commits.
     pub fn committed(&self) -> u64 {
-        self.sites.iter().map(|s| s.committed).sum()
+        self.sum(|s| s.committed)
     }
 
     /// Sum of aborts (all reasons).
     pub fn aborted(&self) -> u64 {
-        self.sites.iter().map(|s| s.total_aborted()).sum()
+        self.sum(SiteMetrics::total_aborted)
     }
 
     /// Aborts of one reason.
     pub fn aborted_for(&self, reason: AbortReason) -> u64 {
-        self.sites
-            .iter()
-            .map(|s| s.aborted.get(&reason).copied().unwrap_or(0))
-            .sum()
+        self.sum(|s| s.aborted.get(&reason).copied().unwrap_or(0))
     }
 
     /// Commit ratio over all attempts that reached a decision.
@@ -260,62 +263,32 @@ impl ClusterMetrics {
 
     /// Sum of requests sent.
     pub fn requests_sent(&self) -> u64 {
-        self.sites.iter().map(|s| s.requests_sent).sum()
+        self.sum(|s| s.requests_sent)
     }
 
     /// Sum of donations made.
     pub fn donations(&self) -> u64 {
-        self.sites.iter().map(|s| s.donations).sum()
+        self.sum(|s| s.donations)
     }
 
     /// Sum of spontaneous rebalance shipments.
     pub fn rebalances(&self) -> u64 {
-        self.sites.iter().map(|s| s.rebalances).sum()
+        self.sum(|s| s.rebalances)
     }
 
     /// Sum of hint-directed solicitations.
     pub fn hinted_solicits(&self) -> u64 {
-        self.sites.iter().map(|s| s.hinted_solicits).sum()
+        self.sum(|s| s.hinted_solicits)
     }
 
     /// Sum of hinted solicitations the advertised donor answered.
     pub fn hint_hits(&self) -> u64 {
-        self.sites.iter().map(|s| s.hint_hits).sum()
+        self.sum(|s| s.hint_hits)
     }
 
     /// Sum of write-only fast-path commits (no solicitation round).
     pub fn fast_path_commits(&self) -> u64 {
-        self.sites.iter().map(|s| s.fast_path_commits).sum()
-    }
-
-    /// Sum of crashpoint triggers fired (nemesis injection).
-    pub fn crashpoint_trips(&self) -> u64 {
-        self.sites.iter().map(|s| s.crashpoint_trips).sum()
-    }
-
-    /// Sum of crashes that tore the in-flight log write.
-    pub fn torn_crashes(&self) -> u64 {
-        self.sites.iter().map(|s| s.torn_crashes).sum()
-    }
-
-    /// Sum of recoveries performed.
-    pub fn recoveries(&self) -> u64 {
-        self.sites.iter().map(|s| s.recoveries).sum()
-    }
-
-    /// Sum of checkpoint-generation fallbacks across sites.
-    pub fn checkpoint_fallbacks(&self) -> u64 {
-        self.sites.iter().map(|s| s.checkpoint_fallbacks).sum()
-    }
-
-    /// Sum of stable-region salvages across sites.
-    pub fn salvages(&self) -> u64 {
-        self.sites.iter().map(|s| s.salvages).sum()
-    }
-
-    /// Sum of media-failure quarantines across sites.
-    pub fn media_failures(&self) -> u64 {
-        self.sites.iter().map(|s| s.media_failures).sum()
+        self.sum(|s| s.fast_path_commits)
     }
 
     /// Merged per-item salvage damage bounds across sites.
@@ -335,29 +308,9 @@ impl ClusterMetrics {
     }
 }
 
-/// Nearest-rank percentile; sorts in place. Returns 0 for empty input.
-pub fn percentile(xs: &mut [u64], p: f64) -> u64 {
-    if xs.is_empty() {
-        return 0;
-    }
-    xs.sort_unstable();
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * (xs.len() as f64 - 1.0)).round() as usize;
-    xs[rank]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut xs = vec![50, 10, 40, 20, 30];
-        assert_eq!(percentile(&mut xs, 0.0), 10);
-        assert_eq!(percentile(&mut xs, 50.0), 30);
-        assert_eq!(percentile(&mut xs, 100.0), 50);
-        assert_eq!(percentile(&mut [], 50.0), 0);
-    }
 
     #[test]
     fn site_metrics_counts() {

@@ -9,6 +9,7 @@ use dvp_core::txn::Script;
 use dvp_core::{Cluster, ClusterConfig, SiteConfig};
 use dvp_obs::{Event, Obs, PhaseHists};
 use dvp_simnet::network::NetworkConfig;
+use dvp_simnet::stats::NetStats;
 use dvp_simnet::time::{SimDuration, SimTime};
 
 /// Everything one campaign needs besides its fault schedule.
@@ -60,14 +61,10 @@ pub struct CampaignResult {
     pub salvages: u64,
     /// Sites quarantined for unrecoverable media loss.
     pub media_failures: u64,
-    /// Deliveries suppressed because the recipient was down.
-    pub dropped_crashed: u64,
-    /// Client arrivals suppressed because their site was down.
-    pub externals_dropped: u64,
-    /// Messages dropped by loss (link + chaos).
-    pub lost: u64,
-    /// Extra copies from duplication (link + chaos).
-    pub duplicated: u64,
+    /// The kernel's network counters at harvest: loss and duplication
+    /// (link + chaos), deliveries and client arrivals suppressed at a
+    /// down site.
+    pub net: NetStats,
     /// Per-phase latency breakdown harvested from the cluster.
     pub phases: PhaseHists,
     /// Structured event stream; empty unless the config enabled tracing.
@@ -111,9 +108,17 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
     }
     if violation.is_none() {
         // Settle: run well past the horizon so retransmits, recoveries,
-        // and healed partitions drain. This is a bounded window rather
-        // than hard quiescence because periodic maintenance timers
-        // (e.g. the rebalancer) re-arm forever and would never quiesce.
+        // and healed partitions drain. The window is bounded because some
+        // campaigns never quiesce, all through Vms that never complete:
+        // - a Vm toward a site that never answers again (quarantined
+        //   after media loss, or crashed by a crashpoint with no
+        //   scheduled recovery) is retransmitted every interval forever;
+        // - with piggyback-only acks (`eager_acks: false`) a sender's last
+        //   Vm is never acked once no reverse traffic carries the ack, so
+        //   it is retransmitted and discarded as a duplicate forever;
+        // - under reactive rebalancing two sites can ship value back and
+        //   forth, each ship's outstanding Vm keeping both rebalance
+        //   timers armed.
         cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
         let m = cl.stats().txn;
         if let Err(v) = oracle::check_all(&cl, &m) {
@@ -126,21 +131,17 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
     }
 
     let m = cl.stats().txn;
-    let s = cl.sim.stats();
     CampaignResult {
         violation,
         committed: m.committed(),
         aborted: m.aborted(),
-        recoveries: m.recoveries(),
-        crashpoint_trips: m.crashpoint_trips(),
-        torn_crashes: m.torn_crashes(),
-        checkpoint_fallbacks: m.checkpoint_fallbacks(),
-        salvages: m.salvages(),
-        media_failures: m.media_failures(),
-        dropped_crashed: s.dropped_crashed,
-        externals_dropped: s.externals_dropped,
-        lost: s.lost,
-        duplicated: s.duplicated,
+        recoveries: m.sum(|s| s.recoveries),
+        crashpoint_trips: m.sum(|s| s.crashpoint_trips),
+        torn_crashes: m.sum(|s| s.torn_crashes),
+        checkpoint_fallbacks: m.sum(|s| s.checkpoint_fallbacks),
+        salvages: m.sum(|s| s.salvages),
+        media_failures: m.sum(|s| s.media_failures),
+        net: *cl.sim.stats(),
         phases: m.phases(),
         events: cl.obs().take(),
     }

@@ -71,31 +71,4 @@ impl VmStats {
         self.hints_sent += o.hints_sent;
         self.hint_bytes_sent += o.hint_bytes_sent;
     }
-
-    /// Real messages per completed Vm — the paper's "message traffic"
-    /// metric. Returns 0.0 when nothing completed.
-    pub fn frames_per_completed(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            (self.data_frames_sent + self.ack_frames_sent) as f64 / self.completed as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frames_per_completed_handles_zero() {
-        assert_eq!(VmStats::default().frames_per_completed(), 0.0);
-        let s = VmStats {
-            completed: 2,
-            data_frames_sent: 5,
-            ack_frames_sent: 1,
-            ..Default::default()
-        };
-        assert!((s.frames_per_completed() - 3.0).abs() < 1e-12);
-    }
 }

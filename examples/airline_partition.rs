@@ -58,13 +58,14 @@ fn main() {
     println!("aborted                   {:<10} {}", d.aborted, t.aborted);
     println!(
         "commit ratio              {:<10.1} {:.1}",
-        d.commit_ratio * 100.0,
-        t.commit_ratio * 100.0
+        d.commit_ratio() * 100.0,
+        t.commit_ratio() * 100.0
     );
-    // `max_us` is decided transactions only — comparable across engines.
-    // The baseline's open-ended lock-holding shows up in `max_blocked_us`.
-    let dvp_decided = format!("{:.0}ms", d.max_us as f64 / 1000.0);
-    let trad_decided = format!("{:.0}ms", t.max_us as f64 / 1000.0);
+    // `decisions` holds decided transactions only — comparable across
+    // engines. The baseline's open-ended lock-holding shows up in
+    // `max_blocked_us`.
+    let dvp_decided = format!("{:.0}ms", d.decisions.max() as f64 / 1000.0);
+    let trad_decided = format!("{:.0}ms", t.decisions.max() as f64 / 1000.0);
     println!("worst decided latency     {dvp_decided:<10} {trad_decided}");
     let dvp_block = format!("{:.0}ms", d.max_blocked_us as f64 / 1000.0);
     let trad_block = format!("{:.0}ms", t.max_blocked_us as f64 / 1000.0);
@@ -78,6 +79,6 @@ fn main() {
     println!("2PC could not assemble a majority in either half and, worse,");
     println!("participants caught mid-commit stayed blocked until healing.");
 
-    assert!(d.commit_ratio > t.commit_ratio);
+    assert!(d.commit_ratio() > t.commit_ratio());
     assert_eq!(d.max_blocked_us, 0, "DvP never blocks");
 }

@@ -40,7 +40,7 @@ fn part1_distributed() {
         "orders: {} committed, {} aborted ({} were local fast-path)",
         m.committed(),
         m.aborted(),
-        m.sites.iter().map(|s| s.fast_path_commits).sum::<u64>()
+        m.fast_path_commits()
     );
     let stock: u64 = (0..4)
         .map(|s| cluster.sim.node(s).fragments().get(sku0))

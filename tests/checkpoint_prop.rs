@@ -91,7 +91,7 @@ fn repeated_crashes_through_checkpoints() {
     let m = cl.stats().txn;
     assert_eq!(m.sites[1].recoveries, 2);
     assert_eq!(m.sites[2].recoveries, 1);
-    assert!(m.sites.iter().map(|s| s.checkpoints).sum::<u64>() > 5);
+    assert!(m.sum(|s| s.checkpoints) > 5);
     // The log of the frequently-checkpointing hot site stays small.
     assert!(cl.sim.node(0).log().stable_len() <= 10);
 }
@@ -203,7 +203,7 @@ fn mid_checkpoint_crash_recovers_exactly() {
         cl.run_until(ms(60_000));
         cl.auditor().check_conservation().unwrap();
         let m = cl.stats().txn;
-        (m.crashpoint_trips(), m.sites[1].recoveries)
+        (m.sum(|s| s.crashpoint_trips), m.sites[1].recoveries)
     };
     let (trips, recoveries) = run(InjectConfig::crashpoint_at(1, Crashpoint::MidCheckpoint));
     assert_eq!(trips, 1, "the mid-checkpoint crashpoint must fire");
@@ -246,7 +246,7 @@ fn mid_checkpoint_crash_with_a_rotten_slot_falls_back_losslessly() {
             .map(|s| cl.sim.node(s).fragments().snapshot())
             .collect();
         let m = cl.stats().txn;
-        (m.committed(), frags, m.checkpoint_fallbacks())
+        (m.committed(), frags, m.sum(|s| s.checkpoint_fallbacks))
     };
     let clean = run(None);
     let mut fallbacks = 0;
@@ -366,7 +366,11 @@ fn every_crashpoint_fires_once_and_recovery_holds() {
         cl.run_until(ms(60_000));
         cl.auditor().check_conservation().unwrap();
         let m = cl.stats().txn;
-        assert_eq!(m.crashpoint_trips(), 1, "{point:?} must fire exactly once");
+        assert_eq!(
+            m.sum(|s| s.crashpoint_trips),
+            1,
+            "{point:?} must fire exactly once"
+        );
         assert_eq!(m.sites[1].recoveries, 1, "{point:?}: victim recovers");
     }
 }

@@ -2,51 +2,84 @@
 //! both engines, destructured exhaustively (no `..`), so a new field
 //! cannot compile until someone has looked at DESIGN.md's
 //! "Configuration surface" table and recorded which non-test caller or
-//! nemesis config needs a non-default value for it. This is the only
-//! place that sees `dvp-core`, `dvp-vmsg` and `dvp-baselines` together.
+//! nemesis config needs a non-default value for it. The same field list
+//! is then held equal to that table's rows, so neither can drift from
+//! the other. This is the only place that sees `dvp-core`, `dvp-vmsg`
+//! and `dvp-baselines` together.
 
 use dvp::baselines::TradConfig;
 use dvp::core::{AdaptivePlacement, InjectConfig, ReactivePlacement, SiteConfig};
 use dvp::vmsg::VmConfig;
 
+/// Destructure each `Type { field, … }` group exhaustively from its
+/// default, and return the fields as `Type::field`, in order.
+macro_rules! census {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {{
+        $(let $ty { $($field: _),* } = $ty::default();)*
+        vec![$($(concat!(stringify!($ty), "::", stringify!($field))),*),*]
+    }};
+}
+
 #[test]
 fn config_surface_census() {
-    let SiteConfig {
-        txn_timeout: _,
-        placement: _,
-        conc: _,
-        vm: _,
-        solicit_retries: _,
-        checkpoint_every: _,
-        unsafe_skip_read_drain_gate: _,
-        unsafe_skip_recovery_redo: _,
-        inject: _,
-    } = SiteConfig::default();
-    let VmConfig {
-        window: _,
-        eager_acks: _,
-        coalesce: _,
-    } = VmConfig::default();
-    let AdaptivePlacement {
-        fanout: _,
-        chaos: _,
-    } = AdaptivePlacement::default();
-    let ReactivePlacement {
-        refill: _,
-        fanout: _,
-        rebalance: _,
-    } = ReactivePlacement::default();
-    let InjectConfig {
-        crashpoint: _,
-        crash_on_hit: _,
-        victim: _,
-        torn: _,
-        bit_rot: _,
-        corrupt_ckpt: _,
-    } = InjectConfig::default();
-    let TradConfig {
-        protocol: _,
-        placement: _,
-    } = TradConfig::default();
-    // 9 + 3 + 2 + 3 + 6 + 2: the table in DESIGN.md lists 25 rows.
+    let fields: Vec<&str> = census! {
+        SiteConfig {
+            txn_timeout,
+            placement,
+            conc,
+            vm,
+            solicit_retries,
+            checkpoint_every,
+            unsafe_skip_read_drain_gate,
+            unsafe_skip_recovery_redo,
+            inject,
+        }
+        VmConfig {
+            window,
+            eager_acks,
+            coalesce,
+        }
+        AdaptivePlacement {
+            fanout,
+            chaos,
+        }
+        ReactivePlacement {
+            refill,
+            fanout,
+            rebalance,
+        }
+        InjectConfig {
+            crashpoint,
+            crash_on_hit,
+            victim,
+            torn,
+            bit_rot,
+            corrupt_ckpt,
+        }
+        TradConfig {
+            protocol,
+            placement,
+        }
+    };
+    let section = include_str!("../DESIGN.md")
+        .split("\n## 5c. Configuration surface\n")
+        .nth(1)
+        .expect("DESIGN.md has a Configuration surface section")
+        .split("\n## ")
+        .next()
+        .unwrap();
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split_once("` |"))
+        .map(|(field, _)| field)
+        .collect();
+    assert_eq!(
+        rows, fields,
+        "DESIGN.md §5c rows vs the destructured fields"
+    );
+    assert!(
+        section.contains(&format!("{} in all", fields.len())),
+        "DESIGN.md §5c must say the surface has {} fields",
+        fields.len()
+    );
 }

@@ -28,11 +28,11 @@ fn forces_per_txn_on_standard_banking_are_pinned() {
         (42, 290, 171, 29, 310, 74),
     ] {
         let r = run(seed);
-        assert_eq!(r.forces, forces, "seed {seed}: forces");
+        assert_eq!(r.log.forces, forces, "seed {seed}: forces");
         assert_eq!(r.committed, committed, "seed {seed}: committed");
         assert_eq!(r.aborted, aborted, "seed {seed}: aborted");
-        assert_eq!(r.messages, messages, "seed {seed}: messages");
-        assert_eq!(r.donations, donations, "seed {seed}: donations");
+        assert_eq!(r.net.sent, messages, "seed {seed}: messages");
+        assert_eq!(r.txn.donations(), donations, "seed {seed}: donations");
     }
 }
 
@@ -41,9 +41,9 @@ fn group_commit_counters_are_stable_across_reruns() {
     for seed in [1u64, 7, 42] {
         let a = run(seed);
         let b = run(seed);
-        assert_eq!(a.forces, b.forces, "seed {seed}: forces drifted");
+        assert_eq!(a.log.forces, b.log.forces, "seed {seed}: forces drifted");
         assert_eq!(a.committed, b.committed, "seed {seed}");
         assert_eq!(a.aborted, b.aborted, "seed {seed}");
-        assert_eq!(a.messages, b.messages, "seed {seed}");
+        assert_eq!(a.net.sent, b.net.sent, "seed {seed}");
     }
 }

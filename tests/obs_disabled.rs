@@ -66,9 +66,9 @@ fn a_traced_off_run_buffers_nothing_and_moves_no_counter() {
         [
             report.committed,
             report.aborted,
-            report.forces,
-            report.messages,
-            report.wire_bytes
+            report.log.forces,
+            report.net.sent,
+            report.net.wire_bytes
         ],
         absent[..5]
     );

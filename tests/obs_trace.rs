@@ -142,8 +142,8 @@ fn every_counted_solicitation_is_traced() {
         .iter()
         .filter(|e| matches!(e.kind, EventKind::TxnSolicit { .. }))
         .count() as u64;
-    assert!(r.requests > 0);
-    assert_eq!(traced, r.requests);
+    assert!(r.txn.requests_sent() > 0);
+    assert_eq!(traced, r.txn.requests_sent());
 }
 
 #[test]
@@ -226,7 +226,11 @@ fn trad_traces_match_goldens() {
     let two = trad_recovery_scenario(CommitProtocol::TwoPhase, "obs/trad-2pc").run();
     assert_eq!((two.committed, two.aborted, two.still_blocked), (1, 1, 0));
     assert_eq!(two.recovery_remote_msgs, 1, "in-doubt re-entry queried");
-    assert_eq!((two.messages, two.forces), (97, 17), "retries and queries");
+    assert_eq!(
+        (two.net.sent, two.log.forces),
+        (97, 17),
+        "retries and queries"
+    );
     assert_eq!(
         two.trace_jsonl(),
         include_str!("golden/obs_trad_2pc.jsonl"),
@@ -239,7 +243,7 @@ fn trad_traces_match_goldens() {
         (1, 1, 0),
         "3PC terminates on its own"
     );
-    assert_eq!((three.messages, three.forces), (138, 17));
+    assert_eq!((three.net.sent, three.log.forces), (138, 17));
     assert_eq!(
         three.trace_jsonl(),
         include_str!("golden/obs_trad_3pc.jsonl"),

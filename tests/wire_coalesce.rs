@@ -36,14 +36,17 @@ fn datagrams_and_protocol_outcomes_on_standard_banking_are_pinned() {
     ] {
         let r = run(seed);
         assert_eq!(r.datagrams, datagrams, "seed {seed}: datagrams");
-        assert_eq!(r.frames, frames, "seed {seed}: frames");
+        assert_eq!(r.net.frames_sent, frames, "seed {seed}: frames");
         assert_eq!(r.committed, committed, "seed {seed}: committed");
         assert_eq!(r.aborted, aborted, "seed {seed}: aborted");
-        assert_eq!(r.donations, donations, "seed {seed}: donations");
-        assert_eq!(r.requests, requests, "seed {seed}: requests");
+        assert_eq!(r.txn.donations(), donations, "seed {seed}: donations");
+        assert_eq!(r.txn.requests_sent(), requests, "seed {seed}: requests");
         // Vm traffic is a strict part of the wire: requests and lease
         // releases are frames of their own, never datagrams.
-        assert!(0 < r.datagrams && r.datagrams < r.frames, "seed {seed}");
+        assert!(
+            0 < r.datagrams && r.datagrams < r.net.frames_sent,
+            "seed {seed}"
+        );
     }
 }
 
@@ -53,8 +56,11 @@ fn coalescing_counters_are_stable_across_reruns() {
         let a = run(seed);
         let b = run(seed);
         assert_eq!(a.datagrams, b.datagrams, "seed {seed}: datagrams drifted");
-        assert_eq!(a.wire_bytes, b.wire_bytes, "seed {seed}: bytes drifted");
-        assert_eq!(a.messages, b.messages, "seed {seed}");
+        assert_eq!(
+            a.net.wire_bytes, b.net.wire_bytes,
+            "seed {seed}: bytes drifted"
+        );
+        assert_eq!(a.net.sent, b.net.sent, "seed {seed}");
         assert_eq!(a.committed, b.committed, "seed {seed}");
         assert_eq!(a.aborted, b.aborted, "seed {seed}");
     }
