@@ -17,7 +17,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use dvp_core::{ConcMode, Placement, ReactivePlacement, SiteConfig};
+use dvp_core::{ConcMode, Placement, SiteConfig};
 use dvp_nemesis::{
     ddmin, generate, lossy_environment, run_campaign, CampaignConfig, CampaignResult,
     FaultSchedule, Intensity, Replay,
@@ -83,19 +83,18 @@ pub fn configs() -> Vec<ProtoConfig> {
         checkpoint_every: Some(24),
         ..base
     };
-    let retry_rebalance = SiteConfig::builder()
-        .solicit_retries(2)
-        .placement(Placement::Reactive(ReactivePlacement {
-            rebalance: true,
-            ..Default::default()
-        }))
-        .build();
     // Adaptive placement under the full fault mix: hints, demand
     // estimators, and suspicion are all volatile, so every oracle must
     // still pass with them churning through crashes and partitions.
     let adaptive = SiteConfig::builder()
         .placement(Placement::adaptive())
         .build();
+    // The same with solicitation retries: the rebalancer ships under
+    // retries, and retries run under hint-directed targeting.
+    let retry_adaptive = SiteConfig {
+        solicit_retries: 2,
+        ..adaptive
+    };
     let lazy_acks_ckpt = {
         let mut c = ckpt;
         c.vm.eager_acks = false;
@@ -126,7 +125,7 @@ pub fn configs() -> Vec<ProtoConfig> {
     vec![
         standard("conc1-baseline", base),
         standard("conc1-ckpt", ckpt),
-        standard("conc1-retry-rebalance", retry_rebalance),
+        standard("conc1-retry-adaptive", retry_adaptive),
         standard("conc1-adaptive", adaptive),
         standard("conc1-lazyacks-ckpt", lazy_acks_ckpt),
         // Conc2 assumes a synchronous-ordered network (paper §6.2), so

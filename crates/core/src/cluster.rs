@@ -469,46 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalancer_ships_surplus_toward_demand() {
-        // Site 0 is the hub: all customers buy there. Its first sale
-        // overdraws its quota, so every donor learns where demand lives.
-        // Returned seats then inflate each donor past twice its quota —
-        // the rebalancer's fixed threshold — and with it on they ship the
-        // excess to the hub proactively, so later hub sales hit the fast
-        // path instead of soliciting.
-        let run = |rebalance: bool| {
-            let mut catalog = Catalog::new();
-            let flight = catalog.add("flight", 4_000, Split::Even); // 1000/site
-            let mut cfg = ClusterConfig::new(4, catalog);
-            cfg.site.placement = crate::policy::Placement::Reactive(ReactivePlacement {
-                rebalance,
-                ..Default::default()
-            });
-            cfg = cfg.at(0, ms(1), TxnSpec::reserve(flight, 1_100));
-            for donor in 1..4 {
-                cfg = cfg.at(donor, ms(100), TxnSpec::release(flight, 1_500));
-            }
-            for k in 0..9u64 {
-                cfg = cfg.at(0, ms(200 + k * 30), TxnSpec::reserve(flight, 100));
-            }
-            let mut cl = Cluster::build(cfg);
-            cl.run_until(ms(5_000));
-            cl.auditor().check_conservation().unwrap();
-            let m = cl.stats().txn;
-            (m.committed(), m.requests_sent(), m.rebalances())
-        };
-        let (c0, req0, rb0) = run(false);
-        let (c1, req1, rb1) = run(true);
-        assert_eq!(rb0, 0);
-        assert!(rb1 > 0, "rebalancer must fire");
-        assert!(c1 >= c0, "rebalancing must not lose commits: {c1} vs {c0}");
-        assert!(
-            req1 < req0,
-            "proactive shipping must cut solicitation: {req1} vs {req0}"
-        );
-    }
-
-    #[test]
     fn checkpoints_bound_the_log() {
         let run = |every: Option<usize>| {
             let (catalog, flight) = seats_catalog(100_000);
@@ -595,7 +555,6 @@ mod tests {
         cfg.site.placement = crate::policy::Placement::Reactive(ReactivePlacement {
             fanout: Fanout::One,
             refill: RefillPolicy::All,
-            rebalance: false,
         });
         let mut cl = Cluster::build(cfg);
         cl.run_to_quiescence();

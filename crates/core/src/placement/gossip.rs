@@ -231,7 +231,7 @@ mod tests {
     /// Site 0 of 4 over a 16-item catalog, with `offers` on the table
     /// (what a `gossip` refresh would have left there).
     fn offering(offers: &[(NodeId, &[(u32, Qty)])]) -> Planner {
-        let mut p = Planner::new(0, 4, Placement::adaptive(), vec![100; 16]);
+        let mut p = Planner::new(0, 4, Placement::adaptive(), 16);
         for &(peer, list) in offers {
             offer(&mut p, peer, list);
         }

@@ -13,18 +13,19 @@
 //! volatile: [`Planner::reset`] is what a crash does to it. DESIGN.md
 //! §4h has the API table.
 //!
-//! Inbound hints, demand estimation and solicitation targeting live
-//! here, with the periodic rebalance tick; `gossip` owns everything
-//! outbound (the per-peer offers and the gate on what rides each
-//! datagram).
+//! Inbound hints, demand estimation, solicitation targeting and donation
+//! sizing live here, with the periodic rebalance tick; `gossip` owns
+//! everything outbound (the per-peer offers and the gate on what rides
+//! each datagram). The planner is the only code that reads the
+//! [`Placement`] policy: the site hands it over at construction and
+//! never branches on it again.
 
 mod gossip;
 
 pub use gossip::Section;
 
-use crate::dense::SVec;
 use crate::item::ItemId;
-use crate::policy::{Fanout, HintChaos, Placement};
+use crate::policy::{Fanout, HintChaos, Placement, RefillPolicy};
 use crate::Qty;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_simnet::NodeId;
@@ -35,11 +36,6 @@ use gossip::Gossip;
 /// cadence is sized for drift detection (hotspot epochs are seconds),
 /// not per-transaction reaction — solicitation handles that.
 const ADAPTIVE_REBALANCE_EVERY: SimDuration = SimDuration::millis(100);
-/// How often the reactive arm's fixed-threshold rebalancer wakes.
-const REACTIVE_REBALANCE_EVERY: SimDuration = SimDuration::millis(25);
-/// The reactive rebalancer keeps this multiple of a site's initial
-/// quota and ships any excess beyond it.
-const REACTIVE_SURPLUS_FACTOR: f64 = 2.0;
 /// EWMA gain of the demand and hint-trust estimators (higher tracks
 /// shifts faster but is noisier).
 const DEMAND_GAIN: f64 = 0.25;
@@ -121,11 +117,8 @@ pub struct Planner {
     id: NodeId,
     n: usize,
     policy: Placement,
-    /// Initial per-item quota (the reactive rebalancer's target level).
-    quotas: Vec<Qty>,
-    /// Last site to solicit each item — where demand lives (the
-    /// reactive rebalancer's targeting signal).
-    demand_hint: Vec<Option<NodeId>>,
+    /// Catalog size: item ids at or past it have no table slot.
+    items: usize,
     /// This site's own per-item demand EWMA, fed by local transaction
     /// demands and timeout deficits.
     own_demand: Vec<f64>,
@@ -155,19 +148,17 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner for site `id` of `n`, with nothing observed yet.
-    /// `quotas[i]` is the site's initial fragment of item `i`.
-    pub fn new(id: NodeId, n: usize, policy: Placement, quotas: Vec<Qty>) -> Self {
-        let k = quotas.len();
+    /// A planner for site `id` of `n` over a catalog of `items` items,
+    /// with nothing observed yet.
+    pub fn new(id: NodeId, n: usize, policy: Placement, items: usize) -> Self {
         Planner {
             id,
             n,
             policy,
-            quotas,
-            demand_hint: vec![None; k],
-            own_demand: vec![0.0; k],
-            peer_demand: vec![0.0; k * n],
-            hint_table: vec![None; k * n],
+            items,
+            own_demand: vec![0.0; items],
+            peer_demand: vec![0.0; items * n],
+            hint_table: vec![None; items * n],
             hint_confidence: 1.0,
             rebalance_candidate: None,
             suspect_until: vec![None; n],
@@ -179,17 +170,14 @@ impl Planner {
     /// Forget everything observed: the planner's entire memory describes
     /// a pre-crash world, so a crash replaces it with a fresh one.
     pub fn reset(&mut self) {
-        let quotas = std::mem::take(&mut self.quotas);
-        *self = Planner::new(self.id, self.n, self.policy, quotas);
+        *self = Planner::new(self.id, self.n, self.policy, self.items);
     }
 
-    /// The rebalance wake interval, if any arm of the policy rebalances.
+    /// The rebalance wake interval: only the adaptive arm rebalances.
     pub fn rebalance_every(&self) -> Option<SimDuration> {
-        match self.policy {
-            Placement::Static => None,
-            Placement::Reactive(r) => r.rebalance.then_some(REACTIVE_REBALANCE_EVERY),
-            Placement::Adaptive(_) => Some(ADAPTIVE_REBALANCE_EVERY),
-        }
+        self.policy
+            .is_adaptive()
+            .then_some(ADAPTIVE_REBALANCE_EVERY)
     }
 
     // ---- observations ------------------------------------------------------
@@ -201,11 +189,10 @@ impl Planner {
         }
     }
 
-    /// `from` solicited `item`: remember where demand lives, and (for a
-    /// refill) feed the per-peer estimator with the larger of the
-    /// instant need and the requester's advertised figure.
+    /// `from` solicited `item`: for a refill, feed the per-peer estimator
+    /// with the larger of the instant need and the requester's advertised
+    /// figure.
     pub fn peer_request(&mut self, item: ItemId, from: NodeId, need: Qty, demand: Qty, read: bool) {
-        self.demand_hint[item.0 as usize] = Some(from);
         if !read && self.policy.is_adaptive() {
             let e = &mut self.peer_demand[item.0 as usize * self.n + from];
             ewma(e, demand.max(need) as f64);
@@ -213,7 +200,8 @@ impl Planner {
     }
 
     /// Record availability hints that arrived from `from` (through the
-    /// chaos knob, for the safety-inertness tests).
+    /// chaos knob, for the safety-inertness tests). A slot holds the last
+    /// write, so a duplicated hint is idempotent by construction.
     pub fn hints_from(
         &mut self,
         from: NodeId,
@@ -222,15 +210,13 @@ impl Planner {
     ) {
         match self.policy.adaptive_params().map(|a| a.chaos) {
             None | Some(HintChaos::Drop) => return, // subsystem off, or chaos
-            // `Duplicate` needs no second pass: a slot holds the last
-            // write, so applying a hint twice is applying it once.
-            Some(HintChaos::None | HintChaos::Duplicate | HintChaos::Stale) => {}
+            Some(HintChaos::None | HintChaos::Stale) => {}
         }
         for (item, surplus) in hints {
             // Hints arrive off the wire: an id outside the catalog has no
             // table slot (and could never match a solicitation), so it is
             // dropped rather than trusted.
-            if (item as usize) < self.quotas.len() {
+            if (item as usize) < self.items {
                 self.hint_table[item as usize * self.n + from] = Some((surplus, now));
             }
         }
@@ -301,63 +287,34 @@ impl Planner {
         need.max(ceil_qty(self.own_demand[item.0 as usize]))
     }
 
-    /// Predictive refill: what a donor holding `have` adds to its `base`
-    /// refill to top the requester up toward its advertised ongoing
+    /// What a donor holding `have` grants a refill of `need` whose
+    /// requester advertised an ongoing `demand`. `Static` grants nothing
+    /// and the reactive arm follows its [`RefillPolicy`]. The adaptive
+    /// arm grants the exact deficit plus a predictive top-up toward
     /// `demand`, capped by what the donor can spare beyond its own
     /// predicted needs — one Vm now instead of another solicitation
-    /// round-trip soon. Zero when the adaptive subsystem is off.
-    pub fn refill_extra(&self, item: ItemId, need: Qty, demand: Qty, base: Qty, have: Qty) -> Qty {
-        if !self.policy.is_adaptive() {
-            return 0;
-        }
-        let spare = spare(have, self.own_demand[item.0 as usize]);
-        demand.saturating_sub(need).min(spare.saturating_sub(base))
-    }
-
-    /// One rebalance tick: the spontaneous Rds transfers to make now,
-    /// shipping surplus value toward observed demand. The reactive arm
-    /// ships every unlocked item's excess over the fixed
-    /// `REACTIVE_SURPLUS_FACTOR ×` quota threshold to the item's *last*
-    /// solicitor; the adaptive arm sizes and targets by the demand EWMAs,
-    /// at most one ship a tick, and decays the estimates. Beside the
-    /// ships: how many demand rows the adaptive scan read slot by slot.
-    pub fn plan_rebalance(&mut self, now: SimTime, view: &impl View) -> (SVec<Ship, 1>, u64) {
-        let mut ships = SVec::new();
+    /// round-trip soon. Never more than `have`: the top-up only fills
+    /// the deficit up to `spare`, which `have` bounds.
+    pub fn refill(&self, item: ItemId, need: Qty, demand: Qty, have: Qty) -> Qty {
         match self.policy {
-            Placement::Reactive(r) if r.rebalance => {
-                for (idx, &quota) in self.quotas.iter().enumerate() {
-                    let item = ItemId(idx as u32);
-                    if quota == 0 || view.locked(item) {
-                        continue;
-                    }
-                    let have = view.have(item);
-                    let threshold = ceil_qty(REACTIVE_SURPLUS_FACTOR * quota as f64);
-                    if have <= threshold {
-                        continue;
-                    }
-                    match self.demand_hint[idx] {
-                        // Ship the excess above the threshold (keep `threshold`).
-                        Some(to) if to != self.id => ships.push((item, to, have - threshold)),
-                        _ => {} // no demand signal: leave the value be
-                    }
-                }
-            }
+            Placement::Static => 0,
+            Placement::Reactive(r) => r.refill.amount(need, have),
             Placement::Adaptive(_) => {
-                let (ship, rows_scanned) = self.plan_adaptive(now, view);
-                return (ship.into_iter().collect(), rows_scanned);
+                let base = RefillPolicy::DemandExact.amount(need, have);
+                let spare = spare(have, self.own_demand[item.0 as usize]);
+                base + demand.saturating_sub(need).min(spare.saturating_sub(base))
             }
-            Placement::Static | Placement::Reactive(_) => {}
         }
-        (ships, 0)
     }
 
-    // ---- internals ---------------------------------------------------------
-
-    /// The demand-driven tick: ship toward the peer whose
-    /// solicited-demand estimate is highest, sized by that estimate —
-    /// value migrates to where demand actually is instead of draining to
-    /// whoever asked last. Also returns the rows read slot by slot.
-    fn plan_adaptive(&mut self, now: SimTime, view: &impl View) -> (Option<Ship>, u64) {
+    /// One rebalance tick, the demand-driven one: ship toward the peer
+    /// whose solicited-demand estimate is highest, sized by that
+    /// estimate — value migrates to where demand actually is instead of
+    /// draining to whoever asked last — then decay the estimates. Beside
+    /// the ship: how many demand rows the scan read slot by slot. Every
+    /// estimate stays 0 outside the adaptive arm, so there a tick finds
+    /// nothing.
+    pub fn plan_rebalance(&mut self, now: SimTime, view: &impl View) -> (Option<Ship>, u64) {
         // One ship per tick, for the (item, peer) pair with the strongest
         // demand signal. Rebalance Rds transfers are not free — each one
         // costs a force and a Vm round trip — so the rebalancer moves the
@@ -376,7 +333,7 @@ impl Planner {
         // of an 85 ms full-scale banking run).
         let n = self.n;
         let mut rows_scanned = 0;
-        for item_idx in 0..self.quotas.len() {
+        for item_idx in 0..self.items {
             let base = item_idx * n;
             let own = HEADROOM * self.own_demand[item_idx];
             let row = &self.peer_demand[base..base + n];
@@ -449,6 +406,8 @@ impl Planner {
         }
         (ship, rows_scanned)
     }
+
+    // ---- internals ---------------------------------------------------------
 
     /// The hint TTL scaled by observed hint trust: full `HINT_TTL` while
     /// hints keep paying off, down to a quarter of it when they keep

@@ -7,13 +7,13 @@
 //!
 //! Value-placement policy is folded into a single [`Placement`] type:
 //! [`Placement::Static`] never moves value, [`Placement::Reactive`] is
-//! the paper's baseline (demand-triggered refills plus an optional
-//! fixed-threshold rebalancer), and [`Placement::Adaptive`] layers the
-//! demand-adaptive subsystem on top (per-item demand EWMAs, availability
-//! hints piggybacked on Vm datagrams, hint-directed solicitation,
-//! predictive refill, and a demand-driven rebalancer). The mechanism and
-//! its constants live in [`crate::placement`]. Configurations are
-//! assembled with [`SiteConfig::builder`].
+//! the paper's baseline (value moves only on demand-triggered refills),
+//! and [`Placement::Adaptive`] layers the demand-adaptive subsystem on
+//! top (per-item demand EWMAs, availability hints piggybacked on Vm
+//! datagrams, hint-directed solicitation, predictive refill, and the one
+//! rebalancer, a demand-driven one). The mechanism and its constants
+//! live in [`crate::placement`], the only reader of the policy.
+//! Configurations are assembled with [`SiteConfig::builder`].
 
 use crate::Qty;
 use dvp_simnet::time::SimDuration;
@@ -85,20 +85,14 @@ pub enum ConcMode {
 }
 
 /// The paper-baseline placement policy: value moves only when demanded
-/// (refill solicitations), optionally plus a fixed-threshold rebalancer.
+/// (refill solicitations), never spontaneously — the one rebalancer is
+/// [`Placement::Adaptive`]'s.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReactivePlacement {
     /// Refill donation policy.
     pub refill: RefillPolicy,
     /// Solicitation fan-out.
     pub fanout: Fanout,
-    /// Proactive surplus shipping, off in the paper's baseline: on a
-    /// periodic timer, ship fragment value beyond a fixed multiple of the
-    /// site's initial quota toward the site that most recently solicited
-    /// the item. (The paper treats Rds transactions as free-standing —
-    /// "may simply be used to send requests", §5 — and asks for
-    /// traffic-reducing distribution policies, §9.)
-    pub rebalance: bool,
 }
 
 impl Default for ReactivePlacement {
@@ -106,7 +100,6 @@ impl Default for ReactivePlacement {
         ReactivePlacement {
             refill: RefillPolicy::DemandExact,
             fanout: Fanout::All,
-            rebalance: false,
         }
     }
 }
@@ -117,7 +110,8 @@ impl Default for ReactivePlacement {
 /// configurations keep `None`. The placement proptests run every mode
 /// and assert that no commit/abort decision changes when hints are not
 /// steering (fan-out ≠ `Hinted`), and that every safety oracle holds
-/// when they are.
+/// when they are. There is no duplication mode: a hint slot keeps the
+/// last write, so a duplicated hint is idempotent by construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HintChaos {
     /// Hints are processed normally.
@@ -125,8 +119,6 @@ pub enum HintChaos {
     None,
     /// Every received hint is discarded.
     Drop,
-    /// Every received hint is applied twice.
-    Duplicate,
     /// Every received hint is recorded as already expired.
     Stale,
 }
@@ -161,12 +153,12 @@ pub enum Placement {
     /// The ablation floor: what partitioning costs with no redistribution
     /// at all.
     Static,
-    /// The paper's baseline: demand-triggered refills, optional
-    /// fixed-threshold rebalancer. The default.
+    /// The paper's baseline: demand-triggered refills and nothing else.
+    /// The default.
     Reactive(ReactivePlacement),
     /// The demand-adaptive subsystem: demand EWMAs, piggybacked
     /// availability hints, hint-directed solicitation, predictive refill,
-    /// demand-driven rebalancing.
+    /// demand-driven rebalancing (the only rebalancer).
     Adaptive(AdaptivePlacement),
 }
 
@@ -177,8 +169,8 @@ impl Default for Placement {
 }
 
 impl Placement {
-    /// The default reactive policy (demand-exact refills, full fan-out,
-    /// no rebalancer) — today's and the paper's baseline.
+    /// The default reactive policy (demand-exact refills, full fan-out)
+    /// — today's and the paper's baseline.
     pub fn reactive() -> Self {
         Placement::default()
     }
@@ -195,16 +187,6 @@ impl Placement {
             Placement::Static => Fanout::All,
             Placement::Reactive(r) => r.fanout,
             Placement::Adaptive(a) => a.fanout,
-        }
-    }
-
-    /// Base refill amount a donor grants, before any adaptive top-up.
-    /// `Static` grants nothing.
-    pub fn base_refill(&self, need: Qty, have: Qty) -> Qty {
-        match self {
-            Placement::Static => 0,
-            Placement::Reactive(r) => r.refill.amount(need, have),
-            Placement::Adaptive(_) => RefillPolicy::DemandExact.amount(need, have),
         }
     }
 
@@ -479,14 +461,7 @@ mod tests {
         let p = Placement::default();
         assert_eq!(p, Placement::reactive());
         assert_eq!(p.fanout(), Fanout::All);
-        assert_eq!(p.base_refill(5, 10), 5, "demand-exact");
         assert!(!p.is_adaptive());
-    }
-
-    #[test]
-    fn static_placement_never_grants() {
-        let p = Placement::Static;
-        assert_eq!(p.base_refill(5, 100), 0);
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl SiteNode {
             vm: VmEndpoint::new(id, Self::vm_config(&cfg)),
             durable: Durable::genesis(id, &quotas),
             inject: FaultInjector::new(id, cfg.inject),
-            planner: Planner::new(id, n, cfg.placement, quotas),
+            planner: Planner::new(id, n, cfg.placement, k),
             script,
             active: ActiveTable::default(),
             lock_queue: vec![VecDeque::new(); k],

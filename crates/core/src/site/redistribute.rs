@@ -124,9 +124,7 @@ impl SiteNode {
             }
             (have, TransferKind::ReadGrant)
         } else {
-            let base = self.cfg.placement.base_refill(need, have);
-            let extra = self.planner.refill_extra(item, need, demand, base, have);
-            let amount = (base + extra).min(have);
+            let amount = self.planner.refill(item, need, demand, have);
             if amount == 0 {
                 return self.decline(&ask);
             }
@@ -200,7 +198,7 @@ impl SiteNode {
     // ---- the proactive rebalancer ------------------------------------------
 
     /// Arm the periodic rebalance timer unless one is already pending
-    /// (or the placement policy has none). Called from every entry point
+    /// (or the planner names no cadence). Called from every entry point
     /// that could create work for a tick — start, arrivals, messages —
     /// so the cadence is continuous under load but the timer chain dies
     /// out when the cluster drains (quiescence stays reachable).
@@ -214,43 +212,38 @@ impl SiteNode {
         }
     }
 
-    /// A rebalance tick: carry out the spontaneous Rds transfers the
-    /// planner decided on.
+    /// A rebalance tick: carry out the spontaneous Rds transfer the
+    /// planner decided on, if any.
     pub(super) fn run_rebalance(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         if self.inject.crash_pending() {
             return;
         }
-        let (plan, rows_scanned) = self
+        let (ship, rows_scanned) = self
             .planner
             .plan_rebalance(ctx.now(), &(&self.frags, &self.locks));
         self.metrics.rows_scanned += rows_scanned;
-        let adaptive = self.cfg.placement.is_adaptive();
-        for &(item, to, amount) in plan.iter() {
-            let transfer = Transfer {
-                item,
-                amount,
-                for_txn: Ts::ZERO,
-                donor: self.id,
-                kind: TransferKind::Rebalance,
-            };
-            self.ship(to, &transfer, ctx);
-            self.metrics.rebalances += 1;
-            if adaptive {
-                self.obs
-                    .emit_with(self.id as u32, || EventKind::PlacementShip {
-                        item: item.0,
-                        to: to as u32,
-                        qty: amount,
-                    });
-            }
-        }
-        // An idle adaptive tick (nothing shipped) appended no records and
-        // queued no frames — the trailing flush would be a pure no-op,
-        // and at the adaptive cadence those no-ops add up. The gossip
-        // refresh rides the next real dispatch.
-        if adaptive && plan.is_empty() {
+        // An idle tick appends no records and queues no frames, so its
+        // trailing flush would be a pure no-op, and at the rebalance
+        // cadence those no-ops add up. The gossip refresh rides the next
+        // real dispatch.
+        let Some((item, to, amount)) = ship else {
             return;
-        }
+        };
+        let transfer = Transfer {
+            item,
+            amount,
+            for_txn: Ts::ZERO,
+            donor: self.id,
+            kind: TransferKind::Rebalance,
+        };
+        self.ship(to, &transfer, ctx);
+        self.metrics.rebalances += 1;
+        self.obs
+            .emit_with(self.id as u32, || EventKind::PlacementShip {
+                item: item.0,
+                to: to as u32,
+                qty: amount,
+            });
         self.flush_vm(ctx);
     }
 

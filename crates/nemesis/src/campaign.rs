@@ -115,10 +115,7 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         //   scheduled recovery) is retransmitted every interval forever;
         // - with piggyback-only acks (`eager_acks: false`) a sender's last
         //   Vm is never acked once no reverse traffic carries the ack, so
-        //   it is retransmitted and discarded as a duplicate forever;
-        // - under reactive rebalancing two sites can ship value back and
-        //   forth, each ship's outstanding Vm keeping both rebalance
-        //   timers armed.
+        //   it is retransmitted and discarded as a duplicate forever.
         cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
         let m = cl.stats().txn;
         if let Err(v) = oracle::check_all(&cl, &m) {

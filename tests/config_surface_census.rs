@@ -46,7 +46,6 @@ fn config_surface_census() {
         ReactivePlacement {
             refill,
             fanout,
-            rebalance,
         }
         InjectConfig {
             crashpoint,

@@ -145,7 +145,6 @@ fn fanout_one_skips_a_suspect_donor_while_the_suspicion_is_fresh() {
     cfg.site.placement = Placement::Reactive(ReactivePlacement {
         fanout: Fanout::One,
         refill: RefillPolicy::DemandExact,
-        rebalance: false,
     });
     cfg.faults = FaultPlan::none().crash(ms(0), 2);
     let cfg = cfg

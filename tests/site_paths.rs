@@ -23,7 +23,6 @@ fn fanout_one_rotates_across_donors() {
     cfg.site.placement = Placement::Reactive(ReactivePlacement {
         fanout: Fanout::One,
         refill: RefillPolicy::DemandExact,
-        rebalance: false,
     });
     // Site 0 sells its pool one quota at a time, far apart in time: the
     // first reservation is covered locally; the second and third each
