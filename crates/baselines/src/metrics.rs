@@ -63,6 +63,8 @@ pub struct TradMetrics {
     pub recoveries: u64,
     /// Recoveries that completed with unresolved in-doubt transactions.
     pub recoveries_blocked: u64,
+    /// Checkpoints taken (snapshot + log truncation).
+    pub checkpoints: u64,
 }
 
 impl TradMetrics {

@@ -2,11 +2,21 @@
 //!
 //! Presumed-abort 2PC logging: participants force a `Prepared` record
 //! before voting YES; the coordinator forces a `Decision` record before
-//! announcing commit; participants force `Applied` after installing. A
-//! recovering coordinator answers decision queries from its log (absent ⇒
-//! abort); a recovering participant re-enters the in-doubt state for every
-//! `Prepared` without a matching `Applied`/decision — and must ask around,
-//! which is exactly the dependent recovery DvP avoids.
+//! announcing commit; participants force `Resolved` after installing (or
+//! learning of an abort). A recovering coordinator answers decision
+//! queries from its log (absent ⇒ abort); a recovering participant
+//! re-enters the in-doubt state for every `Prepared` without a matching
+//! `Resolved` — and must ask around, which is exactly the dependent
+//! recovery DvP avoids.
+//!
+//! The log does not keep these records forever. Every
+//! [`CHECKPOINT_EVERY`](dvp_storage::CHECKPOINT_EVERY) stable records a
+//! site checkpoints the state they add up to — replica values and
+//! versions, the prepared-but-unresolved transactions, the commit
+//! decisions not yet acknowledged by every writer — and truncates the log
+//! back to the older retained checkpoint's redo point. Recovery starts
+//! from the newest verifying checkpoint and redoes only the records past
+//! its redo point.
 
 use dvp_core::clock::Ts;
 use dvp_core::ItemId;

@@ -135,7 +135,8 @@ impl TradCluster {
                     }
                     Some(&(prev, prev_site)) if prev != commit => {
                         return Err(format!(
-                            "txn {txn:?} diverged: site {prev_site} resolved {prev},                              site {site} resolved {commit}"
+                            "txn {txn:?} diverged: site {prev_site} resolved {prev}, \
+                             site {site} resolved {commit}"
                         ));
                     }
                     Some(_) => {}

@@ -159,7 +159,6 @@ impl TradNode {
         if part_writes.is_empty() {
             let c = self.coord.remove(&ts).expect("coord txn");
             ctx.cancel_timer(c.timer);
-            self.decisions.insert(ts, true);
             for site in participants {
                 self.send(site, TradBody::ReleaseLocks { txn: ts });
             }
@@ -234,11 +233,11 @@ impl TradNode {
 
     /// Force the commit decision and announce it (with retries).
     fn decide_commit(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
-        self.log.append(TradRecord::Decision {
+        self.durable.append(TradRecord::Decision {
             txn: ts,
             commit: true,
         });
-        self.decisions.insert(ts, true);
+        self.decisions.insert(ts);
         let (writers, started) = {
             let c = self.coord.get_mut(&ts).expect("coord txn");
             c.phase = CoordPhase::Deciding { commit: true };
@@ -282,8 +281,10 @@ impl TradNode {
             return;
         };
         ctx.cancel_timer(c.timer);
-        self.decisions.insert(ts, false);
-        // Presumed abort: no forced decision record needed.
+        // Presumed abort: no forced decision record, and nothing owed. (A
+        // late NO vote — a duplicated `Prepare` — can reach a transaction
+        // already decided commit; from here on it is answered as aborted.)
+        self.decisions.remove(&ts);
         for site in &c.participants {
             match c.phase {
                 CoordPhase::Locking => {
@@ -315,30 +316,20 @@ impl TradNode {
         };
         c.acks_pending.remove(&from);
         if c.acks_pending.is_empty() {
+            // Every writer has resolved durably: nobody can ask again.
             self.coord.remove(&ts);
+            self.decisions.remove(&ts);
         }
     }
 
     pub(super) fn on_query(&mut self, from: NodeId, ts: Ts) {
-        match self.decisions.get(&ts) {
-            Some(&commit) => {
-                self.send(from, TradBody::Decision { txn: ts, commit });
-            }
-            None => {
-                if self.coord.contains_key(&ts) {
-                    // Still deciding: stay silent; the querier will retry.
-                } else {
-                    // Presumed abort: no record, not active ⇒ abort.
-                    self.send(
-                        from,
-                        TradBody::Decision {
-                            txn: ts,
-                            commit: false,
-                        },
-                    );
-                }
-            }
+        let commit = self.decisions.contains(&ts);
+        if !commit && self.coord.contains_key(&ts) {
+            // Still deciding: stay silent; the querier will retry.
+            return;
         }
+        // An owed commit, or presumed abort: not owed, not active ⇒ abort.
+        self.send(from, TradBody::Decision { txn: ts, commit });
     }
 
     /// The lock/vote assembly timer fired.

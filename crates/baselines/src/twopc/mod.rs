@@ -13,6 +13,11 @@
 //!    announces it (with retries until acked); participants install,
 //!    force `Resolved`, and release.
 //!
+//! Like a DvP site, each site checkpoints every
+//! [`CHECKPOINT_EVERY`](dvp_storage::CHECKPOINT_EVERY) stable records and
+//! truncates its log (`durable`), so neither the log nor the
+//! coordinator's decision table grows with the run.
+//!
 //! Presumed abort: an unlogged decision is an abort, so coordinator
 //! crashes before the decision resolve cleanly after recovery. The
 //! blocking the paper's Section 2 proves unavoidable shows up exactly
@@ -22,6 +27,7 @@
 
 mod cluster;
 mod coordinator;
+mod durable;
 mod locks;
 mod msg;
 mod participant;
@@ -33,8 +39,9 @@ pub use msg::{TradBody, TradMsg};
 
 use crate::metrics::{TradAbort, TradMetrics};
 use crate::placement::Placement;
-use crate::record::{TradRecord, VersionedWrite};
+use crate::record::TradRecord;
 use coordinator::CoordTxn;
+use durable::Durable;
 use dvp_core::clock::{LamportClock, Ts};
 use dvp_core::txn::Script;
 use dvp_core::ItemId;
@@ -46,7 +53,7 @@ use dvp_storage::StableLog;
 use locks::LockTable;
 use participant::PartTxn;
 use replica::Replica;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const TAG_KIND_SHIFT: u64 = 56;
 const TAG_COORD_TIMEOUT: u64 = 1 << TAG_KIND_SHIFT;
@@ -107,13 +114,29 @@ pub struct TradNode {
     cfg: TradConfig,
     clock: LamportClock,
     replica: Replica,
-    log: StableLog<TradRecord>,
+    durable: Durable,
     /// This site's arrivals, shared with the cluster config.
     script: Script,
     coord: BTreeMap<Ts, CoordTxn>,
     part: BTreeMap<Ts, PartTxn>,
-    /// Durable + volatile decisions this site (as coordinator) knows.
-    decisions: BTreeMap<Ts, bool>,
+    /// Commit decisions this site (as coordinator) has forced and not
+    /// yet seen every writer acknowledge: exactly what a participant can
+    /// still ask about. Aborts and read-only commits never enter —
+    /// presumed abort answers a query about an unknown, inactive
+    /// transaction with `Decision { commit: false }` — and the last
+    /// `DecisionAck` removes the entry. That is safe because a writer
+    /// acks only after its `Resolved` record is forced (`flush` forces
+    /// before the wire), so no writer queries again, even across a crash.
+    /// A stale query that arrives anyway (sent before the decision
+    /// reached its writer, delivered after the last ack) gets an abort
+    /// answer; the writer has already resolved, so it just re-acks, and
+    /// the answer has the same wire length as a commit.
+    ///
+    /// Recovery reloads the entries still owed from the checkpoint plus
+    /// the redo suffix. A reloaded entry has lost its writer set with its
+    /// volatile `CoordTxn`, so it stays: at most the decisions owed or
+    /// logged within one checkpoint window of each crash.
+    decisions: BTreeSet<Ts>,
     locks: LockTable,
     metrics: TradMetrics,
     /// Final per-transaction outcome this site acted on (audit state for
@@ -129,25 +152,17 @@ pub struct TradNode {
 impl TradNode {
     /// Build a site holding full replicas of every item.
     pub fn new(id: NodeId, n: usize, cfg: TradConfig, totals: Vec<u64>, script: Script) -> Self {
-        let mut log = StableLog::new();
-        for (i, &v) in totals.iter().enumerate() {
-            log.append(TradRecord::Init {
-                item: ItemId(i as u32),
-                value: v,
-            });
-        }
-        log.force();
         TradNode {
             id,
             n,
             cfg,
             clock: LamportClock::new(id),
+            durable: Durable::genesis(&totals),
             replica: Replica::new(totals),
-            log,
             script,
             coord: BTreeMap::new(),
             part: BTreeMap::new(),
-            decisions: BTreeMap::new(),
+            decisions: BTreeSet::new(),
             locks: LockTable::default(),
             metrics: TradMetrics::default(),
             resolutions: BTreeMap::new(),
@@ -158,7 +173,7 @@ impl TradNode {
 
     /// Attach a trace handle (shared into the stable log).
     pub fn set_obs(&mut self, obs: Obs) {
-        self.log.set_obs(obs.clone(), self.id as u32);
+        self.durable.set_obs(obs.clone(), self.id as u32);
         self.obs = obs;
     }
 
@@ -182,7 +197,13 @@ impl TradNode {
 
     /// The stable log (bench/audit inspection — forces per transaction).
     pub fn log(&self) -> &StableLog<TradRecord> {
-        &self.log
+        self.durable.log()
+    }
+
+    /// Commit decisions this site still owes some writer (see the
+    /// coordinator's decision table; memory audit).
+    pub fn decisions_owed(&self) -> usize {
+        self.decisions.len()
     }
 
     /// Replica `(value, version)` of an item (test/audit access).
@@ -192,10 +213,15 @@ impl TradNode {
 
     /// Number of in-doubt participant transactions right now.
     pub fn in_doubt_count(&self) -> usize {
+        self.in_doubt().count()
+    }
+
+    /// The in-doubt participant transactions right now, oldest first.
+    pub fn in_doubt(&self) -> impl Iterator<Item = Ts> + '_ {
         self.part
-            .values()
-            .filter(|p| p.in_doubt_since.is_some())
-            .count()
+            .iter()
+            .filter(|(_, p)| p.in_doubt_since.is_some())
+            .map(|(&txn, _)| txn)
     }
 
     fn send(&mut self, to: NodeId, body: TradBody) {
@@ -207,14 +233,25 @@ impl TradNode {
     /// The flush boundary at the end of every `Node` callback. First the
     /// group commit: one force hardens every record this dispatch
     /// appended, so votes and decisions only leave with their records
-    /// durable. Then the wire: everything `send` buffered leaves, one
-    /// transmission per destination. A peer with a single message gets
-    /// it unwrapped; two or more go out as one [`TradBody::Batch`]
-    /// declaring its logical frame count to the kernel (logical message
-    /// counts — `TradMetrics::messages_sent`, kernel `frames_sent` — are
-    /// unaffected by the batching).
+    /// durable. Then a checkpoint, if one is due: it finds the log clean,
+    /// so it adds no force. Then the wire: everything `send` buffered
+    /// leaves, one transmission per destination. A peer with a single
+    /// message gets it unwrapped; two or more go out as one
+    /// [`TradBody::Batch`] declaring its logical frame count to the kernel
+    /// (logical message counts — `TradMetrics::messages_sent`, kernel
+    /// `frames_sent` — are unaffected by the batching).
     fn flush(&mut self, ctx: &mut Context<'_, TradMsg>) {
-        self.log.force_if_dirty();
+        self.durable.force();
+        if let Some(redo_from) =
+            self.durable
+                .checkpoint_if_due(&self.replica, &self.part, &self.decisions)
+        {
+            self.metrics.checkpoints += 1;
+            self.obs
+                .emit_with(self.id as u32, || EventKind::Checkpoint {
+                    redo_from: redo_from.0,
+                });
+        }
         if self.wire_buf.is_empty() {
             return;
         }
@@ -313,7 +350,7 @@ impl Node for TradNode {
     }
 
     fn on_crash(&mut self) {
-        self.log.crash();
+        self.durable.crash();
         self.wire_buf.clear();
         let lost = std::mem::take(&mut self.coord).len() as u64;
         if lost > 0 {
@@ -329,41 +366,13 @@ impl Node for TradNode {
     fn on_recover(&mut self, ctx: &mut Context<'_, TradMsg>) {
         self.metrics.recoveries += 1;
         self.obs.emit(self.id as u32, EventKind::RecoveryBegin);
-        let records = self.log.recover().expect("stable image must decode");
-        let replayed = records.len() as u64;
-        let mut prepared: BTreeMap<Ts, (u64, Vec<VersionedWrite>)> = BTreeMap::new();
-        let mut resolved: BTreeMap<Ts, bool> = BTreeMap::new();
-        for rec in records {
-            match rec {
-                TradRecord::Init { item, value } => self.replica.init(item, value),
-                TradRecord::Prepared {
-                    txn,
-                    coordinator,
-                    writes,
-                } => {
-                    prepared.insert(txn, (coordinator, writes));
-                }
-                TradRecord::Decision { txn, commit } => {
-                    self.decisions.insert(txn, commit);
-                }
-                TradRecord::Resolved { txn, commit } => {
-                    resolved.insert(txn, commit);
-                }
-            }
-        }
-        // Reinstall writes of resolved-committed transactions.
-        for (txn, _) in resolved.iter().filter(|(_, &commit)| commit) {
-            if let Some((_, writes)) = prepared.get(txn) {
-                self.replica.install(writes);
-            }
-        }
+        let recovered = self.durable.recover(&mut self.replica);
+        let replayed = recovered.replayed;
+        self.decisions = recovered.decisions;
         // Re-enter in-doubt for prepared-but-unresolved transactions.
-        let mut blocked = false;
-        for (txn, (coordinator, writes)) in prepared {
-            if !resolved.contains_key(&txn) {
-                blocked = true;
-                self.reenter_in_doubt(txn, coordinator as NodeId, writes, ctx);
-            }
+        let blocked = !recovered.in_doubt.is_empty();
+        for (txn, (coordinator, writes)) in recovered.in_doubt {
+            self.reenter_in_doubt(txn, coordinator, writes, ctx);
         }
         if blocked {
             self.metrics.recoveries_blocked += 1;

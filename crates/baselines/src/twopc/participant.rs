@@ -104,7 +104,7 @@ impl TradNode {
             );
             return;
         }
-        self.log.append(TradRecord::Prepared {
+        self.durable.append(TradRecord::Prepared {
             txn: ts,
             coordinator: from as u64,
             writes: writes.clone(),
@@ -167,7 +167,8 @@ impl TradNode {
         if let (true, Some(writes)) = (commit, &p.prepared_writes) {
             self.replica.install(writes);
         }
-        self.log.append(TradRecord::Resolved { txn: ts, commit });
+        self.durable
+            .append(TradRecord::Resolved { txn: ts, commit });
         if p.prepared_writes.is_some() {
             self.resolutions.insert(ts, commit);
         }

@@ -4,7 +4,7 @@ use crate::record::VersionedWrite;
 use dvp_core::ItemId;
 
 /// Full replicas of every item, indexed by `item.0`. Volatile: a crash
-/// zeroes it and recovery reinstalls from the log.
+/// zeroes it and recovery restores it from the checkpoint and the log.
 pub(super) struct Replica {
     values: Vec<u64>,
     versions: Vec<u64>,
@@ -39,6 +39,19 @@ impl Replica {
     pub(super) fn init(&mut self, item: ItemId, value: u64) {
         self.values[item.0 as usize] = value;
         self.versions[item.0 as usize] = 0;
+    }
+
+    /// Copy every value and version into `values` / `versions` (a
+    /// checkpoint snapshot; no allocation once they have the size).
+    pub(super) fn snapshot_into(&self, values: &mut Vec<u64>, versions: &mut Vec<u64>) {
+        values.clone_from(&self.values);
+        versions.clone_from(&self.versions);
+    }
+
+    /// Restore every value and version from a checkpoint snapshot.
+    pub(super) fn restore(&mut self, values: &[u64], versions: &[u64]) {
+        self.values.copy_from_slice(values);
+        self.versions.copy_from_slice(versions);
     }
 
     /// A crash: every value and version is lost.

@@ -35,6 +35,8 @@ fn healthy_reservation_commits_via_quorum() {
         .filter(|&s| cl.sim.node(s).replica(flight).0 == 90)
         .count();
     assert!(updated >= 3);
+    // Every writer acked the decision: the coordinator owes nothing.
+    assert_eq!(cl.sim.node(0).decisions_owed(), 0);
 }
 
 #[test]
@@ -238,7 +240,11 @@ fn threepc_diverges_under_partition() {
     let err = cl
         .check_decision_consistency()
         .expect_err("3PC must diverge in this scenario");
-    assert!(err.contains("diverged"), "{err}");
+    // The coordinator's side committed; writer 2, cut off, aborted.
+    assert_eq!(
+        err,
+        "txn ts:1001@s0 diverged: site 0 resolved true, site 2 resolved false"
+    );
 }
 
 #[test]

@@ -24,11 +24,13 @@
 
 #![cfg(feature = "alloc-audit")]
 
+use dvp_baselines::TradNode;
 use dvp_bench::exp_e1_engine::banking;
 use dvp_bench::{alloc_audit, Scenario};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, Placement, SiteConfig, TxnSpec};
 use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_storage::CHECKPOINT_EVERY;
 
 /// Warmup+measure sizes. By the end of `W` the checkpoint-bounded log,
 /// the snapshot scratch and both slot buffers have reached their steady
@@ -239,6 +241,84 @@ fn run_memory_does_not_grow_per_commit() {
          something keeps a record per commit",
         long - short
     );
+}
+
+/// The 2PC twin of [`run_memory_does_not_grow_per_commit`]: the baseline
+/// checkpoints every [`CHECKPOINT_EVERY`] records too, and its coordinator
+/// forgets a decision once every writer has acked it, so neither its logs
+/// nor its decision tables grow with the run. Banking (E1's
+/// `trad2pc_banking` script) runs at 2,000 and at 4,000 transactions, each
+/// site checkpointing at least twice in the shorter run: the longer run's
+/// retained records, log bytes and owed decisions may exceed the
+/// shorter's by at most one checkpoint window per site.
+///
+/// The live heap still grows per commit, and this pins by how much:
+/// 98.7 B per extra commit measured, 128 B allowed. The holder left is
+/// `resolutions`, the per-site audit map of every outcome a participant
+/// acted on (`check_decision_consistency` and 3PC's state replies read
+/// it): about 3.8 entries per transaction. With the log unbounded and
+/// every decision kept, the same runs grew 882 B per extra commit.
+#[test]
+fn trad_run_memory_does_not_grow_per_commit() {
+    const PER_COMMIT: i64 = 128;
+    let run = |txns| {
+        let mut cl = Scenario::trad(&banking(txns)).build_trad();
+        let live = alloc_audit::thread_live_bytes();
+        cl.sim.run_to_quiescence();
+        let grown = live_growth(live) as i64;
+        let nodes = cl.sim.nodes();
+        let m = cl.metrics();
+        assert!(
+            m.sites.iter().all(|s| s.checkpoints >= 2),
+            "every site must checkpoint at least twice at {txns} txns"
+        );
+        Footprint {
+            commits: m.committed() as i64,
+            grown,
+            records: nodes.iter().map(|s| s.log().stable_len()).sum(),
+            image: nodes.iter().map(|s| s.log().stable_image_len()).sum(),
+            owed: nodes.iter().map(TradNode::decisions_owed).sum(),
+        }
+    };
+    let (short, long) = (run(2_000), run(4_000));
+    let extra = long.commits - short.commits;
+    let per_commit = (long.grown - short.grown) as f64 / extra as f64;
+    println!("2PC banking: {short:?}, then {long:?}: {per_commit:.1} B per extra commit");
+    let window = banking(2_000).scripts.len() * CHECKPOINT_EVERY;
+    let window_bytes = window * short.image.div_ceil(short.records);
+    assert!(
+        long.records <= short.records + window && long.image <= short.image + window_bytes,
+        "the retained logs grew past one checkpoint window per site: {} records ({} B), \
+         then {} records ({} B)",
+        short.records,
+        short.image,
+        long.records,
+        long.image
+    );
+    assert!(
+        long.owed <= short.owed + window,
+        "owed decisions grew with the run: {} then {}",
+        short.owed,
+        long.owed
+    );
+    assert!(
+        long.grown - short.grown <= PER_COMMIT * extra,
+        "{extra} extra commits grew the heap by {} B, more than {PER_COMMIT} B each",
+        long.grown - short.grown
+    );
+}
+
+/// What a drained 2PC run leaves resident.
+#[derive(Debug)]
+struct Footprint {
+    commits: i64,
+    /// Net live-heap growth of the run phase.
+    grown: i64,
+    /// Records and bytes the sites' logs retain, summed.
+    records: usize,
+    image: usize,
+    /// Commit decisions still owed, summed.
+    owed: usize,
 }
 
 /// The script gate: the arrival script is resident **once**. With the

@@ -17,7 +17,7 @@
 
 use crate::Qty;
 use dvp_simnet::time::SimDuration;
-use dvp_storage::TornWrite;
+use dvp_storage::{TornWrite, CHECKPOINT_EVERY};
 use dvp_vmsg::VmConfig;
 
 /// How much value a donor ships when honouring a refill request.
@@ -286,8 +286,9 @@ pub struct SiteConfig {
     /// Take a checkpoint (snapshot + log truncation) once the stable log's
     /// un-checkpointed suffix reaches this many records — §7's "the number
     /// of redo actions required can be reduced in the usual manner".
-    /// Default `Some(256)`, which bounds the log and the redo a crash
-    /// costs; `None` = never, for runs that need the whole history.
+    /// Default `Some(CHECKPOINT_EVERY)` (256, the interval the 2PC
+    /// baseline checkpoints at too), which bounds the log and the redo a
+    /// crash costs; `None` = never, for runs that need the whole history.
     pub checkpoint_every: Option<usize>,
     /// **Ablation-only.** Disable the donor-side rule that a site with
     /// outstanding Vms for an item must refuse read solicitations
@@ -316,7 +317,7 @@ impl Default for SiteConfig {
             conc: ConcMode::Conc1,
             vm: VmConfig::default(),
             solicit_retries: 0,
-            checkpoint_every: Some(256),
+            checkpoint_every: Some(CHECKPOINT_EVERY),
             unsafe_skip_read_drain_gate: false,
             unsafe_skip_recovery_redo: false,
             inject: InjectConfig::default(),

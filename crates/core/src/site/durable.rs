@@ -13,8 +13,8 @@ use crate::Qty;
 use dvp_obs::{EventKind, Obs};
 use dvp_simnet::NodeId;
 use dvp_storage::{
-    CheckpointSlot, DecodeError, Lsn, Record, RecordReader, RecordWriter, SalvageOutcome,
-    StableLog, TornWrite,
+    CheckpointSlot, CheckpointedLog, DecodeError, Lsn, Record, RecordReader, RecordWriter,
+    SalvageOutcome, StableLog, TornWrite,
 };
 use dvp_vmsg::{ChannelSnapshot, VmConfig, VmEndpoint, VmLogOp};
 use std::borrow::Borrow;
@@ -110,15 +110,9 @@ pub(super) type SiteLog = StableLog<SiteRecord>;
 /// The durable component of a site.
 pub(super) struct Durable {
     site: NodeId,
-    log: SiteLog,
-    /// Crash-surviving checkpoint slot (stable storage, like the log).
-    checkpoint: CheckpointSlot<SiteSnapshot>,
-    /// Durable records the log still retains *below* the checkpoint's
-    /// redo point (two-generation retention keeps the previous window).
-    /// `stable_len() - redo_covered` is the un-checkpointed suffix the
-    /// checkpoint trigger reads on every flush; set when a checkpoint
-    /// truncates and recounted by every recovery scan.
-    redo_covered: usize,
+    /// The log and its checkpoint slot (stable storage both), with the
+    /// count that says when the next checkpoint is due.
+    stable: CheckpointedLog<SiteRecord, SiteSnapshot>,
     /// Group commit: a record that must be durable before this dispatch's
     /// frames leave was appended, so the flush boundary owes one force.
     /// Stays `false` across ack-only dispatches — lazy `AckObserved`
@@ -151,9 +145,7 @@ impl Durable {
         log.force();
         Durable {
             site,
-            log,
-            checkpoint: CheckpointSlot::new(),
-            redo_covered: 0,
+            stable: CheckpointedLog::new(log),
             needs_flush: false,
             vm_ops_scratch: Vec::new(),
             snapshot_scratch: SiteSnapshot::default(),
@@ -164,12 +156,12 @@ impl Durable {
     }
 
     pub(super) fn set_obs(&mut self, obs: Obs) {
-        self.log.set_obs(obs.clone(), self.site as u32);
+        self.stable.log.set_obs(obs.clone(), self.site as u32);
         self.obs = obs;
     }
 
     pub(super) fn log(&self) -> &SiteLog {
-        &self.log
+        &self.stable.log
     }
 
     pub(super) fn media_failed(&self) -> bool {
@@ -181,7 +173,7 @@ impl Durable {
     }
 
     pub(super) fn append(&mut self, rec: impl Borrow<SiteRecord>) {
-        self.log.append(rec);
+        self.stable.log.append(rec);
     }
 
     /// Append the `[database-actions, message-sequence]` record of a
@@ -196,7 +188,7 @@ impl Durable {
             actions,
             vm_ops,
         };
-        self.log.append(&rec);
+        self.stable.log.append(&rec);
         if let SiteRecord::Rds { mut vm_ops, .. } = rec {
             vm_ops.clear();
             self.vm_ops_scratch = vm_ops;
@@ -213,7 +205,7 @@ impl Durable {
     /// armed-crashpoint paths). Forcing early is always safe — only
     /// *missing* forces endanger durability.
     pub(super) fn force_now(&mut self) {
-        self.log.force_if_dirty();
+        self.stable.log.force_if_dirty();
     }
 
     /// Group commit: a single force at the flush boundary hardens every
@@ -223,7 +215,7 @@ impl Durable {
     /// appended a record that needs it; ack-only dispatches stay lazy.
     pub(super) fn force_at_flush(&mut self) {
         if self.needs_flush {
-            self.log.force_if_dirty();
+            self.stable.log.force_if_dirty();
             self.needs_flush = false;
         }
     }
@@ -235,48 +227,37 @@ impl Durable {
         torn: TornWrite,
     ) -> (&mut SiteLog, &mut CheckpointSlot<SiteSnapshot>) {
         self.needs_flush = false;
-        self.log.crash_torn(torn);
-        (&mut self.log, &mut self.checkpoint)
+        self.stable.log.crash_torn(torn);
+        (&mut self.stable.log, &mut self.stable.slot)
     }
 
-    /// Once the *un-checkpointed* stable suffix has reached `limit`
-    /// records, install a checkpoint of `frags` and `vm` and return its
-    /// redo point. (Not total log length: two-generation retention keeps
-    /// the whole previous window in the log — see
-    /// [`truncate_checkpointed`](Self::truncate_checkpointed) — so a
-    /// total-length trigger would fire on every flush once the first
-    /// window filled.) Only *forced* state may enter the snapshot, so an
-    /// unforced tail is forced first and the snapshot and the redo point
-    /// agree; a clean log costs no force. The snapshot is a retained
-    /// scratch refilled in place, so a checkpoint allocates nothing.
+    /// Once the un-checkpointed stable suffix has reached `limit`
+    /// records, force, install a checkpoint of `frags` and `vm` and
+    /// return its redo point (see [`CheckpointedLog::checkpoint_if_due`]).
+    /// The snapshot is a retained scratch refilled in place, so a
+    /// checkpoint allocates nothing.
     pub(super) fn checkpoint_if_due(
         &mut self,
         limit: usize,
         frags: &FragmentStore,
         vm: &VmEndpoint,
     ) -> Option<Lsn> {
-        if self.log.stable_len() - self.redo_covered < limit {
-            return None;
-        }
-        self.log.force_if_dirty();
-        let redo_from = self.log.next_lsn();
         let snap = &mut self.snapshot_scratch;
-        snap.refill(frags, vm);
-        self.checkpoint.install(redo_from, &*snap);
+        let redo_from = self.stable.checkpoint_if_due(limit, move || {
+            snap.refill(frags, vm);
+            snap
+        })?;
         // Keep the lists' capacity, not the payload handles.
-        for ch in &mut snap.vm {
+        for ch in &mut self.snapshot_scratch.vm {
             ch.outgoing.clear();
         }
         Some(redo_from)
     }
 
-    /// Drop the log prefix the installed checkpoints cover. Retain back
-    /// to the *older* generation's redo point, not the new one's: if the
-    /// slot just written rots, recovery falls back a generation and must
-    /// still find that generation's redo suffix in the log.
+    /// Drop the log prefix the installed checkpoints cover, keeping the
+    /// older generation's redo window.
     pub(super) fn truncate_checkpointed(&mut self) {
-        self.log.truncate_before(self.checkpoint.redo_floor());
-        self.redo_covered = self.log.stable_len();
+        self.stable.truncate_checkpointed();
     }
 
     /// The Section 7 recovery scan: reconstruct fragments, timestamps,
@@ -293,7 +274,7 @@ impl Durable {
         // rotten newest slot must surface *now*, as a generation fallback,
         // not be masked by a stale decoded cache.
         let mut lost_snapshot = false;
-        if let Some(fb) = self.checkpoint.refresh() {
+        if let Some(fb) = self.stable.slot.refresh() {
             metrics.checkpoint_fallbacks += 1;
             lost_snapshot = fb.used_generation.is_none();
             self.obs.emit_with(site, || EventKind::CheckpointFallback {
@@ -305,19 +286,19 @@ impl Durable {
         // then redo the log suffix. Records before the checkpoint were
         // truncated away — unless the crash landed between checkpoint
         // installation and log truncation, in which case the LSN skip
-        // in `redo_entries` keeps the redo from double-applying the
+        // in `recount` keeps the redo from double-applying the
         // snapshotted prefix. A generation fallback lengthens the redo:
         // the log retains back to the older generation's redo point
         // exactly for this.
-        match self.checkpoint.load() {
+        match self.stable.slot.load() {
             Some(cp) => {
                 frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
                 vm.restore(&cp.snapshot.vm);
             }
             None => frags.reset(),
         }
-        let redo_from = self.checkpoint.redo_from();
-        let entries = match self.log.recover_salvage() {
+        let redo_from = self.stable.slot.redo_from();
+        let entries = match self.stable.log.recover_salvage() {
             SalvageOutcome::Clean { entries } => entries,
             SalvageOutcome::TailTear {
                 entries,
@@ -376,11 +357,11 @@ impl Durable {
                 self.quarantine(0, metrics);
             }
         }
-        self.redo_covered = entries.partition_point(|(lsn, _)| *lsn < redo_from);
+        let suffix = self.stable.recount(&entries);
         if !skip_redo {
-            self.last_replayed = (entries.len() - self.redo_covered) as u64;
+            self.last_replayed = suffix.len() as u64;
             metrics.records_replayed += self.last_replayed;
-            redo_entries(frags, vm, &entries, redo_from);
+            redo_entries(frags, vm, suffix);
         }
     }
 
@@ -408,16 +389,15 @@ impl Durable {
     pub(super) fn rebuilt_state(&self, items: usize, vm: VmConfig) -> (FragmentStore, VmEndpoint) {
         let mut frags = FragmentStore::new(items);
         let mut vm = VmEndpoint::new(self.site, vm);
-        if let Some(cp) = self.checkpoint.load() {
+        if let Some(cp) = self.stable.slot.load() {
             frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
             vm.restore(&cp.snapshot.vm);
         }
-        let recovered = self.log.recover_lenient();
+        let recovered = self.stable.log.recover_lenient();
         redo_entries(
             &mut frags,
             &mut vm,
-            &recovered.entries,
-            self.checkpoint.redo_from(),
+            self.stable.redo_suffix(&recovered.entries),
         );
         (frags, vm)
     }
@@ -451,16 +431,10 @@ fn declare_damage(damage: &mut BTreeMap<ItemId, u64>, rec: &SiteRecord) {
     }
 }
 
-/// Redo the log suffix at or past `redo_from` onto `frags`/`vm` (the
-/// shared core of live recovery and the pure rebuild oracle). Entries
-/// below `redo_from` are already reflected in the checkpoint snapshot.
-fn redo_entries(
-    frags: &mut FragmentStore,
-    vm: &mut VmEndpoint,
-    entries: &[(Lsn, SiteRecord)],
-    redo_from: Lsn,
-) {
-    for (_, rec) in entries.iter().filter(|(lsn, _)| *lsn >= redo_from) {
+/// Redo a log suffix the checkpoint does not cover onto `frags`/`vm`
+/// (the shared core of live recovery and the pure rebuild oracle).
+fn redo_entries(frags: &mut FragmentStore, vm: &mut VmEndpoint, suffix: &[(Lsn, SiteRecord)]) {
+    for (_, rec) in suffix {
         match rec {
             SiteRecord::Init { item, qty } => frags.credit(*item, *qty),
             SiteRecord::Rds { txn, actions, .. } | SiteRecord::Commit { txn, actions } => {

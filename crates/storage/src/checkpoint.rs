@@ -16,19 +16,32 @@
 //!
 //! The *database image* is whatever the site wants to snapshot (`S`, any
 //! [`Record`]), stored as a framed byte image next to the log. `dvp-core`
-//! snapshots its fragment store plus Vm channel state. As with the log,
-//! the image is the only copy: a slot keeps no decoded snapshot beside its
-//! bytes, and [`load`] decodes one when recovery asks.
+//! snapshots its fragment store plus Vm channel state; the 2PC baseline
+//! its replicas, prepared transactions and owed decisions. As with the
+//! log, the image is the only copy: a slot keeps no decoded snapshot
+//! beside its bytes, and [`load`] decodes one when recovery asks.
+//!
+//! [`CheckpointedLog`] is the engine-neutral bookkeeping both engines
+//! share: when a checkpoint is due, force-then-install, truncation to the
+//! floor, and the recovery recount. What goes into a snapshot and how a
+//! redo record is applied stay with each engine.
 //!
 //! [`install`]: CheckpointSlot::install
 //! [`load`]: CheckpointSlot::load
 //! [`redo_floor`]: CheckpointSlot::redo_floor
 
 use crate::codec::{crc32, frame_in_place, DecodeError, Record, RecordReader};
+use crate::log::StableLog;
 use crate::lsn::Lsn;
 use bytes::{Buf, Bytes, BytesMut};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
+
+/// The default checkpoint interval of both engines: a site checkpoints
+/// once this many stable records have built up past its last checkpoint.
+/// It bounds the retained log to about two such windows and the redo a
+/// crash costs to about one.
+pub const CHECKPOINT_EVERY: usize = 256;
 
 /// A durable checkpoint: a snapshot `S` plus the LSN from which redo must
 /// resume, stamped with its generation number.
@@ -259,6 +272,94 @@ impl<S: Record> CheckpointSlot<S> {
     }
 }
 
+/// A stable log of `R` records and its checkpoint store of `S`
+/// snapshots, with the count that says when the next checkpoint is due.
+///
+/// Both media are public: the host appends, forces and scans the log and
+/// injects faults into either. It truncates only through
+/// [`truncate_checkpointed`](Self::truncate_checkpointed) and positions a
+/// recovery scan with [`recount`](Self::recount), which keep the trigger's
+/// count right.
+#[derive(Clone, Debug)]
+pub struct CheckpointedLog<R, S> {
+    /// The stable log.
+    pub log: StableLog<R>,
+    /// The two-slot checkpoint store.
+    pub slot: CheckpointSlot<S>,
+    /// Durable records the log still retains *below* the checkpoint's
+    /// redo point (two-generation retention keeps the previous window).
+    /// `log.stable_len() - redo_covered` is the un-checkpointed suffix the
+    /// trigger reads; set when a checkpoint truncates and recounted by
+    /// every recovery scan.
+    redo_covered: usize,
+}
+
+impl<R: Record, S: Record> CheckpointedLog<R, S> {
+    /// `log` with no checkpoint taken yet.
+    pub fn new(log: StableLog<R>) -> Self {
+        CheckpointedLog {
+            log,
+            slot: CheckpointSlot::new(),
+            redo_covered: 0,
+        }
+    }
+
+    /// Once the *un-checkpointed* stable suffix has reached `limit`
+    /// records, install the snapshot `take` produces and return its redo
+    /// point. (Not total log length: two-generation retention keeps the
+    /// whole previous window in the log — see
+    /// [`truncate_checkpointed`](Self::truncate_checkpointed) — so a
+    /// total-length trigger would fire on every call once the first
+    /// window filled.) Only *forced* state may enter the snapshot, so an
+    /// unforced tail is forced first and the snapshot and the redo point
+    /// agree; a clean log costs no force. `take` runs only when a
+    /// checkpoint is due, so a host can refill a retained scratch there
+    /// and checkpoint without allocating.
+    pub fn checkpoint_if_due<'s>(
+        &mut self,
+        limit: usize,
+        take: impl FnOnce() -> &'s S,
+    ) -> Option<Lsn>
+    where
+        S: 's,
+    {
+        if self.log.stable_len() - self.redo_covered < limit {
+            return None;
+        }
+        self.log.force_if_dirty();
+        let redo_from = self.log.next_lsn();
+        self.slot.install(redo_from, take());
+        Some(redo_from)
+    }
+
+    /// Drop the log prefix the installed checkpoints cover. Retain back
+    /// to the *older* generation's redo point, not the new one's: if the
+    /// slot just written rots, recovery falls back a generation and must
+    /// still find that generation's redo suffix in the log.
+    pub fn truncate_checkpointed(&mut self) {
+        self.log.truncate_before(self.slot.redo_floor());
+        self.redo_covered = self.log.stable_len();
+    }
+
+    /// The records of a recovery scan (`entries`, oldest first) that redo
+    /// must apply on top of the newest verifying checkpoint: those at or
+    /// past its `redo_from`. The ones below are already in its snapshot —
+    /// two-generation retention, or a crash between install and
+    /// truncation, leaves them in the log — and must be skipped.
+    pub fn redo_suffix<'e>(&self, entries: &'e [(Lsn, R)]) -> &'e [(Lsn, R)] {
+        let redo_from = self.slot.redo_from();
+        &entries[entries.partition_point(|(lsn, _)| *lsn < redo_from)..]
+    }
+
+    /// [`redo_suffix`](Self::redo_suffix) for the scan recovery runs on:
+    /// the prefix it skips becomes the count the trigger subtracts.
+    pub fn recount<'e>(&mut self, entries: &'e [(Lsn, R)]) -> &'e [(Lsn, R)] {
+        let suffix = self.redo_suffix(entries);
+        self.redo_covered = entries.len() - suffix.len();
+        suffix
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +473,64 @@ mod tests {
         let cp = slot.load().unwrap();
         assert_eq!(cp.snapshot, Snap(44));
         assert_eq!(cp.redo_from, Lsn(4));
+    }
+
+    /// Append and force `n` records.
+    fn grow(cl: &mut CheckpointedLog<Snap, Snap>, n: u64) {
+        for i in 0..n {
+            cl.log.append(Snap(i));
+        }
+        cl.log.force();
+    }
+
+    #[test]
+    fn the_trigger_counts_only_the_un_checkpointed_suffix() {
+        let mut cl = CheckpointedLog::new(StableLog::new());
+        let snap = Snap(7);
+        grow(&mut cl, 3);
+        let not_taken = || -> &Snap { unreachable!("no checkpoint is due") };
+        assert_eq!(cl.checkpoint_if_due(4, not_taken), None);
+        grow(&mut cl, 1);
+        // An unforced tail is forced before the install, so the redo
+        // point lies past it.
+        cl.log.append(Snap(9));
+        assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(Lsn(5)));
+        assert_eq!(cl.log.tail_len(), 0);
+        cl.truncate_checkpointed();
+        // A lone generation falls back to a full replay: nothing goes.
+        assert_eq!(cl.log.stable_len(), 5);
+        // Five records sit in the log, but none is un-checkpointed.
+        grow(&mut cl, 3);
+        assert_eq!(cl.checkpoint_if_due(4, not_taken), None);
+        grow(&mut cl, 1);
+        assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(Lsn(9)));
+    }
+
+    #[test]
+    fn truncation_keeps_the_older_generations_redo_window() {
+        let mut cl = CheckpointedLog::new(StableLog::new());
+        let snap = Snap(7);
+        for redo_from in [Lsn(4), Lsn(8)] {
+            grow(&mut cl, 4);
+            assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(redo_from));
+            cl.truncate_checkpointed();
+        }
+        // Generation 2 redoes from 8, but the log keeps generation 1's
+        // window from 4.
+        let entries = cl.log.recover_entries().unwrap();
+        let lsns: Vec<Lsn> = entries.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(lsns, [Lsn(4), Lsn(5), Lsn(6), Lsn(7)]);
+        assert!(
+            cl.recount(&entries).is_empty(),
+            "generation 2 redoes nothing"
+        );
+        assert_eq!(cl.checkpoint_if_due(4, || &snap), None);
+        // The newest slot rots: recovery falls back to generation 1 and
+        // finds its whole redo window, which the trigger then counts.
+        let newest = cl.slot.newest_valid().unwrap();
+        assert!(cl.slot.corrupt_slot(newest, 3));
+        assert_eq!(cl.recount(&entries), &entries[..]);
+        assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(Lsn(8)));
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub mod codec;
 pub mod log;
 pub mod lsn;
 
-pub use checkpoint::{CheckpointMeta, CheckpointSlot, SlotFallback};
+pub use checkpoint::{
+    CheckpointMeta, CheckpointSlot, CheckpointedLog, SlotFallback, CHECKPOINT_EVERY,
+};
 pub use codec::{DecodeError, Record, RecordReader, RecordWriter};
 pub use log::{
     LogStats, RecoveredLog, SalvageOutcome, SalvageReport, StableLog, TornTail, TornWrite,
