@@ -20,8 +20,9 @@
 //!   hot-spot experiment (Section 8's discussion);
 //! * [`metrics`] — blocking/availability accounting.
 //!
-//! The engine runs on the same `dvp-simnet` substrate and consumes the
-//! same `TxnSpec` workloads as the DvP engine, so every experiment is an
+//! The engine runs on the same `dvp-simnet` substrate and builds from the
+//! same run description as the DvP engine (`dvp_core::ClusterConfig`,
+//! with [`TradConfig`] as its per-site config), so every experiment is an
 //! apples-to-apples sweep.
 
 #![forbid(unsafe_code)]
@@ -36,4 +37,4 @@ pub mod twopc;
 pub use escrow::{EscrowCounter, ExclusiveCounter, ShardedCounter};
 pub use metrics::{TradClusterMetrics, TradMetrics};
 pub use placement::Placement;
-pub use twopc::{CommitProtocol, TradCluster, TradClusterConfig, TradConfig, TradNode};
+pub use twopc::{CommitProtocol, TradCluster, TradConfig, TradNode};

@@ -67,6 +67,13 @@ fn apply(spec: &TxnSpec, read: &BTreeMap<ItemId, (u64, u64)>) -> Option<BTreeMap
     Some(current)
 }
 
+impl CoordTxn {
+    /// Has the outcome been decided (and counted)?
+    pub(super) fn decided(&self) -> bool {
+        matches!(self.phase, CoordPhase::Deciding { .. })
+    }
+}
+
 impl TradNode {
     pub(super) fn begin_txn(&mut self, spec: TxnSpec, ctx: &mut Context<'_, TradMsg>) {
         let ts = self.clock.tick_at(ctx.now().micros());
@@ -200,12 +207,9 @@ impl TradNode {
         yes: bool,
         ctx: &mut Context<'_, TradMsg>,
     ) {
-        if !yes {
-            if self.coord.contains_key(&ts) {
-                self.coordinator_abort(ts, TradAbort::VoteNo, ctx);
-            }
-            return;
-        }
+        // Only a vote still awaited counts. A NO can arrive late: a
+        // duplicated `Prepare` that reaches a writer after it resolved is
+        // answered NO, and it must not undo a decision already taken.
         let Some(c) = self
             .coord
             .get_mut(&ts)
@@ -213,6 +217,10 @@ impl TradNode {
         else {
             return;
         };
+        if !yes {
+            self.coordinator_abort(ts, TradAbort::VoteNo, ctx);
+            return;
+        }
         c.votes_pending.remove(&from);
         if !c.votes_pending.is_empty() {
             return;
@@ -281,10 +289,7 @@ impl TradNode {
             return;
         };
         ctx.cancel_timer(c.timer);
-        // Presumed abort: no forced decision record, and nothing owed. (A
-        // late NO vote — a duplicated `Prepare` — can reach a transaction
-        // already decided commit; from here on it is answered as aborted.)
-        self.decisions.remove(&ts);
+        // Presumed abort: no forced decision record, and nothing owed.
         for site in &c.participants {
             match c.phase {
                 CoordPhase::Locking => {

@@ -34,7 +34,7 @@ mod participant;
 mod replica;
 mod termination;
 
-pub use cluster::{TradCluster, TradClusterConfig};
+pub use cluster::TradCluster;
 pub use msg::{TradBody, TradMsg};
 
 use crate::metrics::{TradAbort, TradMetrics};
@@ -352,7 +352,12 @@ impl Node for TradNode {
     fn on_crash(&mut self) {
         self.durable.crash();
         self.wire_buf.clear();
-        let lost = std::mem::take(&mut self.coord).len() as u64;
+        // A transaction already decided was counted when it was decided;
+        // only the undecided ones are lost with the coordinator.
+        let lost = std::mem::take(&mut self.coord)
+            .into_values()
+            .filter(|c| !c.decided())
+            .count() as u64;
         if lost > 0 {
             *self.metrics.aborted.entry(TradAbort::Crashed).or_insert(0) += lost;
         }

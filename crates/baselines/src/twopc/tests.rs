@@ -4,6 +4,7 @@ use super::*;
 use dvp_core::item::Catalog;
 use dvp_core::item::Split;
 use dvp_core::txn::TxnSpec;
+use dvp_core::{ClusterConfig, FaultPlan};
 use dvp_simnet::network::LinkConfig;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::partition::PartitionSchedule;
@@ -11,6 +12,11 @@ use dvp_simnet::time::SimTime;
 
 fn ms(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::millis(n)
+}
+
+/// A 4-site baseline run over `cat`: reliable network, no faults.
+fn config(cat: Catalog) -> ClusterConfig<TradConfig> {
+    ClusterConfig::new(4, cat).with_site(TradConfig::default())
 }
 
 fn catalog(total: u64) -> (Catalog, ItemId) {
@@ -22,7 +28,7 @@ fn catalog(total: u64) -> (Catalog, ItemId) {
 #[test]
 fn healthy_reservation_commits_via_quorum() {
     let (cat, flight) = catalog(100);
-    let cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    let cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
     let mut cl = TradCluster::build(cfg);
     cl.sim.run_to_quiescence();
     let m = cl.metrics();
@@ -42,7 +48,7 @@ fn healthy_reservation_commits_via_quorum() {
 #[test]
 fn insufficient_value_aborts() {
     let (cat, flight) = catalog(100);
-    let cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 150));
+    let cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 150));
     let mut cl = TradCluster::build(cfg);
     cl.sim.run_to_quiescence();
     let m = cl.metrics();
@@ -53,9 +59,8 @@ fn insufficient_value_aborts() {
 #[test]
 fn read_sees_committed_value() {
     let (cat, flight) = catalog(100);
-    let cfg = TradClusterConfig::new(4, cat)
-        .at(0, ms(1), TxnSpec::reserve(flight, 10))
-        .at(1, ms(100), TxnSpec::read(flight));
+    let write = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    let cfg = write.at(1, ms(100), TxnSpec::read(flight));
     let mut cl = TradCluster::build(cfg);
     cl.sim.run_to_quiescence();
     assert_eq!(cl.metrics().committed(), 2);
@@ -69,7 +74,7 @@ fn minority_partition_cannot_commit() {
     // local quota (see dvp-core's partitioned_minority test).
     let (cat, flight) = catalog(100);
     let sched = PartitionSchedule::fully_connected(4).isolate_at(SimTime::ZERO, &[3]);
-    let mut cfg = TradClusterConfig::new(4, cat).at(3, ms(1), TxnSpec::reserve(flight, 5));
+    let mut cfg = config(cat).at(3, ms(1), TxnSpec::reserve(flight, 5));
     cfg.net = NetworkConfig::reliable().with_partitions(sched);
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(2_000));
@@ -93,7 +98,7 @@ fn partition_after_prepare_blocks_participant() {
     let sched = PartitionSchedule::fully_connected(4)
         .split_at(ms(8), &[&[0, 3], &[1, 2]])
         .heal_at(ms(500));
-    let mut cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
     cfg.net = NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
         ..Default::default()
@@ -123,13 +128,12 @@ fn coordinator_crash_before_decision_resolves_to_abort() {
     // decision was logged. Participants block, query, and — once the
     // coordinator recovers — presumed-abort resolves them.
     let (cat, flight) = catalog(100);
-    let mut cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
     cfg.net = NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
         ..Default::default()
     };
-    cfg.crashes.push((ms(8), 0));
-    cfg.recoveries.push((ms(300), 0));
+    cfg.faults = FaultPlan::none().crash(ms(8), 0).recover(ms(300), 0);
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(2_000));
     let m = cl.metrics();
@@ -148,14 +152,13 @@ fn participant_recovery_requires_remote_messages() {
     // the coordinator — recovery_remote_messages > 0 (contrast with
     // DvP's zero).
     let (cat, flight) = catalog(100);
-    let mut cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
     cfg.net = NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
         ..Default::default()
     };
     // Crash in the in-doubt window (prepared ≈7ms, decision ≈11ms).
-    cfg.crashes.push((ms(8), 1));
-    cfg.recoveries.push((ms(200), 1));
+    cfg.faults = FaultPlan::none().crash(ms(8), 1).recover(ms(200), 1);
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(2_000));
     let m = cl.metrics();
@@ -170,8 +173,8 @@ fn participant_recovery_requires_remote_messages() {
 #[test]
 fn threepc_healthy_commit_works() {
     let (cat, flight) = catalog(100);
-    let mut cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.trad.protocol = CommitProtocol::ThreePhase;
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.site.protocol = CommitProtocol::ThreePhase;
     let mut cl = TradCluster::build(cfg);
     cl.sim.run_to_quiescence();
     let m = cl.metrics();
@@ -188,14 +191,15 @@ fn threepc_is_nonblocking_under_coordinator_crash() {
     // protocol in bounded time, consistently (all abort — no
     // pre-commit was sent).
     let (cat, flight) = catalog(100);
-    let mut cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.trad.protocol = CommitProtocol::ThreePhase;
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.site.protocol = CommitProtocol::ThreePhase;
     cfg.net = NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
         ..Default::default()
     };
-    cfg.crashes.push((ms(8), 0)); // after prepares, before pre-commit
-    cfg.recoveries.push((ms(5_000), 0)); // very late
+    cfg.faults = FaultPlan::none()
+        .crash(ms(8), 0) // after prepares, before pre-commit
+        .recover(ms(5_000), 0); // very late
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(1_000)); // well before the coordinator returns
     let blocked: usize = (0..4).map(|s| cl.sim.node(s).in_doubt_count()).sum();
@@ -226,8 +230,8 @@ fn threepc_diverges_under_partition() {
     let sched = PartitionSchedule::fully_connected(4)
         .split_at(ms(10), &[&[0, 1], &[2, 3]])
         .heal_at(ms(10_000)); // long partition
-    let mut cfg = TradClusterConfig::new(4, cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.trad.protocol = CommitProtocol::ThreePhase;
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.site.protocol = CommitProtocol::ThreePhase;
     cfg.net = NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
         ..Default::default()
@@ -250,8 +254,8 @@ fn threepc_diverges_under_partition() {
 #[test]
 fn primary_copy_routes_through_primary() {
     let (cat, flight) = catalog(100);
-    let mut cfg = TradClusterConfig::new(4, cat).at(1, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.trad.placement = Placement::PrimaryCopy;
+    let mut cfg = config(cat).at(1, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.site.placement = Placement::PrimaryCopy;
     let mut cl = TradCluster::build(cfg);
     cl.sim.run_to_quiescence();
     let m = cl.metrics();
@@ -265,12 +269,130 @@ fn primary_copy_routes_through_primary() {
 fn primary_copy_unavailable_when_primary_isolated() {
     let (cat, flight) = catalog(100);
     let sched = PartitionSchedule::fully_connected(4).isolate_at(SimTime::ZERO, &[0]);
-    let mut cfg = TradClusterConfig::new(4, cat).at(1, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.trad.placement = Placement::PrimaryCopy;
+    let mut cfg = config(cat).at(1, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.site.placement = Placement::PrimaryCopy;
     cfg.net = NetworkConfig::reliable().with_partitions(sched);
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(2_000));
     let m = cl.metrics();
     assert_eq!(m.committed(), 0);
     assert_eq!(m.aborted(), 1);
+}
+
+/// Fixed 2 ms links, with site 2 cut off from 10 ms to 500 ms: after the
+/// votes are in (≈9 ms), before the commit decision reaches it (≈11 ms).
+/// The coordinator then sits in `Deciding`, retrying the decision to
+/// writer 2, while writers 0 and 1 have resolved and acked.
+fn decision_owed_to_writer_2(cat: Catalog, flight: ItemId) -> ClusterConfig<TradConfig> {
+    let sched = PartitionSchedule::fully_connected(4)
+        .isolate_at(ms(10), &[2])
+        .heal_at(ms(500));
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.net = NetworkConfig {
+        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
+        ..Default::default()
+    }
+    .with_partitions(sched);
+    cfg
+}
+
+/// The outcome each site resolved its one transaction with, if any.
+fn resolved<'a>(nodes: impl Iterator<Item = &'a TradNode>) -> Vec<Option<bool>> {
+    nodes
+        .map(|n| n.resolutions().values().next().copied())
+        .collect()
+}
+
+/// A 2PC site that keeps the last `Prepare` it received and, on its
+/// scripted arrival, receives it again: a duplicate the network
+/// delivered late.
+struct Replayer {
+    node: TradNode,
+    prepare: Option<(NodeId, TradMsg)>,
+}
+
+impl Node for Replayer {
+    type Msg = TradMsg;
+
+    fn on_message(&mut self, from: NodeId, msg: TradMsg, ctx: &mut Context<'_, TradMsg>) {
+        if matches!(msg.body, TradBody::Prepare { .. }) {
+            self.prepare = Some((from, msg.clone()));
+        }
+        self.node.on_message(from, msg, ctx);
+    }
+
+    fn on_external(&mut self, tag: u64, ctx: &mut Context<'_, TradMsg>) {
+        match self.prepare.clone() {
+            Some((from, msg)) => self.node.on_message(from, msg, ctx),
+            None => self.node.on_external(tag, ctx),
+        }
+    }
+
+    fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Context<'_, TradMsg>) {
+        self.node.on_timer(id, tag, ctx);
+    }
+
+    fn on_crash(&mut self) {
+        self.node.on_crash();
+    }
+
+    fn on_recover(&mut self, ctx: &mut Context<'_, TradMsg>) {
+        self.node.on_recover(ctx);
+    }
+}
+
+#[test]
+fn late_no_vote_cannot_undo_a_commit() {
+    // Writer 1 resolved commit at ≈11 ms; at 50 ms a duplicate of its
+    // `Prepare` arrives. It holds no locks for the transaction any more,
+    // so it votes NO — while the coordinator is still deciding (writer
+    // 2's ack is owed). The NO must count for nothing: the commit stands
+    // everywhere, and is counted once.
+    let (cat, flight) = catalog(100);
+    let cfg = decision_owed_to_writer_2(cat, flight).at(1, ms(50), TxnSpec::read(flight));
+    let totals = vec![100];
+    let mut sim = cfg.simulate(|s, obs| {
+        let mut node = TradNode::new(s, 4, cfg.site, totals.clone(), cfg.scripts[s].clone());
+        node.set_obs(obs.clone());
+        Replayer {
+            node,
+            prepare: None,
+        }
+    });
+    sim.run_until(ms(49));
+    let nodes = || sim.nodes().iter().map(|r| &r.node);
+    assert_eq!(resolved(nodes()), [Some(true), Some(true), None, None]);
+    sim.run_until(ms(2_000));
+    let nodes = || sim.nodes().iter().map(|r| &r.node);
+    let committed: u64 = nodes().map(|n| n.metrics().committed).sum();
+    let aborted: u64 = nodes().map(|n| n.metrics().total_aborted()).sum();
+    assert_eq!((committed, aborted), (1, 0), "decided once, as a commit");
+    assert_eq!(
+        resolved(nodes()),
+        [Some(true), Some(true), Some(true), None],
+        "every writer commits"
+    );
+    let replicas: Vec<(u64, u64)> = nodes().map(|n| n.replica(flight)).collect();
+    assert_eq!(replicas[..3], [replicas[0]; 3], "the writers agree");
+    assert_eq!((replicas[0].0, replicas[3]), (90, (100, 0)));
+}
+
+#[test]
+fn coordinator_crash_after_the_decision_is_not_an_abort() {
+    // The coordinator decided commit at ≈9 ms and crashes at 30 ms with
+    // writer 2's ack still owed. The commit was counted when it was
+    // decided; the crash loses no undecided transaction. Recovery reloads
+    // the decision, and writer 2's query after the heal learns commit.
+    let (cat, flight) = catalog(100);
+    let mut cfg = decision_owed_to_writer_2(cat, flight);
+    cfg.faults = FaultPlan::none().crash(ms(30), 0).recover(ms(600), 0);
+    let mut cl = TradCluster::build(cfg);
+    cl.run_until(ms(2_000));
+    let m = cl.metrics();
+    assert_eq!((m.committed(), m.aborted()), (1, 0), "decided once");
+    assert_eq!(
+        resolved(cl.sim.nodes().iter()),
+        [Some(true), Some(true), Some(true), None]
+    );
+    cl.check_decision_consistency().unwrap();
 }

@@ -9,35 +9,28 @@
 
 use crate::table::{ms, Table};
 use crate::Scale;
-use dvp_baselines::{Placement, TradCluster, TradClusterConfig, TradConfig};
+use dvp_baselines::{Placement, TradCluster, TradConfig};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, TxnSpec};
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::time::{SimDuration, SimTime};
 
-fn msec(n: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::millis(n)
-}
-
-fn fixed_net() -> NetworkConfig {
-    NetworkConfig {
+/// One full-value read on an `n`-site cluster over fixed 2 ms links: the
+/// run every column shares.
+fn read_config(n: usize) -> ClusterConfig {
+    let mut catalog = Catalog::new();
+    let item = catalog.add("item", 1_000, Split::Even);
+    let read_at = SimTime::ZERO + SimDuration::millis(1);
+    let mut cfg = ClusterConfig::new(n, catalog).at(0, read_at, TxnSpec::read(item));
+    cfg.net = NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
         ..Default::default()
-    }
+    };
+    cfg
 }
 
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.add("item", 1_000, Split::Even);
-    c
-}
-
-/// Run one DvP read on an n-site cluster: (messages, latency µs).
-fn dvp_read(n: usize) -> (u64, u64) {
-    let item = dvp_core::ItemId(0);
-    let mut cfg = ClusterConfig::new(n, catalog());
-    cfg.net = fixed_net();
-    cfg = cfg.at(0, msec(1), TxnSpec::read(item));
+/// Run the read on DvP: (messages, latency µs).
+fn dvp_read(cfg: ClusterConfig) -> (u64, u64) {
     let mut cl = Cluster::build(cfg);
     cl.run_to_quiescence();
     let m = cl.stats().txn;
@@ -46,17 +39,13 @@ fn dvp_read(n: usize) -> (u64, u64) {
     (cl.sim.stats().sent, m.commit_latency_percentile(100.0))
 }
 
-/// Run one baseline read: (messages, latency µs).
-fn trad_read(n: usize, placement: Placement) -> (u64, u64) {
-    let item = dvp_core::ItemId(0);
-    let mut cfg = TradClusterConfig::new(n, catalog());
-    cfg.net = fixed_net();
-    cfg.trad = TradConfig {
+/// Run the read on the baseline under `placement`: (messages, latency µs).
+fn trad_read(cfg: ClusterConfig, placement: Placement) -> (u64, u64) {
+    let site = TradConfig {
         placement,
         ..Default::default()
     };
-    cfg = cfg.at(0, msec(1), TxnSpec::read(item));
-    let mut cl = TradCluster::build(cfg);
+    let mut cl = TradCluster::build(cfg.with_site(site));
     cl.sim.run_to_quiescence();
     let m = cl.metrics();
     assert_eq!(m.committed(), 1);
@@ -87,9 +76,10 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     for &n in sizes {
-        let (dm, dl) = dvp_read(n);
-        let (qm, ql) = trad_read(n, Placement::ReplicatedQuorum);
-        let (pm, pl) = trad_read(n, Placement::PrimaryCopy);
+        let cfg = read_config(n);
+        let (dm, dl) = dvp_read(cfg.clone());
+        let (qm, ql) = trad_read(cfg.clone(), Placement::ReplicatedQuorum);
+        let (pm, pl) = trad_read(cfg, Placement::PrimaryCopy);
         t.row(vec![
             n.to_string(),
             dm.to_string(),

@@ -12,7 +12,8 @@
 
 use crate::table::{ms, Table};
 use crate::Scale;
-use dvp_baselines::{CommitProtocol, TradCluster, TradClusterConfig};
+use dvp_baselines::CommitProtocol::{ThreePhase, TwoPhase};
+use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, TxnSpec};
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
@@ -23,12 +24,6 @@ fn msec(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::millis(n)
 }
 
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.add("acct", 1_000, Split::Even);
-    c
-}
-
 fn fixed_net() -> NetworkConfig {
     NetworkConfig {
         default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
@@ -36,12 +31,16 @@ fn fixed_net() -> NetworkConfig {
     }
 }
 
-/// The partition used by scenario (a): opens at 8ms — right after the 2PC
-/// participants prepared (≈7ms) — and heals at `heal_ms`.
-fn mid_commit_partition(heal_ms: u64) -> PartitionSchedule {
-    PartitionSchedule::fully_connected(4)
-        .split_at(msec(8), &[&[0, 3], &[1, 2]])
-        .heal_at(msec(heal_ms))
+/// One row's run, shared by every engine: a reservation big enough to
+/// require solicitation — the same shape that forces 2PC into its
+/// prepare phase — on `net` under `faults`.
+fn config(net: NetworkConfig, faults: FaultPlan) -> ClusterConfig {
+    let mut catalog = Catalog::new();
+    let acct = catalog.add("acct", 1_000, Split::Even);
+    let mut cfg = ClusterConfig::new(4, catalog).at(0, msec(1), TxnSpec::reserve(acct, 400));
+    cfg.net = net;
+    cfg.faults = faults;
+    cfg
 }
 
 struct Obs {
@@ -50,13 +49,7 @@ struct Obs {
     consistent: bool,
 }
 
-fn observe_dvp(net: NetworkConfig, faults: FaultPlan, probe_at: SimTime, until: SimTime) -> Obs {
-    let mut cfg = ClusterConfig::new(4, catalog());
-    cfg.net = net;
-    cfg.faults = faults;
-    // A reservation big enough to require solicitation — the same shape
-    // that forces 2PC into its prepare phase.
-    cfg = cfg.at(0, msec(1), TxnSpec::reserve(dvp_core::ItemId(0), 400));
+fn observe_dvp(cfg: ClusterConfig, probe_at: SimTime, until: SimTime) -> Obs {
     let mut cl = Cluster::build(cfg);
     cl.run_until(probe_at);
     let undecided: u64 = (0..4).map(|s| cl.sim.node(s).active_txns() as u64).sum();
@@ -70,20 +63,7 @@ fn observe_dvp(net: NetworkConfig, faults: FaultPlan, probe_at: SimTime, until: 
     }
 }
 
-fn observe_trad(
-    protocol: CommitProtocol,
-    net: NetworkConfig,
-    crashes: Vec<(SimTime, usize)>,
-    recoveries: Vec<(SimTime, usize)>,
-    probe_at: SimTime,
-    until: SimTime,
-) -> Obs {
-    let mut cfg = TradClusterConfig::new(4, catalog());
-    cfg.trad.protocol = protocol;
-    cfg.net = net;
-    cfg.crashes = crashes;
-    cfg.recoveries = recoveries;
-    cfg = cfg.at(0, msec(1), TxnSpec::reserve(dvp_core::ItemId(0), 400));
+fn observe_trad(cfg: ClusterConfig<TradConfig>, probe_at: SimTime, until: SimTime) -> Obs {
     let mut cl = TradCluster::build(cfg);
     cl.run_until(probe_at);
     let undecided: u64 = (0..4).map(|s| cl.sim.node(s).in_doubt_count() as u64).sum();
@@ -117,70 +97,41 @@ pub fn run(scale: Scale) -> Table {
     );
     let yn = |b: bool| if b { "yes" } else { "NO" }.to_string();
 
-    // Scenario (a): partition mid-commit. (3PC's partition starts slightly
-    // later — at 10ms — so its pre-commit round has begun; that is the
-    // window in which its termination rule diverges.)
-    // Scenario (b): coordinator crash mid-commit.
-    for (scenario, system) in [
-        ("partition mid-commit", "DvP"),
-        ("partition mid-commit", "2PC"),
-        ("partition mid-commit", "3PC"),
-        ("coordinator crash", "DvP"),
-        ("coordinator crash", "2PC"),
-        ("coordinator crash", "3PC"),
-    ] {
-        let o = match (scenario, system) {
-            ("partition mid-commit", "DvP") => observe_dvp(
-                fixed_net().with_partitions(mid_commit_partition(heal)),
-                FaultPlan::none(),
-                probe,
-                until,
-            ),
-            ("partition mid-commit", "2PC") => observe_trad(
-                CommitProtocol::TwoPhase,
-                fixed_net().with_partitions(mid_commit_partition(heal)),
-                vec![],
-                vec![],
-                probe,
-                until,
-            ),
-            ("partition mid-commit", "3PC") => {
-                let sched3 = PartitionSchedule::fully_connected(4)
-                    .split_at(msec(10), &[&[0, 1], &[2, 3]])
-                    .heal_at(msec(heal));
-                observe_trad(
-                    CommitProtocol::ThreePhase,
-                    fixed_net().with_partitions(sched3),
-                    vec![],
-                    vec![],
-                    probe,
-                    until,
-                )
-            }
-            ("coordinator crash", "DvP") => observe_dvp(
-                fixed_net(),
-                FaultPlan::none().crash(msec(8), 0).recover(msec(heal), 0),
-                probe,
-                until,
-            ),
-            ("coordinator crash", "2PC") => observe_trad(
-                CommitProtocol::TwoPhase,
-                fixed_net(),
-                vec![(msec(8), 0)],
-                vec![(msec(heal), 0)],
-                probe,
-                until,
-            ),
-            ("coordinator crash", "3PC") => observe_trad(
-                CommitProtocol::ThreePhase,
-                fixed_net(),
-                vec![(msec(8), 0)],
-                vec![(msec(heal), 0)],
-                probe,
-                until,
-            ),
-            _ => unreachable!("unknown cell"),
+    // Scenario (a): a partition opens at 8ms — right after the 2PC
+    // participants prepared (≈7ms) — and heals at `heal`. 3PC's partition
+    // starts slightly later, at 10ms, so its pre-commit round has begun:
+    // that is the window in which its termination rule diverges.
+    let split_at = |at, groups: &[&[usize]]| {
+        let sched = PartitionSchedule::fully_connected(4)
+            .split_at(msec(at), groups)
+            .heal_at(msec(heal));
+        config(fixed_net().with_partitions(sched), FaultPlan::none())
+    };
+    let partition = split_at(8, &[&[0, 3], &[1, 2]]);
+    let partition_3pc = split_at(10, &[&[0, 1], &[2, 3]]);
+    // Scenario (b): the coordinator crashes mid-commit.
+    let crash = config(
+        fixed_net(),
+        FaultPlan::none().crash(msec(8), 0).recover(msec(heal), 0),
+    );
+    let dvp = |cfg: &ClusterConfig| observe_dvp(cfg.clone(), probe, until);
+    let trad = |cfg: &ClusterConfig, protocol| {
+        let site = TradConfig {
+            protocol,
+            ..Default::default()
         };
+        observe_trad(cfg.clone().with_site(site), probe, until)
+    };
+    let (a, b) = ("partition mid-commit", "coordinator crash");
+    let rows = [
+        (a, "DvP", dvp(&partition)),
+        (a, "2PC", trad(&partition, TwoPhase)),
+        (a, "3PC", trad(&partition_3pc, ThreePhase)),
+        (b, "DvP", dvp(&crash)),
+        (b, "2PC", trad(&crash, TwoPhase)),
+        (b, "3PC", trad(&crash, ThreePhase)),
+    ];
+    for (scenario, system, o) in rows {
         t.row(vec![
             scenario.into(),
             system.into(),

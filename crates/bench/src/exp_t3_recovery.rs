@@ -13,7 +13,7 @@
 
 use crate::table::{ms, Table};
 use crate::Scale;
-use dvp_baselines::{TradCluster, TradClusterConfig};
+use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, TxnSpec};
 use dvp_obs::{EventKind, Obs};
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
@@ -81,18 +81,20 @@ pub fn run(scale: Scale) -> Table {
 
     for k in [1usize, 3, 7] {
         let w = workload(scale, recover_at);
+        let mut faults = FaultPlan::none();
+        for site in 1..=k {
+            faults = faults.crash(msec(crash_at), site);
+        }
+        // One run for both engines, traced: the first commit is read
+        // from the event stream.
+        let cfg = ClusterConfig {
+            net: fixed_net(),
+            faults: faults.recover(msec(recover_at), 1),
+            trace: true,
+            ..w.cluster()
+        };
         t.row({
-            let mut cfg = ClusterConfig::new(8, w.catalog.clone());
-            cfg.net = fixed_net();
-            cfg.scripts = w.scripts.clone();
-            let mut faults = FaultPlan::none();
-            for site in 1..=k {
-                faults = faults.crash(msec(crash_at), site);
-            }
-            faults = faults.recover(msec(recover_at), 1);
-            cfg.faults = faults;
-            cfg.obs = Obs::enabled();
-            let mut cl = Cluster::build(cfg);
+            let mut cl = Cluster::build(cfg.clone());
             cl.run_until(until);
             cl.auditor().check_conservation().unwrap();
             let m = cl.stats().txn;
@@ -107,19 +109,10 @@ pub fn run(scale: Scale) -> Table {
             ]
         });
         t.row({
-            let mut cfg = TradClusterConfig::new(8, w.catalog.clone());
-            cfg.net = fixed_net();
-            cfg.scripts = w.scripts.clone();
-            for site in 1..=k {
-                cfg.crashes.push((msec(crash_at), site));
-            }
-            cfg.recoveries.push((msec(recover_at), 1));
-            let obs = Obs::enabled();
-            cfg.obs = obs.clone();
-            let mut cl = TradCluster::build(cfg);
+            let mut cl = TradCluster::build(cfg.with_site(TradConfig::default()));
             cl.run_until(until);
             let m = cl.metrics();
-            let ttfc = time_to_first_commit(&obs, msec(recover_at));
+            let ttfc = time_to_first_commit(cl.sim.obs(), msec(recover_at));
             vec![
                 k.to_string(),
                 "2PC".into(),

@@ -17,7 +17,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use dvp_core::{ConcMode, Placement, SiteConfig};
+use dvp_core::{ClusterConfig, ConcMode, Placement, SiteConfig};
 use dvp_nemesis::{
     ddmin, generate, lossy_environment, run_campaign, CampaignConfig, CampaignResult,
     FaultSchedule, Intensity, Replay,
@@ -63,15 +63,15 @@ impl ProtoConfig {
         }
         .generate(seed);
         CampaignConfig {
-            seed,
-            n_sites: N_SITES,
+            cluster: ClusterConfig {
+                site: self.site,
+                net: self.net.clone(),
+                seed,
+                trace,
+                ..w.cluster()
+            },
             horizon_ms: HORIZON_MS,
             audit_points: 10,
-            site: self.site,
-            base_net: self.net.clone(),
-            catalog: w.catalog,
-            scripts: w.scripts,
-            trace,
         }
     }
 }

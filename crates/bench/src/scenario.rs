@@ -8,9 +8,9 @@
 //! enabling `.trace(true)` captures the structured `dvp-obs` event stream
 //! for deterministic JSONL export.
 
-use dvp_baselines::{TradCluster, TradClusterConfig, TradConfig};
+use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::{Cluster, ClusterConfig, ClusterMetrics, FaultPlan, SiteConfig, StatsView};
-use dvp_obs::{to_jsonl, Event, Hist, Obs, PhaseHists};
+use dvp_obs::{to_jsonl, Event, Hist, PhaseHists};
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::stats::NetStats;
 use dvp_simnet::time::SimTime;
@@ -27,8 +27,9 @@ pub enum EngineKind {
     Trad,
 }
 
-/// A declarative description of one engine run: workload, engine,
-/// environment, horizon, seed, and whether to capture a trace.
+/// A declarative description of one engine run: the run itself (a
+/// [`ClusterConfig`]) plus what only a scenario adds — a label, the
+/// engine, the baseline's protocol config and a horizon.
 ///
 /// Build one with [`Scenario::dvp`] or [`Scenario::trad`], chain the
 /// setters you need, then call [`Scenario::run`]. White-box tests that
@@ -38,43 +39,27 @@ pub enum EngineKind {
 pub struct Scenario {
     /// Human-readable label, echoed into the report and trace header.
     pub name: String,
-    /// Item catalog (from the workload).
-    pub catalog: dvp_core::item::Catalog,
-    /// Per-site arrival scripts (the workload's own, shared).
-    pub scripts: Vec<dvp_core::Script>,
     /// Which engine to run.
     pub engine: EngineKind,
-    /// DvP per-site protocol configuration (ignored by the baseline).
-    pub site: SiteConfig,
-    /// Baseline protocol configuration (ignored by DvP).
+    /// The run: catalog, scripts (the workload's own, shared), DvP site
+    /// config, network, faults (both engines honour crashes and
+    /// recoveries; crashpoints are DvP-only), seed and trace flag.
+    pub cluster: ClusterConfig,
+    /// Baseline protocol configuration: replaces `cluster.site` when the
+    /// baseline runs.
     pub trad: TradConfig,
-    /// Network model.
-    pub net: NetworkConfig,
-    /// Crash/recovery schedule (both engines honour crashes and
-    /// recoveries; crashpoints are DvP-only).
-    pub faults: FaultPlan,
     /// Simulation horizon; `None` runs to quiescence.
     pub until: Option<SimTime>,
-    /// Determinism seed.
-    pub seed: u64,
-    /// Capture the structured event stream into the report.
-    pub trace: bool,
 }
 
 impl Scenario {
     fn new(w: &Workload, engine: EngineKind) -> Scenario {
         Scenario {
             name: String::new(),
-            catalog: w.catalog.clone(),
-            scripts: w.scripts.clone(),
             engine,
-            site: SiteConfig::default(),
+            cluster: w.cluster(),
             trad: TradConfig::default(),
-            net: NetworkConfig::reliable(),
-            faults: FaultPlan::none(),
             until: None,
-            seed: 0,
-            trace: false,
         }
     }
 
@@ -107,7 +92,7 @@ impl Scenario {
 
     /// Append a transaction arrival at `site`.
     pub fn at(mut self, site: usize, when: SimTime, spec: dvp_core::TxnSpec) -> Scenario {
-        self.scripts[site].push((when, spec));
+        self.cluster = self.cluster.at(site, when, spec);
         self
     }
 
@@ -119,7 +104,7 @@ impl Scenario {
 
     /// Set the DvP site configuration.
     pub fn site(mut self, site: SiteConfig) -> Scenario {
-        self.site = site;
+        self.cluster.site = site;
         self
     }
 
@@ -131,13 +116,13 @@ impl Scenario {
 
     /// Set the network model.
     pub fn net(mut self, net: NetworkConfig) -> Scenario {
-        self.net = net;
+        self.cluster.net = net;
         self
     }
 
     /// Set the crash/recovery schedule.
     pub fn faults(mut self, faults: FaultPlan) -> Scenario {
-        self.faults = faults;
+        self.cluster.faults = faults;
         self
     }
 
@@ -149,13 +134,13 @@ impl Scenario {
 
     /// Set the determinism seed.
     pub fn seed(mut self, seed: u64) -> Scenario {
-        self.seed = seed;
+        self.cluster.seed = seed;
         self
     }
 
     /// Capture the structured event stream ([`RunReport::events`]).
     pub fn trace(mut self, on: bool) -> Scenario {
-        self.trace = on;
+        self.cluster.trace = on;
         self
     }
 
@@ -164,14 +149,7 @@ impl Scenario {
     /// Panics if the scenario targets the baseline engine.
     pub fn build_dvp(&self) -> Cluster {
         assert_eq!(self.engine, EngineKind::Dvp, "scenario targets Trad");
-        let mut cfg = ClusterConfig::new(self.scripts.len(), self.catalog.clone());
-        cfg.site = self.site;
-        cfg.net = self.net.clone();
-        cfg.faults = self.faults.clone();
-        cfg.scripts = self.scripts.clone();
-        cfg.seed = self.seed;
-        cfg.obs = Obs::new(self.trace);
-        Cluster::build(cfg)
+        Cluster::build(self.cluster.clone())
     }
 
     /// Build the baseline cluster without running it.
@@ -179,15 +157,7 @@ impl Scenario {
     /// Panics if the scenario targets the DvP engine.
     pub fn build_trad(&self) -> TradCluster {
         assert_eq!(self.engine, EngineKind::Trad, "scenario targets DvP");
-        let mut cfg = TradClusterConfig::new(self.scripts.len(), self.catalog.clone());
-        cfg.trad = self.trad;
-        cfg.net = self.net.clone();
-        cfg.crashes = self.faults.crashes.clone();
-        cfg.recoveries = self.faults.recoveries.clone();
-        cfg.scripts = self.scripts.clone();
-        cfg.seed = self.seed;
-        cfg.obs = Obs::new(self.trace);
-        TradCluster::build(cfg)
+        TradCluster::build(self.cluster.clone().with_site(self.trad))
     }
 
     /// Execute the scenario and reduce it to a [`RunReport`].
@@ -213,7 +183,7 @@ impl Scenario {
         let StatsView { txn, vm, log } = cl.stats();
         RunReport {
             scenario: self.name,
-            seed: self.seed,
+            seed: self.cluster.seed,
             committed: txn.committed(),
             aborted: txn.aborted(),
             datagrams: vm.datagrams_sent,
@@ -242,7 +212,7 @@ impl Scenario {
         let net = *cl.sim.stats();
         RunReport {
             scenario: self.name,
-            seed: self.seed,
+            seed: self.cluster.seed,
             committed: m.committed(),
             aborted: m.aborted(),
             datagrams: net.sent,

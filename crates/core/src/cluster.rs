@@ -1,10 +1,11 @@
-//! Cluster orchestration: build, run, and harvest a DvP system.
+//! Cluster orchestration: describe, build, run, and harvest a run.
 //!
-//! [`ClusterConfig`] bundles everything an experiment varies — sites,
-//! catalog, per-site protocol config, network (with partition schedule),
-//! fault plan, workload scripts, seed — and [`Cluster`] turns it into a
-//! running [`Simulation`] plus harvesting helpers. All experiment harness
-//! binaries and most integration tests go through this type.
+//! [`ClusterConfig`] is the one description of a run, for either engine:
+//! catalog, arrival scripts, per-site protocol config, network (with
+//! partition schedule), fault plan, seed and trace flag. [`Cluster`] turns
+//! a DvP description into a running [`Simulation`] plus harvesting
+//! helpers; the 2PC baseline builds its own nodes from the same
+//! description, and both hand them to [`ClusterConfig::simulate`].
 
 use crate::audit::{Auditor, HistorySink};
 use crate::item::Catalog;
@@ -14,6 +15,7 @@ use crate::site::SiteNode;
 use crate::txn::{Script, TxnSpec};
 use dvp_obs::Obs;
 use dvp_simnet::network::NetworkConfig;
+use dvp_simnet::node::Node;
 use dvp_simnet::sim::Simulation;
 use dvp_simnet::time::SimTime;
 use dvp_simnet::NodeId;
@@ -46,51 +48,100 @@ impl FaultPlan {
     }
 }
 
-/// Everything needed to instantiate a DvP cluster.
+/// Everything one run varies, for either engine. `S` is the per-site
+/// protocol config: [`SiteConfig`] for DvP, the baseline's own config for
+/// 2PC. [`with_site`](Self::with_site) swaps it, so a DvP row and a 2PC
+/// row can run the same transactions under the same failures.
 #[derive(Clone, Debug)]
-pub struct ClusterConfig {
-    /// Number of sites.
-    pub n_sites: usize,
+pub struct ClusterConfig<S = SiteConfig> {
     /// The data items and their initial splits.
     pub catalog: Catalog,
+    /// Per-site workload scripts: `scripts[s]` is the list of
+    /// `(arrival time, transaction)` pairs initiated at site `s`, shared
+    /// with whoever generated it and with the built site. Their count is
+    /// the number of sites.
+    pub scripts: Vec<Script>,
     /// Per-site protocol configuration (same at every site).
-    pub site: SiteConfig,
+    pub site: S,
     /// Network model (delays, loss, partitions, ordered mode).
     pub net: NetworkConfig,
     /// Site crash/recovery schedule.
     pub faults: FaultPlan,
-    /// Per-site workload scripts: `scripts[s]` is the list of
-    /// `(arrival time, transaction)` pairs initiated at site `s`, shared
-    /// with whoever generated it and with the built site.
-    pub scripts: Vec<Script>,
     /// RNG seed (drives network delays/loss and nothing else — the
     /// workload is part of the config, pre-generated).
     pub seed: u64,
-    /// Structured trace handle shared by the kernel and every site.
-    /// Disabled by default: the instrumented paths cost one branch.
-    pub obs: Obs,
+    /// Record the structured `dvp-obs` event stream, shared by the kernel
+    /// and every site; read it back through `Simulation::obs`. Off by
+    /// default: the instrumented paths then cost one branch.
+    pub trace: bool,
 }
 
 impl ClusterConfig {
-    /// A minimal config: `n` sites, reliable network, no faults, empty
-    /// scripts.
+    /// A minimal DvP config: `n` sites, reliable network, no faults,
+    /// empty scripts.
     pub fn new(n: usize, catalog: Catalog) -> Self {
         ClusterConfig {
-            n_sites: n,
             catalog,
+            scripts: vec![Script::new(); n],
             site: SiteConfig::default(),
             net: NetworkConfig::reliable(),
             faults: FaultPlan::none(),
-            scripts: vec![Script::new(); n],
             seed: 0,
-            obs: Obs::disabled(),
+            trace: false,
         }
+    }
+}
+
+impl<S> ClusterConfig<S> {
+    /// Number of sites: one per script.
+    pub fn n_sites(&self) -> usize {
+        self.scripts.len()
     }
 
     /// Append a transaction arrival at `site`.
     pub fn at(mut self, site: NodeId, when: SimTime, spec: TxnSpec) -> Self {
         self.scripts[site].push((when, spec));
         self
+    }
+
+    /// The same run under another per-site protocol config (another
+    /// engine's).
+    pub fn with_site<T>(self, site: T) -> ClusterConfig<T> {
+        ClusterConfig {
+            catalog: self.catalog,
+            scripts: self.scripts,
+            site,
+            net: self.net,
+            faults: self.faults,
+            seed: self.seed,
+            trace: self.trace,
+        }
+    }
+
+    /// The simulation both engines' clusters run on: one node per script,
+    /// made by `node(site, &obs)` with the run's trace handle, then every
+    /// arrival, crash and recovery scheduled. At equal instants the kernel
+    /// dispatches in scheduling order, so the order here is part of every
+    /// trajectory: arrivals site by site in script order, then crashes,
+    /// then recoveries, each in plan order.
+    pub fn simulate<N: Node>(&self, mut node: impl FnMut(NodeId, &Obs) -> N) -> Simulation<N> {
+        assert!(self.n_sites() > 0, "a cluster needs at least one site");
+        let obs = Obs::new(self.trace);
+        let nodes = (0..self.n_sites()).map(|s| node(s, &obs)).collect();
+        let mut sim = Simulation::new(nodes, self.net.clone(), self.seed);
+        sim.set_obs(obs);
+        for (s, script) in self.scripts.iter().enumerate() {
+            for (idx, (when, _)) in script.iter().enumerate() {
+                sim.schedule_external(*when, s, idx as u64);
+            }
+        }
+        for &(when, site) in &self.faults.crashes {
+            sim.schedule_crash(when, site);
+        }
+        for &(when, site) in &self.faults.recoveries {
+            sim.schedule_recover(when, site);
+        }
+        sim
     }
 }
 
@@ -124,10 +175,7 @@ impl Cluster {
     /// Instantiate the simulation: construct sites with their quota
     /// splits, schedule all workload arrivals and faults.
     pub fn build(cfg: ClusterConfig) -> Cluster {
-        let n = cfg.n_sites;
-        assert!(n > 0, "cluster needs at least one site");
-        assert_eq!(cfg.scripts.len(), n, "one script per site");
-
+        let n = cfg.n_sites();
         // Per-site quota vectors, one entry per item.
         let mut site_quotas: Vec<Vec<crate::Qty>> = vec![Vec::new(); n];
         for def in cfg.catalog.items() {
@@ -138,29 +186,13 @@ impl Cluster {
         }
 
         let history = HistorySink::new(&cfg.catalog);
-        let nodes: Vec<SiteNode> = (0..n)
-            .map(|s| {
-                let script = cfg.scripts[s].clone();
-                let mut node = SiteNode::new(s, n, cfg.site, site_quotas[s].clone(), script);
-                node.set_obs(cfg.obs.clone());
-                node.set_history(history.clone());
-                node
-            })
-            .collect();
-
-        let mut sim = Simulation::new(nodes, cfg.net, cfg.seed);
-        sim.set_obs(cfg.obs);
-        for (s, script) in cfg.scripts.iter().enumerate() {
-            for (idx, (when, _)) in script.iter().enumerate() {
-                sim.schedule_external(*when, s, idx as u64);
-            }
-        }
-        for (when, site) in cfg.faults.crashes {
-            sim.schedule_crash(when, site);
-        }
-        for (when, site) in cfg.faults.recoveries {
-            sim.schedule_recover(when, site);
-        }
+        let sim = cfg.simulate(|s, obs| {
+            let script = cfg.scripts[s].clone();
+            let mut node = SiteNode::new(s, n, cfg.site, site_quotas[s].clone(), script);
+            node.set_obs(obs.clone());
+            node.set_history(history.clone());
+            node
+        });
         Cluster {
             sim,
             catalog: cfg.catalog,
@@ -234,8 +266,11 @@ mod tests {
     use crate::item::Split;
     use crate::metrics::AbortReason;
     use crate::policy::{ConcMode, Fanout, ReactivePlacement, RefillPolicy};
+    use dvp_simnet::node::Context;
     use dvp_simnet::partition::PartitionSchedule;
     use dvp_simnet::time::SimDuration;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn ms(n: u64) -> SimTime {
         SimTime::ZERO + SimDuration::millis(n)
@@ -546,6 +581,69 @@ mod tests {
         cl.auditor().check_conservation().unwrap();
         let total: crate::Qty = (0..4).map(|s| cl.sim.node(s).fragments().get(flight)).sum();
         assert_eq!(total, 100, "the reservation aborted; all value survives");
+    }
+
+    /// Every scripted callback, cluster-wide, in dispatch order:
+    /// `(site, kind, tag)`.
+    type Dispatches = Rc<RefCell<Vec<(NodeId, &'static str, u64)>>>;
+
+    struct Recorder {
+        id: NodeId,
+        log: Dispatches,
+    }
+
+    impl Node for Recorder {
+        type Msg = ();
+        fn on_message(&mut self, _: NodeId, _: (), _: &mut Context<'_, ()>) {}
+        fn on_external(&mut self, tag: u64, _: &mut Context<'_, ()>) {
+            self.log.borrow_mut().push((self.id, "arrival", tag));
+        }
+        fn on_crash(&mut self) {
+            self.log.borrow_mut().push((self.id, "crash", 0));
+        }
+        fn on_recover(&mut self, _: &mut Context<'_, ()>) {
+            self.log.borrow_mut().push((self.id, "recover", 0));
+        }
+    }
+
+    /// Both engines build through `simulate`, and at equal instants the
+    /// kernel breaks ties by scheduling order, so that order is part of
+    /// every trajectory: arrivals site-major in script order, then
+    /// crashes, then recoveries, each in plan order — whatever order the
+    /// plan was written in.
+    #[test]
+    fn simulate_schedules_arrivals_then_crashes_then_recoveries() {
+        let (catalog, flight) = seats_catalog(100);
+        let t = ms(5);
+        let mut cfg = ClusterConfig::new(3, catalog)
+            .at(1, t, TxnSpec::reserve(flight, 1))
+            .at(0, t, TxnSpec::reserve(flight, 2))
+            .at(0, t, TxnSpec::reserve(flight, 3))
+            .at(2, t, TxnSpec::reserve(flight, 4));
+        cfg.faults = FaultPlan::none()
+            .recover(t, 2)
+            .crash(t, 2)
+            .crash(t, 0)
+            .recover(t, 0);
+        let log = Dispatches::default();
+        let mut sim = cfg.simulate(|id, _| Recorder {
+            id,
+            log: Rc::clone(&log),
+        });
+        sim.run_to_quiescence();
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (0, "arrival", 0),
+                (0, "arrival", 1),
+                (1, "arrival", 0),
+                (2, "arrival", 0),
+                (2, "crash", 0),
+                (0, "crash", 0),
+                (2, "recover", 0),
+                (0, "recover", 0),
+            ]
+        );
     }
 
     #[test]

@@ -4,38 +4,25 @@
 
 use crate::oracle;
 use crate::schedule::FaultSchedule;
-use dvp_core::item::Catalog;
-use dvp_core::txn::Script;
-use dvp_core::{Cluster, ClusterConfig, SiteConfig};
-use dvp_obs::{Event, Obs, PhaseHists};
-use dvp_simnet::network::NetworkConfig;
+use dvp_core::{Cluster, ClusterConfig};
+use dvp_obs::{Event, PhaseHists};
 use dvp_simnet::stats::NetStats;
 use dvp_simnet::time::{SimDuration, SimTime};
 
 /// Everything one campaign needs besides its fault schedule.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Seed: drives the network RNG (and should match the schedule's).
-    pub seed: u64,
-    /// Cluster size.
-    pub n_sites: usize,
+    /// The run the schedule is injected into. Its network is the base
+    /// (link delays/loss) the schedule layers partitions and chaos onto;
+    /// its fault plan and its site config's injection knobs are replaced
+    /// by the schedule's; its seed drives the network RNG (and should
+    /// match the schedule's).
+    pub cluster: ClusterConfig,
     /// Horizon (ms): audits are spread across it; after it the cluster
     /// settles (bounded drain window) for the final audit.
     pub horizon_ms: u64,
     /// Number of mid-run audit pause points.
     pub audit_points: u32,
-    /// Per-site protocol configuration (the schedule's injection knobs
-    /// are layered on top).
-    pub site: SiteConfig,
-    /// Base network (link delays/loss); partitions and chaos come from
-    /// the schedule.
-    pub base_net: NetworkConfig,
-    /// The data items.
-    pub catalog: Catalog,
-    /// Workload scripts, one per site.
-    pub scripts: Vec<Script>,
-    /// Capture the structured `dvp-obs` event stream into the result.
-    pub trace: bool,
 }
 
 /// The outcome of one campaign. Deterministic: same config + schedule ⇒
@@ -85,16 +72,12 @@ fn msec(n: u64) -> SimTime {
 /// Run one campaign: inject `schedule` into the cluster, audit at evenly
 /// spaced pause points and once more at quiescence, and harvest counters.
 pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignResult {
-    let applied = schedule.apply(cfg.n_sites, cfg.base_net.clone());
-    let mut cluster_cfg = ClusterConfig::new(cfg.n_sites, cfg.catalog.clone());
-    cluster_cfg.site = cfg.site;
-    cluster_cfg.site.inject = applied.inject;
-    cluster_cfg.net = applied.net;
-    cluster_cfg.faults = applied.faults;
-    cluster_cfg.scripts = cfg.scripts.clone();
-    cluster_cfg.seed = cfg.seed;
-    cluster_cfg.obs = Obs::new(cfg.trace);
-    let mut cl = Cluster::build(cluster_cfg);
+    let mut cluster = cfg.cluster.clone();
+    let applied = schedule.apply(cluster.n_sites(), cluster.net);
+    cluster.site.inject = applied.inject;
+    cluster.net = applied.net;
+    cluster.faults = applied.faults;
+    let mut cl = Cluster::build(cluster);
 
     let mut violation = None;
     let step = (cfg.horizon_ms / cfg.audit_points.max(1) as u64).max(1);
@@ -148,28 +131,25 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
 mod tests {
     use super::*;
     use crate::generate::{generate, lossy_environment, Intensity};
-    use dvp_core::item::Split;
+    use dvp_core::item::{Catalog, Split};
     use dvp_core::txn::TxnSpec;
+
+    const SITES: usize = 4;
 
     fn small_config(seed: u64) -> CampaignConfig {
         let mut catalog = Catalog::new();
         let flight = catalog.add("flight", 600, Split::Even);
-        let n = 4;
-        let mut scripts = vec![Script::new(); n];
+        let mut cluster = ClusterConfig::new(SITES, catalog);
         for k in 0..24u64 {
-            let site = (k % n as u64) as usize;
-            scripts[site].push((msec(1 + k * 25), TxnSpec::reserve(flight, 7)));
+            let site = (k % SITES as u64) as usize;
+            cluster = cluster.at(site, msec(1 + k * 25), TxnSpec::reserve(flight, 7));
         }
+        cluster.net = lossy_environment();
+        cluster.seed = seed;
         CampaignConfig {
-            seed,
-            n_sites: n,
+            cluster,
             horizon_ms: 800,
             audit_points: 8,
-            site: SiteConfig::default(),
-            base_net: lossy_environment(),
-            catalog,
-            scripts,
-            trace: false,
         }
     }
 
@@ -177,7 +157,7 @@ mod tests {
     fn campaigns_pass_and_are_deterministic() {
         for seed in 0..4u64 {
             let cfg = small_config(seed);
-            let sched = generate(seed, cfg.n_sites, cfg.horizon_ms, &Intensity::standard());
+            let sched = generate(seed, SITES, cfg.horizon_ms, &Intensity::standard());
             let a = run_campaign(&cfg, &sched);
             let b = run_campaign(&cfg, &sched);
             assert_eq!(a, b, "seed {seed} not deterministic");
@@ -190,7 +170,7 @@ mod tests {
         let mut crashes = 0u64;
         for seed in 0..8u64 {
             let cfg = small_config(seed);
-            let sched = generate(seed, cfg.n_sites, cfg.horizon_ms, &Intensity::standard());
+            let sched = generate(seed, SITES, cfg.horizon_ms, &Intensity::standard());
             let r = run_campaign(&cfg, &sched);
             crashes += r.recoveries + r.crashpoint_trips + r.torn_crashes;
         }
@@ -203,8 +183,8 @@ mod tests {
         for seed in 0..12u64 {
             let mut cfg = small_config(seed);
             // Checkpoints must exist for slot corruption to have teeth.
-            cfg.site.checkpoint_every = Some(6);
-            let sched = generate(seed, cfg.n_sites, cfg.horizon_ms, &Intensity::media());
+            cfg.cluster.site.checkpoint_every = Some(6);
+            let sched = generate(seed, SITES, cfg.horizon_ms, &Intensity::media());
             let r = run_campaign(&cfg, &sched);
             assert!(r.passed(), "seed {seed}: {:?}", r.violation);
             salvages += r.salvages;

@@ -423,16 +423,6 @@ impl<R: Record> StableLog<R> {
         }
     }
 
-    /// Discard a torn tail from the image (recovery's repair step, so the
-    /// next scan starts clean). Returns the bytes dropped.
-    pub fn repair_torn_tail(&mut self) -> u64 {
-        let scan = self.recover_lenient();
-        let dropped = (self.durable - scan.clean_bytes) as u64;
-        self.excise(scan.clean_bytes..self.durable);
-        self.stable_records = self.stable_records.min(scan.entries.len());
-        dropped
-    }
-
     /// Fault injection: flip the durable bytes in `region` (clamped to the
     /// image), modelling bit rot on the stable medium. Returns the number
     /// of bytes flipped.
@@ -486,8 +476,8 @@ impl<R: Record> StableLog<R> {
     ///
     /// * every frame verifies → [`SalvageOutcome::Clean`];
     /// * the scan fails only *past* the last durable record → the benign
-    ///   [`SalvageOutcome::TailTear`] a crash mid-`force` leaves (repaired
-    ///   exactly like [`repair_torn_tail`](Self::repair_torn_tail));
+    ///   [`SalvageOutcome::TailTear`] a crash mid-`force` leaves, repaired
+    ///   by cutting the tail so the next scan starts clean;
     /// * the scan fails *at* a durable record → stable-region corruption:
     ///   the image is truncated at the first bad record and
     ///   [`SalvageOutcome::MediaDamage`] reports exactly which records
@@ -734,7 +724,10 @@ mod tests {
         assert!(torn.bytes_dropped > 0);
         assert_eq!(torn.error, DecodeError::Truncated);
         // Repair truncates the image; strict recovery works again.
-        assert_eq!(log.repair_torn_tail(), torn.bytes_dropped);
+        assert!(matches!(
+            log.recover_salvage(),
+            SalvageOutcome::TailTear { bytes_dropped, .. } if bytes_dropped == torn.bytes_dropped
+        ));
         assert_eq!(log.recover().unwrap(), vec![R(1)]);
         assert_eq!(log.stats().torn_writes, 1);
         assert_eq!(log.stats().lost_in_crash, 2);
@@ -756,7 +749,7 @@ mod tests {
             scan.torn.unwrap().error,
             DecodeError::Corrupt { .. }
         ));
-        log.repair_torn_tail();
+        log.recover_salvage();
         assert_eq!(log.recover().unwrap(), vec![R(7)]);
     }
 
@@ -786,7 +779,6 @@ mod tests {
         assert_eq!(scan.entries.len(), 2);
         assert!(scan.torn.is_none());
         assert_eq!(scan.clean_bytes as u64, log.stats().stable_bytes);
-        assert_eq!(log.repair_torn_tail(), 0, "repair on clean log is a no-op");
     }
 
     #[test]
@@ -818,7 +810,7 @@ mod tests {
             }
             other => panic!("expected TailTear, got {other:?}"),
         }
-        // The repair leaves a strict-recoverable image, like repair_torn_tail.
+        // The repair leaves a strict-recoverable image.
         assert_eq!(log.recover().unwrap(), vec![R(1)]);
         assert_eq!(log.stats().media_salvages, 0, "tail tears are not salvages");
     }

@@ -180,17 +180,6 @@ impl Model {
         }
     }
 
-    /// The mirror is kept *correctly* here: a repair that cuts durable
-    /// frames also forgets them (the old log's `repair_torn_tail` left
-    /// its mirror stale in that case).
-    fn repair_torn_tail(&mut self) -> u64 {
-        let scan = self.recover_lenient();
-        let dropped = (self.image.len() - scan.clean_bytes) as u64;
-        self.image.truncate(scan.clean_bytes);
-        self.stable.truncate(scan.entries.len());
-        dropped
-    }
-
     fn recover_salvage(&mut self) -> SalvageOutcome<Rec> {
         let scan = self.recover_lenient();
         let Some(torn) = scan.torn else {
@@ -309,7 +298,6 @@ proptest! {
                     prop_assert_eq!(log.corrupt_stable(again.clone()), model.corrupt(again));
                 }
                 13 => prop_assert_eq!(log.recover_salvage(), model.recover_salvage(), "step {i}"),
-                14 => prop_assert_eq!(log.repair_torn_tail(), model.repair_torn_tail(), "step {i}"),
                 _ => {
                     // Checkpoint truncation runs on a verified image only
                     // (the site salvages before it ever checkpoints); the

@@ -3,9 +3,9 @@
 //! The paper motivates DvP with three applications (Sections 1, 3, 8):
 //! airline reservations, banking, and inventory control. This crate turns
 //! each into a deterministic workload generator producing the *same*
-//! inputs for the DvP engine (`dvp_core::ClusterConfig`) and the
-//! traditional baseline (`dvp_baselines::TradClusterConfig`): a catalog of
-//! items plus per-site scripts of `(arrival time, TxnSpec)`.
+//! inputs for the DvP engine and the traditional baseline, which both
+//! build from one `dvp_core::ClusterConfig`: a catalog of items plus
+//! per-site scripts of `(arrival time, TxnSpec)`.
 //!
 //! Generators are pure functions of their parameters and a seed, so every
 //! experiment row is reproducible bit-for-bit.
@@ -28,6 +28,7 @@ pub use zipf::Zipf;
 
 use dvp_core::item::Catalog;
 use dvp_core::txn::Script;
+use dvp_core::ClusterConfig;
 
 /// A generated workload: catalog + per-site transaction scripts.
 #[derive(Clone, Debug)]
@@ -42,5 +43,15 @@ impl Workload {
     /// Total number of transactions across all sites.
     pub fn txn_count(&self) -> usize {
         self.scripts.iter().map(|s| s.len()).sum()
+    }
+
+    /// A run of this workload with every other knob at its default: DvP
+    /// site config, reliable network, no faults, seed 0. The scripts are
+    /// shared, not copied.
+    pub fn cluster(&self) -> ClusterConfig {
+        ClusterConfig {
+            scripts: self.scripts.clone(),
+            ..ClusterConfig::new(0, self.catalog.clone())
+        }
     }
 }

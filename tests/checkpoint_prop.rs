@@ -28,8 +28,7 @@ fn run(
         ..Default::default()
     }
     .generate(seed);
-    let mut cfg = ClusterConfig::new(4, w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = seed;
     cfg.site.checkpoint_every = checkpoint_every;
     cfg.faults = FaultPlan::none()
@@ -75,8 +74,7 @@ fn repeated_crashes_through_checkpoints() {
         ..Default::default()
     }
     .generate(99);
-    let mut cfg = ClusterConfig::new(3, w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.site.checkpoint_every = Some(5); // checkpoint very frequently
     cfg.faults = FaultPlan::none()
         .crash(ms(50), 1)
@@ -117,8 +115,7 @@ fn run_injected(
         ..Default::default()
     }
     .generate(seed);
-    let mut cfg = ClusterConfig::new(4, w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = seed;
     cfg.site.checkpoint_every = checkpoint_every;
     cfg.site.inject = inject;
@@ -191,8 +188,7 @@ fn mid_checkpoint_crash_recovers_exactly() {
     }
     .generate(5);
     let run = |inject: InjectConfig| {
-        let mut cfg = ClusterConfig::new(4, w.catalog.clone());
-        cfg.scripts = w.scripts.clone();
+        let mut cfg = w.cluster();
         cfg.seed = 5;
         cfg.site.checkpoint_every = Some(6);
         cfg.site.inject = inject;
@@ -233,8 +229,7 @@ fn mid_checkpoint_crash_with_a_rotten_slot_falls_back_losslessly() {
     let run = |corrupt: Option<u8>| {
         let mut inject = InjectConfig::crashpoint_at(1, Crashpoint::MidCheckpoint);
         inject.corrupt_ckpt = corrupt;
-        let mut cfg = ClusterConfig::new(4, w.catalog.clone());
-        cfg.scripts = w.scripts.clone();
+        let mut cfg = w.cluster();
         cfg.seed = 5;
         cfg.site.checkpoint_every = Some(6);
         cfg.site.inject = inject;
@@ -356,8 +351,7 @@ fn every_crashpoint_fires_once_and_recovery_holds() {
         .generate(21);
         // Site 0 is the hot (soliciting) site under skew; site 1 both
         // commits and donates, so every crashpoint is reachable there.
-        let mut cfg = ClusterConfig::new(4, w.catalog.clone());
-        cfg.scripts = w.scripts.clone();
+        let mut cfg = w.cluster();
         cfg.seed = 21;
         cfg.site.checkpoint_every = Some(6);
         cfg.site.inject = InjectConfig::crashpoint_at(1, point);

@@ -93,10 +93,9 @@ fn run_scenario(sc: &Scenario) -> Result<(), TestCaseError> {
             .recover(ms(crash + down), site);
     }
 
-    let mut cfg = ClusterConfig::new(sc.n_sites, w.catalog.clone());
+    let mut cfg = w.cluster();
     cfg.net = net;
     cfg.faults = faults;
-    cfg.scripts = w.scripts.clone();
     cfg.seed = sc.seed;
     if sc.conc2 {
         cfg.site.conc = ConcMode::Conc2;

@@ -9,6 +9,9 @@
 //! recoveries, partitions, chaos) are applied to the 2PC cluster, and
 //! `still_blocked()` must be zero after the same settle window —
 //! in-doubt participants resolve by querying recovered coordinators.
+//! Every campaign also checks that each transaction was decided at most
+//! once and the same way everywhere: duplicated messages and coordinator
+//! crashes must not count a commit a second time, as an abort.
 
 use dvp::prelude::*;
 use dvp::workloads::AirlineWorkload;
@@ -16,7 +19,7 @@ use dvp_nemesis::{generate, lossy_environment, Intensity};
 
 const N_SITES: usize = 4;
 const HORIZON_MS: u64 = 800;
-const SEEDS: u64 = 25;
+const SEEDS: u64 = 400;
 
 fn ms(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::millis(n)
@@ -34,8 +37,9 @@ fn workload(seed: u64) -> dvp::workloads::Workload {
 }
 
 /// The 2PC baseline under standard fault schedules: after settle, no
-/// participant is still blocked in-doubt. (Media faults are DvP-storage
-/// specific, so the baseline runs the standard mix.)
+/// participant is still blocked in-doubt, no transaction was decided
+/// twice, and no two sites acted on different outcomes. (Media faults
+/// are DvP-storage specific, so the baseline runs the standard mix.)
 #[test]
 fn trad_baseline_unblocks_after_every_standard_campaign() {
     let mut total_committed = 0u64;
@@ -56,6 +60,16 @@ fn trad_baseline_unblocks_after_every_standard_campaign() {
             "seed {seed}: {} transaction(s) still in doubt after settle",
             m.still_blocked()
         );
+        assert!(
+            m.committed() + m.aborted() <= w.txn_count() as u64,
+            "seed {seed}: {} committed + {} aborted for {} scripted transactions",
+            m.committed(),
+            m.aborted(),
+            w.txn_count()
+        );
+        if let Err(e) = trad.check_decision_consistency() {
+            panic!("seed {seed}: {e}");
+        }
         total_committed += m.committed();
     }
     // Liveness, not availability: single seeds may legitimately commit

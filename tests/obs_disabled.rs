@@ -7,7 +7,7 @@
 use dvp::bench::Scenario;
 use dvp::obs::{EventKind, Obs};
 use dvp::workloads::{BankingWorkload, Workload};
-use dvp_core::{Cluster, ClusterConfig};
+use dvp_core::Cluster;
 
 #[test]
 fn a_disabled_handle_never_builds_the_payload() {
@@ -20,12 +20,11 @@ fn a_disabled_handle_never_builds_the_payload() {
     }
 }
 
-/// One closed-loop banking run with `obs` attached: the counters a
+/// One closed-loop banking run, traced or not: the counters a
 /// `RunReport` carries, and how many events the handle buffered.
-fn banking(w: &Workload, obs: Obs) -> ([u64; 6], usize) {
-    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
-    cfg.obs = obs;
+fn banking(w: &Workload, trace: bool) -> ([u64; 6], usize) {
+    let mut cfg = w.cluster();
+    cfg.trace = trace;
     let mut cl = Cluster::build(cfg);
     let events = cl.sim.run_to_quiescence();
     let stats = cl.stats();
@@ -50,15 +49,13 @@ fn a_traced_off_run_buffers_nothing_and_moves_no_counter() {
         ..Default::default()
     }
     .generate(42);
-    let (absent, absent_events) = banking(&w, Obs::disabled());
-    let (off, off_events) = banking(&w, Obs::new(false));
-    assert_eq!((absent_events, off_events), (0, 0));
-    assert_eq!(absent, off);
-    // The zeroes above are not vacuous: the same run traced buffers
-    // events, and still moves no counter.
-    let (on, on_events) = banking(&w, Obs::enabled());
+    let (off, off_events) = banking(&w, false);
+    assert_eq!(off_events, 0);
+    // The zero above is not vacuous: the same run traced buffers events,
+    // and still moves no counter.
+    let (on, on_events) = banking(&w, true);
     assert!(on_events > 0);
-    assert_eq!(on, absent);
+    assert_eq!(on, off);
     // And `Scenario` reports the same run the same way.
     let report = Scenario::dvp(&w).run();
     assert!(report.events.is_empty());
@@ -70,6 +67,6 @@ fn a_traced_off_run_buffers_nothing_and_moves_no_counter() {
             report.net.sent,
             report.net.wire_bytes
         ],
-        absent[..5]
+        off[..5]
     );
 }

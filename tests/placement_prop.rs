@@ -44,8 +44,7 @@ fn run(
         ..Default::default()
     }
     .generate(seed);
-    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = seed;
     cfg.site.placement = Placement::Adaptive(AdaptivePlacement { fanout, chaos });
     cfg.net = if loss > 0.0 {
@@ -122,8 +121,7 @@ fn reactive_path_carries_no_hints() {
         ..Default::default()
     }
     .generate(7);
-    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = 7;
     let mut cl = Cluster::build(cfg);
     cl.run_to_quiescence();
@@ -150,8 +148,7 @@ fn adaptive_path_hints_flow_and_hit() {
         ..Default::default()
     }
     .generate(2);
-    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = 2;
     cfg.site.placement = Placement::adaptive();
     let mut cl = Cluster::build(cfg);

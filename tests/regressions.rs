@@ -26,8 +26,7 @@ fn stale_lease_timer_cannot_release_a_newer_lease() {
         ..Default::default()
     }
     .generate(seed);
-    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = seed;
     cfg.site.conc = ConcMode::Conc2;
     cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));

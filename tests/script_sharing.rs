@@ -3,7 +3,7 @@
 //! write through any shared handle copies first, and sharing changes
 //! nothing about what a run computes.
 
-use dvp::baselines::TradClusterConfig;
+use dvp::baselines::TradConfig;
 use dvp::prelude::*;
 use dvp::workloads::BankingWorkload;
 
@@ -29,7 +29,10 @@ fn scenario_and_built_nodes_point_at_the_workloads_scripts() {
     let trad = Scenario::trad(&w).build_trad();
     for (s, script) in w.scripts.iter().enumerate() {
         assert!(!script.is_empty(), "site {s} must have arrivals to share");
-        assert!(Script::ptr_eq(script, &sc.scripts[s]), "scenario, site {s}");
+        assert!(
+            Script::ptr_eq(script, &sc.cluster.scripts[s]),
+            "scenario, site {s}"
+        );
         assert!(
             Script::ptr_eq(script, cl.sim.node(s).script()),
             "dvp node {s}"
@@ -48,21 +51,29 @@ fn appending_to_a_shared_script_copies_and_leaves_the_other_holder_alone() {
     let extra = TxnSpec::release(ItemId(0), 1);
 
     let sc = Scenario::dvp(&w).at(1, ms(9_000), extra.clone());
-    assert_eq!(sc.scripts[1].len(), w.scripts[1].len() + 1);
-    assert_eq!(sc.scripts[1].last(), Some(&(ms(9_000), extra.clone())));
-    assert!(!Script::ptr_eq(&sc.scripts[1], &w.scripts[1]));
-    assert!(Script::ptr_eq(&sc.scripts[0], &w.scripts[0]), "untouched");
+    assert_eq!(sc.cluster.scripts[1].len(), w.scripts[1].len() + 1);
+    assert_eq!(
+        sc.cluster.scripts[1].last(),
+        Some(&(ms(9_000), extra.clone()))
+    );
+    assert!(!Script::ptr_eq(&sc.cluster.scripts[1], &w.scripts[1]));
+    assert!(
+        Script::ptr_eq(&sc.cluster.scripts[0], &w.scripts[0]),
+        "untouched"
+    );
 
-    let mut cfg = ClusterConfig::new(4, w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
-    let cfg = cfg.at(2, ms(9_000), extra.clone());
+    let cfg = w.cluster().at(2, ms(9_000), extra.clone());
     assert_eq!(cfg.scripts[2].len(), w.scripts[2].len() + 1);
     assert!(!Script::ptr_eq(&cfg.scripts[2], &w.scripts[2]));
 
-    let mut trad = TradClusterConfig::new(4, w.catalog.clone());
-    trad.scripts = w.scripts.clone();
+    // The baseline's description is the same type over the same handles.
+    let trad = cfg.clone().with_site(TradConfig::default());
     let trad = trad.at(3, ms(9_000), extra);
     assert_eq!(trad.scripts[3].len(), w.scripts[3].len() + 1);
+    assert!(
+        Script::ptr_eq(&cfg.scripts[3], &w.scripts[3]),
+        "dvp's untouched"
+    );
 
     assert_eq!(w.scripts, before, "the workload saw none of it");
 }

@@ -14,8 +14,7 @@ use dvp::workloads::{AirlineWorkload, BankingWorkload, InventoryWorkload, Worklo
 use proptest::prelude::*;
 
 fn run_and_check(w: &Workload, conc2: bool, seed: u64) -> Result<(), TestCaseError> {
-    let mut cfg = ClusterConfig::new(w.scripts.len(), w.catalog.clone());
-    cfg.scripts = w.scripts.clone();
+    let mut cfg = w.cluster();
     cfg.seed = seed;
     if conc2 {
         cfg.site.conc = ConcMode::Conc2;
