@@ -14,17 +14,19 @@
 //! accounted at the simulation kernel on *both* engines — every send
 //! declares its encoded length — so the DvP and `trad2pc_*` figures
 //! compare directly. The second holds what only DvP has: solicitations,
-//! the fast-path share, hint use and value movement, then the placement
-//! planner's own work — rebalance ticks fired, demand rows the tick read
-//! slot by slot, gossip recomputes and hint-gate calls — counted rather
-//! than timed, so what the adaptive bookkeeping costs is held by
-//! equality like every other cell.
+//! the fast-path share and value movement, then the placement planner's
+//! own work — rebalance ticks fired and demand rows the tick read slot by
+//! slot — counted rather than timed, so what the adaptive bookkeeping
+//! costs is held by equality like every other cell.
 //!
-//! [`run`] refuses to print an unsound table: an `*_adaptive` row that
-//! sends more wire bytes per decided transaction than its reactive
-//! sibling, or a `trad2pc_*` row with no wire bytes (the baseline lost
-//! its kernel accounting), panics — as [`Scenario::run`] already does
-//! for conservation.
+//! [`run`] refuses to print an unsound table, as [`Scenario::run`]
+//! already does for conservation. It panics on a `trad2pc_*` row with no
+//! wire bytes (the baseline lost its kernel accounting). It also panics
+//! when adaptive placement stops beating reactive on the drifting
+//! hotspot, the workload it exists for: `dvp_hotspot_adaptive` must send
+//! strictly fewer wire bytes and solicitations per decided transaction
+//! than `dvp_hotspot`, and commit at least as many. On banking the two
+//! arms are a near-tie either way, so no direction is asserted there.
 //!
 //! This module owns the engine rows' workloads; `alloc_steady_state`
 //! audits [`banking`] and E2 crashes a site in it.
@@ -102,27 +104,48 @@ fn decided(r: &RunReport) -> u64 {
     r.committed + r.aborted
 }
 
+/// Whether `a` costs strictly less than `b` per decided transaction
+/// (cross-multiplied, so the comparison is exact).
+fn cheaper(a: &RunReport, x: u64, b: &RunReport, y: u64) -> bool {
+    x as u128 * (decided(b) as u128) < y as u128 * (decided(a) as u128)
+}
+
 /// What the table claims must hold of the rows it is built from.
 fn check(reports: &[RunReport]) {
+    let row = |name: &str| reports.iter().find(|r| r.scenario == name);
+    if let Some(a) = row("dvp_hotspot_adaptive") {
+        let r = row("dvp_hotspot").expect("dvp_hotspot_adaptive has no reactive sibling row");
+        assert!(
+            cheaper(a, a.net.wire_bytes, r, r.net.wire_bytes),
+            "{} sends no fewer wire bytes per transaction than {}: {} B / {} txns vs {} B / {} txns",
+            a.scenario,
+            r.scenario,
+            a.net.wire_bytes,
+            decided(a),
+            r.net.wire_bytes,
+            decided(r),
+        );
+        let solicits = |x: &RunReport| x.txn.requests_sent();
+        assert!(
+            cheaper(a, solicits(a), r, solicits(r)),
+            "{} solicits no less per transaction than {}: {} / {} txns vs {} / {} txns",
+            a.scenario,
+            r.scenario,
+            solicits(a),
+            decided(a),
+            solicits(r),
+            decided(r),
+        );
+        assert!(
+            a.committed >= r.committed,
+            "{} commits fewer than {}: {} vs {}",
+            a.scenario,
+            r.scenario,
+            a.committed,
+            r.committed,
+        );
+    }
     for r in reports {
-        if let Some(base) = r.scenario.strip_suffix("_adaptive") {
-            let sib = reports
-                .iter()
-                .find(|s| s.scenario == base)
-                .unwrap_or_else(|| panic!("{} has no reactive sibling row {base}", r.scenario));
-            // Cross-multiplied, so the per-transaction comparison is exact.
-            assert!(
-                r.net.wire_bytes as u128 * decided(sib) as u128
-                    <= sib.net.wire_bytes as u128 * decided(r) as u128,
-                "{} sends more wire bytes per transaction than {}: {} B / {} txns vs {} B / {} txns",
-                r.scenario,
-                sib.scenario,
-                r.net.wire_bytes,
-                decided(r),
-                sib.net.wire_bytes,
-                decided(sib),
-            );
-        }
         assert!(
             !r.scenario.starts_with("trad2pc_") || r.net.wire_bytes > 0,
             "{} reports no wire bytes: the 2PC baseline lost its kernel wire accounting",
@@ -160,19 +183,13 @@ const ENGINE: [Col; 13] = [
     ("ack B saved", |r| r.vm.bytes_acked_piggyback.to_string()),
 ];
 
-const PLACEMENT: [Col; 14] = [
+const PLACEMENT: [Col; 8] = [
     ("solicits", |r| r.txn.requests_sent().to_string()),
     ("solicits/txn", |r| f2(per_txn(r, r.txn.requests_sent()))),
     ("fast path", |r| r.txn.fast_path_commits().to_string()),
     ("fast-path rate", |r| {
         share(r.txn.fast_path_commits(), r.committed)
     }),
-    ("hinted", |r| r.txn.hinted_solicits().to_string()),
-    ("hint hits", |r| r.txn.hint_hits().to_string()),
-    ("hit rate", |r| {
-        share(r.txn.hint_hits(), r.txn.hinted_solicits())
-    }),
-    ("hints sent", |r| r.vm.hints_sent.to_string()),
     ("donations", |r| r.txn.donations().to_string()),
     ("rebalances", |r| r.txn.rebalances().to_string()),
     ("rebalance ticks", |r| {
@@ -181,10 +198,6 @@ const PLACEMENT: [Col; 14] = [
     ("rows scanned", |r| {
         r.txn.sum(|s| s.rows_scanned).to_string()
     }),
-    ("gossip refreshes", |r| {
-        r.txn.sum(|s| s.gossip_refreshes).to_string()
-    }),
-    ("gate calls", |r| r.txn.sum(|s| s.gate_calls).to_string()),
 ];
 
 /// One row per report: its name, then a cell per column.
@@ -235,12 +248,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvp_core::{ClusterMetrics, SiteMetrics};
     use dvp_simnet::stats::NetStats;
 
-    /// `(committed, aborted, forces, wire bytes, hints sent, hinted
-    /// solicits, hint hits, rebalances, rebalance ticks, rows scanned,
-    /// gossip refreshes, gate calls)` of the row named `name`.
-    fn fingerprint(reports: &[RunReport], name: &str) -> [u64; 12] {
+    /// `(committed, aborted, forces, wire bytes, rebalances, rebalance
+    /// ticks, rows scanned)` of the row named `name`.
+    fn fingerprint(reports: &[RunReport], name: &str) -> [u64; 7] {
         let r = reports
             .iter()
             .find(|r| r.scenario == name)
@@ -251,46 +264,39 @@ mod tests {
             r.aborted,
             r.log.forces,
             r.net.wire_bytes,
-            r.vm.hints_sent,
-            t.hinted_solicits(),
-            t.hint_hits(),
             t.rebalances(),
             t.sum(|s| s.rebalance_ticks),
             t.sum(|s| s.rows_scanned),
-            t.sum(|s| s.gossip_refreshes),
-            t.sum(|s| s.gate_calls),
         ]
     }
 
-    /// The adaptive rows are pure functions of the seed. The first eight
-    /// figures were captured on the tree whose hint gate still lived in
-    /// the Vm endpoint: a diff is a changed placement decision, not
-    /// noise. The last four are the planner's work; the reactive default
-    /// runs no rebalance timer and no gossip, so it does none.
+    /// The adaptive rows are pure functions of the seed: a diff is a
+    /// changed placement decision, not noise. The last three figures are
+    /// the planner's work; the reactive default runs no rebalance timer,
+    /// so it does none.
     #[test]
     fn quick_scale_adaptive_rows_are_pinned() {
         let reports = reports(Scale::Quick);
         let tables = tables(Scale::Quick, &reports);
         assert_eq!(tables[0].len(), 7);
         assert_eq!(tables[1].len(), 5);
-        let banking = fingerprint(&reports, "dvp_banking_adaptive");
         assert_eq!(
-            banking,
-            [1_845, 155, 7_433, 603_859, 1_871, 126, 92, 12, 786, 1_626, 328, 4_033]
+            fingerprint(&reports, "dvp_banking_adaptive"),
+            [1_882, 118, 8_001, 633_520, 12, 788, 1_617]
         );
-        // Hint flow control bounds gossip volume: the storm it replaced
-        // was two orders of magnitude above this.
-        assert!(banking[4] < 4_000);
         assert_eq!(
             fingerprint(&reports, "dvp_hotspot_adaptive"),
-            [1_858, 142, 2_985, 84_330, 18, 112, 112, 147, 539, 324, 253, 77]
+            [1_959, 41, 3_298, 92_224, 168, 575, 367]
         );
         for reactive in ["dvp_banking", "dvp_airline", "dvp_hotspot"] {
-            assert_eq!(fingerprint(&reports, reactive)[8..], [0; 4], "{reactive}");
+            assert_eq!(fingerprint(&reports, reactive)[4..], [0; 3], "{reactive}");
         }
     }
 
-    fn report(name: &str, wire_bytes: u64) -> RunReport {
+    /// A DvP row that committed 100 of 100 transactions.
+    fn report(name: &str, wire_bytes: u64, solicits: u64) -> RunReport {
+        let mut site = SiteMetrics::default();
+        site.requests_sent = solicits;
         RunReport {
             scenario: name.into(),
             committed: 100,
@@ -298,24 +304,58 @@ mod tests {
                 wire_bytes,
                 ..Default::default()
             },
+            txn: ClusterMetrics {
+                sites: vec![site],
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
 
     #[test]
-    #[should_panic(
-        expected = "dvp_banking_adaptive sends more wire bytes per transaction than dvp_banking"
-    )]
-    fn an_adaptive_row_one_byte_over_its_sibling_is_refused() {
+    fn adaptive_hotspot_beating_reactive_passes_and_banking_is_not_judged() {
         check(&[
-            report("dvp_banking", 5_000),
-            report("dvp_banking_adaptive", 5_001),
+            report("dvp_hotspot", 5_000, 50),
+            report("dvp_hotspot_adaptive", 4_999, 49),
+            report("dvp_banking", 5_000, 50),
+            report("dvp_banking_adaptive", 5_001, 51),
         ]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "dvp_hotspot_adaptive sends no fewer wire bytes per transaction than dvp_hotspot"
+    )]
+    fn an_adaptive_hotspot_row_tying_on_wire_bytes_is_refused() {
+        check(&[
+            report("dvp_hotspot", 5_000, 50),
+            report("dvp_hotspot_adaptive", 5_000, 49),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "dvp_hotspot_adaptive solicits no less per transaction than dvp_hotspot"
+    )]
+    fn an_adaptive_hotspot_row_tying_on_solicits_is_refused() {
+        check(&[
+            report("dvp_hotspot", 5_000, 50),
+            report("dvp_hotspot_adaptive", 4_999, 50),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dvp_hotspot_adaptive commits fewer than dvp_hotspot: 99 vs 100")]
+    fn an_adaptive_hotspot_row_committing_less_is_refused() {
+        let mut adaptive = report("dvp_hotspot_adaptive", 4_000, 40);
+        adaptive.committed = 99;
+        adaptive.aborted = 1;
+        check(&[report("dvp_hotspot", 5_000, 50), adaptive]);
     }
 
     #[test]
     #[should_panic(expected = "trad2pc_banking reports no wire bytes")]
     fn a_baseline_row_without_wire_bytes_is_refused() {
-        check(&[report("trad2pc_banking", 0)]);
+        check(&[report("trad2pc_banking", 0, 0)]);
     }
 }

@@ -83,14 +83,14 @@ pub fn configs() -> Vec<ProtoConfig> {
         checkpoint_every: Some(24),
         ..base
     };
-    // Adaptive placement under the full fault mix: hints, demand
-    // estimators, and suspicion are all volatile, so every oracle must
-    // still pass with them churning through crashes and partitions.
+    // Adaptive placement under the full fault mix: demand estimators
+    // and suspicion are volatile, so every oracle must still pass with
+    // them churning through crashes and partitions.
     let adaptive = SiteConfig::builder()
         .placement(Placement::adaptive())
         .build();
-    // The same with solicitation retries: the rebalancer ships under
-    // retries, and retries run under hint-directed targeting.
+    // The same with solicitation retries: the rebalancer ships while
+    // retried solicitations are in flight.
     let retry_adaptive = SiteConfig {
         solicit_retries: 2,
         ..adaptive

@@ -103,10 +103,9 @@ fn fast_path_commit_allocates_zero() {
 }
 
 /// The same gate with the adaptive placement subsystem switched on: the
-/// demand estimators, hint bookkeeping, and rebalancer state ride every
-/// commit, so a committed adaptive fast-path transaction must also
-/// allocate exactly zero times (the estimators are dense tables, the
-/// gossip and solicitation planners run on retained scratch buffers).
+/// demand estimators and rebalancer state ride every commit, so a
+/// committed adaptive fast-path transaction must also allocate exactly
+/// zero times (the estimators are dense tables).
 #[test]
 fn adaptive_fast_path_commit_allocates_zero() {
     extra_commits_allocate_zero(Placement::adaptive());

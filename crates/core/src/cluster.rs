@@ -251,10 +251,10 @@ impl Cluster {
 #[derive(Clone, Debug)]
 pub struct StatsView {
     /// Per-site transaction-engine counters (commits, aborts, fast path,
-    /// solicitations, hint use, rebalance ships).
+    /// solicitations, rebalance ships).
     pub txn: ClusterMetrics,
     /// Cluster-wide Vm-layer counters (frames, datagrams, wire bytes,
-    /// piggybacked acks and hints).
+    /// piggybacked acks).
     pub vm: dvp_vmsg::VmStats,
     /// Cluster-wide stable-log counters (forces, appends, batch sizes).
     pub log: dvp_storage::LogStats,

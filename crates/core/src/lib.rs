@@ -55,8 +55,8 @@ pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};
 pub use ops::Op;
 pub use policy::{
-    AdaptivePlacement, ConcMode, Crashpoint, Fanout, HintChaos, InjectConfig, Placement,
-    ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
+    ConcMode, Crashpoint, Fanout, InjectConfig, Placement, ReactivePlacement, RefillPolicy,
+    SiteConfig, SiteConfigBuilder,
 };
 pub use site::SiteNode;
 pub use txn::{Script, TxnOutcome, TxnSpec};

@@ -72,25 +72,13 @@ pub struct SiteMetrics {
     pub absorbed: u64,
     /// Spontaneous rebalance shipments performed.
     pub rebalances: u64,
-    /// Rebalance timer firings this site handled. This and the next three
+    /// Rebalance timer firings this site handled. This and the next
     /// count the placement planner's work; they live here, not in the
     /// planner, so a crash's `Planner::reset` leaves them standing.
     pub rebalance_ticks: u64,
     /// Demand rows the adaptive rebalance tick read slot by slot (the
     /// rows its branch-free screen let through).
     pub rows_scanned: u64,
-    /// Gossip offer recomputes (calls inside `HINT_TTL` return early and
-    /// are not counted).
-    pub gossip_refreshes: u64,
-    /// Outgoing datagrams that asked the hint gate: something was on
-    /// offer toward their peer.
-    pub gate_calls: u64,
-    /// Solicitations directed at one hint-advertised peer instead of
-    /// broadcast (`Fanout::Hinted` with a fresh usable hint).
-    pub hinted_solicits: u64,
-    /// Hinted solicitations the hinted peer actually answered (the first
-    /// credit for the item came from the advertised donor).
-    pub hint_hits: u64,
     /// Checkpoints taken (snapshot + log truncation).
     pub checkpoints: u64,
     /// Transactions that committed on the write-only fast path (no
@@ -114,18 +102,12 @@ pub struct SiteMetrics {
     pub crashpoint_trips: u64,
     /// Crashes that tore the in-flight log write (nemesis injection).
     pub torn_crashes: u64,
-    /// Torn-tail bytes recovery dropped and repaired at this site.
-    pub torn_bytes_dropped: u64,
     /// Recoveries that fell back to an older checkpoint generation
     /// because the newest slot failed its checksum.
     pub checkpoint_fallbacks: u64,
     /// Stable-region salvages: recoveries that truncated the durable log
     /// at a corrupt record (not a benign tail tear).
     pub salvages: u64,
-    /// Durable records dropped by salvage truncation.
-    pub salvaged_records_lost: u64,
-    /// Image bytes dropped by salvage truncation.
-    pub salvaged_bytes_lost: u64,
     /// Times this site entered media-failure quarantine (0 or 1 — the
     /// flag is sticky; a quarantined site never rejoins).
     pub media_failures: u64,
@@ -276,14 +258,16 @@ impl ClusterMetrics {
         self.sum(|s| s.rebalances)
     }
 
-    /// Sum of hint-directed solicitations.
+    /// Always 0: availability hints were removed. Kept only because
+    /// `benchmark/` still reads it.
     pub fn hinted_solicits(&self) -> u64 {
-        self.sum(|s| s.hinted_solicits)
+        0
     }
 
-    /// Sum of hinted solicitations the advertised donor answered.
+    /// Always 0: availability hints were removed. Kept only because
+    /// `benchmark/` still reads it.
     pub fn hint_hits(&self) -> u64 {
-        self.sum(|s| s.hint_hits)
+        0
     }
 
     /// Sum of write-only fast-path commits (no solicitation round).

@@ -8,45 +8,33 @@
 //! placement and every placement constant, and sees the site only
 //! through the two per-item facts of a caller-supplied [`View`]. It
 //! holds no fragment, no log, no lock table, no kernel handle and no
-//! transport, so "hints are safety-inert" holds by construction (a guard
-//! test keeps those names out of this directory). All of its state is
-//! volatile: [`Planner::reset`] is what a crash does to it. DESIGN.md
+//! transport, so "placement is safety-inert" holds by construction (a
+//! guard test keeps those names out of this directory). All of its state
+//! is volatile: [`Planner::reset`] is what a crash does to it. DESIGN.md
 //! §4h has the API table.
 //!
-//! Inbound hints, demand estimation, solicitation targeting and donation
-//! sizing live here, with the periodic rebalance tick; `gossip` owns
-//! everything outbound (the per-peer offers and the gate on what rides
-//! each datagram). The planner is the only code that reads the
-//! [`Placement`] policy: the site hands it over at construction and
-//! never branches on it again.
-
-mod gossip;
-
-pub use gossip::Section;
+//! Demand estimation, solicitation targeting, donation sizing and the
+//! periodic rebalance tick live here. The planner is the only code that
+//! reads the [`Placement`] policy: the site hands it over at construction
+//! and never branches on it again.
 
 use crate::item::ItemId;
-use crate::policy::{Fanout, HintChaos, Placement, RefillPolicy};
+use crate::policy::{Fanout, Placement, RefillPolicy};
 use crate::Qty;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_simnet::NodeId;
-use gossip::Gossip;
 
 /// How often the demand-driven rebalancer wakes. Each tick costs an
 /// O(items · peers) demand scan plus a Vm flush on every site, so the
 /// cadence is sized for drift detection (hotspot epochs are seconds),
 /// not per-transaction reaction — solicitation handles that.
 const ADAPTIVE_REBALANCE_EVERY: SimDuration = SimDuration::millis(100);
-/// EWMA gain of the demand and hint-trust estimators (higher tracks
-/// shifts faster but is noisier).
+/// EWMA gain of the demand estimators (higher tracks shifts faster but
+/// is noisier).
 const DEMAND_GAIN: f64 = 0.25;
-/// Advertised-surplus hints older than this are ignored by
-/// [`Fanout::Hinted`] targeting (volatile gossip must expire). Twice the
-/// senders' resend window, so every advertised (item, peer) pair is
-/// re-gossiped at least twice inside it.
-const HINT_TTL: SimDuration = SimDuration::micros(2 * gossip::HINT_RESEND_AFTER_US);
 /// A donor keeps `HEADROOM ×` its own predicted demand before counting
-/// value as spareable surplus (for advertisement, predictive refill and
-/// the rebalancer alike).
+/// value as spareable surplus (for predictive refill and the rebalancer
+/// alike).
 const HEADROOM: f64 = 1.5;
 /// Persistence gate of the adaptive rebalancer: a genuine demand
 /// gradient keeps the same (item, peer) pair on top across ticks,
@@ -60,7 +48,7 @@ const SHIP_PERSISTENCE: u32 = 3;
 /// `x.ceil() as Qty`, for every `x`, without the libm call `f64::ceil`
 /// lowers to on baseline x86-64 (no `roundsd`): truncate, then add one
 /// if that dropped a fraction. The adaptive arm rounds a demand figure
-/// per donation and per advertised item, so the call showed up in its
+/// per donation and per advertised demand, so the call showed up in its
 /// profile.
 fn ceil_qty(x: f64) -> Qty {
     let t = x as Qty;
@@ -68,8 +56,8 @@ fn ceil_qty(x: f64) -> Qty {
 }
 
 /// Fragment value beyond the headroom a site keeps for its own predicted
-/// demand `own` — what it can advertise, predictively donate, or
-/// proactively rebalance away.
+/// demand `own` — what it can predictively donate or proactively
+/// rebalance away.
 fn spare(have: Qty, own: f64) -> Qty {
     have.saturating_sub(ceil_qty(HEADROOM * own))
 }
@@ -91,15 +79,9 @@ pub trait View {
 /// Whom a deficit solicits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Target {
-    /// Exactly one peer. `hinted` carries the advertised surplus that
-    /// selected it (`None` = the round-robin pick); the caller remembers
-    /// the target so the outcome can be reported back.
-    One {
-        /// The peer to ask.
-        peer: NodeId,
-        /// The hint that chose it, if one did.
-        hinted: Option<Qty>,
-    },
+    /// Exactly one peer, the round-robin pick; the caller remembers it
+    /// so a timeout can be reported back.
+    One(NodeId),
     /// Every other site.
     All,
 }
@@ -117,7 +99,7 @@ pub struct Planner {
     id: NodeId,
     n: usize,
     policy: Placement,
-    /// Catalog size: item ids at or past it have no table slot.
+    /// Catalog size: the demand tables' row count.
     items: usize,
     /// This site's own per-item demand EWMA, fed by local transaction
     /// demands and timeout deficits.
@@ -125,16 +107,6 @@ pub struct Planner {
     /// Per-(item, peer) solicited-demand EWMA, fed by incoming requests
     /// (the demand-driven rebalancer's targeting and sizing signal).
     peer_demand: Vec<f64>,
-    /// Advertised-surplus hints received from peers, with their arrival
-    /// instant. Indexed like `peer_demand`.
-    hint_table: Vec<Option<(Qty, SimTime)>>,
-    /// This site's trust in hint gossip, an EWMA in `[0, 1]` fed by
-    /// hinted-solicitation outcomes (a hit raises it, a timeout on a
-    /// hinted target lowers it). It scales the effective hint TTL — when
-    /// hints keep lying (fast demand drift), borderline-stale entries
-    /// expire sooner and solicitation falls back to broadcast instead of
-    /// burning timeouts on dead ends.
-    hint_confidence: f64,
     /// The rebalancer's current top (item, peer) candidate and how many
     /// consecutive ticks it has stayed on top (the persistence gate).
     rebalance_candidate: Option<(ItemId, NodeId, u32)>,
@@ -143,8 +115,6 @@ pub struct Planner {
     suspect_until: Vec<Option<SimTime>>,
     /// Round-robin pointer for [`Fanout::One`].
     rr: usize,
-    /// What is on offer to each peer and what each was last told.
-    gossip: Gossip,
 }
 
 impl Planner {
@@ -158,12 +128,9 @@ impl Planner {
             items,
             own_demand: vec![0.0; items],
             peer_demand: vec![0.0; items * n],
-            hint_table: vec![None; items * n],
-            hint_confidence: 1.0,
             rebalance_candidate: None,
             suspect_until: vec![None; n],
             rr: (id + 1) % n.max(1),
-            gossip: Gossip::new(n),
         }
     }
 
@@ -199,81 +166,25 @@ impl Planner {
         }
     }
 
-    /// Record availability hints that arrived from `from` (through the
-    /// chaos knob, for the safety-inertness tests). A slot holds the last
-    /// write, so a duplicated hint is idempotent by construction.
-    pub fn hints_from(
-        &mut self,
-        from: NodeId,
-        hints: impl IntoIterator<Item = (u32, Qty)>,
-        now: SimTime,
-    ) {
-        match self.policy.adaptive_params().map(|a| a.chaos) {
-            None | Some(HintChaos::Drop) => return, // subsystem off, or chaos
-            Some(HintChaos::None | HintChaos::Stale) => {}
-        }
-        for (item, surplus) in hints {
-            // Hints arrive off the wire: an id outside the catalog has no
-            // table slot (and could never match a solicitation), so it is
-            // dropped rather than trusted.
-            if (item as usize) < self.items {
-                self.hint_table[item as usize * self.n + from] = Some((surplus, now));
-            }
-        }
-    }
-
     /// Any message from a suspected peer proves it alive again.
     pub fn peer_alive(&mut self, from: NodeId) {
         self.suspect_until[from] = None;
     }
 
-    /// A single-target solicitation for `item` aimed at `peer` went
-    /// unanswered: the peer is suspect until `until`, so the next
-    /// round-robin or hinted pick skips it. If a hint chose the peer,
-    /// the hint lied — the advertised surplus was gone by the time the
-    /// request landed. Drop the entry so the retry (and every other
-    /// transaction) stops re-targeting the same dead end, and lower the
-    /// site's trust in gossip so borderline-stale hints expire sooner.
-    pub fn solicit_timed_out(&mut self, item: ItemId, peer: NodeId, hinted: bool, until: SimTime) {
+    /// A single-target solicitation aimed at `peer` went unanswered: the
+    /// peer is suspect until `until`, so the next round-robin pick skips
+    /// it.
+    pub fn solicit_timed_out(&mut self, peer: NodeId, until: SimTime) {
         self.suspect_until[peer] = Some(until);
-        if hinted {
-            self.hint_table[item.0 as usize * self.n + peer] = None;
-            ewma(&mut self.hint_confidence, 0.0);
-        }
-    }
-
-    /// The hint-selected donor answered: the hint paid off.
-    pub fn hint_paid_off(&mut self) {
-        ewma(&mut self.hint_confidence, 1.0);
     }
 
     // ---- decisions ---------------------------------------------------------
 
-    /// Whom to solicit `need` of `item` from. A hint that is used is
-    /// debited on the spot: soliciting consumes the advertised surplus,
-    /// so back-to-back deficits don't all pile onto the same (now
-    /// drained) donor before its next gossip refresh.
-    pub fn target(&mut self, item: ItemId, need: Qty, now: SimTime) -> Target {
+    /// Whom a deficit solicits at `now`.
+    pub fn target(&mut self, now: SimTime) -> Target {
         match self.policy.fanout() {
             Fanout::All => Target::All,
-            Fanout::One => Target::One {
-                peer: self.next_rr(now),
-                hinted: None,
-            },
-            // No usable hint (cold start, everything stale or suspect):
-            // broadcast. Losing every hint costs messages, never liveness.
-            Fanout::Hinted => match self.hinted_target(item, need, now) {
-                Some((peer, surplus)) => {
-                    if let Some(h) = self.hint_table[item.0 as usize * self.n + peer].as_mut() {
-                        h.0 = h.0.saturating_sub(need);
-                    }
-                    Target::One {
-                        peer,
-                        hinted: Some(surplus),
-                    }
-                }
-                None => Target::All,
-            },
+            Fanout::One => Target::One(self.next_rr(now)),
         }
     }
 
@@ -299,7 +210,7 @@ impl Planner {
         match self.policy {
             Placement::Static => 0,
             Placement::Reactive(r) => r.refill.amount(need, have),
-            Placement::Adaptive(_) => {
+            Placement::Adaptive => {
                 let base = RefillPolicy::DemandExact.amount(need, have);
                 let spare = spare(have, self.own_demand[item.0 as usize]);
                 base + demand.saturating_sub(need).min(spare.saturating_sub(base))
@@ -319,8 +230,7 @@ impl Planner {
         // demand signal. Rebalance Rds transfers are not free — each one
         // costs a force and a Vm round trip — so the rebalancer moves the
         // single most valuable block per cadence instead of dribbling on
-        // every item at once (which was measured to *raise* frames/txn
-        // past what hint-directed solicitation saves).
+        // every item at once (which was measured to *raise* frames/txn).
         let mut best: Option<(ItemId, NodeId, f64)> = None;
         // Item-major nested scan, so ties break toward the lower pair
         // (the winner is the first pair holding the largest qualifying
@@ -408,44 +318,6 @@ impl Planner {
     }
 
     // ---- internals ---------------------------------------------------------
-
-    /// The hint TTL scaled by observed hint trust: full `HINT_TTL` while
-    /// hints keep paying off, down to a quarter of it when they keep
-    /// lying (fast drift makes old gossip worthless sooner).
-    fn effective_hint_ttl_us(&self) -> u64 {
-        let scale = self.hint_confidence.clamp(0.25, 1.0);
-        (HINT_TTL.as_micros() as f64 * scale) as u64
-    }
-
-    /// The peer with the highest fresh advertised surplus for `item`
-    /// (suspects and expired hints excluded).
-    fn hinted_target(&self, item: ItemId, need: Qty, now: SimTime) -> Option<(NodeId, Qty)> {
-        if self.policy.adaptive_params()?.chaos == HintChaos::Stale {
-            return None; // chaos: every hint is treated as expired
-        }
-        let ttl_us = self.effective_hint_ttl_us();
-        let mut best: Option<(NodeId, Qty)> = None;
-        let base = item.0 as usize * self.n;
-        for peer in 0..self.n {
-            let (surplus, at) = match self.hint_table[base + peer] {
-                Some(h) => h,
-                None => continue,
-            };
-            // A hint below the need would aim the whole solicitation at a
-            // donor that cannot cover it — under Conc1's silent declines
-            // that burns the full timeout, so such hints don't qualify.
-            if peer == self.id || surplus < need.max(1) {
-                continue;
-            }
-            if now.since(at).as_micros() > ttl_us || self.is_suspect(peer, now) {
-                continue;
-            }
-            if best.is_none_or(|(_, s)| surplus > s) {
-                best = Some((peer, surplus));
-            }
-        }
-        best
-    }
 
     /// Whether `peer` is currently suspected unresponsive.
     fn is_suspect(&self, peer: NodeId, now: SimTime) -> bool {

@@ -1,7 +1,7 @@
 //! Planner unit tests: no cluster, no kernel — a hand-rolled [`View`].
 
 use super::*;
-use crate::policy::{AdaptivePlacement, ReactivePlacement};
+use crate::policy::ReactivePlacement;
 
 /// A site as the planner sees it: `have[i]` / `locked[i]` of item `i`.
 struct Site(Vec<Qty>, Vec<bool>);
@@ -28,19 +28,11 @@ fn planner(policy: Placement) -> (Planner, Site) {
     (Planner::new(0, 4, policy, site.0.len()), site)
 }
 
-fn adaptive(fanout: Fanout, chaos: HintChaos) -> Placement {
-    Placement::Adaptive(AdaptivePlacement { fanout, chaos })
-}
-
 fn round_robin() -> Placement {
     Placement::Reactive(ReactivePlacement {
         fanout: Fanout::One,
         ..Default::default()
     })
-}
-
-fn one(peer: NodeId, hinted: Option<Qty>) -> Target {
-    Target::One { peer, hinted }
 }
 
 #[test]
@@ -185,87 +177,36 @@ fn adaptive_arm_goes_quiet_once_solicitations_stop() {
 }
 
 #[test]
-fn target_skips_unusable_hints_and_debits_the_one_it_uses() {
-    let (mut p, _) = planner(Placement::adaptive());
-    p.hints_from(1, [(0, 5)], at(0)); // below the need
-    p.hints_from(2, [(0, 50)], at(0));
-    p.hints_from(3, [(0, 80), (7, 9)], at(0)); // item 7: not in the catalog
-    assert_eq!(p.target(B, 40, at(1)), Target::All, "no hint for B");
-    assert_eq!(p.target(A, 40, at(1)), one(3, Some(80)));
-    assert_eq!(p.target(A, 40, at(1)), one(2, Some(50)), "3 is down to 40");
-    assert_eq!(p.target(A, 40, at(1)), one(3, Some(40)));
-    assert_eq!(p.target(A, 40, at(1)), Target::All, "every hint is spent");
-
-    // A suspect's hint is skipped until the peer is heard from again.
-    let (mut p, _) = planner(Placement::adaptive());
-    p.hints_from(2, [(0, 50)], at(0));
-    p.hints_from(3, [(0, 80)], at(0));
-    p.solicit_timed_out(B, 3, false, at(100));
-    assert_eq!(p.target(A, 1, at(1)), one(2, Some(50)));
-    p.peer_alive(3);
-    assert_eq!(p.target(A, 1, at(1)), one(3, Some(80)));
-
-    // Hints expire at the TTL, and sooner once a hinted target timed out.
-    let ttl = HINT_TTL.as_micros() / 1_000;
-    let (mut p, _) = planner(Placement::adaptive());
-    p.hints_from(2, [(0, 50)], at(0));
-    let mut wary = p.clone();
-    wary.solicit_timed_out(B, 3, true, at(0));
-    assert_eq!(p.clone().target(A, 1, at(ttl)), one(2, Some(50)));
-    assert_eq!(p.target(A, 1, at(ttl + 1)), Target::All);
-    assert_eq!(wary.target(A, 1, at(ttl * 4 / 5)), Target::All);
+fn only_a_round_robin_policy_aims_at_one_peer() {
+    for policy in [
+        Placement::Static,
+        Placement::reactive(),
+        Placement::adaptive(),
+    ] {
+        assert_eq!(planner(policy).0.target(at(0)), Target::All, "{policy:?}");
+    }
+    assert_eq!(planner(round_robin()).0.target(at(0)), Target::One(1));
 }
 
 #[test]
 fn round_robin_skips_suspects_and_falls_back_when_all_are_suspect() {
     let (mut p, _) = planner(round_robin());
-    let next = |p: &mut Planner, ms| match p.target(A, 1, at(ms)) {
-        Target::One { peer, hinted: None } => peer,
+    let next = |p: &mut Planner, ms| match p.target(at(ms)) {
+        Target::One(peer) => peer,
         other => panic!("round-robin must pick one peer: {other:?}"),
     };
     let first: Vec<_> = (0..3).map(|_| next(&mut p, 0)).collect();
     assert_eq!(first, [1, 2, 3]);
     assert_eq!(next(&mut p, 0), 1, "wraps past itself");
-    p.solicit_timed_out(A, 2, false, at(100));
+    p.solicit_timed_out(2, at(100));
     assert_eq!(next(&mut p, 1), 3, "2 is suspect");
     assert_eq!(next(&mut p, 100), 1);
     assert_eq!(next(&mut p, 100), 2, "suspicion lapsed at its deadline");
     for peer in 1..4 {
-        p.solicit_timed_out(A, peer, false, at(500));
+        p.solicit_timed_out(peer, at(500));
     }
     assert_eq!(next(&mut p, 200), 3, "all suspect: keep the rotation");
     assert_eq!(next(&mut p, 200), 1);
-}
-
-#[test]
-fn hint_chaos_at_the_ingest_and_target_boundary() {
-    let run = |chaos| {
-        let (mut p, _) = planner(adaptive(Fanout::Hinted, chaos));
-        p.hints_from(2, [(0, 50), (1, 20)], at(0));
-        p.hints_from(3, [(0, 80)], at(0));
-        let picks = [
-            p.target(A, 40, at(1)),
-            p.target(A, 40, at(1)),
-            p.target(B, 5, at(1)),
-        ];
-        (p, picks)
-    };
-    let (_, plain) = run(HintChaos::None);
-    assert_eq!(
-        plain,
-        [one(3, Some(80)), one(2, Some(50)), one(2, Some(20))]
-    );
-    let (stale, picks) = run(HintChaos::Stale);
-    assert_eq!(picks, [Target::All; 3], "recorded, but treated as expired");
-    assert!(stale.hint_table.iter().any(Option::is_some));
-    let (dropped, picks) = run(HintChaos::Drop);
-    assert_eq!(picks, [Target::All; 3]);
-    let untouched = planner(adaptive(Fanout::Hinted, HintChaos::Drop)).0;
-    assert_eq!(dropped, untouched);
-    // With the subsystem off, arriving hints are ignored outright.
-    let (mut off, _) = planner(Placement::reactive());
-    off.hints_from(2, [(0, 50)], at(0));
-    assert_eq!(off, planner(Placement::reactive()).0);
 }
 
 #[test]
@@ -280,17 +221,13 @@ fn reset_leaves_a_freshly_built_planner_after_any_observation_sequence() {
             x ^= x << 17;
             let (item, peer) = (ItemId((x >> 8) as u32 % 2), 1 + (x >> 16) as usize % 3);
             let (qty, now) = ((x >> 24) % 90, at(step * 20));
-            match x % 11 {
+            match x % 7 {
                 0 => p.local_demand(item, qty),
                 1 => p.peer_request(item, peer, qty, qty + 5, x & 256 != 0),
-                2 => p.hints_from(peer, [(item.0, qty)], now),
-                3 => p.peer_alive(peer),
-                4 => p.solicit_timed_out(item, peer, x & 256 != 0, at(step * 20 + 100)),
-                5 => p.hint_paid_off(),
-                6 => drop(p.target(item, qty, now)),
-                7 => drop(p.refill(item, qty, qty + 9, 50)),
-                8 => drop(p.gossip(now, &site)),
-                9 => drop(p.piggyback(peer, now)),
+                2 => p.peer_alive(peer),
+                3 => p.solicit_timed_out(peer, at(step * 20 + 100)),
+                4 => drop(p.target(now)),
+                5 => drop(p.refill(item, qty, qty + 9, 50)),
                 _ => drop(p.plan_rebalance(now, &site)),
             }
         }
@@ -298,39 +235,6 @@ fn reset_leaves_a_freshly_built_planner_after_any_observation_sequence() {
         p.reset();
         assert_eq!(p, fresh);
     }
-}
-
-/// `gossip` puts an item on offer exactly to the peers that solicited
-/// it, and `piggyback` hands each of them the entry once per window.
-#[test]
-fn gossip_offers_surplus_to_the_peers_that_asked_and_piggyback_sends_it_once() {
-    let (mut p, site) = planner(Placement::adaptive());
-    p.peer_request(A, 2, 10, 10, false);
-    p.peer_request(B, 3, 10, 10, false);
-    // `None`: nothing on offer, so the gate is not even asked.
-    assert_eq!(p.piggyback(2, at(0)), None, "nothing on offer yet");
-    assert!(p.gossip(at(1), &site));
-    assert_eq!(p.piggyback(1, at(1)), None, "1 never asked");
-    assert_eq!(p.piggyback(2, at(1)).unwrap().as_slice(), &[(A.0, 100)]);
-    assert_eq!(p.piggyback(3, at(1)).unwrap().as_slice(), &[(B.0, 100)]);
-    assert!(
-        p.piggyback(2, at(2)).unwrap().is_empty(),
-        "unmoved: already told"
-    );
-    // The offers are recomputed at most once per TTL.
-    let poorer = Site(vec![40, 100], vec![false, false]);
-    assert!(!p.gossip(at(2), &poorer));
-    assert!(p.piggyback(2, at(3)).unwrap().is_empty());
-    assert!(p.gossip(at(1) + HINT_TTL, &poorer));
-    assert_eq!(
-        p.piggyback(2, at(1) + HINT_TTL).unwrap().as_slice(),
-        &[(A.0, 40)]
-    );
-    // Under any other policy nothing is ever on offer.
-    let (mut off, site) = planner(Placement::reactive());
-    off.peer_request(A, 2, 10, 10, false);
-    assert!(!off.gossip(at(1), &site));
-    assert_eq!(off.piggyback(2, at(1)), None);
 }
 
 /// The module is pure by construction only while it cannot *name*
@@ -361,7 +265,7 @@ fn placement_names_nothing_safety_bearing() {
         source.lines().filter(|l| !l.trim_start().starts_with("//"))
     }
     let placement = sources("placement");
-    assert!(placement.len() >= 2, "mod and gossip must both be scanned");
+    assert!(!placement.is_empty(), "mod.rs must be scanned");
     for (path, source) in &placement {
         for line in code(source) {
             for banned in

@@ -9,8 +9,7 @@
 //! [`Placement::Static`] never moves value, [`Placement::Reactive`] is
 //! the paper's baseline (value moves only on demand-triggered refills),
 //! and [`Placement::Adaptive`] layers the demand-adaptive subsystem on
-//! top (per-item demand EWMAs, availability hints piggybacked on Vm
-//! datagrams, hint-directed solicitation, predictive refill, and the one
+//! top (per-item demand EWMAs, predictive refill, and the one
 //! rebalancer, a demand-driven one). The mechanism and its constants
 //! live in [`crate::placement`], the only reader of the policy.
 //! Configurations are assembled with [`SiteConfig::builder`].
@@ -61,13 +60,6 @@ pub enum Fanout {
     /// Every other site (the deficit is requested from each; donors cap
     /// by policy). Robust, chattier.
     All,
-    /// The peer with the highest *fresh* advertised surplus, learned from
-    /// availability hints gossiped on Vm datagrams. Falls back to `All`
-    /// when no usable hint is known (cold start, stale hints, suspect
-    /// peers), so losing every hint only costs extra messages, never
-    /// liveness. Only meaningful under [`Placement::Adaptive`] — without
-    /// it no hints flow and the fallback always fires.
-    Hinted,
 }
 
 /// Which concurrency-control scheme the sites run (paper Section 6).
@@ -104,45 +96,6 @@ impl Default for ReactivePlacement {
     }
 }
 
-/// Adversarial hint handling, for proving hints are safety-inert.
-///
-/// **Test-only** (like the `unsafe_skip_*` ablation flags): production
-/// configurations keep `None`. The placement proptests run every mode
-/// and assert that no commit/abort decision changes when hints are not
-/// steering (fan-out ≠ `Hinted`), and that every safety oracle holds
-/// when they are. There is no duplication mode: a hint slot keeps the
-/// last write, so a duplicated hint is idempotent by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum HintChaos {
-    /// Hints are processed normally.
-    #[default]
-    None,
-    /// Every received hint is discarded.
-    Drop,
-    /// Every received hint is recorded as already expired.
-    Stale,
-}
-
-/// Parameters of the demand-adaptive placement subsystem (mechanism,
-/// constants and the volatility / safety-inertness argument:
-/// [`crate::placement`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptivePlacement {
-    /// Solicitation fan-out (default [`Fanout::Hinted`]).
-    pub fanout: Fanout,
-    /// Adversarial hint handling (test-only; see [`HintChaos`]).
-    pub chaos: HintChaos,
-}
-
-impl Default for AdaptivePlacement {
-    fn default() -> Self {
-        AdaptivePlacement {
-            fanout: Fanout::Hinted,
-            chaos: HintChaos::None,
-        }
-    }
-}
-
 /// Where value sits and how it moves: the unified placement policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Placement {
@@ -156,10 +109,11 @@ pub enum Placement {
     /// The paper's baseline: demand-triggered refills and nothing else.
     /// The default.
     Reactive(ReactivePlacement),
-    /// The demand-adaptive subsystem: demand EWMAs, piggybacked
-    /// availability hints, hint-directed solicitation, predictive refill,
-    /// demand-driven rebalancing (the only rebalancer).
-    Adaptive(AdaptivePlacement),
+    /// The demand-adaptive subsystem: demand EWMAs, predictive refill and
+    /// demand-driven rebalancing (the only rebalancer), soliciting with
+    /// full fan-out (mechanism, constants and the volatility /
+    /// safety-inertness argument: [`crate::placement`]).
+    Adaptive,
 }
 
 impl Default for Placement {
@@ -175,32 +129,24 @@ impl Placement {
         Placement::default()
     }
 
-    /// The default adaptive policy.
+    /// The adaptive policy.
     pub fn adaptive() -> Self {
-        Placement::Adaptive(AdaptivePlacement::default())
+        Placement::Adaptive
     }
 
-    /// Solicitation fan-out under this policy. `Static` solicits with
-    /// full fan-out (requests are part of the protocol; donors decline).
+    /// Solicitation fan-out under this policy. `Static` and `Adaptive`
+    /// solicit with full fan-out (under `Static` requests are part of the
+    /// protocol; donors decline).
     pub fn fanout(&self) -> Fanout {
         match self {
-            Placement::Static => Fanout::All,
             Placement::Reactive(r) => r.fanout,
-            Placement::Adaptive(a) => a.fanout,
-        }
-    }
-
-    /// The adaptive parameters, when this policy is adaptive.
-    pub fn adaptive_params(&self) -> Option<&AdaptivePlacement> {
-        match self {
-            Placement::Adaptive(a) => Some(a),
-            _ => None,
+            Placement::Static | Placement::Adaptive => Fanout::All,
         }
     }
 
     /// Whether the demand-adaptive subsystem is on.
     pub fn is_adaptive(&self) -> bool {
-        matches!(self, Placement::Adaptive(_))
+        matches!(self, Placement::Adaptive)
     }
 }
 
@@ -466,21 +412,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_placement_defaults() {
+    fn adaptive_placement_solicits_everyone() {
         let p = Placement::adaptive();
         assert!(p.is_adaptive());
-        assert_eq!(p.fanout(), Fanout::Hinted);
-        assert_eq!(p.adaptive_params().unwrap().chaos, HintChaos::None);
+        assert_eq!(p.fanout(), Fanout::All);
     }
 
     #[test]
     fn builder_assembles_and_scales_lease() {
         let cfg = SiteConfig::builder()
             .timeout(SimDuration::millis(20))
-            .placement(Placement::Adaptive(AdaptivePlacement {
-                fanout: Fanout::All,
-                ..Default::default()
-            }))
+            .placement(Placement::adaptive())
             .conc(ConcMode::Conc2)
             .solicit_retries(2)
             .checkpoint_every(24)

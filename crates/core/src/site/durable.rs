@@ -300,16 +300,11 @@ impl Durable {
         let redo_from = self.stable.slot.redo_from();
         let entries = match self.stable.log.recover_salvage() {
             SalvageOutcome::Clean { entries } => entries,
-            SalvageOutcome::TailTear {
-                entries,
-                bytes_dropped,
-                ..
-            } => {
+            SalvageOutcome::TailTear { entries, .. } => {
                 // WAL-style: the torn tail frame never committed; the
                 // salvage scan dropped it and repaired the image so later
                 // scans see a clean log.
                 metrics.torn_crashes += 1;
-                metrics.torn_bytes_dropped += bytes_dropped;
                 entries
             }
             SalvageOutcome::MediaDamage {
@@ -322,8 +317,6 @@ impl Durable {
                 // each dropped record could have displaced, then decide
                 // whether the surviving checkpoint covers the loss.
                 metrics.salvages += 1;
-                metrics.salvaged_records_lost += report.records_lost;
-                metrics.salvaged_bytes_lost += report.bytes_lost;
                 self.obs.emit_with(site, || EventKind::Salvage {
                     first_bad_lsn: report.first_bad_lsn.0,
                     records_lost: report.records_lost,

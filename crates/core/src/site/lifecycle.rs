@@ -50,10 +50,9 @@ pub(super) struct ActiveTxn {
     solicited: bool,
     /// Remaining solicitation retries (see `SiteConfig::solicit_retries`).
     retries_left: u32,
-    /// Per item (sorted): the single peer a solicitation targeted
-    /// (`true` = hint-selected). Feeds hint-hit accounting and, on a
-    /// timeout abort, peer suspicion.
-    single_targets: Vec<(ItemId, NodeId, bool)>,
+    /// Per item (sorted): the single peer a solicitation targeted. On a
+    /// timeout abort, it becomes suspect.
+    single_targets: Vec<(ItemId, NodeId)>,
 }
 
 impl ActiveTxn {
@@ -301,28 +300,17 @@ impl SiteNode {
                 demand: self.planner.advertised_demand(item, need),
                 read: false,
             };
-            match self.planner.target(item, need, ctx.now()) {
+            match self.planner.target(ctx.now()) {
                 Target::All => {
                     for to in peers_of(self.id, self.n) {
                         self.solicit_peer(to, ask, ctx);
                     }
                 }
-                Target::One { peer, hinted } => {
-                    if let Some(surplus) = hinted {
-                        self.metrics.hinted_solicits += 1;
-                        self.obs
-                            .emit_with(self.id as u32, || EventKind::HintSolicit {
-                                txn: ts.0,
-                                item: item.0,
-                                to: peer as u32,
-                                surplus,
-                            });
-                    }
+                Target::One(peer) => {
                     self.solicit_peer(peer, ask, ctx);
-                    // Remember the target so a timeout can mark it suspect
-                    // (and a hinted answer count as a hit).
+                    // Remember the target so a timeout can mark it suspect.
                     let t = self.active.get_mut(ts).expect("looked up above");
-                    let entry = (item, peer, hinted.is_some());
+                    let entry = (item, peer);
                     match t.single_targets.binary_search_by_key(&item, |e| e.0) {
                         Ok(i) => t.single_targets[i] = entry,
                         Err(i) => t.single_targets.insert(i, entry),
@@ -490,8 +478,8 @@ impl SiteNode {
             // suspect for two timeout spans (any message from the peer
             // clears the suspicion — see `on_message`).
             let until = ctx.now() + self.cfg.txn_timeout.saturating_mul(2);
-            for &(item, peer, hinted) in &t.single_targets {
-                self.planner.solicit_timed_out(item, peer, hinted, until);
+            for &(_, peer) in &t.single_targets {
+                self.planner.solicit_timed_out(peer, until);
             }
             // Unmet deficits are demand the estimator under-called:
             // re-emphasize them so the next advertisement asks higher.
@@ -525,18 +513,6 @@ impl SiteNode {
         if let Ok(i) = t.deficits.binary_search_by_key(&transfer.item, |e| e.0) {
             let d = &mut t.deficits[i].1;
             *d = d.saturating_sub(transfer.amount);
-        }
-        if let Ok(i) = t
-            .single_targets
-            .binary_search_by_key(&transfer.item, |e| e.0)
-        {
-            let (_, peer, hinted) = t.single_targets[i];
-            if hinted && peer == transfer.donor {
-                // The hint-selected donor answered: the hint paid off.
-                t.single_targets.remove(i);
-                self.metrics.hint_hits += 1;
-                self.planner.hint_paid_off();
-            }
         }
         if transfer.kind == TransferKind::ReadGrant && transfer.for_txn == holder {
             if let Ok(i) = t.read_pending.binary_search_by_key(&transfer.item, |e| e.0) {

@@ -301,15 +301,8 @@ impl SiteNode {
     /// Drain every queued Vm frame into per-peer wire datagrams and put
     /// them on the wire.
     fn send_vm_datagrams(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        // The planner alone decides what gossip rides toward each peer.
-        let (now, planner, gate_calls) =
-            (ctx.now(), &mut self.planner, &mut self.metrics.gate_calls);
         self.vm
-            .drain_datagrams_with(&mut self.datagram_scratch, |to| {
-                let section = planner.piggyback(to, now);
-                *gate_calls += u64::from(section.is_some());
-                section.unwrap_or_default()
-            });
+            .drain_datagrams_into(ctx.now().micros(), &mut self.datagram_scratch);
         for (to, wire) in self.datagram_scratch.drain(..) {
             let frames = u64::from(wire.frame_count());
             let msg = ProtoMsg {
@@ -329,10 +322,6 @@ impl SiteNode {
             return;
         }
         self.durable.force_at_flush();
-        // Refresh the availability gossip on offer to whatever leaves
-        // now (free: hints piggyback on datagrams that exist anyway).
-        let refreshed = self.planner.gossip(ctx.now(), &(&self.frags, &self.locks));
-        self.metrics.gossip_refreshes += u64::from(refreshed);
         // One wire datagram per peer per flush: every queued frame toward
         // a peer rides a single transmission, with owed acks folded in.
         self.send_vm_datagrams(ctx);
@@ -518,8 +507,8 @@ impl Node for SiteNode {
             q.clear();
         }
         self.lease_timers.fill(None);
-        // Placement memory — outgoing gossip included — describes a
-        // pre-crash world; recovery never consults any of it.
+        // Placement memory describes a pre-crash world; recovery never
+        // consults any of it.
         self.planner.reset();
         self.clock.crash_reset();
         self.retransmit_armed = false;
@@ -591,14 +580,11 @@ mod tests {
         let now = SimTime(1_000);
         site.planner.local_demand(ItemId(0), 30);
         site.planner.peer_request(ItemId(1), 2, 10, 40, false);
-        site.planner.hints_from(3, [(0, 70)], now);
-        site.planner
-            .solicit_timed_out(ItemId(0), 2, true, SimTime(90_000));
-        let _ = site.planner.target(ItemId(0), 20, now);
-        let view = (&site.frags, &site.locks);
-        site.planner.gossip(now, &view);
-        let _ = site.planner.piggyback(2, now);
-        let _ = site.planner.plan_rebalance(now, &view);
+        site.planner.solicit_timed_out(2, SimTime(90_000));
+        let _ = site.planner.target(now);
+        let _ = site
+            .planner
+            .plan_rebalance(now, &(&site.frags, &site.locks));
         assert_ne!(site.planner, fresh);
         site.on_crash();
         assert_eq!(site.planner, fresh);

@@ -224,8 +224,7 @@ impl SiteNode {
         self.metrics.rows_scanned += rows_scanned;
         // An idle tick appends no records and queues no frames, so its
         // trailing flush would be a pure no-op, and at the rebalance
-        // cadence those no-ops add up. The gossip refresh rides the next
-        // real dispatch.
+        // cadence those no-ops add up.
         let Some((item, to, amount)) = ship else {
             return;
         };
@@ -260,10 +259,6 @@ impl SiteNode {
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
         let datagram = wire.decode();
-        // Piggybacked availability hints first: pure volatile gossip,
-        // recorded (or chaos-mangled) before any frame is processed.
-        self.planner
-            .hints_from(from, datagram.hints.iter(), ctx.now());
         self.vm.begin_datagram(datagram.id);
         for frame in datagram.frames {
             self.process_vm_frame(from, frame, ctx);

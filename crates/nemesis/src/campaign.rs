@@ -92,13 +92,12 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
     if violation.is_none() {
         // Settle: run well past the horizon so retransmits, recoveries,
         // and healed partitions drain. The window is bounded because some
-        // campaigns never quiesce, all through Vms that never complete:
-        // - a Vm toward a site that never answers again (quarantined
-        //   after media loss, or crashed by a crashpoint with no
-        //   scheduled recovery) is retransmitted every interval forever;
-        // - with piggyback-only acks (`eager_acks: false`) a sender's last
-        //   Vm is never acked once no reverse traffic carries the ack, so
-        //   it is retransmitted and discarded as a duplicate forever.
+        // campaigns never quiesce: a Vm toward a site that never answers
+        // again (quarantined after media loss, or crashed by a crashpoint
+        // with no scheduled recovery) is retransmitted every interval
+        // forever. Piggyback-only acks (`eager_acks: false`) do not keep
+        // a campaign busy: every duplicate is acked, so a sender's last
+        // Vm completes with no reverse traffic to carry the ack.
         cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
         let m = cl.stats().txn;
         if let Err(v) = oracle::check_all(&cl, &m) {

@@ -98,19 +98,6 @@ pub enum EventKind {
     },
 
     // --- adaptive placement ---------------------------------------
-    /// The home site directed a solicitation at one hint-advertised
-    /// peer instead of broadcasting (`Fanout::Hinted`; emitted only
-    /// under adaptive placement, so older traces are unaffected).
-    HintSolicit {
-        /// Transaction id.
-        txn: u64,
-        /// Item solicited.
-        item: u32,
-        /// The hint-selected peer.
-        to: u32,
-        /// The surplus that peer last advertised.
-        surplus: u64,
-    },
     /// The demand-driven rebalancer shipped surplus toward estimated
     /// demand (adaptive placement only).
     PlacementShip {
@@ -224,7 +211,6 @@ impl EventKind {
             EventKind::TxnQueued { .. } => "txn_queued",
             EventKind::TxnCommit { .. } => "txn_commit",
             EventKind::TxnAbort { .. } => "txn_abort",
-            EventKind::HintSolicit { .. } => "hint_solicit",
             EventKind::PlacementShip { .. } => "placement_ship",
             EventKind::VmSend { .. } => "vm_send",
             EventKind::VmAccept { .. } => "vm_accept",
@@ -250,8 +236,7 @@ impl EventKind {
             | EventKind::TxnAbsorb { txn, .. }
             | EventKind::TxnQueued { txn, .. }
             | EventKind::TxnCommit { txn, .. }
-            | EventKind::TxnAbort { txn, .. }
-            | EventKind::HintSolicit { txn, .. } => Some(*txn),
+            | EventKind::TxnAbort { txn, .. } => Some(*txn),
             _ => None,
         }
     }
@@ -320,17 +305,6 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"txn\":{txn},\"reason\":\"{reason}\",\"latency_us\":{latency_us}"
-                );
-            }
-            EventKind::HintSolicit {
-                txn,
-                item,
-                to,
-                surplus,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"txn\":{txn},\"item\":{item},\"to\":{to},\"surplus\":{surplus}"
                 );
             }
             EventKind::PlacementShip { item, to, qty } => {

@@ -168,6 +168,12 @@ fn flip(bytes: &mut [u8]) {
     }
 }
 
+/// What a garbage tear XORs into a torn frame's last byte. It is not
+/// [`flip`]'s pattern, and `0x5A ^ 0xA5 = 0xFF`, so a rot that later
+/// lands on the same byte leaves it wrong instead of healing the tear
+/// into a record that was never durable.
+const TORN_GARBAGE: u8 = 0x5A;
+
 /// Decode one `(lsn, rec)` frame from the front of `buf`.
 fn decode_entry<R: Record>(buf: &mut Bytes) -> Result<(Lsn, R), DecodeError> {
     let mut payload = take_frame(buf)?;
@@ -348,7 +354,7 @@ impl<R: Record> StableLog<R> {
                 TornWrite::Truncated => (frame / 2).max(4),
                 // The full frame landed but its last byte is wrong.
                 _ => {
-                    flip(&mut self.buf[self.durable + frame - 1..][..1]);
+                    self.buf[self.durable + frame - 1] ^= TORN_GARBAGE;
                     frame
                 }
             };
@@ -750,6 +756,24 @@ mod tests {
             DecodeError::Corrupt { .. }
         ));
         log.recover_salvage();
+        assert_eq!(log.recover().unwrap(), vec![R(7)]);
+    }
+
+    /// The two injectors cannot cancel: rot landing on a garbage tear's
+    /// mangled byte leaves the frame bad, so the record that never
+    /// became durable stays lost.
+    #[test]
+    fn rot_on_a_garbage_tear_cannot_heal_it() {
+        let mut log = StableLog::<R>::new();
+        log.append_force(R(7));
+        log.append(R(8));
+        assert!(log.crash_torn(TornWrite::Garbage));
+        let end = log.stable_image_len();
+        assert_eq!(log.corrupt_stable(end - 1..end), 1);
+        assert!(matches!(
+            log.recover_salvage(),
+            SalvageOutcome::TailTear { .. }
+        ));
         assert_eq!(log.recover().unwrap(), vec![R(7)]);
     }
 

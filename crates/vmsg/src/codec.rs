@@ -3,29 +3,21 @@
 //! A [`WireDatagram`] is the unit the host puts on the network when
 //! [`coalesce`](crate::endpoint::VmConfig::coalesce) is on: every frame
 //! bound for one peer at one flush boundary, encoded as a length-prefixed
-//! frame sequence. Encoding is **scatter-gather**: header, per-frame
-//! metadata and hint section are written into one buffer and cut into
+//! frame sequence. Encoding is **scatter-gather**: the header and the
+//! per-frame metadata are written into one buffer and cut into
 //! segments around the payloads, while each `Data` payload is appended
 //! as its own refcounted [`Bytes`] segment — a payload is never copied
 //! on the way out, and a datagram costs the same metadata allocations
-//! however many frames and hints it carries. Decoding slices payloads
-//! and the hint section back out of the segments, so the receive path is
-//! copy-free as well.
+//! however many frames it carries. Decoding slices payloads back out of
+//! the segments, so the receive path is copy-free as well.
 //!
 //! Wire layout (big-endian):
 //!
 //! ```text
-//! datagram  := id:u64  count:u32  frame*  hints?
+//! datagram  := id:u64  count:u32  frame*
 //! frame     := 0x00 ack:u64                              (Ack)
 //!            | 0x01 seq:u64 ack:u64 len:u32 payload      (Data)
-//! hints     := hint_count:u32  (item:u32 surplus:u64)*
 //! ```
-//!
-//! The high bit of `count` flags a trailing **availability-hint**
-//! section (advertised-surplus gossip piggybacked by the adaptive
-//! placement layer). A datagram with no hints encodes byte-for-byte as
-//! it did before the section existed — the flag bit is simply never
-//! set — which is what keeps the pre-hint golden traces valid.
 
 use crate::channel::Seq;
 use crate::frame::Frame;
@@ -36,28 +28,12 @@ const TAG_ACK: u8 = 0x00;
 /// Frame tag byte for a data frame.
 const TAG_DATA: u8 = 0x01;
 
-/// High bit of the header `count` field: a hint section trails the
-/// frames.
-const HINT_FLAG: u32 = 1 << 31;
-
 /// Encoded size of the datagram header (`id` + `count`).
 pub const DATAGRAM_HEADER_LEN: usize = 8 + 4;
-/// Encoded size of one availability-hint entry (`item` + `surplus`).
-pub const HINT_ENTRY_LEN: usize = 4 + 8;
 /// Encoded size of a standalone ack frame (tag + ack).
 pub const ACK_FRAME_LEN: usize = 1 + 8;
 /// Encoded size of a data frame's metadata (tag + seq + ack + len).
 pub const DATA_FRAME_META_LEN: usize = 1 + 8 + 8 + 4;
-
-/// Encoded size of a hint section of `entries` entries (count + entries;
-/// an empty section is not encoded at all).
-pub fn hint_section_len(entries: usize) -> usize {
-    if entries == 0 {
-        0
-    } else {
-        4 + entries * HINT_ENTRY_LEN
-    }
-}
 
 /// Encoded size of one frame on the wire.
 pub fn frame_wire_len(frame: &Frame) -> usize {
@@ -75,33 +51,6 @@ pub struct Datagram {
     pub id: u64,
     /// The coalesced frames, in the order they were queued.
     pub frames: Vec<Frame>,
-    /// Piggybacked availability hints `(item, advertised surplus)` —
-    /// empty unless the sender's adaptive placement attached gossip.
-    pub hints: Hints,
-}
-
-/// The availability-hint section of a decoded datagram: a zero-copy view
-/// of its wire bytes, decoded entry by entry on iteration — receiving
-/// gossip allocates nothing.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Hints(Bytes);
-
-impl Hints {
-    /// Whether the datagram carried no hints.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The `(item, advertised surplus)` entries, in wire order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.0.chunks_exact(HINT_ENTRY_LEN).map(|e| {
-            let (item, surplus) = e.split_at(4);
-            (
-                u32::from_be_bytes(item.try_into().expect("4-byte item")),
-                u64::from_be_bytes(surplus.try_into().expect("8-byte surplus")),
-            )
-        })
-    }
 }
 
 /// The encoded form of one datagram: an ordered list of byte segments
@@ -122,19 +71,9 @@ impl WireDatagram {
     /// Encode `frames` as datagram `id`. Payload bytes are shared, not
     /// copied: each `Data` payload becomes its own segment.
     pub fn encode(id: u64, frames: &[Frame]) -> WireDatagram {
-        Self::encode_with_hints(id, frames, &[])
-    }
-
-    /// Encode `frames` as datagram `id` with a trailing availability-hint
-    /// section. With `hints` empty this is byte-identical to
-    /// [`encode`](Self::encode) — the flag bit is only set when there is
-    /// something to carry.
-    pub fn encode_with_hints(id: u64, frames: &[Frame], hints: &[(u32, u64)]) -> WireDatagram {
-        debug_assert!(frames.len() < HINT_FLAG as usize, "frame count overflow");
-        // Pass 1: every metadata byte — header, per-frame fields, hint
-        // section — goes into one exactly-sized buffer, frozen once.
-        let hint_len = hint_section_len(hints.len());
-        let mut meta_len = DATAGRAM_HEADER_LEN + hint_len;
+        // Pass 1: every metadata byte — header and per-frame fields —
+        // goes into one exactly-sized buffer, frozen once.
+        let mut meta_len = DATAGRAM_HEADER_LEN;
         let mut payload_len = 0usize;
         let mut data_frames = 0usize;
         for f in frames {
@@ -149,11 +88,7 @@ impl WireDatagram {
         }
         let mut meta = BytesMut::with_capacity(meta_len);
         meta.put_u64(id);
-        let mut count = frames.len() as u32;
-        if !hints.is_empty() {
-            count |= HINT_FLAG;
-        }
-        meta.put_u32(count);
+        meta.put_u32(frames.len() as u32);
         for f in frames {
             match f {
                 Frame::Ack { ack } => {
@@ -168,20 +103,13 @@ impl WireDatagram {
                 }
             }
         }
-        if !hints.is_empty() {
-            meta.put_u32(hints.len() as u32);
-            for &(item, surplus) in hints {
-                meta.put_u32(item);
-                meta.put_u64(surplus);
-            }
-        }
         debug_assert_eq!(meta.len(), meta_len);
         let meta = meta.freeze();
         // Pass 2: cut the metadata run after each data frame's fields, so
         // the payload lands between the cuts as its own segment (shared,
         // never copied). The cuts are views of the one buffer — a
         // datagram costs the same two metadata allocations however many
-        // frames and hints it carries.
+        // frames it carries.
         let mut segs = Vec::with_capacity(1 + 2 * data_frames);
         let mut start = 0usize;
         let mut end = DATAGRAM_HEADER_LEN;
@@ -225,8 +153,7 @@ impl WireDatagram {
     pub fn decode(&self) -> Datagram {
         let mut r = SegReader::new(&self.segs);
         let id = r.u64();
-        let raw_count = r.u32();
-        let count = raw_count & !HINT_FLAG;
+        let count = r.u32();
         let mut frames = Vec::with_capacity(count as usize);
         for _ in 0..count {
             match r.u8() {
@@ -246,14 +173,8 @@ impl WireDatagram {
                 tag => panic!("malformed datagram: unknown frame tag {tag:#x}"),
             }
         }
-        let hints = if raw_count & HINT_FLAG != 0 {
-            let n = r.u32() as usize;
-            Hints(r.bytes(n * HINT_ENTRY_LEN))
-        } else {
-            Hints::default()
-        };
         assert_eq!(r.remaining(), 0, "malformed datagram: trailing bytes");
-        Datagram { id, frames, hints }
+        Datagram { id, frames }
     }
 
     /// The concatenated wire image (test/debug helper; copies).
@@ -450,38 +371,30 @@ mod tests {
         assert_eq!(frame_wire_len(&data(1, 0, b"1234")), 21 + 4);
     }
 
+    /// The exact image of a datagram mixing ack and data frames: every
+    /// DvP wire byte in the experiment tables rests on this layout.
     #[test]
-    fn hints_roundtrip_and_cost_their_section() {
-        let frames = vec![Frame::Ack { ack: 2 }, data(3, 2, b"pay")];
-        let hints = vec![(0u32, 40u64), (7, 12)];
-        let wire = WireDatagram::encode_with_hints(5, &frames, &hints);
-        assert_eq!(wire.frame_count(), 2, "flag bit must not leak into count");
-        assert_eq!(wire.wire_len(), wire.to_vec().len());
-        assert_eq!(
-            wire.wire_len(),
-            DATAGRAM_HEADER_LEN + ACK_FRAME_LEN + DATA_FRAME_META_LEN + 3 + 4 + 2 * HINT_ENTRY_LEN
-        );
-        let d = wire.decode();
-        assert_eq!(d.id, 5);
-        assert_eq!(d.frames, frames);
-        assert_eq!(d.hints.iter().collect::<Vec<_>>(), hints);
-    }
-
-    #[test]
-    fn zero_hints_encode_byte_identically_to_plain_encode() {
-        let frames = vec![data(1, 0, b"abc"), Frame::Ack { ack: 4 }];
-        let plain = WireDatagram::encode(9, &frames);
-        let hinted = WireDatagram::encode_with_hints(9, &frames, &[]);
-        assert_eq!(plain.to_vec(), hinted.to_vec());
-        assert!(plain.decode().hints.is_empty());
-    }
-
-    #[test]
-    fn hint_only_datagram_roundtrips() {
-        let wire = WireDatagram::encode_with_hints(2, &[], &[(1, 99)]);
-        assert_eq!(wire.frame_count(), 0);
-        let d = wire.decode();
-        assert!(d.frames.is_empty());
-        assert_eq!(d.hints.iter().collect::<Vec<_>>(), vec![(1, 99)]);
+    fn mixed_datagram_encodes_to_pinned_bytes() {
+        let frames = vec![data(1, 0, b"abc"), Frame::Ack { ack: 4 }, data(2, 4, b"")];
+        let wire = WireDatagram::encode(9, &frames);
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0, 0, 0, 0, 0, 0, 0, 9, // id
+            0, 0, 0, 3,             // count
+            0x01,                   // Data
+            0, 0, 0, 0, 0, 0, 0, 1, //   seq
+            0, 0, 0, 0, 0, 0, 0, 0, //   ack
+            0, 0, 0, 3,             //   len
+            b'a', b'b', b'c',       //   payload
+            0x00,                   // Ack
+            0, 0, 0, 0, 0, 0, 0, 4, //   ack
+            0x01,                   // Data
+            0, 0, 0, 0, 0, 0, 0, 2, //   seq
+            0, 0, 0, 0, 0, 0, 0, 4, //   ack
+            0, 0, 0, 0,             //   len (empty payload)
+        ];
+        assert_eq!(wire.to_vec(), golden);
+        assert_eq!(wire.wire_len(), golden.len());
+        assert_eq!(wire.decode().frames, frames);
     }
 }

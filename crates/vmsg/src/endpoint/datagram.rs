@@ -1,13 +1,12 @@
 //! Datagram assembly (coalesce mode): everything the outbox holds for a
 //! peer at a flush boundary leaves as one [`WireDatagram`], with the
-//! ack duty folded in and whatever the host piggybacks carried along.
+//! ack duty folded in.
 
 use super::VmEndpoint;
-use crate::codec::{hint_section_len, WireDatagram, ACK_FRAME_LEN, DATAGRAM_HEADER_LEN};
+use crate::codec::{WireDatagram, ACK_FRAME_LEN, DATAGRAM_HEADER_LEN};
 use crate::frame::Frame;
 use crate::SiteId;
 use dvp_obs::EventKind;
-use std::ops::Deref;
 
 impl VmEndpoint {
     /// The datagram id the next drained datagram toward `peer` will get
@@ -32,17 +31,9 @@ impl VmEndpoint {
     /// Owed acks toward peers with no outgoing data stay owed — the host
     /// flushes them via [`flush_owed_ack`](Self::flush_owed_ack).
     ///
-    /// `piggyback` is asked once per datagram for the advisory entries
-    /// to append as its trailing section. The endpoint passes them
-    /// through: never interpreted, never stored, never retransmitted — a
-    /// retransmitted frame rides a new datagram, which asks again. An
-    /// empty answer leaves the datagram byte-identical to
-    /// [`WireDatagram::encode`].
-    pub fn drain_datagrams_with<S: Deref<Target = [(u32, u64)]>>(
-        &mut self,
-        out: &mut Vec<(SiteId, WireDatagram)>,
-        mut piggyback: impl FnMut(SiteId) -> S,
-    ) {
+    /// `_now` is unused; the signature is the one `benchmark/` compiles
+    /// against.
+    pub fn drain_datagrams_into(&mut self, _now: u64, out: &mut Vec<(SiteId, WireDatagram)>) {
         if self.outbox.is_empty() {
             return;
         }
@@ -89,23 +80,12 @@ impl VmEndpoint {
                     });
                 }
             }
-            let section = piggyback(to);
-            let wire = WireDatagram::encode_with_hints(id, &group, &section);
-            let section_len = hint_section_len(section.len()) as u64;
+            let wire = WireDatagram::encode(id, &group);
             self.stats.datagrams_sent += 1;
-            self.stats.bytes_sent += DATAGRAM_HEADER_LEN as u64 + section_len;
-            self.stats.hints_sent += section.len() as u64;
-            self.stats.hint_bytes_sent += section_len;
+            self.stats.bytes_sent += DATAGRAM_HEADER_LEN as u64;
             group.clear();
             self.groups[to] = group; // keep the allocation
             out.push((to, wire));
         }
-    }
-
-    /// [`drain_datagrams_with`](Self::drain_datagrams_with) and nothing
-    /// piggybacked. `_now` is unused; the signature is the one
-    /// `benchmark/` compiles against.
-    pub fn drain_datagrams_into(&mut self, _now: u64, out: &mut Vec<(SiteId, WireDatagram)>) {
-        self.drain_datagrams_with(out, |_| &[][..]);
     }
 }

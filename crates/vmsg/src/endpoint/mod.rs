@@ -28,13 +28,14 @@ pub struct VmConfig {
     /// sliding-window size; creation is never limited — Vms beyond the
     /// window simply wait durably for earlier ones to be acked).
     pub window: usize,
-    /// Send a standalone `Ack` frame immediately upon accepting or upon
-    /// seeing a duplicate, instead of waiting for reverse traffic to
-    /// piggyback on. Costs messages, cuts sender-state lifetime (ablation
-    /// knob; the paper assumes piggybacking only).
+    /// Send a standalone `Ack` frame immediately upon accepting, instead
+    /// of waiting for reverse traffic to piggyback on. Costs messages,
+    /// cuts sender-state lifetime (ablation knob; the paper assumes
+    /// piggybacking only). A duplicate is acked either way: it proves
+    /// the sender missed the ack.
     pub eager_acks: bool,
     /// Link-level coalescing: instead of one wire message per frame, the
-    /// host drains [`drain_datagrams_with`](VmEndpoint::drain_datagrams_with)
+    /// host drains [`drain_datagrams_into`](VmEndpoint::drain_datagrams_into)
     /// — one [`WireDatagram`](crate::WireDatagram) per peer per flush boundary — and eager
     /// acks become *owed* acks that fold into the next outgoing datagram
     /// (or are flushed standalone by the host via

@@ -42,10 +42,11 @@ impl VmEndpoint {
         match class {
             Classify::Duplicate => {
                 self.stats.duplicates_discarded += 1;
-                // Refresh the ack so the sender can stop resending.
-                if self.cfg.eager_acks {
-                    self.queue_ack(from);
-                }
+                // A duplicate proves the sender missed the ack: refresh it
+                // whatever `eager_acks` says, so the sender can stop
+                // resending (the window protocol's own rule; `eager_acks`
+                // governs fresh frames only).
+                self.queue_ack(from);
                 Receipt::Duplicate
             }
             Classify::OutOfOrder => {
@@ -111,7 +112,7 @@ impl VmEndpoint {
     }
 
     /// Flush an owed ack toward `peer` as a standalone `Ack` frame
-    /// (queued; the next [`drain_datagrams_with`](Self::drain_datagrams_with)
+    /// (queued; the next [`drain_datagrams_into`](Self::drain_datagrams_into)
     /// ships it as an ack-only datagram). Returns whether an ack was
     /// actually owed. The host calls this once a flush has left the ack
     /// without reverse data traffic to piggyback on.

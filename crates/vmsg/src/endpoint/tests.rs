@@ -1,7 +1,7 @@
 //! Endpoint unit tests: two endpoints wired back to back by hand.
 
 use super::*;
-use crate::codec::{WireDatagram, ACK_FRAME_LEN, HINT_ENTRY_LEN};
+use crate::codec::ACK_FRAME_LEN;
 use crate::logop::VmLogOp;
 
 fn b(s: &str) -> Bytes {
@@ -555,55 +555,6 @@ fn owed_ack_flushes_standalone_without_reverse_traffic() {
 }
 
 #[test]
-fn a_supplied_section_rides_byte_exactly_and_an_empty_one_costs_nothing() {
-    let mut s = VmEndpoint::new(0, coalescing_cfg());
-    let _ = s.create(1, b("x"));
-    let _ = s.create(2, b("y"));
-    let mut asked = Vec::new();
-    let mut dgrams = Vec::new();
-    s.drain_datagrams_with(&mut dgrams, |to| {
-        asked.push(to);
-        if to == 1 {
-            vec![(7, 40), (9, u64::MAX)]
-        } else {
-            Vec::new()
-        }
-    });
-    assert_eq!(asked, vec![1, 2], "asked once per datagram, per peer");
-    let frame = |to: SiteId| Frame::Data {
-        seq: 1,
-        ack: 0,
-        payload: b(if to == 1 { "x" } else { "y" }),
-    };
-    // The section is on the wire exactly as supplied...
-    assert_eq!(
-        dgrams[0].1,
-        WireDatagram::encode_with_hints(1, &[frame(1)], &[(7, 40), (9, u64::MAX)])
-    );
-    let carried: Vec<_> = dgrams[0].1.decode().hints.iter().collect();
-    assert_eq!(carried, vec![(7, 40), (9, u64::MAX)]);
-    // ...and an empty one leaves the datagram as if there were none.
-    assert_eq!(dgrams[1].1, WireDatagram::encode(1, &[frame(2)]));
-    assert_eq!(s.stats().hints_sent, 2);
-    assert_eq!(
-        s.stats().hint_bytes_sent,
-        (4 + 2 * HINT_ENTRY_LEN) as u64,
-        "section header plus two entries"
-    );
-    let frames_and_headers: usize = dgrams.iter().map(|(_, w)| w.wire_len()).sum();
-    assert_eq!(s.stats().bytes_sent, frames_and_headers as u64);
-
-    // Nothing is remembered: a retransmission rides a new datagram,
-    // which asks again, and a crash has nothing of it to wipe.
-    s.tick();
-    s.tick();
-    dgrams.clear();
-    s.drain_datagrams_into(0, &mut dgrams);
-    assert!(dgrams.iter().all(|(_, w)| w.decode().hints.is_empty()));
-    assert_eq!(s.stats().hints_sent, 2);
-}
-
-#[test]
 fn datagram_ids_stay_monotone_across_crash() {
     let mut s = VmEndpoint::new(0, coalescing_cfg());
     let op = s.create(1, b("a"));
@@ -643,5 +594,39 @@ fn piggyback_only_mode_sends_no_ack_frames() {
     match &frames[0].1 {
         Frame::Data { ack, .. } => assert_eq!(*ack, 1),
         other => panic!("expected data frame, got {other:?}"),
+    }
+}
+
+/// A duplicate proves the sender missed the ack, so it is answered in
+/// piggyback-only mode too. Without that, once no reverse data carries
+/// the ack, the sender's last Vm is retransmitted and discarded forever.
+#[test]
+fn piggyback_only_mode_still_acks_a_duplicate() {
+    for coalesce in [false, true] {
+        let cfg = VmConfig {
+            eager_acks: false,
+            coalesce,
+            ..VmConfig::default()
+        };
+        let mut s = VmEndpoint::new(0, cfg);
+        let mut r = VmEndpoint::new(1, cfg);
+        let _ = s.create(1, b("x"));
+        let (_, frame) = s.drain_outbox().into_iter().next().unwrap();
+        assert!(matches!(
+            r.on_frame(0, frame.clone()),
+            Receipt::Fresh { .. }
+        ));
+        r.commit_accept(0, 1);
+        assert!(!r.has_owed_ack(0), "a fresh frame waits for reverse data");
+        assert!(r.drain_outbox().is_empty());
+
+        // The retransmission lands as a duplicate and is answered.
+        assert_eq!(r.on_frame(0, frame), Receipt::Duplicate);
+        if coalesce {
+            assert!(r.has_owed_ack(0), "coalesce {coalesce}");
+            assert!(r.flush_owed_ack(0));
+        }
+        assert_eq!(flush(&mut r, &mut s), vec![Receipt::AckOnly]);
+        assert!(!s.has_outstanding(), "coalesce {coalesce}: still resending");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A frame is what actually crosses the (unreliable) network. `Data`
 //! frames carry one Vm payload plus a piggybacked cumulative ack for the
-//! reverse direction; `Ack` frames carry only the ack (used when
-//! [`eager_acks`](crate::endpoint::VmConfig::eager_acks) is on and there is
-//! no reverse traffic to piggyback on).
+//! reverse direction; `Ack` frames carry only the ack: the answer to a
+//! duplicate and, when
+//! [`eager_acks`](crate::endpoint::VmConfig::eager_acks) is on, to an
+//! acceptance with no reverse traffic to piggyback on.
 
 use crate::channel::Seq;
 use bytes::Bytes;

@@ -16,7 +16,8 @@
 //! state obliges it to retransmit until a cumulative acknowledgement
 //! covers the message. Acks are piggybacked on reverse traffic (and
 //! optionally sent eagerly as standalone frames — an ablation knob, see
-//! [`VmConfig::eager_acks`]).
+//! [`VmConfig::eager_acks`]); a duplicate is always answered with an ack,
+//! since it proves the sender missed one.
 //!
 //! ## Division of labour
 //!
@@ -52,7 +53,7 @@ pub mod logop;
 pub mod stats;
 
 pub use channel::Seq;
-pub use codec::{Datagram, Hints, WireDatagram};
+pub use codec::{Datagram, WireDatagram};
 pub use endpoint::{ChannelSnapshot, Receipt, VmConfig, VmEndpoint};
 pub use frame::Frame;
 pub use logop::VmLogOp;

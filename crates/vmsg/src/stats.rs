@@ -42,11 +42,10 @@ pub struct VmStats {
     /// second ack obligation merged into one already owed (the
     /// cumulative cursor covers both).
     pub bytes_acked_piggyback: u64,
-    /// Entries the host piggybacked on outgoing datagrams (placement
-    /// gossip; 0 when the host piggybacks nothing).
+    /// Always 0: datagrams carry nothing but frames. Kept only because
+    /// `benchmark/` still reads it.
     pub hints_sent: u64,
-    /// Extra wire bytes the piggybacked sections cost (already included
-    /// in `bytes_sent`).
+    /// Always 0, like the field above, and kept for the same reason.
     pub hint_bytes_sent: u64,
 }
 
@@ -68,7 +67,5 @@ impl VmStats {
         self.datagrams_sent += o.datagrams_sent;
         self.bytes_sent += o.bytes_sent;
         self.bytes_acked_piggyback += o.bytes_acked_piggyback;
-        self.hints_sent += o.hints_sent;
-        self.hint_bytes_sent += o.hint_bytes_sent;
     }
 }

@@ -8,7 +8,7 @@
 //! and `dvp-baselines` together.
 
 use dvp::baselines::TradConfig;
-use dvp::core::{AdaptivePlacement, InjectConfig, ReactivePlacement, SiteConfig};
+use dvp::core::{InjectConfig, ReactivePlacement, SiteConfig};
 use dvp::vmsg::VmConfig;
 
 /// Destructure each `Type { field, … }` group exhaustively from its
@@ -38,10 +38,6 @@ fn config_surface_census() {
             window,
             eager_acks,
             coalesce,
-        }
-        AdaptivePlacement {
-            fanout,
-            chaos,
         }
         ReactivePlacement {
             refill,

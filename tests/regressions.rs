@@ -122,9 +122,8 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
 /// timeout each time the pointer came back around — under Conc1's
 /// silent declines there is no nack to learn from, only the timeout.
 /// The fix marks the target of an unanswered single-target solicitation
-/// *suspect* for two timeout spans and skips suspects in both the
-/// round-robin and hint-directed picks (any message from the peer
-/// clears the suspicion).
+/// *suspect* for two timeout spans and skips suspects in the
+/// round-robin pick (any message from the peer clears the suspicion).
 ///
 /// Pinned sequence (3 sites, 1000 units each, site 2 crashed, fanout
 /// one, rotation visits 1, 2, 1, 2, ...):
