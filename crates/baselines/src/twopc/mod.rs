@@ -255,23 +255,26 @@ impl TradNode {
         if self.wire_buf.is_empty() {
             return;
         }
-        let mut groups: BTreeMap<NodeId, Vec<TradMsg>> = BTreeMap::new();
-        for (to, msg) in self.wire_buf.drain(..) {
-            groups.entry(to).or_default().push(msg);
-        }
+        // Destinations ascending, send order within each: a stable sort,
+        // then one transmission per run of equal destinations.
+        self.wire_buf.sort_by_key(|&(to, _)| to);
         let lamport = self.clock.counter();
-        for (to, mut msgs) in groups {
-            if msgs.len() == 1 {
-                let msg = msgs.pop().expect("length checked");
+        let mut queued = self.wire_buf.drain(..).peekable();
+        while let Some((to, msg)) = queued.next() {
+            if queued.peek().is_none_or(|&(next, _)| next != to) {
                 let bytes = msg.wire_len();
                 ctx.send_frames_bytes(to, msg, 1, bytes);
-            } else {
-                let frames = msgs.len() as u64;
-                let body = TradBody::Batch(msgs);
-                let msg = TradMsg { lamport, body };
-                let bytes = msg.wire_len();
-                ctx.send_frames_bytes(to, msg, frames, bytes);
+                continue;
             }
+            let mut msgs = vec![msg];
+            while let Some((_, msg)) = queued.next_if(|&(next, _)| next == to) {
+                msgs.push(msg);
+            }
+            let frames = msgs.len() as u64;
+            let body = TradBody::Batch(msgs);
+            let msg = TradMsg { lamport, body };
+            let bytes = msg.wire_len();
+            ctx.send_frames_bytes(to, msg, frames, bytes);
         }
     }
 

@@ -45,7 +45,10 @@ fn workload(scale: Scale, recover_at: u64) -> Workload {
     .generate(31);
     let flight = w.catalog.items()[0].id;
     for k in 0..5u64 {
-        w.scripts[1].push((msec(recover_at + 1 + k * 10), TxnSpec::reserve(flight, 1)));
+        let at = msec(recover_at + 1 + k * 10);
+        let script = &mut w.scripts[1];
+        let pos = script.partition_point(|e| e.0 <= at);
+        script.insert(pos, (at, TxnSpec::reserve(flight, 1)));
     }
     w
 }

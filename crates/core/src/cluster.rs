@@ -57,9 +57,10 @@ pub struct ClusterConfig<S = SiteConfig> {
     /// The data items and their initial splits.
     pub catalog: Catalog,
     /// Per-site workload scripts: `scripts[s]` is the list of
-    /// `(arrival time, transaction)` pairs initiated at site `s`, shared
-    /// with whoever generated it and with the built site. Their count is
-    /// the number of sites.
+    /// `(arrival time, transaction)` pairs initiated at site `s`, in time
+    /// order ([`simulate`](Self::simulate) panics otherwise), shared with
+    /// whoever generated it and with the built site. Their count is the
+    /// number of sites.
     pub scripts: Vec<Script>,
     /// Per-site protocol configuration (same at every site).
     pub site: S,
@@ -98,7 +99,8 @@ impl<S> ClusterConfig<S> {
         self.scripts.len()
     }
 
-    /// Append a transaction arrival at `site`.
+    /// Append a transaction arrival at `site`; `when` must not be earlier
+    /// than the site's last arrival.
     pub fn at(mut self, site: NodeId, when: SimTime, spec: TxnSpec) -> Self {
         self.scripts[site].push((when, spec));
         self
@@ -123,7 +125,12 @@ impl<S> ClusterConfig<S> {
     /// arrival, crash and recovery scheduled. At equal instants the kernel
     /// dispatches in scheduling order, so the order here is part of every
     /// trajectory: arrivals site by site in script order, then crashes,
-    /// then recoveries, each in plan order.
+    /// then recoveries, each in plan order. Each site's arrivals are a
+    /// kernel arrival stream reading the site's script through a shared
+    /// handle, one arrival pending at a time.
+    ///
+    /// Panics if a script is not in time order, naming the site and the
+    /// first arrival earlier than the one before it.
     pub fn simulate<N: Node>(&self, mut node: impl FnMut(NodeId, &Obs) -> N) -> Simulation<N> {
         assert!(self.n_sites() > 0, "a cluster needs at least one site");
         let obs = Obs::new(self.trace);
@@ -131,9 +138,14 @@ impl<S> ClusterConfig<S> {
         let mut sim = Simulation::new(nodes, self.net.clone(), self.seed);
         sim.set_obs(obs);
         for (s, script) in self.scripts.iter().enumerate() {
-            for (idx, (when, _)) in script.iter().enumerate() {
-                sim.schedule_external(*when, s, idx as u64);
+            if let Some(i) = script.windows(2).position(|w| w[1].0 < w[0].0) {
+                panic!(
+                    "site {s}'s script is out of time order: arrival {} is due before arrival {i}",
+                    i + 1
+                );
             }
+            let script = script.clone();
+            sim.schedule_arrivals(s, script.len(), move |k| script[k].0);
         }
         for &(when, site) in &self.faults.crashes {
             sim.schedule_crash(when, site);
@@ -644,6 +656,25 @@ mod tests {
                 (0, "recover", 0),
             ]
         );
+    }
+
+    /// The kernel draws a site's arrivals in script order, so a script
+    /// that goes back in time is refused at build, not reordered.
+    #[test]
+    #[should_panic(
+        expected = "site 1's script is out of time order: arrival 2 is due before arrival 1"
+    )]
+    fn simulate_refuses_an_out_of_order_script() {
+        let (catalog, flight) = seats_catalog(100);
+        let cfg = ClusterConfig::new(2, catalog)
+            .at(0, ms(9), TxnSpec::reserve(flight, 1))
+            .at(1, ms(1), TxnSpec::reserve(flight, 1))
+            .at(1, ms(5), TxnSpec::reserve(flight, 1))
+            .at(1, ms(3), TxnSpec::reserve(flight, 1));
+        cfg.simulate(|id, _| Recorder {
+            id,
+            log: Dispatches::default(),
+        });
     }
 
     #[test]

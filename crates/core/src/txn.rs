@@ -147,8 +147,9 @@ impl TxnSpec {
 }
 
 /// One site's arrival script: `(arrival time, transaction)` pairs in
-/// the order the cluster schedules them, so entry `i` is the transaction
-/// external tag `i` starts.
+/// time order, which is the order the cluster schedules them, so entry
+/// `i` is the transaction external tag `i` starts. A cluster refuses a
+/// script whose times decrease.
 ///
 /// The list is `Arc`-shared and copy-on-write: the workload, the
 /// scenario, the cluster config and the built node all hold the same
@@ -166,6 +167,12 @@ impl Script {
     /// Append an arrival (copies the list first if it is shared).
     pub fn push(&mut self, arrival: (SimTime, TxnSpec)) {
         Arc::make_mut(&mut self.0).push(arrival);
+    }
+
+    /// Insert an arrival at `index` (copies the list first if it is
+    /// shared).
+    pub fn insert(&mut self, index: usize, arrival: (SimTime, TxnSpec)) {
+        Arc::make_mut(&mut self.0).insert(index, arrival);
     }
 
     /// Whether two handles point at the same allocation.

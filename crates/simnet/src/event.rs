@@ -9,10 +9,13 @@
 //! Two of the kernel's three lanes live here (the third is
 //! `crate::timers`); the run loop merges all three by that key:
 //!
-//! * `ScheduledLane` — externals, crashes and recoveries, which enter
-//!   through `Simulation::schedule_*`. Drivers pre-schedule whole scripts
-//!   (100k+ arrivals), so these sit in a sorted `Vec` that is popped from
-//!   the end instead of being sifted through a heap on every delivery.
+//! * `ScheduledLane` — arrivals, externals, crashes and recoveries, which
+//!   enter through `Simulation::schedule_*`. A workload script is not
+//!   loaded here: an `ArrivalStream` reserves its arrivals' `seq` values
+//!   up front and keeps only its next arrival in the lane, and dispatching
+//!   that arrival inserts the one after it. The lane therefore holds about
+//!   one entry per node plus the fault plan, in a `Vec` sorted on insertion
+//!   and popped from the end.
 //! * `MessageHeap` — in-flight deliveries only, so it stays as shallow as
 //!   the protocol's window. The heap orders small `Copy` keys; the message
 //!   itself waits in a slab slot and never moves during a sift.
@@ -28,17 +31,19 @@ pub(crate) type Key = (SimTime, u64);
 /// What a scheduled entry does when its instant arrives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ScheduledKind {
-    /// Externally injected event (workload arrivals etc.) carrying `tag`.
+    /// Externally injected event carrying `tag`.
     External,
+    /// Arrival `tag` of the node's [`ArrivalStream`]: handled like an
+    /// external, after the stream's next arrival takes its place.
+    Arrival,
     /// Crash the node.
     Crash,
     /// Recover the node.
     Recover,
 }
 
-/// One entry of the scheduled lane. Kept at 32 bytes: the lane holds a
-/// whole workload script at once, so its entry size is the kernel's
-/// largest contribution to peak memory.
+/// One entry of the scheduled lane, 32 bytes. Every sorted insertion
+/// shifts the entries due after it, so they stay slim.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Scheduled {
     pub at: SimTime,
@@ -56,19 +61,16 @@ impl Scheduled {
     }
 }
 
-/// Externals and faults, sorted lazily.
+/// Arrivals, externals and faults, sorted on insertion.
 ///
-/// `push` appends in O(1); the first `peek_key` after an out-of-order push
-/// sorts the whole lane in place (keys are unique, so an unstable sort is
-/// deterministic). Entries are held in *descending* key order so the next
-/// one due is popped from the end. Scheduling while `n` entries are
-/// pending therefore costs one `O(n log n)` sort at the next peek, not a
-/// sift per entry — cheap for the build-then-run shape every driver has.
+/// Entries are held in *descending* key order so the next one due is
+/// popped from the end. Keys are unique, so where an entry goes is
+/// determined. The lane is short — an arrival stream keeps one entry in
+/// it, not its whole script — so inserting costs a binary search and a
+/// shift of the few entries due after the new one.
 #[derive(Debug, Default)]
 pub(crate) struct ScheduledLane {
     entries: Vec<Scheduled>,
-    /// Whether a push since the last sort broke the descending order.
-    unsorted: bool,
 }
 
 impl ScheduledLane {
@@ -80,34 +82,52 @@ impl ScheduledLane {
 
     /// Add an entry; any `at`, in any order.
     pub fn push(&mut self, e: Scheduled) {
-        if self.entries.last().is_some_and(|due| e.key() > due.key()) {
-            self.unsorted = true;
-        }
-        self.entries.push(e);
+        let pos = self.entries.partition_point(|due| due.key() > e.key());
+        self.entries.insert(pos, e);
     }
 
     /// Key of the next entry due, if any.
     #[inline]
-    pub fn peek_key(&mut self) -> Option<Key> {
-        if self.unsorted {
-            self.sort();
-        }
+    pub fn peek_key(&self) -> Option<Key> {
         self.entries.last().map(Scheduled::key)
     }
 
-    /// Out of line: `peek_key` runs once per event, this once per batch of
-    /// `schedule_*` calls.
-    #[cold]
-    fn sort(&mut self) {
-        self.entries.sort_unstable_by_key(|e| Reverse(e.key()));
-        self.unsorted = false;
-    }
-
-    /// Remove and return the entry [`peek_key`](Self::peek_key) reported.
+    /// Remove and return the entry [`peek_key`](Self::peek_key) reports.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled> {
-        debug_assert!(!self.unsorted, "pop without a preceding peek_key");
         self.entries.pop()
+    }
+}
+
+/// One node's scripted arrivals, drawn one at a time.
+///
+/// Arrival `k` is due at `at(k)`, clamped to `from`, the instant the
+/// stream was scheduled, and carries `seq = base + k` and tag `k`: the
+/// keys `len` separate `schedule_external` calls would have had, so the
+/// dispatch order is the same. Only the arrival due next is in the lane.
+pub(crate) struct ArrivalStream {
+    pub at: Box<dyn Fn(usize) -> SimTime>,
+    pub len: usize,
+    pub base: u64,
+    pub from: SimTime,
+}
+
+impl ArrivalStream {
+    /// Lane entry for arrival `k` at `node`.
+    pub fn arrival(&self, node: u32, k: usize) -> Scheduled {
+        let at = (self.at)(k);
+        debug_assert!(
+            k == 0 || at >= (self.at)(k - 1),
+            "arrival {k} at node {node} is due before arrival {}",
+            k - 1
+        );
+        Scheduled {
+            at: at.max(self.from),
+            seq: self.base + k as u64,
+            tag: k as u64,
+            node,
+            kind: ScheduledKind::Arrival,
+        }
     }
 }
 
@@ -217,11 +237,7 @@ mod tests {
     }
 
     fn drain(l: &mut ScheduledLane) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| {
-            l.peek_key()?;
-            l.pop().map(|e| (e.at.0, e.seq))
-        })
-        .collect()
+        std::iter::from_fn(|| l.pop().map(|e| (e.at.0, e.seq))).collect()
     }
 
     #[test]

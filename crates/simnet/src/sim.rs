@@ -17,7 +17,9 @@
 //!   checked both at send and at delivery time, so a partition also cuts
 //!   messages already in flight across the new boundary.
 
-use crate::event::{InFlight, Key, MessageHeap, Scheduled, ScheduledKind, ScheduledLane};
+use crate::event::{
+    ArrivalStream, InFlight, Key, MessageHeap, Scheduled, ScheduledKind, ScheduledLane,
+};
 use crate::network::{Fate, NetworkConfig, NetworkModel};
 use crate::node::{Action, Context, Node, TimerId};
 use crate::rng::SimRng;
@@ -41,13 +43,18 @@ pub struct Simulation<N: Node> {
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     net: NetworkModel,
-    /// Pending work, in three lanes by how it enters and leaves: scripted
-    /// externals and faults (bulk-scheduled up front, never cancelled),
-    /// in-flight messages (few at a time, never cancelled), and armed
-    /// timers (cancelled in place). All three draw `seq` from the same
-    /// counter and the run loop merges them by `(at, seq)`, so the total
-    /// order is identical to a single queue's.
+    /// Pending work, in three lanes by how it enters and leaves: arrivals,
+    /// externals and faults (a few per node at a time, never cancelled —
+    /// an arrival stream keeps only its next arrival here), in-flight
+    /// messages (few at a time, never cancelled), and armed timers
+    /// (cancelled in place). All three draw `seq` from the same counter
+    /// and the run loop merges them by `(at, seq)`, so the total order is
+    /// identical to a single queue's.
     scheduled: ScheduledLane,
+    /// Each node's arrival stream, if it was given one.
+    streams: Vec<Option<ArrivalStream>>,
+    /// Stream arrivals not yet in the lane, summed over the streams.
+    backlog: usize,
     messages: MessageHeap<N::Msg>,
     timers: TimerLane,
     now: SimTime,
@@ -81,6 +88,8 @@ impl<N: Node> Simulation<N> {
             net_rng,
             net: NetworkModel::new(net),
             scheduled: ScheduledLane::default(),
+            streams: (0..n).map(|_| None).collect(),
+            backlog: 0,
             messages: MessageHeap::default(),
             timers: TimerLane::new(),
             now: SimTime::ZERO,
@@ -141,10 +150,11 @@ impl<N: Node> Simulation<N> {
         self.crashed[id]
     }
 
-    /// Number of pending events (scheduled externals and faults, in-flight
-    /// messages, and armed timers).
+    /// Number of pending events (scheduled arrivals — those of a stream
+    /// not yet drawn included —, externals and faults, in-flight messages,
+    /// and armed timers).
     pub fn pending_events(&self) -> usize {
-        self.scheduled.len() + self.messages.len() + self.timers.len()
+        self.scheduled.len() + self.backlog + self.messages.len() + self.timers.len()
     }
 
     /// Number of armed (not yet fired, not cancelled) timers.
@@ -177,17 +187,71 @@ impl<N: Node> Simulation<N> {
         self.schedule(at, node, ScheduledKind::External, tag);
     }
 
+    /// Schedule `len` arrivals at `node`: arrival `k` is due at `at(k)`
+    /// and reaches `on_external` with tag `k`.
+    ///
+    /// Ordering and clamping are exactly those of `len`
+    /// [`schedule_external`](Self::schedule_external) calls made here in a
+    /// row, but the arrivals are drawn one at a time: only the next one
+    /// due is pending in the kernel, and dispatching it draws the one
+    /// after. `at` must not decrease in `k` (debug-asserted). An arrival
+    /// at a crashed node is dropped and counted like an external; the
+    /// stream goes on. Panics if there is no such `node` or it already has
+    /// an arrival stream.
+    pub fn schedule_arrivals(
+        &mut self,
+        node: NodeId,
+        len: usize,
+        at: impl Fn(usize) -> SimTime + 'static,
+    ) {
+        let id = node_index(node, self.nodes.len());
+        assert!(
+            self.streams[node].is_none(),
+            "node {node} already has an arrival stream"
+        );
+        let base = self.seq;
+        self.seq += len as u64;
+        if len == 0 {
+            return;
+        }
+        let stream = ArrivalStream {
+            at: Box::new(at),
+            len,
+            base,
+            from: self.now,
+        };
+        self.scheduled.push(stream.arrival(id, 0));
+        self.backlog += len - 1;
+        self.streams[node] = Some(stream);
+        self.note_depth();
+    }
+
     fn schedule(&mut self, at: SimTime, node: NodeId, kind: ScheduledKind, tag: u64) {
-        assert!(node < self.nodes.len(), "no node {node}");
+        let node = node_index(node, self.nodes.len());
         let seq = self.next_seq();
         self.scheduled.push(Scheduled {
             at: at.max(self.now),
             seq,
             tag,
-            node: u32::try_from(node).expect("node ids fit in 32 bits"),
+            node,
             kind,
         });
         self.note_depth();
+    }
+
+    /// Put the arrival after `e` in its stream, if there is one, in the
+    /// lane. Its key is later than `e`'s, which is being dispatched, so it
+    /// never lands before `now`.
+    fn draw_next_arrival(&mut self, e: &Scheduled) {
+        let next = e.tag as usize + 1;
+        let stream = self.streams[e.node as NodeId]
+            .as_ref()
+            .expect("an arrival has a stream");
+        if next < stream.len {
+            let e = stream.arrival(e.node, next);
+            self.scheduled.push(e);
+            self.backlog -= 1;
+        }
     }
 
     /// Put a message on the wire, to arrive at `at`.
@@ -319,7 +383,10 @@ impl<N: Node> Simulation<N> {
     fn handle_scheduled(&mut self, e: Scheduled) {
         let node = e.node as NodeId;
         match e.kind {
-            ScheduledKind::External => {
+            ScheduledKind::External | ScheduledKind::Arrival => {
+                if e.kind == ScheduledKind::Arrival {
+                    self.draw_next_arrival(&e);
+                }
                 if self.crashed[node] {
                     // A client arriving at a dead site gets nothing.
                     self.stats.externals_dropped += 1;
@@ -468,6 +535,12 @@ impl<N: Node> Simulation<N> {
             },
         }
     }
+}
+
+/// `node` as a lane entry's node id; panics if there is no such node.
+fn node_index(node: NodeId, nodes: usize) -> u32 {
+    assert!(node < nodes, "no node {node}");
+    u32::try_from(node).expect("node ids fit in 32 bits")
 }
 
 #[derive(Clone, Copy)]
@@ -630,6 +703,54 @@ mod tests {
         assert_eq!(sim.node(0).seen, vec![1, 4]);
         assert_eq!(sim.stats().externals_dropped, 2);
         assert_eq!(sim.stats().peak_queue_depth, 6);
+    }
+
+    /// Records `(now, tag)` for every external it is handed.
+    #[derive(Default)]
+    struct Arrivals {
+        seen: Vec<(u64, u64)>,
+    }
+
+    impl Node for Arrivals {
+        type Msg = ();
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<'_, ()>) {}
+        fn on_external(&mut self, tag: u64, ctx: &mut Context<'_, ()>) {
+            self.seen.push((ctx.now().0, tag));
+        }
+    }
+
+    #[test]
+    fn stream_arrivals_at_a_crashed_node_are_dropped_and_the_stream_goes_on() {
+        let times = [50, 100, 150, 200, 250];
+        let mut sim = Simulation::new(vec![Arrivals::default()], NetworkConfig::reliable(), 4);
+        sim.schedule_arrivals(0, times.len(), move |k| SimTime(times[k]));
+        sim.schedule_crash(SimTime(100), 0);
+        sim.schedule_recover(SimTime(200), 0);
+        // Four arrivals wait behind the first, and all count as pending.
+        assert_eq!(sim.pending_events(), 7);
+        sim.run_to_quiescence();
+        // Arrival 1 ties with the crash and was scheduled first; arrival 3
+        // ties with the recovery and was scheduled first, so it is dropped.
+        assert_eq!(sim.node(0).seen, vec![(50, 0), (100, 1), (250, 4)]);
+        assert_eq!(sim.stats().externals_dropped, 2);
+        assert_eq!(sim.stats().peak_queue_depth, 7);
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_stream_scheduled_mid_run_clamps_its_past_arrivals() {
+        let mut sim = Simulation::new(vec![Arrivals::default()], NetworkConfig::reliable(), 4);
+        sim.run_until(SimTime(1_000));
+        let times = [200, 900, 1_000, 1_500];
+        sim.schedule_arrivals(0, times.len(), move |k| SimTime(times[k]));
+        sim.schedule_external(SimTime(1_000), 0, 99);
+        sim.run_to_quiescence();
+        // The three arrivals due by now fire at now, in stream order and
+        // ahead of the external scheduled after them.
+        assert_eq!(
+            sim.node(0).seen,
+            vec![(1_000, 0), (1_000, 1), (1_000, 2), (1_000, 99), (1_500, 3)]
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! would make it. This test *is* that one-heap kernel (`Model`), driven
 //! side by side with the real one on random mixes of `schedule_external`
 //! / `schedule_crash` / `schedule_recover` (equal instants, out of order,
-//! between `run_until` calls, in the past), sends, `set_timer` and
-//! `cancel_timer`, comparing the full dispatch sequence.
+//! between `run_until` calls, in the past), arrival streams
+//! (`schedule_arrivals`, which the model pushes entry by entry), sends,
+//! `set_timer` and `cancel_timer`, comparing the full dispatch sequence.
 
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::node::{Context, Node, TimerId};
@@ -447,6 +448,23 @@ struct Sched {
 
 const PAST_TICKS: u64 = 3;
 
+/// The instant `at_ticks` names in a phase starting at `origin`.
+fn phase_instant(origin: SimTime, at_ticks: u64) -> SimTime {
+    // Saturates at zero in the first phase, clamps to `now` later.
+    SimTime((origin.0 + at_ticks * TICK_US).saturating_sub(PAST_TICKS * TICK_US))
+}
+
+/// One node's arrival stream: scheduled in phase `phase` (never, if there
+/// is no such phase), after the first `after` of that phase's
+/// `schedule_*` calls, with arrivals at these sorted offsets (as in
+/// [`Sched`], so some are in the past).
+#[derive(Clone, Debug)]
+struct Stream {
+    phase: usize,
+    after: usize,
+    at_ticks: Vec<u64>,
+}
+
 /// A batch of scheduling calls followed by `run_until(now + run_ticks)`.
 #[derive(Clone, Debug)]
 struct Phase {
@@ -483,6 +501,17 @@ fn sched() -> impl Strategy<Value = Sched> {
     })
 }
 
+fn stream() -> impl Strategy<Value = Stream> {
+    (0usize..6, 0usize..12, vec(0u64..16, 0..8)).prop_map(|(phase, after, mut at_ticks)| {
+        at_ticks.sort_unstable();
+        Stream {
+            phase,
+            after,
+            at_ticks,
+        }
+    })
+}
+
 fn phase() -> impl Strategy<Value = Phase> {
     (vec(sched(), 0..12), 0u64..10).prop_map(|(scheds, run_ticks)| Phase { scheds, run_ticks })
 }
@@ -507,6 +536,7 @@ proptest! {
         budget in 5usize..60,
         delays in vec(0u64..5, NODES * NODES..NODES * NODES + 1),
         phases in vec(phase(), 1..6),
+        streams in vec(stream(), NODES..NODES + 1),
     ) {
         let mut delay_ticks = [[0u64; NODES]; NODES];
         let mut net = NetworkConfig::default();
@@ -530,11 +560,23 @@ proptest! {
             delay_ticks,
         );
 
-        for phase in &phases {
+        for (p, phase) in phases.iter().enumerate() {
             let origin = sim.now();
-            for s in &phase.scheds {
-                // Saturates at zero in the first phase, clamps to `now` later.
-                let at = SimTime((origin.0 + s.at_ticks * TICK_US).saturating_sub(PAST_TICKS * TICK_US));
+            for i in 0..=phase.scheds.len() {
+                // At most one stream per node, `streams[node]`.
+                for (node, st) in streams.iter().enumerate() {
+                    if st.phase != p || st.after.min(phase.scheds.len()) != i {
+                        continue;
+                    }
+                    let times: Vec<SimTime> =
+                        st.at_ticks.iter().map(|&t| phase_instant(origin, t)).collect();
+                    for (k, &at) in times.iter().enumerate() {
+                        model.push(at, Pending::External { node, tag: k as u64 });
+                    }
+                    sim.schedule_arrivals(node, times.len(), move |k| times[k]);
+                }
+                let Some(s) = phase.scheds.get(i) else { break };
+                let at = phase_instant(origin, s.at_ticks);
                 match s.kind {
                     Kind::External => {
                         sim.schedule_external(at, s.node, s.tag);
@@ -550,6 +592,7 @@ proptest! {
                     }
                 }
             }
+            prop_assert_eq!(sim.pending_events(), model.pending_events());
             let deadline = origin + ticks(phase.run_ticks);
             sim.run_until(deadline);
             model.run(deadline);
