@@ -5,8 +5,8 @@
 //! single logical value, replicated or partitioned across sites, updated
 //! by distributed transactions under strict 2PL and an atomic commit
 //! protocol. Every comparative claim (blocking under partitions,
-//! unavailability, dependent recovery, hot-spot contention) needs that
-//! system to exist — so this crate builds it:
+//! unavailability, dependent recovery) needs that system to exist — so
+//! this crate builds it:
 //!
 //! * [`twopc`] — a distributed transaction engine: strict 2PL with
 //!   distributed lock requests, two-phase commit with presumed-abort
@@ -15,9 +15,6 @@
 //!   recovery is contrasted with);
 //! * [`placement`] — replica control: full replication with majority
 //!   quorums, or primary-copy;
-//! * [`escrow`] — O'Neil's Escrow transactional method plus an exclusive
-//!   lock counter and a DvP-style sharded counter, for the aggregate-field
-//!   hot-spot experiment (Section 8's discussion);
 //! * [`metrics`] — blocking/availability accounting.
 //!
 //! The engine runs on the same `dvp-simnet` substrate and builds from the
@@ -28,13 +25,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod escrow;
 pub mod metrics;
 pub mod placement;
 pub mod record;
 pub mod twopc;
 
-pub use escrow::{EscrowCounter, ExclusiveCounter, ShardedCounter};
 pub use metrics::{TradClusterMetrics, TradMetrics};
 pub use placement::Placement;
 pub use twopc::{CommitProtocol, TradCluster, TradConfig, TradNode};

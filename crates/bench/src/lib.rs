@@ -5,9 +5,9 @@
 //! [`EXPERIMENTS`]; one binary, `exp [id…]`, prints them ([`output`]).
 //! `EXPERIMENTS.md` quotes the full-scale tables and
 //! `tests/experiments_md.rs` holds it to them by equality. Wall-clock
-//! figures are not produced here (F4's labelled sample aside): they come
-//! from `benchmark/`. What the adaptive planner costs is counted instead,
-//! in [`exp_e1_engine`]'s planner-work columns.
+//! figures are not produced here: they come from `benchmark/`. What the
+//! adaptive planner costs is counted instead, in [`exp_e1_engine`]'s
+//! planner-work columns.
 //!
 //! All experiments run at two scales: `quick` (used in CI and by default)
 //! and `full` (the numbers recorded in `EXPERIMENTS.md`). Select with the
@@ -27,7 +27,6 @@ pub mod exp_e2_recovery_cost;
 pub mod exp_f1_quota;
 pub mod exp_f2_readcost;
 pub mod exp_f3_vm;
-pub mod exp_f4_hotspot;
 pub mod exp_f5_traffic;
 pub mod exp_t1_availability;
 pub mod exp_t2_blocking;
@@ -83,9 +82,9 @@ pub fn trace_path() -> Option<String> {
 /// tables it prints at a scale.
 pub type Experiment = (&'static str, fn(Scale) -> Vec<Table>);
 
-/// Every experiment, in `EXPERIMENTS.md` order. All but `f4` (real
-/// threads, wall clock) are pure functions of their seeds.
-pub const EXPERIMENTS: [Experiment; 13] = [
+/// Every experiment, in `EXPERIMENTS.md` order. Each is a pure function
+/// of its seeds.
+pub const EXPERIMENTS: [Experiment; 12] = [
     ("t1", |s| {
         vec![
             exp_t1_availability::run(s),
@@ -99,7 +98,6 @@ pub const EXPERIMENTS: [Experiment; 13] = [
     ("f1", |s| vec![exp_f1_quota::run(s)]),
     ("f2", |s| vec![exp_f2_readcost::run(s)]),
     ("f3", |s| vec![exp_f3_vm::run(s)]),
-    ("f4", |s| vec![exp_f4_hotspot::run(s)]),
     ("f5", |s| vec![exp_f5_traffic::run(s)]),
     ("a1", |s| vec![exp_a1_ablations::run(s)]),
     ("e1", exp_e1_engine::run),
@@ -147,13 +145,10 @@ mod tests {
         let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
         assert_eq!(
             ids,
-            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1", "e1", "e2"]
+            ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f5", "a1", "e1", "e2"]
         );
-        // F4 times real threads, so two renderings of it differ; the
-        // other twelve must concatenate exactly.
-        let exact: Vec<Experiment> = all.into_iter().filter(|(id, _)| *id != "f4").collect();
-        let one_by_one: String = exact.iter().map(|e| output(&[*e], Scale::Quick)).collect();
-        assert_eq!(output(&exact, Scale::Quick), one_by_one);
+        let one_by_one: String = all.iter().map(|e| output(&[*e], Scale::Quick)).collect();
+        assert_eq!(output(&all, Scale::Quick), one_by_one);
     }
 
     #[test]

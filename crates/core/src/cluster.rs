@@ -10,6 +10,7 @@
 use crate::audit::{Auditor, HistorySink};
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
+use crate::ops::Op;
 use crate::policy::SiteConfig;
 use crate::site::SiteNode;
 use crate::txn::{Script, TxnSpec};
@@ -130,7 +131,9 @@ impl<S> ClusterConfig<S> {
     /// handle, one arrival pending at a time.
     ///
     /// Panics if a script is not in time order, naming the site and the
-    /// first arrival earlier than the one before it.
+    /// first arrival earlier than the one before it, or if an op moves
+    /// more than `i64::MAX` (its signed [`Op::delta`] would wrap), naming
+    /// the site and the arrival.
     pub fn simulate<N: Node>(&self, mut node: impl FnMut(NodeId, &Obs) -> N) -> Simulation<N> {
         assert!(self.n_sites() > 0, "a cluster needs at least one site");
         let obs = Obs::new(self.trace);
@@ -138,11 +141,22 @@ impl<S> ClusterConfig<S> {
         let mut sim = Simulation::new(nodes, self.net.clone(), self.seed);
         sim.set_obs(obs);
         for (s, script) in self.scripts.iter().enumerate() {
-            if let Some(i) = script.windows(2).position(|w| w[1].0 < w[0].0) {
-                panic!(
-                    "site {s}'s script is out of time order: arrival {} is due before arrival {i}",
-                    i + 1
-                );
+            let mut due = SimTime::ZERO;
+            for (i, (at, spec)) in script.iter().enumerate() {
+                if *at < due {
+                    panic!(
+                        "site {s}'s script is out of time order: arrival {i} is due before arrival {}",
+                        i - 1
+                    );
+                }
+                due = *at;
+                for &(_, op) in spec.ops.iter() {
+                    if let Op::Incr(m) | Op::Decr(m) = op {
+                        if m > i64::MAX as crate::Qty {
+                            panic!("site {s}'s arrival {i} moves {m} units, more than i64::MAX");
+                        }
+                    }
+                }
             }
             let script = script.clone();
             sim.schedule_arrivals(s, script.len(), move |k| script[k].0);
@@ -671,6 +685,23 @@ mod tests {
             .at(1, ms(1), TxnSpec::reserve(flight, 1))
             .at(1, ms(5), TxnSpec::reserve(flight, 1))
             .at(1, ms(3), TxnSpec::reserve(flight, 1));
+        cfg.simulate(|id, _| Recorder {
+            id,
+            log: Dispatches::default(),
+        });
+    }
+
+    /// `Op::delta` is signed, so an amount past `i64::MAX` would read as
+    /// a move the other way; the run is refused at build instead.
+    #[test]
+    #[should_panic(
+        expected = "site 1's arrival 1 moves 9223372036854775808 units, more than i64::MAX"
+    )]
+    fn simulate_refuses_an_amount_above_i64_max() {
+        let (catalog, flight) = seats_catalog(100);
+        let cfg = ClusterConfig::new(2, catalog)
+            .at(1, ms(1), TxnSpec::release(flight, i64::MAX as crate::Qty))
+            .at(1, ms(2), TxnSpec::release(flight, 1 << 63));
         cfg.simulate(|id, _| Recorder {
             id,
             log: Dispatches::default(),

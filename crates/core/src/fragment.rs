@@ -159,4 +159,143 @@ mod tests {
         assert_eq!(f.len(), 3);
         assert!(!f.is_empty());
     }
+
+    #[test]
+    #[should_panic(expected = "fragment overflow")]
+    fn credit_past_u64_max_is_a_bug() {
+        let mut f = FragmentStore::new(1);
+        f.credit(ItemId(0), u64::MAX);
+        f.credit(ItemId(0), 1);
+    }
+
+    /// The Σ law the engine relies on — Section 4.1's partitionable
+    /// property for Π = Σ — checked on the sites' own stores rather than
+    /// on a model of them.
+    mod sigma_law {
+        use super::*;
+        use crate::item::{Catalog, Split};
+        use proptest::prelude::*;
+
+        const ITEMS: usize = 3;
+
+        /// One local step on the stores.
+        #[derive(Clone, Copy, Debug)]
+        enum Step {
+            Credit(usize, ItemId, Qty),
+            /// Done only if the fragment covers it, as the engine checks.
+            Debit(usize, ItemId, Qty),
+            /// `a → b`: a covered debit at `a`, then a credit at `b`.
+            Ship(usize, usize, ItemId, Qty),
+            /// Checkpoint one store, reset it, restore the image.
+            Checkpoint(usize),
+        }
+
+        impl Step {
+            /// Step `raw` over `n` stores (`n ≥ 2`): a ship's two ends differ.
+            fn new((kind, a, b, item, m): (u8, usize, usize, usize, Qty), n: usize) -> Step {
+                let (a, item) = (a % n, ItemId(item as u32));
+                match kind {
+                    0 => Step::Credit(a, item, m),
+                    1 => Step::Debit(a, item, m),
+                    2 => Step::Ship(a, (a + 1 + b % (n - 1)) % n, item, m),
+                    _ => Step::Checkpoint(a),
+                }
+            }
+
+            fn stores(self) -> [usize; 2] {
+                match self {
+                    Step::Credit(s, ..) | Step::Debit(s, ..) | Step::Checkpoint(s) => [s, s],
+                    Step::Ship(a, b, ..) => [a, b],
+                }
+            }
+        }
+
+        /// Apply `step`, adding its effective delta to `want`.
+        fn apply(stores: &mut [FragmentStore], step: Step, want: &mut [Qty]) {
+            match step {
+                Step::Credit(s, item, m) => {
+                    stores[s].credit(item, m);
+                    want[item.0 as usize] += m;
+                }
+                Step::Debit(s, item, m) => {
+                    if stores[s].get(item) >= m {
+                        stores[s].debit(item, m);
+                        want[item.0 as usize] -= m;
+                    }
+                }
+                // Moves value without changing Σ: `want` stays.
+                Step::Ship(a, b, item, m) => {
+                    if stores[a].get(item) >= m {
+                        stores[a].debit(item, m);
+                        stores[b].credit(item, m);
+                    }
+                }
+                Step::Checkpoint(s) => {
+                    let (mut vals, mut ts) = (Vec::new(), Vec::new());
+                    stores[s].snapshot_into(&mut vals, &mut ts);
+                    stores[s].reset();
+                    assert!(stores[s].snapshot().iter().all(|&v| v == 0));
+                    stores[s].restore(&vals, &ts);
+                    assert_eq!(stores[s].snapshot(), vals);
+                }
+            }
+        }
+
+        fn sigma(stores: &[FragmentStore]) -> Vec<Qty> {
+            (0..ITEMS as u32)
+                .map(|i| stores.iter().map(|f| f.get(ItemId(i))).sum())
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn sigma_is_n_plus_the_effective_deltas(
+                n in 2usize..9,
+                totals in proptest::collection::vec(0u64..1 << 24, ITEMS..ITEMS + 1),
+                splits in proptest::collection::vec((0u8..3, 0usize..8), ITEMS..ITEMS + 1),
+                raw in proptest::collection::vec(
+                    (0u8..4, 0usize..8, 0usize..8, 0usize..ITEMS, 0u64..1 << 22),
+                    0..48,
+                ),
+            ) {
+                let mut catalog = Catalog::new();
+                for (&total, &(how, k)) in totals.iter().zip(&splits) {
+                    let split = match how {
+                        0 => Split::Even,
+                        1 => Split::AllAt(k % n),
+                        _ => Split::Weighted((0..n).map(|s| ((s + k) % 3 + 1) as f64).collect()),
+                    };
+                    catalog.add("x", total, split);
+                }
+                let mut stores = vec![FragmentStore::new(ITEMS); n];
+                for def in catalog.items() {
+                    for (f, q) in stores.iter_mut().zip(catalog.quotas(def.id, n)) {
+                        f.credit(def.id, q);
+                    }
+                }
+                let mut want = totals;
+                prop_assert_eq!(sigma(&stores), want.clone());
+
+                let steps: Vec<Step> = raw.into_iter().map(|r| Step::new(r, n)).collect();
+                for (i, &step) in steps.iter().enumerate() {
+                    if let Some(&next) = steps.get(i + 1) {
+                        if step.stores().iter().all(|s| !next.stores().contains(s)) {
+                            let (mut xy, mut yx) = (stores.clone(), stores.clone());
+                            let (mut wxy, mut wyx) = (want.clone(), want.clone());
+                            apply(&mut xy, step, &mut wxy);
+                            apply(&mut xy, next, &mut wxy);
+                            apply(&mut yx, next, &mut wyx);
+                            apply(&mut yx, step, &mut wyx);
+                            prop_assert_eq!(sigma(&xy), sigma(&yx), "{:?} then {:?}", step, next);
+                            prop_assert_eq!(wxy, wyx);
+                        }
+                    }
+                    apply(&mut stores, step, &mut want);
+                    prop_assert_eq!(sigma(&stores), want.clone(), "after {:?}", step);
+                }
+            }
+        }
+    }
 }

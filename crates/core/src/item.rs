@@ -66,12 +66,18 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Add an item; returns its id.
+    /// Add an item; returns its id. Panics if `total` is above
+    /// `i64::MAX`, which the engine's signed deltas cannot carry.
     pub fn add(&mut self, name: impl Into<String>, total: Qty, split: Split) -> ItemId {
+        let name = name.into();
+        assert!(
+            total <= i64::MAX as Qty,
+            "item {name:?}'s total {total} is above i64::MAX"
+        );
         let id = ItemId(self.items.len() as u32);
         self.items.push(ItemDef {
             id,
-            name: name.into(),
+            name,
             total,
             split,
         });
@@ -186,6 +192,14 @@ mod tests {
         let mut c = Catalog::new();
         let a = c.add("x", 30, Split::Explicit(vec![1, 1, 1, 1]));
         let _ = c.quotas(a, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "item \"x\"'s total 9223372036854775808 is above i64::MAX")]
+    fn a_total_above_i64_max_is_refused() {
+        let mut c = Catalog::new();
+        c.add("ok", i64::MAX as Qty, Split::Even);
+        c.add("x", 1 << 63, Split::Even);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §4.1 domains Γ, map Π, partitionable/redistribution operators | [`domain`], [`ops`] |
+//! | §4.1 Π = Σ, partitionable/redistribution operators            | [`ops`], [`fragment`] |
 //! | §3 running example (quantities, quotas)                       | [`item`], [`fragment`] |
 //! | §4.2 value transfer payloads riding Vms                       | [`transfer`] |
 //! | §5 transaction processing (7-step, write-only, Rds)           | [`txn`], [`site`] |
@@ -23,10 +23,9 @@
 //! | orchestration & measurement                                   | [`cluster`], [`metrics`] |
 //! | configuration only (knobs; nothing that acts on them)         | [`policy`] |
 //!
-//! The transaction engine is concrete over the paper's canonical domain —
-//! non-negative integer *quantities* under summation (seats, stock units,
-//! cents) — while [`domain`] exposes the general algebraic model with other
-//! instances (bags, high-water marks) and property-tested laws.
+//! The engine runs one instance of the paper's algebra — non-negative
+//! integer *quantities* under summation (seats, stock units, cents) — and
+//! property-tests its Σ law against [`fragment::FragmentStore`] itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +34,6 @@ pub mod audit;
 pub mod clock;
 pub mod cluster;
 pub mod dense;
-pub mod domain;
 pub mod fragment;
 pub mod item;
 pub mod locks;
@@ -61,5 +59,5 @@ pub use policy::{
 pub use site::SiteNode;
 pub use txn::{Script, TxnOutcome, TxnSpec};
 
-/// Quantity type for the canonical sum domain (seats, units, cents).
+/// A quantity: one item's value or fragment (seats, units, cents).
 pub type Qty = u64;

@@ -1,34 +1,14 @@
-//! Operators on the canonical quantity domain.
+//! The transaction-facing operation vocabulary.
 //!
-//! Section 4.1's worked examples: "increment the argument by m" and
-//! "decrement the argument by m if the result does not fall below 0" —
-//! both partitionable for Π = Σ. [`Op`] is the transaction-facing
-//! operation vocabulary built from them (plus full-value `Read`, which is
+//! The engine partitions quantities under summation (Π = Σ), and [`Op`]
+//! names Section 4.1's two worked partitionable operators on them —
+//! "increment the argument by m" and "decrement the argument by m if the
+//! result does not fall below 0" — plus the full-value `Read`, which is
 //! *not* partitionable and therefore needs the gather protocol of
-//! Section 5).
+//! Section 5. The Σ law the engine relies on is property-tested against
+//! the sites' own state, in [`fragment`](crate::fragment).
 
-use crate::domain::{PartitionableOp, SumQty};
 use crate::Qty;
-
-/// Increment by a constant: always effective, partitionable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Incr(pub Qty);
-
-impl PartitionableOp<SumQty> for Incr {
-    fn apply(&self, v: &Qty) -> Option<Qty> {
-        v.checked_add(self.0)
-    }
-}
-
-/// Bounded decrement: effective only when the element covers it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Decr(pub Qty);
-
-impl PartitionableOp<SumQty> for Decr {
-    fn apply(&self, v: &Qty) -> Option<Qty> {
-        v.checked_sub(self.0)
-    }
-}
 
 /// One operation a transaction performs on one item.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,7 +30,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// Net change to the item's total value if the op commits.
+    /// Net change to the item's total value if the op commits. The
+    /// amount fits: [`ClusterConfig::simulate`](crate::ClusterConfig::simulate)
+    /// refuses one above `i64::MAX`.
     pub fn delta(&self) -> i64 {
         match self {
             Op::Incr(m) => *m as i64,
@@ -77,19 +59,6 @@ impl Op {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn incr_always_effective_until_overflow() {
-        assert_eq!(Incr(5).apply(&7), Some(12));
-        assert_eq!(Incr(1).apply(&u64::MAX), None);
-    }
-
-    #[test]
-    fn decr_bounded_at_zero() {
-        assert_eq!(Decr(5).apply(&7), Some(2));
-        assert_eq!(Decr(7).apply(&7), Some(0));
-        assert_eq!(Decr(8).apply(&7), None, "would fall below 0: ineffective");
-    }
 
     #[test]
     fn op_delta_signs() {

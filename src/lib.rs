@@ -26,8 +26,8 @@
 //! | [`simnet`] | deterministic discrete-event simulator (network, partitions, crashes) |
 //! | [`storage`] | stable log with forced writes and CRC-checked recovery scans |
 //! | [`vmsg`] | the Virtual Message layer (windowed retransmission, cumulative acks) |
-//! | [`core`](mod@core) | DvP itself: domains/operators, fragments, transactions, Conc1/Conc2, recovery |
-//! | [`baselines`] | strict-2PL + 2PC engine (quorum / primary copy), Escrow method |
+//! | [`core`](mod@core) | DvP itself: operators, fragments, transactions, Conc1/Conc2, recovery |
+//! | [`baselines`] | strict-2PL + 2PC/3PC engine (quorum / primary copy) |
 //! | [`workloads`] | airline / banking / inventory generators |
 //! | [`obs`] | structured observability: typed events, histograms, JSONL traces |
 //! | [`bench`](mod@bench) | the experiment harness: [`Scenario`](bench::Scenario) runs, experiment tables |
