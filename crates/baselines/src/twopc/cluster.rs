@@ -4,7 +4,7 @@ use super::{TradConfig, TradNode};
 use crate::metrics::TradClusterMetrics;
 use dvp_core::clock::Ts;
 use dvp_core::item::Catalog;
-use dvp_core::ClusterConfig;
+use dvp_core::{ClusterConfig, Injection};
 use dvp_simnet::sim::Simulation;
 use dvp_simnet::time::SimTime;
 use std::collections::BTreeMap;
@@ -19,8 +19,18 @@ pub struct TradCluster {
 
 impl TradCluster {
     /// Instantiate the simulation: one full-replica site per script, with
-    /// arrivals and faults scheduled as for a DvP cluster.
+    /// arrivals, crashes and recoveries scheduled as for a DvP cluster.
+    ///
+    /// Panics if the fault plan injects a fault at any site, naming the
+    /// site and the fault: crashpoints and storage decay are hooks inside
+    /// the DvP site, which the baseline does not have.
     pub fn build(cfg: ClusterConfig<TradConfig>) -> TradCluster {
+        for (site, fault) in cfg.faults.injections.iter().enumerate() {
+            assert!(
+                *fault == Injection::default(),
+                "the 2PC baseline cannot inject faults: site {site} is armed with {fault:?}"
+            );
+        }
         let n = cfg.n_sites();
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
         let sim = cfg.simulate(|s, obs| {

@@ -146,6 +146,22 @@ fn coordinator_crash_before_decision_resolves_to_abort() {
     }
 }
 
+/// The baseline has no crashpoints and no decaying storage: a plan that
+/// injects either is refused at build, not silently run without it.
+#[test]
+#[should_panic(
+    expected = "the 2PC baseline cannot inject faults: site 2 is armed with Injection { crashpoint: None, crash_on_hit: 0, torn: Truncated"
+)]
+fn an_injected_fault_is_refused_at_build() {
+    let (cat, flight) = catalog(100);
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.faults = FaultPlan::none()
+        .crash(ms(8), 2)
+        .recover(ms(300), 2)
+        .torn(2, dvp_storage::TornWrite::Truncated);
+    TradCluster::build(cfg);
+}
+
 #[test]
 fn participant_recovery_requires_remote_messages() {
     // Participant 1 crashes while in doubt; on recovery it must query

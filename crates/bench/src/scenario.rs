@@ -43,7 +43,8 @@ pub struct Scenario {
     pub engine: EngineKind,
     /// The run: catalog, scripts (the workload's own, shared), DvP site
     /// config, network, faults (both engines honour crashes and
-    /// recoveries; crashpoints are DvP-only), seed and trace flag.
+    /// recoveries; the 2PC build refuses injected faults), seed and trace
+    /// flag.
     pub cluster: ClusterConfig,
     /// Baseline protocol configuration: replaces `cluster.site` when the
     /// baseline runs.
@@ -120,7 +121,7 @@ impl Scenario {
         self
     }
 
-    /// Set the crash/recovery schedule.
+    /// Set the fault plan (crashes, recoveries, per-site injections).
     pub fn faults(mut self, faults: FaultPlan) -> Scenario {
         self.cluster.faults = faults;
         self

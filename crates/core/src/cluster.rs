@@ -8,6 +8,7 @@
 //! description, and both hand them to [`ClusterConfig::simulate`].
 
 use crate::audit::{Auditor, HistorySink};
+use crate::fault::FaultPlan;
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
 use crate::ops::Op;
@@ -20,34 +21,6 @@ use dvp_simnet::node::Node;
 use dvp_simnet::sim::Simulation;
 use dvp_simnet::time::SimTime;
 use dvp_simnet::NodeId;
-
-/// Scheduled site failures.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    /// `(when, site)` crash events.
-    pub crashes: Vec<(SimTime, NodeId)>,
-    /// `(when, site)` recovery events.
-    pub recoveries: Vec<(SimTime, NodeId)>,
-}
-
-impl FaultPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Crash `site` at `at`.
-    pub fn crash(mut self, at: SimTime, site: NodeId) -> Self {
-        self.crashes.push((at, site));
-        self
-    }
-
-    /// Recover `site` at `at`.
-    pub fn recover(mut self, at: SimTime, site: NodeId) -> Self {
-        self.recoveries.push((at, site));
-        self
-    }
-}
 
 /// Everything one run varies, for either engine. `S` is the per-site
 /// protocol config: [`SiteConfig`] for DvP, the baseline's own config for
@@ -67,7 +40,7 @@ pub struct ClusterConfig<S = SiteConfig> {
     pub site: S,
     /// Network model (delays, loss, partitions, ordered mode).
     pub net: NetworkConfig,
-    /// Site crash/recovery schedule.
+    /// Site crashes and recoveries, and the faults injected at each site.
     pub faults: FaultPlan,
     /// RNG seed (drives network delays/loss and nothing else — the
     /// workload is part of the config, pre-generated).
@@ -214,7 +187,8 @@ impl Cluster {
         let history = HistorySink::new(&cfg.catalog);
         let sim = cfg.simulate(|s, obs| {
             let script = cfg.scripts[s].clone();
-            let mut node = SiteNode::new(s, n, cfg.site, site_quotas[s].clone(), script);
+            let quotas = site_quotas[s].clone();
+            let mut node = SiteNode::new(s, n, cfg.site, cfg.faults.injection(s), quotas, script);
             node.set_obs(obs.clone());
             node.set_history(history.clone());
             node

@@ -20,6 +20,7 @@
 //! | §7 recovery (redo, lock amnesia, timestamp bump-up)           | [`record`], [`site`] |
 //! | §3 invariant N = ΣNᵢ + N_M                                    | [`audit`] |
 //! | §9 "best distribution of data values" (a policy, safety-inert) | [`placement`] |
+//! | the fault plan: crashes, recoveries, injected faults         | [`fault`] |
 //! | orchestration & measurement                                   | [`cluster`], [`metrics`] |
 //! | configuration only (knobs; nothing that acts on them)         | [`policy`] |
 //!
@@ -34,6 +35,7 @@ pub mod audit;
 pub mod clock;
 pub mod cluster;
 pub mod dense;
+pub mod fault;
 pub mod fragment;
 pub mod item;
 pub mod locks;
@@ -47,14 +49,14 @@ pub mod transfer;
 pub mod txn;
 
 pub use clock::{LamportClock, Ts, TxnId};
-pub use cluster::{Cluster, ClusterConfig, FaultPlan, StatsView};
+pub use cluster::{Cluster, ClusterConfig, StatsView};
 pub use dense::SVec;
+pub use fault::{Crashpoint, FaultPlan, Injection};
 pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};
 pub use ops::Op;
 pub use policy::{
-    ConcMode, Crashpoint, Fanout, InjectConfig, Placement, ReactivePlacement, RefillPolicy,
-    SiteConfig, SiteConfigBuilder,
+    ConcMode, Fanout, Placement, ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
 };
 pub use site::SiteNode;
 pub use txn::{Script, TxnOutcome, TxnSpec};

@@ -16,7 +16,7 @@
 
 use crate::Qty;
 use dvp_simnet::time::SimDuration;
-use dvp_storage::{TornWrite, CHECKPOINT_EVERY};
+use dvp_storage::CHECKPOINT_EVERY;
 use dvp_vmsg::VmConfig;
 
 /// How much value a donor ships when honouring a refill request.
@@ -150,68 +150,6 @@ impl Placement {
     }
 }
 
-/// A named crash site inside the protocol (nemesis crashpoint).
-///
-/// Each names the instant *between* two steps whose atomicity the paper
-/// never assumes — exactly where a real crash is most interesting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Crashpoint {
-    /// In `commit_txn`, after the Commit record is appended but before it
-    /// is forced: the transaction must *not* survive recovery.
-    AfterAppendBeforeForce,
-    /// In `try_donate`, after the Rds record is forced but before the Vm
-    /// frame is transmitted: the Vm exists durably and must reach its
-    /// destination via post-recovery retransmission.
-    AfterForceBeforeSend,
-    /// In `maybe_checkpoint`, after the checkpoint slot is installed but
-    /// before the log is truncated: recovery must not double-apply the
-    /// records both snapshotted and still in the log.
-    MidCheckpoint,
-}
-
-/// Fault-injection knobs carried on [`SiteConfig`] (all off by default —
-/// the disabled path costs one branch on an always-false flag).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InjectConfig {
-    /// Crash the victim site at this named crashpoint (one-shot: the
-    /// trigger disarms after firing so recovery cannot crash-loop).
-    pub crashpoint: Option<Crashpoint>,
-    /// Which hit of the crashpoint fires it (1 = the first).
-    pub crash_on_hit: u32,
-    /// The site the crashpoint (and torn-write mode) applies to.
-    pub victim: usize,
-    /// Tear the in-flight log write on the victim's crashes.
-    pub torn: TornWrite,
-    /// Flip one byte in the victim's *stable* (forced) log region on its
-    /// next crash — media decay, not a torn tail. One-shot: disarms once
-    /// a byte has actually been flipped.
-    pub bit_rot: bool,
-    /// Corrupt this checkpoint slot (0 or 1) on the victim's next crash.
-    /// One-shot like `bit_rot`.
-    pub corrupt_ckpt: Option<u8>,
-}
-
-impl InjectConfig {
-    /// Arm a crashpoint at `victim`, firing on the first hit.
-    pub fn crashpoint_at(victim: usize, point: Crashpoint) -> Self {
-        InjectConfig {
-            crashpoint: Some(point),
-            crash_on_hit: 1,
-            victim,
-            ..Default::default()
-        }
-    }
-
-    /// Tear the victim's log writes on every crash.
-    pub fn torn_at(victim: usize, mode: TornWrite) -> Self {
-        InjectConfig {
-            victim,
-            torn: mode,
-            ..Default::default()
-        }
-    }
-}
-
 /// Per-site protocol configuration. Assemble with [`SiteConfig::builder`].
 #[derive(Clone, Copy, Debug)]
 pub struct SiteConfig {
@@ -250,9 +188,6 @@ pub struct SiteConfig {
     /// shrinker demo uses this to show a fault campaign minimizing to a
     /// single crash event.
     pub unsafe_skip_recovery_redo: bool,
-    /// Nemesis fault injection (crashpoints, torn log writes). Defaults to
-    /// fully disabled.
-    pub inject: InjectConfig,
 }
 
 impl Default for SiteConfig {
@@ -266,7 +201,6 @@ impl Default for SiteConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             unsafe_skip_read_drain_gate: false,
             unsafe_skip_recovery_redo: false,
-            inject: InjectConfig::default(),
         }
     }
 }
@@ -341,12 +275,6 @@ impl SiteConfigBuilder {
     /// records (default 256).
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.cfg.checkpoint_every = Some(n);
-        self
-    }
-
-    /// Nemesis fault injection.
-    pub fn inject(mut self, inject: InjectConfig) -> Self {
-        self.cfg.inject = inject;
         self
     }
 

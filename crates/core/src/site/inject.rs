@@ -1,17 +1,18 @@
 //! Nemesis fault injection at one site: named crashpoints inside the
 //! protocol, torn log writes, and media decay of stable storage. All of
-//! it is off unless [`InjectConfig`] arms it at this site, and its
-//! memory survives crashes — it counts protocol events, not boots.
+//! it is off unless the run's fault plan arms it at this site (an
+//! [`Injection`]), and its memory survives crashes — it counts protocol
+//! events, not boots.
 
 use super::durable::Durable;
-use crate::policy::{Crashpoint, InjectConfig};
+use crate::fault::{Crashpoint, Injection};
 use dvp_simnet::NodeId;
 use dvp_storage::codec::crc32;
 
 /// The fault injector of one site.
 pub(super) struct FaultInjector {
-    /// What is armed *here*: all off unless this site is the victim.
-    cfg: InjectConfig,
+    /// What is armed here.
+    cfg: Injection,
     site: NodeId,
     /// Times the armed crashpoint has been reached (survives crashes so
     /// `crash_on_hit` counts protocol events, not boots).
@@ -29,13 +30,9 @@ pub(super) struct FaultInjector {
 }
 
 impl FaultInjector {
-    pub(super) fn new(site: NodeId, cfg: InjectConfig) -> Self {
+    pub(super) fn new(site: NodeId, cfg: Injection) -> Self {
         FaultInjector {
-            cfg: if cfg.victim == site {
-                cfg
-            } else {
-                InjectConfig::default()
-            },
+            cfg,
             site,
             crashpoint_hits: 0,
             crashpoint_tripped: false,
@@ -74,9 +71,9 @@ impl FaultInjector {
         self.crash_pending
     }
 
-    /// The crash itself: the unforced log tail dies — the victim's may
+    /// The crash itself: the unforced log tail dies — and may
     /// additionally tear (a half-written tail frame the recovery scan
-    /// repairs) — and the victim's stable storage may rot: one byte of
+    /// repairs) — and the site's stable storage may rot: one byte of
     /// the durable log region, or one checkpoint slot. Both decays are
     /// one-shot: they disarm once bytes actually flipped, so recovery
     /// cannot rot-loop.

@@ -7,11 +7,12 @@ use super::msg::{Body, ProtoMsg, Solicit};
 use super::{peers_of, SiteNode, TAG_PAYLOAD_MASK, TAG_SOLICIT_RETRY, TAG_TIMEOUT};
 use crate::clock::Ts;
 use crate::dense::SVec;
+use crate::fault::Crashpoint;
 use crate::item::ItemId;
 use crate::locks::Holder;
 use crate::metrics::AbortReason;
 use crate::placement::Target;
-use crate::policy::{ConcMode, Crashpoint};
+use crate::policy::ConcMode;
 use crate::record::{DbActions, SiteRecord};
 use crate::transfer::{Transfer, TransferKind};
 use crate::txn::TxnSpec;

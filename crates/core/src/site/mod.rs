@@ -44,12 +44,13 @@ pub use msg::{Body, ProtoMsg, Solicit};
 
 use crate::audit::HistorySink;
 use crate::clock::{LamportClock, Ts};
+use crate::fault::{Crashpoint, Injection};
 use crate::fragment::FragmentStore;
 use crate::item::ItemId;
 use crate::locks::{Holder, LockTable};
 use crate::metrics::{AbortReason, SiteMetrics};
 use crate::placement::{Planner, View};
-use crate::policy::{Crashpoint, SiteConfig};
+use crate::policy::SiteConfig;
 use crate::record::{DbActions, SiteRecord};
 use crate::transfer::Transfer;
 use crate::txn::Script;
@@ -153,11 +154,19 @@ impl SiteNode {
     /// Build a site.
     ///
     /// * `id`/`n`: this site's id and the cluster size.
+    /// * `faults`: the faults the run's plan injects at this site.
     /// * `quotas[i]`: this site's initial fragment of item `i` (the data-
     ///   value partitioning). Logged as genesis records.
     /// * `script`: transactions this site will run, indexed by the
     ///   external-event tag the cluster scheduler uses.
-    pub fn new(id: NodeId, n: usize, cfg: SiteConfig, quotas: Vec<Qty>, script: Script) -> Self {
+    pub fn new(
+        id: NodeId,
+        n: usize,
+        cfg: SiteConfig,
+        faults: Injection,
+        quotas: Vec<Qty>,
+        script: Script,
+    ) -> Self {
         let k = quotas.len();
         let mut frags = FragmentStore::new(k);
         for (i, &q) in quotas.iter().enumerate() {
@@ -172,7 +181,7 @@ impl SiteNode {
             locks: LockTable::new(),
             vm: VmEndpoint::new(id, Self::vm_config(&cfg)),
             durable: Durable::genesis(id, &quotas),
-            inject: FaultInjector::new(id, cfg.inject),
+            inject: FaultInjector::new(id, faults),
             planner: Planner::new(id, n, cfg.placement, k),
             script,
             active: ActiveTable::default(),
@@ -575,7 +584,8 @@ mod tests {
         let cfg = SiteConfig::builder()
             .placement(Placement::adaptive())
             .build();
-        let mut site = SiteNode::new(1, 4, cfg, vec![100, 50], Script::new());
+        let faults = Injection::default();
+        let mut site = SiteNode::new(1, 4, cfg, faults, vec![100, 50], Script::new());
         let fresh = site.planner.clone();
         let now = SimTime(1_000);
         site.planner.local_demand(ItemId(0), 30);

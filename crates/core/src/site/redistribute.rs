@@ -6,9 +6,10 @@ use super::lifecycle::Waiter;
 use super::msg::{ProtoMsg, Solicit};
 use super::{SiteNode, TAG_LEASE, TAG_REBALANCE};
 use crate::clock::Ts;
+use crate::fault::Crashpoint;
 use crate::item::ItemId;
 use crate::locks::Holder;
-use crate::policy::{ConcMode, Crashpoint};
+use crate::policy::ConcMode;
 use crate::record::DbActions;
 use crate::transfer::{Transfer, TransferKind};
 use dvp_obs::EventKind;

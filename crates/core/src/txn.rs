@@ -138,12 +138,6 @@ impl TxnSpec {
         items.dedup();
         items
     }
-
-    /// Whether the spec can take the write-only fast path when local
-    /// fragments cover all demands (no reads involved).
-    pub fn is_write_only(&self) -> bool {
-        self.reads().is_empty()
-    }
 }
 
 /// One site's arrival script: `(arrival time, transaction)` pairs in
@@ -239,7 +233,6 @@ mod tests {
         assert_eq!(t.ops.as_slice(), [(A, Op::Decr(3))]);
         assert_eq!(t.demands().get(&A), Some(&3));
         assert_eq!(t.deltas().get(&A), Some(&-3));
-        assert!(t.is_write_only());
     }
 
     #[test]
@@ -256,7 +249,6 @@ mod tests {
     fn read_classified() {
         let t = TxnSpec::read(A);
         assert_eq!(t.reads(), vec![A]);
-        assert!(!t.is_write_only());
         assert_eq!(t.deltas().get(&A), Some(&0));
     }
 

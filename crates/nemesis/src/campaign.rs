@@ -14,9 +14,8 @@ use dvp_simnet::time::{SimDuration, SimTime};
 pub struct CampaignConfig {
     /// The run the schedule is injected into. Its network is the base
     /// (link delays/loss) the schedule layers partitions and chaos onto;
-    /// its fault plan and its site config's injection knobs are replaced
-    /// by the schedule's; its seed drives the network RNG (and should
-    /// match the schedule's).
+    /// its fault plan is replaced by the schedule's ([`FaultSchedule::apply`]);
+    /// its seed drives the network RNG (and should match the schedule's).
     pub cluster: ClusterConfig,
     /// Horizon (ms): audits are spread across it; after it the cluster
     /// settles (bounded drain window) for the final audit.
@@ -73,10 +72,7 @@ fn msec(n: u64) -> SimTime {
 /// spaced pause points and once more at quiescence, and harvest counters.
 pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignResult {
     let mut cluster = cfg.cluster.clone();
-    let applied = schedule.apply(cluster.n_sites(), cluster.net);
-    cluster.site.inject = applied.inject;
-    cluster.net = applied.net;
-    cluster.faults = applied.faults;
+    schedule.apply(&mut cluster);
     let mut cl = Cluster::build(cluster);
 
     let mut violation = None;
@@ -93,9 +89,12 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         // Settle: run well past the horizon so retransmits, recoveries,
         // and healed partitions drain. The window is bounded because some
         // campaigns never quiesce: a Vm toward a site that never answers
-        // again (quarantined after media loss, or crashed by a crashpoint
-        // with no scheduled recovery) is retransmitted every interval
-        // forever. Piggyback-only acks (`eager_acks: false`) do not keep
+        // again is retransmitted every interval forever. In T5 that site
+        // is always one quarantined after media loss: every generated
+        // crash and crashpoint comes with a recovery of its own site. A
+        // crashpoint that trips after that recovery, or a shrunk subset
+        // without the `Recover`, would strand a site too.
+        // Piggyback-only acks (`eager_acks: false`) do not keep
         // a campaign busy: every duplicate is acked, so a sender's last
         // Vm completes with no reverse traffic to carry the ack.
         cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
@@ -130,8 +129,11 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
 mod tests {
     use super::*;
     use crate::generate::{generate, lossy_environment, Intensity};
+    use crate::schedule::FaultEvent;
     use dvp_core::item::{Catalog, Split};
     use dvp_core::txn::TxnSpec;
+    use dvp_core::Crashpoint;
+    use dvp_storage::TornWrite;
 
     const SITES: usize = 4;
 
@@ -179,7 +181,7 @@ mod tests {
     #[test]
     fn media_campaigns_pass_and_actually_rot_something() {
         let (mut salvages, mut fallbacks) = (0u64, 0u64);
-        for seed in 0..12u64 {
+        for seed in 0..16u64 {
             let mut cfg = small_config(seed);
             // Checkpoints must exist for slot corruption to have teeth.
             cfg.cluster.site.checkpoint_every = Some(6);
@@ -193,5 +195,58 @@ mod tests {
             salvages > 0 && fallbacks > 0,
             "media faults never bit: salvages={salvages} fallbacks={fallbacks}"
         );
+    }
+
+    /// Three injections at three sites each hit the site they name, and
+    /// only that one.
+    #[test]
+    fn each_injection_lands_on_the_site_its_schedule_names() {
+        let cfg = small_config(3);
+        let schedule = FaultSchedule::new(vec![
+            FaultEvent::ArmCrashpoint {
+                site: 1,
+                point: Crashpoint::AfterAppendBeforeForce,
+                on_hit: 1,
+            },
+            FaultEvent::Recover {
+                at_ms: 300,
+                site: 1,
+            },
+            FaultEvent::TornWrites {
+                site: 3,
+                mode: TornWrite::Garbage,
+            },
+            FaultEvent::BitRot { site: 2 },
+            FaultEvent::Crash {
+                at_ms: 400,
+                site: 2,
+            },
+            FaultEvent::Recover {
+                at_ms: 450,
+                site: 2,
+            },
+        ]);
+        assert!(run_campaign(&cfg, &schedule).passed());
+
+        let mut cluster = cfg.cluster.clone();
+        schedule.apply(&mut cluster);
+        let mut cl = Cluster::build(cluster);
+        cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
+        let m = cl.stats().txn;
+        // Site 1 tripped its crashpoint before its scheduled recovery,
+        // which brought it back.
+        assert_eq!(m.sites[1].crashpoint_trips, 1);
+        assert_eq!(m.sites[1].recoveries, 1);
+        assert!(!cl.sim.is_crashed(1), "site 1 is up at settle");
+        // Site 3 never crashes, so its torn writes never tear.
+        let s3 = &m.sites[3];
+        assert_eq!(
+            (s3.crashpoint_trips, s3.torn_crashes, s3.recoveries),
+            (0, 0, 0)
+        );
+        // Site 2's crash met its bit rot and nothing else.
+        let s2 = &m.sites[2];
+        assert_eq!((s2.crashpoint_trips, s2.torn_crashes), (0, 0));
+        assert_eq!(s2.salvages, 1, "site 2 salvages around its rot");
     }
 }

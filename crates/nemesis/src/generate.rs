@@ -10,7 +10,7 @@
 //!   standard schedule of the same seed.
 
 use crate::schedule::{FaultEvent, FaultSchedule};
-use dvp_core::policy::Crashpoint;
+use dvp_core::Crashpoint;
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::rng::SimRng;
 use dvp_simnet::time::SimDuration;
@@ -54,8 +54,9 @@ pub fn lossy_environment() -> NetworkConfig {
 }
 
 // Per-campaign probabilities and counts, shared by both mixes except
-// the last two (media only). Each media fault ships with a crash of its
-// victim, because decay applies to the durable image as the site goes down.
+// the last two (media only). Each media fault ships with a crash of the
+// site it names, because decay applies to the durable image as the site
+// goes down.
 const PARTITION_P: f64 = 0.4; // per site, joins a partition episode's cut
 const CRASH_P: f64 = 0.3; // per site, one crash/recover pair
 const CHAOS_WINDOWS: u32 = 2; // loss/dup/jitter bursts

@@ -14,7 +14,8 @@
 //! Module map:
 //!
 //! * [`schedule`] — the typed [`FaultSchedule`] (a list of
-//!   [`FaultEvent`]s), its translation onto cluster knobs, and its digest;
+//!   [`FaultEvent`]s), its translation onto a run's network and fault
+//!   plan, and its digest;
 //! * [`generate()`] — the seeded generator, at the standard or the media
 //!   [`Intensity`];
 //! * [`oracle`] — conservation, Vm channel sanity, read exactness,
@@ -42,5 +43,5 @@ pub mod shrink;
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult};
 pub use generate::{generate, lossy_environment, Intensity};
 pub use oracle::{check_all, check_liveness, check_rebuild, check_vm_channels, Violation};
-pub use schedule::{AppliedFaults, FaultEvent, FaultSchedule};
+pub use schedule::{FaultEvent, FaultSchedule};
 pub use shrink::{ddmin, Replay};

@@ -1,4 +1,4 @@
-//! Typed fault schedules and their translation onto cluster knobs.
+//! Typed fault schedules and their translation onto a run description.
 //!
 //! A [`FaultSchedule`] is a flat list of [`FaultEvent`]s kept in
 //! **generation order**, not time order. Two properties follow:
@@ -8,13 +8,13 @@
 //!   kernel's event sequence numbers — and therefore the whole trajectory.
 //! * The list is **removal-closed**: any subsequence is itself a valid
 //!   schedule (a `Recover` without its `Crash` is a no-op, a `Heal`
-//!   without its `Isolate` adds a fully-connected window, and partition
-//!   events stay time-ordered among themselves). That is exactly the
-//!   property `ddmin` shrinking needs.
+//!   without its `Isolate` adds a fully-connected window, partition
+//!   events stay time-ordered among themselves, and an injection arms
+//!   only the site it names, so dropping one leaves the others where
+//!   they were). That is exactly the property `ddmin` shrinking needs.
 
-use dvp_core::policy::{Crashpoint, InjectConfig};
-use dvp_core::FaultPlan;
-use dvp_simnet::network::{ChaosWindow, NetworkConfig};
+use dvp_core::{ClusterConfig, Crashpoint, FaultPlan};
+use dvp_simnet::network::ChaosWindow;
 use dvp_simnet::partition::PartitionSchedule;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_storage::codec::crc32;
@@ -107,17 +107,6 @@ pub struct FaultSchedule {
     pub events: Vec<FaultEvent>,
 }
 
-/// A schedule translated onto the knobs `ClusterConfig` understands.
-#[derive(Clone, Debug)]
-pub struct AppliedFaults {
-    /// Network model: base links + partitions + chaos windows.
-    pub net: NetworkConfig,
-    /// Site crash/recovery plan.
-    pub faults: FaultPlan,
-    /// Crashpoint / torn-write injection (goes on `SiteConfig::inject`).
-    pub inject: InjectConfig,
-}
-
 impl FaultSchedule {
     /// The schedule with these events.
     pub fn new(events: Vec<FaultEvent>) -> Self {
@@ -132,16 +121,15 @@ impl FaultSchedule {
         }
     }
 
-    /// Translate onto cluster knobs, layering partitions and chaos onto
-    /// `base` (link delays/loss stay the caller's choice).
-    ///
-    /// At most one `ArmCrashpoint` and one `TornWrites` are honoured (the
-    /// last of each wins) — `InjectConfig` carries a single victim.
-    pub fn apply(&self, n_sites: usize, base: NetworkConfig) -> AppliedFaults {
-        let mut net = base;
-        let mut sched = PartitionSchedule::fully_connected(n_sites);
+    /// Write the schedule into `cluster`, for either engine: partitions
+    /// and chaos layer onto its network (link delays and loss stay the
+    /// caller's choice), and its fault plan is replaced by the schedule's
+    /// crashes, recoveries and injections. Each injection arms the site it
+    /// names; within a site, the last event of each kind wins.
+    pub fn apply<S>(&self, cluster: &mut ClusterConfig<S>) {
+        let mut net = std::mem::take(&mut cluster.net);
+        let mut sched = PartitionSchedule::fully_connected(cluster.n_sites());
         let mut faults = FaultPlan::none();
-        let mut inject = InjectConfig::default();
         for ev in &self.events {
             match ev {
                 FaultEvent::Crash { at_ms, site } => {
@@ -176,32 +164,23 @@ impl FaultSchedule {
                     point,
                     on_hit,
                 } => {
-                    inject.crashpoint = Some(*point);
-                    inject.crash_on_hit = *on_hit;
-                    inject.victim = *site;
+                    faults = faults.crashpoint(*site, *point, *on_hit);
                 }
                 FaultEvent::TornWrites { site, mode } => {
-                    inject.torn = *mode;
-                    inject.victim = *site;
+                    faults = faults.torn(*site, *mode);
                 }
                 FaultEvent::BitRot { site } => {
-                    inject.bit_rot = true;
-                    inject.victim = *site;
+                    faults = faults.bit_rot(*site);
                 }
                 FaultEvent::CorruptCheckpoint { site, slot } => {
-                    inject.corrupt_ckpt = Some(*slot);
-                    inject.victim = *site;
+                    faults = faults.corrupt_checkpoint(*site, *slot);
                 }
             }
         }
         // The schedule owns the partition dimension: installed even when
         // empty, so every campaign's network carries one.
-        net = net.with_partitions(sched);
-        AppliedFaults {
-            net,
-            faults,
-            inject,
-        }
+        cluster.net = net.with_partitions(sched);
+        cluster.faults = faults;
     }
 
     /// A stable digest of the schedule (CRC-32 over a canonical
@@ -288,6 +267,14 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvp_core::item::Catalog;
+    use dvp_core::Injection;
+
+    fn applied(s: &FaultSchedule, n: usize) -> FaultPlan {
+        let mut cluster = ClusterConfig::new(n, Catalog::new());
+        s.apply(&mut cluster);
+        cluster.faults
+    }
 
     #[test]
     fn apply_builds_fault_plan_in_list_order() {
@@ -296,9 +283,55 @@ mod tests {
             FaultEvent::Recover { at_ms: 90, site: 2 },
             FaultEvent::Crash { at_ms: 10, site: 0 },
         ]);
-        let a = s.apply(4, NetworkConfig::reliable());
-        assert_eq!(a.faults.crashes, vec![(msec(50), 2), (msec(10), 0)]);
-        assert_eq!(a.faults.recoveries, vec![(msec(90), 2)]);
+        let faults = applied(&s, 4);
+        assert_eq!(faults.crashes, vec![(msec(50), 2), (msec(10), 0)]);
+        assert_eq!(faults.recoveries, vec![(msec(90), 2)]);
+    }
+
+    #[test]
+    fn each_injection_arms_the_site_it_names() {
+        let s = FaultSchedule::new(vec![
+            FaultEvent::ArmCrashpoint {
+                site: 1,
+                point: Crashpoint::MidCheckpoint,
+                on_hit: 2,
+            },
+            FaultEvent::TornWrites {
+                site: 3,
+                mode: TornWrite::Garbage,
+            },
+            FaultEvent::BitRot { site: 2 },
+            FaultEvent::CorruptCheckpoint { site: 2, slot: 1 },
+            FaultEvent::TornWrites {
+                site: 3,
+                mode: TornWrite::Truncated,
+            },
+        ]);
+        let faults = applied(&s, 4);
+        let crashpoint = Injection {
+            crashpoint: Some(Crashpoint::MidCheckpoint),
+            crash_on_hit: 2,
+            ..Default::default()
+        };
+        // Within a site, the last event of a kind wins.
+        let torn = Injection {
+            torn: TornWrite::Truncated,
+            ..Default::default()
+        };
+        let media = Injection {
+            bit_rot: true,
+            corrupt_ckpt: Some(1),
+            ..Default::default()
+        };
+        assert_eq!(faults.injection(0), Injection::default());
+        assert_eq!(faults.injection(1), crashpoint);
+        assert_eq!(faults.injection(2), media);
+        assert_eq!(faults.injection(3), torn);
+        // Dropping an event retargets nothing else.
+        let rest = applied(&s.subset(&[0, 1, 4]), 4);
+        assert_eq!(rest.injection(1), crashpoint);
+        assert_eq!(rest.injection(2), Injection::default());
+        assert_eq!(rest.injection(3), torn);
     }
 
     #[test]
@@ -316,7 +349,7 @@ mod tests {
         // (removal-closure, the property ddmin relies on).
         for drop in 0..s.events.len() {
             let keep: Vec<usize> = (0..s.events.len()).filter(|&i| i != drop).collect();
-            let _ = s.subset(&keep).apply(3, NetworkConfig::reliable());
+            let _ = applied(&s.subset(&keep), 3);
         }
     }
 

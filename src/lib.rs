@@ -70,7 +70,7 @@ pub mod prelude {
     pub use dvp_bench::{EngineKind, RunReport, Scenario};
     pub use dvp_core::item::{Catalog, ItemDef, Split};
     pub use dvp_core::{
-        AbortReason, Cluster, ClusterConfig, ConcMode, Crashpoint, Fanout, FaultPlan, InjectConfig,
+        AbortReason, Cluster, ClusterConfig, ConcMode, Crashpoint, Fanout, FaultPlan, Injection,
         ItemId, Op, Placement, Qty, ReactivePlacement, RefillPolicy, Script, SiteConfig,
         SiteConfigBuilder, StatsView, TxnOutcome, TxnSpec,
     };

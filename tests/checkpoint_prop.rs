@@ -96,13 +96,13 @@ fn repeated_crashes_through_checkpoints() {
 
 // ---- torn-write and crashpoint recovery (nemesis injection) ------------
 
-/// Run the standard 4-site workload with injection `inject` on top of a
-/// crash/recover of `victim`, then return (committed, fragment images).
+/// Run the standard 4-site workload with a crash/recover of `site` whose
+/// log writes tear as `torn`, then return (committed, fragment images).
 fn run_injected(
     seed: u64,
     checkpoint_every: Option<usize>,
-    inject: InjectConfig,
-    victim: usize,
+    torn: TornWrite,
+    site: usize,
     crash_ms: u64,
 ) -> (u64, Vec<Vec<u64>>) {
     let w = AirlineWorkload {
@@ -118,10 +118,10 @@ fn run_injected(
     let mut cfg = w.cluster();
     cfg.seed = seed;
     cfg.site.checkpoint_every = checkpoint_every;
-    cfg.site.inject = inject;
     cfg.faults = FaultPlan::none()
-        .crash(ms(crash_ms), victim)
-        .recover(ms(crash_ms + 40), victim);
+        .crash(ms(crash_ms), site)
+        .recover(ms(crash_ms + 40), site)
+        .torn(site, torn);
     let mut cl = Cluster::build(cfg);
     cl.run_until(ms(60_000));
     cl.auditor().check_conservation().unwrap();
@@ -138,8 +138,8 @@ fn run_injected(
 fn torn_tail_recovery_is_equivalent_to_clean_crash() {
     for seed in [7u64, 19, 42] {
         for mode in [TornWrite::Truncated, TornWrite::Garbage] {
-            let clean = run_injected(seed, None, InjectConfig::default(), 1, 120);
-            let torn = run_injected(seed, None, InjectConfig::torn_at(1, mode), 1, 120);
+            let clean = run_injected(seed, None, TornWrite::None, 1, 120);
+            let torn = run_injected(seed, None, mode, 1, 120);
             assert_eq!(clean, torn, "seed {seed}, {mode:?}");
         }
     }
@@ -150,20 +150,8 @@ fn torn_tail_recovery_is_equivalent_to_clean_crash() {
 #[test]
 fn torn_tail_through_checkpoint_matches_plain_recovery() {
     for seed in [3u64, 11] {
-        let plain = run_injected(
-            seed,
-            None,
-            InjectConfig::torn_at(1, TornWrite::Garbage),
-            1,
-            120,
-        );
-        let ckpt = run_injected(
-            seed,
-            Some(8),
-            InjectConfig::torn_at(1, TornWrite::Garbage),
-            1,
-            120,
-        );
+        let plain = run_injected(seed, None, TornWrite::Garbage, 1, 120);
+        let ckpt = run_injected(seed, Some(8), TornWrite::Garbage, 1, 120);
         assert_eq!(plain.0, ckpt.0, "commit counts must match (seed {seed})");
         assert_eq!(
             &plain.1, &ckpt.1,
@@ -187,30 +175,31 @@ fn mid_checkpoint_crash_recovers_exactly() {
         ..Default::default()
     }
     .generate(5);
-    let run = |inject: InjectConfig| {
-        let mut cfg = w.cluster();
-        cfg.seed = 5;
-        cfg.site.checkpoint_every = Some(6);
-        cfg.site.inject = inject;
-        // The crashpoint crashes the victim from inside the protocol;
-        // this recovery brings it back.
-        cfg.faults = FaultPlan::none().recover(ms(250), 1);
-        let mut cl = Cluster::build(cfg);
-        cl.run_until(ms(60_000));
-        cl.auditor().check_conservation().unwrap();
-        let m = cl.stats().txn;
-        (m.sum(|s| s.crashpoint_trips), m.sites[1].recoveries)
-    };
-    let (trips, recoveries) = run(InjectConfig::crashpoint_at(1, Crashpoint::MidCheckpoint));
-    assert_eq!(trips, 1, "the mid-checkpoint crashpoint must fire");
-    assert_eq!(recoveries, 1, "the victim must recover through it");
+    let mut cfg = w.cluster();
+    cfg.seed = 5;
+    cfg.site.checkpoint_every = Some(6);
+    // The crashpoint crashes site 1 from inside the protocol; this
+    // recovery brings it back.
+    cfg.faults = FaultPlan::none()
+        .recover(ms(250), 1)
+        .crashpoint(1, Crashpoint::MidCheckpoint, 1);
+    let mut cl = Cluster::build(cfg);
+    cl.run_until(ms(60_000));
+    cl.auditor().check_conservation().unwrap();
+    let m = cl.stats().txn;
+    assert_eq!(
+        m.sum(|s| s.crashpoint_trips),
+        1,
+        "the mid-checkpoint crashpoint must fire"
+    );
+    assert_eq!(m.sites[1].recoveries, 1, "site 1 must recover through it");
 }
 
 // ---- media failures: dual-slot fallback and mid-log bit rot ------------
 
 /// The previous checkpoint generation stays recoverable: corrupting
 /// either physical slot while a `MidCheckpoint` crashpoint kills the
-/// victim still recovers to the exact clean-run state. When the rot hit
+/// site still recovers to the exact clean-run state. When the rot hit
 /// the newest image, the dual-slot store must fall back a generation
 /// (losslessly — log truncation always retains the older generation's
 /// redo window).
@@ -227,13 +216,16 @@ fn mid_checkpoint_crash_with_a_rotten_slot_falls_back_losslessly() {
     }
     .generate(5);
     let run = |corrupt: Option<u8>| {
-        let mut inject = InjectConfig::crashpoint_at(1, Crashpoint::MidCheckpoint);
-        inject.corrupt_ckpt = corrupt;
         let mut cfg = w.cluster();
         cfg.seed = 5;
         cfg.site.checkpoint_every = Some(6);
-        cfg.site.inject = inject;
-        cfg.faults = FaultPlan::none().recover(ms(250), 1);
+        cfg.faults =
+            FaultPlan::none()
+                .recover(ms(250), 1)
+                .crashpoint(1, Crashpoint::MidCheckpoint, 1);
+        if let Some(slot) = corrupt {
+            cfg.faults = cfg.faults.corrupt_checkpoint(1, slot);
+        }
         let mut cl = Cluster::build(cfg);
         cl.run_until(ms(60_000));
         cl.auditor().check_conservation().unwrap();
@@ -354,8 +346,9 @@ fn every_crashpoint_fires_once_and_recovery_holds() {
         let mut cfg = w.cluster();
         cfg.seed = 21;
         cfg.site.checkpoint_every = Some(6);
-        cfg.site.inject = InjectConfig::crashpoint_at(1, point);
-        cfg.faults = FaultPlan::none().recover(ms(300), 1);
+        cfg.faults = FaultPlan::none()
+            .recover(ms(300), 1)
+            .crashpoint(1, point, 1);
         let mut cl = Cluster::build(cfg);
         cl.run_until(ms(60_000));
         cl.auditor().check_conservation().unwrap();
@@ -365,6 +358,6 @@ fn every_crashpoint_fires_once_and_recovery_holds() {
             1,
             "{point:?} must fire exactly once"
         );
-        assert_eq!(m.sites[1].recoveries, 1, "{point:?}: victim recovers");
+        assert_eq!(m.sites[1].recoveries, 1, "{point:?}: site 1 recovers");
     }
 }

@@ -8,7 +8,7 @@
 //! and `dvp-baselines` together.
 
 use dvp::baselines::TradConfig;
-use dvp::core::{InjectConfig, ReactivePlacement, SiteConfig};
+use dvp::core::{ReactivePlacement, SiteConfig};
 use dvp::vmsg::VmConfig;
 
 /// Destructure each `Type { field, … }` group exhaustively from its
@@ -32,7 +32,6 @@ fn config_surface_census() {
             checkpoint_every,
             unsafe_skip_read_drain_gate,
             unsafe_skip_recovery_redo,
-            inject,
         }
         VmConfig {
             window,
@@ -42,14 +41,6 @@ fn config_surface_census() {
         ReactivePlacement {
             refill,
             fanout,
-        }
-        InjectConfig {
-            crashpoint,
-            crash_on_hit,
-            victim,
-            torn,
-            bit_rot,
-            corrupt_ckpt,
         }
         TradConfig {
             protocol,

@@ -5,8 +5,10 @@
 //! settle window has drained, every transaction started on a live site
 //! has been decided. The DvP side runs as experiment T5: `run_campaign`
 //! checks `check_liveness` after the settle window of every campaign of
-//! the matrix. Here schedules from the same generator (crashes,
-//! recoveries, partitions, chaos) are applied to the 2PC cluster, and
+//! the matrix. Here schedules from the same generator are applied to the
+//! 2PC cluster — their crashes, recoveries, partitions and chaos; the
+//! crashpoints and torn writes are hooks inside the DvP site, which
+//! `TradCluster::build` refuses — and
 //! `still_blocked()` must be zero after the same settle window —
 //! in-doubt participants resolve by querying recovered coordinators.
 //! Every campaign also checks that each transaction was decided at most
@@ -15,7 +17,7 @@
 
 use dvp::prelude::*;
 use dvp::workloads::AirlineWorkload;
-use dvp_nemesis::{generate, lossy_environment, Intensity};
+use dvp_nemesis::{generate, lossy_environment, FaultEvent, FaultSchedule, Intensity};
 
 const N_SITES: usize = 4;
 const HORIZON_MS: u64 = 800;
@@ -44,14 +46,22 @@ fn workload(seed: u64) -> dvp::workloads::Workload {
 fn trad_baseline_unblocks_after_every_standard_campaign() {
     let mut total_committed = 0u64;
     for seed in 0..SEEDS {
-        let sched = generate(seed, N_SITES, HORIZON_MS, &Intensity::standard());
-        let applied = sched.apply(N_SITES, lossy_environment());
+        let events = generate(seed, N_SITES, HORIZON_MS, &Intensity::standard()).events;
+        let sched = FaultSchedule::new(
+            events
+                .into_iter()
+                .filter(|e| {
+                    !matches!(
+                        e,
+                        FaultEvent::ArmCrashpoint { .. } | FaultEvent::TornWrites { .. }
+                    )
+                })
+                .collect(),
+        );
         let w = workload(seed);
-        let mut trad = Scenario::trad(&w)
-            .seed(seed)
-            .net(applied.net)
-            .faults(applied.faults)
-            .build_trad();
+        let mut sc = Scenario::trad(&w).seed(seed).net(lossy_environment());
+        sched.apply(&mut sc.cluster);
+        let mut trad = sc.build_trad();
         trad.run_until(ms(HORIZON_MS * 2 + 1_000));
         let m = trad.metrics();
         assert_eq!(
