@@ -33,9 +33,8 @@ impl TradCluster {
         }
         let n = cfg.n_sites();
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
-        let sim = cfg.simulate(|s, obs| {
-            let script = cfg.scripts[s].clone();
-            let mut node = TradNode::new(s, n, cfg.site, totals.clone(), script);
+        let sim = cfg.simulate(|s, obs, arrivals| {
+            let mut node = TradNode::new(s, n, cfg.site, totals.clone(), arrivals);
             node.set_obs(obs.clone());
             node
         });

@@ -43,8 +43,8 @@ use crate::record::TradRecord;
 use coordinator::CoordTxn;
 use durable::Durable;
 use dvp_core::clock::{LamportClock, Ts};
-use dvp_core::txn::Script;
 use dvp_core::ItemId;
+use dvp_core::{Script, ScriptCursor};
 use dvp_obs::{EventKind, Obs};
 use dvp_simnet::node::{Context, Node, TimerId};
 use dvp_simnet::time::SimDuration;
@@ -115,8 +115,8 @@ pub struct TradNode {
     clock: LamportClock,
     replica: Replica,
     durable: Durable,
-    /// This site's arrivals, shared with the cluster config.
-    script: Script,
+    /// This site's place in its run's arrivals.
+    arrivals: ScriptCursor,
     coord: BTreeMap<Ts, CoordTxn>,
     part: BTreeMap<Ts, PartTxn>,
     /// Commit decisions this site (as coordinator) has forced and not
@@ -150,8 +150,15 @@ pub struct TradNode {
 }
 
 impl TradNode {
-    /// Build a site holding full replicas of every item.
-    pub fn new(id: NodeId, n: usize, cfg: TradConfig, totals: Vec<u64>, script: Script) -> Self {
+    /// Build a site holding full replicas of every item, reading its
+    /// transactions from `arrivals`.
+    pub fn new(
+        id: NodeId,
+        n: usize,
+        cfg: TradConfig,
+        totals: Vec<u64>,
+        arrivals: ScriptCursor,
+    ) -> Self {
         TradNode {
             id,
             n,
@@ -159,7 +166,7 @@ impl TradNode {
             clock: LamportClock::new(id),
             durable: Durable::genesis(&totals),
             replica: Replica::new(totals),
-            script,
+            arrivals,
             coord: BTreeMap::new(),
             part: BTreeMap::new(),
             decisions: BTreeSet::new(),
@@ -179,7 +186,7 @@ impl TradNode {
 
     /// The arrival script this site runs (a shared handle).
     pub fn script(&self) -> &Script {
-        &self.script
+        self.arrivals.script()
     }
 
     /// Outcomes this site acted on: `(txn, committed)` (divergence audit).
@@ -328,11 +335,7 @@ impl Node for TradNode {
     }
 
     fn on_external(&mut self, tag: u64, ctx: &mut Context<'_, TradMsg>) {
-        // As in `SiteNode::on_external`: the script is shared and
-        // immutable, so a replayed tag is structurally harmless, and the
-        // clone is an inline copy.
-        let Some((_, spec)) = self.script.get(tag as usize).cloned() else {
-            debug_assert!(false, "external tag {tag} has no scripted transaction");
+        let Some(spec) = self.arrivals.spec(tag) else {
             return;
         };
         self.begin_txn(spec, ctx);

@@ -367,8 +367,8 @@ fn late_no_vote_cannot_undo_a_commit() {
     let (cat, flight) = catalog(100);
     let cfg = decision_owed_to_writer_2(cat, flight).at(1, ms(50), TxnSpec::read(flight));
     let totals = vec![100];
-    let mut sim = cfg.simulate(|s, obs| {
-        let mut node = TradNode::new(s, 4, cfg.site, totals.clone(), cfg.scripts[s].clone());
+    let mut sim = cfg.simulate(|s, obs, arrivals| {
+        let mut node = TradNode::new(s, 4, cfg.site, totals.clone(), arrivals);
         node.set_obs(obs.clone());
         Replayer {
             node,

@@ -5,9 +5,10 @@
 //! thread, every allocation event (alloc + realloc) and the net live
 //! bytes. A simulation runs on the one thread that drives it, so tests
 //! can pin "zero allocations per committed fast-path transaction"
-//! ([`thread_alloc_count`]) and "the heap holds the log once"
-//! ([`thread_live_bytes`]) as regression gates whatever the test harness's
-//! other threads do.
+//! ([`thread_alloc_count`]), "the heap holds the log once"
+//! ([`thread_live_bytes`]) and "a longer run peaks no higher"
+//! ([`thread_peak_live_bytes`]) as regression gates whatever the test
+//! harness's other threads do.
 //!
 //! The wrapper costs two thread-local updates per allocation, so it stays
 //! out of default builds; run audits with
@@ -23,14 +24,26 @@ thread_local! {
     /// from inside the allocator neither allocates nor outlives the thread.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_LIVE: Cell<u64> = const { Cell::new(0) };
+    /// The most `THREAD_LIVE` has read since the last reset.
+    static THREAD_PEAK: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Count one allocation event of `size` bytes that gives `freed` bytes
-/// back, for this thread.
+/// back, for this thread. The new block counts before the old one is
+/// given back — a moving `realloc` holds both for a moment — so the peak
+/// sees a buffer's growth transient.
 fn count_event(size: usize, freed: usize) {
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_LIVE.try_with(|c| {
+        let live = c.get().wrapping_add(size as u64);
+        let _ = THREAD_PEAK.try_with(|p| {
+            if live as i64 > p.get() as i64 {
+                p.set(live);
+            }
+        });
+        c.set(live);
+    });
     count_freed(freed);
-    let _ = THREAD_LIVE.try_with(|c| c.set(c.get().wrapping_add(size as u64)));
 }
 
 /// Count `freed` bytes given back by this thread.
@@ -85,6 +98,19 @@ pub fn thread_live_bytes() -> u64 {
     THREAD_LIVE.with(Cell::get)
 }
 
+/// The most [`thread_live_bytes`] has read since the last
+/// [`reset_thread_peak`]: the calling thread's live-heap high-water mark,
+/// in the same wrapping units. A difference of two live readings misses
+/// what was allocated and freed between them; the peak keeps it.
+pub fn thread_peak_live_bytes() -> u64 {
+    THREAD_PEAK.with(Cell::get)
+}
+
+/// Start a new high-water mark at the calling thread's live bytes now.
+pub fn reset_thread_peak() {
+    THREAD_PEAK.with(|p| p.set(thread_live_bytes()));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,5 +136,21 @@ mod tests {
         drop(v);
         assert!(grown(live) < BIG / 2);
         assert!(thread_alloc_count() > events);
+    }
+
+    #[test]
+    fn the_peak_keeps_what_was_freed_and_resets() {
+        const BIG: u64 = 1 << 20;
+        reset_thread_peak();
+        let start = thread_live_bytes();
+        let peak = || thread_peak_live_bytes().wrapping_sub(start);
+        let mut v: Vec<u8> = Vec::with_capacity(BIG as usize);
+        // A moving realloc holds the old block and the new one at once.
+        v.reserve_exact(2 * BIG as usize);
+        drop(v);
+        assert!(peak() >= 3 * BIG, "the peak saw {} B", peak());
+        assert!(thread_live_bytes().wrapping_sub(start) < BIG / 2);
+        reset_thread_peak();
+        assert!(peak() < BIG / 2, "reset starts from the live bytes now");
     }
 }

@@ -47,7 +47,7 @@ fn workload(scale: Scale, recover_at: u64) -> Workload {
     for k in 0..5u64 {
         let at = msec(recover_at + 1 + k * 10);
         let script = &mut w.scripts[1];
-        let pos = script.partition_point(|e| e.0 <= at);
+        let pos = script.iter().take_while(|e| e.0 <= at).count();
         script.insert(pos, (at, TxnSpec::reserve(flight, 1)));
     }
     w

@@ -11,10 +11,10 @@ use crate::audit::{Auditor, HistorySink};
 use crate::fault::FaultPlan;
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
-use crate::ops::Op;
 use crate::policy::SiteConfig;
+use crate::script::{Script, ScriptCursor};
 use crate::site::SiteNode;
-use crate::txn::{Script, TxnSpec};
+use crate::txn::TxnSpec;
 use dvp_obs::Obs;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::node::Node;
@@ -30,11 +30,12 @@ use dvp_simnet::NodeId;
 pub struct ClusterConfig<S = SiteConfig> {
     /// The data items and their initial splits.
     pub catalog: Catalog,
-    /// Per-site workload scripts: `scripts[s]` is the list of
+    /// Per-site workload scripts: `scripts[s]` is the
     /// `(arrival time, transaction)` pairs initiated at site `s`, in time
-    /// order ([`simulate`](Self::simulate) panics otherwise), shared with
-    /// whoever generated it and with the built site. Their count is the
-    /// number of sites.
+    /// order ([`simulate`](Self::simulate) panics otherwise), listed or
+    /// drawn from a generator as the run goes, and shared with whoever
+    /// made it and with the built site. Their count is the number of
+    /// sites.
     pub scripts: Vec<Script>,
     /// Per-site protocol configuration (same at every site).
     pub site: S,
@@ -43,7 +44,7 @@ pub struct ClusterConfig<S = SiteConfig> {
     /// Site crashes and recoveries, and the faults injected at each site.
     pub faults: FaultPlan,
     /// RNG seed (drives network delays/loss and nothing else — the
-    /// workload is part of the config, pre-generated).
+    /// workload is part of the config, in its scripts).
     pub seed: u64,
     /// Record the structured `dvp-obs` event stream, shared by the kernel
     /// and every site; read it back through `Simulation::obs`. Off by
@@ -74,7 +75,8 @@ impl<S> ClusterConfig<S> {
     }
 
     /// Append a transaction arrival at `site`; `when` must not be earlier
-    /// than the site's last arrival.
+    /// than the site's last arrival. A drawn script is listed first (see
+    /// [`Script::push`]).
     pub fn at(mut self, site: NodeId, when: SimTime, spec: TxnSpec) -> Self {
         self.scripts[site].push((when, spec));
         self
@@ -95,44 +97,36 @@ impl<S> ClusterConfig<S> {
     }
 
     /// The simulation both engines' clusters run on: one node per script,
-    /// made by `node(site, &obs)` with the run's trace handle, then every
-    /// arrival, crash and recovery scheduled. At equal instants the kernel
-    /// dispatches in scheduling order, so the order here is part of every
-    /// trajectory: arrivals site by site in script order, then crashes,
-    /// then recoveries, each in plan order. Each site's arrivals are a
-    /// kernel arrival stream reading the site's script through a shared
-    /// handle, one arrival pending at a time.
+    /// made by `node(site, &obs, cursor)` with the run's trace handle and
+    /// the site's [`ScriptCursor`], then every arrival, crash and recovery
+    /// scheduled. At equal instants the kernel dispatches in scheduling
+    /// order, so the order here is part of every trajectory: arrivals site
+    /// by site in script order, then crashes, then recoveries, each in
+    /// plan order. Each site's arrivals are a kernel arrival stream moving
+    /// the site's cursor, one arrival pending at a time; the cursors share
+    /// one feed, so drawn scripts are drawn once per run, as it goes.
     ///
-    /// Panics if a script is not in time order, naming the site and the
-    /// first arrival earlier than the one before it, or if an op moves
-    /// more than `i64::MAX` (its signed [`Op::delta`] would wrap), naming
-    /// the site and the arrival.
-    pub fn simulate<N: Node>(&self, mut node: impl FnMut(NodeId, &Obs) -> N) -> Simulation<N> {
+    /// Panics if a listed script is not in time order, naming the site and
+    /// the first arrival earlier than the one before it, or if an op moves
+    /// more than `i64::MAX` (its signed [`Op::delta`](crate::Op::delta)
+    /// would wrap), naming the site and the arrival. Drawn scripts were
+    /// checked the same way when they were drawn.
+    pub fn simulate<N: Node>(
+        &self,
+        mut node: impl FnMut(NodeId, &Obs, ScriptCursor) -> N,
+    ) -> Simulation<N> {
         assert!(self.n_sites() > 0, "a cluster needs at least one site");
         let obs = Obs::new(self.trace);
-        let nodes = (0..self.n_sites()).map(|s| node(s, &obs)).collect();
+        let cursors = ScriptCursor::run(&self.scripts);
+        let nodes = cursors
+            .iter()
+            .enumerate()
+            .map(|(s, cursor)| node(s, &obs, cursor.clone()))
+            .collect();
         let mut sim = Simulation::new(nodes, self.net.clone(), self.seed);
         sim.set_obs(obs);
-        for (s, script) in self.scripts.iter().enumerate() {
-            let mut due = SimTime::ZERO;
-            for (i, (at, spec)) in script.iter().enumerate() {
-                if *at < due {
-                    panic!(
-                        "site {s}'s script is out of time order: arrival {i} is due before arrival {}",
-                        i - 1
-                    );
-                }
-                due = *at;
-                for &(_, op) in spec.ops.iter() {
-                    if let Op::Incr(m) | Op::Decr(m) = op {
-                        if m > i64::MAX as crate::Qty {
-                            panic!("site {s}'s arrival {i} moves {m} units, more than i64::MAX");
-                        }
-                    }
-                }
-            }
-            let script = script.clone();
-            sim.schedule_arrivals(s, script.len(), move |k| script[k].0);
+        for (s, cursor) in cursors.into_iter().enumerate() {
+            sim.schedule_arrivals(s, cursor.script().len(), move |k| cursor.due(k));
         }
         for &(when, site) in &self.faults.crashes {
             sim.schedule_crash(when, site);
@@ -185,10 +179,9 @@ impl Cluster {
         }
 
         let history = HistorySink::new(&cfg.catalog);
-        let sim = cfg.simulate(|s, obs| {
-            let script = cfg.scripts[s].clone();
+        let sim = cfg.simulate(|s, obs, arrivals| {
             let quotas = site_quotas[s].clone();
-            let mut node = SiteNode::new(s, n, cfg.site, cfg.faults.injection(s), quotas, script);
+            let mut node = SiteNode::new(s, n, cfg.site, cfg.faults.injection(s), quotas, arrivals);
             node.set_obs(obs.clone());
             node.set_history(history.clone());
             node
@@ -626,7 +619,7 @@ mod tests {
             .crash(t, 0)
             .recover(t, 0);
         let log = Dispatches::default();
-        let mut sim = cfg.simulate(|id, _| Recorder {
+        let mut sim = cfg.simulate(|id, _, _| Recorder {
             id,
             log: Rc::clone(&log),
         });
@@ -659,7 +652,7 @@ mod tests {
             .at(1, ms(1), TxnSpec::reserve(flight, 1))
             .at(1, ms(5), TxnSpec::reserve(flight, 1))
             .at(1, ms(3), TxnSpec::reserve(flight, 1));
-        cfg.simulate(|id, _| Recorder {
+        cfg.simulate(|id, _, _| Recorder {
             id,
             log: Dispatches::default(),
         });
@@ -676,7 +669,7 @@ mod tests {
         let cfg = ClusterConfig::new(2, catalog)
             .at(1, ms(1), TxnSpec::release(flight, i64::MAX as crate::Qty))
             .at(1, ms(2), TxnSpec::release(flight, 1 << 63));
-        cfg.simulate(|id, _| Recorder {
+        cfg.simulate(|id, _, _| Recorder {
             id,
             log: Dispatches::default(),
         });

@@ -16,6 +16,7 @@
 //! | §3 running example (quantities, quotas)                       | [`item`], [`fragment`] |
 //! | §4.2 value transfer payloads riding Vms                       | [`transfer`] |
 //! | §5 transaction processing (7-step, write-only, Rds)           | [`txn`], [`site`] |
+//! | §1, §8 arrivals: listed, or drawn as the run goes             | [`script`] |
 //! | §6 concurrency control (Conc1 timestamps, Conc2 2PL)          | [`locks`], [`clock`], [`site`] |
 //! | §7 recovery (redo, lock amnesia, timestamp bump-up)           | [`record`], [`site`] |
 //! | §3 invariant N = ΣNᵢ + N_M                                    | [`audit`] |
@@ -44,6 +45,7 @@ pub mod ops;
 pub mod placement;
 pub mod policy;
 pub mod record;
+pub mod script;
 pub mod site;
 pub mod transfer;
 pub mod txn;
@@ -58,8 +60,9 @@ pub use ops::Op;
 pub use policy::{
     ConcMode, Fanout, Placement, ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
 };
+pub use script::{Script, ScriptCursor};
 pub use site::SiteNode;
-pub use txn::{Script, TxnOutcome, TxnSpec};
+pub use txn::{TxnOutcome, TxnSpec};
 
 /// A quantity: one item's value or fragment (seats, units, cents).
 pub type Qty = u64;

@@ -52,8 +52,8 @@ use crate::metrics::{AbortReason, SiteMetrics};
 use crate::placement::{Planner, View};
 use crate::policy::SiteConfig;
 use crate::record::{DbActions, SiteRecord};
+use crate::script::{Script, ScriptCursor};
 use crate::transfer::Transfer;
-use crate::txn::Script;
 use crate::Qty;
 use durable::Durable;
 use dvp_obs::{EventKind, Obs};
@@ -114,9 +114,9 @@ pub struct SiteNode {
     inject: FaultInjector,
     /// Everything this site remembers about value placement. Volatile.
     planner: Planner,
-    /// This site's arrivals, shared with the cluster config that
-    /// scheduled them (never written here).
-    script: Script,
+    /// This site's place in its run's arrivals: the kernel moves it, an
+    /// arrival reads its transaction from it.
+    arrivals: ScriptCursor,
     /// In-flight local transactions.
     active: ActiveTable,
     /// Conc2 FIFO lock queues, per item.
@@ -157,15 +157,15 @@ impl SiteNode {
     /// * `faults`: the faults the run's plan injects at this site.
     /// * `quotas[i]`: this site's initial fragment of item `i` (the data-
     ///   value partitioning). Logged as genesis records.
-    /// * `script`: transactions this site will run, indexed by the
-    ///   external-event tag the cluster scheduler uses.
+    /// * `arrivals`: the transactions this site will run, read at each
+    ///   arrival by the external-event tag the cluster scheduler uses.
     pub fn new(
         id: NodeId,
         n: usize,
         cfg: SiteConfig,
         faults: Injection,
         quotas: Vec<Qty>,
-        script: Script,
+        arrivals: ScriptCursor,
     ) -> Self {
         let k = quotas.len();
         let mut frags = FragmentStore::new(k);
@@ -183,7 +183,7 @@ impl SiteNode {
             durable: Durable::genesis(id, &quotas),
             inject: FaultInjector::new(id, faults),
             planner: Planner::new(id, n, cfg.placement, k),
-            script,
+            arrivals,
             active: ActiveTable::default(),
             lock_queue: vec![VecDeque::new(); k],
             outstanding: Outstanding::new(k),
@@ -251,7 +251,7 @@ impl SiteNode {
 
     /// The arrival script this site runs (a shared handle).
     pub fn script(&self) -> &Script {
-        &self.script
+        self.arrivals.script()
     }
 
     /// Instrumentation counters.
@@ -434,12 +434,7 @@ impl Node for SiteNode {
         if self.durable.media_failed() {
             return; // quarantined: no new transactions ever start here
         }
-        // The script is shared and immutable, so a replayed tag is
-        // structurally harmless: it starts the same transaction again
-        // under a fresh timestamp. Specs keep their ops inline, so the
-        // clone is a copy and the steady-state path allocates nothing.
-        let Some((_, spec)) = self.script.get(tag as usize).cloned() else {
-            debug_assert!(false, "external tag {tag} has no scripted transaction");
+        let Some(spec) = self.arrivals.spec(tag) else {
             return;
         };
         self.arm_rebalance(ctx);
@@ -585,7 +580,14 @@ mod tests {
             .placement(Placement::adaptive())
             .build();
         let faults = Injection::default();
-        let mut site = SiteNode::new(1, 4, cfg, faults, vec![100, 50], Script::new());
+        let mut site = SiteNode::new(
+            1,
+            4,
+            cfg,
+            faults,
+            vec![100, 50],
+            ScriptCursor::run(&[Script::new()]).remove(0),
+        );
         let fresh = site.planner.clone();
         let now = SimTime(1_000);
         site.planner.local_demand(ItemId(0), 30);

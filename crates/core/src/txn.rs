@@ -16,16 +16,15 @@ use crate::item::ItemId;
 use crate::metrics::AbortReason;
 use crate::ops::Op;
 use crate::Qty;
-use dvp_simnet::time::SimTime;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A transaction as submitted by a client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TxnSpec {
     /// Operations, in program order. Inline up to two — every generated
-    /// workload but multi-product inventory orders — so building a spec
-    /// and cloning one out of a shared [`Script`] allocate nothing.
+    /// workload but multi-product inventory orders — so drawing a spec
+    /// and reading one out of a [`Script`](crate::Script) allocate
+    /// nothing.
     pub ops: SVec<(ItemId, Op), 2>,
 }
 
@@ -140,56 +139,6 @@ impl TxnSpec {
     }
 }
 
-/// One site's arrival script: `(arrival time, transaction)` pairs in
-/// time order, which is the order the cluster schedules them, so entry
-/// `i` is the transaction external tag `i` starts. A cluster refuses a
-/// script whose times decrease.
-///
-/// The list is `Arc`-shared and copy-on-write: the workload, the
-/// scenario, the cluster config and the built node all hold the same
-/// allocation (`clone` is a refcount bump), and [`push`](Self::push) on a
-/// shared handle copies first, leaving the other holders untouched.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Script(Arc<Vec<(SimTime, TxnSpec)>>);
-
-impl Script {
-    /// An empty script.
-    pub fn new() -> Self {
-        Script::default()
-    }
-
-    /// Append an arrival (copies the list first if it is shared).
-    pub fn push(&mut self, arrival: (SimTime, TxnSpec)) {
-        Arc::make_mut(&mut self.0).push(arrival);
-    }
-
-    /// Insert an arrival at `index` (copies the list first if it is
-    /// shared).
-    pub fn insert(&mut self, index: usize, arrival: (SimTime, TxnSpec)) {
-        Arc::make_mut(&mut self.0).insert(index, arrival);
-    }
-
-    /// Whether two handles point at the same allocation.
-    pub fn ptr_eq(a: &Script, b: &Script) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-}
-
-impl std::ops::Deref for Script {
-    type Target = [(SimTime, TxnSpec)];
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<'a> IntoIterator for &'a Script {
-    type Item = &'a (SimTime, TxnSpec);
-    type IntoIter = std::slice::Iter<'a, (SimTime, TxnSpec)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
 /// How a transaction ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TxnOutcome {
@@ -283,20 +232,6 @@ mod tests {
         t.demands_into(&mut demands);
         assert_eq!(demands, t.demands().into_iter().collect::<Vec<_>>());
         assert_eq!(demands, vec![(B, 5)]);
-    }
-
-    #[test]
-    fn script_clone_shares_and_push_copies_on_write() {
-        let mut a = Script::new();
-        a.push((SimTime(1), TxnSpec::reserve(A, 1)));
-        let b = a.clone();
-        assert!(Script::ptr_eq(&a, &b));
-        a.push((SimTime(2), TxnSpec::read(B)));
-        assert!(!Script::ptr_eq(&a, &b));
-        assert_eq!((a.len(), b.len()), (2, 1));
-        assert_eq!(a[1].1, TxnSpec::read(B));
-        assert_eq!((&a).into_iter().count(), 2);
-        assert_ne!(a, b);
     }
 
     #[test]

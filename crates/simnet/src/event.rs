@@ -34,7 +34,7 @@ pub(crate) enum ScheduledKind {
     /// Externally injected event carrying `tag`.
     External,
     /// Arrival `tag` of the node's [`ArrivalStream`]: handled like an
-    /// external, after the stream's next arrival takes its place.
+    /// external, then the stream's next arrival takes its place.
     Arrival,
     /// Crash the node.
     Crash,
@@ -101,26 +101,31 @@ impl ScheduledLane {
 
 /// One node's scripted arrivals, drawn one at a time.
 ///
-/// Arrival `k` is due at `at(k)`, clamped to `from`, the instant the
+/// Arrival `k` is due at `next_at(k)`, clamped to `from`, the instant the
 /// stream was scheduled, and carries `seq = base + k` and tag `k`: the
 /// keys `len` separate `schedule_external` calls would have had, so the
 /// dispatch order is the same. Only the arrival due next is in the lane.
+/// `next_at` is a cursor: it is called once for each `k`, in order, and
+/// only after arrival `k - 1` left the lane.
 pub(crate) struct ArrivalStream {
-    pub at: Box<dyn Fn(usize) -> SimTime>,
+    pub next_at: Box<dyn FnMut(usize) -> SimTime>,
     pub len: usize,
     pub base: u64,
     pub from: SimTime,
+    /// Unclamped instant of the arrival drawn last.
+    pub last: SimTime,
 }
 
 impl ArrivalStream {
-    /// Lane entry for arrival `k` at `node`.
-    pub fn arrival(&self, node: u32, k: usize) -> Scheduled {
-        let at = (self.at)(k);
+    /// Draw arrival `k` at `node` and return its lane entry.
+    pub fn arrival(&mut self, node: u32, k: usize) -> Scheduled {
+        let at = (self.next_at)(k);
         debug_assert!(
-            k == 0 || at >= (self.at)(k - 1),
+            k == 0 || at >= self.last,
             "arrival {k} at node {node} is due before arrival {}",
             k - 1
         );
+        self.last = at;
         Scheduled {
             at: at.max(self.from),
             seq: self.base + k as u64,

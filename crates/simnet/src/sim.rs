@@ -193,16 +193,18 @@ impl<N: Node> Simulation<N> {
     /// Ordering and clamping are exactly those of `len`
     /// [`schedule_external`](Self::schedule_external) calls made here in a
     /// row, but the arrivals are drawn one at a time: only the next one
-    /// due is pending in the kernel, and dispatching it draws the one
-    /// after. `at` must not decrease in `k` (debug-asserted). An arrival
-    /// at a crashed node is dropped and counted like an external; the
-    /// stream goes on. Panics if there is no such `node` or it already has
-    /// an arrival stream.
+    /// due is pending in the kernel. `at` is a cursor: it is called once
+    /// for each `k`, in order, for `k = 0` here and for each later `k`
+    /// once arrival `k - 1` has been dispatched, or dropped at a crashed
+    /// node. `at` must not decrease in `k` (debug-asserted). An arrival at
+    /// a crashed node is dropped and counted like an external; the stream
+    /// goes on. Panics if there is no such `node` or it already has an
+    /// arrival stream.
     pub fn schedule_arrivals(
         &mut self,
         node: NodeId,
         len: usize,
-        at: impl Fn(usize) -> SimTime + 'static,
+        at: impl FnMut(usize) -> SimTime + 'static,
     ) {
         let id = node_index(node, self.nodes.len());
         assert!(
@@ -214,11 +216,12 @@ impl<N: Node> Simulation<N> {
         if len == 0 {
             return;
         }
-        let stream = ArrivalStream {
-            at: Box::new(at),
+        let mut stream = ArrivalStream {
+            next_at: Box::new(at),
             len,
             base,
             from: self.now,
+            last: SimTime::ZERO,
         };
         self.scheduled.push(stream.arrival(id, 0));
         self.backlog += len - 1;
@@ -240,12 +243,12 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Put the arrival after `e` in its stream, if there is one, in the
-    /// lane. Its key is later than `e`'s, which is being dispatched, so it
+    /// lane. Its key is later than `e`'s, which was just dispatched, so it
     /// never lands before `now`.
     fn draw_next_arrival(&mut self, e: &Scheduled) {
         let next = e.tag as usize + 1;
         let stream = self.streams[e.node as NodeId]
-            .as_ref()
+            .as_mut()
             .expect("an arrival has a stream");
         if next < stream.len {
             let e = stream.arrival(e.node, next);
@@ -384,15 +387,15 @@ impl<N: Node> Simulation<N> {
         let node = e.node as NodeId;
         match e.kind {
             ScheduledKind::External | ScheduledKind::Arrival => {
-                if e.kind == ScheduledKind::Arrival {
-                    self.draw_next_arrival(&e);
-                }
                 if self.crashed[node] {
                     // A client arriving at a dead site gets nothing.
                     self.stats.externals_dropped += 1;
-                    return;
+                } else {
+                    self.dispatch(node, |n, ctx| n.on_external(e.tag, ctx));
                 }
-                self.dispatch(node, |n, ctx| n.on_external(e.tag, ctx));
+                if e.kind == ScheduledKind::Arrival {
+                    self.draw_next_arrival(&e);
+                }
             }
             ScheduledKind::Crash => {
                 if self.crashed[node] {
@@ -735,6 +738,45 @@ mod tests {
         assert_eq!(sim.stats().externals_dropped, 2);
         assert_eq!(sim.stats().peak_queue_depth, 7);
         assert_eq!(sim.pending_events(), 0);
+    }
+
+    /// The stream is a cursor: arrival `k` is drawn once, and only after
+    /// arrival `k - 1` left the lane, dispatched or dropped at a crashed
+    /// node.
+    #[test]
+    fn a_stream_draws_each_arrival_once_after_the_one_before_left() {
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<(&'static str, u64)>>>;
+        struct Logged(Log);
+        impl Node for Logged {
+            type Msg = ();
+            fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<'_, ()>) {}
+            fn on_external(&mut self, tag: u64, _ctx: &mut Context<'_, ()>) {
+                self.0.borrow_mut().push(("dispatch", tag));
+            }
+        }
+        let log = Log::default();
+        let mut sim = Simulation::new(vec![Logged(log.clone())], NetworkConfig::reliable(), 4);
+        let drawn = log.clone();
+        sim.schedule_arrivals(0, 4, move |k| {
+            drawn.borrow_mut().push(("draw", k as u64));
+            SimTime(100 * (k as u64 + 1))
+        });
+        sim.schedule_crash(SimTime(150), 0);
+        sim.schedule_recover(SimTime(250), 0);
+        sim.run_to_quiescence();
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("draw", 0),
+                ("dispatch", 0),
+                ("draw", 1),
+                ("draw", 2),
+                ("dispatch", 2),
+                ("draw", 3),
+                ("dispatch", 3),
+            ]
+        );
+        assert_eq!(sim.stats().externals_dropped, 1);
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! and "hot" flights — the skew axis of experiment F1.
 
 use crate::arrivals::Arrivals;
+use crate::stream::{self, Mix};
 use crate::zipf::Zipf;
 use crate::Workload;
-use dvp_core::item::{Catalog, Split};
-use dvp_core::txn::{Script, TxnSpec};
+use dvp_core::item::{Catalog, ItemId, Split};
+use dvp_core::txn::TxnSpec;
 use dvp_core::Qty;
 use dvp_simnet::rng::SimRng;
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimDuration;
+use dvp_simnet::NodeId;
 
 /// Parameters of the airline workload.
 ///
@@ -71,9 +73,9 @@ impl Default for AirlineWorkload {
 }
 
 impl AirlineWorkload {
-    /// Generate the workload deterministically from `seed`.
+    /// Generate the workload deterministically from `seed`: the catalog,
+    /// and one drawn script per site.
     pub fn generate(&self, seed: u64) -> Workload {
-        let mut rng = SimRng::new(seed ^ 0xA1B2);
         let mut catalog = Catalog::new();
         for f in 0..self.flights {
             catalog.add(
@@ -82,39 +84,52 @@ impl AirlineWorkload {
                 self.split.clone(),
             );
         }
-        let site_z = Zipf::new(self.n_sites, self.site_skew);
-        let flight_z = Zipf::new(self.flights, self.flight_skew);
-
-        let times =
-            self.arrivals
-                .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
-        let mut scripts = vec![Script::new(); self.n_sites];
-
-        let (p_res, p_can, p_chg, p_read) = self.mix;
-        for t in times {
-            let site = site_z.sample(&mut rng);
-            let flight = catalog.items()[flight_z.sample(&mut rng)].id;
-            let party = rng.uniform(1, self.max_party.max(1));
-            let u = rng.unit();
-            let spec = if u < p_res {
-                TxnSpec::reserve(flight, party)
-            } else if u < p_res + p_can {
-                TxnSpec::release(flight, party)
-            } else if u < p_res + p_can + p_chg && self.flights > 1 {
-                // Change to a different flight.
-                let mut other = catalog.items()[flight_z.sample(&mut rng)].id;
-                if other == flight {
-                    other = catalog.items()[(flight.0 as usize + 1) % self.flights].id;
-                }
-                TxnSpec::transfer(flight, other, party)
-            } else if u < p_res + p_can + p_chg + p_read {
-                TxnSpec::read(flight)
-            } else {
-                TxnSpec::reserve(flight, party)
-            };
-            scripts[site].push((t, spec));
-        }
+        let mix = AirlineMix {
+            w: self.clone(),
+            sites: Zipf::new(self.n_sites, self.site_skew),
+            flights: Zipf::new(self.flights, self.flight_skew),
+            ids: catalog.items().iter().map(|d| d.id).collect(),
+        };
+        let rng = SimRng::new(seed ^ 0xA1B2);
+        let scripts = stream::scripts(self.n_sites, self.arrivals, self.txns, rng, mix);
         Workload { catalog, scripts }
+    }
+}
+
+/// What one airline arrival is.
+#[derive(Clone)]
+struct AirlineMix {
+    w: AirlineWorkload,
+    sites: Zipf,
+    flights: Zipf,
+    ids: Vec<ItemId>,
+}
+
+impl Mix for AirlineMix {
+    fn draw(&self, _k: usize, rng: &mut SimRng) -> (NodeId, TxnSpec) {
+        let w = &self.w;
+        let (p_res, p_can, p_chg, p_read) = w.mix;
+        let site = self.sites.sample(rng);
+        let flight = self.ids[self.flights.sample(rng)];
+        let party = rng.uniform(1, w.max_party.max(1));
+        let u = rng.unit();
+        let spec = if u < p_res {
+            TxnSpec::reserve(flight, party)
+        } else if u < p_res + p_can {
+            TxnSpec::release(flight, party)
+        } else if u < p_res + p_can + p_chg && w.flights > 1 {
+            // Change to a different flight.
+            let mut other = self.ids[self.flights.sample(rng)];
+            if other == flight {
+                other = self.ids[(flight.0 as usize + 1) % w.flights];
+            }
+            TxnSpec::transfer(flight, other, party)
+        } else if u < p_res + p_can + p_chg + p_read {
+            TxnSpec::read(flight)
+        } else {
+            TxnSpec::reserve(flight, party)
+        };
+        (site, spec)
     }
 }
 
@@ -122,6 +137,7 @@ impl AirlineWorkload {
 mod tests {
     use super::*;
     use dvp_core::ops::Op;
+    use dvp_core::Script;
 
     #[test]
     fn generates_requested_volume() {
@@ -171,7 +187,7 @@ mod tests {
         let mut cancel = 0;
         let mut change = 0;
         let mut read = 0;
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             match spec.ops.as_slice() {
                 [(_, Op::Decr(_))] => reserve += 1,
                 [(_, Op::Incr(_))] => cancel += 1,
@@ -195,7 +211,7 @@ mod tests {
             ..Default::default()
         }
         .generate(4);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             for (_, op) in &spec.ops {
                 if let Op::Decr(k) | Op::Incr(k) = op {
                     assert!((1..=3).contains(k));
@@ -212,7 +228,7 @@ mod tests {
             ..Default::default()
         }
         .generate(6);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             if spec.ops.len() == 2 {
                 assert_ne!(spec.ops[0].0, spec.ops[1].0);
             }

@@ -9,13 +9,15 @@
 //! transaction that always commits locally.
 
 use crate::arrivals::Arrivals;
+use crate::stream::{self, Mix};
 use crate::zipf::Zipf;
 use crate::Workload;
-use dvp_core::item::{Catalog, Split};
-use dvp_core::txn::{Script, TxnSpec};
+use dvp_core::item::{Catalog, ItemId, Split};
+use dvp_core::txn::TxnSpec;
 use dvp_core::Qty;
 use dvp_simnet::rng::SimRng;
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimDuration;
+use dvp_simnet::NodeId;
 
 /// Parameters of the banking workload.
 #[derive(Clone, Debug)]
@@ -60,9 +62,9 @@ impl Default for BankingWorkload {
 }
 
 impl BankingWorkload {
-    /// Generate the workload deterministically from `seed`.
+    /// Generate the workload deterministically from `seed`: the catalog,
+    /// and one drawn script per branch.
     pub fn generate(&self, seed: u64) -> Workload {
-        let mut rng = SimRng::new(seed ^ 0xBA2C);
         let mut catalog = Catalog::new();
         for a in 0..self.accounts {
             catalog.add(
@@ -71,36 +73,50 @@ impl BankingWorkload {
                 self.split.clone(),
             );
         }
-        let acct_z = Zipf::new(self.accounts, self.account_skew);
-        let times =
-            self.arrivals
-                .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
-        let mut scripts = vec![Script::new(); self.n_sites];
-        let (p_dep, p_wdr, p_tr, p_read) = self.mix;
-        for t in times {
-            // Branch traffic is uniform; account popularity is skewed.
-            let site = rng.index(self.n_sites);
-            let acct = catalog.items()[acct_z.sample(&mut rng)].id;
-            let amount = rng.uniform(1, self.max_amount.max(1));
-            let u = rng.unit();
-            let spec = if u < p_dep {
-                TxnSpec::release(acct, amount)
-            } else if u < p_dep + p_wdr {
-                TxnSpec::reserve(acct, amount)
-            } else if u < p_dep + p_wdr + p_tr && self.accounts > 1 {
-                let mut other = catalog.items()[acct_z.sample(&mut rng)].id;
-                if other == acct {
-                    other = catalog.items()[(acct.0 as usize + 1) % self.accounts].id;
-                }
-                TxnSpec::transfer(acct, other, amount)
-            } else if u < p_dep + p_wdr + p_tr + p_read {
-                TxnSpec::read(acct)
-            } else {
-                TxnSpec::release(acct, amount)
-            };
-            scripts[site].push((t, spec));
-        }
+        let mix = BankingMix {
+            w: self.clone(),
+            accounts: Zipf::new(self.accounts, self.account_skew),
+            ids: catalog.items().iter().map(|d| d.id).collect(),
+        };
+        let rng = SimRng::new(seed ^ 0xBA2C);
+        let scripts = stream::scripts(self.n_sites, self.arrivals, self.txns, rng, mix);
         Workload { catalog, scripts }
+    }
+}
+
+/// What one banking arrival is.
+#[derive(Clone)]
+struct BankingMix {
+    w: BankingWorkload,
+    accounts: Zipf,
+    ids: Vec<ItemId>,
+}
+
+impl Mix for BankingMix {
+    fn draw(&self, _k: usize, rng: &mut SimRng) -> (NodeId, TxnSpec) {
+        let w = &self.w;
+        let (p_dep, p_wdr, p_tr, p_read) = w.mix;
+        // Branch traffic is uniform; account popularity is skewed.
+        let site = rng.index(w.n_sites);
+        let acct = self.ids[self.accounts.sample(rng)];
+        let amount = rng.uniform(1, w.max_amount.max(1));
+        let u = rng.unit();
+        let spec = if u < p_dep {
+            TxnSpec::release(acct, amount)
+        } else if u < p_dep + p_wdr {
+            TxnSpec::reserve(acct, amount)
+        } else if u < p_dep + p_wdr + p_tr && w.accounts > 1 {
+            let mut other = self.ids[self.accounts.sample(rng)];
+            if other == acct {
+                other = self.ids[(acct.0 as usize + 1) % w.accounts];
+            }
+            TxnSpec::transfer(acct, other, amount)
+        } else if u < p_dep + p_wdr + p_tr + p_read {
+            TxnSpec::read(acct)
+        } else {
+            TxnSpec::release(acct, amount)
+        };
+        (site, spec)
     }
 }
 
@@ -108,6 +124,7 @@ impl BankingWorkload {
 mod tests {
     use super::*;
     use dvp_core::ops::Op;
+    use dvp_core::Script;
 
     #[test]
     fn generates_accounts_and_txns() {
@@ -133,7 +150,7 @@ mod tests {
         }
         .generate(3);
         let mut by_item = [0u64; 8];
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             by_item[spec.ops[0].0 .0 as usize] += 1;
         }
         let hottest = *by_item.iter().max().unwrap();
@@ -149,7 +166,7 @@ mod tests {
             ..Default::default()
         }
         .generate(4);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             assert!(matches!(spec.ops.as_slice(), [(_, Op::Incr(_))]));
         }
     }
@@ -162,7 +179,7 @@ mod tests {
             ..Default::default()
         }
         .generate(5);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             if spec.ops.len() == 2 {
                 assert_ne!(spec.ops[0].0, spec.ops[1].0);
             }

@@ -11,13 +11,15 @@
 //! experiments measure with it.
 
 use crate::arrivals::Arrivals;
+use crate::stream::{self, Mix};
 use crate::zipf::Zipf;
 use crate::Workload;
-use dvp_core::item::{Catalog, Split};
-use dvp_core::txn::{Script, TxnSpec};
+use dvp_core::item::{Catalog, ItemId, Split};
+use dvp_core::txn::TxnSpec;
 use dvp_core::Qty;
 use dvp_simnet::rng::SimRng;
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimDuration;
+use dvp_simnet::NodeId;
 
 /// Parameters of the hotspot-drift workload.
 #[derive(Clone, Debug)]
@@ -74,59 +76,114 @@ impl Default for HotspotDriftWorkload {
 }
 
 impl HotspotDriftWorkload {
-    /// The hot (site, item) pair during `epoch`. Strides are coprime-ish
-    /// with typical site/item counts so consecutive epochs never reuse
-    /// either coordinate.
-    fn hot_pair(&self, epoch: usize) -> (usize, usize) {
-        let site = (epoch * 3 + 1) % self.n_sites;
-        let item = (epoch * 5 + 2) % self.items;
-        (site, item)
+    /// Where the hotspot sits in each epoch. Each coordinate strides by
+    /// the first step from 3 (sites) or 5 (items) that is coprime with its
+    /// count, so consecutive epochs never reuse either coordinate and the
+    /// first `n_sites` epochs visit every site once.
+    pub(crate) fn drift(&self) -> Drift {
+        Drift {
+            n_sites: self.n_sites,
+            items: self.items,
+            site_stride: coprime_stride(3, self.n_sites),
+            item_stride: coprime_stride(5, self.items),
+        }
     }
 
-    /// Generate the workload deterministically from `seed`.
+    /// Generate the workload deterministically from `seed`: the catalog,
+    /// and one drawn script per site.
     pub fn generate(&self, seed: u64) -> Workload {
         assert!(self.n_sites > 0 && self.items > 0 && self.epochs > 0);
-        let mut rng = SimRng::new(seed ^ 0x407_5B07);
         let mut catalog = Catalog::new();
         for i in 0..self.items {
             catalog.add(format!("stock-{i}"), self.per_item, self.split.clone());
         }
-        let item_z = Zipf::new(self.items, self.item_skew);
-        let times =
-            self.arrivals
-                .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
-        let per_epoch = self.txns.div_ceil(self.epochs).max(1);
-        let mut scripts = vec![Script::new(); self.n_sites];
-        for (k, t) in times.into_iter().enumerate() {
-            let (hot_site, hot_item) = self.hot_pair(k / per_epoch);
-            let amount = rng.uniform(1, self.max_amount.max(1));
-            let (site, spec) = if rng.unit() < self.focus {
-                let item = catalog.items()[hot_item].id;
-                let spec = if rng.unit() < self.withdraw_frac {
-                    TxnSpec::reserve(item, amount)
-                } else {
-                    TxnSpec::release(item, amount)
-                };
-                (hot_site, spec)
-            } else {
-                let site = rng.index(self.n_sites);
-                let item = catalog.items()[item_z.sample(&mut rng)].id;
-                let spec = if rng.unit() < 0.5 {
-                    TxnSpec::reserve(item, amount)
-                } else {
-                    TxnSpec::release(item, amount)
-                };
-                (site, spec)
-            };
-            scripts[site].push((t, spec));
-        }
+        let mix = HotspotMix {
+            w: self.clone(),
+            items: Zipf::new(self.items, self.item_skew),
+            ids: catalog.items().iter().map(|d| d.id).collect(),
+            drift: self.drift(),
+            per_epoch: self.txns.div_ceil(self.epochs).max(1),
+        };
+        let rng = SimRng::new(seed ^ 0x407_5B07);
+        let scripts = stream::scripts(self.n_sites, self.arrivals, self.txns, rng, mix);
         Workload { catalog, scripts }
+    }
+}
+
+/// The hotspot's path: see [`HotspotDriftWorkload::drift`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Drift {
+    n_sites: usize,
+    items: usize,
+    site_stride: usize,
+    item_stride: usize,
+}
+
+impl Drift {
+    /// The hot (site, item) pair during `epoch`.
+    pub(crate) fn pair(&self, epoch: usize) -> (usize, usize) {
+        let site = (epoch * self.site_stride + 1) % self.n_sites;
+        let item = (epoch * self.item_stride + 2) % self.items;
+        (site, item)
+    }
+}
+
+/// The first step from `from` up that is coprime with `n`.
+fn coprime_stride(from: usize, n: usize) -> usize {
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    (from..)
+        .find(|&s| gcd(s, n) == 1)
+        .expect("n + 1 is coprime with n")
+}
+
+/// What one hotspot-drift arrival is.
+#[derive(Clone)]
+struct HotspotMix {
+    w: HotspotDriftWorkload,
+    items: Zipf,
+    ids: Vec<ItemId>,
+    drift: Drift,
+    /// Arrivals per epoch.
+    per_epoch: usize,
+}
+
+impl Mix for HotspotMix {
+    fn draw(&self, k: usize, rng: &mut SimRng) -> (NodeId, TxnSpec) {
+        let w = &self.w;
+        let (hot_site, hot_item) = self.drift.pair(k / self.per_epoch);
+        let amount = rng.uniform(1, w.max_amount.max(1));
+        if rng.unit() < w.focus {
+            let item = self.ids[hot_item];
+            let spec = if rng.unit() < w.withdraw_frac {
+                TxnSpec::reserve(item, amount)
+            } else {
+                TxnSpec::release(item, amount)
+            };
+            (hot_site, spec)
+        } else {
+            let site = rng.index(w.n_sites);
+            let item = self.ids[self.items.sample(rng)];
+            let spec = if rng.unit() < 0.5 {
+                TxnSpec::reserve(item, amount)
+            } else {
+                TxnSpec::release(item, amount)
+            };
+            (site, spec)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvp_core::Script;
+    use dvp_simnet::time::SimTime;
+    use std::collections::BTreeSet;
 
     #[test]
     fn deterministic_per_seed() {
@@ -146,14 +203,14 @@ mod tests {
         // reconstructed by sorting all arrivals by time).
         let mut all: Vec<(SimTime, usize)> = Vec::new();
         for (s, script) in gen.scripts.iter().enumerate() {
-            for (t, _) in script {
-                all.push((*t, s));
+            for (t, _) in script.iter() {
+                all.push((t, s));
             }
         }
         all.sort();
         let span = all.len().div_ceil(4);
         for epoch in 0..4 {
-            let (hot, _) = w.hot_pair(epoch);
+            let (hot, _) = w.drift().pair(epoch);
             let slice = &all[epoch * span..((epoch + 1) * span).min(all.len())];
             let at_hot = slice.iter().filter(|(_, s)| *s == hot).count();
             assert!(
@@ -163,8 +220,44 @@ mod tests {
             );
         }
         // And the focus actually moves: the four hot sites are distinct.
-        let hots: std::collections::BTreeSet<usize> = (0..4).map(|e| w.hot_pair(e).0).collect();
+        let hots: BTreeSet<usize> = (0..4).map(|e| w.drift().pair(e).0).collect();
         assert!(hots.len() >= 3, "hotspot must drift across sites: {hots:?}");
+    }
+
+    /// Strides 3 and 5 revisit a coordinate whenever they share a factor
+    /// with its count (3 sites: site 1 every epoch; 6 sites: 1, 4, 1, 4),
+    /// so each stride is the first one from there coprime with its count.
+    #[test]
+    fn the_hotspot_drifts_to_a_fresh_site_and_item_on_every_cluster_size() {
+        for n_sites in 2..=12 {
+            for items in 2..=12 {
+                let w = HotspotDriftWorkload {
+                    n_sites,
+                    items,
+                    ..Default::default()
+                };
+                let pairs: Vec<(usize, usize)> = (0..24).map(|e| w.drift().pair(e)).collect();
+                for (e, p) in pairs.windows(2).enumerate() {
+                    assert!(
+                        p[0].0 != p[1].0 && p[0].1 != p[1].1,
+                        "{n_sites} sites x {items} items: epochs {e} and {} share a coordinate: {p:?}",
+                        e + 1
+                    );
+                }
+                // Any run of at most `n` epochs sees `n` distinct values.
+                let sites: BTreeSet<usize> = pairs[..n_sites].iter().map(|p| p.0).collect();
+                let hot_items: BTreeSet<usize> = pairs[..items].iter().map(|p| p.1).collect();
+                assert_eq!(
+                    (sites.len(), hot_items.len()),
+                    (n_sites, items),
+                    "{n_sites} sites x {items} items: a hot coordinate repeats early: {pairs:?}"
+                );
+            }
+        }
+        // 8 x 8, every table's and the benchmark's size, keeps 3 and 5.
+        let w = HotspotDriftWorkload::default();
+        assert_eq!((w.n_sites, w.items), (8, 8));
+        assert_eq!(w.drift().pair(1), (4, 7));
     }
 
     #[test]
@@ -173,7 +266,7 @@ mod tests {
         let w = HotspotDriftWorkload::default();
         let gen = w.generate(13);
         let mut net: std::collections::BTreeMap<u32, i64> = Default::default();
-        for (_, spec) in gen.scripts.iter().flatten() {
+        for (_, spec) in gen.scripts.iter().flat_map(Script::iter) {
             for (item, op) in &spec.ops {
                 match op {
                     dvp_core::ops::Op::Decr(q) => *net.entry(item.0).or_default() -= *q as i64,

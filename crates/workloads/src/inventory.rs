@@ -9,14 +9,16 @@
 //! lock conflicts.
 
 use crate::arrivals::Arrivals;
+use crate::stream::{self, Mix};
 use crate::zipf::Zipf;
 use crate::Workload;
-use dvp_core::item::{Catalog, Split};
+use dvp_core::item::{Catalog, ItemId, Split};
 use dvp_core::ops::Op;
-use dvp_core::txn::{Script, TxnSpec};
-use dvp_core::Qty;
+use dvp_core::txn::TxnSpec;
+use dvp_core::{Qty, SVec};
 use dvp_simnet::rng::SimRng;
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimDuration;
+use dvp_simnet::NodeId;
 
 /// Parameters of the inventory workload.
 #[derive(Clone, Debug)]
@@ -63,61 +65,71 @@ impl Default for InventoryWorkload {
 }
 
 impl InventoryWorkload {
-    /// Generate the workload deterministically from `seed`.
+    /// Generate the workload deterministically from `seed`: the catalog,
+    /// and one drawn script per warehouse.
     pub fn generate(&self, seed: u64) -> Workload {
-        let mut rng = SimRng::new(seed ^ 0x13C0);
         let mut catalog = Catalog::new();
         for p in 0..self.products {
             catalog.add(format!("sku-{p}"), self.stock, self.split.clone());
         }
-        let prod_z = Zipf::new(self.products, self.product_skew);
-        let times =
-            self.arrivals
-                .generate(SimTime::ZERO + SimDuration::millis(1), self.txns, &mut rng);
-        let mut scripts = vec![Script::new(); self.n_sites];
-        let (p_ship, p_restock, p_take) = self.mix;
-        for t in times {
-            let site = rng.index(self.n_sites);
-            let u = rng.unit();
-            let spec = if u < p_ship || u >= p_ship + p_restock + p_take {
-                // Multi-line shipment order: distinct products, one Decr
-                // per line.
-                let lines = rng.uniform(1, self.max_order_lines.max(1) as u64) as usize;
-                let mut prods: Vec<u32> = Vec::new();
-                for _ in 0..lines.min(self.products) {
-                    let mut p = prod_z.sample(&mut rng) as u32;
-                    while prods.contains(&p) {
-                        p = (p + 1) % self.products as u32;
-                    }
-                    prods.push(p);
-                }
-                TxnSpec {
-                    ops: prods
-                        .into_iter()
-                        .map(|p| {
-                            (
-                                catalog.items()[p as usize].id,
-                                Op::Decr(rng.uniform(1, self.max_units.max(1))),
-                            )
-                        })
-                        .collect(),
-                }
-            } else if u < p_ship + p_restock {
-                let p = catalog.items()[prod_z.sample(&mut rng)].id;
-                TxnSpec::release(p, rng.uniform(self.max_units, self.max_units * 5))
-            } else {
-                let p = catalog.items()[prod_z.sample(&mut rng)].id;
-                TxnSpec::read(p)
-            };
-            scripts[site].push((t, spec));
-        }
+        let mix = InventoryMix {
+            w: self.clone(),
+            products: Zipf::new(self.products, self.product_skew),
+            ids: catalog.items().iter().map(|d| d.id).collect(),
+        };
+        let rng = SimRng::new(seed ^ 0x13C0);
+        let scripts = stream::scripts(self.n_sites, self.arrivals, self.txns, rng, mix);
         Workload { catalog, scripts }
+    }
+}
+
+/// What one inventory arrival is.
+#[derive(Clone)]
+struct InventoryMix {
+    w: InventoryWorkload,
+    products: Zipf,
+    ids: Vec<ItemId>,
+}
+
+impl Mix for InventoryMix {
+    fn draw(&self, _k: usize, rng: &mut SimRng) -> (NodeId, TxnSpec) {
+        let w = &self.w;
+        let (p_ship, p_restock, p_take) = w.mix;
+        let site = rng.index(w.n_sites);
+        let u = rng.unit();
+        let spec = if u < p_ship || u >= p_ship + p_restock + p_take {
+            // Multi-line shipment order: distinct products, one Decr
+            // per line.
+            let lines = rng.uniform(1, w.max_order_lines.max(1) as u64) as usize;
+            let mut prods: SVec<usize, 4> = SVec::default();
+            for _ in 0..lines.min(w.products) {
+                let mut p = self.products.sample(rng);
+                while prods.contains(&p) {
+                    p = (p + 1) % w.products;
+                }
+                prods.push(p);
+            }
+            TxnSpec {
+                ops: prods
+                    .iter()
+                    .map(|&p| (self.ids[p], Op::Decr(rng.uniform(1, w.max_units.max(1)))))
+                    .collect(),
+            }
+        } else if u < p_ship + p_restock {
+            let p = self.ids[self.products.sample(rng)];
+            TxnSpec::release(p, rng.uniform(w.max_units, w.max_units * 5))
+        } else {
+            let p = self.ids[self.products.sample(rng)];
+            TxnSpec::read(p)
+        };
+        (site, spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvp_core::Script;
 
     #[test]
     fn generates_products_and_txns() {
@@ -142,7 +154,7 @@ mod tests {
             ..Default::default()
         }
         .generate(2);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             let mut items: Vec<_> = spec.ops.iter().map(|(i, _)| *i).collect();
             let before = items.len();
             items.sort();
@@ -160,7 +172,7 @@ mod tests {
             ..Default::default()
         }
         .generate(3);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             match spec.ops.as_slice() {
                 [(_, Op::Incr(k))] => assert!(*k >= 20),
                 other => panic!("unexpected {other:?}"),
@@ -176,7 +188,7 @@ mod tests {
             ..Default::default()
         }
         .generate(4);
-        for (_, spec) in w.scripts.iter().flatten() {
+        for (_, spec) in w.scripts.iter().flat_map(Script::iter) {
             assert!(matches!(spec.ops.as_slice(), [(_, Op::Read)]));
         }
     }
