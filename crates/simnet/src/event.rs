@@ -9,8 +9,8 @@
 //! Two of the kernel's three lanes live here (the third is
 //! `crate::timers`); the run loop merges all three by that key:
 //!
-//! * `ScheduledLane` — arrivals, externals, crashes and recoveries, which
-//!   enter through `Simulation::schedule_*`. A workload script is not
+//! * `ScheduledLane` — arrivals, crashes and recoveries, which enter
+//!   through `Simulation::schedule_*`. A workload script is not
 //!   loaded here: an `ArrivalStream` reserves its arrivals' `seq` values
 //!   up front and keeps only its next arrival in the lane, and dispatching
 //!   that arrival inserts the one after it. The lane therefore holds about
@@ -29,12 +29,10 @@ use std::collections::BinaryHeap;
 pub(crate) type Key = (SimTime, u64);
 
 /// What a scheduled entry does when its instant arrives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum ScheduledKind {
-    /// Externally injected event carrying `tag`.
-    External,
-    /// Arrival `tag` of the node's [`ArrivalStream`]: handled like an
-    /// external, then the stream's next arrival takes its place.
+    /// Arrival `tag` of the node's [`ArrivalStream`]: handed to
+    /// `on_external`, then the stream's next arrival takes its place.
     Arrival,
     /// Crash the node.
     Crash,
@@ -48,7 +46,7 @@ pub(crate) enum ScheduledKind {
 pub(crate) struct Scheduled {
     pub at: SimTime,
     pub seq: u64,
-    /// Opaque tag handed to `on_external`; unused by crash/recover.
+    /// The arrival's index in its stream; unused by crash/recover.
     pub tag: u64,
     pub node: u32,
     pub kind: ScheduledKind,
@@ -61,7 +59,7 @@ impl Scheduled {
     }
 }
 
-/// Arrivals, externals and faults, sorted on insertion.
+/// Arrivals and faults, sorted on insertion.
 ///
 /// Entries are held in *descending* key order so the next one due is
 /// popped from the end. Keys are unique, so where an entry goes is
@@ -101,33 +99,22 @@ impl ScheduledLane {
 
 /// One node's scripted arrivals, drawn one at a time.
 ///
-/// Arrival `k` is due at `next_at(k)`, clamped to `from`, the instant the
-/// stream was scheduled, and carries `seq = base + k` and tag `k`: the
-/// keys `len` separate `schedule_external` calls would have had, so the
-/// dispatch order is the same. Only the arrival due next is in the lane.
-/// `next_at` is a cursor: it is called once for each `k`, in order, and
-/// only after arrival `k - 1` left the lane.
+/// Arrival `k` is due at `next_at(k)`, clamped to the instant it is drawn,
+/// and carries `seq = base + k` and tag `k`. Only the arrival due next is
+/// in the lane. `next_at` is a cursor: it is called once for each `k`, in
+/// order, and only after arrival `k - 1` left the lane.
 pub(crate) struct ArrivalStream {
     pub next_at: Box<dyn FnMut(usize) -> SimTime>,
     pub len: usize,
     pub base: u64,
-    pub from: SimTime,
-    /// Unclamped instant of the arrival drawn last.
-    pub last: SimTime,
 }
 
 impl ArrivalStream {
-    /// Draw arrival `k` at `node` and return its lane entry.
-    pub fn arrival(&mut self, node: u32, k: usize) -> Scheduled {
-        let at = (self.next_at)(k);
-        debug_assert!(
-            k == 0 || at >= self.last,
-            "arrival {k} at node {node} is due before arrival {}",
-            k - 1
-        );
-        self.last = at;
+    /// Draw arrival `k` at `node` at instant `now` and return its lane
+    /// entry.
+    pub fn arrival(&mut self, node: u32, k: usize, now: SimTime) -> Scheduled {
         Scheduled {
-            at: at.max(self.from),
+            at: (self.next_at)(k).max(now),
             seq: self.base + k as u64,
             tag: k as u64,
             node,
@@ -237,7 +224,7 @@ mod tests {
             seq,
             tag: seq,
             node: 0,
-            kind: ScheduledKind::External,
+            kind: ScheduledKind::Arrival,
         }
     }
 

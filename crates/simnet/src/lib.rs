@@ -26,9 +26,14 @@
 //!    runs under precisely its stated assumptions.
 //!
 //! The programming model is an actor loop: implement [`node::Node`], then
-//! drive a [`sim::Simulation`]. All side effects requested during a callback
-//! (sends, timers) are buffered in a [`node::Context`] and applied by the
-//! kernel when the callback returns.
+//! drive a [`sim::Simulation`]. Work enters from outside as per-node
+//! arrival streams, crashes and recoveries; all side effects requested
+//! during a callback (sends, timers, a crash) are buffered in a
+//! [`node::Context`] and applied by the kernel when the callback returns.
+//! The kernel keeps no event record of its own: the nodes observe every
+//! callback, [`stats::NetStats`] counts what the network did, and an
+//! optional `dvp_obs::Obs` handle, stamped with the clock before each
+//! dispatch, is the one event stream.
 //!
 //! ```
 //! use dvp_simnet::prelude::*;
@@ -59,7 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
+mod event;
 pub mod network;
 pub mod node;
 pub mod partition;
@@ -68,7 +73,6 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 mod timers;
-pub mod trace;
 
 /// Identifier of a simulated site. Sites are numbered `0..n`.
 pub type NodeId = usize;

@@ -91,27 +91,20 @@ impl<'a, M> Context<'a, M> {
         });
     }
 
-    /// Send `msg` to `to`, declaring that it coalesces `frames` logical
-    /// protocol frames into one transmission (link-level batching). The
-    /// kernel treats it as a single wire event — one delay draw, one
-    /// loss/duplication decision — but accounts all `frames` in
+    /// Send `msg` to `to`, declaring both its logical frame count and its
+    /// encoded wire length in bytes.
+    ///
+    /// A message may coalesce `frames` logical protocol frames into one
+    /// transmission (link-level batching). The kernel treats it as a
+    /// single wire event — one delay draw, one loss/duplication decision —
+    /// but accounts all `frames` in
     /// [`NetStats::frames_sent`](crate::stats::NetStats::frames_sent) so
     /// logical message traffic stays comparable across batching modes.
-    pub fn send_frames(&mut self, to: NodeId, msg: M, frames: u64) {
-        self.actions.push(Action::Send {
-            to,
-            msg,
-            frames,
-            bytes: 0,
-        });
-    }
-
-    /// Send `msg` to `to`, declaring both its logical frame count and its
-    /// encoded wire length in bytes. The byte figure feeds
+    /// The byte figure feeds
     /// [`NetStats::wire_bytes`](crate::stats::NetStats::wire_bytes) — the
     /// engine-neutral wire-volume counter the cross-engine benchmarks
     /// compare — and nothing else: delivery, delay and loss are decided
-    /// exactly as for [`send_frames`](Self::send_frames). Protocols whose
+    /// exactly as for [`send`](Self::send). Protocols whose
     /// messages are in-memory values (the 2PC baseline) declare a
     /// deterministic encoded-length estimate here; byte-codec protocols
     /// declare their real encoded size. `bytes = 0` means "undeclared".
@@ -122,20 +115,6 @@ impl<'a, M> Context<'a, M> {
             frames,
             bytes,
         });
-    }
-
-    /// Send the same message to every listed destination.
-    ///
-    /// In `synchronous_ordered` network mode all copies share one send
-    /// instant and consecutive sequence numbers, which gives the
-    /// totally-ordered broadcast property Section 6.2 assumes.
-    pub fn broadcast(&mut self, dests: impl IntoIterator<Item = NodeId>, msg: M)
-    where
-        M: Clone,
-    {
-        for d in dests {
-            self.send(d, msg.clone());
-        }
     }
 
     /// Arrange for `on_timer(id, tag)` to fire after `delay`.
@@ -248,22 +227,5 @@ mod tests {
         let b = ctx.set_timer(SimDuration::millis(1), 0);
         assert!(b > a);
         assert_eq!(next, 2);
-    }
-
-    #[test]
-    fn broadcast_clones_to_each_destination() {
-        let mut rng = SimRng::new(1);
-        let mut next = 0u64;
-        let mut ctx: Context<'_, String> = Context::new(SimTime::ZERO, 2, &mut rng, &mut next);
-        ctx.broadcast([0, 1, 3], "hi".to_string());
-        let dests: Vec<NodeId> = ctx
-            .actions
-            .iter()
-            .map(|a| match a {
-                Action::Send { to, .. } => *to,
-                _ => panic!("expected sends"),
-            })
-            .collect();
-        assert_eq!(dests, vec![0, 1, 3]);
     }
 }

@@ -70,14 +70,6 @@ impl SimRng {
         out
     }
 
-    /// Fill `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0,1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -132,14 +124,6 @@ impl SimRng {
         }
         let u: f64 = f64::EPSILON + self.unit() * (1.0 - f64::EPSILON);
         (-mean * u.ln()).round().max(0.0) as u64
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -207,28 +191,6 @@ mod tests {
         let mean = sum as f64 / n as f64;
         assert!((90.0..110.0).contains(&mean), "mean was {mean}");
         assert_eq!(r.exp(0.0), 0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(17);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::new(19);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0), "13 random bytes, some nonzero");
-        let mut a = SimRng::new(19);
-        let mut buf2 = [0u8; 13];
-        a.fill_bytes(&mut buf2);
-        assert_eq!(buf, buf2);
     }
 
     #[test]

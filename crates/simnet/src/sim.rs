@@ -3,14 +3,18 @@
 //! [`Simulation`] owns the nodes, the pending-work lanes, the network
 //! model, and the clock. It is generic over one [`Node`] implementation;
 //! heterogeneous systems are modelled with an enum-of-roles node (see the
-//! transaction engine in `dvp-core`).
+//! transaction engine in `dvp-core`). The kernel keeps no record of what
+//! happened beyond [`NetStats`]: the nodes observe every callback, and the
+//! optional [`Obs`] handle is the one event stream.
 //!
 //! ## Failure semantics
 //!
-//! * **Crash** (`schedule_crash`): the node's epoch is bumped, which lazily
+//! * **Crash** (`schedule_crash`, or `Context::crash_self` from inside a
+//!   callback — one code path): the node's epoch is bumped, which lazily
 //!   invalidates every outstanding timer; `on_crash` is invoked so the node
 //!   can mark its volatile state dead; until recovery, messages addressed
-//!   to the node are silently dropped and externals are suppressed.
+//!   to the node are silently dropped and its arrivals are counted and
+//!   dropped.
 //! * **Recover** (`schedule_recover`): `on_recover` runs with a fresh
 //!   context; the node rebuilds volatile state from its stable log.
 //! * **Partition**: decided per message by the network model's oracle —
@@ -26,7 +30,6 @@ use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::timers::{TimerEntry, TimerLane};
-use crate::trace::{Trace, TraceEvent};
 use crate::NodeId;
 use dvp_obs::{EventKind as ObsEvent, Obs};
 
@@ -36,6 +39,13 @@ use dvp_obs::{EventKind as ObsEvent, Obs};
 pub const DEFAULT_EVENT_LIMIT: u64 = 200_000_000;
 
 /// A deterministic discrete-event simulation over `n` nodes.
+///
+/// Pending work enters through [`schedule_arrivals`](Self::schedule_arrivals),
+/// [`schedule_crash`](Self::schedule_crash) and
+/// [`schedule_recover`](Self::schedule_recover), and through what each
+/// callback asks of its [`Context`]; [`run_until`](Self::run_until) and
+/// [`run_to_quiescence`](Self::run_to_quiescence) dispatch it in `(at, seq)`
+/// order.
 pub struct Simulation<N: Node> {
     nodes: Vec<N>,
     crashed: Vec<bool>,
@@ -43,11 +53,11 @@ pub struct Simulation<N: Node> {
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     net: NetworkModel,
-    /// Pending work, in three lanes by how it enters and leaves: arrivals,
-    /// externals and faults (a few per node at a time, never cancelled —
-    /// an arrival stream keeps only its next arrival here), in-flight
-    /// messages (few at a time, never cancelled), and armed timers
-    /// (cancelled in place). All three draw `seq` from the same counter
+    /// Pending work, in three lanes by how it enters and leaves: arrivals
+    /// and faults (a few per node at a time, never cancelled — an arrival
+    /// stream keeps only its next arrival here), in-flight messages (few
+    /// at a time, never cancelled), and armed timers (cancelled in
+    /// place). All three draw `seq` from the same counter
     /// and the run loop merges them by `(at, seq)`, so the total order is
     /// identical to a single queue's.
     scheduled: ScheduledLane,
@@ -65,7 +75,6 @@ pub struct Simulation<N: Node> {
     scratch: Vec<Action<N::Msg>>,
     started: bool,
     stats: NetStats,
-    trace: Trace,
     /// Structured-observability handle: the kernel stamps it with `now`
     /// before every dispatch so instrumented layers with no clock of
     /// their own (vmsg, storage) record correct times. Disabled by
@@ -98,14 +107,8 @@ impl<N: Node> Simulation<N> {
             scratch: Vec::new(),
             started: false,
             stats: NetStats::default(),
-            trace: Trace::disabled(),
             obs: Obs::disabled(),
         }
-    }
-
-    /// Enable the execution trace, retaining at most `cap` events.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Trace::with_capacity(cap);
     }
 
     /// Attach a structured-observability handle (share the same handle
@@ -130,11 +133,6 @@ impl<N: Node> Simulation<N> {
         &self.stats
     }
 
-    /// The execution trace (empty unless [`enable_trace`](Self::enable_trace)).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Immutable access to all nodes (for post-run inspection).
     pub fn nodes(&self) -> &[N] {
         &self.nodes
@@ -151,8 +149,8 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Number of pending events (scheduled arrivals — those of a stream
-    /// not yet drawn included —, externals and faults, in-flight messages,
-    /// and armed timers).
+    /// not yet drawn included — and faults, in-flight messages, and armed
+    /// timers).
     pub fn pending_events(&self) -> usize {
         self.scheduled.len() + self.backlog + self.messages.len() + self.timers.len()
     }
@@ -164,42 +162,39 @@ impl<N: Node> Simulation<N> {
 
     // ---- scheduling -----------------------------------------------------
 
-    /// Schedule a crash of `node` at absolute time `at`; ordering and
-    /// clamping as for [`schedule_external`](Self::schedule_external).
-    pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        self.schedule(at, node, ScheduledKind::Crash, 0);
-    }
-
-    /// Schedule a recovery of `node` at absolute time `at`; ordering and
-    /// clamping as for [`schedule_external`](Self::schedule_external).
-    pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        self.schedule(at, node, ScheduledKind::Recover, 0);
-    }
-
-    /// Schedule an external event (e.g. a client arrival) for `node` at
-    /// absolute time `at`.
+    /// Schedule a crash of `node` at absolute time `at`.
     ///
     /// The `schedule_*` calls may come in any order, before the first run
     /// or between `run_*` calls. An `at` already in the past is clamped to
     /// `now`; entries at equal instants fire in the order they were
     /// scheduled. Panics if there is no such `node`.
-    pub fn schedule_external(&mut self, at: SimTime, node: NodeId, tag: u64) {
-        self.schedule(at, node, ScheduledKind::External, tag);
+    pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
+        self.schedule(at, node, ScheduledKind::Crash);
     }
 
-    /// Schedule `len` arrivals at `node`: arrival `k` is due at `at(k)`
-    /// and reaches `on_external` with tag `k`.
+    /// Schedule a recovery of `node` at absolute time `at`; ordering and
+    /// clamping as for [`schedule_crash`](Self::schedule_crash).
+    pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
+        self.schedule(at, node, ScheduledKind::Recover);
+    }
+
+    /// Schedule `len` arrivals (e.g. client requests) at `node`: arrival
+    /// `k` is due at `at(k)` and reaches `on_external` with tag `k`.
     ///
-    /// Ordering and clamping are exactly those of `len`
-    /// [`schedule_external`](Self::schedule_external) calls made here in a
-    /// row, but the arrivals are drawn one at a time: only the next one
-    /// due is pending in the kernel. `at` is a cursor: it is called once
-    /// for each `k`, in order, for `k = 0` here and for each later `k`
-    /// once arrival `k - 1` has been dispatched, or dropped at a crashed
-    /// node. `at` must not decrease in `k` (debug-asserted). An arrival at
-    /// a crashed node is dropped and counted like an external; the stream
-    /// goes on. Panics if there is no such `node` or it already has an
-    /// arrival stream.
+    /// The arrivals are drawn one at a time: only the next one due is
+    /// pending in the kernel. `at` is a cursor: it is called once for each
+    /// `k`, in order, for `k = 0` here and for each later `k` once arrival
+    /// `k - 1` has been dispatched, or dropped at a crashed node. Each
+    /// drawn instant is clamped to `now`, as for
+    /// [`schedule_crash`](Self::schedule_crash), so an `at` that decreases
+    /// delays its late arrival to the instant it is drawn. Arrival `k`
+    /// takes the `k`-th of `len` consecutive sequence numbers reserved
+    /// here, so at equal instants the arrivals fire in stream order, after
+    /// anything scheduled before this call and before anything scheduled
+    /// after it. An arrival at a crashed node is dropped and counted in
+    /// [`NetStats::externals_dropped`]; the stream goes on. Panics if
+    /// there is no such `node` or it already has an arrival stream, empty
+    /// or not.
     pub fn schedule_arrivals(
         &mut self,
         node: NodeId,
@@ -211,31 +206,27 @@ impl<N: Node> Simulation<N> {
             self.streams[node].is_none(),
             "node {node} already has an arrival stream"
         );
-        let base = self.seq;
-        self.seq += len as u64;
-        if len == 0 {
-            return;
-        }
         let mut stream = ArrivalStream {
             next_at: Box::new(at),
             len,
-            base,
-            from: self.now,
-            last: SimTime::ZERO,
+            base: self.seq,
         };
-        self.scheduled.push(stream.arrival(id, 0));
-        self.backlog += len - 1;
+        self.seq += len as u64;
+        if len > 0 {
+            self.scheduled.push(stream.arrival(id, 0, self.now));
+            self.backlog += len - 1;
+            self.note_depth();
+        }
         self.streams[node] = Some(stream);
-        self.note_depth();
     }
 
-    fn schedule(&mut self, at: SimTime, node: NodeId, kind: ScheduledKind, tag: u64) {
+    fn schedule(&mut self, at: SimTime, node: NodeId, kind: ScheduledKind) {
         let node = node_index(node, self.nodes.len());
         let seq = self.next_seq();
         self.scheduled.push(Scheduled {
             at: at.max(self.now),
             seq,
-            tag,
+            tag: 0,
             node,
             kind,
         });
@@ -243,15 +234,14 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Put the arrival after `e` in its stream, if there is one, in the
-    /// lane. Its key is later than `e`'s, which was just dispatched, so it
-    /// never lands before `now`.
+    /// lane, clamped to `now`.
     fn draw_next_arrival(&mut self, e: &Scheduled) {
         let next = e.tag as usize + 1;
         let stream = self.streams[e.node as NodeId]
             .as_mut()
             .expect("an arrival has a stream");
         if next < stream.len {
-            let e = stream.arrival(e.node, next);
+            let e = stream.arrival(e.node, next, self.now);
             self.scheduled.push(e);
             self.backlog -= 1;
         }
@@ -355,69 +345,52 @@ impl<N: Node> Simulation<N> {
     fn deliver(&mut self, InFlight { from, to, msg }: InFlight<N::Msg>) {
         if self.crashed[to] {
             self.stats.dropped_crashed += 1;
-            self.trace.record(TraceEvent::DeadRecipient {
-                at: self.now,
-                from,
-                to,
-            });
             return;
         }
         // A partition that arose while the message was in flight also
         // cuts it.
         if !self.net.connected(from, to, self.now) {
             self.stats.partitioned += 1;
-            self.trace.record(TraceEvent::Partitioned {
-                at: self.now,
-                from,
-                to,
-            });
             return;
         }
         self.stats.delivered += 1;
-        self.trace.record(TraceEvent::Delivered {
-            at: self.now,
-            from,
-            to,
-        });
         self.dispatch(to, |node, ctx| node.on_message(from, msg, ctx));
     }
 
-    /// An external or fault popped from the scheduled lane at its instant.
+    /// An arrival or fault popped from the scheduled lane at its instant.
     fn handle_scheduled(&mut self, e: Scheduled) {
         let node = e.node as NodeId;
         match e.kind {
-            ScheduledKind::External | ScheduledKind::Arrival => {
+            ScheduledKind::Arrival => {
                 if self.crashed[node] {
                     // A client arriving at a dead site gets nothing.
                     self.stats.externals_dropped += 1;
                 } else {
                     self.dispatch(node, |n, ctx| n.on_external(e.tag, ctx));
                 }
-                if e.kind == ScheduledKind::Arrival {
-                    self.draw_next_arrival(&e);
-                }
+                self.draw_next_arrival(&e);
             }
-            ScheduledKind::Crash => {
-                if self.crashed[node] {
-                    return;
-                }
-                self.crashed[node] = true;
-                self.epoch[node] += 1; // invalidates all outstanding timers
-                self.trace
-                    .record(TraceEvent::Crashed { at: self.now, node });
-                self.obs.emit(e.node, ObsEvent::Crash);
-                self.nodes[node].on_crash();
-            }
+            ScheduledKind::Crash => self.crash(node),
             ScheduledKind::Recover => {
                 if !self.crashed[node] {
                     return;
                 }
                 self.crashed[node] = false;
-                self.trace
-                    .record(TraceEvent::Recovered { at: self.now, node });
                 self.dispatch(node, |n, ctx| n.on_recover(ctx));
             }
         }
+    }
+
+    /// Crash `node` now, unless it is down already: bumping its epoch
+    /// lazily invalidates every timer it armed, and `on_crash` runs.
+    fn crash(&mut self, node: NodeId) {
+        if self.crashed[node] {
+            return;
+        }
+        self.crashed[node] = true;
+        self.epoch[node] += 1;
+        self.obs.emit(node as u32, ObsEvent::Crash);
+        self.nodes[node].on_crash();
     }
 
     /// A timer popped from the lane at its instant. Cancellation never gets
@@ -481,17 +454,7 @@ impl<N: Node> Simulation<N> {
                     // A crashpoint inside the callback: everything buffered
                     // before this action already took effect (work completed
                     // before the failure); everything after it is discarded.
-                    // Semantics otherwise match an EventKind::Crash.
-                    if !self.crashed[id] {
-                        self.crashed[id] = true;
-                        self.epoch[id] += 1;
-                        self.trace.record(TraceEvent::Crashed {
-                            at: self.now,
-                            node: id,
-                        });
-                        self.obs.emit(id as u32, ObsEvent::Crash);
-                        self.nodes[id].on_crash();
-                    }
+                    self.crash(id);
                     crashed_self = true;
                 }
             }
@@ -503,28 +466,9 @@ impl<N: Node> Simulation<N> {
         self.stats.sent += 1;
         self.stats.frames_sent += frames;
         self.stats.wire_bytes += bytes;
-        self.trace.record(TraceEvent::Sent {
-            at: self.now,
-            from,
-            to,
-        });
         match self.net.route(from, to, self.now, &mut self.net_rng) {
-            Fate::Lost => {
-                self.stats.lost += 1;
-                self.trace.record(TraceEvent::Lost {
-                    at: self.now,
-                    from,
-                    to,
-                });
-            }
-            Fate::Partitioned => {
-                self.stats.partitioned += 1;
-                self.trace.record(TraceEvent::Partitioned {
-                    at: self.now,
-                    from,
-                    to,
-                });
-            }
+            Fate::Lost => self.stats.lost += 1,
+            Fate::Partitioned => self.stats.partitioned += 1,
             Fate::Deliver(arrivals) => match arrivals.dup {
                 // Single arrival (the overwhelmingly common case): the
                 // message moves into the queue — no clone.
@@ -679,39 +623,12 @@ mod tests {
         assert_eq!(sim.stats().dropped_crashed, 5);
     }
 
-    #[test]
-    fn externals_at_a_crashed_node_are_counted_not_delivered() {
-        #[derive(Default)]
-        struct E {
-            seen: Vec<u64>,
-        }
-        impl Node for E {
-            type Msg = ();
-            fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<'_, ()>) {}
-            fn on_external(&mut self, tag: u64, _ctx: &mut Context<'_, ()>) {
-                self.seen.push(tag);
-            }
-        }
-        let mut sim = Simulation::new(vec![E::default()], NetworkConfig::reliable(), 4);
-        // Scheduled out of order on purpose: the lane sorts, `seq` breaks
-        // the tie at t=100 (crash first, so tag 2 is dropped).
-        sim.schedule_external(SimTime(300), 0, 4);
-        sim.schedule_crash(SimTime(100), 0);
-        sim.schedule_external(SimTime(100), 0, 2);
-        sim.schedule_external(SimTime(50), 0, 1);
-        sim.schedule_external(SimTime(150), 0, 3);
-        sim.schedule_recover(SimTime(200), 0);
-        assert_eq!(sim.pending_events(), 6);
-        sim.run_to_quiescence();
-        assert_eq!(sim.node(0).seen, vec![1, 4]);
-        assert_eq!(sim.stats().externals_dropped, 2);
-        assert_eq!(sim.stats().peak_queue_depth, 6);
-    }
-
-    /// Records `(now, tag)` for every external it is handed.
+    /// Records `(now, tag)` for every arrival it is handed, and counts its
+    /// crashes.
     #[derive(Default)]
     struct Arrivals {
         seen: Vec<(u64, u64)>,
+        crashes: u32,
     }
 
     impl Node for Arrivals {
@@ -720,6 +637,27 @@ mod tests {
         fn on_external(&mut self, tag: u64, ctx: &mut Context<'_, ()>) {
             self.seen.push((ctx.now().0, tag));
         }
+        fn on_crash(&mut self) {
+            self.crashes += 1;
+        }
+    }
+
+    #[test]
+    fn faults_scheduled_out_of_order_fire_in_time_order_ties_by_scheduling() {
+        let mut sim = Simulation::new(vec![Arrivals::default()], NetworkConfig::reliable(), 4);
+        // Scheduled out of order on purpose: the lane sorts, `seq` breaks
+        // the tie at t=100 (the crash was scheduled before the stream, so
+        // arrival 1 is dropped, and so is arrival 2 while the node is down).
+        sim.schedule_recover(SimTime(200), 0);
+        sim.schedule_crash(SimTime(100), 0);
+        let times = [50, 100, 150, 300];
+        sim.schedule_arrivals(0, times.len(), move |k| SimTime(times[k]));
+        assert_eq!(sim.pending_events(), 6);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(0).seen, vec![(50, 0), (300, 3)]);
+        assert_eq!(sim.node(0).crashes, 1);
+        assert_eq!(sim.stats().externals_dropped, 2);
+        assert_eq!(sim.stats().peak_queue_depth, 6);
     }
 
     #[test]
@@ -785,14 +723,43 @@ mod tests {
         sim.run_until(SimTime(1_000));
         let times = [200, 900, 1_000, 1_500];
         sim.schedule_arrivals(0, times.len(), move |k| SimTime(times[k]));
-        sim.schedule_external(SimTime(1_000), 0, 99);
+        // Also in the past, so also clamped to now: it ties with the
+        // stream's first three arrivals and was scheduled after them.
+        sim.schedule_crash(SimTime(500), 0);
+        sim.schedule_recover(SimTime(1_200), 0);
         sim.run_to_quiescence();
         // The three arrivals due by now fire at now, in stream order and
-        // ahead of the external scheduled after them.
+        // ahead of the crash; none is dropped.
         assert_eq!(
             sim.node(0).seen,
-            vec![(1_000, 0), (1_000, 1), (1_000, 2), (1_000, 99), (1_500, 3)]
+            vec![(1_000, 0), (1_000, 1), (1_000, 2), (1_500, 3)]
         );
+        assert_eq!(sim.node(0).crashes, 1);
+        assert_eq!(sim.stats().externals_dropped, 0);
+    }
+
+    /// Every drawn arrival is clamped to the instant it is drawn, so a
+    /// cursor that goes back in time delays its late arrival to `now`
+    /// rather than running the clock backwards.
+    #[test]
+    fn a_decreasing_cursor_dispatches_its_late_arrival_at_now() {
+        let mut sim = Simulation::new(vec![Arrivals::default()], NetworkConfig::reliable(), 4);
+        let times = [100, 300, 200, 400];
+        sim.schedule_arrivals(0, times.len(), move |k| SimTime(times[k]));
+        sim.run_to_quiescence();
+        assert_eq!(
+            sim.node(0).seen,
+            vec![(100, 0), (300, 1), (300, 2), (400, 3)]
+        );
+        assert_eq!(sim.now(), SimTime(400));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 already has an arrival stream")]
+    fn an_empty_stream_still_takes_the_nodes_one_stream() {
+        let mut sim = Simulation::new(vec![Arrivals::default()], NetworkConfig::reliable(), 4);
+        sim.schedule_arrivals(0, 0, |_| SimTime::ZERO);
+        sim.schedule_arrivals(0, 1, |_| SimTime::ZERO);
     }
 
     #[test]
@@ -807,7 +774,7 @@ mod tests {
 
     #[test]
     fn crash_invalidates_outstanding_timers() {
-        // Node 1 sets a timer via external prod, then crashes before it fires.
+        // The node sets a timer on an arrival, then crashes before it fires.
         #[derive(Default)]
         struct T {
             fired: bool,
@@ -823,7 +790,7 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(vec![T::default()], NetworkConfig::reliable(), 6);
-        sim.schedule_external(SimTime(0), 0, 0);
+        sim.schedule_arrivals(0, 1, |_| SimTime(0));
         sim.schedule_crash(SimTime(1_000), 0); // 1ms, before the 10ms timer
         sim.schedule_recover(SimTime(2_000), 0);
         sim.run_to_quiescence();
@@ -936,7 +903,9 @@ mod tests {
             type Msg = u8;
             fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
                 if self.is_sender {
-                    ctx.broadcast([2, 3], 0);
+                    for to in [2, 3] {
+                        ctx.send(to, 0);
+                    }
                 }
             }
             fn on_message(&mut self, from: NodeId, _m: u8, _ctx: &mut Context<'_, u8>) {
@@ -1005,7 +974,7 @@ mod tests {
             NetworkConfig::reliable(),
             13,
         );
-        sim.schedule_external(SimTime(1_000), 0, 0);
+        sim.schedule_arrivals(0, 1, |_| SimTime(1_000));
         sim.schedule_recover(SimTime(50_000), 0);
         sim.run_to_quiescence();
         assert_eq!(sim.node(0).crashes, 1);
@@ -1016,22 +985,19 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_lifecycle() {
+    fn lifecycle_reaches_the_nodes_and_the_counters() {
         let mut sim = Simulation::new(two_nodes(1), NetworkConfig::reliable(), 11);
-        sim.enable_trace(64);
         sim.schedule_crash(SimTime(50_000), 1);
         sim.schedule_recover(SimTime(60_000), 1);
         sim.run_to_quiescence();
-        let kinds: Vec<&TraceEvent> = sim.trace().events().collect();
-        assert!(kinds
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Sent { from: 0, to: 1, .. })));
-        assert!(kinds
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Crashed { node: 1, .. })));
-        assert!(kinds
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Recovered { node: 1, .. })));
+        // The ping and its pong went out and arrived before the crash.
+        assert_eq!((sim.node(1).pings_seen, sim.node(0).pongs_seen), (1, 1));
+        assert_eq!((sim.stats().sent, sim.stats().delivered), (2, 2));
+        assert_eq!((sim.node(1).crashes, sim.node(1).recoveries), (1, 1));
+        assert!(!sim.is_crashed(1));
+        // Two deliveries, the crash and the recovery.
+        assert_eq!(sim.stats().events_processed, 4);
+        assert_eq!(sim.now(), SimTime(60_000));
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub struct NetStats {
     pub sent: u64,
     /// Logical protocol frames handed to the network: plain sends count
     /// 1; a coalesced datagram counts its declared frame total (see
-    /// `Context::send_frames`). Equals `sent` when no node batches.
+    /// `Context::send_frames_bytes`). Equals `sent` when no node batches.
     pub frames_sent: u64,
     /// Encoded wire bytes declared by senders via
     /// `Context::send_frames_bytes`. This is the engine-neutral
@@ -30,19 +30,20 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Deliveries suppressed because the recipient was crashed.
     pub dropped_crashed: u64,
-    /// Externals (client arrivals) suppressed because their node was
-    /// crashed. Not a network loss, so not part of
+    /// Arrivals (client requests bound for `on_external`) suppressed
+    /// because their node was crashed. Not a network loss, so not part of
     /// [`total_undelivered`](Self::total_undelivered).
     pub externals_dropped: u64,
     /// Timer events fired.
     pub timers_fired: u64,
     /// Timer events suppressed by cancellation or crash.
     pub timers_suppressed: u64,
-    /// Events processed by the kernel (deliveries, externals, timer fires,
+    /// Events processed by the kernel (deliveries, arrivals, timer fires,
     /// crashes, recoveries — everything the main loop pops).
     pub events_processed: u64,
     /// High-water mark of pending work, all three lanes summed: scheduled
-    /// externals and faults + in-flight messages + armed timers.
+    /// arrivals (a stream's undrawn ones included) and faults + in-flight
+    /// messages + armed timers.
     pub peak_queue_depth: u64,
 }
 
@@ -51,39 +52,11 @@ impl NetStats {
     pub fn total_undelivered(&self) -> u64 {
         self.lost + self.partitioned + self.dropped_crashed
     }
-
-    /// Fraction of sends that resulted in at least the first delivery.
-    /// Returns 1.0 for an idle network.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            // `delivered` includes duplicate copies; subtract them so the
-            // ratio is per original send.
-            (self.delivered.saturating_sub(self.duplicated)) as f64 / self.sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delivery_ratio_idle_network_is_one() {
-        assert_eq!(NetStats::default().delivery_ratio(), 1.0);
-    }
-
-    #[test]
-    fn delivery_ratio_discounts_duplicates() {
-        let s = NetStats {
-            sent: 10,
-            delivered: 12,
-            duplicated: 2,
-            ..Default::default()
-        };
-        assert!((s.delivery_ratio() - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn total_undelivered_sums_causes() {

@@ -6,11 +6,13 @@
 //! callback happens exactly when, and in exactly the order, a kernel with
 //! one `BinaryHeap` of everything and a tombstone set for cancelled timers
 //! would make it. This test *is* that one-heap kernel (`Model`), driven
-//! side by side with the real one on random mixes of `schedule_external`
-//! / `schedule_crash` / `schedule_recover` (equal instants, out of order,
-//! between `run_until` calls, in the past), arrival streams
-//! (`schedule_arrivals`, which the model pushes entry by entry), sends,
-//! `set_timer` and `cancel_timer`, comparing the full dispatch sequence.
+//! side by side with the real one on random mixes of `schedule_crash` /
+//! `schedule_recover` (equal instants, out of order, between `run_until`
+//! calls, in the past), up to one arrival stream per node
+//! (`schedule_arrivals`, before the first run or mid-run, some of its
+//! instants in the past; the model pushes each arrival up front, clamped
+//! to `now`), sends, `set_timer` and `cancel_timer`, comparing the full
+//! dispatch sequence.
 
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::node::{Context, Node, TimerId};
@@ -431,19 +433,18 @@ impl Model {
 
 #[derive(Clone, Copy, Debug)]
 enum Kind {
-    External,
     Crash,
     Recover,
 }
 
-/// One `schedule_*` call. `at_ticks` is relative to the phase start minus
-/// [`PAST_TICKS`], so some land before `now` and must be clamped.
+/// One `schedule_crash` or `schedule_recover` call. `at_ticks` is relative
+/// to the phase start minus [`PAST_TICKS`], so some land before `now` and
+/// must be clamped.
 #[derive(Clone, Copy, Debug)]
 struct Sched {
     kind: Kind,
     node: NodeId,
     at_ticks: u64,
-    tag: u64,
 }
 
 const PAST_TICKS: u64 = 3;
@@ -456,7 +457,7 @@ fn phase_instant(origin: SimTime, at_ticks: u64) -> SimTime {
 
 /// One node's arrival stream: scheduled in phase `phase` (never, if there
 /// is no such phase), after the first `after` of that phase's
-/// `schedule_*` calls, with arrivals at these sorted offsets (as in
+/// [`Sched`] calls, with arrivals at these sorted offsets (as in
 /// [`Sched`], so some are in the past).
 #[derive(Clone, Debug)]
 struct Stream {
@@ -485,24 +486,17 @@ fn program() -> impl Strategy<Value = Vec<Vec<Op>>> {
 }
 
 fn sched() -> impl Strategy<Value = Sched> {
-    // Externals outnumber faults so most of the run has live nodes.
-    let kind = prop_oneof![
-        Just(Kind::External),
-        Just(Kind::External),
-        Just(Kind::External),
-        Just(Kind::Crash),
-        Just(Kind::Recover),
-    ];
-    (kind, 0..NODES, 0u64..16, 0u64..1000).prop_map(|(kind, node, at_ticks, tag)| Sched {
+    // Recoveries outnumber crashes so most of the run has live nodes.
+    let kind = prop_oneof![Just(Kind::Crash), Just(Kind::Recover), Just(Kind::Recover)];
+    (kind, 0..NODES, 0u64..16).prop_map(|(kind, node, at_ticks)| Sched {
         kind,
         node,
         at_ticks,
-        tag,
     })
 }
 
 fn stream() -> impl Strategy<Value = Stream> {
-    (0usize..6, 0usize..12, vec(0u64..16, 0..8)).prop_map(|(phase, after, mut at_ticks)| {
+    (0usize..6, 0usize..12, vec(0u64..16, 0..24)).prop_map(|(phase, after, mut at_ticks)| {
         at_ticks.sort_unstable();
         Stream {
             phase,
@@ -578,10 +572,6 @@ proptest! {
                 let Some(s) = phase.scheds.get(i) else { break };
                 let at = phase_instant(origin, s.at_ticks);
                 match s.kind {
-                    Kind::External => {
-                        sim.schedule_external(at, s.node, s.tag);
-                        model.push(at, Pending::External { node: s.node, tag: s.tag });
-                    }
                     Kind::Crash => {
                         sim.schedule_crash(at, s.node);
                         model.push(at, Pending::Crash { node: s.node });
