@@ -1,13 +1,11 @@
 //! Cluster builder and cluster-wide checks.
 
-use super::{TradConfig, TradNode};
+use super::{OutcomeAudit, TradConfig, TradNode};
 use crate::metrics::TradClusterMetrics;
-use dvp_core::clock::Ts;
 use dvp_core::item::Catalog;
-use dvp_core::{ClusterConfig, Injection};
+use dvp_core::{ClusterConfig, Injection, ItemId};
 use dvp_simnet::sim::Simulation;
 use dvp_simnet::time::SimTime;
-use std::collections::BTreeMap;
 
 /// A built traditional cluster.
 pub struct TradCluster {
@@ -15,6 +13,8 @@ pub struct TradCluster {
     pub sim: Simulation<TradNode>,
     /// The catalog.
     pub catalog: Catalog,
+    /// The outcome audit every site feeds.
+    audit: OutcomeAudit,
 }
 
 impl TradCluster {
@@ -33,14 +33,17 @@ impl TradCluster {
         }
         let n = cfg.n_sites();
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
+        let audit = OutcomeAudit::default();
         let sim = cfg.simulate(|s, obs, arrivals| {
             let mut node = TradNode::new(s, n, cfg.site, totals.clone(), arrivals);
             node.set_obs(obs.clone());
+            node.set_audit(audit.clone());
             node
         });
         TradCluster {
             sim,
             catalog: cfg.catalog,
+            audit,
         }
     }
 
@@ -68,39 +71,24 @@ impl TradCluster {
 
     /// Did every site that acted on a transaction act on the **same**
     /// decision? Always true for 2PC (it blocks instead of guessing);
-    /// 3PC's termination rule can diverge under partitions.
+    /// 3PC's termination rule can diverge under partitions. The cluster's
+    /// [`OutcomeAudit`] reached this verdict as outcomes arrived; this
+    /// returns the first divergence it saw.
     pub fn check_decision_consistency(&self) -> Result<(), String> {
-        let mut seen: BTreeMap<Ts, (bool, usize)> = BTreeMap::new();
-        for (site, node) in self.sim.nodes().iter().enumerate() {
-            for (&txn, &commit) in node.resolutions() {
-                match seen.get(&txn) {
-                    None => {
-                        seen.insert(txn, (commit, site));
-                    }
-                    Some(&(prev, prev_site)) if prev != commit => {
-                        return Err(format!(
-                            "txn {txn:?} diverged: site {prev_site} resolved {prev}, \
-                             site {site} resolved {commit}"
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        Ok(())
+        self.audit.divergence()
+    }
+
+    /// The cluster's outcome audit (memory audit: its live entries).
+    pub fn audit(&self) -> &OutcomeAudit {
+        &self.audit
     }
 
     /// At healthy quiescence: for each item that was ever written, a
-    /// majority of sites hold the replica with the highest version. (The
-    /// baseline keeps no per-item journal of committed deltas, so the
-    /// value itself is not checked against the initial total.)
+    /// majority of sites hold the replica with the highest version.
     pub fn check_replica_convergence(&self) -> Result<(), String> {
+        let n = self.sim.nodes().len();
         for def in self.catalog.items() {
-            let best = (0..self.sim.nodes().len())
-                .map(|s| self.sim.node(s).replica(def.id))
-                .max_by_key(|&(_, version)| version)
-                .unwrap();
-            let n = self.sim.nodes().len();
+            let best = self.latest(def.id);
             let agree = (0..n)
                 .filter(|&s| self.sim.node(s).replica(def.id) == best)
                 .count();
@@ -112,5 +100,35 @@ impl TradCluster {
             }
         }
         Ok(())
+    }
+
+    /// At healthy quiescence under 2PC: each item's latest-version
+    /// replica holds its initial total plus the deltas of every commit
+    /// decided on it. (A 3PC writer can commit on the termination rule,
+    /// which no coordinator decided, so this is a 2PC check.)
+    pub fn check_replica_values(&self) -> Result<(), String> {
+        for def in self.catalog.items() {
+            let (value, version) = self.latest(def.id);
+            let expected = def.total as i64 + self.audit.committed_delta(def.id);
+            if value as i64 != expected {
+                return Err(format!(
+                    "item {:?}: the latest replica (version {version}) holds {value}, \
+                     but its total plus the committed deltas is {expected}",
+                    def.id
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The `(value, version)` of the replica of `item` with the highest
+    /// version.
+    fn latest(&self, item: ItemId) -> (u64, u64) {
+        self.sim
+            .nodes()
+            .iter()
+            .map(|s| s.replica(item))
+            .max_by_key(|&(_, version)| version)
+            .expect("a cluster has sites")
     }
 }

@@ -147,12 +147,16 @@ impl TradNode {
             self.coordinator_abort(ts, TradAbort::Insufficient, ctx);
             return;
         };
-        let new_version = ts.counter();
         let mut part_writes: BTreeMap<NodeId, Vec<VersionedWrite>> = BTreeMap::new();
         for (&item, &new_value) in &current {
-            if c.values[&item].0 == new_value {
+            let (read_value, read_version) = c.values[&item];
+            if read_value == new_value {
                 continue; // unchanged: not a write
             }
+            // Above the version read, not just the begin stamp: a
+            // transaction that began later may have committed on this
+            // item first, and a lower version would lose to it at install.
+            let new_version = ts.counter().max(read_version + 1);
             for site in self.cfg.placement.quorum(item, self.id, self.n) {
                 part_writes
                     .entry(site)
@@ -181,6 +185,7 @@ impl TradNode {
         c.votes_pending = part_writes.keys().copied().collect();
         c.writers = c.votes_pending.clone();
         c.phase = CoordPhase::Voting;
+        self.audit.open(ts);
         // Pure readers are released now; writers enter the vote.
         for site in participants {
             if !part_writes.contains_key(&site) {
@@ -251,6 +256,12 @@ impl TradNode {
             c.phase = CoordPhase::Deciding { commit: true };
             c.acks_pending = c.writers.clone();
             ctx.cancel_timer(c.timer);
+            let current = apply(&c.spec, &c.values).expect("checked at prepare");
+            self.audit.committed(
+                current
+                    .into_iter()
+                    .map(|(item, v)| (item, v as i64 - c.values[&item].0 as i64)),
+            );
             (c.writers.clone(), c.started)
         };
         for site in writers {
@@ -289,6 +300,7 @@ impl TradNode {
             return;
         };
         ctx.cancel_timer(c.timer);
+        self.audit.coordinator_done(ts);
         // Presumed abort: no forced decision record, and nothing owed.
         for site in &c.participants {
             match c.phase {
@@ -324,6 +336,7 @@ impl TradNode {
             // Every writer has resolved durably: nobody can ask again.
             self.coord.remove(&ts);
             self.decisions.remove(&ts);
+            self.audit.coordinator_done(ts);
         }
     }
 

@@ -16,7 +16,9 @@
 //! Like a DvP site, each site checkpoints every
 //! [`CHECKPOINT_EVERY`](dvp_storage::CHECKPOINT_EVERY) stable records and
 //! truncates its log (`durable`), so neither the log nor the
-//! coordinator's decision table grows with the run.
+//! coordinator's decision table grows with the run. Nor does the
+//! consistency audit: the cluster's [`OutcomeAudit`] holds a transaction
+//! only while some site can still resolve it.
 //!
 //! Presumed abort: an unlogged decision is an abort, so coordinator
 //! crashes before the decision resolve cleanly after recovery. The
@@ -25,6 +27,7 @@
 //! coordinator** holds its locks until the partition heals — there is no
 //! timeout it could safely take. `TradMetrics` measures those windows.
 
+mod audit;
 mod cluster;
 mod coordinator;
 mod durable;
@@ -34,6 +37,7 @@ mod participant;
 mod replica;
 mod termination;
 
+pub use audit::OutcomeAudit;
 pub use cluster::TradCluster;
 pub use msg::{TradBody, TradMsg};
 
@@ -139,9 +143,13 @@ pub struct TradNode {
     decisions: BTreeSet<Ts>,
     locks: LockTable,
     metrics: TradMetrics,
-    /// Final per-transaction outcome this site acted on (audit state for
-    /// the divergence check; kept across crashes like metrics).
-    resolutions: BTreeMap<Ts, bool>,
+    /// The cluster's outcome audit (a private one until
+    /// [`set_audit`](Self::set_audit)).
+    audit: OutcomeAudit,
+    /// 3PC only: the transactions this site resolved as commits, which
+    /// its state replies report (kept across crashes like metrics). It
+    /// grows with the run; under 2PC it stays empty.
+    commits: BTreeSet<Ts>,
     /// Messages queued this dispatch, awaiting the wire-flush boundary
     /// (empty between dispatches).
     wire_buf: Vec<(NodeId, TradMsg)>,
@@ -172,7 +180,8 @@ impl TradNode {
             decisions: BTreeSet::new(),
             locks: LockTable::default(),
             metrics: TradMetrics::default(),
-            resolutions: BTreeMap::new(),
+            audit: OutcomeAudit::default(),
+            commits: BTreeSet::new(),
             wire_buf: Vec::new(),
             obs: Obs::disabled(),
         }
@@ -189,9 +198,10 @@ impl TradNode {
         self.arrivals.script()
     }
 
-    /// Outcomes this site acted on: `(txn, committed)` (divergence audit).
-    pub fn resolutions(&self) -> &BTreeMap<Ts, bool> {
-        &self.resolutions
+    /// Attach the cluster's outcome audit; every step this site takes
+    /// in a transaction's commit feeds it.
+    pub fn set_audit(&mut self, audit: OutcomeAudit) {
+        self.audit = audit;
     }
 
     /// Metrics snapshot, with currently open in-doubt windows attached.
@@ -359,11 +369,13 @@ impl Node for TradNode {
         self.durable.crash();
         self.wire_buf.clear();
         // A transaction already decided was counted when it was decided;
-        // only the undecided ones are lost with the coordinator.
-        let lost = std::mem::take(&mut self.coord)
-            .into_values()
-            .filter(|c| !c.decided())
-            .count() as u64;
+        // only the undecided ones are lost with the coordinator. Either
+        // way this coordinator is done with them.
+        let mut lost = 0;
+        for (ts, c) in std::mem::take(&mut self.coord) {
+            self.audit.coordinator_done(ts);
+            lost += u64::from(!c.decided());
+        }
         if lost > 0 {
             *self.metrics.aborted.entry(TradAbort::Crashed).or_insert(0) += lost;
         }

@@ -4,7 +4,9 @@
 
 use super::locks::Request;
 use super::msg::{TradBody, TradMsg};
-use super::{TradNode, RETRY_EVERY, TAG_PART_UNPREPARED, TAG_QUERY_RETRY, UNPREPARED_TIMEOUT};
+use super::{
+    CommitProtocol, TradNode, RETRY_EVERY, TAG_PART_UNPREPARED, TAG_QUERY_RETRY, UNPREPARED_TIMEOUT,
+};
 use crate::record::{TradRecord, VersionedWrite};
 use dvp_core::clock::Ts;
 use dvp_core::ItemId;
@@ -93,8 +95,16 @@ impl TradNode {
             .get(&ts)
             .map(|p| writes.iter().all(|(i, _, _)| p.items.contains(i)))
             .unwrap_or(false);
-        if !holds_all {
-            // We released (unprepared timeout) or never knew it: vote NO.
+        // A legitimate `Prepare` writes versions above the ones this site
+        // granted under the transaction's lock. One that does not is a
+        // duplicate of a transaction whose commit this replica already
+        // installed, its lock re-granted by a duplicated `LockReq`.
+        let stale = writes
+            .iter()
+            .any(|&(item, _, version)| version <= self.replica.get(item).1);
+        if !holds_all || stale {
+            // We released (unprepared timeout), never knew it, or
+            // installed it already: vote NO.
             self.send(
                 from,
                 TradBody::Vote {
@@ -111,6 +121,9 @@ impl TradNode {
         });
         {
             let p = self.part.get_mut(&ts).expect("checked above");
+            if p.prepared_writes.is_none() {
+                self.audit.prepared(ts);
+            }
             p.prepared_writes = Some(writes);
             p.in_doubt_since = Some(ctx.now());
             p.peers = peers
@@ -170,7 +183,10 @@ impl TradNode {
         self.durable
             .append(TradRecord::Resolved { txn: ts, commit });
         if p.prepared_writes.is_some() {
-            self.resolutions.insert(ts, commit);
+            self.audit.resolved(ts, self.id, commit);
+            if commit && self.cfg.protocol == CommitProtocol::ThreePhase {
+                self.commits.insert(ts);
+            }
         }
         if let Some(since) = p.in_doubt_since {
             self.metrics

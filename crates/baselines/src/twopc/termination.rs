@@ -46,10 +46,12 @@ impl TradNode {
     }
 
     pub(super) fn on_state_query(&mut self, from: NodeId, ts: Ts) {
-        let state = match (self.part.get(&ts), self.resolutions.get(&ts)) {
-            (Some(p), _) => u8::from(p.precommitted),
-            (None, Some(true)) => 2,
-            (None, Some(false) | None) => 3,
+        // A peer that is done with `txn` committed it (2) or, aborted or
+        // never prepared, reports abort (3).
+        let state = match self.part.get(&ts) {
+            Some(p) => u8::from(p.precommitted),
+            None if self.commits.contains(&ts) => 2,
+            None => 3,
         };
         self.send(from, TradBody::StateReply { txn: ts, state });
     }

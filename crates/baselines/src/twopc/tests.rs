@@ -1,6 +1,7 @@
 //! Engine tests: small scripted clusters on fixed-delay links.
 
 use super::*;
+use crate::record::TradRecord;
 use dvp_core::item::Catalog;
 use dvp_core::item::Split;
 use dvp_core::txn::TxnSpec;
@@ -8,6 +9,7 @@ use dvp_core::{ClusterConfig, FaultPlan};
 use dvp_simnet::network::LinkConfig;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::partition::PartitionSchedule;
+use dvp_simnet::sim::Simulation;
 use dvp_simnet::time::SimTime;
 
 fn ms(n: u64) -> SimTime {
@@ -36,6 +38,7 @@ fn healthy_reservation_commits_via_quorum() {
     assert_eq!(m.aborted(), 0);
     assert_eq!(m.still_blocked(), 0);
     cl.check_replica_convergence().unwrap();
+    cl.check_replica_values().unwrap();
     // Majority of replicas saw the write.
     let updated = (0..4)
         .filter(|&s| cl.sim.node(s).replica(flight).0 == 90)
@@ -65,6 +68,7 @@ fn read_sees_committed_value() {
     cl.sim.run_to_quiescence();
     assert_eq!(cl.metrics().committed(), 2);
     cl.check_replica_convergence().unwrap();
+    cl.check_replica_values().unwrap();
 }
 
 #[test]
@@ -198,6 +202,7 @@ fn threepc_healthy_commit_works() {
     assert_eq!(m.still_blocked(), 0);
     cl.check_decision_consistency().unwrap();
     cl.check_replica_convergence().unwrap();
+    cl.check_replica_values().unwrap();
 }
 
 #[test]
@@ -312,35 +317,58 @@ fn decision_owed_to_writer_2(cat: Catalog, flight: ItemId) -> ClusterConfig<Trad
     cfg
 }
 
-/// The outcome each site resolved its one transaction with, if any.
-fn resolved<'a>(nodes: impl Iterator<Item = &'a TradNode>) -> Vec<Option<bool>> {
-    nodes
-        .map(|n| n.resolutions().values().next().copied())
-        .collect()
+/// The value each site's replica of `item` holds: 90 once the one
+/// reservation of 10 committed there, 100 where it did not.
+fn values<'a>(nodes: impl Iterator<Item = &'a TradNode>, item: ItemId) -> Vec<u64> {
+    nodes.map(|n| n.replica(item).0).collect()
 }
 
-/// A 2PC site that keeps the last `Prepare` it received and, on its
-/// scripted arrival, receives it again: a duplicate the network
-/// delivered late.
+/// A 2PC site that keeps the messages `keep` selects and, on its scripted
+/// arrival, receives them again: duplicates the network delivered late.
+/// It also notes every vote it receives, `(from, yes)`.
 struct Replayer {
     node: TradNode,
-    prepare: Option<(NodeId, TradMsg)>,
+    keep: fn(&TradBody) -> bool,
+    kept: Vec<(NodeId, TradMsg)>,
+    votes: Vec<(NodeId, bool)>,
+}
+
+impl Replayer {
+    fn new(node: TradNode, keep: fn(&TradBody) -> bool) -> Self {
+        Replayer {
+            node,
+            keep,
+            kept: Vec::new(),
+            votes: Vec::new(),
+        }
+    }
 }
 
 impl Node for Replayer {
     type Msg = TradMsg;
 
     fn on_message(&mut self, from: NodeId, msg: TradMsg, ctx: &mut Context<'_, TradMsg>) {
-        if matches!(msg.body, TradBody::Prepare { .. }) {
-            self.prepare = Some((from, msg.clone()));
+        let logical = match &msg.body {
+            TradBody::Batch(msgs) => msgs.iter().collect(),
+            _ => vec![&msg],
+        };
+        for m in logical {
+            if let TradBody::Vote { yes, .. } = m.body {
+                self.votes.push((from, yes));
+            }
+            if (self.keep)(&m.body) {
+                self.kept.push((from, m.clone()));
+            }
         }
         self.node.on_message(from, msg, ctx);
     }
 
     fn on_external(&mut self, tag: u64, ctx: &mut Context<'_, TradMsg>) {
-        match self.prepare.clone() {
-            Some((from, msg)) => self.node.on_message(from, msg, ctx),
-            None => self.node.on_external(tag, ctx),
+        if self.kept.is_empty() {
+            return self.node.on_external(tag, ctx);
+        }
+        for (from, msg) in self.kept.clone() {
+            self.node.on_message(from, msg, ctx);
         }
     }
 
@@ -357,6 +385,24 @@ impl Node for Replayer {
     }
 }
 
+/// Build `cfg`'s sites as [`Replayer`]s keeping what `keep` selects, all
+/// feeding one outcome audit.
+fn replayers(
+    cfg: &ClusterConfig<TradConfig>,
+    keep: fn(&TradBody) -> bool,
+) -> (Simulation<Replayer>, OutcomeAudit) {
+    let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
+    let audit = OutcomeAudit::default();
+    let n = cfg.n_sites();
+    let sim = cfg.simulate(|s, obs, arrivals| {
+        let mut node = TradNode::new(s, n, cfg.site, totals.clone(), arrivals);
+        node.set_obs(obs.clone());
+        node.set_audit(audit.clone());
+        Replayer::new(node, keep)
+    });
+    (sim, audit)
+}
+
 #[test]
 fn late_no_vote_cannot_undo_a_commit() {
     // Writer 1 resolved commit at ≈11 ms; at 50 ms a duplicate of its
@@ -366,31 +412,23 @@ fn late_no_vote_cannot_undo_a_commit() {
     // everywhere, and is counted once.
     let (cat, flight) = catalog(100);
     let cfg = decision_owed_to_writer_2(cat, flight).at(1, ms(50), TxnSpec::read(flight));
-    let totals = vec![100];
-    let mut sim = cfg.simulate(|s, obs, arrivals| {
-        let mut node = TradNode::new(s, 4, cfg.site, totals.clone(), arrivals);
-        node.set_obs(obs.clone());
-        Replayer {
-            node,
-            prepare: None,
-        }
-    });
+    let (mut sim, audit) = replayers(&cfg, |b| matches!(b, TradBody::Prepare { .. }));
     sim.run_until(ms(49));
     let nodes = || sim.nodes().iter().map(|r| &r.node);
-    assert_eq!(resolved(nodes()), [Some(true), Some(true), None, None]);
+    assert_eq!(values(nodes(), flight), [90, 90, 100, 100]);
+    assert_eq!(sim.node(2).node.in_doubt_count(), 1, "writer 2 is cut off");
     sim.run_until(ms(2_000));
     let nodes = || sim.nodes().iter().map(|r| &r.node);
     let committed: u64 = nodes().map(|n| n.metrics().committed).sum();
     let aborted: u64 = nodes().map(|n| n.metrics().total_aborted()).sum();
     assert_eq!((committed, aborted), (1, 0), "decided once, as a commit");
-    assert_eq!(
-        resolved(nodes()),
-        [Some(true), Some(true), Some(true), None],
-        "every writer commits"
-    );
+    assert_eq!(sim.node(0).votes.last(), Some(&(1, false)), "the late NO");
+    assert_eq!(nodes().map(TradNode::in_doubt_count).sum::<usize>(), 0);
     let replicas: Vec<(u64, u64)> = nodes().map(|n| n.replica(flight)).collect();
-    assert_eq!(replicas[..3], [replicas[0]; 3], "the writers agree");
+    assert_eq!(replicas[..3], [replicas[0]; 3], "every writer commits");
     assert_eq!((replicas[0].0, replicas[3]), (90, (100, 0)));
+    audit.divergence().unwrap();
+    assert_eq!(audit.live(), 0, "nobody can resolve it any more");
 }
 
 #[test]
@@ -406,9 +444,96 @@ fn coordinator_crash_after_the_decision_is_not_an_abort() {
     cl.run_until(ms(2_000));
     let m = cl.metrics();
     assert_eq!((m.committed(), m.aborted()), (1, 0), "decided once");
-    assert_eq!(
-        resolved(cl.sim.nodes().iter()),
-        [Some(true), Some(true), Some(true), None]
-    );
+    assert_eq!(values(cl.sim.nodes().iter(), flight), [90, 90, 90, 100]);
     cl.check_decision_consistency().unwrap();
+    cl.check_replica_values().unwrap();
+    assert_eq!(cl.audit().live(), 0);
+}
+
+#[test]
+fn a_stale_prepare_after_the_commit_is_refused() {
+    // The reservation commits by ≈11 ms and every writer acks, so the
+    // coordinator forgets it. At 50 ms writer 1 receives its `LockReq` and
+    // its `Prepare` again, as a duplicating network may deliver them. The
+    // re-granted lock must not let the `Prepare` re-prepare a transaction
+    // whose writes the replica already holds: writer 1 votes NO and logs
+    // no second `Prepared`. (Voting YES, it would sit in doubt, ask the
+    // coordinator, and learn presumed abort for a commit.)
+    let (cat, flight) = catalog(100);
+    let mut cfg =
+        config(cat)
+            .at(0, ms(1), TxnSpec::reserve(flight, 10))
+            .at(1, ms(50), TxnSpec::read(flight));
+    cfg.net = NetworkConfig {
+        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
+        ..Default::default()
+    };
+    let keep = |b: &TradBody| matches!(b, TradBody::LockReq { .. } | TradBody::Prepare { .. });
+    let (mut sim, audit) = replayers(&cfg, keep);
+    sim.run_until(ms(49));
+    assert_eq!(audit.live(), 0, "the commit is resolved everywhere");
+    sim.run_until(ms(2_000));
+    let from_writer_1: Vec<bool> = sim
+        .node(0)
+        .votes
+        .iter()
+        .filter(|&&(from, _)| from == 1)
+        .map(|&(_, yes)| yes)
+        .collect();
+    assert_eq!(
+        from_writer_1,
+        [true, false],
+        "the replayed Prepare gets a NO"
+    );
+    let prepared = sim
+        .node(1)
+        .node
+        .log()
+        .recover_entries()
+        .unwrap()
+        .into_iter()
+        .filter(|(_, r)| matches!(r, TradRecord::Prepared { .. }))
+        .count();
+    assert_eq!(prepared, 1, "no second Prepared record");
+    let nodes = || sim.nodes().iter().map(|r| &r.node);
+    assert_eq!(values(nodes(), flight), [90, 90, 90, 100]);
+    assert_eq!(nodes().map(TradNode::in_doubt_count).sum::<usize>(), 0);
+    audit.divergence().unwrap();
+    assert_eq!(audit.live(), 0);
+}
+
+#[test]
+fn a_later_transaction_committing_first_is_not_lost() {
+    // T1 begins at site 3 at 1 ms (stamp ≈1000), T2 at site 1 at 2 ms
+    // (≈2000); both reserve 10 seats. Site 3's outgoing links take 15 ms,
+    // so T2 locks, commits and releases on sites 0–2 by ≈12 ms, before
+    // T1's lock requests arrive. T1 then reads T2's write and must write
+    // a version above it: stamped with its begin time, its write would
+    // lose to T2's at install and its commit would vanish.
+    let (cat, flight) = catalog(100);
+    let mut cfg = config(cat).at(3, ms(1), TxnSpec::reserve(flight, 10)).at(
+        1,
+        ms(2),
+        TxnSpec::reserve(flight, 10),
+    );
+    let mut net = NetworkConfig {
+        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
+        ..Default::default()
+    };
+    for to in 0..3 {
+        net = net.with_link(3, to, LinkConfig::reliable_fixed(SimDuration::millis(15)));
+    }
+    cfg.net = net;
+    let mut cl = TradCluster::build(cfg);
+    cl.sim.run_to_quiescence();
+    assert_eq!(cl.metrics().committed(), 2);
+    let latest = (0..4)
+        .map(|s| cl.sim.node(s).replica(flight))
+        .max_by_key(|&(_, version)| version)
+        .unwrap();
+    assert_eq!(latest.0, 80, "both reservations hold");
+    cl.check_replica_values().unwrap();
+    cl.check_replica_convergence().unwrap();
+    cl.check_decision_consistency().unwrap();
+    assert_eq!(cl.audit().live(), 0);
 }

@@ -255,15 +255,17 @@ fn run_memory_does_not_grow_per_commit() {
 /// retained records, log bytes and owed decisions may exceed the
 /// shorter's by at most one checkpoint window per site.
 ///
-/// The live heap still grows per commit, and this pins by how much:
-/// 98.7 B per extra commit measured, 128 B allowed. The holder left is
-/// `resolutions`, the per-site audit map of every outcome a participant
-/// acted on (`check_decision_consistency` and 3PC's state replies read
-/// it): about 3.8 entries per transaction. With the log unbounded and
-/// every decision kept, the same runs grew 882 B per extra commit.
+/// Nor does anything else: the live heap may grow at most 16 B per extra
+/// commit, the DvP gate's bound. The consistency check is folded as
+/// outcomes arrive: the cluster's `OutcomeAudit` holds a transaction
+/// only while some site can still resolve it, so at quiescence it holds
+/// none, and keeps one net delta per item. It reads 1.3 B per
+/// extra commit (3,120 vs 3,134 records, 0 owed). With the log
+/// unbounded and every decision kept, the same runs grew 882 B per extra
+/// commit.
 #[test]
 fn trad_run_memory_does_not_grow_per_commit() {
-    const PER_COMMIT: i64 = 128;
+    const PER_COMMIT: i64 = 16;
     let run = |txns| {
         let mut cl = Scenario::trad(&banking(txns)).build_trad();
         let live = alloc_audit::thread_live_bytes();
@@ -275,6 +277,7 @@ fn trad_run_memory_does_not_grow_per_commit() {
             m.sites.iter().all(|s| s.checkpoints >= 2),
             "every site must checkpoint at least twice at {txns} txns"
         );
+        assert_eq!(cl.audit().live(), 0, "a resolved transaction stayed live");
         Footprint {
             commits: m.committed() as i64,
             grown,

@@ -29,6 +29,7 @@ fn healthy_network_both_engines_clear_the_workload() {
     let mut trad = Scenario::trad(&w).build_trad();
     trad.run_until(horizon());
     trad.check_replica_convergence().unwrap();
+    trad.check_replica_values().unwrap();
     let tm = trad.metrics();
 
     assert_eq!(d.committed + d.aborted, 80, "DvP decides everything");
@@ -87,6 +88,7 @@ fn both_engines_agree_on_final_totals_when_everything_commits() {
     trad.run_until(horizon());
     assert_eq!(trad.metrics().committed(), 4);
     trad.check_replica_convergence().unwrap();
+    trad.check_replica_values().unwrap();
     let trad_a = (0..4)
         .map(|s| trad.sim.node(s).replica(a))
         .max_by_key(|r| r.1)

@@ -1,7 +1,9 @@
 //! Checkpoint round trip for the 2PC and 3PC baselines: a site that
 //! crashes and recovers from its checkpoint plus the redo suffix comes
 //! back with exactly the replicas and in-doubt transactions it went down
-//! with, and the cluster still ends consistent.
+//! with, and the cluster still ends consistent: the replicas converge,
+//! and under 2PC the decisions agree, each item's latest replica holds
+//! its total plus the committed deltas, and the outcome audit is empty.
 //!
 //! Each case runs an 8-site banking script of 2,000 transactions and
 //! crashes one random site at a random instant for a random downtime.
@@ -110,12 +112,15 @@ fn round_trip(
     }
 
     cl.run_until(ms(30_000));
+    let converged = cl.check_replica_convergence();
+    prop_assert!(converged.is_ok(), "{converged:?}");
     if protocol == CommitProtocol::TwoPhase {
         let consistent = cl.check_decision_consistency();
         prop_assert!(consistent.is_ok(), "{consistent:?}");
+        let values = cl.check_replica_values();
+        prop_assert!(values.is_ok(), "{values:?}");
+        prop_assert_eq!(cl.audit().live(), 0, "a resolved transaction stayed live");
     }
-    let converged = cl.check_replica_convergence();
-    prop_assert!(converged.is_ok(), "{converged:?}");
     Ok(deep)
 }
 
