@@ -31,5 +31,5 @@ pub mod record;
 pub mod twopc;
 
 pub use metrics::{TradClusterMetrics, TradMetrics};
-pub use placement::Placement;
+pub use placement::{Placement, Sites};
 pub use twopc::{CommitProtocol, TradCluster, TradConfig, TradNode};

@@ -19,11 +19,15 @@
 //! its redo point.
 
 use dvp_core::clock::Ts;
-use dvp_core::ItemId;
+use dvp_core::{ItemId, SVec};
 use dvp_storage::{DecodeError, Record, RecordReader, RecordWriter};
 
 /// A write a transaction installs: `(item, new value, new version)`.
 pub type VersionedWrite = (ItemId, u64, u64);
+
+/// One participant's writes, ascending by item: inline for the one or
+/// two items a transaction touches.
+pub type Writes = SVec<VersionedWrite, 2>;
 
 /// One record in a traditional site's log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,7 +46,7 @@ pub enum TradRecord {
         /// Coordinator site (whom to ask for the decision).
         coordinator: u64,
         /// Writes to install on commit.
-        writes: Vec<VersionedWrite>,
+        writes: Writes,
     },
     /// Coordinator decision for `txn`.
     Decision {
@@ -106,7 +110,7 @@ impl Record for TradRecord {
                 let txn = Ts(r.u64()?);
                 let coordinator = r.u64()?;
                 let n = r.count(4 + 8 + 8)?; // item, value, version
-                let mut writes = Vec::with_capacity(n);
+                let mut writes = Writes::new();
                 for _ in 0..n {
                     writes.push((ItemId(r.u32()?), r.u64()?, r.u64()?));
                 }
@@ -151,7 +155,7 @@ mod tests {
         roundtrip(TradRecord::Prepared {
             txn: Ts(42),
             coordinator: 3,
-            writes: vec![(ItemId(0), 95, 7), (ItemId(2), 5, 8)],
+            writes: vec![(ItemId(0), 95, 7), (ItemId(2), 5, 8)].into(),
         });
         roundtrip(TradRecord::Decision {
             txn: Ts(42),
@@ -168,7 +172,7 @@ mod tests {
         roundtrip(TradRecord::Prepared {
             txn: Ts(1),
             coordinator: 0,
-            writes: vec![],
+            writes: Writes::new(),
         });
     }
 }

@@ -2,6 +2,7 @@
 
 use super::{OutcomeAudit, TradConfig, TradNode};
 use crate::metrics::TradClusterMetrics;
+use crate::placement::Sites;
 use dvp_core::item::Catalog;
 use dvp_core::{ClusterConfig, Injection, ItemId};
 use dvp_simnet::sim::Simulation;
@@ -23,15 +24,22 @@ impl TradCluster {
     ///
     /// Panics if the fault plan injects a fault at any site, naming the
     /// site and the fault: crashpoints and storage decay are hooks inside
-    /// the DvP site, which the baseline does not have.
+    /// the DvP site, which the baseline does not have. Panics, too, on a
+    /// cluster of more than [`Sites::MAX`] sites: a site set is one
+    /// 64-bit mask.
     pub fn build(cfg: ClusterConfig<TradConfig>) -> TradCluster {
+        let n = cfg.n_sites();
+        assert!(
+            n <= Sites::MAX,
+            "the 2PC baseline runs at most {} sites (one bit per site): this cluster has {n}",
+            Sites::MAX
+        );
         for (site, fault) in cfg.faults.injections.iter().enumerate() {
             assert!(
                 *fault == Injection::default(),
                 "the 2PC baseline cannot inject faults: site {site} is armed with {fault:?}"
             );
         }
-        let n = cfg.n_sites();
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
         let audit = OutcomeAudit::default();
         let sim = cfg.simulate(|s, obs, arrivals| {

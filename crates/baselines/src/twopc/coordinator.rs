@@ -7,16 +7,16 @@ use super::{
     CommitProtocol, TradNode, RETRY_EVERY, TAG_COORD_TIMEOUT, TAG_DECISION_RETRY, TXN_TIMEOUT,
 };
 use crate::metrics::TradAbort;
-use crate::record::{TradRecord, VersionedWrite};
+use crate::placement::Sites;
+use crate::record::{TradRecord, Writes};
 use dvp_core::clock::Ts;
 use dvp_core::ops::Op;
 use dvp_core::txn::TxnSpec;
-use dvp_core::ItemId;
+use dvp_core::{ItemId, SVec};
 use dvp_obs::EventKind;
 use dvp_simnet::node::{Context, TimerId};
 use dvp_simnet::time::SimTime;
 use dvp_simnet::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(super) enum CoordPhase {
@@ -30,37 +30,54 @@ pub(super) enum CoordPhase {
     },
 }
 
+/// One item a coordinator locks: its quorum, the quorum sites whose
+/// grant is still awaited, and the best (highest-version) replica read
+/// so far.
+#[derive(Clone, Copy, Debug, Default)]
+struct ItemLock {
+    item: ItemId,
+    quorum: Sites,
+    awaiting: Sites,
+    value: u64,
+    version: u64,
+}
+
 /// One transaction this site coordinates. Volatile.
 #[derive(Clone, Debug)]
 pub(super) struct CoordTxn {
     spec: TxnSpec,
     started: SimTime,
+    /// The lock/vote assembly timeout, cancelled once the decision is
+    /// taken.
     timer: TimerId,
+    /// The live re-announcement timer (3PC pre-commit, then decision),
+    /// cancelled once every writer acked or the transaction aborted.
+    retry: Option<TimerId>,
     phase: CoordPhase,
-    /// Per item: quorum sites whose grant is still awaited.
-    awaiting: BTreeMap<ItemId, BTreeSet<NodeId>>,
-    /// Best (highest-version) value per item.
-    values: BTreeMap<ItemId, (u64, u64)>,
+    /// Per accessed item, ascending.
+    items: SVec<ItemLock, 2>,
     /// Participants that have not voted yet.
-    votes_pending: BTreeSet<NodeId>,
+    votes_pending: Sites,
     /// Participants that have not acked the decision yet.
-    acks_pending: BTreeSet<NodeId>,
+    acks_pending: Sites,
     /// All participants.
-    participants: BTreeSet<NodeId>,
+    participants: Sites,
     /// Participants that received writes (the 2PC voter set; the rest are
     /// released at prepare time — the read-only optimization).
-    writers: BTreeSet<NodeId>,
+    writers: Sites,
 }
 
 /// The values `spec`'s operations leave behind when applied to the quorum
-/// reads, or `None` if a decrement would take an item below zero.
-fn apply(spec: &TxnSpec, read: &BTreeMap<ItemId, (u64, u64)>) -> Option<BTreeMap<ItemId, u64>> {
-    let mut current: BTreeMap<ItemId, u64> = read.iter().map(|(&i, &(v, _))| (i, v)).collect();
-    for (item, op) in &spec.ops {
-        let v = current.get_mut(item).expect("value read during locking");
+/// reads, one per entry of `items`, or `None` if a decrement would take an
+/// item below zero.
+fn apply(spec: &TxnSpec, items: &[ItemLock]) -> Option<SVec<u64, 2>> {
+    let mut current: SVec<u64, 2> = items.iter().map(|l| l.value).collect();
+    for &(item, op) in &spec.ops {
+        let k = items.iter().position(|l| l.item == item);
+        let v = &mut current.as_mut_slice()[k.expect("value read during locking")];
         match op {
             Op::Incr(m) => *v += m,
-            Op::Decr(m) => *v = v.checked_sub(*m)?,
+            Op::Decr(m) => *v = v.checked_sub(m)?,
             Op::Read => {}
         }
     }
@@ -78,17 +95,35 @@ impl TradNode {
     pub(super) fn begin_txn(&mut self, spec: TxnSpec, ctx: &mut Context<'_, TradMsg>) {
         let ts = self.clock.tick_at(ctx.now().micros());
         let timer = ctx.set_timer(TXN_TIMEOUT, TAG_COORD_TIMEOUT | ts.0);
-        let items = spec.access_set();
+        let mut items: SVec<ItemLock, 2> = SVec::new();
+        let mut participants = Sites::EMPTY;
+        for &(item, _) in &spec.ops {
+            if items.iter().all(|l| l.item != item) {
+                let quorum = self.cfg.placement.quorum_mask(item, self.id, self.n);
+                participants |= quorum;
+                items.push(ItemLock {
+                    item,
+                    quorum,
+                    awaiting: quorum,
+                    ..ItemLock::default()
+                });
+            }
+        }
+        items.as_mut_slice().sort_unstable_by_key(|l| l.item);
         self.obs.emit_with(self.id as u32, || EventKind::TxnStart {
             txn: ts.0,
             ops: items.len() as u32,
         });
-        let mut awaiting: BTreeMap<ItemId, BTreeSet<NodeId>> = BTreeMap::new();
-        let mut participants: BTreeSet<NodeId> = BTreeSet::new();
-        for &item in &items {
-            let q = self.cfg.placement.quorum(item, self.id, self.n);
-            participants.extend(q.iter().copied());
-            awaiting.insert(item, q.into_iter().collect());
+        for l in &items {
+            for site in l.quorum.iter() {
+                self.send(
+                    site,
+                    TradBody::LockReq {
+                        txn: ts,
+                        item: l.item,
+                    },
+                );
+            }
         }
         self.coord.insert(
             ts,
@@ -96,20 +131,15 @@ impl TradNode {
                 spec,
                 started: ctx.now(),
                 timer,
+                retry: None,
                 phase: CoordPhase::Locking,
-                awaiting: awaiting.clone(),
-                values: BTreeMap::new(),
-                votes_pending: BTreeSet::new(),
-                acks_pending: BTreeSet::new(),
+                items,
+                votes_pending: Sites::EMPTY,
+                acks_pending: Sites::EMPTY,
                 participants,
-                writers: BTreeSet::new(),
+                writers: Sites::EMPTY,
             },
         );
-        for (item, sites) in awaiting {
-            for site in sites {
-                self.send(site, TradBody::LockReq { txn: ts, item });
-            }
-        }
     }
 
     pub(super) fn on_lock_grant(
@@ -127,14 +157,14 @@ impl TradNode {
         else {
             return; // late/stale grant
         };
-        if let Some(waiting) = c.awaiting.get_mut(&item) {
-            waiting.remove(&from);
+        if let Some(l) = c.items.as_mut_slice().iter_mut().find(|l| l.item == item) {
+            l.awaiting.remove(from);
+            // The first grant always lands: every version is >= 0.
+            if version >= l.version {
+                (l.value, l.version) = (value, version);
+            }
         }
-        let best = c.values.entry(item).or_insert((value, version));
-        if version >= best.1 {
-            *best = (value, version);
-        }
-        if c.awaiting.values().all(|s| s.is_empty()) {
+        if c.items.iter().all(|l| l.awaiting.is_empty()) {
             self.enter_prepare(ts, ctx);
         }
     }
@@ -143,34 +173,27 @@ impl TradNode {
     /// nothing to write, finish on the spot).
     fn enter_prepare(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
         let c = self.coord.get_mut(&ts).expect("coord txn");
-        let Some(current) = apply(&c.spec, &c.values) else {
+        let Some(current) = apply(&c.spec, &c.items) else {
             self.coordinator_abort(ts, TradAbort::Insufficient, ctx);
             return;
         };
-        let mut part_writes: BTreeMap<NodeId, Vec<VersionedWrite>> = BTreeMap::new();
-        for (&item, &new_value) in &current {
-            let (read_value, read_version) = c.values[&item];
-            if read_value == new_value {
-                continue; // unchanged: not a write
-            }
-            // Above the version read, not just the begin stamp: a
-            // transaction that began later may have committed on this
-            // item first, and a lower version would lose to it at install.
-            let new_version = ts.counter().max(read_version + 1);
-            for site in self.cfg.placement.quorum(item, self.id, self.n) {
-                part_writes
-                    .entry(site)
-                    .or_default()
-                    .push((item, new_value, new_version));
-            }
-        }
-        let participants = c.participants.clone();
+        // An item whose value is unchanged is not a write; every site in
+        // a changed item's quorum writes it.
+        let items = c.items.clone();
+        let changed = || {
+            items
+                .iter()
+                .zip(current.iter())
+                .filter(|&(l, &v)| l.value != v)
+        };
+        let writers = changed().fold(Sites::EMPTY, |w, (l, _)| w | l.quorum);
+        let participants = c.participants;
         // Standard read-only optimization: a transaction with no writes
         // needs no atomic commit — release the read locks and finish.
-        if part_writes.is_empty() {
+        if writers.is_empty() {
             let c = self.coord.remove(&ts).expect("coord txn");
             ctx.cancel_timer(c.timer);
-            for site in participants {
+            for site in participants.iter() {
                 self.send(site, TradBody::ReleaseLocks { txn: ts });
             }
             let latency = ctx.now().since(c.started).as_micros();
@@ -182,26 +205,28 @@ impl TradNode {
             });
             return;
         }
-        c.votes_pending = part_writes.keys().copied().collect();
-        c.writers = c.votes_pending.clone();
+        c.votes_pending = writers;
+        c.writers = writers;
         c.phase = CoordPhase::Voting;
         self.audit.open(ts);
         // Pure readers are released now; writers enter the vote.
-        for site in participants {
-            if !part_writes.contains_key(&site) {
-                self.send(site, TradBody::ReleaseLocks { txn: ts });
-            }
+        for site in (participants - writers).iter() {
+            self.send(site, TradBody::ReleaseLocks { txn: ts });
         }
-        let peer_list: Vec<u64> = part_writes.keys().map(|&s| s as u64).collect();
-        for (site, writes) in part_writes {
-            self.send(
-                site,
-                TradBody::Prepare {
-                    txn: ts,
-                    writes,
-                    peers: peer_list.clone(),
-                },
-            );
+        for site in writers.iter() {
+            // Above the version read, not just the begin stamp: a
+            // transaction that began later may have committed on this
+            // item first, and a lower version would lose to it at install.
+            let writes: Writes = changed()
+                .filter(|(l, _)| l.quorum.contains(site))
+                .map(|(l, &v)| (l.item, v, ts.counter().max(l.version + 1)))
+                .collect();
+            let body = TradBody::Prepare {
+                txn: ts,
+                writes,
+                peers: writers,
+            };
+            self.send(site, body);
         }
     }
 
@@ -226,7 +251,7 @@ impl TradNode {
             self.coordinator_abort(ts, TradAbort::VoteNo, ctx);
             return;
         }
-        c.votes_pending.remove(&from);
+        c.votes_pending.remove(from);
         if !c.votes_pending.is_empty() {
             return;
         }
@@ -235,36 +260,37 @@ impl TradNode {
             CommitProtocol::ThreePhase => {
                 // Phase 2a: disseminate the inevitable-commit state.
                 c.phase = CoordPhase::PreCommitting;
-                c.acks_pending = c.writers.clone();
-                for site in c.writers.clone() {
+                c.acks_pending = c.writers;
+                c.retry = Some(ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0));
+                for site in c.writers.iter() {
                     self.send(site, TradBody::PreCommit { txn: ts });
                 }
-                ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
             }
         }
     }
 
-    /// Force the commit decision and announce it (with retries).
+    /// Force the commit decision and announce it (with retries). Under
+    /// 3PC the decision's retries replace the pre-commit's.
     fn decide_commit(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
         self.durable.append(TradRecord::Decision {
             txn: ts,
             commit: true,
         });
         self.decisions.insert(ts);
-        let (writers, started) = {
-            let c = self.coord.get_mut(&ts).expect("coord txn");
-            c.phase = CoordPhase::Deciding { commit: true };
-            c.acks_pending = c.writers.clone();
-            ctx.cancel_timer(c.timer);
-            let current = apply(&c.spec, &c.values).expect("checked at prepare");
-            self.audit.committed(
-                current
-                    .into_iter()
-                    .map(|(item, v)| (item, v as i64 - c.values[&item].0 as i64)),
-            );
-            (c.writers.clone(), c.started)
-        };
-        for site in writers {
+        let c = self.coord.get_mut(&ts).expect("coord txn");
+        c.phase = CoordPhase::Deciding { commit: true };
+        c.acks_pending = c.writers;
+        ctx.cancel_timer(c.timer);
+        if let Some(precommit_retry) = c.retry {
+            ctx.cancel_timer(precommit_retry);
+        }
+        c.retry = Some(ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0));
+        let current = apply(&c.spec, &c.items).expect("checked at prepare");
+        let deltas = c.items.iter().zip(current);
+        self.audit
+            .committed(deltas.map(|(l, v)| (l.item, v as i64 - l.value as i64)));
+        let (writers, started) = (c.writers, c.started);
+        for site in writers.iter() {
             self.send(
                 site,
                 TradBody::Decision {
@@ -273,7 +299,6 @@ impl TradNode {
                 },
             );
         }
-        ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
         // Commit is decided now; report it now.
         let latency = ctx.now().since(started).as_micros();
         self.metrics.record_commit(latency);
@@ -289,7 +314,7 @@ impl TradNode {
         let Some(c) = self.coord.get_mut(&ts).filter(precommitting) else {
             return;
         };
-        c.acks_pending.remove(&from);
+        c.acks_pending.remove(from);
         if c.acks_pending.is_empty() {
             self.decide_commit(ts, ctx);
         }
@@ -300,16 +325,19 @@ impl TradNode {
             return;
         };
         ctx.cancel_timer(c.timer);
+        if let Some(retry) = c.retry {
+            ctx.cancel_timer(retry);
+        }
         self.audit.coordinator_done(ts);
         // Presumed abort: no forced decision record, and nothing owed.
-        for site in &c.participants {
+        for site in c.participants.iter() {
             match c.phase {
                 CoordPhase::Locking => {
-                    self.send(*site, TradBody::ReleaseLocks { txn: ts });
+                    self.send(site, TradBody::ReleaseLocks { txn: ts });
                 }
                 _ => {
                     self.send(
-                        *site,
+                        site,
                         TradBody::Decision {
                             txn: ts,
                             commit: false,
@@ -327,13 +355,17 @@ impl TradNode {
         });
     }
 
-    pub(super) fn on_decision_ack(&mut self, from: NodeId, ts: Ts) {
+    pub(super) fn on_decision_ack(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
         let Some(c) = self.coord.get_mut(&ts) else {
             return;
         };
-        c.acks_pending.remove(&from);
+        c.acks_pending.remove(from);
         if c.acks_pending.is_empty() {
-            // Every writer has resolved durably: nobody can ask again.
+            // Every writer has resolved durably: nobody can ask again,
+            // and nobody needs telling again.
+            if let Some(retry) = c.retry {
+                ctx.cancel_timer(retry);
+            }
             self.coord.remove(&ts);
             self.decisions.remove(&ts);
             self.audit.coordinator_done(ts);
@@ -369,7 +401,7 @@ impl TradNode {
     /// Re-announce a decision (or 3PC pre-commit) to whoever has not
     /// acked it yet, and keep the retry timer running.
     pub(super) fn on_decision_retry(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
-        let Some(c) = self.coord.get(&ts) else {
+        let Some(c) = self.coord.get_mut(&ts) else {
             return;
         };
         let body = match c.phase {
@@ -377,9 +409,9 @@ impl TradNode {
             CoordPhase::PreCommitting => TradBody::PreCommit { txn: ts },
             _ => return,
         };
-        for site in c.acks_pending.iter().copied().collect::<Vec<NodeId>>() {
+        c.retry = Some(ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0));
+        for site in c.acks_pending.iter() {
             self.send(site, body.clone());
         }
-        ctx.set_timer(RETRY_EVERY, TAG_DECISION_RETRY | ts.0);
     }
 }

@@ -7,7 +7,7 @@
 
 use super::participant::PartTxn;
 use super::replica::Replica;
-use crate::record::{TradRecord, VersionedWrite};
+use crate::record::{TradRecord, VersionedWrite, Writes};
 use dvp_core::clock::Ts;
 use dvp_core::ItemId;
 use dvp_obs::Obs;
@@ -120,7 +120,7 @@ impl Record for TradSnapshot {
 /// What recovery rebuilt besides the replica.
 pub(super) struct Recovered {
     /// Prepared and unresolved: `txn → (coordinator, writes)`.
-    pub(super) in_doubt: BTreeMap<Ts, (NodeId, Vec<VersionedWrite>)>,
+    pub(super) in_doubt: BTreeMap<Ts, (NodeId, Writes)>,
     /// Commit decisions (as coordinator) still owed to some writer.
     pub(super) decisions: BTreeSet<Ts>,
     /// Log records redone on top of the checkpoint.
@@ -207,7 +207,7 @@ impl Durable {
             let snap = cp.snapshot;
             replica.restore(&snap.values, &snap.versions);
             for (txn, coordinator, writes) in snap.prepared() {
-                in_doubt.insert(txn, (coordinator, writes.to_vec()));
+                in_doubt.insert(txn, (coordinator, Writes::from_slice(writes)));
             }
             decisions.extend(snap.decisions);
         }

@@ -3,7 +3,7 @@
 use dvp_core::clock::Ts;
 use dvp_core::ItemId;
 use dvp_simnet::NodeId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// What became of a lock request.
 pub(super) enum Request {
@@ -15,25 +15,36 @@ pub(super) enum Request {
     Queued,
 }
 
-/// The participant-side lock table. Volatile.
-#[derive(Default)]
+/// The participant-side lock table: dense per-item tables indexed by
+/// `item.0`. Volatile.
 pub(super) struct LockTable {
-    held: BTreeMap<ItemId, Ts>,
-    /// Waiting `(transaction, its coordinator)` pairs, oldest first.
-    queues: BTreeMap<ItemId, VecDeque<(Ts, NodeId)>>,
+    /// Each item's holder.
+    held: Vec<Option<Ts>>,
+    /// Each item's waiting `(transaction, its coordinator)` pairs, oldest
+    /// first.
+    queues: Vec<VecDeque<(Ts, NodeId)>>,
 }
 
 impl LockTable {
+    /// A table of `items` free locks.
+    pub(super) fn new(items: usize) -> Self {
+        LockTable {
+            held: vec![None; items],
+            queues: vec![VecDeque::new(); items],
+        }
+    }
+
     /// `ts` (coordinated at `from`) asks for `item`.
     pub(super) fn request(&mut self, item: ItemId, ts: Ts, from: NodeId) -> Request {
-        match self.held.get(&item) {
-            Some(&holder) if holder == ts => Request::Held,
+        let k = item.0 as usize;
+        match self.held[k] {
+            Some(holder) if holder == ts => Request::Held,
             Some(_) => {
-                self.queues.entry(item).or_default().push_back((ts, from));
+                self.queues[k].push_back((ts, from));
                 Request::Queued
             }
             None => {
-                self.held.insert(item, ts);
+                self.held[k] = Some(ts);
                 Request::Granted
             }
         }
@@ -42,30 +53,30 @@ impl LockTable {
     /// `ts` lets go of `item` (a no-op unless it is the holder). The lock
     /// passes to the oldest waiter, which is returned.
     pub(super) fn release(&mut self, item: ItemId, ts: Ts) -> Option<(Ts, NodeId)> {
-        if self.held.get(&item) != Some(&ts) {
+        let k = item.0 as usize;
+        if self.held[k] != Some(ts) {
             return None;
         }
-        self.held.remove(&item);
-        let next = self.queues.get_mut(&item)?.pop_front()?;
-        self.held.insert(item, next.0);
-        Some(next)
+        let next = self.queues[k].pop_front();
+        self.held[k] = next.map(|(t, _)| t);
+        next
     }
 
     /// Drop every queued request of `ts`.
     pub(super) fn forget_waiter(&mut self, ts: Ts) {
-        for q in self.queues.values_mut() {
+        for q in &mut self.queues {
             q.retain(|(t, _)| *t != ts);
         }
     }
 
     /// Recovery re-takes the lock of an in-doubt transaction.
     pub(super) fn retake(&mut self, item: ItemId, ts: Ts) {
-        self.held.insert(item, ts);
+        self.held[item.0 as usize] = Some(ts);
     }
 
     /// A crash: holders and waiters are forgotten.
     pub(super) fn clear(&mut self) {
-        self.held.clear();
-        self.queues.clear();
+        self.held.fill(None);
+        self.queues.iter_mut().for_each(VecDeque::clear);
     }
 }

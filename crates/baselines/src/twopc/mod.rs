@@ -20,6 +20,18 @@
 //! consistency audit: the cluster's [`OutcomeAudit`] holds a transaction
 //! only while some site can still resolve it.
 //!
+//! Nor does the engine do work the protocol does not need. A timer lives
+//! exactly as long as the state it guards: a participant transaction has
+//! one live timer — the unprepared timeout until its vote, the in-doubt
+//! query retry after — cancelled when it prepares, resolves or releases,
+//! and a coordinator cancels its assembly timeout at the decision and
+//! its retry timer at the last `DecisionAck` or the abort. On a reliable
+//! net the only timers that fire are the timeouts that abort. Site sets
+//! are one-word [`Sites`](crate::placement::Sites) bitmasks — so a
+//! cluster has at most 64 sites — and per-item state (the coordinator's
+//! grants and reads, a participant's locks, a `Prepare`'s writes) is
+//! inline, so a commit allocates a handful of times, not once per set.
+//!
 //! Presumed abort: an unlogged decision is an abort, so coordinator
 //! crashes before the decision resolve cleanly after recovery. The
 //! blocking the paper's Section 2 proves unavoidable shows up exactly
@@ -173,12 +185,12 @@ impl TradNode {
             cfg,
             clock: LamportClock::new(id),
             durable: Durable::genesis(&totals),
+            locks: LockTable::new(totals.len()),
             replica: Replica::new(totals),
             arrivals,
             coord: BTreeMap::new(),
             part: BTreeMap::new(),
             decisions: BTreeSet::new(),
-            locks: LockTable::default(),
             metrics: TradMetrics::default(),
             audit: OutcomeAudit::default(),
             commits: BTreeSet::new(),
@@ -315,7 +327,7 @@ impl TradNode {
             TradBody::StateReply { txn, state } => self.on_state_reply(txn, state, ctx),
             TradBody::Vote { txn, yes } => self.on_vote(from, txn, yes, ctx),
             TradBody::Decision { txn, commit } => self.on_decision(from, txn, commit, ctx),
-            TradBody::DecisionAck { txn } => self.on_decision_ack(from, txn),
+            TradBody::DecisionAck { txn } => self.on_decision_ack(from, txn, ctx),
             TradBody::DecisionQuery { txn } => self.on_query(from, txn),
             TradBody::ReleaseLocks { txn } => self.on_release(txn, ctx),
             TradBody::Batch(_) => debug_assert!(false, "batches are never nested"),

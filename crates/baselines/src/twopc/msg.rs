@@ -1,6 +1,7 @@
 //! Protocol messages and their declared wire size.
 
-use crate::record::VersionedWrite;
+use crate::placement::Sites;
+use crate::record::Writes;
 use dvp_core::clock::Ts;
 use dvp_core::ItemId;
 
@@ -30,9 +31,10 @@ pub enum TradBody {
         /// The transaction.
         txn: Ts,
         /// Writes for this participant.
-        writes: Vec<VersionedWrite>,
-        /// Fellow writers (3PC cooperative termination peer set).
-        peers: Vec<u64>,
+        writes: Writes,
+        /// Every writer, this one included (3PC cooperative termination
+        /// peer set).
+        peers: Sites,
     },
     /// Participant vote.
     Vote {
@@ -111,9 +113,10 @@ impl TradMsg {
     /// this message would have under a minimal fixed-width codec: an
     /// 8-byte Lamport stamp plus a 1-byte body tag, then the body's
     /// fields at their natural widths (`Ts` 8, `ItemId` 4, `u64` 8,
-    /// `bool`/`u8` 1, vectors as a 4-byte count plus elements). The
-    /// traditional engine exchanges in-memory values, so this estimate —
-    /// not a real encoder — is what it declares to
+    /// `bool`/`u8` 1, vectors as a 4-byte count plus elements; a site set
+    /// as a vector of 8-byte ids). The traditional engine exchanges
+    /// in-memory values, so this estimate — not a real encoder — is what
+    /// it declares to
     /// [`NetStats::wire_bytes`](dvp_simnet::stats::NetStats::wire_bytes)
     /// for the cross-engine wire-volume comparison. The DvP engine
     /// declares its *actual* codec output length, so the comparison

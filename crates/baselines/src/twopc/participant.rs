@@ -7,29 +7,58 @@ use super::msg::{TradBody, TradMsg};
 use super::{
     CommitProtocol, TradNode, RETRY_EVERY, TAG_PART_UNPREPARED, TAG_QUERY_RETRY, UNPREPARED_TIMEOUT,
 };
-use crate::record::{TradRecord, VersionedWrite};
+use crate::placement::Sites;
+use crate::record::{TradRecord, Writes};
 use dvp_core::clock::Ts;
-use dvp_core::ItemId;
-use dvp_simnet::node::Context;
+use dvp_core::{ItemId, SVec};
+use dvp_simnet::node::{Context, TimerId};
 use dvp_simnet::time::SimTime;
 use dvp_simnet::NodeId;
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
 
 /// One transaction this site holds locks for. Volatile; a prepared one
 /// is rebuilt from its `Prepared` record at recovery.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(super) struct PartTxn {
     pub(super) coordinator: NodeId,
-    items: BTreeSet<ItemId>,
+    /// The items it holds locks on, ascending.
+    items: SVec<ItemId, 2>,
     /// `Some` from the YES vote on: the transaction is in doubt.
-    pub(super) prepared_writes: Option<Vec<VersionedWrite>>,
+    pub(super) prepared_writes: Option<Writes>,
     pub(super) in_doubt_since: Option<SimTime>,
     /// 3PC: pre-commit received (commit is inevitable barring total loss).
     pub(super) precommitted: bool,
     /// Fellow writers (for cooperative termination).
-    pub(super) peers: Vec<NodeId>,
+    pub(super) peers: Sites,
     /// Termination-protocol rounds attempted while in doubt.
     pub(super) term_attempts: u32,
+    /// Its one live timer: the unprepared timeout until the YES vote,
+    /// the in-doubt query retry from then on. Cancelled when the
+    /// transaction ends here, so no timer outlives what it guards.
+    pub(super) timer: TimerId,
+}
+
+impl PartTxn {
+    fn new(coordinator: NodeId, timer: TimerId) -> Self {
+        PartTxn {
+            coordinator,
+            items: SVec::new(),
+            prepared_writes: None,
+            in_doubt_since: None,
+            precommitted: false,
+            peers: Sites::EMPTY,
+            term_attempts: 0,
+            timer,
+        }
+    }
+
+    /// Note that it holds `item`'s lock.
+    fn hold(&mut self, item: ItemId) {
+        if !self.items.contains(&item) {
+            self.items.push(item);
+            self.items.as_mut_slice().sort_unstable();
+        }
+    }
 }
 
 impl TradNode {
@@ -58,15 +87,14 @@ impl TradNode {
         item: ItemId,
         ctx: &mut Context<'_, TradMsg>,
     ) {
-        let newly = !self.part.contains_key(&ts);
-        let p = self.part.entry(ts).or_insert_with(|| PartTxn {
-            coordinator,
-            ..Default::default()
-        });
-        p.items.insert(item);
-        if newly {
-            ctx.set_timer(UNPREPARED_TIMEOUT, TAG_PART_UNPREPARED | ts.0);
-        }
+        let p = match self.part.entry(ts) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let timer = ctx.set_timer(UNPREPARED_TIMEOUT, TAG_PART_UNPREPARED | ts.0);
+                e.insert(PartTxn::new(coordinator, timer))
+            }
+        };
+        p.hold(item);
     }
 
     fn grant(&mut self, to: NodeId, ts: Ts, item: ItemId) {
@@ -86,8 +114,8 @@ impl TradNode {
         &mut self,
         from: NodeId,
         ts: Ts,
-        writes: Vec<VersionedWrite>,
-        peers: Vec<u64>,
+        writes: Writes,
+        peers: Sites,
         ctx: &mut Context<'_, TradMsg>,
     ) {
         let holds_all = self
@@ -126,16 +154,14 @@ impl TradNode {
             }
             p.prepared_writes = Some(writes);
             p.in_doubt_since = Some(ctx.now());
-            p.peers = peers
-                .into_iter()
-                .map(|x| x as NodeId)
-                .filter(|&s| s != self.id)
-                .collect();
+            p.peers = peers - Sites::one(self.id);
+            // The unprepared timeout gives way to the query retry: start
+            // querying if the decision does not arrive.
+            ctx.cancel_timer(p.timer);
+            p.timer = ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
         }
         self.metrics.in_doubt_entered += 1;
         self.send(from, TradBody::Vote { txn: ts, yes: true });
-        // Start querying if the decision does not arrive.
-        ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
     }
 
     /// 3PC: the pre-commit round.
@@ -168,8 +194,8 @@ impl TradNode {
     }
 
     /// The one way a participant transaction ends once its outcome is
-    /// known: install on commit, log `Resolved`, close the in-doubt
-    /// window, hand the locks on.
+    /// known: stop its timer, install on commit, log `Resolved`, close
+    /// the in-doubt window, hand the locks on.
     pub(super) fn resolve(
         &mut self,
         ts: Ts,
@@ -177,6 +203,7 @@ impl TradNode {
         commit: bool,
         ctx: &mut Context<'_, TradMsg>,
     ) {
+        ctx.cancel_timer(p.timer);
         if let (true, Some(writes)) = (commit, &p.prepared_writes) {
             self.replica.install(writes);
         }
@@ -208,6 +235,7 @@ impl TradNode {
             return;
         }
         if let Some(p) = self.part.remove(&ts) {
+            ctx.cancel_timer(p.timer);
             for item in p.items {
                 self.release_lock(ts, item, ctx);
             }
@@ -238,26 +266,20 @@ impl TradNode {
         &mut self,
         txn: Ts,
         coordinator: NodeId,
-        writes: Vec<VersionedWrite>,
+        writes: Writes,
         ctx: &mut Context<'_, TradMsg>,
     ) {
-        let items: BTreeSet<ItemId> = writes.iter().map(|(i, _, _)| *i).collect();
-        for &item in &items {
+        let timer = ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | txn.0);
+        // A pre-commit is not logged: it recovers as uncertain.
+        let mut p = PartTxn::new(coordinator, timer);
+        for &(item, _, _) in &writes {
             self.locks.retake(item, txn);
+            p.hold(item);
         }
-        self.part.insert(
-            txn,
-            PartTxn {
-                coordinator,
-                items,
-                prepared_writes: Some(writes),
-                in_doubt_since: Some(ctx.now()),
-                // A pre-commit is not logged: it recovers as uncertain.
-                ..Default::default()
-            },
-        );
+        p.prepared_writes = Some(writes);
+        p.in_doubt_since = Some(ctx.now());
+        self.part.insert(txn, p);
         self.metrics.recovery_remote_messages += 1;
         self.send(coordinator, TradBody::DecisionQuery { txn });
-        ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | txn.0);
     }
 }

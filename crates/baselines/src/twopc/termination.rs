@@ -22,8 +22,8 @@ impl TradNode {
             return;
         };
         p.term_attempts += 1;
-        let (coordinator, precommitted, attempts) =
-            (p.coordinator, p.precommitted, p.term_attempts);
+        let (coordinator, precommitted, attempts, peers) =
+            (p.coordinator, p.precommitted, p.term_attempts, p.peers);
         self.send(coordinator, TradBody::DecisionQuery { txn: ts });
         match self.cfg.protocol {
             // 2PC: nothing else is safe — keep asking (this is the
@@ -37,12 +37,13 @@ impl TradNode {
                 return;
             }
             CommitProtocol::ThreePhase => {
-                for peer in self.part[&ts].peers.clone() {
+                for peer in peers.iter() {
                     self.send(peer, TradBody::StateQuery { txn: ts });
                 }
             }
         }
-        ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
+        let timer = ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
+        self.part.get_mut(&ts).expect("checked above").timer = timer;
     }
 
     pub(super) fn on_state_query(&mut self, from: NodeId, ts: Ts) {

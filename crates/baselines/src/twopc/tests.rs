@@ -48,6 +48,35 @@ fn healthy_reservation_commits_via_quorum() {
     assert_eq!(cl.sim.node(0).decisions_owed(), 0);
 }
 
+/// On a reliable net every timer a site arms is cancelled once the state
+/// it guards is gone, so the only timers that fire are the coordinator
+/// timeouts that abort a transaction. E1's banking script at 2,000
+/// transactions reads 314 of each; with the unprepared timeouts, in-doubt
+/// queries and decision retries left armed, 19,287 timers fired.
+#[test]
+fn on_a_reliable_net_only_aborting_timeouts_fire() {
+    use crate::metrics::TradAbort;
+    use dvp_workloads::BankingWorkload;
+
+    let w = BankingWorkload {
+        n_sites: 8,
+        accounts: 16,
+        txns: 2_000,
+        ..Default::default()
+    }
+    .generate(42);
+    let mut cl = TradCluster::build(w.cluster().with_site(TradConfig::default()));
+    cl.sim.run_to_quiescence();
+    let m = cl.metrics();
+    let timeouts: u64 = m
+        .sites
+        .iter()
+        .filter_map(|s| s.aborted.get(&TradAbort::Timeout))
+        .sum();
+    assert!(timeouts > 0, "the script must time some transactions out");
+    assert_eq!(cl.sim.stats().timers_fired, timeouts);
+}
+
 #[test]
 fn insufficient_value_aborts() {
     let (cat, flight) = catalog(100);
@@ -164,6 +193,36 @@ fn an_injected_fault_is_refused_at_build() {
         .recover(ms(300), 2)
         .torn(2, dvp_storage::TornWrite::Truncated);
     TradCluster::build(cfg);
+}
+
+/// A site set is one 64-bit mask: the largest cluster the baseline runs
+/// is 64 sites, and one more is refused at build.
+#[test]
+#[should_panic(
+    expected = "the 2PC baseline runs at most 64 sites (one bit per site): this cluster has 65"
+)]
+fn a_cluster_past_64_sites_is_refused_at_build() {
+    let (cat, flight) = catalog(100);
+    let cfg = ClusterConfig::new(65, cat)
+        .with_site(TradConfig::default())
+        .at(64, ms(1), TxnSpec::reserve(flight, 10));
+    TradCluster::build(cfg);
+}
+
+#[test]
+fn a_64_site_cluster_commits() {
+    let (cat, flight) = catalog(6_400);
+    let cfg = ClusterConfig::new(64, cat)
+        .with_site(TradConfig::default())
+        .at(63, ms(1), TxnSpec::reserve(flight, 10));
+    let mut cl = TradCluster::build(cfg);
+    cl.sim.run_to_quiescence();
+    assert_eq!(cl.metrics().committed(), 1);
+    let updated = (0..64)
+        .filter(|&s| cl.sim.node(s).replica(flight).0 == 6_390)
+        .count();
+    assert_eq!(updated, 33, "a majority quorum wrote it");
+    cl.check_replica_values().unwrap();
 }
 
 #[test]

@@ -97,6 +97,14 @@ impl<T: Copy + Default, const N: usize> SVec<T, N> {
         }
     }
 
+    /// The elements as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Inline { len, items } => &mut items[..*len as usize],
+            Repr::Spill(spill) => spill,
+        }
+    }
+
     /// Iterate the elements.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.as_slice().iter()
@@ -284,6 +292,10 @@ mod tests {
             }
             let other_s: SVec<u16, 3> = SVec::from_slice(&other);
             prop_assert_eq!(pushed == other_s, model == other);
+            let (mut sorted, mut model_sorted) = (pushed.clone(), model.clone());
+            sorted.as_mut_slice().sort_unstable();
+            model_sorted.sort_unstable();
+            prop_assert_eq!(sorted.as_slice(), model_sorted.as_slice());
         }
     }
 }
