@@ -39,8 +39,9 @@ pub(super) struct ActiveTxn {
     timeout_timer: TimerId,
     /// Items still to lock (Conc2 queueing); empty ⇒ all locks held.
     pending_locks: Vec<ItemId>,
-    /// Remaining deficit per solicited item, sorted by item.
-    deficits: Vec<(ItemId, Qty)>,
+    /// Remaining deficit per solicited item, sorted by item (inline: a
+    /// transaction touches 1–2 items).
+    deficits: SVec<(ItemId, Qty), 2>,
     /// Per read item (sorted): donors not yet heard from.
     read_pending: Vec<(ItemId, Vec<NodeId>)>,
     /// Read items (sorted) waiting for our *own* outstanding Vms to clear.
@@ -74,7 +75,7 @@ impl ActiveTxn {
             started,
             timeout_timer,
             pending_locks: Vec::new(),
-            deficits: Vec::new(),
+            deficits: SVec::new(),
             read_pending: Vec::new(),
             reads_blocked_on_self: Vec::new(),
             first_credit_at: None,
@@ -512,7 +513,7 @@ impl SiteNode {
             t.first_credit_at = Some(ctx.now());
         }
         if let Ok(i) = t.deficits.binary_search_by_key(&transfer.item, |e| e.0) {
-            let d = &mut t.deficits[i].1;
+            let d = &mut t.deficits.as_mut_slice()[i].1;
             *d = d.saturating_sub(transfer.amount);
         }
         if transfer.kind == TransferKind::ReadGrant && transfer.for_txn == holder {

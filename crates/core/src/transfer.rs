@@ -1,16 +1,19 @@
 //! Value-transfer payloads carried by Virtual Messages.
 //!
 //! When a site honours a request (or proactively rebalances), the value it
-//! ships rides a Vm as an encoded [`Transfer`]. The encoding goes through
-//! `dvp-storage`'s codec so that the *same bytes* live in the sender's
-//! `Created` log record, on the wire, and in the receiver's acceptance
-//! path — one representation, no translation bugs.
+//! ships rides a Vm as an encoded [`Transfer`]: a fixed
+//! [`Transfer::ENCODED_LEN`]-byte big-endian image. The *same bytes* live
+//! in the sender's `Created` log record, on the wire, and in the
+//! receiver's acceptance path — one representation, no translation bugs.
+//! Encoding builds the image on the stack and copies it into the Vm's
+//! payload (its one allocation); decoding reads a borrowed slice, so the
+//! receiver decodes straight out of the datagram.
 
 use crate::clock::Ts;
 use crate::item::ItemId;
 use crate::Qty;
-use bytes::{Bytes, BytesMut};
-use dvp_storage::{DecodeError, Record, RecordReader, RecordWriter};
+use bytes::Bytes;
+use dvp_storage::DecodeError;
 
 /// Why a transfer was shipped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,41 +62,37 @@ pub struct Transfer {
     pub kind: TransferKind,
 }
 
-impl Record for Transfer {
-    fn encode(&self, w: &mut RecordWriter<'_>) {
-        w.u32(self.item.0);
-        w.u64(self.amount);
-        w.u64(self.for_txn.0);
-        w.u64(self.donor as u64);
-        w.u8(self.kind.tag());
-    }
-
-    fn decode(r: &mut RecordReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Transfer {
-            item: ItemId(r.u32()?),
-            amount: r.u64()?,
-            for_txn: Ts(r.u64()?),
-            donor: r.u64()? as usize,
-            kind: TransferKind::from_tag(r.u8()?)?,
-        })
-    }
-}
-
 impl Transfer {
+    /// Encoded size: item `u32`, amount, txn and donor `u64`s, kind tag.
+    pub const ENCODED_LEN: usize = 4 + 8 + 8 + 8 + 1;
+
     /// Encode into the opaque payload form the Vm layer carries.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        let mut w = RecordWriter::wrap(&mut buf);
-        self.encode(&mut w);
-        buf.freeze()
+        let mut b = [0u8; Self::ENCODED_LEN];
+        b[0..4].copy_from_slice(&self.item.0.to_be_bytes());
+        b[4..12].copy_from_slice(&self.amount.to_be_bytes());
+        b[12..20].copy_from_slice(&self.for_txn.0.to_be_bytes());
+        b[20..28].copy_from_slice(&(self.donor as u64).to_be_bytes());
+        b[28] = self.kind.tag();
+        Bytes::copy_from_slice(&b)
     }
 
-    /// Decode from a Vm payload.
-    pub fn from_bytes(bytes: &Bytes) -> Result<Self, DecodeError> {
-        let mut b = bytes.clone();
-        let mut r = RecordReader::wrap(&mut b);
-        let t = Transfer::decode(&mut r)?;
-        if r.remaining() != 0 {
+    /// Decode from a Vm payload: too short is [`DecodeError::Truncated`],
+    /// a bad kind tag or bytes past the image are
+    /// [`DecodeError::Invalid`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let Some(b) = bytes.get(..Self::ENCODED_LEN) else {
+            return Err(DecodeError::Truncated);
+        };
+        let u64_at = |at: usize| u64::from_be_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+        let t = Transfer {
+            item: ItemId(u32::from_be_bytes(b[0..4].try_into().expect("four bytes"))),
+            amount: u64_at(4),
+            for_txn: Ts(u64_at(12)),
+            donor: u64_at(20) as usize,
+            kind: TransferKind::from_tag(b[28])?,
+        };
+        if bytes.len() != Self::ENCODED_LEN {
             return Err(DecodeError::Invalid("trailing bytes in Transfer"));
         }
         Ok(t)
@@ -143,23 +142,52 @@ mod tests {
         assert_eq!(Transfer::from_bytes(&t.to_bytes()).unwrap().amount, 0);
     }
 
+    /// The exact image: `Created` log records and checkpoints hold these
+    /// bytes, so the layout may not move.
+    #[test]
+    fn encodes_to_pinned_bytes() {
+        let b = sample().to_bytes();
+        assert_eq!(b.len(), Transfer::ENCODED_LEN);
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0, 0, 0, 3,                   // item
+            0, 0, 0, 0, 0, 0, 0, 5,       // amount
+            0, 0, 0, 0, 0, 0, 0x77, 0x77, // for_txn
+            0, 0, 0, 0, 0, 0, 0, 2,       // donor
+            0,                            // kind: Refill
+        ];
+        assert_eq!(&b[..], golden);
+    }
+
     #[test]
     fn trailing_garbage_rejected() {
-        let t = sample();
-        let mut raw = t.to_bytes().to_vec();
+        let mut raw = sample().to_bytes().to_vec();
         raw.push(0xEE);
-        let b = Bytes::from(raw);
-        assert!(Transfer::from_bytes(&b).is_err());
+        assert_eq!(
+            Transfer::from_bytes(&raw).unwrap_err(),
+            DecodeError::Invalid("trailing bytes in Transfer")
+        );
     }
 
     #[test]
     fn truncated_rejected() {
-        let t = sample();
-        let raw = t.to_bytes();
-        let b = raw.slice(0..raw.len() - 2);
+        let raw = sample().to_bytes();
+        for len in 0..Transfer::ENCODED_LEN {
+            assert_eq!(
+                Transfer::from_bytes(&raw[..len]).unwrap_err(),
+                DecodeError::Truncated,
+                "{len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_kind_tag_is_refused() {
+        let mut raw = sample().to_bytes().to_vec();
+        raw[Transfer::ENCODED_LEN - 1] = 3;
         assert_eq!(
-            Transfer::from_bytes(&b).unwrap_err(),
-            DecodeError::Truncated
+            Transfer::from_bytes(&raw).unwrap_err(),
+            DecodeError::Invalid("TransferKind tag")
         );
     }
 }

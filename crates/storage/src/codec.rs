@@ -63,29 +63,34 @@ pub struct RecordWriter<'a> {
 
 impl<'a> RecordWriter<'a> {
     /// Wrap a buffer for writing a bare (unframed) payload — used when a
-    /// record is embedded somewhere other than a log frame (e.g. a Vm
-    /// payload).
+    /// record is embedded somewhere other than a log frame.
+    #[inline]
     pub fn wrap(buf: &'a mut BytesMut) -> Self {
         RecordWriter { buf }
     }
 
     /// Append a `u8`.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
     /// Append a `u32` (big-endian).
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.put_u32(v);
     }
     /// Append a `u64` (big-endian).
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.put_u64(v);
     }
     /// Append an `i64` (big-endian).
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.buf.put_i64(v);
     }
     /// Append a length-prefixed byte string.
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.put_u32(v.len() as u32);
         self.buf.put_slice(v);
@@ -99,11 +104,13 @@ pub struct RecordReader<'a> {
 
 impl<'a> RecordReader<'a> {
     /// Wrap a buffer for reading a bare (unframed) payload.
+    #[inline]
     pub fn wrap(buf: &'a mut Bytes) -> Self {
         RecordReader { buf }
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         if self.buf.remaining() < 1 {
             return Err(DecodeError::Truncated);
@@ -111,6 +118,7 @@ impl<'a> RecordReader<'a> {
         Ok(self.buf.get_u8())
     }
     /// Read a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         if self.buf.remaining() < 4 {
             return Err(DecodeError::Truncated);
@@ -118,6 +126,7 @@ impl<'a> RecordReader<'a> {
         Ok(self.buf.get_u32())
     }
     /// Read a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
         if self.buf.remaining() < 8 {
             return Err(DecodeError::Truncated);
@@ -125,6 +134,7 @@ impl<'a> RecordReader<'a> {
         Ok(self.buf.get_u64())
     }
     /// Read an `i64`.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
         if self.buf.remaining() < 8 {
             return Err(DecodeError::Truncated);
@@ -132,6 +142,7 @@ impl<'a> RecordReader<'a> {
         Ok(self.buf.get_i64())
     }
     /// Read a length-prefixed byte string.
+    #[inline]
     pub fn bytes(&mut self) -> Result<Bytes, DecodeError> {
         let n = self.u32()? as usize;
         if self.buf.remaining() < n {
@@ -143,6 +154,7 @@ impl<'a> RecordReader<'a> {
     /// hold: every element encodes to at least `min_len` (≥ 1) bytes, so
     /// a larger count is corrupt or hostile input and is refused *before*
     /// the caller sizes an allocation from it.
+    #[inline]
     pub fn count(&mut self, min_len: usize) -> Result<usize, DecodeError> {
         let n = self.u32()? as usize;
         if n > self.remaining() / min_len {
@@ -151,6 +163,7 @@ impl<'a> RecordReader<'a> {
         Ok(n)
     }
     /// Bytes left unread (a well-formed decode should leave zero).
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
     }

@@ -61,16 +61,23 @@ impl Channel {
         self.last_created
     }
 
-    /// Process a cumulative ack from the peer; returns the sequence numbers
-    /// of the Vms it released (their lifecycles are complete).
-    pub(crate) fn on_ack(&mut self, ack: Seq) -> Vec<Seq> {
+    /// Process a cumulative ack from the peer: hand the sequence number
+    /// of every Vm it released (their lifecycles are complete) to
+    /// `released`, lowest first, and return how many that was.
+    pub(crate) fn on_ack(&mut self, ack: Seq, mut released: impl FnMut(Seq)) -> usize {
         if ack <= self.acked_out {
-            return Vec::new();
+            return 0;
         }
         self.acked_out = ack;
-        let released: Vec<Seq> = self.outgoing.range(..=ack).map(|(&seq, _)| seq).collect();
-        self.outgoing.retain(|&seq, _| seq > ack);
-        released
+        let mut n = 0;
+        while let Some(entry) = self.outgoing.first_entry() {
+            if *entry.key() > ack {
+                break;
+            }
+            released(entry.remove_entry().0);
+            n += 1;
+        }
+        n
     }
 
     /// Classify an incoming data frame's sequence number.
@@ -121,12 +128,15 @@ mod tests {
         for _ in 0..5 {
             c.create(b("x"));
         }
-        assert_eq!(c.on_ack(3), vec![1, 2, 3]);
+        let mut out = Vec::new();
+        assert_eq!(c.on_ack(3, |s| out.push(s)), 3);
+        assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(c.in_flight(), 2);
         // Stale / repeated acks release nothing.
-        assert!(c.on_ack(3).is_empty());
-        assert!(c.on_ack(2).is_empty());
-        assert_eq!(c.on_ack(5), vec![4, 5]);
+        assert_eq!(c.on_ack(3, |s| out.push(s)), 0);
+        assert_eq!(c.on_ack(2, |s| out.push(s)), 0);
+        assert_eq!(c.on_ack(5, |s| out.push(s)), 2);
+        assert_eq!(out, vec![1, 2, 3, 4, 5]);
         assert_eq!(c.in_flight(), 0);
     }
 

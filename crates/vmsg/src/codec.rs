@@ -1,15 +1,18 @@
-//! Zero-copy wire codec for coalesced datagrams.
+//! Wire codec for coalesced datagrams.
 //!
 //! A [`WireDatagram`] is the unit the host puts on the network when
 //! [`coalesce`](crate::endpoint::VmConfig::coalesce) is on: every frame
 //! bound for one peer at one flush boundary, encoded as a length-prefixed
-//! frame sequence. Encoding is **scatter-gather**: the header and the
-//! per-frame metadata are written into one buffer and cut into
-//! segments around the payloads, while each `Data` payload is appended
-//! as its own refcounted [`Bytes`] segment — a payload is never copied
-//! on the way out, and a datagram costs the same metadata allocations
-//! however many frames it carries. Decoding slices payloads back out of
-//! the segments, so the receive path is copy-free as well.
+//! frame sequence in **one contiguous image**. An image of up to 64 B
+//! lives inside the datagram itself (a banking datagram carrying one
+//! transfer is 62 B), a larger one in a single boxed slice, so encoding
+//! allocates at most once and usually not at all. Each payload is copied
+//! into the image once, on encode.
+//!
+//! The receive path reads the image in place: [`WireDatagram::frames`]
+//! walks it and yields frames whose payloads borrow from it, so taking a
+//! datagram apart allocates nothing. [`WireDatagram::decode`] is the
+//! owned form, for callers that keep frames past the datagram.
 //!
 //! Wire layout (big-endian):
 //!
@@ -19,9 +22,8 @@
 //!            | 0x01 seq:u64 ack:u64 len:u32 payload      (Data)
 //! ```
 
-use crate::channel::Seq;
 use crate::frame::Frame;
-use bytes::{BufMut, Bytes, BytesMut};
+use std::fmt;
 
 /// Frame tag byte for a standalone ack.
 const TAG_ACK: u8 = 0x00;
@@ -34,6 +36,8 @@ pub const DATAGRAM_HEADER_LEN: usize = 8 + 4;
 pub const ACK_FRAME_LEN: usize = 1 + 8;
 /// Encoded size of a data frame's metadata (tag + seq + ack + len).
 pub const DATA_FRAME_META_LEN: usize = 1 + 8 + 8 + 4;
+/// Largest image a datagram holds inline, without a heap allocation.
+pub(crate) const INLINE_LEN: usize = 64;
 
 /// Encoded size of one frame on the wire.
 pub fn frame_wire_len(frame: &Frame) -> usize {
@@ -53,241 +57,238 @@ pub struct Datagram {
     pub frames: Vec<Frame>,
 }
 
-/// The encoded form of one datagram: an ordered list of byte segments
-/// that concatenate to the wire image. Cloning is cheap (refcount bumps)
-/// — the simulated network clones datagrams for duplication faults.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The encoded form of one datagram: its wire image, contiguous. The
+/// simulated network clones datagrams for duplication faults; an inline
+/// image clones without allocating.
+#[derive(Clone)]
 pub struct WireDatagram {
-    /// Wire segments, in order. Metadata segments are views of one
-    /// buffer; payload segments alias the sender's `Bytes` buffers.
-    segs: Vec<Bytes>,
-    /// Number of frames encoded (cached from the header).
-    frames: u32,
-    /// Total wire length in bytes (cached: sum of segment lengths).
-    wire_len: usize,
+    image: Image,
 }
 
-impl WireDatagram {
-    /// Encode `frames` as datagram `id`. Payload bytes are shared, not
-    /// copied: each `Data` payload becomes its own segment.
-    pub fn encode(id: u64, frames: &[Frame]) -> WireDatagram {
-        // Pass 1: every metadata byte — header and per-frame fields —
-        // goes into one exactly-sized buffer, frozen once.
-        let mut meta_len = DATAGRAM_HEADER_LEN;
-        let mut payload_len = 0usize;
-        let mut data_frames = 0usize;
-        for f in frames {
-            match f {
-                Frame::Ack { .. } => meta_len += ACK_FRAME_LEN,
-                Frame::Data { payload, .. } => {
-                    meta_len += DATA_FRAME_META_LEN;
-                    payload_len += payload.len();
-                    data_frames += 1;
-                }
+/// Where a datagram's image lives: inline up to [`INLINE_LEN`] bytes
+/// (zero past `len`), boxed above that.
+#[derive(Clone)]
+enum Image {
+    Inline { len: u8, buf: [u8; INLINE_LEN] },
+    Boxed(Box<[u8]>),
+}
+
+impl Image {
+    /// A zeroed image of `len` bytes.
+    fn zeroed(len: usize) -> Image {
+        if len <= INLINE_LEN {
+            Image::Inline {
+                len: len as u8,
+                buf: [0; INLINE_LEN],
             }
-        }
-        let mut meta = BytesMut::with_capacity(meta_len);
-        meta.put_u64(id);
-        meta.put_u32(frames.len() as u32);
-        for f in frames {
-            match f {
-                Frame::Ack { ack } => {
-                    meta.put_u8(TAG_ACK);
-                    meta.put_u64(*ack);
-                }
-                Frame::Data { seq, ack, payload } => {
-                    meta.put_u8(TAG_DATA);
-                    meta.put_u64(*seq);
-                    meta.put_u64(*ack);
-                    meta.put_u32(payload.len() as u32);
-                }
-            }
-        }
-        debug_assert_eq!(meta.len(), meta_len);
-        let meta = meta.freeze();
-        // Pass 2: cut the metadata run after each data frame's fields, so
-        // the payload lands between the cuts as its own segment (shared,
-        // never copied). The cuts are views of the one buffer — a
-        // datagram costs the same two metadata allocations however many
-        // frames it carries.
-        let mut segs = Vec::with_capacity(1 + 2 * data_frames);
-        let mut start = 0usize;
-        let mut end = DATAGRAM_HEADER_LEN;
-        for f in frames {
-            match f {
-                Frame::Ack { .. } => end += ACK_FRAME_LEN,
-                Frame::Data { payload, .. } => {
-                    end += DATA_FRAME_META_LEN;
-                    segs.push(meta.slice(start..end));
-                    segs.push(payload.clone());
-                    start = end;
-                }
-            }
-        }
-        if start == 0 {
-            segs.push(meta);
-        } else if start < meta_len {
-            segs.push(meta.slice(start..meta_len));
-        }
-        WireDatagram {
-            segs,
-            frames: frames.len() as u32,
-            wire_len: meta_len + payload_len,
+        } else {
+            Image::Boxed(vec![0; len].into_boxed_slice())
         }
     }
 
-    /// Number of frames carried.
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Image::Inline { len, buf } => &buf[..*len as usize],
+            Image::Boxed(b) => b,
+        }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            Image::Inline { len, buf } => &mut buf[..*len as usize],
+            Image::Boxed(b) => b,
+        }
+    }
+}
+
+impl WireDatagram {
+    /// Encode `frames` as datagram `id`: one image of exactly the wire
+    /// length, each payload copied into it once.
+    pub fn encode(id: u64, frames: &[Frame]) -> WireDatagram {
+        let len = DATAGRAM_HEADER_LEN + frames.iter().map(frame_wire_len).sum::<usize>();
+        let mut image = Image::zeroed(len);
+        let mut w = Writer {
+            buf: image.bytes_mut(),
+            at: 0,
+        };
+        w.put(&id.to_be_bytes());
+        w.put(&(frames.len() as u32).to_be_bytes());
+        for f in frames {
+            match f {
+                Frame::Ack { ack } => {
+                    w.put(&[TAG_ACK]);
+                    w.put(&ack.to_be_bytes());
+                }
+                Frame::Data { seq, ack, payload } => {
+                    w.put(&[TAG_DATA]);
+                    w.put(&seq.to_be_bytes());
+                    w.put(&ack.to_be_bytes());
+                    w.put(&(payload.len() as u32).to_be_bytes());
+                    w.put(payload);
+                }
+            }
+        }
+        debug_assert_eq!(w.at, len);
+        WireDatagram { image }
+    }
+
+    /// The per-(sender, peer) datagram id from the header.
+    pub fn id(&self) -> u64 {
+        Reader::new(self.image.bytes()).u64()
+    }
+
+    /// Number of frames carried (from the header).
     pub fn frame_count(&self) -> u32 {
-        self.frames
+        let mut r = Reader::new(self.image.bytes());
+        r.u64();
+        r.u32()
     }
 
     /// Total encoded size in bytes (header + all frames).
     pub fn wire_len(&self) -> usize {
-        self.wire_len
+        self.image.bytes().len()
     }
 
-    /// Decode back into frames. Payloads are zero-copy slices of the
-    /// wire segments. Panics on a malformed image — datagrams only ever
-    /// come from [`encode`](Self::encode), so corruption is a bug in the
-    /// transport, not an input to be tolerated.
+    /// The frames, parsed in place: each `Data` payload is a slice of
+    /// this datagram's image. Panics on a malformed image — an unknown
+    /// tag, a truncated frame, or bytes left over after the last frame —
+    /// since datagrams only ever come from [`encode`](Self::encode),
+    /// corruption is a bug in the transport, not an input to be
+    /// tolerated.
+    pub fn frames(&self) -> Frames<'_> {
+        let mut r = Reader::new(self.image.bytes());
+        r.u64();
+        let left = r.u32();
+        Frames { r, left }
+    }
+
+    /// Decode into owned frames (payloads copied out of the image).
+    /// Panics on a malformed image, as [`frames`](Self::frames) does.
     pub fn decode(&self) -> Datagram {
-        let mut r = SegReader::new(&self.segs);
-        let id = r.u64();
-        let count = r.u32();
-        let mut frames = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            match r.u8() {
-                TAG_ACK => frames.push(Frame::Ack {
-                    ack: r.u64() as Seq,
-                }),
-                TAG_DATA => {
-                    let seq = r.u64() as Seq;
-                    let ack = r.u64() as Seq;
-                    let len = r.u32() as usize;
-                    frames.push(Frame::Data {
-                        seq,
-                        ack,
-                        payload: r.bytes(len),
-                    });
-                }
-                tag => panic!("malformed datagram: unknown frame tag {tag:#x}"),
-            }
+        // Every frame takes at least an ack's bytes, so a count the image
+        // cannot hold never sizes the allocation.
+        let fit = self.wire_len() / ACK_FRAME_LEN;
+        let mut frames = Vec::with_capacity(fit.min(self.frame_count() as usize));
+        frames.extend(self.frames().map(Frame::into_owned));
+        Datagram {
+            id: self.id(),
+            frames,
         }
-        assert_eq!(r.remaining(), 0, "malformed datagram: trailing bytes");
-        Datagram { id, frames }
     }
 
-    /// The concatenated wire image (test/debug helper; copies).
+    /// The wire image as a fresh `Vec` (test/debug helper; copies).
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.wire_len);
-        for s in &self.segs {
-            v.extend_from_slice(s);
-        }
-        v
+        self.image.bytes().to_vec()
     }
 }
 
-/// Cursor over an ordered list of byte segments, treating them as one
-/// contiguous stream. Integer reads that straddle a segment boundary are
-/// copied through a small stack buffer; `bytes` reads that fall entirely
-/// inside one segment (the only case the encoder produces for payloads)
-/// are zero-copy slices.
-struct SegReader<'a> {
-    segs: &'a [Bytes],
-    /// Index of the current segment.
-    seg: usize,
-    /// Offset into the current segment.
-    off: usize,
+impl PartialEq for WireDatagram {
+    fn eq(&self, other: &Self) -> bool {
+        self.image.bytes() == other.image.bytes()
+    }
+}
+impl Eq for WireDatagram {}
+
+impl fmt::Debug for WireDatagram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("WireDatagram")
+            .field(&self.image.bytes())
+            .finish()
+    }
 }
 
-impl<'a> SegReader<'a> {
-    fn new(segs: &'a [Bytes]) -> Self {
-        SegReader {
-            segs,
-            seg: 0,
-            off: 0,
+/// Iterator over a datagram's frames, borrowing payloads from its image
+/// (see [`WireDatagram::frames`]).
+pub struct Frames<'a> {
+    r: Reader<'a>,
+    /// Frames the header promises that have not been read yet.
+    left: u32,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<&'a [u8]>;
+
+    fn next(&mut self) -> Option<Frame<&'a [u8]>> {
+        if self.left == 0 {
+            assert_eq!(
+                self.r.buf.len(),
+                self.r.at,
+                "malformed datagram: trailing bytes"
+            );
+            return None;
         }
-    }
-
-    fn remaining(&self) -> usize {
-        self.segs[self.seg..].iter().map(|s| s.len()).sum::<usize>() - self.off
-    }
-
-    /// Copy exactly `buf.len()` bytes into `buf`, advancing the cursor.
-    fn fill(&mut self, buf: &mut [u8]) {
-        let mut filled = 0;
-        while filled < buf.len() {
-            let seg = self
-                .segs
-                .get(self.seg)
-                .expect("malformed datagram: truncated");
-            let avail = seg.len() - self.off;
-            if avail == 0 {
-                self.seg += 1;
-                self.off = 0;
-                continue;
+        self.left -= 1;
+        let r = &mut self.r;
+        Some(match r.u8() {
+            TAG_ACK => Frame::Ack { ack: r.u64() },
+            TAG_DATA => {
+                let seq = r.u64();
+                let ack = r.u64();
+                let len = r.u32() as usize;
+                Frame::Data {
+                    seq,
+                    ack,
+                    payload: r.take(len),
+                }
             }
-            let n = avail.min(buf.len() - filled);
-            buf[filled..filled + n].copy_from_slice(&seg[self.off..self.off + n]);
-            self.off += n;
-            filled += n;
-        }
-        self.skip_empty();
+            tag => panic!("malformed datagram: unknown frame tag {tag:#x}"),
+        })
+    }
+}
+
+/// Cursor writing into an exactly-sized image.
+struct Writer<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl Writer<'_> {
+    fn put(&mut self, s: &[u8]) {
+        self.buf[self.at..self.at + s.len()].copy_from_slice(s);
+        self.at += s.len();
+    }
+}
+
+/// Cursor reading an image in place.
+struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, at: 0 }
     }
 
-    /// Advance past exhausted segments so `bytes` sees a fresh one.
-    fn skip_empty(&mut self) {
-        while self.seg < self.segs.len() && self.off == self.segs[self.seg].len() {
-            self.seg += 1;
-            self.off = 0;
-        }
+    /// The next `n` bytes, borrowed.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let s = self
+            .buf
+            .get(self.at..self.at + n)
+            .expect("malformed datagram: truncated");
+        self.at += n;
+        s
     }
 
     fn u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.fill(&mut b);
-        b[0]
+        self.take(1)[0]
     }
 
     fn u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill(&mut b);
-        u32::from_be_bytes(b)
+        u32::from_be_bytes(self.take(4).try_into().expect("four bytes"))
     }
 
     fn u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill(&mut b);
-        u64::from_be_bytes(b)
-    }
-
-    /// Read `n` bytes as a `Bytes`. Zero-copy when the run lies within
-    /// one segment (always true for encoder-produced payloads).
-    fn bytes(&mut self, n: usize) -> Bytes {
-        self.skip_empty();
-        if n == 0 {
-            return Bytes::new();
-        }
-        let seg = self
-            .segs
-            .get(self.seg)
-            .expect("malformed datagram: truncated payload");
-        if seg.len() - self.off >= n {
-            let out = seg.slice(self.off..self.off + n);
-            self.off += n;
-            self.skip_empty();
-            return out;
-        }
-        // Straddles segments (foreign encoder); fall back to a copy.
-        let mut v = vec![0u8; n];
-        self.fill(&mut v);
-        Bytes::from(v)
+        u64::from_be_bytes(self.take(8).try_into().expect("eight bytes"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Seq;
+    use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn data(seq: Seq, ack: Seq, payload: &[u8]) -> Frame {
         Frame::Data {
@@ -295,6 +296,17 @@ mod tests {
             ack,
             payload: Bytes::copy_from_slice(payload),
         }
+    }
+
+    /// A datagram holding `image` verbatim, well-formed or not.
+    fn raw(image: &[u8]) -> WireDatagram {
+        let mut img = Image::zeroed(image.len());
+        img.bytes_mut().copy_from_slice(image);
+        WireDatagram { image: img }
+    }
+
+    fn owned(wire: &WireDatagram) -> Vec<Frame> {
+        wire.frames().map(Frame::into_owned).collect()
     }
 
     #[test]
@@ -334,35 +346,28 @@ mod tests {
         );
     }
 
+    /// Payloads come back as slices of the datagram's own image, inline
+    /// or boxed, and a clone carries its own equal image.
     #[test]
-    fn payload_decode_is_zero_copy() {
-        // The decoded payload must alias the original buffer: equal
-        // content *and* the datagram's segment list holds the payload as
-        // its own segment (no metadata mixed in).
-        let payload = Bytes::from(vec![7u8; 64]);
-        let frames = vec![Frame::Data {
-            seq: 1,
-            ack: 0,
-            payload: payload.clone(),
-        }];
-        let wire = WireDatagram::encode(1, &frames);
-        assert!(
-            wire.segs.iter().any(|s| s == &payload),
-            "payload must be its own shared segment"
-        );
-        let d = wire.decode();
-        match &d.frames[0] {
-            Frame::Data { payload: p, .. } => assert_eq!(p, &payload),
-            other => panic!("expected data frame, got {other:?}"),
+    fn frames_borrow_the_image() {
+        for len in [29, 300] {
+            let payload = vec![7u8; len];
+            let wire = WireDatagram::encode(1, &[data(1, 0, &payload)]);
+            let image = wire.image.bytes().as_ptr_range();
+            let frames: Vec<_> = wire.frames().collect();
+            match frames[..] {
+                [Frame::Data { payload: p, .. }] => {
+                    assert_eq!(p, &payload[..]);
+                    let at = p.as_ptr_range();
+                    assert!(image.start <= at.start && at.end <= image.end);
+                    assert_eq!(at.end, image.end, "the payload is the image's tail");
+                }
+                ref other => panic!("expected one data frame, got {other:?}"),
+            }
+            let copy = wire.clone();
+            assert_eq!(copy, wire);
+            assert_eq!(owned(&copy), owned(&wire));
         }
-    }
-
-    #[test]
-    fn clone_shares_segments() {
-        let wire = WireDatagram::encode(3, &[data(1, 0, b"xyz")]);
-        let copy = wire.clone();
-        assert_eq!(copy, wire);
-        assert_eq!(copy.decode(), wire.decode());
     }
 
     #[test]
@@ -396,5 +401,133 @@ mod tests {
         assert_eq!(wire.to_vec(), golden);
         assert_eq!(wire.wire_len(), golden.len());
         assert_eq!(wire.decode().frames, frames);
+    }
+
+    /// The image of one ack frame under datagram 5, with one extra
+    /// frame claimed when `extra_count` is set.
+    fn ack_image(extra_count: bool) -> Vec<u8> {
+        let mut v = 5u64.to_be_bytes().to_vec();
+        v.extend_from_slice(&(1 + extra_count as u32).to_be_bytes());
+        v.push(TAG_ACK);
+        v.extend_from_slice(&3u64.to_be_bytes());
+        v
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame tag 0x7")]
+    fn an_unknown_tag_panics() {
+        let mut image = ack_image(false);
+        image[DATAGRAM_HEADER_LEN] = 0x07;
+        raw(&image).frames().for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing bytes")]
+    fn trailing_bytes_panic() {
+        let mut image = ack_image(false);
+        image.push(0);
+        raw(&image).frames().for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn a_missing_frame_panics() {
+        raw(&ack_image(true)).frames().for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn a_short_payload_panics() {
+        let wire = WireDatagram::encode(1, &[data(1, 0, &[9; 40])]);
+        let image = wire.to_vec();
+        raw(&image[..image.len() - 1]).frames().for_each(drop);
+    }
+
+    /// The wire image built byte by byte, independently of the encoder.
+    fn reference_image(id: u64, frames: &[Frame]) -> Vec<u8> {
+        let mut v = Vec::new();
+        v.extend_from_slice(&id.to_be_bytes());
+        v.extend_from_slice(&(frames.len() as u32).to_be_bytes());
+        for f in frames {
+            match f {
+                Frame::Ack { ack } => {
+                    v.push(0x00);
+                    v.extend_from_slice(&ack.to_be_bytes());
+                }
+                Frame::Data { seq, ack, payload } => {
+                    v.push(0x01);
+                    v.extend_from_slice(&seq.to_be_bytes());
+                    v.extend_from_slice(&ack.to_be_bytes());
+                    v.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+                    v.extend_from_slice(payload);
+                }
+            }
+        }
+        v
+    }
+
+    fn frame() -> impl Strategy<Value = Frame> {
+        (
+            any::<bool>(),
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..301),
+        )
+            .prop_map(|(is_data, seq, ack, payload)| {
+                if is_data {
+                    Frame::Data {
+                        seq,
+                        ack,
+                        payload: Bytes::from(payload),
+                    }
+                } else {
+                    Frame::Ack { ack }
+                }
+            })
+    }
+
+    proptest! {
+        /// Any frame list survives the codec. `pad` (when 1..=3) appends
+        /// a data frame that brings the image to 63, 64 or 65 B if the
+        /// list leaves room, so both sides of the inline bound are hit.
+        #[test]
+        fn any_frame_list_roundtrips(
+            id in any::<u64>(),
+            listed in proptest::collection::vec(frame(), 0..5),
+            pad in 0usize..4,
+            fill in any::<u8>(),
+        ) {
+            let mut frames = listed;
+            let target = INLINE_LEN - 2 + pad;
+            let len = DATAGRAM_HEADER_LEN + frames.iter().map(frame_wire_len).sum::<usize>();
+            if pad > 0 && len + DATA_FRAME_META_LEN <= target {
+                let n = target - len - DATA_FRAME_META_LEN;
+                frames.push(data(9, 8, &vec![fill; n]));
+            }
+            let wire = WireDatagram::encode(id, &frames);
+            prop_assert_eq!(wire.id(), id);
+            prop_assert_eq!(wire.frame_count() as usize, frames.len());
+            prop_assert_eq!(owned(&wire), frames.clone());
+            prop_assert_eq!(wire.decode(), Datagram { id, frames: frames.clone() });
+            prop_assert_eq!(wire.to_vec(), reference_image(id, &frames));
+            prop_assert_eq!(wire.wire_len(), wire.to_vec().len());
+        }
+    }
+
+    /// Every image length around the inline bound, deterministically.
+    #[test]
+    fn images_at_the_inline_bound_roundtrip() {
+        for len in INLINE_LEN - 3..=INLINE_LEN + 3 {
+            let n = len - DATAGRAM_HEADER_LEN - DATA_FRAME_META_LEN;
+            let frames = vec![data(1, 2, &vec![0xAB; n])];
+            let wire = WireDatagram::encode(3, &frames);
+            assert_eq!(wire.wire_len(), len);
+            assert_eq!(
+                matches!(wire.image, Image::Inline { .. }),
+                len <= INLINE_LEN
+            );
+            assert_eq!(owned(&wire), frames);
+            assert_eq!(wire.to_vec(), reference_image(3, &frames));
+        }
     }
 }

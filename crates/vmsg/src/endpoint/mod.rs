@@ -54,9 +54,11 @@ impl Default for VmConfig {
     }
 }
 
-/// What [`VmEndpoint::on_frame`] tells the host about an arrival.
+/// What [`VmEndpoint::on_frame`] tells the host about an arrival. The
+/// payload type is the frame's: owned [`Bytes`] by default, or a slice
+/// borrowed from a datagram's image.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Receipt {
+pub enum Receipt<P = Bytes> {
     /// A new in-order Vm. The host must either accept it — durably log
     /// its database actions plus
     /// [`VmLogOp::Accepted`](crate::VmLogOp::Accepted) and then call
@@ -66,7 +68,7 @@ pub enum Receipt {
         /// Channel sequence number (pass back to `commit_accept`).
         seq: Seq,
         /// Host payload.
-        payload: Bytes,
+        payload: P,
     },
     /// Already accepted earlier; discarded (the ack was refreshed).
     Duplicate,

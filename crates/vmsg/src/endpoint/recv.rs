@@ -11,18 +11,21 @@ use crate::SiteId;
 use dvp_obs::EventKind;
 
 impl VmEndpoint {
-    /// Process an arriving frame from `from`.
-    pub fn on_frame(&mut self, from: SiteId, frame: Frame) -> Receipt {
-        // Any frame's ack releases our outgoing state toward `from`.
-        let released = self.chan(from).on_ack(frame.ack());
-        if !released.is_empty() {
-            if self.chan(from).in_flight() == 0 {
+    /// Process an arriving frame from `from`. Owned and borrowed
+    /// payloads alike: a `Fresh` receipt hands back the frame's own.
+    pub fn on_frame<P>(&mut self, from: SiteId, frame: Frame<P>) -> Receipt<P> {
+        // Any frame's ack releases our outgoing state toward `from`,
+        // straight into the completed list.
+        self.chan(from);
+        let chan = self.chans[from].as_mut().expect("just materialized");
+        let completed = &mut self.completed;
+        let released = chan.on_ack(frame.ack(), |seq| completed.push((from, seq)));
+        if released > 0 {
+            if chan.in_flight() == 0 {
                 self.clear_dirty(from);
             }
             self.stats.acks_effective += 1;
-            self.stats.completed += released.len() as u64;
-            self.completed
-                .extend(released.into_iter().map(|s| (from, s)));
+            self.stats.completed += released as u64;
         }
         let Frame::Data { seq, payload, .. } = frame else {
             return Receipt::AckOnly;

@@ -6,13 +6,17 @@
 //! duplicate and, when
 //! [`eager_acks`](crate::endpoint::VmConfig::eager_acks) is on, to an
 //! acceptance with no reverse traffic to piggyback on.
+//!
+//! The payload type is a parameter: senders hold owned [`Bytes`] (the
+//! default), while [`WireDatagram::frames`](crate::WireDatagram::frames)
+//! yields `Frame<&[u8]>` borrowing from the received image.
 
 use crate::channel::Seq;
 use bytes::Bytes;
 
 /// One real message between two sites.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Frame {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame<P = Bytes> {
     /// A Vm payload (possibly a retransmission).
     Data {
         /// Per-channel sequence number (1-based, dense).
@@ -21,7 +25,7 @@ pub enum Frame {
         /// seq ≤ ack from you".
         ack: Seq,
         /// Opaque payload encoded by the host.
-        payload: Bytes,
+        payload: P,
     },
     /// A standalone cumulative acknowledgement.
     Ack {
@@ -30,7 +34,7 @@ pub enum Frame {
     },
 }
 
-impl Frame {
+impl<P> Frame<P> {
     /// The piggybacked/standalone ack carried by this frame.
     pub fn ack(&self) -> Seq {
         match self {
@@ -41,6 +45,20 @@ impl Frame {
     /// Whether this is a data frame.
     pub fn is_data(&self) -> bool {
         matches!(self, Frame::Data { .. })
+    }
+}
+
+impl Frame<&[u8]> {
+    /// Copy a borrowed frame's payload out into an owned frame.
+    pub fn into_owned(self) -> Frame {
+        match self {
+            Frame::Data { seq, ack, payload } => Frame::Data {
+                seq,
+                ack,
+                payload: Bytes::copy_from_slice(payload),
+            },
+            Frame::Ack { ack } => Frame::Ack { ack },
+        }
     }
 }
 
@@ -57,7 +75,7 @@ mod tests {
         };
         assert_eq!(d.ack(), 7);
         assert!(d.is_data());
-        let a = Frame::Ack { ack: 9 };
+        let a: Frame = Frame::Ack { ack: 9 };
         assert_eq!(a.ack(), 9);
         assert!(!a.is_data());
     }

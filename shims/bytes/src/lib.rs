@@ -4,6 +4,11 @@
 //! vendors the small API subset it actually uses: [`Bytes`] (cheap
 //! Arc-backed clones and zero-copy `split_to`), [`BytesMut`], and the
 //! [`Buf`]/[`BufMut`] traits with big-endian integer accessors.
+//!
+//! The small accessors are `#[inline]`: every log append and Vm encode
+//! calls them from another crate, they are not generic, and the release
+//! profile has no LTO, so without the attribute each would be a real
+//! call.
 
 #![forbid(unsafe_code)]
 
@@ -28,26 +33,36 @@ impl Bytes {
     /// Wrap a static byte slice (no allocation in the real crate; one
     /// Arc allocation here, amortised by cheap clones).
     pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 
     /// Copy a slice into a new buffer.
+    #[inline]
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        // `Arc<[u8]>: From<&[u8]>` copies straight into the shared
+        // block: one allocation, where going through a `Vec` takes two.
+        Bytes {
+            data: Arc::from(s),
+            start: 0,
+            end: s.len(),
+        }
     }
 
     /// Length of the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
     /// Split off and return the first `n` bytes, advancing `self` past
     /// them. Zero-copy: both halves share the backing allocation.
+    #[inline]
     pub fn split_to(&mut self, n: usize) -> Bytes {
         assert!(n <= self.len(), "split_to out of range");
         let head = Bytes {
@@ -59,25 +74,17 @@ impl Bytes {
         head
     }
 
-    /// A zero-copy sub-view of `self` over `range`.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(range.start <= range.end && range.end <= self.len());
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
     /// Copy the view into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 
+    #[inline]
     fn read(&mut self, n: usize) -> &[u8] {
         let s = &self.data[self.start..self.start + n];
         self.start += n;
@@ -86,6 +93,7 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
@@ -97,12 +105,14 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl From<&'static [u8]> for Bytes {
+    #[inline]
     fn from(s: &'static [u8]) -> Self {
         Bytes::from_static(s)
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(m: BytesMut) -> Self {
         m.freeze()
     }
@@ -110,18 +120,21 @@ impl From<BytesMut> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -129,12 +142,14 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
 }
 
 impl PartialEq<&[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
     }
@@ -186,6 +201,7 @@ impl BytesMut {
     }
 
     /// An empty buffer with `cap` bytes preallocated.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             buf: Vec::with_capacity(cap),
@@ -193,16 +209,19 @@ impl BytesMut {
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Convert into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -213,26 +232,31 @@ impl BytesMut {
     }
 
     /// Append a slice.
+    #[inline]
     pub fn extend_from_slice(&mut self, s: &[u8]) {
         self.buf.extend_from_slice(s);
     }
 
     /// Shorten the buffer to `len` bytes; no-op if already shorter.
+    #[inline]
     pub fn truncate(&mut self, len: usize) {
         self.buf.truncate(len);
     }
 
     /// Empty the buffer, keeping its capacity (for reuse pools).
+    #[inline]
     pub fn clear(&mut self) {
         self.buf.clear();
     }
 
     /// Reserve room for at least `additional` more bytes.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
     /// Bytes the buffer can hold without reallocating.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
@@ -240,18 +264,21 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.buf
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.buf
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.buf
     }
@@ -271,31 +298,38 @@ pub trait Buf {
     fn take_bytes(&mut self, n: usize) -> &[u8];
 
     /// Skip `n` bytes.
+    #[inline]
     fn advance(&mut self, n: usize) {
         self.take_bytes(n);
     }
     /// Read a `u8`.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         self.take_bytes(1)[0]
     }
     /// Read a big-endian `u32`.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         u32::from_be_bytes(self.take_bytes(4).try_into().unwrap())
     }
     /// Read a big-endian `u64`.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         u64::from_be_bytes(self.take_bytes(8).try_into().unwrap())
     }
     /// Read a big-endian `i64`.
+    #[inline]
     fn get_i64(&mut self) -> i64 {
         i64::from_be_bytes(self.take_bytes(8).try_into().unwrap())
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn take_bytes(&mut self, n: usize) -> &[u8] {
         assert!(n <= self.len(), "buffer underflow");
         self.read(n)
@@ -308,24 +342,29 @@ pub trait BufMut {
     fn put_slice(&mut self, s: &[u8]);
 
     /// Append a `u8`.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
     /// Append a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
     /// Append a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
     /// Append a big-endian `i64`.
+    #[inline]
     fn put_i64(&mut self, v: i64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.buf.extend_from_slice(s);
     }
