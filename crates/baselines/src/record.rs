@@ -136,14 +136,14 @@ impl Record for TradRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
     use dvp_storage::codec::{decode_frame, encode_frame};
 
     fn roundtrip(rec: TradRecord) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frame(&rec, &mut buf);
-        let mut b = buf.freeze();
-        assert_eq!(decode_frame::<TradRecord>(&mut b).unwrap(), rec);
+        let mut rest = &buf[..];
+        assert_eq!(decode_frame::<TradRecord>(&mut rest).unwrap(), rec);
+        assert!(rest.is_empty());
     }
 
     #[test]

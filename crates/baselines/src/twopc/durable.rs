@@ -250,7 +250,6 @@ impl Durable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
     use dvp_storage::codec::{decode_frame, encode_frame};
 
     #[test]
@@ -262,10 +261,9 @@ mod tests {
             writes: vec![(ItemId(1), 90, 7), (ItemId(2), 0, 3)],
             decisions: vec![Ts(40 << 10 | 1), Ts(43 << 10 | 1)],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frame(&snap, &mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_frame::<TradSnapshot>(&mut bytes).unwrap(), snap);
+        assert_eq!(decode_frame::<TradSnapshot>(&mut &buf[..]).unwrap(), snap);
         let prepared: Vec<_> = snap.prepared().collect();
         assert_eq!(prepared[0].2, &snap.writes[..]);
         assert!(prepared[1].2.is_empty());

@@ -1,7 +1,8 @@
 //! Steady-state allocation audit: the committed fast-path transaction
 //! allocates nothing — checkpoints included — a Vm's round trip allocates
 //! only its payload, the slow path and a 2PC commit stay under pinned
-//! bounds, the heap holds the stable log once, a
+//! bounds, the heap holds the stable log once, a recovery scan allocates
+//! only the entries it returns, a
 //! whole run's peak heap is flat in the script's length (a crashed site's
 //! missed arrivals included), nothing resident (the checkpoint-bounded
 //! log included) grows per commit, and generating a workload allocates
@@ -33,7 +34,7 @@ use dvp_core::item::{Catalog, ItemId, Split};
 use dvp_core::transfer::{Transfer, TransferKind};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, Placement, SiteConfig, Ts, TxnSpec};
 use dvp_simnet::time::{SimDuration, SimTime};
-use dvp_storage::CHECKPOINT_EVERY;
+use dvp_storage::{DecodeError, Record, RecordReader, RecordWriter, StableLog, CHECKPOINT_EVERY};
 use dvp_vmsg::{Receipt, VmConfig, VmEndpoint};
 
 /// Warmup+measure sizes. By the end of `W` the checkpoint-bounded log,
@@ -293,6 +294,57 @@ fn log_memory_is_single_copy() {
         "live heap grew {grown} B over the run, more than 1.5 x the {image} B of \
          log images + {SLACK} B: something holds the log twice"
     );
+}
+
+/// A log record of fixed size holding no byte string, so decoding one
+/// allocates nothing.
+#[derive(Clone, Debug)]
+struct Fixed(u64, i64);
+
+impl Record for Fixed {
+    fn encode(&self, w: &mut RecordWriter<'_>) {
+        w.u64(self.0);
+        w.i64(self.1);
+    }
+    fn decode(r: &mut RecordReader<'_>) -> Result<Self, DecodeError> {
+        Ok(Fixed(r.u64()?, r.i64()?))
+    }
+}
+
+/// A recovery scan reads the log's image where it lies: over 10,000
+/// forced records that hold no byte string, `recover_entries` allocates
+/// exactly once, the entry list, and once that list is dropped the live
+/// heap reads what it read before the scan. A scan that first copies the
+/// durable image into a shared buffer (as `StableLog` did while its
+/// reader was a refcounted cursor) counts two allocations here and keeps
+/// the copy resident until the next append.
+#[test]
+fn a_recovery_scan_allocates_only_its_entry_list() {
+    const N: u64 = 10_000;
+    let mut log = StableLog::new();
+    for i in 0..N {
+        log.append(Fixed(i, -(i as i64)));
+    }
+    log.force();
+    let (before, live) = (
+        alloc_audit::thread_alloc_count(),
+        alloc_audit::thread_live_bytes(),
+    );
+    let entries = log.recover_entries().expect("a clean image decodes");
+    let allocs = alloc_audit::thread_alloc_count() - before;
+    assert_eq!(entries.len() as u64, N);
+    drop(entries);
+    let left = alloc_audit::thread_live_bytes().wrapping_sub(live) as i64;
+    println!(
+        "recovery scan of {N} records ({} B image): {allocs} allocation events, \
+         {left} B left live after the entries are dropped",
+        log.stable_image_len()
+    );
+    assert_eq!(
+        allocs, 1,
+        "a recovery scan must allocate only its entry list"
+    );
+    assert_eq!(left, 0, "a recovery scan must leave nothing resident");
 }
 
 /// Bytes in the stable logs' images, summed over the sites.

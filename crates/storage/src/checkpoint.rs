@@ -30,10 +30,9 @@
 //! [`load`]: CheckpointSlot::load
 //! [`redo_floor`]: CheckpointSlot::redo_floor
 
-use crate::codec::{crc32, frame_in_place, DecodeError, Record, RecordReader};
+use crate::codec::{decode_exact, frame_in_place, take_frame, DecodeError, Record};
 use crate::log::StableLog;
 use crate::lsn::Lsn;
-use bytes::{Buf, Bytes, BytesMut};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
@@ -80,7 +79,7 @@ struct SlotHeader {
 /// only in the bytes: it is decoded when recovery asks for it.
 #[derive(Clone, Debug, Default)]
 struct SlotState {
-    image: BytesMut,
+    image: Vec<u8>,
     header: Option<SlotHeader>,
 }
 
@@ -127,34 +126,19 @@ impl<S: Record> Default for CheckpointSlot<S> {
     }
 }
 
-fn decode_slot<S: Record>(image: &[u8]) -> Result<CheckpointMeta<S>, DecodeError> {
-    let mut bytes = Bytes::copy_from_slice(image);
-    if bytes.remaining() < 8 {
-        return Err(DecodeError::Truncated);
+/// Decode a slot image, which verifies only if it is exactly one frame
+/// whose checksum matches and whose payload decodes with nothing left.
+fn decode_slot<S: Record>(mut image: &[u8]) -> Result<CheckpointMeta<S>, DecodeError> {
+    let payload = take_frame(&mut image)?;
+    if !image.is_empty() {
+        return Err(DecodeError::Invalid("trailing bytes after the slot frame"));
     }
-    let len = bytes.get_u32() as usize;
-    let crc = bytes.get_u32();
-    if bytes.remaining() != len {
-        return Err(DecodeError::Invalid("slot image length mismatch"));
-    }
-    let actual = crc32(&bytes);
-    if actual != crc {
-        return Err(DecodeError::Corrupt {
-            expected: crc,
-            actual,
-        });
-    }
-    let mut r = RecordReader::wrap(&mut bytes);
-    let generation = r.u64()?;
-    let redo_from = Lsn(r.u64()?);
-    let snapshot = S::decode(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(DecodeError::Invalid("trailing bytes in slot payload"));
-    }
-    Ok(CheckpointMeta {
-        generation,
-        redo_from,
-        snapshot,
+    decode_exact(payload, |r| {
+        Ok(CheckpointMeta {
+            generation: r.u64()?,
+            redo_from: Lsn(r.u64()?),
+            snapshot: S::decode(r)?,
+        })
     })
 }
 
@@ -363,7 +347,7 @@ impl<R: Record, S: Record> CheckpointedLog<R, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::RecordWriter;
+    use crate::codec::{RecordReader, RecordWriter};
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct Snap(u64);

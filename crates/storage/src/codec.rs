@@ -11,8 +11,14 @@
 //! `crc` is CRC-32 (IEEE polynomial) over the payload. The recovery scan
 //! verifies every frame, so a corrupted or torn frame surfaces as a
 //! [`DecodeError`] instead of silently wrong state.
+//!
+//! A frame is written once, in place, onto the end of a `Vec<u8>` (the
+//! log's buffer or a checkpoint slot's image) and read where it lies: a
+//! [`RecordReader`] is a cursor over a borrowed slice of that image, so
+//! a scan copies nothing but the byte strings it returns. Integers are
+//! big-endian.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 
 /// Bytes of frame header: `len: u32 | crc: u32`.
@@ -58,97 +64,98 @@ pub trait Record: Sized + Clone + fmt::Debug {
 
 /// Payload writer handed to [`Record::encode`].
 pub struct RecordWriter<'a> {
-    buf: &'a mut BytesMut,
+    buf: &'a mut Vec<u8>,
 }
 
 impl<'a> RecordWriter<'a> {
     /// Wrap a buffer for writing a bare (unframed) payload — used when a
     /// record is embedded somewhere other than a log frame.
     #[inline]
-    pub fn wrap(buf: &'a mut BytesMut) -> Self {
+    pub fn wrap(buf: &'a mut Vec<u8>) -> Self {
         RecordWriter { buf }
     }
 
     /// Append a `u8`.
     #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
     /// Append a `u32` (big-endian).
     #[inline]
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
     /// Append a `u64` (big-endian).
     #[inline]
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
     /// Append an `i64` (big-endian).
     #[inline]
     pub fn i64(&mut self, v: i64) {
-        self.buf.put_i64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
     /// Append a length-prefixed byte string.
     #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.u32(v.len() as u32);
+        self.buf.extend_from_slice(v);
     }
 }
 
-/// Payload reader handed to [`Record::decode`].
+/// Payload reader handed to [`Record::decode`]: a cursor over a borrowed
+/// slice. Every read is bounds-checked and a short one is
+/// [`DecodeError::Truncated`], so no input makes it panic.
 pub struct RecordReader<'a> {
-    buf: &'a mut Bytes,
+    buf: &'a [u8],
 }
 
 impl<'a> RecordReader<'a> {
-    /// Wrap a buffer for reading a bare (unframed) payload.
+    /// Wrap a slice for reading a bare (unframed) payload.
     #[inline]
-    pub fn wrap(buf: &'a mut Bytes) -> Self {
+    pub fn wrap(buf: &'a [u8]) -> Self {
         RecordReader { buf }
+    }
+
+    /// Take the next `N` bytes.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     /// Read a `u8`.
     #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        if self.buf.remaining() < 1 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(self.buf.get_u8())
+        self.take::<1>().map(|[b]| b)
     }
     /// Read a `u32`.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        if self.buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(self.buf.get_u32())
+        self.take().map(u32::from_be_bytes)
     }
     /// Read a `u64`.
     #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        if self.buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(self.buf.get_u64())
+        self.take().map(u64::from_be_bytes)
     }
     /// Read an `i64`.
     #[inline]
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
-        if self.buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(self.buf.get_i64())
+        self.take().map(i64::from_be_bytes)
     }
-    /// Read a length-prefixed byte string.
+    /// Read a length-prefixed byte string, copied out of the slice (one
+    /// allocation).
     #[inline]
     pub fn bytes(&mut self) -> Result<Bytes, DecodeError> {
         let n = self.u32()? as usize;
-        if self.buf.remaining() < n {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(self.buf.split_to(n))
+        let (s, rest) = self.buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(Bytes::copy_from_slice(s))
     }
     /// Read a `u32` element count, bounded by what the unread bytes can
     /// hold: every element encodes to at least `min_len` (≥ 1) bytes, so
@@ -165,17 +172,31 @@ impl<'a> RecordReader<'a> {
     /// Bytes left unread (a well-formed decode should leave zero).
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len()
     }
+}
+
+/// Decode the whole of `payload` with `read`; a byte left over is
+/// [`DecodeError::Invalid`].
+pub(crate) fn decode_exact<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut RecordReader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut r = RecordReader::wrap(payload);
+    let value = read(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(DecodeError::Invalid("trailing bytes in payload"));
+    }
+    Ok(value)
 }
 
 /// Append one frame to `out`, its payload written in place by `fill`: the
 /// header is back-patched once the payload's length and checksum are
 /// known, so nothing is staged or copied. Log appends, checkpoint
 /// installs and [`encode_frame`] all frame through here.
-pub fn frame_in_place(out: &mut BytesMut, fill: impl FnOnce(&mut RecordWriter<'_>)) {
+pub fn frame_in_place(out: &mut Vec<u8>, fill: impl FnOnce(&mut RecordWriter<'_>)) {
     let at = out.len();
-    out.put_u64(0);
+    out.extend_from_slice(&[0; FRAME_HEADER]);
     fill(&mut RecordWriter { buf: out });
     let (header, payload) = out[at..].split_at_mut(FRAME_HEADER);
     header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
@@ -188,40 +209,32 @@ pub(crate) fn frame_len(buf: &[u8]) -> usize {
 }
 
 /// Encode one record into a framed byte string.
-pub fn encode_frame<R: Record>(record: &R, out: &mut BytesMut) {
+pub fn encode_frame<R: Record>(record: &R, out: &mut Vec<u8>) {
     frame_in_place(out, |w| record.encode(w));
 }
 
 /// Split one frame off the front of `buf`, verifying length and CRC, and
-/// return its payload (a zero-copy slice of `buf`).
-pub fn take_frame(buf: &mut Bytes) -> Result<Bytes, DecodeError> {
-    if buf.remaining() < FRAME_HEADER {
-        return Err(DecodeError::Truncated);
+/// return its payload (a slice of `buf`). On error `buf` is left as it
+/// was.
+pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
+    let (header, rest) = buf
+        .split_first_chunk::<FRAME_HEADER>()
+        .ok_or(DecodeError::Truncated)?;
+    let (payload, rest) = rest
+        .split_at_checked(frame_len(header) - FRAME_HEADER)
+        .ok_or(DecodeError::Truncated)?;
+    let expected = u32::from_be_bytes(header[4..].try_into().expect("four bytes"));
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(DecodeError::Corrupt { expected, actual });
     }
-    let len = buf.get_u32() as usize;
-    let crc = buf.get_u32();
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let payload = buf.split_to(len);
-    let actual = crc32(&payload);
-    if actual != crc {
-        return Err(DecodeError::Corrupt {
-            expected: crc,
-            actual,
-        });
-    }
+    *buf = rest;
     Ok(payload)
 }
 
 /// Decode one frame from the front of `buf`, verifying length and CRC.
-pub fn decode_frame<R: Record>(buf: &mut Bytes) -> Result<R, DecodeError> {
-    let mut payload = take_frame(buf)?;
-    let rec = R::decode(&mut RecordReader { buf: &mut payload })?;
-    if payload.remaining() != 0 {
-        return Err(DecodeError::Invalid("trailing bytes in payload"));
-    }
-    Ok(rec)
+pub fn decode_frame<R: Record>(buf: &mut &[u8]) -> Result<R, DecodeError> {
+    decode_exact(take_frame(buf)?, R::decode)
 }
 
 /// Lookup tables for [`crc32`]: `CRC_TABLES[0]` is the classic one-byte
@@ -362,17 +375,17 @@ mod tests {
 
     #[test]
     fn roundtrip_single_frame() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frame(&sample(), &mut buf);
-        let mut bytes = buf.freeze();
-        let got: Rec = decode_frame(&mut bytes).unwrap();
+        let mut rest = &buf[..];
+        let got: Rec = decode_frame(&mut rest).unwrap();
         assert_eq!(got, sample());
-        assert_eq!(bytes.remaining(), 0);
+        assert!(rest.is_empty());
     }
 
     #[test]
     fn roundtrip_multiple_frames() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let recs: Vec<Rec> = (0..10)
             .map(|i| Rec {
                 a: i,
@@ -384,23 +397,21 @@ mod tests {
         for r in &recs {
             encode_frame(r, &mut buf);
         }
-        let mut bytes = buf.freeze();
+        let mut rest = &buf[..];
         let mut got = Vec::new();
-        while bytes.remaining() > 0 {
-            got.push(decode_frame::<Rec>(&mut bytes).unwrap());
+        while !rest.is_empty() {
+            got.push(decode_frame::<Rec>(&mut rest).unwrap());
         }
         assert_eq!(got, recs);
     }
 
     #[test]
     fn corrupt_payload_detected() {
-        let mut buf = BytesMut::new();
-        encode_frame(&sample(), &mut buf);
-        let mut raw = buf.to_vec();
+        let mut raw = Vec::new();
+        encode_frame(&sample(), &mut raw);
         let last = raw.len() - 1;
         raw[last] ^= 0xFF; // flip a payload byte
-        let mut bytes = Bytes::from(raw);
-        match decode_frame::<Rec>(&mut bytes) {
+        match decode_frame::<Rec>(&mut &raw[..]) {
             Err(DecodeError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -408,30 +419,68 @@ mod tests {
 
     #[test]
     fn truncated_frame_detected() {
-        let mut buf = BytesMut::new();
-        encode_frame(&sample(), &mut buf);
-        let raw = buf.to_vec();
-        let mut bytes = Bytes::from(raw[..raw.len() - 3].to_vec());
+        let mut raw = Vec::new();
+        encode_frame(&sample(), &mut raw);
+        let mut short = &raw[..raw.len() - 3];
         assert_eq!(
-            decode_frame::<Rec>(&mut bytes).unwrap_err(),
+            decode_frame::<Rec>(&mut short).unwrap_err(),
             DecodeError::Truncated
         );
-        let mut tiny = Bytes::from(vec![0u8; 4]);
         assert_eq!(
-            decode_frame::<Rec>(&mut tiny).unwrap_err(),
+            short.len(),
+            raw.len() - 3,
+            "a refused frame is not consumed"
+        );
+        assert_eq!(
+            decode_frame::<Rec>(&mut &[0u8; 4][..]).unwrap_err(),
             DecodeError::Truncated
         );
     }
 
     #[test]
+    fn trailing_payload_bytes_are_refused() {
+        let mut raw = Vec::new();
+        frame_in_place(&mut raw, |w| {
+            sample().encode(w);
+            w.u8(0);
+        });
+        assert_eq!(
+            decode_frame::<Rec>(&mut &raw[..]).unwrap_err(),
+            DecodeError::Invalid("trailing bytes in payload")
+        );
+    }
+
+    #[test]
     fn reader_reports_truncation_per_field() {
-        let mut empty = Bytes::new();
-        let mut r = RecordReader { buf: &mut empty };
+        let mut r = RecordReader::wrap(&[]);
         assert_eq!(r.u8().unwrap_err(), DecodeError::Truncated);
         assert_eq!(r.u32().unwrap_err(), DecodeError::Truncated);
         assert_eq!(r.u64().unwrap_err(), DecodeError::Truncated);
         assert_eq!(r.i64().unwrap_err(), DecodeError::Truncated);
         assert_eq!(r.bytes().unwrap_err(), DecodeError::Truncated);
+        // A byte string one byte short of its length prefix.
+        let mut r = RecordReader::wrap(&[0, 0, 0, 2, 7]);
+        assert_eq!(r.bytes().unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn reader_reads_big_endian_fields_in_place() {
+        let mut raw = Vec::new();
+        let mut w = RecordWriter::wrap(&mut raw);
+        w.u8(7);
+        w.u32(0xDEAD_BEEF);
+        w.u64(42);
+        w.i64(-9);
+        w.bytes(b"xyz");
+        assert_eq!(raw.len(), 1 + 4 + 8 + 8 + 4 + 3);
+        assert_eq!(&raw[1..5], &[0xDE, 0xAD, 0xBE, 0xEF]);
+        let mut r = RecordReader::wrap(&raw);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(42));
+        assert_eq!(r.i64(), Ok(-9));
+        assert_eq!(&r.bytes().unwrap()[..], b"xyz");
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -439,17 +488,14 @@ mod tests {
         // Claims 3 twelve-byte elements with exactly 36 bytes behind it.
         let mut raw = 3u32.to_be_bytes().to_vec();
         raw.extend_from_slice(&[0; 36]);
-        let mut ok = Bytes::from(raw.clone());
-        assert_eq!(RecordReader::wrap(&mut ok).count(12), Ok(3));
+        assert_eq!(RecordReader::wrap(&raw).count(12), Ok(3));
         // One byte short, and the absurd claim: both refused.
-        let mut short = Bytes::from(raw[..raw.len() - 1].to_vec());
         assert!(matches!(
-            RecordReader::wrap(&mut short).count(12),
+            RecordReader::wrap(&raw[..raw.len() - 1]).count(12),
             Err(DecodeError::Invalid(_))
         ));
-        let mut absurd = Bytes::from(u32::MAX.to_be_bytes().to_vec());
         assert!(matches!(
-            RecordReader::wrap(&mut absurd).count(1),
+            RecordReader::wrap(&u32::MAX.to_be_bytes()).count(1),
             Err(DecodeError::Invalid(_))
         ));
     }

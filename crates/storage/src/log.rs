@@ -2,7 +2,8 @@
 //!
 //! [`StableLog`] is the crash-surviving append-only log every DvP site
 //! owns: one byte buffer of frames and a **durable-length watermark**.
-//! The image is the log — no decoded copy of a record is kept.
+//! The image is the log — no decoded copy of a record is kept, and a
+//! recovery scan reads the image where it lies.
 //!
 //! * [`append`](StableLog::append) encodes a frame onto the end of the
 //!   buffer, past the watermark: written, not yet durable;
@@ -20,13 +21,11 @@
 //! checkpoint's `redo_from` without trusting volatile state.
 
 use crate::codec::{
-    frame_in_place, frame_len, take_frame, DecodeError, Record, RecordReader, FRAME_HEADER,
+    decode_exact, frame_in_place, frame_len, take_frame, DecodeError, Record, FRAME_HEADER,
 };
 use crate::lsn::Lsn;
-use bytes::{Buf, Bytes, BytesMut};
 use dvp_obs::{EventKind, Obs};
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::ops::Range;
 
 /// Counters describing log activity (used by the mechanism benchmarks and
@@ -175,18 +174,15 @@ fn flip(bytes: &mut [u8]) {
 const TORN_GARBAGE: u8 = 0x5A;
 
 /// Decode one `(lsn, rec)` frame from the front of `buf`.
-fn decode_entry<R: Record>(buf: &mut Bytes) -> Result<(Lsn, R), DecodeError> {
-    let mut payload = take_frame(buf)?;
-    let mut r = RecordReader::wrap(&mut payload);
-    let lsn = Lsn(r.u64()?);
-    let rec = R::decode(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(DecodeError::Invalid("trailing bytes in payload"));
-    }
-    Ok((lsn, rec))
+fn decode_entry<R: Record>(buf: &mut &[u8]) -> Result<(Lsn, R), DecodeError> {
+    decode_exact(take_frame(buf)?, |r| Ok((Lsn(r.u64()?), R::decode(r)?)))
 }
 
-/// An append-only, force-on-demand, crash-surviving log of `R` records.
+/// An append-only, force-on-demand, crash-surviving log of `R` records:
+/// one `Vec<u8>` of frames and the watermark below which they are
+/// durable. A record is encoded once, at append, and never kept decoded;
+/// a recovery scan decodes `buf[..durable]` in place, so outside the
+/// entries it returns the image is the only copy.
 ///
 /// ```
 /// use dvp_storage::{Record, RecordReader, RecordWriter, StableLog, DecodeError};
@@ -211,15 +207,11 @@ pub struct StableLog<R> {
     /// Every retained frame (`len | crc | lsn ++ payload`), oldest first.
     /// `buf[..durable]` is what "the disk" holds; frames past the
     /// watermark are appended but unforced and die in a crash.
-    buf: BytesMut,
+    buf: Vec<u8>,
     durable: usize,
     /// Frames below / past the watermark (torn remnants are not frames).
     stable_records: usize,
     tail_records: usize,
-    /// The copy of the durable bytes a recovery scan decodes zero-copy
-    /// slices of; dropped by the next append or change to those bytes,
-    /// so outside recovery the image is held once.
-    frozen: RefCell<Option<Bytes>>,
     /// The fault injectors' memory — ranges `corrupt_stable` flipped,
     /// remnants `crash_torn` left — from which salvage names the records
     /// it condemns. Empty in fault-free runs.
@@ -244,11 +236,10 @@ impl<R: Record> StableLog<R> {
     /// An empty log.
     pub fn new() -> Self {
         StableLog {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             durable: 0,
             stable_records: 0,
             tail_records: 0,
-            frozen: RefCell::new(None),
             flipped: Vec::new(),
             torn: Vec::new(),
             next: Lsn::FIRST,
@@ -266,24 +257,10 @@ impl<R: Record> StableLog<R> {
         self.obs_site = site;
     }
 
-    /// The durable bytes as zero-copy [`Bytes`] for a recovery scan.
-    fn frozen_image(&self) -> Bytes {
-        self.frozen
-            .borrow_mut()
-            .get_or_insert_with(|| Bytes::copy_from_slice(&self.buf[..self.durable]))
-            .clone()
-    }
-
-    /// Drop the scan snapshot: the durable bytes are about to change.
-    fn invalidate_frozen(&mut self) {
-        *self.frozen.get_mut() = None;
-    }
-
     /// Append `record` (owned or borrowed: it is encoded here, once, and
     /// not kept) past the watermark; returns its LSN. It is **not
     /// durable** until [`force`](Self::force).
     pub fn append(&mut self, record: impl Borrow<R>) -> Lsn {
-        self.invalidate_frozen();
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
@@ -297,7 +274,6 @@ impl<R: Record> StableLog<R> {
 
     /// Make every appended record durable. Idempotent.
     pub fn force(&mut self) {
-        self.invalidate_frozen();
         self.stats.forces += 1;
         self.stats.max_force_batch = self.stats.max_force_batch.max(self.tail_records as u64);
         self.stats.records_forced += self.tail_records as u64;
@@ -347,7 +323,6 @@ impl<R: Record> StableLog<R> {
     pub fn crash_torn(&mut self, mode: TornWrite) -> bool {
         let torn = mode != TornWrite::None && self.tail_records > 0;
         if torn {
-            self.invalidate_frozen();
             let frame = frame_len(&self.buf[self.durable..]);
             let landed = match mode {
                 // The write stopped mid-frame: only a prefix landed.
@@ -384,21 +359,21 @@ impl<R: Record> StableLog<R> {
     /// treat everything from there to the end of the image as a torn tail,
     /// and report what was dropped instead of failing.
     pub fn recover_lenient(&self) -> RecoveredLog<R> {
-        let mut bytes = self.frozen_image();
-        let total = bytes.remaining();
+        let image = &self.buf[..self.durable];
+        let mut rest = image;
         let mut scan = RecoveredLog {
             entries: Vec::with_capacity(self.stable_records),
             clean_bytes: 0,
             torn: None,
         };
-        while bytes.remaining() > 0 {
-            match decode_entry::<R>(&mut bytes) {
+        while !rest.is_empty() {
+            match decode_entry::<R>(&mut rest) {
                 Ok(e) => {
-                    scan.clean_bytes = total - bytes.remaining();
+                    scan.clean_bytes = image.len() - rest.len();
                     scan.entries.push(e);
                 }
                 Err(error) => {
-                    let bytes_dropped = (total - scan.clean_bytes) as u64;
+                    let bytes_dropped = (image.len() - scan.clean_bytes) as u64;
                     scan.torn = Some(TornTail {
                         bytes_dropped,
                         error,
@@ -416,7 +391,6 @@ impl<R: Record> StableLog<R> {
         if cut.is_empty() {
             return;
         }
-        self.invalidate_frozen();
         self.buf.copy_within(cut.end.., cut.start);
         self.buf.truncate(self.buf.len() - cut.len());
         self.durable -= cut.len();
@@ -438,7 +412,6 @@ impl<R: Record> StableLog<R> {
     /// [`recover_salvage`](Self::recover_salvage) can undo the flips on a
     /// scratch copy and name exactly the records the damage destroyed.
     pub fn corrupt_stable(&mut self, region: Range<usize>) -> u64 {
-        self.invalidate_frozen();
         let end = region.end.min(self.durable);
         let start = region.start.min(end);
         flip(&mut self.buf[start..end]);
@@ -463,13 +436,13 @@ impl<R: Record> StableLog<R> {
         for r in &self.flipped {
             flip(&mut scratch[r.start.max(from) - from..r.end.max(from) - from]);
         }
-        let mut bytes = Bytes::from(scratch);
+        let mut rest = &scratch[..];
         let mut out = Vec::with_capacity(want);
         while out.len() < want {
-            let at = self.durable - bytes.remaining();
+            let at = self.durable - rest.len();
             if let Some(remnant) = self.torn.iter().find(|t| t.start == at) {
-                bytes.advance(remnant.len());
-            } else if let Ok(entry) = decode_entry::<R>(&mut bytes) {
+                rest = &rest[remnant.len()..];
+            } else if let Ok(entry) = decode_entry::<R>(&mut rest) {
                 out.push(entry);
             } else {
                 break;

@@ -12,7 +12,6 @@
 //! after every step the slot bytes, the loaded checkpoint, the redo point
 //! and the retention floor must agree.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dvp_storage::codec::crc32;
 use dvp_storage::{
     CheckpointMeta, CheckpointSlot, DecodeError, Lsn, Record, RecordReader, RecordWriter,
@@ -38,31 +37,27 @@ impl Record for Snap {
 
 /// The slot format: `len | crc | generation ++ redo_from ++ snapshot`.
 fn encode_slot(meta: &CheckpointMeta<Snap>) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     let mut w = RecordWriter::wrap(&mut payload);
     w.u64(meta.generation);
     w.u64(meta.redo_from.0);
     meta.snapshot.encode(&mut w);
-    let mut frame = BytesMut::new();
-    frame.put_u32(payload.len() as u32);
-    frame.put_u32(crc32(&payload));
-    frame.put_slice(&payload);
-    frame.to_vec()
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&payload).to_be_bytes());
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 /// The reference decoder: a slot verifies only if the whole image is one
 /// frame whose checksum matches and whose payload decodes exactly.
 fn decode_slot(image: &[u8]) -> Option<CheckpointMeta<Snap>> {
-    let mut bytes = Bytes::copy_from_slice(image);
-    if bytes.remaining() < 8 {
+    let (header, payload) = image.split_at_checked(8)?;
+    let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
+    let crc = u32::from_be_bytes(header[4..].try_into().unwrap());
+    if payload.len() != len || crc32(payload) != crc {
         return None;
     }
-    let len = bytes.get_u32() as usize;
-    let crc = bytes.get_u32();
-    if bytes.remaining() != len || crc32(&bytes) != crc {
-        return None;
-    }
-    let mut r = RecordReader::wrap(&mut bytes);
+    let mut r = RecordReader::wrap(payload);
     let meta = CheckpointMeta {
         generation: r.u64().ok()?,
         redo_from: Lsn(r.u64().ok()?),

@@ -11,7 +11,6 @@
 //! the log now has to reconstruct from the fault injector's memory, where
 //! the model just reads its mirror), the counters and the lengths.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dvp_storage::codec::crc32;
 use dvp_storage::{
     DecodeError, LogStats, Lsn, Record, RecordReader, RecordWriter, RecoveredLog, SalvageOutcome,
@@ -37,33 +36,30 @@ impl Record for Rec {
 
 /// The reference encoder: `len | crc | lsn ++ payload`.
 fn encode_entry(lsn: Lsn, rec: &Rec, out: &mut Vec<u8>) {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     let mut w = RecordWriter::wrap(&mut payload);
     w.u64(lsn.0);
     rec.encode(&mut w);
-    let mut frame = BytesMut::new();
-    frame.put_u32(payload.len() as u32);
-    frame.put_u32(crc32(&payload));
-    frame.put_slice(&payload);
-    out.extend_from_slice(&frame);
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&crc32(&payload).to_be_bytes());
+    out.extend_from_slice(&payload);
 }
 
-/// The reference decoder for one frame at the front of `buf`.
-fn decode_entry(buf: &mut Bytes) -> Result<(Lsn, Rec), DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
-    let expected = buf.get_u32();
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let mut payload = buf.split_to(len);
-    let actual = crc32(&payload);
+/// The reference decoder for the frame at `image[*at..]`; advances `at`
+/// past it.
+fn decode_entry(image: &[u8], at: &mut usize) -> Result<(Lsn, Rec), DecodeError> {
+    let header = image.get(*at..*at + 8).ok_or(DecodeError::Truncated)?;
+    let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
+    let expected = u32::from_be_bytes(header[4..].try_into().unwrap());
+    let payload = image
+        .get(*at + 8..*at + 8 + len)
+        .ok_or(DecodeError::Truncated)?;
+    *at += 8 + len;
+    let actual = crc32(payload);
     if actual != expected {
         return Err(DecodeError::Corrupt { expected, actual });
     }
-    let mut r = RecordReader::wrap(&mut payload);
+    let mut r = RecordReader::wrap(payload);
     let lsn = Lsn(r.u64()?);
     let rec = Rec::decode(&mut r)?;
     if r.remaining() != 0 {
@@ -145,15 +141,15 @@ impl Model {
     }
 
     fn recover_lenient(&self) -> RecoveredLog<Rec> {
-        let mut bytes = Bytes::from(self.image.clone());
-        let total = bytes.remaining();
+        let total = self.image.len();
+        let mut at = 0;
         let mut entries = Vec::new();
         let mut clean_bytes = 0;
         let mut torn = None;
-        while bytes.remaining() > 0 {
-            match decode_entry(&mut bytes) {
+        while at < total {
+            match decode_entry(&self.image, &mut at) {
                 Ok(e) => {
-                    clean_bytes = total - bytes.remaining();
+                    clean_bytes = at;
                     entries.push(e);
                 }
                 Err(error) => {

@@ -88,15 +88,15 @@ impl Record for VmLogOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
     use dvp_storage::codec::{decode_frame, encode_frame};
 
     fn roundtrip(op: VmLogOp) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frame(&op, &mut buf);
-        let mut bytes = buf.freeze();
-        let got: VmLogOp = decode_frame(&mut bytes).unwrap();
+        let mut rest = &buf[..];
+        let got: VmLogOp = decode_frame(&mut rest).unwrap();
         assert_eq!(got, op);
+        assert!(rest.is_empty());
     }
 
     #[test]

@@ -223,6 +223,15 @@ fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
         .expect("the lease outlives the reader, so the read is exact");
 }
 
+/// `len | crc | payload`, checksum correct: a frame only a lying writer
+/// (or a mutation test) would produce, which the CRC cannot refuse.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut raw = (payload.len() as u32).to_be_bytes().to_vec();
+    raw.extend_from_slice(&dvp::storage::codec::crc32(payload).to_be_bytes());
+    raw.extend_from_slice(payload);
+    raw
+}
+
 /// **Decoders sized allocations from untrusted counts.**
 ///
 /// Every count below sits in a frame whose CRC *verifies* — the checksum
@@ -238,22 +247,14 @@ fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
 /// tree these read `Truncated`, after the allocation.
 #[test]
 fn crc_valid_frames_with_absurd_counts_are_refused_before_allocating() {
-    use bytes::Bytes;
     use dvp::baselines::record::TradRecord;
     use dvp::core::record::SiteRecord;
     use dvp::core::site::SiteSnapshot;
-    use dvp::storage::codec::{crc32, decode_frame};
+    use dvp::storage::codec::decode_frame;
     use dvp::storage::{DecodeError, Record};
 
-    /// `len | crc | payload`, checksum correct.
-    fn framed(payload: &[u8]) -> Bytes {
-        let mut raw = (payload.len() as u32).to_be_bytes().to_vec();
-        raw.extend_from_slice(&crc32(payload).to_be_bytes());
-        raw.extend_from_slice(payload);
-        Bytes::from(raw)
-    }
     fn refused<R: Record>(what: &str, payload: &[u8]) {
-        match decode_frame::<R>(&mut framed(payload)) {
+        match decode_frame::<R>(&mut &framed(payload)[..]) {
             Err(DecodeError::Invalid(_)) => {}
             other => panic!("{what}: expected Invalid before any allocation, got {other:?}"),
         }
@@ -293,5 +294,138 @@ fn crc_valid_frames_with_absurd_counts_are_refused_before_allocating() {
         &be64(5)[..],
     ]
     .concat();
-    assert!(decode_frame::<SiteRecord>(&mut framed(&honest)).is_ok());
+    assert!(decode_frame::<SiteRecord>(&mut &framed(&honest)[..]).is_ok());
+}
+
+/// **The record decoders are total.** Every bounds check in
+/// `RecordReader` guards a read from a borrowed slice, so a missed one
+/// panics instead of returning `Truncated`. Random payloads framed with a
+/// correct CRC, and every truncation and a random byte flip of a valid
+/// encoding (as stored, and re-framed with a correct CRC so the flip
+/// reaches the record decoder), go through `decode_frame` for each
+/// record type the engines log or checkpoint, and `Transfer::from_bytes`.
+/// Each call returns `Ok` or `Err`; an `Ok` re-encodes to no more bytes
+/// than its input, so the byte strings it holds total no more than the
+/// input's length.
+mod decoders_are_total {
+    use super::framed;
+    use bytes::Bytes;
+    use dvp::baselines::record::TradRecord;
+    use dvp::core::record::SiteRecord;
+    use dvp::core::site::SiteSnapshot;
+    use dvp::core::transfer::Transfer;
+    use dvp::core::{ItemId, SVec, Ts};
+    use dvp::storage::codec::{decode_frame, encode_frame};
+    use dvp::storage::{Record, RecordWriter};
+    use dvp::vmsg::VmLogOp;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn total_as<R: Record>(input: &[u8]) -> Result<(), TestCaseError> {
+        if let Ok(rec) = decode_frame::<R>(&mut &input[..]) {
+            let mut again = Vec::new();
+            encode_frame(&rec, &mut again);
+            prop_assert!(
+                again.len() <= input.len(),
+                "{rec:?} re-encodes to {} bytes from {}",
+                again.len(),
+                input.len()
+            );
+        }
+        Ok(())
+    }
+
+    /// Whether a frame decodes as its own record type.
+    type DecodesAs = fn(&[u8]) -> bool;
+
+    fn decodes<R: Record>(frame: &[u8]) -> bool {
+        decode_frame::<R>(&mut &frame[..]).is_ok()
+    }
+
+    fn total(input: &[u8]) -> Result<(), TestCaseError> {
+        total_as::<SiteRecord>(input)?;
+        total_as::<SiteSnapshot>(input)?;
+        total_as::<TradRecord>(input)?;
+        total_as::<VmLogOp>(input)?;
+        let _ = Transfer::from_bytes(input);
+        Ok(())
+    }
+
+    fn payload(fill: impl FnOnce(&mut RecordWriter<'_>)) -> Vec<u8> {
+        let mut payload = Vec::new();
+        fill(&mut RecordWriter::wrap(&mut payload));
+        payload
+    }
+
+    /// One valid payload of each type, built from `n` and `blob` (both
+    /// byte-string carriers, a counted list of each kind, a snapshot with
+    /// a channel and an outgoing Vm), and the check that its own type
+    /// decodes it.
+    fn valid_payloads(n: u64, blob: &[u8]) -> [(Vec<u8>, DecodesAs); 4] {
+        let created = VmLogOp::Created {
+            to: 2,
+            seq: n,
+            payload: Bytes::copy_from_slice(blob),
+        };
+        let rds = SiteRecord::Rds {
+            txn: Ts(n),
+            actions: SVec::from_slice(&[(ItemId(1), -(n as i64)), (ItemId(4), 3)]),
+            vm_ops: vec![created.clone(), VmLogOp::Accepted { from: 1, seq: n }],
+        };
+        let prepared = TradRecord::Prepared {
+            txn: Ts(n),
+            coordinator: 3,
+            writes: vec![(ItemId(0), n, 7), (ItemId(2), 5, 8)].into(),
+        };
+        // A `SiteSnapshot` (its fields are private): one item, then one
+        // channel's four cursors and its one outgoing Vm.
+        let snapshot = payload(|w| {
+            w.u32(1);
+            w.u64(n);
+            w.u64(n + 1);
+            w.u32(1);
+            for cursor in [2, n, n, 0] {
+                w.u64(cursor);
+            }
+            w.u32(1);
+            w.u64(n);
+            w.bytes(blob);
+        });
+        [
+            (payload(|w| created.encode(w)), decodes::<VmLogOp>),
+            (payload(|w| rds.encode(w)), decodes::<SiteRecord>),
+            (payload(|w| prepared.encode(w)), decodes::<TradRecord>),
+            (snapshot, decodes::<SiteSnapshot>),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn record_decoders_never_panic_or_over_allocate(
+            payload in vec(any::<u8>(), 0..257),
+            n in any::<u64>(),
+            blob in vec(any::<u8>(), 0..48),
+            at in any::<usize>(),
+            mask in 1u8..255,
+        ) {
+            total(&framed(&payload))?;
+            total(&payload)?;
+            for (valid, decodes_as_its_type) in valid_payloads(n, &blob) {
+                let frame = framed(&valid);
+                prop_assert!(decodes_as_its_type(&frame), "a valid encoding must decode: {valid:?}");
+                total(&frame)?;
+                for cut in 0..frame.len() {
+                    total(&frame[..cut])?;
+                }
+                for cut in 0..valid.len() {
+                    total(&framed(&valid[..cut]))?;
+                }
+                let (mut flipped, mut reframed) = (frame.clone(), valid.clone());
+                flipped[at % frame.len()] ^= mask;
+                total(&flipped)?;
+                reframed[at % valid.len()] ^= mask;
+                total(&framed(&reframed))?;
+            }
+        }
+    }
 }
