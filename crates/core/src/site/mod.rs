@@ -178,7 +178,7 @@ impl SiteNode {
             cfg,
             clock: LamportClock::new(id),
             frags,
-            locks: LockTable::new(),
+            locks: LockTable::with_items(k),
             vm: VmEndpoint::new(id, Self::vm_config(&cfg)),
             durable: Durable::genesis(id, &quotas),
             inject: FaultInjector::new(id, faults),
@@ -339,11 +339,7 @@ impl SiteNode {
         // one dispatch dedup into one cumulative frame per peer, and ack
         // timing (and with it window advance and borderline txn timeouts)
         // never depends on how much reverse traffic there is.
-        let mut owed = false;
-        for peer in 0..self.n {
-            owed |= self.vm.flush_owed_ack(peer);
-        }
-        if owed {
+        if self.vm.flush_owed_acks() {
             self.send_vm_datagrams(ctx);
         }
         self.vm.drain_completed_into(&mut self.completed_scratch);
@@ -451,10 +447,14 @@ impl Node for SiteNode {
         match kind {
             TAG_RETRANSMIT => {
                 self.retransmit_armed = false;
+                // With nothing outstanding the flush would be a no-op:
+                // every earlier dispatch already forced, drained its owed
+                // acks and completions, and evaluated the checkpoint
+                // trigger.
                 if self.vm.has_outstanding() {
                     self.vm.tick();
+                    self.flush_vm(ctx);
                 }
-                self.flush_vm(ctx);
             }
             TAG_TIMEOUT => {
                 self.abort_txn(Ts(payload), AbortReason::Timeout, ctx);

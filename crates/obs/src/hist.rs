@@ -147,6 +147,7 @@ impl PhaseHists {
 
     /// Record one sample under `phase`, creating the histogram on first
     /// use.
+    #[inline]
     pub fn record(&mut self, phase: &'static str, v: u64) {
         if let Some((_, h)) = self.entries.iter_mut().find(|(n, _)| *n == phase) {
             h.record(v);

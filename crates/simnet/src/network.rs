@@ -200,6 +200,7 @@ impl NetworkModel {
     }
 
     /// Is the pair connected (per the partition oracle) at `t`?
+    #[inline]
     pub fn connected(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
         match &self.cfg.partitions {
             None => true,
@@ -208,6 +209,7 @@ impl NetworkModel {
     }
 
     /// Decide what happens to a message sent `from -> to` at `now`.
+    #[inline]
     pub fn route(&self, from: NodeId, to: NodeId, now: SimTime, rng: &mut SimRng) -> Fate {
         if !self.connected(from, to, now) {
             return Fate::Partitioned;

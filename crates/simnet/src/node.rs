@@ -4,6 +4,12 @@
 //! the `Context` and applied by the kernel after the callback returns. This
 //! keeps callbacks pure with respect to the event queue (no re-entrancy)
 //! and lets the kernel timestamp every send with the same "now".
+//!
+//! A timer set and cancelled inside the same callback is annulled in the
+//! `Context`: the cancel drops the buffered `SetTimer`, so the pair never
+//! reaches the timer lane. The one exception is a cancel buffered after
+//! [`Context::crash_self`], which is applied literally (see
+//! [`Context::cancel_timer`]).
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -46,6 +52,14 @@ pub struct Context<'a, M> {
     me: NodeId,
     rng: &'a mut SimRng,
     next_timer: &'a mut u64,
+    /// The first timer id issued in this callback: an older id cannot
+    /// have its `SetTimer` buffered here.
+    first_timer: u64,
+    /// `crash_self` was called in this callback.
+    crashed: bool,
+    /// Timers set and cancelled in this callback, each pair dropped from
+    /// `actions`. The kernel counts them as suppressed.
+    pub(crate) annulled: u64,
     pub(crate) actions: Vec<Action<M>>,
 }
 
@@ -60,7 +74,10 @@ impl<'a, M> Context<'a, M> {
             now,
             me,
             rng,
+            first_timer: *next_timer,
             next_timer,
+            crashed: false,
+            annulled: 0,
             actions: Vec::new(),
         }
     }
@@ -131,7 +148,27 @@ impl<'a, M> Context<'a, M> {
 
     /// Cancel a pending timer. Cancelling an already-fired or foreign timer
     /// is a no-op.
+    ///
+    /// A timer set earlier in this same callback is annulled here: its
+    /// `SetTimer` is dropped from the buffer, so neither the timer lane
+    /// nor the kernel's action loop sees the pair, and it counts once in
+    /// [`NetStats::timers_suppressed`](crate::stats::NetStats::timers_suppressed),
+    /// as a cancel in the lane does. Every other pending entry keeps its
+    /// relative order. After [`crash_self`](Self::crash_self) nothing is
+    /// annulled: the cancel is buffered behind the crash and discarded
+    /// with it, and a timer armed before the crash pops suppressed.
     pub fn cancel_timer(&mut self, id: TimerId) {
+        if id.0 >= self.first_timer && !self.crashed {
+            let set = self
+                .actions
+                .iter()
+                .rposition(|a| matches!(a, Action::SetTimer { id: t, .. } if *t == id));
+            if let Some(i) = set {
+                self.actions.remove(i);
+                self.annulled += 1;
+                return;
+            }
+        }
         self.actions.push(Action::CancelTimer { id });
     }
 
@@ -145,6 +182,7 @@ impl<'a, M> Context<'a, M> {
     /// [`Node::on_crash`] runs, exactly as for an externally scheduled
     /// crash event.
     pub fn crash_self(&mut self) {
+        self.crashed = true;
         self.actions.push(Action::CrashSelf);
     }
 }
@@ -200,10 +238,13 @@ mod tests {
     fn context_buffers_actions_in_order() {
         let mut rng = SimRng::new(1);
         let mut next = 0u64;
+        // A timer armed in an earlier callback.
+        let old = Context::<'_, u32>::new(SimTime::ZERO, 0, &mut rng, &mut next)
+            .set_timer(SimDuration::millis(9), 5);
         let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
         ctx.send(1, 10);
         let t = ctx.set_timer(SimDuration::millis(5), 77);
-        ctx.cancel_timer(t);
+        ctx.cancel_timer(old);
         assert_eq!(ctx.actions.len(), 3);
         assert!(matches!(
             ctx.actions[0],
@@ -215,6 +256,39 @@ mod tests {
             }
         ));
         assert!(matches!(ctx.actions[1], Action::SetTimer { id, tag: 77, .. } if id == t));
+        assert!(matches!(ctx.actions[2], Action::CancelTimer { id } if id == old));
+        assert_eq!(ctx.annulled, 0);
+    }
+
+    #[test]
+    fn a_timer_cancelled_in_the_callback_that_set_it_is_annulled() {
+        let mut rng = SimRng::new(1);
+        let mut next = 0u64;
+        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
+        let a = ctx.set_timer(SimDuration::millis(5), 1);
+        ctx.send(1, 10);
+        let b = ctx.set_timer(SimDuration::millis(6), 2);
+        ctx.cancel_timer(a);
+        ctx.cancel_timer(a);
+        assert_eq!(ctx.annulled, 1, "a second cancel finds nothing to annul");
+        assert_eq!(ctx.actions.len(), 3);
+        assert!(matches!(ctx.actions[0], Action::Send { msg: 10, .. }));
+        assert!(matches!(ctx.actions[1], Action::SetTimer { id, .. } if id == b));
+        assert!(matches!(ctx.actions[2], Action::CancelTimer { id } if id == a));
+        assert_eq!(next, 2, "ids are still issued at set_timer");
+    }
+
+    #[test]
+    fn nothing_is_annulled_after_crash_self() {
+        let mut rng = SimRng::new(1);
+        let mut next = 0u64;
+        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
+        let t = ctx.set_timer(SimDuration::millis(5), 1);
+        ctx.crash_self();
+        ctx.cancel_timer(t);
+        assert_eq!(ctx.annulled, 0);
+        assert!(matches!(ctx.actions[0], Action::SetTimer { id, .. } if id == t));
+        assert!(matches!(ctx.actions[1], Action::CrashSelf));
         assert!(matches!(ctx.actions[2], Action::CancelTimer { id } if id == t));
     }
 

@@ -112,6 +112,7 @@ impl PartitionSchedule {
     /// Sites outside the schedule's range are never connected to anything
     /// but themselves (previously two out-of-range sites compared equal as
     /// `None == None` and counted as connected).
+    #[inline]
     pub fn connected(&self, a: NodeId, b: NodeId, t: SimTime) -> bool {
         if a == b {
             return true;
@@ -138,6 +139,7 @@ impl PartitionSchedule {
         (0..self.n).filter(|&b| self.connected(a, b, t)).collect()
     }
 
+    #[inline]
     fn active(&self, t: SimTime) -> Option<&[u32]> {
         // Phases are in increasing `from` order; find the last one <= t.
         let idx = self.phases.partition_point(|p| p.from <= t);

@@ -152,12 +152,19 @@ impl<N: Node> Simulation<N> {
     /// not yet drawn included — and faults, in-flight messages, and armed
     /// timers).
     pub fn pending_events(&self) -> usize {
-        self.scheduled.len() + self.backlog + self.messages.len() + self.timers.len()
+        self.resident() + self.backlog
     }
 
     /// Number of armed (not yet fired, not cancelled) timers.
     pub fn pending_timers(&self) -> usize {
         self.timers.len()
+    }
+
+    /// Entries resident in the three lanes: [`pending_events`](Self::pending_events)
+    /// without the arrivals a stream has not drawn yet.
+    #[inline]
+    fn resident(&self) -> usize {
+        self.scheduled.len() + self.messages.len() + self.timers.len()
     }
 
     // ---- scheduling -----------------------------------------------------
@@ -244,6 +251,7 @@ impl<N: Node> Simulation<N> {
             let e = stream.arrival(e.node, next, self.now);
             self.scheduled.push(e);
             self.backlog -= 1;
+            self.note_depth();
         }
     }
 
@@ -265,7 +273,7 @@ impl<N: Node> Simulation<N> {
 
     #[inline]
     fn note_depth(&mut self) {
-        let depth = self.pending_events() as u64;
+        let depth = self.resident() as u64;
         if depth > self.stats.peak_queue_depth {
             self.stats.peak_queue_depth = depth;
         }
@@ -409,7 +417,9 @@ impl<N: Node> Simulation<N> {
 
     /// Run `f` on node `id` with a fresh context, then apply the buffered
     /// actions. The action buffer is loaned from `self.scratch` and handed
-    /// back afterwards, so steady-state dispatch allocates nothing.
+    /// back afterwards, so steady-state dispatch allocates nothing. Timers
+    /// the callback set and cancelled itself were annulled in the context
+    /// and only count here.
     fn dispatch<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut N, &mut Context<'_, N::Msg>),
@@ -417,6 +427,7 @@ impl<N: Node> Simulation<N> {
         let mut ctx = Context::new(self.now, id, &mut self.node_rngs[id], &mut self.next_timer);
         ctx.actions = std::mem::take(&mut self.scratch);
         f(&mut self.nodes[id], &mut ctx);
+        self.stats.timers_suppressed += ctx.annulled;
         let mut actions = ctx.actions;
         let mut crashed_self = false;
         for a in actions.drain(..) {
@@ -657,7 +668,9 @@ mod tests {
         assert_eq!(sim.node(0).seen, vec![(50, 0), (300, 3)]);
         assert_eq!(sim.node(0).crashes, 1);
         assert_eq!(sim.stats().externals_dropped, 2);
-        assert_eq!(sim.stats().peak_queue_depth, 6);
+        // The crash, the recovery and the stream's next arrival: undrawn
+        // arrivals are pending but not resident.
+        assert_eq!(sim.stats().peak_queue_depth, 3);
     }
 
     #[test]
@@ -674,7 +687,7 @@ mod tests {
         // ties with the recovery and was scheduled first, so it is dropped.
         assert_eq!(sim.node(0).seen, vec![(50, 0), (100, 1), (250, 4)]);
         assert_eq!(sim.stats().externals_dropped, 2);
-        assert_eq!(sim.stats().peak_queue_depth, 7);
+        assert_eq!(sim.stats().peak_queue_depth, 3, "resident entries only");
         assert_eq!(sim.pending_events(), 0);
     }
 
@@ -820,6 +833,152 @@ mod tests {
         let mut sim = Simulation::new(vec![T::default()], NetworkConfig::reliable(), 7);
         sim.run_to_quiescence();
         assert_eq!(sim.node(0).fired, 1);
+    }
+
+    /// Sets a timer at each arrival and runs `then` on it, in the same
+    /// callback; records what fires.
+    struct SetThen {
+        then: fn(&mut Context<'_, u8>, TimerId),
+        fired: u32,
+    }
+
+    impl Node for SetThen {
+        type Msg = u8;
+        fn on_message(&mut self, _from: NodeId, _msg: u8, _ctx: &mut Context<'_, u8>) {}
+        fn on_external(&mut self, _tag: u64, ctx: &mut Context<'_, u8>) {
+            let t = ctx.set_timer(SimDuration::millis(1), 0);
+            (self.then)(ctx, t);
+        }
+        fn on_timer(&mut self, _id: TimerId, _tag: u64, _ctx: &mut Context<'_, u8>) {
+            self.fired += 1;
+        }
+    }
+
+    #[test]
+    fn a_timer_cancelled_in_the_callback_that_set_it_never_reaches_the_lane() {
+        let node = SetThen {
+            then: |ctx, t| ctx.cancel_timer(t),
+            fired: 0,
+        };
+        let mut sim = Simulation::new(vec![node], NetworkConfig::reliable(), 14);
+        sim.schedule_arrivals(0, 1, |_| SimTime(1_000));
+        sim.run_until(SimTime(1_000));
+        assert_eq!(sim.pending_timers(), 0);
+        assert_eq!(sim.stats().timers_suppressed, 1, "the pair counts once");
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(0).fired, 0);
+        assert_eq!(sim.stats().timers_fired, 0);
+        assert_eq!(sim.stats().events_processed, 1, "the arrival only");
+        assert_eq!(sim.stats().peak_queue_depth, 1);
+    }
+
+    #[test]
+    fn a_cancel_after_crash_self_leaves_the_timer_to_pop_suppressed() {
+        let node = SetThen {
+            then: |ctx, t| {
+                ctx.crash_self();
+                ctx.cancel_timer(t);
+            },
+            fired: 0,
+        };
+        let mut sim = Simulation::new(vec![node], NetworkConfig::reliable(), 15);
+        sim.schedule_arrivals(0, 1, |_| SimTime(1_000));
+        sim.schedule_recover(SimTime(1_500), 0);
+        sim.run_until(SimTime(1_000));
+        assert!(sim.is_crashed(0));
+        assert_eq!(sim.pending_timers(), 1, "armed before the crash");
+        assert_eq!(sim.stats().timers_suppressed, 0);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(0).fired, 0);
+        assert_eq!(sim.stats().timers_suppressed, 1, "popped stale");
+        // The arrival, the recovery and the suppressed timer's pop.
+        assert_eq!(sim.stats().events_processed, 3);
+        assert_eq!(sim.now(), SimTime(2_000));
+    }
+
+    #[test]
+    fn an_annulled_pair_leaves_later_entries_in_order() {
+        // Both orders of a message and a timer due at the same instant,
+        // each scheduled after an annulled pair in the same callback.
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>;
+        struct N {
+            log: Log,
+            timer_first: bool,
+        }
+        impl Node for N {
+            type Msg = u8;
+            fn on_message(&mut self, _from: NodeId, _msg: u8, _ctx: &mut Context<'_, u8>) {
+                self.log.borrow_mut().push("message");
+            }
+            fn on_external(&mut self, _tag: u64, ctx: &mut Context<'_, u8>) {
+                let a = ctx.set_timer(SimDuration::millis(1), 9);
+                ctx.cancel_timer(a);
+                if self.timer_first {
+                    ctx.set_timer(SimDuration::millis(1), 0);
+                    ctx.send(0, 1);
+                } else {
+                    ctx.send(0, 1);
+                    ctx.set_timer(SimDuration::millis(1), 0);
+                }
+            }
+            fn on_timer(&mut self, _id: TimerId, tag: u64, _ctx: &mut Context<'_, u8>) {
+                assert_eq!(tag, 0, "the annulled timer never fires");
+                self.log.borrow_mut().push("timer");
+            }
+        }
+        for (timer_first, want) in [(true, ["timer", "message"]), (false, ["message", "timer"])] {
+            let log = Log::default();
+            let node = N {
+                log: log.clone(),
+                timer_first,
+            };
+            let cfg = NetworkConfig {
+                default_link: LinkConfig::reliable_fixed(SimDuration::millis(1)),
+                ..Default::default()
+            };
+            let mut sim = Simulation::new(vec![node], cfg, 16);
+            sim.schedule_arrivals(0, 1, |_| SimTime(1_000));
+            sim.run_to_quiescence();
+            assert_eq!(*log.borrow(), want);
+            assert_eq!(sim.now(), SimTime(2_000));
+            assert_eq!(sim.stats().timers_suppressed, 1);
+        }
+    }
+
+    #[test]
+    fn a_fast_path_node_keeps_one_resident_arrival_per_node() {
+        // Each arrival arms a timeout and a retry timer and cancels both
+        // before it returns, as a fast-path commit does. Neither reaches
+        // the lane, so the resident peak is the one arrival each stream
+        // keeps there; armed in the lane, the two timers would have
+        // raised it by one.
+        const NODES: usize = 4;
+        const ARRIVALS: usize = 50;
+        let nodes = (0..NODES)
+            .map(|_| SetThen {
+                then: |ctx, timeout| {
+                    let retry = ctx.set_timer(SimDuration::millis(1), 1);
+                    ctx.cancel_timer(retry);
+                    ctx.cancel_timer(timeout);
+                },
+                fired: 0,
+            })
+            .collect();
+        let mut sim = Simulation::new(nodes, NetworkConfig::reliable(), 17);
+        for node in 0..NODES {
+            sim.schedule_arrivals(node, ARRIVALS, move |k| {
+                SimTime(1_000 * (k as u64 + 1) + node as u64)
+            });
+        }
+        assert_eq!(sim.pending_events(), NODES * ARRIVALS);
+        sim.run_to_quiescence();
+        let s = sim.stats();
+        assert_eq!(s.peak_queue_depth, NODES as u64);
+        assert_eq!(s.timers_suppressed, 2 * (NODES * ARRIVALS) as u64);
+        assert_eq!(
+            (s.timers_fired, s.events_processed),
+            (0, (NODES * ARRIVALS) as u64)
+        );
     }
 
     #[test]

@@ -36,14 +36,17 @@ pub struct NetStats {
     pub externals_dropped: u64,
     /// Timer events fired.
     pub timers_fired: u64,
-    /// Timer events suppressed by cancellation or crash.
+    /// Timer events suppressed by cancellation or crash. A timer set and
+    /// cancelled in one callback never reaches the timer lane and still
+    /// counts once here.
     pub timers_suppressed: u64,
     /// Events processed by the kernel (deliveries, arrivals, timer fires,
     /// crashes, recoveries — everything the main loop pops).
     pub events_processed: u64,
-    /// High-water mark of pending work, all three lanes summed: scheduled
-    /// arrivals (a stream's undrawn ones included) and faults + in-flight
-    /// messages + armed timers.
+    /// High-water mark of resident work, all three lanes summed: scheduled
+    /// arrivals and faults + in-flight messages + armed timers. An arrival
+    /// stream is resident as its next arrival only; the arrivals it has
+    /// not drawn yet count in `Simulation::pending_events` but not here.
     pub peak_queue_depth: u64,
 }
 

@@ -16,6 +16,13 @@
 //! Determinism: `seq` comes from the kernel's one global counter (shared
 //! with the other lanes), so merging the lanes by `(at, seq)` replays the
 //! exact total order the single-queue kernel produced.
+//!
+//! A timer set and cancelled inside one callback never gets here: the
+//! node's `Context` annuls the pair before the kernel applies its actions.
+//!
+//! The lane's methods are `#[inline]`: it is driven from the generic
+//! kernel, which is instantiated in the crate that names the node type,
+//! and the release profile has no LTO to inline across that boundary.
 
 use crate::event::Key;
 use crate::time::SimTime;
@@ -67,6 +74,7 @@ pub(crate) struct TimerLane {
 }
 
 impl TimerLane {
+    #[inline]
     pub fn new() -> Self {
         TimerLane::default()
     }
@@ -85,6 +93,7 @@ impl TimerLane {
 
     /// Arm a timer. Ids must be handed in increasing order (the kernel's
     /// counter guarantees it; gaps are fine).
+    #[inline]
     pub fn schedule(&mut self, e: TimerEntry) {
         if self.pos.is_empty() {
             self.base = e.id;
@@ -106,6 +115,7 @@ impl TimerLane {
     }
 
     /// Disarm timer `id` in place. Returns whether it was pending.
+    #[inline]
     pub fn cancel(&mut self, id: u64) -> bool {
         let i = match id.checked_sub(self.base) {
             Some(off) => match self.pos.get(off as usize) {
@@ -124,6 +134,7 @@ impl TimerLane {
     }
 
     /// Remove and return the earliest timer.
+    #[inline]
     pub fn pop(&mut self) -> Option<TimerEntry> {
         let e = *self.heap.first()?;
         self.forget(e.id);
@@ -146,6 +157,7 @@ impl TimerLane {
     }
 
     /// Drop armed timer `id` from the table and trim the dead front.
+    #[inline]
     fn forget(&mut self, id: u64) {
         if id < self.base {
             self.stragglers -= 1;
@@ -156,6 +168,7 @@ impl TimerLane {
     }
 
     /// Slide the window past ids that are no longer armed.
+    #[inline]
     fn trim_front(&mut self) {
         while self.pos.front() == Some(&DEAD) {
             self.pos.pop_front();
@@ -176,6 +189,7 @@ impl TimerLane {
 
     /// Remove the entry at heap index `i` (already forgotten by the table)
     /// and restore the heap invariant.
+    #[inline]
     fn remove_at(&mut self, i: usize) {
         let last = self.heap.len() - 1;
         if i == last {
@@ -190,6 +204,7 @@ impl TimerLane {
         self.sift_up(i);
     }
 
+    #[inline]
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
@@ -201,6 +216,7 @@ impl TimerLane {
         }
     }
 
+    #[inline]
     fn sift_down(&mut self, mut i: usize) {
         loop {
             let l = 2 * i + 1;
@@ -221,6 +237,7 @@ impl TimerLane {
         }
     }
 
+    #[inline]
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
         self.set_pos(self.heap[a].id, a);

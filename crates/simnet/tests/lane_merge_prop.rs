@@ -11,8 +11,12 @@
 //! calls, in the past), up to one arrival stream per node
 //! (`schedule_arrivals`, before the first run or mid-run, some of its
 //! instants in the past; the model pushes each arrival up front, clamped
-//! to `now`), sends, `set_timer` and `cancel_timer`, comparing the full
-//! dispatch sequence.
+//! to `now`), sends, `set_timer`, `cancel_timer` (of any timer, or of the
+//! one the same callback just set) and `crash_self`, comparing the full
+//! dispatch sequence. The model applies every action literally, so it
+//! also checks that the real kernel's annulment of a timer set and
+//! cancelled in one callback, and the exception after `crash_self`, are
+//! unobservable.
 
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::node::{Context, Node, TimerId};
@@ -51,6 +55,10 @@ enum Op {
     Cancel {
         nth: usize,
     },
+    /// Cancel the timer this callback set last, if it set one.
+    CancelJustSet,
+    /// Crash in place: the effects after it are discarded.
+    CrashSelf,
 }
 
 /// The side effects a callback may request, over either kernel.
@@ -59,6 +67,7 @@ trait Effects {
     fn send(&mut self, to: NodeId, msg: u64);
     fn set_timer(&mut self, delay: SimDuration, tag: u64) -> Self::Timer;
     fn cancel_timer(&mut self, t: Self::Timer);
+    fn crash_self(&mut self);
 }
 
 /// A node's whole behaviour: its `k`-th callback (of any kind) runs
@@ -91,6 +100,7 @@ impl<T: Copy> Brain<T> {
         }
         let ops = &self.program[self.calls % self.program.len()];
         self.calls += 1;
+        let first = self.timers.len();
         for op in ops {
             match *op {
                 Op::Send { to } => {
@@ -103,6 +113,12 @@ impl<T: Copy> Brain<T> {
                         fx.cancel_timer(self.timers[nth % self.timers.len()]);
                     }
                 }
+                Op::CancelJustSet => {
+                    if self.timers.len() > first {
+                        fx.cancel_timer(*self.timers.last().expect("set here"));
+                    }
+                }
+                Op::CrashSelf => fx.crash_self(),
             }
         }
     }
@@ -149,6 +165,9 @@ impl Effects for CtxEffects<'_, '_> {
     }
     fn cancel_timer(&mut self, t: TimerId) {
         self.0.cancel_timer(t);
+    }
+    fn crash_self(&mut self) {
+        self.0.crash_self();
     }
 }
 
@@ -220,6 +239,7 @@ enum Action {
     Send { to: NodeId, msg: u64 },
     SetTimer { id: u64, at: SimTime, tag: u64 },
     Cancel { id: u64 },
+    CrashSelf,
 }
 
 struct ModelEffects<'a> {
@@ -245,6 +265,9 @@ impl Effects for ModelEffects<'_> {
     }
     fn cancel_timer(&mut self, id: u64) {
         self.actions.push(Action::Cancel { id });
+    }
+    fn crash_self(&mut self) {
+        self.actions.push(Action::CrashSelf);
     }
 }
 
@@ -320,6 +343,9 @@ impl Model {
         };
         self.brains[node].react(&mut fx);
         for a in fx.actions {
+            if self.crashed[node] {
+                break; // effects requested after a crash_self never happen
+            }
             match a {
                 Action::Send { to, msg } => {
                     let at = self.now + ticks(self.delay_ticks[node][to]);
@@ -351,7 +377,20 @@ impl Model {
                         self.counters.timers_suppressed += 1;
                     }
                 }
+                Action::CrashSelf => self.crash(node),
             }
+        }
+    }
+
+    fn crash(&mut self, node: NodeId) {
+        if !self.crashed[node] {
+            self.crashed[node] = true;
+            self.epoch[node] += 1;
+            self.log.push(Dispatch {
+                at: None,
+                node,
+                what: What::Crash,
+            });
         }
     }
 
@@ -390,17 +429,7 @@ impl Model {
                         self.dispatch(node, What::External { tag });
                     }
                 }
-                Pending::Crash { node } => {
-                    if !self.crashed[node] {
-                        self.crashed[node] = true;
-                        self.epoch[node] += 1;
-                        self.log.push(Dispatch {
-                            at: None,
-                            node,
-                            what: What::Crash,
-                        });
-                    }
-                }
+                Pending::Crash { node } => self.crash(node),
                 Pending::Recover { node } => {
                     if self.crashed[node] {
                         self.crashed[node] = false;
@@ -478,6 +507,9 @@ fn op() -> impl Strategy<Value = Op> {
         (0..NODES).prop_map(|to| Op::Send { to }),
         (0u64..6, 0u64..100).prop_map(|(ticks, tag)| Op::SetTimer { ticks, tag }),
         (0usize..64).prop_map(|nth| Op::Cancel { nth }),
+        Just(Op::CancelJustSet),
+        Just(Op::CancelJustSet),
+        Just(Op::CrashSelf),
     ]
 }
 

@@ -6,9 +6,14 @@
 //! sᵢ to a site sⱼ"). The receiver accepts only the next in-order
 //! sequence number ("the messages will never be accepted if they are
 //! out-of-order"), which makes the cumulative ack sound.
+//!
+//! The unacked outgoing Vms are a ring in ascending `seq`: a Vm is created
+//! at the next `seq` and pushed at the back, and a cumulative ack releases
+//! a prefix from the front. Log replay and checkpoint restore hand the
+//! ring ascending sequence numbers too, so they push at the back as well.
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Channel sequence number. `0` means "nothing yet"; real messages use
 /// `1, 2, 3, …`.
@@ -19,8 +24,9 @@ pub type Seq = u64;
 pub struct Channel {
     /// Sequence number of the last Vm created toward the peer.
     pub(crate) last_created: Seq,
-    /// Unacked outgoing Vms: seq -> payload. Durable via `VmLogOp::Created`.
-    pub(crate) outgoing: BTreeMap<Seq, Bytes>,
+    /// Unacked outgoing Vms as `(seq, payload)`, ascending `seq`. Durable
+    /// via `VmLogOp::Created`.
+    pub(crate) outgoing: VecDeque<(Seq, Bytes)>,
     /// Highest cumulative ack received from the peer.
     pub(crate) acked_out: Seq,
     /// Highest in-order sequence accepted *and committed* from the peer
@@ -57,8 +63,33 @@ impl Channel {
     /// Mint the next outgoing sequence number and remember the payload.
     pub(crate) fn create(&mut self, payload: Bytes) -> Seq {
         self.last_created += 1;
-        self.outgoing.insert(self.last_created, payload);
+        self.push(self.last_created, payload);
         self.last_created
+    }
+
+    /// Replay a logged creation of Vm `seq`. The log holds a channel's
+    /// creations in `seq` order.
+    pub(crate) fn replay_created(&mut self, seq: Seq, payload: Bytes) {
+        self.last_created = self.last_created.max(seq);
+        self.push(seq, payload);
+    }
+
+    /// Replace the unacked outgoing Vms with a checkpoint's, which lists
+    /// them in ascending `seq`.
+    pub(crate) fn restore_outgoing(&mut self, outgoing: &[(Seq, Bytes)]) {
+        self.outgoing.clear();
+        for (seq, payload) in outgoing {
+            self.push(*seq, payload.clone());
+        }
+    }
+
+    /// Remember `payload` as unacked Vm `seq`, above every entry.
+    fn push(&mut self, seq: Seq, payload: Bytes) {
+        debug_assert!(
+            self.outgoing.back().is_none_or(|&(last, _)| last < seq),
+            "unacked Vms are kept in seq order"
+        );
+        self.outgoing.push_back((seq, payload));
     }
 
     /// Process a cumulative ack from the peer: hand the sequence number
@@ -70,11 +101,12 @@ impl Channel {
         }
         self.acked_out = ack;
         let mut n = 0;
-        while let Some(entry) = self.outgoing.first_entry() {
-            if *entry.key() > ack {
+        while let Some(&(seq, _)) = self.outgoing.front() {
+            if seq > ack {
                 break;
             }
-            released(entry.remove_entry().0);
+            self.outgoing.pop_front();
+            released(seq);
             n += 1;
         }
         n
@@ -157,5 +189,108 @@ mod tests {
     fn out_of_order_commit_is_a_bug() {
         let mut c = Channel::default();
         c.commit_accept(2);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The channel's outgoing side over the ordered map the ring
+        /// replaced, as the reference model.
+        #[derive(Default)]
+        struct Reference {
+            last_created: Seq,
+            acked_out: Seq,
+            outgoing: BTreeMap<Seq, Bytes>,
+        }
+
+        impl Reference {
+            fn create(&mut self, payload: Bytes) -> Seq {
+                self.last_created += 1;
+                self.outgoing.insert(self.last_created, payload);
+                self.last_created
+            }
+
+            fn replay_created(&mut self, seq: Seq, payload: Bytes) {
+                self.last_created = self.last_created.max(seq);
+                self.outgoing.insert(seq, payload);
+            }
+
+            fn on_ack(&mut self, ack: Seq) -> Vec<Seq> {
+                let mut out = Vec::new();
+                if ack <= self.acked_out {
+                    return out;
+                }
+                self.acked_out = ack;
+                while let Some(entry) = self.outgoing.first_entry() {
+                    if *entry.key() > ack {
+                        break;
+                    }
+                    out.push(entry.remove_entry().0);
+                }
+                out
+            }
+
+            /// Snapshot order: ascending `seq`.
+            fn snapshot(&self) -> Vec<(Seq, Bytes)> {
+                self.outgoing.iter().map(|(&s, p)| (s, p.clone())).collect()
+            }
+        }
+
+        fn payload(k: u64) -> Bytes {
+            Bytes::copy_from_slice(&k.to_be_bytes())
+        }
+
+        /// One step: 0 creates, 1 acks cumulatively (sometimes stale), 2
+        /// replays a `Created` above every outstanding Vm (as a log holds
+        /// them: the next `seq`, or one past a gap a lost record left), 3
+        /// replays an `AckObserved`, 4 restores from a snapshot of the
+        /// model (ascending, as `snapshot_into` writes it), or from an
+        /// empty one.
+        fn step() -> impl Strategy<Value = (u8, u64, bool)> {
+            (0u8..5, 0u64..16, any::<bool>())
+        }
+
+        proptest! {
+            /// Every answer and the snapshot order agree with the map at
+            /// every step.
+            #[test]
+            fn the_ring_answers_as_the_map_does(
+                steps in proptest::collection::vec(step(), 0..80),
+            ) {
+                let mut ring = Channel::default();
+                let mut model = Reference::default();
+                for (i, (op, k, twist)) in steps.into_iter().enumerate() {
+                    let p = payload(i as u64);
+                    match op {
+                        0 => prop_assert_eq!(ring.create(p.clone()), model.create(p)),
+                        1 | 3 => {
+                            let ack = model.last_created.saturating_sub(k % 6);
+                            let mut out = Vec::new();
+                            let n = ring.on_ack(ack, |s| out.push(s));
+                            prop_assert_eq!(n, out.len());
+                            prop_assert_eq!(out, model.on_ack(ack));
+                        }
+                        2 => {
+                            let gap = if twist { k % 3 } else { 0 };
+                            let seq = model.last_created + 1 + gap;
+                            ring.replay_created(seq, p.clone());
+                            model.replay_created(seq, p);
+                        }
+                        _ => {
+                            let snap = if twist { Vec::new() } else { model.snapshot() };
+                            ring.restore_outgoing(&snap);
+                            model.outgoing = snap.into_iter().collect();
+                        }
+                    }
+                    prop_assert_eq!(ring.last_created, model.last_created);
+                    prop_assert_eq!(ring.acked_out, model.acked_out);
+                    prop_assert_eq!(ring.in_flight(), model.outgoing.len());
+                    let snap: Vec<(Seq, Bytes)> = ring.outgoing.iter().cloned().collect();
+                    prop_assert_eq!(snap, model.snapshot());
+                }
+            }
+        }
     }
 }

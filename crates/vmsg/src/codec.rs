@@ -86,6 +86,7 @@ impl Image {
         }
     }
 
+    #[inline]
     fn bytes(&self) -> &[u8] {
         match self {
             Image::Inline { len, buf } => &buf[..*len as usize],
@@ -133,11 +134,13 @@ impl WireDatagram {
     }
 
     /// The per-(sender, peer) datagram id from the header.
+    #[inline]
     pub fn id(&self) -> u64 {
         Reader::new(self.image.bytes()).u64()
     }
 
     /// Number of frames carried (from the header).
+    #[inline]
     pub fn frame_count(&self) -> u32 {
         let mut r = Reader::new(self.image.bytes());
         r.u64();
@@ -155,6 +158,7 @@ impl WireDatagram {
     /// since datagrams only ever come from [`encode`](Self::encode),
     /// corruption is a bug in the transport, not an input to be
     /// tolerated.
+    #[inline]
     pub fn frames(&self) -> Frames<'_> {
         let mut r = Reader::new(self.image.bytes());
         r.u64();
@@ -208,6 +212,7 @@ pub struct Frames<'a> {
 impl<'a> Iterator for Frames<'a> {
     type Item = Frame<&'a [u8]>;
 
+    #[inline]
     fn next(&mut self) -> Option<Frame<&'a [u8]>> {
         if self.left == 0 {
             assert_eq!(
@@ -256,11 +261,13 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    #[inline]
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, at: 0 }
     }
 
     /// The next `n` bytes, borrowed.
+    #[inline]
     fn take(&mut self, n: usize) -> &'a [u8] {
         let s = self
             .buf
@@ -270,14 +277,17 @@ impl<'a> Reader<'a> {
         s
     }
 
+    #[inline]
     fn u8(&mut self) -> u8 {
         self.take(1)[0]
     }
 
+    #[inline]
     fn u32(&mut self) -> u32 {
         u32::from_be_bytes(self.take(4).try_into().expect("four bytes"))
     }
 
+    #[inline]
     fn u64(&mut self) -> u64 {
         u64::from_be_bytes(self.take(8).try_into().expect("eight bytes"))
     }

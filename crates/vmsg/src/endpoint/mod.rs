@@ -189,6 +189,7 @@ impl VmEndpoint {
 
     /// Grow every peer-indexed table to cover `peer`. `next_datagram` is
     /// grown but never cleared — its contents outlive crashes.
+    #[inline]
     fn ensure_peer(&mut self, peer: SiteId) {
         if peer < self.chans.len() {
             return;
@@ -203,6 +204,7 @@ impl VmEndpoint {
         }
     }
 
+    #[inline]
     fn chan(&mut self, peer: SiteId) -> &mut Channel {
         self.ensure_peer(peer);
         let slot = &mut self.chans[peer];
@@ -253,7 +255,7 @@ impl VmEndpoint {
     pub fn outgoing_toward(&self, peer: SiteId) -> impl Iterator<Item = (Seq, Bytes)> + '_ {
         self.chan_ref(peer)
             .into_iter()
-            .flat_map(|c| c.outgoing.iter().map(|(&s, p)| (s, p.clone())))
+            .flat_map(|c| c.outgoing.iter().cloned())
     }
 
     /// Peers this endpoint has channel state with, in ascending order.
@@ -268,6 +270,7 @@ impl VmEndpoint {
     /// Whether any channel still has unacked outgoing Vms (i.e. `tick`
     /// still has work to do). O(1): the dirty count tracks exactly the
     /// channels with in-flight Vms.
+    #[inline]
     pub fn has_outstanding(&self) -> bool {
         self.dirty_count > 0
     }

@@ -37,9 +37,7 @@ impl VmEndpoint {
     pub fn replay(&mut self, op: &VmLogOp) {
         match op {
             VmLogOp::Created { to, seq, payload } => {
-                let c = self.chan(*to);
-                c.last_created = (*seq).max(c.last_created);
-                c.outgoing.insert(*seq, payload.clone());
+                self.chan(*to).replay_created(*seq, payload.clone());
                 self.mark_dirty(*to);
             }
             VmLogOp::Accepted { from, seq } => {
@@ -80,8 +78,7 @@ impl VmEndpoint {
             s.acked_out = c.acked_out;
             s.accepted_in = c.accepted_in;
             s.outgoing.clear();
-            s.outgoing
-                .extend(c.outgoing.iter().map(|(&seq, p)| (seq, p.clone())));
+            s.outgoing.extend(c.outgoing.iter().cloned());
             n += 1;
         }
         snaps.truncate(n);
@@ -94,7 +91,7 @@ impl VmEndpoint {
             c.last_created = s.last_created;
             c.acked_out = s.acked_out;
             c.accepted_in = s.accepted_in;
-            c.outgoing = s.outgoing.iter().cloned().collect();
+            c.restore_outgoing(&s.outgoing);
             if c.in_flight() > 0 {
                 self.mark_dirty(s.peer);
             } else {

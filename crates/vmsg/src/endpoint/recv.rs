@@ -128,6 +128,19 @@ impl VmEndpoint {
         true
     }
 
+    /// [`flush_owed_ack`](Self::flush_owed_ack) toward every peer, in
+    /// ascending peer order. Returns whether any ack was owed.
+    pub fn flush_owed_acks(&mut self) -> bool {
+        if !self.ack_owed.contains(&true) {
+            return false; // the common case: one scan, no per-peer calls
+        }
+        let mut owed = false;
+        for peer in 0..self.ack_owed.len() {
+            owed |= self.flush_owed_ack(peer);
+        }
+        owed
+    }
+
     /// Whether `peer` is owed a standalone ack.
     pub fn has_owed_ack(&self, peer: SiteId) -> bool {
         self.ack_owed.get(peer).copied().unwrap_or(false)
@@ -135,6 +148,7 @@ impl VmEndpoint {
 
     /// Mark the start of processing an incoming datagram: subsequent
     /// `VmAccept` events carry `id` until the next datagram begins.
+    #[inline]
     pub fn begin_datagram(&mut self, id: u64) {
         self.in_datagram = id;
     }
@@ -143,6 +157,7 @@ impl VmEndpoint {
     /// ack observed) since the last call into `out` (appending). Hosts
     /// use this to release per-item bookkeeping (e.g. "outstanding Vms
     /// for item d").
+    #[inline]
     pub fn drain_completed_into(&mut self, out: &mut Vec<(SiteId, Seq)>) {
         out.append(&mut self.completed);
     }

@@ -82,10 +82,10 @@ impl VmEndpoint {
             let highest_sent = chan.highest_sent;
             let retx_before = chan.retx_before;
             let mut max_in_window = highest_sent;
-            for (&seq, payload) in chan
+            for &(seq, ref payload) in chan
                 .outgoing
                 .iter()
-                .take_while(|(&s, _)| s <= base + cfg.window as Seq)
+                .take_while(|&&(s, _)| s <= base + cfg.window as Seq)
             {
                 max_in_window = max_in_window.max(seq);
                 // Coalescing pacing: a frame first sent since the previous

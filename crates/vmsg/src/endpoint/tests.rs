@@ -555,6 +555,27 @@ fn owed_ack_flushes_standalone_without_reverse_traffic() {
 }
 
 #[test]
+fn flush_owed_acks_serves_every_peer_in_ascending_order() {
+    let mut r = VmEndpoint::new(1, coalescing_cfg());
+    for from in [3, 0] {
+        let mut s = VmEndpoint::new(from, coalescing_cfg());
+        let _ = s.create(1, b("x"));
+        for receipt in flush_datagrams(&mut s, &mut r) {
+            if let Receipt::Fresh { seq, .. } = receipt {
+                r.commit_accept(from, seq);
+            }
+        }
+    }
+    assert!(r.flush_owed_acks());
+    assert!(!r.flush_owed_acks(), "second flush finds nothing owed");
+    let mut dgrams = Vec::new();
+    r.drain_datagrams_into(0, &mut dgrams);
+    let to: Vec<SiteId> = dgrams.iter().map(|(to, _)| *to).collect();
+    assert_eq!(to, vec![0, 3]);
+    assert_eq!(r.stats().ack_frames_sent, 2);
+}
+
+#[test]
 fn datagram_ids_stay_monotone_across_crash() {
     let mut s = VmEndpoint::new(0, coalescing_cfg());
     let op = s.create(1, b("a"));
