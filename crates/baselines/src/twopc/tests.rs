@@ -548,6 +548,7 @@ fn a_stale_prepare_after_the_commit_is_refused() {
         .node(1)
         .node
         .log()
+        .clone()
         .recover_entries()
         .unwrap()
         .into_iter()

@@ -195,6 +195,18 @@ impl Durable {
         }
     }
 
+    /// Append the `Commit` record of `txn`, lending it `actions` for the
+    /// call: the list is handed back for the install, the counters and
+    /// the history sink, so a commit builds it once.
+    pub(super) fn append_commit(&mut self, txn: Ts, actions: DbActions) -> DbActions {
+        let rec = SiteRecord::Commit { txn, actions };
+        self.stable.log.append(&rec);
+        match rec {
+            SiteRecord::Commit { actions, .. } => actions,
+            _ => unreachable!("built as a Commit above"),
+        }
+    }
+
     /// A record that must be durable before any frame of this dispatch
     /// leaves was just appended: the flush boundary owes one force.
     pub(super) fn owe_force(&mut self) {
@@ -378,7 +390,8 @@ impl Durable {
 
     /// Reconstruct the site's durable state — fragments over `items`
     /// items and Vm channels — from the checkpoint slot and stable log
-    /// alone, touching nothing live.
+    /// alone, touching nothing live. The scan runs on a clone of the log,
+    /// so the live log stays as unsealed as it was.
     pub(super) fn rebuilt_state(&self, items: usize, vm: VmConfig) -> (FragmentStore, VmEndpoint) {
         let mut frags = FragmentStore::new(items);
         let mut vm = VmEndpoint::new(self.site, vm);
@@ -386,7 +399,7 @@ impl Durable {
             frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
             vm.restore(&cp.snapshot.vm);
         }
-        let recovered = self.stable.log.recover_lenient();
+        let recovered = self.stable.log.clone().recover_lenient();
         redo_entries(
             &mut frags,
             &mut vm,

@@ -2,6 +2,13 @@
 //! transaction and the write-only fast path) under either concurrency
 //! scheme (Section 6): begin and lock, solicit what is missing, commit
 //! or abort, and wake whoever queued behind the released locks.
+//!
+//! A transaction that holds its locks on arrival, reads nothing and finds
+//! its demands covered by the local fragments commits in the callback
+//! that received it, straight from its spec. Only a transaction that
+//! must wait — for a lock, for value, for read grants — is registered as
+//! an [`ActiveTxn`] and arms its timeout timer. Both kinds of commit run
+//! the same steps (`commit`).
 
 use super::msg::{Body, ProtoMsg, Solicit};
 use super::{peers_of, SiteNode, TAG_PAYLOAD_MASK, TAG_SOLICIT_RETRY, TAG_TIMEOUT};
@@ -31,10 +38,12 @@ pub(super) enum Waiter {
     Request { from: NodeId, ask: Solicit },
 }
 
-/// Volatile state of one in-flight local transaction.
+/// Volatile state of one local transaction that must wait.
 #[derive(Clone, Debug)]
 pub(super) struct ActiveTxn {
     spec: TxnSpec,
+    /// `spec.reads()`, computed once.
+    reads: Vec<ItemId>,
     started: SimTime,
     timeout_timer: TimerId,
     /// Items still to lock (Conc2 queueing); empty ⇒ all locks held.
@@ -69,12 +78,18 @@ impl ActiveTxn {
             && self.reads_blocked_on_self.is_empty()
     }
 
-    fn new(spec: TxnSpec, started: SimTime, timeout_timer: TimerId) -> Self {
+    fn new(
+        spec: TxnSpec,
+        started: SimTime,
+        timeout_timer: TimerId,
+        pending_locks: Vec<ItemId>,
+    ) -> Self {
         ActiveTxn {
+            reads: spec.reads(),
             spec,
             started,
             timeout_timer,
-            pending_locks: Vec::new(),
+            pending_locks,
             deficits: SVec::new(),
             read_pending: Vec::new(),
             reads_blocked_on_self: Vec::new(),
@@ -86,7 +101,7 @@ impl ActiveTxn {
     }
 }
 
-/// In-flight local transactions, sorted by timestamp. Timestamps are
+/// Local transactions that must wait, sorted by timestamp. Timestamps are
 /// issued in increasing order per site, so insertion is a push-at-end
 /// in the steady state and iteration is in timestamp order.
 #[derive(Default)]
@@ -134,7 +149,6 @@ impl ActiveTable {
 impl SiteNode {
     pub(super) fn begin_txn(&mut self, spec: TxnSpec, ctx: &mut Context<'_, ProtoMsg>) {
         let ts = self.clock.tick_at(ctx.now().micros());
-        let timer = ctx.set_timer(self.cfg.txn_timeout, TAG_TIMEOUT | ts.0);
         debug_assert!(
             ts.0 <= TAG_PAYLOAD_MASK,
             "timestamp exceeds timer-tag space"
@@ -144,7 +158,6 @@ impl SiteNode {
             txn: ts.0,
             ops: self.access_scratch.len() as u32,
         });
-        let mut txn = ActiveTxn::new(spec, ctx.now(), timer);
 
         match self.cfg.conc {
             ConcMode::Conc1 => {
@@ -161,9 +174,8 @@ impl SiteNode {
                     }
                 }
                 if let Some(reason) = conflict {
-                    // The transaction never registered in `active`.
-                    ctx.cancel_timer(txn.timeout_timer);
-                    self.finish_abort(ts, &txn, reason, ctx);
+                    // Nothing was locked, registered or armed.
+                    self.finish_abort(ts, ctx.now(), reason, ctx);
                     return;
                 }
                 for &item in &self.access_scratch {
@@ -172,40 +184,62 @@ impl SiteNode {
                         .expect("checked free above");
                     self.frags.bump_ts(item, ts);
                 }
-                self.active.insert(ts, txn);
-                self.locks_granted(ts, ctx);
             }
             ConcMode::Conc2 => {
                 // Incremental ordered acquisition with FIFO queues.
-                for (idx, &item) in self.access_scratch.iter().enumerate() {
-                    if self.locks.try_lock(item, Holder::Txn(ts)).is_err() {
-                        self.lock_queue[item.0 as usize].push_back(Waiter::LocalTxn(ts));
-                        self.obs.emit_with(self.id as u32, || EventKind::TxnQueued {
-                            txn: ts.0,
-                            item: item.0,
-                        });
-                        txn.pending_locks = self.access_scratch[idx..].to_vec();
-                        break;
-                    }
-                }
-                let held = txn.locks_held();
-                self.active.insert(ts, txn);
-                if held {
-                    self.locks_granted(ts, ctx);
+                let blocked = self
+                    .access_scratch
+                    .iter()
+                    .position(|&item| self.locks.try_lock(item, Holder::Txn(ts)).is_err());
+                if let Some(idx) = blocked {
+                    let item = self.access_scratch[idx];
+                    self.lock_queue[item.0 as usize].push_back(Waiter::LocalTxn(ts));
+                    self.obs.emit_with(self.id as u32, || EventKind::TxnQueued {
+                        txn: ts.0,
+                        item: item.0,
+                    });
+                    let pending = self.access_scratch[idx..].to_vec();
+                    self.register(ts, spec, pending, ctx);
+                    return;
                 }
             }
         }
+        // Every lock is held on arrival.
+        spec.demands_into(&mut self.demands_scratch);
+        let covered = self.note_demands();
+        if covered && spec.writes_only() && !self.inject.crash_pending() {
+            // The write-only fast path: commit here, from the spec.
+            self.commit(ts, &spec, &[], ctx.now(), None, ctx);
+        } else {
+            self.register(ts, spec, Vec::new(), ctx);
+            self.await_needs(ts, ctx);
+        }
+    }
+
+    /// Register `ts` as a transaction that must wait and arm its timeout
+    /// — ahead of the retry timer and the solicitations, the order these
+    /// actions have always taken.
+    fn register(
+        &mut self,
+        ts: Ts,
+        spec: TxnSpec,
+        pending_locks: Vec<ItemId>,
+        ctx: &mut Context<'_, ProtoMsg>,
+    ) {
+        let timer = ctx.set_timer(self.cfg.txn_timeout, TAG_TIMEOUT | ts.0);
+        let txn = ActiveTxn::new(spec, ctx.now(), timer, pending_locks);
+        self.active.insert(ts, txn);
     }
 
     /// The bookkeeping every abort ends with: counters and trace.
     fn finish_abort(
         &mut self,
         ts: Ts,
-        txn: &ActiveTxn,
+        started: SimTime,
         reason: AbortReason,
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
-        let latency = ctx.now().since(txn.started).as_micros();
+        let latency = ctx.now().since(started).as_micros();
         self.metrics.record_abort(reason, latency);
         self.obs.emit_with(self.id as u32, || EventKind::TxnAbort {
             txn: ts.0,
@@ -214,27 +248,40 @@ impl SiteNode {
         });
     }
 
-    /// All local locks are held: enter the solicitation phase (Step 2) or
-    /// commit immediately on the write-only fast path.
-    fn locks_granted(&mut self, ts: Ts, ctx: &mut Context<'_, ProtoMsg>) {
-        let t = self.active.get_mut(ts).expect("active");
-        t.spec.demands_into(&mut self.demands_scratch);
-
-        // Deficits after counting what is already local.
+    /// Feed every local demand in `demands_scratch` to the estimator,
+    /// satisfied or not — a hot site with enough local value still wants
+    /// the rebalancer (and its own headroom) to keep it stocked. Returns
+    /// whether the local fragments cover them all.
+    fn note_demands(&mut self) -> bool {
+        let mut covered = true;
         for &(item, demand) in &self.demands_scratch {
-            // Every local demand feeds the estimator, satisfied or not —
-            // a hot site with enough local value still wants the
-            // rebalancer (and its own headroom) to keep it stocked.
             self.planner.local_demand(item, demand);
+            covered &= demand <= self.frags.get(item);
+        }
+        covered
+    }
+
+    /// The registered transaction `ts` now holds every lock (Conc2, after
+    /// queueing).
+    fn locks_granted(&mut self, ts: Ts, ctx: &mut Context<'_, ProtoMsg>) {
+        let t = self.active.get(ts).expect("active");
+        t.spec.demands_into(&mut self.demands_scratch);
+        self.note_demands();
+        self.await_needs(ts, ctx);
+    }
+
+    /// The registered transaction `ts` holds its locks, its demands in
+    /// `demands_scratch`: record what the local fragments lack and what
+    /// it reads, then commit if nothing is missing or solicit (Step 2).
+    fn await_needs(&mut self, ts: Ts, ctx: &mut Context<'_, ProtoMsg>) {
+        let t = self.active.get_mut(ts).expect("active");
+        for &(item, demand) in &self.demands_scratch {
             let deficit = demand.saturating_sub(self.frags.get(item));
             if deficit > 0 {
                 t.deficits.push((item, deficit));
             }
         }
-
-        // `reads()` is empty for write-only transactions (no allocation);
-        // read transactions are off the fast path and may allocate.
-        for item in t.spec.reads() {
+        for &item in &t.reads {
             if self.outstanding.of(item) > 0 {
                 // Our own outgoing Vms must complete before the read can be
                 // exact (they would double-count or escape otherwise).
@@ -377,32 +424,49 @@ impl SiteNode {
 
     /// Tell donors a read transaction has decided, so they can drop their
     /// leases early.
-    fn release_read_leases(&mut self, ts: Ts, spec: &TxnSpec, ctx: &mut Context<'_, ProtoMsg>) {
-        for item in spec.reads() {
+    fn release_read_leases(&mut self, ts: Ts, reads: &[ItemId], ctx: &mut Context<'_, ProtoMsg>) {
+        for &item in reads {
             for to in peers_of(self.id, self.n) {
                 self.send(ctx, to, Body::ReleaseLease { txn: ts, item });
             }
         }
     }
 
-    /// Steps 5–7: force the commit record, install changes, release locks.
+    /// Commit the registered transaction `ts`: every need is met.
     pub(super) fn commit_txn(&mut self, ts: Ts, ctx: &mut Context<'_, ProtoMsg>) {
         if self.inject.crash_pending() {
             return; // the impending crash will abort it as Crashed
         }
         let t = self.active.remove(ts).expect("active");
         ctx.cancel_timer(t.timeout_timer);
-        self.release_read_leases(ts, &t.spec, ctx);
+        let first_credit = t
+            .solicited
+            .then(|| t.first_credit_at.unwrap_or_else(|| ctx.now()));
+        self.commit(ts, &t.spec, &t.reads, t.started, first_credit, ctx);
+    }
 
-        t.spec.deltas_into(&mut self.deltas_scratch);
-        // `reads()` is empty (and allocation-free) for write-only
-        // transactions; 1–2 entries stay inline in the `SVec`s the
-        // history sink keeps until the instant closes.
-        let reads: SVec<(ItemId, Qty), 2> = t
-            .spec
-            .reads()
-            .into_iter()
-            .map(|item| (item, self.frags.get(item)))
+    /// Steps 5–7, for a registered transaction and a fast-path one alike:
+    /// force the commit record, install changes, release locks.
+    /// `first_credit` is `Some` for a transaction that solicited: the
+    /// instant its first credit arrived (or now, if none did), which
+    /// splits its latency into phases.
+    fn commit(
+        &mut self,
+        ts: Ts,
+        spec: &TxnSpec,
+        reads: &[ItemId],
+        started: SimTime,
+        first_credit: Option<SimTime>,
+        ctx: &mut Context<'_, ProtoMsg>,
+    ) {
+        self.release_read_leases(ts, reads, ctx);
+
+        spec.deltas_into(&mut self.deltas_scratch);
+        // Empty for write-only transactions; 1–2 entries stay inline in
+        // the `SVec`s the history sink keeps until the instant closes.
+        let read_values: SVec<(ItemId, Qty), 2> = reads
+            .iter()
+            .map(|&item| (item, self.frags.get(item)))
             .collect();
 
         // Step 5: the forced commit record IS the commit point. The
@@ -416,10 +480,11 @@ impl SiteNode {
             // the Commit record it names.
             self.durable.force_now();
         }
-        self.durable.append(SiteRecord::Commit {
-            txn: ts,
-            actions: DbActions::from_slice(&self.deltas_scratch),
-        });
+        // Built once, and out of the scratch before waking waiters: a
+        // woken one may commit re-entrantly and reuse the scratch.
+        let deltas = self
+            .durable
+            .append_commit(ts, DbActions::from_slice(&self.deltas_scratch));
         if self.crashpoint(ctx, Crashpoint::AfterAppendBeforeForce) {
             // Crash with the Commit record appended but unforced: the
             // record dies with the tail, so the transaction must *not*
@@ -430,29 +495,26 @@ impl SiteNode {
         self.durable.owe_force();
 
         // Step 6: install and note installation.
-        for &(item, delta) in &self.deltas_scratch {
+        for &(item, delta) in &deltas {
             self.frags.apply_delta(item, delta);
             self.frags.bump_ts(item, ts);
         }
         self.durable.append(SiteRecord::Applied { txn: ts });
-        // Copied out before waking waiters: a woken one may commit
-        // re-entrantly and reuse the scratch.
-        let deltas = SVec::from_slice(&self.deltas_scratch);
 
         // Step 7: release locks (and wake Conc2 waiters).
         self.release_locks_and_wake(ts, ctx);
 
-        let latency = ctx.now().since(t.started).as_micros();
-        self.metrics.record_commit(&deltas, latency, !t.solicited);
-        self.history.commit(ctx.now(), ts, deltas, reads);
-        if t.solicited {
+        let latency = ctx.now().since(started).as_micros();
+        self.metrics
+            .record_commit(&deltas, latency, first_credit.is_none());
+        self.history.commit(ctx.now(), ts, deltas, read_values);
+        if let Some(fc) = first_credit {
             // Phase split: solicit = start → first credit arriving,
             // gather = first credit → commit (zero when a single credit
             // completed the transaction in the same instant).
-            let fc = t.first_credit_at.unwrap_or_else(|| ctx.now());
             self.metrics
                 .phases
-                .record("solicit", fc.since(t.started).as_micros());
+                .record("solicit", fc.since(started).as_micros());
             self.metrics
                 .phases
                 .record("gather", ctx.now().since(fc).as_micros());
@@ -460,7 +522,7 @@ impl SiteNode {
         self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
             txn: ts.0,
             latency_us: latency,
-            fast_path: !t.solicited,
+            fast_path: first_credit.is_none(),
         });
     }
 
@@ -491,9 +553,9 @@ impl SiteNode {
                 }
             }
         }
-        self.release_read_leases(ts, &t.spec, ctx);
+        self.release_read_leases(ts, &t.reads, ctx);
         self.release_locks_and_wake(ts, ctx);
-        self.finish_abort(ts, &t, reason, ctx);
+        self.finish_abort(ts, t.started, reason, ctx);
         // Value already absorbed stays: the aborted transaction degenerates
         // to an Rds transaction (Section 6).
     }

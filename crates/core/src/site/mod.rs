@@ -117,7 +117,8 @@ pub struct SiteNode {
     /// This site's place in its run's arrivals: the kernel moves it, an
     /// arrival reads its transaction from it.
     arrivals: ScriptCursor,
-    /// In-flight local transactions.
+    /// In-flight local transactions that must wait (a fast-path commit
+    /// never enters).
     active: ActiveTable,
     /// Conc2 FIFO lock queues, per item.
     lock_queue: Vec<VecDeque<Waiter>>,

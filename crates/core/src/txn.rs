@@ -125,8 +125,17 @@ impl TxnSpec {
         }
     }
 
-    /// Items read in full.
+    /// Whether no operation reads (the write-only fast path's shape).
+    pub fn writes_only(&self) -> bool {
+        !self.ops.iter().any(|(_, op)| op.is_read())
+    }
+
+    /// Items read in full, sorted. Empty, with nothing filtered, sorted
+    /// or allocated, for a write-only spec.
     pub fn reads(&self) -> Vec<ItemId> {
+        if self.writes_only() {
+            return Vec::new();
+        }
         let mut items: Vec<ItemId> = self
             .ops
             .iter()
@@ -198,7 +207,11 @@ mod tests {
     fn read_classified() {
         let t = TxnSpec::read(A);
         assert_eq!(t.reads(), vec![A]);
+        assert!(!t.writes_only());
         assert_eq!(t.deltas().get(&A), Some(&0));
+        let t = TxnSpec::transfer(A, B, 1);
+        assert!(t.writes_only());
+        assert!(t.reads().is_empty());
     }
 
     #[test]

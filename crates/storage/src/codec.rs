@@ -17,6 +17,12 @@
 //! [`RecordReader`] is a cursor over a borrowed slice of that image, so
 //! a scan copies nothing but the byte strings it returns. Integers are
 //! big-endian.
+//!
+//! The CRC is written when the frame is *sealed*. A checkpoint slot and
+//! [`encode_frame`] seal at once; the stable log appends its frames with
+//! a zero CRC and seals them just before its image is first read or
+//! damaged (see [`StableLog`](crate::StableLog)), so a frame a checkpoint
+//! truncates unread is never checksummed.
 
 use bytes::Bytes;
 use std::fmt;
@@ -190,17 +196,34 @@ pub(crate) fn decode_exact<T>(
     Ok(value)
 }
 
-/// Append one frame to `out`, its payload written in place by `fill`: the
-/// header is back-patched once the payload's length and checksum are
-/// known, so nothing is staged or copied. Log appends, checkpoint
-/// installs and [`encode_frame`] all frame through here.
+/// Append one sealed frame to `out`, its payload written in place by
+/// `fill`: the header is back-patched once the payload's length and
+/// checksum are known, so nothing is staged or copied. Checkpoint
+/// installs and [`encode_frame`] frame through here.
 pub fn frame_in_place(out: &mut Vec<u8>, fill: impl FnOnce(&mut RecordWriter<'_>)) {
+    let at = out.len();
+    frame_unsealed(out, fill);
+    seal_frame(&mut out[at..]);
+}
+
+/// Append one frame to `out`, its payload written in place by `fill`: the
+/// length is back-patched once the payload is known, so nothing is staged
+/// or copied. The CRC stays zero until [`seal_frame`] writes it.
+pub(crate) fn frame_unsealed(out: &mut Vec<u8>, fill: impl FnOnce(&mut RecordWriter<'_>)) {
     let at = out.len();
     out.extend_from_slice(&[0; FRAME_HEADER]);
     fill(&mut RecordWriter { buf: out });
-    let (header, payload) = out[at..].split_at_mut(FRAME_HEADER);
-    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    let len = (out.len() - at - FRAME_HEADER) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Write the CRC of the whole frame that starts `buf` into its header;
+/// returns the frame's length.
+pub(crate) fn seal_frame(buf: &mut [u8]) -> usize {
+    let len = frame_len(buf);
+    let (header, payload) = buf[..len].split_at_mut(FRAME_HEADER);
     header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+    len
 }
 
 /// Whole length of the frame whose header starts `buf`.
@@ -271,8 +294,8 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight bytes
-/// per step through eight tables, then a bytewise tail. Every log force
-/// and recovery read checksums its payload here.
+/// per step through eight tables, then a bytewise tail. Every seal and
+/// every read checksums its payload here.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;

@@ -16,12 +16,20 @@
 //!   every frame; [`recover_lenient`](StableLog::recover_lenient) is the
 //!   WAL-style variant that stops at the first bad frame and reports it.
 //!
+//! A frame's CRC exists for the recovery scan alone, so `append` leaves it
+//! zero and the log *seals* its frames — writes their CRCs, once — just
+//! before the image is first read (every `recover*` scan) or damaged
+//! (`corrupt_stable`, `crash_torn`). Every frame that is read or damaged
+//! carries the CRC an eager append would have written; a frame that a
+//! checkpoint truncates unread is never checksummed.
+//!
 //! Each frame's payload carries the record's LSN ahead of the record
 //! bytes, so a recovery scan can position every record against a
 //! checkpoint's `redo_from` without trusting volatile state.
 
 use crate::codec::{
-    decode_exact, frame_in_place, frame_len, take_frame, DecodeError, Record, FRAME_HEADER,
+    decode_exact, frame_len, frame_unsealed, seal_frame, take_frame, DecodeError, Record,
+    FRAME_HEADER,
 };
 use crate::lsn::Lsn;
 use dvp_obs::{EventKind, Obs};
@@ -179,10 +187,12 @@ fn decode_entry<R: Record>(buf: &mut &[u8]) -> Result<(Lsn, R), DecodeError> {
 }
 
 /// An append-only, force-on-demand, crash-surviving log of `R` records:
-/// one `Vec<u8>` of frames and the watermark below which they are
-/// durable. A record is encoded once, at append, and never kept decoded;
-/// a recovery scan decodes `buf[..durable]` in place, so outside the
-/// entries it returns the image is the only copy.
+/// one `Vec<u8>` of frames, the watermark below which they are durable,
+/// and the watermark below which they are sealed (carry their CRC). A
+/// record is encoded once, at append, and never kept decoded; a recovery
+/// scan seals what is unsealed, then decodes `buf[..durable]` in place,
+/// so outside the entries it returns the image is the only copy. A scan
+/// therefore takes `&mut self`; to scan without sealing, scan a clone.
 ///
 /// ```
 /// use dvp_storage::{Record, RecordReader, RecordWriter, StableLog, DecodeError};
@@ -200,7 +210,7 @@ fn decode_entry<R: Record>(buf: &mut &[u8]) -> Result<(Lsn, R), DecodeError> {
 /// log.append_force(Note(1));   // durable
 /// log.append(Note(2));         // only buffered...
 /// log.crash();                 // ...and lost in the crash
-/// assert_eq!(log.recover().unwrap(), vec![Note(1)]);
+/// assert_eq!(log.recover().unwrap(), vec![Note(1)]); // seals, then reads
 /// ```
 #[derive(Clone, Debug)]
 pub struct StableLog<R> {
@@ -209,6 +219,10 @@ pub struct StableLog<R> {
     /// watermark are appended but unforced and die in a crash.
     buf: Vec<u8>,
     durable: usize,
+    /// `buf[..sealed]` carries its CRCs; past it lie whole frames appended
+    /// since, their CRCs still zero. Always a frame boundary (or the end
+    /// of a torn remnant) at or below `buf.len()`.
+    sealed: usize,
     /// Frames below / past the watermark (torn remnants are not frames).
     stable_records: usize,
     tail_records: usize,
@@ -238,6 +252,7 @@ impl<R: Record> StableLog<R> {
         StableLog {
             buf: Vec::new(),
             durable: 0,
+            sealed: 0,
             stable_records: 0,
             tail_records: 0,
             flipped: Vec::new(),
@@ -259,13 +274,14 @@ impl<R: Record> StableLog<R> {
 
     /// Append `record` (owned or borrowed: it is encoded here, once, and
     /// not kept) past the watermark; returns its LSN. It is **not
-    /// durable** until [`force`](Self::force).
+    /// durable** until [`force`](Self::force), and its CRC is written
+    /// only when the image is first read or damaged.
     pub fn append(&mut self, record: impl Borrow<R>) -> Lsn {
         let lsn = self.next;
         self.next = self.next.next();
         self.stats.appends += 1;
         self.tail_records += 1;
-        frame_in_place(&mut self.buf, |w| {
+        frame_unsealed(&mut self.buf, |w| {
             w.u64(lsn.0);
             record.borrow().encode(w);
         });
@@ -310,6 +326,7 @@ impl<R: Record> StableLog<R> {
         self.stats.lost_in_crash += self.tail_records as u64;
         self.tail_records = 0;
         self.buf.truncate(self.durable);
+        self.sealed = self.sealed.min(self.durable);
     }
 
     /// Crash while a `force` was in flight: the first unforced frame
@@ -323,6 +340,8 @@ impl<R: Record> StableLog<R> {
     pub fn crash_torn(&mut self, mode: TornWrite) -> bool {
         let torn = mode != TornWrite::None && self.tail_records > 0;
         if torn {
+            // The remnant keeps the CRC its whole frame was sealed with.
+            self.seal();
             let frame = frame_len(&self.buf[self.durable..]);
             let landed = match mode {
                 // The write stopped mid-frame: only a prefix landed.
@@ -341,24 +360,40 @@ impl<R: Record> StableLog<R> {
         torn
     }
 
-    /// Recovery scan: decode the durable bytes from the start, verifying
-    /// every frame, and return the records in append order.
-    pub fn recover(&self) -> Result<Vec<R>, DecodeError> {
+    /// Write the CRC of every frame past the `sealed` watermark, in place.
+    /// Every path that reads or damages the image runs this first, so
+    /// each frame is checksummed at most once and only if it is ever
+    /// looked at.
+    fn seal(&mut self) {
+        debug_assert!(self.sealed <= self.buf.len(), "sealed past the image");
+        while self.sealed < self.buf.len() {
+            debug_assert!(
+                frame_len(&self.buf[self.sealed..]) <= self.buf.len() - self.sealed,
+                "sealed is not a frame boundary"
+            );
+            self.sealed += seal_frame(&mut self.buf[self.sealed..]);
+        }
+    }
+
+    /// Recovery scan: seal, then decode the durable bytes from the start,
+    /// verifying every frame, and return the records in append order.
+    pub fn recover(&mut self) -> Result<Vec<R>, DecodeError> {
         self.recover_entries()
             .map(|es| es.into_iter().map(|(_, r)| r).collect())
     }
 
     /// Strict recovery scan that also yields each record's LSN (needed to
-    /// position records against a checkpoint's `redo_from`).
-    pub fn recover_entries(&self) -> Result<Vec<(Lsn, R)>, DecodeError> {
+    /// position records against a checkpoint's `redo_from`). Seals first.
+    pub fn recover_entries(&mut self) -> Result<Vec<(Lsn, R)>, DecodeError> {
         let scan = self.recover_lenient();
         scan.torn.map_or(Ok(scan.entries), |torn| Err(torn.error))
     }
 
-    /// WAL-style recovery scan: decode frames until the first bad one,
-    /// treat everything from there to the end of the image as a torn tail,
-    /// and report what was dropped instead of failing.
-    pub fn recover_lenient(&self) -> RecoveredLog<R> {
+    /// WAL-style recovery scan: seal, decode frames until the first bad
+    /// one, treat everything from there to the end of the image as a torn
+    /// tail, and report what was dropped instead of failing.
+    pub fn recover_lenient(&mut self) -> RecoveredLog<R> {
+        self.seal();
         let image = &self.buf[..self.durable];
         let mut rest = image;
         let mut scan = RecoveredLog {
@@ -395,6 +430,7 @@ impl<R: Record> StableLog<R> {
         self.buf.truncate(self.buf.len() - cut.len());
         self.durable -= cut.len();
         let moved = |p: usize| p.min(cut.start) + p.saturating_sub(cut.end);
+        self.sealed = moved(self.sealed);
         for ranges in [&mut self.flipped, &mut self.torn] {
             ranges.retain_mut(|r| {
                 *r = moved(r.start)..moved(r.end);
@@ -411,7 +447,10 @@ impl<R: Record> StableLog<R> {
     /// injector remembers the range instead, so that
     /// [`recover_salvage`](Self::recover_salvage) can undo the flips on a
     /// scratch copy and name exactly the records the damage destroyed.
+    /// The image is sealed first, so the damaged frames keep the CRCs
+    /// they were written with.
     pub fn corrupt_stable(&mut self, region: Range<usize>) -> u64 {
+        self.seal();
         let end = region.end.min(self.durable);
         let start = region.start.min(end);
         flip(&mut self.buf[start..end]);
@@ -451,7 +490,8 @@ impl<R: Record> StableLog<R> {
         out
     }
 
-    /// Recovery scan that classifies image damage and repairs in place.
+    /// Recovery scan that classifies image damage and repairs in place
+    /// (sealing first, as every scan does).
     ///
     /// * every frame verifies → [`SalvageOutcome::Clean`];
     /// * the scan fails only *past* the last durable record → the benign
@@ -527,9 +567,10 @@ impl<R: Record> StableLog<R> {
     ///
     /// Frames are self-delimiting, so this walks headers to the first
     /// frame at LSN >= `upto` and drops the byte prefix; nothing is decoded
-    /// or re-checksummed. The walk trusts the headers: a site verifies the
-    /// image (recovery salvages) before it ever checkpoints, and on a
-    /// damaged one the walk stops at the first frame that does not fit.
+    /// or checksummed, so a frame dropped unread is never sealed. The walk
+    /// trusts the headers: a site verifies the image (recovery salvages)
+    /// before it ever checkpoints, and on a damaged one the walk stops at
+    /// the first frame that does not fit.
     pub fn truncate_before(&mut self, upto: Lsn) {
         let (mut cut, mut dropped) = (0, 0);
         while let Some(head) = self.buf[..self.durable].get(cut..cut + FRAME_HEADER + 8) {
@@ -661,7 +702,7 @@ mod tests {
 
     #[test]
     fn empty_log_recovers_empty() {
-        let log = StableLog::<R>::new();
+        let mut log = StableLog::<R>::new();
         assert!(log.recover().unwrap().is_empty());
     }
 
@@ -922,6 +963,89 @@ mod tests {
         assert_eq!((log.stable_len(), log.tail_len()), (1, 1));
         log.force();
         assert_eq!(log.recover().unwrap(), vec![R(1), R(3)]);
+    }
+
+    /// The CRC field of every frame in the image, oldest first.
+    fn stored_crcs(log: &StableLog<R>) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < log.buf.len() {
+            let header = &log.buf[at..at + FRAME_HEADER];
+            out.push(u32::from_be_bytes(header[4..].try_into().unwrap()));
+            at += frame_len(header);
+        }
+        out
+    }
+
+    /// Whether every frame carries the CRC of its payload.
+    fn all_sealed(log: &StableLog<R>) -> bool {
+        let mut rest = &log.buf[..];
+        while !rest.is_empty() {
+            if take_frame(&mut rest).is_err() {
+                return false;
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn appends_forces_and_truncation_seal_nothing() {
+        let mut log = StableLog::<R>::new();
+        for i in 0..6 {
+            log.append(R(i));
+            if i % 2 == 1 {
+                log.force();
+            }
+        }
+        log.append(R(6)); // unforced
+        log.truncate_before(Lsn(3));
+        assert_eq!(log.sealed, 0);
+        assert_eq!(stored_crcs(&log), vec![0; 4]);
+        // Once sealed, a truncation keeps the watermark on the same frame.
+        log.seal();
+        let sealed = log.sealed;
+        log.truncate_before(Lsn(5));
+        assert_eq!(log.sealed, sealed - 2 * 24);
+        assert!(all_sealed(&log));
+    }
+
+    #[test]
+    fn a_crash_then_salvage_seals_each_retained_frame_once() {
+        let mut log = StableLog::<R>::new();
+        for i in 0..4 {
+            log.append_force(R(i));
+        }
+        log.append(R(4)); // dies in the crash
+        log.crash();
+        assert_eq!((log.sealed, stored_crcs(&log)), (0, vec![0; 4]));
+        assert!(matches!(
+            log.recover_salvage(),
+            SalvageOutcome::Clean { entries } if entries.len() == 4
+        ));
+        assert_eq!(log.sealed, log.buf.len());
+        assert!(all_sealed(&log));
+        // A second scan finds nothing past the watermark to seal.
+        let image = log.buf.clone();
+        assert_eq!(log.recover().unwrap().len(), 4);
+        assert_eq!((log.sealed, &log.buf), (image.len(), &image));
+        // New appends past a sealed prefix wait for the next scan.
+        log.append_force(R(5));
+        assert_eq!(stored_crcs(&log)[4], 0);
+        assert_eq!(log.recover().unwrap().len(), 5);
+        assert!(all_sealed(&log));
+    }
+
+    #[test]
+    fn a_scan_of_a_clone_leaves_the_original_unsealed() {
+        let mut log = StableLog::<R>::new();
+        for i in 0..3 {
+            log.append_force(R(i));
+        }
+        let mut copy = log.clone();
+        assert_eq!(copy.recover().unwrap(), vec![R(0), R(1), R(2)]);
+        assert!(all_sealed(&copy));
+        assert_eq!(log.sealed, 0);
+        assert_eq!(stored_crcs(&log), vec![0; 3]);
     }
 
     #[test]

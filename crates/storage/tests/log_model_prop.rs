@@ -10,6 +10,18 @@
 //! both recovery scans, the full salvage outcome (the `dropped` records
 //! the log now has to reconstruct from the fault injector's memory, where
 //! the model just reads its mirror), the counters and the lengths.
+//!
+//! The log writes a frame's CRC lazily, when its image is first read or
+//! damaged, and a scan seals the log it runs on. So the per-step scans
+//! run on a clone: the log under test stays unsealed until a step of its
+//! own (salvage, rot, a torn crash) seals it, and damage meets unsealed
+//! frames. Two mutants of `log.rs` each fail this test at once: dropping
+//! the `seal()` from `corrupt_stable` (rot lands on unsealed frames, so
+//! the next seal walks a rotten length off the image, or checksums a
+//! rotten payload as good) and dropping it from `crash_torn` (the torn
+//! remnant stays unsealed, and the next seal walks its length past the
+//! image). Observed on the log itself, the first scan would seal
+//! everything and neither mutant would show.
 
 use dvp_storage::codec::crc32;
 use dvp_storage::{
@@ -307,8 +319,8 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(log.recover_entries(), model.recover_entries(), "step {i} {steps:?}");
-            prop_assert_eq!(log.recover_lenient(), model.recover_lenient(), "step {i}");
+            prop_assert_eq!(log.clone().recover_entries(), model.recover_entries(), "step {i} {steps:?}");
+            prop_assert_eq!(log.clone().recover_lenient(), model.recover_lenient(), "step {i}");
             prop_assert_eq!(log.stable_len(), model.stable.len(), "step {i}");
             prop_assert_eq!(log.tail_len(), model.tail.len(), "step {i}");
             prop_assert_eq!(log.stable_image_len(), model.image.len(), "step {i}");

@@ -32,7 +32,7 @@ fn recovered_site_equals_its_log() {
     let live = node.fragments().get(flight);
     // Independent replay of the durable records.
     let mut replayed: i64 = 0;
-    for rec in node.log().recover().unwrap() {
+    for rec in node.log().clone().recover().unwrap() {
         match rec {
             dvp::core::record::SiteRecord::Init { qty, .. } => replayed += qty as i64,
             dvp::core::record::SiteRecord::Rds { actions, .. }

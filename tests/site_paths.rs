@@ -129,3 +129,70 @@ fn retries_do_not_extend_the_decision_bound() {
     assert!(m.sites[0].abort_latency.max() <= bound);
     cl.auditor().check_conservation().unwrap();
 }
+
+/// A transaction that commits in the callback that received it never
+/// arms a timer: a run of nothing but fast-path commits neither fires
+/// nor suppresses one.
+#[test]
+fn a_commit_on_arrival_arms_no_timer() {
+    let (catalog, item) = seats(400, 2); // 200 per site
+    let mut cfg = ClusterConfig::new(2, catalog);
+    for k in 0..20u64 {
+        let spec = match k % 2 {
+            0 => TxnSpec::reserve(item, 5),
+            _ => TxnSpec::release(item, 3),
+        };
+        cfg = cfg.at(0, ms(1 + k), spec);
+    }
+    let mut cl = Cluster::build(cfg);
+    cl.run_to_quiescence();
+    assert_eq!(cl.stats().txn.sites[0].fast_path_commits, 20);
+    let net = cl.sim.stats();
+    assert_eq!((net.timers_fired, net.timers_suppressed), (0, 0));
+}
+
+/// A transaction that must solicit arms exactly one timer, its timeout,
+/// and its commit cancels it; a Conc1 lock conflict arriving while it
+/// holds the lock aborts and arms nothing.
+#[test]
+fn only_a_waiting_transaction_arms_its_timeout() {
+    let (catalog, item) = seats(100, 2); // 50 per site
+    let mut cfg = ClusterConfig::new(2, catalog);
+    cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
+    let cfg = cfg
+        .at(0, ms(1), TxnSpec::reserve(item, 80)) // solicits site 1
+        .at(0, ms(2), TxnSpec::release(item, 1)); // meets the held lock
+    let mut cl = Cluster::build(cfg);
+    cl.run_to_quiescence();
+    let m = cl.stats().txn;
+    assert_eq!(m.committed(), 1);
+    assert_eq!(m.sites[0].fast_path_commits, 0);
+    assert_eq!(m.aborted_for(AbortReason::LockConflict), 1);
+    let net = cl.sim.stats();
+    // The one suppressed timer is the timeout the commit cancelled; the
+    // one fired is the donor's retransmit tick, its Vm acked by then.
+    assert_eq!((net.timers_fired, net.timers_suppressed), (1, 1));
+}
+
+/// A Conc1 timestamp conflict aborts and arms nothing. Five commits in
+/// one instant push site 0's clock five ticks past it; a crash resets
+/// the clock, recovery restores the item's timestamp from the log, and
+/// the next arrival's timestamp falls behind it.
+#[test]
+fn a_timestamp_conflict_arms_nothing() {
+    let us = |n: u64| SimTime::ZERO + SimDuration::micros(n);
+    let (catalog, item) = seats(100, 2);
+    let mut cfg = ClusterConfig::new(2, catalog);
+    for _ in 0..5 {
+        cfg = cfg.at(0, us(1_000), TxnSpec::release(item, 1));
+    }
+    cfg.faults = FaultPlan::none().crash(us(1_001), 0).recover(us(1_002), 0);
+    let cfg = cfg.at(0, us(1_003), TxnSpec::release(item, 1));
+    let mut cl = Cluster::build(cfg);
+    cl.run_to_quiescence();
+    let m = cl.stats().txn;
+    assert_eq!(m.sites[0].fast_path_commits, 5);
+    assert_eq!(m.aborted_for(AbortReason::TsConflict), 1);
+    let net = cl.sim.stats();
+    assert_eq!((net.timers_fired, net.timers_suppressed), (0, 0));
+}

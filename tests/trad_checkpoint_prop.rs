@@ -73,7 +73,7 @@ fn round_trip(
     let before = durable_view(&cl, victim);
     let checkpoints = cl.metrics().sites[victim].checkpoints;
     let retained = cl.sim.node(victim).log().stable_len() as u64;
-    let first_lsn = cl.sim.node(victim).log().recover_entries().unwrap()[0].0;
+    let first_lsn = cl.sim.node(victim).log().clone().recover_entries().unwrap()[0].0;
     // Schedule the crash and the recovery at `now`, each after the
     // events already due, so nothing reaches the victim in between.
     cl.sim.schedule_crash(down, victim);
