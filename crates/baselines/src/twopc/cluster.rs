@@ -23,8 +23,9 @@ impl TradCluster {
     /// arrivals, crashes and recoveries scheduled as for a DvP cluster.
     ///
     /// Panics if the fault plan injects a fault at any site, naming the
-    /// site and the fault: crashpoints and storage decay are hooks inside
-    /// the DvP site, which the baseline does not have. Panics, too, on a
+    /// site and the fault, or if the run plants a bug, naming it:
+    /// crashpoints, storage decay and mutants are hooks inside the DvP
+    /// site, which the baseline does not have. Panics, too, on a
     /// cluster of more than [`Sites::MAX`] sites: a site set is one
     /// 64-bit mask.
     pub fn build(cfg: ClusterConfig<TradConfig>) -> TradCluster {
@@ -39,6 +40,9 @@ impl TradCluster {
                 *fault == Injection::default(),
                 "the 2PC baseline cannot inject faults: site {site} is armed with {fault:?}"
             );
+        }
+        if let Some(mutant) = cfg.mutant {
+            panic!("the 2PC baseline cannot plant a bug: the run names {mutant:?}");
         }
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
         let audit = OutcomeAudit::default();

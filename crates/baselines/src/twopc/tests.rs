@@ -5,7 +5,7 @@ use crate::record::TradRecord;
 use dvp_core::item::Catalog;
 use dvp_core::item::Split;
 use dvp_core::txn::TxnSpec;
-use dvp_core::{ClusterConfig, FaultPlan};
+use dvp_core::{ClusterConfig, FaultPlan, Mutant};
 use dvp_simnet::network::LinkConfig;
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::partition::PartitionSchedule;
@@ -192,6 +192,17 @@ fn an_injected_fault_is_refused_at_build() {
         .crash(ms(8), 2)
         .recover(ms(300), 2)
         .torn(2, dvp_storage::TornWrite::Truncated);
+    TradCluster::build(cfg);
+}
+
+/// A planted bug names a DvP mechanism (the read-drain gate, the redo
+/// pass) the baseline does not have: it is refused at build too.
+#[test]
+#[should_panic(expected = "the 2PC baseline cannot plant a bug: the run names SkipRecoveryRedo")]
+fn a_mutant_is_refused_at_build() {
+    let (cat, flight) = catalog(100);
+    let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
+    cfg.mutant = Some(Mutant::SkipRecoveryRedo);
     TradCluster::build(cfg);
 }
 

@@ -1,15 +1,15 @@
 //! **A1 — Ablations of the design knobs (DESIGN.md §5, §5c).**
 //!
 //! One row per setting of each knob the design keeps configurable: refill
-//! policy, solicitation fan-out, eager vs piggyback-only acks, Vm window,
-//! transaction timeout, and placement mode. Every row is the same DvP
-//! run with one knob moved, so the deltas between neighbouring rows *are*
-//! the ablation; the columns are the counters a knob can move.
+//! policy, solicitation fan-out, transaction timeout, and placement mode.
+//! Every row is the same DvP run with one knob moved, so the deltas
+//! between neighbouring rows *are* the ablation; the columns are the
+//! counters a knob can move.
 //!
-//! The first five knobs run a hub-skewed airline workload with a pool
-//! tight enough that the hub must solicit (the acks, window and timeout
-//! rows over a lossy link, where those knobs bite); the placement rows
-//! run the drifting hotspot, the regime that separates the three modes.
+//! The first three knobs run a hub-skewed airline workload with a pool
+//! tight enough that the hub must solicit (the timeout rows over a lossy
+//! link, where that knob bites); the placement rows run the drifting
+//! hotspot, the regime that separates the three modes.
 //! The scenarios are small and fixed, so the table is the same at both
 //! scales.
 
@@ -19,7 +19,6 @@ use crate::Scale;
 use dvp_core::{Fanout, Placement, ReactivePlacement, RefillPolicy, SiteConfig};
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::time::{SimDuration, SimTime};
-use dvp_vmsg::VmConfig;
 use dvp_workloads::{AirlineWorkload, HotspotDriftWorkload, Workload};
 
 fn dvp(w: &Workload, site: SiteConfig, net: NetworkConfig) -> RunReport {
@@ -35,17 +34,6 @@ fn reactive(placement: ReactivePlacement) -> SiteConfig {
     SiteConfig::builder()
         .placement(Placement::Reactive(placement))
         .build()
-}
-
-fn vm(window: usize, eager_acks: bool) -> SiteConfig {
-    SiteConfig {
-        vm: VmConfig {
-            window,
-            eager_acks,
-            ..VmConfig::default()
-        },
-        ..Default::default()
-    }
 }
 
 /// Run A1 and return the table.
@@ -125,17 +113,6 @@ pub fn run(_scale: Scale) -> Table {
             dvp(&hub, site, NetworkConfig::reliable()),
         );
     }
-    for (eager, name) in [(true, "eager"), (false, "piggyback-only")] {
-        row(
-            "acks",
-            name.into(),
-            dvp(&hub, vm(16, eager), NetworkConfig::lossy(0.2)),
-        );
-    }
-    for window in [1usize, 16, 64] {
-        let r = dvp(&hub, vm(window, true), NetworkConfig::lossy(0.2));
-        row("window", window.to_string(), r);
-    }
     for ms in [10u64, 50, 200] {
         let site = SiteConfig::builder()
             .timeout(SimDuration::millis(ms))
@@ -168,7 +145,7 @@ mod tests {
     #[test]
     fn each_knob_moves_the_counter_it_is_kept_for() {
         let t = run(Scale::Quick);
-        assert_eq!(t.len(), 16);
+        assert_eq!(t.len(), 11);
         let row = |knob: &str, setting: &str| {
             (0..t.len())
                 .find(|&r| t.cell(r, 0) == knob && t.cell(r, 1) == setting)
@@ -180,12 +157,6 @@ mod tests {
         // One donor at a time: fewer messages, less redundancy.
         assert!(num(row("fanout", "one"), 6) < num(row("fanout", "all"), 6));
         assert!(num(row("fanout", "one"), 3) >= num(row("fanout", "all"), 3));
-        // Piggyback-only sends a standalone ack only to answer a
-        // duplicate, so it sends fewer messages; and because it does
-        // answer one, no sender retransmits forever.
-        let (lazy, eager) = (row("acks", "piggyback-only"), row("acks", "eager"));
-        assert!(num(lazy, 6) < num(eager, 6));
-        assert!(num(lazy, 7) < 2 * num(eager, 7));
         // The timeout is the decision bound.
         assert_eq!(num(row("timeout", "10ms"), 10), 10_000);
         assert!(num(row("timeout", "50ms"), 10) <= 50_000);

@@ -17,7 +17,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use dvp_core::{ClusterConfig, ConcMode, Placement, SiteConfig};
+use dvp_core::{ClusterConfig, ConcMode, Mutant, Placement, SiteConfig};
 use dvp_nemesis::{
     ddmin, generate, lossy_environment, run_campaign, CampaignConfig, CampaignResult,
     FaultSchedule, Intensity, Replay,
@@ -43,6 +43,8 @@ pub struct ProtoConfig {
     net: NetworkConfig,
     /// Fault mix.
     intensity: Intensity,
+    /// A bug planted at every site (`None` in every row of the table).
+    mutant: Option<Mutant>,
 }
 
 impl ProtoConfig {
@@ -66,6 +68,7 @@ impl ProtoConfig {
             cluster: ClusterConfig {
                 site: self.site,
                 net: self.net.clone(),
+                mutant: self.mutant,
                 seed,
                 trace,
                 ..w.cluster()
@@ -76,7 +79,7 @@ impl ProtoConfig {
     }
 }
 
-/// The eight protocol configurations of the matrix, in table order.
+/// The seven protocol configurations of the matrix, in table order.
 pub fn configs() -> Vec<ProtoConfig> {
     let base = SiteConfig::default();
     let ckpt = SiteConfig {
@@ -95,11 +98,6 @@ pub fn configs() -> Vec<ProtoConfig> {
         solicit_retries: 2,
         ..adaptive
     };
-    let lazy_acks_ckpt = {
-        let mut c = ckpt;
-        c.vm.eager_acks = false;
-        c
-    };
     let conc2 = SiteConfig {
         conc: ConcMode::Conc2,
         ..base
@@ -117,6 +115,7 @@ pub fn configs() -> Vec<ProtoConfig> {
         site,
         net: lossy_environment(),
         intensity: Intensity::standard(),
+        mutant: None,
     };
     let media = |name, site| ProtoConfig {
         intensity: Intensity::media(),
@@ -127,7 +126,6 @@ pub fn configs() -> Vec<ProtoConfig> {
         standard("conc1-ckpt", ckpt),
         standard("conc1-retry-adaptive", retry_adaptive),
         standard("conc1-adaptive", adaptive),
-        standard("conc1-lazyacks-ckpt", lazy_acks_ckpt),
         // Conc2 assumes a synchronous-ordered network (paper §6.2), so
         // its campaigns keep that transport guarantee; crashes,
         // crashpoints, and torn writes still apply.
@@ -241,12 +239,10 @@ mod tests {
     fn a_violation_names_its_campaign_and_replays() {
         let broken = ProtoConfig {
             name: "broken-redo",
-            site: SiteConfig {
-                unsafe_skip_recovery_redo: true,
-                ..Default::default()
-            },
+            site: SiteConfig::default(),
             net: lossy_environment(),
             intensity: Intensity::standard(),
+            mutant: Some(Mutant::SkipRecoveryRedo),
         };
         let err = matrix(std::slice::from_ref(&broken), 10).unwrap_err();
         assert!(
@@ -257,6 +253,11 @@ mod tests {
             .lines()
             .find_map(|l| l.strip_prefix("replay: "))
             .expect("the error carries a replay line");
+        // The first campaign fails, and shrinks to its one crash.
+        assert_eq!(
+            line,
+            "fault_campaign --replay seed=0 config=broken-redo keep=10 digest=e65f01b8"
+        );
         let replay = Replay::parse(line).expect("the replay line parses");
         assert_eq!(replay.config, "broken-redo");
         assert!(err.contains(&format!("seed={}:", replay.seed)), "{err}");

@@ -144,15 +144,15 @@ fn banking_run(txns: usize, site: SiteConfig) -> (Cluster, u64, u64) {
 /// solicits every peer, the donors each log and ship a Vm, the requester
 /// logs every acceptance. Unlike the fast path this does allocate (each
 /// Vm's payload, a datagram too large to hold inline, kernel events) —
-/// what is pinned here is how much, so it can only go down: 2.90 per
-/// committed transaction (5,440 events over 1,879 commits). It read
+/// what is pinned here is how much, so it can only go down: 2.67 per
+/// committed transaction (5,016 events over 1,879 commits). It read
 /// 25.36 while a datagram was a list of refcounted segments, decoding
 /// built a frame list, a transfer's payload grew through three buffers
 /// and an ack built a list of what it released (CHANGES.md). The count
 /// is deterministic, so the bound is the measured figure, rounded up.
 #[test]
 fn slow_path_allocations_per_commit_stay_under_the_pinned_bound() {
-    const BOUND: f64 = 2.9;
+    const BOUND: f64 = 2.7;
     let (cl, allocs, _) = banking_run(2_000, SiteConfig::default());
     let m = cl.stats().txn;
     assert!(

@@ -2,13 +2,14 @@
 //!
 //! [`ClusterConfig`] is the one description of a run, for either engine:
 //! catalog, arrival scripts, per-site protocol config, network (with
-//! partition schedule), fault plan, seed and trace flag. [`Cluster`] turns
-//! a DvP description into a running [`Simulation`] plus harvesting
-//! helpers; the 2PC baseline builds its own nodes from the same
-//! description, and both hand them to [`ClusterConfig::simulate`].
+//! partition schedule), fault plan, planted bug, seed and trace flag.
+//! [`Cluster`] turns a DvP description into a running [`Simulation`]
+//! plus harvesting helpers; the 2PC baseline builds its own nodes from
+//! the same description, and both hand them to
+//! [`ClusterConfig::simulate`].
 
 use crate::audit::{Auditor, HistorySink};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, Mutant};
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
 use crate::policy::SiteConfig;
@@ -43,6 +44,9 @@ pub struct ClusterConfig<S = SiteConfig> {
     pub net: NetworkConfig,
     /// Site crashes and recoveries, and the faults injected at each site.
     pub faults: FaultPlan,
+    /// A bug planted at every site (`None` in a real run): a run input
+    /// like the fault plan, but one no nemesis schedule touches.
+    pub mutant: Option<Mutant>,
     /// RNG seed (drives network delays/loss and nothing else — the
     /// workload is part of the config, in its scripts).
     pub seed: u64,
@@ -62,6 +66,7 @@ impl ClusterConfig {
             site: SiteConfig::default(),
             net: NetworkConfig::reliable(),
             faults: FaultPlan::none(),
+            mutant: None,
             seed: 0,
             trace: false,
         }
@@ -91,6 +96,7 @@ impl<S> ClusterConfig<S> {
             site,
             net: self.net,
             faults: self.faults,
+            mutant: self.mutant,
             seed: self.seed,
             trace: self.trace,
         }
@@ -181,7 +187,8 @@ impl Cluster {
         let history = HistorySink::new(&cfg.catalog);
         let sim = cfg.simulate(|s, obs, arrivals| {
             let quotas = site_quotas[s].clone();
-            let mut node = SiteNode::new(s, n, cfg.site, cfg.faults.injection(s), quotas, arrivals);
+            let faults = cfg.faults.injection(s);
+            let mut node = SiteNode::new(s, n, cfg.site, faults, cfg.mutant, quotas, arrivals);
             node.set_obs(obs.clone());
             node.set_history(history.clone());
             node

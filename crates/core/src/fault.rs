@@ -1,6 +1,8 @@
 //! The faults a run suffers: site crashes and recoveries, plus the faults
 //! injected at single sites (protocol crashpoints, torn log writes and
 //! media decay of stable storage). Every fault names the site it hits.
+//! Beside them sits the one bug a run may plant on purpose, a [`Mutant`]:
+//! like an injected fault it is an input of the run, not configuration.
 
 use dvp_simnet::time::SimTime;
 use dvp_simnet::NodeId;
@@ -43,6 +45,20 @@ pub struct Injection {
     /// Corrupt this checkpoint slot (0 or 1) on the site's next crash.
     /// One-shot like `bit_rot`.
     pub corrupt_ckpt: Option<u8>,
+}
+
+/// A bug planted on purpose at every site of a run, so that a test can
+/// show the check it breaks still catches it: a run input beside the
+/// fault plan ([`ClusterConfig::mutant`](crate::ClusterConfig::mutant)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mutant {
+    /// A donor with outstanding Vms for an item still grants read
+    /// solicitations for it (Section 5's read-drain rule is gone), so a
+    /// committed read can miss in-flight value.
+    SkipReadDrainGate,
+    /// Recovery restores the checkpoint image but skips the log redo, so
+    /// any crash destroys committed value.
+    SkipRecoveryRedo,
 }
 
 /// Scheduled site failures, and the faults injected at each site.

@@ -21,7 +21,7 @@
 //! | §7 recovery (redo, lock amnesia, timestamp bump-up)           | [`record`], [`site`] |
 //! | §3 invariant N = ΣNᵢ + N_M                                    | [`audit`] |
 //! | §9 "best distribution of data values" (a policy, safety-inert) | [`placement`] |
-//! | the fault plan: crashes, recoveries, injected faults         | [`fault`] |
+//! | the fault plan: crashes, recoveries, injected faults, mutants | [`fault`] |
 //! | orchestration & measurement                                   | [`cluster`], [`metrics`] |
 //! | configuration only (knobs; nothing that acts on them)         | [`policy`] |
 //!
@@ -53,7 +53,7 @@ pub mod txn;
 pub use clock::{LamportClock, Ts, TxnId};
 pub use cluster::{Cluster, ClusterConfig, StatsView};
 pub use dense::SVec;
-pub use fault::{Crashpoint, FaultPlan, Injection};
+pub use fault::{Crashpoint, FaultPlan, Injection, Mutant};
 pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};
 pub use ops::Op;

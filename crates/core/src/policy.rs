@@ -17,7 +17,6 @@
 use crate::Qty;
 use dvp_simnet::time::SimDuration;
 use dvp_storage::CHECKPOINT_EVERY;
-use dvp_vmsg::VmConfig;
 
 /// How much value a donor ships when honouring a refill request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,8 +159,6 @@ pub struct SiteConfig {
     pub placement: Placement,
     /// Concurrency-control scheme.
     pub conc: ConcMode,
-    /// Vm-layer knobs (window, eager acks).
-    pub vm: VmConfig,
     /// Extra solicitation rounds before the timeout aborts (the paper's
     /// "the requests could be re-tried a few more times" variation, §5).
     /// `0` = the paper's baseline pessimism. Retries are spaced evenly
@@ -174,20 +171,6 @@ pub struct SiteConfig {
     /// baseline checkpoints at too), which bounds the log and the redo a
     /// crash costs; `None` = never, for runs that need the whole history.
     pub checkpoint_every: Option<usize>,
-    /// **Ablation-only.** Disable the donor-side rule that a site with
-    /// outstanding Vms for an item must refuse read solicitations
-    /// (Section 5: "the fact that no outstanding Vm is there assures that
-    /// the complete Π⁻¹(d) is procured"). With the gate off, committed
-    /// reads can silently miss in-flight value — the test suite proves
-    /// exactly that, which is why the rule exists.
-    pub unsafe_skip_read_drain_gate: bool,
-    /// **Ablation-only.** Restore the checkpoint image on recovery but
-    /// skip the log-redo phase — the classic "forgot the REDO pass" bug.
-    /// Any crash then reverts the site to its last checkpoint (or its
-    /// empty initial image), destroying committed value. The nemesis
-    /// shrinker demo uses this to show a fault campaign minimizing to a
-    /// single crash event.
-    pub unsafe_skip_recovery_redo: bool,
 }
 
 impl Default for SiteConfig {
@@ -196,11 +179,8 @@ impl Default for SiteConfig {
             txn_timeout: SimDuration::millis(50),
             placement: Placement::default(),
             conc: ConcMode::Conc1,
-            vm: VmConfig::default(),
             solicit_retries: 0,
             checkpoint_every: Some(CHECKPOINT_EVERY),
-            unsafe_skip_read_drain_gate: false,
-            unsafe_skip_recovery_redo: false,
         }
     }
 }
@@ -259,12 +239,6 @@ impl SiteConfigBuilder {
         self
     }
 
-    /// Vm-layer knobs (window, eager acks).
-    pub fn vm(mut self, vm: VmConfig) -> Self {
-        self.cfg.vm = vm;
-        self
-    }
-
     /// Extra solicitation rounds inside the timeout window.
     pub fn solicit_retries(mut self, n: u32) -> Self {
         self.cfg.solicit_retries = n;
@@ -275,18 +249,6 @@ impl SiteConfigBuilder {
     /// records (default 256).
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.cfg.checkpoint_every = Some(n);
-        self
-    }
-
-    /// **Ablation-only**: disable the read-drain gate.
-    pub fn unsafe_skip_read_drain_gate(mut self, on: bool) -> Self {
-        self.cfg.unsafe_skip_read_drain_gate = on;
-        self
-    }
-
-    /// **Ablation-only**: skip the recovery redo pass.
-    pub fn unsafe_skip_recovery_redo(mut self, on: bool) -> Self {
-        self.cfg.unsafe_skip_recovery_redo = on;
         self
     }
 

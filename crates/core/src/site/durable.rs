@@ -16,7 +16,7 @@ use dvp_storage::{
     CheckpointSlot, CheckpointedLog, DecodeError, Lsn, Record, RecordReader, RecordWriter,
     SalvageOutcome, StableLog, TornWrite,
 };
-use dvp_vmsg::{ChannelSnapshot, VmConfig, VmEndpoint, VmLogOp};
+use dvp_vmsg::{ChannelSnapshot, VmEndpoint, VmLogOp};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
@@ -392,9 +392,9 @@ impl Durable {
     /// items and Vm channels — from the checkpoint slot and stable log
     /// alone, touching nothing live. The scan runs on a clone of the log,
     /// so the live log stays as unsealed as it was.
-    pub(super) fn rebuilt_state(&self, items: usize, vm: VmConfig) -> (FragmentStore, VmEndpoint) {
+    pub(super) fn rebuilt_state(&self, items: usize) -> (FragmentStore, VmEndpoint) {
         let mut frags = FragmentStore::new(items);
-        let mut vm = VmEndpoint::new(self.site, vm);
+        let mut vm = super::vm_endpoint(self.site);
         if let Some(cp) = self.stable.slot.load() {
             frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
             vm.restore(&cp.snapshot.vm);
@@ -492,7 +492,7 @@ mod tests {
             &[(3, 1)],
         ];
         let mut frags = FragmentStore::new(3);
-        let mut vm = VmEndpoint::new(4, VmConfig::default());
+        let mut vm = crate::site::vm_endpoint(4);
         let mut scratch = SiteSnapshot::default();
         for (round, peers) in rounds.iter().enumerate() {
             vm.crash_reset();

@@ -1,11 +1,12 @@
 //! Nemesis fault injection at one site: named crashpoints inside the
-//! protocol, torn log writes, and media decay of stable storage. All of
-//! it is off unless the run's fault plan arms it at this site (an
-//! [`Injection`]), and its memory survives crashes — it counts protocol
-//! events, not boots.
+//! protocol, torn log writes, and media decay of stable storage, plus the
+//! bug a run may plant on purpose ([`Mutant`]). All of it is off unless
+//! the run's fault plan arms it at this site (an [`Injection`]) or the
+//! run names a mutant, and its memory survives crashes — it counts
+//! protocol events, not boots.
 
 use super::durable::Durable;
-use crate::fault::{Crashpoint, Injection};
+use crate::fault::{Crashpoint, Injection, Mutant};
 use dvp_simnet::NodeId;
 use dvp_storage::codec::crc32;
 
@@ -13,6 +14,8 @@ use dvp_storage::codec::crc32;
 pub(super) struct FaultInjector {
     /// What is armed here.
     cfg: Injection,
+    /// The bug the run plants, if any.
+    mutant: Option<Mutant>,
     site: NodeId,
     /// Times the armed crashpoint has been reached (survives crashes so
     /// `crash_on_hit` counts protocol events, not boots).
@@ -30,9 +33,10 @@ pub(super) struct FaultInjector {
 }
 
 impl FaultInjector {
-    pub(super) fn new(site: NodeId, cfg: Injection) -> Self {
+    pub(super) fn new(site: NodeId, cfg: Injection, mutant: Option<Mutant>) -> Self {
         FaultInjector {
             cfg,
+            mutant,
             site,
             crashpoint_hits: 0,
             crashpoint_tripped: false,
@@ -40,6 +44,11 @@ impl FaultInjector {
             bit_rot_done: false,
             ckpt_rot_done: false,
         }
+    }
+
+    /// Whether the run plants `bug`.
+    pub(super) fn planted(&self, bug: Mutant) -> bool {
+        self.mutant == Some(bug)
     }
 
     /// Whether `point` is armed at this site and has not fired yet — the

@@ -44,7 +44,7 @@ pub use msg::{Body, ProtoMsg, Solicit};
 
 use crate::audit::HistorySink;
 use crate::clock::{LamportClock, Ts};
-use crate::fault::{Crashpoint, Injection};
+use crate::fault::{Crashpoint, Injection, Mutant};
 use crate::fragment::FragmentStore;
 use crate::item::ItemId;
 use crate::locks::{Holder, LockTable};
@@ -78,6 +78,18 @@ const TAG_PAYLOAD_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
 
 /// Retransmission interval for outstanding Vms.
 const RETRANSMIT_EVERY: SimDuration = SimDuration::millis(10);
+
+/// The Vm endpoint of site `id`, fresh: the endpoint's default window
+/// with datagram coalescing on — a site only ever speaks
+/// [`Body::VmDatagram`] (the endpoint's own default keeps that layer
+/// usable standalone with bare frames).
+fn vm_endpoint(id: NodeId) -> VmEndpoint {
+    let cfg = VmConfig {
+        coalesce: true,
+        ..VmConfig::default()
+    };
+    VmEndpoint::new(id, cfg)
+}
 
 /// Every site but `id`, ascending.
 fn peers_of(id: NodeId, n: usize) -> impl Iterator<Item = NodeId> {
@@ -156,6 +168,7 @@ impl SiteNode {
     ///
     /// * `id`/`n`: this site's id and the cluster size.
     /// * `faults`: the faults the run's plan injects at this site.
+    /// * `mutant`: the bug the run plants, if any.
     /// * `quotas[i]`: this site's initial fragment of item `i` (the data-
     ///   value partitioning). Logged as genesis records.
     /// * `arrivals`: the transactions this site will run, read at each
@@ -165,6 +178,7 @@ impl SiteNode {
         n: usize,
         cfg: SiteConfig,
         faults: Injection,
+        mutant: Option<Mutant>,
         quotas: Vec<Qty>,
         arrivals: ScriptCursor,
     ) -> Self {
@@ -180,9 +194,9 @@ impl SiteNode {
             clock: LamportClock::new(id),
             frags,
             locks: LockTable::with_items(k),
-            vm: VmEndpoint::new(id, Self::vm_config(&cfg)),
+            vm: vm_endpoint(id),
             durable: Durable::genesis(id, &quotas),
-            inject: FaultInjector::new(id, faults),
+            inject: FaultInjector::new(id, faults, mutant),
             planner: Planner::new(id, n, cfg.placement, k),
             arrivals,
             active: ActiveTable::default(),
@@ -201,17 +215,6 @@ impl SiteNode {
             deltas_scratch: Vec::new(),
             demands_scratch: Vec::new(),
             released_scratch: Vec::new(),
-        }
-    }
-
-    /// The endpoint-level Vm config: the site's `vm` knobs with
-    /// datagram coalescing forced on — a site only ever speaks
-    /// [`Body::VmDatagram`] (the endpoint's own default keeps that layer
-    /// usable standalone with bare frames).
-    fn vm_config(cfg: &SiteConfig) -> VmConfig {
-        VmConfig {
-            coalesce: true,
-            ..cfg.vm
         }
     }
 
@@ -282,8 +285,7 @@ impl SiteNode {
     /// the running site: recovery must be a pure function of stable
     /// storage.
     pub fn rebuilt_durable_state(&self) -> (FragmentStore, VmEndpoint) {
-        self.durable
-            .rebuilt_state(self.frags.len(), Self::vm_config(&self.cfg))
+        self.durable.rebuilt_state(self.frags.len())
     }
 
     /// Evaluate an armed crashpoint at a named protocol instant. Returns
@@ -525,7 +527,7 @@ impl Node for SiteNode {
         // (the site receives no events while down) and keeps omniscient
         // audits honest: a crashed site's value is its logged value.
         self.durable.rebuild(
-            self.cfg.unsafe_skip_recovery_redo,
+            self.inject.planted(Mutant::SkipRecoveryRedo),
             &mut self.frags,
             &mut self.vm,
             &mut self.metrics,
@@ -586,6 +588,7 @@ mod tests {
             4,
             cfg,
             faults,
+            None,
             vec![100, 50],
             ScriptCursor::run(&[Script::new()]).remove(0),
         );

@@ -6,7 +6,7 @@ use super::lifecycle::Waiter;
 use super::msg::{ProtoMsg, Solicit};
 use super::{SiteNode, TAG_LEASE, TAG_REBALANCE};
 use crate::clock::Ts;
-use crate::fault::Crashpoint;
+use crate::fault::{Crashpoint, Mutant};
 use crate::item::ItemId;
 use crate::locks::Holder;
 use crate::policy::ConcMode;
@@ -144,7 +144,7 @@ impl SiteNode {
         }
         let have = self.frags.get(item);
         let (amount, kind) = if read {
-            if !self.cfg.unsafe_skip_read_drain_gate && self.outstanding.of(item) > 0 {
+            if !self.inject.planted(Mutant::SkipReadDrainGate) && self.outstanding.of(item) > 0 {
                 // Cannot certify quiescence: our own Vms for this item are
                 // still in flight. Ignore; the read will abort or retry.
                 return self.decline(&ask);

@@ -93,10 +93,10 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         // is always one quarantined after media loss: every generated
         // crash and crashpoint comes with a recovery of its own site. A
         // crashpoint that trips after that recovery, or a shrunk subset
-        // without the `Recover`, would strand a site too.
-        // Piggyback-only acks (`eager_acks: false`) do not keep
-        // a campaign busy: every duplicate is acked, so a sender's last
-        // Vm completes with no reverse traffic to carry the ack.
+        // without the `Recover`, would strand a site too. Acks do not
+        // keep a campaign busy: every accept and every duplicate is
+        // acked, so a sender's last Vm completes with no reverse traffic
+        // to carry the ack.
         cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
         let m = cl.stats().txn;
         if let Err(v) = oracle::check_all(&cl, &m) {

@@ -125,7 +125,9 @@ impl FaultSchedule {
     /// and chaos layer onto its network (link delays and loss stay the
     /// caller's choice), and its fault plan is replaced by the schedule's
     /// crashes, recoveries and injections. Each injection arms the site it
-    /// names; within a site, the last event of each kind wins.
+    /// names; within a site, the last event of each kind wins. The run's
+    /// planted bug ([`ClusterConfig::mutant`]) is left alone, so
+    /// shrinking a schedule never shrinks the bug away.
     pub fn apply<S>(&self, cluster: &mut ClusterConfig<S>) {
         let mut net = std::mem::take(&mut cluster.net);
         let mut sched = PartitionSchedule::fully_connected(cluster.n_sites());
@@ -268,7 +270,7 @@ impl FaultSchedule {
 mod tests {
     use super::*;
     use dvp_core::item::Catalog;
-    use dvp_core::Injection;
+    use dvp_core::{Injection, Mutant};
 
     fn applied(s: &FaultSchedule, n: usize) -> FaultPlan {
         let mut cluster = ClusterConfig::new(n, Catalog::new());
@@ -286,6 +288,14 @@ mod tests {
         let faults = applied(&s, 4);
         assert_eq!(faults.crashes, vec![(msec(50), 2), (msec(10), 0)]);
         assert_eq!(faults.recoveries, vec![(msec(90), 2)]);
+    }
+
+    #[test]
+    fn apply_leaves_the_planted_bug_alone() {
+        let mut cluster = ClusterConfig::new(4, Catalog::new());
+        cluster.mutant = Some(Mutant::SkipRecoveryRedo);
+        FaultSchedule::default().apply(&mut cluster);
+        assert_eq!(cluster.mutant, Some(Mutant::SkipRecoveryRedo));
     }
 
     #[test]

@@ -21,26 +21,23 @@ use crate::SiteId;
 use bytes::Bytes;
 use dvp_obs::Obs;
 
-/// Tuning knobs for the Vm protocol.
+/// Tuning knobs for the Vm protocol. There is one ack mode: every
+/// acceptance owes the sender an ack, and a duplicate is answered with
+/// one too.
 #[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
     /// Max distinct outgoing Vms transmitted per channel per tick (the
     /// sliding-window size; creation is never limited — Vms beyond the
     /// window simply wait durably for earlier ones to be acked).
     pub window: usize,
-    /// Send a standalone `Ack` frame immediately upon accepting, instead
-    /// of waiting for reverse traffic to piggyback on. Costs messages,
-    /// cuts sender-state lifetime (ablation knob; the paper assumes
-    /// piggybacking only). A duplicate is acked either way: it proves
-    /// the sender missed the ack.
-    pub eager_acks: bool,
     /// Link-level coalescing: instead of one wire message per frame, the
     /// host drains [`drain_datagrams_into`](VmEndpoint::drain_datagrams_into)
-    /// — one [`WireDatagram`](crate::WireDatagram) per peer per flush boundary — and eager
-    /// acks become *owed* acks that fold into the next outgoing datagram
-    /// (or are flushed standalone by the host via
-    /// [`flush_owed_ack`](VmEndpoint::flush_owed_ack)). Off by default at
-    /// this layer so the endpoint stands alone; hosts that batch opt in.
+    /// — one [`WireDatagram`](crate::WireDatagram) per peer per flush
+    /// boundary — and an ack is *owed*: it folds into the next outgoing
+    /// datagram toward the peer, or the host flushes it standalone via
+    /// [`flush_owed_ack`](VmEndpoint::flush_owed_ack). Off by default at
+    /// this layer so the endpoint stands alone, queueing each ack as a
+    /// bare frame at once; a DvP site always turns it on.
     pub coalesce: bool,
 }
 
@@ -48,7 +45,6 @@ impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             window: 16,
-            eager_acks: true,
             coalesce: false,
         }
     }

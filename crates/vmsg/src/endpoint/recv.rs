@@ -45,10 +45,8 @@ impl VmEndpoint {
         match class {
             Classify::Duplicate => {
                 self.stats.duplicates_discarded += 1;
-                // A duplicate proves the sender missed the ack: refresh it
-                // whatever `eager_acks` says, so the sender can stop
-                // resending (the window protocol's own rule; `eager_acks`
-                // governs fresh frames only).
+                // A duplicate proves the sender missed the ack: refresh it,
+                // so the sender can stop resending.
                 self.queue_ack(from);
                 Receipt::Duplicate
             }
@@ -61,7 +59,7 @@ impl VmEndpoint {
     }
 
     /// The host has durably logged acceptance of `(from, seq)`; advance the
-    /// cumulative-ack cursor and (optionally) queue an eager ack.
+    /// cumulative-ack cursor and queue the ack it owes `from`.
     ///
     /// Returns the [`VmLogOp::Accepted`] for symmetry with `create` — the
     /// host should have written exactly this op in the record it just
@@ -69,9 +67,7 @@ impl VmEndpoint {
     pub fn commit_accept(&mut self, from: SiteId, seq: Seq) -> VmLogOp {
         self.chan(from).commit_accept(seq);
         self.stats.accepted += 1;
-        if self.cfg.eager_acks {
-            self.queue_ack(from);
-        }
+        self.queue_ack(from);
         VmLogOp::Accepted { from, seq }
     }
 

@@ -43,7 +43,7 @@ fn happy_path_create_accept_ack() {
     let op = r.commit_accept(0, seq);
     assert_eq!(op, VmLogOp::Accepted { from: 0, seq: 1 });
 
-    // The eager ack flows back and releases the sender's state.
+    // The ack flows back and releases the sender's state.
     let receipts = flush(&mut r, &mut s);
     assert_eq!(receipts, vec![Receipt::AckOnly]);
     assert_eq!(s.in_flight_to(1), 0);
@@ -68,26 +68,41 @@ fn lost_frame_is_retransmitted_until_acked() {
     assert!(s.stats().retransmissions >= 1);
 }
 
+/// A duplicate proves the sender missed the ack, so it is answered
+/// again, bare or coalesced. Without that, once the one ack an accept
+/// owes is lost and no reverse data carries the cursor, the sender's last
+/// Vm is retransmitted and discarded forever.
 #[test]
 fn duplicates_are_discarded_and_reacked() {
-    let (mut s, mut r) = pair();
-    let _ = s.create(1, b("x"));
-    let frames = s.drain_outbox();
-    let (_, frame) = frames.into_iter().next().unwrap();
+    for coalesce in [false, true] {
+        let cfg = VmConfig {
+            coalesce,
+            ..VmConfig::default()
+        };
+        let (mut s, mut r) = (VmEndpoint::new(0, cfg), VmEndpoint::new(1, cfg));
+        let _ = s.create(1, b("x"));
+        let (_, frame) = s.drain_outbox().into_iter().next().unwrap();
+        assert!(matches!(
+            r.on_frame(0, frame.clone()),
+            Receipt::Fresh { .. }
+        ));
+        r.commit_accept(0, 1);
+        // The ack the accept owes leaves, and the network eats it.
+        if coalesce {
+            assert!(r.flush_owed_ack(0));
+        }
+        assert_eq!(r.drain_outbox(), vec![(0, Frame::Ack { ack: 1 })]);
 
-    assert!(matches!(
-        r.on_frame(0, frame.clone()),
-        Receipt::Fresh { .. }
-    ));
-    r.commit_accept(0, 1);
-    r.drain_outbox(); // discard the eager ack
-
-    // The same frame arrives again (network duplication).
-    assert_eq!(r.on_frame(0, frame), Receipt::Duplicate);
-    assert_eq!(r.stats().duplicates_discarded, 1);
-    // Duplicate triggered an ack refresh.
-    let refreshed = r.drain_outbox();
-    assert!(matches!(refreshed[0].1, Frame::Ack { ack: 1 }));
+        // The same frame arrives again (a retransmission) and is answered.
+        assert_eq!(r.on_frame(0, frame), Receipt::Duplicate);
+        assert_eq!(r.stats().duplicates_discarded, 1);
+        if coalesce {
+            assert!(r.has_owed_ack(0), "coalesce {coalesce}");
+            assert!(r.flush_owed_ack(0));
+        }
+        assert_eq!(flush(&mut r, &mut s), vec![Receipt::AckOnly]);
+        assert!(!s.has_outstanding(), "coalesce {coalesce}: still resending");
+    }
 }
 
 #[test]
@@ -405,7 +420,7 @@ fn coalesced_lifecycle_with_owed_ack_piggyback() {
             r.commit_accept(0, seq);
         }
     }
-    // The eager ack became an *owed* ack — nothing on the wire yet.
+    // In coalesce mode the ack is *owed* — nothing on the wire yet.
     assert!(r.has_owed_ack(0));
     let mut none = Vec::new();
     r.drain_datagrams_into(0, &mut none);
@@ -474,27 +489,30 @@ fn second_owed_ack_merges_and_is_counted_as_piggybacked() {
 }
 
 #[test]
-fn data_carried_ack_advance_counts_without_an_owed_ack() {
-    // Piggyback-only mode (eager acks off): acks ride data frames
-    // exclusively and nothing is ever *owed*, yet the refreshed
-    // cumulative cursor on reverse data is the peer's only ack
-    // channel. Each datagram that advances the on-wire cursor avoids
-    // the standalone frame an eager configuration would have sent —
-    // the saving the stat measures.
-    let piggyback_only = || VmConfig {
-        eager_acks: false,
-        ..coalescing_cfg()
-    };
-    let mut s = VmEndpoint::new(0, piggyback_only());
-    let mut r = VmEndpoint::new(1, piggyback_only());
+fn a_recovered_cursor_riding_data_counts_without_an_owed_ack() {
+    // Every accept owes an ack, so between flushes the on-wire cursor
+    // never trails the accept cursor. A crash breaks that: it forgets the
+    // owed ack and what was last sent, while replay restores what was
+    // accepted. The first data datagram toward the peer then carries an
+    // advance nothing owes, and it spares the standalone frame the
+    // sender's retransmission would otherwise draw as a duplicate.
+    let mut s = VmEndpoint::new(0, coalescing_cfg());
+    let mut r = VmEndpoint::new(1, coalescing_cfg());
     let _ = s.create(1, b("a"));
+    let mut accepted = Vec::new();
     for receipt in flush_datagrams(&mut s, &mut r) {
         if let Receipt::Fresh { seq, .. } = receipt {
-            r.commit_accept(0, seq);
+            accepted.push(r.commit_accept(0, seq));
         }
     }
-    assert!(!r.has_owed_ack(0), "piggyback-only mode owes nothing");
-    // Reverse data carries ack=1: an advance over the never-sent 0.
+    assert!(r.has_owed_ack(0));
+    r.crash_reset();
+    for op in &accepted {
+        r.replay(op);
+    }
+    assert!(!r.has_owed_ack(0), "a crash forgets the owed ack");
+    assert_eq!(r.stats().bytes_acked_piggyback, 0);
+    // Reverse data carries ack=1: an advance over the forgotten 0.
     let _ = r.create(0, b("reverse"));
     let mut dgrams = Vec::new();
     r.drain_datagrams_into(0, &mut dgrams);
@@ -592,62 +610,4 @@ fn datagram_ids_stay_monotone_across_crash() {
         2,
         "post-crash datagrams continue the id sequence"
     );
-}
-
-#[test]
-fn piggyback_only_mode_sends_no_ack_frames() {
-    let cfg = VmConfig {
-        eager_acks: false,
-        ..VmConfig::default()
-    };
-    let mut s = VmEndpoint::new(0, cfg);
-    let mut r = VmEndpoint::new(1, cfg);
-    let _ = s.create(1, b("x"));
-    for receipt in flush(&mut s, &mut r) {
-        if let Receipt::Fresh { seq, .. } = receipt {
-            r.commit_accept(0, seq);
-        }
-    }
-    assert!(r.drain_outbox().is_empty(), "no eager ack in this mode");
-    // The ack instead rides the next data frame in the reverse direction.
-    let _ = r.create(0, b("reverse"));
-    let frames = r.drain_outbox();
-    match &frames[0].1 {
-        Frame::Data { ack, .. } => assert_eq!(*ack, 1),
-        other => panic!("expected data frame, got {other:?}"),
-    }
-}
-
-/// A duplicate proves the sender missed the ack, so it is answered in
-/// piggyback-only mode too. Without that, once no reverse data carries
-/// the ack, the sender's last Vm is retransmitted and discarded forever.
-#[test]
-fn piggyback_only_mode_still_acks_a_duplicate() {
-    for coalesce in [false, true] {
-        let cfg = VmConfig {
-            eager_acks: false,
-            coalesce,
-            ..VmConfig::default()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        let mut r = VmEndpoint::new(1, cfg);
-        let _ = s.create(1, b("x"));
-        let (_, frame) = s.drain_outbox().into_iter().next().unwrap();
-        assert!(matches!(
-            r.on_frame(0, frame.clone()),
-            Receipt::Fresh { .. }
-        ));
-        r.commit_accept(0, 1);
-        assert!(!r.has_owed_ack(0), "a fresh frame waits for reverse data");
-        assert!(r.drain_outbox().is_empty());
-
-        // The retransmission lands as a duplicate and is answered.
-        assert_eq!(r.on_frame(0, frame), Receipt::Duplicate);
-        if coalesce {
-            assert!(r.has_owed_ack(0), "coalesce {coalesce}");
-            assert!(r.flush_owed_ack(0));
-        }
-        assert_eq!(flush(&mut r, &mut s), vec![Receipt::AckOnly]);
-        assert!(!s.has_outstanding(), "coalesce {coalesce}: still resending");
-    }
 }

@@ -2,10 +2,8 @@
 //!
 //! A frame is what actually crosses the (unreliable) network. `Data`
 //! frames carry one Vm payload plus a piggybacked cumulative ack for the
-//! reverse direction; `Ack` frames carry only the ack: the answer to a
-//! duplicate and, when
-//! [`eager_acks`](crate::endpoint::VmConfig::eager_acks) is on, to an
-//! acceptance with no reverse traffic to piggyback on.
+//! reverse direction; `Ack` frames carry only the ack: the answer to an
+//! acceptance or a duplicate with no reverse data to piggyback on.
 //!
 //! The payload type is a parameter: senders hold owned [`Bytes`] (the
 //! default), while [`WireDatagram::frames`](crate::WireDatagram::frames)

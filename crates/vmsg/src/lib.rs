@@ -14,10 +14,10 @@
 //!
 //! Between those two instants the Vm "is never lost": the sender's durable
 //! state obliges it to retransmit until a cumulative acknowledgement
-//! covers the message. Acks are piggybacked on reverse traffic (and
-//! optionally sent eagerly as standalone frames — an ablation knob, see
-//! [`VmConfig::eager_acks`]); a duplicate is always answered with an ack,
-//! since it proves the sender missed one.
+//! covers the message. Every acceptance owes the sender an ack, and so
+//! does every duplicate, since it proves the sender missed one. The ack
+//! rides reverse data bound for the sender when there is some, and
+//! leaves as a standalone frame when there is not.
 //!
 //! ## Division of labour
 //!

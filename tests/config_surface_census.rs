@@ -27,15 +27,11 @@ fn config_surface_census() {
             txn_timeout,
             placement,
             conc,
-            vm,
             solicit_retries,
             checkpoint_every,
-            unsafe_skip_read_drain_gate,
-            unsafe_skip_recovery_redo,
         }
         VmConfig {
             window,
-            eager_acks,
             coalesce,
         }
         ReactivePlacement {

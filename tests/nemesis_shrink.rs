@@ -10,7 +10,7 @@
 //! run passes, which makes the schedule load-bearing: the shrinker has
 //! something real to minimize, and the minimum is a single crash.
 
-use dvp_core::{ClusterConfig, SiteConfig};
+use dvp_core::{ClusterConfig, Mutant};
 use dvp_nemesis::{
     ddmin, generate, run_campaign, CampaignConfig, FaultEvent, FaultSchedule, Intensity, Replay,
 };
@@ -42,14 +42,10 @@ fn broken_campaign(seed: u64) -> CampaignConfig {
         ..Default::default()
     }
     .generate(seed);
-    let site = SiteConfig {
-        unsafe_skip_recovery_redo: true,
-        ..Default::default()
-    };
     CampaignConfig {
         cluster: ClusterConfig {
-            site,
             net: quiet_net(),
+            mutant: Some(Mutant::SkipRecoveryRedo),
             seed,
             ..w.cluster()
         },
@@ -154,7 +150,7 @@ fn bitrot_repro_shrinks_to_the_arming_and_one_crash() {
                 return None;
             }
             let mut cfg = broken_campaign(seed);
-            cfg.cluster.site.unsafe_skip_recovery_redo = false; // healthy protocol
+            cfg.cluster.mutant = None; // healthy protocol
             let r = run_campaign(&cfg, &schedule);
             (r.passed() && r.salvages > 0).then_some((seed, cfg, schedule))
         })
@@ -213,7 +209,7 @@ fn healthy_variant_survives_the_same_campaigns() {
     for seed in 0..6u64 {
         let schedule = generate(seed, N_SITES, HORIZON_MS, &Intensity::standard());
         let mut cfg = broken_campaign(seed);
-        cfg.cluster.site.unsafe_skip_recovery_redo = false;
+        cfg.cluster.mutant = None;
         let r = run_campaign(&cfg, &schedule);
         assert!(r.passed(), "seed {seed}: {:?}", r.violation);
     }

@@ -102,6 +102,89 @@ fn vm_in_flight_across_receiver_crash_is_not_lost_or_doubled() {
     assert_eq!(total, 100);
 }
 
+/// Long-lived sender state across a checkpoint and a crash: a Vm toward
+/// a partitioned peer outlives the log record that created it. The
+/// sender checkpoints after every record, so once it has committed two
+/// more transactions the `Created` record is truncated away and the Vm
+/// lives only in the checkpoint image. The sender then crashes and
+/// recovers while the partition holds: it must still list the Vm as
+/// outstanding, and after the heal the Vm is delivered exactly once.
+#[test]
+fn vm_outstanding_toward_a_partitioned_peer_survives_checkpoint_and_crash() {
+    use dvp::core::record::SiteRecord;
+    use dvp::core::transfer::Transfer;
+    use dvp::vmsg::VmLogOp;
+
+    let (catalog, flight) = seats(100);
+    // Two sites hold 50 each. Fixed 3 ms hops: site 0's solicitation
+    // reaches site 1 at ms 4, and the donation Vm would land at ms 7,
+    // after site 0 is cut off at ms 5.
+    let net = NetworkConfig {
+        default_link: LinkConfig::reliable_fixed(SimDuration::millis(3)),
+        ..NetworkConfig::reliable()
+    }
+    .with_partitions(
+        PartitionSchedule::fully_connected(2)
+            .isolate_at(ms(5), &[0])
+            .heal_at(ms(400)),
+    );
+    let mut cl = Scenario::dvp_sites(2, catalog)
+        // Site 0 needs 60 (quota 50): site 1 donates 10.
+        .at(0, ms(1), TxnSpec::reserve(flight, 60))
+        // Two local commits at the donor move its checkpoints past the
+        // record that created the Vm.
+        .at(1, ms(20), TxnSpec::reserve(flight, 1))
+        .at(1, ms(30), TxnSpec::reserve(flight, 1))
+        .site(SiteConfig::builder().checkpoint_every(1).build())
+        .net(net)
+        .faults(FaultPlan::none().crash(ms(100), 1).recover(ms(150), 1))
+        .build_dvp();
+
+    cl.run_until(ms(300));
+    let sender = cl.sim.node(1);
+    assert_eq!(sender.metrics().recoveries, 1);
+    assert!(sender.metrics().checkpoints >= 3, "{:?}", sender.metrics());
+    let created_in_log = sender
+        .log()
+        .clone()
+        .recover()
+        .unwrap()
+        .iter()
+        .filter(|r| match r {
+            SiteRecord::Rds { vm_ops, .. } => vm_ops
+                .iter()
+                .any(|op| matches!(op, VmLogOp::Created { .. })),
+            _ => false,
+        })
+        .count();
+    assert_eq!(
+        created_in_log, 0,
+        "a checkpoint truncated the Created record"
+    );
+    let outstanding: Vec<Transfer> = sender
+        .vm_endpoint()
+        .outgoing_toward(0)
+        .map(|(_, payload)| Transfer::from_bytes(&payload).unwrap())
+        .collect();
+    assert_eq!(
+        outstanding.len(),
+        1,
+        "the recovered sender still owes the Vm"
+    );
+    assert_eq!((outstanding[0].item, outstanding[0].amount), (flight, 10));
+    cl.auditor().check_conservation().unwrap();
+
+    cl.run_to_quiescence();
+    let (receiver, sender) = (cl.sim.node(0), cl.sim.node(1));
+    assert!(!sender.vm_endpoint().has_outstanding());
+    assert_eq!(receiver.vm_endpoint().ack_for(1), 1);
+    assert_eq!(receiver.vm_endpoint().stats().accepted, 1, "delivered once");
+    // Site 0's reservation timed out; the 10 seats still moved to it.
+    assert_eq!(receiver.fragments().get(flight), 60);
+    assert_eq!(sender.fragments().get(flight), 38);
+    cl.auditor().check_conservation().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -2,6 +2,7 @@
 //! as deterministic tests so they can never come back.
 
 use dvp::core::audit::AuditError;
+use dvp::core::Mutant;
 use dvp::prelude::*;
 use dvp::workloads::InventoryWorkload;
 
@@ -69,7 +70,7 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
             fanout: Fanout::One,
             ..Default::default()
         });
-        cfg.site.unsafe_skip_read_drain_gate = skip_gate;
+        cfg.mutant = skip_gate.then_some(Mutant::SkipReadDrainGate);
         // The 2→1 data path crawls; everything else is normal, so the
         // Vm's acks and retransmissions do not resolve it quickly.
         cfg.net = NetworkConfig::reliable().with_link(

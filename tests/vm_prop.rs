@@ -52,7 +52,7 @@ proptest! {
     fn adversarial_schedules_never_lose_or_double_value(
         steps in proptest::collection::vec(step_strategy(), 1..120)
     ) {
-        let cfg = VmConfig { window: 4, eager_acks: true, ..VmConfig::default() };
+        let cfg = VmConfig { window: 4, ..VmConfig::default() };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         let mut wire = Wire::default();
@@ -147,7 +147,7 @@ proptest! {
         crash_sender_at in 0usize..12,
         crash_receiver_at in 0usize..12,
     ) {
-        let cfg = VmConfig { window: 8, eager_acks: true, ..VmConfig::default() };
+        let cfg = VmConfig { window: 8, ..VmConfig::default() };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         let mut sender_log = Vec::new();   // durable Created ops
@@ -219,7 +219,7 @@ proptest! {
         steps in proptest::collection::vec(dgram_step_strategy(), 1..100),
         coalesce in any::<bool>(),
     ) {
-        let cfg = VmConfig { window: 4, eager_acks: true, coalesce };
+        let cfg = VmConfig { window: 4, coalesce };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         // The wire: each element is one transmission unit.
