@@ -1,12 +1,12 @@
 //! **A1 — Ablations of the design knobs (DESIGN.md §5, §5c).**
 //!
 //! One row per setting of each knob the design keeps configurable: refill
-//! policy, solicitation fan-out, transaction timeout, and placement mode.
+//! policy, transaction timeout, and placement mode.
 //! Every row is the same DvP run with one knob moved, so the deltas
 //! between neighbouring rows *are* the ablation; the columns are the
 //! counters a knob can move.
 //!
-//! The first three knobs run a hub-skewed airline workload with a pool
+//! The first two knobs run a hub-skewed airline workload with a pool
 //! tight enough that the hub must solicit (the timeout rows over a lossy
 //! link, where that knob bites); the placement rows run the drifting
 //! hotspot, the regime that separates the three modes.
@@ -16,7 +16,7 @@
 use crate::scenario::{RunReport, Scenario};
 use crate::table::Table;
 use crate::Scale;
-use dvp_core::{Fanout, Placement, ReactivePlacement, RefillPolicy, SiteConfig};
+use dvp_core::{Placement, ReactivePlacement, RefillPolicy, SiteConfig};
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::{AirlineWorkload, HotspotDriftWorkload, Workload};
@@ -28,12 +28,6 @@ fn dvp(w: &Workload, site: SiteConfig, net: NetworkConfig) -> RunReport {
         .until(SimTime::ZERO + SimDuration::secs(10))
         .seed(1)
         .run()
-}
-
-fn reactive(placement: ReactivePlacement) -> SiteConfig {
-    SiteConfig::builder()
-        .placement(Placement::Reactive(placement))
-        .build()
 }
 
 /// Run A1 and return the table.
@@ -92,23 +86,11 @@ pub fn run(_scale: Scale) -> Table {
         (RefillPolicy::DemandHalf, "half"),
         (RefillPolicy::All, "all"),
     ] {
-        let site = reactive(ReactivePlacement {
-            refill,
-            ..Default::default()
-        });
+        let site = SiteConfig::builder()
+            .placement(Placement::Reactive(ReactivePlacement { refill }))
+            .build();
         row(
             "refill",
-            name.into(),
-            dvp(&hub, site, NetworkConfig::reliable()),
-        );
-    }
-    for (fanout, name) in [(Fanout::One, "one"), (Fanout::All, "all")] {
-        let site = reactive(ReactivePlacement {
-            fanout,
-            ..Default::default()
-        });
-        row(
-            "fanout",
             name.into(),
             dvp(&hub, site, NetworkConfig::reliable()),
         );
@@ -145,7 +127,7 @@ mod tests {
     #[test]
     fn each_knob_moves_the_counter_it_is_kept_for() {
         let t = run(Scale::Quick);
-        assert_eq!(t.len(), 11);
+        assert_eq!(t.len(), 9);
         let row = |knob: &str, setting: &str| {
             (0..t.len())
                 .find(|&r| t.cell(r, 0) == knob && t.cell(r, 1) == setting)
@@ -154,9 +136,6 @@ mod tests {
         let num = |r: usize, c: usize| -> u64 { t.cell(r, c).parse().unwrap() };
         // Shipping surplus with the deficit settles the hub in one wave.
         assert!(num(row("refill", "half"), 4) < num(row("refill", "exact"), 4));
-        // One donor at a time: fewer messages, less redundancy.
-        assert!(num(row("fanout", "one"), 6) < num(row("fanout", "all"), 6));
-        assert!(num(row("fanout", "one"), 3) >= num(row("fanout", "all"), 3));
         // The timeout is the decision bound.
         assert_eq!(num(row("timeout", "10ms"), 10), 10_000);
         assert!(num(row("timeout", "50ms"), 10) <= 50_000);

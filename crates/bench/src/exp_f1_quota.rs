@@ -54,10 +54,7 @@ pub fn run(scale: Scale) -> Table {
             }
             .generate(17);
             let site = SiteConfig::builder()
-                .placement(Placement::Reactive(ReactivePlacement {
-                    refill: policy,
-                    ..Default::default()
-                }))
+                .placement(Placement::Reactive(ReactivePlacement { refill: policy }))
                 .build();
             let r = Scenario::dvp(&w).site(site).until(until).seed(3).run();
             let per_commit = |x: u64| {

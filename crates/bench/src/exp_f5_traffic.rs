@@ -63,10 +63,7 @@ pub fn run(scale: Scale) -> Table {
             }
             .generate(23);
             let site = SiteConfig::builder()
-                .placement(Placement::Reactive(ReactivePlacement {
-                    refill: policy,
-                    ..Default::default()
-                }))
+                .placement(Placement::Reactive(ReactivePlacement { refill: policy }))
                 .build();
             let r = Scenario::dvp(&w).site(site).until(until).seed(4).run();
             let per_commit = |x: u64| {

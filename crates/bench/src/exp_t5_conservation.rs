@@ -79,25 +79,16 @@ impl ProtoConfig {
     }
 }
 
-/// The seven protocol configurations of the matrix, in table order.
+/// The six protocol configurations of the matrix, in table order.
 pub fn configs() -> Vec<ProtoConfig> {
     let base = SiteConfig::default();
     let ckpt = SiteConfig {
         checkpoint_every: Some(24),
         ..base
     };
-    // Adaptive placement under the full fault mix: demand estimators
-    // and suspicion are volatile, so every oracle must still pass with
-    // them churning through crashes and partitions.
     let adaptive = SiteConfig::builder()
         .placement(Placement::adaptive())
         .build();
-    // The same with solicitation retries: the rebalancer ships while
-    // retried solicitations are in flight.
-    let retry_adaptive = SiteConfig {
-        solicit_retries: 2,
-        ..adaptive
-    };
     let conc2 = SiteConfig {
         conc: ConcMode::Conc2,
         ..base
@@ -124,7 +115,6 @@ pub fn configs() -> Vec<ProtoConfig> {
     vec![
         standard("conc1-baseline", base),
         standard("conc1-ckpt", ckpt),
-        standard("conc1-retry-adaptive", retry_adaptive),
         standard("conc1-adaptive", adaptive),
         // Conc2 assumes a synchronous-ordered network (paper §6.2), so
         // its campaigns keep that transport guarantee; crashes,

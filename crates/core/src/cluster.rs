@@ -265,7 +265,7 @@ mod tests {
     use super::*;
     use crate::item::Split;
     use crate::metrics::AbortReason;
-    use crate::policy::{ConcMode, Fanout, ReactivePlacement, RefillPolicy};
+    use crate::policy::ConcMode;
     use dvp_simnet::node::Context;
     use dvp_simnet::partition::PartitionSchedule;
     use dvp_simnet::time::SimDuration;
@@ -475,35 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn solicit_retries_rescue_lossy_requests() {
-        // All value lives at site 0; site 1 must solicit over a very
-        // lossy link. Without retries most requests die and the txns
-        // time out; with retries inside the same timeout window they
-        // mostly succeed. (Decision bound unchanged — §5's "variation".)
-        let run = |retries: u32| {
-            let mut catalog = Catalog::new();
-            let item = catalog.add("pool", 100_000, Split::AllAt(0));
-            let mut cfg = ClusterConfig::new(2, catalog);
-            cfg.net = NetworkConfig::lossy(0.6);
-            cfg.seed = 3;
-            cfg.site.solicit_retries = retries;
-            for k in 0..20u64 {
-                cfg = cfg.at(1, ms(1 + k * 60), TxnSpec::reserve(item, 10));
-            }
-            let mut cl = Cluster::build(cfg);
-            cl.run_until(ms(60 * 20 + 2_000));
-            cl.auditor().check_conservation().unwrap();
-            cl.stats().txn.committed()
-        };
-        let without = run(0);
-        let with = run(4);
-        assert!(
-            with > without,
-            "retries must rescue lost requests: {with} vs {without}"
-        );
-    }
-
-    #[test]
     fn checkpoints_bound_the_log() {
         let run = |every: Option<usize>| {
             let (catalog, flight) = seats_catalog(100_000);
@@ -680,21 +651,5 @@ mod tests {
             id,
             log: Dispatches::default(),
         });
-    }
-
-    #[test]
-    fn fanout_one_round_robin_works() {
-        let (catalog, flight) = seats_catalog(100);
-        let mut cfg = ClusterConfig::new(4, catalog).at(0, ms(1), TxnSpec::reserve(flight, 40));
-        cfg.site.placement = crate::policy::Placement::Reactive(ReactivePlacement {
-            fanout: Fanout::One,
-            refill: RefillPolicy::All,
-        });
-        let mut cl = Cluster::build(cfg);
-        cl.run_to_quiescence();
-        let m = cl.stats().txn;
-        assert_eq!(m.committed(), 1);
-        assert_eq!(m.requests_sent(), 1, "fanout one sends a single request");
-        cl.auditor().check_conservation().unwrap();
     }
 }

@@ -58,7 +58,7 @@ pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};
 pub use ops::Op;
 pub use policy::{
-    ConcMode, Fanout, Placement, ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
+    ConcMode, Placement, ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
 };
 pub use script::{Script, ScriptCursor};
 pub use site::SiteNode;

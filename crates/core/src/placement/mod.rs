@@ -13,15 +13,15 @@
 //! is volatile: [`Planner::reset`] is what a crash does to it. DESIGN.md
 //! §4h has the API table.
 //!
-//! Demand estimation, solicitation targeting, donation sizing and the
-//! periodic rebalance tick live here. The planner is the only code that
-//! reads the [`Placement`] policy: the site hands it over at construction
-//! and never branches on it again.
+//! Demand estimation, donation sizing and the periodic rebalance tick
+//! live here. The planner is the only code that reads the [`Placement`]
+//! policy: the site hands it over at construction and never branches on
+//! it again.
 
 use crate::item::ItemId;
-use crate::policy::{Fanout, Placement, RefillPolicy};
+use crate::policy::{Placement, RefillPolicy};
 use crate::Qty;
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimDuration;
 use dvp_simnet::NodeId;
 
 /// How often the demand-driven rebalancer wakes. Each tick costs an
@@ -76,16 +76,6 @@ pub trait View {
     fn locked(&self, item: ItemId) -> bool;
 }
 
-/// Whom a deficit solicits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Target {
-    /// Exactly one peer, the round-robin pick; the caller remembers it
-    /// so a timeout can be reported back.
-    One(NodeId),
-    /// Every other site.
-    All,
-}
-
 /// One spontaneous Rds transfer a rebalance tick decided on: `(item,
 /// destination, amount)`, the amount never more than the view's `have`.
 pub type Ship = (ItemId, NodeId, Qty);
@@ -110,11 +100,6 @@ pub struct Planner {
     /// The rebalancer's current top (item, peer) candidate and how many
     /// consecutive ticks it has stayed on top (the persistence gate).
     rebalance_candidate: Option<(ItemId, NodeId, u32)>,
-    /// Peers suspected unresponsive after an unanswered single-target
-    /// solicitation, until the stored instant.
-    suspect_until: Vec<Option<SimTime>>,
-    /// Round-robin pointer for [`Fanout::One`].
-    rr: usize,
 }
 
 impl Planner {
@@ -129,8 +114,6 @@ impl Planner {
             own_demand: vec![0.0; items],
             peer_demand: vec![0.0; items * n],
             rebalance_candidate: None,
-            suspect_until: vec![None; n],
-            rr: (id + 1) % n.max(1),
         }
     }
 
@@ -166,27 +149,7 @@ impl Planner {
         }
     }
 
-    /// Any message from a suspected peer proves it alive again.
-    pub fn peer_alive(&mut self, from: NodeId) {
-        self.suspect_until[from] = None;
-    }
-
-    /// A single-target solicitation aimed at `peer` went unanswered: the
-    /// peer is suspect until `until`, so the next round-robin pick skips
-    /// it.
-    pub fn solicit_timed_out(&mut self, peer: NodeId, until: SimTime) {
-        self.suspect_until[peer] = Some(until);
-    }
-
     // ---- decisions ---------------------------------------------------------
-
-    /// Whom a deficit solicits at `now`.
-    pub fn target(&mut self, now: SimTime) -> Target {
-        match self.policy.fanout() {
-            Fanout::All => Target::All,
-            Fanout::One => Target::One(self.next_rr(now)),
-        }
-    }
 
     /// The demand figure a solicitation advertises: the requester's own
     /// EWMA estimate, at least the instant need. Zero (inert) when the
@@ -225,7 +188,7 @@ impl Planner {
     /// the ship: how many demand rows the scan read slot by slot. Every
     /// estimate stays 0 outside the adaptive arm, so there a tick finds
     /// nothing.
-    pub fn plan_rebalance(&mut self, now: SimTime, view: &impl View) -> (Option<Ship>, u64) {
+    pub fn plan_rebalance(&mut self, view: &impl View) -> (Option<Ship>, u64) {
         // One ship per tick, for the (item, peer) pair with the strongest
         // demand signal. Rebalance Rds transfers are not free — each one
         // costs a force and a Vm round trip — so the rebalancer moves the
@@ -271,7 +234,6 @@ impl Planner {
                     && peer != self.id
                     && e > own
                     && best.is_none_or(|(_, _, b)| e > b)
-                    && !self.is_suspect(peer, now)
                     && !view.locked(ItemId(item_idx as u32))
                 {
                     let others: f64 = (0..n)
@@ -315,34 +277,6 @@ impl Planner {
             *e *= 1.0 - DEMAND_GAIN;
         }
         (ship, rows_scanned)
-    }
-
-    // ---- internals ---------------------------------------------------------
-
-    /// Whether `peer` is currently suspected unresponsive.
-    fn is_suspect(&self, peer: NodeId, now: SimTime) -> bool {
-        self.suspect_until[peer].is_some_and(|until| now < until)
-    }
-
-    fn next_rr(&mut self, now: SimTime) -> NodeId {
-        let mut cand = self.rr % self.n;
-        if cand == self.id {
-            cand = (cand + 1) % self.n;
-        }
-        // Skip peers recently seen unresponsive to a single-target
-        // solicitation — asking a known-dead peer burns the whole
-        // timeout for nothing. If every peer is suspect, keep the
-        // original candidate: asking is still no worse than aborting.
-        let mut probe = cand;
-        for _ in 0..self.n {
-            if probe != self.id && !self.is_suspect(probe, now) {
-                cand = probe;
-                break;
-            }
-            probe = (probe + 1) % self.n;
-        }
-        self.rr = (cand + 1) % self.n;
-        cand
     }
 }
 

@@ -48,19 +48,6 @@ impl RefillPolicy {
     }
 }
 
-/// Whom a soliciting transaction asks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fanout {
-    /// One site, chosen round-robin. Minimal traffic, fragile under
-    /// failures (no retry — a lost request means a timeout abort).
-    /// Peers recently seen unresponsive to a single-target solicitation
-    /// are skipped while their suspicion lasts.
-    One,
-    /// Every other site (the deficit is requested from each; donors cap
-    /// by policy). Robust, chattier.
-    All,
-}
-
 /// Which concurrency-control scheme the sites run (paper Section 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConcMode {
@@ -82,15 +69,12 @@ pub enum ConcMode {
 pub struct ReactivePlacement {
     /// Refill donation policy.
     pub refill: RefillPolicy,
-    /// Solicitation fan-out.
-    pub fanout: Fanout,
 }
 
 impl Default for ReactivePlacement {
     fn default() -> Self {
         ReactivePlacement {
             refill: RefillPolicy::DemandExact,
-            fanout: Fanout::All,
         }
     }
 }
@@ -109,9 +93,9 @@ pub enum Placement {
     /// The default.
     Reactive(ReactivePlacement),
     /// The demand-adaptive subsystem: demand EWMAs, predictive refill and
-    /// demand-driven rebalancing (the only rebalancer), soliciting with
-    /// full fan-out (mechanism, constants and the volatility /
-    /// safety-inertness argument: [`crate::placement`]).
+    /// demand-driven rebalancing, the only rebalancer (mechanism,
+    /// constants and the volatility / safety-inertness argument:
+    /// [`crate::placement`]).
     Adaptive,
 }
 
@@ -122,8 +106,8 @@ impl Default for Placement {
 }
 
 impl Placement {
-    /// The default reactive policy (demand-exact refills, full fan-out)
-    /// — today's and the paper's baseline.
+    /// The default reactive policy (demand-exact refills) — today's and
+    /// the paper's baseline.
     pub fn reactive() -> Self {
         Placement::default()
     }
@@ -131,16 +115,6 @@ impl Placement {
     /// The adaptive policy.
     pub fn adaptive() -> Self {
         Placement::Adaptive
-    }
-
-    /// Solicitation fan-out under this policy. `Static` and `Adaptive`
-    /// solicit with full fan-out (under `Static` requests are part of the
-    /// protocol; donors decline).
-    pub fn fanout(&self) -> Fanout {
-        match self {
-            Placement::Reactive(r) => r.fanout,
-            Placement::Static | Placement::Adaptive => Fanout::All,
-        }
     }
 
     /// Whether the demand-adaptive subsystem is on.
@@ -155,15 +129,10 @@ pub struct SiteConfig {
     /// Transaction timeout: solicited value must arrive within this span
     /// or the transaction aborts (the paper's pessimistic Step 3).
     pub txn_timeout: SimDuration,
-    /// Value-placement policy (refill, fan-out, rebalancing, adaptivity).
+    /// Value-placement policy (refill, rebalancing, adaptivity).
     pub placement: Placement,
     /// Concurrency-control scheme.
     pub conc: ConcMode,
-    /// Extra solicitation rounds before the timeout aborts (the paper's
-    /// "the requests could be re-tried a few more times" variation, §5).
-    /// `0` = the paper's baseline pessimism. Retries are spaced evenly
-    /// inside the timeout window, so the decision bound is unchanged.
-    pub solicit_retries: u32,
     /// Take a checkpoint (snapshot + log truncation) once the stable log's
     /// un-checkpointed suffix reaches this many records — §7's "the number
     /// of redo actions required can be reduced in the usual manner".
@@ -179,7 +148,6 @@ impl Default for SiteConfig {
             txn_timeout: SimDuration::millis(50),
             placement: Placement::default(),
             conc: ConcMode::Conc1,
-            solicit_retries: 0,
             checkpoint_every: Some(CHECKPOINT_EVERY),
         }
     }
@@ -239,12 +207,6 @@ impl SiteConfigBuilder {
         self
     }
 
-    /// Extra solicitation rounds inside the timeout window.
-    pub fn solicit_retries(mut self, n: u32) -> Self {
-        self.cfg.solicit_retries = n;
-        self
-    }
-
     /// Checkpoint once the un-checkpointed stable suffix reaches `n`
     /// records (default 256).
     pub fn checkpoint_every(mut self, n: usize) -> Self {
@@ -297,15 +259,7 @@ mod tests {
     fn default_placement_is_the_paper_baseline() {
         let p = Placement::default();
         assert_eq!(p, Placement::reactive());
-        assert_eq!(p.fanout(), Fanout::All);
         assert!(!p.is_adaptive());
-    }
-
-    #[test]
-    fn adaptive_placement_solicits_everyone() {
-        let p = Placement::adaptive();
-        assert!(p.is_adaptive());
-        assert_eq!(p.fanout(), Fanout::All);
     }
 
     #[test]
@@ -314,14 +268,12 @@ mod tests {
             .timeout(SimDuration::millis(20))
             .placement(Placement::adaptive())
             .conc(ConcMode::Conc2)
-            .solicit_retries(2)
             .checkpoint_every(24)
             .build();
         assert_eq!(cfg.txn_timeout, SimDuration::millis(20));
         assert_eq!(cfg.read_lease(), SimDuration::millis(40));
         assert_eq!(cfg.conc, ConcMode::Conc2);
-        assert_eq!(cfg.solicit_retries, 2);
         assert_eq!(cfg.checkpoint_every, Some(24));
-        assert_eq!(cfg.placement.fanout(), Fanout::All);
+        assert!(cfg.placement.is_adaptive());
     }
 }

@@ -11,14 +11,13 @@
 //! the same steps (`commit`).
 
 use super::msg::{Body, ProtoMsg, Solicit};
-use super::{peers_of, SiteNode, TAG_PAYLOAD_MASK, TAG_SOLICIT_RETRY, TAG_TIMEOUT};
+use super::{peers_of, SiteNode, TAG_PAYLOAD_MASK, TAG_TIMEOUT};
 use crate::clock::Ts;
 use crate::dense::SVec;
 use crate::fault::Crashpoint;
 use crate::item::ItemId;
 use crate::locks::Holder;
 use crate::metrics::AbortReason;
-use crate::placement::Target;
 use crate::policy::ConcMode;
 use crate::record::{DbActions, SiteRecord};
 use crate::transfer::{Transfer, TransferKind};
@@ -26,7 +25,7 @@ use crate::txn::TxnSpec;
 use crate::Qty;
 use dvp_obs::EventKind;
 use dvp_simnet::node::{Context, TimerId};
-use dvp_simnet::time::{SimDuration, SimTime};
+use dvp_simnet::time::SimTime;
 use dvp_simnet::NodeId;
 
 /// A party waiting for a lock under Conc2.
@@ -59,11 +58,6 @@ pub(super) struct ActiveTxn {
     first_credit_at: Option<SimTime>,
     /// Whether this transaction ever solicited (false ⇒ fast path).
     solicited: bool,
-    /// Remaining solicitation retries (see `SiteConfig::solicit_retries`).
-    retries_left: u32,
-    /// Per item (sorted): the single peer a solicitation targeted. On a
-    /// timeout abort, it becomes suspect.
-    single_targets: Vec<(ItemId, NodeId)>,
 }
 
 impl ActiveTxn {
@@ -95,8 +89,6 @@ impl ActiveTxn {
             reads_blocked_on_self: Vec::new(),
             first_credit_at: None,
             solicited: false,
-            retries_left: 0,
-            single_targets: Vec::new(),
         }
     }
 }
@@ -217,8 +209,8 @@ impl SiteNode {
     }
 
     /// Register `ts` as a transaction that must wait and arm its timeout
-    /// — ahead of the retry timer and the solicitations, the order these
-    /// actions have always taken.
+    /// — ahead of the solicitations, the order these actions have always
+    /// taken.
     fn register(
         &mut self,
         ts: Ts,
@@ -296,52 +288,19 @@ impl SiteNode {
             self.commit_txn(ts, ctx);
             return;
         }
-        // Step 2: solicit every unmet need, arming the retry schedule.
+        // Step 2: solicit every unmet need, once.
         t.solicited = true;
-        t.retries_left = self.cfg.solicit_retries;
-        if self.cfg.solicit_retries > 0 {
-            ctx.set_timer(self.retry_gap(), TAG_SOLICIT_RETRY | ts.0);
-        }
         self.send_solicitations(ts, ctx);
     }
 
-    /// The gap between solicitation rounds: retries are spaced evenly
-    /// inside the timeout window so the decision bound is untouched.
-    fn retry_gap(&self) -> SimDuration {
-        SimDuration::micros(
-            self.cfg.txn_timeout.as_micros() / (self.cfg.solicit_retries as u64 + 1),
-        )
-    }
-
-    /// A retry timer fired: one more round if the transaction is still
-    /// short, and another timer if rounds remain after it.
-    pub(super) fn retry_solicitations(&mut self, ts: Ts, ctx: &mut Context<'_, ProtoMsg>) {
-        let retry = self
-            .active
-            .get_mut(ts)
-            .filter(|t| t.locks_held() && !t.ready() && t.retries_left > 0)
-            .map(|t| {
-                t.retries_left -= 1;
-                t.retries_left
-            });
-        if let Some(left) = retry {
-            self.send_solicitations(ts, ctx);
-            if left > 0 {
-                ctx.set_timer(self.retry_gap(), TAG_SOLICIT_RETRY | ts.0);
-            }
-        }
-    }
-
-    /// Transmit requests for the transaction's *current* unmet needs.
-    /// Each need is looked up afresh, so no borrow of the transaction
-    /// spans a send.
+    /// Ask every other site for each of the transaction's unmet needs,
+    /// just recorded (every deficit is positive, every read waits on all
+    /// peers). Each need is looked up afresh, so no borrow of the
+    /// transaction spans a send.
     fn send_solicitations(&mut self, ts: Ts, ctx: &mut Context<'_, ProtoMsg>) {
         let mut k = 0;
         while let Some(&(item, need)) = self.active.get(ts).and_then(|t| t.deficits.get(k)) {
             k += 1;
-            if need == 0 {
-                continue;
-            }
             let ask = Solicit {
                 txn: ts,
                 item,
@@ -349,37 +308,16 @@ impl SiteNode {
                 demand: self.planner.advertised_demand(item, need),
                 read: false,
             };
-            match self.planner.target(ctx.now()) {
-                Target::All => {
-                    for to in peers_of(self.id, self.n) {
-                        self.solicit_peer(to, ask, ctx);
-                    }
-                }
-                Target::One(peer) => {
-                    self.solicit_peer(peer, ask, ctx);
-                    // Remember the target so a timeout can mark it suspect.
-                    let t = self.active.get_mut(ts).expect("looked up above");
-                    let entry = (item, peer);
-                    match t.single_targets.binary_search_by_key(&item, |e| e.0) {
-                        Ok(i) => t.single_targets[i] = entry,
-                        Err(i) => t.single_targets.insert(i, entry),
-                    }
-                }
+            for to in peers_of(self.id, self.n) {
+                self.solicit_peer(to, ask, ctx);
             }
         }
-        // Reads always go to every other site: Π needs every fragment.
+        // Reads go to every other site too: Π needs every fragment.
         let mut k = 0;
-        while let Some((item, waiting)) = self
-            .active
-            .get(ts)
-            .and_then(|t| t.read_pending.get(k))
-            .map(|(item, pending)| (*item, !pending.is_empty()))
-        {
+        while let Some(&(item, _)) = self.active.get(ts).and_then(|t| t.read_pending.get(k)) {
             k += 1;
-            if waiting {
-                for to in peers_of(self.id, self.n) {
-                    self.solicit_peer(to, Solicit::read(ts, item), ctx);
-                }
+            for to in peers_of(self.id, self.n) {
+                self.solicit_peer(to, Solicit::read(ts, item), ctx);
             }
         }
     }
@@ -538,13 +476,6 @@ impl SiteNode {
         };
         ctx.cancel_timer(t.timeout_timer);
         if reason == AbortReason::Timeout {
-            // Unanswered single-target solicitations mark their target
-            // suspect for two timeout spans (any message from the peer
-            // clears the suspicion — see `on_message`).
-            let until = ctx.now() + self.cfg.txn_timeout.saturating_mul(2);
-            for &(_, peer) in &t.single_targets {
-                self.planner.solicit_timed_out(peer, until);
-            }
             // Unmet deficits are demand the estimator under-called:
             // re-emphasize them so the next advertisement asks higher.
             for &(item, d) in &t.deficits {

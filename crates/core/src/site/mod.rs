@@ -72,7 +72,6 @@ const TAG_KIND_SHIFT: u64 = 56;
 const TAG_TIMEOUT: u64 = 1 << TAG_KIND_SHIFT;
 const TAG_RETRANSMIT: u64 = 2 << TAG_KIND_SHIFT;
 const TAG_LEASE: u64 = 3 << TAG_KIND_SHIFT;
-const TAG_SOLICIT_RETRY: u64 = 4 << TAG_KIND_SHIFT;
 const TAG_REBALANCE: u64 = 5 << TAG_KIND_SHIFT;
 const TAG_PAYLOAD_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
 
@@ -408,7 +407,6 @@ impl Node for SiteNode {
             return; // quarantined: inert until the end of time
         }
         self.clock.observe_counter(msg.lamport);
-        self.planner.peer_alive(from);
         // Traffic can change what the next rebalance tick would ship.
         self.arm_rebalance(ctx);
         match msg.body {
@@ -465,7 +463,6 @@ impl Node for SiteNode {
                 // donations — flush the dispatch like every other entry.
                 self.flush_vm(ctx);
             }
-            TAG_SOLICIT_RETRY => self.retry_solicitations(Ts(payload), ctx),
             TAG_REBALANCE => {
                 self.rebalance_armed = false;
                 self.metrics.rebalance_ticks += 1;
@@ -573,7 +570,6 @@ impl Node for SiteNode {
 mod tests {
     use super::*;
     use crate::policy::Placement;
-    use dvp_simnet::time::SimTime;
 
     /// A crash replaces the planner whole: nothing it observed survives,
     /// so nothing it observed can reach recovery.
@@ -593,14 +589,9 @@ mod tests {
             ScriptCursor::run(&[Script::new()]).remove(0),
         );
         let fresh = site.planner.clone();
-        let now = SimTime(1_000);
         site.planner.local_demand(ItemId(0), 30);
         site.planner.peer_request(ItemId(1), 2, 10, 40, false);
-        site.planner.solicit_timed_out(2, SimTime(90_000));
-        let _ = site.planner.target(now);
-        let _ = site
-            .planner
-            .plan_rebalance(now, &(&site.frags, &site.locks));
+        let _ = site.planner.plan_rebalance(&(&site.frags, &site.locks));
         assert_ne!(site.planner, fresh);
         site.on_crash();
         assert_eq!(site.planner, fresh);

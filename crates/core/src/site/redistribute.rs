@@ -146,7 +146,7 @@ impl SiteNode {
         let (amount, kind) = if read {
             if !self.inject.planted(Mutant::SkipReadDrainGate) && self.outstanding.of(item) > 0 {
                 // Cannot certify quiescence: our own Vms for this item are
-                // still in flight. Ignore; the read will abort or retry.
+                // still in flight. Ignore; the read times out and aborts.
                 return self.decline(&ask);
             }
             (have, TransferKind::ReadGrant)
@@ -245,9 +245,7 @@ impl SiteNode {
         if self.inject.crash_pending() {
             return;
         }
-        let (ship, rows_scanned) = self
-            .planner
-            .plan_rebalance(ctx.now(), &(&self.frags, &self.locks));
+        let (ship, rows_scanned) = self.planner.plan_rebalance(&(&self.frags, &self.locks));
         self.metrics.rows_scanned += rows_scanned;
         // An idle tick appends no records and queues no frames, so its
         // trailing flush would be a pure no-op, and at the rebalance

@@ -70,9 +70,9 @@ pub mod prelude {
     pub use dvp_bench::{EngineKind, RunReport, Scenario};
     pub use dvp_core::item::{Catalog, ItemDef, Split};
     pub use dvp_core::{
-        AbortReason, Cluster, ClusterConfig, ConcMode, Crashpoint, Fanout, FaultPlan, Injection,
-        ItemId, Op, Placement, Qty, ReactivePlacement, RefillPolicy, Script, SiteConfig,
-        SiteConfigBuilder, StatsView, TxnOutcome, TxnSpec,
+        AbortReason, Cluster, ClusterConfig, ConcMode, Crashpoint, FaultPlan, Injection, ItemId,
+        Op, Placement, Qty, ReactivePlacement, RefillPolicy, Script, SiteConfig, SiteConfigBuilder,
+        StatsView, TxnOutcome, TxnSpec,
     };
     pub use dvp_simnet::prelude::*;
     pub use dvp_storage::TornWrite;

@@ -27,7 +27,6 @@ fn config_surface_census() {
             txn_timeout,
             placement,
             conc,
-            solicit_retries,
             checkpoint_every,
         }
         VmConfig {
@@ -36,7 +35,6 @@ fn config_surface_census() {
         }
         ReactivePlacement {
             refill,
-            fanout,
         }
         TradConfig {
             protocol,

@@ -48,14 +48,14 @@ fn stale_lease_timer_cannot_release_a_newer_lease() {
 /// not mere caution: with the gate ablated away, a committed read
 /// silently misses the value riding a slow in-flight Vm.
 ///
-/// Scenario (3 sites, item split 34/33/33, link 2→1 delayed 300ms):
-///  t=1ms   site 1 reserves 50 — deficit 17 — solicits site 2 (fanout 1);
-///          site 2 ships a 17-unit Vm onto the slow link and now has an
-///          outstanding Vm for the item;
+/// Scenario (3 sites, item split 0/50/50, link 2→1 delayed 300ms):
+///  t=1ms   site 1 reserves 67 — deficit 17 — and solicits both peers;
+///          site 0 has nothing to give, site 2 ships a 17-unit Vm onto
+///          the slow link and now has an outstanding Vm for the item;
 ///  t=51ms  site 1's reservation times out and aborts (Vm still in air);
 ///  t=60ms  site 0 runs a full-value read.
 /// With the gate: site 2 refuses, the read aborts — no wrong answer.
-/// Without: site 2 donates its remaining 16, the read commits 34+33+16=83
+/// Without: site 2 donates its remaining 33, the read commits 0+50+33=83
 /// while the truth is 100 (17 still in flight toward site 1).
 #[test]
 fn ablating_the_read_drain_gate_breaks_read_exactness() {
@@ -64,12 +64,8 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
     }
     let run = |skip_gate: bool| {
         let mut catalog = Catalog::new();
-        let item = catalog.add("pool", 100, Split::Even); // 34/33/33
+        let item = catalog.add("pool", 100, Split::Explicit(vec![0, 50, 50]));
         let mut cfg = ClusterConfig::new(3, catalog);
-        cfg.site.placement = Placement::Reactive(ReactivePlacement {
-            fanout: Fanout::One,
-            ..Default::default()
-        });
         cfg.mutant = skip_gate.then_some(Mutant::SkipReadDrainGate);
         // The 2→1 data path crawls; everything else is normal, so the
         // Vm's acks and retransmissions do not resolve it quickly.
@@ -84,7 +80,7 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
             },
         );
         let cfg = cfg
-            .at(1, ms(1), TxnSpec::reserve(item, 50))
+            .at(1, ms(1), TxnSpec::reserve(item, 67))
             .at(0, ms(60), TxnSpec::read(item));
         let mut cl = Cluster::build(cfg);
         cl.run_until(ms(5_000));
@@ -114,57 +110,6 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
         ),
         other => panic!("check_reads must flag the miss — the §5 rule is load-bearing: {other:?}"),
     }
-}
-
-/// **`Fanout::One` must not round-robin into a known-dead donor.**
-///
-/// Pre-fix, the single-target rotation blindly included every peer, so a
-/// site soliciting near a crashed donor burned a full transaction
-/// timeout each time the pointer came back around — under Conc1's
-/// silent declines there is no nack to learn from, only the timeout.
-/// The fix marks the target of an unanswered single-target solicitation
-/// *suspect* for two timeout spans and skips suspects in the
-/// round-robin pick (any message from the peer clears the suspicion).
-///
-/// Pinned sequence (3 sites, 1000 units each, site 2 crashed, fanout
-/// one, rotation visits 1, 2, 1, 2, ...):
-///   t1 drains site 0 and solicits site 1   → commit;
-///   t2 rotates to dead site 2              → timeout abort, 2 suspect;
-///   t3 rotates back to site 1              → commit;
-///   t4 would rotate to site 2 again — the suspicion redirects it to
-///      site 1 → commit. (Pre-fix: a second timeout abort.)
-#[test]
-fn fanout_one_skips_a_suspect_donor_while_the_suspicion_is_fresh() {
-    fn ms(n: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::millis(n)
-    }
-    let mut catalog = Catalog::new();
-    let item = catalog.add("pool", 3_000, Split::Even); // 1000 per site
-    let mut cfg = ClusterConfig::new(3, catalog);
-    cfg.site.placement = Placement::Reactive(ReactivePlacement {
-        fanout: Fanout::One,
-        refill: RefillPolicy::DemandExact,
-    });
-    cfg.faults = FaultPlan::none().crash(ms(0), 2);
-    let cfg = cfg
-        .at(0, ms(1), TxnSpec::reserve(item, 1_050)) // solicits site 1
-        .at(0, ms(70), TxnSpec::reserve(item, 100)) // solicits dead site 2
-        .at(0, ms(140), TxnSpec::reserve(item, 100)) // rotates to site 1
-        .at(0, ms(180), TxnSpec::reserve(item, 100)); // 2 again — must skip
-    let mut cl = Cluster::build(cfg);
-    cl.run_to_quiescence();
-    cl.auditor().check_conservation().unwrap();
-    let m = cl.stats().txn;
-    assert_eq!(
-        m.aborted_for(AbortReason::Timeout),
-        1,
-        "only the first probe of the dead donor may time out"
-    );
-    assert_eq!(m.committed(), 3, "t1, t3 and t4 all commit");
-    assert_eq!(
-        m.sites[2].donations, 0,
-        "the crashed site never donates anything"
-    );
 }
 
 /// **The read lease must follow the timeout, however the config is built.**
