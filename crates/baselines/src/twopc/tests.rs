@@ -132,11 +132,7 @@ fn partition_after_prepare_blocks_participant() {
         .split_at(ms(8), &[&[0, 3], &[1, 2]])
         .heal_at(ms(500));
     let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
-    .with_partitions(sched);
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2)).with_partitions(sched);
     let mut cl = TradCluster::build(cfg);
 
     // Mid-partition: participants are blocked in doubt.
@@ -162,10 +158,7 @@ fn coordinator_crash_before_decision_resolves_to_abort() {
     // coordinator recovers — presumed-abort resolves them.
     let (cat, flight) = catalog(100);
     let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    };
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     cfg.faults = FaultPlan::none().crash(ms(8), 0).recover(ms(300), 0);
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(2_000));
@@ -243,10 +236,7 @@ fn participant_recovery_requires_remote_messages() {
     // DvP's zero).
     let (cat, flight) = catalog(100);
     let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    };
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     // Crash in the in-doubt window (prepared ≈7ms, decision ≈11ms).
     cfg.faults = FaultPlan::none().crash(ms(8), 1).recover(ms(200), 1);
     let mut cl = TradCluster::build(cfg);
@@ -284,10 +274,7 @@ fn threepc_is_nonblocking_under_coordinator_crash() {
     let (cat, flight) = catalog(100);
     let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
     cfg.site.protocol = CommitProtocol::ThreePhase;
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    };
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     cfg.faults = FaultPlan::none()
         .crash(ms(8), 0) // after prepares, before pre-commit
         .recover(ms(5_000), 0); // very late
@@ -323,11 +310,7 @@ fn threepc_diverges_under_partition() {
         .heal_at(ms(10_000)); // long partition
     let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
     cfg.site.protocol = CommitProtocol::ThreePhase;
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
-    .with_partitions(sched);
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2)).with_partitions(sched);
     let mut cl = TradCluster::build(cfg);
     cl.run_until(ms(2_000)); // both sides have terminated by now
     let blocked: usize = (0..4).map(|s| cl.sim.node(s).in_doubt_count()).sum();
@@ -379,11 +362,7 @@ fn decision_owed_to_writer_2(cat: Catalog, flight: ItemId) -> ClusterConfig<Trad
         .isolate_at(ms(10), &[2])
         .heal_at(ms(500));
     let mut cfg = config(cat).at(0, ms(1), TxnSpec::reserve(flight, 10));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
-    .with_partitions(sched);
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2)).with_partitions(sched);
     cfg
 }
 
@@ -534,10 +513,7 @@ fn a_stale_prepare_after_the_commit_is_refused() {
         config(cat)
             .at(0, ms(1), TxnSpec::reserve(flight, 10))
             .at(1, ms(50), TxnSpec::read(flight));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    };
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     let keep = |b: &TradBody| matches!(b, TradBody::LockReq { .. } | TradBody::Prepare { .. });
     let (mut sim, audit) = replayers(&cfg, keep);
     sim.run_until(ms(49));
@@ -587,10 +563,7 @@ fn a_later_transaction_committing_first_is_not_lost() {
         ms(2),
         TxnSpec::reserve(flight, 10),
     );
-    let mut net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    };
+    let mut net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     for to in 0..3 {
         net = net.with_link(3, to, LinkConfig::reliable_fixed(SimDuration::millis(15)));
     }

@@ -16,7 +16,7 @@
 use crate::scenario::{RunReport, Scenario};
 use crate::table::Table;
 use crate::Scale;
-use dvp_core::{Placement, ReactivePlacement, RefillPolicy, SiteConfig};
+use dvp_core::{Placement, RefillPolicy, SiteConfig};
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::{AirlineWorkload, HotspotDriftWorkload, Workload};
@@ -87,7 +87,7 @@ pub fn run(_scale: Scale) -> Table {
         (RefillPolicy::All, "all"),
     ] {
         let site = SiteConfig::builder()
-            .placement(Placement::Reactive(ReactivePlacement { refill }))
+            .placement(Placement::Reactive(refill))
             .build();
         row(
             "refill",

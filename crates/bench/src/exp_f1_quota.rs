@@ -13,7 +13,7 @@
 use crate::scenario::Scenario;
 use crate::table::{f2, pct, Table};
 use crate::Scale;
-use dvp_core::{Placement, ReactivePlacement, RefillPolicy, SiteConfig};
+use dvp_core::{Placement, RefillPolicy, SiteConfig};
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::AirlineWorkload;
 
@@ -54,7 +54,7 @@ pub fn run(scale: Scale) -> Table {
             }
             .generate(17);
             let site = SiteConfig::builder()
-                .placement(Placement::Reactive(ReactivePlacement { refill: policy }))
+                .placement(Placement::Reactive(policy))
                 .build();
             let r = Scenario::dvp(&w).site(site).until(until).seed(3).run();
             let per_commit = |x: u64| {

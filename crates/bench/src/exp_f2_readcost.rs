@@ -12,7 +12,7 @@ use crate::Scale;
 use dvp_baselines::{Placement, TradCluster, TradConfig};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, TxnSpec};
-use dvp_simnet::network::{LinkConfig, NetworkConfig};
+use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::time::{SimDuration, SimTime};
 
 /// One full-value read on an `n`-site cluster over fixed 2 ms links: the
@@ -22,10 +22,7 @@ fn read_config(n: usize) -> ClusterConfig {
     let item = catalog.add("item", 1_000, Split::Even);
     let read_at = SimTime::ZERO + SimDuration::millis(1);
     let mut cfg = ClusterConfig::new(n, catalog).at(0, read_at, TxnSpec::read(item));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    };
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     cfg
 }
 

@@ -15,7 +15,7 @@ use crate::scenario::Scenario;
 use crate::table::{f2, pct, Table};
 use crate::Scale;
 use dvp_core::item::Split;
-use dvp_core::{Placement, ReactivePlacement, RefillPolicy, SiteConfig};
+use dvp_core::{Placement, RefillPolicy, SiteConfig};
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::AirlineWorkload;
 
@@ -63,7 +63,7 @@ pub fn run(scale: Scale) -> Table {
             }
             .generate(23);
             let site = SiteConfig::builder()
-                .placement(Placement::Reactive(ReactivePlacement { refill: policy }))
+                .placement(Placement::Reactive(policy))
                 .build();
             let r = Scenario::dvp(&w).site(site).until(until).seed(4).run();
             let per_commit = |x: u64| {

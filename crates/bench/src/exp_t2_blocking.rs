@@ -16,7 +16,7 @@ use dvp_baselines::CommitProtocol::{ThreePhase, TwoPhase};
 use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, TxnSpec};
-use dvp_simnet::network::{LinkConfig, NetworkConfig};
+use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::partition::PartitionSchedule;
 use dvp_simnet::time::{SimDuration, SimTime};
 
@@ -25,10 +25,7 @@ fn msec(n: u64) -> SimTime {
 }
 
 fn fixed_net() -> NetworkConfig {
-    NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
+    NetworkConfig::fixed_delay(SimDuration::millis(2))
 }
 
 /// One row's run, shared by every engine: a reservation big enough to

@@ -16,19 +16,12 @@ use crate::Scale;
 use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, TxnSpec};
 use dvp_obs::{EventKind, Obs};
-use dvp_simnet::network::{LinkConfig, NetworkConfig};
+use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::{AirlineWorkload, Workload};
 
 fn msec(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::millis(n)
-}
-
-fn fixed_net() -> NetworkConfig {
-    NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
 }
 
 /// Build the workload: background traffic before the crash, plus probes
@@ -91,7 +84,7 @@ pub fn run(scale: Scale) -> Table {
         // One run for both engines, traced: the first commit is read
         // from the event stream.
         let cfg = ClusterConfig {
-            net: fixed_net(),
+            net: NetworkConfig::fixed_delay(SimDuration::millis(2)),
             faults: faults.recover(msec(recover_at), 1),
             trace: true,
             ..w.cluster()

@@ -22,8 +22,6 @@ use dvp_nemesis::{
     ddmin, generate, lossy_environment, run_campaign, CampaignConfig, CampaignResult,
     FaultSchedule, Intensity, Replay,
 };
-use dvp_simnet::network::NetworkConfig;
-use dvp_simnet::time::SimDuration;
 use dvp_workloads::AirlineWorkload;
 use std::fmt::Write as _;
 
@@ -39,8 +37,6 @@ pub struct ProtoConfig {
     pub name: &'static str,
     /// Per-site protocol configuration.
     site: SiteConfig,
-    /// Base network; the schedule layers partitions and chaos onto it.
-    net: NetworkConfig,
     /// Fault mix.
     intensity: Intensity,
     /// A bug planted at every site (`None` in every row of the table).
@@ -67,7 +63,7 @@ impl ProtoConfig {
         CampaignConfig {
             cluster: ClusterConfig {
                 site: self.site,
-                net: self.net.clone(),
+                net: lossy_environment(),
                 mutant: self.mutant,
                 seed,
                 trace,
@@ -104,7 +100,6 @@ pub fn configs() -> Vec<ProtoConfig> {
     let standard = |name, site| ProtoConfig {
         name,
         site,
-        net: lossy_environment(),
         intensity: Intensity::standard(),
         mutant: None,
     };
@@ -116,13 +111,7 @@ pub fn configs() -> Vec<ProtoConfig> {
         standard("conc1-baseline", base),
         standard("conc1-ckpt", ckpt),
         standard("conc1-adaptive", adaptive),
-        // Conc2 assumes a synchronous-ordered network (paper §6.2), so
-        // its campaigns keep that transport guarantee; crashes,
-        // crashpoints, and torn writes still apply.
-        ProtoConfig {
-            net: NetworkConfig::synchronous_ordered(SimDuration::millis(2)),
-            ..standard("conc2-sync", conc2)
-        },
+        standard("conc2", conc2),
         media("media-ckpt", ckpt),
         media("media-tight-ckpt", media_tight_ckpt),
     ]
@@ -230,7 +219,6 @@ mod tests {
         let broken = ProtoConfig {
             name: "broken-redo",
             site: SiteConfig::default(),
-            net: lossy_environment(),
             intensity: Intensity::standard(),
             mutant: Some(Mutant::SkipRecoveryRedo),
         };

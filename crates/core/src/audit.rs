@@ -16,7 +16,6 @@
 //!   history itself.
 
 use crate::clock::Ts;
-use crate::dense::SVec;
 use crate::item::Catalog;
 use crate::metrics::ClusterMetrics;
 use crate::site::SiteNode;
@@ -240,10 +239,9 @@ impl History {
         self.wrong_read.clone().map_or(Ok(()), Err)
     }
 
-    /// Fold one commit in: its reads see every earlier commit but not its
-    /// own deltas (reads carry none anyway).
-    fn apply(&mut self, at: SimTime, c: &Pending) {
-        for &(item, got) in &c.reads {
+    /// Fold one commit in.
+    fn apply(&mut self, at: SimTime, txn: Ts, deltas: &[(ItemId, i64)], reads: &[(ItemId, Qty)]) {
+        for &(item, got) in reads {
             self.reads_checked += 1;
             self.last_read = Some((item, got));
             let expected = self.total(item);
@@ -252,12 +250,12 @@ impl History {
                     item,
                     expected,
                     got,
-                    txn: c.txn,
+                    txn,
                     at,
                 });
             }
         }
-        for &(item, d) in &c.deltas {
+        for &(item, d) in deltas {
             let i = item.0 as usize;
             if i >= self.totals.len() {
                 self.totals.resize(i + 1, 0);
@@ -269,85 +267,31 @@ impl History {
     }
 }
 
-/// A commit of the instant the sink has not yet closed.
-#[derive(Debug)]
-struct Pending {
-    txn: Ts,
-    deltas: SVec<(ItemId, i64), 2>,
-    reads: SVec<(ItemId, Qty), 2>,
-}
-
-#[derive(Debug, Default)]
-struct SinkState {
-    /// Every commit before `instant`, folded.
-    settled: History,
-    instant: SimTime,
-    /// The commits at `instant`, in dispatch order (capacity retained).
-    pending: Vec<Pending>,
-}
-
-impl SinkState {
-    /// Global commit order is `(instant, txn)`: the kernel dispatches
-    /// instants in order, but not the commits inside one by txn id, so an
-    /// instant is folded only once it is over. Txn ids are unique, so an
-    /// unstable sort is exact (and never allocates).
-    fn sort_pending(&mut self) {
-        self.pending.sort_unstable_by_key(|c| c.txn);
-    }
-
-    fn settle(&mut self) {
-        self.sort_pending();
-        for c in self.pending.drain(..) {
-            self.settled.apply(self.instant, &c);
-        }
-    }
-}
-
 /// The read-exactness check, run as transactions commit. One handle is
 /// shared by a cluster and all its sites, the way [`dvp_obs::Obs`] is;
-/// each commit hands it `(instant, txn, deltas, reads)`, and it holds a
-/// [`History`] plus the commits of the current instant — nothing that
-/// grows with the run.
+/// each commit hands it `(instant, txn, deltas, reads)`, and it folds the
+/// commit into a [`History`] at once, in the order commits are recorded —
+/// nothing that grows with the run. The kernel dispatches instants in
+/// order, and a site records a commit before its lock release can wake
+/// (and commit) a Conc2 waiter, so recorded order is a serial order.
 #[derive(Clone, Debug, Default)]
-pub struct HistorySink(Rc<RefCell<SinkState>>);
+pub struct HistorySink(Rc<RefCell<History>>);
 
 impl HistorySink {
     /// A sink starting from the catalog's initial totals.
     pub fn new(catalog: &Catalog) -> Self {
-        HistorySink(Rc::new(RefCell::new(SinkState {
-            settled: History::new(catalog),
-            ..SinkState::default()
-        })))
+        HistorySink(Rc::new(RefCell::new(History::new(catalog))))
     }
 
-    /// Record one committed transaction. Instants must not decrease.
-    pub fn commit(
-        &self,
-        at: SimTime,
-        txn: Ts,
-        deltas: SVec<(ItemId, i64), 2>,
-        reads: SVec<(ItemId, Qty), 2>,
-    ) {
-        let mut s = self.0.borrow_mut();
-        debug_assert!(at >= s.instant, "commits arrive in time order");
-        if at > s.instant {
-            s.settle();
-            s.instant = at;
-        }
-        s.pending.push(Pending { txn, deltas, reads });
+    /// Record one committed transaction: its reads see every commit
+    /// recorded before it, and not its own deltas (reads carry none).
+    pub fn commit(&self, at: SimTime, txn: Ts, deltas: &[(ItemId, i64)], reads: &[(ItemId, Qty)]) {
+        self.0.borrow_mut().apply(at, txn, deltas, reads);
     }
 
-    /// The history so far, the current instant's commits included. The
-    /// instant stays open: a commit still to come at it is folded in its
-    /// txn order later, so querying never changes a later verdict.
+    /// The history so far.
     pub fn history(&self) -> History {
-        let mut s = self.0.borrow_mut();
-        s.sort_pending();
-        let mut h = s.settled.clone();
-        for c in &s.pending {
-            h.apply(s.instant, c);
-        }
-        h
+        self.0.borrow().clone()
     }
 }
 

@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn conc2_queues_instead_of_rejecting() {
-        // Under Conc2 with a synchronous-ordered network, two reservations
+        // Under Conc2 on a reliable fixed-delay network, two reservations
         // hitting the same items serialize through the FIFO queue and both
         // commit.
         let (catalog, flight) = seats_catalog(100);
@@ -451,7 +451,7 @@ mod tests {
             .at(0, ms(1), TxnSpec::reserve(flight, 30)) // needs donation
             .at(0, ms(2), TxnSpec::reserve(flight, 30)); // queued behind
         cfg.site.conc = ConcMode::Conc2;
-        cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
+        cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
         let mut cl = Cluster::build(cfg);
         cl.run_to_quiescence();
         let m = cl.stats().txn;

@@ -57,9 +57,7 @@ pub use fault::{Crashpoint, FaultPlan, Injection, Mutant};
 pub use item::{Catalog, ItemId};
 pub use metrics::{AbortReason, ClusterMetrics, SiteMetrics};
 pub use ops::Op;
-pub use policy::{
-    ConcMode, Placement, ReactivePlacement, RefillPolicy, SiteConfig, SiteConfigBuilder,
-};
+pub use policy::{ConcMode, Placement, RefillPolicy, SiteConfig, SiteConfigBuilder};
 pub use script::{Script, ScriptCursor};
 pub use site::SiteNode;
 pub use txn::{TxnOutcome, TxnSpec};

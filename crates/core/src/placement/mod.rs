@@ -172,7 +172,7 @@ impl Planner {
     pub fn refill(&self, item: ItemId, need: Qty, demand: Qty, have: Qty) -> Qty {
         match self.policy {
             Placement::Static => 0,
-            Placement::Reactive(r) => r.refill.amount(need, have),
+            Placement::Reactive(refill) => refill.amount(need, have),
             Placement::Adaptive => {
                 let base = RefillPolicy::DemandExact.amount(need, have);
                 let spare = spare(have, self.own_demand[item.0 as usize]);

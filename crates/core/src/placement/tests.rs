@@ -1,7 +1,6 @@
 //! Planner unit tests: no cluster, no kernel — a hand-rolled [`View`].
 
 use super::*;
-use crate::policy::ReactivePlacement;
 
 /// A site as the planner sees it: `have[i]` / `locked[i]` of item `i`.
 struct Site(Vec<Qty>, Vec<bool>);
@@ -72,10 +71,7 @@ fn refill_follows_the_policy_and_never_exceeds_have() {
         "static never grants"
     );
     assert_eq!(refill(Placement::reactive(), 5, 30, 10), 5, "demand-exact");
-    let all = Placement::Reactive(ReactivePlacement {
-        refill: RefillPolicy::All,
-    });
-    assert_eq!(refill(all, 5, 0, 70), 70);
+    assert_eq!(refill(Placement::Reactive(RefillPolicy::All), 5, 0, 70), 70);
     // Adaptive: the deficit plus a top-up toward the advertised demand,
     // capped by the donor's spare beyond 1.5x its own predicted demand.
     assert_eq!(refill(Placement::adaptive(), 5, 30, 100), 30);

@@ -55,28 +55,11 @@ pub enum ConcMode {
     /// granted only if `TS(t) > TS(d)`; conflicts and stale timestamps
     /// abort/ignore immediately. Works on any network.
     Conc1,
-    /// Conc2: strict two-phase locking with FIFO lock queues. Sound under
-    /// the Section 6.2 network assumptions (message-order synchronicity +
-    /// ordered broadcast) — pair it with
-    /// `NetworkConfig::synchronous_ordered`.
+    /// Conc2: strict two-phase locking with FIFO lock queues. Section 6.2
+    /// assumes message-order synchronicity and ordered broadcast for it; the
+    /// engine does not rely on them, and T5's `conc2` row checks it on the
+    /// lossy, duplicating campaign network.
     Conc2,
-}
-
-/// The paper-baseline placement policy: value moves only when demanded
-/// (refill solicitations), never spontaneously — the one rebalancer is
-/// [`Placement::Adaptive`]'s.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReactivePlacement {
-    /// Refill donation policy.
-    pub refill: RefillPolicy,
-}
-
-impl Default for ReactivePlacement {
-    fn default() -> Self {
-        ReactivePlacement {
-            refill: RefillPolicy::DemandExact,
-        }
-    }
 }
 
 /// Where value sits and how it moves: the unified placement policy.
@@ -89,9 +72,11 @@ pub enum Placement {
     /// The ablation floor: what partitioning costs with no redistribution
     /// at all.
     Static,
-    /// The paper's baseline: demand-triggered refills and nothing else.
-    /// The default.
-    Reactive(ReactivePlacement),
+    /// The paper's baseline: value moves only when demanded, and a donor
+    /// sizes each refill by the [`RefillPolicy`] — never spontaneously
+    /// (the one rebalancer is [`Placement::Adaptive`]'s). The default,
+    /// with demand-exact refills.
+    Reactive(RefillPolicy),
     /// The demand-adaptive subsystem: demand EWMAs, predictive refill and
     /// demand-driven rebalancing, the only rebalancer (mechanism,
     /// constants and the volatility / safety-inertness argument:
@@ -101,7 +86,7 @@ pub enum Placement {
 
 impl Default for Placement {
     fn default() -> Self {
-        Placement::Reactive(ReactivePlacement::default())
+        Placement::Reactive(RefillPolicy::DemandExact)
     }
 }
 

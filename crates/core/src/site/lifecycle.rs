@@ -384,10 +384,10 @@ impl SiteNode {
     }
 
     /// Steps 5–7, for a registered transaction and a fast-path one alike:
-    /// force the commit record, install changes, release locks.
-    /// `first_credit` is `Some` for a transaction that solicited: the
-    /// instant its first credit arrived (or now, if none did), which
-    /// splits its latency into phases.
+    /// force the commit record, install changes, record the commit,
+    /// release locks. `first_credit` is `Some` for a transaction that
+    /// solicited: the instant its first credit arrived (or now, if none
+    /// did), which splits its latency into phases.
     fn commit(
         &mut self,
         ts: Ts,
@@ -400,8 +400,7 @@ impl SiteNode {
         self.release_read_leases(ts, reads, ctx);
 
         spec.deltas_into(&mut self.deltas_scratch);
-        // Empty for write-only transactions; 1–2 entries stay inline in
-        // the `SVec`s the history sink keeps until the instant closes.
+        // Empty for write-only transactions; 1–2 entries stay inline.
         let read_values: SVec<(ItemId, Qty), 2> = reads
             .iter()
             .map(|&item| (item, self.frags.get(item)))
@@ -418,8 +417,6 @@ impl SiteNode {
             // the Commit record it names.
             self.durable.force_now();
         }
-        // Built once, and out of the scratch before waking waiters: a
-        // woken one may commit re-entrantly and reuse the scratch.
         let deltas = self
             .durable
             .append_commit(ts, DbActions::from_slice(&self.deltas_scratch));
@@ -439,13 +436,12 @@ impl SiteNode {
         }
         self.durable.append(SiteRecord::Applied { txn: ts });
 
-        // Step 7: release locks (and wake Conc2 waiters).
-        self.release_locks_and_wake(ts, ctx);
-
+        // Recorded before step 7: a Conc2 waiter that step 7 wakes may
+        // commit re-entrantly, and lock handover is its serial order.
         let latency = ctx.now().since(started).as_micros();
         self.metrics
             .record_commit(&deltas, latency, first_credit.is_none());
-        self.history.commit(ctx.now(), ts, deltas, read_values);
+        self.history.commit(ctx.now(), ts, &deltas, &read_values);
         if let Some(fc) = first_credit {
             // Phase split: solicit = start → first credit arriving,
             // gather = first credit → commit (zero when a single credit
@@ -462,6 +458,9 @@ impl SiteNode {
             latency_us: latency,
             fast_path: first_credit.is_none(),
         });
+
+        // Step 7: release locks (and wake Conc2 waiters).
+        self.release_locks_and_wake(ts, ctx);
     }
 
     pub(super) fn abort_txn(

@@ -6,8 +6,7 @@
 //!   transaction, the write-only fast path, and implicit Rds transactions
 //!   (donations and Vm acceptances);
 //! * **Concurrency control** (Section 6): Conc1 (conservative
-//!   timestamping, fail-fast) or Conc2 (strict 2PL with FIFO lock queues,
-//!   for synchronous-ordered networks);
+//!   timestamping, fail-fast) or Conc2 (strict 2PL with FIFO lock queues);
 //! * **Recovery** (Section 7): on crash, volatile state is discarded and
 //!   the unforced log tail lost; on restart the site rebuilds fragments,
 //!   timestamps, and Vm state purely from its own stable log — no remote

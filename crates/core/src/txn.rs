@@ -16,7 +16,6 @@ use crate::item::ItemId;
 use crate::metrics::AbortReason;
 use crate::ops::Op;
 use crate::Qty;
-use std::collections::BTreeMap;
 
 /// A transaction as submitted by a client.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,37 +58,9 @@ impl TxnSpec {
     }
 
     /// The access set A(t): distinct items touched, sorted (the engine
-    /// acquires locks in this order under Conc2).
-    pub fn access_set(&self) -> Vec<ItemId> {
-        let mut items: Vec<ItemId> = self.ops.iter().map(|(i, _)| *i).collect();
-        items.sort();
-        items.dedup();
-        items
-    }
-
-    /// Net committed delta per item.
-    pub fn deltas(&self) -> BTreeMap<ItemId, i64> {
-        let mut m = BTreeMap::new();
-        for (item, op) in &self.ops {
-            *m.entry(*item).or_insert(0) += op.delta();
-        }
-        m
-    }
-
-    /// Total local demand per item (sum of `Decr` amounts).
-    pub fn demands(&self) -> BTreeMap<ItemId, Qty> {
-        let mut m = BTreeMap::new();
-        for (item, op) in &self.ops {
-            let d = op.demand();
-            if d > 0 {
-                *m.entry(*item).or_insert(0) += d;
-            }
-        }
-        m
-    }
-
-    /// [`access_set`](Self::access_set) into a caller-owned scratch
-    /// buffer (the steady-state path must not allocate per transaction).
+    /// acquires locks in this order under Conc2), into a caller-owned
+    /// scratch buffer (the steady-state path must not allocate per
+    /// transaction).
     pub fn access_set_into(&self, out: &mut Vec<ItemId>) {
         out.clear();
         out.extend(self.ops.iter().map(|(i, _)| *i));
@@ -97,9 +68,9 @@ impl TxnSpec {
         out.dedup();
     }
 
-    /// [`deltas`](Self::deltas) into a caller-owned scratch buffer,
-    /// sorted by item; repeated items accumulate exactly as the map
-    /// variant does (including explicit zero entries for reads).
+    /// Net committed delta per item into a caller-owned scratch buffer,
+    /// sorted by item; repeated items accumulate, and a read leaves an
+    /// explicit zero entry.
     pub fn deltas_into(&self, out: &mut Vec<(ItemId, i64)>) {
         out.clear();
         for (item, op) in &self.ops {
@@ -110,8 +81,9 @@ impl TxnSpec {
         }
     }
 
-    /// [`demands`](Self::demands) into a caller-owned scratch buffer,
-    /// sorted by item; only items with positive demand appear.
+    /// Total local demand per item (sum of `Decr` amounts) into a
+    /// caller-owned scratch buffer, sorted by item; only items with
+    /// positive demand appear.
     pub fn demands_into(&self, out: &mut Vec<(ItemId, Qty)>) {
         out.clear();
         for (item, op) in &self.ops {
@@ -185,22 +157,38 @@ mod tests {
     const A: ItemId = ItemId(0);
     const B: ItemId = ItemId(1);
 
+    fn access_set(t: &TxnSpec) -> Vec<ItemId> {
+        let mut out = Vec::new();
+        t.access_set_into(&mut out);
+        out
+    }
+
+    fn deltas(t: &TxnSpec) -> Vec<(ItemId, i64)> {
+        let mut out = Vec::new();
+        t.deltas_into(&mut out);
+        out
+    }
+
+    fn demands(t: &TxnSpec) -> Vec<(ItemId, Qty)> {
+        let mut out = Vec::new();
+        t.demands_into(&mut out);
+        out
+    }
+
     #[test]
     fn reserve_is_a_single_decr() {
         let t = TxnSpec::reserve(A, 3);
         assert_eq!(t.ops.as_slice(), [(A, Op::Decr(3))]);
-        assert_eq!(t.demands().get(&A), Some(&3));
-        assert_eq!(t.deltas().get(&A), Some(&-3));
+        assert_eq!(demands(&t), [(A, 3)]);
+        assert_eq!(deltas(&t), [(A, -3)]);
     }
 
     #[test]
     fn transfer_touches_two_items() {
         let t = TxnSpec::transfer(A, B, 4);
-        assert_eq!(t.access_set(), vec![A, B]);
-        assert_eq!(t.deltas().get(&A), Some(&-4));
-        assert_eq!(t.deltas().get(&B), Some(&4));
-        assert_eq!(t.demands().get(&A), Some(&4));
-        assert_eq!(t.demands().get(&B), None);
+        assert_eq!(access_set(&t), [A, B]);
+        assert_eq!(deltas(&t), [(A, -4), (B, 4)]);
+        assert_eq!(demands(&t), [(A, 4)], "an increment demands nothing");
     }
 
     #[test]
@@ -208,7 +196,7 @@ mod tests {
         let t = TxnSpec::read(A);
         assert_eq!(t.reads(), vec![A]);
         assert!(!t.writes_only());
-        assert_eq!(t.deltas().get(&A), Some(&0));
+        assert_eq!(deltas(&t), [(A, 0)]);
         let t = TxnSpec::transfer(A, B, 1);
         assert!(t.writes_only());
         assert!(t.reads().is_empty());
@@ -219,13 +207,13 @@ mod tests {
         let t = TxnSpec {
             ops: vec![(A, Op::Decr(2)), (A, Op::Decr(3)), (A, Op::Incr(1))].into(),
         };
-        assert_eq!(t.access_set(), vec![A]);
-        assert_eq!(t.demands().get(&A), Some(&5));
-        assert_eq!(t.deltas().get(&A), Some(&-4));
+        assert_eq!(access_set(&t), [A]);
+        assert_eq!(demands(&t), [(A, 5)]);
+        assert_eq!(deltas(&t), [(A, -4)]);
     }
 
     #[test]
-    fn into_variants_match_map_variants() {
+    fn into_variants_reuse_their_buffer() {
         let t = TxnSpec {
             ops: vec![
                 (B, Op::Decr(2)),
@@ -237,14 +225,13 @@ mod tests {
         };
         let mut items = vec![ItemId(99)];
         t.access_set_into(&mut items);
-        assert_eq!(items, t.access_set());
-        let mut deltas = Vec::new();
+        assert_eq!(items, [A, B]);
+        let mut deltas = vec![(ItemId(99), 1)];
         t.deltas_into(&mut deltas);
-        assert_eq!(deltas, t.deltas().into_iter().collect::<Vec<_>>());
-        let mut demands = Vec::new();
+        assert_eq!(deltas, [(A, 1), (B, -5)]);
+        let mut demands = vec![(ItemId(99), 1)];
         t.demands_into(&mut demands);
-        assert_eq!(demands, t.demands().into_iter().collect::<Vec<_>>());
-        assert_eq!(demands, vec![(B, 5)]);
+        assert_eq!(demands, [(B, 5)]);
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //!
 //! The sink checks committed reads as they happen and keeps O(items)
 //! state. The reference model here *is* the design it replaced: a journal
-//! of every commit, sorted by `(instant, txn)` and replayed from the
-//! initial totals whenever a verdict is asked for. Random commit streams —
-//! non-decreasing instants with many ties, dispatched out of txn order,
-//! deltas that can overdraw, reads that sometimes return the truth and
-//! sometimes do not — are fed to both, and at random query points the
-//! verdict, the read count, the last read, and every item's running total
-//! and low-water mark must agree.
+//! of every commit, replayed in recorded order from the initial totals
+//! whenever a verdict is asked for. Random commit streams — non-decreasing
+//! instants with many ties, txn ids in no particular order, deltas that
+//! can overdraw, reads that sometimes return the truth and sometimes do
+//! not — are fed to both, and at random query points the verdict, the read
+//! count, the last read, and every item's running total and low-water mark
+//! must agree.
 
 use dvp_core::audit::{AuditError, History, HistorySink};
 use dvp_core::item::{Catalog, Split};
-use dvp_core::{ItemId, Qty, SVec, Ts};
+use dvp_core::{ItemId, Qty, Ts};
 use dvp_simnet::time::SimTime;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ struct Entry {
     reads: Vec<(ItemId, Qty)>,
 }
 
-/// What the old sort-and-replay `check_reads` computes from a journal,
+/// What the old journal-replay `check_reads` computes from a journal,
 /// plus the counts and totals the sink now reports.
 #[derive(Debug, PartialEq)]
 struct Replay {
@@ -42,8 +42,6 @@ struct Replay {
 }
 
 fn replay(catalog: &Catalog, journal: &[Entry]) -> Replay {
-    let mut order: Vec<&Entry> = journal.iter().collect();
-    order.sort_by_key(|e| (e.at, e.txn));
     let mut totals: BTreeMap<ItemId, i64> = catalog
         .items()
         .iter()
@@ -51,7 +49,7 @@ fn replay(catalog: &Catalog, journal: &[Entry]) -> Replay {
         .collect();
     let mut low_water = totals.clone();
     let (mut verdict, mut reads, mut last_read) = (Ok(()), 0, None);
-    for e in order {
+    for e in journal {
         for &(item, got) in &e.reads {
             let expected = totals.get(&item).copied().unwrap_or(0);
             if expected != got as i64 && verdict.is_ok() {
@@ -118,16 +116,19 @@ fn step() -> impl Strategy<Value = Step> {
     )
 }
 
-/// Lay the steps out as a dispatch-ordered stream of commits and query
-/// points. Instants advance on 2 of 5 draws, so most instants hold
-/// several commits; txn ids are unique but random within an instant.
-/// A truthful read is then given the value the `(instant, txn)` order
-/// says it saw.
+/// Lay the steps out as a recorded stream of commits and query points.
+/// Instants advance on 2 of 5 draws, so most instants hold several
+/// commits; txn ids are unique but random within an instant. A truthful
+/// read is given the value the recorded order says it saw.
 fn stream(catalog: &Catalog, steps: &[Step]) -> (Vec<Entry>, Vec<usize>) {
     let mut at = SimTime(1);
     let mut journal = Vec::new();
     let mut queries = Vec::new();
-    let mut truthful = Vec::new();
+    let mut totals: BTreeMap<ItemId, i64> = catalog
+        .items()
+        .iter()
+        .map(|d| (d.id, d.total as i64))
+        .collect();
     for (idx, (query, dt, key, deltas, reads)) in steps.iter().enumerate() {
         if *query == 0 {
             queries.push(journal.len());
@@ -136,35 +137,24 @@ fn stream(catalog: &Catalog, steps: &[Step]) -> (Vec<Entry>, Vec<usize>) {
         if *dt >= 3 {
             at = SimTime(at.0 + dt);
         }
+        let truth = |i: u32| totals.get(&ItemId(i)).copied().unwrap_or(0) as Qty;
+        let reads = reads
+            .iter()
+            .map(|&(i, t, v)| (ItemId(i), if t { truth(i) } else { v }))
+            .collect();
+        let deltas: Vec<(ItemId, i64)> = deltas
+            .iter()
+            .map(|&(i, d)| (ItemId(i), d as i64 - 40))
+            .collect();
+        for &(item, d) in &deltas {
+            *totals.entry(item).or_insert(0) += d;
+        }
         journal.push(Entry {
             at,
             txn: Ts((key << 10) | idx as u64),
-            deltas: deltas
-                .iter()
-                .map(|&(i, d)| (ItemId(i), d as i64 - 40))
-                .collect(),
-            reads: reads.iter().map(|&(i, _, v)| (ItemId(i), v)).collect(),
+            deltas,
+            reads,
         });
-        truthful.push(reads.iter().map(|&(_, t, _)| t).collect::<Vec<_>>());
-    }
-    // Fill in the truthful reads in commit order.
-    let mut order: Vec<usize> = (0..journal.len()).collect();
-    order.sort_by_key(|&k| (journal[k].at, journal[k].txn));
-    let mut totals: BTreeMap<ItemId, i64> = catalog
-        .items()
-        .iter()
-        .map(|d| (d.id, d.total as i64))
-        .collect();
-    for k in order {
-        let e = &mut journal[k];
-        for (r, &truth) in e.reads.iter_mut().zip(&truthful[k]) {
-            if truth {
-                r.1 = totals.get(&r.0).copied().unwrap_or(0) as Qty;
-            }
-        }
-        for &(item, d) in &e.deltas {
-            *totals.entry(item).or_insert(0) += d;
-        }
     }
     (journal, queries)
 }
@@ -173,7 +163,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn sink_matches_sort_and_replay(
+    fn sink_matches_journal_replay(
         initial in vec(0u64..120, 3..4),
         steps in vec(step(), 1..48),
     ) {
@@ -187,12 +177,7 @@ proptest! {
         let mut fed = 0;
         for q in queries {
             for e in &journal[fed..q] {
-                sink.commit(
-                    e.at,
-                    e.txn,
-                    SVec::from_slice(&e.deltas),
-                    SVec::from_slice(&e.reads),
-                );
+                sink.commit(e.at, e.txn, &e.deltas, &e.reads);
             }
             fed = q;
             let want = padded(replay(&catalog, &journal[..fed]));

@@ -39,8 +39,7 @@ impl Intensity {
     }
 }
 
-/// The lossy (15%), duplicating (10%) base network of every T5 config
-/// but `conc2-sync`.
+/// The lossy (15%), duplicating (10%) base network of every T5 config.
 pub fn lossy_environment() -> NetworkConfig {
     NetworkConfig {
         default_link: LinkConfig {

@@ -2,9 +2,9 @@
 //!
 //! All pending work is totally ordered by `(time, seq)` where `seq` is a
 //! global monotone counter assigned at scheduling time. The tiebreaker makes
-//! the run deterministic *and* gives the synchronous-ordered network mode its
-//! "every site sees broadcasts in the same order" property: equal-delay
-//! deliveries inherit the ordering of their sends.
+//! the run deterministic *and* gives a fixed-delay network its "every site
+//! sees broadcasts in the same order" property: equal-delay deliveries
+//! inherit the ordering of their sends.
 //!
 //! Two of the kernel's three lanes live here (the third is
 //! `crate::timers`); the run loop merges all three by that key:

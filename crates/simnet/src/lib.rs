@@ -19,11 +19,12 @@
 //!    recover. Nothing in the kernel detects failures on behalf of a node —
 //!    exactly the paper's stance that "no partition detection algorithm can
 //!    be expected to handle such general situations".
-//! 3. **Ordered-broadcast mode.** Section 6.2 of the paper assumes
-//!    message-order synchronicity and reliable broadcast for the Conc2
-//!    scheme; [`network::NetworkConfig::synchronous_ordered`] provides that
-//!    mode (fixed symmetric delay, no loss, global tie-breaking), so Conc2
-//!    runs under precisely its stated assumptions.
+//! 3. **One network model.** Every link is a delay band plus loss and
+//!    duplication rates, and chaos windows add to them. Section 6.2's
+//!    ordered broadcast is not a mode: a reliable fixed-delay network
+//!    ([`network::NetworkConfig::fixed_delay`]) draws no randomness, and
+//!    the kernel's global tie-break delivers same-instant messages in send
+//!    order at every site.
 //!
 //! The programming model is an actor loop: implement [`node::Node`], then
 //! drive a [`sim::Simulation`]. Work enters from outside as per-node

@@ -92,13 +92,8 @@ pub struct NetworkConfig {
     pub link_overrides: HashMap<(NodeId, NodeId), LinkConfig>,
     /// The partition oracle. `None` means never partitioned.
     pub partitions: Option<PartitionSchedule>,
-    /// Section 6.2 mode: fixed symmetric delay, no loss/duplication, and
-    /// deterministic global tie-breaking, giving message-order synchronicity
-    /// and totally-ordered broadcast (the Conc2 assumptions).
-    pub synchronous_ordered: bool,
     /// Nemesis chaos bursts. Empty (the default) costs one `is_empty()`
-    /// check per routed message. Ignored in `synchronous_ordered` mode,
-    /// whose reliability is a protocol assumption, not a tunable.
+    /// check per routed message.
     pub chaos: Vec<ChaosWindow>,
 }
 
@@ -119,12 +114,13 @@ impl NetworkConfig {
         }
     }
 
-    /// The Conc2 network (Section 6.2): message-order synchronicity,
-    /// reliable delivery, fixed delay `d`.
-    pub fn synchronous_ordered(d: SimDuration) -> Self {
+    /// A reliable network whose every link takes exactly `d`. It draws
+    /// nothing from the run's RNG, and the kernel breaks same-instant ties
+    /// by send order, so every site sees a broadcast in one global order
+    /// (the message-order synchronicity Section 6.2 assumes for Conc2).
+    pub fn fixed_delay(d: SimDuration) -> Self {
         NetworkConfig {
             default_link: LinkConfig::reliable_fixed(d),
-            synchronous_ordered: true,
             ..Default::default()
         }
     }
@@ -215,12 +211,6 @@ impl NetworkModel {
             return Fate::Partitioned;
         }
         let link = self.cfg.link(from, to);
-        if self.cfg.synchronous_ordered {
-            // Fixed delay, no loss, no duplication: arrival order at every
-            // site equals global send order (ties broken by the kernel's
-            // sequence numbers, identically everywhere).
-            return Fate::Deliver(Arrivals::single(now + link.delay_min));
-        }
         // Chaos bursts stack on top of the link's own misbehaviour. The
         // empty-vec check keeps the quiet path free of any extra work.
         let (mut loss, mut dup, mut jitter) = (link.loss, link.duplicate, SimDuration::ZERO);
@@ -318,11 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_mode_ignores_loss_and_uses_fixed_delay() {
-        let mut cfg = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
-        cfg.default_link.loss = 0.9; // must be ignored in this mode
-        let m = NetworkModel::new(cfg);
+    fn fixed_delay_delivers_exactly_d_and_draws_nothing() {
+        let m = NetworkModel::new(NetworkConfig::fixed_delay(SimDuration::millis(2)));
         let mut rng = SimRng::new(5);
+        let mut untouched = rng.clone();
         for _ in 0..100 {
             match m.route(1, 0, SimTime::ZERO, &mut rng) {
                 Fate::Deliver(ts) => {
@@ -331,6 +320,11 @@ mod tests {
                 other => panic!("unexpected fate {other:?}"),
             }
         }
+        assert_eq!(
+            rng.next_u64(),
+            untouched.next_u64(),
+            "a fixed reliable link draws no randomness"
+        );
     }
 
     #[test]

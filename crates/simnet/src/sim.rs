@@ -932,10 +932,7 @@ mod tests {
                 log: log.clone(),
                 timer_first,
             };
-            let cfg = NetworkConfig {
-                default_link: LinkConfig::reliable_fixed(SimDuration::millis(1)),
-                ..Default::default()
-            };
+            let cfg = NetworkConfig::fixed_delay(SimDuration::millis(1));
             let mut sim = Simulation::new(vec![node], cfg, 16);
             sim.schedule_arrivals(0, 1, |_| SimTime(1_000));
             sim.run_to_quiescence();
@@ -1028,11 +1025,7 @@ mod tests {
         // Link delay is fixed 5ms; partition starts at 2ms; a message sent
         // at t=0 is in flight across the boundary and must be cut.
         let sched = PartitionSchedule::fully_connected(2).split_at(SimTime(2_000), &[&[0], &[1]]);
-        let cfg = NetworkConfig {
-            default_link: LinkConfig::reliable_fixed(SimDuration::millis(5)),
-            ..Default::default()
-        }
-        .with_partitions(sched);
+        let cfg = NetworkConfig::fixed_delay(SimDuration::millis(5)).with_partitions(sched);
         let mut sim = Simulation::new(two_nodes(1), cfg, 8);
         sim.run_to_quiescence();
         assert_eq!(sim.node(1).pings_seen, 0);
@@ -1050,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_ordered_mode_gives_global_broadcast_order() {
+    fn a_fixed_delay_net_gives_global_broadcast_order() {
         // Two sites broadcast concurrently to two observers; both observers
         // must see the two messages in the same order.
         #[derive(Default)]
@@ -1086,7 +1079,7 @@ mod tests {
             ];
             let mut sim = Simulation::new(
                 nodes,
-                NetworkConfig::synchronous_ordered(SimDuration::millis(1)),
+                NetworkConfig::fixed_delay(SimDuration::millis(1)),
                 seed,
             );
             sim.run_to_quiescence();

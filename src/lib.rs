@@ -71,8 +71,8 @@ pub mod prelude {
     pub use dvp_core::item::{Catalog, ItemDef, Split};
     pub use dvp_core::{
         AbortReason, Cluster, ClusterConfig, ConcMode, Crashpoint, FaultPlan, Injection, ItemId,
-        Op, Placement, Qty, ReactivePlacement, RefillPolicy, Script, SiteConfig, SiteConfigBuilder,
-        StatsView, TxnOutcome, TxnSpec,
+        Op, Placement, Qty, RefillPolicy, Script, SiteConfig, SiteConfigBuilder, StatsView,
+        TxnOutcome, TxnSpec,
     };
     pub use dvp_simnet::prelude::*;
     pub use dvp_storage::TornWrite;

@@ -8,7 +8,7 @@
 //! and `dvp-baselines` together.
 
 use dvp::baselines::TradConfig;
-use dvp::core::{ReactivePlacement, SiteConfig};
+use dvp::core::SiteConfig;
 use dvp::vmsg::VmConfig;
 
 /// Destructure each `Type { field, … }` group exhaustively from its
@@ -32,9 +32,6 @@ fn config_surface_census() {
         VmConfig {
             window,
             coalesce,
-        }
-        ReactivePlacement {
-            refill,
         }
         TradConfig {
             protocol,

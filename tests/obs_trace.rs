@@ -187,7 +187,7 @@ fn trad_engine_traces_too() {
 ///   writers terminate with abort).
 fn trad_recovery_scenario(protocol: dvp::baselines::CommitProtocol, name: &str) -> Scenario {
     use dvp::baselines::TradConfig;
-    use dvp::simnet::network::{LinkConfig, NetworkConfig};
+    use dvp::simnet::network::NetworkConfig;
     use dvp::simnet::partition::PartitionSchedule;
 
     let mut catalog = Catalog::new();
@@ -195,11 +195,7 @@ fn trad_recovery_scenario(protocol: dvp::baselines::CommitProtocol, name: &str) 
     let partitions = PartitionSchedule::fully_connected(4)
         .split_at(ms(409), &[&[3], &[0, 1, 2]])
         .heal_at(ms(700));
-    let net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
-    .with_partitions(partitions);
+    let net = NetworkConfig::fixed_delay(SimDuration::millis(2)).with_partitions(partitions);
     Scenario::trad_sites(4, catalog)
         .name(name)
         .trad_config(TradConfig {

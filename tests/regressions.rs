@@ -4,7 +4,8 @@
 use dvp::core::audit::AuditError;
 use dvp::core::Mutant;
 use dvp::prelude::*;
-use dvp::workloads::InventoryWorkload;
+use dvp::workloads::arrivals::Arrivals;
+use dvp::workloads::{AirlineWorkload, InventoryWorkload};
 
 /// **Stale lease-timer release.**
 ///
@@ -30,7 +31,7 @@ fn stale_lease_timer_cannot_release_a_newer_lease() {
     let mut cfg = w.cluster();
     cfg.seed = seed;
     cfg.site.conc = ConcMode::Conc2;
-    cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     let mut cl = Cluster::build(cfg);
     cl.run_until(SimTime::ZERO + SimDuration::secs(120));
     cl.auditor().check_conservation().unwrap();
@@ -167,6 +168,61 @@ fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
     cl.auditor()
         .check_reads(&m)
         .expect("the lease outlives the reader, so the read is exact");
+}
+
+/// **A Conc2 commit is recorded before its lock release wakes a waiter.**
+///
+/// Found by sampling T5-style configurations: seed 16462, T5's airline
+/// generator, Conc2, static placement, a 200 ms timeout, 1–8 ms links
+/// with no loss and no duplication, and no faults at all. At 38.485 ms a
+/// read of item 2 at site 0 committed; step 7 of its commit released its
+/// lock and woke an older queued transaction, which committed a −4 in
+/// the same callback. The commit path recorded the read only after that
+/// nested commit, and the history sink folded each instant in txn-id
+/// order, so the read (499, the truth in lock order) was checked after
+/// the −4 and reported as wrong against 495. The commit is now recorded
+/// before step 7, and the sink folds commits in the order they are
+/// recorded.
+#[test]
+fn a_conc2_read_is_checked_in_lock_handover_order() {
+    let seed = 16462;
+    let w = AirlineWorkload {
+        n_sites: 6,
+        flights: 3,
+        seats_per_flight: 500,
+        txns: 60,
+        mix: (0.6, 0.2, 0.15, 0.05),
+        arrivals: Arrivals::Poisson {
+            mean_gap: SimDuration::millis(2),
+        },
+        ..Default::default()
+    }
+    .generate(seed);
+    let mut cfg = w.cluster();
+    cfg.seed = seed;
+    cfg.site = SiteConfig {
+        conc: ConcMode::Conc2,
+        placement: Placement::Static,
+        txn_timeout: SimDuration::millis(200),
+        ..SiteConfig::default()
+    };
+    cfg.net = NetworkConfig {
+        default_link: LinkConfig {
+            delay_min: SimDuration::millis(1),
+            delay_max: SimDuration::millis(8),
+            loss: 0.0,
+            duplicate: 0.0,
+        },
+        ..NetworkConfig::default()
+    };
+    let mut cl = Cluster::build(cfg);
+    cl.run_until(SimTime::ZERO + SimDuration::millis(3_400));
+    cl.auditor().check_conservation().unwrap();
+    let m = cl.stats().txn;
+    assert!(m.history.reads_checked() > 0, "the scenario commits reads");
+    cl.auditor()
+        .check_reads(&m)
+        .expect("every committed read is exact in lock handover order");
 }
 
 /// `len | crc | payload`, checksum correct: a frame only a lying writer

@@ -18,7 +18,7 @@ fn run_and_check(w: &Workload, conc2: bool, seed: u64) -> Result<(), TestCaseErr
     cfg.seed = seed;
     if conc2 {
         cfg.site.conc = ConcMode::Conc2;
-        cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
+        cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     }
     let mut cl = Cluster::build(cfg);
     cl.run_until(SimTime::ZERO + SimDuration::secs(120));

@@ -21,7 +21,7 @@ fn conc2_skips_timed_out_waiters() {
     let (catalog, item) = seats(100, 2);
     let mut cfg = ClusterConfig::new(2, catalog);
     cfg.site.conc = ConcMode::Conc2;
-    cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     // T1 at site 0 needs solicitation (quota 50, wants 80) but site 1
     // refuses nothing — T1 holds the lock from t=1 until commit (~5ms).
     // T2 (t=2) and T3 (t=3) queue behind it. T2/T3 want more than exists
@@ -57,11 +57,7 @@ fn lease_timer_fallback_frees_item_when_release_is_lost() {
     let sched = PartitionSchedule::fully_connected(2)
         .split_at(ms(6), &[&[0], &[1]]) // grant (≈5ms) got through; release won't
         .heal_at(ms(400));
-    cfg.net = NetworkConfig {
-        default_link: LinkConfig::reliable_fixed(SimDuration::millis(2)),
-        ..Default::default()
-    }
-    .with_partitions(sched);
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2)).with_partitions(sched);
     let cfg = cfg
         .at(0, ms(1), TxnSpec::read(item)) // leases site 1's fragment
         // Local work at site 1 during the lease: a deposit needs no
@@ -128,7 +124,7 @@ fn a_commit_on_arrival_arms_no_timer() {
 fn only_a_waiting_transaction_arms_its_timeout() {
     let (catalog, item) = seats(100, 2); // 50 per site
     let mut cfg = ClusterConfig::new(2, catalog);
-    cfg.net = NetworkConfig::synchronous_ordered(SimDuration::millis(2));
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
     let cfg = cfg
         .at(0, ms(1), TxnSpec::reserve(item, 80)) // solicits site 1
         .at(0, ms(2), TxnSpec::release(item, 1)); // meets the held lock
