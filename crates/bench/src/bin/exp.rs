@@ -1,13 +1,13 @@
-//! `exp [id…]` — print experiment tables (`t1`…`t5`, `f1`…`f5`, `a1`, `e1`, `e2`;
+//! `exp [id…]` — print experiment tables (`t1`…`t5`, `f1`…`f3`, `f5`, `a1`, `e1`, `e2`;
 //! no ids = all of them, which is the `EXPERIMENTS.md` refresh command).
 //!
-//! `DVP_SCALE=full cargo run --release -p dvp-bench --bin exp`
+//! `cargo run --release -p dvp-bench --bin exp`
 //!
 //! When `t1` is among the ids and `DVP_TRACE=<path>` is set, the
 //! representative T1 run's structured JSONL event trace is written there
 //! (deterministic: same seed ⇒ byte-identical file).
 
-use dvp_bench::{exp_t1_availability, output, select, trace_path, Scale};
+use dvp_bench::{exp_t1_availability, output, select, trace_path};
 
 fn main() {
     let ids: Vec<String> = std::env::args().skip(1).collect();
@@ -15,7 +15,7 @@ fn main() {
         eprintln!("exp: {e}");
         std::process::exit(2);
     });
-    print!("{}", output(&experiments, Scale::from_env()));
+    print!("{}", output(&experiments));
     if !experiments.iter().any(|(id, _)| *id == "t1") {
         return;
     }

@@ -33,7 +33,6 @@
 
 use crate::scenario::{RunReport, Scenario};
 use crate::table::{f2, pct, Table};
-use crate::Scale;
 use dvp_core::{Placement, SiteConfig};
 use dvp_workloads::{AirlineWorkload, BankingWorkload, HotspotDriftWorkload, Workload};
 
@@ -74,14 +73,11 @@ fn hotspot(txns: usize) -> Workload {
 }
 
 /// Transactions per row.
-fn txns(scale: Scale) -> usize {
-    scale.pick(2_000, 20_000)
-}
+const TXNS: usize = 20_000;
 
 /// The seven engine scenarios, named as their table rows.
-pub fn scenarios(scale: Scale) -> Vec<Scenario> {
-    let n = txns(scale);
-    let (bank, air, hot) = (banking(n), airline(n), hotspot(n));
+pub fn scenarios() -> Vec<Scenario> {
+    let (bank, air, hot) = (banking(TXNS), airline(TXNS), hotspot(TXNS));
     let adaptive = SiteConfig::builder()
         .placement(Placement::adaptive())
         .build();
@@ -215,22 +211,21 @@ fn table<'a>(title: String, cols: &[Col], rows: impl Iterator<Item = &'a RunRepo
 
 /// The seven rows' reports. Panics on a row the module doc calls
 /// unsound.
-fn reports(scale: Scale) -> Vec<RunReport> {
-    let reports: Vec<RunReport> = scenarios(scale).into_iter().map(Scenario::run).collect();
+fn reports() -> Vec<RunReport> {
+    let reports: Vec<RunReport> = scenarios().into_iter().map(Scenario::run).collect();
     check(&reports);
     reports
 }
 
 /// The engine/wire table (all rows) and the placement table (DvP rows).
-fn tables(scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+fn tables(reports: &[RunReport]) -> Vec<Table> {
     let dvp = reports
         .iter()
         .filter(|r| !r.scenario.starts_with("trad2pc_"));
     vec![
         table(
             format!(
-                "E1: log forces and wire traffic per decided transaction (8 sites, {} txns per row, seed 42)",
-                txns(scale)
+                "E1: log forces and wire traffic per decided transaction (8 sites, {TXNS} txns per row, seed 42)"
             ),
             &ENGINE,
             reports.iter(),
@@ -241,8 +236,8 @@ fn tables(scale: Scale, reports: &[RunReport]) -> Vec<Table> {
 
 /// Run E1 and return its two tables. Panics on a row the module doc
 /// calls unsound.
-pub fn run(scale: Scale) -> Vec<Table> {
-    tables(scale, &reports(scale))
+pub fn run() -> Vec<Table> {
+    tables(&reports())
 }
 
 #[cfg(test)]
@@ -275,18 +270,18 @@ mod tests {
     /// the planner's work; the reactive default runs no rebalance timer,
     /// so it does none.
     #[test]
-    fn quick_scale_adaptive_rows_are_pinned() {
-        let reports = reports(Scale::Quick);
-        let tables = tables(Scale::Quick, &reports);
+    fn published_adaptive_rows_are_pinned() {
+        let reports = reports();
+        let tables = tables(&reports);
         assert_eq!(tables[0].len(), 7);
         assert_eq!(tables[1].len(), 5);
         assert_eq!(
             fingerprint(&reports, "dvp_banking_adaptive"),
-            [1_882, 118, 8_001, 633_520, 12, 788, 1_617]
+            [18_679, 1_321, 76_680, 6_103_065, 86, 7_642, 14_925]
         );
         assert_eq!(
             fingerprint(&reports, "dvp_hotspot_adaptive"),
-            [1_959, 41, 3_298, 92_224, 168, 575, 367]
+            [19_625, 375, 32_194, 860_651, 1_692, 5_590, 3_382]
         );
         for reactive in ["dvp_banking", "dvp_airline", "dvp_hotspot"] {
             assert_eq!(fingerprint(&reports, reactive)[4..], [0; 3], "{reactive}");

@@ -19,7 +19,6 @@
 use crate::exp_e1_engine::banking;
 use crate::scenario::Scenario;
 use crate::table::{f2, Table};
-use crate::Scale;
 use dvp_core::{FaultPlan, SiteConfig};
 use dvp_simnet::time::SimTime;
 
@@ -35,8 +34,8 @@ fn at(span: SimTime, percent: u64) -> SimTime {
 }
 
 /// Run E2 and return the table.
-pub fn run(scale: Scale) -> Table {
-    let txns = scale.pick(2_000, 20_000);
+pub fn run() -> Table {
+    let txns = 20_000;
     let w = banking(txns);
     let span = w
         .scripts
@@ -103,11 +102,10 @@ mod tests {
 
     /// Checkpointing changes what recovery costs, never what commits: a
     /// shorter interval takes more checkpoints and leaves no more to redo
-    /// or to retain. (At quick scale site 3 reaches its crash before a
-    /// 1024-record window fills, so that row may equal `none`.)
+    /// or to retain.
     #[test]
     fn shorter_intervals_bound_the_redo_and_change_no_outcome() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), INTERVALS.len());
         let num = |r: usize, c: usize| -> f64 { t.cell(r, c).parse().unwrap() };
         // Table order is none, 64, 256, 1024: walk from none down to 64.

@@ -12,15 +12,14 @@
 
 use crate::scenario::Scenario;
 use crate::table::{f2, pct, Table};
-use crate::Scale;
 use dvp_core::{Placement, RefillPolicy, SiteConfig};
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::AirlineWorkload;
 
 /// Run F1 and return the table.
-pub fn run(scale: Scale) -> Table {
-    let txns = scale.pick(300, 3_000);
-    let until = SimTime::ZERO + SimDuration::secs(scale.pick(15, 90));
+pub fn run() -> Table {
+    let txns = 3_000;
+    let until = SimTime::ZERO + SimDuration::secs(90);
     let mut t = Table::new(
         "F1: aborts & solicitation vs demand skew (4 sites, airline, tight seats)",
         &[
@@ -86,7 +85,7 @@ mod tests {
 
     #[test]
     fn skew_increases_solicitation() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), 12);
         // Compare θ=0 vs θ=3 for the same (exact) policy: rows 0 and 9.
         assert!(
@@ -102,7 +101,7 @@ mod tests {
 
     #[test]
     fn surplus_shipping_amortises_repeat_requests_under_skew() {
-        let t = run(Scale::Quick);
+        let t = run();
         // At θ=3: 'half' (row 10) ships surplus with every donation, so
         // the hub stops asking; 'exact' (row 9) asks again per deficit.
         assert!(

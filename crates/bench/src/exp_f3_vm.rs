@@ -13,7 +13,6 @@
 //! is ever lost.
 
 use crate::table::{f2, pct, Table};
-use crate::Scale;
 use dvp_core::item::{Catalog, Split};
 use dvp_core::{Cluster, ClusterConfig, TxnSpec};
 use dvp_simnet::network::NetworkConfig;
@@ -24,8 +23,8 @@ fn msec(n: u64) -> SimTime {
 }
 
 /// Run F3 and return the table.
-pub fn run(scale: Scale) -> Table {
-    let reservations = scale.pick(30u64, 200);
+pub fn run() -> Table {
+    let reservations = 200;
     let mut t = Table::new(
         "F3: Vm delivery under loss (2 sites, all value remote)",
         &[
@@ -47,7 +46,7 @@ pub fn run(scale: Scale) -> Table {
         }
         let mut cl = Cluster::build(cfg);
         // Long horizon: retransmission needs time at 90% loss.
-        cl.run_until(msec(1 + reservations * 60 + scale.pick(30_000, 120_000)));
+        cl.run_until(msec(1 + reservations * 60 + 120_000));
         cl.auditor().check_conservation().unwrap();
 
         let m = cl.stats().txn;
@@ -85,7 +84,7 @@ mod tests {
 
     #[test]
     fn every_created_vm_completes_at_every_loss_rate() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), 6);
         for r in 0..t.len() {
             assert_eq!(
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn frames_per_vm_grow_with_loss() {
-        let t = run(Scale::Quick);
+        let t = run();
         let fpv = |r: usize| -> f64 { t.cell(r, 4).parse().unwrap() };
         assert!(fpv(5) > fpv(0), "retransmission is the price of loss");
         // Lossless: roughly one data frame + one ack per Vm.
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn commit_ratio_sags_with_loss_but_never_silently() {
-        let t = run(Scale::Quick);
+        let t = run();
         let ratio =
             |r: usize| -> f64 { t.cell(r, 1).trim_end_matches('%').parse::<f64>().unwrap() };
         assert!(ratio(0) > 95.0);

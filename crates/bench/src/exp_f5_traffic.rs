@@ -13,17 +13,16 @@
 
 use crate::scenario::Scenario;
 use crate::table::{f2, pct, Table};
-use crate::Scale;
 use dvp_core::item::Split;
 use dvp_core::{Placement, RefillPolicy, SiteConfig};
 use dvp_simnet::time::{SimDuration, SimTime};
 use dvp_workloads::AirlineWorkload;
 
 /// Run F5 and return the table.
-pub fn run(scale: Scale) -> Table {
+pub fn run() -> Table {
     let n = 8;
-    let txns = scale.pick(300, 3_000);
-    let until = SimTime::ZERO + SimDuration::secs(scale.pick(15, 90));
+    let txns = 3_000;
+    let until = SimTime::ZERO + SimDuration::secs(90);
     let theta = 1.2; // hub-skewed demand over sites
 
     // Weights matching the Zipf demand: site k gets ~1/(k+1)^θ.
@@ -95,7 +94,7 @@ mod tests {
 
     #[test]
     fn demand_weighted_split_minimises_traffic() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), 8);
         // Rows (exact policy): cold=0, hub=2, even=4, weighted=6.
         let cold = requests(&t, 0);

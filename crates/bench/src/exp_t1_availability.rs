@@ -11,12 +11,11 @@
 
 use crate::scenario::Scenario;
 use crate::table::{pct, phase_table, Table};
-use crate::Scale;
 use dvp_baselines::{Placement, TradConfig};
 use dvp_simnet::network::NetworkConfig;
 use dvp_simnet::partition::PartitionSchedule;
 use dvp_simnet::time::{SimDuration, SimTime};
-use dvp_workloads::AirlineWorkload;
+use dvp_workloads::{AirlineWorkload, Workload};
 
 /// Partition severity levels swept by T1.
 pub const SEVERITIES: [&str; 5] = ["none", "isolate-1", "split-6/2", "split-4/4", "shattered"];
@@ -46,27 +45,34 @@ fn schedule(severity: &str, n: usize) -> PartitionSchedule {
     }
 }
 
-/// Run T1 and return the table.
-pub fn run(scale: Scale) -> Table {
-    let n = 8;
-    let txns = scale.pick(160, 2_000);
-    let workload = AirlineWorkload {
-        n_sites: n,
+/// Sites in every T1 run.
+const N: usize = 8;
+
+/// T1's airline workload at `txns` transactions: seats are ample, so
+/// aborts measure *reachability*, not sellouts.
+fn airline(txns: usize) -> Workload {
+    AirlineWorkload {
+        n_sites: N,
         flights: 4,
-        seats_per_flight: 10_000, // ample: aborts measure *reachability*, not sellouts
+        seats_per_flight: 10_000,
         txns,
         mix: (0.8, 0.15, 0.0, 0.05), // reserves, cancels, a few reads
         ..Default::default()
-    };
-    let until = SimTime::ZERO + SimDuration::secs(scale.pick(10, 60));
+    }
+    .generate(11)
+}
+
+/// Run T1 and return the table.
+pub fn run() -> Table {
+    let w = airline(2_000);
+    let until = SimTime::ZERO + SimDuration::secs(60);
 
     let mut t = Table::new(
         "T1: commit ratio under partition (8 sites, airline)",
         &["severity", "DvP", "2PC+quorum", "primary-copy"],
     );
     for severity in SEVERITIES {
-        let w = workload.generate(11);
-        let net = || NetworkConfig::reliable().with_partitions(schedule(severity, n));
+        let net = || NetworkConfig::reliable().with_partitions(schedule(severity, N));
         let dvp = Scenario::dvp(&w).net(net()).until(until).seed(1).run();
         let quorum = Scenario::trad(&w)
             .trad_config(TradConfig {
@@ -97,23 +103,13 @@ pub fn run(scale: Scale) -> Table {
 }
 
 /// The representative traced run `exp t1` breaks down by phase and, under
-/// `DVP_TRACE`, exports: the DvP engine on
-/// the quick-scale airline workload under the 6/2 split, with the event
-/// stream captured. Deterministic: same build ⇒ byte-identical trace.
+/// `DVP_TRACE`, exports: the DvP engine on a 160-transaction airline
+/// workload under the 6/2 split, with the event stream captured.
+/// Deterministic: same build ⇒ byte-identical trace.
 pub fn traced_representative() -> crate::RunReport {
-    let n = 8;
-    let w = AirlineWorkload {
-        n_sites: n,
-        flights: 4,
-        seats_per_flight: 10_000,
-        txns: 160,
-        mix: (0.8, 0.15, 0.0, 0.05),
-        ..Default::default()
-    }
-    .generate(11);
-    Scenario::dvp(&w)
+    Scenario::dvp(&airline(160))
         .name("t1/split-6-2/dvp")
-        .net(NetworkConfig::reliable().with_partitions(schedule("split-6/2", n)))
+        .net(NetworkConfig::reliable().with_partitions(schedule("split-6/2", N)))
         .until(SimTime::ZERO + SimDuration::secs(10))
         .seed(11)
         .trace(true)
@@ -142,7 +138,7 @@ mod tests {
 
     #[test]
     fn dvp_dominates_under_every_partition() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), 5);
         // Partitioned rows (1..): DvP must dominate both baselines. (On a
         // healthy network — row 0 — the baselines may edge DvP out because
@@ -176,10 +172,7 @@ mod tests {
 
     #[test]
     fn healthy_network_everyone_commits_mostly() {
-        let t = run(Scale::Quick);
-        // "Mostly" with headroom: at Quick scale (160 txns) a single
-        // seed-dependent conflict moves the ratio by ~0.6pt, so pinning
-        // the threshold at a round 0.9 made the test a coin flip.
+        let t = run();
         assert!(ratio(t.cell(0, 1)) > 0.85);
         assert!(ratio(t.cell(0, 2)) > 0.7);
     }

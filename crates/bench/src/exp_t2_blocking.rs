@@ -11,7 +11,6 @@
 //! still undecided mid-fault.
 
 use crate::table::{ms, Table};
-use crate::Scale;
 use dvp_baselines::CommitProtocol::{ThreePhase, TwoPhase};
 use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::item::{Catalog, Split};
@@ -54,7 +53,7 @@ fn observe_dvp(cfg: ClusterConfig, probe_at: SimTime, until: SimTime) -> Obs {
     cl.auditor().check_conservation().unwrap();
     let m = cl.stats().txn;
     Obs {
-        max_window_us: m.decision_latency_percentile(100.0),
+        max_window_us: m.decision_latency().max(),
         undecided_mid_fault: undecided,
         consistent: true, // single-site decisions cannot diverge
     }
@@ -75,10 +74,10 @@ fn observe_trad(cfg: ClusterConfig<TradConfig>, probe_at: SimTime, until: SimTim
 }
 
 /// Run T2 and return the table.
-pub fn run(scale: Scale) -> Table {
-    // Longer heal times at full scale show the window scaling with the
-    // fault, not with any protocol constant.
-    let heal = scale.pick(500, 5_000);
+pub fn run() -> Table {
+    // A heal time far beyond any protocol constant shows the window
+    // scaling with the fault.
+    let heal = 5_000;
     let until = msec(heal + 2_000);
     let probe = msec(heal - 100);
 
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn dvp_window_is_bounded_by_timeout_2pc_by_fault_duration() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), 6);
         // DvP rows: bounded by the 50ms timeout (+ small slack), and
         // trivially consistent.
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn threepc_is_bounded_but_diverges_under_partition() {
-        let t = run(Scale::Quick);
+        let t = run();
         // 3PC under partition (row 2): bounded window, but inconsistent.
         assert_eq!(t.cell(2, 1), "3PC");
         assert!(

@@ -12,7 +12,6 @@
 //! engines from the event stream, which stamps every `TxnCommit`.
 
 use crate::table::{ms, Table};
-use crate::Scale;
 use dvp_baselines::{TradCluster, TradConfig};
 use dvp_core::{Cluster, ClusterConfig, FaultPlan, TxnSpec};
 use dvp_obs::{EventKind, Obs};
@@ -26,12 +25,12 @@ fn msec(n: u64) -> SimTime {
 
 /// Build the workload: background traffic before the crash, plus probes
 /// at site 1 right after its recovery.
-fn workload(scale: Scale, recover_at: u64) -> Workload {
+fn workload(recover_at: u64) -> Workload {
     let mut w = AirlineWorkload {
         n_sites: 8,
         flights: 2,
         seats_per_flight: 10_000,
-        txns: scale.pick(80, 800),
+        txns: 800,
         mix: (0.9, 0.1, 0.0, 0.0),
         ..Default::default()
     }
@@ -58,10 +57,10 @@ fn time_to_first_commit(obs: &Obs, after: SimTime) -> Option<u64> {
 }
 
 /// Run T3 and return the table.
-pub fn run(scale: Scale) -> Table {
+pub fn run() -> Table {
     let crash_at = 200u64;
     let recover_at = 400u64;
-    let until = msec(scale.pick(3_000, 20_000));
+    let until = msec(20_000);
 
     let mut t = Table::new(
         "T3: recovery dependence (8 sites, crash k, recover site 1)",
@@ -76,7 +75,7 @@ pub fn run(scale: Scale) -> Table {
     );
 
     for k in [1usize, 3, 7] {
-        let w = workload(scale, recover_at);
+        let w = workload(recover_at);
         let mut faults = FaultPlan::none();
         for site in 1..=k {
             faults = faults.crash(msec(crash_at), site);
@@ -128,7 +127,7 @@ mod tests {
 
     #[test]
     fn dvp_recovery_needs_zero_remote_messages() {
-        let t = run(Scale::Quick);
+        let t = run();
         assert_eq!(t.len(), 6);
         for r in [0, 2, 4] {
             assert_eq!(t.cell(r, 1), "DvP");
@@ -147,7 +146,7 @@ mod tests {
 
     #[test]
     fn dvp_recovers_even_when_seven_of_eight_crashed() {
-        let t = run(Scale::Quick);
+        let t = run();
         // k=7 row: site 1 recovers alone (sites 2..=7 still down) and
         // still commits locally.
         assert_eq!(t.cell(4, 0), "7");

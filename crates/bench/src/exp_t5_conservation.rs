@@ -16,7 +16,6 @@
 //! violation, the minimal events and a `fault_campaign --replay` line.
 
 use crate::table::Table;
-use crate::Scale;
 use dvp_core::{ClusterConfig, ConcMode, Mutant, Placement, SiteConfig};
 use dvp_nemesis::{
     ddmin, generate, lossy_environment, run_campaign, CampaignConfig, CampaignResult,
@@ -204,8 +203,8 @@ fn shrink(pc: &ProtoConfig, seed: u64, schedule: &FaultSchedule, violation: &str
 }
 
 /// Run T5 and return the table; panics on the first violation.
-pub fn run(scale: Scale) -> Table {
-    matrix(&configs(), scale.pick(40, 100)).unwrap_or_else(|e| panic!("{e}"))
+pub fn run() -> Table {
+    matrix(&configs(), 100).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -9,9 +9,8 @@
 //! adaptive planner costs is counted instead, in [`exp_e1_engine`]'s
 //! planner-work columns.
 //!
-//! All experiments run at two scales: `quick` (used in CI and by default)
-//! and `full` (the numbers recorded in `EXPERIMENTS.md`). Select with the
-//! `DVP_SCALE` environment variable (`quick`/`full`).
+//! Each experiment runs one configuration, the one `EXPERIMENTS.md`
+//! quotes; its unit tests assert the table's claims on that same run.
 
 // The alloc-audit feature needs one `unsafe impl GlobalAlloc`; every
 // other configuration keeps the hard forbid.
@@ -39,38 +38,6 @@ pub mod table;
 pub use scenario::{EngineKind, RunReport, Scenario};
 pub use table::Table;
 
-/// Experiment scale.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Small: seconds per experiment; used by tests and CI.
-    Quick,
-    /// Full: the EXPERIMENTS.md configuration.
-    Full,
-}
-
-impl Scale {
-    /// Read `DVP_SCALE`: `full` or `FULL` selects [`Scale::Full`];
-    /// anything else, or nothing, [`Scale::Quick`].
-    pub fn from_env() -> Scale {
-        Scale::named(std::env::var("DVP_SCALE").ok().as_deref())
-    }
-
-    fn named(name: Option<&str>) -> Scale {
-        match name {
-            Some("full" | "FULL") => Scale::Full,
-            _ => Scale::Quick,
-        }
-    }
-
-    /// Pick `q` under quick, `f` under full.
-    pub fn pick<T>(self, q: T, f: T) -> T {
-        match self {
-            Scale::Quick => q,
-            Scale::Full => f,
-        }
-    }
-}
-
 /// `DVP_TRACE`: where trace-emitting binaries write their JSONL event
 /// stream (unset ⇒ no trace, except `fault_campaign --replay`, which
 /// defaults to a path under `target/`).
@@ -79,29 +46,29 @@ pub fn trace_path() -> Option<String> {
 }
 
 /// One experiment: the id `exp` takes on its command line, and the
-/// tables it prints at a scale.
-pub type Experiment = (&'static str, fn(Scale) -> Vec<Table>);
+/// tables it prints.
+pub type Experiment = (&'static str, fn() -> Vec<Table>);
 
 /// Every experiment, in `EXPERIMENTS.md` order. Each is a pure function
 /// of its seeds.
 pub const EXPERIMENTS: [Experiment; 12] = [
-    ("t1", |s| {
+    ("t1", || {
         vec![
-            exp_t1_availability::run(s),
+            exp_t1_availability::run(),
             exp_t1_availability::phase_breakdown(),
         ]
     }),
-    ("t2", |s| vec![exp_t2_blocking::run(s)]),
-    ("t3", |s| vec![exp_t3_recovery::run(s)]),
-    ("t4", |s| vec![exp_t4_conc::run(s)]),
-    ("t5", |s| vec![exp_t5_conservation::run(s)]),
-    ("f1", |s| vec![exp_f1_quota::run(s)]),
-    ("f2", |s| vec![exp_f2_readcost::run(s)]),
-    ("f3", |s| vec![exp_f3_vm::run(s)]),
-    ("f5", |s| vec![exp_f5_traffic::run(s)]),
-    ("a1", |s| vec![exp_a1_ablations::run(s)]),
+    ("t2", || vec![exp_t2_blocking::run()]),
+    ("t3", || vec![exp_t3_recovery::run()]),
+    ("t4", || vec![exp_t4_conc::run()]),
+    ("t5", || vec![exp_t5_conservation::run()]),
+    ("f1", || vec![exp_f1_quota::run()]),
+    ("f2", || vec![exp_f2_readcost::run()]),
+    ("f3", || vec![exp_f3_vm::run()]),
+    ("f5", || vec![exp_f5_traffic::run()]),
+    ("a1", || vec![exp_a1_ablations::run()]),
     ("e1", exp_e1_engine::run),
-    ("e2", |s| vec![exp_e2_recovery_cost::run(s)]),
+    ("e2", || vec![exp_e2_recovery_cost::run()]),
 ];
 
 /// Resolve `exp`'s arguments to experiments: none means all of them, in
@@ -127,10 +94,10 @@ pub fn select(ids: &[String]) -> Result<Vec<Experiment>, String> {
 /// What `exp` prints for `experiments`: each table rendered, each
 /// followed by a blank line — so the output for a list is the
 /// concatenation of the outputs for its members.
-pub fn output(experiments: &[Experiment], scale: Scale) -> String {
+pub fn output(experiments: &[Experiment]) -> String {
     experiments
         .iter()
-        .flat_map(|(_, tables)| tables(scale))
+        .flat_map(|(_, tables)| tables())
         .map(|t| t.render() + "\n")
         .collect()
 }
@@ -141,23 +108,15 @@ mod tests {
 
     #[test]
     fn no_ids_means_every_experiment_and_output_concatenates() {
-        let all = select(&[]).unwrap();
-        let ids: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
+        let ids: Vec<&str> = select(&[]).unwrap().iter().map(|(id, _)| *id).collect();
         assert_eq!(
             ids,
             ["t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f5", "a1", "e1", "e2"]
         );
-        let one_by_one: String = all.iter().map(|e| output(&[*e], Scale::Quick)).collect();
-        assert_eq!(output(&all, Scale::Quick), one_by_one);
-    }
-
-    #[test]
-    fn only_full_or_full_in_capitals_selects_full_scale() {
-        assert_eq!(Scale::named(Some("full")), Scale::Full);
-        assert_eq!(Scale::named(Some("FULL")), Scale::Full);
-        for other in [Some("Full"), Some("quick"), Some("medium"), Some(""), None] {
-            assert_eq!(Scale::named(other), Scale::Quick, "{other:?}");
-        }
+        // Two cheap experiments: `tests/experiments_md.rs` renders all twelve.
+        let pair = select(&["f2".into(), "t2".into()]).unwrap();
+        let one_by_one: String = pair.iter().map(|e| output(&[*e])).collect();
+        assert_eq!(output(&pair), one_by_one);
     }
 
     #[test]

@@ -124,8 +124,8 @@ fn live_growth(since: u64) -> u64 {
     (alloc_audit::thread_live_bytes().wrapping_sub(since) as i64).max(0) as u64
 }
 
-/// One banking run (at 2,000 transfers, `E1`'s quick-scale
-/// `dvp_banking` row) under `site`. Returns the drained cluster with the
+/// One banking run (`E1`'s `dvp_banking` script at `txns` transfers)
+/// under `site`. Returns the drained cluster with the
 /// allocation events and the net live-heap growth of the run phase alone.
 fn banking_run(txns: usize, site: SiteConfig) -> (Cluster, u64, u64) {
     let w = banking(txns);

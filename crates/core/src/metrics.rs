@@ -231,18 +231,6 @@ impl ClusterMetrics {
         p
     }
 
-    /// Percentile (0..=100) of committed-transaction latency in µs.
-    pub fn commit_latency_percentile(&self, p: f64) -> u64 {
-        self.commit_latency().percentile(p)
-    }
-
-    /// Percentile of decision latency over *all* decisions (commit or
-    /// abort). p0/p100 are exact; interior percentiles are quantised to
-    /// their histogram bucket.
-    pub fn decision_latency_percentile(&self, p: f64) -> u64 {
-        self.decision_latency().percentile(p)
-    }
-
     /// Sum of requests sent.
     pub fn requests_sent(&self) -> u64 {
         self.sum(|s| s.requests_sent)
@@ -323,7 +311,7 @@ mod tests {
         assert_eq!(c.aborted(), 1);
         assert_eq!(c.aborted_for(AbortReason::Timeout), 1);
         assert!((c.commit_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(c.decision_latency_percentile(100.0), 500);
+        assert_eq!(c.decision_latency().max(), 500);
     }
 
     #[test]

@@ -122,13 +122,6 @@ impl Hist {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// The union of two histograms, by value.
-    pub fn merged(&self, other: &Hist) -> Hist {
-        let mut h = self.clone();
-        h.merge(other);
-        h
-    }
 }
 
 /// A small ordered registry of named histograms — the per-phase latency

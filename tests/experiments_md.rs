@@ -1,13 +1,13 @@
 //! EXPERIMENTS.md is the golden for every experiment table: each table
-//! `exp` prints at full scale must appear in the document line for line,
+//! `exp` prints must appear in the document line for line,
 //! and every table-shaped block in the document must be one `exp` prints,
 //! so a deleted experiment's block cannot linger.
 //!
 //! When this fails after an intended change, paste the printed block over
-//! the stale one (or regenerate them all: `DVP_SCALE=full cargo run
-//! --release -p dvp-bench --bin exp`), then re-read the verdict under it.
+//! the stale one (or regenerate them all: `cargo run --release -p
+//! dvp-bench --bin exp`), then re-read the verdict under it.
 
-use dvp::bench::{Scale, EXPERIMENTS};
+use dvp::bench::EXPERIMENTS;
 
 /// Does `doc` carry `block` verbatim — the same lines, contiguous, as
 /// whole lines, with no further table row directly after them?
@@ -43,7 +43,7 @@ fn every_deterministic_table_is_quoted_verbatim() {
     let mut stale = Vec::new();
     let mut printed = Vec::new();
     for (id, tables) in EXPERIMENTS {
-        for block in tables(Scale::Full).iter().map(|t| t.render()) {
+        for block in tables().iter().map(|t| t.render()) {
             if !quotes(doc, &block) {
                 eprintln!("EXPERIMENTS.md does not quote this `exp {id}` block:\n{block}");
                 stale.push(id);
