@@ -79,7 +79,6 @@ pub fn run() -> Table {
     for (refill, name) in [
         (RefillPolicy::DemandExact, "exact"),
         (RefillPolicy::DemandHalf, "half"),
-        (RefillPolicy::All, "all"),
     ] {
         let site = SiteConfig::builder()
             .placement(Placement::Reactive(refill))
@@ -122,7 +121,7 @@ mod tests {
     #[test]
     fn each_knob_moves_the_counter_it_is_kept_for() {
         let t = run();
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.len(), 8);
         let row = |knob: &str, setting: &str| {
             (0..t.len())
                 .find(|&r| t.cell(r, 0) == knob && t.cell(r, 1) == setting)

@@ -34,7 +34,6 @@ pub fn run() -> Table {
         for (policy, name) in [
             (RefillPolicy::DemandExact, "exact"),
             (RefillPolicy::DemandHalf, "half"),
-            (RefillPolicy::All, "all"),
         ] {
             // Supply = 1.5 × estimated net demand: never a global
             // sell-out, but a per-site quota (supply/4 ≈ 0.37 × demand)
@@ -79,19 +78,25 @@ pub fn run() -> Table {
 mod tests {
     use super::*;
 
+    /// The table, computed once for every test here.
+    fn table() -> &'static Table {
+        static TABLE: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+        TABLE.get_or_init(run)
+    }
+
     fn requests(t: &Table, r: usize) -> f64 {
         t.cell(r, 3).parse().unwrap()
     }
 
     #[test]
     fn skew_increases_solicitation() {
-        let t = run();
-        assert_eq!(t.len(), 12);
-        // Compare θ=0 vs θ=3 for the same (exact) policy: rows 0 and 9.
+        let t = table();
+        assert_eq!(t.len(), 8);
+        // Compare θ=0 vs θ=3 for the same (exact) policy: rows 0 and 6.
         assert!(
-            requests(&t, 9) > requests(&t, 0),
+            requests(t, 6) > requests(t, 0),
             "hub demand must lean on solicitation: {} vs {}",
-            t.cell(9, 3),
+            t.cell(6, 3),
             t.cell(0, 3)
         );
         // Even quotas + even demand = pure fast path.
@@ -101,14 +106,14 @@ mod tests {
 
     #[test]
     fn surplus_shipping_amortises_repeat_requests_under_skew() {
-        let t = run();
-        // At θ=3: 'half' (row 10) ships surplus with every donation, so
-        // the hub stops asking; 'exact' (row 9) asks again per deficit.
+        let t = table();
+        // At θ=3: 'half' (row 7) ships surplus with every donation, so
+        // the hub stops asking; 'exact' (row 6) asks again per deficit.
         assert!(
-            requests(&t, 10) < requests(&t, 9),
+            requests(t, 7) < requests(t, 6),
             "half {} must undercut exact {}",
-            t.cell(10, 3),
-            t.cell(9, 3)
+            t.cell(7, 3),
+            t.cell(6, 3)
         );
     }
 }

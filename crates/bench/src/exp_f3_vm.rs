@@ -82,9 +82,15 @@ pub fn run() -> Table {
 mod tests {
     use super::*;
 
+    /// The table, computed once for every test here.
+    fn table() -> &'static Table {
+        static TABLE: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+        TABLE.get_or_init(run)
+    }
+
     #[test]
     fn every_created_vm_completes_at_every_loss_rate() {
-        let t = run();
+        let t = table();
         assert_eq!(t.len(), 6);
         for r in 0..t.len() {
             assert_eq!(
@@ -97,7 +103,7 @@ mod tests {
 
     #[test]
     fn frames_per_vm_grow_with_loss() {
-        let t = run();
+        let t = table();
         let fpv = |r: usize| -> f64 { t.cell(r, 4).parse().unwrap() };
         assert!(fpv(5) > fpv(0), "retransmission is the price of loss");
         // Lossless: roughly one data frame + one ack per Vm.
@@ -106,7 +112,7 @@ mod tests {
 
     #[test]
     fn commit_ratio_sags_with_loss_but_never_silently() {
-        let t = run();
+        let t = table();
         let ratio =
             |r: usize| -> f64 { t.cell(r, 1).trim_end_matches('%').parse::<f64>().unwrap() };
         assert!(ratio(0) > 95.0);

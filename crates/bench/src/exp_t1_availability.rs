@@ -132,13 +132,19 @@ pub fn phase_breakdown() -> Table {
 mod tests {
     use super::*;
 
+    /// The table, computed once for every test here.
+    fn table() -> &'static Table {
+        static TABLE: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+        TABLE.get_or_init(run)
+    }
+
     fn ratio(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse::<f64>().unwrap() / 100.0
     }
 
     #[test]
     fn dvp_dominates_under_every_partition() {
-        let t = run();
+        let t = table();
         assert_eq!(t.len(), 5);
         // Partitioned rows (1..): DvP must dominate both baselines. (On a
         // healthy network — row 0 — the baselines may edge DvP out because
@@ -172,7 +178,7 @@ mod tests {
 
     #[test]
     fn healthy_network_everyone_commits_mostly() {
-        let t = run();
+        let t = table();
         assert!(ratio(t.cell(0, 1)) > 0.85);
         assert!(ratio(t.cell(0, 2)) > 0.7);
     }

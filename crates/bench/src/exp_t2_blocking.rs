@@ -143,13 +143,19 @@ pub fn run() -> Table {
 mod tests {
     use super::*;
 
+    /// The table, computed once for every test here.
+    fn table() -> &'static Table {
+        static TABLE: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+        TABLE.get_or_init(run)
+    }
+
     fn window_ms(cell: &str) -> f64 {
         cell.trim_end_matches("ms").parse().unwrap()
     }
 
     #[test]
     fn dvp_window_is_bounded_by_timeout_2pc_by_fault_duration() {
-        let t = run();
+        let t = table();
         assert_eq!(t.len(), 6);
         // DvP rows: bounded by the 50ms timeout (+ small slack), and
         // trivially consistent.
@@ -180,7 +186,7 @@ mod tests {
 
     #[test]
     fn threepc_is_bounded_but_diverges_under_partition() {
-        let t = run();
+        let t = table();
         // 3PC under partition (row 2): bounded window, but inconsistent.
         assert_eq!(t.cell(2, 1), "3PC");
         assert!(

@@ -190,7 +190,8 @@ impl Scenario {
             datagrams: vm.datagrams_sent,
             max_blocked_us: 0,
             still_blocked: 0,
-            recovery_remote_msgs: txn.sum(|s| s.recovery_remote_messages),
+            // A DvP site recovers from its own storage alone.
+            recovery_remote_msgs: 0,
             decisions: txn.decision_latency(),
             phases: txn.phases(),
             events: cl.obs().take(),
@@ -257,7 +258,8 @@ pub struct RunReport {
     /// Transactions still blocked (in doubt) at harvest — always 0 for
     /// DvP, possibly nonzero for 2PC under partition.
     pub still_blocked: u64,
-    /// Remote messages consumed by recovery.
+    /// Remote messages consumed by recovery: the 2PC in-doubt queries;
+    /// always 0 for DvP, whose recovery reads only its own storage.
     pub recovery_remote_msgs: u64,
     /// Decision-latency histogram over *decided* transactions (commits +
     /// aborts) for both engines, so `decisions.max()` means p100 for

@@ -21,15 +21,27 @@ fn fault_campaign(fields: &str) -> Output {
         .expect("fault_campaign runs")
 }
 
+/// A fixed row's line and a `sampled` one, whose line carries no
+/// configuration: the binary draws the run again from the seed.
 #[test]
 fn a_valid_replay_line_reproduces_its_campaign() {
-    let pc = &configs()[0];
-    let line = Replay::new(3, pc.name, &pc.schedule(3), vec![0, 1]).to_string();
-    let out = fault_campaign(line.split_once("--replay").unwrap().1);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(stdout.starts_with("replaying 2 events:"), "{stdout}");
-    assert!(stdout.contains("campaign passed"), "{stdout}");
+    let configs = configs();
+    let sampled = configs.last().expect("`sampled` is the last config");
+    assert_eq!(sampled.name, "sampled");
+    for (pc, seed, keep) in [(&configs[0], 3, vec![0, 1]), (sampled, 7290, vec![0, 2, 3])] {
+        let line = Replay::new(seed, pc.name, &pc.schedule(seed), keep).to_string();
+        let out = fault_campaign(line.split_once("--replay").unwrap().1);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{stdout}");
+        let events = line.split_once("keep=").unwrap().1.split(',').count();
+        assert!(
+            stdout.starts_with(&format!("replaying {events} events:")),
+            "{stdout}"
+        );
+        let phases = format!("{} replay per-phase latency", pc.name);
+        assert!(stdout.contains(&phases), "{stdout}");
+        assert!(stdout.contains("campaign passed"), "{stdout}");
+    }
 }
 
 #[test]

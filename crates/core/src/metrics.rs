@@ -94,10 +94,6 @@ pub struct SiteMetrics {
     /// Log records redone by this site's recovery scans: the redo work a
     /// checkpoint bounds.
     pub records_replayed: u64,
-    /// Remote messages this site had to wait for before finishing
-    /// recovery (always 0 for DvP — the independence claim; the 2PC
-    /// baseline reports nonzero).
-    pub recovery_remote_messages: u64,
     /// Crashpoint triggers fired at this site (nemesis injection).
     pub crashpoint_trips: u64,
     /// Crashes that tore the in-flight log write (nemesis injection).

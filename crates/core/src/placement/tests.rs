@@ -71,7 +71,10 @@ fn refill_follows_the_policy_and_never_exceeds_have() {
         "static never grants"
     );
     assert_eq!(refill(Placement::reactive(), 5, 30, 10), 5, "demand-exact");
-    assert_eq!(refill(Placement::Reactive(RefillPolicy::All), 5, 0, 70), 70);
+    assert_eq!(
+        refill(Placement::Reactive(RefillPolicy::DemandHalf), 5, 0, 71),
+        38
+    );
     // Adaptive: the deficit plus a top-up toward the advertised demand,
     // capped by the donor's spare beyond 1.5x its own predicted demand.
     assert_eq!(refill(Placement::adaptive(), 5, 30, 100), 30);

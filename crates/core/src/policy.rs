@@ -27,8 +27,6 @@ pub enum RefillPolicy {
     /// The deficit plus half the donor's surplus beyond it. Fewer future
     /// requests at the cost of more value drift.
     DemandHalf,
-    /// Everything the donor has. Concentrates value at busy sites.
-    All,
 }
 
 impl RefillPolicy {
@@ -43,7 +41,6 @@ impl RefillPolicy {
                     need + (have - need) / 2
                 }
             }
-            RefillPolicy::All => have,
         }
     }
 }
@@ -223,12 +220,6 @@ mod tests {
         assert_eq!(p.amount(5, 3), 3, "short: everything");
         assert_eq!(p.amount(5, 5), 5);
         assert_eq!(p.amount(5, 11), 8, "5 + (11-5)/2");
-    }
-
-    #[test]
-    fn all_ships_everything() {
-        assert_eq!(RefillPolicy::All.amount(1, 100), 100);
-        assert_eq!(RefillPolicy::All.amount(0, 0), 0);
     }
 
     #[test]

@@ -555,8 +555,8 @@ impl Node for SiteNode {
                 replayed: self.durable.last_replayed(),
                 remote_msgs: 0,
             });
-        // recovery_remote_messages stays 0: nothing consulted a peer.
-        // Outstanding Vms resume in the normal course of processing.
+        // Nothing consulted a peer. Outstanding Vms resume in the normal
+        // course of processing.
         if self.vm.has_outstanding() {
             self.vm.tick();
         }

@@ -128,7 +128,7 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{generate, lossy_environment, Intensity};
+    use crate::generate::lossy_environment;
     use crate::schedule::FaultEvent;
     use dvp_core::item::{Catalog, Split};
     use dvp_core::txn::TxnSpec;
@@ -152,49 +152,6 @@ mod tests {
             horizon_ms: 800,
             audit_points: 8,
         }
-    }
-
-    #[test]
-    fn campaigns_pass_and_are_deterministic() {
-        for seed in 0..4u64 {
-            let cfg = small_config(seed);
-            let sched = generate(seed, SITES, cfg.horizon_ms, &Intensity::standard());
-            let a = run_campaign(&cfg, &sched);
-            let b = run_campaign(&cfg, &sched);
-            assert_eq!(a, b, "seed {seed} not deterministic");
-            assert!(a.passed(), "seed {seed}: {:?}", a.violation);
-        }
-    }
-
-    #[test]
-    fn campaigns_actually_exercise_faults() {
-        let mut crashes = 0u64;
-        for seed in 0..8u64 {
-            let cfg = small_config(seed);
-            let sched = generate(seed, SITES, cfg.horizon_ms, &Intensity::standard());
-            let r = run_campaign(&cfg, &sched);
-            crashes += r.recoveries + r.crashpoint_trips + r.torn_crashes;
-        }
-        assert!(crashes > 0, "the nemesis never hurt anything");
-    }
-
-    #[test]
-    fn media_campaigns_pass_and_actually_rot_something() {
-        let (mut salvages, mut fallbacks) = (0u64, 0u64);
-        for seed in 0..16u64 {
-            let mut cfg = small_config(seed);
-            // Checkpoints must exist for slot corruption to have teeth.
-            cfg.cluster.site.checkpoint_every = Some(6);
-            let sched = generate(seed, SITES, cfg.horizon_ms, &Intensity::media());
-            let r = run_campaign(&cfg, &sched);
-            assert!(r.passed(), "seed {seed}: {:?}", r.violation);
-            salvages += r.salvages;
-            fallbacks += r.checkpoint_fallbacks;
-        }
-        assert!(
-            salvages > 0 && fallbacks > 0,
-            "media faults never bit: salvages={salvages} fallbacks={fallbacks}"
-        );
     }
 
     /// Three injections at three sites each hit the site they name, and

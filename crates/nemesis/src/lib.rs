@@ -42,6 +42,8 @@ pub mod shrink;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult};
 pub use generate::{generate, lossy_environment, Intensity};
-pub use oracle::{check_all, check_liveness, check_rebuild, check_vm_channels, Violation};
+pub use oracle::{
+    check_all, check_feasibility, check_liveness, check_rebuild, check_vm_channels, Violation,
+};
 pub use schedule::{FaultEvent, FaultSchedule};
 pub use shrink::{ddmin, Replay};

@@ -12,7 +12,9 @@
 //! * **Read exactness / serializability subject to redistribution**
 //!   (§5/§6): every committed full-value read equals the serial running
 //!   total — delegated to `Auditor::check_reads`, which reports the
-//!   verdict the cluster reached as each read committed.
+//!   verdict the cluster reached as each read committed — and that serial
+//!   history is feasible: in commit order no item's running total ever
+//!   drops below zero ([`check_feasibility`]).
 //! * **Rebuild equivalence** (§7): a site reconstructed *purely* from its
 //!   checkpoint slots and stable log matches the live site — recovery is a
 //!   pure function of stable storage. Volatile lag is tolerated only in
@@ -27,6 +29,8 @@
 //! unbounded), and Vm channel checks skip channels with a quarantined
 //! endpoint.
 
+use dvp_core::audit::History;
+use dvp_core::item::Catalog;
 use dvp_core::metrics::ClusterMetrics;
 use dvp_core::Cluster;
 use std::fmt;
@@ -186,6 +190,23 @@ pub fn check_rebuild(cl: &Cluster) -> Result<(), Violation> {
     Ok(())
 }
 
+/// Feasibility: folded in global commit order, no item's running total
+/// ever dropped below zero, so the serial schedule the commits stand for
+/// never overdraws an item (§6: serializability subject to redistribution
+/// presumes a feasible serial order).
+pub fn check_feasibility(catalog: &Catalog, history: &History) -> Result<(), Violation> {
+    for def in catalog.items() {
+        let low = history.low_water(def.id);
+        if low < 0 {
+            return Err(violation(
+                "feasibility",
+                format!("{:?} overdrawn to {low} in commit order", def.id),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Post-settle liveness: once the last fault has healed and the settle
 /// window has drained, every live, non-quarantined site must have
 /// decided (committed or aborted) each transaction it ever started —
@@ -225,6 +246,7 @@ pub fn check_all(cl: &Cluster, metrics: &ClusterMetrics) -> Result<(), Violation
     cl.auditor()
         .check_reads(metrics)
         .map_err(|e| violation("read-exactness", e.to_string()))?;
+    check_feasibility(&cl.catalog, &metrics.history)?;
     check_rebuild(cl)?;
     Ok(())
 }
@@ -257,6 +279,23 @@ mod tests {
         let m = cl.stats().txn;
         check_all(&cl, &m).unwrap();
         assert!(m.committed() >= 1);
+    }
+
+    /// A committed history that overdraws an item fails the feasibility
+    /// check, and one that only comes close passes it.
+    #[test]
+    fn an_overdrawn_history_is_infeasible() {
+        let mut catalog = Catalog::new();
+        let flight = catalog.add("A", 100, Split::Even);
+        let sink = dvp_core::audit::HistorySink::new(&catalog);
+        let ts = dvp_core::Ts;
+        sink.commit(ms(1), ts(1), &[(flight, -100)], &[]);
+        check_feasibility(&catalog, &sink.history()).unwrap();
+        sink.commit(ms(2), ts(2), &[(flight, -30)], &[]);
+        sink.commit(ms(3), ts(3), &[(flight, 50)], &[]);
+        let v = check_feasibility(&catalog, &sink.history()).unwrap_err();
+        assert_eq!(v.oracle, "feasibility");
+        assert!(v.detail.contains("overdrawn to -30"), "{v}");
     }
 
     #[test]

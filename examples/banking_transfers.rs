@@ -83,12 +83,12 @@ fn main() {
         .expect("conservation");
     println!("\ninvariants: conservation OK, read exactness OK");
     println!(
-        "branch 3 recovered using {} remote messages (independent recovery)",
-        m.sites[3].recovery_remote_messages
+        "branch 3 recovered from its own log, replaying {} records (independent recovery)",
+        m.sites[3].records_replayed
     );
 
     assert_eq!(alice_total, 8_600);
     assert_eq!(bob_total, 5_800);
     assert_eq!(read, (alice, 8_600));
-    assert_eq!(m.sites[3].recovery_remote_messages, 0);
+    assert_eq!(m.sites[3].recoveries, 1);
 }
