@@ -267,7 +267,7 @@ pub fn configs() -> Vec<ProtoConfig> {
 }
 
 /// The columns of both T5 tables after the first.
-const COLUMNS: [&str; 14] = [
+const COLUMNS: [&str; 16] = [
     "campaigns",
     "violations",
     "commits",
@@ -282,6 +282,8 @@ const COLUMNS: [&str; 14] = [
     "externals@crashed",
     "lost",
     "dup",
+    "quiet sends",
+    "quiet timers",
 ];
 
 /// One row: `label`, then `results` summed under [`COLUMNS`].
@@ -303,6 +305,8 @@ fn row<'a>(label: &str, results: impl Iterator<Item = &'a CampaignResult> + Clon
         sum(|r| r.net.externals_dropped),
         sum(|r| r.net.lost),
         sum(|r| r.net.duplicated),
+        sum(|r| r.quiet_sent),
+        sum(|r| r.quiet_timers),
     ]
 }
 

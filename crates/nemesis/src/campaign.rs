@@ -24,6 +24,12 @@ pub struct CampaignConfig {
     pub audit_points: u32,
 }
 
+/// Virtual time (ms) watched after the settle audit: what the cluster
+/// still sends and fires there is what not draining costs — a site that
+/// never came back up, or a Vm still unacked on a channel whose timeout
+/// reached its cap.
+pub const QUIET_WINDOW_MS: u64 = 1_000;
+
 /// The outcome of one campaign. Deterministic: same config + schedule ⇒
 /// identical result, field for field.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,6 +57,12 @@ pub struct CampaignResult {
     /// (link + chaos), deliveries and client arrivals suppressed at a
     /// down site.
     pub net: NetStats,
+    /// Messages put on the wire in the [`QUIET_WINDOW_MS`] after settle.
+    /// Toward a site that never answers again, each peer with unacked
+    /// Vms resends once per capped timeout.
+    pub quiet_sent: u64,
+    /// Timers fired in the same window.
+    pub quiet_timers: u64,
     /// Per-phase latency breakdown harvested from the cluster.
     pub phases: PhaseHists,
     /// Structured event stream; empty unless the config enabled tracing.
@@ -76,6 +88,7 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
     let mut cl = Cluster::build(cluster);
 
     let mut violation = None;
+    let settle = msec(cfg.horizon_ms * 2 + 1_000);
     let step = (cfg.horizon_ms / cfg.audit_points.max(1) as u64).max(1);
     for k in 1..=cfg.audit_points as u64 {
         cl.run_until(msec(k * step));
@@ -89,15 +102,15 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         // Settle: run well past the horizon so retransmits, recoveries,
         // and healed partitions drain. The window is bounded because some
         // campaigns never quiesce: a Vm toward a site that never answers
-        // again is retransmitted every interval forever. In T5 that site
-        // is always one quarantined after media loss: every generated
-        // crash and crashpoint comes with a recovery of its own site. A
-        // crashpoint that trips after that recovery, or a shrunk subset
-        // without the `Recover`, would strand a site too. Acks do not
+        // again is retransmitted forever, once per capped timeout. In T5
+        // that site is always one quarantined after media loss: every
+        // generated crash and crashpoint comes with a recovery of its own
+        // site. A crashpoint that trips after that recovery, or a shrunk
+        // subset without the `Recover`, would strand a site too. Acks do not
         // keep a campaign busy: every accept and every duplicate is
         // acked, so a sender's last Vm completes with no reverse traffic
         // to carry the ack.
-        cl.run_until(msec(cfg.horizon_ms * 2 + 1_000));
+        cl.run_until(settle);
         let m = cl.stats().txn;
         if let Err(v) = oracle::check_all(&cl, &m) {
             violation = Some(format!("settle: {v}"));
@@ -109,6 +122,14 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
     }
 
     let m = cl.stats().txn;
+    let net = *cl.sim.stats();
+    let (mut quiet_sent, mut quiet_timers) = (0, 0);
+    if violation.is_none() {
+        cl.run_until(settle + SimDuration::millis(QUIET_WINDOW_MS));
+        let after = cl.sim.stats();
+        quiet_sent = after.sent - net.sent;
+        quiet_timers = after.timers_fired - net.timers_fired;
+    }
     CampaignResult {
         violation,
         committed: m.committed(),
@@ -119,7 +140,9 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         checkpoint_fallbacks: m.sum(|s| s.checkpoint_fallbacks),
         salvages: m.sum(|s| s.salvages),
         media_failures: m.sum(|s| s.media_failures),
-        net: *cl.sim.stats(),
+        net,
+        quiet_sent,
+        quiet_timers,
         phases: m.phases(),
         events: cl.obs().take(),
     }

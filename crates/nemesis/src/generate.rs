@@ -53,9 +53,11 @@ pub fn lossy_environment() -> NetworkConfig {
 }
 
 // Per-campaign probabilities and counts, shared by both mixes except
-// the last two (media only). Each media fault ships with a crash of the
-// site it names, because decay applies to the durable image as the site
-// goes down.
+// the last two (media only). Each media fault needs a crash of the site
+// it names, because decay applies to the durable image as the site goes
+// down: it rides the site's drawn down window if it has one, and
+// otherwise draws the site's only one, so one site's windows never
+// overlap (a crash of a site already down would do nothing).
 const PARTITION_P: f64 = 0.4; // per site, joins a partition episode's cut
 const CRASH_P: f64 = 0.3; // per site, one crash/recover pair
 const CHAOS_WINDOWS: u32 = 2; // loss/dup/jitter bursts
@@ -90,12 +92,15 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
             tcur += rng.uniform(10, horizon_ms / 4);
         }
     }
-    for site in 0..n {
+    // Whether each site already has a drawn down window.
+    let mut goes_down = vec![false; n];
+    for (site, down) in goes_down.iter_mut().enumerate() {
         if rng.chance(CRASH_P) {
             let c = rng.uniform(10, horizon_ms / 2);
             let r = c + rng.uniform(20, horizon_ms / 2);
             events.push(FaultEvent::Crash { at_ms: c, site });
             events.push(FaultEvent::Recover { at_ms: r, site });
+            *down = true;
         }
     }
 
@@ -141,22 +146,26 @@ pub fn generate(seed: u64, n: usize, horizon_ms: u64, intensity: &Intensity) -> 
         };
         events.push(FaultEvent::TornWrites { site, mode });
     }
+    // A media fault's site goes down once: in its drawn window, or in
+    // one drawn here.
+    let mut go_down = |site: usize, xrng: &mut SimRng, events: &mut Vec<FaultEvent>| {
+        if !std::mem::replace(&mut goes_down[site], true) {
+            let c = xrng.uniform(10, horizon_ms / 2);
+            let r = c + xrng.uniform(20, horizon_ms / 2);
+            events.push(FaultEvent::Crash { at_ms: c, site });
+            events.push(FaultEvent::Recover { at_ms: r, site });
+        }
+    };
     if intensity.media && xrng.chance(BIT_ROT_P) {
         let site = xrng.index(n);
         events.push(FaultEvent::BitRot { site });
-        let c = xrng.uniform(10, horizon_ms / 2);
-        let r = c + xrng.uniform(20, horizon_ms / 2);
-        events.push(FaultEvent::Crash { at_ms: c, site });
-        events.push(FaultEvent::Recover { at_ms: r, site });
+        go_down(site, &mut xrng, &mut events);
     }
     if intensity.media && xrng.chance(CORRUPT_CKPT_P) {
         let site = xrng.index(n);
         let slot = xrng.index(2) as u8;
         events.push(FaultEvent::CorruptCheckpoint { site, slot });
-        let c = xrng.uniform(10, horizon_ms / 2);
-        let r = c + xrng.uniform(20, horizon_ms / 2);
-        events.push(FaultEvent::Crash { at_ms: c, site });
-        events.push(FaultEvent::Recover { at_ms: r, site });
+        go_down(site, &mut xrng, &mut events);
     }
 
     FaultSchedule::new(events)
@@ -209,6 +218,44 @@ mod tests {
                 media.events[..std_s.events.len()],
                 "seed {seed}"
             );
+        }
+    }
+
+    /// A site's drawn down windows never overlap, so every drawn crash
+    /// takes down a site that is up: a media fault rides its site's
+    /// window or draws the only one.
+    #[test]
+    fn no_two_drawn_down_windows_of_a_site_overlap() {
+        for intensity in [Intensity::standard(), Intensity::media()] {
+            for n in 3..=6 {
+                for seed in 0..500u64 {
+                    let mut windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
+                    let events = generate(seed, n, 1500, &intensity).events;
+                    for (i, e) in events.iter().enumerate() {
+                        let FaultEvent::Crash { at_ms, site } = *e else {
+                            continue;
+                        };
+                        // Every drawn crash is followed by its recovery.
+                        let Some(FaultEvent::Recover { at_ms: up, site: s }) =
+                            events.get(i + 1).cloned()
+                        else {
+                            panic!("seed {seed}: crash of {site} without its recovery");
+                        };
+                        assert_eq!(s, site);
+                        windows[site].push((at_ms, up));
+                    }
+                    for (site, w) in windows.iter().enumerate() {
+                        for (i, a) in w.iter().enumerate() {
+                            for b in &w[i + 1..] {
+                                assert!(
+                                    a.1 < b.0 || b.1 < a.0,
+                                    "seed {seed} n {n} site {site}: {a:?} overlaps {b:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -31,8 +31,9 @@ impl VmEndpoint {
     /// Owed acks toward peers with no outgoing data stay owed — the host
     /// flushes them via [`flush_owed_ack`](Self::flush_owed_ack).
     ///
-    /// `_now` is unused; the signature is the one `benchmark/` compiles
-    /// against.
+    /// `_now` is unused: the endpoint's clock comes from
+    /// [`advance_clock`](Self::advance_clock), and the signature is the
+    /// one `benchmark/` compiles against.
     pub fn drain_datagrams_into(&mut self, _now: u64, out: &mut Vec<(SiteId, WireDatagram)>) {
         if self.outbox.is_empty() {
             return;

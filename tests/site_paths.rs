@@ -119,7 +119,8 @@ fn a_commit_on_arrival_arms_no_timer() {
 
 /// A transaction that must solicit arms exactly one timer, its timeout,
 /// and its commit cancels it; a Conc1 lock conflict arriving while it
-/// holds the lock aborts and arms nothing.
+/// holds the lock aborts and arms nothing. The donor's retransmit timer
+/// runs only while its Vm is unacked.
 #[test]
 fn only_a_waiting_transaction_arms_its_timeout() {
     let (catalog, item) = seats(100, 2); // 50 per site
@@ -135,9 +136,10 @@ fn only_a_waiting_transaction_arms_its_timeout() {
     assert_eq!(m.sites[0].fast_path_commits, 0);
     assert_eq!(m.aborted_for(AbortReason::LockConflict), 1);
     let net = cl.sim.stats();
-    // The one suppressed timer is the timeout the commit cancelled; the
-    // one fired is the donor's retransmit tick, its Vm acked by then.
-    assert_eq!((net.timers_fired, net.timers_suppressed), (1, 1));
+    // Nothing fires. The two suppressed timers are the timeout the commit
+    // cancelled and the donor's retransmit timer, cancelled when the ack
+    // of its one Vm landed.
+    assert_eq!((net.timers_fired, net.timers_suppressed), (0, 2));
 }
 
 /// A Conc1 timestamp conflict aborts and arms nothing. Five commits in
