@@ -298,38 +298,73 @@ impl SiteNode {
         frame: Frame<&[u8]>,
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
-        let receipt = self.vm.on_frame(from, frame);
-        if let Receipt::Fresh { seq, payload } = receipt {
-            let transfer = match Transfer::from_bytes(payload) {
-                Ok(t) => t,
-                Err(e) => {
-                    debug_assert!(false, "undecodable transfer payload: {e}");
-                    return;
-                }
-            };
-            match self.locks.holder(transfer.item) {
-                None => {
-                    // Unlocked: accept as a spontaneous Rds transaction.
-                    self.accept_transfer(from, seq, &transfer);
-                }
-                Some(Holder::Lease(_)) => {
-                    // A read lease pins the item: ignore; the sender will
-                    // retransmit and we will accept after the lease.
-                }
-                Some(Holder::Txn(holder)) => {
-                    // The lock holder performs the acceptance itself
-                    // (Section 5: no need to wait for the lock).
-                    self.accept_transfer(from, seq, &transfer);
-                    self.credit_to_txn(holder, &transfer, ctx);
-                }
+        if let Receipt::Fresh { seq, payload } = self.vm.on_frame(from, frame) {
+            if self.receive_vm(from, seq, payload, ctx) {
+                self.receive_held(from, ctx);
+            }
+        }
+    }
+
+    /// Accept the Vms from `from` that the endpoint held and that are in
+    /// order now, until one is held back again.
+    pub(super) fn receive_held(&mut self, from: NodeId, ctx: &mut Context<'_, ProtoMsg>) {
+        while let Some((seq, payload)) = self.vm.take_ready(from) {
+            if !self.receive_vm(from, seq, &payload, ctx) {
+                return;
+            }
+        }
+    }
+
+    /// A lease ended: accept what the endpoint held back for it.
+    pub(super) fn receive_held_from_all(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
+        for peer in 0..self.n {
+            self.receive_held(peer, ctx);
+        }
+    }
+
+    /// Accept the in-order Vm `seq` from `from`, or hand it back to the
+    /// endpoint to hold while a read lease pins its item. Returns whether
+    /// it was accepted.
+    fn receive_vm(
+        &mut self,
+        from: NodeId,
+        seq: Seq,
+        payload: &[u8],
+        ctx: &mut Context<'_, ProtoMsg>,
+    ) -> bool {
+        let transfer = match Transfer::from_bytes(payload) {
+            Ok(t) => t,
+            Err(e) => {
+                debug_assert!(false, "undecodable transfer payload: {e}");
+                return false;
+            }
+        };
+        match self.locks.holder(transfer.item) {
+            None => {
+                // Unlocked: accept as a spontaneous Rds transaction.
+                self.accept_transfer(from, seq, &transfer)
+            }
+            Some(Holder::Lease(_)) => {
+                // A read lease pins the item: hold the Vm until the lease
+                // ends (or the sender's retransmission finds it over).
+                self.vm.hold_back(from, seq, payload);
+                false
+            }
+            Some(Holder::Txn(holder)) => {
+                // The lock holder performs the acceptance itself
+                // (Section 5: no need to wait for the lock).
+                let accepted = self.accept_transfer(from, seq, &transfer);
+                self.credit_to_txn(holder, &transfer, ctx);
+                accepted
             }
         }
     }
 
     /// Durably accept a transfer: `[database-actions]` + `Accepted` op.
-    fn accept_transfer(&mut self, from: NodeId, seq: Seq, transfer: &Transfer) {
+    /// Returns whether it was accepted (not with a crash pending).
+    fn accept_transfer(&mut self, from: NodeId, seq: Seq, transfer: &Transfer) -> bool {
         if self.inject.crash_pending() {
-            return;
+            return false;
         }
         let op = self.vm.commit_accept(from, seq);
         let credit = DbActions::one((transfer.item, transfer.amount as i64));
@@ -346,6 +381,7 @@ impl SiteNode {
             from: transfer.donor as u32,
             qty: transfer.amount as i64,
         });
+        true
     }
 }
 

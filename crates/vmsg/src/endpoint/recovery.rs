@@ -4,6 +4,7 @@
 use super::VmEndpoint;
 use crate::channel::Seq;
 use crate::logop::VmLogOp;
+use crate::rto::RtoEstimator;
 use crate::SiteId;
 use bytes::Bytes;
 
@@ -16,6 +17,7 @@ impl VmEndpoint {
             *c = None;
         }
         self.chan_count = 0;
+        self.seed = RtoEstimator::default();
         for d in &mut self.dirty {
             *d = false;
         }

@@ -19,8 +19,10 @@ pub struct VmStats {
     pub acks_effective: u64,
     /// Duplicate data frames discarded.
     pub duplicates_discarded: u64,
-    /// Out-of-order data frames discarded.
-    pub out_of_order_discarded: u64,
+    /// Data frames that arrived ahead of the accept cursor. Each is held
+    /// (up to a window per channel) until its predecessors are accepted;
+    /// see [`take_ready`](crate::endpoint::VmEndpoint::take_ready).
+    pub out_of_order_held: u64,
     /// Crash resets performed.
     pub crash_resets: u64,
     /// Channels a retransmit tick did *not* visit because they had no
@@ -61,7 +63,7 @@ impl VmStats {
         self.ack_frames_sent += o.ack_frames_sent;
         self.acks_effective += o.acks_effective;
         self.duplicates_discarded += o.duplicates_discarded;
-        self.out_of_order_discarded += o.out_of_order_discarded;
+        self.out_of_order_held += o.out_of_order_held;
         self.crash_resets += o.crash_resets;
         self.idle_channels_skipped += o.idle_channels_skipped;
         self.datagrams_sent += o.datagrams_sent;
