@@ -274,7 +274,7 @@ impl SiteNode {
             }
         }
         for &item in &t.reads {
-            if self.outstanding.of(item) > 0 {
+            if self.outstanding[item.0 as usize] > 0 {
                 // Our own outgoing Vms must complete before the read can be
                 // exact (they would double-count or escape otherwise).
                 t.reads_blocked_on_self.push(item);

@@ -7,7 +7,6 @@ use super::msg::{ProtoMsg, Solicit};
 use super::{SiteNode, TAG_LEASE, TAG_REBALANCE};
 use crate::clock::Ts;
 use crate::fault::{Crashpoint, Mutant};
-use crate::item::ItemId;
 use crate::locks::Holder;
 use crate::policy::ConcMode;
 use crate::record::DbActions;
@@ -15,75 +14,7 @@ use crate::transfer::{Transfer, TransferKind};
 use dvp_obs::EventKind;
 use dvp_simnet::node::Context;
 use dvp_simnet::NodeId;
-use dvp_vmsg::{Frame, Receipt, Seq, VmLogOp, WireDatagram};
-use std::collections::VecDeque;
-
-/// This site's outgoing unacked Vms: how many carry each item (a donor
-/// may not certify a read while any do — the read-donation gate) and
-/// which item each `(peer, seq)` carries.
-///
-/// The second is one ring per peer in ascending `seq`: Vms toward a peer
-/// are created in `seq` order, acks complete them as a cumulative prefix,
-/// and recovery rebuilds them in ascending order, so the operations that
-/// run are a push at the back and a pop at the front, on a buffer that
-/// keeps its allocation.
-pub(super) struct Outstanding {
-    per_item: Vec<u64>,
-    /// Per peer (indexed by `NodeId`): `(seq, item)`, ascending `seq`.
-    vm_item: Vec<VecDeque<(Seq, ItemId)>>,
-    /// Entries across all rings.
-    live: usize,
-}
-
-impl Outstanding {
-    pub(super) fn new(n_items: usize) -> Self {
-        Outstanding {
-            per_item: vec![0; n_items],
-            vm_item: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Unacked outgoing Vms carrying `item`.
-    pub(super) fn of(&self, item: ItemId) -> u64 {
-        self.per_item[item.0 as usize]
-    }
-
-    pub(super) fn any(&self) -> bool {
-        self.live > 0
-    }
-
-    /// One more unacked outgoing Vm, `seq` toward `peer`, carrying `item`.
-    /// `seq` is above every outstanding Vm toward `peer`.
-    pub(super) fn created(&mut self, peer: NodeId, seq: Seq, item: ItemId) {
-        if peer >= self.vm_item.len() {
-            self.vm_item.resize_with(peer + 1, VecDeque::new);
-        }
-        let ring = &mut self.vm_item[peer];
-        debug_assert!(
-            ring.back().is_none_or(|&(last, _)| last < seq),
-            "Vms toward a peer are created in seq order"
-        );
-        ring.push_back((seq, item));
-        self.live += 1;
-        self.per_item[item.0 as usize] += 1;
-    }
-
-    /// Vm `seq` toward `peer` was acked. Returns the item it carried and
-    /// whether that was the item's last outstanding Vm.
-    pub(super) fn completed(&mut self, peer: NodeId, seq: Seq) -> Option<(ItemId, bool)> {
-        let ring = self.vm_item.get_mut(peer)?;
-        let at = match ring.front() {
-            Some(&(first, _)) if first == seq => 0,
-            _ => ring.binary_search_by_key(&seq, |&(s, _)| s).ok()?,
-        };
-        let (_, item) = ring.remove(at).expect("found");
-        self.live -= 1;
-        let c = &mut self.per_item[item.0 as usize];
-        *c = c.saturating_sub(1);
-        Some((item, *c == 0))
-    }
-}
+use dvp_vmsg::{Frame, Receipt, Seq, WireDatagram};
 
 impl SiteNode {
     // ---- remote requests (donor side) --------------------------------------
@@ -144,7 +75,9 @@ impl SiteNode {
         }
         let have = self.frags.get(item);
         let (amount, kind) = if read {
-            if !self.inject.planted(Mutant::SkipReadDrainGate) && self.outstanding.of(item) > 0 {
+            if !self.inject.planted(Mutant::SkipReadDrainGate)
+                && self.outstanding[item.0 as usize] > 0
+            {
                 // Cannot certify quiescence: our own Vms for this item are
                 // still in flight. Ignore; the read times out and aborts.
                 return self.decline(&ask);
@@ -196,10 +129,6 @@ impl SiteNode {
     /// means it fired and the value never left the fragment.
     fn ship(&mut self, to: NodeId, transfer: &Transfer, ctx: &mut Context<'_, ProtoMsg>) -> bool {
         let op = self.vm.create(to, transfer.to_bytes());
-        let seq = match &op {
-            VmLogOp::Created { seq, .. } => *seq,
-            _ => unreachable!("create returns Created"),
-        };
         let debit = DbActions::one((transfer.item, -(transfer.amount as i64)));
         self.durable.append_rds(transfer.for_txn, debit, op);
         let solicited = transfer.kind != TransferKind::Rebalance;
@@ -218,7 +147,7 @@ impl SiteNode {
         }
         self.frags.debit(transfer.item, transfer.amount);
         self.frags.bump_ts(transfer.item, transfer.for_txn);
-        self.outstanding.created(to, seq, transfer.item);
+        self.outstanding[transfer.item.0 as usize] += 1;
         true
     }
 
@@ -382,100 +311,5 @@ impl SiteNode {
             qty: transfer.amount as i64,
         });
         true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
-
-    const PEERS: usize = 4;
-    const ITEMS: usize = 3;
-
-    /// The map `Outstanding` replaced, as the reference model.
-    struct Reference {
-        per_item: Vec<u64>,
-        vm_item: BTreeMap<(NodeId, Seq), ItemId>,
-    }
-
-    impl Reference {
-        fn new() -> Self {
-            Reference {
-                per_item: vec![0; ITEMS],
-                vm_item: BTreeMap::new(),
-            }
-        }
-
-        fn created(&mut self, peer: NodeId, seq: Seq, item: ItemId) {
-            self.vm_item.insert((peer, seq), item);
-            self.per_item[item.0 as usize] += 1;
-        }
-
-        fn completed(&mut self, peer: NodeId, seq: Seq) -> Option<(ItemId, bool)> {
-            let item = self.vm_item.remove(&(peer, seq))?;
-            let c = &mut self.per_item[item.0 as usize];
-            *c = c.saturating_sub(1);
-            Some((item, *c == 0))
-        }
-    }
-
-    /// One step: 0 creates toward `peer`, 1 completes an arbitrary
-    /// `seq` (present or not), 2 completes the cumulative prefix up to
-    /// it, ascending, as an ack does, 3 rebuilds from the reference's
-    /// entries in ascending order, as crash recovery does.
-    fn step() -> impl Strategy<Value = (u8, usize, u64, u32)> {
-        (0u8..4, 0..PEERS, 0u64..12, 0..ITEMS as u32)
-    }
-
-    proptest! {
-        /// Every answer and every per-item count agree with the map, at
-        /// every step.
-        #[test]
-        fn the_ring_answers_as_the_map_does(
-            steps in proptest::collection::vec(step(), 0..80),
-        ) {
-            let mut ring = Outstanding::new(ITEMS);
-            let mut model = Reference::new();
-            let mut next = [0 as Seq; PEERS];
-            for (op, peer, k, item) in steps {
-                match op {
-                    0 => {
-                        next[peer] += 1;
-                        ring.created(peer, next[peer], ItemId(item));
-                        model.created(peer, next[peer], ItemId(item));
-                    }
-                    1 => {
-                        let seq = next[peer].saturating_sub(k % 4);
-                        prop_assert_eq!(ring.completed(peer, seq), model.completed(peer, seq));
-                    }
-                    2 => {
-                        let upto = next[peer].saturating_sub(k % 4);
-                        let prefix: Vec<Seq> = model
-                            .vm_item
-                            .range((peer, 0)..=(peer, upto))
-                            .map(|(&(_, seq), _)| seq)
-                            .collect();
-                        for seq in prefix {
-                            prop_assert_eq!(ring.completed(peer, seq), model.completed(peer, seq));
-                        }
-                    }
-                    _ => {
-                        ring = Outstanding::new(ITEMS);
-                        let entries: Vec<_> = model.vm_item.iter().map(|(&k, &v)| (k, v)).collect();
-                        model = Reference::new();
-                        for ((peer, seq), item) in entries {
-                            ring.created(peer, seq, item);
-                            model.created(peer, seq, item);
-                        }
-                    }
-                }
-                prop_assert_eq!(ring.any(), !model.vm_item.is_empty());
-                for i in 0..ITEMS as u32 {
-                    prop_assert_eq!(ring.of(ItemId(i)), model.per_item[i as usize]);
-                }
-            }
-        }
     }
 }

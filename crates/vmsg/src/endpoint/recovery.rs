@@ -49,7 +49,7 @@ impl VmEndpoint {
             }
             VmLogOp::AckObserved { to, seq } => {
                 let c = self.chan(*to);
-                c.on_ack(*seq, |_| {});
+                c.on_ack(*seq, |_, _| {});
                 if c.in_flight() == 0 {
                     self.clear_dirty(*to);
                 }

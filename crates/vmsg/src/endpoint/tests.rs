@@ -324,12 +324,43 @@ fn drain_into_variants_reuse_caller_buffers() {
     flush(&mut r, &mut s);
     let mut completed = Vec::new();
     s.drain_completed_into(&mut completed);
-    assert_eq!(completed, vec![(1, 1)]);
+    assert_eq!(completed, vec![(1, 1, b("x"))]);
     // A second drain finds both endpoint buffers empty.
     s.drain_outbox_into(&mut frames);
     s.drain_completed_into(&mut completed);
     assert!(frames.is_empty());
     assert_eq!(completed.len(), 1, "append semantics: caller clears");
+}
+
+/// A cumulative ack hands back every Vm it releases with the payload it
+/// was created with, lowest `seq` first: the endpoint is the host's one
+/// record of what an unacked Vm carries.
+#[test]
+fn one_cumulative_ack_hands_back_each_released_vm_with_its_payload() {
+    let (mut s, _) = pair();
+    let sent = [b("one"), b("two"), b("three"), b("four")];
+    for p in &sent {
+        let _ = s.create(1, p.clone());
+    }
+    let _ = s.create(2, b("elsewhere"));
+    assert_eq!(
+        s.on_frame(1, Frame::<Bytes>::Ack { ack: 3 }),
+        Receipt::AckOnly
+    );
+    let mut completed = Vec::new();
+    s.drain_completed_into(&mut completed);
+    let seqs: Vec<(SiteId, Seq)> = completed.iter().map(|&(p, q, _)| (p, q)).collect();
+    assert_eq!(seqs, vec![(1, 1), (1, 2), (1, 3)]);
+    for ((_, _, got), want) in completed.iter().zip(&sent) {
+        assert_eq!(got, want);
+        assert_eq!(
+            got.as_ptr(),
+            want.as_ptr(),
+            "moved out of the ring, not copied"
+        );
+    }
+    assert_eq!(s.in_flight_to(1), 1);
+    assert_eq!(s.in_flight_to(2), 1);
 }
 
 #[test]
