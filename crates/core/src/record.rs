@@ -3,8 +3,9 @@
 //! Three record shapes carry the whole protocol (paper Sections 4.2, 5, 7):
 //!
 //! * [`SiteRecord::Rds`] — the `[database-actions, message-sequence]`
-//!   record: fragment deltas plus embedded Vm ops, written when creating
-//!   Vms (donation) or accepting them (absorption);
+//!   record: fragment deltas plus the one Vm op they go with, written
+//!   when creating a Vm (donation), accepting one (absorption) or noting
+//!   its ack;
 //! * [`SiteRecord::Commit`] — the `[database-actions]` record whose forced
 //!   write *is* the commit point of a transaction (Step 5);
 //! * [`SiteRecord::Applied`] — "record on the log that the changes have
@@ -38,16 +39,16 @@ pub enum SiteRecord {
         qty: Qty,
     },
     /// A redistribution step `[database-actions, message-sequence]`:
-    /// fragment deltas plus the Vm ops (creations / acceptances / ack
-    /// observations) that justify them. `txn` is the transaction on whose
-    /// behalf the step ran ([`Ts::ZERO`] for spontaneous steps).
+    /// fragment deltas plus the Vm op (a creation, an acceptance or an
+    /// ack observation) that justifies them. `txn` is the transaction on
+    /// whose behalf the step ran ([`Ts::ZERO`] for spontaneous steps).
     Rds {
         /// Responsible transaction (for Conc1 timestamp recovery).
         txn: Ts,
         /// Fragment deltas.
         actions: DbActions,
-        /// Embedded Vm lifecycle ops.
-        vm_ops: Vec<VmLogOp>,
+        /// The embedded Vm lifecycle op.
+        vm_op: VmLogOp,
     },
     /// Transaction commit `[database-actions]` — forcing this record
     /// commits the transaction.
@@ -92,15 +93,12 @@ impl Record for SiteRecord {
             SiteRecord::Rds {
                 txn,
                 actions,
-                vm_ops,
+                vm_op,
             } => {
                 w.u8(1);
                 w.u64(txn.0);
                 encode_actions(w, actions);
-                w.u32(vm_ops.len() as u32);
-                for op in vm_ops {
-                    op.encode(w);
-                }
+                vm_op.encode(w);
             }
             SiteRecord::Commit { txn, actions } => {
                 w.u8(2);
@@ -120,20 +118,11 @@ impl Record for SiteRecord {
                 item: ItemId(r.u32()?),
                 qty: r.u64()?,
             }),
-            1 => {
-                let txn = Ts(r.u64()?);
-                let actions = decode_actions(r)?;
-                let n = r.count(1 + 8 + 8)?; // tag, site, seq
-                let mut vm_ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    vm_ops.push(VmLogOp::decode(r)?);
-                }
-                Ok(SiteRecord::Rds {
-                    txn,
-                    actions,
-                    vm_ops,
-                })
-            }
+            1 => Ok(SiteRecord::Rds {
+                txn: Ts(r.u64()?),
+                actions: decode_actions(r)?,
+                vm_op: VmLogOp::decode(r)?,
+            }),
             2 => Ok(SiteRecord::Commit {
                 txn: Ts(r.u64()?),
                 actions: decode_actions(r)?,
@@ -168,20 +157,22 @@ mod tests {
     }
 
     #[test]
-    fn rds_roundtrips_with_vm_ops() {
-        roundtrip(SiteRecord::Rds {
-            txn: Ts(0xABC),
-            actions: DbActions::from_slice(&[(ItemId(0), -5), (ItemId(1), 5)]),
-            vm_ops: vec![
-                VmLogOp::Created {
-                    to: 2,
-                    seq: 9,
-                    payload: Bytes::from_static(b"pay"),
-                },
-                VmLogOp::Accepted { from: 1, seq: 3 },
-                VmLogOp::AckObserved { to: 2, seq: 8 },
-            ],
-        });
+    fn rds_roundtrips_with_each_vm_op() {
+        for vm_op in [
+            VmLogOp::Created {
+                to: 2,
+                seq: 9,
+                payload: Bytes::from_static(b"pay"),
+            },
+            VmLogOp::Accepted { from: 1, seq: 3 },
+            VmLogOp::AckObserved { to: 2, seq: 8 },
+        ] {
+            roundtrip(SiteRecord::Rds {
+                txn: Ts(0xABC),
+                actions: DbActions::from_slice(&[(ItemId(0), -5), (ItemId(1), 5)]),
+                vm_op,
+            });
+        }
     }
 
     #[test]
@@ -202,7 +193,7 @@ mod tests {
         roundtrip(SiteRecord::Rds {
             txn: Ts::ZERO,
             actions: DbActions::new(),
-            vm_ops: vec![],
+            vm_op: VmLogOp::AckObserved { to: 1, seq: 1 },
         });
         roundtrip(SiteRecord::Commit {
             txn: Ts(1),

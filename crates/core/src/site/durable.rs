@@ -118,8 +118,6 @@ pub(super) struct Durable {
     /// Stays `false` across ack-only dispatches — lazy `AckObserved`
     /// notes ride along with the next real force.
     needs_flush: bool,
-    /// Op list lent to each `Rds` record while it is appended.
-    vm_ops_scratch: Vec<VmLogOp>,
     /// Snapshot refilled in place and lent to each checkpoint install.
     snapshot_scratch: SiteSnapshot,
     /// Records redone by the last recovery scan (trace reporting).
@@ -147,7 +145,6 @@ impl Durable {
             site,
             stable: CheckpointedLog::new(log),
             needs_flush: false,
-            vm_ops_scratch: Vec::new(),
             snapshot_scratch: SiteSnapshot::default(),
             last_replayed: 0,
             media_failed: false,
@@ -177,22 +174,13 @@ impl Durable {
     }
 
     /// Append the `[database-actions, message-sequence]` record of a
-    /// one-op redistribution step. The log encodes at append and keeps no
-    /// record, so the op list is a retained scratch lent to the record
-    /// for the duration of the call: the step allocates nothing.
-    pub(super) fn append_rds(&mut self, txn: Ts, actions: DbActions, op: VmLogOp) {
-        let mut vm_ops = std::mem::take(&mut self.vm_ops_scratch);
-        vm_ops.push(op);
-        let rec = SiteRecord::Rds {
+    /// redistribution step and the Vm op it justifies.
+    pub(super) fn append_rds(&mut self, txn: Ts, actions: DbActions, vm_op: VmLogOp) {
+        self.stable.log.append(SiteRecord::Rds {
             txn,
             actions,
-            vm_ops,
-        };
-        self.stable.log.append(&rec);
-        if let SiteRecord::Rds { mut vm_ops, .. } = rec {
-            vm_ops.clear();
-            self.vm_ops_scratch = vm_ops;
-        }
+            vm_op,
+        });
     }
 
     /// Append the `Commit` record of `txn`, lending it `actions` for the
@@ -426,13 +414,13 @@ fn declare_damage(damage: &mut BTreeMap<ItemId, u64>, rec: &SiteRecord) {
         }
         SiteRecord::Applied { .. } => {}
     }
-    if let SiteRecord::Rds { vm_ops, .. } = rec {
-        for op in vm_ops {
-            if let VmLogOp::Created { payload, .. } = op {
-                if let Ok(t) = Transfer::from_bytes(payload) {
-                    *damage.entry(t.item).or_insert(0) += t.amount;
-                }
-            }
+    if let SiteRecord::Rds {
+        vm_op: VmLogOp::Created { payload, .. },
+        ..
+    } = rec
+    {
+        if let Ok(t) = Transfer::from_bytes(payload) {
+            *damage.entry(t.item).or_insert(0) += t.amount;
         }
     }
 }
@@ -451,10 +439,8 @@ fn redo_entries(frags: &mut FragmentStore, vm: &mut VmEndpoint, suffix: &[(Lsn, 
             }
             SiteRecord::Applied { .. } => {}
         }
-        if let SiteRecord::Rds { vm_ops, .. } = rec {
-            for op in vm_ops {
-                vm.replay(op);
-            }
+        if let SiteRecord::Rds { vm_op, .. } = rec {
+            vm.replay(vm_op);
         }
     }
 }

@@ -148,11 +148,14 @@ fn vm_outstanding_toward_a_partitioned_peer_survives_checkpoint_and_crash() {
         .recover()
         .unwrap()
         .iter()
-        .filter(|r| match r {
-            SiteRecord::Rds { vm_ops, .. } => vm_ops
-                .iter()
-                .any(|op| matches!(op, VmLogOp::Created { .. })),
-            _ => false,
+        .filter(|r| {
+            matches!(
+                r,
+                SiteRecord::Rds {
+                    vm_op: VmLogOp::Created { .. },
+                    ..
+                }
+            )
         })
         .count();
     assert_eq!(

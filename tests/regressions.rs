@@ -277,9 +277,6 @@ fn crc_valid_frames_with_absurd_counts_are_refused_before_allocating() {
     refused::<SiteSnapshot>("snapshot outgoing", &one_channel);
 
     // Log records: tag, txn, then the counted lists. 2²⁰ passed the old cap.
-    let rds_ops = [&[1u8][..], &be64(7)[..], &be32(0)[..], &be32(1 << 20)[..]].concat();
-    assert_eq!(rds_ops.len() + 8, 25, "the 25-byte frame of the report");
-    refused::<SiteRecord>("Rds vm ops", &rds_ops);
     let rds_actions = [&[1u8][..], &be64(7)[..], &be32(1 << 20)[..]].concat();
     refused::<SiteRecord>("Rds actions", &rds_actions);
     let commit_actions = [&[2u8][..], &be64(7)[..], &be32(u32::MAX)[..]].concat();
@@ -360,20 +357,24 @@ mod decoders_are_total {
     }
 
     /// One valid payload of each type, built from `n` and `blob` (both
-    /// byte-string carriers, a counted list of each kind, a snapshot with
-    /// a channel and an outgoing Vm), and the check that its own type
-    /// decodes it.
-    fn valid_payloads(n: u64, blob: &[u8]) -> [(Vec<u8>, DecodesAs); 4] {
+    /// byte-string carriers, a counted list of each kind, an Rds record
+    /// with each kind of Vm op it carries, a snapshot with a channel and
+    /// an outgoing Vm), and the check that its own type decodes it.
+    fn valid_payloads(n: u64, blob: &[u8]) -> [(Vec<u8>, DecodesAs); 5] {
         let created = VmLogOp::Created {
             to: 2,
             seq: n,
             payload: Bytes::copy_from_slice(blob),
         };
-        let rds = SiteRecord::Rds {
+        let rds = |vm_op| SiteRecord::Rds {
             txn: Ts(n),
             actions: SVec::from_slice(&[(ItemId(1), -(n as i64)), (ItemId(4), 3)]),
-            vm_ops: vec![created.clone(), VmLogOp::Accepted { from: 1, seq: n }],
+            vm_op,
         };
+        let (rds_created, rds_accepted) = (
+            rds(created.clone()),
+            rds(VmLogOp::Accepted { from: 1, seq: n }),
+        );
         let prepared = TradRecord::Prepared {
             txn: Ts(n),
             coordinator: 3,
@@ -395,7 +396,8 @@ mod decoders_are_total {
         });
         [
             (payload(|w| created.encode(w)), decodes::<VmLogOp>),
-            (payload(|w| rds.encode(w)), decodes::<SiteRecord>),
+            (payload(|w| rds_created.encode(w)), decodes::<SiteRecord>),
+            (payload(|w| rds_accepted.encode(w)), decodes::<SiteRecord>),
             (payload(|w| prepared.encode(w)), decodes::<TradRecord>),
             (snapshot, decodes::<SiteSnapshot>),
         ]
