@@ -11,7 +11,6 @@
 //! [`Context::crash_self`], which is applied literally (see
 //! [`Context::cancel_timer`]).
 
-use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
 
@@ -50,7 +49,6 @@ pub(crate) enum Action<M> {
 pub struct Context<'a, M> {
     now: SimTime,
     me: NodeId,
-    rng: &'a mut SimRng,
     next_timer: &'a mut u64,
     /// The first timer id issued in this callback: an older id cannot
     /// have its `SetTimer` buffered here.
@@ -64,16 +62,10 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    pub(crate) fn new(
-        now: SimTime,
-        me: NodeId,
-        rng: &'a mut SimRng,
-        next_timer: &'a mut u64,
-    ) -> Self {
+    pub(crate) fn new(now: SimTime, me: NodeId, next_timer: &'a mut u64) -> Self {
         Context {
             now,
             me,
-            rng,
             first_timer: *next_timer,
             next_timer,
             crashed: false,
@@ -90,11 +82,6 @@ impl<'a, M> Context<'a, M> {
     /// This node's id.
     pub fn me(&self) -> NodeId {
         self.me
-    }
-
-    /// Deterministic RNG (one stream per node).
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
     }
 
     /// Send `msg` to `to`. Delivery (or loss) is decided by the network
@@ -236,12 +223,11 @@ mod tests {
 
     #[test]
     fn context_buffers_actions_in_order() {
-        let mut rng = SimRng::new(1);
         let mut next = 0u64;
         // A timer armed in an earlier callback.
-        let old = Context::<'_, u32>::new(SimTime::ZERO, 0, &mut rng, &mut next)
+        let old = Context::<'_, u32>::new(SimTime::ZERO, 0, &mut next)
             .set_timer(SimDuration::millis(9), 5);
-        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
+        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut next);
         ctx.send(1, 10);
         let t = ctx.set_timer(SimDuration::millis(5), 77);
         ctx.cancel_timer(old);
@@ -262,9 +248,8 @@ mod tests {
 
     #[test]
     fn a_timer_cancelled_in_the_callback_that_set_it_is_annulled() {
-        let mut rng = SimRng::new(1);
         let mut next = 0u64;
-        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
+        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut next);
         let a = ctx.set_timer(SimDuration::millis(5), 1);
         ctx.send(1, 10);
         let b = ctx.set_timer(SimDuration::millis(6), 2);
@@ -280,9 +265,8 @@ mod tests {
 
     #[test]
     fn nothing_is_annulled_after_crash_self() {
-        let mut rng = SimRng::new(1);
         let mut next = 0u64;
-        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
+        let mut ctx: Context<'_, u32> = Context::new(SimTime::ZERO, 0, &mut next);
         let t = ctx.set_timer(SimDuration::millis(5), 1);
         ctx.crash_self();
         ctx.cancel_timer(t);
@@ -294,9 +278,8 @@ mod tests {
 
     #[test]
     fn timer_ids_are_unique_and_increasing() {
-        let mut rng = SimRng::new(1);
         let mut next = 0u64;
-        let mut ctx: Context<'_, ()> = Context::new(SimTime::ZERO, 0, &mut rng, &mut next);
+        let mut ctx: Context<'_, ()> = Context::new(SimTime::ZERO, 0, &mut next);
         let a = ctx.set_timer(SimDuration::millis(1), 0);
         let b = ctx.set_timer(SimDuration::millis(1), 0);
         assert!(b > a);

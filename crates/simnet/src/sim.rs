@@ -50,7 +50,6 @@ pub struct Simulation<N: Node> {
     nodes: Vec<N>,
     crashed: Vec<bool>,
     epoch: Vec<u32>,
-    node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     net: NetworkModel,
     /// Pending work, in three lanes by how it enters and leaves: arrivals
@@ -86,14 +85,17 @@ impl<N: Node> Simulation<N> {
     /// Build a simulation over the given nodes, network, and seed.
     pub fn new(nodes: Vec<N>, net: NetworkConfig, seed: u64) -> Self {
         let mut root = SimRng::new(seed);
-        let node_rngs = (0..nodes.len()).map(|i| root.fork(i as u64)).collect();
+        // Each node once forked a stream here, one draw apiece: skip them
+        // so the network's stream is the one every seed always had.
+        for _ in 0..nodes.len() {
+            root.next_u64();
+        }
         let net_rng = root.fork(u64::MAX);
         let n = nodes.len();
         Simulation {
             nodes,
             crashed: vec![false; n],
             epoch: vec![0; n],
-            node_rngs,
             net_rng,
             net: NetworkModel::new(net),
             scheduled: ScheduledLane::default(),
@@ -424,7 +426,7 @@ impl<N: Node> Simulation<N> {
     where
         F: FnOnce(&mut N, &mut Context<'_, N::Msg>),
     {
-        let mut ctx = Context::new(self.now, id, &mut self.node_rngs[id], &mut self.next_timer);
+        let mut ctx = Context::new(self.now, id, &mut self.next_timer);
         ctx.actions = std::mem::take(&mut self.scratch);
         f(&mut self.nodes[id], &mut ctx);
         self.stats.timers_suppressed += ctx.annulled;
