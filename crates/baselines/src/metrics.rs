@@ -33,20 +33,17 @@ impl TradAbort {
     }
 }
 
-/// Counters for one traditional site.
+/// Counters for one traditional site. A decision is recorded once, in
+/// its histogram: commits are `commit_latency`'s count.
 #[derive(Clone, Debug, Default)]
 pub struct TradMetrics {
-    /// Transactions committed with this site as coordinator.
-    pub committed: u64,
     /// Coordinator-side aborts by reason.
     pub aborted: BTreeMap<TradAbort, u64>,
-    /// Commit-latency histogram (µs).
+    /// Commit-latency histogram (µs) of the transactions this site
+    /// coordinated to commit.
     pub commit_latency: Hist,
     /// Abort-decision latency histogram (µs).
     pub abort_latency: Hist,
-    /// Per-phase latency breakdown: `decide` (commit decision),
-    /// `abort`, `in_doubt` (completed blocking windows).
-    pub phases: PhaseHists,
     /// Messages sent by the engine (locks, votes, decisions, queries).
     pub messages_sent: u64,
     /// Participant entered the in-doubt (prepared, no decision) state.
@@ -72,20 +69,11 @@ impl TradMetrics {
     pub fn record_abort(&mut self, reason: TradAbort, latency_us: u64) {
         *self.aborted.entry(reason).or_insert(0) += 1;
         self.abort_latency.record(latency_us);
-        self.phases.record("abort", latency_us);
     }
 
-    /// Record a commit decision.
-    pub fn record_commit(&mut self, latency_us: u64) {
-        self.committed += 1;
-        self.commit_latency.record(latency_us);
-        self.phases.record("decide", latency_us);
-    }
-
-    /// Record a completed in-doubt window.
-    pub fn record_in_doubt(&mut self, window_us: u64) {
-        self.in_doubt.record(window_us);
-        self.phases.record("in_doubt", window_us);
+    /// Transactions committed with this site as coordinator.
+    pub fn committed(&self) -> u64 {
+        self.commit_latency.count()
     }
 
     /// Total aborts.
@@ -102,9 +90,18 @@ pub struct TradClusterMetrics {
 }
 
 impl TradClusterMetrics {
+    /// One per-site histogram merged over every site.
+    fn merged(&self, hist: impl Fn(&TradMetrics) -> &Hist) -> Hist {
+        let mut h = Hist::new();
+        for s in &self.sites {
+            h.merge(hist(s));
+        }
+        h
+    }
+
     /// Total commits.
     pub fn committed(&self) -> u64 {
-        self.sites.iter().map(|s| s.committed).sum()
+        self.sites.iter().map(TradMetrics::committed).sum()
     }
 
     /// Total aborts.
@@ -133,32 +130,27 @@ impl TradClusterMetrics {
     /// reported separately via [`Self::still_blocked`] and
     /// [`Self::max_blocking_us`].
     pub fn decision_latency(&self) -> Hist {
-        let mut h = Hist::new();
-        for s in &self.sites {
-            h.merge(&s.commit_latency);
-            h.merge(&s.abort_latency);
-        }
+        let mut h = self.merged(|s| &s.commit_latency);
+        h.merge(&self.merged(|s| &s.abort_latency));
         h
     }
 
-    /// Merged per-phase latency breakdown across sites.
+    /// The per-phase latency view, merged across sites: `decide` (commit
+    /// decision), `abort` and `in_doubt` (completed blocking windows), in
+    /// that order, each phase with samples.
     pub fn phases(&self) -> PhaseHists {
-        let mut p = PhaseHists::new();
-        for s in &self.sites {
-            p.merge(&s.phases);
-        }
-        p
+        [
+            ("decide", self.merged(|s| &s.commit_latency)),
+            ("abort", self.merged(|s| &s.abort_latency)),
+            ("in_doubt", self.merged(|s| &s.in_doubt)),
+        ]
+        .into_iter()
+        .collect()
     }
 
     /// Longest completed in-doubt window (µs); 0 if none.
     pub fn max_in_doubt_us(&self) -> u64 {
-        let mut max = 0;
-        for s in &self.sites {
-            if s.in_doubt.count() > 0 {
-                max = max.max(s.in_doubt.max());
-            }
-        }
-        max
+        self.merged(|s| &s.in_doubt).max()
     }
 
     /// Longest in-doubt window including still-open ones, measured
@@ -201,13 +193,43 @@ mod tests {
     #[test]
     fn blocking_includes_open_windows() {
         let mut a = TradMetrics::default();
-        a.record_in_doubt(500);
+        a.in_doubt.record(500);
         let mut b = TradMetrics::default();
         b.in_doubt_open_since.push(SimTime(1_000));
         let c = TradClusterMetrics { sites: vec![a, b] };
         assert_eq!(c.still_blocked(), 1);
         assert_eq!(c.max_in_doubt_us(), 500);
         assert_eq!(c.max_blocking_us(SimTime(10_000)), 9_000);
+    }
+
+    /// The phase view holds exactly the samples of the named histograms,
+    /// in the 2PC order, leaving out a phase no site recorded.
+    #[test]
+    fn the_phase_view_is_the_named_histograms() {
+        let mut a = TradMetrics::default();
+        a.commit_latency.record(40);
+        a.record_abort(TradAbort::VoteNo, 9);
+        let mut b = TradMetrics::default();
+        b.commit_latency.record(70);
+        b.in_doubt.record(300);
+        let c = TradClusterMetrics { sites: vec![a, b] };
+        let view: Vec<_> = c.phases().iter().map(|(n, h)| (n, h.clone())).collect();
+        assert_eq!(
+            view,
+            vec![
+                ("decide", c.merged(|s| &s.commit_latency)),
+                ("abort", c.merged(|s| &s.abort_latency)),
+                ("in_doubt", c.merged(|s| &s.in_doubt)),
+            ]
+        );
+        assert_eq!(c.phases().get("decide").unwrap().sum(), 110);
+        assert_eq!((c.committed(), c.aborted()), (2, 1));
+
+        let c = TradClusterMetrics {
+            sites: vec![c.sites[0].clone()],
+        };
+        let names: Vec<_> = c.phases().iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["decide", "abort"]);
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl TradNode {
                 self.send(site, TradBody::ReleaseLocks { txn: ts });
             }
             let latency = ctx.now().since(c.started).as_micros();
-            self.metrics.record_commit(latency);
+            self.metrics.commit_latency.record(latency);
             self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
                 txn: ts.0,
                 latency_us: latency,
@@ -301,7 +301,7 @@ impl TradNode {
         }
         // Commit is decided now; report it now.
         let latency = ctx.now().since(started).as_micros();
-        self.metrics.record_commit(latency);
+        self.metrics.commit_latency.record(latency);
         self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
             txn: ts.0,
             latency_us: latency,

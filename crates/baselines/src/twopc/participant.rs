@@ -217,7 +217,8 @@ impl TradNode {
         }
         if let Some(since) = p.in_doubt_since {
             self.metrics
-                .record_in_doubt(ctx.now().since(since).as_micros());
+                .in_doubt
+                .record(ctx.now().since(since).as_micros());
         }
         for item in p.items {
             self.release_lock(ts, item, ctx);

@@ -468,7 +468,7 @@ fn late_no_vote_cannot_undo_a_commit() {
     assert_eq!(sim.node(2).node.in_doubt_count(), 1, "writer 2 is cut off");
     sim.run_until(ms(2_000));
     let nodes = || sim.nodes().iter().map(|r| &r.node);
-    let committed: u64 = nodes().map(|n| n.metrics().committed).sum();
+    let committed: u64 = nodes().map(|n| n.metrics().committed()).sum();
     let aborted: u64 = nodes().map(|n| n.metrics().total_aborted()).sum();
     assert_eq!((committed, aborted), (1, 0), "decided once, as a commit");
     assert_eq!(sim.node(0).votes.last(), Some(&(1, false)), "the late NO");

@@ -39,10 +39,11 @@ use dvp_vmsg::{Receipt, VmConfig, VmEndpoint};
 
 /// Warmup+measure sizes. By the end of `W` the checkpoint-bounded log,
 /// the snapshot scratch and both slot buffers have reached their steady
-/// size; the `M` extra commits cross four checkpoints (the gate needs
-/// three).
+/// size. A fast-path commit appends one record, so the `M` extra commits
+/// cross three or four checkpoints of `CHECKPOINT_EVERY` records (the
+/// gate needs three).
 const W: u64 = 3_000;
-const M: u64 = 500;
+const M: u64 = 1_000;
 
 /// Run-phase allocation events and checkpoints taken.
 fn run_phase_allocs_with(txns: u64, placement: Placement) -> (u64, u64) {
@@ -68,7 +69,8 @@ fn run_phase_allocs_with(txns: u64, placement: Placement) -> (u64, u64) {
     let m = cl.stats().txn;
     assert_eq!(m.committed(), txns, "every scripted txn must commit");
     assert_eq!(
-        m.sites[0].fast_path_commits, txns,
+        m.sites[0].fast_path.count(),
+        txns,
         "every commit must take the fast path"
     );
     (during, m.sites[0].checkpoints)

@@ -7,7 +7,7 @@
 //! * **Conservation** (Section 3): for every item,
 //!   `N = Σᵢ Nᵢ + N_M` at all times — fragments plus value aboard
 //!   uncompleted Vms equals the initial total adjusted by committed
-//!   deltas.
+//!   deltas, which is the cluster's [`History`] total.
 //! * **Read exactness** (Sections 5/6): every committed full-value read
 //!   observed precisely the item's true total at its commit instant, i.e.
 //!   the value a serial execution (subject to redistribution) would have
@@ -86,12 +86,17 @@ impl std::error::Error for AuditError {}
 pub struct Auditor<'a> {
     sites: &'a [SiteNode],
     catalog: &'a Catalog,
+    history: &'a HistorySink,
 }
 
 impl<'a> Auditor<'a> {
-    /// Build an auditor.
-    pub fn new(sites: &'a [SiteNode], catalog: &'a Catalog) -> Self {
-        Auditor { sites, catalog }
+    /// Build an auditor over `sites`, whose commits `history` folded.
+    pub fn new(sites: &'a [SiteNode], catalog: &'a Catalog, history: &'a HistorySink) -> Self {
+        Auditor {
+            sites,
+            catalog,
+            history,
+        }
     }
 
     /// Current Σ fragments per item.
@@ -129,20 +134,9 @@ impl<'a> Auditor<'a> {
         totals
     }
 
-    /// Net committed delta per item across all sites, from each site's
-    /// running totals — O(sites × items), however long the run.
-    pub fn committed_deltas(&self) -> BTreeMap<ItemId, i64> {
-        let mut deltas: BTreeMap<ItemId, i64> = BTreeMap::new();
-        for site in self.sites {
-            for (item, d) in site.metrics().net_deltas() {
-                *deltas.entry(item).or_insert(0) += d;
-            }
-        }
-        deltas
-    }
-
     /// Check `N = ΣNᵢ + N_M` for every item, where `N` is the initial
-    /// total adjusted by every committed transaction's delta.
+    /// total adjusted by every committed transaction's delta: the
+    /// history sink's running total.
     pub fn check_conservation(&self) -> Result<(), AuditError> {
         self.check_conservation_bounded(&BTreeMap::new())
     }
@@ -158,9 +152,9 @@ impl<'a> Auditor<'a> {
     ) -> Result<(), AuditError> {
         let frags = self.fragment_totals();
         let in_flight = self.in_flight_totals();
-        let deltas = self.committed_deltas();
+        let history = self.history.0.borrow();
         for def in self.catalog.items() {
-            let expected = def.total as i64 + deltas.get(&def.id).copied().unwrap_or(0);
+            let expected = history.total(def.id);
             let found = frags.get(&def.id).copied().unwrap_or(0) as i64
                 + in_flight.get(&def.id).copied().unwrap_or(0) as i64;
             let bound = damage.get(&def.id).copied().unwrap_or(0) as i64;
@@ -348,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_deltas_accumulate() {
+    fn conservation_reads_the_history_total() {
         let mut catalog = Catalog::new();
         let a = catalog.add("A", 50, Split::Even);
         let cfg = ClusterConfig::new(2, catalog)
@@ -356,8 +350,20 @@ mod tests {
             .at(1, ms(2), TxnSpec::release(a, 3));
         let mut cl = Cluster::build(cfg);
         cl.run_to_quiescence();
-        let deltas = cl.auditor().committed_deltas();
-        assert_eq!(deltas.get(&a), Some(&-2));
+        assert_eq!(cl.stats().txn.history.total(a), 48);
         assert_eq!(cl.auditor().fragment_totals()[&a], 48);
+        cl.auditor().check_conservation().unwrap();
+        // Against a history that folded other commits, the same state
+        // does not balance.
+        let other = HistorySink::new(&cl.catalog);
+        other.commit(ms(3), Ts(1), &[(a, -1)], &[]);
+        assert_eq!(
+            Auditor::new(cl.sim.nodes(), &cl.catalog, &other).check_conservation(),
+            Err(AuditError::Conservation {
+                item: a,
+                expected: 49,
+                found: 48
+            })
+        );
     }
 }

@@ -116,14 +116,16 @@ impl<S> ClusterConfig<S> {
     /// the first arrival earlier than the one before it, or if an op moves
     /// more than `i64::MAX` (its signed [`Op::delta`](crate::Op::delta)
     /// would wrap), naming the site and the arrival. Drawn scripts were
-    /// checked the same way when they were drawn.
+    /// checked the same way when they were drawn. Panics too, naming the
+    /// item and the site, if an item's catalog total plus its scripted
+    /// deposits can pass `i64::MAX`, where its `History` total would wrap.
     pub fn simulate<N: Node>(
         &self,
         mut node: impl FnMut(NodeId, &Obs, ScriptCursor) -> N,
     ) -> Simulation<N> {
         assert!(self.n_sites() > 0, "a cluster needs at least one site");
         let obs = Obs::new(self.trace);
-        let cursors = ScriptCursor::run(&self.scripts);
+        let cursors = ScriptCursor::run(&self.scripts, &self.catalog);
         let nodes = cursors
             .iter()
             .enumerate()
@@ -236,7 +238,7 @@ impl Cluster {
 
     /// An auditor over the current state.
     pub fn auditor(&self) -> Auditor<'_> {
-        Auditor::new(self.sim.nodes(), &self.catalog)
+        Auditor::new(self.sim.nodes(), &self.catalog, &self.history)
     }
 
     /// The trace handle the cluster was built with.
@@ -291,7 +293,7 @@ mod tests {
         let m = cl.stats().txn;
         assert_eq!(m.committed(), 1);
         assert_eq!(m.aborted(), 0);
-        assert_eq!(m.sites[0].fast_path_commits, 1);
+        assert_eq!(m.sites[0].fast_path.count(), 1);
         assert_eq!(cl.sim.node(0).fragments().get(flight), 15); // 25 - 10
         cl.auditor().check_conservation().unwrap();
     }
@@ -307,7 +309,7 @@ mod tests {
         assert_eq!(m.committed(), 1, "solicited reservation must commit");
         assert!(m.requests_sent() >= 1);
         assert!(m.donations() >= 1);
-        assert_eq!(m.sites[0].fast_path_commits, 0);
+        assert_eq!(m.sites[0].fast_path.count(), 0);
         // Total seats across the cluster fell by exactly 40.
         let total: crate::Qty = (0..4).map(|s| cl.sim.node(s).fragments().get(flight)).sum();
         assert_eq!(total, 60);
@@ -647,5 +649,34 @@ mod tests {
             id,
             log: Dispatches::default(),
         });
+    }
+
+    /// Deposits that can take an item's total past `i64::MAX` are refused
+    /// at build. Run, they would wrap the history's `i64` total, then
+    /// overflow site 1's fragment mid-run.
+    #[test]
+    #[should_panic(expected = "site 1's deposits can take item:0 past i64::MAX")]
+    fn build_refuses_deposits_that_can_pass_i64_max() {
+        let (catalog, flight) = seats_catalog(100);
+        let mut cfg = ClusterConfig::new(2, catalog);
+        for k in 1..=3 {
+            cfg = cfg.at(1, ms(k), TxnSpec::release(flight, i64::MAX as crate::Qty));
+        }
+        Cluster::build(cfg).run_to_quiescence();
+    }
+
+    /// Deposits up to `i64::MAX` in total still run, spread over sites.
+    #[test]
+    fn deposits_up_to_i64_max_run() {
+        let (catalog, flight) = seats_catalog(100);
+        let half = (i64::MAX as crate::Qty - 100) / 2;
+        let cfg = ClusterConfig::new(2, catalog)
+            .at(0, ms(1), TxnSpec::release(flight, half))
+            .at(1, ms(1), TxnSpec::release(flight, half));
+        let mut cl = Cluster::build(cfg);
+        cl.run_to_quiescence();
+        assert_eq!(cl.stats().txn.committed(), 2);
+        assert_eq!(cl.stats().txn.history.total(flight), 100 + 2 * half as i64);
+        cl.auditor().check_conservation().unwrap();
     }
 }

@@ -3,7 +3,9 @@
 //! Every experiment in `EXPERIMENTS.md` reduces to these counters and
 //! distributions: commit/abort counts (by reason), decision latencies
 //! (bounded for DvP — the non-blocking claim), message/donation counts,
-//! and the read check's O(items) [`History`]. Nothing here grows with the
+//! and the read check's O(items) [`History`]. A decision is recorded once,
+//! in its named histograms: commit counts are their sample counts, and
+//! the per-phase view is built from them. Nothing here grows with the
 //! number of commits.
 
 use crate::audit::History;
@@ -48,19 +50,21 @@ impl AbortReason {
 /// Counters for one site.
 #[derive(Clone, Debug, Default)]
 pub struct SiteMetrics {
-    /// Transactions committed at this site.
-    pub committed: u64,
     /// Aborts by reason.
     pub aborted: BTreeMap<AbortReason, u64>,
-    /// Latency histogram (µs) of committed transactions (start → commit).
+    /// Latency histogram (µs) of committed transactions (start → commit);
+    /// its count is the site's commits.
     pub commit_latency: Hist,
     /// Latency histogram (µs) of aborted transactions (start → abort
     /// decision). Boundedness of `max` here is the non-blocking property.
     pub abort_latency: Hist,
-    /// Per-phase latency breakdown: `fast_path` (no solicitation),
-    /// `solicit` (start → first credit), `gather` (first credit →
-    /// commit), `abort` (start → abort decision).
-    pub phases: PhaseHists,
+    /// Latency (µs) of the commits on the write-only fast path (no
+    /// solicitation round); its count is the site's fast-path commits.
+    pub fast_path: Hist,
+    /// For the commits that solicited: start → first credit (µs).
+    pub solicit: Hist,
+    /// For the commits that solicited: first credit → commit (µs).
+    pub gather: Hist,
     /// Requests sent to remote sites.
     pub requests_sent: u64,
     /// Requests honoured as donor.
@@ -81,14 +85,6 @@ pub struct SiteMetrics {
     pub rows_scanned: u64,
     /// Checkpoints taken (snapshot + log truncation).
     pub checkpoints: u64,
-    /// Transactions that committed on the write-only fast path (no
-    /// solicitation round).
-    pub fast_path_commits: u64,
-    /// Running net committed delta per item, indexed by `item.0`: the
-    /// fold of every commit's deltas, kept in step by
-    /// [`record_commit`](Self::record_commit), so a conservation check
-    /// costs one entry per item.
-    net_deltas: Vec<i64>,
     /// Number of recoveries this site performed.
     pub recoveries: u64,
     /// Log records redone by this site's recovery scans: the redo work a
@@ -101,9 +97,6 @@ pub struct SiteMetrics {
     /// Recoveries that fell back to an older checkpoint generation
     /// because the newest slot failed its checksum.
     pub checkpoint_fallbacks: u64,
-    /// Stable-region salvages: recoveries that truncated the durable log
-    /// at a corrupt record (not a benign tail tear).
-    pub salvages: u64,
     /// Times this site entered media-failure quarantine (0 or 1 — the
     /// flag is sticky; a quarantined site never rejoins).
     pub media_failures: u64,
@@ -124,30 +117,25 @@ impl SiteMetrics {
     pub fn record_abort(&mut self, reason: AbortReason, latency_us: u64) {
         *self.aborted.entry(reason).or_insert(0) += 1;
         self.abort_latency.record(latency_us);
-        self.phases.record("abort", latency_us);
     }
 
-    /// Record a commit.
-    pub fn record_commit(&mut self, deltas: &[(ItemId, i64)], latency_us: u64, fast_path: bool) {
-        self.committed += 1;
+    /// Record a commit `latency_us` after its start. `solicit` is `None`
+    /// on the fast path, and for a commit that solicited it splits the
+    /// latency into `(start → first credit, first credit → commit)`.
+    pub fn record_commit(&mut self, latency_us: u64, solicit: Option<(u64, u64)>) {
         self.commit_latency.record(latency_us);
-        if fast_path {
-            self.fast_path_commits += 1;
-            self.phases.record("fast_path", latency_us);
-        }
-        for &(item, d) in deltas {
-            let i = item.0 as usize;
-            if i >= self.net_deltas.len() {
-                self.net_deltas.resize(i + 1, 0);
+        match solicit {
+            None => self.fast_path.record(latency_us),
+            Some((solicit, gather)) => {
+                self.solicit.record(solicit);
+                self.gather.record(gather);
             }
-            self.net_deltas[i] += d;
         }
     }
 
-    /// Net committed delta per item so far (items never committed at
-    /// this site may be absent).
-    pub fn net_deltas(&self) -> impl Iterator<Item = (ItemId, i64)> + '_ {
-        (0u32..).map(ItemId).zip(self.net_deltas.iter().copied())
+    /// Transactions committed at this site.
+    pub fn committed(&self) -> u64 {
+        self.commit_latency.count()
     }
 
     /// Total aborts.
@@ -172,9 +160,18 @@ impl ClusterMetrics {
         self.sites.iter().map(field).sum()
     }
 
+    /// One per-site histogram merged over every site.
+    fn merged(&self, hist: impl Fn(&SiteMetrics) -> &Hist) -> Hist {
+        let mut h = Hist::new();
+        for s in &self.sites {
+            h.merge(hist(s));
+        }
+        h
+    }
+
     /// Sum of commits.
     pub fn committed(&self) -> u64 {
-        self.sum(|s| s.committed)
+        self.sum(SiteMetrics::committed)
     }
 
     /// Sum of aborts (all reasons).
@@ -200,31 +197,29 @@ impl ClusterMetrics {
 
     /// Merged commit-latency histogram across sites.
     pub fn commit_latency(&self) -> Hist {
-        let mut h = Hist::new();
-        for s in &self.sites {
-            h.merge(&s.commit_latency);
-        }
-        h
+        self.merged(|s| &s.commit_latency)
     }
 
     /// Merged decision-latency histogram (commits and aborts) — the
     /// bounded-decision metric of experiment T2.
     pub fn decision_latency(&self) -> Hist {
-        let mut h = Hist::new();
-        for s in &self.sites {
-            h.merge(&s.commit_latency);
-            h.merge(&s.abort_latency);
-        }
+        let mut h = self.commit_latency();
+        h.merge(&self.merged(|s| &s.abort_latency));
         h
     }
 
-    /// Merged per-phase latency breakdown across sites.
+    /// The per-phase latency view, merged across sites: `fast_path`,
+    /// `abort`, `solicit` and `gather`, in that order, each phase with
+    /// samples.
     pub fn phases(&self) -> PhaseHists {
-        let mut p = PhaseHists::new();
-        for s in &self.sites {
-            p.merge(&s.phases);
-        }
-        p
+        [
+            ("fast_path", self.merged(|s| &s.fast_path)),
+            ("abort", self.merged(|s| &s.abort_latency)),
+            ("solicit", self.merged(|s| &s.solicit)),
+            ("gather", self.merged(|s| &s.gather)),
+        ]
+        .into_iter()
+        .collect()
     }
 
     /// Sum of requests sent.
@@ -256,7 +251,7 @@ impl ClusterMetrics {
 
     /// Sum of write-only fast-path commits (no solicitation round).
     pub fn fast_path_commits(&self) -> u64 {
-        self.sum(|s| s.fast_path_commits)
+        self.sum(|s| s.fast_path.count())
     }
 
     /// Merged per-item salvage damage bounds across sites.
@@ -286,17 +281,56 @@ mod tests {
         m.record_abort(AbortReason::Timeout, 100);
         m.record_abort(AbortReason::Timeout, 120);
         m.record_abort(AbortReason::LockConflict, 5);
-        m.record_commit(&[(ItemId(0), -2)], 77, true);
+        m.record_commit(77, None);
         assert_eq!(m.total_aborted(), 3);
-        assert_eq!(m.committed, 1);
-        assert_eq!(m.fast_path_commits, 1);
+        assert_eq!(m.committed(), 1);
+        assert_eq!(m.fast_path.count(), 1);
         assert_eq!(m.aborted[&AbortReason::Timeout], 2);
+    }
+
+    /// The phase view holds exactly the samples of the named histograms,
+    /// in T1's order, leaving out a phase no site recorded.
+    #[test]
+    fn the_phase_view_is_the_named_histograms() {
+        let mut a = SiteMetrics::default();
+        a.record_abort(AbortReason::Timeout, 500);
+        a.record_commit(40, Some((30, 10)));
+        let mut b = SiteMetrics::default();
+        b.record_commit(7, None);
+        b.record_commit(90, Some((60, 30)));
+        let c = ClusterMetrics {
+            sites: vec![a, b],
+            ..Default::default()
+        };
+        let view: Vec<_> = c.phases().iter().map(|(n, h)| (n, h.clone())).collect();
+        assert_eq!(
+            view,
+            vec![
+                ("fast_path", c.merged(|s| &s.fast_path)),
+                ("abort", c.merged(|s| &s.abort_latency)),
+                ("solicit", c.merged(|s| &s.solicit)),
+                ("gather", c.merged(|s| &s.gather)),
+            ]
+        );
+        let (solicit, gather) = (c.merged(|s| &s.solicit), c.merged(|s| &s.gather));
+        assert_eq!((solicit.count(), solicit.sum()), (2, 90));
+        assert_eq!((gather.count(), gather.sum()), (2, 40));
+        assert_eq!((c.committed(), c.fast_path_commits()), (3, 1));
+
+        let mut quiet = SiteMetrics::default();
+        quiet.record_commit(5, None);
+        let c = ClusterMetrics {
+            sites: vec![quiet],
+            ..Default::default()
+        };
+        let names: Vec<_> = c.phases().iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["fast_path"]);
     }
 
     #[test]
     fn cluster_aggregation_and_ratio() {
         let mut a = SiteMetrics::default();
-        a.record_commit(&[], 10, false);
+        a.record_commit(10, Some((4, 6)));
         let mut b = SiteMetrics::default();
         b.record_abort(AbortReason::Timeout, 500);
         let c = ClusterMetrics {

@@ -7,11 +7,12 @@
 //!   when creating a Vm (donation), accepting one (absorption) or noting
 //!   its ack;
 //! * [`SiteRecord::Commit`] — the `[database-actions]` record whose forced
-//!   write *is* the commit point of a transaction (Step 5);
-//! * [`SiteRecord::Applied`] — "record on the log that the changes have
-//!   been made" (Step 6); with [`SiteRecord::Init`] and checkpoints it
-//!   bounds redo, though the recovery scan replays deltas from genesis
-//!   (each record applied exactly once ⇒ idempotence for free).
+//!   write *is* the commit point of a transaction (Step 5).
+//!
+//! Step 6's "record on the log that the changes have been made" has no
+//! record of its own: the installed image is the checkpoint, whose
+//! `redo_from` bounds redo, and recovery replays every record past it
+//! exactly once (idempotence for free).
 
 use crate::clock::Ts;
 use crate::dense::SVec;
@@ -58,11 +59,6 @@ pub enum SiteRecord {
         /// Net fragment deltas to apply.
         actions: DbActions,
     },
-    /// The commit's changes have been installed in the database image.
-    Applied {
-        /// The transaction whose changes are installed.
-        txn: Ts,
-    },
 }
 
 fn encode_actions(w: &mut RecordWriter<'_>, actions: &[DbAction]) {
@@ -105,10 +101,6 @@ impl Record for SiteRecord {
                 w.u64(txn.0);
                 encode_actions(w, actions);
             }
-            SiteRecord::Applied { txn } => {
-                w.u8(3);
-                w.u64(txn.0);
-            }
         }
     }
 
@@ -127,7 +119,6 @@ impl Record for SiteRecord {
                 txn: Ts(r.u64()?),
                 actions: decode_actions(r)?,
             }),
-            3 => Ok(SiteRecord::Applied { txn: Ts(r.u64()?) }),
             _ => Err(DecodeError::Invalid("SiteRecord tag")),
         }
     }
@@ -184,11 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn applied_roundtrips() {
-        roundtrip(SiteRecord::Applied { txn: Ts(55) });
-    }
-
-    #[test]
     fn empty_vectors_roundtrip() {
         roundtrip(SiteRecord::Rds {
             txn: Ts::ZERO,
@@ -204,7 +190,13 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         let mut raw = Vec::new();
-        encode_frame(&SiteRecord::Applied { txn: Ts(1) }, &mut raw);
+        encode_frame(
+            &SiteRecord::Commit {
+                txn: Ts(1),
+                actions: DbActions::new(),
+            },
+            &mut raw,
+        );
         // Payload begins after 8 header bytes; corrupt the tag and fix CRC
         // by recomputing: easier to corrupt both tag and expect a
         // Corrupt/Invalid error either way.

@@ -16,6 +16,7 @@
 //! listed script is a draw of its own over its `Vec`, read through the
 //! same queue.
 
+use crate::item::Catalog;
 use crate::ops::Op;
 use crate::txn::TxnSpec;
 use crate::Qty;
@@ -43,7 +44,8 @@ pub trait Generator: Send + Sync {
 /// One site's arrival script: `(arrival time, transaction)` pairs in
 /// time order, which is the order the cluster schedules them, so arrival
 /// `i` is the transaction external tag `i` starts. A cluster refuses a
-/// script whose times decrease, or an op that moves more than `i64::MAX`.
+/// script whose times decrease, an op that moves more than `i64::MAX`,
+/// or deposits that can take an item's total past `i64::MAX`.
 ///
 /// `clone` shares: a listed script's `Vec` and a drawn script's generator
 /// are `Arc`s, so the workload, the scenario, the cluster config and the
@@ -67,6 +69,9 @@ struct Drawn {
     site: NodeId,
     len: usize,
     last: Option<(SimTime, TxnSpec)>,
+    /// Its `Incr` amounts summed per item (saturating), indexed by
+    /// `item.0`.
+    deposits: Vec<Qty>,
 }
 
 impl Script {
@@ -75,30 +80,30 @@ impl Script {
         Script(Source::Listed(Arc::default()))
     }
 
-    /// One script per site of `generator`, each holding its length and
-    /// last arrival and nothing per arrival. Makes one pass over a draw
-    /// and checks every arrival as a run checks a listed script's.
+    /// One script per site of `generator`, each holding its length, last
+    /// arrival and deposits per item, and nothing per arrival. Makes one
+    /// pass over a draw and checks every arrival as a run checks a listed
+    /// script's.
     pub fn drawn(generator: Arc<dyn Generator>) -> Vec<Script> {
-        let mut summary: Vec<(usize, Option<(SimTime, TxnSpec)>)> =
-            vec![(0, None); generator.n_sites()];
-        for (site, at, spec) in generator.draw() {
-            let (len, last) = &mut summary[site];
-            let due = last.as_ref().map_or(SimTime::ZERO, |l| l.0);
-            check(site, *len, due, at, &spec);
-            *len += 1;
-            *last = Some((at, spec));
-        }
-        summary
-            .into_iter()
-            .enumerate()
-            .map(|(site, (len, last))| {
-                Script(Source::Drawn(Arc::new(Drawn {
-                    generator: Arc::clone(&generator),
-                    site,
-                    len,
-                    last,
-                })))
+        let mut sites: Vec<Drawn> = (0..generator.n_sites())
+            .map(|site| Drawn {
+                generator: Arc::clone(&generator),
+                site,
+                len: 0,
+                last: None,
+                deposits: Vec::new(),
             })
+            .collect();
+        for (site, at, spec) in generator.draw() {
+            let d = &mut sites[site];
+            let due = d.last.as_ref().map_or(SimTime::ZERO, |l| l.0);
+            check(site, d.len, due, at, &spec, &mut d.deposits);
+            d.len += 1;
+            d.last = Some((at, spec));
+        }
+        sites
+            .into_iter()
+            .map(|d| Script(Source::Drawn(Arc::new(d))))
             .collect()
     }
 
@@ -199,19 +204,30 @@ impl fmt::Debug for Script {
 
 /// Refuse arrival `i` of `site`'s script, due at `at` after an arrival
 /// due at `due`, if it goes back in time or moves more than `i64::MAX`
-/// (its signed [`Op::delta`] would wrap).
-fn check(site: NodeId, i: usize, due: SimTime, at: SimTime, spec: &TxnSpec) {
+/// (its signed [`Op::delta`] would wrap). Adds its `Incr` amounts to
+/// `sums`, the site's deposits per item, indexed by `item.0`.
+fn check(site: NodeId, i: usize, due: SimTime, at: SimTime, spec: &TxnSpec, sums: &mut Vec<Qty>) {
     if at < due {
         panic!(
             "site {site}'s script is out of time order: arrival {i} is due before arrival {}",
             i - 1
         );
     }
-    for &(_, op) in spec.ops.iter() {
+    for &(item, op) in spec.ops.iter() {
         if let Op::Incr(m) | Op::Decr(m) = op {
             if m > i64::MAX as Qty {
                 panic!("site {site}'s arrival {i} moves {m} units, more than i64::MAX");
             }
+        }
+        if let Op::Incr(m) = op {
+            let k = item.0 as usize;
+            if k >= sums.len() {
+                // Powers of two from 64 items: the sums allocate once up
+                // to 64 items and at most once per doubling beyond,
+                // however long the script is.
+                sums.resize((k + 1).next_power_of_two().max(64), 0);
+            }
+            sums[k] = sums[k].saturating_add(m);
         }
     }
 }
@@ -237,19 +253,22 @@ struct Queue {
 }
 
 impl Feed {
-    fn new(scripts: &[Script]) -> Feed {
+    fn new(scripts: &[Script], catalog: &Catalog) -> Feed {
         let mut sources: Vec<Box<dyn Iterator<Item = Arrival>>> = Vec::new();
         // The generator every drawn script reads, and its draw's index.
         let mut drawn: Option<(*const (), usize)> = None;
         let mut sites = Vec::with_capacity(scripts.len());
+        // Each item's total if every deposit scripted so far committed.
+        let mut totals: Vec<Qty> = catalog.items().iter().map(|d| d.total).collect();
         for (s, script) in scripts.iter().enumerate() {
             let source = match &script.0 {
                 Source::Listed(list) => {
-                    let mut due = SimTime::ZERO;
+                    let (mut due, mut deposits) = (SimTime::ZERO, Vec::new());
                     for (i, (at, spec)) in list.iter().enumerate() {
-                        check(s, i, due, *at, spec);
+                        check(s, i, due, *at, spec, &mut deposits);
                         due = *at;
                     }
+                    add_deposits(&mut totals, s, &deposits, catalog);
                     let list = Arc::clone(list);
                     sources.push(Box::new(
                         (0..list.len()).map(move |i| (s, list[i].0, list[i].1.clone())),
@@ -267,6 +286,7 @@ impl Feed {
                         first == generator,
                         "a run's drawn scripts share one generator"
                     );
+                    add_deposits(&mut totals, s, &d.deposits, catalog);
                     source
                 }
             };
@@ -307,6 +327,18 @@ impl Feed {
     }
 }
 
+/// Add `site`'s `deposits` to the catalog's `totals`, both indexed by
+/// `item.0`, and refuse the run if one can pass `i64::MAX`: `History`
+/// folds totals as `i64`, and no fragment can then overflow either.
+fn add_deposits(totals: &mut [Qty], site: NodeId, deposits: &[Qty], catalog: &Catalog) {
+    for (def, (total, &m)) in catalog.items().iter().zip(totals.iter_mut().zip(deposits)) {
+        *total = total.saturating_add(m);
+        if *total > i64::MAX as Qty {
+            panic!("site {site}'s deposits can take {:?} past i64::MAX", def.id);
+        }
+    }
+}
+
 /// One site's reading position in its run's arrivals, shared by the
 /// kernel's arrival stream, which moves it, and the site, which reads the
 /// arrival being dispatched from it.
@@ -320,13 +352,14 @@ pub struct ScriptCursor {
 impl ScriptCursor {
     /// A cursor per script, all over one new feed: drawn scripts share one
     /// fresh draw of their generator. Checks every listed script's
-    /// arrivals (drawn ones were checked when drawn).
+    /// arrivals (drawn ones were checked when drawn), and every
+    /// `catalog` item's total against the deposits of all scripts.
     ///
     /// Panics as [`ClusterConfig::simulate`](crate::ClusterConfig::simulate)
     /// documents, if a drawn script sits at another site than the one it
     /// was drawn for, or if drawn scripts come from two generators.
-    pub(crate) fn run(scripts: &[Script]) -> Vec<ScriptCursor> {
-        let feed = Rc::new(RefCell::new(Feed::new(scripts)));
+    pub(crate) fn run(scripts: &[Script], catalog: &Catalog) -> Vec<ScriptCursor> {
+        let feed = Rc::new(RefCell::new(Feed::new(scripts, catalog)));
         scripts
             .iter()
             .enumerate()
@@ -457,7 +490,7 @@ mod tests {
     /// next. Returns `(site, tag, at, spec)` in dispatch order and the
     /// most arrivals any moment held queued.
     fn dispatch_all(scripts: &[Script]) -> (Vec<(NodeId, u64, SimTime, TxnSpec)>, usize) {
-        let cursors = ScriptCursor::run(scripts);
+        let cursors = ScriptCursor::run(scripts, &Catalog::new());
         let mut next: Vec<Option<(SimTime, usize)>> = cursors
             .iter()
             .map(|c| (!c.script().is_empty()).then(|| (c.due(0), 0)))
@@ -523,7 +556,7 @@ mod tests {
     #[test]
     fn passed_arrivals_leave_the_queue_whether_or_not_they_were_read() {
         let scripts = fixed();
-        let cursors = ScriptCursor::run(&scripts);
+        let cursors = ScriptCursor::run(&scripts, &Catalog::new());
         // The kernel passes all of site 0's arrivals without dispatching
         // any (its site is down): nothing is left but the last.
         for k in 0..4 {

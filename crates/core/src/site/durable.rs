@@ -17,7 +17,6 @@ use dvp_storage::{
     SalvageOutcome, StableLog, TornWrite,
 };
 use dvp_vmsg::{ChannelSnapshot, VmEndpoint, VmLogOp};
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// A checkpoint image of a site's durable state: fragment values and
@@ -169,10 +168,6 @@ impl Durable {
         self.last_replayed
     }
 
-    pub(super) fn append(&mut self, rec: impl Borrow<SiteRecord>) {
-        self.stable.log.append(rec);
-    }
-
     /// Append the `[database-actions, message-sequence]` record of a
     /// redistribution step and the Vm op it justifies.
     pub(super) fn append_rds(&mut self, txn: Ts, actions: DbActions, vm_op: VmLogOp) {
@@ -316,7 +311,6 @@ impl Durable {
                 // first bad record. Declare an upper bound on the value
                 // each dropped record could have displaced, then decide
                 // whether the surviving checkpoint covers the loss.
-                metrics.salvages += 1;
                 self.obs.emit_with(site, || EventKind::Salvage {
                     first_bad_lsn: report.first_bad_lsn.0,
                     records_lost: report.records_lost,
@@ -412,7 +406,6 @@ fn declare_damage(damage: &mut BTreeMap<ItemId, u64>, rec: &SiteRecord) {
                 *damage.entry(item).or_insert(0) += delta.unsigned_abs();
             }
         }
-        SiteRecord::Applied { .. } => {}
     }
     if let SiteRecord::Rds {
         vm_op: VmLogOp::Created { payload, .. },
@@ -437,7 +430,6 @@ fn redo_entries(frags: &mut FragmentStore, vm: &mut VmEndpoint, suffix: &[(Lsn, 
                     frags.bump_ts(item, *txn);
                 }
             }
-            SiteRecord::Applied { .. } => {}
         }
         if let SiteRecord::Rds { vm_op, .. } = rec {
             vm.replay(vm_op);

@@ -19,7 +19,7 @@ use crate::item::ItemId;
 use crate::locks::Holder;
 use crate::metrics::AbortReason;
 use crate::policy::ConcMode;
-use crate::record::{DbActions, SiteRecord};
+use crate::record::DbActions;
 use crate::transfer::{Transfer, TransferKind};
 use crate::txn::TxnSpec;
 use crate::Qty;
@@ -429,30 +429,27 @@ impl SiteNode {
         }
         self.durable.owe_force();
 
-        // Step 6: install and note installation.
+        // Step 6: install. Its log note is the checkpoint's `redo_from`:
+        // recovery redoes every record past it, this Commit included.
         for &(item, delta) in &deltas {
             self.frags.apply_delta(item, delta);
             self.frags.bump_ts(item, ts);
         }
-        self.durable.append(SiteRecord::Applied { txn: ts });
 
         // Recorded before step 7: a Conc2 waiter that step 7 wakes may
         // commit re-entrantly, and lock handover is its serial order.
         let latency = ctx.now().since(started).as_micros();
-        self.metrics
-            .record_commit(&deltas, latency, first_credit.is_none());
+        // Phase split: solicit = start → first credit arriving, gather =
+        // first credit → commit (zero when a single credit completed the
+        // transaction in the same instant).
+        let phases = first_credit.map(|fc| {
+            (
+                fc.since(started).as_micros(),
+                ctx.now().since(fc).as_micros(),
+            )
+        });
+        self.metrics.record_commit(latency, phases);
         self.history.commit(ctx.now(), ts, &deltas, &read_values);
-        if let Some(fc) = first_credit {
-            // Phase split: solicit = start → first credit arriving,
-            // gather = first credit → commit (zero when a single credit
-            // completed the transaction in the same instant).
-            self.metrics
-                .phases
-                .record("solicit", fc.since(started).as_micros());
-            self.metrics
-                .phases
-                .record("gather", ctx.now().since(fc).as_micros());
-        }
         self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
             txn: ts.0,
             latency_us: latency,

@@ -617,7 +617,7 @@ mod tests {
             faults,
             None,
             vec![100, 50],
-            ScriptCursor::run(&[Script::new()]).remove(0),
+            ScriptCursor::run(&[Script::new()], &crate::item::Catalog::new()).remove(0),
         );
         let fresh = site.planner.clone();
         site.planner.local_demand(ItemId(0), 30);

@@ -121,7 +121,8 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         }
     }
 
-    let m = cl.stats().txn;
+    let stats = cl.stats();
+    let m = &stats.txn;
     let net = *cl.sim.stats();
     let (mut quiet_sent, mut quiet_timers) = (0, 0);
     if violation.is_none() {
@@ -138,7 +139,7 @@ pub fn run_campaign(cfg: &CampaignConfig, schedule: &FaultSchedule) -> CampaignR
         crashpoint_trips: m.sum(|s| s.crashpoint_trips),
         torn_crashes: m.sum(|s| s.torn_crashes),
         checkpoint_fallbacks: m.sum(|s| s.checkpoint_fallbacks),
-        salvages: m.sum(|s| s.salvages),
+        salvages: stats.log.media_salvages,
         media_failures: m.sum(|s| s.media_failures),
         net,
         quiet_sent,
@@ -227,6 +228,10 @@ mod tests {
         // Site 2's crash met its bit rot and nothing else.
         let s2 = &m.sites[2];
         assert_eq!((s2.crashpoint_trips, s2.torn_crashes), (0, 0));
-        assert_eq!(s2.salvages, 1, "site 2 salvages around its rot");
+        assert_eq!(
+            cl.sim.node(2).log().stats().media_salvages,
+            1,
+            "site 2 salvages around its rot"
+        );
     }
 }

@@ -124,33 +124,16 @@ impl Hist {
     }
 }
 
-/// A small ordered registry of named histograms — the per-phase latency
-/// breakdown every engine reports through. Insertion-ordered so reports
-/// and traces are deterministic.
+/// A small ordered view of named histograms — the per-phase latency
+/// breakdown every engine reports through. Each engine records into its
+/// own named histograms and builds this view from them in a fixed order,
+/// so reports and traces are deterministic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseHists {
     entries: Vec<(&'static str, Hist)>,
 }
 
 impl PhaseHists {
-    /// An empty registry.
-    pub fn new() -> PhaseHists {
-        PhaseHists::default()
-    }
-
-    /// Record one sample under `phase`, creating the histogram on first
-    /// use.
-    #[inline]
-    pub fn record(&mut self, phase: &'static str, v: u64) {
-        if let Some((_, h)) = self.entries.iter_mut().find(|(n, _)| *n == phase) {
-            h.record(v);
-        } else {
-            let mut h = Hist::new();
-            h.record(v);
-            self.entries.push((phase, h));
-        }
-    }
-
     /// Look up one phase.
     pub fn get(&self, phase: &str) -> Option<&Hist> {
         self.entries
@@ -159,26 +142,24 @@ impl PhaseHists {
             .map(|(_, h)| h)
     }
 
-    /// Iterate phases in insertion order.
+    /// Iterate phases in the order the view was built.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Hist)> {
         self.entries.iter().map(|(n, h)| (*n, h))
     }
 
-    /// Merge another registry into this one (phases unknown here are
-    /// appended in the other's order).
-    pub fn merge(&mut self, other: &PhaseHists) {
-        for (name, h) in other.iter() {
-            if let Some((_, mine)) = self.entries.iter_mut().find(|(n, _)| *n == name) {
-                mine.merge(h);
-            } else {
-                self.entries.push((name, h.clone()));
-            }
-        }
-    }
-
     /// True when no phase has any samples.
     pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(|(_, h)| h.count() == 0)
+        self.entries.is_empty()
+    }
+}
+
+/// A view of `(phase, histogram)` pairs in the given order, leaving out
+/// every phase without samples.
+impl FromIterator<(&'static str, Hist)> for PhaseHists {
+    fn from_iter<I: IntoIterator<Item = (&'static str, Hist)>>(iter: I) -> PhaseHists {
+        PhaseHists {
+            entries: iter.into_iter().filter(|(_, h)| h.count() > 0).collect(),
+        }
     }
 }
 
@@ -240,20 +221,27 @@ mod tests {
     }
 
     #[test]
-    fn phase_registry_records_and_merges() {
-        let mut p = PhaseHists::new();
-        p.record("gather", 100);
-        p.record("settle", 10);
-        p.record("gather", 300);
+    fn a_phase_view_keeps_its_order_and_leaves_out_empty_phases() {
+        let hist = |vs: &[u64]| {
+            let mut h = Hist::new();
+            for &v in vs {
+                h.record(v);
+            }
+            h
+        };
+        let p: PhaseHists = [
+            ("gather", hist(&[100, 300])),
+            ("idle", Hist::new()),
+            ("settle", hist(&[10])),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(p.get("gather").unwrap().count(), 2);
         assert_eq!(p.get("gather").unwrap().max(), 300);
-        let mut q = PhaseHists::new();
-        q.record("settle", 90);
-        q.record("abort", 7);
-        p.merge(&q);
-        assert_eq!(p.get("settle").unwrap().count(), 2);
-        assert_eq!(p.get("abort").unwrap().max(), 7);
+        assert!(p.get("idle").is_none());
         let order: Vec<&str> = p.iter().map(|(n, _)| n).collect();
-        assert_eq!(order, vec!["gather", "settle", "abort"]);
+        assert_eq!(order, vec!["gather", "settle"]);
+        assert!(!p.is_empty());
+        assert!(PhaseHists::from_iter([("idle", Hist::new())]).is_empty());
     }
 }

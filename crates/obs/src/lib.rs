@@ -7,8 +7,8 @@
 //!   transaction lifecycle across sites (solicit → donate → absorb →
 //!   commit/abort), the Virtual-Message channel, storage forces and
 //!   checkpoints, and crash/recovery phases;
-//! * **fixed-bucket histograms** ([`Hist`]) and a named per-phase
-//!   registry ([`PhaseHists`]) replacing ad-hoc `Vec<u64>` latency
+//! * **fixed-bucket histograms** ([`Hist`]) and a named per-phase view
+//!   of them ([`PhaseHists`]) replacing ad-hoc `Vec<u64>` latency
 //!   collection;
 //! * **sinks**: an in-memory buffer for test assertions and a
 //!   deterministic JSONL encoding ([`to_jsonl`]) keyed by sim-time and

@@ -5,8 +5,8 @@
 //! (`dvp_bench::exp_t5_conservation`), which draws sites, scheme,
 //! placement, checkpoint cadence, timeout, workload, network and faults
 //! from each campaign's seed and checks every oracle. This file pins one
-//! dense campaign of that row and checks the history sink against the
-//! sites' own folds.
+//! dense campaign of that row and checks a banking run at several pause
+//! points.
 
 use dvp::bench::exp_t5_conservation::{configs, Draw};
 use dvp::prelude::*;
@@ -43,12 +43,11 @@ fn pinned_dense_fault_scenario() {
     assert!(r.recoveries >= 2 && r.net.lost > 0 && r.net.duplicated > 0);
 }
 
-/// Two independent folds of the same commits: the cluster's history sink
-/// (one running total per item, in global commit order) and the sites'
-/// running net deltas the conservation check reads. They must agree at
-/// every pause point of a run that commits at every site.
+/// Conservation at every pause point of a run that commits at every
+/// site: the fragments and the value aboard unacked Vms add up to the
+/// history sink's running total, the one fold of the committed deltas.
 #[test]
-fn sink_totals_equal_the_site_folds() {
+fn conservation_holds_at_every_pause_point_of_a_banking_run() {
     let w = dvp::workloads::BankingWorkload {
         n_sites: 4,
         accounts: 8,
@@ -61,18 +60,12 @@ fn sink_totals_equal_the_site_folds() {
     for k in 1..=6u64 {
         cl.run_until(ms(k * 400));
         let history = cl.stats().txn.history;
-        let deltas = cl.auditor().committed_deltas();
-        for def in w.catalog.items() {
-            let net = deltas.get(&def.id).copied().unwrap_or(0);
-            assert_eq!(
-                history.total(def.id),
-                def.total as i64 + net,
-                "{:?} at {}ms",
-                def.id,
-                k * 400
-            );
-        }
-        moved += usize::from(deltas.values().any(|&d| d != 0));
+        moved += usize::from(
+            w.catalog
+                .items()
+                .iter()
+                .any(|def| history.total(def.id) != def.total as i64),
+        );
         cl.auditor().check_conservation().unwrap();
     }
     assert!(moved >= 3, "the run must commit across several probes");

@@ -40,7 +40,6 @@ fn recovered_site_equals_its_log() {
                     replayed += d;
                 }
             }
-            dvp::core::record::SiteRecord::Applied { .. } => {}
         }
     }
     assert_eq!(live as i64, replayed, "volatile state must equal the log");
@@ -68,7 +67,7 @@ fn all_sites_crash_then_one_recovers_and_works() {
     let m = cl.stats().txn;
     // Site 1's post-recovery reservation committed even though every
     // other site is still down.
-    assert_eq!(m.sites[1].committed, 1);
+    assert_eq!(m.sites[1].committed(), 1);
     assert_eq!(cl.sim.node(1).fragments().get(flight), 15);
 }
 

@@ -112,7 +112,7 @@ fn a_commit_on_arrival_arms_no_timer() {
     }
     let mut cl = Cluster::build(cfg);
     cl.run_to_quiescence();
-    assert_eq!(cl.stats().txn.sites[0].fast_path_commits, 20);
+    assert_eq!(cl.stats().txn.sites[0].fast_path.count(), 20);
     let net = cl.sim.stats();
     assert_eq!((net.timers_fired, net.timers_suppressed), (0, 0));
 }
@@ -133,7 +133,7 @@ fn only_a_waiting_transaction_arms_its_timeout() {
     cl.run_to_quiescence();
     let m = cl.stats().txn;
     assert_eq!(m.committed(), 1);
-    assert_eq!(m.sites[0].fast_path_commits, 0);
+    assert_eq!(m.sites[0].fast_path.count(), 0);
     assert_eq!(m.aborted_for(AbortReason::LockConflict), 1);
     let net = cl.sim.stats();
     // Nothing fires. The two suppressed timers are the timeout the commit
@@ -159,8 +159,39 @@ fn a_timestamp_conflict_arms_nothing() {
     let mut cl = Cluster::build(cfg);
     cl.run_to_quiescence();
     let m = cl.stats().txn;
-    assert_eq!(m.sites[0].fast_path_commits, 5);
+    assert_eq!(m.sites[0].fast_path.count(), 5);
     assert_eq!(m.aborted_for(AbortReason::TsConflict), 1);
     let net = cl.sim.stats();
     assert_eq!((net.timers_fired, net.timers_suppressed), (0, 0));
+}
+
+/// A DvP commit appends one record, its forced `Commit`, on the fast path
+/// and after a solicitation alike: Step 6's "the changes have been made"
+/// is the checkpoint's `redo_from`, not a record of its own.
+#[test]
+fn a_commit_appends_exactly_one_record() {
+    let (catalog, item) = seats(100, 2); // 50 per site
+    let mut cfg = ClusterConfig::new(2, catalog);
+    cfg.net = NetworkConfig::fixed_delay(SimDuration::millis(2));
+    let cfg = cfg
+        .at(0, ms(1), TxnSpec::reserve(item, 5)) // fast path
+        .at(0, ms(10), TxnSpec::reserve(item, 80)); // solicits site 1
+    let mut cl = Cluster::build(cfg);
+    // Site 0's durable records, by variant name.
+    let records = |cl: &Cluster| -> Vec<String> {
+        let log = cl.sim.node(0).log();
+        let recs = log.clone().recover().unwrap();
+        assert_eq!(recs.len(), log.stable_len(), "every record is durable");
+        recs.iter()
+            .map(|r| format!("{r:?}").split(' ').next().unwrap().to_owned())
+            .collect()
+    };
+    cl.run_until(ms(2));
+    assert_eq!(cl.stats().txn.sites[0].fast_path.count(), 1);
+    assert_eq!(records(&cl), ["Init", "Commit"]);
+    cl.run_to_quiescence();
+    let m = cl.stats().txn;
+    assert_eq!((m.committed(), m.sites[0].solicit.count()), (2, 1));
+    // The solicited commit: the absorption's Rds, then the one Commit.
+    assert_eq!(records(&cl), ["Init", "Commit", "Rds", "Commit"]);
 }
