@@ -1,8 +1,9 @@
 //! What survives a 2PC site's crash: the stable log, its checkpoint slot,
 //! and the recovery scan that rebuilds replicas, in-doubt transactions
-//! and owed decisions from them. The trigger, force-then-install,
-//! truncation and recount are `dvp-storage`'s, shared with the DvP site;
-//! this module owns only what a 2PC snapshot holds and how a record is
+//! and owed decisions from them. The genesis, trigger,
+//! force-then-install, truncation and the scan that reads storage back
+//! are `dvp-storage`'s `CheckpointedLog`, shared with the DvP site; this
+//! module owns only what a 2PC snapshot holds and how a record is
 //! redone.
 
 use super::participant::PartTxn;
@@ -138,16 +139,15 @@ impl Durable {
     /// A fresh site's stable storage: the genesis value of every item's
     /// replica, forced.
     pub(super) fn genesis(totals: &[u64]) -> Self {
-        let mut log = StableLog::new();
-        for (i, &value) in totals.iter().enumerate() {
-            log.append(TradRecord::Init {
+        let init = totals
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| TradRecord::Init {
                 item: ItemId(i as u32),
                 value,
             });
-        }
-        log.force();
         Durable {
-            stable: CheckpointedLog::new(log),
+            stable: CheckpointedLog::genesis(init),
             snapshot_scratch: TradSnapshot::default(),
         }
     }
@@ -199,25 +199,25 @@ impl Durable {
     /// The recovery scan: start `replica` from the newest verifying
     /// checkpoint (the genesis records rebuild it when there is none),
     /// then redo the log suffix past its redo point in log order, the
-    /// order the live site installed in.
+    /// order the live site installed in. A 2PC site takes no storage
+    /// fault (`TradCluster::build` refuses every injection), so its
+    /// storage never reports a loss.
     pub(super) fn recover(&mut self, replica: &mut Replica) -> Recovered {
+        let recovery = self.stable.recover();
+        debug_assert!(
+            recovery.fallback.is_none() && recovery.salvage.is_none() && !recovery.unbounded,
+            "a 2PC site's stable storage lost records"
+        );
         let mut in_doubt = BTreeMap::new();
         let mut decisions = BTreeSet::new();
-        if let Some(cp) = self.stable.slot.load() {
-            let snap = cp.snapshot;
+        if let Some(snap) = recovery.snapshot {
             replica.restore(&snap.values, &snap.versions);
             for (txn, coordinator, writes) in snap.prepared() {
                 in_doubt.insert(txn, (coordinator, Writes::from_slice(writes)));
             }
             decisions.extend(snap.decisions);
         }
-        let entries = self
-            .stable
-            .log
-            .recover_entries()
-            .expect("stable image must decode");
-        let suffix = self.stable.recount(&entries);
-        for (_, rec) in suffix {
+        for (_, rec) in &recovery.redo {
             match rec {
                 TradRecord::Init { item, value } => replica.init(*item, *value),
                 TradRecord::Prepared {
@@ -242,7 +242,7 @@ impl Durable {
         Recovered {
             in_doubt,
             decisions,
-            replayed: suffix.len() as u64,
+            replayed: recovery.redo.len() as u64,
         }
     }
 }

@@ -371,10 +371,7 @@ mod tests {
                 wire_bytes,
                 ..Default::default()
             },
-            txn: ClusterMetrics {
-                sites: vec![site],
-                ..Default::default()
-            },
+            txn: ClusterMetrics { sites: vec![site] },
             ..Default::default()
         }
     }

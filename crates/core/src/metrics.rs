@@ -2,13 +2,12 @@
 //!
 //! Every experiment in `EXPERIMENTS.md` reduces to these counters and
 //! distributions: commit/abort counts (by reason), decision latencies
-//! (bounded for DvP — the non-blocking claim), message/donation counts,
-//! and the read check's O(items) [`History`]. A decision is recorded once,
+//! (bounded for DvP — the non-blocking claim) and message/donation
+//! counts. A decision is recorded once,
 //! in its named histograms: commit counts are their sample counts, and
 //! the per-phase view is built from them. Nothing here grows with the
 //! number of commits.
 
-use crate::audit::History;
 use crate::item::ItemId;
 use dvp_obs::{Hist, PhaseHists};
 use std::collections::BTreeMap;
@@ -149,8 +148,6 @@ impl SiteMetrics {
 pub struct ClusterMetrics {
     /// Per-site metrics, indexed by site id.
     pub sites: Vec<SiteMetrics>,
-    /// The committed history as the cluster's read check folded it.
-    pub history: History,
 }
 
 impl ClusterMetrics {
@@ -298,10 +295,7 @@ mod tests {
         let mut b = SiteMetrics::default();
         b.record_commit(7, None);
         b.record_commit(90, Some((60, 30)));
-        let c = ClusterMetrics {
-            sites: vec![a, b],
-            ..Default::default()
-        };
+        let c = ClusterMetrics { sites: vec![a, b] };
         let view: Vec<_> = c.phases().iter().map(|(n, h)| (n, h.clone())).collect();
         assert_eq!(
             view,
@@ -319,10 +313,7 @@ mod tests {
 
         let mut quiet = SiteMetrics::default();
         quiet.record_commit(5, None);
-        let c = ClusterMetrics {
-            sites: vec![quiet],
-            ..Default::default()
-        };
+        let c = ClusterMetrics { sites: vec![quiet] };
         let names: Vec<_> = c.phases().iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["fast_path"]);
     }
@@ -333,10 +324,7 @@ mod tests {
         a.record_commit(10, Some((4, 6)));
         let mut b = SiteMetrics::default();
         b.record_abort(AbortReason::Timeout, 500);
-        let c = ClusterMetrics {
-            sites: vec![a, b],
-            ..Default::default()
-        };
+        let c = ClusterMetrics { sites: vec![a, b] };
         assert_eq!(c.committed(), 1);
         assert_eq!(c.aborted(), 1);
         assert_eq!(c.aborted_for(AbortReason::Timeout), 1);

@@ -14,7 +14,7 @@ use dvp_obs::{EventKind, Obs};
 use dvp_simnet::NodeId;
 use dvp_storage::{
     CheckpointSlot, CheckpointedLog, DecodeError, Lsn, Record, RecordReader, RecordWriter,
-    SalvageOutcome, StableLog, TornWrite,
+    Recovery, StableLog, TornWrite,
 };
 use dvp_vmsg::{ChannelSnapshot, VmEndpoint, VmLogOp};
 use std::collections::BTreeMap;
@@ -134,15 +134,13 @@ impl Durable {
     /// A fresh site's stable storage: the genesis records of its quota
     /// split (`quotas[i]` of item `i`), forced.
     pub(super) fn genesis(site: NodeId, quotas: &[Qty]) -> Self {
-        let mut log = StableLog::new();
-        for (i, &qty) in quotas.iter().enumerate() {
-            let item = ItemId(i as u32);
-            log.append(SiteRecord::Init { item, qty });
-        }
-        log.force();
+        let init = quotas.iter().enumerate().map(|(i, &qty)| SiteRecord::Init {
+            item: ItemId(i as u32),
+            qty,
+        });
         Durable {
             site,
-            stable: CheckpointedLog::new(log),
+            stable: CheckpointedLog::genesis(init),
             needs_flush: false,
             snapshot_scratch: SiteSnapshot::default(),
             last_replayed: 0,
@@ -256,7 +254,9 @@ impl Durable {
     }
 
     /// The Section 7 recovery scan: reconstruct fragments, timestamps,
-    /// and Vm state purely from the local stable log.
+    /// and Vm state purely from the local stable storage, then account
+    /// for what storage lost — counters, events and quarantine, in the
+    /// order recovery met them.
     pub(super) fn rebuild(
         &mut self,
         skip_redo: bool,
@@ -265,90 +265,48 @@ impl Durable {
         metrics: &mut SiteMetrics,
     ) {
         let site = self.site as u32;
-        // Re-verify the checkpoint slots from their durable bytes first: a
-        // rotten newest slot must surface *now*, as a generation fallback,
-        // not be masked by a stale decoded cache.
-        let mut lost_snapshot = false;
-        if let Some(fb) = self.stable.slot.refresh() {
+        let rec = self.stable.recover();
+        restore(frags, vm, &rec);
+        if let Some(fb) = rec.fallback {
+            // The newest slot rotted: the redo is longer, and the log
+            // retains back to the older generation's redo point for it.
             metrics.checkpoint_fallbacks += 1;
-            lost_snapshot = fb.used_generation.is_none();
             self.obs.emit_with(site, || EventKind::CheckpointFallback {
                 bad_generation: fb.bad_generation,
                 used_generation: fb.used_generation.unwrap_or(0),
             });
         }
-        // Start from the newest *verifying* checkpoint image (if any),
-        // then redo the log suffix. Records before the checkpoint were
-        // truncated away — unless the crash landed between checkpoint
-        // installation and log truncation, in which case the LSN skip
-        // in `recount` keeps the redo from double-applying the
-        // snapshotted prefix. A generation fallback lengthens the redo:
-        // the log retains back to the older generation's redo point
-        // exactly for this.
-        match self.stable.slot.load() {
-            Some(cp) => {
-                frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
-                vm.restore(&cp.snapshot.vm);
-            }
-            None => frags.reset(),
+        if rec.torn_bytes > 0 {
+            // WAL-style: the torn tail frame never committed.
+            metrics.torn_crashes += 1;
         }
-        let redo_from = self.stable.slot.redo_from();
-        let entries = match self.stable.log.recover_salvage() {
-            SalvageOutcome::Clean { entries } => entries,
-            SalvageOutcome::TailTear { entries, .. } => {
-                // WAL-style: the torn tail frame never committed; the
-                // salvage scan dropped it and repaired the image so later
-                // scans see a clean log.
-                metrics.torn_crashes += 1;
-                entries
+        if let Some(report) = &rec.salvage {
+            // A *durable* record rotted: declare an upper bound on the
+            // value each lost record could have displaced; a loss no
+            // checkpoint covers quarantines the site.
+            self.obs.emit_with(site, || EventKind::Salvage {
+                first_bad_lsn: report.first_bad_lsn.0,
+                records_lost: report.records_lost,
+                bytes_lost: report.bytes_lost,
+            });
+            for (_, lost) in &report.dropped {
+                declare_damage(&mut metrics.salvage_damage, lost);
             }
-            SalvageOutcome::MediaDamage {
-                entries,
-                dropped,
-                report,
-            } => {
-                // A *durable* record rotted: the log was truncated at the
-                // first bad record. Declare an upper bound on the value
-                // each dropped record could have displaced, then decide
-                // whether the surviving checkpoint covers the loss.
-                self.obs.emit_with(site, || EventKind::Salvage {
-                    first_bad_lsn: report.first_bad_lsn.0,
-                    records_lost: report.records_lost,
-                    bytes_lost: report.bytes_lost,
-                });
-                let mut uncovered = 0u64;
-                for (lsn, rec) in &dropped {
-                    if *lsn < redo_from {
-                        // The snapshot already reflects this record; its
-                        // loss from the log costs nothing.
-                        continue;
-                    }
-                    uncovered += 1;
-                    declare_damage(&mut metrics.salvage_damage, rec);
-                }
-                if uncovered > 0 {
-                    self.quarantine(uncovered, metrics);
-                }
-                entries
-            }
-        };
-        if lost_snapshot {
-            // Every checkpoint generation failed verification; only the
-            // log remains. If its genesis prefix survives, a full replay
-            // reconstructs everything and nothing was lost. If it was
-            // already truncated by a checkpoint, the snapshot's effects
-            // are unreconstructible — and unboundable.
-            let genesis_intact = entries.first().map(|(l, _)| *l) == Some(Lsn::FIRST);
-            if !genesis_intact {
-                metrics.salvage_unbounded = true;
-                self.quarantine(0, metrics);
+            if !report.dropped.is_empty() {
+                self.quarantine(report.dropped.len() as u64, metrics);
             }
         }
-        let suffix = self.stable.recount(&entries);
+        if rec.unbounded {
+            // Every checkpoint generation failed and a checkpoint had
+            // already truncated the genesis records: the snapshot's
+            // effects are unreconstructible, and unboundable.
+            metrics.salvage_unbounded = true;
+            self.quarantine(0, metrics);
+        }
         if !skip_redo {
-            self.last_replayed = suffix.len() as u64;
+            self.last_replayed = rec.redo.len() as u64;
             metrics.records_replayed += self.last_replayed;
-            redo_entries(frags, vm, suffix);
+            redo_entries(frags, vm, &rec.redo);
         }
     }
 
@@ -371,22 +329,15 @@ impl Durable {
     }
 
     /// Reconstruct the site's durable state — fragments over `items`
-    /// items and Vm channels — from the checkpoint slot and stable log
-    /// alone, touching nothing live. The scan runs on a clone of the log,
-    /// so the live log stays as unsealed as it was.
+    /// items and Vm channels — from stable storage alone, touching nothing
+    /// live: the recovery runs on a clone of the log and slots, so the
+    /// live log stays as unsealed as it was.
     pub(super) fn rebuilt_state(&self, items: usize) -> (FragmentStore, VmEndpoint) {
         let mut frags = FragmentStore::new(items);
         let mut vm = super::vm_endpoint(self.site);
-        if let Some(cp) = self.stable.slot.load() {
-            frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
-            vm.restore(&cp.snapshot.vm);
-        }
-        let recovered = self.stable.log.clone().recover_lenient();
-        redo_entries(
-            &mut frags,
-            &mut vm,
-            self.stable.redo_suffix(&recovered.entries),
-        );
+        let rec = self.stable.clone().recover();
+        restore(&mut frags, &mut vm, &rec);
+        redo_entries(&mut frags, &mut vm, &rec.redo);
         (frags, vm)
     }
 }
@@ -415,6 +366,22 @@ fn declare_damage(damage: &mut BTreeMap<ItemId, u64>, rec: &SiteRecord) {
         if let Ok(t) = Transfer::from_bytes(payload) {
             *damage.entry(t.item).or_insert(0) += t.amount;
         }
+    }
+}
+
+/// Start `frags`/`vm` from the recovered snapshot, or from empty
+/// fragments when none verifies (the genesis records rebuild them).
+fn restore(
+    frags: &mut FragmentStore,
+    vm: &mut VmEndpoint,
+    rec: &Recovery<SiteRecord, SiteSnapshot>,
+) {
+    match &rec.snapshot {
+        Some(snap) => {
+            frags.restore(&snap.frag_vals, &snap.frag_ts);
+            vm.restore(&snap.vm);
+        }
+        None => frags.reset(),
     }
 }
 

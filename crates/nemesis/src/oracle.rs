@@ -229,9 +229,8 @@ pub fn check_liveness(cl: &Cluster) -> Result<(), Violation> {
 }
 
 /// Run the full oracle suite. `metrics` should be freshly harvested from
-/// `cl` (it carries the read-exactness verdict the cluster's history sink
-/// reached as reads committed, and the declared salvage damage that bounds
-/// conservation).
+/// `cl`: it carries the declared salvage damage that bounds conservation.
+/// Read exactness and feasibility come from the cluster's history sink.
 pub fn check_all(cl: &Cluster, metrics: &ClusterMetrics) -> Result<(), Violation> {
     if metrics.salvage_unbounded() {
         // Some site lost every checkpoint generation *and* its genesis
@@ -246,7 +245,7 @@ pub fn check_all(cl: &Cluster, metrics: &ClusterMetrics) -> Result<(), Violation
     cl.auditor()
         .check_reads(metrics)
         .map_err(|e| violation("read-exactness", e.to_string()))?;
-    check_feasibility(&cl.catalog, &metrics.history)?;
+    check_feasibility(&cl.catalog, &cl.history())?;
     check_rebuild(cl)?;
     Ok(())
 }

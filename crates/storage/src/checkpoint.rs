@@ -22,16 +22,18 @@
 //! beside its bytes, and [`load`] decodes one when recovery asks.
 //!
 //! [`CheckpointedLog`] is the engine-neutral bookkeeping both engines
-//! share: when a checkpoint is due, force-then-install, truncation to the
-//! floor, and the recovery recount. What goes into a snapshot and how a
-//! redo record is applied stay with each engine.
+//! share: the genesis, when a checkpoint is due, force-then-install,
+//! truncation to the floor, and the one recovery path,
+//! [`CheckpointedLog::recover`], which reads both media back and says
+//! what they lost. What goes into a snapshot and how a redo record is
+//! applied stay with each engine.
 //!
 //! [`install`]: CheckpointSlot::install
 //! [`load`]: CheckpointSlot::load
 //! [`redo_floor`]: CheckpointSlot::redo_floor
 
 use crate::codec::{decode_exact, frame_in_place, take_frame, DecodeError, Record};
-use crate::log::StableLog;
+use crate::log::{SalvageReport, Salvaged, StableLog};
 use crate::lsn::Lsn;
 use std::borrow::Borrow;
 use std::marker::PhantomData;
@@ -192,7 +194,7 @@ impl<S: Record> CheckpointSlot<S> {
     /// snapshot back).
     pub fn load(&self) -> Option<CheckpointMeta<S>> {
         self.newest_valid()
-            .map(|i| decode_slot(&self.slots[i].image).expect("a verified slot image decodes"))
+            .and_then(|i| decode_slot(&self.slots[i].image).ok())
     }
 
     /// The LSN redo should start from: the chosen checkpoint's
@@ -256,14 +258,39 @@ impl<S: Record> CheckpointSlot<S> {
     }
 }
 
+/// What [`CheckpointedLog::recover`] read back from stable storage, and
+/// what storage lost.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Recovery<R, S> {
+    /// The newest checkpoint snapshot that verifies; `None` means start
+    /// from empty state, which the genesis records rebuild.
+    pub snapshot: Option<S>,
+    /// The records redo applies on top of `snapshot`, oldest first: those
+    /// at or past its redo point.
+    pub redo: Vec<(Lsn, R)>,
+    /// The newest checkpoint generation failed verification, so recovery
+    /// fell back a generation, or to none.
+    pub fallback: Option<SlotFallback>,
+    /// Bytes of a benign tail tear cut from the log (see
+    /// [`Salvaged::torn_bytes`]).
+    pub torn_bytes: u64,
+    /// Durable log records that failed verification. Its `dropped` lists
+    /// only the lost records no checkpoint covers: those at or past the
+    /// redo point.
+    pub salvage: Option<SalvageReport<R>>,
+    /// Every checkpoint slot failed and a checkpoint had already
+    /// truncated the genesis records, so nothing bounds what was lost.
+    pub unbounded: bool,
+}
+
 /// A stable log of `R` records and its checkpoint store of `S`
 /// snapshots, with the count that says when the next checkpoint is due.
 ///
-/// Both media are public: the host appends, forces and scans the log and
+/// Both media are public: the host appends and forces the log and
 /// injects faults into either. It truncates only through
-/// [`truncate_checkpointed`](Self::truncate_checkpointed) and positions a
-/// recovery scan with [`recount`](Self::recount), which keep the trigger's
-/// count right.
+/// [`truncate_checkpointed`](Self::truncate_checkpointed) and reads
+/// storage back only through [`recover`](Self::recover), which keep the
+/// trigger's count right.
 #[derive(Clone, Debug)]
 pub struct CheckpointedLog<R, S> {
     /// The stable log.
@@ -274,13 +301,19 @@ pub struct CheckpointedLog<R, S> {
     /// redo point (two-generation retention keeps the previous window).
     /// `log.stable_len() - redo_covered` is the un-checkpointed suffix the
     /// trigger reads; set when a checkpoint truncates and recounted by
-    /// every recovery scan.
+    /// every recovery.
     redo_covered: usize,
 }
 
 impl<R: Record, S: Record> CheckpointedLog<R, S> {
-    /// `log` with no checkpoint taken yet.
-    pub fn new(log: StableLog<R>) -> Self {
+    /// A fresh site's stable storage: the `genesis` records, forced, and
+    /// no checkpoint taken yet.
+    pub fn genesis(genesis: impl IntoIterator<Item = R>) -> Self {
+        let mut log = StableLog::new();
+        for rec in genesis {
+            log.append(rec);
+        }
+        log.force();
         CheckpointedLog {
             log,
             slot: CheckpointSlot::new(),
@@ -325,22 +358,38 @@ impl<R: Record, S: Record> CheckpointedLog<R, S> {
         self.redo_covered = self.log.stable_len();
     }
 
-    /// The records of a recovery scan (`entries`, oldest first) that redo
-    /// must apply on top of the newest verifying checkpoint: those at or
-    /// past its `redo_from`. The ones below are already in its snapshot —
-    /// two-generation retention, or a crash between install and
-    /// truncation, leaves them in the log — and must be skipped.
-    pub fn redo_suffix<'e>(&self, entries: &'e [(Lsn, R)]) -> &'e [(Lsn, R)] {
-        let redo_from = self.slot.redo_from();
-        &entries[entries.partition_point(|(lsn, _)| *lsn < redo_from)..]
-    }
-
-    /// [`redo_suffix`](Self::redo_suffix) for the scan recovery runs on:
-    /// the prefix it skips becomes the count the trigger subtracts.
-    pub fn recount<'e>(&mut self, entries: &'e [(Lsn, R)]) -> &'e [(Lsn, R)] {
-        let suffix = self.redo_suffix(entries);
-        self.redo_covered = entries.len() - suffix.len();
-        suffix
+    /// The recovery scan (paper Section 7), the one place stable storage
+    /// is read back: re-verify both slots ([`CheckpointSlot::refresh`]),
+    /// so a rotten newest slot surfaces as a [`SlotFallback`]; load the
+    /// newest snapshot that verifies; repair the log
+    /// ([`StableLog::recover_salvage`]); skip the records below the
+    /// snapshot's redo point, which it holds already (their count is what
+    /// the trigger subtracts); and report what storage lost.
+    pub fn recover(&mut self) -> Recovery<R, S> {
+        let fallback = self.slot.refresh();
+        let checkpoint = self.slot.load();
+        let redo_from = checkpoint.as_ref().map_or(Lsn::FIRST, |cp| cp.redo_from);
+        let Salvaged {
+            mut entries,
+            torn_bytes,
+            damage,
+        } = self.log.recover_salvage();
+        let salvage = damage.map(|mut report| {
+            report.dropped.retain(|(lsn, _)| *lsn >= redo_from);
+            report
+        });
+        let genesis_lost = entries.first().map(|(lsn, _)| *lsn) != Some(Lsn::FIRST);
+        let unbounded = checkpoint.is_none() && fallback.is_some() && genesis_lost;
+        self.redo_covered = entries.partition_point(|(lsn, _)| *lsn < redo_from);
+        entries.drain(..self.redo_covered);
+        Recovery {
+            snapshot: checkpoint.map(|cp| cp.snapshot),
+            redo: entries,
+            fallback,
+            torn_bytes,
+            salvage,
+            unbounded,
+        }
     }
 }
 
@@ -348,6 +397,7 @@ impl<R: Record, S: Record> CheckpointedLog<R, S> {
 mod tests {
     use super::*;
     use crate::codec::{RecordReader, RecordWriter};
+    use crate::log::TornWrite;
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct Snap(u64);
@@ -469,7 +519,7 @@ mod tests {
 
     #[test]
     fn the_trigger_counts_only_the_un_checkpointed_suffix() {
-        let mut cl = CheckpointedLog::new(StableLog::new());
+        let mut cl = CheckpointedLog::genesis([]);
         let snap = Snap(7);
         grow(&mut cl, 3);
         let not_taken = || -> &Snap { unreachable!("no checkpoint is due") };
@@ -492,29 +542,145 @@ mod tests {
 
     #[test]
     fn truncation_keeps_the_older_generations_redo_window() {
-        let mut cl = CheckpointedLog::new(StableLog::new());
-        let snap = Snap(7);
-        for redo_from in [Lsn(4), Lsn(8)] {
+        let mut cl = CheckpointedLog::genesis([]);
+        for (snap, redo_from) in [(Snap(1), Lsn(4)), (Snap(2), Lsn(8))] {
             grow(&mut cl, 4);
             assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(redo_from));
             cl.truncate_checkpointed();
         }
         // Generation 2 redoes from 8, but the log keeps generation 1's
         // window from 4.
-        let entries = cl.log.recover_entries().unwrap();
-        let lsns: Vec<Lsn> = entries.iter().map(|(lsn, _)| *lsn).collect();
+        let mut copy = cl.clone();
+        let lsns: Vec<Lsn> = copy
+            .log
+            .recover_entries()
+            .unwrap()
+            .iter()
+            .map(|e| e.0)
+            .collect();
         assert_eq!(lsns, [Lsn(4), Lsn(5), Lsn(6), Lsn(7)]);
-        assert!(
-            cl.recount(&entries).is_empty(),
-            "generation 2 redoes nothing"
-        );
-        assert_eq!(cl.checkpoint_if_due(4, || &snap), None);
+        let clean = cl.recover();
+        assert_eq!((clean.snapshot, clean.fallback), (Some(Snap(2)), None));
+        assert!(clean.redo.is_empty(), "generation 2 redoes nothing");
+        assert_eq!(cl.checkpoint_if_due(4, || &Snap(3)), None);
         // The newest slot rots: recovery falls back to generation 1 and
         // finds its whole redo window, which the trigger then counts.
         let newest = cl.slot.newest_valid().unwrap();
         assert!(cl.slot.corrupt_slot(newest, 3));
-        assert_eq!(cl.recount(&entries), &entries[..]);
-        assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(Lsn(8)));
+        let fallen = cl.recover();
+        let fallback = SlotFallback {
+            bad_generation: 2,
+            used_generation: Some(1),
+        };
+        assert_eq!(fallen.fallback, Some(fallback));
+        assert_eq!(fallen.snapshot, Some(Snap(1)));
+        assert_eq!(redo_lsns(&fallen.redo), [4, 5, 6, 7]);
+        assert_eq!(
+            (fallen.torn_bytes, &fallen.salvage, fallen.unbounded),
+            (0, &None, false)
+        );
+        assert_eq!(cl.checkpoint_if_due(4, || &Snap(3)), Some(Lsn(8)));
+    }
+
+    /// The LSNs a recovery redoes.
+    fn redo_lsns(redo: &[(Lsn, Snap)]) -> Vec<u64> {
+        redo.iter().map(|(lsn, _)| lsn.0).collect()
+    }
+
+    /// Genesis records 0–3, a checkpoint `Snap(1)` redoing from 4, then
+    /// `more` records: a lone generation, so truncation keeps them all.
+    fn one_checkpoint(more: u64) -> CheckpointedLog<Snap, Snap> {
+        let mut cl = CheckpointedLog::genesis((0..4).map(Snap));
+        assert_eq!(cl.checkpoint_if_due(4, || &Snap(1)), Some(Lsn(4)));
+        cl.truncate_checkpointed();
+        grow(&mut cl, more);
+        cl
+    }
+
+    /// Rot one byte inside the payload of record `lsn` (24-byte frames,
+    /// nothing truncated yet).
+    fn rot_record(cl: &mut CheckpointedLog<Snap, Snap>, lsn: usize) {
+        let at = lsn * 24 + 20;
+        assert_eq!(cl.log.corrupt_stable(at..at + 1), 1);
+    }
+
+    #[test]
+    fn a_rot_below_the_redo_point_is_covered_by_the_checkpoint() {
+        let mut cl = one_checkpoint(0);
+        rot_record(&mut cl, 2);
+        let rec = cl.recover();
+        assert_eq!(rec.snapshot, Some(Snap(1)));
+        assert!(rec.redo.is_empty());
+        let report = rec.salvage.expect("the rot is reported");
+        assert_eq!((report.first_bad_lsn, report.records_lost), (Lsn(2), 2));
+        assert!(
+            report.dropped.is_empty(),
+            "records 2 and 3 are in the snapshot"
+        );
+        assert!(!rec.unbounded);
+    }
+
+    #[test]
+    fn a_rot_past_the_redo_point_loses_exactly_the_records_after_it() {
+        let mut cl = one_checkpoint(3);
+        rot_record(&mut cl, 5);
+        let rec = cl.recover();
+        assert_eq!(rec.snapshot, Some(Snap(1)));
+        assert_eq!(redo_lsns(&rec.redo), [4]);
+        let report = rec.salvage.expect("the rot is reported");
+        assert_eq!((report.first_bad_lsn, report.records_lost), (Lsn(5), 2));
+        assert_eq!(report.bytes_lost, 2 * 24);
+        assert_eq!(report.dropped, [(Lsn(5), Snap(1)), (Lsn(6), Snap(2))]);
+        assert_eq!(rec.torn_bytes, 0);
+        // The cut stays cut: the next recovery reads clean.
+        assert_eq!(cl.recover().salvage, None);
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_and_reported_as_lossless() {
+        let mut cl = CheckpointedLog::<Snap, Snap>::genesis((0..2).map(Snap));
+        cl.log.append(Snap(2));
+        assert!(cl.log.crash_torn(TornWrite::Truncated));
+        let rec = cl.recover();
+        assert_eq!(rec.torn_bytes, 12, "half of the 24-byte frame landed");
+        assert_eq!(
+            (rec.fallback, &rec.salvage, rec.unbounded),
+            (None, &None, false)
+        );
+        assert_eq!((rec.snapshot, redo_lsns(&rec.redo)), (None, vec![0, 1]));
+        assert_eq!(cl.recover().torn_bytes, 0, "the tear was cut");
+    }
+
+    #[test]
+    fn both_slots_rotten_with_the_genesis_intact_replay_everything() {
+        let mut cl = one_checkpoint(2);
+        let newest = cl.slot.newest_valid().unwrap();
+        assert!(cl.slot.corrupt_slot(newest, 3));
+        let rec = cl.recover();
+        let fallback = SlotFallback {
+            bad_generation: 1,
+            used_generation: None,
+        };
+        assert_eq!((rec.fallback, rec.snapshot), (Some(fallback), None));
+        assert_eq!(redo_lsns(&rec.redo), [0, 1, 2, 3, 4, 5]);
+        assert!(!rec.unbounded, "the genesis records rebuild everything");
+    }
+
+    #[test]
+    fn both_slots_rotten_with_the_genesis_truncated_is_unbounded() {
+        let mut cl = one_checkpoint(4);
+        assert_eq!(cl.checkpoint_if_due(4, || &Snap(2)), Some(Lsn(8)));
+        cl.truncate_checkpointed();
+        assert!(cl.slot.corrupt_slot(0, 3));
+        assert!(cl.slot.corrupt_slot(1, 3));
+        let rec = cl.recover();
+        assert_eq!(rec.fallback.map(|fb| fb.used_generation), Some(None));
+        assert_eq!(
+            (rec.snapshot, redo_lsns(&rec.redo)),
+            (None, vec![4, 5, 6, 7])
+        );
+        assert!(rec.unbounded, "generation 1 truncated the genesis records");
+        assert_eq!(rec.salvage, None);
     }
 
     #[test]

@@ -228,7 +228,7 @@ pub(crate) fn seal_frame(buf: &mut [u8]) -> usize {
 
 /// Whole length of the frame whose header starts `buf`.
 pub(crate) fn frame_len(buf: &[u8]) -> usize {
-    FRAME_HEADER + u32::from_be_bytes(buf[..4].try_into().expect("four bytes")) as usize
+    FRAME_HEADER + u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
 }
 
 /// Encode one record into a framed byte string.
@@ -246,7 +246,8 @@ pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     let (payload, rest) = rest
         .split_at_checked(frame_len(header) - FRAME_HEADER)
         .ok_or(DecodeError::Truncated)?;
-    let expected = u32::from_be_bytes(header[4..].try_into().expect("four bytes"));
+    let [.., c0, c1, c2, c3] = *header;
+    let expected = u32::from_be_bytes([c0, c1, c2, c3]);
     let actual = crc32(payload);
     if actual != expected {
         return Err(DecodeError::Corrupt { expected, actual });

@@ -10,7 +10,7 @@
 //!
 //! * Records are *encoded* into a length-prefixed, CRC-checked frame format
 //!   ([`codec`]) at append, and that byte image is all the log keeps: the
-//!   recovery scan decodes it — the same code path a disk-backed
+//!   recovery scans decode it — the same code path a disk-backed
 //!   implementation would take, so codec bugs are caught by the recovery
 //!   tests, not hidden behind a `Vec<R>` clone.
 //! * [`log::StableLog`] distinguishes *appended* from *forced* by a
@@ -20,6 +20,14 @@
 //! * [`checkpoint`] bounds the redo scan the usual way (paper Section 7:
 //!   "by using checkpointing mechanisms, the number of redo actions
 //!   required can be reduced in the usual manner").
+//! * Recovery is one call, [`CheckpointedLog::recover`]: it re-verifies
+//!   the checkpoint slots, loads the newest snapshot that verifies, cuts
+//!   the log at its first bad frame, keeps the records past the
+//!   snapshot's redo point, and says what storage lost. Both engines and
+//!   the DvP rebuild oracle read stable storage back through it.
+//!
+//! Nothing here panics by accident: outside tests the crate denies
+//! `unwrap`, `expect` and `panic!`.
 //!
 //! The log is in-memory because the whole system runs inside a
 //! deterministic simulation; durability here means "survives a simulated
@@ -27,6 +35,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod checkpoint;
 pub mod codec;
@@ -34,10 +46,8 @@ pub mod log;
 pub mod lsn;
 
 pub use checkpoint::{
-    CheckpointMeta, CheckpointSlot, CheckpointedLog, SlotFallback, CHECKPOINT_EVERY,
+    CheckpointMeta, CheckpointSlot, CheckpointedLog, Recovery, SlotFallback, CHECKPOINT_EVERY,
 };
 pub use codec::{DecodeError, Record, RecordReader, RecordWriter};
-pub use log::{
-    LogStats, RecoveredLog, SalvageOutcome, SalvageReport, StableLog, TornTail, TornWrite,
-};
+pub use log::{LogStats, SalvageReport, Salvaged, StableLog, TornWrite};
 pub use lsn::Lsn;

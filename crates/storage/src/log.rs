@@ -12,13 +12,17 @@
 //! * [`crash`](StableLog::crash) truncates back to the watermark;
 //!   [`crash_torn`](StableLog::crash_torn) also leaves the *torn write*
 //!   a power failure mid-`force` would;
-//! * [`recover`](StableLog::recover) decodes the durable bytes, verifying
-//!   every frame; [`recover_lenient`](StableLog::recover_lenient) is the
-//!   WAL-style variant that stops at the first bad frame and reports it.
+//! * two scans read the durable bytes back, verifying every frame:
+//!   [`recover_entries`](StableLog::recover_entries) is strict and
+//!   read-only, and fails at the first bad frame;
+//!   [`recover_salvage`](StableLog::recover_salvage) cuts the image at
+//!   that frame and reports what the cut lost. A site recovers through
+//!   [`CheckpointedLog::recover`](crate::CheckpointedLog::recover), which
+//!   runs the repairing scan against the checkpoint slots.
 //!
-//! A frame's CRC exists for the recovery scan alone, so `append` leaves it
-//! zero and the log *seals* its frames — writes their CRCs, once — just
-//! before the image is first read (every `recover*` scan) or damaged
+//! A frame's CRC exists for the recovery scans alone, so `append` leaves
+//! it zero and the log *seals* its frames — writes their CRCs, once —
+//! just before the image is first read (either scan) or damaged
 //! (`corrupt_stable`, `crash_torn`). Every frame that is read or damaged
 //! carries the CRC an eager append would have written; a frame that a
 //! checkpoint truncates unread is never checksummed.
@@ -95,33 +99,12 @@ pub enum TornWrite {
     Garbage,
 }
 
-/// What a lenient recovery scan dropped from the end of the image.
+/// Durable records that failed verification, found and cut by
+/// [`StableLog::recover_salvage`]: the log was truncated at the first bad
+/// record, and everything after it — valid frames included — was dropped
+/// (frame boundaries past a corrupt region cannot be trusted).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TornTail {
-    /// Bytes discarded (from the first bad frame to the end of the image).
-    pub bytes_dropped: u64,
-    /// The decode failure that ended the scan.
-    pub error: DecodeError,
-}
-
-/// Result of a lenient recovery scan.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveredLog<R> {
-    /// Well-formed entries, oldest first.
-    pub entries: Vec<(Lsn, R)>,
-    /// Length of the clean image prefix (everything past it is torn).
-    pub clean_bytes: usize,
-    /// The torn tail, if the scan hit a bad frame.
-    pub torn: Option<TornTail>,
-}
-
-/// Stable-region corruption found and repaired by
-/// [`StableLog::recover_salvage`]: a *durable* record failed
-/// verification, so the log was truncated at the first bad record and
-/// everything after it — valid frames included — was dropped (frame
-/// boundaries past a corrupt region cannot be trusted).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SalvageReport {
+pub struct SalvageReport<R> {
     /// LSN of the first durable record whose frame failed verification.
     pub first_bad_lsn: Lsn,
     /// Durable records dropped (the bad one and everything after it).
@@ -131,40 +114,29 @@ pub struct SalvageReport {
     pub bytes_lost: u64,
     /// The decode failure that ended the scan.
     pub error: DecodeError,
+    /// The dropped records, oldest first, for exact loss accounting by
+    /// the host. [`CheckpointedLog::recover`] keeps only those no
+    /// checkpoint covers.
+    ///
+    /// [`CheckpointedLog::recover`]: crate::CheckpointedLog::recover
+    pub dropped: Vec<(Lsn, R)>,
 }
 
-/// Outcome of [`StableLog::recover_salvage`] — a recovery scan that
-/// classifies image damage and repairs the image in place.
+/// What [`StableLog::recover_salvage`] read back, and what it cut from
+/// the image so that the next scan reads clean.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SalvageOutcome<R> {
-    /// Every frame verified; nothing was dropped.
-    Clean {
-        /// The durable entries, oldest first.
-        entries: Vec<(Lsn, R)>,
-    },
-    /// Benign tail tear: every *durable* record verified and only the
-    /// partially-written frame a crash mid-`force` leaves behind was
-    /// dropped — exactly what a clean crash would have lost anyway.
-    TailTear {
-        /// The durable entries, oldest first.
-        entries: Vec<(Lsn, R)>,
-        /// Bytes of torn frame discarded from the image.
-        bytes_dropped: u64,
-        /// The decode failure the tear produced.
-        error: DecodeError,
-    },
+pub struct Salvaged<R> {
+    /// The entries that verified, oldest first: the whole log after the
+    /// cut.
+    pub entries: Vec<(Lsn, R)>,
+    /// Bytes of a benign tail tear cut with every durable record intact
+    /// (0 = none): the frame a crash mid-`force` left half-written, which
+    /// was never durable. A tear behind `damage` counts in its
+    /// `bytes_lost` instead.
+    pub torn_bytes: u64,
     /// Stable-region corruption: a record that *was* durably forced no
-    /// longer verifies. The image was truncated at the first bad record;
-    /// `dropped` lists the records lost (for exact loss accounting by the
-    /// host) and `report` names the damage.
-    MediaDamage {
-        /// The surviving entries, oldest first.
-        entries: Vec<(Lsn, R)>,
-        /// The durable records the truncation dropped, oldest first.
-        dropped: Vec<(Lsn, R)>,
-        /// What was lost and why.
-        report: SalvageReport,
-    },
+    /// longer verifies.
+    pub damage: Option<SalvageReport<R>>,
 }
 
 /// The bit-rot model: XOR with `0xA5`. An involution, so whoever knows
@@ -195,7 +167,7 @@ fn decode_entry<R: Record>(buf: &mut &[u8]) -> Result<(Lsn, R), DecodeError> {
 /// therefore takes `&mut self`; to scan without sealing, scan a clone.
 ///
 /// ```
-/// use dvp_storage::{Record, RecordReader, RecordWriter, StableLog, DecodeError};
+/// use dvp_storage::{DecodeError, Lsn, Record, RecordReader, RecordWriter, StableLog};
 ///
 /// #[derive(Clone, Debug, PartialEq)]
 /// struct Note(u64);
@@ -210,7 +182,7 @@ fn decode_entry<R: Record>(buf: &mut &[u8]) -> Result<(Lsn, R), DecodeError> {
 /// log.append_force(Note(1));   // durable
 /// log.append(Note(2));         // only buffered...
 /// log.crash();                 // ...and lost in the crash
-/// assert_eq!(log.recover().unwrap(), vec![Note(1)]); // seals, then reads
+/// assert_eq!(log.recover_entries(), Ok(vec![(Lsn(0), Note(1))])); // seals, then reads
 /// ```
 #[derive(Clone, Debug)]
 pub struct StableLog<R> {
@@ -375,49 +347,31 @@ impl<R: Record> StableLog<R> {
         }
     }
 
-    /// Recovery scan: seal, then decode the durable bytes from the start,
-    /// verifying every frame, and return the records in append order.
-    pub fn recover(&mut self) -> Result<Vec<R>, DecodeError> {
-        self.recover_entries()
-            .map(|es| es.into_iter().map(|(_, r)| r).collect())
-    }
-
-    /// Strict recovery scan that also yields each record's LSN (needed to
-    /// position records against a checkpoint's `redo_from`). Seals first.
+    /// Strict recovery scan: seal, then decode the durable bytes from the
+    /// start, verifying every frame, and return each record with its LSN
+    /// in append order — or the first frame's decode failure. Read-only
+    /// apart from the seal.
     pub fn recover_entries(&mut self) -> Result<Vec<(Lsn, R)>, DecodeError> {
-        let scan = self.recover_lenient();
-        scan.torn.map_or(Ok(scan.entries), |torn| Err(torn.error))
+        let (entries, _, failure) = self.scan();
+        failure.map_or(Ok(entries), Err)
     }
 
-    /// WAL-style recovery scan: seal, decode frames until the first bad
-    /// one, treat everything from there to the end of the image as a torn
-    /// tail, and report what was dropped instead of failing.
-    pub fn recover_lenient(&mut self) -> RecoveredLog<R> {
+    /// Seal, then decode frames until the first bad one: the entries, the
+    /// length of the clean image prefix they fill, and the decode failure
+    /// past it, if any.
+    fn scan(&mut self) -> (Vec<(Lsn, R)>, usize, Option<DecodeError>) {
         self.seal();
         let image = &self.buf[..self.durable];
         let mut rest = image;
-        let mut scan = RecoveredLog {
-            entries: Vec::with_capacity(self.stable_records),
-            clean_bytes: 0,
-            torn: None,
-        };
+        let mut entries = Vec::with_capacity(self.stable_records);
         while !rest.is_empty() {
+            let clean = image.len() - rest.len();
             match decode_entry::<R>(&mut rest) {
-                Ok(e) => {
-                    scan.clean_bytes = image.len() - rest.len();
-                    scan.entries.push(e);
-                }
-                Err(error) => {
-                    let bytes_dropped = (image.len() - scan.clean_bytes) as u64;
-                    scan.torn = Some(TornTail {
-                        bytes_dropped,
-                        error,
-                    });
-                    break;
-                }
+                Ok(e) => entries.push(e),
+                Err(error) => return (entries, clean, Some(error)),
             }
         }
-        scan
+        (entries, image.len(), None)
     }
 
     /// Remove `cut` from the durable bytes (unforced frames slide down
@@ -490,53 +444,41 @@ impl<R: Record> StableLog<R> {
         out
     }
 
-    /// Recovery scan that classifies image damage and repairs in place
-    /// (sealing first, as every scan does).
+    /// The repairing recovery scan: seal, decode frames until the first
+    /// bad one, and cut the image there, so the next scan reads clean.
     ///
-    /// * every frame verifies → [`SalvageOutcome::Clean`];
+    /// * every frame verifies → nothing is cut;
     /// * the scan fails only *past* the last durable record → the benign
-    ///   [`SalvageOutcome::TailTear`] a crash mid-`force` leaves, repaired
-    ///   by cutting the tail so the next scan starts clean;
+    ///   tail tear a crash mid-`force` leaves ([`Salvaged::torn_bytes`]);
     /// * the scan fails *at* a durable record → stable-region corruption:
-    ///   the image is truncated at the first bad record and
-    ///   [`SalvageOutcome::MediaDamage`] reports exactly which records
-    ///   were lost (see [`SalvageReport`]).
-    pub fn recover_salvage(&mut self) -> SalvageOutcome<R> {
-        let scan = self.recover_lenient();
-        let Some(torn) = scan.torn else {
-            return SalvageOutcome::Clean {
-                entries: scan.entries,
-            };
-        };
-        let lost = self.stable_records.saturating_sub(scan.entries.len());
+    ///   [`Salvaged::damage`] names exactly which records were lost.
+    pub fn recover_salvage(&mut self) -> Salvaged<R> {
+        let (entries, clean, failure) = self.scan();
+        let bytes_cut = (self.durable - clean) as u64;
+        let lost = self.stable_records.saturating_sub(entries.len());
         // Media damage alone consults the injectors' memory (pre-excise).
-        let dropped = match lost {
-            0 => Vec::new(),
-            _ => self.decode_condemned(scan.clean_bytes, lost),
-        };
-        debug_assert_eq!(dropped.len(), lost, "unrecorded image damage");
-        self.excise(scan.clean_bytes..self.durable);
+        let damage = failure.filter(|_| lost > 0).map(|error| {
+            let dropped = self.decode_condemned(clean, lost);
+            debug_assert_eq!(dropped.len(), lost, "unrecorded image damage");
+            SalvageReport {
+                first_bad_lsn: dropped.first().map_or(self.next, |(lsn, _)| *lsn),
+                records_lost: lost as u64,
+                bytes_lost: bytes_cut,
+                error,
+                dropped,
+            }
+        });
+        self.excise(clean..self.durable);
         self.stable_records -= lost;
-        if lost == 0 {
-            return SalvageOutcome::TailTear {
-                entries: scan.entries,
-                bytes_dropped: torn.bytes_dropped,
-                error: torn.error,
-            };
+        if damage.is_some() {
+            self.stats.media_salvages += 1;
+            self.stats.salvaged_records += lost as u64;
+            self.stats.salvaged_bytes += bytes_cut;
         }
-        let report = SalvageReport {
-            first_bad_lsn: dropped.first().map_or(self.next, |(lsn, _)| *lsn),
-            records_lost: lost as u64,
-            bytes_lost: torn.bytes_dropped,
-            error: torn.error,
-        };
-        self.stats.media_salvages += 1;
-        self.stats.salvaged_records += report.records_lost;
-        self.stats.salvaged_bytes += report.bytes_lost;
-        SalvageOutcome::MediaDamage {
-            entries: scan.entries,
-            dropped,
-            report,
+        Salvaged {
+            entries,
+            torn_bytes: if damage.is_some() { 0 } else { bytes_cut },
+            damage,
         }
     }
 
@@ -572,13 +514,17 @@ impl<R: Record> StableLog<R> {
     /// before it ever checkpoints, and on a damaged one the walk stops at
     /// the first frame that does not fit.
     pub fn truncate_before(&mut self, upto: Lsn) {
+        let image = &self.buf[..self.durable];
         let (mut cut, mut dropped) = (0, 0);
-        while let Some(head) = self.buf[..self.durable].get(cut..cut + FRAME_HEADER + 8) {
-            let lsn = u64::from_be_bytes(head[FRAME_HEADER..].try_into().expect("eight bytes"));
-            if lsn >= upto.0 || cut + frame_len(head) > self.durable {
+        while let Some(lsn) = image
+            .get(cut + FRAME_HEADER..)
+            .and_then(<[u8]>::first_chunk)
+        {
+            let len = frame_len(&image[cut..]);
+            if u64::from_be_bytes(*lsn) >= upto.0 || cut + len > image.len() {
                 break;
             }
-            cut += frame_len(head);
+            cut += len;
             dropped += 1;
         }
         self.excise(0..cut);
@@ -602,6 +548,12 @@ mod tests {
         }
     }
 
+    /// The strict scan's records without their LSNs.
+    fn recover(log: &mut StableLog<R>) -> Result<Vec<R>, DecodeError> {
+        log.recover_entries()
+            .map(|es| es.into_iter().map(|(_, r)| r).collect())
+    }
+
     #[test]
     fn append_is_not_durable_until_force() {
         let mut log = StableLog::<R>::new();
@@ -620,7 +572,7 @@ mod tests {
         log.append(R(2));
         log.append(R(3));
         log.crash();
-        assert_eq!(log.recover().unwrap(), vec![R(1)]);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(1)]);
         assert_eq!(log.stats().lost_in_crash, 2);
     }
 
@@ -643,7 +595,10 @@ mod tests {
             log.append(R(i));
         }
         log.force();
-        assert_eq!(log.recover().unwrap(), (0..100).map(R).collect::<Vec<_>>());
+        assert_eq!(
+            recover(&mut log).unwrap(),
+            (0..100).map(R).collect::<Vec<_>>()
+        );
         assert!(log.stats().stable_bytes > 0);
     }
 
@@ -686,7 +641,7 @@ mod tests {
             log.append_force(R(i));
         }
         log.truncate_before(Lsn(4));
-        assert_eq!(log.recover().unwrap(), vec![R(4), R(5)]);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(4), R(5)]);
         // New appends continue from the old LSN sequence.
         assert_eq!(log.append(R(99)), Lsn(6));
     }
@@ -703,7 +658,7 @@ mod tests {
     #[test]
     fn empty_log_recovers_empty() {
         let mut log = StableLog::<R>::new();
-        assert!(log.recover().unwrap().is_empty());
+        assert!(recover(&mut log).unwrap().is_empty());
     }
 
     #[test]
@@ -736,19 +691,19 @@ mod tests {
         log.append(R(3));
         assert!(log.crash_torn(TornWrite::Truncated));
         // Strict recovery refuses the image...
-        assert_eq!(log.recover().unwrap_err(), DecodeError::Truncated);
-        // ...lenient recovery keeps the clean prefix and reports the tear.
-        let scan = log.recover_lenient();
+        assert_eq!(recover(&mut log).unwrap_err(), DecodeError::Truncated);
+        // ...salvage keeps the clean prefix, cuts the tear and reports it.
+        let image = log.stable_image_len();
+        let scan = log.recover_salvage();
         assert_eq!(scan.entries, vec![(Lsn(0), R(1))]);
-        let torn = scan.torn.expect("tear must be reported");
-        assert!(torn.bytes_dropped > 0);
-        assert_eq!(torn.error, DecodeError::Truncated);
-        // Repair truncates the image; strict recovery works again.
-        assert!(matches!(
-            log.recover_salvage(),
-            SalvageOutcome::TailTear { bytes_dropped, .. } if bytes_dropped == torn.bytes_dropped
-        ));
-        assert_eq!(log.recover().unwrap(), vec![R(1)]);
+        assert_eq!(scan.damage, None);
+        assert!(scan.torn_bytes > 0);
+        assert_eq!(
+            log.stable_image_len() as u64,
+            image as u64 - scan.torn_bytes
+        );
+        // Strict recovery works again.
+        assert_eq!(recover(&mut log).unwrap(), vec![R(1)]);
         assert_eq!(log.stats().torn_writes, 1);
         assert_eq!(log.stats().lost_in_crash, 2);
     }
@@ -760,17 +715,13 @@ mod tests {
         log.append(R(8));
         assert!(log.crash_torn(TornWrite::Garbage));
         assert!(matches!(
-            log.recover().unwrap_err(),
+            recover(&mut log).unwrap_err(),
             DecodeError::Corrupt { .. }
         ));
-        let scan = log.recover_lenient();
+        let scan = log.recover_salvage();
         assert_eq!(scan.entries, vec![(Lsn(0), R(7))]);
-        assert!(matches!(
-            scan.torn.unwrap().error,
-            DecodeError::Corrupt { .. }
-        ));
-        log.recover_salvage();
-        assert_eq!(log.recover().unwrap(), vec![R(7)]);
+        assert!(scan.torn_bytes > 0);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(7)]);
     }
 
     /// The two injectors cannot cancel: rot landing on a garbage tear's
@@ -784,11 +735,9 @@ mod tests {
         assert!(log.crash_torn(TornWrite::Garbage));
         let end = log.stable_image_len();
         assert_eq!(log.corrupt_stable(end - 1..end), 1);
-        assert!(matches!(
-            log.recover_salvage(),
-            SalvageOutcome::TailTear { .. }
-        ));
-        assert_eq!(log.recover().unwrap(), vec![R(7)]);
+        let scan = log.recover_salvage();
+        assert!(scan.torn_bytes > 0 && scan.damage.is_none());
+        assert_eq!(recover(&mut log).unwrap(), vec![R(7)]);
     }
 
     #[test]
@@ -796,7 +745,7 @@ mod tests {
         let mut log = StableLog::<R>::new();
         log.append_force(R(1));
         assert!(!log.crash_torn(TornWrite::Truncated));
-        assert_eq!(log.recover().unwrap(), vec![R(1)]);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(1)]);
         assert_eq!(log.stats().torn_writes, 0);
     }
 
@@ -805,18 +754,7 @@ mod tests {
         let mut log = StableLog::<R>::new();
         log.append(R(1));
         assert!(!log.crash_torn(TornWrite::None));
-        assert!(log.recover().unwrap().is_empty());
-    }
-
-    #[test]
-    fn lenient_scan_of_clean_log_reports_nothing() {
-        let mut log = StableLog::<R>::new();
-        log.append_force(R(1));
-        log.append_force(R(2));
-        let scan = log.recover_lenient();
-        assert_eq!(scan.entries.len(), 2);
-        assert!(scan.torn.is_none());
-        assert_eq!(scan.clean_bytes as u64, log.stats().stable_bytes);
+        assert!(recover(&mut log).unwrap().is_empty());
     }
 
     #[test]
@@ -824,10 +762,11 @@ mod tests {
         let mut log = StableLog::<R>::new();
         log.append_force(R(1));
         log.append_force(R(2));
-        match log.recover_salvage() {
-            SalvageOutcome::Clean { entries } => assert_eq!(entries.len(), 2),
-            other => panic!("expected Clean, got {other:?}"),
-        }
+        let image = log.stats().stable_bytes;
+        let scan = log.recover_salvage();
+        assert_eq!(scan.entries.len(), 2);
+        assert_eq!((scan.torn_bytes, scan.damage), (0, None));
+        assert_eq!(log.stats().stable_bytes, image, "nothing cut");
         assert_eq!(log.stats().media_salvages, 0);
     }
 
@@ -837,19 +776,12 @@ mod tests {
         log.append_force(R(1));
         log.append(R(2));
         assert!(log.crash_torn(TornWrite::Garbage));
-        match log.recover_salvage() {
-            SalvageOutcome::TailTear {
-                entries,
-                bytes_dropped,
-                ..
-            } => {
-                assert_eq!(entries, vec![(Lsn(0), R(1))]);
-                assert!(bytes_dropped > 0);
-            }
-            other => panic!("expected TailTear, got {other:?}"),
-        }
+        let scan = log.recover_salvage();
+        assert_eq!(scan.entries, vec![(Lsn(0), R(1))]);
+        assert!(scan.torn_bytes > 0);
+        assert_eq!(scan.damage, None);
         // The repair leaves a strict-recoverable image.
-        assert_eq!(log.recover().unwrap(), vec![R(1)]);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(1)]);
         assert_eq!(log.stats().media_salvages, 0, "tail tears are not salvages");
     }
 
@@ -863,25 +795,19 @@ mod tests {
         // 24 bytes (8 header + 8 lsn + 8 payload), so offset 30 lands in
         // frame 1's payload.
         assert_eq!(log.corrupt_stable(30..31), 1);
-        match log.recover_salvage() {
-            SalvageOutcome::MediaDamage {
-                entries,
-                dropped,
-                report,
-            } => {
-                // Only the record before the damage survives; the valid
-                // frames after the corrupt one are dropped too.
-                assert_eq!(entries, vec![(Lsn(0), R(0))]);
-                assert_eq!(report.first_bad_lsn, Lsn(1));
-                assert_eq!(report.records_lost, 4);
-                assert_eq!(dropped.len(), 4);
-                assert_eq!(dropped[0], (Lsn(1), R(1)));
-                assert!(report.bytes_lost > 0);
-            }
-            other => panic!("expected MediaDamage, got {other:?}"),
-        }
+        let scan = log.recover_salvage();
+        // Only the record before the damage survives; the valid frames
+        // after the corrupt one are dropped too.
+        assert_eq!(scan.entries, vec![(Lsn(0), R(0))]);
+        assert_eq!(scan.torn_bytes, 0);
+        let report = scan.damage.expect("durable damage is reported");
+        assert_eq!(report.first_bad_lsn, Lsn(1));
+        assert_eq!(report.records_lost, 4);
+        assert_eq!(report.dropped.len(), 4);
+        assert_eq!(report.dropped[0], (Lsn(1), R(1)));
+        assert_eq!(report.bytes_lost, 4 * 24);
         // Repaired: the surviving prefix strict-recovers, cache agrees.
-        assert_eq!(log.recover().unwrap(), vec![R(0)]);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(0)]);
         assert_eq!(log.stable_len(), 1);
         let s = log.stats();
         assert_eq!(s.media_salvages, 1);
@@ -900,14 +826,14 @@ mod tests {
         // Corrupt a durable frame *and* tear the in-flight write.
         assert_eq!(log.corrupt_stable(50..51), 1);
         assert!(log.crash_torn(TornWrite::Truncated));
-        match log.recover_salvage() {
-            SalvageOutcome::MediaDamage { report, .. } => {
-                assert_eq!(report.first_bad_lsn, Lsn(2));
-                assert_eq!(report.records_lost, 1);
-            }
-            other => panic!("expected MediaDamage, got {other:?}"),
-        }
-        assert_eq!(log.recover().unwrap(), vec![R(0), R(1)]);
+        let scan = log.recover_salvage();
+        // The tear behind the damage counts in its bytes, not as a tear.
+        assert_eq!(scan.torn_bytes, 0);
+        let report = scan.damage.expect("durable damage is reported");
+        assert_eq!(report.first_bad_lsn, Lsn(2));
+        assert_eq!(report.records_lost, 1);
+        assert!(report.bytes_lost > 24);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(0), R(1)]);
     }
 
     #[test]
@@ -921,15 +847,10 @@ mod tests {
         assert_eq!(log.corrupt_stable(4 * 24 + 20..4 * 24 + 21), 1);
         log.truncate_before(Lsn(2));
         assert_eq!(log.stable_len(), 4);
-        match log.recover_salvage() {
-            SalvageOutcome::MediaDamage {
-                entries, dropped, ..
-            } => {
-                assert_eq!(entries, vec![(Lsn(2), R(2)), (Lsn(3), R(3))]);
-                assert_eq!(dropped, vec![(Lsn(4), R(4)), (Lsn(5), R(5))]);
-            }
-            other => panic!("expected MediaDamage, got {other:?}"),
-        }
+        let scan = log.recover_salvage();
+        assert_eq!(scan.entries, vec![(Lsn(2), R(2)), (Lsn(3), R(3))]);
+        let report = scan.damage.expect("durable damage is reported");
+        assert_eq!(report.dropped, vec![(Lsn(4), R(4)), (Lsn(5), R(5))]);
     }
 
     #[test]
@@ -946,7 +867,7 @@ mod tests {
             3,
             "only frame 0 was provably below the cut"
         );
-        assert!(log.recover().is_err());
+        assert!(recover(&mut log).is_err());
     }
 
     #[test]
@@ -956,13 +877,10 @@ mod tests {
         log.append_force(R(2));
         log.append(R(3)); // unforced
         assert_eq!(log.corrupt_stable(30..31), 1);
-        assert!(matches!(
-            log.recover_salvage(),
-            SalvageOutcome::MediaDamage { .. }
-        ));
+        assert!(log.recover_salvage().damage.is_some());
         assert_eq!((log.stable_len(), log.tail_len()), (1, 1));
         log.force();
-        assert_eq!(log.recover().unwrap(), vec![R(1), R(3)]);
+        assert_eq!(recover(&mut log).unwrap(), vec![R(1), R(3)]);
     }
 
     /// The CRC field of every frame in the image, oldest first.
@@ -1018,20 +936,18 @@ mod tests {
         log.append(R(4)); // dies in the crash
         log.crash();
         assert_eq!((log.sealed, stored_crcs(&log)), (0, vec![0; 4]));
-        assert!(matches!(
-            log.recover_salvage(),
-            SalvageOutcome::Clean { entries } if entries.len() == 4
-        ));
+        let scan = log.recover_salvage();
+        assert_eq!((scan.entries.len(), scan.torn_bytes), (4, 0));
         assert_eq!(log.sealed, log.buf.len());
         assert!(all_sealed(&log));
         // A second scan finds nothing past the watermark to seal.
         let image = log.buf.clone();
-        assert_eq!(log.recover().unwrap().len(), 4);
+        assert_eq!(recover(&mut log).unwrap().len(), 4);
         assert_eq!((log.sealed, &log.buf), (image.len(), &image));
         // New appends past a sealed prefix wait for the next scan.
         log.append_force(R(5));
         assert_eq!(stored_crcs(&log)[4], 0);
-        assert_eq!(log.recover().unwrap().len(), 5);
+        assert_eq!(recover(&mut log).unwrap().len(), 5);
         assert!(all_sealed(&log));
     }
 
@@ -1042,7 +958,7 @@ mod tests {
             log.append_force(R(i));
         }
         let mut copy = log.clone();
-        assert_eq!(copy.recover().unwrap(), vec![R(0), R(1), R(2)]);
+        assert_eq!(recover(&mut copy).unwrap(), vec![R(0), R(1), R(2)]);
         assert!(all_sealed(&copy));
         assert_eq!(log.sealed, 0);
         assert_eq!(stored_crcs(&log), vec![0; 3]);
@@ -1055,6 +971,6 @@ mod tests {
         let len = log.stable_image_len();
         assert_eq!(log.corrupt_stable(len..len + 10), 0);
         assert_eq!(log.corrupt_stable(len - 2..len + 10), 2);
-        assert!(log.recover().is_err());
+        assert!(recover(&mut log).is_err());
     }
 }

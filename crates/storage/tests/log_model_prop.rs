@@ -7,15 +7,16 @@
 //! image — with its own frame encoder and decoder, so nothing is checked
 //! against itself. Random operation sequences, fault injection included,
 //! are applied to both, and after every step every observable must agree:
-//! both recovery scans, the full salvage outcome (the `dropped` records
-//! the log now has to reconstruct from the fault injector's memory, where
-//! the model just reads its mirror), the counters and the lengths.
+//! both recovery scans — the strict one, and the repairing one's whole
+//! result (the `dropped` records the log now has to reconstruct from the
+//! fault injector's memory, where the model just reads its mirror) — the
+//! counters and the lengths.
 //!
 //! The log writes a frame's CRC lazily, when its image is first read or
 //! damaged, and a scan seals the log it runs on. So the per-step scans
-//! run on a clone: the log under test stays unsealed until a step of its
-//! own (salvage, rot, a torn crash) seals it, and damage meets unsealed
-//! frames. Two mutants of `log.rs` each fail this test at once: dropping
+//! run on a clone, strict first, then repairing: the log under test stays
+//! unsealed until a step of its own (salvage, rot, a torn crash) seals
+//! it, and damage meets unsealed frames. Two mutants of `log.rs` each fail this test at once: dropping
 //! the `seal()` from `corrupt_stable` (rot lands on unsealed frames, so
 //! the next seal walks a rotten length off the image, or checksums a
 //! rotten payload as good) and dropping it from `crash_torn` (the torn
@@ -25,8 +26,8 @@
 
 use dvp_storage::codec::crc32;
 use dvp_storage::{
-    DecodeError, LogStats, Lsn, Record, RecordReader, RecordWriter, RecoveredLog, SalvageOutcome,
-    SalvageReport, StableLog, TornTail, TornWrite,
+    DecodeError, LogStats, Lsn, Record, RecordReader, RecordWriter, SalvageReport, Salvaged,
+    StableLog, TornWrite,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -82,7 +83,7 @@ fn decode_entry(image: &[u8], at: &mut usize) -> Result<(Lsn, Rec), DecodeError>
 
 /// The deleted design, kept as the oracle: the image, the decoded mirror
 /// of what it should hold, and the decoded unforced tail.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Model {
     image: Vec<u8>,
     stable: Vec<(Lsn, Rec)>,
@@ -152,56 +153,43 @@ impl Model {
         (end - start) as u64
     }
 
-    fn recover_lenient(&self) -> RecoveredLog<Rec> {
-        let total = self.image.len();
+    /// Decode frames until the first bad one: the entries, the length of
+    /// the clean prefix they fill, and the failure past it, if any.
+    fn lenient(&self) -> (Vec<(Lsn, Rec)>, usize, Option<DecodeError>) {
         let mut at = 0;
         let mut entries = Vec::new();
-        let mut clean_bytes = 0;
-        let mut torn = None;
-        while at < total {
+        while at < self.image.len() {
+            let clean = at;
             match decode_entry(&self.image, &mut at) {
-                Ok(e) => {
-                    clean_bytes = at;
-                    entries.push(e);
-                }
-                Err(error) => {
-                    torn = Some(TornTail {
-                        bytes_dropped: (total - clean_bytes) as u64,
-                        error,
-                    });
-                    break;
-                }
+                Ok(e) => entries.push(e),
+                Err(error) => return (entries, clean, Some(error)),
             }
         }
-        RecoveredLog {
-            entries,
-            clean_bytes,
-            torn,
-        }
+        (entries, at, None)
     }
 
     fn recover_entries(&self) -> Result<Vec<(Lsn, Rec)>, DecodeError> {
-        let scan = self.recover_lenient();
-        match scan.torn {
-            None => Ok(scan.entries),
-            Some(t) => Err(t.error),
-        }
+        let (entries, _, failure) = self.lenient();
+        failure.map_or(Ok(entries), Err)
     }
 
-    fn recover_salvage(&mut self) -> SalvageOutcome<Rec> {
-        let scan = self.recover_lenient();
-        let Some(torn) = scan.torn else {
-            return SalvageOutcome::Clean {
-                entries: scan.entries,
+    fn recover_salvage(&mut self) -> Salvaged<Rec> {
+        let (entries, clean, failure) = self.lenient();
+        let Some(error) = failure else {
+            return Salvaged {
+                entries,
+                torn_bytes: 0,
+                damage: None,
             };
         };
-        self.image.truncate(scan.clean_bytes);
-        let kept = scan.entries.len();
+        let bytes_cut = (self.image.len() - clean) as u64;
+        self.image.truncate(clean);
+        let kept = entries.len();
         if kept >= self.stable.len() {
-            return SalvageOutcome::TailTear {
-                entries: scan.entries,
-                bytes_dropped: torn.bytes_dropped,
-                error: torn.error,
+            return Salvaged {
+                entries,
+                torn_bytes: bytes_cut,
+                damage: None,
             };
         }
         // The whole point of the mirror: it names what the damage took.
@@ -209,16 +197,17 @@ impl Model {
         let report = SalvageReport {
             first_bad_lsn: dropped[0].0,
             records_lost: dropped.len() as u64,
-            bytes_lost: torn.bytes_dropped,
-            error: torn.error,
+            bytes_lost: bytes_cut,
+            error,
+            dropped,
         };
         self.stats.media_salvages += 1;
         self.stats.salvaged_records += report.records_lost;
         self.stats.salvaged_bytes += report.bytes_lost;
-        SalvageOutcome::MediaDamage {
-            entries: scan.entries,
-            dropped,
-            report,
+        Salvaged {
+            entries,
+            torn_bytes: 0,
+            damage: Some(report),
         }
     }
 
@@ -319,8 +308,9 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(log.clone().recover_entries(), model.recover_entries(), "step {i} {steps:?}");
-            prop_assert_eq!(log.clone().recover_lenient(), model.recover_lenient(), "step {i}");
+            let (mut copy, mut mirror) = (log.clone(), model.clone());
+            prop_assert_eq!(copy.recover_entries(), mirror.recover_entries(), "step {i} {steps:?}");
+            prop_assert_eq!(copy.recover_salvage(), mirror.recover_salvage(), "step {i}");
             prop_assert_eq!(log.stable_len(), model.stable.len(), "step {i}");
             prop_assert_eq!(log.tail_len(), model.tail.len(), "step {i}");
             prop_assert_eq!(log.stable_image_len(), model.image.len(), "step {i}");
@@ -330,6 +320,6 @@ proptest! {
         // Whatever is still unforced is the same on both sides too.
         log.force();
         model.force();
-        prop_assert_eq!(log.recover_lenient(), model.recover_lenient());
+        prop_assert_eq!(log.recover_salvage(), model.recover_salvage());
     }
 }

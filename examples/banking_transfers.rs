@@ -73,7 +73,10 @@ fn main() {
     println!("\nAlice: {alice_total}   (10000 +700 deposit −100 −2000 transfer)");
     println!("Bob:   {bob_total}   (5000 −1200 +2000 transfer)");
 
-    let read = m.history.last_read().expect("the balance read committed");
+    let read = cluster
+        .history()
+        .last_read()
+        .expect("the balance read committed");
     println!("exact balance read of Alice observed: {}", read.1);
 
     cluster.auditor().check_reads(&m).expect("read exactness");

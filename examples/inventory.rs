@@ -36,5 +36,8 @@ fn main() {
         .sum();
     println!("sku-0 stock across warehouses: {stock}");
     cluster.auditor().check_reads(&m).expect("read exactness");
-    println!("exact stocktakes completed: {}", m.history.reads_checked());
+    println!(
+        "exact stocktakes completed: {}",
+        cluster.history().reads_checked()
+    );
 }

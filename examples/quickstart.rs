@@ -62,7 +62,7 @@ fn main() {
     println!("  ───────────");
     println!("  N   = {total}   (100 initial − 42 sold)\n");
 
-    let (_, observed) = metrics.history.last_read().expect("W's read committed");
+    let (_, observed) = cluster.history().last_read().expect("W's read committed");
     println!("W's full-value read observed N = {observed}");
 
     cluster

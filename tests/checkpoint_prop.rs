@@ -255,9 +255,7 @@ fn mid_checkpoint_crash_with_a_rotten_slot_falls_back_losslessly() {
 /// the exact record whose frame holds it, and salvaged around — never
 /// silently decoded into wrong state.
 mod bit_flip {
-    use dvp::storage::{
-        DecodeError, Lsn, Record, RecordReader, RecordWriter, SalvageOutcome, StableLog,
-    };
+    use dvp::storage::{DecodeError, Lsn, Record, RecordReader, RecordWriter, StableLog};
     use proptest::prelude::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -292,29 +290,25 @@ mod bit_flip {
             prop_assert_eq!(log.corrupt_stable(offset..offset + 1), 1);
             let bad = offset / FRAME; // index of the record whose frame rotted
 
-            match log.recover_salvage() {
-                SalvageOutcome::MediaDamage { entries, dropped, report } => {
-                    // The salvaged prefix is exactly the records before the
-                    // flip, each intact...
-                    prop_assert_eq!(entries.len(), bad);
-                    for (i, (lsn, r)) in entries.iter().enumerate() {
-                        prop_assert_eq!(*lsn, Lsn(i as u64));
-                        prop_assert_eq!(r.0, i as u64);
-                    }
-                    // ...and the report names the exact first corrupt LSN
-                    // and everything lost behind it.
-                    prop_assert_eq!(report.first_bad_lsn, Lsn(bad as u64));
-                    prop_assert_eq!(report.records_lost, (n - bad) as u64);
-                    prop_assert_eq!(dropped.len(), n - bad);
-                }
-                other => prop_assert!(false, "flip at byte {offset} undetected: {other:?}"),
+            let scan = log.recover_salvage();
+            // The salvaged prefix is exactly the records before the flip,
+            // each intact...
+            prop_assert_eq!(scan.entries.len(), bad);
+            for (i, (lsn, r)) in scan.entries.iter().enumerate() {
+                prop_assert_eq!(*lsn, Lsn(i as u64));
+                prop_assert_eq!(r.0, i as u64);
             }
-            // Salvage repaired the image down to the intact prefix: a second
-            // recovery is clean and returns exactly that prefix.
-            match log.recover_salvage() {
-                SalvageOutcome::Clean { entries } => prop_assert_eq!(entries.len(), bad),
-                other => prop_assert!(false, "salvage must repair the image: {other:?}"),
-            }
+            // ...and the report names the exact first corrupt LSN and
+            // everything lost behind it.
+            let Some(report) = scan.damage else {
+                return Err(TestCaseError::fail(format!("flip at byte {offset} undetected")));
+            };
+            prop_assert_eq!(report.first_bad_lsn, Lsn(bad as u64));
+            prop_assert_eq!(report.records_lost, (n - bad) as u64);
+            prop_assert_eq!(report.dropped.len(), n - bad);
+            // Salvage repaired the image down to the intact prefix: the
+            // strict scan now reads exactly that prefix.
+            prop_assert_eq!(log.recover_entries().map(|es| es.len()), Ok(bad));
         }
     }
 }

@@ -59,7 +59,7 @@ fn conservation_holds_at_every_pause_point_of_a_banking_run() {
     let mut moved = 0;
     for k in 1..=6u64 {
         cl.run_until(ms(k * 400));
-        let history = cl.stats().txn.history;
+        let history = cl.history();
         moved += usize::from(
             w.catalog
                 .items()

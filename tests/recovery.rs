@@ -31,7 +31,7 @@ fn recovered_site_equals_its_log() {
     let live = node.fragments().get(flight);
     // Independent replay of the durable records.
     let mut replayed: i64 = 0;
-    for rec in node.log().clone().recover().unwrap() {
+    for (_, rec) in node.log().clone().recover_entries().unwrap() {
         match rec {
             dvp::core::record::SiteRecord::Init { qty, .. } => replayed += qty as i64,
             dvp::core::record::SiteRecord::Rds { actions, .. }
@@ -144,10 +144,10 @@ fn vm_outstanding_toward_a_partitioned_peer_survives_checkpoint_and_crash() {
     let created_in_log = sender
         .log()
         .clone()
-        .recover()
+        .recover_entries()
         .unwrap()
         .iter()
-        .filter(|r| {
+        .filter(|(_, r)| {
             matches!(
                 r,
                 SiteRecord::Rds {

@@ -60,50 +60,28 @@ fn stale_lease_timer_cannot_release_a_newer_lease() {
 /// while the truth is 100 (17 still in flight toward site 1).
 #[test]
 fn ablating_the_read_drain_gate_breaks_read_exactness() {
-    fn ms(n: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::millis(n)
-    }
     let run = |skip_gate: bool| {
-        let mut catalog = Catalog::new();
-        let item = catalog.add("pool", 100, Split::Explicit(vec![0, 50, 50]));
-        let mut cfg = ClusterConfig::new(3, catalog);
-        cfg.mutant = skip_gate.then_some(Mutant::SkipReadDrainGate);
-        // The 2→1 data path crawls; everything else is normal, so the
-        // Vm's acks and retransmissions do not resolve it quickly.
-        cfg.net = NetworkConfig::reliable().with_link(
-            2,
-            1,
-            LinkConfig {
-                delay_min: SimDuration::millis(300),
-                delay_max: SimDuration::millis(300),
-                loss: 0.0,
-                duplicate: 0.0,
-            },
-        );
-        let cfg = cfg
-            .at(1, ms(1), TxnSpec::reserve(item, 67))
-            .at(0, ms(60), TxnSpec::read(item));
-        let mut cl = Cluster::build(cfg);
+        let mut cl = read_drain_scenario(skip_gate);
         cl.run_until(ms(5_000));
         cl.auditor().check_conservation().unwrap();
         let m = cl.stats().txn;
-        (m.clone(), cl.auditor().check_reads(&m).is_ok())
+        (cl.history(), cl.auditor().check_reads(&m).is_ok())
     };
 
     // With the gate (the paper's rule): the read cannot certify
     // quiescence and aborts; whatever committed is exact.
-    let (m_safe, reads_ok) = run(false);
+    let (safe, reads_ok) = run(false);
     assert!(reads_ok, "with the gate every committed read is exact");
     assert_eq!(
-        m_safe.history.reads_checked(),
+        safe.reads_checked(),
         0,
         "the read must abort while value is in flight"
     );
 
     // Without the gate: the read commits a wrong total.
-    let (m_unsafe, _) = run(true);
-    assert_eq!(m_unsafe.history.reads_checked(), 1);
-    match m_unsafe.history.verdict() {
+    let (unsafe_run, _) = run(true);
+    assert_eq!(unsafe_run.reads_checked(), 1);
+    match unsafe_run.verdict() {
         Err(AuditError::WrongRead { got, expected, .. }) => assert_eq!(
             (got, expected),
             (83, 100),
@@ -111,6 +89,58 @@ fn ablating_the_read_drain_gate_breaks_read_exactness() {
         ),
         other => panic!("check_reads must flag the miss — the §5 rule is load-bearing: {other:?}"),
     }
+}
+
+/// **`check_reads` judges the history as it stands, not the stats it is
+/// handed.** The auditor holds the cluster's history sink; stats taken
+/// before the gateless read of
+/// [`ablating_the_read_drain_gate_breaks_read_exactness`] committed
+/// carry no read, yet the verdict must name the wrong one.
+#[test]
+fn check_reads_on_stale_stats_still_sees_a_later_wrong_read() {
+    let mut cl = read_drain_scenario(true);
+    cl.run_until(ms(50));
+    let stale = cl.stats().txn;
+    assert_eq!(cl.history().reads_checked(), 0, "the read is at 60 ms");
+    cl.run_until(ms(5_000));
+    assert!(matches!(
+        cl.auditor().check_reads(&stale),
+        Err(AuditError::WrongRead {
+            got: 83,
+            expected: 100,
+            ..
+        })
+    ));
+}
+
+fn ms(n: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::millis(n)
+}
+
+/// The scenario of [`ablating_the_read_drain_gate_breaks_read_exactness`],
+/// built and not yet run: a reservation's Vm crawls 2→1 while site 0
+/// reads the item at 60 ms, with the read-drain gate or without it.
+fn read_drain_scenario(skip_gate: bool) -> Cluster {
+    let mut catalog = Catalog::new();
+    let item = catalog.add("pool", 100, Split::Explicit(vec![0, 50, 50]));
+    let mut cfg = ClusterConfig::new(3, catalog);
+    cfg.mutant = skip_gate.then_some(Mutant::SkipReadDrainGate);
+    // The 2→1 data path crawls; everything else is normal, so the Vm's
+    // acks and retransmissions do not resolve it quickly.
+    cfg.net = NetworkConfig::reliable().with_link(
+        2,
+        1,
+        LinkConfig {
+            delay_min: SimDuration::millis(300),
+            delay_max: SimDuration::millis(300),
+            loss: 0.0,
+            duplicate: 0.0,
+        },
+    );
+    let cfg = cfg
+        .at(1, ms(1), TxnSpec::reserve(item, 67))
+        .at(0, ms(60), TxnSpec::read(item));
+    Cluster::build(cfg)
 }
 
 /// **The read lease must follow the timeout, however the config is built.**
@@ -159,9 +189,9 @@ fn struct_literal_timeout_keeps_the_read_lease_ahead_of_the_reader() {
     cl.run_until(ms(5_000));
     cl.auditor().check_conservation().unwrap();
     let m = cl.stats().txn;
-    assert_eq!(m.history.reads_checked(), 1);
+    assert_eq!(cl.history().reads_checked(), 1);
     assert_eq!(
-        m.history.last_read(),
+        cl.history().last_read(),
         Some((item, 100)),
         "the read commits the full value"
     );
@@ -219,7 +249,10 @@ fn a_conc2_read_is_checked_in_lock_handover_order() {
     cl.run_until(SimTime::ZERO + SimDuration::millis(3_400));
     cl.auditor().check_conservation().unwrap();
     let m = cl.stats().txn;
-    assert!(m.history.reads_checked() > 0, "the scenario commits reads");
+    assert!(
+        cl.history().reads_checked() > 0,
+        "the scenario commits reads"
+    );
     cl.auditor()
         .check_reads(&m)
         .expect("every committed read is exact in lock handover order");

@@ -73,8 +73,8 @@ fn lease_timer_fallback_frees_item_when_release_is_lost() {
     cl.auditor().check_conservation().unwrap();
     cl.auditor().check_reads(&m).unwrap();
     // The read committed (grant arrived before the partition).
-    assert_eq!(m.history.reads_checked(), 1);
-    assert_eq!(m.history.last_read(), Some((item, 100)));
+    assert_eq!(cl.history().reads_checked(), 1);
+    assert_eq!(cl.history().last_read(), Some((item, 100)));
     // The 50ms reservation hit the lease (lock conflict); the 150ms one
     // committed because the timer fallback freed the item.
     assert_eq!(m.aborted_for(AbortReason::LockConflict), 1);
@@ -180,10 +180,10 @@ fn a_commit_appends_exactly_one_record() {
     // Site 0's durable records, by variant name.
     let records = |cl: &Cluster| -> Vec<String> {
         let log = cl.sim.node(0).log();
-        let recs = log.clone().recover().unwrap();
+        let recs = log.clone().recover_entries().unwrap();
         assert_eq!(recs.len(), log.stable_len(), "every record is durable");
         recs.iter()
-            .map(|r| format!("{r:?}").split(' ').next().unwrap().to_owned())
+            .map(|(_, r)| format!("{r:?}").split(' ').next().unwrap().to_owned())
             .collect()
     };
     cl.run_until(ms(2));
