@@ -2,11 +2,11 @@
 //!
 //! The quantity DvP cannot exhibit and 2PC can: a participant that voted
 //! YES and lost its coordinator holds locks for an **unbounded** time.
-//! [`TradMetrics`] measures those windows directly.
+//! [`TradMetrics`] measures those windows directly. As in DvP, a fact
+//! an obs event records is counted by folding that event.
 
-use dvp_obs::{Hist, PhaseHists};
+use dvp_obs::{EventKind, Fold, Hist, PhaseHists};
 use dvp_simnet::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Why a traditional transaction aborted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,6 +22,14 @@ pub enum TradAbort {
 }
 
 impl TradAbort {
+    /// All reasons, in declaration order: `reason as usize` indexes it.
+    pub const ALL: [TradAbort; 4] = [
+        TradAbort::Timeout,
+        TradAbort::Insufficient,
+        TradAbort::VoteNo,
+        TradAbort::Crashed,
+    ];
+
     /// Static tag for trace events.
     pub fn tag(self) -> &'static str {
         match self {
@@ -37,8 +45,8 @@ impl TradAbort {
 /// its histogram: commits are `commit_latency`'s count.
 #[derive(Clone, Debug, Default)]
 pub struct TradMetrics {
-    /// Coordinator-side aborts by reason.
-    pub aborted: BTreeMap<TradAbort, u64>,
+    /// Coordinator-side aborts by reason, indexed by `reason as usize`.
+    pub aborted: [u64; TradAbort::ALL.len()],
     /// Commit-latency histogram (µs) of the transactions this site
     /// coordinated to commit.
     pub commit_latency: Hist,
@@ -46,8 +54,6 @@ pub struct TradMetrics {
     pub abort_latency: Hist,
     /// Messages sent by the engine (locks, votes, decisions, queries).
     pub messages_sent: u64,
-    /// Participant entered the in-doubt (prepared, no decision) state.
-    pub in_doubt_entered: u64,
     /// Completed in-doubt windows, in µs (lock-hold time while blocked).
     pub in_doubt: Hist,
     /// In-doubt windows still open (blocked at harvest time): start
@@ -58,19 +64,30 @@ pub struct TradMetrics {
     pub recovery_remote_messages: u64,
     /// Recoveries performed.
     pub recoveries: u64,
-    /// Recoveries that completed with unresolved in-doubt transactions.
-    pub recoveries_blocked: u64,
     /// Checkpoints taken (snapshot + log truncation).
     pub checkpoints: u64,
 }
 
-impl TradMetrics {
-    /// Record an abort decision.
-    pub fn record_abort(&mut self, reason: TradAbort, latency_us: u64) {
-        *self.aborted.entry(reason).or_insert(0) += 1;
-        self.abort_latency.record(latency_us);
+impl Fold for TradMetrics {
+    #[inline]
+    fn fold(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::TxnCommit { latency_us, .. } => self.commit_latency.record(latency_us),
+            EventKind::TxnAbort {
+                reason, latency_us, ..
+            } => {
+                let i = TradAbort::ALL.iter().position(|r| r.tag() == reason);
+                self.aborted[i.expect("a 2PC abort tag")] += 1;
+                self.abort_latency.record(latency_us);
+            }
+            EventKind::Checkpoint { .. } => self.checkpoints += 1,
+            EventKind::RecoveryBegin => self.recoveries += 1,
+            _ => {}
+        }
     }
+}
 
+impl TradMetrics {
     /// Transactions committed with this site as coordinator.
     pub fn committed(&self) -> u64 {
         self.commit_latency.count()
@@ -78,7 +95,7 @@ impl TradMetrics {
 
     /// Total aborts.
     pub fn total_aborted(&self) -> u64 {
-        self.aborted.values().sum()
+        self.aborted.iter().sum()
     }
 }
 
@@ -181,13 +198,22 @@ impl TradClusterMetrics {
 mod tests {
     use super::*;
 
+    fn abort(m: &mut TradMetrics, reason: TradAbort, latency_us: u64) {
+        m.fold(&EventKind::TxnAbort {
+            txn: 0,
+            reason: reason.tag(),
+            latency_us,
+        });
+    }
+
     #[test]
     fn abort_accounting() {
         let mut m = TradMetrics::default();
-        m.record_abort(TradAbort::Timeout, 10);
-        m.record_abort(TradAbort::Timeout, 12);
-        m.record_abort(TradAbort::VoteNo, 5);
+        abort(&mut m, TradAbort::Timeout, 10);
+        abort(&mut m, TradAbort::Timeout, 12);
+        abort(&mut m, TradAbort::VoteNo, 5);
         assert_eq!(m.total_aborted(), 3);
+        assert_eq!(m.aborted, [2, 0, 1, 0]);
     }
 
     #[test]
@@ -208,7 +234,7 @@ mod tests {
     fn the_phase_view_is_the_named_histograms() {
         let mut a = TradMetrics::default();
         a.commit_latency.record(40);
-        a.record_abort(TradAbort::VoteNo, 9);
+        abort(&mut a, TradAbort::VoteNo, 9);
         let mut b = TradMetrics::default();
         b.commit_latency.record(70);
         b.in_doubt.record(300);

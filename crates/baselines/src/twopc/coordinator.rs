@@ -196,13 +196,12 @@ impl TradNode {
             for site in participants.iter() {
                 self.send(site, TradBody::ReleaseLocks { txn: ts });
             }
-            let latency = ctx.now().since(c.started).as_micros();
-            self.metrics.commit_latency.record(latency);
-            self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
+            let commit = EventKind::TxnCommit {
                 txn: ts.0,
-                latency_us: latency,
+                latency_us: ctx.now().since(c.started).as_micros(),
                 fast_path: true,
-            });
+            };
+            self.obs.record(self.id as u32, commit, &mut self.metrics);
             return;
         }
         c.votes_pending = writers;
@@ -300,13 +299,12 @@ impl TradNode {
             );
         }
         // Commit is decided now; report it now.
-        let latency = ctx.now().since(started).as_micros();
-        self.metrics.commit_latency.record(latency);
-        self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
+        let commit = EventKind::TxnCommit {
             txn: ts.0,
-            latency_us: latency,
+            latency_us: ctx.now().since(started).as_micros(),
             fast_path: false,
-        });
+        };
+        self.obs.record(self.id as u32, commit, &mut self.metrics);
     }
 
     pub(super) fn on_preack(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
@@ -346,13 +344,12 @@ impl TradNode {
                 }
             }
         }
-        let latency = ctx.now().since(c.started).as_micros();
-        self.metrics.record_abort(reason, latency);
-        self.obs.emit_with(self.id as u32, || EventKind::TxnAbort {
+        let abort = EventKind::TxnAbort {
             txn: ts.0,
             reason: reason.tag(),
-            latency_us: latency,
-        });
+            latency_us: ctx.now().since(c.started).as_micros(),
+        };
+        self.obs.record(self.id as u32, abort, &mut self.metrics);
     }
 
     pub(super) fn on_decision_ack(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {

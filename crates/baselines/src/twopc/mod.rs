@@ -275,11 +275,11 @@ impl TradNode {
             self.durable
                 .checkpoint_if_due(&self.replica, &self.part, &self.decisions)
         {
-            self.metrics.checkpoints += 1;
+            let checkpoint = EventKind::Checkpoint {
+                redo_from: redo_from.0,
+            };
             self.obs
-                .emit_with(self.id as u32, || EventKind::Checkpoint {
-                    redo_from: redo_from.0,
-                });
+                .record(self.id as u32, checkpoint, &mut self.metrics);
         }
         if self.wire_buf.is_empty() {
             return;
@@ -388,9 +388,8 @@ impl Node for TradNode {
             self.audit.coordinator_done(ts);
             lost += u64::from(!c.decided());
         }
-        if lost > 0 {
-            *self.metrics.aborted.entry(TradAbort::Crashed).or_insert(0) += lost;
-        }
+        // Counted with no `TxnAbort`: the coordinator is gone.
+        self.metrics.aborted[TradAbort::Crashed as usize] += lost;
         self.part.clear();
         self.decisions.clear();
         self.locks.clear();
@@ -399,18 +398,14 @@ impl Node for TradNode {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, TradMsg>) {
-        self.metrics.recoveries += 1;
-        self.obs.emit(self.id as u32, EventKind::RecoveryBegin);
+        self.obs
+            .record(self.id as u32, EventKind::RecoveryBegin, &mut self.metrics);
         let recovered = self.durable.recover(&mut self.replica);
         let replayed = recovered.replayed;
         self.decisions = recovered.decisions;
         // Re-enter in-doubt for prepared-but-unresolved transactions.
-        let blocked = !recovered.in_doubt.is_empty();
         for (txn, (coordinator, writes)) in recovered.in_doubt {
             self.reenter_in_doubt(txn, coordinator, writes, ctx);
-        }
-        if blocked {
-            self.metrics.recoveries_blocked += 1;
         }
         let queries = self.metrics.recovery_remote_messages;
         self.obs

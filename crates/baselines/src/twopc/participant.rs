@@ -160,7 +160,6 @@ impl TradNode {
             ctx.cancel_timer(p.timer);
             p.timer = ctx.set_timer(RETRY_EVERY.saturating_mul(2), TAG_QUERY_RETRY | ts.0);
         }
-        self.metrics.in_doubt_entered += 1;
         self.send(from, TradBody::Vote { txn: ts, yes: true });
     }
 

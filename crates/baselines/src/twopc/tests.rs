@@ -71,7 +71,7 @@ fn on_a_reliable_net_only_aborting_timeouts_fire() {
     let timeouts: u64 = m
         .sites
         .iter()
-        .filter_map(|s| s.aborted.get(&TradAbort::Timeout))
+        .map(|s| s.aborted[TradAbort::Timeout as usize])
         .sum();
     assert!(timeouts > 0, "the script must time some transactions out");
     assert_eq!(cl.sim.stats().timers_fired, timeouts);

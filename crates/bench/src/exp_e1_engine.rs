@@ -289,7 +289,7 @@ fn link_scale() -> Table {
         let timeouts: u64 = m
             .sites
             .iter()
-            .filter_map(|s| s.aborted.get(&TradAbort::Timeout))
+            .map(|s| s.aborted[TradAbort::Timeout as usize])
             .sum();
         t.row(vec![
             format!("2pc k={k}"),

@@ -3,13 +3,15 @@
 //! Every experiment in `EXPERIMENTS.md` reduces to these counters and
 //! distributions: commit/abort counts (by reason), decision latencies
 //! (bounded for DvP — the non-blocking claim) and message/donation
-//! counts. A decision is recorded once,
+//! counts. A fact an obs event records is counted by folding that event
+//! ([`SiteMetrics`]'s [`Fold`] impl, fed by `Obs::record`), so the
+//! counters and a trace cannot disagree. A decision is recorded once,
 //! in its named histograms: commit counts are their sample counts, and
 //! the per-phase view is built from them. Nothing here grows with the
 //! number of commits.
 
 use crate::item::ItemId;
-use dvp_obs::{Hist, PhaseHists};
+use dvp_obs::{EventKind, Fold, Hist, PhaseHists};
 use std::collections::BTreeMap;
 
 /// Why a transaction aborted.
@@ -27,7 +29,8 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
-    /// All reasons, for tabulation.
+    /// All reasons, for tabulation, in declaration order: `reason as
+    /// usize` indexes it.
     pub const ALL: [AbortReason; 4] = [
         AbortReason::Timeout,
         AbortReason::LockConflict,
@@ -49,8 +52,8 @@ impl AbortReason {
 /// Counters for one site.
 #[derive(Clone, Debug, Default)]
 pub struct SiteMetrics {
-    /// Aborts by reason.
-    pub aborted: BTreeMap<AbortReason, u64>,
+    /// Aborts by reason, indexed by `reason as usize`.
+    pub aborted: [u64; AbortReason::ALL.len()],
     /// Latency histogram (µs) of committed transactions (start → commit);
     /// its count is the site's commits.
     pub commit_latency: Hist,
@@ -71,8 +74,6 @@ pub struct SiteMetrics {
     /// Requests ignored as donor (locked / stale timestamp / outstanding
     /// Vm on a read).
     pub requests_ignored: u64,
-    /// Value transfers absorbed (Vm acceptances).
-    pub absorbed: u64,
     /// Spontaneous rebalance shipments performed.
     pub rebalances: u64,
     /// Rebalance timer firings this site handled. This and the next
@@ -111,27 +112,41 @@ pub struct SiteMetrics {
     pub salvage_unbounded: bool,
 }
 
-impl SiteMetrics {
-    /// Record an abort.
-    pub fn record_abort(&mut self, reason: AbortReason, latency_us: u64) {
-        *self.aborted.entry(reason).or_insert(0) += 1;
-        self.abort_latency.record(latency_us);
-    }
-
-    /// Record a commit `latency_us` after its start. `solicit` is `None`
-    /// on the fast path, and for a commit that solicited it splits the
-    /// latency into `(start → first credit, first credit → commit)`.
-    pub fn record_commit(&mut self, latency_us: u64, solicit: Option<(u64, u64)>) {
-        self.commit_latency.record(latency_us);
-        match solicit {
-            None => self.fast_path.record(latency_us),
-            Some((solicit, gather)) => {
-                self.solicit.record(solicit);
-                self.gather.record(gather);
+impl Fold for SiteMetrics {
+    #[inline]
+    fn fold(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::TxnSolicit { .. } => self.requests_sent += 1,
+            EventKind::TxnDonate { .. } => self.donations += 1,
+            EventKind::TxnDecline { .. } => self.requests_ignored += 1,
+            EventKind::PlacementShip { .. } => self.rebalances += 1,
+            EventKind::Checkpoint { .. } => self.checkpoints += 1,
+            EventKind::CheckpointFallback { .. } => self.checkpoint_fallbacks += 1,
+            EventKind::MediaFailure { .. } => self.media_failures += 1,
+            EventKind::RecoveryBegin => self.recoveries += 1,
+            EventKind::TxnCommit {
+                latency_us,
+                fast_path,
+                ..
+            } => {
+                self.commit_latency.record(latency_us);
+                if fast_path {
+                    self.fast_path.record(latency_us);
+                }
             }
+            EventKind::TxnAbort {
+                reason, latency_us, ..
+            } => {
+                let i = AbortReason::ALL.iter().position(|r| r.tag() == reason);
+                self.aborted[i.expect("a DvP abort tag")] += 1;
+                self.abort_latency.record(latency_us);
+            }
+            _ => {}
         }
     }
+}
 
+impl SiteMetrics {
     /// Transactions committed at this site.
     pub fn committed(&self) -> u64 {
         self.commit_latency.count()
@@ -139,7 +154,7 @@ impl SiteMetrics {
 
     /// Total aborts.
     pub fn total_aborted(&self) -> u64 {
-        self.aborted.values().sum()
+        self.aborted.iter().sum()
     }
 }
 
@@ -178,7 +193,7 @@ impl ClusterMetrics {
 
     /// Aborts of one reason.
     pub fn aborted_for(&self, reason: AbortReason) -> u64 {
-        self.sum(|s| s.aborted.get(&reason).copied().unwrap_or(0))
+        self.sum(|s| s.aborted[reason as usize])
     }
 
     /// Commit ratio over all attempts that reached a decision.
@@ -272,17 +287,39 @@ impl ClusterMetrics {
 mod tests {
     use super::*;
 
+    /// A commit as the site records it: the event, then the phase split
+    /// of one that solicited.
+    fn commit(m: &mut SiteMetrics, latency_us: u64, phases: Option<(u64, u64)>) {
+        m.fold(&EventKind::TxnCommit {
+            txn: 0,
+            latency_us,
+            fast_path: phases.is_none(),
+        });
+        if let Some((solicit, gather)) = phases {
+            m.solicit.record(solicit);
+            m.gather.record(gather);
+        }
+    }
+
+    fn abort(m: &mut SiteMetrics, reason: AbortReason, latency_us: u64) {
+        m.fold(&EventKind::TxnAbort {
+            txn: 0,
+            reason: reason.tag(),
+            latency_us,
+        });
+    }
+
     #[test]
     fn site_metrics_counts() {
         let mut m = SiteMetrics::default();
-        m.record_abort(AbortReason::Timeout, 100);
-        m.record_abort(AbortReason::Timeout, 120);
-        m.record_abort(AbortReason::LockConflict, 5);
-        m.record_commit(77, None);
+        abort(&mut m, AbortReason::Timeout, 100);
+        abort(&mut m, AbortReason::Timeout, 120);
+        abort(&mut m, AbortReason::LockConflict, 5);
+        commit(&mut m, 77, None);
         assert_eq!(m.total_aborted(), 3);
         assert_eq!(m.committed(), 1);
         assert_eq!(m.fast_path.count(), 1);
-        assert_eq!(m.aborted[&AbortReason::Timeout], 2);
+        assert_eq!(m.aborted, [2, 1, 0, 0]);
     }
 
     /// The phase view holds exactly the samples of the named histograms,
@@ -290,11 +327,11 @@ mod tests {
     #[test]
     fn the_phase_view_is_the_named_histograms() {
         let mut a = SiteMetrics::default();
-        a.record_abort(AbortReason::Timeout, 500);
-        a.record_commit(40, Some((30, 10)));
+        abort(&mut a, AbortReason::Timeout, 500);
+        commit(&mut a, 40, Some((30, 10)));
         let mut b = SiteMetrics::default();
-        b.record_commit(7, None);
-        b.record_commit(90, Some((60, 30)));
+        commit(&mut b, 7, None);
+        commit(&mut b, 90, Some((60, 30)));
         let c = ClusterMetrics { sites: vec![a, b] };
         let view: Vec<_> = c.phases().iter().map(|(n, h)| (n, h.clone())).collect();
         assert_eq!(
@@ -312,7 +349,7 @@ mod tests {
         assert_eq!((c.committed(), c.fast_path_commits()), (3, 1));
 
         let mut quiet = SiteMetrics::default();
-        quiet.record_commit(5, None);
+        commit(&mut quiet, 5, None);
         let c = ClusterMetrics { sites: vec![quiet] };
         let names: Vec<_> = c.phases().iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["fast_path"]);
@@ -321,9 +358,9 @@ mod tests {
     #[test]
     fn cluster_aggregation_and_ratio() {
         let mut a = SiteMetrics::default();
-        a.record_commit(10, Some((4, 6)));
+        commit(&mut a, 10, Some((4, 6)));
         let mut b = SiteMetrics::default();
-        b.record_abort(AbortReason::Timeout, 500);
+        abort(&mut b, AbortReason::Timeout, 500);
         let c = ClusterMetrics { sites: vec![a, b] };
         assert_eq!(c.committed(), 1);
         assert_eq!(c.aborted(), 1);

@@ -270,11 +270,11 @@ impl Durable {
         if let Some(fb) = rec.fallback {
             // The newest slot rotted: the redo is longer, and the log
             // retains back to the older generation's redo point for it.
-            metrics.checkpoint_fallbacks += 1;
-            self.obs.emit_with(site, || EventKind::CheckpointFallback {
+            let fallback = EventKind::CheckpointFallback {
                 bad_generation: fb.bad_generation,
                 used_generation: fb.used_generation.unwrap_or(0),
-            });
+            };
+            self.obs.record(site, fallback, metrics);
         }
         if rec.torn_bytes > 0 {
             // WAL-style: the torn tail frame never committed.
@@ -321,11 +321,8 @@ impl Durable {
             return;
         }
         self.media_failed = true;
-        metrics.media_failures += 1;
-        self.obs
-            .emit_with(self.site as u32, || EventKind::MediaFailure {
-                records_lost,
-            });
+        let failure = EventKind::MediaFailure { records_lost };
+        self.obs.record(self.site as u32, failure, metrics);
     }
 
     /// Reconstruct the site's durable state — fragments over `items`

@@ -231,13 +231,12 @@ impl SiteNode {
         reason: AbortReason,
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
-        let latency = ctx.now().since(started).as_micros();
-        self.metrics.record_abort(reason, latency);
-        self.obs.emit_with(self.id as u32, || EventKind::TxnAbort {
+        let abort = EventKind::TxnAbort {
             txn: ts.0,
             reason: reason.tag(),
-            latency_us: latency,
-        });
+            latency_us: ctx.now().since(started).as_micros(),
+        };
+        self.obs.record(self.id as u32, abort, &mut self.metrics);
     }
 
     /// Feed every local demand in `demands_scratch` to the estimator,
@@ -325,14 +324,13 @@ impl SiteNode {
     /// Put one solicitation on the wire.
     fn solicit_peer(&mut self, to: NodeId, ask: Solicit, ctx: &mut Context<'_, ProtoMsg>) {
         self.send(ctx, to, Body::Request(ask));
-        self.metrics.requests_sent += 1;
-        self.obs
-            .emit_with(self.id as u32, || EventKind::TxnSolicit {
-                txn: ask.txn.0,
-                item: ask.item.0,
-                to: to as u32,
-                qty: ask.need as i64,
-            });
+        let solicit = EventKind::TxnSolicit {
+            txn: ask.txn.0,
+            item: ask.item.0,
+            to: to as u32,
+            qty: ask.need as i64,
+        };
+        self.obs.record(self.id as u32, solicit, &mut self.metrics);
     }
 
     /// A read item blocked on our own outstanding Vms just cleared.
@@ -438,23 +436,20 @@ impl SiteNode {
 
         // Recorded before step 7: a Conc2 waiter that step 7 wakes may
         // commit re-entrantly, and lock handover is its serial order.
-        let latency = ctx.now().since(started).as_micros();
-        // Phase split: solicit = start → first credit arriving, gather =
-        // first credit → commit (zero when a single credit completed the
-        // transaction in the same instant).
-        let phases = first_credit.map(|fc| {
-            (
-                fc.since(started).as_micros(),
-                ctx.now().since(fc).as_micros(),
-            )
-        });
-        self.metrics.record_commit(latency, phases);
-        self.history.commit(ctx.now(), ts, &deltas, &read_values);
-        self.obs.emit_with(self.id as u32, || EventKind::TxnCommit {
+        let commit = EventKind::TxnCommit {
             txn: ts.0,
-            latency_us: latency,
+            latency_us: ctx.now().since(started).as_micros(),
             fast_path: first_credit.is_none(),
-        });
+        };
+        self.obs.record(self.id as u32, commit, &mut self.metrics);
+        // Phase split, which no event carries: solicit = start → first
+        // credit arriving, gather = first credit → commit (zero when a
+        // single credit completed the transaction in the same instant).
+        if let Some(fc) = first_credit {
+            self.metrics.solicit.record(fc.since(started).as_micros());
+            self.metrics.gather.record(ctx.now().since(fc).as_micros());
+        }
+        self.history.commit(ctx.now(), ts, &deltas, &read_values);
 
         // Step 7: release locks (and wake Conc2 waiters).
         self.release_locks_and_wake(ts, ctx);

@@ -420,11 +420,11 @@ impl SiteNode {
             return;
         }
         self.durable.truncate_checkpointed();
-        self.metrics.checkpoints += 1;
+        let checkpoint = EventKind::Checkpoint {
+            redo_from: redo_from.0,
+        };
         self.obs
-            .emit_with(self.id as u32, || EventKind::Checkpoint {
-                redo_from: redo_from.0,
-            });
+            .record(self.id as u32, checkpoint, &mut self.metrics);
     }
 }
 
@@ -538,15 +538,9 @@ impl Node for SiteNode {
         self.inject.on_crash(&mut self.durable);
         self.vm.crash_reset();
         self.locks.clear();
-        // In-flight transactions simply vanish.
-        if !self.active.is_empty() {
-            *self
-                .metrics
-                .aborted
-                .entry(AbortReason::Crashed)
-                .or_insert(0) += self.active.len() as u64;
-            self.active.clear();
-        }
+        // In-flight transactions simply vanish, with no `TxnAbort`.
+        self.metrics.aborted[AbortReason::Crashed as usize] += self.active.len() as u64;
+        self.active.clear();
         for q in self.lock_queue.iter_mut() {
             q.clear();
         }
@@ -581,8 +575,8 @@ impl Node for SiteNode {
         }
         // State was already rebuilt from the stable log at crash time
         // (see on_crash); restarting is just resuming normal processing.
-        self.metrics.recoveries += 1;
-        self.obs.emit(self.id as u32, EventKind::RecoveryBegin);
+        self.obs
+            .record(self.id as u32, EventKind::RecoveryBegin, &mut self.metrics);
         self.obs
             .emit_with(self.id as u32, || EventKind::RecoveryEnd {
                 replayed: self.durable.last_replayed(),

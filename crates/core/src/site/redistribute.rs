@@ -44,12 +44,11 @@ impl SiteNode {
     /// Leave a solicitation unanswered (requests are never nacked: the
     /// requester's timeout is the answer).
     fn decline(&mut self, ask: &Solicit) {
-        self.metrics.requests_ignored += 1;
-        self.obs
-            .emit_with(self.id as u32, || EventKind::TxnDecline {
-                txn: ask.txn.0,
-                item: ask.item.0,
-            });
+        let decline = EventKind::TxnDecline {
+            txn: ask.txn.0,
+            item: ask.item.0,
+        };
+        self.obs.record(self.id as u32, decline, &mut self.metrics);
     }
 
     /// Honour a request against an unlocked item (an Rds transaction).
@@ -101,13 +100,13 @@ impl SiteNode {
         if !self.ship(from, &transfer, ctx) {
             return;
         }
-        self.metrics.donations += 1;
-        self.obs.emit_with(self.id as u32, || EventKind::TxnDonate {
+        let donate = EventKind::TxnDonate {
             txn: txn.0,
             item: item.0,
             to: from as u32,
             qty: amount as i64,
-        });
+        };
+        self.obs.record(self.id as u32, donate, &mut self.metrics);
 
         if read {
             // Pin the drained item until the reader has surely decided.
@@ -190,13 +189,12 @@ impl SiteNode {
             kind: TransferKind::Rebalance,
         };
         self.ship(to, &transfer, ctx);
-        self.metrics.rebalances += 1;
-        self.obs
-            .emit_with(self.id as u32, || EventKind::PlacementShip {
-                item: item.0,
-                to: to as u32,
-                qty: amount,
-            });
+        let ship = EventKind::PlacementShip {
+            item: item.0,
+            to: to as u32,
+            qty: amount,
+        };
+        self.obs.record(self.id as u32, ship, &mut self.metrics);
         self.flush_vm(ctx);
     }
 
@@ -303,7 +301,6 @@ impl SiteNode {
         self.durable.owe_force();
         self.frags.credit(transfer.item, transfer.amount);
         self.frags.bump_ts(transfer.item, transfer.for_txn);
-        self.metrics.absorbed += 1;
         self.obs.emit_with(self.id as u32, || EventKind::TxnAbsorb {
             txn: transfer.for_txn.0,
             item: transfer.item.0,

@@ -23,6 +23,13 @@
 //! is skipped too. `tests/obs_disabled.rs` pins this: a disabled handle
 //! never builds a payload, and a traced-off run buffers nothing.
 //!
+//! ## One record per fact
+//!
+//! An event that a layer also counts goes out through [`Obs::record`],
+//! which folds it into that layer's stats struct (a [`Fold`]) and then
+//! buffers it if tracing is on: the counter *is* the fold of the
+//! stream, traced or not.
+//!
 //! ## Time
 //!
 //! Events are stamped with simulated time. The simulation kernel calls
@@ -45,6 +52,15 @@ use std::rc::Rc;
 struct Inner {
     now_us: Cell<u64>,
     events: RefCell<Vec<Event>>,
+}
+
+/// A stats struct whose counters are folds of the event stream: `fold`
+/// adds one event's facts to them and ignores the kinds it does not
+/// count. [`Obs::record`] is how such an event is emitted, so a counter
+/// and the trace record each fact once and cannot disagree.
+pub trait Fold {
+    /// Add the facts `kind` records.
+    fn fold(&mut self, kind: &EventKind);
 }
 
 /// A cheaply-cloneable observability handle. Disabled by default; all
@@ -106,6 +122,15 @@ impl Obs {
                 kind,
             });
         }
+    }
+
+    /// Fold `kind` into `stats`, then record it at the current stamp. The
+    /// fold runs on a disabled handle too: the counters are the run's
+    /// numbers, the buffer is only its trace.
+    #[inline]
+    pub fn record(&self, site: u32, kind: EventKind, stats: &mut impl Fold) {
+        stats.fold(&kind);
+        self.emit(site, kind);
     }
 
     /// Record an event, constructing the payload only when enabled.
@@ -212,6 +237,22 @@ mod tests {
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].kind.name(), "txn_start");
         assert_eq!(tl[1].kind.name(), "txn_donate");
+    }
+
+    #[test]
+    fn record_folds_whether_or_not_it_buffers() {
+        struct Crashes(u64);
+        impl Fold for Crashes {
+            fn fold(&mut self, kind: &EventKind) {
+                self.0 += u64::from(*kind == EventKind::Crash);
+            }
+        }
+        let (off, on) = (Obs::disabled(), Obs::enabled());
+        let mut n = Crashes(0);
+        off.record(0, EventKind::Crash, &mut n);
+        on.record(0, EventKind::Crash, &mut n);
+        on.record(0, EventKind::RecoveryBegin, &mut n);
+        assert_eq!((n.0, off.len(), on.len()), (2, 0, 2));
     }
 
     #[test]

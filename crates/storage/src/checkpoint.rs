@@ -7,19 +7,21 @@
 //! The store is the real two-slot scheme: two generation-numbered slots,
 //! each holding a checksummed byte image of the snapshot. [`install`]
 //! always overwrites the *older* slot, so the previous generation survives
-//! every checkpoint verbatim; [`load`] picks the newest slot whose
-//! checksum verifies, so a crash mid-install or a corrupted slot degrades
-//! to the previous generation (with a longer redo) instead of undefined
-//! behavior. The price of that fallback is paid by the log: the host must
-//! retain records from [`redo_floor`] — the *older* retained generation's
-//! redo point — not just the newest one's.
+//! every checkpoint verbatim; [`load`] re-verifies both slots and picks
+//! the newest whose checksum verifies, so a crash mid-install or a
+//! corrupted slot degrades to the previous generation (with a longer
+//! redo) instead of undefined behavior. The price of that fallback is
+//! paid by the log: the host must retain records from [`redo_floor`] —
+//! the *older* retained generation's redo point — not just the newest
+//! one's.
 //!
 //! The *database image* is whatever the site wants to snapshot (`S`, any
 //! [`Record`]), stored as a framed byte image next to the log. `dvp-core`
 //! snapshots its fragment store plus Vm channel state; the 2PC baseline
 //! its replicas, prepared transactions and owed decisions. As with the
 //! log, the image is the only copy: a slot keeps no decoded snapshot
-//! beside its bytes, and [`load`] decodes one when recovery asks.
+//! beside its bytes, and [`load`] decodes each slot once when recovery
+//! asks.
 //!
 //! [`CheckpointedLog`] is the engine-neutral bookkeeping both engines
 //! share: the genesis, when a checkpoint is due, force-then-install,
@@ -58,7 +60,7 @@ pub struct CheckpointMeta<S> {
 }
 
 /// Recovery chose an older generation because the newest slot's checksum
-/// failed (reported by [`CheckpointSlot::refresh`]).
+/// failed (reported by [`CheckpointSlot::load`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotFallback {
     /// The generation whose slot failed verification.
@@ -87,16 +89,14 @@ struct SlotState {
 
 impl SlotState {
     /// Re-derive the header from the bytes alone: a slot counts only if
-    /// its whole image decodes.
-    fn verify<S: Record>(&mut self) {
-        self.header = if self.image.is_empty() {
-            None
-        } else {
-            decode_slot::<S>(&self.image).ok().map(|m| SlotHeader {
-                generation: m.generation,
-                redo_from: m.redo_from,
-            })
-        };
+    /// its whole image decodes. Returns what it decoded.
+    fn verify<S: Record>(&mut self) -> Option<CheckpointMeta<S>> {
+        let meta = decode_slot::<S>(&self.image).ok();
+        self.header = meta.as_ref().map(|m| SlotHeader {
+            generation: m.generation,
+            redo_from: m.redo_from,
+        });
+        meta
     }
 
     fn generation(&self) -> u64 {
@@ -108,17 +108,15 @@ impl SlotState {
 ///
 /// Writing a checkpoint never touches the newest surviving generation:
 /// [`install`](Self::install) encodes the snapshot into the *older* slot.
-/// Recovery ([`load`](Self::load) / [`refresh`](Self::refresh)) picks the
-/// newest slot whose CRC verifies and falls back one generation — or to
-/// nothing — when it doesn't.
+/// Recovery ([`load`](Self::load)) picks the newest slot whose CRC
+/// verifies and falls back one generation — or to nothing — when it
+/// doesn't.
 #[derive(Clone, Debug)]
 pub struct CheckpointSlot<S> {
     slots: [SlotState; 2],
     /// Generation of the most recent install (0 = none yet) — the
     /// reference point for detecting that recovery had to fall back.
     last_installed: u64,
-    /// Checkpoints taken (for tests/benchmarks).
-    pub taken: u64,
     _snapshot: PhantomData<fn() -> S>,
 }
 
@@ -150,20 +148,7 @@ impl<S: Record> CheckpointSlot<S> {
         CheckpointSlot {
             slots: Default::default(),
             last_installed: 0,
-            taken: 0,
             _snapshot: PhantomData,
-        }
-    }
-
-    /// Index of the slot holding the newest verified generation, if any.
-    fn newest_valid(&self) -> Option<usize> {
-        let (g0, g1) = (self.slots[0].generation(), self.slots[1].generation());
-        if g0 == 0 && g1 == 0 {
-            None
-        } else if g0 >= g1 {
-            Some(0)
-        } else {
-            Some(1)
         }
     }
 
@@ -186,23 +171,27 @@ impl<S: Record> CheckpointSlot<S> {
             generation,
             redo_from,
         });
-        self.taken += 1;
     }
 
-    /// The newest checkpoint whose checksum verifies, if any, decoded
-    /// from its slot's bytes (the recovery path; nothing else reads a
-    /// snapshot back).
-    pub fn load(&self) -> Option<CheckpointMeta<S>> {
-        self.newest_valid()
-            .and_then(|i| decode_slot(&self.slots[i].image).ok())
-    }
-
-    /// The LSN redo should start from: the chosen checkpoint's
-    /// `redo_from`, or [`Lsn::FIRST`] when no slot verifies.
-    pub fn redo_from(&self) -> Lsn {
-        self.newest_valid()
-            .and_then(|i| self.slots[i].header)
-            .map_or(Lsn::FIRST, |h| h.redo_from)
+    /// The recovery read, and the only one of a snapshot: re-verify both
+    /// slot images against their checksums, decoding each once (each
+    /// header is re-derived from durable bytes, so a corrupted slot
+    /// surfaces here instead of being masked by what the last install
+    /// wrote). Returns the newest checkpoint that verifies, and the
+    /// fallback report if the most recently installed generation no
+    /// longer does.
+    pub fn load(&mut self) -> (Option<CheckpointMeta<S>>, Option<SlotFallback>) {
+        let [a, b] = &mut self.slots;
+        let newest = match (a.verify::<S>(), b.verify::<S>()) {
+            (Some(a), Some(b)) => Some(if a.generation >= b.generation { a } else { b }),
+            (a, b) => a.or(b),
+        };
+        let used = newest.as_ref().map_or(0, |m| m.generation);
+        let fallback = (used < self.last_installed).then_some(SlotFallback {
+            bad_generation: self.last_installed,
+            used_generation: (used > 0).then_some(used),
+        });
+        (newest, fallback)
     }
 
     /// The oldest LSN the log must retain so that recovery can fall back
@@ -216,30 +205,11 @@ impl<S: Record> CheckpointSlot<S> {
         }
     }
 
-    /// Re-verify both slot images against their checksums (the recovery
-    /// entry point — each header is re-derived from durable bytes, so a
-    /// corrupted slot surfaces here instead of being masked by what the
-    /// last install wrote). Returns the fallback report if the most
-    /// recently installed generation no longer verifies.
-    pub fn refresh(&mut self) -> Option<SlotFallback> {
-        for slot in &mut self.slots {
-            slot.verify::<S>();
-        }
-        let newest = self.slots[0].generation().max(self.slots[1].generation());
-        if self.last_installed > 0 && newest < self.last_installed {
-            Some(SlotFallback {
-                bad_generation: self.last_installed,
-                used_generation: (newest > 0).then_some(newest),
-            })
-        } else {
-            None
-        }
-    }
-
     /// Fault injection: flip one byte of slot `slot`'s image at `offset`.
     /// Returns whether a byte was actually flipped (`false` for an empty
     /// slot or out-of-range offset). The slot's header is re-derived from
-    /// the damaged bytes, so [`load`](Self::load) immediately reflects the
+    /// the damaged bytes, so the retention floor
+    /// ([`redo_floor`](Self::redo_floor)) immediately reflects the
     /// corruption.
     pub fn corrupt_slot(&mut self, slot: usize, offset: usize) -> bool {
         let s = &mut self.slots[slot % 2];
@@ -359,15 +329,14 @@ impl<R: Record, S: Record> CheckpointedLog<R, S> {
     }
 
     /// The recovery scan (paper Section 7), the one place stable storage
-    /// is read back: re-verify both slots ([`CheckpointSlot::refresh`]),
-    /// so a rotten newest slot surfaces as a [`SlotFallback`]; load the
-    /// newest snapshot that verifies; repair the log
+    /// is read back: re-verify both slots and load the newest snapshot
+    /// that verifies ([`CheckpointSlot::load`]), so a rotten newest slot
+    /// surfaces as a [`SlotFallback`]; repair the log
     /// ([`StableLog::recover_salvage`]); skip the records below the
     /// snapshot's redo point, which it holds already (their count is what
     /// the trigger subtracts); and report what storage lost.
     pub fn recover(&mut self) -> Recovery<R, S> {
-        let fallback = self.slot.refresh();
-        let checkpoint = self.slot.load();
+        let (checkpoint, fallback) = self.slot.load();
         let redo_from = checkpoint.as_ref().map_or(Lsn::FIRST, |cp| cp.redo_from);
         let Salvaged {
             mut entries,
@@ -412,10 +381,9 @@ mod tests {
 
     #[test]
     fn empty_slot_redoes_from_first() {
-        let slot: CheckpointSlot<Snap> = CheckpointSlot::new();
-        assert_eq!(slot.redo_from(), Lsn::FIRST);
+        let mut slot: CheckpointSlot<Snap> = CheckpointSlot::new();
         assert_eq!(slot.redo_floor(), Lsn::FIRST);
-        assert!(slot.load().is_none());
+        assert_eq!(slot.load(), (None, None));
     }
 
     #[test]
@@ -423,18 +391,10 @@ mod tests {
         let mut slot = CheckpointSlot::new();
         slot.install(Lsn(10), Snap(1));
         slot.install(Lsn(20), Snap(2));
-        let cp = slot.load().unwrap();
+        let cp = slot.load().0.unwrap();
         assert_eq!(cp.redo_from, Lsn(20));
         assert_eq!(cp.snapshot, Snap(2));
         assert_eq!(cp.generation, 2);
-        assert_eq!(slot.taken, 2);
-    }
-
-    #[test]
-    fn redo_from_reflects_checkpoint() {
-        let mut slot = CheckpointSlot::new();
-        slot.install(Lsn(7), Snap(3));
-        assert_eq!(slot.redo_from(), Lsn(7));
     }
 
     #[test]
@@ -448,7 +408,7 @@ mod tests {
         slot.install(Lsn(30), Snap(3));
         // Slots now hold generations 2 and 3; generation 1 was overwritten.
         assert_eq!(slot.redo_floor(), Lsn(20));
-        assert_eq!(slot.redo_from(), Lsn(30));
+        assert_eq!(slot.load().0.map(|cp| cp.redo_from), Some(Lsn(30)));
     }
 
     #[test]
@@ -456,13 +416,13 @@ mod tests {
         let mut slot = CheckpointSlot::new();
         slot.install(Lsn(10), Snap(1));
         slot.install(Lsn(20), Snap(2));
-        // Find which physical slot holds generation 2 and damage it.
-        let newest = slot.newest_valid().unwrap();
-        assert!(slot.corrupt_slot(newest, slot.slot_image(newest).len() / 2));
-        let cp = slot.load().expect("older generation must survive");
+        // Generation 2 went into slot 1, the older one; damage it.
+        assert!(slot.corrupt_slot(1, slot.slot_image(1).len() / 2));
+        let (cp, fb) = slot.load();
+        let cp = cp.expect("older generation must survive");
         assert_eq!(cp.generation, 1);
         assert_eq!(cp.redo_from, Lsn(10));
-        let fb = slot.refresh().expect("fallback must be reported");
+        let fb = fb.expect("fallback must be reported");
         assert_eq!(fb.bad_generation, 2);
         assert_eq!(fb.used_generation, Some(1));
     }
@@ -474,9 +434,9 @@ mod tests {
         slot.install(Lsn(20), Snap(2));
         assert!(slot.corrupt_slot(0, 3));
         assert!(slot.corrupt_slot(1, 3));
-        assert!(slot.load().is_none());
-        assert_eq!(slot.redo_from(), Lsn::FIRST);
-        let fb = slot.refresh().unwrap();
+        let (cp, fb) = slot.load();
+        assert!(cp.is_none());
+        let fb = fb.unwrap();
         assert_eq!(fb.bad_generation, 2);
         assert_eq!(fb.used_generation, None);
     }
@@ -489,22 +449,23 @@ mod tests {
         let mut reference = CheckpointSlot::new();
         reference.install(Lsn(5), Snap(0xDEAD_BEEF));
         reference.install(Lsn(9), Snap(0xFEED_FACE));
-        let newest = reference.newest_valid().unwrap();
+        let newest = 1;
         for offset in 0..reference.slot_image(newest).len() {
             let mut slot = reference.clone();
             assert!(slot.corrupt_slot(newest, offset));
-            if let Some(cp) = slot.load() {
+            if let Some(cp) = slot.load().0 {
                 assert_eq!(cp.generation, 1, "flip at {offset} must not verify");
             }
         }
     }
 
     #[test]
-    fn refresh_reverifies_the_durable_bytes() {
+    fn load_reverifies_the_durable_bytes() {
         let mut slot = CheckpointSlot::new();
         slot.install(Lsn(4), Snap(44));
-        assert!(slot.refresh().is_none(), "clean slots report no fallback");
-        let cp = slot.load().unwrap();
+        let (cp, fb) = slot.load();
+        assert!(fb.is_none(), "clean slots report no fallback");
+        let cp = cp.unwrap();
         assert_eq!(cp.snapshot, Snap(44));
         assert_eq!(cp.redo_from, Lsn(4));
     }
@@ -565,8 +526,8 @@ mod tests {
         assert_eq!(cl.checkpoint_if_due(4, || &Snap(3)), None);
         // The newest slot rots: recovery falls back to generation 1 and
         // finds its whole redo window, which the trigger then counts.
-        let newest = cl.slot.newest_valid().unwrap();
-        assert!(cl.slot.corrupt_slot(newest, 3));
+        // (Generation 2 went into slot 1.)
+        assert!(cl.slot.corrupt_slot(1, 3));
         let fallen = cl.recover();
         let fallback = SlotFallback {
             bad_generation: 2,
@@ -654,8 +615,8 @@ mod tests {
     #[test]
     fn both_slots_rotten_with_the_genesis_intact_replay_everything() {
         let mut cl = one_checkpoint(2);
-        let newest = cl.slot.newest_valid().unwrap();
-        assert!(cl.slot.corrupt_slot(newest, 3));
+        // The lone generation sits in slot 0.
+        assert!(cl.slot.corrupt_slot(0, 3));
         let rec = cl.recover();
         let fallback = SlotFallback {
             bad_generation: 1,

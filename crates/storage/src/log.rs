@@ -36,12 +36,13 @@ use crate::codec::{
     FRAME_HEADER,
 };
 use crate::lsn::Lsn;
-use dvp_obs::{EventKind, Obs};
+use dvp_obs::{EventKind, Fold, Obs};
 use std::borrow::Borrow;
 use std::ops::Range;
 
 /// Counters describing log activity (used by the mechanism benchmarks and
-/// by experiments that report "log forces per transaction").
+/// by experiments that report "log forces per transaction"). `forces` is
+/// the fold of the `LogForce` events ([`Fold`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LogStats {
     /// Records appended (durable or not).
@@ -66,6 +67,15 @@ pub struct LogStats {
     pub salvaged_records: u64,
     /// Image bytes dropped by salvage truncation.
     pub salvaged_bytes: u64,
+}
+
+impl Fold for LogStats {
+    #[inline]
+    fn fold(&mut self, kind: &EventKind) {
+        if let EventKind::LogForce { .. } = kind {
+            self.forces += 1;
+        }
+    }
 }
 
 impl LogStats {
@@ -262,15 +272,15 @@ impl<R: Record> StableLog<R> {
 
     /// Make every appended record durable. Idempotent.
     pub fn force(&mut self) {
-        self.stats.forces += 1;
         self.stats.max_force_batch = self.stats.max_force_batch.max(self.tail_records as u64);
         self.stats.records_forced += self.tail_records as u64;
         self.stable_records += self.tail_records;
         self.tail_records = 0;
         self.durable = self.buf.len();
-        self.obs.emit_with(self.obs_site, || EventKind::LogForce {
+        let force = EventKind::LogForce {
             stable_len: self.stable_records as u64,
-        });
+        };
+        self.obs.record(self.obs_site, force, &mut self.stats);
     }
 
     /// Force only if unforced records exist — the group-commit flush

@@ -31,7 +31,6 @@ impl VmEndpoint {
         // `next_datagram` survives: it is pure wire-level numbering, and
         // keeping it monotone means datagram ids in a trace never repeat
         // for a (site, peer) pair across crashes.
-        self.stats.crash_resets += 1;
     }
 
     /// Rebuild state from one durable log op (called in log order during

@@ -39,7 +39,6 @@ impl VmEndpoint {
             } else {
                 self.send_admitted(from, old_base);
             }
-            self.stats.acks_effective += 1;
             self.stats.completed += released as u64;
         } else {
             chan.heard(now);
@@ -48,8 +47,7 @@ impl VmEndpoint {
             return Receipt::AckOnly;
         };
         let class = self.chan(from).classify(seq);
-        let datagram = self.in_datagram;
-        self.obs.emit_with(self.me as u32, || EventKind::VmAccept {
+        let accept = EventKind::VmAccept {
             from: from as u32,
             vseq: seq,
             receipt: match class {
@@ -57,18 +55,17 @@ impl VmEndpoint {
                 Classify::OutOfOrder => "out_of_order",
                 Classify::Next => "fresh",
             },
-            datagram,
-        });
+            datagram: self.in_datagram,
+        };
+        self.obs.record(self.me as u32, accept, &mut self.stats);
         match class {
             Classify::Duplicate => {
-                self.stats.duplicates_discarded += 1;
                 // A duplicate proves the sender missed the ack: refresh it,
                 // so the sender can stop resending.
                 self.queue_ack(from);
                 Receipt::Duplicate
             }
             Classify::OutOfOrder => {
-                self.stats.out_of_order_held += 1;
                 let window = self.cfg.window;
                 self.chan(from).hold(seq, &payload, window);
                 Receipt::OutOfOrder

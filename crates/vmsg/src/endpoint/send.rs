@@ -45,16 +45,15 @@ impl VmEndpoint {
             ack: chan.accepted_in,
             payload,
         };
-        self.stats.data_frames_sent += 1;
         self.stats.bytes_sent += frame_wire_len(&frame) as u64;
         self.outbox.push((to, frame));
-        let datagram = self.pending_datagram_id(to);
-        self.obs.emit_with(self.me as u32, || EventKind::VmSend {
+        let send = EventKind::VmSend {
             to: to as u32,
             vseq: seq,
             retransmit: false,
-            datagram,
-        });
+            datagram: self.pending_datagram_id(to),
+        };
+        self.obs.record(self.me as u32, send, &mut self.stats);
     }
 
     /// Queue the first transmissions an ack just let into the window:
@@ -135,16 +134,15 @@ impl VmEndpoint {
                     ack,
                     payload: payload.clone(),
                 };
-                stats.retransmissions += 1;
-                stats.data_frames_sent += 1;
                 stats.bytes_sent += frame_wire_len(&frame) as u64;
                 outbox.push((peer, frame));
-                obs.emit_with(*me as u32, || EventKind::VmSend {
+                let send = EventKind::VmSend {
                     to: peer as u32,
                     vseq: seq,
                     retransmit: true,
                     datagram,
-                });
+                };
+                obs.record(*me as u32, send, stats);
             }
             chan.resent(upto, *now, seed);
         }

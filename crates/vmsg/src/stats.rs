@@ -1,4 +1,7 @@
-//! Vm protocol counters.
+//! Vm protocol counters. The ones a `VmSend` or `VmAccept` event
+//! records are folds of those events ([`Fold`]).
+
+use dvp_obs::{EventKind, Fold};
 
 /// Counters for one [`VmEndpoint`](crate::endpoint::VmEndpoint).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -15,16 +18,12 @@ pub struct VmStats {
     pub retransmissions: u64,
     /// Standalone ack frames sent.
     pub ack_frames_sent: u64,
-    /// Ack arrivals that actually released at least one Vm.
-    pub acks_effective: u64,
     /// Duplicate data frames discarded.
     pub duplicates_discarded: u64,
     /// Data frames that arrived ahead of the accept cursor. Each is held
     /// (up to a window per channel) until its predecessors are accepted;
     /// see [`take_ready`](crate::endpoint::VmEndpoint::take_ready).
     pub out_of_order_held: u64,
-    /// Crash resets performed.
-    pub crash_resets: u64,
     /// Channels a retransmit tick did *not* visit because they had no
     /// in-flight Vms (idle-aware retransmission).
     pub idle_channels_skipped: u64,
@@ -51,6 +50,24 @@ pub struct VmStats {
     pub hint_bytes_sent: u64,
 }
 
+impl Fold for VmStats {
+    #[inline]
+    fn fold(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::VmSend { retransmit, .. } => {
+                self.data_frames_sent += 1;
+                self.retransmissions += u64::from(retransmit);
+            }
+            EventKind::VmAccept { receipt, .. } => match receipt {
+                "duplicate" => self.duplicates_discarded += 1,
+                "out_of_order" => self.out_of_order_held += 1,
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+}
+
 impl VmStats {
     /// Accumulate another endpoint's counters into this one (used for
     /// cluster-wide aggregation in reports).
@@ -61,10 +78,8 @@ impl VmStats {
         self.data_frames_sent += o.data_frames_sent;
         self.retransmissions += o.retransmissions;
         self.ack_frames_sent += o.ack_frames_sent;
-        self.acks_effective += o.acks_effective;
         self.duplicates_discarded += o.duplicates_discarded;
         self.out_of_order_held += o.out_of_order_held;
-        self.crash_resets += o.crash_resets;
         self.idle_channels_skipped += o.idle_channels_skipped;
         self.datagrams_sent += o.datagrams_sent;
         self.bytes_sent += o.bytes_sent;

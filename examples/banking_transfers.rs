@@ -60,8 +60,11 @@ fn main() {
     let m = cluster.stats().txn;
     println!("=== 4-branch bank: partition + branch crash ===\n");
     println!("committed {} / aborted {}", m.committed(), m.aborted());
-    for (reason, count) in m.sites.iter().flat_map(|s| s.aborted.iter()) {
-        println!("  abort reason {reason:?}: {count}");
+    for reason in AbortReason::ALL {
+        let count = m.aborted_for(reason);
+        if count > 0 {
+            println!("  abort reason {reason:?}: {count}");
+        }
     }
 
     let alice_total: u64 = (0..4)

@@ -21,21 +21,30 @@ fn a_disabled_handle_never_builds_the_payload() {
 }
 
 /// One closed-loop banking run, traced or not: the counters a
-/// `RunReport` carries, and how many events the handle buffered.
-fn banking(w: &Workload, trace: bool) -> ([u64; 6], usize) {
+/// `RunReport` carries, then the ones folded from obs events, and how
+/// many events the handle buffered.
+fn banking(w: &Workload, trace: bool) -> ([u64; 13], usize) {
     let mut cfg = w.cluster();
     cfg.trace = trace;
     let mut cl = Cluster::build(cfg);
     let events = cl.sim.run_to_quiescence();
     let stats = cl.stats();
     let net = cl.sim.stats();
+    let m = &stats.txn;
     let counters = [
-        stats.txn.committed(),
-        stats.txn.aborted(),
+        m.committed(),
+        m.aborted(),
         stats.log.forces,
         net.sent,
         net.wire_bytes,
         events,
+        m.fast_path_commits(),
+        m.requests_sent(),
+        m.sum(|s| s.requests_ignored),
+        m.donations(),
+        m.sum(|s| s.checkpoints),
+        stats.vm.data_frames_sent,
+        stats.vm.retransmissions,
     ];
     (counters, cl.obs().len())
 }
@@ -56,6 +65,9 @@ fn a_traced_off_run_buffers_nothing_and_moves_no_counter() {
     let (on, on_events) = banking(&w, true);
     assert!(on_events > 0);
     assert_eq!(on, off);
+    // The folded counters count on a disabled handle too, and this run
+    // moves every one of them.
+    assert!(off[6..].iter().all(|&n| n > 0), "{off:?}");
     // And `Scenario` reports the same run the same way.
     let report = Scenario::dvp(&w).run();
     assert!(report.events.is_empty());
