@@ -5,39 +5,36 @@
 //! [`TradMetrics`] measures those windows directly. As in DvP, a fact
 //! an obs event records is counted by folding that event.
 
-use dvp_obs::{EventKind, Fold, Hist, PhaseHists};
+use crate::twopc::TradKind;
+pub use dvp_obs::TradAbort;
+use dvp_obs::{AbortCause, EventKind, Fold, Hist, PhaseHists};
 use dvp_simnet::time::SimTime;
 
-/// Why a traditional transaction aborted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TradAbort {
-    /// Lock acquisition / quorum assembly timed out.
-    Timeout,
-    /// Application logic rejected (e.g. insufficient value for a Decr).
-    Insufficient,
-    /// A participant voted NO.
-    VoteNo,
-    /// The coordinator crashed mid-protocol.
-    Crashed,
+/// One message kind's traffic out of one site.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KindTraffic {
+    /// Messages the site handed to itself in-site, with no wire hop.
+    pub in_site: u64,
+    /// Messages put on the wire, alone or inside a batch (for
+    /// [`TradKind::Batch`], the batches). A lock request or grant a site
+    /// sends itself is among them: it crosses the wire.
+    pub transmitted: u64,
+    /// Bytes those messages declared to the kernel: a lone message's
+    /// whole length, a batch member's tag and fields, a batch's stamp,
+    /// tag and count. Summed over kinds, the site's wire bytes.
+    pub wire_bytes: u64,
 }
 
-impl TradAbort {
-    /// All reasons, in declaration order: `reason as usize` indexes it.
-    pub const ALL: [TradAbort; 4] = [
-        TradAbort::Timeout,
-        TradAbort::Insufficient,
-        TradAbort::VoteNo,
-        TradAbort::Crashed,
-    ];
+impl KindTraffic {
+    /// Every message of the kind, in-site or on the wire.
+    pub fn logical(&self) -> u64 {
+        self.in_site + self.transmitted
+    }
 
-    /// Static tag for trace events.
-    pub fn tag(self) -> &'static str {
-        match self {
-            TradAbort::Timeout => "timeout",
-            TradAbort::Insufficient => "insufficient",
-            TradAbort::VoteNo => "vote_no",
-            TradAbort::Crashed => "crashed",
-        }
+    fn merge(&mut self, o: &KindTraffic) {
+        self.in_site += o.in_site;
+        self.transmitted += o.transmitted;
+        self.wire_bytes += o.wire_bytes;
     }
 }
 
@@ -52,8 +49,8 @@ pub struct TradMetrics {
     pub commit_latency: Hist,
     /// Abort-decision latency histogram (µs).
     pub abort_latency: Hist,
-    /// Messages sent by the engine (locks, votes, decisions, queries).
-    pub messages_sent: u64,
+    /// Messages by kind, indexed by `kind as usize` ([`TradKind::ALL`]).
+    pub traffic: [KindTraffic; TradKind::ALL.len()],
     /// Completed in-doubt windows, in µs (lock-hold time while blocked).
     pub in_doubt: Hist,
     /// In-doubt windows still open (blocked at harvest time): start
@@ -74,10 +71,11 @@ impl Fold for TradMetrics {
         match *kind {
             EventKind::TxnCommit { latency_us, .. } => self.commit_latency.record(latency_us),
             EventKind::TxnAbort {
-                reason, latency_us, ..
+                reason: AbortCause::Trad(reason),
+                latency_us,
+                ..
             } => {
-                let i = TradAbort::ALL.iter().position(|r| r.tag() == reason);
-                self.aborted[i.expect("a 2PC abort tag")] += 1;
+                self.aborted[reason as usize] += 1;
                 self.abort_latency.record(latency_us);
             }
             EventKind::Checkpoint { .. } => self.checkpoints += 1,
@@ -96,6 +94,15 @@ impl TradMetrics {
     /// Total aborts.
     pub fn total_aborted(&self) -> u64 {
         self.aborted.iter().sum()
+    }
+
+    /// Logical messages this site put on the wire (locks, votes,
+    /// decisions, queries; batched or not): what left the site, plus
+    /// the lock requests and grants it sent itself. What it handled
+    /// in-site is not among them.
+    pub fn messages_sent(&self) -> u64 {
+        let batch = self.traffic[TradKind::Batch as usize].transmitted;
+        self.traffic.iter().map(|t| t.transmitted).sum::<u64>() - batch
     }
 }
 
@@ -183,9 +190,20 @@ impl TradClusterMetrics {
         open.max(self.max_in_doubt_us())
     }
 
-    /// Total engine messages.
+    /// Total engine messages put on the wire.
     pub fn messages_sent(&self) -> u64 {
-        self.sites.iter().map(|s| s.messages_sent).sum()
+        self.sites.iter().map(TradMetrics::messages_sent).sum()
+    }
+
+    /// Traffic by kind, summed over sites, indexed by `kind as usize`.
+    pub fn traffic(&self) -> [KindTraffic; TradKind::ALL.len()] {
+        let mut total = [KindTraffic::default(); TradKind::ALL.len()];
+        for s in &self.sites {
+            for (t, o) in total.iter_mut().zip(&s.traffic) {
+                t.merge(o);
+            }
+        }
+        total
     }
 
     /// Total remote messages spent on recovery.
@@ -201,7 +219,7 @@ mod tests {
     fn abort(m: &mut TradMetrics, reason: TradAbort, latency_us: u64) {
         m.fold(&EventKind::TxnAbort {
             txn: 0,
-            reason: reason.tag(),
+            reason: reason.into(),
             latency_us,
         });
     }

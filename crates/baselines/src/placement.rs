@@ -102,7 +102,9 @@ impl Placement {
         match self {
             Placement::ReplicatedQuorum => {
                 let need = n / 2 + 1;
-                // Prefer the home site (free locality), then ascending ids.
+                // Prefer the home site, then ascending ids. Its lock
+                // round still crosses the wire, but its share of the
+                // decision phase is handled in-site (see `twopc`).
                 let mut q = vec![home];
                 q.extend((0..n).filter(|&s| s != home).take(need - 1));
                 q.truncate(need);

@@ -1,12 +1,18 @@
 //! Stable-log records for the traditional engine.
 //!
 //! Presumed-abort 2PC logging: participants force a `Prepared` record
-//! before voting YES; the coordinator forces a `Decision` record before
-//! announcing commit; participants force `Resolved` after installing (or
-//! learning of an abort). A recovering coordinator answers decision
-//! queries from its log (absent ⇒ abort); a recovering participant
-//! re-enters the in-doubt state for every `Prepared` without a matching
-//! `Resolved` — and must ask around, which is exactly the dependent
+//! before their YES vote leaves the site; the coordinator forces a
+//! `Decision` record before its commit leaves; participants force
+//! `Resolved` after installing (or learning of an abort). Every force is
+//! a dispatch's one group-commit force, so where the coordinator's home
+//! site is its own participant — its `Prepare`, `Vote`, `Decision` and
+//! `DecisionAck` handled in-site — one force can harden that site's
+//! `Prepared`, `Decision` and `Resolved` together. A recovering
+//! coordinator answers decision queries from its log (absent ⇒ abort),
+//! its own in-doubt transactions in-site during its recovery; a
+//! recovering participant re-enters the in-doubt state for every
+//! `Prepared` without a matching `Resolved` — and must ask around
+//! whenever another site coordinated it, which is exactly the dependent
 //! recovery DvP avoids.
 //!
 //! The log does not keep these records forever. Every

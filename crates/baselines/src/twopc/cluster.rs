@@ -46,9 +46,8 @@ impl TradCluster {
         }
         let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
         let audit = OutcomeAudit::default();
-        let sim = cfg.simulate(|s, obs, arrivals| {
-            let mut node = TradNode::new(s, n, cfg.site, totals.clone(), arrivals);
-            node.set_obs(obs.clone());
+        let sim = cfg.simulate(|_, obs, arrivals| {
+            let mut node = TradNode::new(n, cfg.site, totals.clone(), arrivals, obs);
             node.set_audit(audit.clone());
             node
         });

@@ -220,10 +220,14 @@ impl TradNode {
                 .filter(|(l, _)| l.quorum.contains(site))
                 .map(|(l, &v)| (l.item, v, ts.counter().max(l.version + 1)))
                 .collect();
+            let peers = match self.cfg.protocol {
+                CommitProtocol::TwoPhase => None,
+                CommitProtocol::ThreePhase => Some(writers),
+            };
             let body = TradBody::Prepare {
                 txn: ts,
                 writes,
-                peers: writers,
+                peers,
             };
             self.send(site, body);
         }
@@ -346,7 +350,7 @@ impl TradNode {
         }
         let abort = EventKind::TxnAbort {
             txn: ts.0,
-            reason: reason.tag(),
+            reason: reason.into(),
             latency_us: ctx.now().since(c.started).as_micros(),
         };
         self.obs.record(self.id as u32, abort, &mut self.metrics);

@@ -137,8 +137,8 @@ pub(super) struct Durable {
 
 impl Durable {
     /// A fresh site's stable storage: the genesis value of every item's
-    /// replica, forced.
-    pub(super) fn genesis(totals: &[u64]) -> Self {
+    /// replica, forced, with its events traced to `obs` as `site`'s.
+    pub(super) fn genesis(totals: &[u64], obs: &Obs, site: u32) -> Self {
         let init = totals
             .iter()
             .enumerate()
@@ -147,14 +147,9 @@ impl Durable {
                 value,
             });
         Durable {
-            stable: CheckpointedLog::genesis(init),
+            stable: CheckpointedLog::genesis(init, obs.clone(), site),
             snapshot_scratch: TradSnapshot::default(),
         }
-    }
-
-    /// Attach a trace handle to the log; `site` labels its events.
-    pub(super) fn set_obs(&mut self, obs: Obs, site: u32) {
-        self.stable.log.set_obs(obs, site);
     }
 
     pub(super) fn log(&self) -> &StableLog<TradRecord> {

@@ -28,7 +28,8 @@ pub(super) struct PartTxn {
     pub(super) in_doubt_since: Option<SimTime>,
     /// 3PC: pre-commit received (commit is inevitable barring total loss).
     pub(super) precommitted: bool,
-    /// Fellow writers (for cooperative termination).
+    /// 3PC: fellow writers (for cooperative termination); empty under
+    /// 2PC.
     pub(super) peers: Sites,
     /// Termination-protocol rounds attempted while in doubt.
     pub(super) term_attempts: u32,
@@ -115,7 +116,7 @@ impl TradNode {
         from: NodeId,
         ts: Ts,
         writes: Writes,
-        peers: Sites,
+        peers: Option<Sites>,
         ctx: &mut Context<'_, TradMsg>,
     ) {
         let holds_all = self
@@ -154,7 +155,7 @@ impl TradNode {
             }
             p.prepared_writes = Some(writes);
             p.in_doubt_since = Some(ctx.now());
-            p.peers = peers - Sites::one(self.id);
+            p.peers = peers.unwrap_or(Sites::EMPTY) - Sites::one(self.id);
             // The unprepared timeout gives way to the query retry: start
             // querying if the decision does not arrive.
             ctx.cancel_timer(p.timer);
@@ -279,7 +280,11 @@ impl TradNode {
         p.prepared_writes = Some(writes);
         p.in_doubt_since = Some(ctx.now());
         self.part.insert(txn, p);
-        self.metrics.recovery_remote_messages += 1;
+        // A transaction this site coordinated is answered in-site, from
+        // the decisions recovery just reloaded.
+        if coordinator != self.id {
+            self.metrics.recovery_remote_messages += 1;
+        }
         self.send(coordinator, TradBody::DecisionQuery { txn });
     }
 }

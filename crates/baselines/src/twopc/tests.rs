@@ -374,12 +374,14 @@ fn values<'a>(nodes: impl Iterator<Item = &'a TradNode>, item: ItemId) -> Vec<u6
 
 /// A 2PC site that keeps the messages `keep` selects and, on its scripted
 /// arrival, receives them again: duplicates the network delivered late.
-/// It also notes every vote it receives, `(from, yes)`.
+/// It also notes every vote it receives, `(from, yes)`, and the kind of
+/// every message that reached it over the wire from itself.
 struct Replayer {
     node: TradNode,
     keep: fn(&TradBody) -> bool,
     kept: Vec<(NodeId, TradMsg)>,
     votes: Vec<(NodeId, bool)>,
+    from_itself: Vec<TradKind>,
 }
 
 impl Replayer {
@@ -389,6 +391,7 @@ impl Replayer {
             keep,
             kept: Vec::new(),
             votes: Vec::new(),
+            from_itself: Vec::new(),
         }
     }
 }
@@ -398,15 +401,20 @@ impl Node for Replayer {
 
     fn on_message(&mut self, from: NodeId, msg: TradMsg, ctx: &mut Context<'_, TradMsg>) {
         let logical = match &msg.body {
-            TradBody::Batch(msgs) => msgs.iter().collect(),
-            _ => vec![&msg],
+            TradBody::Batch(bodies) => bodies.iter().collect(),
+            body => vec![body],
         };
-        for m in logical {
-            if let TradBody::Vote { yes, .. } = m.body {
+        for body in logical {
+            if from == self.node.id {
+                self.from_itself.push(body.kind());
+            }
+            if let TradBody::Vote { yes, .. } = *body {
                 self.votes.push((from, yes));
             }
-            if (self.keep)(&m.body) {
-                self.kept.push((from, m.clone()));
+            if (self.keep)(body) {
+                let lamport = msg.lamport;
+                let body = body.clone();
+                self.kept.push((from, TradMsg { lamport, body }));
             }
         }
         self.node.on_message(from, msg, ctx);
@@ -443,13 +451,73 @@ fn replayers(
     let totals: Vec<u64> = cfg.catalog.items().iter().map(|d| d.total).collect();
     let audit = OutcomeAudit::default();
     let n = cfg.n_sites();
-    let sim = cfg.simulate(|s, obs, arrivals| {
-        let mut node = TradNode::new(s, n, cfg.site, totals.clone(), arrivals);
-        node.set_obs(obs.clone());
+    let sim = cfg.simulate(|_, obs, arrivals| {
+        let mut node = TradNode::new(n, cfg.site, totals.clone(), arrivals, obs);
         node.set_audit(audit.clone());
         Replayer::new(node, keep)
     });
     (sim, audit)
+}
+
+/// A site's messages to itself skip the wire, all but the lock round's:
+/// on E1's banking script (2,000 transfers) under 2PC and 3PC, with a
+/// site crashed and recovered mid-run, every message that reaches a site
+/// over the wire from itself is a `LockReq` or a `LockGrant`, and each
+/// decision-phase kind was handed in-site.
+#[test]
+fn only_the_lock_round_crosses_the_wire_from_a_site_to_itself() {
+    use dvp_workloads::BankingWorkload;
+
+    let w = BankingWorkload {
+        n_sites: 8,
+        accounts: 16,
+        txns: 2_000,
+        ..Default::default()
+    }
+    .generate(42);
+    for protocol in [CommitProtocol::TwoPhase, CommitProtocol::ThreePhase] {
+        let mut cfg = w.cluster().with_site(TradConfig {
+            protocol,
+            ..Default::default()
+        });
+        cfg.faults = FaultPlan::none().crash(ms(300), 2).recover(ms(700), 2);
+        let (mut sim, _) = replayers(&cfg, |_| false);
+        sim.run_to_quiescence();
+        let mut lock_round = 0;
+        let mut in_site = [0; TradKind::ALL.len()];
+        for r in sim.nodes() {
+            for &kind in &r.from_itself {
+                assert!(
+                    !kind.in_site(),
+                    "{protocol:?}: site {} sent itself a {kind:?} over the wire",
+                    r.node.id
+                );
+                lock_round += 1;
+            }
+            for (n, t) in in_site.iter_mut().zip(&r.node.metrics().traffic) {
+                *n += t.in_site;
+            }
+        }
+        assert!(lock_round > 0, "{protocol:?}: no home lock was taken");
+        let mut handed = vec![
+            TradKind::Prepare,
+            TradKind::Vote,
+            TradKind::Decision,
+            TradKind::DecisionAck,
+            TradKind::ReleaseLocks,
+        ];
+        if protocol == CommitProtocol::ThreePhase {
+            handed.extend([TradKind::PreCommit, TradKind::PreAck]);
+        }
+        for kind in handed {
+            assert!(
+                in_site[kind as usize] > 0,
+                "{protocol:?}: no {kind:?} in-site"
+            );
+        }
+        assert_eq!(in_site[TradKind::LockReq as usize], 0);
+        assert_eq!(in_site[TradKind::LockGrant as usize], 0);
+    }
 }
 
 #[test]

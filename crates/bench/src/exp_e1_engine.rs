@@ -19,7 +19,14 @@
 //! slot — counted rather than timed, so what the adaptive bookkeeping
 //! costs is held by equality like every other cell.
 //!
-//! A third block runs banking on a reliable net at the default link's
+//! A third block splits `trad2pc_banking`'s traffic by message kind:
+//! logical messages, the share a site handed itself in-site, the
+//! messages on the wire (a batch envelope counted as its own kind) and
+//! the bytes each kind declared, all per decided transaction. Its total
+//! row is the engine table's frames and wire bytes, and [`run`] checks
+//! that it is.
+//!
+//! A fourth block runs banking on a reliable net at the default link's
 //! delays times 1, 5 and 10 under both engines: commits, timeout aborts
 //! and DvP's retransmissions per data frame, where DvP's Vm timeouts
 //! follow measured round trips and 2PC's timers are constants.
@@ -38,7 +45,8 @@
 
 use crate::scenario::{RunReport, Scenario};
 use crate::table::{f2, pct, Table};
-use dvp_baselines::metrics::TradAbort;
+use dvp_baselines::metrics::{KindTraffic, TradAbort};
+use dvp_baselines::twopc::TradKind;
 use dvp_core::{AbortReason, Placement, SiteConfig};
 use dvp_simnet::network::{LinkConfig, NetworkConfig};
 use dvp_simnet::time::SimDuration;
@@ -155,7 +163,29 @@ fn check(reports: &[RunReport]) {
             "{} reports no wire bytes: the 2PC baseline lost its kernel wire accounting",
             r.scenario
         );
+        let traffic = r.trad.traffic();
+        let bytes: u64 = traffic.iter().map(|t| t.wire_bytes).sum();
+        let frames: u64 = logical_kinds(&traffic).map(|(_, t)| t.transmitted).sum();
+        assert!(
+            r.trad.sites.is_empty() || (bytes, frames) == (r.net.wire_bytes, r.net.frames_sent),
+            "{}: its traffic by kind ({bytes} B, {frames} frames) is not the kernel's \
+             ({} B, {} frames)",
+            r.scenario,
+            r.net.wire_bytes,
+            r.net.frames_sent
+        );
     }
+}
+
+/// The kinds that are logical messages (every kind but the batch
+/// envelope), each with its traffic.
+fn logical_kinds(
+    traffic: &[KindTraffic; TradKind::ALL.len()],
+) -> impl Iterator<Item = (TradKind, &KindTraffic)> {
+    TradKind::ALL
+        .into_iter()
+        .zip(traffic)
+        .filter(|(k, _)| *k != TradKind::Batch)
 }
 
 fn per_txn(r: &RunReport, x: u64) -> f64 {
@@ -225,7 +255,51 @@ fn reports() -> Vec<RunReport> {
     reports
 }
 
-/// The engine/wire table (all rows) and the placement table (DvP rows).
+/// `trad2pc_banking`'s traffic by message kind, per decided transaction:
+/// a row per kind that moved, the batch envelope's after, then the
+/// total.
+fn by_kind(reports: &[RunReport]) -> Table {
+    let r = reports
+        .iter()
+        .find(|r| r.scenario == "trad2pc_banking")
+        .expect("E1 runs trad2pc_banking");
+    let mut t = Table::new(
+        "E1: 2PC traffic by message kind (trad2pc_banking, per decided transaction)",
+        &["kind", "logical", "in-site", "transmitted", "wire B"],
+    );
+    let per = |x: u64| f2(per_txn(r, x));
+    let bytes = |x: u64| format!("{:.1}", per_txn(r, x));
+    let traffic = r.trad.traffic();
+    for (kind, k) in logical_kinds(&traffic).filter(|(_, k)| k.logical() > 0) {
+        t.row(vec![
+            format!("{kind:?}"),
+            per(k.logical()),
+            per(k.in_site),
+            per(k.transmitted),
+            bytes(k.wire_bytes),
+        ]);
+    }
+    let batch = traffic[TradKind::Batch as usize];
+    t.row(vec![
+        "Batch (envelope)".into(),
+        "-".into(),
+        "-".into(),
+        per(batch.transmitted),
+        bytes(batch.wire_bytes),
+    ]);
+    let sum = |f: fn(&KindTraffic) -> u64| logical_kinds(&traffic).map(|(_, k)| f(k)).sum();
+    t.row(vec![
+        "total".into(),
+        per(sum(KindTraffic::logical)),
+        per(sum(|k| k.in_site)),
+        per(sum(|k| k.transmitted)),
+        bytes(traffic.iter().map(|k| k.wire_bytes).sum()),
+    ]);
+    t
+}
+
+/// The engine/wire table (all rows), the placement table (DvP rows) and
+/// the 2PC by-kind table.
 fn tables(reports: &[RunReport]) -> Vec<Table> {
     let dvp = reports
         .iter()
@@ -239,6 +313,7 @@ fn tables(reports: &[RunReport]) -> Vec<Table> {
             reports.iter(),
         ),
         table("E1: value placement, DvP rows".into(), &PLACEMENT, dvp),
+        by_kind(reports),
     ]
 }
 
@@ -302,8 +377,9 @@ fn link_scale() -> Table {
     t
 }
 
-/// Run E1 and return its tables: the seven rows' two, then the
-/// link-scale block. Panics on a row the module doc calls unsound.
+/// Run E1 and return its tables: the seven rows' two, the 2PC by-kind
+/// block, then the link-scale block. Panics on a row the module doc
+/// calls unsound.
 pub fn run() -> Vec<Table> {
     let mut t = tables(&reports());
     t.push(link_scale());

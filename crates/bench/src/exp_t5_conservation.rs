@@ -42,6 +42,9 @@ pub const N_SITES: usize = 6;
 /// settles.
 pub const HORIZON_MS: u64 = 1_200;
 
+/// Campaigns each fixed configuration runs in the matrix.
+pub const MATRIX_SEEDS: u64 = 100;
+
 /// Campaigns the `sampled` row runs in the companion table.
 pub const SAMPLED_SEEDS: u64 = 1_000;
 
@@ -398,10 +401,13 @@ fn shrink(pc: &ProtoConfig, seed: u64, schedule: &FaultSchedule, violation: &str
 pub fn run() -> Vec<Table> {
     let mut configs = configs();
     let drawn = configs.pop().expect("`sampled` is the last config");
-    [matrix(&configs, 100), sampled(&drawn, SAMPLED_SEEDS)]
-        .into_iter()
-        .map(|t| t.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
+    [
+        matrix(&configs, MATRIX_SEEDS),
+        sampled(&drawn, SAMPLED_SEEDS),
+    ]
+    .into_iter()
+    .map(|t| t.unwrap_or_else(|e| panic!("{e}")))
+    .collect()
 }
 
 #[cfg(test)]

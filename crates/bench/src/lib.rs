@@ -20,6 +20,7 @@
 
 #[cfg(feature = "alloc-audit")]
 pub mod alloc_audit;
+pub mod diff;
 pub mod exp_a1_ablations;
 pub mod exp_e1_engine;
 pub mod exp_e2_recovery_cost;
@@ -35,6 +36,7 @@ pub mod exp_t5_conservation;
 pub mod scenario;
 pub mod table;
 
+pub use diff::diff;
 pub use scenario::{EngineKind, RunReport, Scenario};
 pub use table::Table;
 

@@ -8,7 +8,7 @@
 //! enabling `.trace(true)` captures the structured `dvp-obs` event stream
 //! for deterministic JSONL export.
 
-use dvp_baselines::{TradCluster, TradConfig};
+use dvp_baselines::{TradCluster, TradClusterMetrics, TradConfig};
 use dvp_core::{Cluster, ClusterConfig, ClusterMetrics, FaultPlan, SiteConfig, StatsView};
 use dvp_obs::{to_jsonl, Event, Hist, PhaseHists};
 use dvp_simnet::network::NetworkConfig;
@@ -199,6 +199,8 @@ impl Scenario {
             log,
             vm,
             txn,
+            // No 2PC engine: the by-kind traffic has no sites.
+            trad: TradClusterMetrics::default(),
         }
     }
 
@@ -226,6 +228,7 @@ impl Scenario {
             events: cl.sim.obs().take(),
             net,
             log: cl.log_stats(),
+            trad: m,
             // No Vm layer and no DvP transaction engine: every DvP-only
             // column reads 0.
             ..Default::default()
@@ -283,6 +286,8 @@ pub struct RunReport {
     /// Per-site DvP transaction-engine counters; no sites for the
     /// baseline.
     pub txn: ClusterMetrics,
+    /// Per-site baseline engine counters; no sites for DvP.
+    pub trad: TradClusterMetrics,
 }
 
 impl RunReport {

@@ -190,8 +190,7 @@ impl Cluster {
         let sim = cfg.simulate(|s, obs, arrivals| {
             let quotas = site_quotas[s].clone();
             let faults = cfg.faults.injection(s);
-            let mut node = SiteNode::new(s, n, cfg.site, faults, cfg.mutant, quotas, arrivals);
-            node.set_obs(obs.clone());
+            let mut node = SiteNode::new(n, cfg.site, faults, cfg.mutant, quotas, arrivals, obs);
             node.set_history(history.clone());
             node
         });

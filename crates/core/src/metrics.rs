@@ -11,43 +11,9 @@
 //! number of commits.
 
 use crate::item::ItemId;
-use dvp_obs::{EventKind, Fold, Hist, PhaseHists};
+pub use dvp_obs::AbortReason;
+use dvp_obs::{AbortCause, EventKind, Fold, Hist, PhaseHists};
 use std::collections::BTreeMap;
-
-/// Why a transaction aborted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AbortReason {
-    /// Solicited value / read grants did not arrive in time (Section 5,
-    /// Step 3 — the pessimistic timeout).
-    Timeout,
-    /// A required local data value was already locked (Conc1 fail-fast).
-    LockConflict,
-    /// The Conc1 timestamp check `TS(t) > TS(d)` failed.
-    TsConflict,
-    /// The home site crashed while the transaction was in flight.
-    Crashed,
-}
-
-impl AbortReason {
-    /// All reasons, for tabulation, in declaration order: `reason as
-    /// usize` indexes it.
-    pub const ALL: [AbortReason; 4] = [
-        AbortReason::Timeout,
-        AbortReason::LockConflict,
-        AbortReason::TsConflict,
-        AbortReason::Crashed,
-    ];
-
-    /// Static tag for trace events.
-    pub fn tag(self) -> &'static str {
-        match self {
-            AbortReason::Timeout => "timeout",
-            AbortReason::LockConflict => "lock_conflict",
-            AbortReason::TsConflict => "ts_conflict",
-            AbortReason::Crashed => "crashed",
-        }
-    }
-}
 
 /// Counters for one site.
 #[derive(Clone, Debug, Default)]
@@ -135,10 +101,11 @@ impl Fold for SiteMetrics {
                 }
             }
             EventKind::TxnAbort {
-                reason, latency_us, ..
+                reason: AbortCause::Dvp(reason),
+                latency_us,
+                ..
             } => {
-                let i = AbortReason::ALL.iter().position(|r| r.tag() == reason);
-                self.aborted[i.expect("a DvP abort tag")] += 1;
+                self.aborted[reason as usize] += 1;
                 self.abort_latency.record(latency_us);
             }
             _ => {}
@@ -304,7 +271,7 @@ mod tests {
     fn abort(m: &mut SiteMetrics, reason: AbortReason, latency_us: u64) {
         m.fold(&EventKind::TxnAbort {
             txn: 0,
-            reason: reason.tag(),
+            reason: reason.into(),
             latency_us,
         });
     }

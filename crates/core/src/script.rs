@@ -371,6 +371,11 @@ impl ScriptCursor {
             .collect()
     }
 
+    /// The site whose arrivals this cursor reads.
+    pub fn site(&self) -> NodeId {
+        self.site
+    }
+
     /// The script this cursor reads (a shared handle).
     pub fn script(&self) -> &Script {
         &self.script

@@ -132,26 +132,22 @@ pub(super) struct Durable {
 
 impl Durable {
     /// A fresh site's stable storage: the genesis records of its quota
-    /// split (`quotas[i]` of item `i`), forced.
-    pub(super) fn genesis(site: NodeId, quotas: &[Qty]) -> Self {
+    /// split (`quotas[i]` of item `i`), forced, with its events traced to
+    /// `obs`.
+    pub(super) fn genesis(site: NodeId, quotas: &[Qty], obs: &Obs) -> Self {
         let init = quotas.iter().enumerate().map(|(i, &qty)| SiteRecord::Init {
             item: ItemId(i as u32),
             qty,
         });
         Durable {
             site,
-            stable: CheckpointedLog::genesis(init),
+            stable: CheckpointedLog::genesis(init, obs.clone(), site as u32),
             needs_flush: false,
             snapshot_scratch: SiteSnapshot::default(),
             last_replayed: 0,
             media_failed: false,
-            obs: Obs::disabled(),
+            obs: obs.clone(),
         }
-    }
-
-    pub(super) fn set_obs(&mut self, obs: Obs) {
-        self.stable.log.set_obs(obs.clone(), self.site as u32);
-        self.obs = obs;
     }
 
     pub(super) fn log(&self) -> &SiteLog {

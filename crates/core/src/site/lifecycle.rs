@@ -233,7 +233,7 @@ impl SiteNode {
     ) {
         let abort = EventKind::TxnAbort {
             txn: ts.0,
-            reason: reason.tag(),
+            reason: reason.into(),
             latency_us: ctx.now().since(started).as_micros(),
         };
         self.obs.record(self.id as u32, abort, &mut self.metrics);

@@ -178,23 +178,30 @@ pub struct SiteNode {
 impl SiteNode {
     /// Build a site.
     ///
-    /// * `id`/`n`: this site's id and the cluster size.
+    /// * `n`: the cluster size.
     /// * `faults`: the faults the run's plan injects at this site.
     /// * `mutant`: the bug the run plants, if any.
     /// * `quotas[i]`: this site's initial fragment of item `i` (the data-
     ///   value partitioning). Logged as genesis records.
     /// * `arrivals`: the transactions this site will run, read at each
-    ///   arrival by the external-event tag the cluster scheduler uses.
+    ///   arrival by the external-event tag the cluster scheduler uses;
+    ///   the site's id is the cursor's.
+    /// * `obs`: the trace handle, shared down into the Vm endpoint and the
+    ///   stable log so every layer stamps events on the same clock, the
+    ///   genesis force included.
     pub fn new(
-        id: NodeId,
         n: usize,
         cfg: SiteConfig,
         faults: Injection,
         mutant: Option<Mutant>,
         quotas: Vec<Qty>,
         arrivals: ScriptCursor,
+        obs: &Obs,
     ) -> Self {
+        let id = arrivals.site();
         let k = quotas.len();
+        let mut vm = vm_endpoint(id);
+        vm.set_obs(obs.clone());
         let mut frags = FragmentStore::new(k);
         for (i, &q) in quotas.iter().enumerate() {
             frags.credit(ItemId(i as u32), q);
@@ -206,8 +213,8 @@ impl SiteNode {
             clock: LamportClock::new(id),
             frags,
             locks: LockTable::with_items(k),
-            vm: vm_endpoint(id),
-            durable: Durable::genesis(id, &quotas),
+            vm,
+            durable: Durable::genesis(id, &quotas, obs),
             inject: FaultInjector::new(id, faults, mutant),
             planner: Planner::new(id, n, cfg.placement, k),
             arrivals,
@@ -219,7 +226,7 @@ impl SiteNode {
             rebalance_armed: false,
             metrics: SiteMetrics::default(),
             history: HistorySink::default(),
-            obs: Obs::disabled(),
+            obs: obs.clone(),
             completed_scratch: Vec::new(),
             datagram_scratch: Vec::new(),
             freed_scratch: Vec::new(),
@@ -228,14 +235,6 @@ impl SiteNode {
             demands_scratch: Vec::new(),
             released_scratch: Vec::new(),
         }
-    }
-
-    /// Attach a trace handle, shared down into the Vm endpoint and the
-    /// stable log so every layer stamps events on the same clock.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.vm.set_obs(obs.clone());
-        self.durable.set_obs(obs.clone());
-        self.obs = obs;
     }
 
     /// Attach the cluster's history sink; every commit here feeds it.
@@ -604,14 +603,15 @@ mod tests {
             .placement(Placement::adaptive())
             .build();
         let faults = Injection::default();
+        let scripts = [Script::new(), Script::new()];
         let mut site = SiteNode::new(
-            1,
             4,
             cfg,
             faults,
             None,
             vec![100, 50],
-            ScriptCursor::run(&[Script::new()], &crate::item::Catalog::new()).remove(0),
+            ScriptCursor::run(&scripts, &crate::item::Catalog::new()).remove(1),
+            &Obs::disabled(),
         );
         let fresh = site.planner.clone();
         site.planner.local_demand(ItemId(0), 30);

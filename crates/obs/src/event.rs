@@ -5,6 +5,7 @@
 //! across refactors. Encoding is hand-rolled (fixed field order, no
 //! maps, no floats) to keep that guarantee trivial.
 
+use crate::reason::AbortCause;
 use std::fmt::Write as _;
 
 /// One observability event: where and when, plus what happened.
@@ -91,8 +92,9 @@ pub enum EventKind {
     TxnAbort {
         /// Transaction id.
         txn: u64,
-        /// Static reason tag (e.g. "timeout", "lock_conflict").
-        reason: &'static str,
+        /// Why, in the aborting engine's terms (encoded as its tag, e.g.
+        /// "timeout", "lock_conflict").
+        reason: AbortCause,
         /// start → abort decision, µs.
         latency_us: u64,
     },
@@ -129,7 +131,10 @@ pub enum EventKind {
         from: u32,
         /// Virtual sequence number.
         vseq: u64,
-        /// Receipt class: "fresh", "duplicate", "out_of_order".
+        /// Receipt class: a [`VmReceipt`](crate::VmReceipt)'s tag —
+        /// "fresh", "duplicate" or "out_of_order". Emitted and folded
+        /// through `VmReceipt`; the field stays a string because the repo
+        /// benchmark matches it as one.
         receipt: &'static str,
         /// Wire datagram the frame arrived in (0 = non-coalesced frame;
         /// omitted from the JSONL encoding).
@@ -304,7 +309,8 @@ impl Event {
             } => {
                 let _ = write!(
                     s,
-                    ",\"txn\":{txn},\"reason\":\"{reason}\",\"latency_us\":{latency_us}"
+                    ",\"txn\":{txn},\"reason\":\"{}\",\"latency_us\":{latency_us}",
+                    reason.tag()
                 );
             }
             EventKind::PlacementShip { item, to, qty } => {

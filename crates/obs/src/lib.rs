@@ -41,9 +41,11 @@
 
 mod event;
 mod hist;
+mod reason;
 
 pub use event::{to_jsonl, Event, EventKind};
 pub use hist::{Hist, PhaseHists, BUCKETS};
+pub use reason::{AbortCause, AbortReason, TradAbort, VmReceipt};
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

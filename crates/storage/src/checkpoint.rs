@@ -37,6 +37,7 @@
 use crate::codec::{decode_exact, frame_in_place, take_frame, DecodeError, Record};
 use crate::log::{SalvageReport, Salvaged, StableLog};
 use crate::lsn::Lsn;
+use dvp_obs::Obs;
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
@@ -277,9 +278,11 @@ pub struct CheckpointedLog<R, S> {
 
 impl<R: Record, S: Record> CheckpointedLog<R, S> {
     /// A fresh site's stable storage: the `genesis` records, forced, and
-    /// no checkpoint taken yet.
-    pub fn genesis(genesis: impl IntoIterator<Item = R>) -> Self {
+    /// no checkpoint taken yet. The log reports to `obs` as site `site`
+    /// from the start, so the genesis force is traced like every other.
+    pub fn genesis(genesis: impl IntoIterator<Item = R>, obs: Obs, site: u32) -> Self {
         let mut log = StableLog::new();
+        log.set_obs(obs, site);
         for rec in genesis {
             log.append(rec);
         }
@@ -480,7 +483,7 @@ mod tests {
 
     #[test]
     fn the_trigger_counts_only_the_un_checkpointed_suffix() {
-        let mut cl = CheckpointedLog::genesis([]);
+        let mut cl = CheckpointedLog::genesis([], Obs::disabled(), 0);
         let snap = Snap(7);
         grow(&mut cl, 3);
         let not_taken = || -> &Snap { unreachable!("no checkpoint is due") };
@@ -503,7 +506,7 @@ mod tests {
 
     #[test]
     fn truncation_keeps_the_older_generations_redo_window() {
-        let mut cl = CheckpointedLog::genesis([]);
+        let mut cl = CheckpointedLog::genesis([], Obs::disabled(), 0);
         for (snap, redo_from) in [(Snap(1), Lsn(4)), (Snap(2), Lsn(8))] {
             grow(&mut cl, 4);
             assert_eq!(cl.checkpoint_if_due(4, || &snap), Some(redo_from));
@@ -551,7 +554,7 @@ mod tests {
     /// Genesis records 0–3, a checkpoint `Snap(1)` redoing from 4, then
     /// `more` records: a lone generation, so truncation keeps them all.
     fn one_checkpoint(more: u64) -> CheckpointedLog<Snap, Snap> {
-        let mut cl = CheckpointedLog::genesis((0..4).map(Snap));
+        let mut cl = CheckpointedLog::genesis((0..4).map(Snap), Obs::disabled(), 0);
         assert_eq!(cl.checkpoint_if_due(4, || &Snap(1)), Some(Lsn(4)));
         cl.truncate_checkpointed();
         grow(&mut cl, more);
@@ -599,7 +602,7 @@ mod tests {
 
     #[test]
     fn a_torn_tail_is_cut_and_reported_as_lossless() {
-        let mut cl = CheckpointedLog::<Snap, Snap>::genesis((0..2).map(Snap));
+        let mut cl = CheckpointedLog::<Snap, Snap>::genesis((0..2).map(Snap), Obs::disabled(), 0);
         cl.log.append(Snap(2));
         assert!(cl.log.crash_torn(TornWrite::Truncated));
         let rec = cl.recover();

@@ -14,6 +14,7 @@
 
 use crate::rto::RtoEstimator;
 use bytes::Bytes;
+use dvp_obs::VmReceipt;
 use std::collections::VecDeque;
 
 /// Channel sequence number. `0` means "nothing yet"; real messages use
@@ -182,14 +183,15 @@ impl Channel {
         }
     }
 
-    /// Classify an incoming data frame's sequence number.
-    pub(crate) fn classify(&self, seq: Seq) -> Classify {
+    /// Classify an incoming data frame's sequence number against the
+    /// accept cursor.
+    pub(crate) fn classify(&self, seq: Seq) -> VmReceipt {
         if seq <= self.accepted_in {
-            Classify::Duplicate
+            VmReceipt::Duplicate
         } else if seq == self.accepted_in + 1 {
-            Classify::Next
+            VmReceipt::Fresh
         } else {
-            Classify::OutOfOrder
+            VmReceipt::OutOfOrder
         }
     }
 
@@ -226,14 +228,6 @@ impl Channel {
         debug_assert_eq!(seq, self.accepted_in + 1, "accepts must be in order");
         self.accepted_in = seq;
     }
-}
-
-/// How an incoming sequence number relates to the accept cursor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Classify {
-    Duplicate,
-    Next,
-    OutOfOrder,
 }
 
 #[cfg(test)]
@@ -273,12 +267,12 @@ mod tests {
     #[test]
     fn classify_tracks_cursor() {
         let mut c = Channel::default();
-        assert_eq!(c.classify(1), Classify::Next);
-        assert_eq!(c.classify(2), Classify::OutOfOrder);
+        assert_eq!(c.classify(1), VmReceipt::Fresh);
+        assert_eq!(c.classify(2), VmReceipt::OutOfOrder);
         c.commit_accept(1);
-        assert_eq!(c.classify(1), Classify::Duplicate);
-        assert_eq!(c.classify(2), Classify::Next);
-        assert_eq!(c.classify(5), Classify::OutOfOrder);
+        assert_eq!(c.classify(1), VmReceipt::Duplicate);
+        assert_eq!(c.classify(2), VmReceipt::Fresh);
+        assert_eq!(c.classify(5), VmReceipt::OutOfOrder);
     }
 
     #[test]

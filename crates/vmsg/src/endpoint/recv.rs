@@ -3,13 +3,13 @@
 //! flushed standalone.
 
 use super::{Receipt, VmEndpoint};
-use crate::channel::{Classify, Seq};
+use crate::channel::Seq;
 use crate::codec::ACK_FRAME_LEN;
 use crate::frame::Frame;
 use crate::logop::VmLogOp;
 use crate::SiteId;
 use bytes::Bytes;
-use dvp_obs::EventKind;
+use dvp_obs::{EventKind, VmReceipt};
 use std::ops::Deref;
 
 impl VmEndpoint {
@@ -50,27 +50,23 @@ impl VmEndpoint {
         let accept = EventKind::VmAccept {
             from: from as u32,
             vseq: seq,
-            receipt: match class {
-                Classify::Duplicate => "duplicate",
-                Classify::OutOfOrder => "out_of_order",
-                Classify::Next => "fresh",
-            },
+            receipt: class.tag(),
             datagram: self.in_datagram,
         };
         self.obs.record(self.me as u32, accept, &mut self.stats);
         match class {
-            Classify::Duplicate => {
+            VmReceipt::Duplicate => {
                 // A duplicate proves the sender missed the ack: refresh it,
                 // so the sender can stop resending.
                 self.queue_ack(from);
                 Receipt::Duplicate
             }
-            Classify::OutOfOrder => {
+            VmReceipt::OutOfOrder => {
                 let window = self.cfg.window;
                 self.chan(from).hold(seq, &payload, window);
                 Receipt::OutOfOrder
             }
-            Classify::Next => Receipt::Fresh { seq, payload },
+            VmReceipt::Fresh => Receipt::Fresh { seq, payload },
         }
     }
 
@@ -95,7 +91,7 @@ impl VmEndpoint {
         self.obs.emit_with(self.me as u32, || EventKind::VmAccept {
             from: from as u32,
             vseq: seq,
-            receipt: "fresh",
+            receipt: VmReceipt::Fresh.tag(),
             datagram,
         });
         Some((seq, payload))

@@ -1,7 +1,7 @@
 //! Vm protocol counters. The ones a `VmSend` or `VmAccept` event
 //! records are folds of those events ([`Fold`]).
 
-use dvp_obs::{EventKind, Fold};
+use dvp_obs::{EventKind, Fold, VmReceipt};
 
 /// Counters for one [`VmEndpoint`](crate::endpoint::VmEndpoint).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,10 +58,11 @@ impl Fold for VmStats {
                 self.data_frames_sent += 1;
                 self.retransmissions += u64::from(retransmit);
             }
-            EventKind::VmAccept { receipt, .. } => match receipt {
-                "duplicate" => self.duplicates_discarded += 1,
-                "out_of_order" => self.out_of_order_held += 1,
-                _ => {}
+            EventKind::VmAccept { receipt, .. } => match VmReceipt::of(receipt) {
+                Some(VmReceipt::Duplicate) => self.duplicates_discarded += 1,
+                Some(VmReceipt::OutOfOrder) => self.out_of_order_held += 1,
+                Some(VmReceipt::Fresh) => {}
+                None => debug_assert!(false, "unknown Vm receipt {receipt:?}"),
             },
             _ => {}
         }

@@ -13,13 +13,15 @@
 
 use dvp::baselines::metrics::TradAbort;
 use dvp::baselines::{TradCluster, TradConfig, TradMetrics};
-use dvp::bench::exp_t5_conservation::{configs, HORIZON_MS};
+use dvp::bench::exp_t5_conservation::{configs, HORIZON_MS, MATRIX_SEEDS};
 use dvp::core::{AbortReason, Cluster, Placement, SiteConfig, SiteMetrics};
-use dvp::obs::{Event, EventKind, Fold};
+use dvp::obs::VmReceipt;
+use dvp::obs::{AbortCause, Event, EventKind, Fold};
 use dvp::prelude::{FaultPlan, SimDuration, SimTime};
 use dvp::storage::LogStats;
 use dvp::vmsg::VmStats;
 use dvp::workloads::{BankingWorkload, Workload};
+use dvp_nemesis::campaign::QUIET_WINDOW_MS;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 
@@ -48,10 +50,10 @@ fn entry(name: &'static str, source: Source, value: impl Debug) -> Entry {
     }
 }
 
-fn abort() -> EventKind {
+fn abort(reason: impl Into<AbortCause>) -> EventKind {
     EventKind::TxnAbort {
         txn: 1,
-        reason: "timeout",
+        reason: reason.into(),
         latency_us: 5,
     }
 }
@@ -67,7 +69,8 @@ fn commit(fast_path: bool) -> EventKind {
 const NO_SPLIT: &str = "no event carries a commit's first-credit instant";
 const HINTS: &str = "always 0: hints were removed; benchmark/ still reads it";
 const SALVAGE: &str = "the log counts where it cuts; the host emits `Salvage` after recovery, \
-     in order with `CheckpointFallback`, and the rebuild oracle salvages a clone silently";
+     in order with `CheckpointFallback`, and the rebuild oracle salvages a clone silently; \
+     `salvage_events_agree_with_the_log` holds the two equal";
 
 fn site_census(m: &SiteMetrics) -> Vec<Entry> {
     let SiteMetrics {
@@ -107,7 +110,11 @@ fn site_census(m: &SiteMetrics) -> Vec<Entry> {
         qty: 1,
     };
     vec![
-        entry("SiteMetrics::aborted[..Crashed]", Folds(abort()), decided),
+        entry(
+            "SiteMetrics::aborted[..Crashed]",
+            Folds(abort(AbortReason::Timeout)),
+            decided,
+        ),
         entry(
             "SiteMetrics::aborted[Crashed]",
             Plain("a crash drops its in-flight transactions with no `TxnAbort`"),
@@ -118,7 +125,11 @@ fn site_census(m: &SiteMetrics) -> Vec<Entry> {
             Folds(commit(false)),
             commit_latency,
         ),
-        entry("SiteMetrics::abort_latency", Folds(abort()), abort_latency),
+        entry(
+            "SiteMetrics::abort_latency",
+            Folds(abort(AbortReason::Timeout)),
+            abort_latency,
+        ),
         entry("SiteMetrics::fast_path", Folds(commit(true)), fast_path),
         entry("SiteMetrics::solicit", Plain(NO_SPLIT), solicit),
         entry("SiteMetrics::gather", Plain(NO_SPLIT), gather),
@@ -211,7 +222,7 @@ fn trad_census(m: &TradMetrics) -> Vec<Entry> {
         aborted,
         commit_latency,
         abort_latency,
-        messages_sent,
+        traffic,
         in_doubt,
         in_doubt_open_since,
         recovery_remote_messages,
@@ -220,7 +231,11 @@ fn trad_census(m: &TradMetrics) -> Vec<Entry> {
     } = m;
     let (decided, crashed) = aborted.split_at(TradAbort::Crashed as usize);
     vec![
-        entry("TradMetrics::aborted[..Crashed]", Folds(abort()), decided),
+        entry(
+            "TradMetrics::aborted[..Crashed]",
+            Folds(abort(TradAbort::Timeout)),
+            decided,
+        ),
         entry(
             "TradMetrics::aborted[Crashed]",
             Plain("a coordinator crash loses its undecided transactions with no `TxnAbort`"),
@@ -231,11 +246,15 @@ fn trad_census(m: &TradMetrics) -> Vec<Entry> {
             Folds(commit(false)),
             commit_latency,
         ),
-        entry("TradMetrics::abort_latency", Folds(abort()), abort_latency),
         entry(
-            "TradMetrics::messages_sent",
+            "TradMetrics::abort_latency",
+            Folds(abort(TradAbort::Timeout)),
+            abort_latency,
+        ),
+        entry(
+            "TradMetrics::traffic",
             Plain("no event per engine message"),
-            messages_sent,
+            traffic,
         ),
         entry(
             "TradMetrics::in_doubt",
@@ -330,12 +349,12 @@ fn vm_census(s: &VmStats) -> Vec<Entry> {
         ),
         entry(
             "VmStats::duplicates_discarded",
-            Folds(accept("duplicate")),
+            Folds(accept(VmReceipt::Duplicate.tag())),
             duplicates_discarded,
         ),
         entry(
             "VmStats::out_of_order_held",
-            Folds(accept("out_of_order")),
+            Folds(accept(VmReceipt::OutOfOrder.tag())),
             out_of_order_held,
         ),
         entry(
@@ -501,10 +520,9 @@ fn assert_folds<T: Fold>(
     moved
 }
 
-/// Every folded counter of a traced DvP cluster, site by site. The log
-/// folds from its stats as built: the genesis force comes before any
-/// handle is attached.
-fn dvp_folds(cl: &Cluster, built: &[LogStats]) -> BTreeSet<&'static str> {
+/// Every folded counter of a traced DvP cluster, site by site, each
+/// folded from zero: the log traces its genesis force too.
+fn dvp_folds(cl: &Cluster) -> BTreeSet<&'static str> {
     let events = cl.obs().events();
     let mut moved = BTreeSet::new();
     for (i, site) in cl.sim.nodes().iter().enumerate() {
@@ -524,7 +542,7 @@ fn dvp_folds(cl: &Cluster, built: &[LogStats]) -> BTreeSet<&'static str> {
         ));
         moved.extend(assert_folds(
             log_census,
-            built[i],
+            LogStats::default(),
             &site.log().stats(),
             i,
             &events,
@@ -552,9 +570,8 @@ fn dvp_banking_counters_are_the_fold_of_its_trace() {
         cfg.site = SiteConfig::builder().placement(placement).build();
         cfg.trace = true;
         let mut cl = Cluster::build(cfg);
-        let built: Vec<LogStats> = cl.sim.nodes().iter().map(|s| s.log().stats()).collect();
         cl.run_to_quiescence();
-        moved.extend(dvp_folds(&cl, &built));
+        moved.extend(dvp_folds(&cl));
     }
     for name in [
         "SiteMetrics::commit_latency",
@@ -586,9 +603,8 @@ fn faulted_dvp_counters_are_the_fold_of_their_traces() {
         let mut cfg = pc.campaign_config(seed, true).cluster;
         pc.schedule(seed).apply(&mut cfg);
         let mut cl = Cluster::build(cfg);
-        let built: Vec<LogStats> = cl.sim.nodes().iter().map(|s| s.log().stats()).collect();
         cl.run_until(settle);
-        moved.extend(dvp_folds(&cl, &built));
+        moved.extend(dvp_folds(&cl));
     }
     for name in [
         "SiteMetrics::checkpoints",
@@ -603,6 +619,47 @@ fn faulted_dvp_counters_are_the_fold_of_their_traces() {
     }
 }
 
+/// One salvage, recorded in two layers: the log counts it where it cuts
+/// (`LogStats::{media_salvages, salvaged_records, salvaged_bytes}`), the
+/// DvP host emits `Salvage` after recovery. Over every campaign of T5's
+/// `media-*` rows, traced to the end of their quiet window, each site's
+/// `Salvage` events — their number, and the sums of `records_lost` and
+/// `bytes_lost` — equal its log's three counters.
+#[test]
+fn salvage_events_agree_with_the_log() {
+    let end = SimTime::ZERO + SimDuration::millis(HORIZON_MS * 2 + 1_000 + QUIET_WINDOW_MS);
+    let mut salvaged = 0;
+    for pc in configs().iter().filter(|pc| pc.name.starts_with("media-")) {
+        for seed in 0..MATRIX_SEEDS {
+            let mut cfg = pc.campaign_config(seed, true).cluster;
+            pc.schedule(seed).apply(&mut cfg);
+            let mut cl = Cluster::build(cfg);
+            cl.run_until(end);
+            let events = cl.obs().events();
+            for (i, site) in cl.sim.nodes().iter().enumerate() {
+                let mut traced = [0; 3];
+                for e in events.iter().filter(|e| e.site as usize == i) {
+                    if let EventKind::Salvage {
+                        records_lost,
+                        bytes_lost,
+                        ..
+                    } = e.kind
+                    {
+                        traced[0] += 1;
+                        traced[1] += records_lost;
+                        traced[2] += bytes_lost;
+                    }
+                }
+                let s = site.log().stats();
+                let counted = [s.media_salvages, s.salvaged_records, s.salvaged_bytes];
+                assert_eq!(traced, counted, "{} seed {seed} site {i}", pc.name);
+                salvaged += counted[0];
+            }
+        }
+    }
+    assert!(salvaged > 0, "the media rows never salvaged");
+}
+
 /// 2PC banking with a site crashed and recovered mid-run.
 #[test]
 fn trad_banking_counters_are_the_fold_of_its_trace() {
@@ -611,7 +668,6 @@ fn trad_banking_counters_are_the_fold_of_its_trace() {
     cfg.trace = true;
     cfg.faults = FaultPlan::none().crash(ms(200), 2).recover(ms(600), 2);
     let mut cl = TradCluster::build(cfg);
-    let built: Vec<LogStats> = cl.sim.nodes().iter().map(|s| s.log().stats()).collect();
     cl.sim.run_to_quiescence();
     let events = cl.sim.obs().events();
     let mut moved = BTreeSet::new();
@@ -626,7 +682,7 @@ fn trad_banking_counters_are_the_fold_of_its_trace() {
         ));
         moved.extend(assert_folds(
             log_census,
-            built[i],
+            LogStats::default(),
             &site.log().stats(),
             i,
             &events,

@@ -176,12 +176,15 @@ fn trad_engine_traces_too() {
 /// A scripted baseline run that walks every 2PC/3PC recovery path on a
 /// fixed 2 ms link, so each step lands on a known instant:
 ///
-/// * txn A (site 0, quorum {0,1,2}) has its prepares forced and voted
-///   at 7 ms; the coordinator crashes at 8 ms with the votes in flight
-///   and recovers at 300 ms, re-entering in-doubt for its own `Prepared`
-///   record. 2PC participants query until presumed abort answers; 3PC
-///   participants hit the termination rule first.
-/// * txn B (site 3, quorum {3,0,1}) decides at 408 ms; a partition at
+/// * txn A (site 0, quorum {0,1,2}): site 0 prepares in-site at 5 ms,
+///   sites 1 and 2 force theirs and vote at 7 ms; the coordinator
+///   crashes at 8 ms with the votes in flight and recovers at 300 ms,
+///   where it finds its own `Prepared` record in doubt and answers its
+///   own query in-site: presumed abort, with no remote message. 2PC
+///   participants query until presumed abort answers; 3PC participants
+///   hit the termination rule first.
+/// * txn B (site 3, quorum {3,0,1}) decides at 408 ms, one force
+///   hardening site 3's own `Decision` and `Resolved`; a partition at
 ///   409 ms cuts the decision (2PC: retried until the heal at 700 ms) or
 ///   the pre-commit (3PC: coordinator commits on timeout, the cut-off
 ///   writers terminate with abort).
@@ -221,10 +224,13 @@ fn trad_traces_match_goldens() {
 
     let two = trad_recovery_scenario(CommitProtocol::TwoPhase, "obs/trad-2pc").run();
     assert_eq!((two.committed, two.aborted, two.still_blocked), (1, 1, 0));
-    assert_eq!(two.recovery_remote_msgs, 1, "in-doubt re-entry queried");
+    assert_eq!(
+        two.recovery_remote_msgs, 0,
+        "its own query is answered in-site"
+    );
     assert_eq!(
         (two.net.sent, two.log.forces),
-        (97, 17),
+        (88, 16),
         "retries and queries"
     );
     assert_eq!(
@@ -239,10 +245,10 @@ fn trad_traces_match_goldens() {
         (1, 1, 0),
         "3PC terminates on its own"
     );
-    // 110 sends: once the decision is taken, its retries replace the
-    // pre-commit's (138 while both chains ran, each unacked writer hearing
+    // 98 sends: once the decision is taken, its retries replace the
+    // pre-commit's (while both chains ran, each unacked writer heard
     // every decision twice per interval).
-    assert_eq!((three.net.sent, three.log.forces), (110, 17));
+    assert_eq!((three.net.sent, three.log.forces), (98, 16));
     assert_eq!(
         three.trace_jsonl(),
         include_str!("golden/obs_trad_3pc.jsonl"),

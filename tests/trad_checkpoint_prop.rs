@@ -1,9 +1,13 @@
 //! Checkpoint round trip for the 2PC and 3PC baselines: a site that
 //! crashes and recovers from its checkpoint plus the redo suffix comes
 //! back with exactly the replicas and in-doubt transactions it went down
-//! with, and the cluster still ends consistent: the replicas converge,
-//! and under 2PC the decisions agree, each item's latest replica holds
-//! its total plus the committed deltas, and the outcome audit is empty.
+//! with — except the in-doubt transactions it coordinated itself. Those
+//! it answers in-site during its recovery, from the decisions it
+//! recovered: each resolves commit if and only if the victim had logged
+//! its commit `Decision`, and a commit installs its writes. The cluster
+//! then still ends consistent: the replicas converge, and under 2PC the
+//! decisions agree, each item's latest replica holds its total plus the
+//! committed deltas, and the outcome audit is empty.
 //!
 //! Each case runs an 8-site banking script of 2,000 transactions and
 //! crashes one random site at a random instant for a random downtime.
@@ -12,6 +16,7 @@
 //! the older generation's retained window; every test asserts that some
 //! of its cases did.
 
+use dvp::baselines::record::{TradRecord, VersionedWrite};
 use dvp::baselines::{CommitProtocol, TradCluster, TradConfig};
 use dvp::core::clock::Ts;
 use dvp::obs::EventKind;
@@ -29,8 +34,10 @@ fn ms(n: u64) -> SimTime {
 }
 
 /// What a crash must not change: every replica's `(value, version)` and
-/// the in-doubt transactions.
-fn durable_view(cl: &TradCluster, site: usize) -> (Vec<(u64, u64)>, Vec<Ts>) {
+/// the in-doubt transactions, each with the writes it installs on commit.
+type DurableView = (Vec<(u64, u64)>, Vec<(Ts, Vec<VersionedWrite>)>);
+
+fn durable_view(cl: &TradCluster, site: usize) -> DurableView {
     let node = cl.sim.node(site);
     let replicas = cl
         .catalog
@@ -38,7 +45,32 @@ fn durable_view(cl: &TradCluster, site: usize) -> (Vec<(u64, u64)>, Vec<Ts>) {
         .iter()
         .map(|d| node.replica(d.id))
         .collect();
-    (replicas, node.in_doubt().collect())
+    let in_doubt = node
+        .in_doubt()
+        .map(|txn| (txn, node.prepared_writes(txn).unwrap().to_vec()))
+        .collect();
+    (replicas, in_doubt)
+}
+
+/// The view recovery must rebuild from `before`: the in-doubt
+/// transactions `victim` coordinated are resolved, and those in
+/// `committed` have installed their writes (over no newer version).
+fn expected_after(before: &DurableView, victim: usize, committed: &[u64]) -> DurableView {
+    let (mut replicas, in_doubt) = before.clone();
+    let (own, others): (Vec<_>, Vec<_>) = in_doubt
+        .into_iter()
+        .partition(|(txn, _)| txn.site() == victim);
+    for (txn, writes) in own {
+        if committed.contains(&txn.0) {
+            for (item, value, version) in writes {
+                let r = &mut replicas[item.0 as usize];
+                if version >= r.1 {
+                    *r = (value, version);
+                }
+            }
+        }
+    }
+    (replicas, others)
 }
 
 /// Crash `victim` at `crash_ms` for `down_ms`, check the round trip, run
@@ -71,6 +103,19 @@ fn round_trip(
     let (down, up) = (ms(crash_ms), ms(crash_ms + down_ms));
     cl.run_until(down);
     let before = durable_view(&cl, victim);
+    // A coordinator logs its commit `Decision` in the dispatch that
+    // reports the commit, and every dispatch ends forced.
+    let committed: Vec<u64> = cl
+        .sim
+        .obs()
+        .events()
+        .iter()
+        .filter(|e| e.site == victim as u32)
+        .filter_map(|e| match e.kind {
+            EventKind::TxnCommit { txn, .. } => Some(txn),
+            _ => None,
+        })
+        .collect();
     let checkpoints = cl.metrics().sites[victim].checkpoints;
     let retained = cl.sim.node(victim).log().stable_len() as u64;
     let first_lsn = cl.sim.node(victim).log().clone().recover_entries().unwrap()[0].0;
@@ -84,9 +129,39 @@ fn round_trip(
     cl.run_until(up);
     prop_assert_eq!(
         durable_view(&cl, victim),
-        before,
+        expected_after(&before, victim, &committed),
         "victim {victim} at {crash_ms} ms"
     );
+    // Each self-coordinated transaction resolved as its logged decision
+    // says, in a `Resolved` record of the recovery's own.
+    let resolved: Vec<(Ts, bool)> = cl
+        .sim
+        .node(victim)
+        .log()
+        .clone()
+        .recover_entries()
+        .unwrap()
+        .into_iter()
+        .filter_map(|(_, r)| match r {
+            TradRecord::Resolved { txn, commit } => Some((txn, commit)),
+            _ => None,
+        })
+        .collect();
+    for (txn, _) in before.1.iter().filter(|(txn, _)| txn.site() == victim) {
+        let logged = committed.contains(&txn.0);
+        prop_assert_eq!(
+            resolved
+                .iter()
+                .rev()
+                .find(|(t, _)| t == txn)
+                .map(|&(_, c)| c),
+            Some(logged),
+            "victim {} at {} ms: {:?} must resolve as its logged decision",
+            victim,
+            crash_ms,
+            txn
+        );
+    }
 
     let deep = checkpoints >= 2;
     if deep {
